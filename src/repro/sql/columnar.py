@@ -70,6 +70,10 @@ class ColumnBatch:
     def selected_count(self) -> int:
         return self.n if self.sel is None else len(self.sel)
 
+    #: a batch counts (and tests true) by its selected rows, like the
+    #: row-context lists it stands in for in the scan loops
+    __len__ = selected_count
+
     def row(self, i: int) -> List[Any]:
         """Materialize row ``i`` as a list (one value per column)."""
         return [col[i] for col in self.columns]

@@ -430,15 +430,46 @@ def _vector_codegen_cls() -> type:
     return _VECTOR_CODEGEN_CLS
 
 
+#: byte-compiled factory sources.  ``compile`` costs more than planning
+#: an indexed point statement, and every re-plan of one statement shape
+#: (plan-cache miss after DDL, eviction, a new bind signature)
+#: regenerates the same text; a pure memo, emptied when full.
+_CODE_CACHE: Dict[str, Any] = {}
+_CODE_CACHE_LIMIT = 512
+
+
 def _exec_factory(gen: Any, lines: List[str], filename: str) -> Callable:
+    """The generated ``_factory``, byte-compiled on its first call.
+
+    Plan time only generates source: a plan that never runs the
+    artifact (DML target selection discards the projection; EXPLAIN)
+    does not pay for ``compile``.  Sessions sharing a cached plan may
+    race the first call; both run the same code and either result
+    serves.
+    """
     from repro.sql.parallel import _emit_bind_guards, _kernel_namespace
     src = [lines[0]]
     src.extend(_emit_bind_guards(gen))
     src.extend(lines[1:])
+    source = "\n".join(src)
     namespace = _kernel_namespace(gen)
-    exec(compile("\n".join(src), filename, "exec"),  # noqa: S102
-         namespace)
-    return namespace["_factory"]
+    generated: List[Callable] = []
+
+    def factory(binds: Dict[str, Any]) -> Optional[Callable]:
+        if not generated:
+            code = _CODE_CACHE.get(source)
+            if code is None:
+                code = compile(source, filename, "exec")
+                if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
+                    _CODE_CACHE.clear()
+                _CODE_CACHE[source] = code
+            exec(code, namespace)  # noqa: S102
+            # popped so the namespace (the function's globals) does not
+            # point back at the function: a retired plan is then freed
+            # by reference counting, not left for the cycle collector
+            generated.append(namespace.pop("_factory"))
+        return generated[0](binds)
+    return factory
 
 
 def compile_vector_kernel(predicate: Optional[ast.Expr], binding: str,

@@ -896,7 +896,7 @@ class DMLEngine:
             items=[ast.SelectItem(ast.Star())],
             tables=[ast.TableRef(name=table.name, alias=binding)],
             where=where)
-        plan = db.planner.plan_select(select)
+        plan = db.planner.plan_select(select, one_shot=True)
         node = plan.root
         while isinstance(node, (pl.ProjectNode, pl.DistinctNode,
                                 pl.LimitNode, pl.SortNode)):

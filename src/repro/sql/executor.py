@@ -21,11 +21,17 @@ resolves each slot through :meth:`Executor._truth_fn` /
 compiler declined (per-expression, so one OperatorCall in a filter does
 not deoptimize its neighbours).
 
-The :meth:`Executor._batches_domain_scan` method is the server side of
+The :meth:`Executor._domain_batches` method is the server side of
 the ODCI scan protocol: it builds the ODCIPredInfo/ODCIQueryInfo
 descriptors, invokes ``index_start``, re-enters ``index_fetch`` batch by
 batch until the cartridge reports the null-terminator, fetches the
 streamed rowids from the base table, and finally calls ``index_close``.
+
+Every index-driven row source — B-tree/hash/bitmap scans, the inner
+sides of the index joins, ODCI-returned rowids — fetches its rowids
+through one :class:`_RowidSource`: a batch at a time, one buffer get
+per distinct heap page, the residual filter as a vector kernel over the
+fetched batch when the plan has one, row contexts for survivors only.
 
 Parallel execution (see :mod:`repro.sql.parallel`): when the plan marks
 a heap full scan ``[PARALLEL dop=N]`` and the session allows it, the
@@ -42,6 +48,7 @@ a pool worker (nested callback SQL must not deadlock the pool).
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
     Tuple
 
@@ -60,17 +67,33 @@ from repro.types.values import NULL, is_null, sql_compare
 #: the session's long-lived bindless executor)
 _CONST_CACHE_LIMIT = 1024
 
+#: native index scans: a probe yields rowids, the batched base-table
+#: fetch (:class:`_RowidSource`) turns them into rows
+_INDEX_SCANS = (pl.BTreeScan, pl.HashScan, pl.BitmapScan)
 
-def _chunked(rows: Iterable[RowContext], size: int
-             ) -> Iterator[List[RowContext]]:
-    """Regroup a row stream into batches of at most ``size`` rows."""
+#: single-table scans a LIMIT's row budget can be pushed into
+_SCAN_NODES = (pl.FullScan, pl.DomainScan) + _INDEX_SCANS
+
+#: nodes whose rows arrive in producer-shaped batches (iter_batches)
+_BATCHED_NODES = _SCAN_NODES + (pl.FilterNode,)
+
+#: marks a fetched row the cartridge supplied no ancillary value for
+_NO_AUX = object()
+
+
+def _chunked(items: Iterable[Any], size: int,
+             grow_to: int = 0) -> Iterator[List[Any]]:
+    """Regroup a stream (rows, rowids) into batches of at most ``size``;
+    with ``grow_to``, each batch may be twice the last up to that many."""
     size = max(1, size)
-    batch: List[RowContext] = []
-    for ctx in rows:
-        batch.append(ctx)
+    batch: List[Any] = []
+    for item in items:
+        batch.append(item)
         if len(batch) >= size:
             yield batch
             batch = []
+            if size < grow_to:
+                size = min(size * 2, grow_to)
     if batch:
         yield batch
 
@@ -150,7 +173,7 @@ class Executor:
             return None
         child = node.child
         if isinstance(child, pl.ProjectNode) \
-                and isinstance(child.child, (pl.FullScan, pl.DomainScan)):
+                and isinstance(child.child, _SCAN_NODES):
             return node.limit + (node.offset or 0)
         return None
 
@@ -187,11 +210,10 @@ class Executor:
         if not isinstance(node, pl.ProjectNode):
             raise ExecutionError(f"expected projection at plan top, got "
                                  f"{node.label()}")
-        if isinstance(node.child, pl.FullScan):
-            fused = self._vector_project_scan(node, node.child)
-            if fused is not None:
-                yield from fused
-                return
+        fused = self._vector_project_scan(node, node.child)
+        if fused is not None:
+            yield from fused
+            return
         fns = self._value_fns(node, "items", [e for e, _ in node.items])
         for batch in self.iter_batches(node.child):
             for ctx in batch:
@@ -244,14 +266,8 @@ class Executor:
 
     def iter_node(self, node: pl.PlanNode) -> Iterator[RowContext]:
         """Yield row contexts for any relational plan node."""
-        if isinstance(node, (pl.FullScan, pl.DomainScan, pl.FilterNode)):
+        if isinstance(node, _BATCHED_NODES):
             return _flatten(self.iter_batches(node))
-        if isinstance(node, pl.BTreeScan):
-            return self._iter_btree_scan(node)
-        if isinstance(node, pl.HashScan):
-            return self._iter_hash_scan(node)
-        if isinstance(node, pl.BitmapScan):
-            return self._iter_bitmap_scan(node)
         if isinstance(node, pl.IOTPrefixScan):
             return self._iter_iot_prefix_scan(node)
         if isinstance(node, pl.NestedLoopJoin):
@@ -273,7 +289,8 @@ class Executor:
         """Yield row contexts in batches.
 
         Scans whose producers are naturally batched (heap pages, ODCI
-        fetch results) keep their batch shape through the pipeline;
+        fetch results, rowid chunks of an index probe) keep their batch
+        shape through the pipeline;
         other nodes are regrouped into ``fetch_batch_size`` chunks so
         batch consumers (filter, project) always run their tight loop.
         """
@@ -281,15 +298,13 @@ class Executor:
             return self._batches_full_scan(node)
         if isinstance(node, pl.DomainScan):
             return self._batches_domain_scan(node)
+        if isinstance(node, _INDEX_SCANS):
+            return self._batches_index_scan(node)
         if isinstance(node, pl.FilterNode):
             return self._batches_filter(node)
         return _chunked(self.iter_node(node), self.batch_size)
 
     # -- scans ---------------------------------------------------------------
-
-    def _make_ctx(self, table: TableDef, binding: str, rowid: Any,
-                  row: List[Any]) -> RowContext:
-        return self._ctx_factory(table, binding)(rowid, row)
 
     def _ctx_factory(self, table: TableDef, binding: str
                      ) -> Callable[[Any, List[Any]], RowContext]:
@@ -360,65 +375,95 @@ class Executor:
 
     # -- vectorized columnar scan ----------------------------------------------
 
+    def _vector_filter(self, node: pl.PlanNode
+                       ) -> Tuple[bool, Optional[Callable]]:
+        """``(vectorized, kernel)`` for a scan node's filter this
+        execution.
+
+        ``vectorized`` is plan-time eligibility (``vector_mode ==
+        "VECTORIZED"``, which implies the filter — if any — compiled to
+        a vector kernel) plus the session gate and the kernel factory's
+        per-execution bind inspection; a declined factory sends the
+        whole statement to the row pipeline, mirroring the PR 9
+        row-kernel contract.  ``kernel`` is None for a filterless scan.
+        """
+        if not self.use_vectorized or node.vector_mode != "VECTORIZED":
+            return False, None
+        if node.filter is None:
+            return True, None
+        factory = node.compiled.get("vector_kernel")
+        if factory is None:
+            return False, None
+        kernel = factory(self.binds)
+        if kernel is None:
+            # bind values outside the kernel contract (NULL, bool,
+            # non-string LIKE pattern)
+            self.xstats.record_factory_decline()
+            return False, None
+        return True, kernel
+
     def _vector_scan(self, node: pl.FullScan, require_kernel: bool = False
                      ) -> Optional[Iterator[ColumnBatch]]:
         """Columnar batches for a full scan, or None for the row path.
 
-        Eligibility is plan-time (``vector_mode == "VECTORIZED"``, which
-        implies the filter — if any — compiled to a vector kernel) plus
-        the session gate and the kernel factory's per-execution bind
-        inspection: a declined factory sends the whole statement back to
-        the row pipeline, mirroring the PR 9 row-kernel contract.  With
-        ``require_kernel`` a filterless scan declines too — transposing
-        pages for a row consumer with no filter to vectorize is pure
-        overhead.
+        With ``require_kernel`` a filterless scan declines too —
+        transposing pages for a row consumer with no filter to
+        vectorize is pure overhead.
         """
-        if not self.use_vectorized:
+        if not node.has_scan_columns:
             return None
-        if node.vector_mode != "VECTORIZED" or not node.has_scan_columns:
-            return None
-        kernel = None
-        if node.filter is not None:
-            factory = node.compiled.get("vector_kernel")
-            if factory is None:
-                return None
-            kernel = factory(self.binds)
-            if kernel is None:
-                # bind values outside the kernel contract (NULL, bool,
-                # non-string LIKE pattern)
-                self.xstats.record_factory_decline()
-                return None
-        elif require_kernel:
+        ok, kernel = self._vector_filter(node)
+        if not ok or (kernel is None and require_kernel):
             return None
         dop = self._effective_dop(node)
         if dop >= 2:
             return self._cbatches_parallel(node, kernel, dop)
         return self._cbatches_serial(node, kernel)
 
+    def _vector_cbatches(self, scan: pl.PlanNode
+                         ) -> Optional[Iterator[ColumnBatch]]:
+        """Filtered columnar batches of any vector-capable scan — full,
+        native index, or domain — or None for the row path."""
+        if isinstance(scan, pl.FullScan):
+            return self._vector_scan(scan)
+        source = self._scan_source(scan, columnar=True)
+        if source is None:
+            return None
+        if isinstance(scan, pl.DomainScan):
+            return self._domain_batches(
+                scan, lambda result: source.cbatch(result.rowids))
+        return self._index_batches(scan, source.cbatch)
+
+    def _run_kernel(self, kernel: Callable, cbatch: ColumnBatch,
+                    closure_sel: Callable[[ColumnBatch], List[int]]
+                    ) -> None:
+        """Set ``cbatch.sel`` from the vector kernel.  A kernel failing
+        mid-batch re-runs THIS batch on the closure path, so
+        accept/reject outcomes, evaluation order, and error classes are
+        byte-identical."""
+        try:
+            cbatch.sel = kernel(cbatch.columns, cbatch.rowids, cbatch.n)
+            self.xstats.record_vector_batch(cbatch.n)
+        except Exception:  # noqa: BLE001 — degrade to exact semantics
+            self.xstats.record_fallback_batch()
+            cbatch.sel = closure_sel(cbatch)
+
     def _cbatches_serial(self, node: pl.FullScan, kernel: Optional[Callable]
                          ) -> Iterator[ColumnBatch]:
         storage = node.table.storage
         snapshot = self.snapshot if node.versioned else None
         width = len(node.table.columns)
-        xstats = self.xstats
         for rowids, columns in storage.scan_batches_columnar(width, snapshot):
             cbatch = ColumnBatch(rowids, columns)
             if kernel is not None:
-                try:
-                    cbatch.sel = kernel(columns, rowids, cbatch.n)
-                    xstats.record_vector_batch(cbatch.n)
-                except Exception:  # noqa: BLE001 — degrade to exact semantics
-                    # mid-batch kernel failure: re-run THIS batch on the
-                    # closure path so accept/reject outcomes, evaluation
-                    # order, and error classes are byte-identical
-                    xstats.record_fallback_batch()
-                    cbatch.sel = self._closure_sel(node, cbatch)
+                self._run_kernel(
+                    kernel, cbatch, lambda cb: self._closure_sel(node, cb))
             else:
-                xstats.record_vector_batch(cbatch.n)
+                self.xstats.record_vector_batch(cbatch.n)
             if cbatch.selected_count():
                 yield cbatch
 
-    def _closure_sel(self, node: pl.FullScan,
+    def _closure_sel(self, node: pl.PlanNode,
                      cbatch: ColumnBatch) -> List[int]:
         """Selection vector for one batch via the closure/interpreter
         path — the serial-exact fallback tier."""
@@ -475,12 +520,7 @@ class Executor:
                     start, stop, width, snapshot):
                 cbatch = ColumnBatch(rowids, columns)
                 if kernel is not None:
-                    try:
-                        cbatch.sel = kernel(columns, rowids, cbatch.n)
-                        xstats.record_vector_batch(cbatch.n)
-                    except Exception:  # noqa: BLE001 — exact semantics
-                        xstats.record_fallback_batch()
-                        cbatch.sel = closure_sel(cbatch)
+                    self._run_kernel(kernel, cbatch, closure_sel)
                 else:
                     xstats.record_vector_batch(cbatch.n)
                 if cbatch.selected_count():
@@ -499,13 +539,15 @@ class Executor:
                 exchange.close()
                 return
 
-    def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.FullScan
+    def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.PlanNode
                              ) -> Optional[Iterator[Tuple[Any, ...]]]:
         """Fused filter→project over columnar batches, or None.
 
         Output tuples are gathered straight from the column vectors
         through the selection vector — selected rows are never
-        materialized as row tuples between the two operators.
+        materialized as row tuples between the two operators.  The
+        planner stamps the projection ``VECTORIZED`` only over a scan
+        that produces column batches (full, native index, or domain).
         """
         if not self.use_vectorized or node.vector_mode != "VECTORIZED":
             return None
@@ -516,12 +558,12 @@ class Executor:
         if project is None:
             self.xstats.record_factory_decline()
             return None
-        cbatches = self._vector_scan(scan)
+        cbatches = self._vector_cbatches(scan)
         if cbatches is None:
             return None
         return self._project_cbatches(node, scan, project, cbatches)
 
-    def _project_cbatches(self, node: pl.ProjectNode, scan: pl.FullScan,
+    def _project_cbatches(self, node: pl.ProjectNode, scan: pl.PlanNode,
                           project: Callable,
                           cbatches: Iterator[ColumnBatch]
                           ) -> Iterator[Tuple[Any, ...]]:
@@ -714,16 +756,40 @@ class Executor:
         self._const_cache[id(expr)] = (expr, value)
         return value
 
-    def _fetch_fn(self, storage: Any) -> Callable[[Any], Optional[List[Any]]]:
-        """Row fetch callable for a table's storage, resolved against the
-        executor's snapshot when the storage is versioned.
+    def _batch_fetcher(self, table: TableDef
+                       ) -> Callable[[List[Any]], Tuple[List[Any], List[Any]]]:
+        """``fetch(rowids) -> (rowids, rows)`` over a table's storage:
+        the batch's live, visible rows in the order the rowids came in.
 
-        Unversioned storages (dictionary views, test doubles) keep the
-        plain current-mode fetch regardless of snapshot."""
-        snapshot = self.snapshot
-        if snapshot is None or getattr(storage, "versions", None) is None:
-            return storage.fetch_or_none
-        return lambda rowid: storage.fetch_or_none(rowid, snapshot)
+        Resolved against the executor's snapshot when the storage is
+        versioned; unversioned storages (dictionary views, test doubles)
+        and current-mode statements (DML target selection) read current
+        values.  Heaps fetch page-batched; any other storage is read one
+        rowid at a time — the executor's only such loop.
+        """
+        storage = table.storage
+        snapshot = self.snapshot \
+            if getattr(storage, "versions", None) is not None else None
+        fetch_batch = getattr(storage, "fetch_batch", None)
+        if fetch_batch is not None:
+            if snapshot is None:
+                return fetch_batch
+            return lambda rowids: fetch_batch(rowids, snapshot)
+        if snapshot is None:
+            fetch = storage.fetch_or_none
+        else:
+            def fetch(rowid: Any) -> Optional[List[Any]]:
+                return storage.fetch_or_none(rowid, snapshot)
+
+        def fetch_rows(rowids: List[Any]) -> Tuple[List[Any], List[Any]]:
+            found, rows = [], []
+            for rowid in rowids:
+                row = fetch(rowid)
+                if row is not None:
+                    found.append(rowid)
+                    rows.append(row)
+            return found, rows
+        return fetch_rows
 
     def _probe(self, structure: Any,
                produce: Callable[[], Iterable[Any]]) -> Iterable[Any]:
@@ -739,12 +805,6 @@ class Executor:
             return produce()
         with latch:
             return list(produce())
-
-    def _fetch_ctx(self, node, rowid: Any) -> Optional[RowContext]:
-        row = self._fetch_fn(node.table.storage)(rowid)
-        if row is None:
-            return None
-        return self._make_ctx(node.table, node.binding_name, rowid, row)
 
     def _iter_iot_prefix_scan(self, node: pl.IOTPrefixScan
                               ) -> Iterator[RowContext]:
@@ -764,58 +824,105 @@ class Executor:
             if passes is None or passes(ctx):
                 yield ctx
 
-    def _iter_btree_scan(self, node: pl.BTreeScan) -> Iterator[RowContext]:
-        low = self._const(node.low)
-        high = self._const(node.high)
+    # -- native index scans ----------------------------------------------------
+
+    def _probe_rowids(self, node: pl.PlanNode) -> Iterable[Any]:
+        """The rowids a native index scan's probe returns, in index
+        order.  A NULL key or bound compares unknown to every entry:
+        the probe is empty."""
         structure = node.index.structure
-        make = self._ctx_factory(node.table, node.binding_name)
-        passes = self._truth_fn(node, "filter", node.filter)
-        fetch = self._fetch_fn(node.table.storage)
-        for __, rowid in self._probe(
+        if isinstance(node, pl.BTreeScan):
+            low = self._const(node.low)
+            if node.low is node.high and node.low is not None:
+                # equality sarg: one descent, no leaf walk
+                if is_null(low):
+                    return ()
+                return self._probe(structure, lambda: structure.search(low))
+            high = self._const(node.high)
+            if (node.low is not None and is_null(low)) \
+                    or (node.high is not None and is_null(high)):
+                return ()
+            return map(itemgetter(1), self._probe(
                 structure,
-                lambda: structure.range_scan(low, high,
-                                             node.low_inclusive,
-                                             node.high_inclusive)):
-            row = fetch(rowid)
-            if row is None:
-                continue
-            ctx = make(rowid, row)
-            if passes is None or passes(ctx):
-                yield ctx
+                lambda: structure.range_scan(low, high, node.low_inclusive,
+                                             node.high_inclusive)))
+        if isinstance(node, pl.HashScan):
+            key = self._const(node.key)
+            if is_null(key):
+                return ()
+            return self._probe(structure, lambda: structure.search(key))
+        keys = [key for key in map(self._const, node.keys)
+                if not is_null(key)]
+        return self._probe(structure, lambda: structure.search_any_of(keys))
 
-    def _iter_hash_scan(self, node: pl.HashScan) -> Iterator[RowContext]:
-        key = self._const(node.key)
-        make = self._ctx_factory(node.table, node.binding_name)
-        passes = self._truth_fn(node, "filter", node.filter)
-        fetch = self._fetch_fn(node.table.storage)
-        structure = node.index.structure
-        for rowid in self._probe(structure, lambda: structure.search(key)):
-            row = fetch(rowid)
-            if row is None:
-                continue
-            ctx = make(rowid, row)
-            if passes is None or passes(ctx):
-                yield ctx
+    def _scan_source(self, node: pl.PlanNode, columnar: bool
+                     ) -> Optional["_RowidSource"]:
+        """The batched base-table fetch behind an index-driven scan.
 
-    def _iter_bitmap_scan(self, node: pl.BitmapScan) -> Iterator[RowContext]:
-        keys = [self._const(k) for k in node.keys]
-        make = self._ctx_factory(node.table, node.binding_name)
-        passes = self._truth_fn(node, "filter", node.filter)
-        fetch = self._fetch_fn(node.table.storage)
-        structure = node.index.structure
-        for rowid in self._probe(structure,
-                                 lambda: structure.search_any_of(keys)):
-            row = fetch(rowid)
-            if row is None:
-                continue
-            ctx = make(rowid, row)
-            if passes is None or passes(ctx):
-                yield ctx
+        A ``columnar`` consumer (the fused projection) needs the
+        residual filter to run as the plan's vector kernel: None when it
+        cannot, and the caller takes the row path.  A row consumer gets
+        the kernel when there is one — crossing a materialization
+        boundary for the survivors — and closures otherwise."""
+        ok, kernel = self._vector_filter(node)
+        if columnar and not ok:
+            return None
+        if not columnar and kernel is not None:
+            self.xstats.record_materialize_boundary()
+        label = node.operator_call.label \
+            if isinstance(node, pl.DomainScan) else None
+        return _RowidSource(self, node, node.table, node.binding_name,
+                            node.filter, "filter", kernel, label)
+
+    def _index_batches(self, node: pl.PlanNode,
+                       materialize: Callable[[List[Any]], Any]
+                       ) -> Iterator[Any]:
+        """Probe a native index and materialize its rowids a chunk at a
+        time, in probe order, so a LIMIT or an abandoned cursor never
+        fetches the rest of the range.  The first chunk is
+        ``fetch_batch_size`` rowids (first rows come fast); each later
+        one may be twice the last, up to eight times that, because a
+        long probe shares heap pages and kernel entries across a larger
+        batch.  Without a residual filter every live fetched row is an
+        output row, so a LIMIT's row budget also caps the chunk."""
+        budget = self._scan_budget
+        size = self.batch_size
+        if budget is not None and node.filter is None:
+            size = min(size, budget)
+        rowids = self._probe_rowids(node)
+        if isinstance(rowids, list) and len(rowids) <= size:
+            chunks: Iterable[List[Any]] = (rowids,)  # the point probe
+        else:
+            chunks = _chunked(rowids, size, grow_to=8 * size)
+        emitted = 0
+        for chunk in chunks:
+            batch = materialize(chunk)
+            if batch:
+                yield batch
+                emitted += len(batch)
+                if budget is not None and emitted >= budget:
+                    return
+
+    def _batches_index_scan(self, node: pl.PlanNode
+                            ) -> Iterator[List[RowContext]]:
+        source = self._scan_source(node, columnar=False)
+        return self._index_batches(node, source.contexts)
 
     # -- the domain index scan (ODCI orchestration) ----------------------------
 
     def _batches_domain_scan(self, node: pl.DomainScan
                              ) -> Iterator[List[RowContext]]:
+        source = self._scan_source(node, columnar=False)
+        return self._domain_batches(
+            node, lambda result: source.contexts(result.rowids, result.aux))
+
+    def _domain_batches(self, node: pl.DomainScan,
+                        materialize: Callable[[Any], Any]) -> Iterator[Any]:
+        """The server side of the ODCI scan protocol: Start, Fetch until
+        the null-terminator, Close.  Each ODCIIndexFetch result goes
+        through ``materialize`` (row contexts for a row consumer, a
+        filtered ``ColumnBatch`` under a fused projection); empty
+        batches are not yielded."""
         domain = node.index.domain
         if domain is None or domain.methods is None:
             raise ODCIError("DomainScan", f"index {node.index.name} has no "
@@ -852,28 +959,6 @@ class Executor:
         closer = self._make_closer(methods, context, env,
                                    index_name=node.index.name)
         batch_size = self.batch_size
-        make = self._ctx_factory(node.table, node.binding_name)
-        passes = self._truth_fn(node, "filter", node.filter)
-        # index-returned rowids are hints: the snapshot-aware base-table
-        # fetch re-validates each one, dropping rows whose versions are
-        # not visible to this statement
-        fetch = self._fetch_fn(node.table.storage)
-        label = call.label
-
-        def materialize(result) -> List[RowContext]:
-            aux = result.aux or []
-            batch = []
-            for i, rowid in enumerate(result.rowids):
-                row = fetch(rowid)
-                if row is None:
-                    continue
-                ctx = make(rowid, row)
-                if label is not None and i < len(aux):
-                    ctx.aux[label] = aux[i]
-                if passes is None or passes(ctx):
-                    batch.append(ctx)
-            return batch
-
         budget = self._scan_budget
         emitted = 0
         depth = self._prefetch_depth(node)
@@ -890,7 +975,9 @@ class Executor:
                     "ODCIIndexFetch", methods.index_fetch,
                     context, batch_size, env,
                     index_name=node.index.name, phase="scan")
-                # materialize the whole fetch batch into a row batch
+                # index-returned rowids are hints: the snapshot-aware
+                # base-table fetch re-validates each one, dropping rows
+                # whose versions are not visible to this statement
                 batch = materialize(result)
                 if batch:
                     yield batch
@@ -932,8 +1019,7 @@ class Executor:
     def _domain_fetch_prefetched(self, node: pl.DomainScan, dispatcher,
                                  methods, context, env, batch_size: int,
                                  materialize, depth: int,
-                                 budget: Optional[int]
-                                 ) -> Iterator[List[RowContext]]:
+                                 budget: Optional[int]) -> Iterator[Any]:
         """The async fetch loop: a single producer task on the engine
         pool issues ``ODCIIndexFetch`` calls (strictly sequentially —
         the scan context is stateful) up to ``depth`` batches ahead of
@@ -1015,25 +1101,24 @@ class Executor:
                               ) -> Iterator[RowContext]:
         structure = node.index.structure
         outer_key = self._value_fn(node, "outer_key", node.outer_key)
-        inner_passes = self._truth_fn(node, "inner_filter", node.inner_filter)
         accepts = self._truth_fn(node, "condition", node.condition)
-        make = self._ctx_factory(node.inner_table, node.inner_binding)
-        fetch = self._fetch_fn(node.inner_table.storage)
+        inner = self._join_source(node)
         for outer_ctx in self.iter_node(node.outer):
             key = outer_key(outer_ctx)
             if is_null(key):
                 continue
-            for rowid in self._probe(structure,
-                                     lambda: structure.search(key)):
-                row = fetch(rowid)
-                if row is None:
-                    continue
-                inner_ctx = make(rowid, row)
-                if inner_passes is not None and not inner_passes(inner_ctx):
-                    continue
+            rowids = self._probe(structure, lambda: structure.search(key))
+            for inner_ctx in inner.contexts(rowids):
                 merged = outer_ctx.merged_with(inner_ctx)
                 if accepts is None or accepts(merged):
                     yield merged
+
+    def _join_source(self, node: pl.PlanNode,
+                     label: Optional[Any] = None) -> "_RowidSource":
+        """The inner side of an index join: one probe's rowids are one
+        fetch batch; the inner filter runs as closures."""
+        return _RowidSource(self, node, node.inner_table, node.inner_binding,
+                            node.inner_filter, "inner_filter", None, label)
 
     def _iter_domain_nl_join(self, node: pl.DomainNLJoin
                              ) -> Iterator[RowContext]:
@@ -1052,10 +1137,8 @@ class Executor:
         if call.label is not None:
             value_args = value_args[:-1]
         arg_fns = self._value_fns(node, "value_args", value_args)
-        inner_passes = self._truth_fn(node, "inner_filter", node.inner_filter)
         accepts = self._truth_fn(node, "condition", node.condition)
-        make = self._ctx_factory(node.inner_table, node.inner_binding)
-        fetch = self._fetch_fn(node.inner_table.storage)
+        inner = self._join_source(node, call.label)
         env = self.db.make_env(CallbackPhase.SCAN, domain,
                                snapshot=self.snapshot)
         ia = domain.index_info()
@@ -1086,17 +1169,8 @@ class Executor:
                         "ODCIIndexFetch", methods.index_fetch,
                         context, batch_size, env,
                         index_name=node.index.name, phase="scan")
-                    aux = result.aux or []
-                    for i, rowid in enumerate(result.rowids):
-                        row = fetch(rowid)
-                        if row is None:
-                            continue
-                        inner_ctx = make(rowid, row)
-                        if call.label is not None and i < len(aux):
-                            inner_ctx.aux[call.label] = aux[i]
-                        if inner_passes is not None \
-                                and not inner_passes(inner_ctx):
-                            continue
+                    for inner_ctx in inner.contexts(result.rowids,
+                                                    result.aux):
                         merged = outer_ctx.merged_with(inner_ctx)
                         if accepts is None or accepts(merged):
                             yield merged
@@ -1387,6 +1461,109 @@ class Executor:
                 out.agg[aggregate_key(agg)] = acc.result()
             if having is None or having(out):
                 yield out
+
+
+class _RowidSource:
+    """One index-driven row source of a running statement.
+
+    Everything that turns index-returned rowids into rows — the native
+    index scans, the inner sides of the index joins, the domain scan —
+    builds one of these per execution and hands it rowid batches in
+    probe order.  A batch is fetched from the base table in one go (see
+    :meth:`Executor._batch_fetcher`); when the statement has a vector
+    kernel for the residual filter the batch is transposed into a
+    ``ColumnBatch`` and the kernel picks the survivors, and
+    ``RowContext``s are built for those only.  Without a kernel
+    (feature off, factory declined, filter outside the generated
+    subset) the filter runs as closures over the batch's contexts.
+    Either way the output keeps the order the rowids came in.
+    """
+
+    def __init__(self, executor: Executor, node: pl.PlanNode, table: TableDef,
+                 binding: str, predicate: Optional[ast.Expr], slot: str,
+                 kernel: Optional[Callable], label: Optional[Any]):
+        self._executor = executor
+        self._node = node
+        self._table = table
+        self._binding = binding
+        #: context constructor, built at the first row boundary (a fused
+        #: projection never crosses one)
+        self._make: Optional[Callable] = None
+        self._fetch = executor._batch_fetcher(table)
+        #: closure form of the residual filter, applied when no kernel is
+        self._passes = executor._truth_fn(node, slot, predicate)
+        self.kernel = kernel
+        #: ancillary-operator label the ODCIIndexFetch aux values feed
+        self._label = label
+
+    def _ctx_maker(self) -> Callable[[Any, List[Any]], RowContext]:
+        make = self._make
+        if make is None:
+            make = self._make = self._executor._ctx_factory(
+                self._table, self._binding)
+        return make
+
+    def _filtered(self, rowids: List[Any], rows: List[Any]) -> ColumnBatch:
+        """The fetched batch as columns, ``sel`` set by the kernel (only
+        scan nodes have one; its mid-batch fallback is the scan's)."""
+        cbatch = ColumnBatch.from_rows(rowids, rows,
+                                       len(self._table.columns))
+        if self.kernel is not None and rows:
+            executor, node = self._executor, self._node
+            executor._run_kernel(self.kernel, cbatch,
+                                 lambda cb: executor._closure_sel(node, cb))
+        return cbatch
+
+    def cbatch(self, rowids: List[Any]) -> ColumnBatch:
+        """Fetch one rowid batch for a columnar consumer."""
+        return self._filtered(*self._fetch(rowids))
+
+    def contexts(self, rowids: List[Any],
+                 aux: Optional[List[Any]] = None) -> List[RowContext]:
+        """Fetch one rowid batch for a row consumer: contexts for the
+        surviving rows only.  ``aux[i]`` is the ancillary value the
+        index returned with ``rowids[i]``."""
+        found, rows = self._fetch(rowids)
+        label = self._label
+        if aux and label is not None:
+            aux = _aligned_aux(aux, rowids, found)
+        else:
+            aux = None
+        if self.kernel is not None and rows:
+            sel = self._filtered(found, rows).sel
+            found = [found[i] for i in sel]
+            rows = [rows[i] for i in sel]
+            if aux is not None:
+                aux = [aux[i] for i in sel]
+        make = self._ctx_maker()
+        batch = [make(rowid, row) for rowid, row in zip(found, rows)]
+        if aux is not None:
+            for ctx, value in zip(batch, aux):
+                if value is not _NO_AUX:
+                    ctx.aux[label] = value
+        if self.kernel is None and self._passes is not None:
+            passes = self._passes
+            batch = [ctx for ctx in batch if passes(ctx)]
+        return batch
+
+
+def _aligned_aux(aux: List[Any], rowids: List[Any],
+                 fetched: List[Any]) -> List[Any]:
+    """Ancillary values for ``fetched`` — the order-preserving
+    subsequence (same objects) of ``rowids`` the base-table fetch kept —
+    given ``aux[i]`` belongs to ``rowids[i]``; ``_NO_AUX`` where the
+    cartridge supplied fewer values than rowids."""
+    if len(fetched) == len(rowids) and len(aux) >= len(rowids):
+        return aux
+    supplied = len(aux)
+    aligned = []
+    j = 0
+    for rowid in fetched:
+        while rowids[j] is not rowid:
+            j += 1
+        aligned.append(aux[j] if j < supplied else _NO_AUX)
+        j += 1
+    return aligned
 
 
 class _Accumulator:

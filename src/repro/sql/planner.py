@@ -467,7 +467,7 @@ class Sarg:
 
 
 def extract_sarg(conjunct: ast.Expr) -> Optional[Sarg]:
-    """Recognize ``col relop const`` / ``const relop col`` / BETWEEN."""
+    """Recognize ``col relop const`` / ``const relop col``."""
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _RELOP_FLIP:
         left, right, op = conjunct.left, conjunct.right, conjunct.op
         if isinstance(left, ast.ColumnRef) and left.bound \
@@ -477,6 +477,23 @@ def extract_sarg(conjunct: ast.Expr) -> Optional[Sarg]:
                 and not right.attr_path and _is_constant(left):
             return Sarg(right, _RELOP_FLIP[op], left, conjunct)
     return None
+
+
+def extract_sargs(conjunct: ast.Expr) -> List[Sarg]:
+    """Every sarg a conjunct contributes: one for a simple comparison,
+    the ``>=``/``<=`` pair for ``col BETWEEN const AND const``, none
+    otherwise (``NOT BETWEEN`` is two disjoint ranges: a filter)."""
+    sarg = extract_sarg(conjunct)
+    if sarg is not None:
+        return [sarg]
+    if isinstance(conjunct, ast.BetweenOp) and not conjunct.negated:
+        column = conjunct.operand
+        if isinstance(column, ast.ColumnRef) and column.bound \
+                and not column.attr_path and _is_constant(conjunct.low) \
+                and _is_constant(conjunct.high):
+            return [Sarg(column, ">=", conjunct.low, conjunct),
+                    Sarg(column, "<=", conjunct.high, conjunct)]
+    return []
 
 
 @dataclass
@@ -610,12 +627,15 @@ class Planner:
         return list(rows_iter)
 
     def plan_select(self, select: ast.Select,
-                    peek_binds: Optional[dict] = None) -> QueryPlan:
+                    peek_binds: Optional[dict] = None,
+                    one_shot: bool = False) -> QueryPlan:
         """Bind and plan a SELECT.
 
         ``peek_binds`` (name → value) lets cost estimation see the bind
         values of the execution that triggered compilation, even though
         the plan tree itself keeps the BindParam placeholders.
+        ``one_shot`` marks a plan that runs once and is never cached
+        (DML target selection): see :meth:`_annotate_vectorized`.
         """
         if peek_binds is not None:
             self._peeked_binds = peek_binds
@@ -688,7 +708,7 @@ class Planner:
             from repro.sql.compile import compile_plan
             plan.compiled_nodes = compile_plan(plan, self.catalog)
         self._annotate_parallel(plan.root)
-        self._annotate_vectorized(plan.root)
+        self._annotate_vectorized(plan.root, one_shot)
         self._peeked_binds = {}
         return plan
 
@@ -753,7 +773,8 @@ class Planner:
 
     # -- vectorized execution annotations --------------------------------
 
-    def _annotate_vectorized(self, root: PlanNode) -> None:
+    def _annotate_vectorized(self, root: PlanNode,
+                             one_shot: bool = False) -> None:
         """Attach vector kernels and stamp ``vector_mode`` markers.
 
         Like :meth:`_annotate_parallel`, annotations only — costs and
@@ -763,6 +784,11 @@ class Planner:
         ``VECTORIZED`` when its vector artifacts compiled and ``ROW``
         when it falls back to the row pipeline (mirroring the
         ``COMPILED``/``INTERPRETED`` pair for closures).
+
+        A ``one_shot`` plan annotates full scans only: generating and
+        byte-compiling a kernel costs more than an index probe's few
+        rows can repay within one execution, while a full scan repays
+        it inside the statement.
         """
         db = self.db
         if db is None:
@@ -773,15 +799,25 @@ class Planner:
         from repro.sql.compile import (compile_vector_kernel,
                                        compile_vector_projection)
 
-        def scan_of(node: PlanNode) -> Optional[FullScan]:
-            """The node's child when it is a columnar-capable full scan."""
+        #: scans that hand the executor rowids to fetch from the base
+        #: table in batches — a second source of column batches
+        rowid_scans = () if one_shot else (
+            BTreeScan, HashScan, BitmapScan, DomainScan)
+
+        def scan_of(node: PlanNode, rowid_source: bool = False
+                    ) -> Optional[PlanNode]:
+            """The node's child when it produces columnar batches: a
+            columnar-capable full scan, or (for a parent that can
+            consume them) a rowid-source scan."""
             child = getattr(node, "child", None)
             if isinstance(child, FullScan) and child.has_scan_columns \
                     and child.versioned:
                 return child
+            if rowid_source and isinstance(child, rowid_scans):
+                return child
             return None
 
-        def annotate_scan(scan: FullScan) -> bool:
+        def annotate_scan(scan: PlanNode) -> bool:
             """Compile the scan's filter into a vector kernel (once)."""
             if scan.vector_mode is not None:
                 return scan.vector_mode == "VECTORIZED"
@@ -802,7 +838,7 @@ class Planner:
 
         def visit(node: PlanNode) -> None:
             if isinstance(node, ProjectNode):
-                scan = scan_of(node)
+                scan = scan_of(node, rowid_source=True)
                 if scan is not None:
                     factory = compile_vector_projection(
                         [e for e, __ in node.items],
@@ -832,14 +868,15 @@ class Planner:
                         node.vector_mode = "VECTORIZED"
                     else:
                         node.vector_mode = "ROW"
-            elif isinstance(node, FullScan) and node.vector_mode is None:
+            elif isinstance(node, (FullScan,) + rowid_scans) \
+                    and node.vector_mode is None:
                 if node.filter is not None:
                     # consumed as rows: the vector filter still pays for
                     # itself (survivors-only materialization boundary)
                     annotate_scan(node)
                 else:
-                    # filterless scan with a row consumer: transposing
-                    # would be pure overhead
+                    # filterless scan with a row consumer: nothing to
+                    # vectorize (and transposing pages is pure overhead)
                     node.vector_mode = "ROW"
             for child in node.children():
                 visit(child)
@@ -1132,6 +1169,8 @@ class Planner:
                 if domain is not None:
                     candidates.append(domain)
 
+        candidates.extend(self._range_pair_paths(table, binding, conjuncts,
+                                                 rows))
         best = min(candidates, key=lambda c: c.est_cost)
         if fallback_notes and not isinstance(best, DomainScan):
             # make the degradation visible: the operator predicate will
@@ -1152,9 +1191,12 @@ class Planner:
                               conjuncts: List[ast.Expr]) -> float:
         sel = 1.0
         for conjunct in conjuncts:
-            sarg = extract_sarg(conjunct)
-            if sarg is not None:
-                sel *= self._sarg_selectivity(table, sarg)
+            sargs = extract_sargs(conjunct)
+            if len(sargs) == 2:  # BETWEEN
+                sel *= self._range_pair_selectivity(table, *sargs)
+                continue
+            if sargs:
+                sel *= self._sarg_selectivity(table, sargs[0])
                 continue
             op_pred = extract_operator_pred(conjunct)
             if op_pred is not None:
@@ -1174,14 +1216,13 @@ class Planner:
             return 1.0 - (1.0 / col_stats.ndv if col_stats and col_stats.ndv
                           else DEFAULT_EQ_SELECTIVITY)
         # range predicates: interpolate within [min, max] when ANALYZE
-        # collected numeric bounds and the comparison value is a literal
-        if (col_stats is not None
-                and isinstance(sarg.value_expr, ast.Literal)
-                and isinstance(sarg.value_expr.value, (int, float))
+        # collected numeric bounds and the comparison value is known at
+        # plan time (a literal, or a bind peeked from this execution)
+        value = self._numeric_bound(sarg)
+        if (col_stats is not None and value is not None
                 and isinstance(col_stats.min_value, (int, float))
                 and isinstance(col_stats.max_value, (int, float))
                 and col_stats.max_value > col_stats.min_value):
-            value = float(sarg.value_expr.value)
             low, high = float(col_stats.min_value), float(col_stats.max_value)
             span = high - low
             if sarg.op in ("<", "<="):
@@ -1190,6 +1231,82 @@ class Planner:
                 fraction = (high - value) / span
             return min(1.0, max(0.0005, fraction))
         return DEFAULT_RANGE_SELECTIVITY
+
+    def _numeric_bound(self, sarg: Sarg) -> Optional[float]:
+        """A range sarg's comparison value when it is a number known at
+        plan time: a literal, or a bind peeked from the execution that
+        triggered planning (later executions share the plan)."""
+        value = self._peek_value(sarg.value_expr)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        return None
+
+    def _range_pair_selectivity(self, table: TableDef, low: Sarg,
+                                high: Sarg) -> float:
+        """Selectivity of ``low AND high``, a lower and an upper bound
+        on one column: the width of the interval over the column's
+        ANALYZE'd span when both bounds are numbers known at plan time,
+        else the product of the one-sided estimates."""
+        col_stats = table.stats.columns.get(low.column_ref.column or "") \
+            if table.stats.analyzed else None
+        bounds = [b for b in map(self._numeric_bound, (low, high))
+                  if b is not None]
+        if (col_stats is not None and len(bounds) == 2
+                and isinstance(col_stats.min_value, (int, float))
+                and isinstance(col_stats.max_value, (int, float))
+                and col_stats.max_value > col_stats.min_value):
+            width = min(bounds[1], col_stats.max_value) \
+                - max(bounds[0], col_stats.min_value)
+            span = float(col_stats.max_value - col_stats.min_value)
+            return min(1.0, max(0.0005, width / span))
+        return self._sarg_selectivity(table, low) \
+            * self._sarg_selectivity(table, high)
+
+    def _range_pair_paths(self, table: TableDef, binding: str,
+                          conjuncts: List[ast.Expr],
+                          rows: float) -> List[PlanNode]:
+        """Two-sided B-tree ranges.
+
+        A lower and an upper bound on an index's leading column — two
+        conjuncts, or one ``BETWEEN`` — merge into one scan that stops
+        at the upper bound, where a one-sided scan would walk to the
+        end of the index and filter the rest.  Both consumed conjuncts
+        leave the residual; further bounds on the column stay in it.
+        """
+        lows: Dict[str, Tuple[int, Sarg]] = {}
+        highs: Dict[str, Tuple[int, Sarg]] = {}
+        for i, conjunct in enumerate(conjuncts):
+            for sarg in extract_sargs(conjunct):
+                if sarg.column_ref.alias != binding:
+                    continue
+                column = sarg.column_ref.column or ""
+                if sarg.op in (">", ">="):
+                    lows.setdefault(column, (i, sarg))
+                elif sarg.op in ("<", "<="):
+                    highs.setdefault(column, (i, sarg))
+        paths: List[PlanNode] = []
+        for column, (i, low) in lows.items():
+            if column not in highs:
+                continue
+            j, high = highs[column]
+            residual = and_together(
+                [c for k, c in enumerate(conjuncts) if k != i and k != j])
+            sel = self._range_pair_selectivity(table, low, high)
+            for index in self.catalog.indexes_on(table.name):
+                if index.is_domain or index.kind != "btree" \
+                        or not index.column_names \
+                        or index.column_names[0].lower() != column:
+                    continue
+                node = BTreeScan(table=table, binding_name=binding,
+                                 index=index, filter=residual,
+                                 low=low.value_expr, high=high.value_expr,
+                                 low_inclusive=low.op == ">=",
+                                 high_inclusive=high.op == "<=")
+                node.est_rows = max(1.0, rows * sel)
+                node.est_cost = (BTREE_DESCENT + rows * sel
+                                 * (FETCH_COST + self._filter_cost(residual)))
+                paths.append(node)
+        return paths
 
     def _native_paths(self, table: TableDef, binding: str, sarg: Sarg,
                       rest: List[ast.Expr], rows: float) -> List[PlanNode]:

@@ -289,6 +289,49 @@ class HeapTable:
                 columns = [list(col) for col in zip(*rows)]
                 yield rowids, columns
 
+    def fetch_batch(self, rowids: List[RowId],
+                    snapshot: Optional[Snapshot] = None
+                    ) -> Tuple[List[RowId], List[List[Any]]]:
+        """Fetch a batch of rowids: ``(rowids, rows)`` for the live ones.
+
+        The rowid-batch counterpart of the page-batched scans, for
+        index-returned rowids: each distinct page is fetched from the
+        buffer cache once per batch, every slot is read before any
+        version chain is consulted (the order :meth:`fetch_or_none`
+        keeps per row), and the batch is resolved in bulk.  Rowids that
+        are dead, invisible to ``snapshot``, or not addressable in this
+        segment (foreign, or beyond a truncate) are dropped — exactly
+        the rows :meth:`fetch_or_none` answers ``None`` for.  The
+        returned rowids are the caller's own objects in the caller's
+        order, aligned with the rows.
+        """
+        segment_id = self.segment_id
+        page_count = self._page_count
+        get_page = self.buffer.get_page
+        slots_of: dict = {}
+        found: List[RowId] = []
+        rows: List[Optional[List[Any]]] = []
+        for rowid in rowids:
+            if rowid.segment_id != segment_id:
+                continue
+            page_no = rowid.page_no
+            slots = slots_of.get(page_no)
+            if slots is None:
+                if not 0 <= page_no < page_count:
+                    continue
+                slots = slots_of[page_no] = get_page(
+                    segment_id, page_no).slots
+            slot = rowid.slot
+            found.append(rowid)
+            rows.append(slots[slot] if 0 <= slot < len(slots) else None)
+        if snapshot is not None:
+            rows = self.versions.resolve_batch(found, rows, snapshot)
+        if None in rows:
+            live = [i for i, row in enumerate(rows) if row is not None]
+            found = [found[i] for i in live]
+            rows = [rows[i] for i in live]
+        return found, rows
+
     def scan_page_range(self, start: int, stop: int,
                         snapshot: Optional[Snapshot] = None
                         ) -> Iterator[List[Tuple[RowId, List[Any]]]]:

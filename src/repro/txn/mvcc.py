@@ -238,6 +238,28 @@ class VersionStore:
             version = version.prev
         return None
 
+    def resolve_batch(self, rowids: List[Any],
+                      currents: List[Optional[list]],
+                      snapshot: Snapshot) -> List[Optional[list]]:
+        """:meth:`resolve` for a batch: ``currents[i]`` is the live slot
+        value of ``rowids[i]``.
+
+        The caller must have read every slot *before* this call — the
+        same read-slot-then-check-chain order :meth:`resolve` relies on
+        (writers register the chain before they mutate the slot).  A
+        store with no chains answers the whole batch with one fence
+        test; rowids that do have a chain go through :meth:`resolve`.
+        """
+        heads = self._heads
+        fence = self._fence
+        hidden = fence is not None and not snapshot.visible(fence)
+        if not heads:
+            return [None] * len(rowids) if hidden else currents
+        resolve = self.resolve
+        return [resolve(rowid, current, snapshot) if rowid in heads
+                else (None if hidden else current)
+                for rowid, current in zip(rowids, currents)]
+
     def tracked_rowids(self) -> List[Any]:
         """Rowids with version chains (scan overlays)."""
         with self.latch:

@@ -49,7 +49,7 @@ def _run_both(dbs, fn):
     return results[0]
 
 
-def _fleet():
+def _fleet(installer=None):
     """Four fresh databases spanning the execution matrix: morsel-
     parallel vectorized, serial vectorized, serial compiled-closure
     (vector kernels off), and the tree-walking interpreter.  Every
@@ -63,6 +63,8 @@ def _fleet():
     dbs = []
     for mode, options in configs:
         db = Database(**options)
+        if installer is not None:
+            installer(db)
         db.parallel_execution = mode == "parallel"
         if mode == "parallel":
             db.parallel_min_pages = 1  # every heap scan is eligible
@@ -71,6 +73,15 @@ def _fleet():
             db.max_dop = 4
         dbs.append(db)
     return dbs
+
+
+def _outcome(db, sql, binds=()):
+    """Rows in output order, or the error's class and message — the
+    unit of parity for statements that may fail."""
+    try:
+        return db.execute(sql, list(binds)).fetchall()
+    except Exception as exc:  # noqa: BLE001 - parity incl. errors
+        return (type(exc).__name__, str(exc))
 
 
 def _run_all(dbs, fn):
@@ -209,6 +220,137 @@ class TestHeapAndIOT:
         assert parallel_db.engine.parallel_stats.parallel_queries == before
 
 
+@pytest.mark.vectorized
+class TestIndexDrivenPlans:
+    """Index-returned rowids go through one batched base-table fetch;
+    the residual filter runs as a vector kernel over the fetched batch
+    or as closures.  Neither may be observable: rows, their order
+    (probe order), and error classes agree across the matrix."""
+
+    @staticmethod
+    def _load(db):
+        rng = random.Random(41)
+        db.execute("CREATE TABLE t (k INTEGER, grp VARCHAR2(10),"
+                   " tag VARCHAR2(4), val NUMBER)")
+        db.insert_rows("t", [
+            [i,
+             None if i % 17 == 0 else f"g{i % 40}",
+             None if i % 9 == 0 else f"t{i % 25}",
+             None if i % 5 == 0 else round(rng.uniform(-3, 3), 3)]
+            for i in range(1200)])
+        db.execute("CREATE TABLE dims (id INTEGER, name VARCHAR2(10))")
+        db.insert_rows("dims", [[i, f"d{i}"] for i in range(0, 1200, 7)])
+        db.execute("CREATE INDEX t_k ON t(k)")
+        db.execute("CREATE HASH INDEX t_grp ON t(grp)")
+        db.execute("CREATE BITMAP INDEX t_tag ON t(tag)")
+        db.execute("COMMIT")
+
+    def test_native_index_scans_agree(self):
+        dbs = _fleet()
+        cases = [
+            # (sql, binds, plan line that must appear)
+            ("SELECT k, val FROM t WHERE k = :1", [77], "INDEX RANGE SCAN"),
+            ("SELECT k, grp, val FROM t WHERE k >= :1 AND val < :2",
+             [1100, 0.5], "INDEX RANGE SCAN"),
+            ("SELECT k, val FROM t WHERE k > :1 AND k <= :2 AND val IS NULL",
+             [200, 420], "INDEX RANGE SCAN"),
+            ("SELECT k, tag FROM t WHERE k BETWEEN :1 AND :2"
+             " AND NOT (val > 0 OR tag LIKE 't1%')", [300, 700],
+             "INDEX RANGE SCAN"),
+            ("SELECT k, val FROM t WHERE grp = :1 AND val < :2",
+             ["g7", 1.0], "HASH INDEX SCAN"),
+            ("SELECT k, grp FROM t WHERE tag = :1 AND val IS NOT NULL"
+             " AND k < :2", ["t3", 900], "BITMAP INDEX SCAN"),
+            # row consumers above the scan: sort, group, limit
+            ("SELECT k, val FROM t WHERE k BETWEEN :1 AND :2 AND val < :3"
+             " ORDER BY val DESC, k", [100, 600, 1.5], "INDEX RANGE SCAN"),
+            ("SELECT grp, COUNT(*), SUM(val) FROM t WHERE k >= :1"
+             " AND k < :2 GROUP BY grp ORDER BY grp", [50, 450],
+             "INDEX RANGE SCAN"),
+            ("SELECT k FROM t WHERE k >= :1 AND val > :2 LIMIT 7",
+             [900, 0.0], "INDEX RANGE SCAN"),
+            # kernel-decline binds: NULL, bool, non-str LIKE pattern
+            ("SELECT k FROM t WHERE k >= :1 AND val < :2", [1000, None],
+             "INDEX RANGE SCAN"),
+            ("SELECT k FROM t WHERE k BETWEEN :1 AND :2 AND val < :3",
+             [10, 90, True], "INDEX RANGE SCAN"),
+            ("SELECT k FROM t WHERE k BETWEEN :1 AND :2 AND grp LIKE :3",
+             [10, 90, 5], "INDEX RANGE SCAN"),
+            # NULL probe keys: unknown, never an open range
+            ("SELECT k FROM t WHERE k = :1", [None], "INDEX RANGE SCAN"),
+            ("SELECT k FROM t WHERE k BETWEEN :1 AND :2", [None, 50],
+             "INDEX RANGE SCAN"),
+            ("SELECT k FROM t WHERE grp = :1 AND val < 0", [None],
+             "HASH INDEX SCAN"),
+            # forced mid-batch kernel error
+            ("SELECT k FROM t WHERE k BETWEEN :1 AND :2"
+             " AND val / (k - 151) > 0", [100, 200], "INDEX RANGE SCAN"),
+        ]
+
+        def workload(db):
+            self._load(db)
+            out = []
+            for sql, binds, marker in cases:
+                assert any(marker in line
+                           for line in db.explain(sql, binds)), sql
+                out.append(_outcome(db, sql, binds))
+            return out
+
+        results = _run_all(dbs, workload)
+        assert results[-1][0] == "ExecutionError"
+        assert results[0] and results[1]  # the suite is not vacuous
+        stats = dbs[1].engine.executor_stats.snapshot()
+        assert stats["vector_batches"] > 0
+        assert stats["fallback_batches"] >= 1
+        assert stats["factory_declines"] >= 1
+
+    def test_indexed_nl_join_agrees(self):
+        dbs = _fleet()
+        sql = ("SELECT d.name, t.k, t.val FROM dims d, t"
+               " WHERE t.k = d.id AND d.id < :1 AND t.val IS NOT NULL")
+
+        def workload(db):
+            self._load(db)
+            assert any("INDEXED NL JOIN" in line
+                       for line in db.explain(sql, [200]))
+            return _outcome(db, sql, [200])
+
+        rows = _run_all(dbs, workload)
+        assert len(rows) > 10
+
+    def test_index_scans_interleaved_with_dml(self):
+        """Updated, deleted and key-changed rows: the batch fetch sees
+        exactly what the row-at-a-time fetch saw."""
+        dbs = _fleet()
+
+        def workload(db):
+            self._load(db)
+            rng = random.Random(5)
+            out = []
+            for __ in range(40):
+                op = rng.random()
+                k = rng.randrange(1200)
+                if op < 0.25:
+                    db.execute("UPDATE t SET val = :1 WHERE k = :2",
+                               [round(rng.uniform(-3, 3), 3), k])
+                elif op < 0.4:
+                    db.execute("DELETE FROM t WHERE k BETWEEN :1 AND :2",
+                               [k, k + 3])
+                elif op < 0.5:
+                    db.execute("UPDATE t SET k = k + 5000 WHERE k = :1",
+                               [k])
+                else:
+                    out.append(db.execute(
+                        "SELECT k, val FROM t WHERE k BETWEEN :1 AND :2"
+                        " AND val < :3",
+                        [k, k + 150, rng.uniform(-1, 3)]).fetchall())
+            out.append(db.execute(
+                "SELECT COUNT(*) FROM t WHERE k >= 0").fetchall())
+            return out
+
+        _run_all(dbs, workload)
+
+
 class TestCartridges:
     def test_text(self):
         from repro.cartridges.text import install
@@ -312,6 +454,145 @@ class TestCartridges:
             return out
 
         _run_both(dbs, workload)
+
+
+@pytest.mark.vectorized
+class TestDomainScansFourWay:
+    """ODCI-returned rowids through the batched fetch: a residual
+    filter on the base table (vector kernel or closures) and the
+    ancillary value each rowid came with must line up in every mode —
+    unsorted, so fetch order is part of the contract."""
+
+    def test_text_residual_and_score(self):
+        from repro.cartridges.text import install
+        dbs = _fleet(install)
+        words = ["oracle", "unix", "java", "linux", "cobol", "lisp"]
+
+        def workload(db):
+            rng = random.Random(7)
+            out = []
+            db.execute("CREATE TABLE docs (id INTEGER, n NUMBER,"
+                       " body VARCHAR2(400))")
+            for i in range(150):
+                db.execute("INSERT INTO docs VALUES (:1, :2, :3)", [
+                    i, None if i % 4 == 0 else i % 10,
+                    " ".join(rng.choice(words) for __ in range(5))])
+            db.execute("CREATE INDEX docs_text ON docs(body)"
+                       " INDEXTYPE IS TextIndexType")
+            for i in range(0, 150, 9):  # stale rowids in the postings
+                db.execute("DELETE FROM docs WHERE id = :1", [i])
+            for word in words[:4]:
+                out.append(_outcome(
+                    db, "SELECT id, n FROM docs WHERE Contains(body, :1)"
+                    " AND n < :2 AND id BETWEEN :3 AND :4",
+                    [word, 6, 10, 120]))
+                out.append(_outcome(
+                    db, "SELECT id, Score(1) FROM docs"
+                    " WHERE Contains(body, :1, 1) AND n >= :2",
+                    [word, 3]))
+                out.append(_outcome(
+                    db, "SELECT id FROM docs WHERE Contains(body, :1, 1)"
+                    " AND Score(1) > 1 AND n IS NOT NULL", [word]))
+            # kernel-decline bind and a mid-batch kernel error
+            out.append(_outcome(
+                db, "SELECT id FROM docs WHERE Contains(body, 'unix')"
+                " AND n < :1", [None]))
+            out.append(_outcome(
+                db, "SELECT id FROM docs WHERE Contains(body, 'unix')"
+                " AND n / (id - 50) > 0"))
+            return out
+
+        results = _run_all(dbs, workload)
+        assert any(rows for rows in results[:-2])
+        assert results[-1][0] == "ExecutionError"
+        assert dbs[1].engine.executor_stats.snapshot()[
+            "vector_batches"] > 0
+
+    def test_spatial_residual(self):
+        from repro.cartridges.spatial import install, make_rect
+        dbs = _fleet(install)
+
+        def workload(db):
+            rng = random.Random(13)
+            gt = db.catalog.get_object_type("SDO_GEOMETRY")
+            out = []
+            db.execute("CREATE TABLE parks (gid INTEGER, kind VARCHAR2(4),"
+                       " geometry SDO_GEOMETRY)")
+            for gid in range(90):
+                x, y = rng.uniform(0, 800), rng.uniform(0, 800)
+                db.insert_row("parks", [
+                    gid, None if gid % 6 == 0 else f"k{gid % 3}",
+                    make_rect(gt, x, y, x + rng.uniform(20, 120),
+                              y + rng.uniform(20, 120))])
+            db.execute("CREATE INDEX parks_sidx ON parks(geometry)"
+                       " INDEXTYPE IS SpatialIndexType")
+            for __ in range(6):
+                x, y = rng.uniform(0, 500), rng.uniform(0, 500)
+                window = make_rect(gt, x, y, x + 300, y + 300)
+                out.append(_outcome(
+                    db, "SELECT gid, kind FROM parks"
+                    " WHERE Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')"
+                    " AND kind = :2 AND gid >= :3", [window, "k1", 10]))
+            return out
+
+        assert any(_run_all(dbs, workload))
+
+    def test_chemistry_residual_and_score(self):
+        from repro.cartridges.chemistry import install
+        dbs = _fleet(install)
+        mols = ["CCO", "CC(=O)O", "CCCC", "C1CCCCC1", "CCN", "CCCO"]
+
+        def workload(db):
+            rng = random.Random(19)
+            out = []
+            db.execute("CREATE TABLE molecules (mid INTEGER, w NUMBER,"
+                       " mol VARCHAR2(256))")
+            for mid in range(70):
+                db.execute("INSERT INTO molecules VALUES (:1, :2, :3)", [
+                    mid, None if mid % 5 == 0 else mid % 8,
+                    rng.choice(mols)])
+            db.execute("CREATE INDEX mol_idx ON molecules(mol)"
+                       " INDEXTYPE IS ChemIndexType")
+            for target in mols[:4]:
+                out.append(_outcome(
+                    db, "SELECT mid, w FROM molecules"
+                    " WHERE Chem_Match(mol, :1) AND w < :2", [target, 5]))
+                out.append(_outcome(
+                    db, "SELECT mid, Chem_Score(1) FROM molecules"
+                    " WHERE Chem_Similar(mol, :1, 0.3, 1) AND w >= :2",
+                    [target, 2]))
+            return out
+
+        assert any(_run_all(dbs, workload))
+
+    def test_vir_residual(self):
+        from repro.bench.workloads import make_signature_table
+        from repro.cartridges.vir import install
+        dbs = _fleet(install)
+        rows, centre = make_signature_table(120, cluster_every=8, seed=4)
+        weights = ("globalcolor=0.5,localcolor=0.2,"
+                   "texture=0.2,structure=0.1")
+
+        def workload(db):
+            image_type = db.catalog.get_object_type("IMAGE_T")
+            out = []
+            db.execute("CREATE TABLE images (iid INTEGER, shard NUMBER,"
+                       " img IMAGE_T)")
+            db.insert_rows("images", [
+                [i, None if i % 7 == 0 else i % 4,
+                 image_type.new(signature=sig, width=64, height=64)]
+                for i, sig in rows])
+            db.execute("CREATE INDEX images_vidx ON images(img)"
+                       " INDEXTYPE IS VirIndexType")
+            for threshold in (8, 12, 20):
+                out.append(_outcome(
+                    db, "SELECT iid, shard FROM images WHERE"
+                    " VIRSimilar(img.signature, :1, :2, :3)"
+                    " AND shard <> :4 AND iid < :5",
+                    [centre, weights, threshold, 2, 100]))
+            return out
+
+        assert any(_run_all(dbs, workload))
 
 
 class TestSharedPoolStress:

@@ -141,6 +141,128 @@ class TestVersionStore:
         assert store.clean
 
 
+class TestResolveBatch:
+    def test_no_chains_no_fence_returns_the_slots_untouched(self):
+        mvcc, store = MVCCManager(), VersionStore()
+        currents = [["a"], None, ["c"]]
+        snap = mvcc.take_snapshot(None)
+        assert store.resolve_batch(["r1", "r2", "r3"], currents, snap) \
+            is currents
+
+    def test_agrees_with_resolve_per_rowid(self, monkeypatch):
+        mvcc, store = MVCCManager(), VersionStore()
+        old = mvcc.take_snapshot(None)
+        txn = _FakeTxn()
+        txn.track_version(store.push("r1", ["new"], ["old"], txn))
+        txn.track_version(store.push("r2", None, ["gone"], txn))
+        _commit(mvcc, txn)
+        rowids = ["r1", "r2", "r3"]
+        currents = [["new"], None, ["plain"]]
+        # rowids with a chain still enter through resolve()
+        seen = []
+        original = VersionStore.resolve
+
+        def spy(self, rowid, current, snapshot):
+            seen.append(rowid)
+            return original(self, rowid, current, snapshot)
+
+        monkeypatch.setattr(VersionStore, "resolve", spy)
+        for snap in (old, mvcc.take_snapshot(None)):
+            del seen[:]
+            batch = store.resolve_batch(rowids, currents, snap)
+            assert seen == ["r1", "r2"]
+            assert batch == [original(store, r, c, snap)
+                             for r, c in zip(rowids, currents)]
+        assert store.resolve_batch(rowids, currents, old) \
+            == [["old"], ["gone"], ["plain"]]
+
+    def test_fence_hides_untracked_rows_from_older_snapshots(self):
+        mvcc, store = MVCCManager(), VersionStore()
+        before = mvcc.take_snapshot(None)
+        txn = _FakeTxn()
+        txn.track_version(store.set_fence(txn))
+        _commit(mvcc, txn)
+        after = mvcc.take_snapshot(None)
+        currents = [["x"], ["y"]]
+        assert store.resolve_batch(["b1", "b2"], currents, before) \
+            == [None, None]
+        assert store.resolve_batch(["b1", "b2"], currents, after) == currents
+
+
+class TestBatchFetchUnderSnapshots:
+    """Index-returned rowids resolve through the batch fetch exactly as
+    through ``fetch_or_none``: rows updated, deleted or key-changed
+    after the snapshot show the snapshot's version or vanish."""
+
+    @pytest.fixture
+    def world(self):
+        engine = Engine()
+        writer, reader = engine.connect(), engine.connect()
+        writer.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
+        writer.insert_rows("t", [[i, f"v{i}"] for i in range(400)])
+        writer.execute("CREATE INDEX t_k ON t(k)")
+        writer.execute("COMMIT")
+        storage = engine.catalog.get_table("t").storage
+        rowids = [rowid for rowid, __ in storage.scan()]
+        old = engine.mvcc.take_snapshot(None)
+        writer.execute("UPDATE t SET v = 'changed' WHERE k = 3")
+        writer.execute("DELETE FROM t WHERE k = 7")
+        writer.execute("UPDATE t SET k = 1007 WHERE k = 11")  # key change
+        writer.execute("INSERT INTO t VALUES (500, 'late')")
+        writer.execute("COMMIT")
+        writer.begin()
+        writer.execute("UPDATE t SET v = 'in flight' WHERE k = 5")
+        return engine, writer, reader, storage, rowids, old
+
+    def test_batch_equals_row_at_a_time_for_every_snapshot(self, world):
+        engine, writer, reader, storage, rowids, old = world
+        rowids = rowids + [r for r, __ in storage.scan()
+                           if r not in rowids]  # plus the late insert
+        for snapshot in (old, engine.mvcc.take_snapshot(None), None):
+            expected = [(rowid, storage.fetch_or_none(rowid, snapshot))
+                        for rowid in rowids]
+            expected = [(rowid, row) for rowid, row in expected
+                        if row is not None]
+            found, rows = storage.fetch_batch(rowids, snapshot)
+            assert list(zip(found, rows)) == expected
+        found, rows = storage.fetch_batch(rowids, old)
+        by_key = {row[0]: row[1] for row in rows}
+        assert by_key[3] == "v3" and by_key[7] == "v7"
+        assert by_key[11] == "v11" and 1007 not in by_key
+        assert 500 not in by_key and by_key[5] == "v5"
+        writer.rollback()
+
+    def test_index_scan_under_a_pinned_snapshot(self, world):
+        engine, writer, reader, storage, rowids, old = world
+        writer.rollback()
+        sql = "SELECT k, v FROM t WHERE k BETWEEN :1 AND :2 AND v <> :3"
+        binds = [0, 2000, "none"]
+        assert any("INDEX RANGE SCAN" in ln
+                   for ln in reader.explain(sql, binds))
+        reader.execute("SET TRANSACTION READ ONLY")
+        first = reader.execute(sql, binds).fetchall()
+        assert len(first) == 400
+        writer.execute("UPDATE t SET v = 'again' WHERE k = 20")
+        writer.execute("UPDATE t SET v = 'none' WHERE k = 21")
+        writer.execute("COMMIT")
+        # the probe is current-mode (a row deleted or re-keyed after
+        # the snapshot drops out of it — DESIGN.md §11); every rowid it
+        # does return is re-validated against the snapshot
+        assert reader.execute(sql, binds).fetchall() == first
+        reader.execute("COMMIT")
+        fresh = dict(reader.execute(sql, binds).fetchall())
+        assert fresh[20] == "again" and 21 not in fresh
+
+    def test_stale_rowids_after_truncate_are_dropped(self, world):
+        engine, writer, reader, storage, rowids, old = world
+        writer.rollback()
+        writer.execute("TRUNCATE TABLE t")
+        snapshot = engine.mvcc.take_snapshot(None)
+        assert storage.fetch_batch(rowids, snapshot) == ([], [])
+        assert [storage.fetch_or_none(r, snapshot) for r in rowids[:3]] \
+            == [None, None, None]
+
+
 class TestManager:
     def test_commit_stamps_all_versions_with_one_scn(self):
         mvcc = MVCCManager()

@@ -5,9 +5,10 @@ import pytest
 from repro import Database
 from repro.sql import ast_nodes as ast
 from repro.sql.planner import (
-    OperatorPred, Sarg, and_together, extract_equijoin,
-    extract_operator_pred, extract_sarg, split_conjuncts)
-from repro.sql.parser import parse_expression
+    BTreeScan, FullScan, OperatorPred, Sarg, and_together,
+    extract_equijoin, extract_operator_pred, extract_sarg, extract_sargs,
+    split_conjuncts)
+from repro.sql.parser import parse, parse_expression
 
 
 @pytest.fixture
@@ -59,6 +60,16 @@ class TestSargExtraction:
 
     def test_like_not_sarg(self, big):
         assert extract_sarg(self._bind(big, "grp LIKE 'g%'")) is None
+
+    def test_between_is_a_pair_of_range_sargs(self, big):
+        low, high = extract_sargs(self._bind(big, "id BETWEEN 3 AND :1"))
+        assert (low.op, high.op) == (">=", "<=")
+        assert low.column_ref.column == high.column_ref.column == "id"
+        assert low.source is high.source
+
+    def test_not_between_and_computed_between_are_not_sargs(self, big):
+        assert extract_sargs(self._bind(big, "id NOT BETWEEN 3 AND 9")) == []
+        assert extract_sargs(self._bind(big, "id BETWEEN val AND 9")) == []
 
 
 class TestAccessPathChoice:
@@ -115,6 +126,140 @@ class TestAccessPathChoice:
         assert table.stats.columns["grp"].ndv == 4
         assert table.stats.columns["id"].min_value == 0
         assert table.stats.columns["id"].max_value == 399
+
+
+class TestTwoSidedRanges:
+    """Two range sargs on an index's leading column — or one BETWEEN —
+    become one B-tree scan bounded on both sides (anomaly A7: a
+    one-sided scan walked to the end of the index and filtered)."""
+
+    @pytest.fixture
+    def ranged(self, big):
+        big.execute("CREATE INDEX big_id ON big(id)")
+        big.execute("ANALYZE TABLE big COMPUTE STATISTICS")
+        return big
+
+    @staticmethod
+    def _scan(db, sql):
+        node = db.planner.plan_select(parse(sql)).root
+        while not isinstance(node, (BTreeScan, FullScan)):
+            node = node.child
+        return node
+
+    def test_two_conjuncts_merge_into_one_scan(self, ranged):
+        scan = self._scan(ranged,
+                          "SELECT id FROM big WHERE id >= 10 AND id <= 20")
+        assert isinstance(scan, BTreeScan)
+        assert (scan.low.value, scan.high.value) == (10, 20)
+        assert scan.low_inclusive and scan.high_inclusive
+        assert scan.filter is None  # both conjuncts consumed
+        assert ranged.execute(
+            "SELECT id FROM big WHERE id >= 10 AND id <= 20"
+        ).fetchall() == [(i,) for i in range(10, 21)]
+
+    def test_exclusive_and_flipped_bounds_keep_their_inclusivity(self, ranged):
+        scan = self._scan(ranged,
+                          "SELECT id FROM big WHERE 20 > id AND id > 10")
+        assert (scan.low.value, scan.high.value) == (10, 20)
+        assert not scan.low_inclusive and not scan.high_inclusive
+        assert ranged.execute(
+            "SELECT id FROM big WHERE 20 > id AND id > 10"
+        ).fetchall() == [(i,) for i in range(11, 20)]
+        mixed = self._scan(ranged,
+                           "SELECT id FROM big WHERE id > 10 AND id <= 20")
+        assert not mixed.low_inclusive and mixed.high_inclusive
+
+    def test_between_uses_the_btree_with_literals_and_binds(self, ranged):
+        scan = self._scan(ranged,
+                          "SELECT id FROM big WHERE id BETWEEN 10 AND 20")
+        assert isinstance(scan, BTreeScan) and scan.filter is None
+        assert scan.low_inclusive and scan.high_inclusive
+        bound = self._scan(ranged,
+                           "SELECT id FROM big WHERE id BETWEEN :1 AND :2")
+        assert isinstance(bound, BTreeScan)
+        assert isinstance(bound.low, ast.BindParam)
+        assert isinstance(bound.high, ast.BindParam)
+        assert ranged.execute(
+            "SELECT id FROM big WHERE id BETWEEN :1 AND :2", [10, 20]
+        ).fetchall() == [(i,) for i in range(10, 21)]
+
+    def test_consumed_conjuncts_leave_the_residual(self, ranged):
+        scan = self._scan(
+            ranged, "SELECT id FROM big WHERE id BETWEEN 10 AND 60"
+                    " AND grp = 'g1'")
+        assert isinstance(scan, BTreeScan)
+        assert isinstance(scan.filter, ast.BinaryOp)  # grp = 'g1' alone
+        assert scan.filter.left.column == "grp"
+        # a third bound on the column stays behind as a filter
+        extra = self._scan(
+            ranged, "SELECT id FROM big WHERE id > 5 AND id < 50"
+                    " AND id < 40")
+        assert isinstance(extra, BTreeScan) and extra.filter is not None
+        assert ranged.execute(
+            "SELECT id FROM big WHERE id > 5 AND id < 50 AND id < 40"
+        ).fetchall() == [(i,) for i in range(6, 40)]
+
+    @pytest.mark.parametrize("sql,binds", [
+        ("SELECT id FROM big WHERE id BETWEEN :1 AND :2", [None, 20]),
+        ("SELECT id FROM big WHERE id >= :1 AND id <= :2", [10, None]),
+        ("SELECT id FROM big WHERE id > :1", [None]),
+        ("SELECT id FROM big WHERE id = :1", [None]),
+    ])
+    def test_null_bound_is_unknown_not_an_open_range(self, ranged, sql,
+                                                     binds):
+        assert any("INDEX RANGE SCAN" in ln
+                   for ln in ranged.explain(sql, binds))
+        assert ranged.execute(sql, binds).fetchall() == []
+
+    def test_not_between_stays_a_filter(self, ranged):
+        scan = self._scan(
+            ranged, "SELECT id FROM big WHERE id NOT BETWEEN 5 AND 395")
+        assert isinstance(scan, FullScan) and scan.filter is not None
+        assert len(ranged.execute(
+            "SELECT id FROM big WHERE id NOT BETWEEN 5 AND 395"
+        ).fetchall()) == 9
+
+    def test_pair_selectivity(self, ranged):
+        # both literal: width of the interval over ANALYZE's [min, max]
+        literal = self._scan(
+            ranged, "SELECT id FROM big WHERE id BETWEEN 100 AND 180")
+        assert literal.est_rows == pytest.approx(400 * 80 / 399)
+        # binds: product of the two one-sided defaults
+        bound = self._scan(
+            ranged, "SELECT id FROM big WHERE id >= :1 AND id <= :2")
+        assert bound.est_rows == pytest.approx(max(1.0, 400 * 0.05 * 0.05))
+        # mixed: interpolated side times default side
+        mixed = self._scan(
+            ranged, "SELECT id FROM big WHERE id >= 300 AND id <= :1")
+        assert mixed.est_rows == pytest.approx(400 * (99 / 399) * 0.05)
+
+    def test_peeked_binds_estimate_like_literals(self, ranged):
+        """A range covering most of the table must not look selective
+        just because its bounds are binds: the planning execution's
+        values are peeked, and the wide range keeps the table scan."""
+        sql = "SELECT id FROM big WHERE id BETWEEN :1 AND :2"
+        narrow = ranged.planner.plan_select(
+            parse(sql), peek_binds={"1": 100, "2": 110}).root.child
+        assert isinstance(narrow, BTreeScan)
+        assert narrow.est_rows == pytest.approx(400 * 10 / 399)
+        wide = ranged.planner.plan_select(
+            parse(sql), peek_binds={"1": 5, "2": 395}).root.child
+        assert isinstance(wide, FullScan)
+
+    def test_narrow_range_beats_the_full_scan(self, db):
+        # A7's shape: 81 of 20 000 rows.  One-sided, the range cost as
+        # much as everything above its low bound.
+        db.execute("CREATE TABLE wide (id INTEGER, val NUMBER)")
+        db.insert_rows("wide", [[i, i * 0.5] for i in range(20000)])
+        db.execute("CREATE INDEX wide_id ON wide(id)")
+        db.execute("ANALYZE TABLE wide COMPUTE STATISTICS")
+        for where, binds in (("id >= :1 AND id <= :2", [9000, 9080]),
+                             ("id BETWEEN 9000 AND 9080", [])):
+            sql = f"SELECT id FROM wide WHERE {where}"
+            lines = db.explain(sql, binds)
+            assert any("INDEX RANGE SCAN wide_id" in ln for ln in lines)
+            assert not any("TABLE SCAN" in ln for ln in lines)
+            assert len(db.execute(sql, binds).fetchall()) == 81
 
 
 class TestJoinPlanning:

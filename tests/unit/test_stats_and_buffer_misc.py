@@ -70,6 +70,111 @@ class TestBufferResidency:
             cache.get_page(segment, 0)
 
 
+class TestRowidBatchIO:
+    """An index lookup charges one logical read per distinct heap page
+    per fetch batch — not one per rowid."""
+
+    @pytest.fixture
+    def paged(self):
+        stats = IOStats()
+        table = HeapTable(BufferCache(stats), name="t")
+        filler = "x" * (PAGE_SIZE // 8)
+        rowids = table.insert_bulk([[i, filler] for i in range(60)])
+        return stats, table, rowids
+
+    def test_n_rowids_on_p_pages_cost_p_reads(self, paged):
+        stats, table, rowids = paged
+        pages = {rowid.page_no for rowid in rowids}
+        assert 4 < len(pages) < len(rowids)  # several rows per page
+        before = stats.logical_reads
+        found, rows = table.fetch_batch(rowids)
+        assert stats.logical_reads - before == len(pages)
+        assert found == rowids
+        assert [row[0] for row in rows] == list(range(60))
+        # per rowid, the same lookup costs one read each
+        before = stats.logical_reads
+        for rowid in rowids:
+            table.fetch_or_none(rowid)
+        assert stats.logical_reads - before == len(rowids)
+
+    def test_probe_order_is_kept_and_repeats_share_the_page(self, paged):
+        stats, table, rowids = paged
+        probe = [rowids[41], rowids[3], rowids[40], rowids[3]]
+        before = stats.logical_reads
+        found, rows = table.fetch_batch(probe)
+        assert [row[0] for row in rows] == [41, 3, 40, 3]
+        assert all(a is b for a, b in zip(found, probe))
+        assert stats.logical_reads - before == len(
+            {rowid.page_no for rowid in probe})
+
+    def test_dead_foreign_and_out_of_range_rowids_are_dropped(self, paged):
+        from repro.storage.heap import RowId
+        stats, table, rowids = paged
+        table.delete(rowids[5])
+        other = HeapTable(table.buffer, name="other")
+        foreign = other.insert([1, "y"])
+        beyond = RowId(table.segment_id, table.page_count + 3, 0)
+        bad_slot = RowId(table.segment_id, 0, 10_000)
+        probe = [rowids[4], rowids[5], foreign, beyond, bad_slot, rowids[6]]
+        found, rows = table.fetch_batch(probe)
+        assert found == [rowids[4], rowids[6]]
+        assert [row[0] for row in rows] == [4, 6]
+        assert [table.fetch_or_none(r) is not None for r in probe] \
+            == [True, False, False, False, False, True]
+        table.truncate()
+        assert table.fetch_batch(rowids) == ([], [])
+
+    def test_index_lookup_through_sql_reads_each_page_once(self, db):
+        db.execute("CREATE TABLE t (k INTEGER, pad VARCHAR2(600))")
+        db.insert_rows("t", [[i, "p" * 500] for i in range(64)])
+        db.execute("CREATE INDEX t_k ON t(k)")
+        storage = db.catalog.get_table("t").storage
+        assert storage.page_count >= 8
+        db.fetch_batch_size = 64  # the whole probe is one batch
+        sql = "SELECT k FROM t WHERE k BETWEEN :1 AND :2 AND pad LIKE 'p%'"
+        assert any("INDEX RANGE SCAN" in ln for ln in db.explain(sql, [0, 63]))
+        gets = _count_heap_gets(storage)
+        assert len(db.execute(sql, [0, 63]).fetchall()) == 64
+        assert gets() == storage.page_count
+
+    def test_limit_over_a_long_range_touches_one_chunk_of_pages(self, db):
+        """The LIMIT's row budget reaches the chunked rowid fetch: five
+        rows out of a 10 000-entry range cost one chunk's worth of heap
+        pages, not the range's."""
+        db.execute("CREATE TABLE t (k INTEGER, v NUMBER)")
+        db.insert_rows("t", [[i, i % 7] for i in range(10000)])
+        db.execute("CREATE INDEX t_k ON t(k)")
+        storage = db.catalog.get_table("t").storage
+        assert storage.page_count > 50
+        for sql in ("SELECT k FROM t WHERE k >= :1 LIMIT 5",
+                    "SELECT k FROM t WHERE k >= :1 AND v < 6 LIMIT 5"):
+            assert any("INDEX RANGE SCAN" in ln
+                       for ln in db.explain(sql, [0]))
+            gets = _count_heap_gets(storage)
+            assert len(db.execute(sql, [0]).fetchall()) == 5
+            # 32 consecutive narrow rows sit on one page, two at most
+            assert gets() <= 2, sql
+
+
+def _count_heap_gets(storage):
+    """Count buffer gets against ``storage``'s segment from now on."""
+    buffer = storage.buffer
+    original = buffer.get_page
+    count = [0]
+
+    def get_page(segment_id, page_no, for_write=False):
+        if segment_id == storage.segment_id:
+            count[0] += 1
+        return original(segment_id, page_no, for_write=for_write)
+
+    buffer.get_page = get_page
+
+    def stop():
+        del buffer.get_page
+        return count[0]
+    return stop
+
+
 class TestTextIncrementalPath:
     @pytest.fixture
     def docs(self, text_db):

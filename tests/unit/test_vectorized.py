@@ -233,3 +233,162 @@ class TestThreeWayDifferential:
             except Exception as exc:  # noqa: BLE001 - parity incl. errors
                 outcomes.append((type(exc).__name__, str(exc)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# ---------------------------------------------------------------------------
+# index-driven plans: rowid batches as a second ColumnBatch source
+# ---------------------------------------------------------------------------
+
+def _populate_indexed(db, n=400, seed=23):
+    _populate(db, n=n, seed=seed)
+    db.execute("CREATE INDEX t_id ON t(id)")
+    db.execute("CREATE HASH INDEX t_grp ON t(grp)")
+    return db
+
+
+def _plan_root(db, sql, **kwargs):
+    from repro.sql.parser import parse
+    return db.planner.plan_select(parse(sql), **kwargs).root
+
+
+class TestIndexDrivenMarkers:
+    def test_index_scan_with_residual_is_vectorized(self, db):
+        _populate_indexed(db)
+        lines = db.explain("SELECT id, val FROM t WHERE id >= 350"
+                           " AND val < 1")
+        scan = next(ln for ln in lines if "INDEX RANGE SCAN" in ln)
+        assert "[COMPILED]" in scan and "[VECTORIZED]" in scan
+        assert any(ln.strip().startswith("PROJECT")
+                   and "[VECTORIZED]" in ln for ln in lines)
+
+    def test_filterless_index_scan_fuses_under_projection_only(self, db):
+        _populate_indexed(db)
+        fused = db.explain("SELECT val FROM t WHERE id = 7")
+        assert "[VECTORIZED]" in next(
+            ln for ln in fused if "INDEX RANGE SCAN" in ln)
+        sorted_rows = db.explain("SELECT val FROM t WHERE id >= 390"
+                                 " ORDER BY val")
+        assert "[ROW]" in next(
+            ln for ln in sorted_rows if "INDEX RANGE SCAN" in ln)
+
+    def test_pseudo_column_residual_stays_on_row_path(self, db):
+        _populate_indexed(db)
+        lines = db.explain("SELECT id FROM t WHERE id >= 390"
+                           " AND rowid = :1")
+        scan = next(ln for ln in lines if "INDEX RANGE SCAN" in ln)
+        assert "[ROW]" in scan and "[COMPILED]" in scan
+
+    def test_knob_off_suppresses_index_scan_markers(self):
+        db = _populate_indexed(Database(vectorized_execution=False))
+        lines = db.explain("SELECT id FROM t WHERE id >= 350 AND val < 1")
+        assert any("INDEX RANGE SCAN" in ln for ln in lines)
+        assert not any("[VECTORIZED]" in ln or "[ROW]" in ln
+                       for ln in lines)
+
+    def test_one_shot_plans_annotate_full_scans_only(self, db):
+        """DML target plans run once: no kernel is generated for an
+        index probe's few rows, a full scan still gets one."""
+        _populate_indexed(db)
+        probe = _plan_root(db, "SELECT * FROM t WHERE id >= 390"
+                           " AND val < 1", one_shot=True).child
+        assert "INDEX RANGE SCAN" in probe.label()
+        assert probe.vector_mode is None
+        assert "vector_kernel" not in probe.compiled
+        full = _plan_root(db, "SELECT * FROM t WHERE val < 1",
+                          one_shot=True).child
+        assert full.vector_mode == "VECTORIZED"
+
+
+class TestIndexDrivenFallbacks:
+    def test_declined_kernel_sends_statement_to_row_path(self, db):
+        _populate_indexed(db)
+        before = db.engine.executor_stats.snapshot()
+        rows = db.execute("SELECT id FROM t WHERE id >= 300 AND val < :1",
+                          [None]).fetchall()
+        assert rows == []
+        after = db.engine.executor_stats.snapshot()
+        assert after["factory_declines"] > before["factory_declines"]
+        assert after["vector_batches"] == before["vector_batches"]
+
+    def test_mid_batch_error_reruns_that_batch_on_closures(self, db):
+        _populate_indexed(db)
+        before = db.engine.executor_stats.snapshot()["fallback_batches"]
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.execute("SELECT id FROM t WHERE id BETWEEN 300 AND 390"
+                       " AND val / (id - 350) > 0").fetchall()
+        assert db.engine.executor_stats.snapshot()[
+            "fallback_batches"] > before
+
+    def test_rowids_are_fetched_a_chunk_at_a_time(self, db):
+        """fetchone()-then-close and LIMIT stop after the first
+        ``fetch_batch_size`` chunk of the probe."""
+        _populate_indexed(db)
+        storage = db.catalog.get_table("t").storage
+        calls = []
+        original = storage.fetch_batch
+
+        def spy(rowids, *args):
+            calls.append(len(rowids))
+            return original(rowids, *args)
+
+        storage.fetch_batch = spy
+        try:
+            cursor = db.execute("SELECT id FROM t WHERE id >= 0")
+            assert cursor.fetchone() == (0,)
+            cursor.close()
+            assert calls == [db.fetch_batch_size]
+            del calls[:]
+            rows = db.execute("SELECT id FROM t WHERE id >= 10"
+                              " AND val IS NOT NULL LIMIT 3").fetchall()
+            assert len(rows) == 3
+            assert calls == [db.fetch_batch_size]
+            del calls[:]
+            # no residual: every fetched row is an output row, so the
+            # LIMIT's row budget sizes the chunk
+            rows = db.execute("SELECT id FROM t WHERE id >= 10"
+                              " LIMIT 3").fetchall()
+            assert rows == [(10,), (11,), (12,)]
+            assert calls == [3]
+            del calls[:]
+            # a drained probe doubles its chunk (up to 8x) so a long
+            # range shares pages and kernel entries across fewer batches
+            assert len(db.execute("SELECT id FROM t WHERE id >= 0"
+                                  ).fetchall()) == 400
+            assert calls == [32, 64, 128, 176]
+        finally:
+            del storage.fetch_batch
+
+
+INDEXED_THREE_WAY_QUERIES = [
+    ("SELECT id, val FROM t WHERE id = :1", [123]),
+    ("SELECT id, val FROM t WHERE id >= :1 AND val < :2", [250, 0.5]),
+    ("SELECT id, grp FROM t WHERE id > :1 AND id <= :2", [17, 140]),
+    ("SELECT id, val FROM t WHERE id BETWEEN :1 AND :2 AND val IS NULL",
+     [40, 300]),
+    ("SELECT id * 2, val FROM t WHERE id BETWEEN 5 AND 95"
+     " AND NOT (val > 0 OR grp LIKE 'g1%')", []),
+    ("SELECT id, val FROM t WHERE grp = :1 AND val > :2", ["g3", -1]),
+    ("SELECT id FROM t WHERE id BETWEEN :1 AND :2 AND val < :3"
+     " ORDER BY val DESC, id", [100, 300, 2.0]),
+    ("SELECT grp, COUNT(*), MIN(val) FROM t WHERE id >= :1 AND id < :2"
+     " GROUP BY grp", [50, 350]),
+    ("SELECT id FROM t WHERE id >= :1 AND val < :2", [100, None]),
+    ("SELECT id FROM t WHERE id BETWEEN :1 AND :2", [None, 99]),
+    ("SELECT id FROM t WHERE id >= :1 AND val IS NOT NULL LIMIT 9", [200]),
+]
+
+
+@pytest.mark.vectorized
+class TestIndexDrivenThreeWay:
+    @pytest.fixture(scope="class")
+    def trio(self):
+        configs = [{}, {"vectorized_execution": False},
+                   {"compile_expressions": False}]
+        return [_populate_indexed(Database(**kw)) for kw in configs]
+
+    @pytest.mark.parametrize("sql,binds", INDEXED_THREE_WAY_QUERIES)
+    def test_rows_and_order_agree(self, trio, sql, binds):
+        assert any("INDEX" in ln for ln in trio[0].explain(sql, list(binds)))
+        results = [db.execute(sql, list(binds)).fetchall() for db in trio]
+        as_reprs = [[tuple(map(repr, r)) for r in rows] for rows in results]
+        assert as_reprs[0] == as_reprs[1] == as_reprs[2], sql
