@@ -52,10 +52,6 @@ CHECK_TOLERANCE = 0.8
 #: acceptance floor: compiled+batched must beat the interpreter by >= 2x
 #: on the filter-heavy full scan
 FILTER_SPEEDUP_FLOOR = 2.0
-#: acceptance target (recorded run): parallel morsel scan at 4 workers
-#: over the serial compiled scan; the CI smoke gate uses the floor
-PARALLEL_SPEEDUP_TARGET = 2.5
-PARALLEL_SPEEDUP_FLOOR = 1.5
 #: acceptance target (recorded run): vectorized columnar scan over the
 #: compiled-closure baseline on the filter-heavy full scan; the CI
 #: smoke gate uses the floor (full-suite load makes ratios wobble)
@@ -68,9 +64,6 @@ VECTORIZED_AGG_FLOOR = 1.3
 INDEX_LOOKUP_FLOOR = 1.5
 #: prefetch must show a measurable fetch/process overlap win
 PREFETCH_SPEEDUP_FLOOR = 1.1
-#: with parallel_execution off, the parallel-aware executor may cost at
-#: most 5% over a plan that was never annotated for parallelism
-SERIAL_OVERHEAD_CEILING = 1.05
 
 #: synthetic I/O latency per ODCIIndexFetch batch in the prefetch
 #: scenario (a real sleep — it must release the GIL for overlap)
@@ -155,7 +148,6 @@ def _timed(db, sql, binds, repeats, compiled=True):
 def bench_filter_full_scan(n_rows, repeats):
     """Filter-heavy full scan: compiled+batched vs interpreter."""
     db = build_scan_db(n_rows)
-    db.parallel_execution = False  # this case tracks the serial pipeline
     binds = [0.9, 100, n_rows - 100]
     interpreted, n1 = _timed(db, FILTER_SQL, binds, repeats, compiled=False)
     compiled, n2 = _timed(db, FILTER_SQL, binds, repeats, compiled=True)
@@ -169,14 +161,13 @@ def bench_filter_full_scan(n_rows, repeats):
 def bench_vectorized_scan(n_rows, repeats):
     """Filter-heavy full scan: vector kernel vs compiled closures.
 
-    Both modes run the compiled pipeline serially; the only difference
-    is whether the scan filters on columnar batches with a generated
+    Both modes run the compiled pipeline; the only difference is
+    whether the scan filters on columnar batches with a generated
     vector kernel or calls the row closure through a context per row.
     The plan cache is cleared between modes because the vectorized
     annotation is stamped on the plan.
     """
     db = build_scan_db(n_rows)
-    db.parallel_execution = False
     binds = [0.9, 100, n_rows - 100]
     db.vectorized_execution = False
     closure, n1 = _timed(db, FILTER_SQL, binds, repeats)
@@ -192,7 +183,6 @@ def bench_vectorized_scan(n_rows, repeats):
 def bench_vectorized_agg(n_rows, repeats):
     """GROUP BY aggregation: grouped column folds vs row accumulators."""
     db = build_scan_db(n_rows)
-    db.parallel_execution = False
     sql = ("SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val)"
            " FROM t GROUP BY grp")
     db.vectorized_execution = False
@@ -217,7 +207,6 @@ def bench_index_lookup(n_rows, repeats):
     RowContext and a closure call.  Min of five rounds per mode.
     """
     db = build_scan_db(n_rows)
-    db.parallel_execution = False
     sql = ("SELECT id, grp FROM t WHERE id BETWEEN :1 AND :2"
            " AND val < :3 AND grp LIKE 'g%'")
     low = n_rows // 3
@@ -257,41 +246,6 @@ def bench_cold_vs_warm(n_rows, repeats):
     warm = time.perf_counter() - start
     return {"cold_s": round(cold, 4), "warm_s": round(warm, 4),
             "speedup": round(cold / warm, 3)}
-
-
-def bench_parallel_scan(n_rows, repeats, dop=4):
-    """Morsel-parallel full scan at ``dop`` workers vs the serial path.
-
-    Both modes use the compiled pipeline; the plan cache is cleared
-    between modes because parallel eligibility is annotated on the plan
-    (runtime gates keep stale annotations *safe*, but a fair comparison
-    needs each mode planned under its own settings).
-
-    Vector kernels are pinned OFF in both modes: this case measures the
-    morsel/exchange machinery against the closure loop it was built
-    over.  With vectorization on, the serial loop is fast enough that
-    GIL-bound morsel threads cannot beat it at bench scale — that
-    trade-off is visible in vectorized_scan vs this case, not hidden
-    by re-baselining.
-    """
-    db = build_scan_db(n_rows)
-    db.vectorized_execution = False
-    # tighter val bound than the compiled-vs-interp case: with ~13% of
-    # rows surviving, the scan is reject-dominated — the workload the
-    # morsel kernels target (survivor-side context + projection work is
-    # identical in both modes and only dilutes the ratio)
-    binds = [0.3, 100, n_rows - 100]
-    db.parallel_execution = False
-    serial, n1 = _timed(db, FILTER_SQL, binds, repeats)
-    db.parallel_execution = True
-    db.max_dop = dop
-    parallel, n2 = _timed(db, FILTER_SQL, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"serial_s": round(serial, 4),
-            "parallel_s": round(parallel, 4),
-            "dop": dop,
-            "rows": n1,
-            "speedup": round(serial / parallel, 3)}
 
 
 def build_slow_scan_db(n_items):
@@ -341,29 +295,6 @@ def bench_prefetch_overlap(n_items, repeats, depth=2):
             "speedup": round(serial / prefetch, 3)}
 
 
-def bench_serial_overhead(n_rows, repeats):
-    """Cost of the parallel-aware executor when the feature is OFF.
-
-    Compares the same serial scan under (a) plans never annotated for
-    parallelism (eligibility threshold set unreachably high) and
-    (b) plans annotated but runtime-gated off — i.e. what every
-    serial-only deployment pays for this feature existing.  Min of
-    five rounds per mode to dampen scheduler noise (the vectorized
-    scan is fast enough that jitter would otherwise dominate).
-    """
-    db = build_scan_db(n_rows)
-    binds = [0.9, 100, n_rows - 100]
-    db.parallel_execution = False
-    db.parallel_min_pages = 10 ** 9
-    bare = min(_timed(db, FILTER_SQL, binds, repeats)[0]
-               for __ in range(5))
-    db.parallel_min_pages = 8
-    gated = min(_timed(db, FILTER_SQL, binds, repeats)[0]
-                for __ in range(5))
-    return {"bare_s": round(bare, 4), "gated_off_s": round(gated, 4),
-            "overhead_ratio": round(gated / bare, 3)}
-
-
 def bench_domain_scan(n_docs, repeats):
     """Text-cartridge Contains scan: compiled vs interpreted pipeline."""
     db, corpus = build_text_db(n_docs)
@@ -407,10 +338,8 @@ def run_benchmarks(smoke=False):
             "vectorized_scan": bench_vectorized_scan(n_rows, repeats),
             "vectorized_agg": bench_vectorized_agg(n_rows, repeats),
             "index_lookup": bench_index_lookup(n_rows, repeats),
-            "parallel_scan": bench_parallel_scan(n_rows, repeats),
             "prefetch_overlap": bench_prefetch_overlap(
                 n_items, prefetch_repeats),
-            "serial_overhead": bench_serial_overhead(n_rows, repeats),
             "plan_cache": bench_cold_vs_warm(n_rows, repeats),
             "domain_scan": bench_domain_scan(n_docs, repeats),
             "batch_sweep": bench_batch_sweep(n_docs, repeats),
@@ -437,15 +366,9 @@ def render_table(results):
     il = cases["index_lookup"]
     table.add_row("b-tree range probe + residual (closure -> vectorized)",
                   il["closure_s"], il["vectorized_s"], il["speedup"])
-    ps = cases["parallel_scan"]
-    table.add_row(f"parallel morsel scan (serial -> dop {ps['dop']})",
-                  ps["serial_s"], ps["parallel_s"], ps["speedup"])
     po = cases["prefetch_overlap"]
     table.add_row(f"slow domain scan (serial -> prefetch {po['depth']})",
                   po["serial_s"], po["prefetch_s"], po["speedup"])
-    so = cases["serial_overhead"]
-    table.add_row("serial path, feature off (bare -> gated)",
-                  so["bare_s"], so["gated_off_s"], so["overhead_ratio"])
     pc = cases["plan_cache"]
     table.add_row("plan cache (cold -> warm)",
                   pc["cold_s"], pc["warm_s"], pc["speedup"])
@@ -480,23 +403,11 @@ def check_against_baseline(results, baseline_path):
         failures.append(
             f"index_lookup speedup {lookup_speedup} is below the "
             f"{INDEX_LOOKUP_FLOOR}x floor")
-    # The 2.5x parallel target is asserted on the recorded full-size
-    # run (see the committed baseline); smoke scale gates on the floor.
-    parallel_speedup = results["cases"]["parallel_scan"]["speedup"]
-    if parallel_speedup < PARALLEL_SPEEDUP_FLOOR:
-        failures.append(
-            f"parallel_scan speedup {parallel_speedup} is below the "
-            f"{PARALLEL_SPEEDUP_FLOOR}x CI floor")
     prefetch_speedup = results["cases"]["prefetch_overlap"]["speedup"]
     if prefetch_speedup < PREFETCH_SPEEDUP_FLOOR:
         failures.append(
             f"prefetch_overlap speedup {prefetch_speedup} is below the "
             f"{PREFETCH_SPEEDUP_FLOOR}x floor (no overlap win)")
-    overhead = results["cases"]["serial_overhead"]["overhead_ratio"]
-    if overhead > SERIAL_OVERHEAD_CEILING:
-        failures.append(
-            f"serial_overhead ratio {overhead} exceeds the "
-            f"{SERIAL_OVERHEAD_CEILING} ceiling with the feature off")
     # The domain scan at smoke scale is ODCI-dispatch dominated, so its
     # ratio is not stable across corpus sizes; gate it with an absolute
     # "compiled must not be slower" floor instead of the baseline ratio.
@@ -556,12 +467,8 @@ def test_executor_benchmark():
     assert agg >= 1.1, f"vectorized aggregation only {agg}x"
     lookup = results["cases"]["index_lookup"]["speedup"]
     assert lookup >= 1.2, f"vectorized index lookup only {lookup}x"
-    parallel = results["cases"]["parallel_scan"]["speedup"]
-    assert parallel >= 1.3, f"parallel scan only {parallel}x over serial"
     prefetch = results["cases"]["prefetch_overlap"]["speedup"]
     assert prefetch >= 1.0, f"prefetch slower than serial ({prefetch}x)"
-    overhead = results["cases"]["serial_overhead"]["overhead_ratio"]
-    assert overhead <= 1.15, f"feature-off overhead {overhead}"
 
 
 def main(argv=None):

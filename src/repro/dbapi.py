@@ -43,7 +43,6 @@ from __future__ import annotations
 import datetime
 import socket as _socket
 import time as _time
-import warnings
 import weakref
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -817,8 +816,6 @@ class NetworkConnection(_BaseConnection):
 # ----------------------------------------------------------------------
 
 def connect(dsn: Optional[Any] = None, user: str = "main",
-            engine: Optional[Engine] = None,
-            data_dir: Optional[str] = None,
             timeout: Optional[float] = None,
             settings: Optional[Dict[str, Any]] = None,
             **engine_options: Any) -> _BaseConnection:
@@ -837,27 +834,15 @@ def connect(dsn: Optional[Any] = None, user: str = "main",
       in-process engine you already hold, e.g.
       ``dbapi.connect(conn.engine)``.
 
-    .. deprecated:: the ``engine=`` and ``data_dir=`` keyword arguments
-       still work but warn: pass the engine positionally / use a
-       ``file:`` DSN instead.
+    The former ``engine=`` / ``data_dir=`` keyword arguments are gone
+    (``data_dir`` is still an :class:`Engine` option, so it is refused
+    here by name instead of silently passing through).
     """
-    if engine is not None:
-        warnings.warn(
-            "connect(engine=...) is deprecated; pass the engine as the "
-            "first argument: connect(engine)", DeprecationWarning,
-            stacklevel=2)
-        if dsn is not None:
-            raise InterfaceError("pass either a DSN or an engine, not both")
-        dsn = engine
-    if data_dir is not None:
-        warnings.warn(
-            "connect(data_dir=...) is deprecated; use a file: DSN: "
-            f"connect(\"file:{data_dir}\")", DeprecationWarning,
-            stacklevel=2)
-        if dsn is not None:
+    for removed, form in (("engine", "connect(engine)"),
+                          ("data_dir", 'connect("file:/path/to/dir")')):
+        if removed in engine_options:
             raise InterfaceError(
-                "pass either a DSN or data_dir=, not both")
-        dsn = f"file:{data_dir}"
+                f"connect({removed}=...) was removed; use {form}")
 
     if isinstance(dsn, Engine):
         if engine_options:

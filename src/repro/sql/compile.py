@@ -41,7 +41,7 @@ plans whose pre-resolved functions could have gone stale.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.sql import ast_nodes as ast
@@ -391,8 +391,12 @@ class ExprCompiler:
 # Vector kernels (columnar batches)
 # ---------------------------------------------------------------------------
 #
-# PR 9's row kernels eval-compile a predicate into inline bytecode over
-# one raw row; the vector kernels below push the *loop* into the
+# The closure tree a scan filter compiles to costs ~15 Python calls per
+# row; at scan row rates that call overhead *is* the scan.  For the
+# common predicate subset (comparisons, AND/OR/NOT, BETWEEN, LIKE,
+# IN-lists, arithmetic over columns/binds/literals) the one code
+# generator below emits the whole predicate as ONE Python expression
+# over column vectors (``v3[i]``) and pushes the *loop* into the
 # generated code too, so a whole ColumnBatch is filtered with one Python
 # call — a list comprehension over ``range(n)`` producing the selection
 # vector.  The projection variant fuses filter output into gathering:
@@ -400,34 +404,262 @@ class ExprCompiler:
 # tuples directly, so selected rows are never materialized as
 # intermediate row tuples.
 #
-# The codegen is the row-kernel codegen with the column leaf re-pointed
-# at column vectors (``v3[i]`` instead of ``r[3]``); the 3VL dual
-# emitters, bind-guard factory contract, and fallback rules are
-# inherited unchanged.  The import of the codegen class is deferred to
-# call time: sql.parallel imports this module at load, we import it only
-# when a plan is annotated.
+# Correctness contract: a kernel answers boolean *truth position* only
+# ("does this row pass?"), so SQL's three-valued logic lowers to two
+# dual emitters — T(e) is True iff e is TRUE, F(e) is True iff e is
+# FALSE — with NULL falling out of both (NOT flips T and F, so Kleene
+# NOT needs no third value).  Bind values are inspected once per
+# execution by the generated *factory*: a NULL or bool bind (whose
+# comparison semantics diverge from Python's) declines, falling back to
+# the closure tree.  Any exception a generated kernel raises makes the
+# executor re-run that batch on the closure tree, which reproduces the
+# exact error (TypeMismatchError, division by zero, ...) — so the fast
+# path never has to replicate error taxonomy, only the accept/reject
+# decision on well-typed rows.
 
-_VECTOR_CODEGEN_CLS: Optional[type] = None
+_PY_RELOP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=",
+             ">": ">", ">=": ">="}
+_INV_RELOP = {"=": "!=", "!=": "==", "<": ">=", "<=": ">",
+              ">": "<=", ">=": "<"}
 
 
-def _vector_codegen_cls() -> type:
-    global _VECTOR_CODEGEN_CLS
-    if _VECTOR_CODEGEN_CLS is None:
-        from repro.sql.parallel import _RowKernelCodegen, _Val
+class _Val:
+    """An emitted value expression: code + what we statically know."""
 
-        class _VectorKernelCodegen(_RowKernelCodegen):
-            """Row-kernel codegen over column vectors ``v<index>[i]``."""
+    __slots__ = ("code", "notnull", "maybe_nullv")
 
-            def __init__(self, binding: str, table: Any):
-                super().__init__(binding, table)
-                self.used_columns: set = set()
+    def __init__(self, code: str, notnull: bool, maybe_nullv: bool):
+        self.code = code
+        self.notnull = notnull        # guaranteed non-NULL at runtime
+        self.maybe_nullv = maybe_nullv  # may be the NULL singleton (vs None)
 
-            def _column_expr(self, index: int):
-                self.used_columns.add(index)
-                return _Val(f"v{index}[i]", notnull=False, maybe_nullv=True)
 
-        _VECTOR_CODEGEN_CLS = _VectorKernelCodegen
-    return _VECTOR_CODEGEN_CLS
+class _KernelCodegen:
+    """Emits kernel-factory source over one table's column vectors
+    (column ``c`` of batch row ``i`` is ``v<c>[i]``)."""
+
+    def __init__(self, binding: str, table: Any):
+        self._binding = binding
+        self._positions = {col.name.lower(): i
+                           for i, col in enumerate(table.columns)}
+        #: column indices the emitted code reads (hoisted to locals)
+        self.used_columns: set = set()
+        self._temps = 0
+        self.env: Dict[str, Any] = {}
+        #: bind locals: key -> (local name, needs_pattern_regex)
+        self._binds: Dict[str, List[Any]] = {}
+
+    # -- helpers ---------------------------------------------------------
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def _const(self, value: Any) -> str:
+        if isinstance(value, (int, float, str)) \
+                and not isinstance(value, bool):
+            return repr(value)
+        name = f"c{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def _guarded(self, val: _Val) -> Tuple[str, List[str]]:
+        """Usable expression + null-guard conditions (walrus-bound)."""
+        if val.notnull:
+            return val.code, []
+        t = self._temp()
+        conds = [f"({t} := {val.code}) is not None"]
+        if val.maybe_nullv:
+            conds.append(f"{t} is not _NULLV")
+        return t, conds
+
+    # -- value position --------------------------------------------------
+
+    def value(self, expr: ast.Expr) -> _Val:
+        if isinstance(expr, ast.Literal):
+            if is_null(expr.value):
+                return _Val("None", notnull=False, maybe_nullv=False)
+            return _Val(self._const(expr.value), notnull=True,
+                        maybe_nullv=False)
+        if isinstance(expr, ast.BindParam):
+            return _Val(self._bind_local(expr, pattern=False),
+                        notnull=True, maybe_nullv=False)
+        if isinstance(expr, ast.ColumnRef):
+            if not expr.bound or expr.attr_path:
+                raise CannotCompile("kernel: context-only column form")
+            if expr.alias != self._binding:
+                raise CannotCompile("kernel: foreign binding")
+            index = self._positions.get(expr.column)
+            if index is None:  # rowid pseudo-column (not a stored column)
+                raise CannotCompile("kernel: pseudo-column")
+            self.used_columns.add(index)
+            return _Val(f"v{index}[i]", notnull=False, maybe_nullv=True)
+        if isinstance(expr, ast.UnaryMinus):
+            operand = self.value(expr.operand)
+            if operand.notnull:
+                return _Val(f"(-{operand.code})", True, False)
+            oe, conds = self._guarded(operand)
+            return _Val(f"((-{oe}) if {' and '.join(conds)} else None)",
+                        False, False)
+        if isinstance(expr, ast.BinaryOp) and expr.op in "+-*/":
+            left = self.value(expr.left)
+            right = self.value(expr.right)
+            if left.notnull and right.notnull:
+                return _Val(f"({left.code} {expr.op} {right.code})",
+                            True, False)
+            le, lconds = self._guarded(left)
+            re_, rconds = self._guarded(right)
+            conds = " and ".join(lconds + rconds)
+            return _Val(f"(({le} {expr.op} {re_}) if {conds} else None)",
+                        False, False)
+        raise CannotCompile(f"kernel value: {type(expr).__name__}")
+
+    def _bind_local(self, expr: ast.BindParam, pattern: bool) -> str:
+        key = expr.name.lower()
+        entry = self._binds.get(key)
+        if entry is None:
+            entry = [f"b{len(self._binds)}", False]
+            self._binds[key] = entry
+        if pattern:
+            entry[1] = True
+            return f"rx_{entry[0]}"
+        return entry[0]
+
+    # -- boolean position: T(e) / F(e) dual emitters ---------------------
+
+    def truth(self, expr: ast.Expr) -> str:
+        return self._bool_emit(expr, want_true=True)
+
+    def _bool_emit(self, expr: ast.Expr, want_true: bool) -> str:
+        if isinstance(expr, ast.BoolOp):
+            left = self._bool_emit(expr.left, want_true)
+            right = self._bool_emit(expr.right, want_true)
+            # T(AND)=T∧T, F(AND)=F∨F (false dominates); OR is the dual
+            joiner = " and " if (expr.op == "AND") == want_true else " or "
+            return f"({left}{joiner}{right})"
+        if isinstance(expr, ast.NotOp):
+            return self._bool_emit(expr.operand, not want_true)
+        if isinstance(expr, ast.BinaryOp):
+            op = _PY_RELOP.get(expr.op)
+            if op is None:
+                raise CannotCompile(f"kernel bool: {expr.op!r}")
+            if not want_true:
+                op = _INV_RELOP[expr.op]
+            le, lconds = self._guarded(self.value(expr.left))
+            re_, rconds = self._guarded(self.value(expr.right))
+            conds = lconds + rconds + [f"{le} {op} {re_}"]
+            return f"({' and '.join(conds)})"
+        if isinstance(expr, ast.IsNullOp):
+            val = self.value(expr.operand)
+            # IS [NOT] NULL is two-valued, so F(e) is just T(not e)
+            is_null_wanted = (not expr.negated) == want_true
+            if val.notnull:
+                return "(True)" if not is_null_wanted else "(False)"
+            t = self._temp()
+            if is_null_wanted:
+                return (f"(({t} := {val.code}) is None"
+                        f" or {t} is _NULLV)")
+            return (f"(({t} := {val.code}) is not None"
+                    f" and {t} is not _NULLV)")
+        if isinstance(expr, ast.LikeOp):
+            return self._like(expr, want_true)
+        if isinstance(expr, ast.BetweenOp):
+            matched = (not expr.negated) == want_true
+            return self._between(expr, matched)
+        if isinstance(expr, ast.InListOp):
+            matched = (not expr.negated) == want_true
+            return self._in_list(expr, matched)
+        if isinstance(expr, ast.Literal):
+            value = expr.value
+            if is_null(value):
+                return "(False)"  # NULL is neither TRUE nor FALSE
+            if isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                truth = value != 0
+            else:
+                truth = bool(value)
+            return f"({truth == want_true})"
+        raise CannotCompile(f"kernel bool: {type(expr).__name__}")
+
+    def _like(self, expr: ast.LikeOp, want_true: bool) -> str:
+        if isinstance(expr.pattern, ast.Literal) \
+                and isinstance(expr.pattern.value, str):
+            rx = f"rx{len(self.env)}"
+            self.env[rx] = _like_regex(expr.pattern.value)
+        elif isinstance(expr.pattern, ast.BindParam):
+            rx = self._bind_local(expr.pattern, pattern=True)
+        else:
+            raise CannotCompile("kernel: computed LIKE pattern")
+        ve, conds = self._guarded(self.value(expr.operand))
+        # matched iff fullmatch; NOT LIKE / falsity flip the test while
+        # NULL operands still fail the guards (neither TRUE nor FALSE)
+        test = "is not None" if (not expr.negated) == want_true else "is None"
+        conds = conds + [f"{rx}.fullmatch({ve}) {test}"]
+        return f"({' and '.join(conds)})"
+
+    def _between(self, expr: ast.BetweenOp, matched: bool) -> str:
+        if matched:  # v >= low AND v <= high, both TRUE
+            ve, vconds = self._guarded(self.value(expr.operand))
+            le, lconds = self._guarded(self.value(expr.low))
+            he, hconds = self._guarded(self.value(expr.high))
+            conds = (vconds + lconds + [f"{ve} >= {le}"]
+                     + hconds + [f"{ve} <= {he}"])
+            return f"({' and '.join(conds)})"
+        # FALSE iff either comparison is definitely false (Kleene AND);
+        # each disjunct re-guards its operands with fresh temps
+        ve, vconds = self._guarded(self.value(expr.operand))
+        le, lconds = self._guarded(self.value(expr.low))
+        below = " and ".join(vconds + lconds + [f"{ve} < {le}"])
+        ve2, vconds2 = self._guarded(self.value(expr.operand))
+        he, hconds = self._guarded(self.value(expr.high))
+        above = " and ".join(vconds2 + hconds + [f"{ve2} > {he}"])
+        return f"(({below}) or ({above}))"
+
+    def _in_list(self, expr: ast.InListOp, matched: bool) -> str:
+        ve, vconds = self._guarded(self.value(expr.operand))
+        if matched:  # TRUE iff some item compares equal
+            arms = []
+            for item in expr.items:
+                ie, iconds = self._guarded(self.value(item))
+                arms.append(" and ".join(iconds + [f"{ve} == {ie}"]))
+            some = " or ".join(f"({arm})" for arm in arms)
+            return f"({' and '.join(vconds + [f'({some})'])})"
+        # FALSE iff every item compares not-equal (no NULL anywhere)
+        conds = list(vconds)
+        for item in expr.items:
+            ie, iconds = self._guarded(self.value(item))
+            conds.extend(iconds + [f"{ve} != {ie}"])
+        return f"({' and '.join(conds)})"
+
+
+def _emit_bind_guards(gen: _KernelCodegen) -> List[str]:
+    """Factory-body lines that load binds and decline unsupported values.
+
+    A NULL or missing bind, a bool (whose Python comparison semantics
+    diverge from ``sql_compare``), or a non-string LIKE pattern makes
+    the factory return None — the execution falls back to the closure
+    tree.
+    """
+    lines = []
+    for key, (local, needs_rx) in gen._binds.items():
+        lines.append(f"    {local} = binds.get({key!r}, _NULLV)")
+        lines.append(f"    if {local} is None or {local} is _NULLV"
+                     f" or {local}.__class__ is bool:")
+        lines.append("        return None")
+        if needs_rx:
+            lines.append(f"    if not isinstance({local}, str):")
+            lines.append("        return None")
+            lines.append(f"    rx_{local} = _like_rx({local})")
+    return lines
+
+
+def _kernel_namespace(gen: _KernelCodegen) -> Dict[str, Any]:
+    """Exec namespace for a generated kernel factory: hoisted constants,
+    the NULL singleton, and the LIKE-regex compiler."""
+    namespace = dict(gen.env)
+    namespace["_NULLV"] = NULL
+    namespace["_like_rx"] = _like_regex
+    return namespace
 
 
 #: byte-compiled factory sources.  ``compile`` costs more than planning
@@ -438,7 +670,8 @@ _CODE_CACHE: Dict[str, Any] = {}
 _CODE_CACHE_LIMIT = 512
 
 
-def _exec_factory(gen: Any, lines: List[str], filename: str) -> Callable:
+def _exec_factory(gen: _KernelCodegen, lines: List[str],
+                  filename: str) -> Callable:
     """The generated ``_factory``, byte-compiled on its first call.
 
     Plan time only generates source: a plan that never runs the
@@ -447,7 +680,6 @@ def _exec_factory(gen: Any, lines: List[str], filename: str) -> Callable:
     race the first call; both run the same code and either result
     serves.
     """
-    from repro.sql.parallel import _emit_bind_guards, _kernel_namespace
     src = [lines[0]]
     src.extend(_emit_bind_guards(gen))
     src.extend(lines[1:])
@@ -479,12 +711,15 @@ def compile_vector_kernel(predicate: Optional[ast.Expr], binding: str,
     Returns ``factory(binds) -> kernel | None`` where
     ``kernel(cols, rowids, n) -> sel`` filters one columnar batch and
     returns its selection vector (ascending row indices that passed).
-    Factory-level bind inspection and the per-expression decline rules
-    are identical to :func:`~repro.sql.parallel.compile_row_kernel`.
+    The factory inspects actual bind values once per execution and
+    declines (returns None) when a bind is NULL, missing, or a bool —
+    cases where Python operator semantics diverge from
+    :func:`~repro.types.values.sql_compare` — leaving those executions
+    to the closure tree.
     """
     if predicate is None:
         return None
-    gen = _vector_codegen_cls()(binding, table)
+    gen = _KernelCodegen(binding, table)
     try:
         body = gen.truth(predicate)
     except CannotCompile:
@@ -513,7 +748,7 @@ def compile_vector_projection(exprs: List[ast.Expr], binding: str,
     """
     if not exprs:
         return None
-    gen = _vector_codegen_cls()(binding, table)
+    gen = _KernelCodegen(binding, table)
     parts: List[str] = []
     try:
         for expr in exprs:

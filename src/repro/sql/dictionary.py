@@ -313,31 +313,25 @@ def _user_server_stats(engine: Any) -> TableDef:
 
 
 def _user_parallel_stats(engine: Any) -> TableDef:
-    """One-row view over the engine's parallel-execution counters.
+    """One-row view over the engine's async-prefetch counters.
 
-    ``morsels_dispatched`` / ``exchange_wait_seconds`` cover the morsel
-    scan exchange; the ``prefetch_*`` columns cover async ODCI
-    prefetch, with ``prefetch_depth_histogram`` the queue-occupancy
-    distribution (``occupancy:count`` pairs) observed as each
-    prefetched batch arrived — a right-leaning histogram means the
-    producer genuinely ran ahead.  ``worker_utilization`` is busy time
-    over pool wall-clock capacity since the first parallel activity.
+    The ``prefetch_*`` columns cover async ODCI prefetch, with
+    ``prefetch_depth_histogram`` the queue-occupancy distribution
+    (``occupancy:count`` pairs) observed as each prefetched batch
+    arrived — a right-leaning histogram means the producer genuinely
+    ran ahead.  ``worker_utilization`` is producer busy time over pool
+    wall-clock capacity since the first prefetched scan.
     """
     snap = engine.parallel_stats.snapshot()
-    rows = [[snap["parallel_queries"], snap["morsels_dispatched"],
-             snap["morsel_rows"], snap["worker_busy_seconds"],
+    rows = [[snap["worker_busy_seconds"],
              engine.parallel_stats.utilization(),
-             snap["exchange_wait_seconds"], snap["prefetch_scans"],
+             snap["prefetch_scans"],
              snap["prefetch_batches"], snap["prefetch_abandoned"],
              _histogram_text(snap["depth_histogram"]),
              snap["pool_size"]]]
     return _view("user_parallel_stats",
-                 [("parallel_queries", INTEGER),
-                  ("morsels_dispatched", INTEGER),
-                  ("morsel_rows", INTEGER),
-                  ("worker_busy_seconds", NUMBER),
+                 [("worker_busy_seconds", NUMBER),
                   ("worker_utilization", NUMBER),
-                  ("exchange_wait_seconds", NUMBER),
                   ("prefetch_scans", INTEGER),
                   ("prefetch_batches", INTEGER),
                   ("prefetch_abandoned", INTEGER),

@@ -71,8 +71,6 @@ class Engine:
                  durability_event_hook: Any = None,
                  storage_fault_plan: Any = None,
                  parallel_execution: bool = True,
-                 max_dop: int = 4,
-                 parallel_min_pages: int = 8,
                  prefetch_depth: int = 2,
                  prefetch_min_rows: int = 64,
                  parallel_pool_size: Optional[int] = None,
@@ -99,13 +97,12 @@ class Engine:
         #: expressions to closures at plan time (see repro.sql.compile);
         #: off means every expression goes through the interpreter
         self.compile_expressions = compile_expressions
-        #: defaults for the per-session parallel-execution settings
+        #: default for Session.parallel_execution — async ODCI prefetch
+        #: on/off, the one thing the worker pool runs.  The name stays
+        #: because benchmarks/e2e sets it (Server(parallel_execution=
+        #: False), the session attribute); rename it with those in a
+        #: benchmark PR
         self.parallel_execution = parallel_execution
-        self.max_dop = max(1, max_dop)
-        #: heap tables below this page count never go parallel (the
-        #: exchange overhead would dominate); also the pages-per-DOP
-        #: unit the planner's DOP costing divides by
-        self.parallel_min_pages = max(1, parallel_min_pages)
         #: default ODCI prefetch queue depth (0 disables prefetch)
         self.prefetch_depth = prefetch_depth
         #: domain scans estimated below this many rows stay serial —
@@ -125,8 +122,7 @@ class Engine:
         from repro.sql.columnar import ExecutorStats
         self.executor_stats = ExecutorStats()
         self._pool = None
-        self._pool_size = (parallel_pool_size if parallel_pool_size
-                           else max(2 * self.max_dop, 8))
+        self._pool_size = parallel_pool_size or 8
         self._pool_latch = threading.Lock()
         self._id_latch = threading.Lock()
         self._next_txn_id = 1
@@ -168,35 +164,32 @@ class Engine:
         return Session(self, user=user)
 
     # ------------------------------------------------------------------
-    # parallel execution
+    # async prefetch
     # ------------------------------------------------------------------
 
     def parallel_defaults(self) -> dict:
-        """Seed values for the per-session parallel-execution settings.
+        """Seed values for the per-session execution settings.
 
-        ``parallel_execution`` (the off-switch), ``max_dop`` (per-
-        statement DOP cap), and the plan-time eligibility knobs
-        ``parallel_min_pages`` / ``prefetch_depth`` /
-        ``prefetch_min_rows``.  Sessions copy these at connect time so
-        tests and benches can force or forbid parallelism per session
-        without reconfiguring the engine.  ``vectorized_execution``
-        rides along: it is the same kind of per-session execution
-        default (see :mod:`repro.sql.columnar`).
+        ``parallel_execution`` (async prefetch on/off; benchmarks/e2e
+        reads this key's name) and the plan-time eligibility knobs
+        ``prefetch_depth`` / ``prefetch_min_rows``.  Sessions copy these
+        at connect time so tests and benches can force or forbid
+        prefetch per session without reconfiguring the engine.
+        ``vectorized_execution`` rides along: it is the same kind of
+        per-session execution default (see :mod:`repro.sql.columnar`).
         """
         return {"parallel_execution": self.parallel_execution,
-                "max_dop": self.max_dop,
-                "parallel_min_pages": self.parallel_min_pages,
                 "prefetch_depth": self.prefetch_depth,
                 "prefetch_min_rows": self.prefetch_min_rows,
                 "vectorized_execution": self.vectorized_execution}
 
     def worker_pool(self):
-        """The engine-wide parallel worker pool (started lazily).
+        """The engine-wide worker pool (started lazily).
 
-        Shared by every session: morsel kernels and ODCI prefetch
-        producers from concurrent statements all draw from this one
-        bounded pool, mirroring Oracle's instance-wide parallel server
-        pool rather than per-query thread spawning.
+        Shared by every session: ODCI prefetch producers from
+        concurrent statements all draw from this one bounded pool,
+        mirroring Oracle's instance-wide parallel server pool rather
+        than per-query thread spawning.
         """
         with self._pool_latch:
             if self._pool is None:

@@ -33,16 +33,12 @@ through one :class:`_RowidSource`: a batch at a time, one buffer get
 per distinct heap page, the residual filter as a vector kernel over the
 fetched batch when the plan has one, row contexts for survivors only.
 
-Parallel execution (see :mod:`repro.sql.parallel`): when the plan marks
-a heap full scan ``[PARALLEL dop=N]`` and the session allows it, the
-scan runs as page-range morsels on the engine's worker pool through an
-order-preserving exchange (ORDER BY gets per-morsel sorted runs merged
-k-way instead); when a domain scan is marked ``[PREFETCH depth=K]``,
-the ODCIIndexFetch loop moves to a producer task that stays ``K``
-batches ahead of materialization.  Both paths demand a statement
-snapshot — current-mode reads (DML target selection) stay serial — and
-both degrade to the serial loop when the executor is already running on
-a pool worker (nested callback SQL must not deadlock the pool).
+Async prefetch (see :mod:`repro.sql.parallel`): when a domain scan is
+marked ``[PREFETCH depth=K]`` and the session allows it, the
+ODCIIndexFetch loop moves to a producer task on the engine's worker
+pool that stays ``K`` batches ahead of materialization; it degrades to
+the serial loop when the executor is already running on a pool worker
+(nested callback SQL must not deadlock the pool).
 """
 
 from __future__ import annotations
@@ -61,6 +57,7 @@ from repro.sql.catalog import TableDef
 from repro.sql.columnar import ColumnBatch, ExecutorStats
 from repro.sql.expressions import (
     AggregateCall, Evaluator, RowContext, aggregate_key)
+from repro.sql.parallel import PrefetchPipeline
 from repro.types.values import NULL, is_null, sql_compare
 
 #: cap on the per-executor constant-expression memo (safety valve for
@@ -142,7 +139,7 @@ class Executor:
         self.batch_size = getattr(db, "fetch_batch_size", 32)
         #: LIMIT-derived row budget for the statement's single scan
         #: (None = unbounded); lets batched producers stop issuing
-        #: work — ODCIIndexFetch calls, morsels — once met
+        #: work — ODCIIndexFetch calls, rowid chunks — once met
         self._scan_budget: Optional[int] = None
         #: id(expr) -> (expr, value); the expr reference keeps the id
         #: from being recycled while the entry lives
@@ -343,10 +340,6 @@ class Executor:
                     if batch:
                         yield batch
                 return
-        dop = self._effective_dop(node)
-        if dop >= 2:
-            yield from self._batches_parallel_scan(node, dop)
-            return
         make = self._ctx_factory(node.table, node.binding_name)
         passes = self._truth_fn(node, "filter", node.filter)
         storage = node.table.storage
@@ -384,8 +377,8 @@ class Executor:
         "VECTORIZED"``, which implies the filter — if any — compiled to
         a vector kernel) plus the session gate and the kernel factory's
         per-execution bind inspection; a declined factory sends the
-        whole statement to the row pipeline, mirroring the PR 9
-        row-kernel contract.  ``kernel`` is None for a filterless scan.
+        whole statement to the row pipeline.  ``kernel`` is None for a
+        filterless scan.
         """
         if not self.use_vectorized or node.vector_mode != "VECTORIZED":
             return False, None
@@ -415,10 +408,7 @@ class Executor:
         ok, kernel = self._vector_filter(node)
         if not ok or (kernel is None and require_kernel):
             return None
-        dop = self._effective_dop(node)
-        if dop >= 2:
-            return self._cbatches_parallel(node, kernel, dop)
-        return self._cbatches_serial(node, kernel)
+        return self._cbatches(node, kernel)
 
     def _vector_cbatches(self, scan: pl.PlanNode
                          ) -> Optional[Iterator[ColumnBatch]]:
@@ -435,29 +425,27 @@ class Executor:
         return self._index_batches(scan, source.cbatch)
 
     def _run_kernel(self, kernel: Callable, cbatch: ColumnBatch,
-                    closure_sel: Callable[[ColumnBatch], List[int]]
-                    ) -> None:
-        """Set ``cbatch.sel`` from the vector kernel.  A kernel failing
-        mid-batch re-runs THIS batch on the closure path, so
-        accept/reject outcomes, evaluation order, and error classes are
-        byte-identical."""
+                    node: pl.PlanNode) -> None:
+        """Set ``cbatch.sel`` from the scan ``node``'s vector kernel.  A
+        kernel failing mid-batch re-runs THIS batch on the closure
+        path, so accept/reject outcomes, evaluation order, and error
+        classes are byte-identical."""
         try:
             cbatch.sel = kernel(cbatch.columns, cbatch.rowids, cbatch.n)
             self.xstats.record_vector_batch(cbatch.n)
         except Exception:  # noqa: BLE001 — degrade to exact semantics
             self.xstats.record_fallback_batch()
-            cbatch.sel = closure_sel(cbatch)
+            cbatch.sel = self._closure_sel(node, cbatch)
 
-    def _cbatches_serial(self, node: pl.FullScan, kernel: Optional[Callable]
-                         ) -> Iterator[ColumnBatch]:
+    def _cbatches(self, node: pl.FullScan, kernel: Optional[Callable]
+                  ) -> Iterator[ColumnBatch]:
         storage = node.table.storage
         snapshot = self.snapshot if node.versioned else None
         width = len(node.table.columns)
         for rowids, columns in storage.scan_batches_columnar(width, snapshot):
             cbatch = ColumnBatch(rowids, columns)
             if kernel is not None:
-                self._run_kernel(
-                    kernel, cbatch, lambda cb: self._closure_sel(node, cb))
+                self._run_kernel(kernel, cbatch, node)
             else:
                 self.xstats.record_vector_batch(cbatch.n)
             if cbatch.selected_count():
@@ -472,72 +460,6 @@ class Executor:
         rowids = cbatch.rowids
         return [i for i in range(cbatch.n)
                 if passes(make(rowids[i], cbatch.row(i)))]
-
-    def _cbatches_parallel(self, node: pl.FullScan,
-                           kernel: Optional[Callable], dop: int
-                           ) -> Iterator[ColumnBatch]:
-        """Morsel-parallel columnar scan: the exchange carries
-        ``ColumnBatch`` values unchanged; each worker filters its pages
-        with the vector kernel, falling back per batch to the pure
-        ``(ctx, binds)`` closure (safe off-thread, like the row tiers).
-        """
-        from repro.sql.parallel import plan_morsels, run_morsels
-        engine = self.db.engine
-        storage = node.table.storage
-        morsels = plan_morsels(storage.page_count, dop)
-        if not morsels:
-            return
-        stats = engine.parallel_stats
-        stats.record_query(dop)
-        width = len(node.table.columns)
-        snapshot = self.snapshot
-        xstats = self.xstats
-        binds = self.binds
-        # guaranteed compiled when a filter exists (_effective_dop gate)
-        ctx_filter = node.compiled.get("filter")
-        cols = [(node.binding_name, col.name.lower())
-                for col in node.table.columns]
-        rowid_key = (node.binding_name, "rowid")
-        binding = node.binding_name
-
-        def closure_sel(cbatch: ColumnBatch) -> List[int]:
-            scratch = RowContext()
-            values = scratch.values
-            sel = []
-            for i in range(cbatch.n):
-                rowid = cbatch.rowids[i]
-                values.clear()
-                values.update(zip(cols, cbatch.row(i)))
-                values[rowid_key] = rowid
-                scratch.rowids[binding] = rowid
-                if ctx_filter(scratch, binds) is True:
-                    sel.append(i)
-            return sel
-
-        def morsel_kernel(start: int, stop: int) -> List[ColumnBatch]:
-            out: List[ColumnBatch] = []
-            for rowids, columns in storage.scan_page_range_columnar(
-                    start, stop, width, snapshot):
-                cbatch = ColumnBatch(rowids, columns)
-                if kernel is not None:
-                    self._run_kernel(kernel, cbatch, closure_sel)
-                else:
-                    xstats.record_vector_batch(cbatch.n)
-                if cbatch.selected_count():
-                    out.append(cbatch)
-            return out
-
-        budget = self._scan_budget
-        emitted = 0
-        exchange = run_morsels(engine.worker_pool(), morsel_kernel,
-                               morsels, dop, stats)
-        for cbatches in exchange:
-            for cbatch in cbatches:
-                yield cbatch
-                emitted += cbatch.selected_count()
-            if budget is not None and emitted >= budget:
-                exchange.close()
-                return
 
     def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.PlanNode
                              ) -> Optional[Iterator[Tuple[Any, ...]]]:
@@ -591,151 +513,6 @@ class Executor:
                     yield tuple(fn(ctx) for fn in fns)
                 continue
             yield from rows
-
-    # -- parallel morsel scan --------------------------------------------------
-
-    def _effective_dop(self, node: pl.PlanNode) -> int:
-        """The degree of parallelism this execution may actually use.
-
-        0/1 means serial.  Requires the plan-time eligibility marker, a
-        session with the feature on, a statement snapshot (current-mode
-        reads — DML target selection — must observe in-flight changes,
-        which morsel workers do not), a shareable (compiled or absent)
-        filter, and *not* already running on a pool worker: a worker
-        waiting on nested workers from the same bounded pool deadlocks.
-        """
-        dop = getattr(node, "parallel_dop", 0)
-        if dop < 2 or self.snapshot is None:
-            return 0
-        db = self.db
-        if not getattr(db, "parallel_execution", False):
-            return 0
-        if node.filter is not None and (
-                not self.use_compiled
-                or node.compiled.get("filter") is None):
-            return 0
-        engine = getattr(db, "engine", None)
-        if engine is None:
-            return 0
-        if engine.worker_pool().on_worker():
-            return 0
-        return min(dop, max(1, getattr(db, "max_dop", 1)))
-
-    def _morsel_kernel(self, node: pl.FullScan
-                       ) -> Callable[[int, int], List[RowContext]]:
-        """Build the ``kernel(start, stop) -> [RowContext]`` a morsel runs.
-
-        Four tiers, fastest first: a *generated* kernel (the whole
-        predicate eval-compiled to one Python expression over the raw
-        row), the fused raw-row closure tree, a scratch-context filter
-        (one reusable context probes the compiled closure; survivors
-        get a real context), or no filter at all.  The generated tier
-        answers only accept/reject on well-typed rows — if it raises
-        anything, the morsel transparently re-runs on the closure tier,
-        which reproduces the exact serial result or error.  All tiers
-        share the plan's compiled closures, which are pure
-        ``(ctx, binds)`` functions — nothing session-bound crosses into
-        the workers except the snapshot, which is immutable by
-        construction.
-        """
-        storage = node.table.storage
-        snapshot = self.snapshot
-        make = self._ctx_factory(node.table, node.binding_name)
-        binds = self.binds
-        if node.filter is None:
-            def kernel(start: int, stop: int) -> List[RowContext]:
-                out: List[RowContext] = []
-                for page in storage.scan_page_range(start, stop, snapshot):
-                    out.extend(make(rowid, row) for rowid, row in page)
-                return out
-            return kernel
-        safe = self._safe_filter_kernel(node, storage, snapshot, make, binds)
-        factory = node.compiled.get("row_kernel") \
-            if self.use_compiled else None
-        fast_filter = factory(binds) if factory is not None else None
-        if fast_filter is None:
-            return safe
-
-        def fast(start: int, stop: int) -> List[RowContext]:
-            out: List[RowContext] = []
-            append = out.append
-            for page in storage.scan_page_range(start, stop, snapshot):
-                for rowid, row in page:
-                    if fast_filter(row):
-                        append(make(rowid, row))
-            return out
-
-        def kernel(start: int, stop: int) -> List[RowContext]:
-            try:
-                return fast(start, stop)
-            except Exception:  # noqa: BLE001 — degrade to exact semantics
-                # the generated kernel met a value it has no contract
-                # for (type mismatch, division by zero); the snapshot
-                # makes the re-read deterministic and the closure tier
-                # raises the proper taxonomy error if one is real
-                return safe(start, stop)
-        return kernel
-
-    def _safe_filter_kernel(self, node: pl.FullScan, storage: Any,
-                            snapshot: Any, make: Callable, binds: Dict
-                            ) -> Callable[[int, int], List[RowContext]]:
-        """The exact-semantics morsel kernel (closure-tree tiers)."""
-        row_filter = node.compiled.get("row_filter") \
-            if self.use_compiled else None
-        if row_filter is not None:
-            def kernel(start: int, stop: int) -> List[RowContext]:
-                out: List[RowContext] = []
-                append = out.append
-                for page in storage.scan_page_range(start, stop, snapshot):
-                    for rowid, row in page:
-                        if row_filter(row, binds) is True:
-                            append(make(rowid, row))
-                return out
-            return kernel
-        ctx_filter = node.compiled["filter"]  # guaranteed by _effective_dop
-        cols = [(node.binding_name, col.name.lower())
-                for col in node.table.columns]
-        rowid_key = (node.binding_name, "rowid")
-        binding = node.binding_name
-
-        def kernel(start: int, stop: int) -> List[RowContext]:
-            out: List[RowContext] = []
-            scratch = RowContext()
-            values = scratch.values
-            for page in storage.scan_page_range(start, stop, snapshot):
-                for rowid, row in page:
-                    values.clear()
-                    values.update(zip(cols, row))
-                    values[rowid_key] = rowid
-                    scratch.rowids[binding] = rowid
-                    if ctx_filter(scratch, binds) is True:
-                        out.append(make(rowid, row))
-            return out
-        return kernel
-
-    def _batches_parallel_scan(self, node: pl.FullScan, dop: int
-                               ) -> Iterator[List[RowContext]]:
-        from repro.sql.parallel import plan_morsels, run_morsels
-        engine = self.db.engine
-        storage = node.table.storage
-        morsels = plan_morsels(storage.page_count, dop)
-        if not morsels:
-            return
-        stats = engine.parallel_stats
-        stats.record_query(dop)
-        kernel = self._morsel_kernel(node)
-        budget = self._scan_budget
-        emitted = 0
-        exchange = run_morsels(engine.worker_pool(), kernel, morsels,
-                               dop, stats)
-        # closing this generator (LIMIT satisfied, abandoned cursor)
-        # closes the exchange, which cancels unissued morsels
-        for batch in exchange:
-            yield batch
-            emitted += len(batch)
-            if budget is not None and emitted >= budget:
-                exchange.close()
-                return
 
     def _const(self, expr: Optional[ast.Expr]) -> Any:
         """Evaluate a constant expression, once per statement.
@@ -996,12 +773,12 @@ class Executor:
     def _prefetch_depth(self, node: pl.DomainScan) -> int:
         """Async-prefetch queue depth for this execution (0 = serial).
 
-        Same session/nesting gates as :meth:`_effective_dop`; the
-        plan-time marker carries the depth.  No snapshot requirement:
-        the producer re-dispatches through the owning session
-        (``call_from_worker``), so even current-mode scans keep their
-        exact serial semantics — but nested scans on a pool worker stay
-        serial to keep the pool deadlock-free.
+        The plan-time marker carries the depth; the session's
+        ``parallel_execution`` is the off-switch.  No snapshot
+        requirement: the producer re-dispatches through the owning
+        session (``call_from_worker``), so even current-mode scans keep
+        their exact serial semantics — but nested scans on a pool
+        worker stay serial to keep the pool deadlock-free.
         """
         depth = getattr(node, "prefetch_depth", 0)
         if depth <= 0:
@@ -1027,7 +804,6 @@ class Executor:
         idempotent closer; closing the pipeline first guarantees no
         fetch is in flight when ``ODCIIndexClose`` fires.
         """
-        from repro.sql.parallel import PrefetchPipeline
         engine = self.db.engine
         session = self.db
         index_name = node.index.name
@@ -1223,9 +999,6 @@ class Executor:
         once per row, not once per comparison."""
         descending = [item.descending for item in node.order_items]
         sort_key = functools.cmp_to_key(self._order_compare(descending))
-        merged = self._sort_merge_exchange(node, sort_key)
-        if merged is not None:
-            return merged
         vectored = self._vector_sort(node, sort_key)
         if vectored is not None:
             return vectored
@@ -1285,45 +1058,6 @@ class Executor:
                     decorated.append((key, make(rowid, row)))
         decorated.sort(key=sort_key)
         return iter([ctx for __, ctx in decorated])
-
-    def _sort_merge_exchange(self, node: pl.SortNode, sort_key
-                             ) -> Optional[Iterator[RowContext]]:
-        """ORDER BY over a parallel-eligible scan: each morsel returns a
-        *sorted* run (decorate + sort inside the worker), and the
-        consumer k-way merges the runs instead of re-sorting everything.
-        Returns None when the sort must run serially (ineligible child,
-        uncompiled sort keys)."""
-        child = node.child
-        if not isinstance(child, pl.FullScan):
-            return None
-        dop = self._effective_dop(child)
-        if dop < 2:
-            return None
-        compiled_keys = node.compiled.get("keys") if self.use_compiled \
-            else None
-        if not compiled_keys or any(fn is None for fn in compiled_keys):
-            return None  # interpreter keys are session-bound
-        from repro.sql.parallel import (
-            merge_sorted_runs, plan_morsels, run_morsels)
-        engine = self.db.engine
-        morsels = plan_morsels(child.table.storage.page_count, dop)
-        if not morsels:
-            return iter(())
-        stats = engine.parallel_stats
-        stats.record_query(dop)
-        scan_kernel = self._morsel_kernel(child)
-        binds = self.binds
-
-        def sort_kernel(start: int, stop: int):
-            ctxs = scan_kernel(start, stop)
-            run = [(tuple(fn(ctx, binds) for fn in compiled_keys), ctx)
-                   for ctx in ctxs]
-            run.sort(key=sort_key)
-            return run
-
-        runs = [run for run in run_morsels(engine.worker_pool(),
-                                           sort_kernel, morsels, dop, stats)]
-        return (ctx for __, ctx in merge_sorted_runs(runs, key=sort_key))
 
     def _iter_group_by(self, node: pl.GroupByNode) -> Iterator[RowContext]:
         vectored = self._vector_group_by(node)
@@ -1509,9 +1243,7 @@ class _RowidSource:
         cbatch = ColumnBatch.from_rows(rowids, rows,
                                        len(self._table.columns))
         if self.kernel is not None and rows:
-            executor, node = self._executor, self._node
-            executor._run_kernel(self.kernel, cbatch,
-                                 lambda cb: executor._closure_sel(node, cb))
+            self._executor._run_kernel(self.kernel, cbatch, self._node)
         return cbatch
 
     def cbatch(self, rowids: List[Any]) -> ColumnBatch:

@@ -83,7 +83,7 @@ class PlanNode:
 
     def _markers(self) -> str:
         """Extra EXPLAIN badges appended after the exec-mode marker
-        (``[PARALLEL dop=N]`` / ``[PREFETCH depth=K]``)."""
+        (``[PREFETCH depth=K]``)."""
         return ""
 
     def explain(self, depth: int = 0) -> List[str]:
@@ -110,24 +110,14 @@ class FullScan(PlanNode):
     #: per-statement hot path (the executor branches on these flags
     #: instead of getattr-probing the storage on every scan)
     has_scan_batches: bool = field(default=False, init=False)
-    has_page_range: bool = field(default=False, init=False)
     has_scan_columns: bool = field(default=False, init=False)
     versioned: bool = field(default=False, init=False)
-    #: ≥2 when the planner judged this scan morsel-parallel eligible;
-    #: the executing session clamps it to its own max_dop (0 = serial)
-    parallel_dop: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         storage = self.table.storage
         self.has_scan_batches = hasattr(storage, "scan_batches")
-        self.has_page_range = hasattr(storage, "scan_page_range")
         self.has_scan_columns = hasattr(storage, "scan_batches_columnar")
         self.versioned = getattr(storage, "versions", None) is not None
-
-    def _markers(self) -> str:
-        if self.parallel_dop >= 2:
-            return f" [PARALLEL dop={self.parallel_dop}]"
-        return ""
 
     def label(self) -> str:
         suffix = " FILTER" if self.filter is not None else ""
@@ -707,69 +697,36 @@ class Planner:
         if getattr(self.db, "compile_expressions", True):
             from repro.sql.compile import compile_plan
             plan.compiled_nodes = compile_plan(plan, self.catalog)
-        self._annotate_parallel(plan.root)
+        self._annotate_prefetch(plan.root)
         self._annotate_vectorized(plan.root, one_shot)
         self._peeked_binds = {}
         return plan
 
-    def _annotate_parallel(self, root: PlanNode) -> None:
-        """Mark scans eligible for morsel parallelism / ODCI prefetch.
+    def _annotate_prefetch(self, root: PlanNode) -> None:
+        """Mark domain scans eligible for async ODCI prefetch.
 
         Annotations only: est_cost is deliberately untouched, so access
         path choice (and the shared plan-cache entry) is identical for
-        serial and parallel sessions — a serial execution simply
-        ignores the markers.  DOP is costed from table size (one DOP
-        unit per ``parallel_min_pages`` heap pages, capped at 8 here
-        and by the executing session's ``max_dop`` at run time);
-        prefetch depth is granted when the ODCIStats-estimated result
-        cardinality spans multiple fetch batches.
+        prefetching and serial sessions — a serial execution simply
+        ignores the marker.  Prefetch depth is granted when the
+        ODCIStats-estimated result cardinality spans multiple fetch
+        batches.
         """
         db = self.db
         if db is None:
             return
-        min_pages = max(1, getattr(db, "parallel_min_pages", 8))
         depth = getattr(db, "prefetch_depth", 0)
+        if depth <= 0:
+            return
         min_rows = max(1, getattr(db, "prefetch_min_rows", 64))
 
         def visit(node: PlanNode) -> None:
-            if isinstance(node, FullScan):
-                self._annotate_full_scan(node, min_pages)
-            elif isinstance(node, DomainScan):
-                if depth > 0 and node.est_rows >= min_rows:
-                    node.prefetch_depth = depth
+            if isinstance(node, DomainScan) and node.est_rows >= min_rows:
+                node.prefetch_depth = depth
             for child in node.children():
                 visit(child)
 
         visit(root)
-
-    def _annotate_full_scan(self, node: FullScan, min_pages: int) -> None:
-        # Morsels need page-addressed, versioned storage: workers scan
-        # disjoint page ranges and resolve each slot against the
-        # statement snapshot, exactly like the serial batched scan.
-        if not (node.has_scan_batches and node.has_page_range
-                and node.versioned):
-            return
-        pages = node.table.storage.page_count
-        if pages < min_pages:
-            return
-        # A filter must have compiled — interpreter fallback closes
-        # over per-session evaluator state and stays on the owning
-        # thread.  Filterless scans are trivially shareable.
-        if node.filter is not None and node.compiled.get("filter") is None:
-            return
-        node.parallel_dop = max(2, min(8, pages // min_pages))
-        if node.filter is not None:
-            from repro.sql.parallel import (compile_row_kernel,
-                                            compile_row_predicate)
-            # fused morsel kernel: reject rows straight off the raw
-            # storage row, before RowContext construction (None is
-            # fine — workers then fall back to the context closure)
-            node.compiled["row_filter"] = compile_row_predicate(
-                node.filter, self.catalog, node.binding_name, node.table)
-            # generated kernel: the whole predicate as one eval-compiled
-            # expression; its factory re-checks bind values per execution
-            node.compiled["row_kernel"] = compile_row_kernel(
-                node.filter, node.binding_name, node.table)
 
     # -- vectorized execution annotations --------------------------------
 
@@ -777,7 +734,7 @@ class Planner:
                              one_shot: bool = False) -> None:
         """Attach vector kernels and stamp ``vector_mode`` markers.
 
-        Like :meth:`_annotate_parallel`, annotations only — costs and
+        Like :meth:`_annotate_prefetch`, annotations only — costs and
         access-path choice are untouched, so the shared plan-cache entry
         is identical whether the executing session runs columnar or
         row-at-a-time.  A node in the vectorizable chain is stamped
@@ -822,8 +779,8 @@ class Planner:
             if scan.vector_mode is not None:
                 return scan.vector_mode == "VECTORIZED"
             if scan.filter is not None:
-                # same gate as parallel: an interpreter-fallback filter
-                # closes over session state and stays on the row path
+                # an interpreter-fallback filter closes over session
+                # state and stays on the row path
                 if scan.compiled.get("filter") is None:
                     scan.vector_mode = "ROW"
                     return False

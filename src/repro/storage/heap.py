@@ -257,19 +257,9 @@ class HeapTable:
         :meth:`scan_batches`: version-chain resolution fills the columns
         directly, no intermediate row-tuple batch is built.
         """
-        yield from self.scan_page_range_columnar(
-            0, self._page_count, width, snapshot)
-
-    def scan_page_range_columnar(
-            self, start: int, stop: int, width: int,
-            snapshot: Optional[Snapshot] = None
-            ) -> Iterator[Tuple[List[RowId], List[List[Any]]]]:
-        """:meth:`scan_batches_columnar` restricted to ``[start, stop)``
-        — the columnar morsel unit for parallel scans."""
         segment_id = self.segment_id
-        stop = min(stop, self._page_count)
         resolve = self.versions.resolve if snapshot is not None else None
-        for page_no in range(max(0, start), stop):
+        for page_no in range(self._page_count):
             page = self.buffer.get_page(segment_id, page_no)
             rowids: List[RowId] = []
             rows: List[List[Any]] = []
@@ -331,39 +321,6 @@ class HeapTable:
             found = [found[i] for i in live]
             rows = [rows[i] for i in live]
         return found, rows
-
-    def scan_page_range(self, start: int, stop: int,
-                        snapshot: Optional[Snapshot] = None
-                        ) -> Iterator[List[Tuple[RowId, List[Any]]]]:
-        """:meth:`scan_batches` restricted to pages ``[start, stop)``.
-
-        The unit a parallel morsel covers: each worker scans a disjoint
-        contiguous page range, so concurrent morsels of one statement
-        never touch the same page.  Same snapshot semantics as
-        :meth:`scan_batches` (version-chain resolution per slot).
-        """
-        segment_id = self.segment_id
-        stop = min(stop, self._page_count)
-        if snapshot is None:
-            for page_no in range(max(0, start), stop):
-                page = self.buffer.get_page(segment_id, page_no)
-                batch = [(RowId(segment_id, page_no, slot), row)
-                         for slot, row in enumerate(page.slots)
-                         if row is not None]
-                if batch:
-                    yield batch
-            return
-        resolve = self.versions.resolve
-        for page_no in range(max(0, start), stop):
-            page = self.buffer.get_page(segment_id, page_no)
-            batch = []
-            for slot, row in enumerate(list(page.slots)):
-                rowid = RowId(segment_id, page_no, slot)
-                value = resolve(rowid, row, snapshot)
-                if value is not None:
-                    batch.append((rowid, value))
-            if batch:
-                yield batch
 
     # -- durability support ----------------------------------------------
 

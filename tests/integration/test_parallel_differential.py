@@ -1,19 +1,22 @@
-"""Differential proof: parallel execution == serial execution.
+"""Differential proof: prefetched == serial, vectorized == closures ==
+interpreter.
 
-Identically-seeded databases run the same randomized workload — one
-with morsel-parallel scans and ODCI prefetch forced eligible (page and
-row thresholds dropped to 1), one with ``parallel_execution`` off.
-The heap tests widen the pair to a four-way matrix that also covers
-``vectorized_execution`` off and the tree-walking interpreter
-(``compile_expressions`` off).  Every query result must be identical,
-across heap tables, IOTs, and all four cartridges: the exchanges are
-order-preserving and the prefetch pipeline delivers batches (and
-faults) in fetch order, so neither parallelism nor vectorization must
-ever be observable in results.
+Identically-seeded databases run the same randomized workload.  The
+cartridge classes pair a database with async ODCI prefetch forced
+eligible (row threshold dropped to 1) against one with
+``parallel_execution`` off.  The heap and native-index tests run a
+three-way matrix — default, ``vectorized_execution`` off, and the
+tree-walking interpreter (``compile_expressions`` off); the domain-scan
+matrix adds the prefetch-forced default as a fourth member.  Every
+query result must be identical,
+across heap tables, IOTs, and all four cartridges: the prefetch
+pipeline delivers batches (and faults) in fetch order, so neither
+prefetch nor vectorization must ever be observable in results.
 
-A final stress test runs mixed DML and parallel scans from eight
-threads against one shared engine worker pool, holding the invariants
-that survive arbitrary interleavings (counts, commit atomicity).
+A final stress test runs mixed DML, scans and prefetched domain scans
+from eight threads against one shared engine worker pool, holding the
+invariants that survive arbitrary interleavings (counts, commit
+atomicity).
 """
 
 import random
@@ -26,51 +29,48 @@ from repro import Database
 pytestmark = pytest.mark.parallel
 
 
+def _force_prefetch(db):
+    db.parallel_execution = True
+    db.prefetch_min_rows = 1  # every domain scan prefetches
+    db.prefetch_depth = 2
+
+
 def _pair(installer=None):
-    """Two fresh databases: parallel forced-eligible vs serial."""
+    """Two fresh databases: prefetch forced vs serial."""
     dbs = []
-    for parallel in (True, False):
+    for prefetch in (True, False):
         db = Database()
         if installer is not None:
             installer(db)
-        db.parallel_execution = parallel
-        if parallel:
-            db.parallel_min_pages = 1  # every heap scan is eligible
-            db.prefetch_min_rows = 1   # every domain scan prefetches
-            db.prefetch_depth = 2
-            db.max_dop = 4
+        if prefetch:
+            _force_prefetch(db)
+        else:
+            db.parallel_execution = False
         dbs.append(db)
     return dbs
 
 
-def _run_both(dbs, fn):
-    results = [fn(db) for db in dbs]
-    assert results[0] == results[1]
-    return results[0]
-
-
 def _fleet(installer=None):
-    """Four fresh databases spanning the execution matrix: morsel-
-    parallel vectorized, serial vectorized, serial compiled-closure
-    (vector kernels off), and the tree-walking interpreter.  Every
-    query result must be identical across all four."""
-    configs = [
-        ("parallel", {}),
-        ("serial", {}),
-        ("serial", {"vectorized_execution": False}),
-        ("serial", {"compile_expressions": False}),
-    ]
+    """Fresh databases spanning the execution matrix: default
+    (vectorized), compiled-closure (vector kernels off), and the
+    tree-walking interpreter, all with prefetch off.  With an
+    ``installer`` (a cartridge: the workload runs domain scans) a fourth
+    member runs the default configuration with prefetch forced.  Every
+    query result must be identical across all of them."""
+    configs = [(False, {}),
+               (False, {"vectorized_execution": False}),
+               (False, {"compile_expressions": False})]
+    if installer is not None:
+        configs.append((True, {}))
     dbs = []
-    for mode, options in configs:
+    for prefetch, options in configs:
         db = Database(**options)
         if installer is not None:
             installer(db)
-        db.parallel_execution = mode == "parallel"
-        if mode == "parallel":
-            db.parallel_min_pages = 1  # every heap scan is eligible
-            db.prefetch_min_rows = 1   # every domain scan prefetches
-            db.prefetch_depth = 2
-            db.max_dop = 4
+        if prefetch:
+            _force_prefetch(db)
+        else:
+            db.parallel_execution = False
         dbs.append(db)
     return dbs
 
@@ -126,7 +126,7 @@ class TestHeapAndIOT:
                 out.append(db.execute(
                     f"SELECT k, grp, val FROM t WHERE {pred}",
                     make_binds()).fetchall())
-            # exchange operators downstream of the parallel scan
+            # sort, group, fold and limit downstream of the scan
             out.append(db.execute(
                 "SELECT k, val FROM t WHERE val < 0.8"
                 " ORDER BY val DESC, k").fetchall())
@@ -165,7 +165,7 @@ class TestHeapAndIOT:
 
         outcome = _run_all(dbs, workload)
         assert outcome[0] == "ExecutionError"
-        assert dbs[1].engine.executor_stats.snapshot()[
+        assert dbs[0].engine.executor_stats.snapshot()[
             "fallback_batches"] >= 1
 
     def test_heap_scans_interleaved_with_dml(self):
@@ -195,10 +195,10 @@ class TestHeapAndIOT:
 
         _run_all(dbs, workload)
 
-    def test_iot_stays_serial_and_identical(self):
-        # IOTs expose no page-range scan; parallel settings must be a
-        # no-op for them, not an error
-        dbs = _pair()
+    def test_iot_scans_identical(self):
+        # IOTs expose no columnar scan; the execution settings must be
+        # a no-op for them, not an error
+        dbs = _fleet()
 
         def workload(db):
             out = []
@@ -214,10 +214,7 @@ class TestHeapAndIOT:
             ).fetchall())
             return out
 
-        parallel_db = dbs[0]
-        before = parallel_db.engine.parallel_stats.parallel_queries
-        _run_both(dbs, workload)
-        assert parallel_db.engine.parallel_stats.parallel_queries == before
+        _run_all(dbs, workload)
 
 
 @pytest.mark.vectorized
@@ -299,7 +296,7 @@ class TestIndexDrivenPlans:
         results = _run_all(dbs, workload)
         assert results[-1][0] == "ExecutionError"
         assert results[0] and results[1]  # the suite is not vacuous
-        stats = dbs[1].engine.executor_stats.snapshot()
+        stats = dbs[0].engine.executor_stats.snapshot()
         assert stats["vector_batches"] > 0
         assert stats["fallback_batches"] >= 1
         assert stats["factory_declines"] >= 1
@@ -375,8 +372,8 @@ class TestCartridges:
                     [rng.choice(words)]).fetchall()))
             return out
 
-        _run_both(dbs, workload)
-        # the parallel-side database really did prefetch
+        _run_all(dbs, workload)
+        # the prefetch-side database really did prefetch
         assert dbs[0].engine.parallel_stats.prefetch_scans > 0
 
     def test_spatial(self):
@@ -404,7 +401,7 @@ class TestCartridges:
                     " 'mask=ANYINTERACT')", [window]).fetchall()))
             return out
 
-        _run_both(dbs, workload)
+        _run_all(dbs, workload)
 
     def test_chemistry(self):
         from repro.cartridges.chemistry import install
@@ -427,7 +424,7 @@ class TestCartridges:
                     [rng.choice(mols)]).fetchall()))
             return out
 
-        _run_both(dbs, workload)
+        _run_all(dbs, workload)
 
     def test_vir(self):
         from repro.bench.workloads import make_signature_table
@@ -453,7 +450,7 @@ class TestCartridges:
                     [centre, weights, threshold]).fetchall()))
             return out
 
-        _run_both(dbs, workload)
+        _run_all(dbs, workload)
 
 
 @pytest.mark.vectorized
@@ -505,8 +502,9 @@ class TestDomainScansFourWay:
         results = _run_all(dbs, workload)
         assert any(rows for rows in results[:-2])
         assert results[-1][0] == "ExecutionError"
-        assert dbs[1].engine.executor_stats.snapshot()[
+        assert dbs[0].engine.executor_stats.snapshot()[
             "vector_batches"] > 0
+        assert dbs[-1].engine.parallel_stats.prefetch_scans > 0
 
     def test_spatial_residual(self):
         from repro.cartridges.spatial import install, make_rect
@@ -596,16 +594,22 @@ class TestDomainScansFourWay:
 
 
 class TestSharedPoolStress:
-    def test_eight_threads_mixed_dml_and_parallel_scans(self):
+    def test_eight_threads_mixed_dml_scans_and_prefetch(self):
+        from repro.cartridges.text import install
         db = Database()
-        db.parallel_min_pages = 1
-        db.max_dop = 4
+        install(db)
+        _force_prefetch(db)
         db.execute("CREATE TABLE ledger (slot INTEGER, k INTEGER,"
                    " val NUMBER)")
         for slot in range(8):
             for i in range(200):
                 db.execute("INSERT INTO ledger VALUES (:1, :2, :3)",
                            [slot, i, float(i)])
+        db.execute("CREATE TABLE notes (id INTEGER, body VARCHAR2(100))")
+        db.insert_rows("notes", [[i, f"slot{i % 8} shared"]
+                                 for i in range(160)])
+        db.execute("CREATE INDEX notes_text ON notes(body)"
+                   " INDEXTYPE IS TextIndexType")
         db.execute("COMMIT")
         errors = []
         done = threading.Barrier(8, timeout=60)
@@ -614,9 +618,9 @@ class TestSharedPoolStress:
             try:
                 session = db.connect()
                 session.lock_timeout = 30.0
+                session.prefetch_min_rows = 1
                 rng = random.Random(slot)
                 for round_no in range(12):
-                    # every thread's scans draw on the one shared pool
                     rows = session.execute(
                         "SELECT k, val FROM ledger WHERE slot = :1"
                         " AND NOT (val < :2)",
@@ -626,6 +630,12 @@ class TestSharedPoolStress:
                         "SELECT COUNT(*) FROM ledger WHERE slot = :1",
                         [slot]).fetchall()[0][0]
                     assert count == 200  # own partition stays intact
+                    # every thread's domain scans draw on the one
+                    # shared pool for their prefetch producer
+                    hits = session.execute(
+                        "SELECT id FROM notes WHERE Contains(body, :1)",
+                        [f"slot{slot}"]).fetchall()
+                    assert len(hits) == 20
                     # mixed DML on the thread's own slot, committed
                     session.execute(
                         "UPDATE ledger SET val = val + 1"
@@ -649,5 +659,5 @@ class TestSharedPoolStress:
         assert not errors, errors[:2]
         assert db.execute(
             "SELECT COUNT(*) FROM ledger").fetchall() == [(1600,)]
-        assert db.engine.parallel_stats.parallel_queries > 0
+        assert db.engine.parallel_stats.prefetch_scans > 0
         db.close()

@@ -431,22 +431,19 @@ class TestAbandonedCursors:
 
 
 class TestConnectKwargs:
-    def test_engine_kwarg_warns_but_works(self, engine):
-        with pytest.warns(DeprecationWarning, match="first argument"):
-            conn = dbapi.connect(engine=engine)
-        assert conn.engine is engine
-        conn.close()
+    def test_engine_kwarg_refused_naming_positional_form(self, engine):
+        with pytest.raises(dbapi.InterfaceError, match=r"connect\(engine\)"):
+            dbapi.connect(engine=engine)
 
-    def test_data_dir_kwarg_warns_but_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="file:"):
-            conn = dbapi.connect(data_dir=str(tmp_path / "d"))
-        assert conn.engine.durability is not None
-        conn.engine.close()
+    def test_data_dir_kwarg_refused_naming_file_dsn(self, tmp_path):
+        target = tmp_path / "d"
+        with pytest.raises(dbapi.InterfaceError, match="file:"):
+            dbapi.connect(data_dir=str(target))
+        assert not target.exists()  # refused before any engine opened
 
-    def test_dsn_and_engine_kwarg_conflict(self, engine):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(dbapi.InterfaceError):
-                dbapi.connect("file:/x", engine=engine)
+    def test_dsn_and_engine_kwarg_refused(self, engine):
+        with pytest.raises(dbapi.InterfaceError, match=r"connect\(engine\)"):
+            dbapi.connect("file:/x", engine=engine)
 
     def test_engine_options_rejected_for_network(self, server):
         with pytest.raises(dbapi.InterfaceError):

@@ -253,6 +253,9 @@ QUERIES = [
     " GROUP BY name HAVING count(*) >= 1 ORDER BY name",
     "SELECT upper(name) || '!' FROM people WHERE length(name) > 4",
     "SELECT DISTINCT score IS NULL FROM people ORDER BY 1",
+    # literal NULL in truth and value position of the kernel generator
+    "SELECT id FROM people WHERE score = NULL OR id = 4",
+    "SELECT NULL, score + NULL, -score FROM people WHERE NOT (id > 9)",
 ]
 
 

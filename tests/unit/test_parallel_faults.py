@@ -1,6 +1,6 @@
-"""Fault semantics of parallel execution and async ODCI prefetch.
+"""Fault semantics of async ODCI prefetch.
 
-The tentpole promise of the parallel layer is that it changes *when*
+The tentpole promise of the prefetch layer is that it changes *when*
 work happens, never *what* the dispatcher contract observes: wall-clock
 budgets, the fault taxonomy, bounded retry, and
 ``skip_unusable_indexes`` degrade-and-retry all behave exactly as in
@@ -215,7 +215,7 @@ class TestAbandonedCursor:
 
 
 class TestParallelScanFaults:
-    """Morsel exchange: errors re-raised in stream order, scans gated."""
+    """Heap scans run on the calling thread; the morsel knobs are gone."""
 
     @pytest.fixture
     def scan_db(self):
@@ -223,43 +223,72 @@ class TestParallelScanFaults:
         db.execute("CREATE TABLE big (id INTEGER, val NUMBER)")
         db.insert_rows("big", [[i, i / 1000.0] for i in range(5000)])
         db.execute("ANALYZE TABLE big COMPUTE STATISTICS")
-        db.parallel_min_pages = 1
         yield db
         db.close()
 
-    def test_parallel_scan_engages_and_matches_serial(self, scan_db):
-        sql = "SELECT id FROM big WHERE val < :1 AND NOT (id = :2)"
-        scan_db.parallel_execution = False
-        scan_db.plan_cache.clear()
-        serial = scan_db.execute(sql, [0.5, 17]).fetchall()
-        scan_db.parallel_execution = True
-        scan_db.plan_cache.clear()
-        before = scan_db.engine.parallel_stats.parallel_queries
-        parallel = scan_db.execute(sql, [0.5, 17]).fetchall()
-        assert parallel == serial
-        assert scan_db.engine.parallel_stats.parallel_queries > before
-
-    def test_dml_target_scans_stay_serial(self, scan_db):
-        # current-mode reads (UPDATE/DELETE selection) must not morsel
-        before = scan_db.engine.parallel_stats.parallel_queries
-        scan_db.execute("UPDATE big SET val = val + 1 WHERE val < 0.01")
-        scan_db.execute("DELETE FROM big WHERE val > 990")
-        scan_db.execute("COMMIT")
-        assert scan_db.engine.parallel_stats.parallel_queries == before
-
-    def test_explain_reports_parallel_marker(self, scan_db):
+    def test_filtered_scan_is_vectorized_not_parallel(self, scan_db):
         text = "\n".join(scan_db.explain(
             "SELECT id FROM big WHERE val < 0.5"))
-        assert "[PARALLEL dop=" in text
+        assert "[VECTORIZED]" in text
+        assert "[PARALLEL" not in text
+
+    @pytest.mark.parametrize("knob", [{"max_dop": 4},
+                                      {"parallel_min_pages": 1}])
+    def test_morsel_knobs_raise_type_error(self, knob):
+        from repro.sql.engine import Engine
+        with pytest.raises(TypeError):
+            Engine(**knob)
+
+    def test_handshake_refuses_max_dop(self):
+        from repro import dbapi
+        from repro.server import Server
+        with Server() as server:
+            with pytest.raises(dbapi.Error, match="max_dop"):
+                dbapi.connect(server.url, timeout=10.0,
+                              settings={"max_dop": 2})
+
+    def test_order_by_over_many_pages_matches_interpreter(self, scan_db):
+        sql = ("SELECT id, val FROM big WHERE NOT (id = :1)"
+               " ORDER BY val DESC, id")
+        assert scan_db.catalog.get_table("big").storage.page_count > 8
+        ordered = scan_db.execute(sql, [17]).fetchall()
+        scan_db.compile_expressions = False
+        scan_db.plan_cache.clear()
+        assert ordered == scan_db.execute(sql, [17]).fetchall()
+        assert len(ordered) == 4999
 
     def test_explain_reports_prefetch_marker(self, db):
         force_prefetch(db, depth=3)
         text = "\n".join(db.explain(QUERY, ["match"]))
         assert "[PREFETCH depth=3]" in text
 
-    def test_user_parallel_stats_view_populates(self, scan_db):
-        scan_db.execute("SELECT id FROM big WHERE val < 0.5").fetchall()
-        row = scan_db.execute(
-            "SELECT parallel_queries, morsels_dispatched, pool_size"
+    def test_user_parallel_stats_view_populates(self, db):
+        force_prefetch(db)
+        db.execute(QUERY, ["match"]).fetchall()
+        row = db.execute(
+            "SELECT prefetch_scans, prefetch_batches, pool_size,"
+            " worker_busy_seconds, worker_utilization,"
+            " prefetch_abandoned, prefetch_depth_histogram"
             " FROM user_parallel_stats").fetchall()[0]
         assert row[0] >= 1 and row[1] >= 1 and row[2] >= 1
+
+
+def test_parallel_module_import_surface():
+    """sql/parallel.py holds the pool, its stats and the prefetch
+    pipeline — no expression code, so nothing from the compiler."""
+    import ast as pyast
+    import repro.sql.parallel as parallel
+    assert parallel.__all__ == ["WorkerPool", "ParallelStats",
+                                "PrefetchPipeline"]
+    with open(parallel.__file__) as handle:
+        tree = pyast.parse(handle.read())
+    imported = set()
+    for node in pyast.walk(tree):
+        if isinstance(node, pyast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}"
+                            for alias in node.names)
+        elif isinstance(node, pyast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.sql.compile" not in imported
+    assert "repro.sql.ast_nodes" not in imported
