@@ -1,11 +1,11 @@
-"""Executor benchmark: compiled-vs-interpreted, cold-vs-warm, batch sweep.
+"""Executor benchmark: generated-vs-interpreted, cold-vs-warm, batch sweep.
 
-Measures the compile-and-batch execution pipeline against the
-tree-walking interpreter on the same engine build (the
-``compile_expressions`` toggle) and the vectorized columnar pipeline
-against the compiled-closure baseline (the ``vectorized_execution``
-toggle), and emits a machine-readable ``BENCH_executor.json`` at the
-repo root so the perf trajectory is tracked across PRs.
+Measures generated code (vector kernels over column batches, row
+functions over row contexts) against the tree-walking interpreter on
+the same engine build and the same plans
+(:func:`repro.testing.interpreter_forced`), and emits a
+machine-readable ``BENCH_executor.json`` at the repo root so the perf
+trajectory is tracked across PRs.
 
 Run directly::
 
@@ -33,6 +33,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
 from repro import Database, FetchResult, IndexMethods, PrecomputedScan
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
+from repro.testing import interpreter_forced
 
 REPORT_FILE = "executor.txt"
 JSON_FILE = "BENCH_executor.json"
@@ -49,19 +50,17 @@ FILTER_SQL = ("SELECT id FROM t WHERE val < :1 AND grp LIKE 'g1%'"
 #: regression tolerance for --check: a speedup ratio may not drop below
 #: 80% of the committed baseline's
 CHECK_TOLERANCE = 0.8
-#: acceptance floor: compiled+batched must beat the interpreter by >= 2x
-#: on the filter-heavy full scan
+#: acceptance floor: the vector kernel must beat the interpreter by
+#: >= 2x on the filter-heavy full scan
 FILTER_SPEEDUP_FLOOR = 2.0
-#: acceptance target (recorded run): vectorized columnar scan over the
-#: compiled-closure baseline on the filter-heavy full scan; the CI
-#: smoke gate uses the floor (full-suite load makes ratios wobble)
-VECTORIZED_SPEEDUP_TARGET = 2.0
-VECTORIZED_SPEEDUP_FLOOR = 1.5
-#: grouped column folds must beat the row-at-a-time accumulator loop
+#: grouped column folds must beat the interpreted accumulator loop
 VECTORIZED_AGG_FLOOR = 1.3
 #: a B-tree range probe with a selective residual: vector kernel over
-#: the fetched rowid batches vs closures over a context per row
+#: the fetched rowid batches vs the interpreter over a context per row
 INDEX_LOOKUP_FLOOR = 1.5
+#: generated row functions (IOT prefix scan, hash-join keys,
+#: projections) must beat the interpreter on the row pipeline
+ROW_LOOP_FLOOR = 1.1
 #: prefetch must show a measurable fetch/process overlap win
 PREFETCH_SPEEDUP_FLOOR = 1.1
 
@@ -134,9 +133,13 @@ def build_text_db(n_docs):
     return db, corpus
 
 
-def _timed(db, sql, binds, repeats, compiled=True):
-    """Warm the plan cache, then time ``repeats`` executions."""
-    db.compile_expressions = compiled
+def _timed(db, sql, binds, repeats, interpreted=False):
+    """Plan afresh (plan-time settings such as ``prefetch_depth`` may
+    have changed), warm the plan cache, then time ``repeats``
+    executions — with ``interpreted``, on the interpreter only."""
+    if interpreted:
+        with interpreter_forced(db):
+            return _timed(db, sql, binds, repeats)
     db.plan_cache.clear()
     rows = db.execute(sql, binds).fetchall()
     start = time.perf_counter()
@@ -145,55 +148,32 @@ def _timed(db, sql, binds, repeats, compiled=True):
     return time.perf_counter() - start, len(rows)
 
 
+def _versus_interpreter(interpreted, generated, **extra):
+    return dict(extra, interpreted_s=round(interpreted, 4),
+                generated_s=round(generated, 4),
+                speedup=round(interpreted / generated, 3))
+
+
 def bench_filter_full_scan(n_rows, repeats):
-    """Filter-heavy full scan: compiled+batched vs interpreter."""
+    """Filter-heavy full scan: vector kernel vs interpreter."""
     db = build_scan_db(n_rows)
     binds = [0.9, 100, n_rows - 100]
-    interpreted, n1 = _timed(db, FILTER_SQL, binds, repeats, compiled=False)
-    compiled, n2 = _timed(db, FILTER_SQL, binds, repeats, compiled=True)
+    interpreted, n1 = _timed(db, FILTER_SQL, binds, repeats, True)
+    generated, n2 = _timed(db, FILTER_SQL, binds, repeats)
     assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"interpreted_s": round(interpreted, 4),
-            "compiled_s": round(compiled, 4),
-            "rows": n1,
-            "speedup": round(interpreted / compiled, 3)}
-
-
-def bench_vectorized_scan(n_rows, repeats):
-    """Filter-heavy full scan: vector kernel vs compiled closures.
-
-    Both modes run the compiled pipeline; the only difference is
-    whether the scan filters on columnar batches with a generated
-    vector kernel or calls the row closure through a context per row.
-    The plan cache is cleared between modes because the vectorized
-    annotation is stamped on the plan.
-    """
-    db = build_scan_db(n_rows)
-    binds = [0.9, 100, n_rows - 100]
-    db.vectorized_execution = False
-    closure, n1 = _timed(db, FILTER_SQL, binds, repeats)
-    db.vectorized_execution = True
-    vectorized, n2 = _timed(db, FILTER_SQL, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"closure_s": round(closure, 4),
-            "vectorized_s": round(vectorized, 4),
-            "rows": n1,
-            "speedup": round(closure / vectorized, 3)}
+    return _versus_interpreter(interpreted, generated, rows=n1)
 
 
 def bench_vectorized_agg(n_rows, repeats):
-    """GROUP BY aggregation: grouped column folds vs row accumulators."""
+    """GROUP BY aggregation: grouped column folds vs interpreted
+    group keys and aggregate arguments over a context per row."""
     db = build_scan_db(n_rows)
     sql = ("SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val)"
            " FROM t GROUP BY grp")
-    db.vectorized_execution = False
-    closure, n1 = _timed(db, sql, [], repeats)
-    db.vectorized_execution = True
-    vectorized, n2 = _timed(db, sql, [], repeats)
+    interpreted, n1 = _timed(db, sql, [], repeats, True)
+    generated, n2 = _timed(db, sql, [], repeats)
     assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"closure_s": round(closure, 4),
-            "vectorized_s": round(vectorized, 4),
-            "groups": n1,
-            "speedup": round(closure / vectorized, 3)}
+    return _versus_interpreter(interpreted, generated, groups=n1)
 
 
 def bench_index_lookup(n_rows, repeats):
@@ -201,10 +181,10 @@ def bench_index_lookup(n_rows, repeats):
 
     The shape of a cartridge's callback SQL (the spatial tile probe):
     the index returns ~300 rowids, the residual keeps ~1% of them.
-    Both modes fetch the rowids in page-sorted batches; with vector
-    kernels on the residual runs over the fetched columns and only the
-    survivors are projected, with them off every fetched row gets a
-    RowContext and a closure call.  Min of five rounds per mode.
+    Both modes fetch the rowids in page-sorted batches; generated, the
+    residual runs over the fetched columns and only the survivors are
+    projected; interpreted, every fetched row gets a RowContext and a
+    tree walk.  Min of five rounds per mode.
     """
     db = build_scan_db(n_rows)
     sql = ("SELECT id, grp FROM t WHERE id BETWEEN :1 AND :2"
@@ -212,16 +192,48 @@ def bench_index_lookup(n_rows, repeats):
     low = n_rows // 3
     binds = [low, low + 299, 0.01]
     rounds = repeats * 10
-    db.vectorized_execution = False
-    closure, n1 = min(_timed(db, sql, binds, rounds) for __ in range(5))
-    db.vectorized_execution = True
-    vectorized, n2 = min(_timed(db, sql, binds, rounds) for __ in range(5))
+    interpreted, n1 = min(_timed(db, sql, binds, rounds, True)
+                          for __ in range(5))
+    generated, n2 = min(_timed(db, sql, binds, rounds) for __ in range(5))
     assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"closure_s": round(closure, 4),
-            "vectorized_s": round(vectorized, 4),
-            "fetched": 300,
-            "rows": n1,
-            "speedup": round(closure / vectorized, 3)}
+    return _versus_interpreter(interpreted, generated, fetched=300, rows=n1)
+
+
+#: the row pipeline's two biggest consumers in benchmarks/e2e: a
+#: projection over an IOT prefix scan (the text cartridge's posting
+#: reads) and hash-join keys
+ROW_LOOP_SQL = (
+    "SELECT doc, freq * 2 FROM postings WHERE term = :1",
+    "SELECT p.doc, d.grp FROM postings p, d"
+    " WHERE p.doc = d.id AND p.term = :1 AND p.freq > 1")
+
+
+def build_row_loop_db(n_rows):
+    db = Database(buffer_capacity=4096)
+    db.execute("CREATE TABLE postings (term VARCHAR2(16), doc INTEGER,"
+               " freq INTEGER, PRIMARY KEY (term, doc)) ORGANIZATION INDEX")
+    db.execute("CREATE TABLE d (id INTEGER, grp VARCHAR2(8))")
+    db.insert_rows("postings", [[f"w{i % 4}", i, i % 5]
+                                for i in range(n_rows)])
+    db.insert_rows("d", [[i, f"g{i % 16}"] for i in range(n_rows // 2)])
+    return db
+
+
+def bench_row_loop(n_rows, repeats):
+    """Row functions: IOT prefix scan + projection, and a hash join
+    (filter, keys, projection) — nothing here reaches a vector kernel.
+    Min of three rounds per mode."""
+    db = build_row_loop_db(n_rows)
+
+    def total(interpreted):
+        timings = [_timed(db, sql, ["w1"], repeats, interpreted)
+                   for sql in ROW_LOOP_SQL]
+        return sum(t for t, __ in timings), sum(n for __, n in timings)
+
+    interpreted, n1 = min(total(True) for __ in range(3))
+    generated, n2 = min(total(False) for __ in range(3))
+    assert n1 == n2 and n1 > 0, (n1, n2)
+    return _versus_interpreter(interpreted, generated, rows=n1)
 
 
 def bench_cold_vs_warm(n_rows, repeats):
@@ -296,18 +308,15 @@ def bench_prefetch_overlap(n_items, repeats, depth=2):
 
 
 def bench_domain_scan(n_docs, repeats):
-    """Text-cartridge Contains scan: compiled vs interpreted pipeline."""
+    """Text-cartridge Contains scan: generated vs interpreted pipeline."""
     db, corpus = build_text_db(n_docs)
     db.prefetch_depth = 0  # in-memory fetches: no latency worth hiding
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     binds = [corpus.common_word(5)]
-    interpreted, n1 = _timed(db, sql, binds, repeats, compiled=False)
-    compiled, n2 = _timed(db, sql, binds, repeats, compiled=True)
+    interpreted, n1 = _timed(db, sql, binds, repeats, True)
+    generated, n2 = _timed(db, sql, binds, repeats)
     assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"interpreted_s": round(interpreted, 4),
-            "compiled_s": round(compiled, 4),
-            "rows": n1,
-            "speedup": round(interpreted / compiled, 3)}
+    return _versus_interpreter(interpreted, generated, rows=n1)
 
 
 def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
@@ -319,7 +328,7 @@ def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
     sweep = {}
     for size in sizes:
         db.fetch_batch_size = size
-        elapsed, __ = _timed(db, sql, binds, repeats, compiled=True)
+        elapsed, __ = _timed(db, sql, binds, repeats)
         sweep[str(size)] = round(elapsed, 4)
     return sweep
 
@@ -335,9 +344,9 @@ def run_benchmarks(smoke=False):
                  "repeats": repeats, "smoke": smoke},
         "cases": {
             "filter_full_scan": bench_filter_full_scan(n_rows, repeats),
-            "vectorized_scan": bench_vectorized_scan(n_rows, repeats),
             "vectorized_agg": bench_vectorized_agg(n_rows, repeats),
             "index_lookup": bench_index_lookup(n_rows, repeats),
+            "row_loop": bench_row_loop(n_rows, repeats),
             "prefetch_overlap": bench_prefetch_overlap(
                 n_items, prefetch_repeats),
             "plan_cache": bench_cold_vs_warm(n_rows, repeats),
@@ -350,78 +359,57 @@ def run_benchmarks(smoke=False):
 def render_table(results):
     cases = results["cases"]
     table = ReportTable(
-        "executor — compiled+batched pipeline vs interpreter "
+        "executor — generated code vs interpreter "
         f"(rows={results['meta']['n_rows']}, "
         f"repeats={results['meta']['repeats']})",
         ["case", "baseline_s", "optimized_s", "speedup"])
-    fs = cases["filter_full_scan"]
-    table.add_row("filter-heavy full scan (interp -> compiled)",
-                  fs["interpreted_s"], fs["compiled_s"], fs["speedup"])
-    vs = cases["vectorized_scan"]
-    table.add_row("filter-heavy full scan (closure -> vectorized)",
-                  vs["closure_s"], vs["vectorized_s"], vs["speedup"])
-    va = cases["vectorized_agg"]
-    table.add_row("group-by aggregation (closure -> vectorized)",
-                  va["closure_s"], va["vectorized_s"], va["speedup"])
-    il = cases["index_lookup"]
-    table.add_row("b-tree range probe + residual (closure -> vectorized)",
-                  il["closure_s"], il["vectorized_s"], il["speedup"])
+    for name, label in (
+            ("filter_full_scan", "filter-heavy full scan"),
+            ("vectorized_agg", "group-by aggregation"),
+            ("index_lookup", "b-tree range probe + residual"),
+            ("row_loop", "iot prefix scan + hash join (row functions)"),
+            ("domain_scan", "text domain scan")):
+        case = cases[name]
+        table.add_row(f"{label} (interp -> generated)",
+                      case["interpreted_s"], case["generated_s"],
+                      case["speedup"])
     po = cases["prefetch_overlap"]
     table.add_row(f"slow domain scan (serial -> prefetch {po['depth']})",
                   po["serial_s"], po["prefetch_s"], po["speedup"])
     pc = cases["plan_cache"]
     table.add_row("plan cache (cold -> warm)",
                   pc["cold_s"], pc["warm_s"], pc["speedup"])
-    ds = cases["domain_scan"]
-    table.add_row("text domain scan (interp -> compiled)",
-                  ds["interpreted_s"], ds["compiled_s"], ds["speedup"])
     for size, elapsed in cases["batch_sweep"].items():
         table.add_row(f"domain scan, fetch batch {size}", elapsed, "-", "-")
     return table
 
 
+#: absolute speedup floors --check enforces, whatever the baseline says
+FLOORS = {"filter_full_scan": FILTER_SPEEDUP_FLOOR,
+          "vectorized_agg": VECTORIZED_AGG_FLOOR,
+          "index_lookup": INDEX_LOOKUP_FLOOR,
+          "row_loop": ROW_LOOP_FLOOR,
+          "prefetch_overlap": PREFETCH_SPEEDUP_FLOOR,
+          # at smoke scale the domain scan is ODCI-dispatch dominated,
+          # so its ratio is not stable across corpus sizes: generated
+          # code must not be slower, no more
+          "domain_scan": 0.9}
+
+
 def check_against_baseline(results, baseline_path):
     """Ratio-based regression gate; returns a list of failure strings."""
     failures = []
-    filter_speedup = results["cases"]["filter_full_scan"]["speedup"]
-    if filter_speedup < FILTER_SPEEDUP_FLOOR:
-        failures.append(
-            f"filter_full_scan speedup {filter_speedup} is below the "
-            f"{FILTER_SPEEDUP_FLOOR}x acceptance floor")
-    vectorized_speedup = results["cases"]["vectorized_scan"]["speedup"]
-    if vectorized_speedup < VECTORIZED_SPEEDUP_FLOOR:
-        failures.append(
-            f"vectorized_scan speedup {vectorized_speedup} is below the "
-            f"{VECTORIZED_SPEEDUP_FLOOR}x CI floor")
-    agg_speedup = results["cases"]["vectorized_agg"]["speedup"]
-    if agg_speedup < VECTORIZED_AGG_FLOOR:
-        failures.append(
-            f"vectorized_agg speedup {agg_speedup} is below the "
-            f"{VECTORIZED_AGG_FLOOR}x floor")
-    lookup_speedup = results["cases"]["index_lookup"]["speedup"]
-    if lookup_speedup < INDEX_LOOKUP_FLOOR:
-        failures.append(
-            f"index_lookup speedup {lookup_speedup} is below the "
-            f"{INDEX_LOOKUP_FLOOR}x floor")
-    prefetch_speedup = results["cases"]["prefetch_overlap"]["speedup"]
-    if prefetch_speedup < PREFETCH_SPEEDUP_FLOOR:
-        failures.append(
-            f"prefetch_overlap speedup {prefetch_speedup} is below the "
-            f"{PREFETCH_SPEEDUP_FLOOR}x floor (no overlap win)")
-    # The domain scan at smoke scale is ODCI-dispatch dominated, so its
-    # ratio is not stable across corpus sizes; gate it with an absolute
-    # "compiled must not be slower" floor instead of the baseline ratio.
-    domain_speedup = results["cases"]["domain_scan"]["speedup"]
-    if domain_speedup < 0.9:
-        failures.append(
-            f"domain_scan: compiled pipeline slower than the interpreter "
-            f"({domain_speedup}x)")
+    for case, floor in FLOORS.items():
+        speedup = results["cases"][case]["speedup"]
+        if speedup < floor:
+            failures.append(
+                f"{case} speedup {speedup} is below the {floor}x floor")
     if not os.path.exists(baseline_path):
         failures.append(f"no committed baseline at {baseline_path}")
         return failures
     with open(baseline_path) as handle:
         baseline = json.load(handle)
-    for case in ("filter_full_scan", "vectorized_scan", "plan_cache"):
+    for case in ("filter_full_scan", "plan_cache"):
         base = baseline["cases"].get(case, {}).get("speedup")
         now = results["cases"][case]["speedup"]
         if base is None:
@@ -437,12 +425,26 @@ def write_results(results):
     os.makedirs(RESULTS_DIR, exist_ok=True)
     json_path = os.path.join(REPO_ROOT, JSON_FILE)
     if os.path.exists(json_path):
-        # the paper's own path: keep the recording being replaced next
-        # to the new one, so the file shows which way it moved
+        # keep the recording being replaced next to the new one, so the
+        # file shows which way each case moved (and what a dropped case
+        # last measured)
         with open(json_path) as handle:
-            before = json.load(handle)["cases"].get("domain_scan", {})
-        before.pop("previous", None)
-        results["cases"]["domain_scan"]["previous"] = before
+            before = json.load(handle)
+        dropped = before.get("previous", {})
+        for name, case in before["cases"].items():
+            if "speedup" not in case:  # the batch sweep: bare timings
+                continue
+            case.pop("previous", None)
+            now = results["cases"].get(name)
+            if now is None:
+                dropped[name] = case
+                continue
+            # recorded once by hand: the same queries on the parent
+            # commit's closure tier, same box, same session
+            if "parent_closure_s" in case:
+                now["parent_closure_s"] = case.pop("parent_closure_s")
+            now["previous"] = case
+        results["previous"] = dropped
     with open(json_path, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -457,16 +459,16 @@ def test_executor_benchmark():
     results = run_benchmarks(smoke=True)
     speedup = results["cases"]["filter_full_scan"]["speedup"]
     assert speedup >= FILTER_SPEEDUP_FLOOR, (
-        f"compiled+batched only {speedup}x over the interpreter")
+        f"vector kernel only {speedup}x over the interpreter")
     assert results["cases"]["plan_cache"]["speedup"] > 1.0
     # looser than the perf-job gates: under the full suite's load the
     # timings wobble, and the perf job (--smoke --check) holds the line
-    vectorized = results["cases"]["vectorized_scan"]["speedup"]
-    assert vectorized >= 1.2, f"vectorized scan only {vectorized}x"
     agg = results["cases"]["vectorized_agg"]["speedup"]
     assert agg >= 1.1, f"vectorized aggregation only {agg}x"
     lookup = results["cases"]["index_lookup"]["speedup"]
     assert lookup >= 1.2, f"vectorized index lookup only {lookup}x"
+    row_loop = results["cases"]["row_loop"]["speedup"]
+    assert row_loop >= 1.0, f"row functions slower than interpreter"
     prefetch = results["cases"]["prefetch_overlap"]["speedup"]
     assert prefetch >= 1.0, f"prefetch slower than serial ({prefetch}x)"
 

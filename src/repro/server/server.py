@@ -59,8 +59,7 @@ __all__ = ["Server", "ServerStats", "serve"]
 SESSION_SETTINGS = frozenset((
     "lock_timeout", "skip_unusable_indexes", "snapshot_reads",
     "batch_index_maintenance", "deferred_index_maintenance",
-    "bulk_index_build", "compile_expressions", "fetch_batch_size",
-    "vectorized_execution",
+    "bulk_index_build", "fetch_batch_size",
 ))
 
 #: latency histogram bucket upper bounds, in milliseconds

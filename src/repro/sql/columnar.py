@@ -127,7 +127,7 @@ class ExecutorStats:
         self._latch = Lock()
         self.vector_batches = 0        # batches filtered by a vector kernel
         self.vector_rows = 0           # rows those batches carried
-        self.fallback_batches = 0      # batches re-run on the closure path
+        self.fallback_batches = 0      # batches re-run on the interpreter
         self.factory_declines = 0      # kernel factories that returned None
         self.materialize_boundaries = 0  # columnar -> row-tuple crossings
         self.batch_size_histogram: Dict[str, int] = {}

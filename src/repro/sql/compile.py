@@ -1,421 +1,79 @@
-"""Expression compilation: lowering bound ASTs into Python closures.
+"""Expression lowering: one code generator, two loop shapes, one fallback.
 
 The interpreter (:meth:`~repro.sql.expressions.Evaluator.evaluate`)
-re-dispatches on node types for every row; on a filter-heavy full scan
-that dispatch dominates the warm path now that the plan cache has
-removed parse/plan cost.  This module lowers a bound expression tree
-*once, at plan time* into a plain closure ``fn(ctx, binds) -> value``
-that the executor applies across row batches in a tight loop.
+re-dispatches on node types for every row.  This module lowers a bound
+expression tree *once, at plan time* into Python source; the executor
+runs the generated function and keeps the interpreter as the reference
+it falls back to.  There is one lowering, :class:`_KernelCodegen`; its
+two loop shapes differ in the column leaf only:
+
+* **batch** — ``v<c>[i]`` over one table's column vectors, the loop
+  generated too: a kernel filters a whole ``ColumnBatch`` in one call
+  (a comprehension producing the selection vector), a projection
+  gathers output tuples straight through the selection vector.
+* **row** — ``vals[(alias, column)]`` over ``RowContext.values``, for
+  everything that consumes rows (IOT prefix scans, join conditions and
+  keys, HAVING, projections over ``GROUP BY`` output).  Row functions
+  may also call registered SQL functions and read aggregate results.
 
 Design rules:
 
-* **Bind-slot hoisting** — compiled closures take the execution's bind
-  values as an argument instead of freezing them in, so one compiled
-  form attached to a shared cached plan serves every execution and
-  session regardless of bind values.
-* **Three-valued logic preserved** — NULL handling routes through the
-  same :func:`sql_and`/:func:`sql_or`/:func:`sql_not`/:func:`sql_truth`
-  helpers the interpreter uses, including AND/OR short-circuits.
-* **Constant folding** — a subtree whose leaves are all literals is
-  evaluated once at compile time and replaced by a constant closure.
-  A fold that raises is abandoned (the per-row closure is kept) so
-  errors like division by zero still surface at execution time, and
-  never against an empty input.
-* **Interpreter fallback** — node types the compiler does not handle
-  raise :class:`CannotCompile` internally and the public entry points
-  return ``None``; the executor then evaluates that whole expression
-  through the interpreter.  :class:`~repro.sql.expressions.OperatorCall`
-  is deliberately unsupported: functional evaluation of a user-defined
-  operator resolves bindings against the live catalog, feeds ancillary
-  aux values, and must keep routing through the interpreter (and, for
-  index scans, the :class:`~repro.core.dispatch.CallbackDispatcher`).
+* **Bind-slot hoisting** — generated code is a *factory* taking the
+  execution's bind values, so one artifact on a shared cached plan
+  serves every execution and session.  The factory declines (returns
+  None → interpreter) binds whose Python semantics diverge from
+  :func:`~repro.types.values.sql_compare`: NULL, missing, bool, or not
+  of the type the code compares them with.
+* **Three-valued logic** — boolean position lowers to two dual
+  emitters, T(e) true iff e is TRUE and F(e) true iff e is FALSE, with
+  NULL falling out of both; a boolean in value position is
+  ``True if T else False if F else NULL`` over operands bound once.
+* **The interpreter's evaluation order** — an operand that can raise or
+  has a side effect (a function call, a division, a comparison of types
+  not known to match) is bound to a temporary exactly where the
+  interpreter evaluates it, so short-circuiting neither skips nor
+  repeats an error or a call; other operands stay inline and lazy.
+  Comparisons are native operators only between operands of one
+  statically known kind (number or string, from literals and declared
+  column types), :func:`sql_compare` otherwise.
+* **One fallback** — a generated function that raises re-evaluates that
+  row (kernel: that batch) through the interpreter, which reproduces
+  the exact value or error.  A row function containing a registered-
+  function call is the exception: re-running it would call the function
+  twice, so it has no fallback and owes its error taxonomy to the
+  previous rule.  Nodes outside the lowering
+  (:class:`~repro.sql.expressions.OperatorCall` — functional evaluation
+  resolves bindings against the live catalog and feeds ancillary aux
+  values — ``Star``, subqueries) raise :class:`CannotCompile`; the
+  entry points return ``None`` and that expression runs interpreted.
 
-Thread safety: compiled closures are pure functions of ``(ctx, binds)``.
-They capture only immutable compile-time state — folded constants,
-pre-resolved SQL functions, pre-built LIKE regexes — and never mutate
-the row context, so the artifacts attached to one cached plan may be
-used by any number of sessions concurrently.  Plan-cache invalidation
-(any catalog version bump, including function re-registration) retires
-plans whose pre-resolved functions could have gone stale.
+Thread safety: generated functions are pure functions of their
+arguments over immutable plan-time state (hoisted constants,
+pre-resolved SQL functions, pre-built LIKE regexes), so the artifacts
+on one cached plan serve any number of sessions concurrently.  Plan-
+cache invalidation (any catalog version bump, including function
+re-registration) retires plans whose pre-resolved functions went stale.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError, TypeMismatchError
+from repro.errors import ExecutionError
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import (
-    AggregateCall, Binder, RowContext, Scope, aggregate_key)
-from repro.types.objects import ObjectValue
+    AggregateCall, Binder, Evaluator, Scope, aggregate_key)
+from repro.types.datatypes import NumberType, VarcharType
 from repro.types.values import (
-    NULL, _like_regex, is_null, sql_and, sql_compare, sql_eq, sql_like,
-    sql_not, sql_or, sql_truth)
+    NULL, _like_regex, is_null, sql_compare, sql_like, sql_truth)
 
-__all__ = ["CannotCompile", "ExprCompiler", "compile_plan",
+__all__ = ["CannotCompile", "compile_plan", "compile_row_function",
            "compile_vector_kernel", "compile_vector_projection"]
-
-#: a compiled expression: (row context, bind values) -> SQL value
-CompiledFn = Callable[[RowContext, Dict[str, Any]], Any]
 
 
 class CannotCompile(Exception):
     """Internal signal: the expression contains an unsupported node."""
 
-
-_EMPTY_CTX = RowContext()
-
-_RELOPS = {
-    "=": lambda cmp: cmp == 0,
-    "!=": lambda cmp: cmp != 0,
-    "<": lambda cmp: cmp < 0,
-    "<=": lambda cmp: cmp <= 0,
-    ">": lambda cmp: cmp > 0,
-    ">=": lambda cmp: cmp >= 0,
-}
-
-#: nodes whose evaluated value is already TRUE/FALSE/NULL, so the
-#: truth() wrapper would be an identity call
-_BOOLEAN_NODES = (ast.BoolOp, ast.NotOp, ast.IsNullOp, ast.LikeOp,
-                  ast.BetweenOp, ast.InListOp)
-
-
-class ExprCompiler:
-    """Compiles bound expressions against a catalog snapshot.
-
-    The two public entry points return ``None`` (instead of raising)
-    when the tree contains a node the compiler does not support, which
-    is the executor's cue to fall back to the interpreter for that
-    expression.
-    """
-
-    def __init__(self, catalog: Any):
-        self.catalog = catalog
-        self._finder = Binder(catalog, Scope([]))
-
-    # -- public ----------------------------------------------------------
-
-    def compile_value(self, expr: ast.Expr) -> Optional[CompiledFn]:
-        """Compile ``expr`` for value position (select item, sort key)."""
-        try:
-            fn, __ = self._value(expr)
-        except CannotCompile:
-            return None
-        return fn
-
-    def compile_predicate(self, expr: ast.Expr) -> Optional[CompiledFn]:
-        """Compile ``expr`` for boolean position (returns TRUE/FALSE/NULL)."""
-        try:
-            fn, __ = self._truth(expr)
-        except CannotCompile:
-            return None
-        return fn
-
-    # -- folding ---------------------------------------------------------
-
-    def _fold(self, fn: CompiledFn, const: bool):
-        """Evaluate a constant subtree once; keep the closure on error."""
-        if not const:
-            return fn, False
-        try:
-            value = fn(_EMPTY_CTX, {})
-        except Exception:
-            # e.g. SELECT 1/0: the interpreter raises per execution, at
-            # execute time; keep that behaviour instead of failing the
-            # plan (or raising for a query over an empty table)
-            return fn, False
-        return (lambda ctx, binds: value), True
-
-    # -- truth position --------------------------------------------------
-
-    def _truth(self, expr: ast.Expr):
-        fn, const = self._value(expr)
-        if isinstance(expr, _BOOLEAN_NODES):
-            return fn, const
-        if isinstance(expr, ast.BinaryOp) and expr.op in _RELOPS:
-            return fn, const
-        return self._fold(lambda ctx, binds: sql_truth(fn(ctx, binds)),
-                          const)
-
-    # -- value position --------------------------------------------------
-
-    def _value(self, expr: ast.Expr):
-        """Return ``(closure, is_constant)`` or raise CannotCompile."""
-        if isinstance(expr, ast.Literal):
-            value = expr.value
-            return (lambda ctx, binds: value), True
-        if isinstance(expr, ast.BindParam):
-            return self._bind_param(expr), False
-        if isinstance(expr, ast.ColumnRef):
-            return self._column(expr), False
-        if isinstance(expr, ast.FuncCall):
-            return self._func_call(expr), False
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr)
-        if isinstance(expr, ast.BoolOp):
-            return self._bool(expr)
-        if isinstance(expr, ast.NotOp):
-            tf, const = self._truth(expr.operand)
-            return self._fold(
-                lambda ctx, binds: sql_not(tf(ctx, binds)), const)
-        if isinstance(expr, ast.UnaryMinus):
-            vf, const = self._value(expr.operand)
-
-            def neg(ctx, binds):
-                value = vf(ctx, binds)
-                if is_null(value):
-                    return NULL
-                return -value
-            return self._fold(neg, const)
-        if isinstance(expr, ast.IsNullOp):
-            vf, const = self._value(expr.operand)
-            if expr.negated:
-                return self._fold(
-                    lambda ctx, binds: not is_null(vf(ctx, binds)), const)
-            return self._fold(
-                lambda ctx, binds: is_null(vf(ctx, binds)), const)
-        if isinstance(expr, ast.LikeOp):
-            return self._like(expr)
-        if isinstance(expr, ast.BetweenOp):
-            return self._between(expr)
-        if isinstance(expr, ast.InListOp):
-            return self._in_list(expr)
-        if isinstance(expr, AggregateCall):
-            return self._aggregate(expr), False
-        # OperatorCall (functional evaluation via the catalog + aux
-        # side channel), Star, subqueries: interpreter territory
-        raise CannotCompile(type(expr).__name__)
-
-    # -- leaves ----------------------------------------------------------
-
-    @staticmethod
-    def _bind_param(expr: ast.BindParam) -> CompiledFn:
-        key = expr.name.lower()
-        name = expr.name
-
-        def fn(ctx, binds):
-            try:
-                return binds[key]
-            except KeyError:
-                raise ExecutionError(
-                    f"no value supplied for bind :{name}") from None
-        return fn
-
-    @staticmethod
-    def _column(ref: ast.ColumnRef) -> CompiledFn:
-        if not ref.bound:
-            raise CannotCompile("unbound column reference")
-        key = (ref.alias, ref.column)
-        if not ref.attr_path:
-            def fn(ctx, binds):
-                try:
-                    return ctx.values[key]
-                except KeyError:
-                    raise ExecutionError(
-                        f"no value for {ref.alias}.{ref.column} "
-                        "in row context") from None
-            return fn
-        attr_path = tuple(ref.attr_path)
-
-        def fn_attrs(ctx, binds):
-            try:
-                value = ctx.values[key]
-            except KeyError:
-                raise ExecutionError(
-                    f"no value for {ref.alias}.{ref.column} "
-                    "in row context") from None
-            for attr in attr_path:
-                if is_null(value):
-                    return NULL
-                if isinstance(value, ObjectValue):
-                    value = value.get(attr)
-                else:
-                    raise TypeMismatchError(
-                        f"{ref.alias}.{ref.column}: cannot take attribute "
-                        f"{attr!r} of non-object value {value!r}")
-            return value
-        return fn_attrs
-
-    def _func_call(self, call: ast.FuncCall) -> CompiledFn:
-        function = self._finder.find_function(call.name)
-        if function is None:
-            raise CannotCompile(call.name)  # interpreter raises CatalogError
-        fn = function.fn
-        arg_fns = [self._value(a)[0] for a in call.args]
-        # registered functions may be non-deterministic: never folded
-        if len(arg_fns) == 1:
-            a0 = arg_fns[0]
-            return lambda ctx, binds: fn(a0(ctx, binds))
-        if len(arg_fns) == 2:
-            a0, a1 = arg_fns
-            return lambda ctx, binds: fn(a0(ctx, binds), a1(ctx, binds))
-        return lambda ctx, binds: fn(*[a(ctx, binds) for a in arg_fns])
-
-    # -- composites ------------------------------------------------------
-
-    def _binary(self, expr: ast.BinaryOp):
-        lf, lc = self._value(expr.left)
-        rf, rc = self._value(expr.right)
-        const = lc and rc
-        op = expr.op
-        rel = _RELOPS.get(op)
-        if rel is not None:
-            def relop(ctx, binds):
-                cmp = sql_compare(lf(ctx, binds), rf(ctx, binds))
-                if cmp is NULL:
-                    return NULL
-                return rel(cmp)
-            return self._fold(relop, const)
-        if op == "||":
-            def concat(ctx, binds):
-                left = lf(ctx, binds)
-                right = rf(ctx, binds)
-                if is_null(left) or is_null(right):
-                    return NULL
-                return f"{left}{right}"
-            return self._fold(concat, const)
-        if op == "/":
-            def divide(ctx, binds):
-                left = lf(ctx, binds)
-                right = rf(ctx, binds)
-                if is_null(left) or is_null(right):
-                    return NULL
-                if right == 0:
-                    raise ExecutionError("division by zero")
-                return left / right
-            return self._fold(divide, const)
-        arith = {"+": lambda a, b: a + b,
-                 "-": lambda a, b: a - b,
-                 "*": lambda a, b: a * b}.get(op)
-        if arith is None:
-            raise CannotCompile(f"binary operator {op!r}")
-
-        def fn(ctx, binds):
-            left = lf(ctx, binds)
-            right = rf(ctx, binds)
-            if is_null(left) or is_null(right):
-                return NULL
-            return arith(left, right)
-        return self._fold(fn, const)
-
-    def _bool(self, expr: ast.BoolOp):
-        lt, lc = self._truth(expr.left)
-        rt, rc = self._truth(expr.right)
-        if expr.op == "AND":
-            def conj(ctx, binds):
-                left = lt(ctx, binds)
-                if left is False:
-                    return False
-                return sql_and(left, rt(ctx, binds))
-            return self._fold(conj, lc and rc)
-
-        def disj(ctx, binds):
-            left = lt(ctx, binds)
-            if left is True:
-                return True
-            return sql_or(left, rt(ctx, binds))
-        return self._fold(disj, lc and rc)
-
-    def _like(self, expr: ast.LikeOp):
-        vf, vc = self._value(expr.operand)
-        negated = expr.negated
-        if isinstance(expr.pattern, ast.Literal) \
-                and isinstance(expr.pattern.value, str):
-            # constant pattern: build the regex once at compile time
-            regex = _like_regex(expr.pattern.value)
-
-            def fast(ctx, binds):
-                value = vf(ctx, binds)
-                if is_null(value):
-                    return NULL
-                if not isinstance(value, str):
-                    raise TypeMismatchError("LIKE requires string operands")
-                result = regex.fullmatch(value) is not None
-                return not result if negated else result
-            return self._fold(fast, vc)
-        pf, pc = self._value(expr.pattern)
-
-        def fn(ctx, binds):
-            result = sql_like(vf(ctx, binds), pf(ctx, binds))
-            return sql_not(result) if negated else result
-        return self._fold(fn, vc and pc)
-
-    def _between(self, expr: ast.BetweenOp):
-        vf, vc = self._value(expr.operand)
-        lf, lc = self._value(expr.low)
-        hf, hc = self._value(expr.high)
-        negated = expr.negated
-
-        def fn(ctx, binds):
-            value = vf(ctx, binds)
-            low = lf(ctx, binds)
-            high = hf(ctx, binds)
-            cmp_low = sql_compare(value, low)
-            ge_low = NULL if cmp_low is NULL else cmp_low >= 0
-            cmp_high = sql_compare(value, high)
-            le_high = NULL if cmp_high is NULL else cmp_high <= 0
-            result = sql_and(ge_low, le_high)
-            return sql_not(result) if negated else result
-        return self._fold(fn, vc and lc and hc)
-
-    def _in_list(self, expr: ast.InListOp):
-        vf, vc = self._value(expr.operand)
-        compiled = [self._value(item) for item in expr.items]
-        item_fns = [fn for fn, __ in compiled]
-        const = vc and all(c for __, c in compiled)
-        negated = expr.negated
-
-        def fn(ctx, binds):
-            value = vf(ctx, binds)
-            result: Any = False
-            for item in item_fns:
-                result = sql_or(result, sql_eq(value, item(ctx, binds)))
-            return sql_not(result) if negated else result
-        return self._fold(fn, const)
-
-    @staticmethod
-    def _aggregate(call: AggregateCall) -> CompiledFn:
-        key = aggregate_key(call)
-        func = call.func
-
-        def fn(ctx, binds):
-            try:
-                return ctx.agg[key]
-            except KeyError:
-                raise ExecutionError(
-                    f"aggregate {func} not allowed in this context") from None
-        return fn
-
-
-# ---------------------------------------------------------------------------
-# Vector kernels (columnar batches)
-# ---------------------------------------------------------------------------
-#
-# The closure tree a scan filter compiles to costs ~15 Python calls per
-# row; at scan row rates that call overhead *is* the scan.  For the
-# common predicate subset (comparisons, AND/OR/NOT, BETWEEN, LIKE,
-# IN-lists, arithmetic over columns/binds/literals) the one code
-# generator below emits the whole predicate as ONE Python expression
-# over column vectors (``v3[i]``) and pushes the *loop* into the
-# generated code too, so a whole ColumnBatch is filtered with one Python
-# call — a list comprehension over ``range(n)`` producing the selection
-# vector.  The projection variant fuses filter output into gathering:
-# one comprehension walks the selection vector and builds the output
-# tuples directly, so selected rows are never materialized as
-# intermediate row tuples.
-#
-# Correctness contract: a kernel answers boolean *truth position* only
-# ("does this row pass?"), so SQL's three-valued logic lowers to two
-# dual emitters — T(e) is True iff e is TRUE, F(e) is True iff e is
-# FALSE — with NULL falling out of both (NOT flips T and F, so Kleene
-# NOT needs no third value).  Bind values are inspected once per
-# execution by the generated *factory*: a NULL or bool bind (whose
-# comparison semantics diverge from Python's) declines, falling back to
-# the closure tree.  Any exception a generated kernel raises makes the
-# executor re-run that batch on the closure tree, which reproduces the
-# exact error (TypeMismatchError, division by zero, ...) — so the fast
-# path never has to replicate error taxonomy, only the accept/reject
-# decision on well-typed rows.
 
 _PY_RELOP = {"=": "==", "!=": "!=", "<": "<", "<=": "<=",
              ">": ">", ">=": ">="}
@@ -423,30 +81,85 @@ _INV_RELOP = {"=": "!=", "!=": "==", "<": ">=", "<=": ">",
               ">": "<=", ">=": "<"}
 
 
+def _kind_of_value(value: Any) -> Optional[str]:
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return "num"
+    return "str" if isinstance(value, str) else None
+
+
+def _kind_of_type(datatype: Any) -> Optional[str]:
+    """Kind of a declared column type whose ``validate`` admits only
+    that kind's Python classes (so stored values never need checking)."""
+    if isinstance(datatype, NumberType):
+        return "num"
+    return "str" if isinstance(datatype, VarcharType) else None
+
+
+# -- runtime helpers the generated code calls -------------------------------
+
+def _div0() -> Any:
+    raise ExecutionError("division by zero")
+
+
+_RUNTIME = {"_NULLV": NULL, "_like_rx": _like_regex, "_cmp": sql_compare,
+            "_like": sql_like, "_truth": sql_truth, "_div0": _div0,
+            # an attribute path is walked by the interpreter's own code
+            "_column_value": Evaluator(None)._column_value}
+
+
 class _Val:
     """An emitted value expression: code + what we statically know."""
 
-    __slots__ = ("code", "notnull", "maybe_nullv")
+    __slots__ = ("code", "notnull", "maybe_nullv", "kind", "raw", "bind")
 
-    def __init__(self, code: str, notnull: bool, maybe_nullv: bool):
+    def __init__(self, code: str, notnull: bool, maybe_nullv: bool,
+                 kind: Optional[str] = None, raw: bool = False,
+                 bind: Optional[List[Any]] = None):
         self.code = code
         self.notnull = notnull        # guaranteed non-NULL at runtime
         self.maybe_nullv = maybe_nullv  # may be the NULL singleton (vs None)
+        self.kind = kind              # "num" | "str" | None (unknown)
+        #: the code yields the very object the interpreter would (a
+        #: computed null is ``None`` here, the NULL singleton there)
+        self.raw = raw
+        self.bind = bind              # the bind-local entry, for a bind
 
 
 class _KernelCodegen:
-    """Emits kernel-factory source over one table's column vectors
-    (column ``c`` of batch row ``i`` is ``v<c>[i]``)."""
+    """Emits factory source for one expression list.
 
-    def __init__(self, binding: str, table: Any):
-        self._binding = binding
-        self._positions = {col.name.lower(): i
-                           for i, col in enumerate(table.columns)}
+    ``tables`` maps binding name → table (declared column types).  With
+    ``batch_binding`` the column leaf is ``v<c>[i]`` over that one
+    table's column vectors; without it, ``vals[(alias, column)]`` over a
+    row context, where function calls and aggregate results are also
+    available (``catalog`` resolves the functions).
+    """
+
+    def __init__(self, tables: Dict[str, Any],
+                 batch_binding: Optional[str] = None,
+                 catalog: Any = None):
+        self._tables = tables
+        self._batch = batch_binding
+        self._finder = Binder(catalog, Scope([])) \
+            if catalog is not None else None
+        if batch_binding is not None:
+            self._positions = {
+                col.name.lower(): i
+                for i, col in enumerate(tables[batch_binding].columns)}
         #: column indices the emitted code reads (hoisted to locals)
         self.used_columns: set = set()
+        self.uses_vals = False
+        self.uses_agg = False
+        #: the code calls a registered function: it must not be re-run
+        self.has_calls = False
         self._temps = 0
+        #: bumped for every emitted operation that can raise or has a
+        #: side effect; a change across an operand's emission marks it
+        self._effects = 0
         self.env: Dict[str, Any] = {}
-        #: bind locals: key -> (local name, needs_pattern_regex)
+        #: bind locals: key -> [local name, needs regex, demanded kind]
         self._binds: Dict[str, List[Any]] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -455,211 +168,376 @@ class _KernelCodegen:
         self._temps += 1
         return f"t{self._temps}"
 
-    def _const(self, value: Any) -> str:
-        if isinstance(value, (int, float, str)) \
-                and not isinstance(value, bool):
-            return repr(value)
-        name = f"c{len(self.env)}"
+    def _hoist(self, prefix: str, value: Any) -> str:
+        name = f"{prefix}{len(self.env)}"
         self.env[name] = value
         return name
 
     def _guarded(self, val: _Val) -> Tuple[str, List[str]]:
-        """Usable expression + null-guard conditions (walrus-bound)."""
+        """Usable expression + null-guard conditions (walrus-bound
+        unless ``val`` is already a temporary)."""
         if val.notnull:
             return val.code, []
-        t = self._temp()
-        conds = [f"({t} := {val.code}) is not None"]
+        if val.code.isidentifier():
+            t, conds = val.code, [f"{val.code} is not None"]
+        else:
+            t = self._temp()
+            conds = [f"({t} := {val.code}) is not None"]
         if val.maybe_nullv:
             conds.append(f"{t} is not _NULLV")
         return t, conds
+
+    def _boxed(self, val: _Val) -> str:
+        """Code for ``val`` where it leaves the generated expression (an
+        output column, a function argument): computed nulls become the
+        NULL singleton the interpreter returns."""
+        if val.raw or val.notnull:
+            return val.code
+        t = self._temp()
+        return f"(_NULLV if ({t} := {val.code}) is None else {t})"
+
+    def _bound(self, pre: Dict[str, str], code: str) -> str:
+        """The temporary ``code`` is bound to in ``pre`` — operations a
+        predicate or an arithmetic node runs ahead of its lazy null
+        guards, each exactly once and in the interpreter's order.  The
+        same code asked for again (the F answer after the T answer)
+        gets the same temporary."""
+        t = pre.get(code)
+        if t is None:
+            t = pre[code] = self._temp()
+        return t
+
+    @staticmethod
+    def _pre_terms(pre: Dict[str, str]) -> List[str]:
+        """``pre`` as conjunction terms that bind and are always true."""
+        return [f"(({t} := {code}) is {t})" for code, t in pre.items()]
+
+    def _operand(self, expr: ast.Expr, pre: Dict[str, str]) -> _Val:
+        """``expr`` as an operand: inline and lazy when evaluating it
+        can neither raise nor have a side effect, else bound in
+        ``pre``."""
+        before = self._effects
+        val = self.value(expr)
+        if self._effects == before:
+            return val
+        return _Val(self._bound(pre, val.code), val.notnull,
+                    val.maybe_nullv, val.kind, val.raw)
+
+    @staticmethod
+    def _kind(val: _Val) -> Optional[str]:
+        return val.kind or (val.bind[2] if val.bind is not None else None)
+
+    def _same_kind(self, left: _Val, right: _Val) -> bool:
+        """True when native operators are exact between the two: both
+        of one known kind.  A bind takes the kind of what it is first
+        compared with; the factory declines executions whose value is
+        not of it."""
+        for val, other in ((left, right), (right, left)):
+            if val.bind is not None and val.bind[2] is None:
+                val.bind[2] = other.kind
+        kind = self._kind(left)
+        return kind is not None and kind == self._kind(right)
 
     # -- value position --------------------------------------------------
 
     def value(self, expr: ast.Expr) -> _Val:
         if isinstance(expr, ast.Literal):
-            if is_null(expr.value):
-                return _Val("None", notnull=False, maybe_nullv=False)
-            return _Val(self._const(expr.value), notnull=True,
-                        maybe_nullv=False)
+            value = expr.value
+            kind = _kind_of_value(value)
+            if kind is not None:
+                return _Val(repr(value), True, False, kind, raw=True)
+            # hoisted, so the emitted value is the literal object itself
+            null = is_null(value)
+            return _Val(self._hoist("c", value), not null, null, raw=True)
         if isinstance(expr, ast.BindParam):
-            return _Val(self._bind_local(expr, pattern=False),
-                        notnull=True, maybe_nullv=False)
+            entry = self._bind_entry(expr)
+            return _Val(entry[0], True, False, raw=True, bind=entry)
         if isinstance(expr, ast.ColumnRef):
-            if not expr.bound or expr.attr_path:
-                raise CannotCompile("kernel: context-only column form")
-            if expr.alias != self._binding:
-                raise CannotCompile("kernel: foreign binding")
-            index = self._positions.get(expr.column)
-            if index is None:  # rowid pseudo-column (not a stored column)
-                raise CannotCompile("kernel: pseudo-column")
-            self.used_columns.add(index)
-            return _Val(f"v{index}[i]", notnull=False, maybe_nullv=True)
+            return self._column(expr)
         if isinstance(expr, ast.UnaryMinus):
             operand = self.value(expr.operand)
+            if operand.kind != "num":
+                self._effects += 1
             if operand.notnull:
-                return _Val(f"(-{operand.code})", True, False)
+                return _Val(f"(-{operand.code})", True, False, operand.kind)
             oe, conds = self._guarded(operand)
             return _Val(f"((-{oe}) if {' and '.join(conds)} else None)",
-                        False, False)
-        if isinstance(expr, ast.BinaryOp) and expr.op in "+-*/":
-            left = self.value(expr.left)
-            right = self.value(expr.right)
-            if left.notnull and right.notnull:
-                return _Val(f"({left.code} {expr.op} {right.code})",
-                            True, False)
-            le, lconds = self._guarded(left)
-            re_, rconds = self._guarded(right)
-            conds = " and ".join(lconds + rconds)
-            return _Val(f"(({le} {expr.op} {re_}) if {conds} else None)",
-                        False, False)
-        raise CannotCompile(f"kernel value: {type(expr).__name__}")
+                        False, False, operand.kind)
+        if isinstance(expr, ast.BinaryOp) and expr.op not in _PY_RELOP:
+            return self._arithmetic(expr)
+        if isinstance(expr, ast.FuncCall):
+            return self._func_call(expr)
+        if isinstance(expr, AggregateCall):
+            if self._batch is not None:
+                raise CannotCompile("kernel: aggregate result")
+            self.uses_agg = True
+            return _Val(f"agg[{aggregate_key(expr)!r}]", False, True,
+                        raw=True)
+        if isinstance(expr, (ast.BoolOp, ast.NotOp)) or _is_leaf(expr):
+            two_valued = isinstance(expr, ast.IsNullOp)
+            return _Val(self._tri(expr), two_valued, False)
+        # OperatorCall (functional evaluation via the catalog + aux
+        # side channel), Star, subqueries: interpreter territory
+        raise CannotCompile(type(expr).__name__)
 
-    def _bind_local(self, expr: ast.BindParam, pattern: bool) -> str:
+    def _column(self, ref: ast.ColumnRef) -> _Val:
+        if not ref.bound:
+            raise CannotCompile("unbound column reference")
+        if ref.attr_path:
+            if self._batch is not None:
+                raise CannotCompile("kernel: attribute path")
+            self._effects += 1
+            return _Val(f"_column_value({self._hoist('c', ref)}, ctx)",
+                        False, True, raw=True)
+        table = self._tables.get(ref.alias)
+        if self._batch is None:
+            self.uses_vals = True
+            code = f"vals[({ref.alias!r}, {ref.column!r})]"
+        else:
+            index = self._positions.get(ref.column) \
+                if ref.alias == self._batch else None
+            if index is None:  # foreign binding, or the rowid pseudo-column
+                raise CannotCompile("kernel: not a stored column")
+            self.used_columns.add(index)
+            code = f"v{index}[i]"
+        kind = None
+        if table is not None and ref.column != "rowid":
+            kind = _kind_of_type(table.column_info(ref.column).datatype)
+        return _Val(code, False, True, kind, raw=True)
+
+    def _arithmetic(self, expr: ast.BinaryOp) -> _Val:
+        op = expr.op
+        if op not in ("+", "-", "*", "/", "||"):
+            raise CannotCompile(f"binary operator {op!r}")
+        pre: Dict[str, str] = {}
+        left = self._operand(expr.left, pre)
+        right = self._operand(expr.right, pre)
+        le, lconds = self._guarded(left)
+        re_, rconds = self._guarded(right)
+        kind = None
+        if op == "||":
+            code, kind = f"(format({le}) + format({re_}))", "str"
+        else:
+            if self._same_kind(left, right) and self._kind(left) == "num":
+                kind = "num"
+            if kind is None or op == "/":
+                self._effects += 1
+            code = f"({le} {op} {re_})"
+            if op == "/":
+                code = f"({code} if {re_} != 0 else _div0())"
+        conds = self._pre_terms(pre) + lconds + rconds
+        if not conds:
+            return _Val(code, True, False, kind)
+        return _Val(f"({code} if {' and '.join(conds)} else None)",
+                    not (lconds or rconds), False, kind)
+
+    def _func_call(self, call: ast.FuncCall) -> _Val:
+        if self._finder is None:
+            # a kernel re-runs a failed batch; a call must run once
+            raise CannotCompile("kernel: function call")
+        function = self._finder.find_function(call.name)
+        if function is None:
+            raise CannotCompile(call.name)  # interpreter raises CatalogError
+        args = ", ".join(self._boxed(self.value(a)) for a in call.args)
+        self._effects += 1
+        self.has_calls = True
+        return _Val(f"{self._hoist('f', function.fn)}({args})", False, True,
+                    raw=True)
+
+    def _bind_entry(self, expr: ast.BindParam) -> List[Any]:
         key = expr.name.lower()
         entry = self._binds.get(key)
         if entry is None:
-            entry = [f"b{len(self._binds)}", False]
-            self._binds[key] = entry
-        if pattern:
-            entry[1] = True
-            return f"rx_{entry[0]}"
-        return entry[0]
+            entry = self._binds[key] = [f"b{len(self._binds)}", False, None]
+        return entry
 
     # -- boolean position: T(e) / F(e) dual emitters ---------------------
-
-    def truth(self, expr: ast.Expr) -> str:
-        return self._bool_emit(expr, want_true=True)
 
     def _bool_emit(self, expr: ast.Expr, want_true: bool) -> str:
         if isinstance(expr, ast.BoolOp):
             left = self._bool_emit(expr.left, want_true)
+            before = self._effects
             right = self._bool_emit(expr.right, want_true)
             # T(AND)=T∧T, F(AND)=F∨F (false dominates); OR is the dual
-            joiner = " and " if (expr.op == "AND") == want_true else " or "
-            return f"({left}{joiner}{right})"
+            if (expr.op == "AND") != want_true:
+                return f"({left} or {right})"
+            if self._effects == before:
+                return f"({left} and {right})"
+            # the interpreter evaluates the right side when the left is
+            # NULL; a lazy ``and`` would skip what it raises or calls
+            return f"({self._tri(expr)} is {want_true})"
         if isinstance(expr, ast.NotOp):
             return self._bool_emit(expr.operand, not want_true)
+        if _is_leaf(expr):
+            pre: Dict[str, str] = {}
+            test = self._leaf(expr, self._leaf_operands(expr, pre), pre,
+                              want_true)
+            return f"({' and '.join(self._pre_terms(pre) + [test])})"
+        if isinstance(expr, ast.Literal):
+            return f"({sql_truth(expr.value) is want_true})"
+        return f"(_truth({self.value(expr).code}) is {want_true})"
+
+    def _tri(self, expr: ast.Expr) -> str:
+        """``expr`` as True / False / None (unknown), every operand
+        evaluated once and in the interpreter's order."""
+        if isinstance(expr, ast.BoolOp):
+            a, b = self._temp(), self._temp()
+            left, right = self._tri(expr.left), self._tri(expr.right)
+            stop, go = ("False", "True") if expr.op == "AND" \
+                else ("True", "False")
+            return (f"({stop} if ({a} := {left}) is {stop} else"
+                    f" ({stop} if ({b} := {right}) is {stop} else"
+                    f" ({a} if {b} is {go} else None)))")
+        if isinstance(expr, ast.NotOp):
+            a = self._temp()
+            return (f"(None if ({a} := {self._tri(expr.operand)}) is None"
+                    f" else not {a})")
+        if _is_leaf(expr):
+            pre: Dict[str, str] = {}
+            ops = self._leaf_operands(expr, pre)
+            code = self._leaf(expr, ops, pre, True)
+            if not isinstance(expr, ast.IsNullOp):  # IS NULL is two-valued
+                code = (f"(True if {code} else (False if"
+                        f" {self._leaf(expr, ops, pre, False)} else None))")
+            return f"({' and '.join(self._pre_terms(pre) + [code])})"
+        t = self._temp()
+        return (f"(None if ({t} := _truth({self.value(expr).code}))"
+                f" is _NULLV else {t})")
+
+    # -- leaf predicates -------------------------------------------------
+
+    def _leaf_operands(self, expr: ast.Expr,
+                       pre: Dict[str, str]) -> List[_Val]:
+        """The operands of a leaf predicate, emitted in the
+        interpreter's evaluation order."""
         if isinstance(expr, ast.BinaryOp):
-            op = _PY_RELOP.get(expr.op)
-            if op is None:
-                raise CannotCompile(f"kernel bool: {expr.op!r}")
-            if not want_true:
-                op = _INV_RELOP[expr.op]
-            le, lconds = self._guarded(self.value(expr.left))
-            re_, rconds = self._guarded(self.value(expr.right))
-            conds = lconds + rconds + [f"{le} {op} {re_}"]
-            return f"({' and '.join(conds)})"
+            return [self._operand(expr.left, pre),
+                    self._operand(expr.right, pre)]
+        if isinstance(expr, ast.BetweenOp):
+            return [self._operand(e, pre)
+                    for e in (expr.operand, expr.low, expr.high)]
+        ops = [self._operand(expr.operand, pre)]
+        if isinstance(expr, ast.LikeOp):
+            ops.append(self._like_pattern(expr.pattern, ops[0], pre))
+        elif isinstance(expr, ast.InListOp):
+            for item in expr.items:
+                ops.append(self._operand(item, pre))
+                if not self._same_kind(ops[0], ops[-1]):
+                    # sql_compare runs in ``pre``: as the interpreter
+                    # does, compare each item once it is evaluated
+                    self._compare(ops[0], ops[-1], "=", pre, True)
+        return ops
+
+    def _leaf(self, expr: ast.Expr, ops: List[_Val], pre: Dict[str, str],
+              want_true: bool) -> str:
+        """T or F of a leaf predicate over its emitted operands."""
+        if isinstance(expr, ast.BinaryOp):
+            return self._compare(ops[0], ops[1], expr.op, pre, want_true)
         if isinstance(expr, ast.IsNullOp):
-            val = self.value(expr.operand)
             # IS [NOT] NULL is two-valued, so F(e) is just T(not e)
             is_null_wanted = (not expr.negated) == want_true
-            if val.notnull:
-                return "(True)" if not is_null_wanted else "(False)"
-            t = self._temp()
-            if is_null_wanted:
-                return (f"(({t} := {val.code}) is None"
-                        f" or {t} is _NULLV)")
-            return (f"(({t} := {val.code}) is not None"
-                    f" and {t} is not _NULLV)")
+            if ops[0].notnull:
+                return str(not is_null_wanted)
+            test = " and ".join(self._guarded(ops[0])[1])
+            return f"not ({test})" if is_null_wanted else f"({test})"
+        matched = (not expr.negated) == want_true
         if isinstance(expr, ast.LikeOp):
-            return self._like(expr, want_true)
+            return self._like(ops[0], ops[1], pre, matched)
+        # BETWEEN / IN: a NULL operand is neither; guard it once for
+        # all the native comparisons it takes part in
+        first, guard = ops[0], []
+        if all(self._same_kind(first, other) for other in ops[1:]):
+            code, guard = self._guarded(first)
+            first = _Val(code, True, False, first.kind, bind=first.bind)
         if isinstance(expr, ast.BetweenOp):
-            matched = (not expr.negated) == want_true
-            return self._between(expr, matched)
-        if isinstance(expr, ast.InListOp):
-            matched = (not expr.negated) == want_true
-            return self._in_list(expr, matched)
-        if isinstance(expr, ast.Literal):
-            value = expr.value
-            if is_null(value):
-                return "(False)"  # NULL is neither TRUE nor FALSE
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                truth = value != 0
-            else:
-                truth = bool(value)
-            return f"({truth == want_true})"
-        raise CannotCompile(f"kernel bool: {type(expr).__name__}")
-
-    def _like(self, expr: ast.LikeOp, want_true: bool) -> str:
-        if isinstance(expr.pattern, ast.Literal) \
-                and isinstance(expr.pattern.value, str):
-            rx = f"rx{len(self.env)}"
-            self.env[rx] = _like_regex(expr.pattern.value)
-        elif isinstance(expr.pattern, ast.BindParam):
-            rx = self._bind_local(expr.pattern, pattern=True)
+            low = self._compare(first, ops[1], ">=", pre, matched)
+            high = self._compare(first, ops[2], "<=", pre, matched)
+            # matched: both TRUE; else either definitely FALSE (Kleene)
+            test = f"{low} and {high}" if matched else f"({low} or {high})"
         else:
-            raise CannotCompile("kernel: computed LIKE pattern")
-        ve, conds = self._guarded(self.value(expr.operand))
-        # matched iff fullmatch; NOT LIKE / falsity flip the test while
-        # NULL operands still fail the guards (neither TRUE nor FALSE)
-        test = "is not None" if (not expr.negated) == want_true else "is None"
-        conds = conds + [f"{rx}.fullmatch({ve}) {test}"]
-        return f"({' and '.join(conds)})"
+            # IN: TRUE iff some item compares equal; FALSE iff every
+            # one compares not-equal (no NULL anywhere)
+            tests = [self._compare(first, item, "=", pre, matched)
+                     for item in ops[1:]]
+            test = "(" + " or ".join(tests) + ")" if matched \
+                else " and ".join(tests)
+        return f"({' and '.join(guard + [test])})"
 
-    def _between(self, expr: ast.BetweenOp, matched: bool) -> str:
-        if matched:  # v >= low AND v <= high, both TRUE
-            ve, vconds = self._guarded(self.value(expr.operand))
-            le, lconds = self._guarded(self.value(expr.low))
-            he, hconds = self._guarded(self.value(expr.high))
-            conds = (vconds + lconds + [f"{ve} >= {le}"]
-                     + hconds + [f"{ve} <= {he}"])
+    def _compare(self, left: _Val, right: _Val, op: str,
+                 pre: Dict[str, str], want_true: bool) -> str:
+        """``left op right`` is TRUE (``want_true``) or is FALSE.
+        Between operands of one known kind this is the native operator
+        behind null guards; otherwise :func:`sql_compare` decides —
+        nulls and type errors included — eagerly, in ``pre``."""
+        py_op = _PY_RELOP[op] if want_true else _INV_RELOP[op]
+        if self._same_kind(left, right):
+            le, lconds = self._guarded(left)
+            re_, rconds = self._guarded(right)
+            return f"({' and '.join(lconds + rconds + [f'{le} {py_op} {re_}'])})"
+        self._effects += 1
+        c = self._bound(pre, f"_cmp({left.code}, {right.code})")
+        return f"({c} is not _NULLV and {c} {py_op} 0)"
+
+    def _like_pattern(self, pattern: ast.Expr, operand: _Val,
+                      pre: Dict[str, str]) -> _Val:
+        """The LIKE pattern: a regex compiled ahead of the rows (kind
+        ``"regex"``) when it is a string literal or a bind and the
+        operand is known to be a string; else a per-row operand."""
+        if operand.kind == "str":
+            if isinstance(pattern, ast.Literal) \
+                    and isinstance(pattern.value, str):
+                return _Val(self._hoist("rx", _like_regex(pattern.value)),
+                            True, False, "regex")
+            if isinstance(pattern, ast.BindParam):
+                entry = self._bind_entry(pattern)
+                entry[1] = True
+                return _Val(f"rx_{entry[0]}", True, False, "regex")
+        return self._operand(pattern, pre)
+
+    def _like(self, operand: _Val, pattern: _Val, pre: Dict[str, str],
+              matched: bool) -> str:
+        if pattern.kind == "regex":
+            ve, conds = self._guarded(operand)
+            test = "is not None" if matched else "is None"
+            conds = conds + [f"{pattern.code}.fullmatch({ve}) {test}"]
             return f"({' and '.join(conds)})"
-        # FALSE iff either comparison is definitely false (Kleene AND);
-        # each disjunct re-guards its operands with fresh temps
-        ve, vconds = self._guarded(self.value(expr.operand))
-        le, lconds = self._guarded(self.value(expr.low))
-        below = " and ".join(vconds + lconds + [f"{ve} < {le}"])
-        ve2, vconds2 = self._guarded(self.value(expr.operand))
-        he, hconds = self._guarded(self.value(expr.high))
-        above = " and ".join(vconds2 + hconds + [f"{ve2} > {he}"])
-        return f"(({below}) or ({above}))"
+        # sql_like decides: NULL and non-string operands included
+        self._effects += 1
+        m = self._bound(pre, f"_like({operand.code}, {pattern.code})")
+        return f"({m} is {matched})"
 
-    def _in_list(self, expr: ast.InListOp, matched: bool) -> str:
-        ve, vconds = self._guarded(self.value(expr.operand))
-        if matched:  # TRUE iff some item compares equal
-            arms = []
-            for item in expr.items:
-                ie, iconds = self._guarded(self.value(item))
-                arms.append(" and ".join(iconds + [f"{ve} == {ie}"]))
-            some = " or ".join(f"({arm})" for arm in arms)
-            return f"({' and '.join(vconds + [f'({some})'])})"
-        # FALSE iff every item compares not-equal (no NULL anywhere)
-        conds = list(vconds)
-        for item in expr.items:
-            ie, iconds = self._guarded(self.value(item))
-            conds.extend(iconds + [f"{ve} != {ie}"])
-        return f"({' and '.join(conds)})"
+
+def _is_leaf(expr: ast.Expr) -> bool:
+    """A predicate that evaluates all its operands, then decides."""
+    return isinstance(expr, (ast.IsNullOp, ast.LikeOp, ast.BetweenOp,
+                             ast.InListOp)) \
+        or isinstance(expr, ast.BinaryOp) and expr.op in _PY_RELOP
 
 
 def _emit_bind_guards(gen: _KernelCodegen) -> List[str]:
     """Factory-body lines that load binds and decline unsupported values.
 
     A NULL or missing bind, a bool (whose Python comparison semantics
-    diverge from ``sql_compare``), or a non-string LIKE pattern makes
-    the factory return None — the execution falls back to the closure
-    tree.
+    diverge from ``sql_compare``), a bind not of the kind the code
+    compares it with natively, or a non-string LIKE pattern makes the
+    factory return None — the execution runs on the interpreter.
     """
     lines = []
-    for key, (local, needs_rx) in gen._binds.items():
+    for key, (local, needs_rx, kind) in gen._binds.items():
         lines.append(f"    {local} = binds.get({key!r}, _NULLV)")
         lines.append(f"    if {local} is None or {local} is _NULLV"
                      f" or {local}.__class__ is bool:")
         lines.append("        return None")
-        if needs_rx:
-            lines.append(f"    if not isinstance({local}, str):")
+        if kind == "num":
+            lines.append(f"    if {local}.__class__ is not int"
+                         f" and {local}.__class__ is not float:")
             lines.append("        return None")
+        elif kind == "str" or needs_rx:
+            lines.append(f"    if {local}.__class__ is not str:")
+            lines.append("        return None")
+        if needs_rx:
             lines.append(f"    rx_{local} = _like_rx({local})")
     return lines
-
-
-def _kernel_namespace(gen: _KernelCodegen) -> Dict[str, Any]:
-    """Exec namespace for a generated kernel factory: hoisted constants,
-    the NULL singleton, and the LIKE-regex compiler."""
-    namespace = dict(gen.env)
-    namespace["_NULLV"] = NULL
-    namespace["_like_rx"] = _like_regex
-    return namespace
 
 
 #: byte-compiled factory sources.  ``compile`` costs more than planning
@@ -680,14 +558,12 @@ def _exec_factory(gen: _KernelCodegen, lines: List[str],
     race the first call; both run the same code and either result
     serves.
     """
-    src = [lines[0]]
-    src.extend(_emit_bind_guards(gen))
-    src.extend(lines[1:])
-    source = "\n".join(src)
-    namespace = _kernel_namespace(gen)
+    source = "\n".join(lines[:1] + _emit_bind_guards(gen) + lines[1:])
+    namespace = dict(_RUNTIME)
+    namespace.update(gen.env)
     generated: List[Callable] = []
 
-    def factory(binds: Dict[str, Any]) -> Optional[Callable]:
+    def factory(*args: Any) -> Optional[Callable]:
         if not generated:
             code = _CODE_CACHE.get(source)
             if code is None:
@@ -700,8 +576,19 @@ def _exec_factory(gen: _KernelCodegen, lines: List[str],
             # point back at the function: a retired plan is then freed
             # by reference counting, not left for the cycle collector
             generated.append(namespace.pop("_factory"))
-        return generated[0](binds)
+        return generated[0](*args)
     return factory
+
+
+def _batch_factory(gen: _KernelCodegen, signature: str,
+                   result: str) -> Callable:
+    """Factory for a per-batch function over the column vectors."""
+    name = signature[:signature.index("(")]
+    lines = ["def _factory(binds):", f"    def {signature}:"]
+    lines += [f"        v{index} = cols[{index}]"
+              for index in sorted(gen.used_columns)]
+    lines += [f"        return {result}", f"    return {name}"]
+    return _exec_factory(gen, lines, f"<vector{name}>")
 
 
 def compile_vector_kernel(predicate: Optional[ast.Expr], binding: str,
@@ -711,160 +598,153 @@ def compile_vector_kernel(predicate: Optional[ast.Expr], binding: str,
     Returns ``factory(binds) -> kernel | None`` where
     ``kernel(cols, rowids, n) -> sel`` filters one columnar batch and
     returns its selection vector (ascending row indices that passed).
-    The factory inspects actual bind values once per execution and
-    declines (returns None) when a bind is NULL, missing, or a bool —
-    cases where Python operator semantics diverge from
-    :func:`~repro.types.values.sql_compare` — leaving those executions
-    to the closure tree.
+    The factory declines (returns None) the executions
+    :func:`_emit_bind_guards` lists.
     """
     if predicate is None:
         return None
-    gen = _KernelCodegen(binding, table)
+    gen = _KernelCodegen({binding: table}, batch_binding=binding)
     try:
-        body = gen.truth(predicate)
+        body = gen._bool_emit(predicate, True)
     except CannotCompile:
         return None
-    lines = ["def _factory(binds):"]
-    lines.append("    def _kernel(cols, rowids, n):")
-    for index in sorted(gen.used_columns):
-        lines.append(f"        v{index} = cols[{index}]")
-    lines.append(f"        return [i for i in range(n) if {body}]")
-    lines.append("    return _kernel")
-    return _exec_factory(gen, lines, "<vector-kernel>")
+    return _batch_factory(gen, "_kernel(cols, rowids, n)",
+                          f"[i for i in range(n) if {body}]")
 
 
-def compile_vector_projection(exprs: List[ast.Expr], binding: str,
+def compile_vector_projection(exprs: Sequence[ast.Expr], binding: str,
                               table: Any) -> Optional[Callable]:
     """Generate a fused gather for projection items or sort keys.
 
     Returns ``factory(binds) -> project | None`` where
     ``project(cols, rowids, sel) -> List[tuple]`` materializes one
-    output tuple per selected row, straight from the column vectors.
-    Null parity with the closure path: bare column references pass
-    stored values through untouched (a stored ``None`` stays ``None``,
-    exactly as the row context returns it), while computed items map a
-    null result to the ``NULL`` singleton just as the compiled closures
-    do.  Any item outside the generated value subset declines.
+    output tuple per selected row, straight from the column vectors,
+    each value the object the interpreter would return (stored values
+    and literals untouched, computed nulls as the ``NULL`` singleton).
+    Any item outside the generated subset declines the whole list.
     """
     if not exprs:
         return None
-    gen = _KernelCodegen(binding, table)
-    parts: List[str] = []
+    gen = _KernelCodegen({binding: table}, batch_binding=binding)
     try:
-        for expr in exprs:
-            if isinstance(expr, ast.Literal):
-                # hoist the literal itself (NULL included) so the
-                # emitted value is the exact object the closure returns
-                parts.append(gen._const(expr.value))
-                continue
-            val = gen.value(expr)
-            if isinstance(expr, (ast.ColumnRef, ast.BindParam)):
-                parts.append(val.code)  # raw passthrough
-            elif val.notnull:
-                parts.append(val.code)
-            else:
-                t = gen._temp()
-                parts.append(
-                    f"(_NULLV if ({t} := ({val.code})) is None else {t})")
+        parts = [gen._boxed(gen.value(expr)) for expr in exprs]
     except CannotCompile:
         return None
-    tuple_src = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-    lines = ["def _factory(binds):"]
-    lines.append("    def _project(cols, rowids, sel):")
-    for index in sorted(gen.used_columns):
-        lines.append(f"        v{index} = cols[{index}]")
-    lines.append(f"        return [{tuple_src} for i in sel]")
-    lines.append("    return _project")
-    return _exec_factory(gen, lines, "<vector-project>")
+    return _batch_factory(gen, "_project(cols, rowids, sel)",
+                          f"[({', '.join(parts)},) for i in sel]")
+
+
+def compile_row_function(expr: ast.Expr, tables: Dict[str, Any],
+                         catalog: Any, truth: bool = False
+                         ) -> Optional[Callable]:
+    """Generate a row-function factory for one expression, or None.
+
+    Returns ``factory(binds, fallback) -> fn | None`` where ``fn(ctx)``
+    is the expression's value over a row context — with ``truth``,
+    whether it is TRUE — and ``fallback(ctx)`` is the interpreter's
+    answer, which ``fn`` returns for a row its generated code raised
+    on.  A function that calls a registered SQL function is never
+    re-run (the call would happen twice): what it raises propagates.
+    """
+    gen = _KernelCodegen(tables, catalog=catalog)
+    try:
+        body = gen._bool_emit(expr, True) if truth \
+            else gen._boxed(gen.value(expr))
+    except CannotCompile:
+        return None
+    lines = ["def _factory(binds, fallback):", "    def _row(ctx):"]
+    if gen.uses_vals:
+        lines.append("        vals = ctx.values")
+    if gen.uses_agg:
+        lines.append("        agg = ctx.agg")
+    if gen.has_calls:
+        lines.append(f"        return {body}")
+    else:
+        lines += ["        try:", f"            return {body}",
+                  "        except Exception:",
+                  "            return fallback(ctx)"]
+    lines.append("    return _row")
+    return _exec_factory(gen, lines, "<row-function>")
 
 
 # ---------------------------------------------------------------------------
 # Plan-tree compilation
 # ---------------------------------------------------------------------------
 
-def compile_plan(plan: Any, catalog: Any) -> int:
-    """Attach compiled artifacts to every node of a query plan.
+def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
+    """Attach generated row functions to every node of a query plan.
 
     Walks the plan tree and, for each row expression a node evaluates
     per row (filters, join conditions/keys, sort keys, group keys,
-    HAVING, aggregate arguments, projections), stores the compiled
-    closure in ``node.compiled`` — ``None`` where the compiler fell
-    back.  ``node.exec_mode`` becomes ``"COMPILED"`` when every
-    expression on the node compiled, ``"INTERPRETED"`` when any fell
-    back, and stays ``None`` for nodes with no row expressions; EXPLAIN
-    prints the mode per node.
+    HAVING, aggregate arguments, projections), stores the
+    :func:`compile_row_function` factory in ``node.compiled`` — ``None``
+    where the generator declined.  ``node.exec_mode`` becomes
+    ``"COMPILED"`` when every expression on the node has a generated
+    row function, ``"INTERPRETED"`` when any was declined, and stays
+    ``None`` for nodes with no row expressions; EXPLAIN prints the mode
+    per node.
 
     Runs once at plan time, so the artifacts ride the shared plan cache
-    and every session soft-parsing the statement reuses them.  Returns
-    the number of fully compiled nodes.
+    and every session soft-parsing the statement reuses them.  A
+    ``one_shot`` plan (DML target selection: run once, never cached)
+    gets a row function for a full scan's filter only — the one
+    expression that meets enough rows to repay generating it; a probe's
+    residual and the projection DML discards are interpreted.
     """
     from repro.sql import planner as pl  # deferred: planner imports us
-    compiler = ExprCompiler(catalog)
-    fully_compiled = 0
-
-    def predicate(counts: List[int],
-                  expr: Optional[ast.Expr]) -> Optional[CompiledFn]:
-        if expr is None:
-            return None
-        counts[0] += 1
-        fn = compiler.compile_predicate(expr)
-        if fn is not None:
-            counts[1] += 1
-        return fn
-
-    def value(counts: List[int], expr: ast.Expr) -> Optional[CompiledFn]:
-        counts[0] += 1
-        fn = compiler.compile_value(expr)
-        if fn is not None:
-            counts[1] += 1
-        return fn
+    tables = dict(plan.scope.entries)
 
     def visit(node: Any) -> None:
-        nonlocal fully_compiled
-        counts = [0, 0]
+        made: List[Optional[Callable]] = []
+
+        def value(expr: Optional[ast.Expr],
+                  truth: bool = False) -> Optional[Callable]:
+            if expr is None:
+                return None
+            made.append(compile_row_function(expr, tables, catalog, truth))
+            return made[-1]
+
+        def predicate(expr: Optional[ast.Expr]) -> Optional[Callable]:
+            return value(expr, truth=True)
+
         slots = node.compiled
-        if isinstance(node, (pl.FullScan, pl.BTreeScan, pl.HashScan,
+        if one_shot and not isinstance(node, pl.FullScan):
+            pass
+        elif isinstance(node, (pl.FullScan, pl.BTreeScan, pl.HashScan,
                              pl.BitmapScan, pl.IOTPrefixScan, pl.DomainScan)):
-            slots["filter"] = predicate(counts, node.filter)
+            slots["filter"] = predicate(node.filter)
         elif isinstance(node, pl.FilterNode):
-            slots["predicate"] = predicate(counts, node.predicate)
+            slots["predicate"] = predicate(node.predicate)
         elif isinstance(node, pl.NestedLoopJoin):
-            slots["condition"] = predicate(counts, node.condition)
+            slots["condition"] = predicate(node.condition)
         elif isinstance(node, pl.IndexedNLJoin):
-            slots["condition"] = predicate(counts, node.condition)
-            slots["inner_filter"] = predicate(counts, node.inner_filter)
-            slots["outer_key"] = value(counts, node.outer_key)
+            slots["condition"] = predicate(node.condition)
+            slots["inner_filter"] = predicate(node.inner_filter)
+            slots["outer_key"] = value(node.outer_key)
         elif isinstance(node, pl.DomainNLJoin):
-            slots["condition"] = predicate(counts, node.condition)
-            slots["inner_filter"] = predicate(counts, node.inner_filter)
-            args = node.operator_call.args[1:]
-            if node.operator_call.label is not None:
-                args = args[:-1]
-            slots["value_args"] = [value(counts, a) for a in args]
+            slots["condition"] = predicate(node.condition)
+            slots["inner_filter"] = predicate(node.inner_filter)
+            slots["value_args"] = [
+                value(a) for a in node.operator_call.value_args]
         elif isinstance(node, pl.HashJoin):
-            slots["left_keys"] = [value(counts, k) for k in node.left_keys]
-            slots["right_keys"] = [value(counts, k) for k in node.right_keys]
-            slots["condition"] = predicate(counts, node.condition)
+            slots["left_keys"] = [value(k) for k in node.left_keys]
+            slots["right_keys"] = [value(k) for k in node.right_keys]
+            slots["condition"] = predicate(node.condition)
         elif isinstance(node, pl.SortNode):
-            slots["keys"] = [value(counts, item.expr)
+            slots["keys"] = [value(item.expr)
                              for item in node.order_items]
         elif isinstance(node, pl.GroupByNode):
-            slots["group_exprs"] = [value(counts, e)
+            slots["group_exprs"] = [value(e)
                                     for e in node.group_exprs]
-            slots["having"] = predicate(counts, node.having)
+            slots["having"] = predicate(node.having)
             slots["agg_args"] = {
-                aggregate_key(agg): value(counts, agg.arg)
+                aggregate_key(agg): value(agg.arg)
                 for agg in node.aggregates if agg.arg is not None}
         elif isinstance(node, pl.ProjectNode):
-            slots["items"] = [value(counts, e) for e, __ in node.items]
-        if counts[0]:
-            if counts[1] == counts[0]:
-                node.exec_mode = "COMPILED"
-                fully_compiled += 1
-            else:
-                node.exec_mode = "INTERPRETED"
+            slots["items"] = [value(e) for e, __ in node.items]
+        if made:
+            node.exec_mode = "INTERPRETED" if None in made else "COMPILED"
         for child in node.children():
             visit(child)
 
     visit(plan.root)
-    return fully_compiled

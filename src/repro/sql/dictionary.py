@@ -345,7 +345,7 @@ def _user_executor_stats(engine: Any) -> TableDef:
 
     ``vector_batches`` / ``vector_rows`` count batches and selected
     rows produced by generated vector kernels; ``fallback_batches`` are
-    batches re-run on the compiled-closure path after a kernel raised
+    batches re-run on the interpreter after a kernel raised
     mid-batch, and ``factory_declines`` are whole statements that fell
     back because the kernel factory declined the bind values.
     ``materialize_boundaries`` counts points where columnar batches

@@ -55,6 +55,9 @@ __all__ = ["Engine"]
 #: engine-wide default for how long a session blocks on a lock conflict
 DEFAULT_LOCK_TIMEOUT = 10.0
 
+#: threads in the engine's worker pool (async ODCI prefetch producers)
+_POOL_SIZE = 8
+
 
 class Engine:
     """One in-process database instance shared by many sessions."""
@@ -63,7 +66,6 @@ class Engine:
                  fetch_batch_size: int = 32,
                  plan_cache_capacity: int = 128,
                  lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
-                 compile_expressions: bool = True,
                  data_dir: Optional[str] = None,
                  wal_group_commit: bool = True,
                  wal_fsync_delay: float = 0.0,
@@ -72,9 +74,7 @@ class Engine:
                  storage_fault_plan: Any = None,
                  parallel_execution: bool = True,
                  prefetch_depth: int = 2,
-                 prefetch_min_rows: int = 64,
-                 parallel_pool_size: Optional[int] = None,
-                 vectorized_execution: bool = True):
+                 prefetch_min_rows: int = 64):
         self.stats = IOStats()
         self.buffer = BufferCache(self.stats, capacity=buffer_capacity)
         self.catalog = Catalog()
@@ -93,10 +93,6 @@ class Engine:
         self.default_lock_timeout = lock_timeout
         #: default for Session.fetch_batch_size
         self.fetch_batch_size = fetch_batch_size
-        #: default for Session.compile_expressions — lower row
-        #: expressions to closures at plan time (see repro.sql.compile);
-        #: off means every expression goes through the interpreter
-        self.compile_expressions = compile_expressions
         #: default for Session.parallel_execution — async ODCI prefetch
         #: on/off, the one thing the worker pool runs.  The name stays
         #: because benchmarks/e2e sets it (Server(parallel_execution=
@@ -109,12 +105,6 @@ class Engine:
         #: a scan the first fetch batch satisfies gains nothing from
         #: pipelining and would only reorder trace interleavings
         self.prefetch_min_rows = prefetch_min_rows
-        #: default for Session.vectorized_execution — run eligible
-        #: scans/projections/sorts/aggregations on columnar batches with
-        #: generated vector kernels (see repro.sql.columnar); requires
-        #: compile_expressions, and every vectorized form falls back
-        #: per batch to the closure path on decline or error
-        self.vectorized_execution = vectorized_execution
         #: counters behind the user_parallel_stats dictionary view
         from repro.sql.parallel import ParallelStats
         self.parallel_stats = ParallelStats()
@@ -122,7 +112,6 @@ class Engine:
         from repro.sql.columnar import ExecutorStats
         self.executor_stats = ExecutorStats()
         self._pool = None
-        self._pool_size = parallel_pool_size or 8
         self._pool_latch = threading.Lock()
         self._id_latch = threading.Lock()
         self._next_txn_id = 1
@@ -175,13 +164,10 @@ class Engine:
         ``prefetch_depth`` / ``prefetch_min_rows``.  Sessions copy these
         at connect time so tests and benches can force or forbid
         prefetch per session without reconfiguring the engine.
-        ``vectorized_execution`` rides along: it is the same kind of
-        per-session execution default (see :mod:`repro.sql.columnar`).
         """
         return {"parallel_execution": self.parallel_execution,
                 "prefetch_depth": self.prefetch_depth,
-                "prefetch_min_rows": self.prefetch_min_rows,
-                "vectorized_execution": self.vectorized_execution}
+                "prefetch_min_rows": self.prefetch_min_rows}
 
     def worker_pool(self):
         """The engine-wide worker pool (started lazily).
@@ -194,7 +180,7 @@ class Engine:
         with self._pool_latch:
             if self._pool is None:
                 from repro.sql.parallel import WorkerPool
-                self._pool = WorkerPool(size=self._pool_size)
+                self._pool = WorkerPool(size=_POOL_SIZE)
                 self.parallel_stats.pool_size = self._pool.size
             return self._pool
 

@@ -12,14 +12,16 @@ page-at-a-time (:meth:`~repro.storage.heap.HeapTable.scan_batches`), and
 domain scans materialize each ODCIIndexFetch result — which the protocol
 already returns in batches — into one row batch.
 
-Row expressions come pre-compiled on the plan: the planner runs
+Row expressions come lowered on the plan: the planner runs
 :func:`repro.sql.compile.compile_plan` once, at plan time, so the
-closures ride the shared plan cache across sessions.  The executor
-resolves each slot through :meth:`Executor._truth_fn` /
-:meth:`Executor._value_fns`, falling back to the tree-walking
-:class:`~repro.sql.expressions.Evaluator` for any expression the
-compiler declined (per-expression, so one OperatorCall in a filter does
-not deoptimize its neighbours).
+generated row functions ride the shared plan cache across sessions.
+The executor resolves each slot through :meth:`Executor._truth_fn` /
+:meth:`Executor._value_fns`; the tree-walking
+:class:`~repro.sql.expressions.Evaluator` is the one fallback, for any
+expression the generator declined (per-expression, so one OperatorCall
+in a filter does not deoptimize its neighbours), any execution whose
+binds a factory declines, and any row or batch generated code raises
+on.
 
 The :meth:`Executor._domain_batches` method is the server side of
 the ODCI scan protocol: it builds the ODCIPredInfo/ODCIQueryInfo
@@ -95,6 +97,20 @@ def _chunked(items: Iterable[Any], size: int,
         yield batch
 
 
+def _group_key(values: Iterable[Any]) -> Tuple[Any, ...]:
+    """What ``GROUP BY`` and ``DISTINCT`` identify a row by: values
+    that compare equal share a key (``1`` and ``1.0``), every null is
+    one key, and unhashable values go by their ``repr``.  Runs once per
+    input row: pass a list or a tuple, not a generator."""
+    key = tuple(["\x00NULL" if v is None or v is NULL else v
+                 for v in values])
+    try:
+        hash(key)
+    except TypeError:
+        key = tuple([repr(k) for k in key])
+    return key
+
+
 def _flatten(batches: Iterable[List[RowContext]]) -> Iterator[RowContext]:
     for batch in batches:
         yield from batch
@@ -105,7 +121,7 @@ class Executor:
 
     One instance is created per statement execution: ``binds`` carries
     that execution's bind-variable values (cached plans keep BindParam
-    nodes in the tree — and compiled closures take the bind set as an
+    nodes in the tree — and generated factories take the bind set as an
     argument — so the shared plan is never specialized to one
     execution's values), and ``tracker`` (a
     :class:`~repro.core.scan_context.ScanTracker`) collects closers for
@@ -117,19 +133,12 @@ class Executor:
                  tracker: Optional[Any] = None,
                  snapshot: Optional[Any] = None):
         self.db = db
-        self.catalog = db.catalog
         self.binds = binds or {}
         self.evaluator = Evaluator(db.catalog, binds)
         self.tracker = tracker
         #: MVCC snapshot all reads resolve against (None → current mode:
         #: DML target selection and the snapshot_reads=False seed path)
         self.snapshot = snapshot
-        self.use_compiled = getattr(db, "compile_expressions", True)
-        #: columnar pipeline gate: vector kernels are generated against
-        #: the same plan artifacts as closures, so compile_expressions
-        #: off implies vectorized off
-        self.use_vectorized = self.use_compiled and getattr(
-            db, "vectorized_execution", True)
         engine = getattr(db, "engine", None)
         self.xstats: ExecutorStats = (
             engine.executor_stats
@@ -198,7 +207,7 @@ class Executor:
         if isinstance(node, pl.DistinctNode):
             seen = set()
             for row in self._project_rows(node.child):
-                key = tuple(repr(v) for v in row)
+                key = _group_key(row)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -216,48 +225,52 @@ class Executor:
             for ctx in batch:
                 yield tuple(fn(ctx) for fn in fns)
 
-    # -- compiled-slot resolution ------------------------------------------
+    # -- generated code, else the interpreter ------------------------------
+
+    @property
+    def _interpret_only(self) -> bool:
+        """Ignore every generated artifact on the plan.  Not an option:
+        only :func:`repro.testing.interpreter_forced` sets it, for the
+        differential suites and the executor micro-benchmark."""
+        return getattr(self.db, "_interpret_only", False)
+
+    def _row_fn(self, factory: Optional[Callable], expr: ast.Expr,
+                truth: bool = False) -> Callable[[RowContext], Any]:
+        """Per-row callable for ``expr`` — its value, or with ``truth``
+        whether it is TRUE: the generated row function for this
+        execution's binds (which answers with the interpreter for a row
+        it raises on), or the interpreter itself when there is none or
+        the factory declines the binds."""
+        evaluator = self.evaluator
+        if truth:
+            def interpret(ctx: RowContext) -> bool:
+                return evaluator.truth(expr, ctx) is True
+        else:
+            def interpret(ctx: RowContext) -> Any:
+                return evaluator.evaluate(expr, ctx)
+        if factory is not None and not self._interpret_only:
+            fn = factory(self.binds, interpret)
+            if fn is not None:
+                return fn
+        return interpret
 
     def _truth_fn(self, node: pl.PlanNode, slot: str,
                   predicate: Optional[ast.Expr]
                   ) -> Optional[Callable[[RowContext], bool]]:
-        """Per-row predicate callable (strict True test), or None."""
+        """Per-row predicate callable (is the predicate TRUE), or None."""
         if predicate is None:
             return None
-        fn = node.compiled.get(slot) if self.use_compiled else None
-        if fn is not None:
-            binds = self.binds
-            return lambda ctx: fn(ctx, binds) is True
-        evaluator = self.evaluator
-        return lambda ctx: evaluator.truth(predicate, ctx) is True
-
-    def _value_fn(self, node: pl.PlanNode, slot: str, expr: ast.Expr
-                  ) -> Callable[[RowContext], Any]:
-        """Per-row value callable for a single expression slot."""
-        fn = node.compiled.get(slot) if self.use_compiled else None
-        if fn is not None:
-            binds = self.binds
-            return lambda ctx: fn(ctx, binds)
-        evaluator = self.evaluator
-        return lambda ctx: evaluator.evaluate(expr, ctx)
+        return self._row_fn(node.compiled.get(slot), predicate, truth=True)
 
     def _value_fns(self, node: pl.PlanNode, slot: str,
                    exprs: List[ast.Expr]
                    ) -> List[Callable[[RowContext], Any]]:
-        """Per-row value callables for a list slot, with per-index
-        interpreter fallback where compilation declined."""
-        compiled = node.compiled.get(slot) if self.use_compiled else None
-        evaluator = self.evaluator
-        binds = self.binds
-        fns: List[Callable[[RowContext], Any]] = []
-        for i, expr in enumerate(exprs):
-            fn = compiled[i] if compiled is not None and i < len(compiled) \
-                else None
-            if fn is not None:
-                fns.append(lambda ctx, f=fn: f(ctx, binds))
-            else:
-                fns.append(lambda ctx, e=expr: evaluator.evaluate(e, ctx))
-        return fns
+        """Per-row value callables for a list slot (per index: one
+        declined expression does not send its neighbours to the
+        interpreter)."""
+        factories = node.compiled.get(slot) or [None] * len(exprs)
+        return [self._row_fn(factory, expr)
+                for factory, expr in zip(factories, exprs)]
 
     # -- node dispatch ----------------------------------------------------------
 
@@ -318,11 +331,6 @@ class Executor:
             return ctx
         return make
 
-    def _passes(self, predicate: Optional[ast.Expr], ctx: RowContext) -> bool:
-        if predicate is None:
-            return True
-        return self.evaluator.truth(predicate, ctx) is True
-
     def _batches_full_scan(self, node: pl.FullScan
                            ) -> Iterator[List[RowContext]]:
         # Row consumer over a vector-eligible filtered scan (joins, DML
@@ -330,7 +338,7 @@ class Executor:
         # the materialization boundary for survivors only — the kernel
         # win pays for the transpose when the filter is selective.
         if node.filter is not None:
-            cbatches = self._vector_scan(node, require_kernel=True)
+            cbatches = self._vector_scan(node)
             if cbatches is not None:
                 make = self._ctx_factory(node.table, node.binding_name)
                 self.xstats.record_materialize_boundary()
@@ -374,13 +382,12 @@ class Executor:
         execution.
 
         ``vectorized`` is plan-time eligibility (``vector_mode ==
-        "VECTORIZED"``, which implies the filter — if any — compiled to
-        a vector kernel) plus the session gate and the kernel factory's
-        per-execution bind inspection; a declined factory sends the
-        whole statement to the row pipeline.  ``kernel`` is None for a
-        filterless scan.
+        "VECTORIZED"``, which implies the filter — if any — has a
+        vector kernel) plus the kernel factory's per-execution bind
+        inspection; a declined factory sends the whole statement to the
+        row pipeline.  ``kernel`` is None for a filterless scan.
         """
-        if not self.use_vectorized or node.vector_mode != "VECTORIZED":
+        if self._interpret_only or node.vector_mode != "VECTORIZED":
             return False, None
         if node.filter is None:
             return True, None
@@ -395,20 +402,13 @@ class Executor:
             return False, None
         return True, kernel
 
-    def _vector_scan(self, node: pl.FullScan, require_kernel: bool = False
+    def _vector_scan(self, node: pl.FullScan
                      ) -> Optional[Iterator[ColumnBatch]]:
-        """Columnar batches for a full scan, or None for the row path.
-
-        With ``require_kernel`` a filterless scan declines too —
-        transposing pages for a row consumer with no filter to
-        vectorize is pure overhead.
-        """
+        """Columnar batches for a full scan, or None for the row path."""
         if not node.has_scan_columns:
             return None
         ok, kernel = self._vector_filter(node)
-        if not ok or (kernel is None and require_kernel):
-            return None
-        return self._cbatches(node, kernel)
+        return self._cbatches(node, kernel) if ok else None
 
     def _vector_cbatches(self, scan: pl.PlanNode
                          ) -> Optional[Iterator[ColumnBatch]]:
@@ -427,15 +427,20 @@ class Executor:
     def _run_kernel(self, kernel: Callable, cbatch: ColumnBatch,
                     node: pl.PlanNode) -> None:
         """Set ``cbatch.sel`` from the scan ``node``'s vector kernel.  A
-        kernel failing mid-batch re-runs THIS batch on the closure
-        path, so accept/reject outcomes, evaluation order, and error
-        classes are byte-identical."""
+        kernel failing mid-batch re-runs THIS batch on the interpreter,
+        so accept/reject outcomes, evaluation order, and error classes
+        are the reference's."""
         try:
             cbatch.sel = kernel(cbatch.columns, cbatch.rowids, cbatch.n)
             self.xstats.record_vector_batch(cbatch.n)
         except Exception:  # noqa: BLE001 — degrade to exact semantics
             self.xstats.record_fallback_batch()
-            cbatch.sel = self._closure_sel(node, cbatch)
+            make = self._ctx_factory(node.table, node.binding_name)
+            truth, predicate = self.evaluator.truth, node.filter
+            rowids = cbatch.rowids
+            cbatch.sel = [
+                i for i in range(cbatch.n)
+                if truth(predicate, make(rowids[i], cbatch.row(i))) is True]
 
     def _cbatches(self, node: pl.FullScan, kernel: Optional[Callable]
                   ) -> Iterator[ColumnBatch]:
@@ -451,16 +456,6 @@ class Executor:
             if cbatch.selected_count():
                 yield cbatch
 
-    def _closure_sel(self, node: pl.PlanNode,
-                     cbatch: ColumnBatch) -> List[int]:
-        """Selection vector for one batch via the closure/interpreter
-        path — the serial-exact fallback tier."""
-        make = self._ctx_factory(node.table, node.binding_name)
-        passes = self._truth_fn(node, "filter", node.filter)
-        rowids = cbatch.rowids
-        return [i for i in range(cbatch.n)
-                if passes(make(rowids[i], cbatch.row(i)))]
-
     def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.PlanNode
                              ) -> Optional[Iterator[Tuple[Any, ...]]]:
         """Fused filter→project over columnar batches, or None.
@@ -471,7 +466,7 @@ class Executor:
         planner stamps the projection ``VECTORIZED`` only over a scan
         that produces column batches (full, native index, or domain).
         """
-        if not self.use_vectorized or node.vector_mode != "VECTORIZED":
+        if self._interpret_only or node.vector_mode != "VECTORIZED":
             return None
         factory = node.compiled.get("vector_items")
         if factory is None:
@@ -490,7 +485,6 @@ class Executor:
                           cbatches: Iterator[ColumnBatch]
                           ) -> Iterator[Tuple[Any, ...]]:
         xstats = self.xstats
-        fallback = None
         for cbatch in cbatches:
             try:
                 rows = project(cbatch.columns, cbatch.rowids,
@@ -498,21 +492,25 @@ class Executor:
             except Exception:  # noqa: BLE001 — degrade to exact semantics
                 # a projection item hit a value outside the generated
                 # code's contract: materialize this batch and re-project
-                # through the closure path, which yields the same prefix
+                # through the interpreter, which yields the same prefix
                 # then raises the proper taxonomy error if one is real
-                if fallback is None:
-                    fallback = (
-                        self._value_fns(node, "items",
-                                        [e for e, _ in node.items]),
-                        self._ctx_factory(scan.table, scan.binding_name))
                 xstats.record_fallback_batch()
                 xstats.record_materialize_boundary()
-                fns, make = fallback
-                for rowid, row in cbatch.iter_rows():
-                    ctx = make(rowid, row)
-                    yield tuple(fn(ctx) for fn in fns)
+                yield from self._interpreted_tuples(
+                    [e for e, _ in node.items], scan, cbatch)
                 continue
             yield from rows
+
+    def _interpreted_tuples(self, exprs: List[ast.Expr], scan: pl.PlanNode,
+                            cbatch: ColumnBatch
+                            ) -> Iterator[Tuple[Any, ...]]:
+        """``exprs`` over each selected row of ``cbatch``, on the
+        interpreter: what a failed generated gather falls back to."""
+        make = self._ctx_factory(scan.table, scan.binding_name)
+        evaluate = self.evaluator.evaluate
+        for rowid, row in cbatch.iter_rows():
+            ctx = make(rowid, row)
+            yield tuple(evaluate(e, ctx) for e in exprs)
 
     def _const(self, expr: Optional[ast.Expr]) -> Any:
         """Evaluate a constant expression, once per statement.
@@ -640,7 +638,7 @@ class Executor:
         residual filter to run as the plan's vector kernel: None when it
         cannot, and the caller takes the row path.  A row consumer gets
         the kernel when there is one — crossing a materialization
-        boundary for the survivors — and closures otherwise."""
+        boundary for the survivors — and a row function otherwise."""
         ok, kernel = self._vector_filter(node)
         if columnar and not ok:
             return None
@@ -695,35 +693,39 @@ class Executor:
 
     def _domain_batches(self, node: pl.DomainScan,
                         materialize: Callable[[Any], Any]) -> Iterator[Any]:
-        """The server side of the ODCI scan protocol: Start, Fetch until
-        the null-terminator, Close.  Each ODCIIndexFetch result goes
+        """One domain index scan: each ODCIIndexFetch result goes
         through ``materialize`` (row contexts for a row consumer, a
-        filtered ``ColumnBatch`` under a fused projection); empty
-        batches are not yielded."""
-        domain = node.index.domain
-        if domain is None or domain.methods is None:
-            raise ODCIError("DomainScan", f"index {node.index.name} has no "
-                            "methods instance")
+        filtered ``ColumnBatch`` under a fused projection)."""
         call = node.operator_call
-        # evaluate the operator's constant value arguments (everything
-        # after the indexed column, minus a trailing ancillary label)
-        value_args = call.args[1:]
-        if call.label is not None:
-            value_args = value_args[:-1]
+        # the operator's value arguments are constants here
         const_ctx = RowContext()
         evaluated_args = tuple(self.evaluator.evaluate(a, const_ctx)
-                               for a in value_args)
+                               for a in call.value_args)
         # the plan (and its pred_info) may be shared via the plan cache:
         # never mutate it — take a per-execution copy with these args
         pred_info = node.pred_info.with_args(evaluated_args)
         query_info = ODCIQueryInfo(first_rows=node.first_rows,
                                    ancillary_label=call.label)
+        return self._odci_scan(node, pred_info, query_info, materialize,
+                               self._prefetch_depth(node), self._scan_budget)
+
+    def _odci_scan(self, node: pl.PlanNode, pred_info: ODCIPredInfo,
+                   query_info: ODCIQueryInfo,
+                   materialize: Callable[[Any], Any], depth: int = 0,
+                   budget: Optional[int] = None) -> Iterator[Any]:
+        """The server side of the ODCI scan protocol: Start, Fetch until
+        the null-terminator, Close.  Yields each non-empty materialized
+        fetch result; ``depth`` > 0 fetches ahead on the worker pool,
+        ``budget`` stops fetching once that many rows are out."""
+        domain = node.index.domain
+        if domain is None or domain.methods is None:
+            raise ODCIError(type(node).__name__, f"index {node.index.name} "
+                            "has no methods instance")
         # pin any callback-SQL the cartridge runs during this scan to the
         # statement's snapshot: ODCIIndexStart/Fetch observe one frozen
         # database state no matter how long the fetch loop streams
         env = self.db.make_env(CallbackPhase.SCAN, domain,
                                snapshot=self.snapshot)
-        ia = domain.index_info()
         methods = domain.methods
         if env.trace_enabled:
             env.trace(f"exec:ODCIIndexStart({domain.indextype_name}:"
@@ -731,41 +733,58 @@ class Executor:
         dispatcher = self.db.dispatcher
         context = dispatcher.call(
             "ODCIIndexStart", methods.index_start,
-            ia, pred_info, query_info, env,
+            domain.index_info(), pred_info, query_info, env,
             index_name=node.index.name, phase="scan")
         closer = self._make_closer(methods, context, env,
                                    index_name=node.index.name)
         batch_size = self.batch_size
-        budget = self._scan_budget
-        emitted = 0
-        depth = self._prefetch_depth(node)
-        try:
-            if depth > 0:
-                yield from self._domain_fetch_prefetched(
-                    node, dispatcher, methods, context, env, batch_size,
-                    materialize, depth, budget)
-                return
+        index_name = node.index.name
+
+        def fetch(call: Callable = dispatcher.call) -> Any:
+            if env.trace_enabled:
+                env.trace(f"exec:ODCIIndexFetch(n={batch_size})")
+            return call("ODCIIndexFetch", methods.index_fetch,
+                        context, batch_size, env,
+                        index_name=index_name, phase="scan")
+
+        def fetches() -> Iterator[Any]:
             while True:
-                if env.trace_enabled:
-                    env.trace(f"exec:ODCIIndexFetch(n={batch_size})")
-                result = dispatcher.call(
-                    "ODCIIndexFetch", methods.index_fetch,
-                    context, batch_size, env,
-                    index_name=node.index.name, phase="scan")
+                result = fetch()
+                yield result
+                if result.done or not result.rowids:
+                    return
+
+        pipeline = None
+        if depth > 0:
+            # a single producer task on the engine pool issues the
+            # fetches (strictly sequentially — the scan context is
+            # stateful) up to ``depth`` batches ahead of materialization
+            engine = self.db.engine
+            pipeline = PrefetchPipeline(
+                engine.worker_pool(), depth,
+                lambda: fetch(functools.partial(
+                    dispatcher.call_from_worker, self.db)),
+                engine.parallel_stats)
+        emitted = 0
+        try:
+            for result in fetches() if pipeline is None else pipeline:
                 # index-returned rowids are hints: the snapshot-aware
                 # base-table fetch re-validates each one, dropping rows
                 # whose versions are not visible to this statement
                 batch = materialize(result)
                 if batch:
                     yield batch
-                if result.done or not result.rowids:
-                    break
                 emitted += len(batch)
                 if budget is not None and emitted >= budget:
                     # the LIMIT above is satisfied: stop re-entering the
-                    # cartridge instead of fetching rows nobody will see
+                    # cartridge (and abandon queued batches) instead of
+                    # fetching rows nobody will see
                     break
         finally:
+            if pipeline is not None:
+                # quiesce first: no fetch may be in flight when
+                # ODCIIndexClose fires
+                pipeline.close()
             if env.trace_enabled:
                 env.trace("exec:ODCIIndexClose()")
             closer()
@@ -792,45 +811,6 @@ class Executor:
         if engine.worker_pool().on_worker():
             return 0
         return depth
-
-    def _domain_fetch_prefetched(self, node: pl.DomainScan, dispatcher,
-                                 methods, context, env, batch_size: int,
-                                 materialize, depth: int,
-                                 budget: Optional[int]) -> Iterator[Any]:
-        """The async fetch loop: a single producer task on the engine
-        pool issues ``ODCIIndexFetch`` calls (strictly sequentially —
-        the scan context is stateful) up to ``depth`` batches ahead of
-        materialization.  The caller's ``finally`` still runs the
-        idempotent closer; closing the pipeline first guarantees no
-        fetch is in flight when ``ODCIIndexClose`` fires.
-        """
-        engine = self.db.engine
-        session = self.db
-        index_name = node.index.name
-
-        def fetch_next():
-            if env.trace_enabled:
-                env.trace(f"exec:ODCIIndexFetch(n={batch_size})")
-            return dispatcher.call_from_worker(
-                session, "ODCIIndexFetch", methods.index_fetch,
-                context, batch_size, env,
-                index_name=index_name, phase="scan")
-
-        pipeline = PrefetchPipeline(engine.worker_pool(), depth,
-                                    fetch_next, engine.parallel_stats)
-        emitted = 0
-        try:
-            for result in pipeline:
-                batch = materialize(result)
-                if batch:
-                    yield batch
-                emitted += len(batch)
-                if budget is not None and emitted >= budget:
-                    # row budget met: abandon queued batches and stop
-                    # the producer before it issues another fetch
-                    break
-        finally:
-            pipeline.close()
 
     def _make_closer(self, methods, context, env, index_name: str = ""):
         """An idempotent ODCIIndexClose callable, registered with the
@@ -876,7 +856,8 @@ class Executor:
     def _iter_indexed_nl_join(self, node: pl.IndexedNLJoin
                               ) -> Iterator[RowContext]:
         structure = node.index.structure
-        outer_key = self._value_fn(node, "outer_key", node.outer_key)
+        outer_key = self._row_fn(node.compiled.get("outer_key"),
+                                 node.outer_key)
         accepts = self._truth_fn(node, "condition", node.condition)
         inner = self._join_source(node)
         for outer_ctx in self.iter_node(node.outer):
@@ -892,7 +873,7 @@ class Executor:
     def _join_source(self, node: pl.PlanNode,
                      label: Optional[Any] = None) -> "_RowidSource":
         """The inner side of an index join: one probe's rowids are one
-        fetch batch; the inner filter runs as closures."""
+        fetch batch; the inner filter runs as a row function."""
         return _RowidSource(self, node, node.inner_table, node.inner_binding,
                             node.inner_filter, "inner_filter", None, label)
 
@@ -904,56 +885,26 @@ class Executor:
         At any given time, a number of operators can be evaluated using
         the same indextype routines." (§2.2.3)
         """
-        domain = node.index.domain
-        if domain is None or domain.methods is None:
-            raise ODCIError("DomainNLJoin",
-                            f"index {node.index.name} has no methods instance")
         call = node.operator_call
-        value_args = call.args[1:]
-        if call.label is not None:
-            value_args = value_args[:-1]
-        arg_fns = self._value_fns(node, "value_args", value_args)
+        arg_fns = self._value_fns(node, "value_args", call.value_args)
         accepts = self._truth_fn(node, "condition", node.condition)
         inner = self._join_source(node, call.label)
-        env = self.db.make_env(CallbackPhase.SCAN, domain,
-                               snapshot=self.snapshot)
-        ia = domain.index_info()
-        methods = domain.methods
-        batch_size = self.batch_size
+        query_info = ODCIQueryInfo(ancillary_label=call.label)
         for outer_ctx in self.iter_node(node.outer):
-            evaluated = tuple(fn(outer_ctx) for fn in arg_fns)
             pred_info = ODCIPredInfo(
                 operator_name=call.operator.name,
-                operator_args=evaluated,
+                operator_args=tuple(fn(outer_ctx) for fn in arg_fns),
                 lower_bound=node.lower, upper_bound=node.upper,
                 include_lower=node.include_lower,
                 include_upper=node.include_upper)
-            query_info = ODCIQueryInfo(ancillary_label=call.label)
-            if env.trace_enabled:
-                env.trace(f"exec:ODCIIndexStart({domain.indextype_name}:"
-                          f"{node.index.name}) [join probe]")
-            dispatcher = self.db.dispatcher
-            context = dispatcher.call(
-                "ODCIIndexStart", methods.index_start,
-                ia, pred_info, query_info, env,
-                index_name=node.index.name, phase="scan")
-            closer = self._make_closer(methods, context, env,
-                                       index_name=node.index.name)
-            try:
-                while True:
-                    result = dispatcher.call(
-                        "ODCIIndexFetch", methods.index_fetch,
-                        context, batch_size, env,
-                        index_name=node.index.name, phase="scan")
-                    for inner_ctx in inner.contexts(result.rowids,
-                                                    result.aux):
-                        merged = outer_ctx.merged_with(inner_ctx)
-                        if accepts is None or accepts(merged):
-                            yield merged
-                    if result.done or not result.rowids:
-                        break
-            finally:
-                closer()
+            for batch in self._odci_scan(
+                    node, pred_info, query_info,
+                    lambda result: inner.contexts(result.rowids,
+                                                  result.aux)):
+                for inner_ctx in batch:
+                    merged = outer_ctx.merged_with(inner_ctx)
+                    if accepts is None or accepts(merged):
+                        yield merged
 
     def _iter_hash_join(self, node: pl.HashJoin) -> Iterator[RowContext]:
         left_keys = self._value_fns(node, "left_keys", node.left_keys)
@@ -1017,7 +968,7 @@ class Executor:
         pair.  Tie order matches the row path — both decorate in scan
         order and the sort is stable.  Returns None for the row path.
         """
-        if not self.use_vectorized or node.vector_mode != "VECTORIZED":
+        if self._interpret_only or node.vector_mode != "VECTORIZED":
             return None
         child = node.child
         if not isinstance(child, pl.FullScan):
@@ -1034,28 +985,18 @@ class Executor:
             return None
         make = self._ctx_factory(child.table, child.binding_name)
         xstats = self.xstats
-        key_fns = None
         decorated = []
         for cbatch in cbatches:
             try:
                 keys = keys_of(cbatch.columns, cbatch.rowids,
                                cbatch.selected())
             except Exception:  # noqa: BLE001 — degrade to exact semantics
-                if key_fns is None:
-                    key_fns = self._value_fns(
-                        node, "keys",
-                        [item.expr for item in node.order_items])
                 xstats.record_fallback_batch()
-                keys = None
+                keys = self._interpreted_tuples(
+                    [item.expr for item in node.order_items], child, cbatch)
             xstats.record_materialize_boundary()
-            if keys is None:
-                for rowid, row in cbatch.iter_rows():
-                    ctx = make(rowid, row)
-                    decorated.append(
-                        (tuple(fn(ctx) for fn in key_fns), ctx))
-            else:
-                for key, (rowid, row) in zip(keys, cbatch.iter_rows()):
-                    decorated.append((key, make(rowid, row)))
+            for key, (rowid, row) in zip(keys, cbatch.iter_rows()):
+                decorated.append((key, make(rowid, row)))
         decorated.sort(key=sort_key)
         return iter([ctx for __, ctx in decorated])
 
@@ -1074,7 +1015,7 @@ class Executor:
         accumulator semantics (NULL skip, DISTINCT markers, result
         typing) live in :class:`_Accumulator` for both pipelines.
         """
-        if not self.use_vectorized or node.vector_mode != "VECTORIZED":
+        if self._interpret_only or node.vector_mode != "VECTORIZED":
             return None
         child = node.child
         if not isinstance(child, pl.FullScan):
@@ -1092,106 +1033,66 @@ class Executor:
                         ) -> Iterator[RowContext]:
         group_indices, agg_indices = slots
         aggregates = node.aggregates
-        having = self._truth_fn(node, "having", node.having)
         make = self._ctx_factory(scan.table, scan.binding_name)
         self.xstats.record_materialize_boundary()
         groups: Dict[Tuple[Any, ...], Tuple[RowContext, List]] = {}
-        order: List[Tuple[Any, ...]] = []
         for cbatch in cbatches:
             columns = cbatch.columns
             group_cols = [columns[i] for i in group_indices]
             agg_cols = [None if i is None else columns[i]
                         for i in agg_indices]
             for i in cbatch.selected():
-                key = tuple(
-                    ("\x00NULL" if is_null(col[i]) else col[i])
-                    for col in group_cols)
-                try:
-                    hash(key)
-                except TypeError:
-                    key = tuple(repr(k) for k in key)
+                key = _group_key([col[i] for col in group_cols])
                 state = groups.get(key)
                 if state is None:
                     # one materialized row per group (first seen), for
                     # HAVING and the projection above
-                    state = (make(cbatch.rowids[i], cbatch.row(i)),
-                             [_Accumulator(a) for a in aggregates])
-                    groups[key] = state
-                    order.append(key)
+                    state = groups[key] = (
+                        make(cbatch.rowids[i], cbatch.row(i)),
+                        [_Accumulator(a) for a in aggregates])
                 for acc, col in zip(state[1], agg_cols):
                     if col is None:
                         acc.count += 1  # COUNT(*)
                     else:
                         acc.add_value(col[i])
-        if not groups and not node.group_exprs:
-            # global aggregate over an empty input still yields one row
-            empty = RowContext()
-            for agg in aggregates:
-                empty.agg[aggregate_key(agg)] = _Accumulator(agg).result()
-            if having is None or having(empty):
-                yield empty
-            return
-        for key in order:
-            out, accs = groups[key]
-            for agg, acc in zip(aggregates, accs):
-                out.agg[aggregate_key(agg)] = acc.result()
-            if having is None or having(out):
-                yield out
+        return self._group_rows(node, groups)
 
     def _iter_group_by_rows(self, node: pl.GroupByNode
                             ) -> Iterator[RowContext]:
-        groups: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-        order: List[Tuple[Any, ...]] = []
+        groups: Dict[Tuple[Any, ...], Tuple[RowContext, List]] = {}
         aggregates = node.aggregates
         group_fns = self._value_fns(node, "group_exprs", node.group_exprs)
-        having = self._truth_fn(node, "having", node.having)
-        agg_compiled = node.compiled.get("agg_args") \
-            if self.use_compiled else None
-        evaluator = self.evaluator
-        binds = self.binds
-        arg_fns: List[Optional[Callable[[RowContext], Any]]] = []
-        for agg in aggregates:
-            if agg.arg is None:
-                arg_fns.append(None)
-                continue
-            fn = (agg_compiled or {}).get(aggregate_key(agg))
-            if fn is not None:
-                arg_fns.append(lambda ctx, f=fn: f(ctx, binds))
-            else:
-                arg_fns.append(
-                    lambda ctx, e=agg.arg: evaluator.evaluate(e, ctx))
-
+        factories = node.compiled.get("agg_args") or {}
+        arg_fns = [
+            None if agg.arg is None else self._row_fn(
+                factories.get(aggregate_key(agg)), agg.arg)
+            for agg in aggregates]
         for ctx in self.iter_node(node.child):
-            key = tuple(
-                ("\x00NULL" if is_null(v) else v)
-                for v in (fn(ctx) for fn in group_fns))
-            try:
-                hash(key)
-            except TypeError:
-                key = tuple(repr(k) for k in key)
+            key = _group_key([fn(ctx) for fn in group_fns])
             state = groups.get(key)
             if state is None:
-                state = {"ctx": ctx,
-                         "accs": [_Accumulator(a, fn)
-                                  for a, fn in zip(aggregates, arg_fns)]}
-                groups[key] = state
-                order.append(key)
-            for acc in state["accs"]:
-                acc.add(ctx)
+                state = groups[key] = (
+                    ctx, [_Accumulator(a) for a in aggregates])
+            for acc, fn in zip(state[1], arg_fns):
+                if fn is None:
+                    acc.count += 1  # COUNT(*)
+                else:
+                    acc.add_value(fn(ctx))
+        return self._group_rows(node, groups)
 
+    def _group_rows(self, node: pl.GroupByNode,
+                    groups: Dict[Tuple[Any, ...], Tuple[RowContext, List]]
+                    ) -> Iterator[RowContext]:
+        """One output row per group, in first-seen order, through
+        HAVING: the group's first row plus its aggregate results."""
+        aggregates = node.aggregates
         if not groups and not node.group_exprs:
             # global aggregate over an empty input still yields one row
-            empty = RowContext()
-            for agg in aggregates:
-                empty.agg[aggregate_key(agg)] = _Accumulator(agg).result()
-            if having is None or having(empty):
-                yield empty
-            return
-
-        for key in order:
-            state = groups[key]
-            out: RowContext = state["ctx"]
-            for agg, acc in zip(aggregates, state["accs"]):
+            groups = {(): (RowContext(),
+                           [_Accumulator(a) for a in aggregates])}
+        having = self._truth_fn(node, "having", node.having)
+        for out, accs in groups.values():
+            for agg, acc in zip(aggregates, accs):
                 out.agg[aggregate_key(agg)] = acc.result()
             if having is None or having(out):
                 yield out
@@ -1208,8 +1109,8 @@ class _RowidSource:
     kernel for the residual filter the batch is transposed into a
     ``ColumnBatch`` and the kernel picks the survivors, and
     ``RowContext``s are built for those only.  Without a kernel
-    (feature off, factory declined, filter outside the generated
-    subset) the filter runs as closures over the batch's contexts.
+    (factory declined, filter outside the batch subset) the filter runs
+    as a row function over the batch's contexts.
     Either way the output keeps the order the rowids came in.
     """
 
@@ -1224,8 +1125,9 @@ class _RowidSource:
         #: projection never crosses one)
         self._make: Optional[Callable] = None
         self._fetch = executor._batch_fetcher(table)
-        #: closure form of the residual filter, applied when no kernel is
-        self._passes = executor._truth_fn(node, slot, predicate)
+        #: row form of the residual filter, for when there is no kernel
+        self._passes = executor._truth_fn(node, slot, predicate) \
+            if kernel is None else None
         self.kernel = kernel
         #: ancillary-operator label the ODCIIndexFetch aux values feed
         self._label = label
@@ -1273,7 +1175,7 @@ class _RowidSource:
             for ctx, value in zip(batch, aux):
                 if value is not _NO_AUX:
                     ctx.aux[label] = value
-        if self.kernel is None and self._passes is not None:
+        if self._passes is not None:
             passes = self._passes
             batch = [ctx for ctx in batch if passes(ctx)]
         return batch
@@ -1299,30 +1201,20 @@ def _aligned_aux(aux: List[Any], rowids: List[Any],
 
 
 class _Accumulator:
-    """Streaming state for one aggregate call.
+    """Streaming state for one aggregate call (COUNT(*) bumps
+    ``count`` directly)."""
 
-    ``arg_fn`` is the (possibly compiled) per-row argument callable;
-    None for COUNT(*)."""
-
-    def __init__(self, call: AggregateCall,
-                 arg_fn: Optional[Callable[[RowContext], Any]] = None):
+    def __init__(self, call: AggregateCall):
         self.call = call
-        self.arg_fn = arg_fn
         self.count = 0
         self.total: Any = 0
         self.min_value: Any = None
         self.max_value: Any = None
         self.distinct_seen = set() if call.distinct else None
 
-    def add(self, ctx: RowContext) -> None:
-        if self.call.arg is None:  # COUNT(*)
-            self.count += 1
-            return
-        self.add_value(self.arg_fn(ctx))
-
     def add_value(self, value: Any) -> None:
-        """Fold one argument value in — shared by the row pipeline
-        (via :meth:`add`) and the vectorized column folds."""
+        """Fold one argument value in (row pipeline and vectorized
+        column folds alike)."""
         call = self.call
         if is_null(value):
             return

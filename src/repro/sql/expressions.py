@@ -48,6 +48,13 @@ class OperatorCall(ast.Expr):
     args: List[ast.Expr]
     label: Optional[int] = None
 
+    @property
+    def value_args(self) -> List[ast.Expr]:
+        """The arguments after the indexed column, minus a trailing
+        ancillary label: what a domain index scan is started with."""
+        args = self.args[1:]
+        return args[:-1] if self.label is not None else args
+
     def __repr__(self) -> str:
         return f"OperatorCall({self.operator.name}, label={self.label})"
 

@@ -354,8 +354,7 @@ class StatementPipeline:
             if not table.stats.analyzed)
         return CachedPlan(plan=plan, catalog_version=catalog.version,
                           table_sig=table_sig,
-                          bind_names=parsed.bind_names, sql=parsed.sql,
-                          compiled_nodes=getattr(plan, "compiled_nodes", 0))
+                          bind_names=parsed.bind_names, sql=parsed.sql)
 
     @staticmethod
     def _require_binds(parsed: ParseArtifact, bound: BindArtifact) -> None:

@@ -90,10 +90,10 @@ class PlanCacheStats:
 class CachedPlan:
     """One compiled statement held in the cache.
 
-    The plan carries the compiled expression closures produced by
-    :func:`repro.sql.compile.compile_plan` on its nodes; they are pure
-    functions of ``(row context, bind values)``, so sharing one entry
-    across sessions executing with different bind sets is safe.
+    The plan carries the generated-function factories produced by
+    :func:`repro.sql.compile.compile_plan` on its nodes; each execution
+    calls them with its own bind values, so sharing one entry across
+    sessions executing with different bind sets is safe.
     """
 
     #: the compiled QueryPlan (shared across executions — treat read-only)
@@ -107,8 +107,6 @@ class CachedPlan:
     #: original (un-normalized) statement text, for diagnostics
     sql: str
     hits: int = field(default=0)
-    #: plan nodes whose row expressions all compiled (diagnostics)
-    compiled_nodes: int = field(default=0)
 
 
 class PlanCache:

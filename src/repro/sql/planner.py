@@ -63,15 +63,16 @@ class PlanNode:
     #: functional-evaluation fallback notice when a matching domain
     #: index was skipped because it is not VALID
     annotations: List[str] = field(default_factory=list, init=False)
-    #: compiled expression closures keyed by slot name, filled by
-    #: :func:`repro.sql.compile.compile_plan` (None = interpreter fallback)
+    #: generated row-function factories keyed by slot name, filled by
+    #: :func:`repro.sql.compile.compile_plan` (None = interpreter)
     compiled: Dict[str, Any] = field(default_factory=dict, init=False)
-    #: "COMPILED" when every row expression on this node compiled,
-    #: "INTERPRETED" when any fell back, None when the node has none
+    #: "COMPILED" when every row expression on this node has a
+    #: generated row function, "INTERPRETED" when one was declined,
+    #: None when the node has none
     exec_mode: Optional[str] = field(default=None, init=False)
     #: "VECTORIZED" when this node operates on columnar batches, "ROW"
-    #: when vectorized execution is on but this node fell back to the
-    #: row pipeline, None for nodes outside the vectorizable chain
+    #: when this node runs on the row pipeline instead, None for nodes
+    #: outside the vectorizable chain
     vector_mode: Optional[str] = field(default=None, init=False)
 
     def label(self) -> str:
@@ -367,9 +368,6 @@ class QueryPlan:
     root: PlanNode
     column_names: List[str]
     scope: Scope
-    #: number of plan nodes whose row expressions all compiled to
-    #: closures (see :mod:`repro.sql.compile`)
-    compiled_nodes: int = 0
     #: the Select AST this plan was built from, kept so a mid-scan
     #: degrade (index marked UNUSABLE) can replan the same statement
     source: Optional[ast.Select] = None
@@ -692,11 +690,10 @@ class Planner:
 
         plan = QueryPlan(root=root, column_names=[n for _, n in items],
                          scope=scope, source=select)
-        # lower row expressions to closures once, at plan time, so the
-        # artifacts ride the shared plan cache across sessions
-        if getattr(self.db, "compile_expressions", True):
-            from repro.sql.compile import compile_plan
-            plan.compiled_nodes = compile_plan(plan, self.catalog)
+        # lower row expressions once, at plan time, so the artifacts
+        # ride the shared plan cache across sessions
+        from repro.sql.compile import compile_plan
+        compile_plan(plan, self.catalog, one_shot)
         self._annotate_prefetch(plan.root)
         self._annotate_vectorized(plan.root, one_shot)
         self._peeked_binds = {}
@@ -735,24 +732,17 @@ class Planner:
         """Attach vector kernels and stamp ``vector_mode`` markers.
 
         Like :meth:`_annotate_prefetch`, annotations only — costs and
-        access-path choice are untouched, so the shared plan-cache entry
-        is identical whether the executing session runs columnar or
-        row-at-a-time.  A node in the vectorizable chain is stamped
-        ``VECTORIZED`` when its vector artifacts compiled and ``ROW``
-        when it falls back to the row pipeline (mirroring the
-        ``COMPILED``/``INTERPRETED`` pair for closures).
+        access-path choice are untouched.  A node in the vectorizable
+        chain is stamped ``VECTORIZED`` when its vector artifacts
+        compiled and ``ROW`` when it falls back to the row pipeline
+        (next to the ``COMPILED``/``INTERPRETED`` pair for row
+        functions).
 
         A ``one_shot`` plan annotates full scans only: generating and
         byte-compiling a kernel costs more than an index probe's few
         rows can repay within one execution, while a full scan repays
         it inside the statement.
         """
-        db = self.db
-        if db is None:
-            return
-        if not getattr(db, "compile_expressions", True) \
-                or not getattr(db, "vectorized_execution", True):
-            return
         from repro.sql.compile import (compile_vector_kernel,
                                        compile_vector_projection)
 
@@ -779,11 +769,6 @@ class Planner:
             if scan.vector_mode is not None:
                 return scan.vector_mode == "VECTORIZED"
             if scan.filter is not None:
-                # an interpreter-fallback filter closes over session
-                # state and stays on the row path
-                if scan.compiled.get("filter") is None:
-                    scan.vector_mode = "ROW"
-                    return False
                 kernel = compile_vector_kernel(
                     scan.filter, scan.binding_name, scan.table)
                 if kernel is None:
@@ -793,38 +778,31 @@ class Planner:
             scan.vector_mode = "VECTORIZED"
             return True
 
+        def consume(node: PlanNode, slot: str, exprs: Optional[List],
+                    rowid_source: bool = False) -> None:
+            """Stamp a consumer of its child scan's column batches:
+            a gather over ``exprs``, or (None) a grouped column fold."""
+            scan = scan_of(node, rowid_source)
+            if scan is None:
+                return
+            artifact = self._vector_group_slots(node, scan) \
+                if exprs is None else compile_vector_projection(
+                    exprs, scan.binding_name, scan.table)
+            if artifact is not None and annotate_scan(scan):
+                node.compiled[slot] = artifact
+                node.vector_mode = "VECTORIZED"
+            else:
+                node.vector_mode = "ROW"
+
         def visit(node: PlanNode) -> None:
             if isinstance(node, ProjectNode):
-                scan = scan_of(node, rowid_source=True)
-                if scan is not None:
-                    factory = compile_vector_projection(
-                        [e for e, __ in node.items],
-                        scan.binding_name, scan.table)
-                    if factory is not None and annotate_scan(scan):
-                        node.compiled["vector_items"] = factory
-                        node.vector_mode = "VECTORIZED"
-                    else:
-                        node.vector_mode = "ROW"
+                consume(node, "vector_items", [e for e, __ in node.items],
+                        rowid_source=True)
             elif isinstance(node, SortNode):
-                scan = scan_of(node)
-                if scan is not None:
-                    factory = compile_vector_projection(
-                        [item.expr for item in node.order_items],
-                        scan.binding_name, scan.table)
-                    if factory is not None and annotate_scan(scan):
-                        node.compiled["vector_keys"] = factory
-                        node.vector_mode = "VECTORIZED"
-                    else:
-                        node.vector_mode = "ROW"
+                consume(node, "vector_keys",
+                        [item.expr for item in node.order_items])
             elif isinstance(node, GroupByNode):
-                scan = scan_of(node)
-                if scan is not None:
-                    slots = self._vector_group_slots(node, scan)
-                    if slots is not None and annotate_scan(scan):
-                        node.compiled["vector_group"] = slots
-                        node.vector_mode = "VECTORIZED"
-                    else:
-                        node.vector_mode = "ROW"
+                consume(node, "vector_group", None)
             elif isinstance(node, (FullScan,) + rowid_scans) \
                     and node.vector_mode is None:
                 if node.filter is not None:
@@ -1324,10 +1302,7 @@ class Planner:
                 and first_arg.alias == binding):
             return None
         # remaining (non-label) args must be constants to be index-evaluable
-        value_args = call.args[1:]
-        if call.label is not None:
-            value_args = value_args[:-1]
-        if not all(_is_constant(arg) for arg in value_args):
+        if not all(_is_constant(arg) for arg in call.value_args):
             return None
         # find a domain index on the referenced base column
         target_column = first_arg.column or ""
@@ -1595,11 +1570,8 @@ class Planner:
             if not (isinstance(first, ast.ColumnRef) and first.bound
                     and first.alias == inner_binding):
                 continue
-            rest_args = call.args[1:]
-            if call.label is not None:
-                rest_args = rest_args[:-1]
             if any(not referenced_aliases(arg) <= joined
-                   for arg in rest_args):
+                   for arg in call.value_args):
                 continue
             index = self._domain_index_for(inner_table, first,
                                            call)

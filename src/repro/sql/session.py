@@ -79,12 +79,6 @@ class Session:
         #: per-session scan workspace (ODCI handles, spill accounting)
         self.workspace = Workspace(engine.stats)
         self.fetch_batch_size = engine.fetch_batch_size
-        #: plan-time expression compilation toggle (see repro.sql.compile);
-        #: per-session so a session can A/B the interpreter, but note the
-        #: *plan cache* is engine-wide — plans compiled by one session
-        #: carry their closures to every session (executions simply
-        #: ignore them when this is off)
-        self.compile_expressions = engine.compile_expressions
         #: current session user; "main" is the superuser/DBA
         self.session_user = user.lower()
         self.trace_log: Optional[List[str]] = None

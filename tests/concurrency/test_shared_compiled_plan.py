@@ -1,15 +1,17 @@
 """Sessions sharing one cached *compiled* plan must not cross-contaminate.
 
-Compiled closures attached to a cached plan take the execution's bind
-set as an argument (bind-slot hoisting) — so two sessions soft-parsing
-the same statement concurrently, with different bind values, must each
-see exactly their own results even though every closure object is
-shared.
+Generated factories attached to a cached plan take the execution's
+bind set as an argument (bind-slot hoisting) — so two sessions
+soft-parsing the same statement concurrently, with different bind
+values, must each see exactly their own results even though every
+factory object is shared.
 """
 
 import threading
 
 import pytest
+
+from repro.testing import interpreter_forced
 
 pytestmark = pytest.mark.concurrency
 
@@ -68,13 +70,13 @@ class TestSharedCompiledPlan:
         stats = loaded_engine.plan_cache.stats
         assert stats.hits >= len(sessions) * 40 - 1  # one shared entry
 
-    def test_compile_toggle_is_per_session(self, loaded_engine):
-        """A session that disables compilation still executes a shared
-        plan that carries closures — through the interpreter — and gets
-        identical rows."""
+    def test_interpreter_seam_is_per_session(self, loaded_engine):
+        """A session forced onto the interpreter still executes a shared
+        plan that carries generated functions — ignoring them — and gets
+        identical rows; its neighbour is unaffected."""
         fast = loaded_engine.connect()
         slow = loaded_engine.connect()
-        slow.compile_expressions = False
         expected = [(i,) for i in range(3, 9)]
-        assert fast.execute(SQL, [9, 3]).fetchall() == expected
-        assert slow.execute(SQL, [9, 3]).fetchall() == expected
+        with interpreter_forced(slow):
+            assert fast.execute(SQL, [9, 3]).fetchall() == expected
+            assert slow.execute(SQL, [9, 3]).fetchall() == expected

@@ -1,13 +1,13 @@
-"""Differential proof: prefetched == serial, vectorized == closures ==
-interpreter.
+"""Differential proof: prefetched == serial, generated == interpreter.
 
 Identically-seeded databases run the same randomized workload.  The
 cartridge classes pair a database with async ODCI prefetch forced
 eligible (row threshold dropped to 1) against one with
 ``parallel_execution`` off.  The heap and native-index tests run a
-three-way matrix — default, ``vectorized_execution`` off, and the
-tree-walking interpreter (``compile_expressions`` off); the domain-scan
-matrix adds the prefetch-forced default as a fourth member.  Every
+two-way matrix — default execution (vector kernels, generated row
+functions) and the tree-walking interpreter forced through
+:func:`repro.testing.interpreter_forced`; the domain-scan matrix adds
+the prefetch-forced default as a third member.  Every
 query result must be identical,
 across heap tables, IOTs, and all four cartridges: the prefetch
 pipeline delivers batches (and faults) in fetch order, so neither
@@ -25,6 +25,7 @@ import threading
 import pytest
 
 from repro import Database
+from repro.testing import interpreter_forced
 
 pytestmark = pytest.mark.parallel
 
@@ -52,19 +53,20 @@ def _pair(installer=None):
 
 def _fleet(installer=None):
     """Fresh databases spanning the execution matrix: default
-    (vectorized), compiled-closure (vector kernels off), and the
-    tree-walking interpreter, all with prefetch off.  With an
-    ``installer`` (a cartridge: the workload runs domain scans) a fourth
-    member runs the default configuration with prefetch forced.  Every
-    query result must be identical across all of them."""
-    configs = [(False, {}),
-               (False, {"vectorized_execution": False}),
-               (False, {"compile_expressions": False})]
+    (generated code) and the tree-walking interpreter, both with
+    prefetch off.  With an ``installer`` (a cartridge: the workload runs
+    domain scans) a third member runs the default configuration with
+    prefetch forced.  Every query result must be identical across all
+    of them."""
+    configs = [(False, False), (False, True)]
     if installer is not None:
-        configs.append((True, {}))
+        configs.append((True, False))
     dbs = []
-    for prefetch, options in configs:
-        db = Database(**options)
+    for prefetch, interpreted in configs:
+        db = Database()
+        if interpreted:
+            # never exited: the member is interpreted for its lifetime
+            interpreter_forced(db).__enter__()
         if installer is not None:
             installer(db)
         if prefetch:
@@ -147,7 +149,7 @@ class TestHeapAndIOT:
 
     def test_mid_batch_fallback_parity(self):
         """A kernel that raises mid-batch re-runs that batch on the
-        closure path: same rows before the error, same error class, on
+        interpreter: same rows before the error, same error class, on
         every configuration."""
         dbs = _fleet()
 
@@ -221,7 +223,7 @@ class TestHeapAndIOT:
 class TestIndexDrivenPlans:
     """Index-returned rowids go through one batched base-table fetch;
     the residual filter runs as a vector kernel over the fetched batch
-    or as closures.  Neither may be observable: rows, their order
+    or as a row function.  Neither may be observable: rows, their order
     (probe order), and error classes agree across the matrix."""
 
     @staticmethod
@@ -454,9 +456,9 @@ class TestCartridges:
 
 
 @pytest.mark.vectorized
-class TestDomainScansFourWay:
+class TestDomainScansThreeWay:
     """ODCI-returned rowids through the batched fetch: a residual
-    filter on the base table (vector kernel or closures) and the
+    filter on the base table (vector kernel or row function) and the
     ancillary value each rowid came with must line up in every mode —
     unsorted, so fetch order is part of the contract."""
 

@@ -1,11 +1,12 @@
-"""Differential tests: compiled expressions must match the interpreter.
+"""Differential tests: generated row functions must match the interpreter.
 
-The compiler (:mod:`repro.sql.compile`) is only allowed to be *faster*
+The generator (:mod:`repro.sql.compile`) is only allowed to be *faster*
 than the tree-walking :class:`~repro.sql.expressions.Evaluator` — never
 different.  A randomized corpus of bound expression trees (literals,
 binds, NULLs, AND/OR/NOT short-circuits, functions, column refs) is run
-through both paths and every result — value or exception — must agree,
-Kleene three-valued logic included.
+through both and every result — value, or exception class and message —
+must agree, Kleene three-valued logic included, for well-typed, NULL,
+``None``, bool and missing binds alike.
 """
 
 import random
@@ -14,9 +15,11 @@ import pytest
 
 from repro.sql import ast_nodes as ast
 from repro.sql.builtins import register_builtins
-from repro.sql.catalog import Catalog, SQLFunction
-from repro.sql.compile import ExprCompiler
+from repro.sql.catalog import Catalog, ColumnInfo, SQLFunction, TableDef
+from repro.sql.compile import compile_row_function
 from repro.sql.expressions import Evaluator, RowContext
+from repro.testing import interpreter_forced
+from repro.types.datatypes import NUMBER, VARCHAR2
 from repro.types.values import NULL
 
 
@@ -139,6 +142,61 @@ def _outcome(fn):
         return ("err", type(exc).__name__, str(exc))
 
 
+#: the corpus's table, as the planner's scope would describe it: the
+#: declared column types let comparisons use native operators
+TABLES = {"t": TableDef(
+    name="t", storage=None,
+    columns=[ColumnInfo("a", NUMBER), ColumnInfo("b", VARCHAR2),
+             ColumnInfo("c", NUMBER), ColumnInfo("d", NUMBER),
+             ColumnInfo("e", VARCHAR2)])}
+
+#: bind sets beyond the seeded well-typed one: the factory declines
+#: each (NULL, ``None``, bool, missing) and the interpreter answers
+ODD_BINDS = [{"1": NULL, "2": "apple"}, {"1": 2, "2": None},
+             {"1": True, "2": "b"}, {"2": "x_y"}, {}]
+
+
+class _Harness:
+    """One expression, generated and interpreted, over every context."""
+
+    def __init__(self, catalog, expr, truth):
+        self.expr = expr
+        self.truth = truth
+        self.catalog = catalog
+        self.factory = compile_row_function(expr, TABLES, catalog, truth)
+        assert self.factory is not None, f"generator declined {expr!r}"
+
+    def check(self, binds):
+        """Assert parity under ``binds``; return how many rows the
+        generated code ran (0 when the factory declined the binds)."""
+        evaluator = Evaluator(self.catalog, binds)
+        expr = self.expr
+        if self.truth:
+            def interpret(ctx):
+                return evaluator.truth(expr, ctx) is True
+        else:
+            def interpret(ctx):
+                return evaluator.evaluate(expr, ctx)
+        fell_back = []
+
+        def fallback(ctx):
+            fell_back.append(ctx)
+            return interpret(ctx)
+
+        fn = self.factory(binds, fallback)
+        if fn is None:
+            return 0
+        for ctx in _contexts():
+            del fell_back[:]
+            expected = _outcome(lambda: interpret(ctx))
+            got = _outcome(lambda: fn(ctx))
+            assert got == expected, f"diverged on {expr!r} with {binds!r}"
+            # the fallback is for rows the interpreter rejects too: a
+            # row it evaluates cleanly never needed it
+            assert not fell_back or expected[0] == "err", expr
+        return len(_contexts())
+
+
 class TestRandomizedDifferential:
     @pytest.fixture(scope="class")
     def catalog(self):
@@ -150,98 +208,133 @@ class TestRandomizedDifferential:
     def test_predicates_match_interpreter(self, catalog, seed):
         rng = random.Random(seed)
         gen = ExprGen(rng)
-        compiler = ExprCompiler(catalog)
         binds = {"1": rng.randint(-4, 4), "2": rng.choice(["apple", "", "Z"])}
-        evaluator = Evaluator(catalog, binds)
         for __ in range(25):
             expr = gen.pred(3)
-            fn = compiler.compile_predicate(expr)
-            assert fn is not None, f"corpus node failed to compile: {expr!r}"
-            for ctx in _contexts():
-                expected = _outcome(lambda: evaluator.truth(expr, ctx))
-                got = _outcome(lambda: fn(ctx, binds))
-                assert got == expected, f"predicate diverged on {expr!r}"
+            # truth position (is it TRUE) and value position (the
+            # three-valued result itself)
+            for truth in (True, False):
+                harness = _Harness(catalog, expr, truth)
+                assert harness.check(binds) > 0
+                for odd in ODD_BINDS:
+                    harness.check(odd)
 
     @pytest.mark.parametrize("seed", range(40, 80))
     def test_values_match_interpreter(self, catalog, seed):
         rng = random.Random(seed)
         gen = ExprGen(rng)
-        compiler = ExprCompiler(catalog)
         binds = {"1": rng.randint(-4, 4), "2": rng.choice(["b", "x_y"])}
-        evaluator = Evaluator(catalog, binds)
         for __ in range(25):
             expr = gen.num(3) if rng.random() < 0.5 else gen.s(3)
-            fn = compiler.compile_value(expr)
-            assert fn is not None
-            for ctx in _contexts():
-                expected = _outcome(lambda: evaluator.evaluate(expr, ctx))
-                got = _outcome(lambda: fn(ctx, binds))
-                assert got == expected, f"value diverged on {expr!r}"
+            harness = _Harness(catalog, expr, truth=False)
+            assert harness.check(binds) > 0
+            for odd in ODD_BINDS:
+                harness.check(odd)
 
-    def test_one_compiled_form_serves_all_bind_values(self, catalog):
-        """Bind-slot hoisting: compile once, execute with many bind sets."""
-        compiler = ExprCompiler(catalog)
+    def test_one_generated_form_serves_all_bind_values(self, catalog):
+        """Bind-slot hoisting: generate once, execute with many bind
+        sets; the sets outside the generated contract are declined."""
         expr = ast.BoolOp(
             "AND",
             ast.BinaryOp(">", _col("a"), ast.BindParam("1")),
             ast.LikeOp(_col("b"), ast.BindParam("2")))
-        fn = compiler.compile_predicate(expr)
+        factory = compile_row_function(expr, TABLES, catalog, truth=True)
         ctx = _contexts()[0]  # a=1, b='apple'
-        assert fn(ctx, {"1": 0, "2": "%appl%"}) is True
-        assert fn(ctx, {"2": "%appl%", "1": 5}) is False
-        assert fn(ctx, {"1": NULL, "2": "%appl%"}) is NULL
-        with pytest.raises(Exception, match="no value supplied for bind"):
-            fn(ctx, {})
+        assert factory({"1": 0, "2": "%appl%"}, None)(ctx) is True
+        assert factory({"2": "%appl%", "1": 5}, None)(ctx) is False
+        for declined in ({"1": NULL, "2": "%appl%"}, {"1": True, "2": "%"},
+                         {"1": "0", "2": "%"}, {"1": 0, "2": 7}, {}):
+            assert factory(declined, None) is None
 
     def test_short_circuit_parity_with_poison_operand(self, catalog):
         """AND short-circuits before a type error, exactly like the
         interpreter; OR must still raise when the left side is FALSE."""
-        compiler = ExprCompiler(catalog)
-        evaluator = Evaluator(catalog, {})
         poison = ast.BinaryOp("=", ast.Literal(1), _col("b"))  # int vs str
         false_leaf = ast.BinaryOp("=", ast.Literal(1), ast.Literal(2))
         for expr in (ast.BoolOp("AND", false_leaf, poison),
                      ast.BoolOp("OR", false_leaf, poison)):
-            fn = compiler.compile_predicate(expr)
-            for ctx in _contexts():
-                assert _outcome(lambda: fn(ctx, {})) \
-                    == _outcome(lambda: evaluator.truth(expr, ctx))
+            for truth in (True, False):
+                assert _Harness(catalog, expr, truth).check({}) > 0
+
+    def test_error_behind_a_null_is_not_skipped(self, catalog):
+        """The interpreter evaluates the right side of AND when the
+        left is NULL: what it raises there must still be raised."""
+        null_left = ast.BinaryOp(">", _col("c"), ast.Literal(0))
+        raises = ast.BinaryOp(
+            ">", ast.BinaryOp("/", ast.Literal(1), _col("d")), ast.Literal(0))
+        for expr in (ast.BoolOp("AND", null_left, raises),
+                     ast.NotOp(ast.BoolOp("OR", null_left, raises)),
+                     ast.BetweenOp(_col("c"), ast.Literal(1),
+                                   ast.BinaryOp("/", ast.Literal(1),
+                                                _col("d")))):
+            for truth in (True, False):
+                assert _Harness(catalog, expr, truth).check({}) > 0
 
 
-class TestConstantFolding:
-    def test_literal_subtree_folds_to_constant(self):
+class TestFunctionCalls:
+    """A registered function may have side effects: the generated code
+    calls it as often as the interpreter does — once — never again."""
+
+    @pytest.fixture()
+    def counted(self):
         catalog = Catalog()
-        compiler = ExprCompiler(catalog)
-        expr = ast.BinaryOp("+", ast.Literal(2),
-                            ast.BinaryOp("*", ast.Literal(3), ast.Literal(4)))
-        __, const = compiler._value(expr)
-        assert const is True
-        assert compiler.compile_value(expr)(RowContext(), {}) == 14
-
-    def test_folding_never_hides_runtime_errors(self):
-        """1/0 must raise at *execution* time, not at compile time."""
-        catalog = Catalog()
-        compiler = ExprCompiler(catalog)
-        expr = ast.BinaryOp("/", ast.Literal(1), ast.Literal(0))
-        fn = compiler.compile_value(expr)  # must not raise here
-        with pytest.raises(Exception, match="division by zero"):
-            fn(RowContext(), {})
-
-    def test_functions_are_not_folded(self):
-        """Registered functions may be non-deterministic: a literal-arg
-        call still runs once per row."""
-        catalog = Catalog()
+        register_builtins(catalog)
         calls = []
         catalog.add_function(SQLFunction(
-            name="tick", fn=lambda x: calls.append(x) or len(calls)))
-        compiler = ExprCompiler(catalog)
-        fn = compiler.compile_value(ast.FuncCall("tick", [ast.Literal(7)]))
-        assert fn(RowContext(), {}) == 1
-        assert fn(RowContext(), {}) == 2
+            name="tick", fn=lambda x: calls.append(x) or x))
+        return catalog, calls
+
+    def test_functions_are_not_folded(self, counted):
+        """A literal-argument call still runs once per row."""
+        catalog, calls = counted
+        fn = compile_row_function(
+            ast.FuncCall("tick", [ast.Literal(7)]), TABLES, catalog)({}, None)
+        assert fn(RowContext()) == 7 and fn(RowContext()) == 7
+        assert calls == [7, 7]
+
+    @pytest.mark.parametrize("expr", [
+        # a later operand the generated code cannot handle natively
+        ast.BinaryOp("+", ast.FuncCall("tick", [_col("a")]), _col("b")),
+        ast.BinaryOp("/", ast.FuncCall("tick", [_col("a")]), _col("d")),
+        ast.BoolOp("AND", ast.BinaryOp(">", _col("c"), ast.Literal(0)),
+                   ast.BinaryOp("=", ast.FuncCall("tick", [_col("a")]),
+                                _col("b"))),
+        ast.BetweenOp(ast.FuncCall("tick", [_col("a")]), ast.Literal(NULL),
+                      ast.FuncCall("tick", [_col("d")]), negated=True),
+        ast.InListOp(ast.Literal(1), [ast.FuncCall("tick", [_col("a")]),
+                                      ast.FuncCall("tick", [_col("c")])]),
+    ])
+    def test_call_counts_match_the_interpreter(self, counted, expr):
+        catalog, calls = counted
+        evaluator = Evaluator(catalog, {})
+        for truth in (True, False):
+            fn = compile_row_function(expr, TABLES, catalog, truth)({}, None)
+            for ctx in _contexts():
+                del calls[:]
+                if truth:
+                    expected = _outcome(
+                        lambda: evaluator.truth(expr, ctx) is True)
+                else:
+                    expected = _outcome(lambda: evaluator.evaluate(expr, ctx))
+                interpreted, calls[:] = list(calls), []
+                assert _outcome(lambda: fn(ctx)) == expected
+                assert calls == interpreted, expr
+
+
+class TestLowering:
+    def test_constant_errors_surface_at_execution_not_generation(self):
+        """1/0 must raise when a row is evaluated — never at plan time,
+        and never for a query over an empty table."""
+        catalog = Catalog()
+        expr = ast.BinaryOp("/", ast.Literal(1), ast.Literal(0))
+        harness = _Harness(catalog, expr, truth=False)  # must not raise
+        assert harness.check({}) > 0
+        with pytest.raises(Exception, match="division by zero"):
+            Evaluator(catalog).evaluate(expr, RowContext())
 
 
 # ---------------------------------------------------------------------------
-# end-to-end SQL differential (compile toggle)
+# end-to-end SQL differential (generated vs interpreter-forced)
 # ---------------------------------------------------------------------------
 
 QUERIES = [
@@ -271,14 +364,26 @@ class TestEndToEndDifferential:
                        [i, f"name{i % 7}", score])
         return db
 
+    @pytest.mark.vectorized
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_compiled_and_interpreted_rows_agree(self, people_db, sql):
-        people_db.compile_expressions = True
-        compiled = people_db.execute(sql).fetchall()
-        people_db.compile_expressions = False
-        interpreted = people_db.execute(sql).fetchall()
-        assert [tuple(map(repr, r)) for r in compiled] \
+    def test_generated_and_interpreted_rows_agree(self, people_db, sql):
+        """Default execution (vector kernels, row functions) against
+        the tree-walking interpreter.  NULL-heavy scores keep the
+        validity handling honest on every query."""
+        generated = people_db.execute(sql).fetchall()
+        with interpreter_forced(people_db):
+            interpreted = people_db.execute(sql).fetchall()
+        assert [tuple(map(repr, r)) for r in generated] \
             == [tuple(map(repr, r)) for r in interpreted]
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_every_corpus_expression_is_generated(self, people_db, sql):
+        """Coverage: each of these plans was [COMPILED] on every node
+        when closures were the row tier; none may move to the
+        interpreter silently."""
+        lines = people_db.explain(sql)
+        assert any("[COMPILED]" in ln for ln in lines)
+        assert not any("[INTERPRETED]" in ln for ln in lines), lines
 
     def test_bind_reexecution_against_shared_cached_plan(self, people_db):
         sql = "SELECT id FROM people WHERE id < :1 ORDER BY id"
@@ -289,40 +394,16 @@ class TestEndToEndDifferential:
         assert first == [(0,), (1,), (2,)]
         assert second == [(0,), (1,), (2,), (3,), (4,)]
 
-    @pytest.mark.vectorized
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_three_way_vectorized_closure_interpreter(self, sql):
-        """Same corpus, three execution paths: vector kernels, compiled
-        closures, tree-walking interpreter.  NULL-heavy scores keep the
-        validity handling honest on every query."""
-        from repro import Database
-        results = []
-        for kw in ({}, {"vectorized_execution": False},
-                   {"compile_expressions": False}):
-            db = Database(**kw)
-            db.execute("CREATE TABLE people (id NUMBER,"
-                       " name VARCHAR2(30), score NUMBER)")
-            rng = random.Random(99)
-            for i in range(60):
-                score = NULL if rng.random() < 0.2 else rng.randint(0, 100)
-                db.execute("INSERT INTO people VALUES (:1, :2, :3)",
-                           [i, f"name{i % 7}", score])
-            results.append(db.execute(sql).fetchall())
-        as_reprs = [[tuple(map(repr, r)) for r in rows] for rows in results]
-        assert as_reprs[0] == as_reprs[1] == as_reprs[2], sql
-
     def test_functional_operator_falls_back_identically(self, employees_db):
         """An OperatorCall in a filter is interpreter-only; results must
-        not change with compilation on or off."""
+        not change when its generated neighbours are interpreted too."""
         employees_db.execute("DROP INDEX resume_text_index")
         sql = ("SELECT id FROM employees"
                " WHERE Contains(resume, 'unix') AND id < 5 ORDER BY id")
-        employees_db.compile_expressions = True
-        with_compile = employees_db.execute(sql).fetchall()
-        employees_db.compile_expressions = False
-        without = employees_db.execute(sql).fetchall()
-        assert with_compile == without
-        assert with_compile == [(1,), (3,)]
+        generated = employees_db.execute(sql).fetchall()
+        with interpreter_forced(employees_db):
+            interpreted = employees_db.execute(sql).fetchall()
+        assert generated == interpreted == [(1,), (3,)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +433,6 @@ class TestExplainMarkers:
         lines = db.explain("SELECT id FROM t")
         scan = next(ln for ln in lines if "TABLE SCAN" in ln)
         assert "[COMPILED]" not in scan and "[INTERPRETED]" not in scan
-
-    def test_compile_toggle_off_suppresses_markers(self, db):
-        db.compile_expressions = False
-        db.execute("CREATE TABLE t (id NUMBER)")
-        lines = db.explain("SELECT id FROM t WHERE id = 1")
-        assert not any("[COMPILED]" in ln or "[INTERPRETED]" in ln
-                       for ln in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from repro import Database, FetchResult, IndexMethods, IndexState, \
     PrecomputedScan
 from repro.errors import CallbackTimeoutError, ODCIError
-from repro.testing import FaultPlan
+from repro.testing import FaultPlan, interpreter_forced
 
 pytestmark = pytest.mark.parallel
 
@@ -233,28 +233,32 @@ class TestParallelScanFaults:
         assert "[PARALLEL" not in text
 
     @pytest.mark.parametrize("knob", [{"max_dop": 4},
-                                      {"parallel_min_pages": 1}])
-    def test_morsel_knobs_raise_type_error(self, knob):
+                                      {"parallel_min_pages": 1},
+                                      {"parallel_pool_size": 4},
+                                      {"compile_expressions": False},
+                                      {"vectorized_execution": False}])
+    def test_removed_knobs_raise_type_error(self, knob):
         from repro.sql.engine import Engine
         with pytest.raises(TypeError):
             Engine(**knob)
 
-    def test_handshake_refuses_max_dop(self):
+    @pytest.mark.parametrize("setting", [{"max_dop": 2},
+                                         {"compile_expressions": False},
+                                         {"vectorized_execution": False}])
+    def test_handshake_refuses_removed_settings(self, setting):
         from repro import dbapi
         from repro.server import Server
         with Server() as server:
-            with pytest.raises(dbapi.Error, match="max_dop"):
-                dbapi.connect(server.url, timeout=10.0,
-                              settings={"max_dop": 2})
+            with pytest.raises(dbapi.Error, match=next(iter(setting))):
+                dbapi.connect(server.url, timeout=10.0, settings=setting)
 
     def test_order_by_over_many_pages_matches_interpreter(self, scan_db):
         sql = ("SELECT id, val FROM big WHERE NOT (id = :1)"
                " ORDER BY val DESC, id")
         assert scan_db.catalog.get_table("big").storage.page_count > 8
         ordered = scan_db.execute(sql, [17]).fetchall()
-        scan_db.compile_expressions = False
-        scan_db.plan_cache.clear()
-        assert ordered == scan_db.execute(sql, [17]).fetchall()
+        with interpreter_forced(scan_db):
+            assert ordered == scan_db.execute(sql, [17]).fetchall()
         assert len(ordered) == 4999
 
     def test_explain_reports_prefetch_marker(self, db):

@@ -78,6 +78,24 @@ class TestSelectBasics:
         rows = emp.query("SELECT DISTINCT dept FROM emp")
         assert sorted(r[0] for r in rows) == ["eng", "hr", "sales"]
 
+    def test_distinct_identifies_rows_as_group_by_does(self, db):
+        """1 and 1.0 are one value, NULL and None one null, unhashable
+        values go by repr — in DISTINCT exactly as in GROUP BY (DISTINCT
+        used to key on repr alone and returned both 1 and 1.0)."""
+        from repro.sql.catalog import SQLFunction
+        values = [1, 1.0, NULL, None, [1, 2], 2.5, [1, 2], 1, "1"]
+        db.catalog.add_function(SQLFunction(
+            name="pick", fn=lambda i: values[i]))
+        db.execute("CREATE TABLE t (id NUMBER)")
+        for i in range(len(values)):
+            db.execute("INSERT INTO t VALUES (:1)", [i])
+        distinct = db.execute("SELECT DISTINCT pick(id) FROM t").fetchall()
+        grouped = db.execute(
+            "SELECT pick(id) FROM t GROUP BY pick(id)").fetchall()
+        assert [repr(r) for r in distinct] == [repr(r) for r in grouped]
+        assert [repr(r[0]) for r in distinct] \
+            == ["1", "NULL", "[1, 2]", "2.5", "'1'"]
+
     def test_limit_offset(self, emp):
         rows = emp.query("SELECT name FROM emp ORDER BY id LIMIT 2 OFFSET 1")
         assert [r[0] for r in rows] == ["bob", "cid"]

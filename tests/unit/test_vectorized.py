@@ -2,10 +2,10 @@
 
 The vectorized pipeline (:mod:`repro.sql.columnar` plus the vector
 kernels in :mod:`repro.sql.compile`) is only allowed to be *faster*
-than the compiled-closure batch pipeline — never different.  These
-tests pin the EXPLAIN annotation, the session/engine knob, the
-per-batch fallback contract (kernel errors re-run the batch on the
-closure path and surface the same error classes), the
+than the reference interpreter — never different.  These tests pin the
+EXPLAIN annotation, the per-batch fallback contract (kernel errors
+re-run the batch on the interpreter and surface the same error
+classes), the
 ``user_executor_stats`` dictionary view, and the ColumnBatch /
 selection-vector plumbing itself.
 """
@@ -17,6 +17,7 @@ import pytest
 from repro import Database
 from repro.errors import ExecutionError
 from repro.sql.columnar import ColumnBatch, ExecutorStats
+from repro.testing import interpreter_forced
 from repro.types.values import NULL
 
 pytestmark = pytest.mark.vectorized
@@ -79,10 +80,10 @@ class TestColumnBatch:
 
 
 # ---------------------------------------------------------------------------
-# EXPLAIN annotation and the vectorized_execution knob
+# EXPLAIN annotation
 # ---------------------------------------------------------------------------
 
-class TestExplainAndKnob:
+class TestExplain:
     def test_vectorized_marker_on_eligible_scan(self, db):
         _populate(db, n=40)
         lines = db.explain("SELECT id, val FROM t WHERE id > 3")
@@ -99,25 +100,19 @@ class TestExplainAndKnob:
         scan = next(ln for ln in lines if "TABLE SCAN" in ln)
         assert "[ROW]" in scan and "[COMPILED]" in scan
 
-    def test_session_knob_off_suppresses_annotation(self):
-        db = _populate(Database())
-        db.vectorized_execution = False
-        db.plan_cache.clear()
-        lines = db.explain("SELECT id FROM t WHERE id > 3")
-        assert not any("[VECTORIZED]" in ln for ln in lines)
-
-    def test_engine_default_off_flows_to_sessions(self):
-        db = _populate(Database(vectorized_execution=False))
-        assert db.vectorized_execution is False
-        lines = db.explain("SELECT id FROM t WHERE id > 3")
-        assert not any("[VECTORIZED]" in ln for ln in lines)
-        rows = db.execute("SELECT id FROM t WHERE id > 3").fetchall()
-        assert len(rows) == 296
-
-    def test_interpreter_mode_never_vectorizes(self):
-        db = _populate(Database(compile_expressions=False))
-        lines = db.explain("SELECT id FROM t WHERE id > 3")
-        assert not any("[VECTORIZED]" in ln for ln in lines)
+    def test_forced_interpreter_runs_no_vector_batches(self, db):
+        """The interpreter seam leaves the plan (and its markers)
+        alone and ignores every generated artifact on it."""
+        _populate(db)
+        sql = "SELECT id FROM t WHERE id > 3"
+        expected = db.execute(sql).fetchall()
+        before = db.engine.executor_stats.snapshot()["vector_batches"]
+        with interpreter_forced(db):
+            assert any("[VECTORIZED]" in ln for ln in db.explain(sql))
+            assert db.execute(sql).fetchall() == expected
+        assert db.engine.executor_stats.snapshot()[
+            "vector_batches"] == before
+        assert len(expected) == 296
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +122,7 @@ class TestExplainAndKnob:
 class TestFallbackContract:
     def test_kernel_decline_bind_falls_back_whole_statement(self, db):
         """A NULL bind declines the kernel factory; results and stats
-        must show the closure path served the statement."""
+        must show the row path served the statement."""
         _populate(db)
         before = db.engine.executor_stats.snapshot()["factory_declines"]
         rows = db.execute("SELECT id FROM t WHERE val < :1",
@@ -136,7 +131,7 @@ class TestFallbackContract:
         after = db.engine.executor_stats.snapshot()["factory_declines"]
         assert after > before
 
-    def test_mid_batch_error_reruns_batch_on_closure_path(self, db):
+    def test_mid_batch_error_reruns_batch_on_the_interpreter(self, db):
         """A kernel exception must surface the interpreter's error
         class, not a raw Python traceback, via the per-batch re-run."""
         _populate(db)
@@ -146,7 +141,7 @@ class TestFallbackContract:
         snap = db.engine.executor_stats.snapshot()
         assert snap["fallback_batches"] >= 1
 
-    def test_fused_projection_error_matches_closure_path(self, db):
+    def test_fused_projection_error_matches_the_interpreter(self, db):
         _populate(db)
         with pytest.raises(ExecutionError, match="division by zero"):
             db.execute("SELECT val / (id - 7) FROM t"
@@ -165,10 +160,10 @@ class TestFallbackContract:
 
 
 # ---------------------------------------------------------------------------
-# three-way differential: vectorized == closure == interpreter
+# two-way differential: default execution == interpreter-forced
 # ---------------------------------------------------------------------------
 
-THREE_WAY_QUERIES = [
+TWO_WAY_QUERIES = [
     ("SELECT id, val FROM t WHERE val < :1 AND id > :2", [1.5, 10]),
     ("SELECT id FROM t WHERE val IS NULL", []),
     ("SELECT id FROM t WHERE val IS NOT NULL AND grp = 'g2'", []),
@@ -187,25 +182,35 @@ THREE_WAY_QUERIES = [
 ]
 
 
-@pytest.mark.vectorized
-class TestThreeWayDifferential:
-    @pytest.fixture(scope="class")
-    def trio(self):
-        """[vectorized, compiled-closure, interpreter] over one dataset,
-        NULL-heavy so validity handling is exercised on every query."""
-        configs = [{}, {"vectorized_execution": False},
-                   {"compile_expressions": False}]
-        return [_populate(Database(**kw), n=400, seed=23)
-                for kw in configs]
+def _both_ways(db, sql, binds=()):
+    """[default, interpreter-forced] outcomes of one statement: row
+    reprs in order, or the error's class and message."""
+    def run():
+        try:
+            return [tuple(map(repr, r))
+                    for r in db.execute(sql, list(binds)).fetchall()]
+        except Exception as exc:  # noqa: BLE001 - parity incl. errors
+            return (type(exc).__name__, str(exc))
+    generated = run()
+    with interpreter_forced(db):
+        return generated, run()
 
-    @pytest.mark.parametrize("sql,binds", THREE_WAY_QUERIES)
-    def test_rows_agree_across_all_three_paths(self, trio, sql, binds):
-        results = [db.execute(sql, list(binds)).fetchall() for db in trio]
-        as_reprs = [[tuple(map(repr, r)) for r in rows] for rows in results]
-        assert as_reprs[0] == as_reprs[1] == as_reprs[2], sql
+
+@pytest.mark.vectorized
+class TestTwoWayDifferential:
+    @pytest.fixture(scope="class")
+    def data(self):
+        """One dataset, NULL-heavy so validity handling is exercised on
+        every query."""
+        return _populate(Database(), n=400, seed=23)
+
+    @pytest.mark.parametrize("sql,binds", TWO_WAY_QUERIES)
+    def test_rows_agree(self, data, sql, binds):
+        generated, interpreted = _both_ways(data, sql, binds)
+        assert generated == interpreted, sql
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_randomized_predicates_agree(self, trio, seed):
+    def test_randomized_predicates_agree(self, data, seed):
         rng = random.Random(seed)
         cols = ["id", "val"]
         comparisons = ["<", "<=", ">", ">=", "=", "!="]
@@ -218,21 +223,14 @@ class TestThreeWayDifferential:
                                     "grp LIKE 'g%'"])
             sql = (f"SELECT id, grp, val FROM t WHERE {left} {op} :1"
                    f" {conj} {null_side}")
-            results = [db.execute(sql, [bound]).fetchall() for db in trio]
-            reprs = [[tuple(map(repr, r)) for r in rows]
-                     for rows in results]
-            assert reprs[0] == reprs[1] == reprs[2], sql
+            generated, interpreted = _both_ways(data, sql, [bound])
+            assert generated == interpreted, sql
 
-    def test_error_classes_agree_mid_batch(self, trio):
-        sql = "SELECT id FROM t WHERE val / (id - 11) > 0 AND id < 40"
-        outcomes = []
-        for db in trio:
-            try:
-                db.execute(sql).fetchall()
-                outcomes.append(("ok",))
-            except Exception as exc:  # noqa: BLE001 - parity incl. errors
-                outcomes.append((type(exc).__name__, str(exc)))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+    def test_error_classes_agree_mid_batch(self, data):
+        generated, interpreted = _both_ways(
+            data, "SELECT id FROM t WHERE val / (id - 11) > 0 AND id < 40")
+        assert generated == interpreted
+        assert generated[0] == "ExecutionError"
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +276,6 @@ class TestIndexDrivenMarkers:
         scan = next(ln for ln in lines if "INDEX RANGE SCAN" in ln)
         assert "[ROW]" in scan and "[COMPILED]" in scan
 
-    def test_knob_off_suppresses_index_scan_markers(self):
-        db = _populate_indexed(Database(vectorized_execution=False))
-        lines = db.explain("SELECT id FROM t WHERE id >= 350 AND val < 1")
-        assert any("INDEX RANGE SCAN" in ln for ln in lines)
-        assert not any("[VECTORIZED]" in ln or "[ROW]" in ln
-                       for ln in lines)
-
     def test_one_shot_plans_annotate_full_scans_only(self, db):
         """DML target plans run once: no kernel is generated for an
         index probe's few rows, a full scan still gets one."""
@@ -310,7 +301,7 @@ class TestIndexDrivenFallbacks:
         assert after["factory_declines"] > before["factory_declines"]
         assert after["vector_batches"] == before["vector_batches"]
 
-    def test_mid_batch_error_reruns_that_batch_on_closures(self, db):
+    def test_mid_batch_error_reruns_that_batch_on_the_interpreter(self, db):
         _populate_indexed(db)
         before = db.engine.executor_stats.snapshot()["fallback_batches"]
         with pytest.raises(ExecutionError, match="division by zero"):
@@ -359,7 +350,7 @@ class TestIndexDrivenFallbacks:
             del storage.fetch_batch
 
 
-INDEXED_THREE_WAY_QUERIES = [
+INDEXED_TWO_WAY_QUERIES = [
     ("SELECT id, val FROM t WHERE id = :1", [123]),
     ("SELECT id, val FROM t WHERE id >= :1 AND val < :2", [250, 0.5]),
     ("SELECT id, grp FROM t WHERE id > :1 AND id <= :2", [17, 140]),
@@ -379,16 +370,13 @@ INDEXED_THREE_WAY_QUERIES = [
 
 
 @pytest.mark.vectorized
-class TestIndexDrivenThreeWay:
+class TestIndexDrivenTwoWay:
     @pytest.fixture(scope="class")
-    def trio(self):
-        configs = [{}, {"vectorized_execution": False},
-                   {"compile_expressions": False}]
-        return [_populate_indexed(Database(**kw)) for kw in configs]
+    def data(self):
+        return _populate_indexed(Database())
 
-    @pytest.mark.parametrize("sql,binds", INDEXED_THREE_WAY_QUERIES)
-    def test_rows_and_order_agree(self, trio, sql, binds):
-        assert any("INDEX" in ln for ln in trio[0].explain(sql, list(binds)))
-        results = [db.execute(sql, list(binds)).fetchall() for db in trio]
-        as_reprs = [[tuple(map(repr, r)) for r in rows] for rows in results]
-        assert as_reprs[0] == as_reprs[1] == as_reprs[2], sql
+    @pytest.mark.parametrize("sql,binds", INDEXED_TWO_WAY_QUERIES)
+    def test_rows_and_order_agree(self, data, sql, binds):
+        assert any("INDEX" in ln for ln in data.explain(sql, list(binds)))
+        generated, interpreted = _both_ways(data, sql, binds)
+        assert generated == interpreted, sql
