@@ -16,7 +16,16 @@ Measures the write path introduced by the array maintenance interface:
   which caps their ratios near the per-statement overhead share;
 * **trace-guard micro-bench** — the per-row cost of building trace
   f-strings on the DML hot path, which ``env.trace_enabled`` now skips
-  entirely when tracing is off (recorded as a note, not gated).
+  entirely when tracing is off (recorded as a note, not gated);
+* **maintenance scaling** — the median time of a one-row ``UPDATE`` of
+  a text-indexed column and of a one-row ``DELETE`` from a spatially
+  indexed table at N and at 4N base rows.  Maintenance that addresses
+  the row's index entries holds the ratio near 1; maintenance that
+  searches the index table for them tracks the table (4);
+* **rectangle tessellation** — rectangles covered per second by the
+  closed-form classifier against the general ``relate()`` descent on
+  the same shapes (handed over as five-vertex polygons, which the
+  rectangle test does not recognise).
 
 Emits ``BENCH_maintenance.json`` at the repo root.  Run directly::
 
@@ -24,8 +33,11 @@ Emits ``BENCH_maintenance.json`` at the repo root.  Run directly::
     python benchmarks/bench_maintenance.py --smoke --check   # CI perf gate
 
 ``--check`` enforces the acceptance floors (text bulk build >= 5x,
-spatial >= 3x, batched executemany >= 3x) and compares ratios against
-the committed baseline, failing on a >20% regression.
+spatial >= 3x, batched executemany >= 3x, rectangle tessellation >= 3x,
+text scaling ratio at most 1.5) and compares the speedup ratios against
+the committed baseline, failing on a >20% regression.  The spatial
+scaling ratio has the same 1.5 ceiling but is recorded (``met``), not
+gated: a tile delete still reads its group's tiles.
 """
 
 import argparse
@@ -58,6 +70,16 @@ TEXT_BUILD_FLOOR = 5.0
 SPATIAL_BUILD_FLOOR = 3.0
 #: batched executemany INSERT over looping execute per row
 EXECUTEMANY_FLOOR = 3.0
+#: closed-form rectangle cover over the relate() descent
+TESSELLATE_FLOOR = 3.0
+#: per-row maintenance time at 4N rows over the time at N rows (a
+#: ceiling).  Text deletes are keyed: the time does not know the table,
+#: and ``--check`` holds it to that.  A spatial delete probes the tiles
+#: B-tree per group code of the old cover and filters that group's
+#: tiles — a sixteenth of the table, so its time still rises with the
+#: table.  It misses this ceiling; each case records ``met`` and only
+#: the text case is gated until tile deletes are keyed.
+SCALING_CEILING = 1.5
 
 
 def _text_db(n_docs):
@@ -84,6 +106,20 @@ def _spatial_db(n_rows):
     db.executemany(
         "INSERT INTO assets VALUES (:1, sdo_rect(:2, :3, :4, :5))", sets)
     return db
+
+
+def _tile_db(n_rows):
+    """The rectangles of :func:`_spatial_db` under the tile indextype
+    (the R-tree indexes bounding boxes and never tessellates)."""
+    from repro.cartridges.spatial import install
+    db = _spatial_db(n_rows)
+    install(db)
+    db.execute("CREATE INDEX assets_id ON assets(id)")
+    return db
+
+
+TILE_INDEX = ("CREATE INDEX assets_sidx ON assets(geom)"
+              " INDEXTYPE IS SpatialIndexType")
 
 
 def _timed_create(db, create_sql, drop_sql, bulk):
@@ -116,8 +152,94 @@ def bench_spatial_bulk_create(n_rows):
     drop = "DROP INDEX assets_ridx"
     per_row = _timed_create(db, create, drop, bulk=False)
     bulk = _timed_create(db, create, drop, bulk=True)
+    # the same rectangles through the tile index: the build that
+    # tessellates (not part of the gated R-tree ratio)
+    tile_db = _tile_db(n_rows)
+    tile = _timed_create(tile_db, TILE_INDEX, "DROP INDEX assets_sidx",
+                         bulk=True)
     return {"per_row_s": round(per_row, 4), "bulk_s": round(bulk, 4),
-            "speedup": round(per_row / bulk, 3)}
+            "speedup": round(per_row / bulk, 3),
+            "tile_index_s": round(tile, 4)}
+
+
+def _median_statement_s(db, sql, param_sets):
+    times = []
+    for params in param_sets:
+        start = time.perf_counter()
+        db.execute(sql, params)
+        times.append(time.perf_counter() - start)
+    times.sort()
+    return times[len(times) // 2]
+
+
+def _scaling(measure, n_small, statements, repeats=3):
+    # each repeat builds its table afresh; the fastest median of a size
+    # is the one the machine disturbed least
+    small = min(measure(n_small, statements) for __ in range(repeats))
+    large = min(measure(4 * n_small, statements) for __ in range(repeats))
+    return {"rows": n_small, "rows_x4": 4 * n_small,
+            "statements": statements,
+            "per_row_ms": round(small * 1000, 4),
+            "per_row_x4_ms": round(large * 1000, 4),
+            "ratio": round(large / small, 3),
+            "met": large / small <= SCALING_CEILING}
+
+
+def bench_text_update_scaling(n_docs, statements=40):
+    """One-row UPDATE of a text-indexed column at N and at 4N documents."""
+    def measure(n, k):
+        db, corpus = _text_db(n)
+        db.execute("CREATE INDEX docs_id ON docs(id)")
+        db.execute("CREATE INDEX docs_text ON docs(body)"
+                   " INDEXTYPE IS TextIndexType")
+        rng = random.Random(31)
+        return _median_statement_s(
+            db, "UPDATE docs SET body = :1 WHERE id = :2",
+            [[corpus.documents[rng.randrange(n)], i]
+             for i in rng.sample(range(n), k)])
+    return _scaling(measure, n_docs, statements)
+
+
+def bench_spatial_delete_scaling(n_rows, statements=40):
+    """One-row DELETE from a tile-indexed table at N and at 4N rows."""
+    def measure(n, k):
+        db = _tile_db(n)
+        db.execute(TILE_INDEX)
+        rng = random.Random(37)
+        return _median_statement_s(
+            db, "DELETE FROM assets WHERE id = :1",
+            [[i] for i in rng.sample(range(n), k)])
+    return _scaling(measure, n_rows, statements)
+
+
+def bench_tessellate_rect(n_rects):
+    """Rectangles covered per second: closed form vs the relate() path."""
+    from repro.cartridges.spatial.geometry import (
+        GEOMETRY_TYPE_NAME, make_polygon, make_rect)
+    from repro.cartridges.spatial.tiling import tessellate
+    from repro.types.datatypes import ANY, INTEGER
+    from repro.types.objects import ObjectType
+    gt = ObjectType(GEOMETRY_TYPE_NAME, [("gtype", INTEGER), ("coords", ANY)])
+    rng = random.Random(41)
+    rects, polygons = [], []
+    for __ in range(n_rects):
+        x, y = rng.uniform(0, 980), rng.uniform(0, 980)
+        x1, y1 = x + rng.uniform(5, 40), y + rng.uniform(5, 40)
+        rects.append(make_rect(gt, x, y, x1, y1))
+        # the same shape with a fifth vertex on its bottom edge
+        polygons.append(make_polygon(
+            gt, [x, y, (x + x1) / 2, y, x1, y, x1, y1, x, y1]))
+
+    def rate(geometries):
+        start = time.perf_counter()
+        covers = [tessellate(g) for g in geometries]
+        return covers, len(geometries) / (time.perf_counter() - start)
+    closed_covers, closed = rate(rects)
+    relate_covers, general = rate(polygons)
+    assert closed_covers == relate_covers
+    return {"rects": n_rects, "closed_form_per_s": round(closed, 1),
+            "relate_per_s": round(general, 1),
+            "speedup": round(closed / general, 3)}
 
 
 def _looped_vs_batched(db, sql, looped_sets, batched_sets, cleanup_sql):
@@ -247,6 +369,10 @@ def run_benchmarks(smoke=False):
             "executemany_cartridges": bench_executemany_cartridges(
                 n_docs, n_inserts),
             "trace_guard": bench_trace_guard(),
+            "text_update_scaling": bench_text_update_scaling(n_docs),
+            "spatial_delete_scaling": bench_spatial_delete_scaling(
+                n_geoms // 4),
+            "tessellate_rect": bench_tessellate_rect(n_geoms),
         },
     }
 
@@ -278,6 +404,21 @@ def render_table(results):
     tg = cases["trace_guard"]
     table.add_row(f"trace guard micro ({tg['calls']} disabled calls)",
                   tg["unguarded_s"], tg["guarded_s"], tg["speedup"])
+    table.add_row(f"tile CREATE INDEX ({meta['n_geoms']} rectangles; bulk_s"
+                  " only)", "-", sb["tile_index_s"], "-")
+    tr = cases["tessellate_rect"]
+    table.add_row(f"tessellate {tr['rects']} rectangles (relate path ->"
+                  " closed form; seconds)",
+                  round(tr["rects"] / tr["relate_per_s"], 4),
+                  round(tr["rects"] / tr["closed_form_per_s"], 4),
+                  tr["speedup"])
+    for label, key in (("text UPDATE", "text_update_scaling"),
+                       ("tile DELETE", "spatial_delete_scaling")):
+        sc = cases[key]
+        table.add_row(f"{label} per row, {sc['rows']} -> {sc['rows_x4']}"
+                      f" rows (ms at N, ms at 4N, 4N/N; <= {SCALING_CEILING}"
+                      f" {'met' if sc['met'] else 'NOT met'})",
+                      sc["per_row_ms"], sc["per_row_x4_ms"], sc["ratio"])
     return table
 
 
@@ -286,13 +427,19 @@ def check_against_baseline(results, baseline_path):
     failures = []
     floors = (("text_bulk_create", TEXT_BUILD_FLOOR),
               ("spatial_bulk_create", SPATIAL_BUILD_FLOOR),
-              ("executemany_insert", EXECUTEMANY_FLOOR))
+              ("executemany_insert", EXECUTEMANY_FLOOR),
+              ("tessellate_rect", TESSELLATE_FLOOR))
     for case, floor in floors:
         speedup = results["cases"][case]["speedup"]
         if speedup < floor:
             failures.append(
                 f"{case} speedup {speedup} is below the {floor}x "
                 "acceptance floor")
+    scaling = results["cases"]["text_update_scaling"]
+    if not scaling["met"]:
+        failures.append(
+            f"text_update_scaling: per-row time grew {scaling['ratio']}x "
+            f"for 4x the rows (ceiling {SCALING_CEILING}x)")
     if not os.path.exists(baseline_path):
         failures.append(f"no committed baseline at {baseline_path}")
         return failures
@@ -331,6 +478,10 @@ def test_maintenance_benchmark():
         >= SPATIAL_BUILD_FLOOR, results["cases"]["spatial_bulk_create"]
     assert results["cases"]["executemany_insert"]["speedup"] \
         >= EXECUTEMANY_FLOOR, results["cases"]["executemany_insert"]
+    assert results["cases"]["tessellate_rect"]["speedup"] \
+        >= TESSELLATE_FLOOR, results["cases"]["tessellate_rect"]
+    assert results["cases"]["text_update_scaling"]["met"], \
+        results["cases"]["text_update_scaling"]
 
 
 def main(argv=None):

@@ -77,8 +77,11 @@ class SoundexIndexMethods(IndexMethods):
                 self._table(ia), [soundex(str(new_values[0])), rowid])
 
     def index_delete(self, ia, rowid, old_values, env):
-        env.callback.execute(
-            f"DELETE FROM {self._table(ia)} WHERE rid = :1", [rowid])
+        # the old value says which entry the row has: delete that key,
+        # never scan the index table by rowid
+        if not is_null(old_values[0]):
+            env.callback.delete_rows(
+                self._table(ia), [(soundex(str(old_values[0])), rowid)])
 
     def index_start(self, ia, op_info, query_info, env):
         code = soundex(str(op_info.operator_args[0]))

@@ -81,9 +81,9 @@ def geometry_coords(geometry: ObjectValue) -> List[Point]:
 
 def bounding_box(geometry: ObjectValue) -> Box:
     """Axis-aligned bounding box of a geometry."""
-    points = geometry_coords(geometry)
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    flat = geometry.get("coords")
+    xs = flat[0::2]
+    ys = flat[1::2]
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -160,13 +160,27 @@ def boxes_interact(a: Box, b: Box) -> bool:
 # the relation engine
 # ---------------------------------------------------------------------------
 
+#: what :func:`relate` reads of one geometry: (gtype, vertices, bbox)
+Parts = Tuple[int, List[Point], Box]
+
+
+def geometry_parts(geometry: ObjectValue) -> Parts:
+    """Extract once what :func:`relate_parts` reads of a geometry."""
+    return (geometry.get("gtype"), geometry_coords(geometry),
+            bounding_box(geometry))
+
+
 def relate(geom_a: ObjectValue, geom_b: ObjectValue) -> Relation:
     """Spatial relation of two geometries (point or simple polygon)."""
-    a_pts = geometry_coords(geom_a)
-    b_pts = geometry_coords(geom_b)
-    a_type = geom_a.get("gtype")
-    b_type = geom_b.get("gtype")
-    if not boxes_interact(bounding_box(geom_a), bounding_box(geom_b)):
+    return relate_parts(geometry_parts(geom_a), geometry_parts(geom_b))
+
+
+def relate_parts(a: Parts, b: Parts) -> Relation:
+    """:func:`relate` on pre-extracted parts, for callers that relate
+    one geometry many times (the tessellation descent)."""
+    a_type, a_pts, a_box = a
+    b_type, b_pts, b_box = b
+    if not boxes_interact(a_box, b_box):
         return Relation.DISJOINT
     if a_type == GTYPE_POINT and b_type == GTYPE_POINT:
         return Relation.EQUAL if _same_point(a_pts[0], b_pts[0]) \

@@ -27,7 +27,7 @@ from repro.cartridges.spatial.rtree import RTree, Rect
 from repro.cartridges.spatial.tiling import TileRange, tessellate, WORLD_SIZE
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
-    ODCIQueryInfo)
+    ODCIQueryInfo, net_updates)
 from repro.core.scan_context import ScanContext
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
@@ -92,56 +92,37 @@ class SpatialIndexMethods(IndexMethods):
             " code INTEGER, maxcode INTEGER)")
         env.callback.execute(
             f"CREATE INDEX {tiles}_grp ON {tiles}(grpcode)")
-        column = ia.column_names[0]
+        self._load(ia, env)
+
+    def _load(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
+        """Tessellate every base-table geometry into the (empty) tiles
+        table."""
         rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        tile_rows: List[List[Any]] = []
-        for rid, geometry in rows:
-            if is_null(geometry):
-                continue
-            for tile in tessellate(geometry):
-                tile_rows.append([rid, tile.grpcode, tile.code, tile.maxcode])
-        if tile_rows:
-            env.callback.insert_rows(tiles, tile_rows)
+            f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}")
+        self.index_insert_batch(ia, [(rid, [geometry])
+                                     for rid, geometry in rows], env)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
         # the tile index takes no parameters; ALTER is a rebuild
         self.index_truncate(ia, env)
-        column = ia.column_names[0]
-        rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        tile_rows = []
-        for rid, geometry in rows:
-            if is_null(geometry):
-                continue
-            for tile in tessellate(geometry):
-                tile_rows.append([rid, tile.grpcode, tile.code, tile.maxcode])
-        if tile_rows:
-            env.callback.insert_rows(_tiles_table(ia), tile_rows)
+        self._load(ia, env)
 
     def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         env.callback.execute(f"DROP TABLE {_tiles_table(ia)}")
 
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"DELETE FROM {_tiles_table(ia)}")
+        env.callback.execute(f"TRUNCATE TABLE {_tiles_table(ia)}")
 
     # -- maintenance ------------------------------------------------------------
 
     def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
                      new_values: Sequence[Any], env: ODCIEnv) -> None:
-        geometry = new_values[0]
-        if is_null(geometry):
-            return
-        env.callback.insert_rows(
-            _tiles_table(ia),
-            [[rowid, t.grpcode, t.code, t.maxcode]
-             for t in tessellate(geometry)])
+        self.index_insert_batch(ia, [(rowid, new_values)], env)
 
     def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
                      old_values: Sequence[Any], env: ODCIEnv) -> None:
-        env.callback.execute(
-            f"DELETE FROM {_tiles_table(ia)} WHERE rid = :1", [rowid])
+        self.index_delete_batch(ia, [(rowid, old_values)], env)
 
     # -- array maintenance --------------------------------------------------
 
@@ -161,24 +142,31 @@ class SpatialIndexMethods(IndexMethods):
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        tiles = _tiles_table(ia)
-        for rowid, __ in entries:
-            env.callback.execute(
-                f"DELETE FROM {tiles} WHERE rid = :1", [rowid])
+        """Delete every row's tiles, located from its old geometry.
+
+        A row's tiles lie in the group codes of its geometry's cover,
+        so each ``(group, row)`` pair is one probe of the tiles table's
+        own ``grpcode`` B-tree plus a filter on that group's tiles.
+        """
+        pairs: Dict[Any, None] = {}
+        for rowid, old_values in entries:
+            geometry = old_values[0]
+            if not is_null(geometry):
+                for tile in tessellate(geometry):
+                    pairs[tile.grpcode, rowid] = None
+        delete = (f"DELETE FROM {_tiles_table(ia)} "
+                  "WHERE grpcode = :1 AND rid = :2")
+        for pair in pairs:
+            env.callback.execute(delete, pair)
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        tiles = _tiles_table(ia)
-        for rowid, __, new_values in entries:
-            env.callback.execute(
-                f"DELETE FROM {tiles} WHERE rid = :1", [rowid])
-            geometry = new_values[0]
-            if is_null(geometry):
-                continue
-            rows = [[rowid, t.grpcode, t.code, t.maxcode]
-                    for t in tessellate(geometry)]
-            if rows:
-                env.callback.insert_rows(tiles, rows)
+        """Delete the old covers, then insert the new ones."""
+        net = net_updates(entries)
+        self.index_delete_batch(
+            ia, [(rowid, old) for rowid, old, __ in net], env)
+        self.index_insert_batch(
+            ia, [(rowid, new) for rowid, __, new in net], env)
 
     # -- scan --------------------------------------------------------------------
 

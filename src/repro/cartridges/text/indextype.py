@@ -28,7 +28,7 @@ from repro.cartridges.text.lexer import TextLexer, TextParameters
 from repro.cartridges.text.query import Term, TextQuery, parse_query
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
-    ODCIQueryInfo)
+    ODCIQueryInfo, net_updates)
 from repro.core.scan_context import PrecomputedScan, ScanContext
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
@@ -38,6 +38,11 @@ from repro.types.values import is_null
 def _rid_order(row: List[Any]):
     """Sort key for one token bucket: the rowid's plain-tuple mirror."""
     return row[1].sort_key
+
+
+def _posting_order(row: List[Any]):
+    """Sort key putting postings in the terms table's key order."""
+    return row[0], row[1].sort_key
 
 #: Per-call optimizer cost of the functional TextContains (page units).
 FUNCTIONAL_COST = 0.3
@@ -49,6 +54,17 @@ def _terms_table(ia: ODCIIndexInfo) -> str:
 
 def _settings_table(ia: ODCIIndexInfo) -> str:
     return f"{ia.index_name.lower()}_settings"
+
+
+def _locator(params: TextParameters) -> TextLexer:
+    """The lexer that finds a row's postings from its old text.
+
+    It has no stop list, so it yields a superset of the tokens the row
+    was indexed under whatever ``:Ignore`` words ``ALTER INDEX`` has
+    added since: no posting is left behind, and a key that was never
+    written is skipped by ``delete_rows``.
+    """
+    return TextLexer(TextParameters(language=params.language))
 
 
 def text_contains(text: Any, query: Any) -> int:
@@ -202,21 +218,11 @@ class TextIndexMethods(IndexMethods):
 
     def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
                      new_values: Sequence[Any], env: ODCIEnv) -> None:
-        text = new_values[0]
-        if is_null(text):
-            return
-        params = self._load_params(ia, env)
-        freqs = TextLexer(params).term_frequencies(str(text))
-        if not freqs:
-            return
-        env.callback.insert_rows(
-            _terms_table(ia),
-            [[token, rowid, freq] for token, freq in freqs.items()])
+        self.index_insert_batch(ia, [(rowid, new_values)], env)
 
     def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
                      old_values: Sequence[Any], env: ODCIEnv) -> None:
-        env.callback.execute(
-            f"DELETE FROM {_terms_table(ia)} WHERE rid = :1", [rowid])
+        self.index_delete_batch(ia, [(rowid, old_values)], env)
 
     # -- array maintenance routines -------------------------------------------
 
@@ -233,33 +239,50 @@ class TextIndexMethods(IndexMethods):
             for token, freq in lexer.term_frequencies(str(text)).items():
                 postings.append([token, rowid, freq])
         if postings:
-            postings.sort(key=lambda r: (r[0], r[1].sort_key))
+            postings.sort(key=_posting_order)
             env.callback.insert_rows(_terms_table(ia), postings)
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        terms = _terms_table(ia)
-        for rowid, __ in entries:
-            env.callback.execute(
-                f"DELETE FROM {terms} WHERE rid = :1", [rowid])
+        """Delete every row's ``(token, rid)`` keys in one call."""
+        locator = _locator(self._load_params(ia, env))
+        keys: List[Any] = []
+        for rowid, old_values in entries:
+            text = old_values[0]
+            if not is_null(text):
+                keys.extend((token, rowid)
+                            for token in set(locator.tokens(str(text))))
+        if keys:
+            env.callback.delete_rows(_terms_table(ia), keys)
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        """Delete-old + insert-new per entry, lexer state loaded once."""
-        terms = _terms_table(ia)
+        """Apply each row's old-text -> new-text difference: delete the
+        tokens that left it, insert the ones that entered it, rewrite
+        the ones whose frequency changed — one keyed delete and one
+        insert call for the batch."""
         params = self._load_params(ia, env)
-        lexer = TextLexer(params)
-        for rowid, __, new_values in entries:
-            env.callback.execute(
-                f"DELETE FROM {terms} WHERE rid = :1", [rowid])
-            text = new_values[0]
-            if is_null(text):
-                continue
-            freqs = lexer.term_frequencies(str(text))
-            if freqs:
-                env.callback.insert_rows(
-                    terms,
-                    [[token, rowid, freq] for token, freq in freqs.items()])
+        lexer, locator = TextLexer(params), _locator(params)
+        stale: List[Any] = []
+        postings: List[List[Any]] = []
+        for rowid, old_values, new_values in net_updates(entries):
+            old_text, new_text = old_values[0], new_values[0]
+            old = {} if is_null(old_text) \
+                else locator.term_frequencies(str(old_text))
+            new = {} if is_null(new_text) \
+                else lexer.term_frequencies(str(new_text))
+            for token, freq in old.items():
+                if new.get(token) != freq:
+                    stale.append((token, rowid))
+            for token, freq in new.items():
+                if old.get(token) != freq:
+                    postings.append([token, rowid, freq])
+        terms = _terms_table(ia)
+        if stale:
+            env.callback.delete_rows(terms, stale)
+        if postings:
+            postings.sort(key=_posting_order)
+            env.callback.insert_rows(terms, postings)
 
     # -- scan routines ---------------------------------------------------------------
 

@@ -15,6 +15,7 @@ INDEX with ``':Ignore COBOL'`` extends the stop list.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set
@@ -112,8 +113,13 @@ class TextLexer:
         return [w for w in _WORD.findall(text.lower()) if w not in stop]
 
     def term_frequencies(self, text: str) -> Dict[str, int]:
-        """token → occurrence count for ``text``."""
-        return Counter(self.tokens(text))
+        """token → occurrence count for ``text``.
+
+        The tokens are interned: this is what index rows are built
+        from, and a term's postings then share one string instead of
+        holding a copy per document.
+        """
+        return Counter(map(sys.intern, self.tokens(text)))
 
 
 def tokenize(text: str, stopwords: Iterable[str] = ()) -> List[str]:

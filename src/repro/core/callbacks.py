@@ -143,6 +143,21 @@ class CallbackSession:
         with self._db.as_user(self.definer):
             return self._db.insert_rows(table_name, rows)
 
+    def delete_rows(self, table_name: str, keys: Any):
+        """Bulk-bind delete by full primary key from an index-organized
+        index table (the mirror of :meth:`insert_rows`).
+
+        How a maintenance routine removes a row's entries: it derives
+        their keys from the old column value the framework hands it and
+        deletes exactly those, so the cost is the row's entries, not
+        the index.  Keys that are not in the table are skipped; returns
+        the number of rows deleted.
+        """
+        fake = ast.Delete(table=table_name, alias=None, where=None)
+        self._check(fake, f"DELETE FROM {table_name} (bulk bind)")
+        with self._db.as_user(self.definer):
+            return self._db.delete_rows(table_name, keys)
+
     def direct_load(self, table_name: str, rows: Any,
                     presorted: bool = False):
         """Direct-path load of cartridge-built rows into an index table.

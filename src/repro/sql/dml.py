@@ -477,6 +477,42 @@ class DMLEngine:
 
         return self.run_maintained(table, body)
 
+    def delete_rows(self, table_name: str,
+                    keys: Sequence[Sequence[Any]]) -> int:
+        """Delete the rows of an index-organized table stored under the
+        full primary keys ``keys``; returns the number deleted.
+
+        The mirror of :meth:`insert_rows` for callers that know which
+        entries they wrote: each key costs one descent of the table's
+        own B-tree, however large the table.  A key that is not there
+        is skipped.  Each row found goes through the same per-row path
+        as a ``DELETE`` statement's targets.
+        """
+        db = self.db
+        table = db.catalog.get_table(table_name)
+        db._check_table_privilege(table, "delete")
+        if not table.is_iot:
+            raise ExecutionError(
+                f"delete_rows needs an index-organized table; "
+                f"{table.name} is a heap table")
+        width = table.storage.key_width
+
+        def body(txn) -> int:
+            count = 0
+            locate = table.storage.locate
+            for key in keys:
+                if len(key) != width:
+                    raise ExecutionError(
+                        f"{table.name} has a {width}-column key, "
+                        f"got {len(key)} values")
+                found = locate(key)
+                if found is not None:
+                    self.delete_physical(table, found[0], found[1], txn)
+                    count += 1
+            return count
+
+        return self.run_maintained(table, body)
+
     def direct_load(self, table_name: str,
                     rows: Sequence[Sequence[Any]],
                     presorted: bool = False) -> int:
@@ -966,15 +1002,21 @@ class DMLEngine:
                 old_row = table.storage.fetch_or_none(rowid)
                 if old_row is None:
                     continue
-                storage = table.storage
-                old_copy = list(old_row)
-                self._record_version(storage, rowid, None, old_copy, txn)
-                storage.delete(rowid)
-                self._durable_undo(
-                    txn, table, "delete", rowid, old_copy, None,
-                    lambda s=storage, r=rowid, o=old_copy: s.undelete(r, o))
-                self.maintain_delete(table, rowid, old_copy, txn)
+                self.delete_physical(table, rowid, old_row, txn)
                 count += 1
             return count
 
         return Cursor(rowcount=self.run_maintained(table, body))
+
+    def delete_physical(self, table: TableDef, rowid: RowId,
+                        old_row: List[Any], txn) -> None:
+        """Delete one located row: version, storage, WAL + undo, and
+        index maintenance."""
+        storage = table.storage
+        old_copy = list(old_row)
+        self._record_version(storage, rowid, None, old_copy, txn)
+        storage.delete(rowid)
+        self._durable_undo(
+            txn, table, "delete", rowid, old_copy, None,
+            lambda s=storage, r=rowid, o=old_copy: s.undelete(r, o))
+        self.maintain_delete(table, rowid, old_copy, txn)

@@ -45,6 +45,7 @@ from repro.sql.catalog import Catalog, SQLFunction
 from repro.sql.plan_cache import PlanCache
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.filestore import FileStore
+from repro.storage.iot import IndexOrganizedTable
 from repro.storage.lob import LobManager
 from repro.txn.events import EventManager
 from repro.txn.locks import LockManager
@@ -189,10 +190,13 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _version_stores(self):
-        """Version stores of every catalog table (heap and IOT)."""
+        """What a prune pass visits, one per catalog table: a heap's
+        version store, or the IOT itself (its ``prune`` prunes its store
+        and drops the ghosts that settles)."""
         with self.catalog.latch:
             tables = list(self.catalog.tables.values())
-        return [t.storage.versions for t in tables
+        return [t.storage if isinstance(t.storage, IndexOrganizedTable)
+                else t.storage.versions for t in tables
                 if getattr(t.storage, "versions", None) is not None]
 
     def prune_versions(self) -> int:

@@ -583,17 +583,17 @@ class Executor:
 
     def _iter_iot_prefix_scan(self, node: pl.IOTPrefixScan
                               ) -> Iterator[RowContext]:
-        key = self._const(node.key)
-        if is_null(key):
+        key = [self._const(expr) for expr in node.key]
+        if any(is_null(value) for value in key):
             return
         make = self._ctx_factory(node.table, node.binding_name)
         passes = self._truth_fn(node, "filter", node.filter)
         storage = node.table.storage
         if self.snapshot is not None \
                 and getattr(storage, "versions", None) is not None:
-            pairs = storage.key_prefix_scan([key], snapshot=self.snapshot)
+            pairs = storage.key_prefix_scan(key, snapshot=self.snapshot)
         else:
-            pairs = storage.key_prefix_scan([key])
+            pairs = storage.key_prefix_scan(key)
         for rowid, row in pairs:
             ctx = make(rowid, row)
             if passes is None or passes(ctx):

@@ -173,11 +173,13 @@ class IOTPrefixScan(PlanNode):
 
     table: TableDef
     binding_name: str
-    key: ast.Expr = None  # type: ignore[assignment]
+    #: equality values for the leading primary-key columns, in key order
+    key: List[ast.Expr] = field(default_factory=list)
     filter: Optional[ast.Expr] = None
 
     def label(self) -> str:
-        return f"IOT PREFIX SCAN {self.table.name} [{self.binding_name}]"
+        return (f"IOT PREFIX SCAN {self.table.name} [{self.binding_name}]"
+                f" key={len(self.key)}/{len(self.table.primary_key)}")
 
 
 @dataclass
@@ -1084,18 +1086,6 @@ class Planner:
             if sarg is not None and sarg.column_ref.alias == binding:
                 candidates.extend(self._native_paths(
                     table, binding, sarg, rest, rows))
-                if (table.is_iot and sarg.op == "=" and table.primary_key
-                        and sarg.column_ref.column
-                        == table.primary_key[0].lower()):
-                    sel = self._sarg_selectivity(table, sarg)
-                    node = IOTPrefixScan(
-                        table=table, binding_name=binding,
-                        key=sarg.value_expr, filter=and_together(rest))
-                    node.est_rows = max(1.0, rows * sel)
-                    node.est_cost = (BTREE_DESCENT + rows * sel
-                                     * (ROW_CPU + self._filter_cost(
-                                         node.filter)))
-                    candidates.append(node)
             op_pred = extract_operator_pred(conjunct)
             if op_pred is not None:
                 domain = self._domain_path(table, binding, op_pred, rest,
@@ -1105,6 +1095,8 @@ class Planner:
                     candidates.append(domain)
 
         candidates.extend(self._range_pair_paths(table, binding, conjuncts,
+                                                 rows))
+        candidates.extend(self._iot_prefix_paths(table, binding, conjuncts,
                                                  rows))
         best = min(candidates, key=lambda c: c.est_cost)
         if fallback_notes and not isinstance(best, DomainScan):
@@ -1121,6 +1113,45 @@ class Planner:
                     f"optimizer:candidate{marker} {cand.label()} "
                     f"cost={cand.est_cost:.2f}")
         return best
+
+    def _iot_prefix_paths(self, table: TableDef, binding: str,
+                          conjuncts: List[ast.Expr],
+                          rows: float) -> List[PlanNode]:
+        """The IOT's native path: equality sargs on the leading *k*
+        primary-key columns bind a key prefix; the other conjuncts stay
+        as the filter.  A full key is one descent to at most one row."""
+        if not table.is_iot or not table.primary_key:
+            return []
+        equalities: Dict[str, Sarg] = {}
+        for conjunct in conjuncts:
+            sarg = extract_sarg(conjunct)
+            if (sarg is not None and sarg.op == "="
+                    and sarg.column_ref.alias == binding):
+                equalities.setdefault(sarg.column_ref.column or "", sarg)
+        bound: List[Sarg] = []
+        for column in table.primary_key:
+            sarg = equalities.get(column.lower())
+            if sarg is None:
+                break
+            bound.append(sarg)
+        if not bound:
+            return []
+        consumed = {id(sarg.source) for sarg in bound}
+        node = IOTPrefixScan(
+            table=table, binding_name=binding,
+            key=[sarg.value_expr for sarg in bound],
+            filter=and_together([c for c in conjuncts
+                                 if id(c) not in consumed]))
+        if len(bound) == len(table.primary_key):
+            matched = 1.0
+        else:
+            matched = rows
+            for sarg in bound:
+                matched *= self._sarg_selectivity(table, sarg)
+        node.est_rows = max(1.0, matched)
+        node.est_cost = (BTREE_DESCENT + matched
+                         * (ROW_CPU + self._filter_cost(node.filter)))
+        return [node]
 
     def _conjunct_selectivity(self, table: TableDef,
                               conjuncts: List[ast.Expr]) -> float:

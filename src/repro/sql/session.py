@@ -546,6 +546,12 @@ class Session:
         self._bind()
         return self.dml.insert_rows(table_name, rows)
 
+    def delete_rows(self, table_name: str,
+                    keys: Sequence[Sequence[Any]]) -> int:
+        """Delete an IOT's rows by full primary key (absent: skipped)."""
+        self._bind()
+        return self.dml.delete_rows(table_name, keys)
+
     def direct_load(self, table_name: str,
                     rows: Sequence[Sequence[Any]],
                     presorted: bool = False) -> int:

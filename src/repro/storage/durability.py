@@ -287,7 +287,7 @@ class DurabilityManager:
                         or ("iot", storage.segment_id) in drain):
                     snap_lsn = storage.applied_lsn
                     self.pages.write_iot(storage.segment_id,
-                                         storage.dump_rows(), snap_lsn)
+                                         storage.dump_columns(), snap_lsn)
                     storage.dump_dirty = False
             self.pages.fsync()
             att = dict(self._att)

@@ -53,12 +53,22 @@ class IndexOrganizedTable:
         self.applied_lsn = 0
         #: True when the tree changed since the last durable dump
         self.dump_dirty = False
-        # surrogate rowid -> key mapping for executor uniformity
-        self._key_of_surrogate: dict = {}
+        # surrogate rowid <-> key mapping for executor uniformity.
+        # Surrogates are numbered densely, so rowid -> key is a list
+        # indexed by slot number (less what TRUNCATE retired)
+        self._key_of_surrogate: List[Optional[Tuple[Any, ...]]] = []
+        self._surrogate_base = 0
         self._surrogate_of_key: dict = {}
         self._next_surrogate = 0
         #: MVCC version chains keyed by surrogate rowid
         self.versions = VersionStore()
+        #: *ghosts*: ``key -> surrogate`` for every tracked surrogate
+        #: that some snapshot may still see under ``key`` although the
+        #: tree no longer holds it there (deleted, or moved by a
+        #: key-changing update).  Snapshot scans walk it with the same
+        #: bounds as the tree; rows still in the tree are found by the
+        #: tree walk and need no entry here.
+        self._ghosts = BTree(unique=False)
         #: guards tree + surrogate maps against snapshot readers; DML is
         #: already single-writer per table (X lock), but snapshot scans
         #: materialize concurrently with writers.  Reentrant: the scan
@@ -84,10 +94,11 @@ class IndexOrganizedTable:
         """
         key, payload = self._split_row(row)
         with self._latch:
-            if on_rowid is not None:
-                on_rowid(self._surrogate(key))
-            self._tree.insert(key, payload)
             rid = self._surrogate(key)
+            if on_rowid is not None:
+                on_rowid(rid)
+            self._tree.insert(key, payload)
+            self._drop_ghost(key, rid)
         self.buffer.stats.logical_writes += 1
         return rid
 
@@ -129,7 +140,7 @@ class IndexOrganizedTable:
 
     def fetch(self, rowid: RowId) -> List[Any]:
         """Fetch by surrogate rowid (first match under the key)."""
-        key = self._key_of_surrogate.get(rowid)
+        key = self._key_of(rowid)
         if key is None:
             raise InvalidRowIdError(f"{rowid} is not a rowid of IOT {self.name}")
         payloads = self._tree.search(key)
@@ -167,6 +178,8 @@ class IndexOrganizedTable:
             self._tree.insert(new_key, new_payload)
             if new_key != old_key:
                 self._rebind_surrogate(rowid, old_key, new_key)
+                self._ghosts.insert(old_key, rowid)
+                self._drop_ghost(new_key, rowid)
         self.buffer.stats.logical_writes += 1
         return old
 
@@ -176,6 +189,7 @@ class IndexOrganizedTable:
         key, payload = self._split_row(old)
         with self._latch:
             self._tree.delete(key, payload)
+            self._ghosts.insert(key, rowid)
         self.buffer.stats.logical_writes += 1
         return old
 
@@ -184,8 +198,9 @@ class IndexOrganizedTable:
         key, payload = self._split_row(row)
         with self._latch:
             self._tree.insert(key, payload)
-            self._key_of_surrogate[rowid] = key
+            self._key_of_surrogate[rowid.slot - self._surrogate_base] = key
             self._surrogate_of_key.setdefault(key, rowid)
+            self._drop_ghost(key, rowid)
 
     def delete_by_key(self, key_values: List[Any]) -> int:
         """Delete every row matching a full key; returns the count."""
@@ -203,8 +218,10 @@ class IndexOrganizedTable:
         with self._latch:
             self._tree.clear()
             self._key_of_surrogate.clear()
+            self._surrogate_base = self._next_surrogate
             self._surrogate_of_key.clear()
             self.versions.clear()
+            self._ghosts.clear()
             # not WAL-logged (DDL), so the next checkpoint must rewrite
             # the durable dump or recovery would resurrect the old rows
             self.dump_dirty = True
@@ -215,7 +232,7 @@ class IndexOrganizedTable:
              ) -> Iterator[Tuple[RowId, List[Any]]]:
         """Scan in key order, yielding (surrogate rowid, full row)."""
         if snapshot is not None:
-            yield from self._snapshot_scan(snapshot)
+            yield from self._snapshot_scan(snapshot, BTree.items)
             return
         for key, payload in self._tree.items():
             yield self._surrogate(key), list(key) + list(payload)
@@ -227,16 +244,15 @@ class IndexOrganizedTable:
                        snapshot: Optional[Snapshot] = None,
                        ) -> Iterator[Tuple[RowId, List[Any]]]:
         """Scan rows whose key lies in [low, high] (tuple bounds)."""
+        def walk(tree):
+            return tree.range_scan(low, high, low_inclusive, high_inclusive)
+
         if snapshot is not None:
-            in_range = self._range_test(low, high, low_inclusive,
-                                        high_inclusive)
             yield from self._snapshot_scan(
-                snapshot, in_range,
-                lambda: self._tree.range_scan(low, high, low_inclusive,
-                                              high_inclusive))
+                snapshot, walk, self._range_test(low, high, low_inclusive,
+                                                 high_inclusive))
             return
-        for key, payload in self._tree.range_scan(
-                low, high, low_inclusive, high_inclusive):
+        for key, payload in walk(self._tree):
             yield self._surrogate(key), list(key) + list(payload)
 
     def key_prefix_scan(self, prefix: List[Any],
@@ -246,25 +262,25 @@ class IndexOrganizedTable:
 
         This is the IOT's native access path for queries like
         ``WHERE token = :1`` on a ``(token, rid)``-keyed table — a
-        B-tree descent plus a bounded leaf walk, not a full scan.
+        B-tree descent plus a bounded leaf walk, not a full scan.  A
+        prefix as wide as the key is one descent.
         """
         prefix_tuple = tuple(prefix)
         width = len(prefix_tuple)
+
+        def in_prefix(key):
+            return tuple(key[:width]) == prefix_tuple
+
+        def walk(tree):
+            for key, payload in tree.range_scan(low=prefix_tuple):
+                if not in_prefix(key):
+                    break
+                yield key, payload
+
         if snapshot is not None:
-            def in_prefix(key):
-                return tuple(key[:width]) == prefix_tuple
-
-            def current():
-                for key, payload in self._tree.range_scan(low=prefix_tuple):
-                    if not in_prefix(key):
-                        break
-                    yield key, payload
-
-            yield from self._snapshot_scan(snapshot, in_prefix, current)
+            yield from self._snapshot_scan(snapshot, walk, in_prefix)
             return
-        for key, payload in self._tree.range_scan(low=prefix_tuple):
-            if tuple(key[:width]) != prefix_tuple:
-                break
+        for key, payload in walk(self._tree):
             yield self._surrogate(key), list(key) + list(payload)
 
     def _range_test(self, low, high, low_inclusive, high_inclusive):
@@ -278,29 +294,32 @@ class IndexOrganizedTable:
             return True
         return in_range
 
-    def _snapshot_scan(self, snapshot: Snapshot, in_bounds=None,
-                       current_fn=None) -> Iterator[Tuple[RowId, List[Any]]]:
-        """Consistent-read scan: latched materialize + version overlay.
+    def _snapshot_scan(self, snapshot: Snapshot, walk, in_bounds=None
+                       ) -> Iterator[Tuple[RowId, List[Any]]]:
+        """Consistent-read scan: latched materialize + ghost overlay.
 
-        The tree rows in bounds are materialized under the structure
-        latch (writers restructure the tree mid-flight otherwise), each
-        resolved through its version chain; tracked rowids the tree walk
-        missed — deleted entries, or keys updated out of the scanned
-        range — are overlaid, bounds-checked against their *resolved*
-        key, and the merge re-sorted into key order.
+        ``walk(tree)`` yields a B-tree's entries in bounds.  The tree
+        rows in bounds are materialized under the structure latch
+        (writers restructure the tree mid-flight otherwise), each
+        resolved through its version chain.  The ghosts in bounds —
+        surrogates some snapshot may still see under a key the tree no
+        longer holds for them — are walked with the same bounds and
+        overlaid, every row is bounds-checked against its *resolved*
+        key, and the merge re-sorted into key order.  The cost is the
+        entries and ghosts in bounds, whatever the table's history.
         """
         kw = self.key_width
         with self._latch:
             pairs = [(self._surrogate(key), key, payload)
-                     for key, payload in
-                     (current_fn() if current_fn else self._tree.items())]
-            tracked = self.versions.tracked_rowids()
+                     for key, payload in walk(self._tree)]
+            ghosts = [rid for __, rid in walk(self._ghosts)] \
+                if self._ghosts.entry_count else ()
         resolve = self.versions.resolve
-        tracked_set = set(tracked)
+        tracked = self.versions.tracked
         seen = set()
         results = []
         for rid, key, payload in pairs:
-            if rid in seen and rid in tracked_set:
+            if rid in seen and tracked(rid):
                 # non-unique duplicate keys share a surrogate; a tracked
                 # surrogate resolves once through its chain
                 continue
@@ -312,9 +331,10 @@ class IndexOrganizedTable:
             if in_bounds is not None and not in_bounds(vkey):
                 continue
             results.append((vkey, rid.sort_key, value, rid))
-        for rid in tracked:
+        for rid in ghosts:
             if rid in seen:
                 continue
+            seen.add(rid)
             value = resolve(rid, None, snapshot)
             if value is None:
                 continue
@@ -325,6 +345,16 @@ class IndexOrganizedTable:
         results.sort(key=lambda item: (item[0], item[1]))
         for __, __, value, rid in results:
             yield rid, value
+
+    def locate(self, key_values: Any
+               ) -> Optional[Tuple[RowId, List[Any]]]:
+        """(surrogate rowid, full row) stored under an exact key, or
+        None: one descent, current mode."""
+        key = tuple(key_values)
+        payloads = self._tree.search(key)
+        if not payloads:
+            return None
+        return self._surrogate(key), list(key) + list(payloads[0])
 
     def lookup(self, key_values: List[Any]) -> List[List[Any]]:
         """Return the full rows stored under an exact key."""
@@ -339,22 +369,35 @@ class IndexOrganizedTable:
             self.applied_lsn = lsn
         self.dump_dirty = True
 
-    def dump_rows(self) -> List[List[Any]]:
-        """Materialize every row for a durable dump (latched)."""
-        with self._latch:
-            return [list(key) + list(payload)
-                    for key, payload in self._tree.items()]
+    def dump_columns(self) -> List[List[Any]]:
+        """The table as columns, key columns first, rows in key order,
+        for a durable dump (latched).
 
-    def load_rows(self, rows: List[List[Any]], snap_lsn: int) -> None:
+        Columns, not rows: no object per row is built, and pickling
+        memoises a few lists instead of a tuple and a list per row —
+        the pickler's memo for a row-shaped image was several times
+        the size of the image itself.
+        """
+        columns: List[List[Any]] = []
+        with self._latch:
+            for key, payload in self._tree.items():
+                if not columns:
+                    columns = [[] for __ in range(len(key) + len(payload))]
+                for column, value in zip(columns, key + tuple(payload)):
+                    column.append(value)
+        return columns
+
+    def load_columns(self, columns: List[List[Any]], snap_lsn: int) -> None:
         """Replace the tree with a recovered dump image."""
+        kw = self.key_width
         with self._latch:
             self._tree.clear()
             self._key_of_surrogate.clear()
             self._surrogate_of_key.clear()
-            self._next_surrogate = 0
-            for row in rows:
-                key, payload = self._split_row(row)
-                self._tree.insert(key, payload)
+            self._ghosts.clear()
+            self._next_surrogate = self._surrogate_base = 0
+            for row in zip(*columns):
+                self._tree.insert(row[:kw], list(row[kw:]))
             self.applied_lsn = snap_lsn
             self.dump_dirty = False
 
@@ -402,12 +445,58 @@ class IndexOrganizedTable:
                     rid = RowId(self.segment_id, 0, self._next_surrogate)
                     self._next_surrogate += 1
                     self._surrogate_of_key[key] = rid
-                    self._key_of_surrogate[rid] = key
+                    self._key_of_surrogate.append(key)
         return rid
+
+    def _key_of(self, rowid: RowId) -> Optional[Tuple[Any, ...]]:
+        """The key ``rowid`` was last bound to; None for a rowid this
+        table never handed out (or retired by TRUNCATE)."""
+        index = rowid.slot - self._surrogate_base
+        if (rowid.segment_id != self.segment_id or rowid.page_no
+                or not 0 <= index < len(self._key_of_surrogate)):
+            return None
+        return self._key_of_surrogate[index]
+
+    def _drop_ghost(self, key: Tuple[Any, ...], rowid: RowId) -> None:
+        """``rowid`` is back in the tree under ``key``: the tree walk
+        finds it again (caller holds the latch)."""
+        if self._ghosts.entry_count:
+            self._ghosts.delete(key, rowid)
+
+    def prune(self, lwm: int, stats=None) -> int:
+        """:meth:`VersionStore.prune` for this table's store, then drop
+        the ghosts no snapshot can see any more.
+
+        A surrogate the store does not report as unsettled has one
+        version — a tombstone, or a row the tree walk finds (or an
+        insert still rolling back, which nobody else can see) — or no
+        chain left: no snapshot can see an older value of it, so none
+        of its ghosts can put a row into a scan.  The structure latch
+        is held across both steps: a writer
+        chains its version before it enters :meth:`delete` /
+        :meth:`update`, so a ghost registered after the store was
+        examined cannot be dropped by this pass.
+        """
+        unsettled: set = set()
+        with self._latch:
+            removed = self.versions.prune(lwm, stats, unsettled)
+            if self._ghosts.entry_count:
+                for key, rid in [(key, rid)
+                                 for key, rid in self._ghosts.items()
+                                 if rid not in unsettled]:
+                    self._ghosts.delete(key, rid)
+                if not self._ghosts.entry_count:
+                    self._ghosts.clear()  # deletes leave empty leaves
+        return removed
+
+    @property
+    def ghost_count(self) -> int:
+        """Entries in the ghost set (what a snapshot scan overlays)."""
+        return self._ghosts.entry_count
 
     def _rebind_surrogate(self, rowid: RowId, old_key: Tuple[Any, ...],
                           new_key: Tuple[Any, ...]) -> None:
-        self._key_of_surrogate[rowid] = new_key
+        self._key_of_surrogate[rowid.slot - self._surrogate_base] = new_key
         if self._surrogate_of_key.get(old_key) is rowid:
             del self._surrogate_of_key[old_key]
         self._surrogate_of_key[new_key] = rowid

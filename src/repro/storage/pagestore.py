@@ -11,7 +11,10 @@ atomic rename) once dead records dominate.
 A page image written here is *fuzzy*: DML may race the checkpoint.  That
 is safe because rows are stored as fresh list copies (never mutated in
 place) and recovery redo re-applies any record with ``lsn > page_lsn``,
-repeating history over whatever image the checkpoint caught.
+repeating history over whatever image the checkpoint caught.  For the
+same reason a page image in the directory shares its row lists with the
+live page.  Of an IOT dump (a list per column) the directory keeps the
+pickled bytes only.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ __all__ = ["PageStore", "REC_PAGE", "REC_IOT", "REC_TOMB"]
 _HEADER = struct.Struct("<BII")
 
 REC_PAGE = 1  # {"seg", "page": Page.state() dict}
-REC_IOT = 2   # {"seg", "rows": [...], "snap_lsn": int}
+REC_IOT = 2   # {"seg", "columns": [[...], ...], "snap_lsn": int}
 REC_TOMB = 3  # {"seg"}
 
 
@@ -52,7 +55,9 @@ class PageStore:
         self._size = os.fstat(self._fd).st_size
         #: (seg, page_no) -> latest page-image payload
         self.pages: Dict[Tuple[int, int], Dict[str, Any]] = {}
-        #: seg -> latest IOT dump payload
+        #: seg -> latest IOT dump: ``snap_lsn`` and the pickled ``body``
+        #: (recovery and compaction are its only readers, and the bytes
+        #: are a fraction of the unpickled columns)
         self.iot_dumps: Dict[int, Dict[str, Any]] = {}
         self.records_written = 0
         self._live_records = 0
@@ -81,18 +86,20 @@ class PageStore:
                     payload = pickle.loads(body)
                 except Exception:
                     break
-                self._index_record(rec_type, payload)
+                self._index_record(rec_type, payload, body)
                 offset = body_off + body_len
             if offset < size:
                 os.ftruncate(self._fd, offset)
                 self._size = offset
             self._live_records = len(self.pages) + len(self.iot_dumps)
 
-    def _index_record(self, rec_type: int, payload: Dict[str, Any]) -> None:
+    def _index_record(self, rec_type: int, payload: Dict[str, Any],
+                      body: bytes) -> None:
         if rec_type == REC_PAGE:
             self.pages[(payload["seg"], payload["page"]["page_no"])] = payload
         elif rec_type == REC_IOT:
-            self.iot_dumps[payload["seg"]] = payload
+            self.iot_dumps[payload["seg"]] = {
+                "snap_lsn": payload["snap_lsn"], "body": body}
         elif rec_type == REC_TOMB:
             seg = payload["seg"]
             for key in [k for k in self.pages if k[0] == seg]:
@@ -107,21 +114,23 @@ class PageStore:
             if rule is not None and rule.kind == "io_error":
                 raise WALError(f"injected I/O error on {self.path}")
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        data = _HEADER.pack(rec_type, len(body), zlib.crc32(body)) + body
+        header = _HEADER.pack(rec_type, len(body), zlib.crc32(body))
         with self._latch:
-            os.pwrite(self._fd, data, self._size)
-            self._size += len(data)
+            # gathered write: an IOT dump's body is megabytes, and
+            # header + body would copy it once more
+            os.pwritev(self._fd, [header, body], self._size)
+            self._size += len(header) + len(body)
             self.records_written += 1
-            self._index_record(rec_type, payload)
+            self._index_record(rec_type, payload, body)
         if self.event_hook is not None:
             self.event_hook("page.flush")
 
     def write_page(self, seg: int, page_state: Dict[str, Any]) -> None:
         self._append(REC_PAGE, {"seg": seg, "page": page_state})
 
-    def write_iot(self, seg: int, rows: List[List[Any]],
+    def write_iot(self, seg: int, columns: List[List[Any]],
                   snap_lsn: int) -> None:
-        self._append(REC_IOT, {"seg": seg, "rows": rows,
+        self._append(REC_IOT, {"seg": seg, "columns": columns,
                                "snap_lsn": snap_lsn})
 
     def tombstone(self, seg: int) -> None:
@@ -156,7 +165,8 @@ class PageStore:
 
     def iot_dump_of(self, seg: int) -> Optional[Dict[str, Any]]:
         with self._latch:
-            return self.iot_dumps.get(seg)
+            dump = self.iot_dumps.get(seg)
+        return None if dump is None else pickle.loads(dump["body"])
 
     # -- compaction -----------------------------------------------------
 
@@ -179,9 +189,8 @@ class PageStore:
                                         zlib.crc32(body)) + body
                     os.pwrite(fd, data, size)
                     size += len(data)
-                for payload in self.iot_dumps.values():
-                    body = pickle.dumps(payload,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
+                for dump in self.iot_dumps.values():
+                    body = dump["body"]
                     data = _HEADER.pack(REC_IOT, len(body),
                                         zlib.crc32(body)) + body
                     os.pwrite(fd, data, size)

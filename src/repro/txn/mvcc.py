@@ -104,10 +104,10 @@ class SnapshotStats:
         self.chain_histogram: Dict[str, int] = {
             label: 0 for __, label in _CHAIN_BUCKETS}
 
-    def record_chain(self, length: int) -> None:
+    def record_chain(self, length: int, count: int = 1) -> None:
         for bound, label in _CHAIN_BUCKETS:
             if length <= bound:
-                self.chain_histogram[label] += 1
+                self.chain_histogram[label] += count
                 return
 
     def snapshot(self) -> Dict[str, object]:
@@ -140,6 +140,12 @@ class VersionStore:
         self.latch = threading.Lock()
         self._heads: Dict[Any, RowVersion] = {}
         self._fence: Optional[RowVersion] = None
+        #: rowids whose chain got a version on top of another since a
+        #: prune pass last found it *settled* (one committed version at
+        #: or below the low-water mark): the only chains a pass can cut,
+        #: so a pass costs the recent rewrites, not the heads.  A first
+        #: insert is a chain of one and is never in here
+        self._unsettled: set = set()
 
     # -- write side ---------------------------------------------------------
 
@@ -171,6 +177,8 @@ class VersionStore:
             version = RowVersion(None, txn.txn_id if txn else 0,
                                  new_value, prev)
             self._heads[rowid] = version
+            if prev is not None:
+                self._unsettled.add(rowid)
             return version
 
     def pop(self, rowid: Any, version: RowVersion) -> None:
@@ -206,6 +214,7 @@ class VersionStore:
         """Forget all chains (truncate / table drop)."""
         with self.latch:
             self._heads.clear()
+            self._unsettled.clear()
             self._fence = None
 
     @property
@@ -261,9 +270,13 @@ class VersionStore:
                 for rowid, current in zip(rowids, currents)]
 
     def tracked_rowids(self) -> List[Any]:
-        """Rowids with version chains (scan overlays)."""
+        """Rowids with version chains."""
         with self.latch:
             return list(self._heads)
+
+    def tracked(self, rowid: Any) -> bool:
+        """Whether ``rowid`` has a version chain."""
+        return rowid in self._heads
 
     def chain_length(self, rowid: Any) -> int:
         n, v = 0, self._heads.get(rowid)
@@ -273,14 +286,24 @@ class VersionStore:
 
     # -- maintenance --------------------------------------------------------
 
-    def prune(self, lwm: int, stats: Optional[SnapshotStats] = None) -> int:
+    def prune(self, lwm: int, stats: Optional[SnapshotStats] = None,
+              unsettled: Optional[set] = None) -> int:
         """Cut chain tails below the newest committed version <= ``lwm``.
 
         Head mappings are never removed: a mapped rowid must *stay*
         mapped, otherwise a concurrent reader could race a writer's
         re-push and read an uncommitted slot value through the untracked
         fast path.  Only links strictly older than the keeper are freed.
-        Returns the number of versions cut loose.
+
+        Only chains rewritten since a pass last found them settled are
+        walked; every other chain is one version, which is what the
+        pass would leave of it.  ``unsettled``, when given, collects
+        the walked rowids whose chain still says more than its head
+        after the cut — an in-flight rewrite, or a commit some live
+        snapshot cannot see yet.  Every other rowid, mapped or not, has
+        one version or none: no snapshot can see an older value of it
+        (the IOT drops its ghosts by this).  Returns the number of
+        versions cut loose.
         """
         removed = 0
         with self.latch:
@@ -289,21 +312,32 @@ class VersionStore:
                     and fence.scn <= lwm):
                 # every live snapshot sees the bulk load: fence is moot
                 self._fence = None
-            for rowid, head in self._heads.items():
+            heads = self._heads
+            still, walked = set(), 0
+            for rowid in self._unsettled:
+                head = heads.get(rowid)
+                if head is None:
+                    continue  # a rolled-back insert: no chain left
+                walked += 1
+                newer, keeper = 0, head  # versions above the keeper
+                while keeper is not None and (keeper.scn is None
+                                              or keeper.scn > lwm):
+                    keeper, newer = keeper.prev, newer + 1
+                if keeper is not head:
+                    still.add(rowid)
+                cut = 0
+                if keeper is not None:
+                    tail, keeper.prev = keeper.prev, None
+                    while tail is not None:
+                        tail, cut = tail.prev, cut + 1
+                    removed += cut
                 if stats is not None:
-                    stats.record_chain(self.chain_length(rowid))
-                keeper = head
-                while keeper is not None:
-                    if keeper.scn is not None and keeper.scn <= lwm:
-                        break
-                    keeper = keeper.prev
-                if keeper is None:
-                    continue
-                tail = keeper.prev
-                keeper.prev = None
-                while tail is not None:
-                    removed += 1
-                    tail = tail.prev
+                    stats.record_chain(newer + (keeper is not None) + cut)
+            self._unsettled = still
+            if stats is not None:
+                stats.record_chain(1, len(heads) - walked)
+            if unsettled is not None:
+                unsettled.update(still)
         return removed
 
 
@@ -381,8 +415,10 @@ class MVCCManager:
             live = [s.scn for s in self._snapshots]
             return min(live) if live else None
 
-    def prune(self, stores: Iterable[VersionStore]) -> int:
-        """One low-water-mark pass over ``stores``; returns versions cut."""
+    def prune(self, stores: Iterable[Any]) -> int:
+        """One low-water-mark pass over ``stores`` — version stores, or
+        storages that wrap theirs in a ``prune(lwm, stats)`` of their
+        own (an IOT drops ghosts with it); returns versions cut."""
         lwm = self.low_water_mark()
         removed = 0
         for store in stores:

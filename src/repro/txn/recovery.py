@@ -286,7 +286,8 @@ def _install_pages(engine: Any, dm: Any) -> int:
         if dump is not None:
             if table is not None and isinstance(table.storage,
                                                 IndexOrganizedTable):
-                table.storage.load_rows(dump["rows"], dump["snap_lsn"])
+                table.storage.load_columns(dump["columns"],
+                                           dump["snap_lsn"])
                 installed += 1
             continue
         for page_state in dm.pages.pages_of(seg):

@@ -124,6 +124,67 @@ class TestMaintenance:
             "SELECT COUNT(*) FROM parks_sidx_tiles") == tiles_before
 
 
+    def test_alter_rebuild_leaves_a_fresh_builds_tiles(self, spatial_db):
+        """ALTER INDEX on the tile index is a rebuild: whatever drift the
+        tiles table had, afterwards it holds what CREATE INDEX would put
+        there — and it empties the table with TRUNCATE, not with one
+        versioned DELETE per tile."""
+        db = spatial_db
+        db.execute("CREATE TABLE geo (gid INTEGER, geometry SDO_GEOMETRY)")
+        gt = db.catalog.get_object_type("SDO_GEOMETRY")
+        layer = make_rect_layer(gt, 500, seed=21, min_size=5, max_size=120)
+        db.insert_rows("geo", [[g, geom] for g, geom in layer])
+        db.execute("CREATE INDEX geo_sidx ON geo(geometry)"
+                   " INDEXTYPE IS SpatialIndexType")
+
+        def tiles():
+            return sorted(
+                (rid.sort_key, grp, code, maxcode)
+                for rid, grp, code, maxcode in db.execute(
+                    "SELECT rid, grpcode, code, maxcode"
+                    " FROM geo_sidx_tiles").fetchall())
+        fresh = tiles()
+        assert len(fresh) > 500
+        # drift the index data behind the cartridge's back, then rebuild
+        db.execute("DELETE FROM geo_sidx_tiles WHERE grpcode = 3")
+        db.execute("UPDATE geo_sidx_tiles SET maxcode = code"
+                   " WHERE grpcode = 5")
+        assert tiles() != fresh
+        created = db.engine.mvcc.stats.versions_created
+        db.execute("ALTER INDEX geo_sidx PARAMETERS ('')")
+        assert tiles() == fresh
+        # the old tiles went in one truncate: no tombstone per tile row
+        assert db.engine.mvcc.stats.versions_created - created < 10
+
+    def test_truncate_table_truncates_tiles(self, layers_db):
+        layers_db.execute("TRUNCATE TABLE parks")
+        assert layers_db.execute(
+            "SELECT COUNT(*) FROM parks_sidx_tiles").fetchall() == [(0,)]
+        gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
+        layers_db.execute("INSERT INTO parks VALUES (:1, :2)",
+                          [1, make_rect(gt, 10, 10, 20, 20)])
+        assert layers_db.execute(
+            "SELECT gid FROM parks WHERE Sdo_Relate(geometry, :1,"
+            " 'mask=ANYINTERACT')", [make_rect(gt, 0, 0, 50, 50)]
+        ).fetchall() == [(1,)]
+
+    def test_maintenance_never_scans_the_tiles_table(self, layers_db):
+        """Update and delete reach a row's tiles through the grpcode
+        B-tree: no statement against the tiles table is a full scan."""
+        gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
+        layers_db.enable_tracing()
+        victim, other = (g for g, __ in layers_db.parks_data[:2])
+        layers_db.execute("UPDATE parks SET geometry = :1 WHERE gid = :2",
+                          [make_rect(gt, 500, 500, 530, 540), victim])
+        layers_db.execute("DELETE FROM parks WHERE gid = :1", [other])
+        chosen = [line for line in layers_db.trace_log
+                  if line.startswith("optimizer:candidate*")
+                  and "parks_sidx_tiles" in line]
+        assert chosen
+        assert all("INDEX RANGE SCAN parks_sidx_tiles_grp" in line
+                   for line in chosen)
+
+
 class TestLegacyFormulation:
     def test_legacy_equals_integrated(self, layers_db):
         road_layer = LegacySpatialLayer(layers_db, "roads", "gid", "geometry")

@@ -136,12 +136,13 @@ class TestMVCCStress:
         window = make_rect(gt, 0, 0, 900, 900)
 
         # structural non-blocking proof: record which threads ever enter
-        # the lock manager
+        # the lock manager (the Thread objects: an ident is handed to
+        # the next thread once its owner has finished)
         locking_threads = set()
         real_acquire = engine.locks.acquire
 
         def spying_acquire(*args, **kwargs):
-            locking_threads.add(threading.get_ident())
+            locking_threads.add(threading.current_thread())
             return real_acquire(*args, **kwargs)
 
         engine.locks.acquire = spying_acquire
@@ -151,15 +152,7 @@ class TestMVCCStress:
             threads = (
                 [threading.Thread(target=w.run) for w in writers]
                 + [threading.Thread(target=r.run) for r in readers])
-            reader_idents = set()
-            # readers note their own ident first thing via a wrapper
-            for r, t in zip(readers, threads[N_WRITERS:]):
-                orig = r.run
-
-                def run(r=r, orig=orig):
-                    reader_idents.add(threading.get_ident())
-                    orig()
-                t._target = run
+            reader_threads = set(threads[N_WRITERS:])
             for t in threads:
                 t.start()
             for t in threads:
@@ -172,7 +165,7 @@ class TestMVCCStress:
                 raise agent.error
         assert all(r.queries == READER_QUERIES for r in readers)
         # no reader thread ever touched the lock manager
-        assert not (reader_idents & locking_threads), \
+        assert not (reader_threads & locking_threads), \
             "a reader thread acquired a lock"
         # writers did lock (writer-writer behaviour unchanged)
         assert locking_threads

@@ -152,6 +152,69 @@ class TestCrashRecovery:
         assert rows == sorted(rows)
         db2.close()
 
+    def test_iot_checkpoint_image_then_redo(self, data_dir):
+        """The tree comes back from the checkpointed dump plus the log
+        after it; the dump is one list per column, of which the page
+        store keeps the pickled bytes."""
+        db = Database(data_dir=data_dir)
+        db.execute("CREATE TABLE kv (a VARCHAR2(8), b NUMBER, c NUMBER, "
+                   "PRIMARY KEY (a, b)) ORGANIZATION INDEX")
+        db.execute("CREATE TABLE none (a NUMBER, PRIMARY KEY (a)) "
+                   "ORGANIZATION INDEX")
+        db.executemany("INSERT INTO kv VALUES (:1, :2, :3)",
+                       [[f"k{i % 5}", i, i] for i in range(40)])
+        db.engine.durability.checkpoint()
+        storage = db.catalog.get_table("kv").storage
+        pages = db.engine.durability.pages
+        assert set(pages.iot_dumps[storage.segment_id]) == {
+            "snap_lsn", "body"}
+        image = pages.iot_dump_of(storage.segment_id)
+        assert [len(column) for column in image["columns"]] == [40, 40, 40]
+        assert image["columns"][0][:9] == ["k0"] * 8 + ["k1"]
+        db.execute("UPDATE kv SET c = 100 WHERE a = 'k3' AND b = 3")
+        db.execute("DELETE FROM kv WHERE a = 'k4'")
+        db.execute("INSERT INTO kv VALUES ('k9', 9, 9)")
+        # the kept image is the state at the checkpoint, still
+        image = pages.iot_dump_of(storage.segment_id)
+        assert sorted(zip(*image["columns"])) == sorted(
+            (f"k{i % 5}", i, i) for i in range(40))
+        expected = db.query("SELECT a, b, c FROM kv")
+        crash(db)
+
+        db2 = Database(data_dir=data_dir)
+        assert db2.query("SELECT a, b, c FROM kv") == expected
+        assert ("k3", 3, 100) in expected and len(expected) == 33
+        assert db2.query("SELECT c FROM kv WHERE a = 'k9' AND b = 9") \
+            == [(9,)]
+        assert db2.query("SELECT COUNT(*) FROM none") == [(0,)]
+        db2.close()
+
+    def test_page_store_compaction_keeps_pages_and_iot_dumps(self, data_dir):
+        db = Database(data_dir=data_dir)
+        db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
+        db.execute("CREATE TABLE kv (a NUMBER, b NUMBER, PRIMARY KEY (a)) "
+                   "ORGANIZATION INDEX")
+        for i in range(30):
+            db.execute(f"INSERT INTO t VALUES ({i}, 'v{i}')")
+            db.execute(f"INSERT INTO kv VALUES ({i}, {i * i})")
+        pages = db.engine.durability.pages
+        for __ in range(3):   # three generations of every image
+            db.execute("UPDATE kv SET b = b + 1 WHERE a = 5")
+            db.execute("UPDATE t SET v = 'w' WHERE id = 5")
+            db.engine.durability.checkpoint()
+        written = pages.records_written
+        pages.compact()
+        assert pages.records_written < written
+        expected = (db.query("SELECT id, v FROM t ORDER BY id"),
+                    db.query("SELECT a, b FROM kv"))
+        crash(db)
+
+        db2 = Database(data_dir=data_dir)
+        assert (db2.query("SELECT id, v FROM t ORDER BY id"),
+                db2.query("SELECT a, b FROM kv")) == expected
+        assert (5, 28) in expected[1]
+        db2.close()
+
     def test_bulk_load_replayed(self, data_dir):
         db = Database(data_dir=data_dir)
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")

@@ -124,3 +124,162 @@ def test_terms_table_has_no_orphans(operations):
     for rid, body in live.items():
         for token in set(lexer.tokens(body)):
             assert (token, rid) in posted
+
+
+# ---------------------------------------------------------------------------
+# keyed maintenance: no orphan and no over-deleted index entries
+# ---------------------------------------------------------------------------
+
+alter = st.tuples(st.just("ignore"), st.sampled_from(WORDS))
+
+
+@given(st.lists(st.one_of(operation, alter), max_size=25))
+@settings(max_examples=60, deadline=None)
+def test_text_postings_equal_a_build_of_each_row_as_last_indexed(operations):
+    """Maintenance finds a row's postings from its old text, so the
+    terms table must hold exactly what indexing each live row — under
+    the stop list in force when it was last written — produces: one
+    posting more is an orphan, one fewer an over-delete.
+
+    ``ALTER INDEX ... PARAMETERS(':Ignore w')`` only extends the stop
+    list (rows indexed before keep their postings of ``w``), so the case
+    a re-lex under the *current* stop list gets wrong is in here: a row
+    inserted with ``w``, ``w`` ignored, the row deleted or updated.
+    """
+    from repro.cartridges.text.lexer import TextLexer, TextParameters
+    db = Database()
+    install(db)
+    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
+    db.execute("CREATE INDEX docs_text ON docs(body)"
+               " INDEXTYPE IS TextIndexType")
+    model = {}
+    indexed = {}          # id -> {token: freq} as last indexed
+    params = TextParameters.parse("")
+
+    for op in operations:
+        if op[0] == "ignore":
+            db.execute(f"ALTER INDEX docs_text PARAMETERS (':Ignore {op[1]}')")
+            params = TextParameters.parse(f":Ignore {op[1]}", base=params)
+            continue
+        before = dict(model)
+        apply_operations(db, model, [op])
+        lexer = TextLexer(params)
+        for ident in before.keys() - model.keys():
+            del indexed[ident]
+        for ident, body in model.items():
+            if before.get(ident, object()) != body:
+                indexed[ident] = dict(lexer.term_frequencies(body))
+
+    rid_of = {ident: rid for rid, ident in db.query(
+        "SELECT rowid, id FROM docs")}
+    expected = sorted((token, rid_of[ident].sort_key, freq)
+                      for ident, freqs in indexed.items()
+                      for token, freq in freqs.items())
+    got = sorted((token, rid.sort_key, freq) for token, rid, freq in
+                 db.query("SELECT token, rid, freq FROM docs_text_terms"))
+    assert got == expected
+    assert db.query("SELECT COUNT(*) FROM docs_text_terms") == [
+        (len(expected),)]
+
+    # index ≡ functional Contains for every word still indexed; for an
+    # ignored word the index answers from the rows indexed before
+    for word in WORDS:
+        got = sorted(r[0] for r in db.query(
+            "SELECT id FROM docs WHERE Contains(body, :1)", [word]))
+        assert got == sorted(i for i, freqs in indexed.items()
+                             if word in freqs)
+        if word not in params.stopwords:
+            assert got == sorted(i for i, body in model.items()
+                                 if text_contains(body, word))
+
+
+def _spatial_db():
+    from repro.cartridges.spatial import install as install_spatial
+    db = Database()
+    install_spatial(db)
+    db.execute("CREATE TABLE shapes (id INTEGER, shape SDO_GEOMETRY)")
+    db.execute("CREATE INDEX shapes_sidx ON shapes(shape)"
+               " INDEXTYPE IS SpatialIndexType")
+    return db
+
+
+corner = st.integers(min_value=0, max_value=1000)
+rect_strategy = st.tuples(corner, corner, st.integers(1, 300),
+                          st.integers(1, 300)).map(
+    lambda r: (r[0], r[1], min(1024, r[0] + r[2]), min(1024, r[1] + r[3])))
+shape_value = st.one_of(st.none(), rect_strategy)
+
+spatial_operation = st.one_of(
+    st.tuples(st.just("insert"), shape_value),
+    st.tuples(st.just("update"), st.integers(0, 30), shape_value),
+    st.tuples(st.just("delete"), st.integers(0, 30)),
+    st.tuples(st.just("delete_many"), st.integers(0, 30),
+              st.integers(1, 4)),
+    st.tuples(st.just("rebuild")),
+)
+
+
+@given(st.lists(spatial_operation, max_size=20), rect_strategy)
+@settings(max_examples=40, deadline=None)
+def test_spatial_tiles_equal_the_covers_of_the_live_rows(operations, window):
+    """Same shape for the tile index: after any DML sequence (and an
+    ``ALTER INDEX`` rebuild anywhere in it) the tiles table holds exactly
+    the quadtree cover of every live geometry, and the index answers a
+    window query as the functional ``Sdo_Relate`` does."""
+    from repro.cartridges.spatial import make_rect
+    from repro.cartridges.spatial.geometry import relate, Relation
+    from repro.cartridges.spatial.tiling import tessellate
+    db = _spatial_db()
+    gt = db.catalog.get_object_type("SDO_GEOMETRY")
+    model = {}
+
+    def geometry(value):
+        return None if value is None else make_rect(gt, *value)
+
+    for op in operations:
+        kind = op[0]
+        victims = sorted(model)
+        if kind == "insert":
+            ident = max(model, default=-1) + 1
+            db.execute("INSERT INTO shapes VALUES (:1, :2)",
+                       [ident, geometry(op[1])])
+            model[ident] = op[1]
+        elif kind == "rebuild":
+            db.execute("ALTER INDEX shapes_sidx PARAMETERS ('')")
+        elif not victims:
+            continue
+        elif kind == "update":
+            ident = victims[op[1] % len(victims)]
+            db.execute("UPDATE shapes SET shape = :1 WHERE id = :2",
+                       [geometry(op[2]), ident])
+            model[ident] = op[2]
+        elif kind == "delete":
+            ident = victims[op[1] % len(victims)]
+            db.execute("DELETE FROM shapes WHERE id = :1", [ident])
+            del model[ident]
+        else:
+            low = victims[op[1] % len(victims)]
+            db.execute("DELETE FROM shapes WHERE id BETWEEN :1 AND :2",
+                       [low, low + op[2]])
+            for ident in range(low, low + op[2] + 1):
+                model.pop(ident, None)
+
+    rid_of = {ident: rid for rid, ident in db.query(
+        "SELECT rowid, id FROM shapes")}
+    expected = sorted(
+        (rid_of[ident].sort_key, t.grpcode, t.code, t.maxcode)
+        for ident, value in model.items() if value is not None
+        for t in tessellate(geometry(value)))
+    got = sorted((rid.sort_key, grp, code, maxcode)
+                 for rid, grp, code, maxcode in db.query(
+                     "SELECT rid, grpcode, code, maxcode"
+                     " FROM shapes_sidx_tiles"))
+    assert got == expected
+
+    query = geometry(window)
+    got = sorted(r[0] for r in db.query(
+        "SELECT id FROM shapes WHERE"
+        " Sdo_Relate(shape, :1, 'mask=ANYINTERACT') = 1", [query]))
+    assert got == sorted(
+        ident for ident, value in model.items() if value is not None
+        and relate(geometry(value), query) is not Relation.DISJOINT)

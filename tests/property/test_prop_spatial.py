@@ -110,3 +110,119 @@ class TestRTreeVsBruteForce:
         everything = Rect(0, 0, WORLD_SIZE, WORLD_SIZE)
         assert set(tree.search(everything)) == {
             i for __, i in entries} - removed
+
+
+# ---------------------------------------------------------------------------
+# closed-form rectangle cover ≡ the relate() cover, tile for tile
+# ---------------------------------------------------------------------------
+
+def _relate_cover(geometry, max_level=None):
+    """The reference descent: from level 0, every tile classified by the
+    general relation engine (what ``tessellate`` did for every geometry
+    before rectangles got interval arithmetic)."""
+    from repro.cartridges.spatial import tiling
+    from repro.cartridges.spatial.geometry import (
+        boxes_interact, make_rect)
+    max_level = tiling.MAX_LEVEL if max_level is None else max_level
+    box = bounding_box(geometry)
+    out = []
+
+    def cover(level, tx, ty):
+        tile_box = tiling._tile_box(level, tx, ty)
+        if not boxes_interact(tile_box, box):
+            return
+        relation = relate(make_rect(GT, *tile_box), geometry)
+        if relation is Relation.DISJOINT:
+            return
+        inside = relation in (Relation.INSIDE, Relation.EQUAL)
+        if (inside and level >= tiling.GROUP_LEVEL) or level == max_level:
+            lo, hi = tiling._range_for_tile(level, tx, ty)
+            out.append(tiling.TileRange(tiling._grpcode_for(lo), lo, hi))
+            return
+        for dx in (0, 1):
+            for dy in (0, 1):
+                cover(level + 1, 2 * tx + dx, 2 * ty + dy)
+
+    cover(0, 0, 0)
+    return out
+
+
+#: coordinates on a 1/8 grid: far from relate()'s 1e-9 tolerance, and
+#: dense in exact tile borders (multiples of 32) by construction
+grid = st.integers(min_value=0, max_value=int(WORLD_SIZE) * 8).map(
+    lambda v: v / 8)
+#: the borders of the level-5, level-2 and level-0 tiles
+borders = st.sampled_from([0.0, 32.0, 64.0, 256.0, 288.0, 512.0, 768.0,
+                           992.0, 1024.0])
+free = st.floats(min_value=0, max_value=WORLD_SIZE, allow_nan=False).map(
+    lambda v: round(v, 6))
+
+
+@st.composite
+def any_rect(draw, axis=st.one_of(grid, borders, free)):
+    from repro.cartridges.spatial.geometry import make_rect
+    xs = sorted([draw(axis), draw(axis)])
+    ys = sorted([draw(axis), draw(axis)])
+    return make_rect(GT, xs[0], ys[0], xs[1], ys[1])
+
+
+class TestClosedFormCover:
+    @given(any_rect())
+    @settings(max_examples=300, deadline=None)
+    def test_rectangles_match_the_relate_cover(self, rect):
+        assert tessellate(rect) == _relate_cover(rect)
+
+    @given(any_rect(axis=borders))
+    @settings(max_examples=120, deadline=None)
+    def test_edges_exactly_on_tile_borders(self, rect):
+        assert tessellate(rect) == _relate_cover(rect)
+
+    @given(grid, any_rect())
+    @settings(max_examples=80, deadline=None)
+    def test_zero_width_and_zero_height_rectangles(self, at, rect):
+        from repro.cartridges.spatial.geometry import make_rect
+        x0, y0, x1, y1 = bounding_box(rect)
+        for flat in (make_rect(GT, at, y0, at, y1),
+                     make_rect(GT, x0, at, x1, at),
+                     make_rect(GT, at, at, at, at)):
+            assert tessellate(flat) == _relate_cover(flat)
+
+    @given(any_rect(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_coarser_max_level(self, rect, max_level):
+        assert tessellate(rect, max_level) == _relate_cover(rect, max_level)
+
+    @given(any_rect())
+    @settings(max_examples=40, deadline=None)
+    def test_any_winding_and_start_vertex_is_a_rectangle(self, rect):
+        from repro.cartridges.spatial.geometry import make_polygon
+        coords = list(rect.get("coords"))
+        rotated = coords[2:] + coords[:2]
+        points = [coords[i:i + 2] for i in range(0, 8, 2)]
+        reversed_ = [c for p in reversed(points) for c in p]
+        expected = _relate_cover(rect)
+        assert tessellate(make_polygon(GT, rotated)) == expected
+        assert tessellate(make_polygon(GT, reversed_)) == expected
+
+    def test_rectangle_never_calls_relate_and_a_triangle_does(
+            self, monkeypatch):
+        from repro.cartridges.spatial import tiling
+        from repro.cartridges.spatial.geometry import (
+            make_polygon, make_point, make_rect)
+        calls = []
+        real = tiling.relate_parts
+        monkeypatch.setattr(
+            tiling, "relate_parts",
+            lambda a, b: calls.append(1) or real(a, b))
+        tessellate(make_rect(GT, 10, 20, 300, 400))
+        assert not calls
+        triangle = make_polygon(GT, [100, 100, 400, 130, 250, 380])
+        assert tessellate(triangle) == _relate_cover(triangle)
+        assert calls
+        # a four-vertex polygon that is not axis-aligned takes it too
+        del calls[:]
+        diamond = make_polygon(GT, [200, 100, 300, 200, 200, 300, 100, 200])
+        assert tessellate(diamond) == _relate_cover(diamond)
+        assert calls
+        point = make_point(GT, 64, 96.5)
+        assert tessellate(point) == _relate_cover(point)

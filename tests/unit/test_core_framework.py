@@ -205,6 +205,62 @@ class TestCallbackRestrictions:
         with pytest.raises(CallbackViolation):
             session.insert_rows("base", [[1]])
 
+    @pytest.fixture
+    def keyed_db(self, setup_db):
+        setup_db.execute("CREATE TABLE postings (tok VARCHAR2(8), doc NUMBER,"
+                         " freq NUMBER, PRIMARY KEY (tok, doc))"
+                         " ORGANIZATION INDEX")
+        setup_db.execute("CREATE INDEX postings_freq ON postings(freq)")
+        setup_db.insert_rows("postings", [["a", 1, 5], ["a", 2, 6],
+                                          ["b", 1, 7]])
+        return setup_db
+
+    def test_bulk_delete_by_key(self, keyed_db):
+        session = CallbackSession(keyed_db, CallbackPhase.MAINTENANCE,
+                                  base_table="base")
+        # absent keys are skipped, the count is of rows deleted
+        assert session.delete_rows(
+            "postings", [("a", 2), ("zz", 9), ("b", 1)]) == 2
+        assert session.query("SELECT * FROM postings") == [("a", 1, 5)]
+        assert session.delete_rows("postings", []) == 0
+        # the table's own native indexes were maintained
+        (index,) = keyed_db.catalog.indexes_on("postings")
+        assert index.structure.search(6) == [] \
+            and index.structure.entry_count == 1
+
+    def test_bulk_delete_is_transactional(self, keyed_db):
+        session = CallbackSession(keyed_db, CallbackPhase.MAINTENANCE,
+                                  base_table="base")
+        keyed_db.begin()
+        assert session.delete_rows("postings", [("a", 1), ("a", 2)]) == 2
+        other = keyed_db.engine.connect()
+        assert other.execute("SELECT COUNT(*) FROM postings"
+                             ).fetchall() == [(3,)]   # snapshot read
+        keyed_db.rollback()
+        assert keyed_db.query("SELECT COUNT(*) FROM postings") == [(3,)]
+        assert keyed_db.query(
+            "SELECT tok, doc FROM postings WHERE freq = 6") == [("a", 2)]
+
+    def test_bulk_delete_checked_like_a_delete_statement(self, keyed_db):
+        from repro.errors import ExecutionError
+        scan = CallbackSession(keyed_db, CallbackPhase.SCAN,
+                               base_table="base")
+        with pytest.raises(CallbackViolation):
+            scan.delete_rows("postings", [("a", 1)])
+        keyed_db.execute("CREATE TABLE kbase (k NUMBER, PRIMARY KEY (k))"
+                         " ORGANIZATION INDEX")
+        maintenance = CallbackSession(keyed_db, CallbackPhase.MAINTENANCE,
+                                      base_table="kbase")
+        with pytest.raises(CallbackViolation):
+            maintenance.delete_rows("kbase", [(1,)])
+        # keyed means keyed: a heap table has no key to descend by, and
+        # a partial key is not a key
+        with pytest.raises(ExecutionError):
+            maintenance.delete_rows("idxdata", [(1,)])
+        with pytest.raises(ExecutionError):
+            maintenance.delete_rows("postings", [("a",)])
+        assert keyed_db.query("SELECT COUNT(*) FROM postings") == [(3,)]
+
     def test_scan_allows_only_queries(self, setup_db):
         session = CallbackSession(setup_db, CallbackPhase.SCAN,
                                   base_table="base")

@@ -51,6 +51,52 @@ class TestIOTPrefixPath:
     def test_non_leading_key_column_not_prefix_scanned(self, terms_db):
         plan = terms_db.explain("SELECT token FROM terms WHERE rid = 505")
         assert not any("IOT PREFIX SCAN" in line for line in plan)
+        assert any("TABLE SCAN" in line for line in plan)
+        assert terms_db.execute(
+            "SELECT token FROM terms WHERE rid = :1", [505]
+        ).fetchall() == [("tok05",)]
+
+    def test_full_key_is_one_descent_to_one_row(self, terms_db,
+                                                monkeypatch):
+        storage = terms_db.catalog.get_table("terms").storage
+        examined = []
+        real = storage.key_prefix_scan
+
+        def counting(prefix, snapshot=None):
+            for pair in real(prefix, snapshot=snapshot):
+                examined.append(pair)
+                yield pair
+        monkeypatch.setattr(storage, "key_prefix_scan", counting)
+        sql = "SELECT freq FROM terms WHERE rid = :1 AND token = :2"
+        plan = terms_db.explain(sql, [505, "tok05"])
+        assert any("IOT PREFIX SCAN" in line and "key=2/2" in line
+                   for line in plan)
+        assert terms_db.execute(sql, [505, "tok05"]).fetchall() == [(6,)]
+        assert len(examined) == 1
+        # the one-column form walks the token's whole posting list
+        del examined[:]
+        plan = terms_db.explain(
+            "SELECT freq FROM terms WHERE token = 'tok05' AND freq = 6")
+        assert any("key=1/2" in line for line in plan)
+        assert terms_db.execute(
+            "SELECT freq FROM terms WHERE token = 'tok05' AND freq = 6"
+        ).fetchall() == [(6,)]
+        assert len(examined) == 25
+
+    def test_full_key_misses_and_nulls(self, terms_db):
+        sql = "SELECT freq FROM terms WHERE token = :1 AND rid = :2"
+        assert terms_db.execute(sql, ["tok05", 999]).fetchall() == []
+        assert terms_db.execute(sql, ["tok05", None]).fetchall() == []
+        assert terms_db.execute(sql, [None, 505]).fetchall() == []
+
+    def test_full_key_costed_below_the_prefix(self, terms_db):
+        def cost(sql):
+            line = next(l for l in terms_db.explain(sql)
+                        if "IOT PREFIX SCAN" in l)
+            return float(line.split("cost=")[1].split(")")[0])
+        assert cost("SELECT freq FROM terms WHERE token = 'tok05'"
+                    " AND rid = 505") \
+            < cost("SELECT freq FROM terms WHERE token = 'tok05'")
 
     def test_prefix_scan_cheaper_than_full(self, terms_db):
         before = terms_db.stats.logical_reads

@@ -111,6 +111,132 @@ class TestVersionStore:
         # the mapping survives: tracked rowids never read the raw slot
         assert store.resolve("r1", ["c"], mvcc.take_snapshot(None)) == ["c"]
 
+    def test_prune_reports_the_chains_that_still_hold_history(self):
+        """``unsettled`` gets the rowids some snapshot may still read
+        below the head of; a chain cut down to one committed version at
+        or below the low-water mark (a tombstone included) and a chain
+        emptied by rollback are not in it."""
+        mvcc, store = MVCCManager(), VersionStore()
+        for rowid, value, old in (("live", ["a"], None),
+                                  ("gone", None, ["g"]),
+                                  ("busy", ["b"], None),
+                                  ("late", ["l"], None)):
+            txn = _FakeTxn()
+            txn.track_version(store.push(rowid, value, old, txn))
+            _commit(mvcc, txn)
+        rolled = store.push("back", ["r"], None, _FakeTxn())
+        store.pop("back", rolled)
+        # an in-flight write, and a commit a live snapshot cannot see
+        store.push("busy", ["b2"], ["b"], _FakeTxn())
+        pinned = mvcc.take_snapshot(None)
+        txn = _FakeTxn()
+        txn.track_version(store.push("late", ["l2"], ["l"], txn))
+        _commit(mvcc, txn)
+
+        unsettled = set()
+        store.prune(mvcc.low_water_mark(), unsettled=unsettled)
+        assert unsettled == {"busy", "late"}
+        assert store.tracked("gone") and not store.tracked("back")
+        assert store.resolve("late", ["l2"], pinned) == ["l"]
+        del pinned
+        unsettled = set()
+        store.prune(mvcc.low_water_mark(), unsettled=unsettled)
+        assert unsettled == {"busy"}
+
+    def test_prune_walks_only_chains_written_since_they_settled(self):
+        """A pass re-examines what was written since the last one; the
+        chain histogram still counts every chain, every pass."""
+        from repro.txn.mvcc import SnapshotStats
+        mvcc, store = MVCCManager(), VersionStore()
+        for n in range(50):
+            for value in ("a", "b"):
+                txn = _FakeTxn()
+                txn.track_version(store.push(n, [value], None, txn))
+                _commit(mvcc, txn)
+        stats = SnapshotStats()
+        assert store.prune(mvcc.low_water_mark(), stats) == 50
+        assert stats.chain_histogram["2"] == 50
+        # all settled: the next pass has nothing to walk, counts them all
+        stats = SnapshotStats()
+        walked = set()
+        assert store.prune(mvcc.low_water_mark(), stats, walked) == 0
+        assert not walked and not store._unsettled
+        assert stats.chain_histogram["1"] == 50
+        # a write to a settled chain puts it back in line
+        for value in ("c", "d", "e"):
+            txn = _FakeTxn()
+            txn.track_version(store.push(7, [value], None, txn))
+            _commit(mvcc, txn)
+        assert store._unsettled == {7}
+        stats = SnapshotStats()
+        assert store.prune(mvcc.low_water_mark(), stats) == 3
+        assert stats.chain_histogram["1"] == 49
+        assert stats.chain_histogram["<=4"] == 1
+        assert store.chain_length(7) == 1
+
+    def test_incremental_prune_equals_a_walk_over_every_head(self):
+        """Random pushes, commits, rollbacks and pinned snapshots: after
+        every pass each chain is what cutting *all* chains at the
+        low-water mark would have left, and the histogram counted every
+        chain at its length before the cut."""
+        import random
+        from repro.txn.mvcc import SnapshotStats
+        rng = random.Random(15)
+        mvcc, store = MVCCManager(), VersionStore()
+
+        def chains():
+            out = {}
+            for rowid, version in store._heads.items():
+                out[rowid] = []
+                while version is not None:
+                    out[rowid].append(version.scn)
+                    version = version.prev
+            return out
+
+        pinned, open_txns = [], []
+        for step in range(400):
+            roll = rng.random()
+            if roll < 0.55:
+                txn = _FakeTxn()
+                writes = [(rowid, store.push(rowid, [step], None, txn))
+                          for rowid in rng.sample(range(30), 3)]
+                for __, version in writes:
+                    txn.track_version(version)
+                open_txns.append((txn, writes))
+            elif roll < 0.75 and open_txns:
+                txn, __ = open_txns.pop(rng.randrange(len(open_txns)))
+                _commit(mvcc, txn)
+            elif roll < 0.85 and open_txns:
+                __, writes = open_txns.pop(rng.randrange(len(open_txns)))
+                for rowid, version in reversed(writes):
+                    store.pop(rowid, version)
+            elif roll < 0.92:
+                pinned.append(mvcc.take_snapshot(None))
+            elif pinned:
+                pinned.pop(rng.randrange(len(pinned)))
+            if step % 7:
+                continue
+            lwm, before, stats = mvcc.low_water_mark(), chains(), \
+                SnapshotStats()
+            expected, cut, histogram = {}, 0, SnapshotStats()
+            for rowid, scns in before.items():
+                histogram.record_chain(len(scns))
+                keep = next((i + 1 for i, scn in enumerate(scns)
+                             if scn is not None and scn <= lwm), len(scns))
+                expected[rowid] = scns[:keep]
+                cut += len(scns) - keep
+            unsettled = set()
+            assert store.prune(lwm, stats, unsettled) == cut
+            assert chains() == expected
+            assert stats.chain_histogram == histogram.chain_histogram
+            # every chain that still holds history is reported; a
+            # chain of one is reported only if it is not settled
+            assert unsettled >= {rowid for rowid, scns in expected.items()
+                                 if len(scns) > 1}
+            assert all(len(expected[rowid]) > 1
+                       or expected[rowid][0] is None
+                       or expected[rowid][0] > lwm for rowid in unsettled)
+
     def test_prune_respects_live_snapshot(self):
         mvcc, store = MVCCManager(), VersionStore()
         t1 = _FakeTxn()
@@ -395,6 +521,66 @@ class TestSqlSurface:
         s1.commit()
         assert s2.execute("SELECT k, v FROM iot ORDER BY k"
                           ).fetchall() == [(1, "z"), (3, "c")]
+
+    def test_iot_ghosts_through_the_sql_surface(self):
+        """A READ ONLY transaction opened before a delete, a
+        key-changing update and a delete-then-reinsert keeps reading
+        the old rows through prefix, full-key and full scans; once it
+        ends, a prune pass leaves no ghost behind."""
+        engine = Engine()
+        writer, reader = engine.connect(), engine.connect()
+        writer.execute("CREATE TABLE p (tok VARCHAR2(8), doc INTEGER,"
+                       " freq INTEGER, PRIMARY KEY (tok, doc))"
+                       " ORGANIZATION INDEX")
+        writer.execute("INSERT INTO p VALUES ('a', 1, 1), ('a', 2, 1),"
+                       " ('b', 1, 1), ('b', 2, 1), ('c', 1, 1)")
+        storage = engine.catalog.get_table("p").storage
+        reader.execute("SET TRANSACTION READ ONLY")
+        old = sorted(reader.execute("SELECT * FROM p").fetchall())
+
+        writer.execute("DELETE FROM p WHERE tok = 'a' AND doc = 2")
+        writer.execute("UPDATE p SET tok = 'z' WHERE tok = 'b' AND doc = 1")
+        writer.execute("DELETE FROM p WHERE tok = 'c'")
+        writer.execute("INSERT INTO p VALUES ('c', 1, 9)")
+        assert storage.ghost_count == 2   # ('a', 2) and ('b', 1)
+
+        def read(session, where):
+            return sorted(session.execute(
+                f"SELECT * FROM p WHERE {where}").fetchall())
+
+        assert sorted(reader.execute("SELECT * FROM p").fetchall()) == old
+        assert read(reader, "tok = 'a'") == [("a", 1, 1), ("a", 2, 1)]
+        assert read(reader, "tok = 'a' AND doc = 2") == [("a", 2, 1)]
+        assert read(reader, "tok = 'b'") == [("b", 1, 1), ("b", 2, 1)]
+        assert read(reader, "tok = 'z'") == []
+        assert read(reader, "tok = 'c'") == [("c", 1, 1)]
+        assert read(writer, "tok = 'a'") == [("a", 1, 1)]
+        assert read(writer, "tok = 'b'") == [("b", 2, 1)]
+        assert read(writer, "tok = 'z'") == [("z", 1, 1)]
+        assert read(writer, "tok = 'c'") == [("c", 1, 9)]
+
+        engine.prune_versions()
+        assert storage.ghost_count == 2   # the reader still needs them
+        reader.commit()
+        engine.prune_versions()
+        assert storage.ghost_count == 0
+        assert sorted(reader.execute("SELECT * FROM p").fetchall()) == [
+            ("a", 1, 1), ("b", 2, 1), ("c", 1, 9), ("z", 1, 1)]
+
+    def test_rolled_back_iot_delete_leaves_no_ghost(self):
+        engine = Engine()
+        session = engine.connect()
+        session.execute("CREATE TABLE p (tok VARCHAR2(8), doc INTEGER,"
+                        " PRIMARY KEY (tok, doc)) ORGANIZATION INDEX")
+        session.execute("INSERT INTO p VALUES ('a', 1), ('a', 2)")
+        storage = engine.catalog.get_table("p").storage
+        session.begin()
+        session.execute("DELETE FROM p WHERE tok = 'a' AND doc = 1")
+        assert storage.ghost_count == 1
+        session.rollback()
+        assert storage.ghost_count == 0
+        assert session.execute("SELECT COUNT(*) FROM p WHERE tok = 'a'"
+                               ).fetchall() == [(2,)]
 
     def test_snapshot_stats_view_counts(self, db):
         before = db.engine.mvcc.stats.snapshots_taken
