@@ -671,28 +671,106 @@ def compile_row_function(expr: ast.Expr, tables: Dict[str, Any],
 # Plan-tree compilation
 # ---------------------------------------------------------------------------
 
-def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
-    """Attach generated row functions to every node of a query plan.
+def _vector_group_slots(node: Any, scan: Any) -> Optional[Tuple]:
+    """Column indices for a grouped column fold, or None to decline.
 
-    Walks the plan tree and, for each row expression a node evaluates
-    per row (filters, join conditions/keys, sort keys, group keys,
-    HAVING, aggregate arguments, projections), stores the
+    Vectorized GROUP BY requires every group key and aggregate
+    argument to be a bare column of the scanned table — anything
+    computed falls back to the row pipeline (the accumulator
+    semantics stay in one place either way).
+    """
+    positions = {col.name.lower(): i
+                 for i, col in enumerate(scan.table.columns)}
+
+    def index_of(expr: ast.Expr) -> Optional[int]:
+        if isinstance(expr, ast.ColumnRef) and expr.bound \
+                and not expr.attr_path \
+                and expr.alias == scan.binding_name:
+            return positions.get(expr.column)
+        return None
+
+    group_indices = []
+    for expr in node.group_exprs:
+        index = index_of(expr)
+        if index is None:
+            return None
+        group_indices.append(index)
+    agg_indices = []
+    for agg in node.aggregates:
+        if agg.arg is None:
+            agg_indices.append(None)  # COUNT(*)
+            continue
+        index = index_of(agg.arg)
+        if index is None:
+            return None
+        agg_indices.append(index)
+    return tuple(group_indices), tuple(agg_indices)
+
+
+def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
+    """Attach generated row functions and batch kernels to a query plan.
+
+    One walk of the plan tree.  For each row expression a node
+    evaluates per row (filters, join conditions/keys, sort keys, group
+    keys, HAVING, aggregate arguments, projections) it stores the
     :func:`compile_row_function` factory in ``node.compiled`` — ``None``
     where the generator declined.  ``node.exec_mode`` becomes
     ``"COMPILED"`` when every expression on the node has a generated
     row function, ``"INTERPRETED"`` when any was declined, and stays
-    ``None`` for nodes with no row expressions; EXPLAIN prints the mode
-    per node.
+    ``None`` for nodes with no row expressions.  A node in the
+    vectorizable chain — a scan that produces column batches, and the
+    projection, sort or grouped fold over it — also gets its vector
+    artifacts and a ``vector_mode``: ``"VECTORIZED"`` when they
+    compiled, ``"ROW"`` when it runs on the row pipeline instead.
+    Annotations only: costs and access-path choice are untouched, and
+    EXPLAIN prints both modes per node.
 
     Runs once at plan time, so the artifacts ride the shared plan cache
     and every session soft-parsing the statement reuses them.  A
     ``one_shot`` plan (DML target selection: run once, never cached)
-    gets a row function for a full scan's filter only — the one
-    expression that meets enough rows to repay generating it; a probe's
-    residual and the projection DML discards are interpreted.
+    annotates full scans only: generating and byte-compiling a row
+    function or a kernel costs more than an index probe's few rows can
+    repay within one execution, while a full scan repays it inside the
+    statement; a probe's residual and the projection DML discards are
+    interpreted.
     """
     from repro.sql import planner as pl  # deferred: planner imports us
     tables = dict(plan.scope.entries)
+    scans = (pl.FullScan,) + tuple(
+        path.node for path in pl.ACCESS_PATHS.values())
+
+    def vector_filter(scan: Any) -> bool:
+        """Compile the scan's filter into a vector kernel (once)."""
+        if scan.vector_mode is None:
+            scan.vector_mode = "VECTORIZED"
+            if scan.filter is not None:
+                kernel = compile_vector_kernel(
+                    scan.filter, scan.binding_name, scan.table)
+                if kernel is None:
+                    scan.vector_mode = "ROW"
+                else:
+                    scan.compiled["vector_kernel"] = kernel
+        return scan.vector_mode == "VECTORIZED"
+
+    def consume(node: Any, slot: str, exprs: Optional[List],
+                rowid_source: bool = False) -> None:
+        """Stamp a consumer of its child scan's column batches — a
+        columnar-capable full scan's, or (under a projection) those of
+        a scan that hands over rowids for the batched base-table fetch:
+        a gather over ``exprs``, or (None) a grouped column fold."""
+        scan = node.child
+        if not (rowid_source and isinstance(scan, pl.ROWID_SCANS)
+                or isinstance(scan, pl.FullScan)
+                and scan.has_scan_columns and scan.versioned):
+            return
+        artifact = _vector_group_slots(node, scan) if exprs is None \
+            else compile_vector_projection(exprs, scan.binding_name,
+                                           scan.table)
+        if artifact is not None and vector_filter(scan):
+            node.compiled[slot] = artifact
+            node.vector_mode = "VECTORIZED"
+        else:
+            node.vector_mode = "ROW"
 
     def visit(node: Any) -> None:
         made: List[Optional[Callable]] = []
@@ -710,9 +788,18 @@ def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
         slots = node.compiled
         if one_shot and not isinstance(node, pl.FullScan):
             pass
-        elif isinstance(node, (pl.FullScan, pl.BTreeScan, pl.HashScan,
-                             pl.BitmapScan, pl.IOTPrefixScan, pl.DomainScan)):
+        elif isinstance(node, scans):
             slots["filter"] = predicate(node.filter)
+            if node.vector_mode is None \
+                    and not isinstance(node, pl.IOTPrefixScan):
+                # no batch consumer above: rows come out.  A vector
+                # filter still pays for itself (only survivors cross the
+                # materialization boundary); without a filter there is
+                # nothing to vectorize and transposing pages is overhead
+                if node.filter is None:
+                    node.vector_mode = "ROW"
+                else:
+                    vector_filter(node)
         elif isinstance(node, pl.FilterNode):
             slots["predicate"] = predicate(node.predicate)
         elif isinstance(node, pl.NestedLoopJoin):
@@ -731,8 +818,9 @@ def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
             slots["right_keys"] = [value(k) for k in node.right_keys]
             slots["condition"] = predicate(node.condition)
         elif isinstance(node, pl.SortNode):
-            slots["keys"] = [value(item.expr)
-                             for item in node.order_items]
+            keys = [item.expr for item in node.order_items]
+            slots["keys"] = [value(key) for key in keys]
+            consume(node, "vector_keys", keys)
         elif isinstance(node, pl.GroupByNode):
             slots["group_exprs"] = [value(e)
                                     for e in node.group_exprs]
@@ -740,8 +828,11 @@ def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
             slots["agg_args"] = {
                 aggregate_key(agg): value(agg.arg)
                 for agg in node.aggregates if agg.arg is not None}
+            consume(node, "vector_group", None)
         elif isinstance(node, pl.ProjectNode):
-            slots["items"] = [value(e) for e, __ in node.items]
+            items = [e for e, __ in node.items]
+            slots["items"] = [value(e) for e in items]
+            consume(node, "vector_items", items, rowid_source=True)
         if made:
             node.exec_mode = "INTERPRETED" if None in made else "COMPILED"
         for child in node.children():

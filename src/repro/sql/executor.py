@@ -68,10 +68,10 @@ _CONST_CACHE_LIMIT = 1024
 
 #: native index scans: a probe yields rowids, the batched base-table
 #: fetch (:class:`_RowidSource`) turns them into rows
-_INDEX_SCANS = (pl.BTreeScan, pl.HashScan, pl.BitmapScan)
+_INDEX_SCANS = pl.NATIVE_INDEX_SCANS
 
 #: single-table scans a LIMIT's row budget can be pushed into
-_SCAN_NODES = (pl.FullScan, pl.DomainScan) + _INDEX_SCANS
+_SCAN_NODES = (pl.FullScan,) + pl.ROWID_SCANS
 
 #: nodes whose rows arrive in producer-shaped batches (iter_batches)
 _BATCHED_NODES = _SCAN_NODES + (pl.FilterNode,)

@@ -532,25 +532,27 @@ def static_type(expr: ast.Expr, scope: Scope, catalog: Catalog) -> DataType:
     return ANY
 
 
+def child_exprs(expr: ast.Expr) -> List[ast.Expr]:
+    """The direct sub-expressions of a bound expression node — the one
+    place that knows which fields hold them."""
+    if isinstance(expr, (ast.BinaryOp, ast.BoolOp)):
+        return [expr.left, expr.right]
+    if isinstance(expr, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
+        return [expr.operand]
+    if isinstance(expr, ast.LikeOp):
+        return [expr.operand, expr.pattern]
+    if isinstance(expr, ast.BetweenOp):
+        return [expr.operand, expr.low, expr.high]
+    if isinstance(expr, ast.InListOp):
+        return [expr.operand, *expr.items]
+    if isinstance(expr, (ast.FuncCall, OperatorCall)):
+        return expr.args
+    if isinstance(expr, AggregateCall) and expr.arg is not None:
+        return [expr.arg]
+    return []
+
+
 def contains_aggregate(expr: ast.Expr) -> bool:
     """True when ``expr`` contains an AggregateCall anywhere."""
-    if isinstance(expr, AggregateCall):
-        return True
-    if isinstance(expr, (ast.BinaryOp, ast.BoolOp)):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, ast.LikeOp):
-        return contains_aggregate(expr.operand) or contains_aggregate(expr.pattern)
-    if isinstance(expr, ast.BetweenOp):
-        return (contains_aggregate(expr.operand)
-                or contains_aggregate(expr.low)
-                or contains_aggregate(expr.high))
-    if isinstance(expr, ast.InListOp):
-        return contains_aggregate(expr.operand) or any(
-            contains_aggregate(i) for i in expr.items)
-    if isinstance(expr, (ast.FuncCall,)):
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, OperatorCall):
-        return any(contains_aggregate(a) for a in expr.args)
-    return False
+    return isinstance(expr, AggregateCall) \
+        or any(contains_aggregate(child) for child in child_exprs(expr))

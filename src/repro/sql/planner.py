@@ -15,15 +15,16 @@ per-call cost of registered functions are expressed in the same unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.core.odci import ODCIPredInfo
 from repro.errors import CatalogError, DatabaseError, ExecutionError
 from repro.sql import ast_nodes as ast
 from repro.sql.catalog import Catalog, IndexDef, TableDef
 from repro.sql.expressions import (
-    AggregateCall, Binder, OperatorCall, Scope, contains_aggregate,
-    static_type)
+    AggregateCall, Binder, OperatorCall, Scope, child_exprs,
+    contains_aggregate, static_type)
 
 #: CPU cost (in page-I/O units) of evaluating one simple predicate on one row.
 CPU_PER_PREDICATE = 0.001
@@ -80,7 +81,9 @@ class PlanNode:
         return type(self).__name__
 
     def children(self) -> List["PlanNode"]:
-        return []
+        """Input nodes: a single-input node's ``child``; joins override."""
+        child = getattr(self, "child", None)
+        return [] if child is None else [child]
 
     def _markers(self) -> str:
         """Extra EXPLAIN badges appended after the exec-mode marker
@@ -216,9 +219,6 @@ class FilterNode(PlanNode):
     def label(self) -> str:
         return "FILTER"
 
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
 
 @dataclass
 class NestedLoopJoin(PlanNode):
@@ -308,9 +308,6 @@ class SortNode(PlanNode):
     def label(self) -> str:
         return "SORT"
 
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
 
 @dataclass
 class GroupByNode(PlanNode):
@@ -322,9 +319,6 @@ class GroupByNode(PlanNode):
     def label(self) -> str:
         return f"GROUP BY ({len(self.group_exprs)} keys)"
 
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
 
 @dataclass
 class DistinctNode(PlanNode):
@@ -333,9 +327,6 @@ class DistinctNode(PlanNode):
 
     def label(self) -> str:
         return "DISTINCT"
-
-    def children(self) -> List[PlanNode]:
-        return [self.child]
 
 
 @dataclass
@@ -347,9 +338,6 @@ class LimitNode(PlanNode):
     def label(self) -> str:
         return f"LIMIT {self.limit} OFFSET {self.offset or 0}"
 
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
 
 @dataclass
 class ProjectNode(PlanNode):
@@ -358,9 +346,6 @@ class ProjectNode(PlanNode):
 
     def label(self) -> str:
         return f"PROJECT [{', '.join(name for _, name in self.items)}]"
-
-    def children(self) -> List[PlanNode]:
-        return [self.child]
 
 
 @dataclass
@@ -405,45 +390,35 @@ def and_together(conjuncts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
 
 def referenced_aliases(expr: ast.Expr) -> set:
     """Set of table binding names an expression reads."""
+    if isinstance(expr, ast.ColumnRef):
+        return {expr.alias} if expr.bound else set()
     found: set = set()
-
-    def walk(node: ast.Expr) -> None:
-        if isinstance(node, ast.ColumnRef) and node.bound:
-            found.add(node.alias)
-        elif isinstance(node, (ast.BinaryOp, ast.BoolOp)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-            walk(node.operand)
-        elif isinstance(node, ast.LikeOp):
-            walk(node.operand)
-            walk(node.pattern)
-        elif isinstance(node, ast.BetweenOp):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.InListOp):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, OperatorCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, AggregateCall) and node.arg is not None:
-            walk(node.arg)
-
-    walk(expr)
+    for child in child_exprs(expr):
+        found |= referenced_aliases(child)
     return found
 
 
-def _is_constant(expr: ast.Expr) -> bool:
-    return not referenced_aliases(expr) and not contains_aggregate(expr)
+def _is_constant(expr: ast.Expr, outer: frozenset = frozenset()) -> bool:
+    """True when ``expr`` is fixed while one table's rows are scanned:
+    it reads no table — or only ``outer`` ones, whose row is held while
+    a nested-loop join probes the inner table."""
+    return referenced_aliases(expr) <= outer and not contains_aggregate(expr)
 
 
 _RELOP_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+#: relop → the side of a column it bounds (``!=`` bounds none)
+_SIDE = {"=": "eq", ">": "low", ">=": "low", "<": "high", "<=": "high"}
+
+
+def _peek(expr: ast.Expr, binds: dict) -> Any:
+    """Plan-time value of a constant: a literal's, or the value peeked
+    from the execution that triggered planning (Oracle-style bind
+    peeking: later executions with other values share the plan)."""
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.BindParam):
+        return binds.get(expr.name.lower())
+    return None
 
 
 @dataclass
@@ -454,26 +429,32 @@ class Sarg:
     op: str
     value_expr: ast.Expr
     source: ast.Expr
+    #: position of ``source`` among the table's conjuncts and the peeked
+    #: plan-time value, both filled by :meth:`Planner._sarg_summary`
+    conjunct: int = 0
+    value: Any = None
 
 
-def extract_sarg(conjunct: ast.Expr) -> Optional[Sarg]:
+def extract_sarg(conjunct: ast.Expr,
+                 outer: frozenset = frozenset()) -> Optional[Sarg]:
     """Recognize ``col relop const`` / ``const relop col``."""
     if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _RELOP_FLIP:
         left, right, op = conjunct.left, conjunct.right, conjunct.op
         if isinstance(left, ast.ColumnRef) and left.bound \
-                and not left.attr_path and _is_constant(right):
+                and not left.attr_path and _is_constant(right, outer):
             return Sarg(left, op, right, conjunct)
         if isinstance(right, ast.ColumnRef) and right.bound \
-                and not right.attr_path and _is_constant(left):
+                and not right.attr_path and _is_constant(left, outer):
             return Sarg(right, _RELOP_FLIP[op], left, conjunct)
     return None
 
 
-def extract_sargs(conjunct: ast.Expr) -> List[Sarg]:
+def extract_sargs(conjunct: ast.Expr,
+                  outer: frozenset = frozenset()) -> List[Sarg]:
     """Every sarg a conjunct contributes: one for a simple comparison,
     the ``>=``/``<=`` pair for ``col BETWEEN const AND const``, none
     otherwise (``NOT BETWEEN`` is two disjoint ranges: a filter)."""
-    sarg = extract_sarg(conjunct)
+    sarg = extract_sarg(conjunct, outer)
     if sarg is not None:
         return [sarg]
     if isinstance(conjunct, ast.BetweenOp) and not conjunct.negated:
@@ -502,6 +483,18 @@ class OperatorPred:
     include_lower: bool = True
     include_upper: bool = True
     source: ast.Expr = None  # type: ignore[assignment]
+    #: filled by :meth:`Planner._sarg_summary`, like :class:`Sarg`'s:
+    #: the conjunct's position and the peeked values of ``call.args``
+    conjunct: int = 0
+    arg_values: Sequence[Any] = ()
+
+    def pred_info(self) -> ODCIPredInfo:
+        """The descriptor ODCIStats and ODCIIndexStart receive."""
+        return ODCIPredInfo(
+            operator_name=self.call.operator.name,
+            lower_bound=self.lower, upper_bound=self.upper,
+            include_lower=self.include_lower,
+            include_upper=self.include_upper)
 
 
 def extract_operator_pred(conjunct: ast.Expr) -> Optional[OperatorPred]:
@@ -547,6 +540,167 @@ def extract_equijoin(conjunct: ast.Expr) -> Optional[Tuple[ast.ColumnRef,
 
 
 # ---------------------------------------------------------------------------
+# The access-path table
+# ---------------------------------------------------------------------------
+
+def _range_args(used: List[Sarg]) -> Dict[str, Any]:
+    """B-tree bounds from one or two sargs (``=`` is both bounds, the
+    same expression object: the executor's point probe)."""
+    args: Dict[str, Any] = {}
+    for sarg in used:
+        if sarg.op in ("=", ">", ">="):
+            args.update(low=sarg.value_expr, low_inclusive=sarg.op != ">")
+        if sarg.op in ("=", "<", "<="):
+            args.update(high=sarg.value_expr, high_inclusive=sarg.op != "<")
+    return args
+
+
+@dataclass(frozen=True)
+class AccessPath:
+    """One row of :data:`ACCESS_PATHS`: what a kind of indexed structure
+    serves and what reaching a row through it costs."""
+
+    #: plan-node class, and the node fields the consumed sargs fill
+    node: type
+    node_args: Callable[[list], Dict[str, Any]]
+    #: the sarg shapes it serves (see :meth:`Planner._matches`)
+    shapes: Tuple[str, ...]
+    #: cost = startup + matched rows * (per_row + residual filter CPU)
+    startup: float
+    per_row: float
+    #: its scan yields rowids for the batched base-table fetch
+    rowid_source: bool = True
+    #: a nested-loop join may probe it once per outer row
+    join_probe: bool = False
+
+
+#: ``IndexDef.kind`` (``"iot"``: an index-organized table's own key) →
+#: the sarg shapes that structure serves and its cost constants.  Every
+#: candidate the optimizer prices is a row of this table matched against
+#: the statement's :class:`SargSummary` by the one loop in
+#: :meth:`Planner._paths`; a new shape is a new entry here.
+ACCESS_PATHS: Dict[str, AccessPath] = {
+    "btree": AccessPath(BTreeScan, _range_args,
+                        ("eq", "low", "high", "low+high"),
+                        BTREE_DESCENT, FETCH_COST, join_probe=True),
+    "hash": AccessPath(HashScan, lambda used: {"key": used[0].value_expr},
+                       ("eq",), 1.0, FETCH_COST, join_probe=True),
+    "bitmap": AccessPath(BitmapScan,
+                         lambda used: {"keys": [used[0].value_expr]},
+                         ("eq",), 1.0, FETCH_COST),
+    "iot": AccessPath(IOTPrefixScan,
+                      lambda used: {"key": [s.value_expr for s in used]},
+                      ("eq-prefix",), BTREE_DESCENT, ROW_CPU,
+                      rowid_source=False),
+    "domain": AccessPath(DomainScan,
+                         lambda used: {"operator_call": used[0].call,
+                                       "pred_info": used[0].pred_info()},
+                         ("op",), DOMAIN_SCAN_STARTUP,
+                         FETCH_COST + DOMAIN_SCAN_PER_ROW, join_probe=True),
+}
+
+#: plan-node classes of the scans that hand the executor rowids to fetch
+#: from the base table in batches; all but the domain scan get them by
+#: probing one of the engine's own structures
+ROWID_SCANS = tuple(path.node for path in ACCESS_PATHS.values()
+                    if path.rowid_source)
+NATIVE_INDEX_SCANS = tuple(node for node in ROWID_SCANS
+                           if node is not DomainScan)
+
+#: candidate order (the trace's, and the winner among equal costs):
+#: one-conjunct shapes in conjunct order, then two-sided ranges, then
+#: key prefixes; indexes in catalog order within each
+_SHAPE_RANK = {"eq": 0, "low": 0, "high": 0, "op": 0,
+               "low+high": 1, "eq-prefix": 2}
+
+
+@dataclass
+class SargSummary:
+    """What one table's conjuncts offer its access paths: extracted,
+    peeked and priced once per :meth:`Planner._access_path` call."""
+
+    table: TableDef
+    rows: float
+    pages: float
+    conjuncts: List[ast.Expr]
+    #: per conjunct, what it contributes: its sargs (two for BETWEEN),
+    #: or its one operator predicate, or nothing (a plain filter)
+    parts: List[list] = field(default_factory=list)
+    #: (column, "eq" | "low" | "high") → that column's sargs, in
+    #: conjunct order
+    sargs: Dict[Tuple[str, str], List[Sarg]] = field(default_factory=dict)
+    #: operator predicates on a column of this table with constant
+    #: value arguments: the index-evaluable ones
+    op_preds: List[OperatorPred] = field(default_factory=list)
+    #: conjunct position → selectivity, memoised on first use
+    selectivity: Dict[int, float] = field(default_factory=dict)
+
+    def residual(self, used: list) -> Optional[ast.Expr]:
+        """The filter left once a path consumes ``used``.  A BETWEEN
+        goes only when both of its bounds are consumed."""
+        taken = [part.conjunct for part in used]
+        return and_together(
+            [c for i, c in enumerate(self.conjuncts)
+             if taken.count(i) < max(1, len(self.parts[i]))])
+
+
+def _numeric(value: Any) -> Optional[float]:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _column_span(table: TableDef, sarg: Sarg):
+    """ANALYZE's ``(stats, min, max)`` for the sarg's column; min/max
+    are None unless both are numbers with min < max."""
+    col_stats = table.stats.columns.get(sarg.column_ref.column or "") \
+        if table.stats.analyzed else None
+    if (col_stats is not None
+            and isinstance(col_stats.min_value, (int, float))
+            and isinstance(col_stats.max_value, (int, float))
+            and col_stats.max_value > col_stats.min_value):
+        return col_stats, col_stats.min_value, col_stats.max_value
+    return col_stats, None, None
+
+
+def _sarg_selectivity(table: TableDef, sarg: Sarg) -> float:
+    col_stats, low, high = _column_span(table, sarg)
+    if sarg.op == "=":
+        if col_stats and col_stats.ndv > 0:
+            return 1.0 / col_stats.ndv
+        return DEFAULT_EQ_SELECTIVITY
+    if sarg.op == "!=":
+        return 1.0 - (1.0 / col_stats.ndv if col_stats and col_stats.ndv
+                      else DEFAULT_EQ_SELECTIVITY)
+    # range predicates: interpolate within [min, max] when ANALYZE
+    # collected numeric bounds and the comparison value is known at
+    # plan time (a literal, or a bind peeked from this execution)
+    value = _numeric(sarg.value)
+    if low is not None and value is not None:
+        low, high = float(low), float(high)
+        span = high - low
+        if sarg.op in ("<", "<="):
+            fraction = (value - low) / span
+        else:  # > or >=
+            fraction = (high - value) / span
+        return min(1.0, max(0.0005, fraction))
+    return DEFAULT_RANGE_SELECTIVITY
+
+
+def _range_pair_selectivity(table: TableDef, low: Sarg, high: Sarg) -> float:
+    """Selectivity of ``low AND high``, a lower and an upper bound
+    on one column: the width of the interval over the column's
+    ANALYZE'd span when both bounds are numbers known at plan time,
+    else the product of the one-sided estimates."""
+    __, col_min, col_max = _column_span(table, low)
+    bounds = [_numeric(low.value), _numeric(high.value)]
+    if col_min is not None and None not in bounds:
+        width = min(bounds[1], col_max) - max(bounds[0], col_min)
+        return min(1.0, max(0.0005, width / float(col_max - col_min)))
+    return _sarg_selectivity(table, low) * _sarg_selectivity(table, high)
+
+
+# ---------------------------------------------------------------------------
 # The planner
 # ---------------------------------------------------------------------------
 
@@ -560,17 +714,11 @@ class Planner:
     def __init__(self, catalog: Catalog, db: Any = None):
         self.catalog = catalog
         self.db = db
-        #: bind values peeked for the current planning (Oracle-style
-        #: "bind peeking": the first execution's values inform
-        #: selectivity/cost estimates; the compiled plan is then shared
-        #: by later executions with different values)
-        self._peeked_binds: dict = {}
-
-    # -- entry point ----------------------------------------------------------
 
     # -- uncorrelated subqueries --------------------------------------------
 
-    def materialize_subqueries(self, expr: Optional[ast.Expr]
+    def materialize_subqueries(self, expr: Optional[ast.Expr],
+                               peek_binds: Optional[dict] = None
                                ) -> Optional[ast.Expr]:
         """Replace IN (SELECT ...) / EXISTS (SELECT ...) with their values.
 
@@ -581,7 +729,8 @@ class Planner:
         if expr is None or self.db is None:
             return expr
         if isinstance(expr, ast.InSubquery):
-            rows = self._run_subquery(expr.query, single_column=True)
+            rows = self._run_subquery(expr.query, peek_binds,
+                                      single_column=True)
             items: List[ast.Expr] = [ast.Literal(row[0]) for row in rows]
             if not items:
                 # x IN (empty set) is FALSE; NOT IN (empty set) is TRUE
@@ -590,22 +739,23 @@ class Planner:
             return ast.InListOp(operand=expr.operand, items=items,
                                 negated=expr.negated)
         if isinstance(expr, ast.ExistsSubquery):
-            rows = self._run_subquery(expr.query, single_column=False,
-                                      limit_one=True)
+            rows = self._run_subquery(expr.query, peek_binds,
+                                      single_column=False, limit_one=True)
             exists = bool(rows)
             return ast.Literal(exists if not expr.negated else not exists)
         if isinstance(expr, (ast.BoolOp, ast.BinaryOp)):
-            expr.left = self.materialize_subqueries(expr.left)
-            expr.right = self.materialize_subqueries(expr.right)
-        elif isinstance(expr, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-            expr.operand = self.materialize_subqueries(expr.operand)
-        elif isinstance(expr, ast.InListOp):
-            expr.operand = self.materialize_subqueries(expr.operand)
+            expr.left = self.materialize_subqueries(expr.left, peek_binds)
+            expr.right = self.materialize_subqueries(expr.right, peek_binds)
+        elif isinstance(expr, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp,
+                               ast.InListOp)):
+            expr.operand = self.materialize_subqueries(expr.operand,
+                                                       peek_binds)
         return expr
 
-    def _run_subquery(self, select: ast.Select, single_column: bool,
-                      limit_one: bool = False) -> List[Tuple[Any, ...]]:
-        plan = self.plan_select(select)
+    def _run_subquery(self, select: ast.Select, peek_binds: Optional[dict],
+                      single_column: bool, limit_one: bool = False
+                      ) -> List[Tuple[Any, ...]]:
+        plan = self.plan_select(select, peek_binds)
         if single_column and len(plan.column_names) != 1:
             raise ExecutionError(
                 "an IN subquery must select exactly one column, got "
@@ -616,6 +766,8 @@ class Planner:
             return [] if first is None else [first]
         return list(rows_iter)
 
+    # -- entry point ----------------------------------------------------------
+
     def plan_select(self, select: ast.Select,
                     peek_binds: Optional[dict] = None,
                     one_shot: bool = False) -> QueryPlan:
@@ -623,16 +775,18 @@ class Planner:
 
         ``peek_binds`` (name → value) lets cost estimation see the bind
         values of the execution that triggered compilation, even though
-        the plan tree itself keeps the BindParam placeholders.
+        the plan tree itself keeps the BindParam placeholders; they are
+        read while the sargs are extracted, so planning re-entered from a
+        statistics callback or a subquery cannot disturb them.
         ``one_shot`` marks a plan that runs once and is never cached
-        (DML target selection): see :meth:`_annotate_vectorized`.
+        (DML target selection): see
+        :func:`repro.sql.compile.compile_plan`.
         """
-        if peek_binds is not None:
-            self._peeked_binds = peek_binds
+        binds = peek_binds or {}
         if select.where is not None:
-            select.where = self.materialize_subqueries(select.where)
+            select.where = self.materialize_subqueries(select.where, binds)
         if select.having is not None:
-            select.having = self.materialize_subqueries(select.having)
+            select.having = self.materialize_subqueries(select.having, binds)
         scope_entries = []
         seen = set()
         for tref in select.tables:
@@ -656,7 +810,7 @@ class Planner:
                     for o in select.order_by]
 
         conjuncts = split_conjuncts(where)
-        root = self._plan_from_where(scope, conjuncts, select)
+        root = self._plan_from_where(scope, conjuncts, select, binds)
 
         aggregates = self._collect_aggregates(items, having)
         if group_by or aggregates:
@@ -692,178 +846,11 @@ class Planner:
 
         plan = QueryPlan(root=root, column_names=[n for _, n in items],
                          scope=scope, source=select)
-        # lower row expressions once, at plan time, so the artifacts
-        # ride the shared plan cache across sessions
+        # lower row expressions and batch kernels once, at plan time, so
+        # the artifacts ride the shared plan cache across sessions
         from repro.sql.compile import compile_plan
         compile_plan(plan, self.catalog, one_shot)
-        self._annotate_prefetch(plan.root)
-        self._annotate_vectorized(plan.root, one_shot)
-        self._peeked_binds = {}
         return plan
-
-    def _annotate_prefetch(self, root: PlanNode) -> None:
-        """Mark domain scans eligible for async ODCI prefetch.
-
-        Annotations only: est_cost is deliberately untouched, so access
-        path choice (and the shared plan-cache entry) is identical for
-        prefetching and serial sessions — a serial execution simply
-        ignores the marker.  Prefetch depth is granted when the
-        ODCIStats-estimated result cardinality spans multiple fetch
-        batches.
-        """
-        db = self.db
-        if db is None:
-            return
-        depth = getattr(db, "prefetch_depth", 0)
-        if depth <= 0:
-            return
-        min_rows = max(1, getattr(db, "prefetch_min_rows", 64))
-
-        def visit(node: PlanNode) -> None:
-            if isinstance(node, DomainScan) and node.est_rows >= min_rows:
-                node.prefetch_depth = depth
-            for child in node.children():
-                visit(child)
-
-        visit(root)
-
-    # -- vectorized execution annotations --------------------------------
-
-    def _annotate_vectorized(self, root: PlanNode,
-                             one_shot: bool = False) -> None:
-        """Attach vector kernels and stamp ``vector_mode`` markers.
-
-        Like :meth:`_annotate_prefetch`, annotations only — costs and
-        access-path choice are untouched.  A node in the vectorizable
-        chain is stamped ``VECTORIZED`` when its vector artifacts
-        compiled and ``ROW`` when it falls back to the row pipeline
-        (next to the ``COMPILED``/``INTERPRETED`` pair for row
-        functions).
-
-        A ``one_shot`` plan annotates full scans only: generating and
-        byte-compiling a kernel costs more than an index probe's few
-        rows can repay within one execution, while a full scan repays
-        it inside the statement.
-        """
-        from repro.sql.compile import (compile_vector_kernel,
-                                       compile_vector_projection)
-
-        #: scans that hand the executor rowids to fetch from the base
-        #: table in batches — a second source of column batches
-        rowid_scans = () if one_shot else (
-            BTreeScan, HashScan, BitmapScan, DomainScan)
-
-        def scan_of(node: PlanNode, rowid_source: bool = False
-                    ) -> Optional[PlanNode]:
-            """The node's child when it produces columnar batches: a
-            columnar-capable full scan, or (for a parent that can
-            consume them) a rowid-source scan."""
-            child = getattr(node, "child", None)
-            if isinstance(child, FullScan) and child.has_scan_columns \
-                    and child.versioned:
-                return child
-            if rowid_source and isinstance(child, rowid_scans):
-                return child
-            return None
-
-        def annotate_scan(scan: PlanNode) -> bool:
-            """Compile the scan's filter into a vector kernel (once)."""
-            if scan.vector_mode is not None:
-                return scan.vector_mode == "VECTORIZED"
-            if scan.filter is not None:
-                kernel = compile_vector_kernel(
-                    scan.filter, scan.binding_name, scan.table)
-                if kernel is None:
-                    scan.vector_mode = "ROW"
-                    return False
-                scan.compiled["vector_kernel"] = kernel
-            scan.vector_mode = "VECTORIZED"
-            return True
-
-        def consume(node: PlanNode, slot: str, exprs: Optional[List],
-                    rowid_source: bool = False) -> None:
-            """Stamp a consumer of its child scan's column batches:
-            a gather over ``exprs``, or (None) a grouped column fold."""
-            scan = scan_of(node, rowid_source)
-            if scan is None:
-                return
-            artifact = self._vector_group_slots(node, scan) \
-                if exprs is None else compile_vector_projection(
-                    exprs, scan.binding_name, scan.table)
-            if artifact is not None and annotate_scan(scan):
-                node.compiled[slot] = artifact
-                node.vector_mode = "VECTORIZED"
-            else:
-                node.vector_mode = "ROW"
-
-        def visit(node: PlanNode) -> None:
-            if isinstance(node, ProjectNode):
-                consume(node, "vector_items", [e for e, __ in node.items],
-                        rowid_source=True)
-            elif isinstance(node, SortNode):
-                consume(node, "vector_keys",
-                        [item.expr for item in node.order_items])
-            elif isinstance(node, GroupByNode):
-                consume(node, "vector_group", None)
-            elif isinstance(node, (FullScan,) + rowid_scans) \
-                    and node.vector_mode is None:
-                if node.filter is not None:
-                    # consumed as rows: the vector filter still pays for
-                    # itself (survivors-only materialization boundary)
-                    annotate_scan(node)
-                else:
-                    # filterless scan with a row consumer: nothing to
-                    # vectorize (and transposing pages is pure overhead)
-                    node.vector_mode = "ROW"
-            for child in node.children():
-                visit(child)
-
-        visit(root)
-
-    @staticmethod
-    def _vector_group_slots(node: GroupByNode,
-                            scan: FullScan) -> Optional[Tuple]:
-        """Column indices for a grouped column fold, or None to decline.
-
-        Vectorized GROUP BY requires every group key and aggregate
-        argument to be a bare column of the scanned table — anything
-        computed falls back to the row pipeline (the accumulator
-        semantics stay in one place either way).
-        """
-        positions = {col.name.lower(): i
-                     for i, col in enumerate(scan.table.columns)}
-
-        def index_of(expr: ast.Expr) -> Optional[int]:
-            if isinstance(expr, ast.ColumnRef) and expr.bound \
-                    and not expr.attr_path \
-                    and expr.alias == scan.binding_name:
-                return positions.get(expr.column)
-            return None
-
-        group_indices = []
-        for expr in node.group_exprs:
-            index = index_of(expr)
-            if index is None:
-                return None
-            group_indices.append(index)
-        agg_indices = []
-        for agg in node.aggregates:
-            if agg.arg is None:
-                agg_indices.append(None)  # COUNT(*)
-                continue
-            index = index_of(agg.arg)
-            if index is None:
-                return None
-            agg_indices.append(index)
-        return tuple(group_indices), tuple(agg_indices)
-
-    def _peek_value(self, expr: ast.Expr) -> Any:
-        """Plan-time value of an argument expression, for stats routines."""
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.BindParam):
-            return self._peeked_binds.get(expr.name.lower())
-        return None
 
     # -- select list -----------------------------------------------------------
 
@@ -932,18 +919,9 @@ class Planner:
         def walk(node: ast.Expr) -> None:
             if isinstance(node, AggregateCall):
                 aggregates.append(node)
-                return
-            if isinstance(node, (ast.BinaryOp, ast.BoolOp)):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-                walk(node.operand)
-            elif isinstance(node, ast.FuncCall):
-                for arg in node.args:
-                    walk(arg)
-            elif isinstance(node, OperatorCall):
-                for arg in node.args:
-                    walk(arg)
+            else:
+                for child in child_exprs(node):
+                    walk(child)
 
         for expr, _ in items:
             walk(expr)
@@ -954,31 +932,28 @@ class Planner:
     # -- FROM/WHERE planning -----------------------------------------------------
 
     def _plan_from_where(self, scope: Scope, conjuncts: List[ast.Expr],
-                         select: ast.Select) -> PlanNode:
+                         select: ast.Select, binds: dict) -> PlanNode:
         per_table: dict = {binding: [] for binding, _ in scope.entries}
-        multi: List[ast.Expr] = []
+        multi: List[ast.Expr] = []  # join and constant predicates
         for conjunct in conjuncts:
             aliases = referenced_aliases(conjunct)
             if len(aliases) == 1:
                 per_table[next(iter(aliases))].append(conjunct)
-            elif len(aliases) == 0:
-                multi.append(conjunct)  # constant predicate: filter anywhere
             else:
                 multi.append(conjunct)
 
         first_rows = select.limit is not None
 
-        base_plans: dict = {}
-        for binding, table in scope.entries:
-            base_plans[binding] = self._access_path(
-                table, binding, per_table[binding], first_rows)
+        base_plans = {binding: self._access_path(
+            table, binding, per_table[binding], first_rows, binds)
+            for binding, table in scope.entries}
 
         if len(scope.entries) == 1:
             plan = base_plans[scope.entries[0][0]]
             if multi:
                 plan = self._wrap_filter(plan, and_together(multi))
             return plan
-        return self._plan_joins(scope, base_plans, multi)
+        return self._plan_joins(scope, base_plans, multi, binds)
 
     def _wrap_filter(self, plan: PlanNode, predicate: Optional[ast.Expr]
                      ) -> PlanNode:
@@ -993,13 +968,8 @@ class Planner:
     # -- single-table access paths --------------------------------------------
 
     def _table_stats(self, table: TableDef) -> Tuple[float, float]:
-        if table.stats.analyzed:
-            rows = float(table.stats.row_count)
-            pages = float(max(1, table.stats.page_count))
-        else:
-            rows = float(table.storage.row_count)
-            pages = float(max(1, table.storage.page_count))
-        return rows, pages
+        source = table.stats if table.stats.analyzed else table.storage
+        return float(source.row_count), float(max(1, source.page_count))
 
     def _filter_cost(self, predicate: Optional[ast.Expr]) -> float:
         """Per-row CPU cost of evaluating ``predicate``."""
@@ -1009,12 +979,8 @@ class Planner:
 
         def walk(node: ast.Expr) -> None:
             nonlocal cost
-            if isinstance(node, OperatorCall):
-                cost += self._operator_function_cost(node)
-                for arg in node.args:
-                    walk(arg)
-            elif isinstance(node, ast.FuncCall):
-                cost += self._function_call_cost(node)
+            if isinstance(node, (OperatorCall, ast.FuncCall)):
+                cost += self._call_cost(node)
                 for arg in node.args:
                     walk(arg)
             elif isinstance(node, (ast.BinaryOp, ast.BoolOp)):
@@ -1028,84 +994,218 @@ class Planner:
         walk(predicate)
         return cost
 
-    def _function_call_cost(self, call: ast.FuncCall) -> float:
-        """Per-call cost of a plain function, honouring ASSOCIATE
-        STATISTICS WITH FUNCTIONS when present."""
-        key = call.name.lower()
-        stats_name = self.catalog.function_stats.get(key) \
-            or self.catalog.function_stats.get(key.split(".")[-1])
-        if stats_name is not None:
-            stats = self.catalog.get_stats_type(stats_name)()
+    def _call_cost(self, call: Any) -> float:
+        """Per-row cost of a plain function call or of an operator's
+        functional implementation: ODCIStatsFunctionCost when a
+        statistics type is associated (with the function, or through the
+        operator's indextype), else the registered function's cost."""
+        functions = self.catalog.functions
+        if isinstance(call, OperatorCall):
+            name, bindings = call.operator.name, call.operator.bindings
+            stats = self._stats_for_operator(call.operator)
+            fn = functions.get(bindings[0].function_name.lower()) \
+                if bindings else None
+        else:
+            name, key = call.name, call.name.lower()
+            stats_name = self.catalog.function_stats.get(key) \
+                or self.catalog.function_stats.get(key.split(".")[-1])
+            stats = self.catalog.get_stats_type(stats_name)() \
+                if stats_name is not None else None
+            fn = functions.get(key)
+        if stats is not None:
             cost = self._dispatch_stats("ODCIStatsFunctionCost",
-                                        stats.function_cost,
-                                        call.name, call.args,
+                                        stats.function_cost, name, call.args,
                                         self._stats_env())
             if cost is not None:
                 return cost
-        fn = self.catalog.functions.get(key)
-        return fn.cost if fn else DEFAULT_FUNCTION_COST
+        return fn.cost if fn is not None else DEFAULT_FUNCTION_COST
 
-    def _operator_function_cost(self, call: OperatorCall) -> float:
-        """Per-row cost of the operator's functional implementation."""
-        operator = call.operator
-        stats = self._stats_for_operator(operator)
-        if stats is not None:
-            env = self._stats_env()
-            cost = self._dispatch_stats("ODCIStatsFunctionCost",
-                                        stats.function_cost,
-                                        operator.name, call.args, env)
-            if cost is not None:
-                return cost
-        if operator.bindings:
-            fn = self.catalog.functions.get(
-                operator.bindings[0].function_name.lower())
-            if fn is not None:
-                return fn.cost
-        return DEFAULT_FUNCTION_COST
+    def _sarg_summary(self, table: TableDef, binding: str,
+                      conjuncts: List[ast.Expr], binds: dict,
+                      outer: frozenset = frozenset()) -> SargSummary:
+        """Run the extractors over each conjunct once, peeking every
+        plan-time value now: a statistics routine's callback SQL may
+        re-enter the planner before the estimates are read.  ``outer``
+        (a join's already-joined bindings) makes their columns constants
+        — the sargs an inner-table probe sees per outer row."""
+        summary = SargSummary(table, *self._table_stats(table), conjuncts)
+        for i, conjunct in enumerate(conjuncts):
+            parts: list = extract_sargs(conjunct, outer)
+            for sarg in parts:
+                sarg.conjunct, sarg.value = i, _peek(sarg.value_expr, binds)
+                if sarg.column_ref.alias == binding and sarg.op in _SIDE:
+                    summary.sargs.setdefault(
+                        (sarg.column_ref.column or "", _SIDE[sarg.op]),
+                        []).append(sarg)
+            pred = None if parts else extract_operator_pred(conjunct)
+            if pred is not None:
+                parts = [pred]
+                args = pred.call.args
+                pred.conjunct = i
+                pred.arg_values = [_peek(arg, binds) for arg in args]
+                if args and isinstance(args[0], ast.ColumnRef) \
+                        and args[0].bound and args[0].alias == binding \
+                        and all(_is_constant(arg, outer)
+                                for arg in pred.call.value_args):
+                    summary.op_preds.append(pred)
+            summary.parts.append(parts)
+        return summary
+
+    def _selectivity(self, summary: SargSummary, i: int) -> float:
+        """Selectivity of conjunct ``i``, computed (and for an operator
+        predicate, asked of its ODCIStats type) once per summary."""
+        sel = summary.selectivity.get(i)
+        if sel is None:
+            parts = summary.parts[i]
+            if not parts:
+                sel = 0.5
+            elif isinstance(parts[0], OperatorPred):
+                sel = self._operator_selectivity(parts[0])
+            elif len(parts) == 2:  # BETWEEN
+                sel = _range_pair_selectivity(summary.table, *parts)
+            else:
+                sel = _sarg_selectivity(summary.table, parts[0])
+            summary.selectivity[i] = sel
+        return sel
+
+    def _matches(self, summary: SargSummary, shape: str,
+                 columns: Sequence[str]) -> Iterator[Tuple[list, float]]:
+        """Each way the summary offers ``shape`` to a structure keyed on
+        ``columns``: the sargs (or operator predicate) it would consume
+        and the rows they match."""
+        rows, lead = summary.rows, columns[0]
+        if shape in ("eq", "low", "high"):
+            # one comparison on the leading column; a BETWEEN's halves
+            # are only ever served together
+            for sarg in summary.sargs.get((lead, shape), ()):
+                if len(summary.parts[sarg.conjunct]) == 1:
+                    yield [sarg], rows * self._selectivity(summary,
+                                                           sarg.conjunct)
+        elif shape == "low+high":
+            # the column's first lower and first upper bound — two
+            # conjuncts or one BETWEEN — as one scan that stops at the
+            # upper bound; further bounds stay in the residual
+            low = summary.sargs.get((lead, "low"))
+            high = summary.sargs.get((lead, "high"))
+            if low and high:
+                yield [low[0], high[0]], rows * _range_pair_selectivity(
+                    summary.table, low[0], high[0])
+        elif shape == "eq-prefix":
+            # equalities on the leading k key columns; a full key is one
+            # descent to at most one row
+            used: List[Sarg] = []
+            for column in columns:
+                eq = summary.sargs.get((column, "eq"))
+                if not eq:
+                    break
+                used.append(eq[0])
+                rows *= self._selectivity(summary, eq[0].conjunct)
+            if used:
+                yield used, 1.0 if len(used) == len(columns) else rows
+        elif shape == "op":
+            for pred in summary.op_preds:
+                if pred.call.args[0].column in columns:
+                    yield [pred], rows * self._selectivity(summary,
+                                                           pred.conjunct)
+
+    def _paths(self, table: TableDef, summary: SargSummary, scope: Scope,
+               notes: List[str]) -> List[Tuple[AccessPath, Optional[IndexDef],
+                                               str, list, float]]:
+        """The one matcher: every ``(path, index, shape, consumed,
+        matched rows)`` the table's structures serve of what ``summary``
+        offers, in candidate order.  A domain index is asked whether its
+        indextype supports the operator for these argument types; one
+        that would serve but is not VALID leaves a ``FUNCTIONAL`` note
+        instead (the operator degrades to functional evaluation, §2.6).
+        """
+        structures = [(index.kind, index, index.column_names)
+                      for index in self.catalog.indexes_on(table.name)]
+        if table.is_iot and table.primary_key:
+            structures.append(("iot", None, table.primary_key))
+        found = []
+        for kind, index, columns in structures:
+            path = ACCESS_PATHS[kind]
+            columns = [column.lower() for column in columns]
+            for shape in path.shapes:
+                for used, matched in self._matches(summary, shape, columns):
+                    if kind == "domain" and not self._domain_serves(
+                            index, used[0].call, scope, notes):
+                        continue
+                    found.append((path, index, shape, used, matched))
+        found.sort(key=lambda m: (_SHAPE_RANK[m[2]], m[3][0].conjunct))
+        return found
+
+    def _domain_serves(self, index: IndexDef, call: OperatorCall,
+                       scope: Scope, notes: List[str]) -> bool:
+        indextype = self.catalog.get_indextype(index.domain.indextype_name)
+        arg_types = [static_type(arg, scope, self.catalog)
+                     for arg in call.args]
+        name = call.operator.name
+        if not indextype.supports(name.split(".")[-1], arg_types) \
+                and not indextype.supports(name, arg_types):
+            return False
+        if not index.domain.valid:
+            note = f"FUNCTIONAL (index {index.name} {index.domain.state.value})"
+            if note not in notes:
+                notes.append(note)
+            return False
+        return True
 
     def _access_path(self, table: TableDef, binding: str,
-                     conjuncts: List[ast.Expr],
-                     first_rows: bool) -> PlanNode:
-        rows, pages = self._table_stats(table)
-        candidates: List[PlanNode] = []
+                     conjuncts: List[ast.Expr], first_rows: bool,
+                     binds: Optional[dict] = None) -> PlanNode:
+        """Price the full scan and every :data:`ACCESS_PATHS` candidate
+        the conjuncts offer; the cheapest wins."""
+        summary = self._sarg_summary(table, binding, conjuncts, binds or {})
+        rows, pages = summary.rows, summary.pages
 
         # baseline: full scan with all conjuncts as filter
-        residual = and_together(conjuncts)
-        full = FullScan(table=table, binding_name=binding, filter=residual)
-        sel_all = self._conjunct_selectivity(table, conjuncts)
+        full = FullScan(table=table, binding_name=binding,
+                        filter=and_together(conjuncts))
+        sel_all = 1.0
+        for i in range(len(conjuncts)):
+            sel_all *= self._selectivity(summary, i)
         full.est_rows = max(1.0, rows * sel_all) if conjuncts else max(rows, 1.0)
-        full.est_cost = pages + rows * (ROW_CPU + self._filter_cost(residual))
-        candidates.append(full)
-        fallback_notes: List[str] = []
+        full.est_cost = pages + rows * (ROW_CPU
+                                        + self._filter_cost(full.filter))
+        candidates: List[PlanNode] = [full]
+        notes: List[str] = []
 
-        indexes = self.catalog.indexes_on(table.name)
+        for path, index, __, used, matched in self._paths(
+                table, summary, Scope([(binding, table)]), notes):
+            fields = path.node_args(used)
+            if index is not None:
+                fields["index"] = index
+            node = path.node(table=table, binding_name=binding,
+                             filter=summary.residual(used), **fields)
+            node.est_rows = max(1.0, matched)
+            if isinstance(node, DomainScan):
+                # the cartridge prices its own scan (ODCIStatsIndexCost)
+                pred = used[0]
+                node.first_rows = first_rows
+                node.est_cost = self._domain_scan_cost(
+                    index, node.pred_info,
+                    self._selectivity(summary, pred.conjunct), matched,
+                    pred.arg_values) \
+                    + node.est_rows * self._filter_cost(node.filter)
+                # async ODCI prefetch pays once the result spans several
+                # fetch batches.  A marker, not a cost: path choice (and
+                # the shared plan-cache entry) is the same without it
+                depth = getattr(self.db, "prefetch_depth", 0)
+                if depth > 0 and node.est_rows >= max(
+                        1, getattr(self.db, "prefetch_min_rows", 64)):
+                    node.prefetch_depth = depth
+            else:
+                node.est_cost = path.startup + matched * (
+                    path.per_row + self._filter_cost(node.filter))
+            candidates.append(node)
 
-        for i, conjunct in enumerate(conjuncts):
-            rest = conjuncts[:i] + conjuncts[i + 1:]
-            sarg = extract_sarg(conjunct)
-            if sarg is not None and sarg.column_ref.alias == binding:
-                candidates.extend(self._native_paths(
-                    table, binding, sarg, rest, rows))
-            op_pred = extract_operator_pred(conjunct)
-            if op_pred is not None:
-                domain = self._domain_path(table, binding, op_pred, rest,
-                                           rows, first_rows,
-                                           notes=fallback_notes)
-                if domain is not None:
-                    candidates.append(domain)
-
-        candidates.extend(self._range_pair_paths(table, binding, conjuncts,
-                                                 rows))
-        candidates.extend(self._iot_prefix_paths(table, binding, conjuncts,
-                                                 rows))
         best = min(candidates, key=lambda c: c.est_cost)
-        if fallback_notes and not isinstance(best, DomainScan):
+        if not isinstance(best, DomainScan):
             # make the degradation visible: the operator predicate will
             # run through its functional implementation because every
             # matching domain index is sidelined
-            for note in fallback_notes:
-                if note not in best.annotations:
-                    best.annotations.append(note)
+            best.annotations.extend(notes)
         if self.db is not None and getattr(self.db, "trace_log", None) is not None:
             for cand in candidates:
                 marker = "*" if cand is best else " "
@@ -1114,287 +1214,12 @@ class Planner:
                     f"cost={cand.est_cost:.2f}")
         return best
 
-    def _iot_prefix_paths(self, table: TableDef, binding: str,
-                          conjuncts: List[ast.Expr],
-                          rows: float) -> List[PlanNode]:
-        """The IOT's native path: equality sargs on the leading *k*
-        primary-key columns bind a key prefix; the other conjuncts stay
-        as the filter.  A full key is one descent to at most one row."""
-        if not table.is_iot or not table.primary_key:
-            return []
-        equalities: Dict[str, Sarg] = {}
-        for conjunct in conjuncts:
-            sarg = extract_sarg(conjunct)
-            if (sarg is not None and sarg.op == "="
-                    and sarg.column_ref.alias == binding):
-                equalities.setdefault(sarg.column_ref.column or "", sarg)
-        bound: List[Sarg] = []
-        for column in table.primary_key:
-            sarg = equalities.get(column.lower())
-            if sarg is None:
-                break
-            bound.append(sarg)
-        if not bound:
-            return []
-        consumed = {id(sarg.source) for sarg in bound}
-        node = IOTPrefixScan(
-            table=table, binding_name=binding,
-            key=[sarg.value_expr for sarg in bound],
-            filter=and_together([c for c in conjuncts
-                                 if id(c) not in consumed]))
-        if len(bound) == len(table.primary_key):
-            matched = 1.0
-        else:
-            matched = rows
-            for sarg in bound:
-                matched *= self._sarg_selectivity(table, sarg)
-        node.est_rows = max(1.0, matched)
-        node.est_cost = (BTREE_DESCENT + matched
-                         * (ROW_CPU + self._filter_cost(node.filter)))
-        return [node]
-
-    def _conjunct_selectivity(self, table: TableDef,
-                              conjuncts: List[ast.Expr]) -> float:
-        sel = 1.0
-        for conjunct in conjuncts:
-            sargs = extract_sargs(conjunct)
-            if len(sargs) == 2:  # BETWEEN
-                sel *= self._range_pair_selectivity(table, *sargs)
-                continue
-            if sargs:
-                sel *= self._sarg_selectivity(table, sargs[0])
-                continue
-            op_pred = extract_operator_pred(conjunct)
-            if op_pred is not None:
-                sel *= self._operator_selectivity(op_pred)
-                continue
-            sel *= 0.5
-        return sel
-
-    def _sarg_selectivity(self, table: TableDef, sarg: Sarg) -> float:
-        col = sarg.column_ref.column or ""
-        col_stats = table.stats.columns.get(col) if table.stats.analyzed else None
-        if sarg.op == "=":
-            if col_stats and col_stats.ndv > 0:
-                return 1.0 / col_stats.ndv
-            return DEFAULT_EQ_SELECTIVITY
-        if sarg.op == "!=":
-            return 1.0 - (1.0 / col_stats.ndv if col_stats and col_stats.ndv
-                          else DEFAULT_EQ_SELECTIVITY)
-        # range predicates: interpolate within [min, max] when ANALYZE
-        # collected numeric bounds and the comparison value is known at
-        # plan time (a literal, or a bind peeked from this execution)
-        value = self._numeric_bound(sarg)
-        if (col_stats is not None and value is not None
-                and isinstance(col_stats.min_value, (int, float))
-                and isinstance(col_stats.max_value, (int, float))
-                and col_stats.max_value > col_stats.min_value):
-            low, high = float(col_stats.min_value), float(col_stats.max_value)
-            span = high - low
-            if sarg.op in ("<", "<="):
-                fraction = (value - low) / span
-            else:  # > or >=
-                fraction = (high - value) / span
-            return min(1.0, max(0.0005, fraction))
-        return DEFAULT_RANGE_SELECTIVITY
-
-    def _numeric_bound(self, sarg: Sarg) -> Optional[float]:
-        """A range sarg's comparison value when it is a number known at
-        plan time: a literal, or a bind peeked from the execution that
-        triggered planning (later executions share the plan)."""
-        value = self._peek_value(sarg.value_expr)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        return None
-
-    def _range_pair_selectivity(self, table: TableDef, low: Sarg,
-                                high: Sarg) -> float:
-        """Selectivity of ``low AND high``, a lower and an upper bound
-        on one column: the width of the interval over the column's
-        ANALYZE'd span when both bounds are numbers known at plan time,
-        else the product of the one-sided estimates."""
-        col_stats = table.stats.columns.get(low.column_ref.column or "") \
-            if table.stats.analyzed else None
-        bounds = [b for b in map(self._numeric_bound, (low, high))
-                  if b is not None]
-        if (col_stats is not None and len(bounds) == 2
-                and isinstance(col_stats.min_value, (int, float))
-                and isinstance(col_stats.max_value, (int, float))
-                and col_stats.max_value > col_stats.min_value):
-            width = min(bounds[1], col_stats.max_value) \
-                - max(bounds[0], col_stats.min_value)
-            span = float(col_stats.max_value - col_stats.min_value)
-            return min(1.0, max(0.0005, width / span))
-        return self._sarg_selectivity(table, low) \
-            * self._sarg_selectivity(table, high)
-
-    def _range_pair_paths(self, table: TableDef, binding: str,
-                          conjuncts: List[ast.Expr],
-                          rows: float) -> List[PlanNode]:
-        """Two-sided B-tree ranges.
-
-        A lower and an upper bound on an index's leading column — two
-        conjuncts, or one ``BETWEEN`` — merge into one scan that stops
-        at the upper bound, where a one-sided scan would walk to the
-        end of the index and filter the rest.  Both consumed conjuncts
-        leave the residual; further bounds on the column stay in it.
-        """
-        lows: Dict[str, Tuple[int, Sarg]] = {}
-        highs: Dict[str, Tuple[int, Sarg]] = {}
-        for i, conjunct in enumerate(conjuncts):
-            for sarg in extract_sargs(conjunct):
-                if sarg.column_ref.alias != binding:
-                    continue
-                column = sarg.column_ref.column or ""
-                if sarg.op in (">", ">="):
-                    lows.setdefault(column, (i, sarg))
-                elif sarg.op in ("<", "<="):
-                    highs.setdefault(column, (i, sarg))
-        paths: List[PlanNode] = []
-        for column, (i, low) in lows.items():
-            if column not in highs:
-                continue
-            j, high = highs[column]
-            residual = and_together(
-                [c for k, c in enumerate(conjuncts) if k != i and k != j])
-            sel = self._range_pair_selectivity(table, low, high)
-            for index in self.catalog.indexes_on(table.name):
-                if index.is_domain or index.kind != "btree" \
-                        or not index.column_names \
-                        or index.column_names[0].lower() != column:
-                    continue
-                node = BTreeScan(table=table, binding_name=binding,
-                                 index=index, filter=residual,
-                                 low=low.value_expr, high=high.value_expr,
-                                 low_inclusive=low.op == ">=",
-                                 high_inclusive=high.op == "<=")
-                node.est_rows = max(1.0, rows * sel)
-                node.est_cost = (BTREE_DESCENT + rows * sel
-                                 * (FETCH_COST + self._filter_cost(residual)))
-                paths.append(node)
-        return paths
-
-    def _native_paths(self, table: TableDef, binding: str, sarg: Sarg,
-                      rest: List[ast.Expr], rows: float) -> List[PlanNode]:
-        paths: List[PlanNode] = []
-        residual = and_together(rest)
-        sel = self._sarg_selectivity(table, sarg)
-        for index in self.catalog.indexes_on(table.name):
-            if index.is_domain or not index.column_names:
-                continue
-            if index.column_names[0].lower() != (sarg.column_ref.column or ""):
-                continue
-            if index.kind == "btree":
-                node = BTreeScan(table=table, binding_name=binding,
-                                 index=index, filter=residual)
-                if sarg.op == "=":
-                    node.low = node.high = sarg.value_expr
-                elif sarg.op in (">", ">="):
-                    node.low = sarg.value_expr
-                    node.low_inclusive = sarg.op == ">="
-                elif sarg.op in ("<", "<="):
-                    node.high = sarg.value_expr
-                    node.high_inclusive = sarg.op == "<="
-                else:
-                    continue  # != is not an index range
-                node.est_rows = max(1.0, rows * sel)
-                node.est_cost = (BTREE_DESCENT + rows * sel
-                                 * (FETCH_COST + self._filter_cost(residual)))
-                paths.append(node)
-            elif index.kind == "hash" and sarg.op == "=":
-                node = HashScan(table=table, binding_name=binding,
-                                index=index, key=sarg.value_expr,
-                                filter=residual)
-                node.est_rows = max(1.0, rows * sel)
-                node.est_cost = (1.0 + rows * sel
-                                 * (FETCH_COST + self._filter_cost(residual)))
-                paths.append(node)
-            elif index.kind == "bitmap" and sarg.op == "=":
-                node = BitmapScan(table=table, binding_name=binding,
-                                  index=index, keys=[sarg.value_expr],
-                                  filter=residual)
-                node.est_rows = max(1.0, rows * sel)
-                node.est_cost = (1.0 + rows * sel
-                                 * (FETCH_COST + self._filter_cost(residual)))
-                paths.append(node)
-        return paths
-
-    # -- domain index path ---------------------------------------------------
-
-    def _domain_path(self, table: TableDef, binding: str,
-                     op_pred: OperatorPred, rest: List[ast.Expr],
-                     rows: float, first_rows: bool,
-                     notes: Optional[List[str]] = None) -> Optional[PlanNode]:
-        call = op_pred.call
-        if not call.args:
-            return None
-        first_arg = call.args[0]
-        if not (isinstance(first_arg, ast.ColumnRef) and first_arg.bound
-                and first_arg.alias == binding):
-            return None
-        # remaining (non-label) args must be constants to be index-evaluable
-        if not all(_is_constant(arg) for arg in call.value_args):
-            return None
-        # find a domain index on the referenced base column
-        target_column = first_arg.column or ""
-        for index in self.catalog.indexes_on(table.name):
-            if not index.is_domain or index.domain is None:
-                continue
-            if target_column not in [c.lower() for c in index.column_names]:
-                continue
-            indextype = self.catalog.get_indextype(
-                index.domain.indextype_name)
-            arg_types = [static_type(a, Scope([(binding, table)]),
-                                     self.catalog) for a in call.args]
-            if not indextype.supports(call.operator.name.split(".")[-1],
-                                      arg_types) \
-                    and not indextype.supports(call.operator.name, arg_types):
-                continue
-            if not index.domain.valid:
-                # index would have served this predicate but is sidelined:
-                # the operator degrades to functional evaluation (§2.6)
-                if notes is not None:
-                    notes.append(f"FUNCTIONAL (index {index.name} "
-                                 f"{index.domain.state.value})")
-                continue
-            return self._build_domain_scan(table, binding, index, op_pred,
-                                           rest, rows, first_rows)
-        return None
-
-    def _build_domain_scan(self, table: TableDef, binding: str,
-                           index: IndexDef, op_pred: OperatorPred,
-                           rest: List[ast.Expr], rows: float,
-                           first_rows: bool) -> DomainScan:
-        call = op_pred.call
-        residual = and_together(rest)
-        pred_info = ODCIPredInfo(
-            operator_name=call.operator.name,
-            lower_bound=op_pred.lower,
-            upper_bound=op_pred.upper,
-            include_lower=op_pred.include_lower,
-            include_upper=op_pred.include_upper,
-        )
-        node = DomainScan(table=table, binding_name=binding, index=index,
-                          operator_call=call, pred_info=pred_info,
-                          filter=residual, first_rows=first_rows)
-        sel = self._operator_selectivity(op_pred)
-        cost = self._domain_scan_cost(index, pred_info, sel, rows, call)
-        node.est_rows = max(1.0, rows * sel)
-        node.est_cost = cost + node.est_rows * self._filter_cost(residual)
-        return node
-
     def _stats_for_operator(self, operator):
         """StatsMethods instance for an operator via its indextypes."""
         for indextype in self.catalog.indextypes.values():
             if indextype.stats_name and indextype.supports(
                     operator.name.split(".")[-1]):
                 return self.catalog.get_stats_type(indextype.stats_name)()
-        return None
-
-    def _stats_for_indextype(self, indextype_name: str):
-        indextype = self.catalog.get_indextype(indextype_name)
-        if indextype.stats_name:
-            return self.catalog.get_stats_type(indextype.stats_name)()
         return None
 
     def _stats_env(self):
@@ -1423,46 +1248,44 @@ class Planner:
         stats = self._stats_for_operator(op_pred.call.operator)
         if stats is not None:
             env = self._stats_env()
-            pred_info = ODCIPredInfo(
-                operator_name=op_pred.call.operator.name,
-                lower_bound=op_pred.lower, upper_bound=op_pred.upper,
-                include_lower=op_pred.include_lower,
-                include_upper=op_pred.include_upper)
-            args = [self._peek_value(a) for a in op_pred.call.args]
             if env is not None:
                 env.trace(f"optimizer:ODCIStatsSelectivity("
                           f"{op_pred.call.operator.name})")
             sel = self._dispatch_stats("ODCIStatsSelectivity",
                                        stats.selectivity,
-                                       pred_info, args, env)
+                                       op_pred.pred_info(),
+                                       list(op_pred.arg_values), env)
             if sel is not None:
                 return min(1.0, max(0.0, sel))
         return DEFAULT_OPERATOR_SELECTIVITY
 
     def _domain_scan_cost(self, index: IndexDef, pred_info: ODCIPredInfo,
-                          sel: float, rows: float,
-                          call: OperatorCall) -> float:
-        stats = self._stats_for_indextype(index.domain.indextype_name)
-        if stats is not None:
+                          sel: float, matched: float,
+                          arg_values: Sequence[Any]) -> float:
+        """Cost of reaching ``matched`` rows through a domain index: the
+        indextype's ODCIStatsIndexCost when it has a statistics type,
+        else the ``"domain"`` row of :data:`ACCESS_PATHS`."""
+        indextype = self.catalog.get_indextype(index.domain.indextype_name)
+        if indextype.stats_name:
+            stats = self.catalog.get_stats_type(indextype.stats_name)()
             env = (self.db.make_stats_env(index.domain)
                    if self.db is not None else None)
-            args = [self._peek_value(a) for a in call.args]
             if env is not None:
                 env.trace(f"optimizer:ODCIStatsIndexCost({index.name})")
             cost = self._dispatch_stats("ODCIStatsIndexCost",
                                         stats.index_cost,
                                         index.domain.index_info(), pred_info,
-                                        sel, args, env,
+                                        sel, list(arg_values), env,
                                         index_name=index.name)
             if cost is not None:
                 return cost.total
-        return DOMAIN_SCAN_STARTUP + rows * sel * (FETCH_COST
-                                                   + DOMAIN_SCAN_PER_ROW)
+        path = ACCESS_PATHS["domain"]
+        return path.startup + matched * path.per_row
 
     # -- joins -------------------------------------------------------------------
 
     def _plan_joins(self, scope: Scope, base_plans: dict,
-                    multi: List[ast.Expr]) -> PlanNode:
+                    multi: List[ast.Expr], binds: dict) -> PlanNode:
         remaining_bindings = [binding for binding, _ in scope.entries]
         remaining_bindings.sort(key=lambda b: base_plans[b].est_rows)
         pending = list(multi)
@@ -1477,7 +1300,7 @@ class Planner:
             remaining_bindings.remove(next_binding)
             for conjunct in join_conjuncts:
                 pending.remove(conjunct)
-            plan = self._join_step(scope, plan, joined, next_binding,
+            plan = self._join_step(scope, binds, plan, joined, next_binding,
                                    base_plans[next_binding], join_conjuncts)
             joined.add(next_binding)
             # attach any now-answerable pending predicates
@@ -1501,11 +1324,30 @@ class Planner:
                 return binding, conjuncts
         return remaining[0], []
 
-    def _join_step(self, scope: Scope, outer: PlanNode, joined: set,
-                   inner_binding: str, inner_plan: PlanNode,
+    def _join_probe(self, scope: Scope, binds: dict, notes: List[str],
+                    binding: str, conjuncts: List[ast.Expr], joined: set,
+                    shape: str) -> Optional[Tuple[IndexDef, Any, float]]:
+        """What a nested-loop join probes ``binding`` through per outer
+        row: the first :data:`ACCESS_PATHS` candidate declared
+        ``join_probe`` that serves ``shape`` for one of the join
+        conjuncts — the single-table matcher, with the joined tables'
+        columns as constants.  Returns ``(index, consumed sarg or
+        operator predicate, its selectivity)``."""
+        table = scope.table_for_alias(binding)
+        summary = self._sarg_summary(table, binding, conjuncts, binds,
+                                     frozenset(joined))
+        for path, index, found, used, __ in self._paths(
+                table, summary, scope, notes):
+            if path.join_probe and found == shape:
+                return index, used[0], self._selectivity(summary,
+                                                         used[0].conjunct)
+        return None
+
+    def _join_step(self, scope: Scope, binds: dict, outer: PlanNode,
+                   joined: set, inner_binding: str, inner_plan: PlanNode,
                    conjuncts: List[ast.Expr]) -> PlanNode:
-        inner_table = scope.table_for_alias(inner_binding)
         equi_pairs = []
+        equi_conjuncts: List[ast.Expr] = []
         residual: List[ast.Expr] = []
         for conjunct in conjuncts:
             pair = extract_equijoin(conjunct)
@@ -1515,29 +1357,28 @@ class Planner:
                     left, right = right, left
                 if left.alias in joined and right.alias == inner_binding:
                     equi_pairs.append((left, right))
+                    equi_conjuncts.append(conjunct)
                     continue
             residual.append(conjunct)
 
         condition = and_together(residual)
 
         if equi_pairs:
-            # try an indexed NL when the inner side has a usable index
-            outer_key, inner_key = equi_pairs[0]
-            index = self._find_equality_index(inner_table,
-                                              inner_key.column or "")
+            # a small outer probes the inner table per row when a declared
+            # join-probe path serves the first equality; the rest filter
             small_outer = outer.est_rows <= max(
                 4.0, 0.2 * max(inner_plan.est_rows, 1.0))
-            if index is not None and small_outer \
-                    and isinstance(inner_plan, FullScan):
-                extra = list(equi_pairs[1:])
-                cond = condition
-                for left, right in extra:
-                    eq = ast.BinaryOp("=", left, right)
-                    cond = eq if cond is None else ast.BoolOp("AND", cond, eq)
-                node = IndexedNLJoin(outer=outer, inner_table=inner_table,
+            probe = self._join_probe(scope, binds, [], inner_binding,
+                                     equi_conjuncts[:1], joined, "eq") \
+                if small_outer and isinstance(inner_plan, FullScan) else None
+            if probe is not None:
+                node = IndexedNLJoin(outer=outer,
+                                     inner_table=inner_plan.table,
                                      inner_binding=inner_binding,
-                                     index=index, outer_key=outer_key,
-                                     condition=cond,
+                                     index=probe[0],
+                                     outer_key=equi_pairs[0][0],
+                                     condition=and_together(
+                                         residual + equi_conjuncts[1:]),
                                      inner_filter=inner_plan.filter)
                 node.est_rows = max(1.0, outer.est_rows)
                 node.est_cost = (outer.est_cost
@@ -1553,105 +1394,57 @@ class Planner:
                              + inner_plan.est_rows * CPU_PER_PREDICATE)
             return node
 
-        domain_join = self._try_domain_join(outer, inner_binding,
-                                            inner_table, inner_plan,
+        notes: List[str] = []
+        domain_join = self._try_domain_join(scope, binds, notes, outer,
+                                            inner_binding, inner_plan,
                                             residual, joined)
         if domain_join is not None:
             return domain_join
         # the indexed column may be on the other side: swap roles when
         # the current outer is a single base-table scan
-        if isinstance(outer, (FullScan, BTreeScan, HashScan, BitmapScan)) \
+        if isinstance(outer, (FullScan,) + NATIVE_INDEX_SCANS) \
                 and len(joined) == 1:
             swapped = self._try_domain_join(
-                inner_plan, outer.binding_name, outer.table, outer,
+                scope, binds, notes, inner_plan, outer.binding_name, outer,
                 residual, {inner_binding})
             if swapped is not None:
                 return swapped
 
         node = NestedLoopJoin(outer=outer, inner=inner_plan,
                               condition=condition)
+        # the join predicate's operator runs functionally when the
+        # domain index that would have served it is sidelined
+        node.annotations.extend(notes)
         node.est_rows = max(1.0, outer.est_rows * inner_plan.est_rows
                             * (0.1 if condition is not None else 1.0))
         node.est_cost = (outer.est_cost
                          + outer.est_rows * max(inner_plan.est_cost, 0.1))
         return node
 
-    def _try_domain_join(self, outer: PlanNode, inner_binding: str,
-                         inner_table: Optional[TableDef],
-                         inner_plan: PlanNode,
-                         residual: List[ast.Expr],
+    def _try_domain_join(self, scope: Scope, binds: dict, notes: List[str],
+                         outer: PlanNode, inner_binding: str,
+                         inner_plan: PlanNode, residual: List[ast.Expr],
                          joined: set) -> Optional[DomainNLJoin]:
-        """Recognize an operator join predicate servable by a domain index.
-
-        Requirements: the conjunct is an operator predicate whose first
-        argument is a column of the inner table with a valid domain
-        index supporting the operator, and whose remaining arguments
-        read only already-joined tables.
-        """
-        if inner_table is None:
+        """An operator join predicate a domain index on the inner table
+        serves (see :meth:`_join_probe`): probe it per outer row."""
+        probe = self._join_probe(scope, binds, notes, inner_binding,
+                                 residual, joined, "op")
+        if probe is None:
             return None
-        for i, conjunct in enumerate(residual):
-            op_pred = extract_operator_pred(conjunct)
-            if op_pred is None:
-                continue
-            call = op_pred.call
-            if not call.args:
-                continue
-            first = call.args[0]
-            if not (isinstance(first, ast.ColumnRef) and first.bound
-                    and first.alias == inner_binding):
-                continue
-            if any(not referenced_aliases(arg) <= joined
-                   for arg in call.value_args):
-                continue
-            index = self._domain_index_for(inner_table, first,
-                                           call)
-            if index is None:
-                continue
-            remaining = residual[:i] + residual[i + 1:]
-            node = DomainNLJoin(
-                outer=outer, inner_table=inner_table,
-                inner_binding=inner_binding, index=index,
-                operator_call=call,
-                lower=op_pred.lower, upper=op_pred.upper,
-                include_lower=op_pred.include_lower,
-                include_upper=op_pred.include_upper,
-                condition=and_together(remaining),
-                inner_filter=inner_plan.filter
-                if isinstance(inner_plan, FullScan) else None)
-            sel = self._operator_selectivity(op_pred)
-            inner_rows = max(inner_plan.est_rows, 1.0)
-            node.est_rows = max(1.0, outer.est_rows * inner_rows * sel)
-            node.est_cost = (outer.est_cost + outer.est_rows
-                             * (DOMAIN_SCAN_STARTUP + inner_rows * sel))
-            return node
-        return None
-
-    def _domain_index_for(self, table: TableDef, column_ref: ast.ColumnRef,
-                          call: OperatorCall) -> Optional[IndexDef]:
-        """A valid domain index on the referenced column supporting the op."""
-        target = column_ref.column or ""
-        for index in self.catalog.indexes_on(table.name):
-            if not index.is_domain or index.domain is None \
-                    or not index.domain.valid:
-                continue
-            if target not in [c.lower() for c in index.column_names]:
-                continue
-            indextype = self.catalog.get_indextype(
-                index.domain.indextype_name)
-            if indextype.supports(call.operator.name.split(".")[-1]) \
-                    or indextype.supports(call.operator.name):
-                return index
-        return None
-
-    def _find_equality_index(self, table: Optional[TableDef],
-                             column: str) -> Optional[IndexDef]:
-        if table is None:
-            return None
-        for index in self.catalog.indexes_on(table.name):
-            if index.is_domain or not index.column_names:
-                continue
-            if index.column_names[0].lower() == column.lower() \
-                    and index.kind in ("btree", "hash"):
-                return index
-        return None
+        index, op_pred, sel = probe
+        node = DomainNLJoin(
+            outer=outer, inner_table=scope.table_for_alias(inner_binding),
+            inner_binding=inner_binding, index=index,
+            operator_call=op_pred.call,
+            lower=op_pred.lower, upper=op_pred.upper,
+            include_lower=op_pred.include_lower,
+            include_upper=op_pred.include_upper,
+            condition=and_together([c for c in residual
+                                    if c is not op_pred.source]),
+            inner_filter=inner_plan.filter
+            if isinstance(inner_plan, FullScan) else None)
+        inner_rows = max(inner_plan.est_rows, 1.0)
+        node.est_rows = max(1.0, outer.est_rows * inner_rows * sel)
+        node.est_cost = (outer.est_cost + outer.est_rows
+                         * (DOMAIN_SCAN_STARTUP + inner_rows * sel))
+        return node

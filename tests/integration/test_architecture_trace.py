@@ -26,6 +26,14 @@ class TestOptimizerCalls:
         assert any("ODCIStatsIndexCost(resume_text_index)" in t
                    for t in trace)
 
+    def test_selectivity_asked_once_per_predicate_per_plan(self, traced):
+        """The full scan and the domain scan price the same predicate:
+        its ODCIStatsSelectivity answer is asked for once and reused."""
+        traced.explain(
+            "SELECT * FROM employees WHERE Contains(resume, 'Oracle')")
+        assert sum("optimizer:ODCIStatsSelectivity(Contains)" in t
+                   for t in traced.trace_log) == 1
+
     def test_candidates_costed(self, traced):
         traced.explain(
             "SELECT * FROM employees WHERE Contains(resume, 'Oracle')")

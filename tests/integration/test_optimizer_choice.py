@@ -97,3 +97,56 @@ class TestSelectivitySensitivity:
         functional = docs_db.query(
             f"SELECT id FROM docs WHERE Contains(body, '{word}')")
         assert sorted(indexed) == sorted(functional)
+
+
+class TestJoinUsesTheSingleTableMatcher:
+    """A DomainNLJoin candidate goes through the matcher a DomainScan
+    does: the indextype is asked about the argument *types*, and a
+    sidelined index leaves the FUNCTIONAL note on the fallback join."""
+
+    @pytest.fixture
+    def probes_db(self, docs_db):
+        docs_db.execute("CREATE TABLE probes (word VARCHAR2(40), n NUMBER)")
+        docs_db.execute("INSERT INTO probes VALUES (:1, 7)",
+                        [docs_db.corpus.rare_word()])
+        return docs_db
+
+    JOIN = ("SELECT d.id FROM probes p, docs d"
+            " WHERE Contains(d.body, p.word)")
+
+    def test_join_probes_the_domain_index(self, probes_db):
+        plan = probes_db.explain(self.JOIN)
+        assert any("DOMAIN NL JOIN probe docs_text" in ln for ln in plan)
+
+    def test_join_over_sidelined_index_shows_the_functional_note(
+            self, probes_db):
+        from repro.core.domain_index import IndexState
+        expected = sorted(probes_db.execute(self.JOIN).fetchall())
+        for state in (IndexState.FAILED, IndexState.UNUSABLE):
+            probes_db.catalog.set_index_state("docs_text", state)
+            plan = probes_db.explain(self.JOIN)
+            assert not any("DOMAIN NL JOIN" in ln for ln in plan)
+            assert any(ln.strip() == f"FUNCTIONAL (index docs_text "
+                                     f"{state.value})" for ln in plan)
+            assert sorted(probes_db.execute(self.JOIN).fetchall()) \
+                == expected
+
+    def test_overloaded_operator_joins_only_on_the_indexed_signature(
+            self, probes_db):
+        """TextIndexType declares Contains(VARCHAR2, VARCHAR2); a second
+        binding taking a NUMBER is evaluated functionally, join or not."""
+        db = probes_db
+        db.create_function("ContainsNth",
+                           lambda body, n: 1 if len(body) > n else 0)
+        operator = db.catalog.get_operator("Contains")
+        from repro.core.operators import OperatorBinding
+        from repro.types.datatypes import NUMBER, VARCHAR2
+        operator.bindings.append(OperatorBinding(
+            [VARCHAR2, NUMBER], NUMBER, "ContainsNth"))
+        by_number = ("SELECT d.id FROM probes p, docs d"
+                     " WHERE Contains(d.body, p.n)")
+        plan = db.explain(by_number)
+        assert not any("DOMAIN NL JOIN" in ln for ln in plan)
+        assert any("NESTED LOOP JOIN" in ln for ln in plan)
+        assert len(db.execute(by_number).fetchall()) == 300
+        assert any("DOMAIN NL JOIN" in ln for ln in db.explain(self.JOIN))

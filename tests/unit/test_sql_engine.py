@@ -132,6 +132,17 @@ class TestAggregates:
                          "HAVING COUNT(*) > 1 ORDER BY dept")
         assert [r[0] for r in rows] == ["eng", "sales"]
 
+    def test_having_aggregate_inside_between_and_in(self, emp):
+        """The planner finds an aggregate wherever an expression can
+        hold one (it used to miss BETWEEN / IN / LIKE operands)."""
+        assert emp.execute(
+            "SELECT dept FROM emp GROUP BY dept"
+            " HAVING COUNT(*) BETWEEN 2 AND 9 ORDER BY dept"
+        ).fetchall() == [("eng",), ("sales",)]
+        assert emp.execute(
+            "SELECT dept FROM emp GROUP BY dept HAVING SUM(salary) IN (70)"
+        ).fetchall() == [("hr",)]
+
     def test_count_distinct(self, emp):
         assert emp.query("SELECT COUNT(DISTINCT dept) FROM emp") == [(3,)]
 
