@@ -30,7 +30,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
 
-from repro import Database, FetchResult, IndexMethods, PrecomputedScan
+from repro import Database
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
 from repro.testing import interpreter_forced
@@ -61,51 +61,6 @@ INDEX_LOOKUP_FLOOR = 1.5
 #: generated row functions (IOT prefix scan, hash-join keys,
 #: projections) must beat the interpreter on the row pipeline
 ROW_LOOP_FLOOR = 1.1
-#: prefetch must show a measurable fetch/process overlap win
-PREFETCH_SPEEDUP_FLOOR = 1.1
-
-#: synthetic I/O latency per ODCIIndexFetch batch in the prefetch
-#: scenario (a real sleep — it must release the GIL for overlap)
-SLOW_FETCH_SLEEP_S = 0.002
-
-
-class SlowScanMethods(IndexMethods):
-    """Equality indextype whose fetch models a slow external source."""
-
-    def _table(self, ia):
-        return f"{ia.index_name.lower()}_data"
-
-    def index_create(self, ia, parameters, env):
-        env.callback.execute(
-            f"CREATE TABLE {self._table(ia)} (v VARCHAR2(32), rid ROWID)")
-        column = ia.column_names[0]
-        for rid, value in env.callback.query(
-                f"SELECT rowid, {column} FROM {ia.table_name}"):
-            env.callback.insert_row(self._table(ia), [value, rid])
-
-    def index_drop(self, ia, env):
-        env.callback.execute(f"DROP TABLE {self._table(ia)}")
-
-    def index_insert(self, ia, rowid, new_values, env):
-        env.callback.insert_row(self._table(ia), [new_values[0], rowid])
-
-    def index_delete(self, ia, rowid, old_values, env):
-        env.callback.execute(
-            f"DELETE FROM {self._table(ia)} WHERE rid = :1", [rowid])
-
-    def index_start(self, ia, op_info, query_info, env):
-        rows = env.callback.query(
-            f"SELECT rid FROM {self._table(ia)} WHERE v = :1",
-            [op_info.operator_args[0]])
-        return PrecomputedScan(sorted(r[0] for r in rows))
-
-    def index_fetch(self, context, nrows, env):
-        time.sleep(SLOW_FETCH_SLEEP_S)
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=batch, done=len(batch) < nrows)
-
-    def index_close(self, context, env):
-        context.close()
 
 
 def build_scan_db(n_rows):
@@ -134,8 +89,7 @@ def build_text_db(n_docs):
 
 
 def _timed(db, sql, binds, repeats, interpreted=False):
-    """Plan afresh (plan-time settings such as ``prefetch_depth`` may
-    have changed), warm the plan cache, then time ``repeats``
+    """Plan afresh, warm the plan cache, then time ``repeats``
     executions — with ``interpreted``, on the interpreter only."""
     if interpreted:
         with interpreter_forced(db):
@@ -260,57 +214,9 @@ def bench_cold_vs_warm(n_rows, repeats):
             "speedup": round(cold / warm, 3)}
 
 
-def build_slow_scan_db(n_items):
-    db = Database(buffer_capacity=4096)
-    db.create_function("CatEqFunc",
-                       lambda v, probe: 1 if v == probe else 0, cost=5.0)
-    # per-row consumer work downstream of the fetch, sized comparable
-    # to the synthetic fetch latency — without it the scan is
-    # fetch-latency-bound in both modes and overlap buys nothing
-    db.create_function("Heavy",
-                       lambda x: sum(i * i for i in range(800)) + x,
-                       cost=2.0)
-    db.register_methods("SlowScanMethods", SlowScanMethods)
-    db.execute("CREATE OPERATOR Cat_Eq BINDING (VARCHAR2, VARCHAR2)"
-               " RETURN NUMBER USING CatEqFunc")
-    db.execute("CREATE INDEXTYPE SlowScanType"
-               " FOR Cat_Eq(VARCHAR2, VARCHAR2) USING SlowScanMethods")
-    db.execute("CREATE TABLE items (id INTEGER, v VARCHAR2(16))")
-    db.insert_rows("items", [[i, f"c{i % 4}"] for i in range(n_items)])
-    db.execute("CREATE INDEX items_idx ON items(v)"
-               " INDEXTYPE IS SlowScanType")
-    db.execute("ANALYZE TABLE items COMPUTE STATISTICS")
-    return db
-
-
-def bench_prefetch_overlap(n_items, repeats, depth=2):
-    """Async ODCI prefetch vs the serial fetch loop on a slow cartridge.
-
-    Every ``ODCIIndexFetch`` sleeps (synthetic device latency); the
-    query projects a deliberately expensive function per row.  With
-    prefetch the next fetch's latency hides behind the previous batch's
-    projection work; serially they add up.
-    """
-    db = build_slow_scan_db(n_items)
-    sql = "SELECT Heavy(id) FROM items WHERE Cat_Eq(v, :1) = 1"
-    binds = ["c1"]
-    db.prefetch_min_rows = 1
-    db.prefetch_depth = 0
-    serial, n1 = _timed(db, sql, binds, repeats)
-    db.prefetch_depth = depth
-    prefetch, n2 = _timed(db, sql, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return {"serial_s": round(serial, 4),
-            "prefetch_s": round(prefetch, 4),
-            "depth": depth,
-            "rows": n1,
-            "speedup": round(serial / prefetch, 3)}
-
-
 def bench_domain_scan(n_docs, repeats):
     """Text-cartridge Contains scan: generated vs interpreted pipeline."""
     db, corpus = build_text_db(n_docs)
-    db.prefetch_depth = 0  # in-memory fetches: no latency worth hiding
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     binds = [corpus.common_word(5)]
     interpreted, n1 = _timed(db, sql, binds, repeats, True)
@@ -322,7 +228,6 @@ def bench_domain_scan(n_docs, repeats):
 def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
     """ODCIIndexFetch batch-size sweep over the same domain scan."""
     db, corpus = build_text_db(n_docs)
-    db.prefetch_depth = 0  # sweep measures the raw fetch loop
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     binds = [corpus.common_word(2)]
     sweep = {}
@@ -336,19 +241,15 @@ def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
 def run_benchmarks(smoke=False):
     n_rows = 6000 if smoke else 20000
     n_docs = 300 if smoke else 1000
-    n_items = 1500 if smoke else 4000
     repeats = 8 if smoke else 30
-    prefetch_repeats = 3 if smoke else 8  # sleeps dominate; few rounds
     return {
-        "meta": {"n_rows": n_rows, "n_docs": n_docs, "n_items": n_items,
+        "meta": {"n_rows": n_rows, "n_docs": n_docs,
                  "repeats": repeats, "smoke": smoke},
         "cases": {
             "filter_full_scan": bench_filter_full_scan(n_rows, repeats),
             "vectorized_agg": bench_vectorized_agg(n_rows, repeats),
             "index_lookup": bench_index_lookup(n_rows, repeats),
             "row_loop": bench_row_loop(n_rows, repeats),
-            "prefetch_overlap": bench_prefetch_overlap(
-                n_items, prefetch_repeats),
             "plan_cache": bench_cold_vs_warm(n_rows, repeats),
             "domain_scan": bench_domain_scan(n_docs, repeats),
             "batch_sweep": bench_batch_sweep(n_docs, repeats),
@@ -373,9 +274,6 @@ def render_table(results):
         table.add_row(f"{label} (interp -> generated)",
                       case["interpreted_s"], case["generated_s"],
                       case["speedup"])
-    po = cases["prefetch_overlap"]
-    table.add_row(f"slow domain scan (serial -> prefetch {po['depth']})",
-                  po["serial_s"], po["prefetch_s"], po["speedup"])
     pc = cases["plan_cache"]
     table.add_row("plan cache (cold -> warm)",
                   pc["cold_s"], pc["warm_s"], pc["speedup"])
@@ -389,7 +287,6 @@ FLOORS = {"filter_full_scan": FILTER_SPEEDUP_FLOOR,
           "vectorized_agg": VECTORIZED_AGG_FLOOR,
           "index_lookup": INDEX_LOOKUP_FLOOR,
           "row_loop": ROW_LOOP_FLOOR,
-          "prefetch_overlap": PREFETCH_SPEEDUP_FLOOR,
           # at smoke scale the domain scan is ODCI-dispatch dominated,
           # so its ratio is not stable across corpus sizes: generated
           # code must not be slower, no more
@@ -469,8 +366,6 @@ def test_executor_benchmark():
     assert lookup >= 1.2, f"vectorized index lookup only {lookup}x"
     row_loop = results["cases"]["row_loop"]["speedup"]
     assert row_loop >= 1.0, f"row functions slower than interpreter"
-    prefetch = results["cases"]["prefetch_overlap"]["speedup"]
-    assert prefetch >= 1.0, f"prefetch slower than serial ({prefetch}x)"
 
 
 def main(argv=None):

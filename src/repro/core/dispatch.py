@@ -230,27 +230,6 @@ class CallbackDispatcher:
                 index_name=index_name, phase=phase,
                 cause=error) from error
 
-    def call_from_worker(self, session: Any, routine: str,
-                         fn: Callable[..., Any], *args: Any,
-                         index_name: str = "", phase: str = "") -> Any:
-        """:meth:`call`, invoked from a parallel-pool worker thread.
-
-        The prefetch seam: the async ODCI prefetch producer runs on the
-        engine's worker pool, where no session is bound to the thread
-        yet — so trace routing (``engine.trace_log`` resolves the
-        *bound* session) would silently drop the scan's dispatch trace.
-        Binding the owning session first makes a worker-side dispatch
-        byte-for-byte equivalent to an inline one: same trace sink, same
-        wall-clock budgets, same fault taxonomy and retry policy, same
-        metrics/ledger ordering (one producer per scan keeps fetches
-        sequential).
-        """
-        bind = getattr(self.db, "bind_session", None)
-        if bind is not None:
-            bind(session)
-        return self.call(routine, fn, *args, index_name=index_name,
-                         phase=phase)
-
     def call_batch(self, routine: str, scalar_routine: str,
                    fn: Callable[..., Any], ia: Any, entries: list, env: Any,
                    *, native: bool, index_name: str = "",

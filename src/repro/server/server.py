@@ -55,12 +55,34 @@ from repro.sql.engine import Engine
 
 __all__ = ["Server", "ServerStats", "serve"]
 
-#: session settings a client may set in the handshake
-SESSION_SETTINGS = frozenset((
-    "lock_timeout", "skip_unusable_indexes", "snapshot_reads",
-    "batch_index_maintenance", "deferred_index_maintenance",
-    "bulk_index_build", "fetch_batch_size",
-))
+
+def _is_flag(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_timeout(value: Any) -> bool:
+    # NaN fails the comparison; inf (wait forever) passes
+    return (isinstance(value, (int, float))
+            and not isinstance(value, bool) and value >= 0)
+
+
+def _is_batch_size(value: Any) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value > 0)
+
+
+#: session settings a client may set in the handshake, each with the
+#: test its value must pass (``setattr`` on the session follows, so a
+#: wrong type would otherwise surface statements later, untyped)
+SESSION_SETTINGS = {
+    "lock_timeout": _is_timeout,
+    "skip_unusable_indexes": _is_flag,
+    "snapshot_reads": _is_flag,
+    "batch_index_maintenance": _is_flag,
+    "deferred_index_maintenance": _is_flag,
+    "bulk_index_build": _is_flag,
+    "fetch_batch_size": _is_batch_size,
+}
 
 #: latency histogram bucket upper bounds, in milliseconds
 _LATENCY_BUCKETS_MS = (0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -239,10 +261,17 @@ class _Handler:
                     f"protocol version mismatch: client speaks "
                     f"{version!r}, server speaks {PROTOCOL_VERSION}")
             settings = payload.get("settings") or {}
-            unknown = set(settings) - SESSION_SETTINGS
+            if not isinstance(settings, dict):
+                raise ProtocolError("session settings must be a mapping")
+            unknown = sorted(settings.keys() - SESSION_SETTINGS.keys(), key=str)
             if unknown:
                 raise ProtocolError(
-                    f"unknown session setting(s): {sorted(unknown)}")
+                    f"unknown session setting(s): {unknown}")
+            for name, value in settings.items():
+                if not SESSION_SETTINGS[name](value):
+                    raise ProtocolError(
+                        f"invalid value for session setting {name}: "
+                        f"{value!r}")
         except ProtocolError as exc:
             server.stats.handshake_failed()
             self._best_effort_error(exc)

@@ -9,6 +9,7 @@ Each view is synthesized on access as a read-only snapshot.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
@@ -16,24 +17,18 @@ from repro.sql.catalog import Catalog, ColumnInfo, TableDef
 from repro.storage.heap import RowId
 from repro.types.datatypes import BOOLEAN, INTEGER, NUMBER, VARCHAR2
 
-#: Names served by :func:`dictionary_view`.
-VIEW_NAMES = ("user_tables", "user_indexes", "user_operators",
-              "user_indextypes", "user_index_maintenance",
-              "user_lock_stats", "user_snapshot_stats",
-              "user_wal_stats", "user_recovery_stats",
-              "user_server_stats", "user_parallel_stats",
-              "user_executor_stats")
+#: segment ids for view snapshots, far away from real segments; one
+#: process-wide counter because sessions of every engine build views
+#: concurrently and ``fetch_or_none`` tells snapshots apart by id
+_SEGMENT_IDS = itertools.count(1_000_000)
 
 
 class _SnapshotStorage:
     """Read-only row storage backing one dictionary view snapshot."""
 
-    _next_segment = 1_000_000  # far away from real segments
-
     def __init__(self, rows: List[List[Any]]):
         self._rows = rows
-        self.segment_id = _SnapshotStorage._next_segment
-        _SnapshotStorage._next_segment += 1
+        self.segment_id = next(_SEGMENT_IDS)
 
     @property
     def row_count(self) -> int:
@@ -63,32 +58,13 @@ class _SnapshotStorage:
 def dictionary_view(catalog: Catalog, name: str,
                     engine: Any = None) -> Optional[TableDef]:
     """Build the named dictionary view, or None for unknown names."""
-    key = name.lower()
-    if key == "user_tables":
-        return _user_tables(catalog)
-    if key == "user_indexes":
-        return _user_indexes(catalog)
-    if key == "user_operators":
-        return _user_operators(catalog)
-    if key == "user_indextypes":
-        return _user_indextypes(catalog)
-    if key == "user_index_maintenance" and engine is not None:
-        return _user_index_maintenance(engine)
-    if key == "user_lock_stats" and engine is not None:
-        return _user_lock_stats(engine)
-    if key == "user_snapshot_stats" and engine is not None:
-        return _user_snapshot_stats(engine)
-    if key == "user_wal_stats" and engine is not None:
-        return _user_wal_stats(engine)
-    if key == "user_recovery_stats" and engine is not None:
-        return _user_recovery_stats(engine)
-    if key == "user_server_stats" and engine is not None:
-        return _user_server_stats(engine)
-    if key == "user_parallel_stats" and engine is not None:
-        return _user_parallel_stats(engine)
-    if key == "user_executor_stats" and engine is not None:
-        return _user_executor_stats(engine)
-    return None
+    entry = _VIEWS.get(name.lower())
+    if entry is None:
+        return None
+    builder, engine_backed = entry
+    if not engine_backed:
+        return builder(catalog)
+    return builder(engine) if engine is not None else None
 
 
 def _view(name: str, columns: List[Tuple[str, Any]],
@@ -312,34 +288,6 @@ def _user_server_stats(engine: Any) -> TableDef:
     return _view("user_server_stats", columns, rows)
 
 
-def _user_parallel_stats(engine: Any) -> TableDef:
-    """One-row view over the engine's async-prefetch counters.
-
-    The ``prefetch_*`` columns cover async ODCI prefetch, with
-    ``prefetch_depth_histogram`` the queue-occupancy distribution
-    (``occupancy:count`` pairs) observed as each prefetched batch
-    arrived — a right-leaning histogram means the producer genuinely
-    ran ahead.  ``worker_utilization`` is producer busy time over pool
-    wall-clock capacity since the first prefetched scan.
-    """
-    snap = engine.parallel_stats.snapshot()
-    rows = [[snap["worker_busy_seconds"],
-             engine.parallel_stats.utilization(),
-             snap["prefetch_scans"],
-             snap["prefetch_batches"], snap["prefetch_abandoned"],
-             _histogram_text(snap["depth_histogram"]),
-             snap["pool_size"]]]
-    return _view("user_parallel_stats",
-                 [("worker_busy_seconds", NUMBER),
-                  ("worker_utilization", NUMBER),
-                  ("prefetch_scans", INTEGER),
-                  ("prefetch_batches", INTEGER),
-                  ("prefetch_abandoned", INTEGER),
-                  ("prefetch_depth_histogram", VARCHAR2),
-                  ("pool_size", INTEGER)],
-                 rows)
-
-
 def _user_executor_stats(engine: Any) -> TableDef:
     """One-row view over the engine's vectorized-executor counters.
 
@@ -380,3 +328,24 @@ def _user_indextypes(catalog: Catalog) -> TableDef:
                  [("indextype_name", VARCHAR2), ("operators", VARCHAR2),
                   ("implementation", VARCHAR2), ("statistics", VARCHAR2)],
                  rows)
+
+
+#: every dictionary view: name -> (builder, engine-backed).  A catalog
+#: view's builder takes the catalog; an engine-backed one takes the
+#: engine and does not exist without one.
+_VIEWS = {
+    "user_tables": (_user_tables, False),
+    "user_indexes": (_user_indexes, False),
+    "user_operators": (_user_operators, False),
+    "user_indextypes": (_user_indextypes, False),
+    "user_index_maintenance": (_user_index_maintenance, True),
+    "user_lock_stats": (_user_lock_stats, True),
+    "user_snapshot_stats": (_user_snapshot_stats, True),
+    "user_wal_stats": (_user_wal_stats, True),
+    "user_recovery_stats": (_user_recovery_stats, True),
+    "user_server_stats": (_user_server_stats, True),
+    "user_executor_stats": (_user_executor_stats, True),
+}
+
+#: Names served by :func:`dictionary_view`.
+VIEW_NAMES = tuple(_VIEWS)

@@ -56,8 +56,12 @@ __all__ = ["Engine"]
 #: engine-wide default for how long a session blocks on a lock conflict
 DEFAULT_LOCK_TIMEOUT = 10.0
 
-#: threads in the engine's worker pool (async ODCI prefetch producers)
-_POOL_SIZE = 8
+
+class _RemovedParallelStats:
+    """Shim: see the comment in :meth:`Engine.__init__`."""
+
+    def snapshot(self) -> dict:
+        return {"morsels_dispatched": 0, "prefetch_batches": 0}
 
 
 class Engine:
@@ -73,9 +77,7 @@ class Engine:
                  wal_checkpoint_interval: int = 256,
                  durability_event_hook: Any = None,
                  storage_fault_plan: Any = None,
-                 parallel_execution: bool = True,
-                 prefetch_depth: int = 2,
-                 prefetch_min_rows: int = 64):
+                 parallel_execution: bool = True):
         self.stats = IOStats()
         self.buffer = BufferCache(self.stats, capacity=buffer_capacity)
         self.catalog = Catalog()
@@ -94,26 +96,16 @@ class Engine:
         self.default_lock_timeout = lock_timeout
         #: default for Session.fetch_batch_size
         self.fetch_batch_size = fetch_batch_size
-        #: default for Session.parallel_execution — async ODCI prefetch
-        #: on/off, the one thing the worker pool runs.  The name stays
-        #: because benchmarks/e2e sets it (Server(parallel_execution=
-        #: False), the session attribute); rename it with those in a
-        #: benchmark PR
-        self.parallel_execution = parallel_execution
-        #: default ODCI prefetch queue depth (0 disables prefetch)
-        self.prefetch_depth = prefetch_depth
-        #: domain scans estimated below this many rows stay serial —
-        #: a scan the first fetch batch satisfies gains nothing from
-        #: pipelining and would only reorder trace interleavings
-        self.prefetch_min_rows = prefetch_min_rows
-        #: counters behind the user_parallel_stats dictionary view
-        from repro.sql.parallel import ParallelStats
-        self.parallel_stats = ParallelStats()
+        # compatibility shims for benchmarks/e2e, which this PR may not
+        # edit: ``parallel_execution`` is accepted and ignored (oltp_wire
+        # passes it through Server(**engine_options)), and
+        # ``parallel_stats.snapshot()`` reports the constant zeros of the
+        # removed morsel and async-prefetch counters (enginestats.py reads
+        # both keys).  Delete both with their readers (ROADMAP item 3).
+        self.parallel_stats = _RemovedParallelStats()
         #: counters behind the user_executor_stats dictionary view
         from repro.sql.columnar import ExecutorStats
         self.executor_stats = ExecutorStats()
-        self._pool = None
-        self._pool_latch = threading.Lock()
         self._id_latch = threading.Lock()
         self._next_txn_id = 1
         self._next_session_id = 1
@@ -152,38 +144,6 @@ class Engine:
         """Open a new session against this engine."""
         from repro.sql.session import Session
         return Session(self, user=user)
-
-    # ------------------------------------------------------------------
-    # async prefetch
-    # ------------------------------------------------------------------
-
-    def parallel_defaults(self) -> dict:
-        """Seed values for the per-session execution settings.
-
-        ``parallel_execution`` (async prefetch on/off; benchmarks/e2e
-        reads this key's name) and the plan-time eligibility knobs
-        ``prefetch_depth`` / ``prefetch_min_rows``.  Sessions copy these
-        at connect time so tests and benches can force or forbid
-        prefetch per session without reconfiguring the engine.
-        """
-        return {"parallel_execution": self.parallel_execution,
-                "prefetch_depth": self.prefetch_depth,
-                "prefetch_min_rows": self.prefetch_min_rows}
-
-    def worker_pool(self):
-        """The engine-wide worker pool (started lazily).
-
-        Shared by every session: ODCI prefetch producers from
-        concurrent statements all draw from this one bounded pool,
-        mirroring Oracle's instance-wide parallel server pool rather
-        than per-query thread spawning.
-        """
-        with self._pool_latch:
-            if self._pool is None:
-                from repro.sql.parallel import WorkerPool
-                self._pool = WorkerPool(size=_POOL_SIZE)
-                self.parallel_stats.pool_size = self._pool.size
-            return self._pool
 
     # ------------------------------------------------------------------
     # MVCC maintenance
@@ -250,10 +210,6 @@ class Engine:
         if self._closed:
             return
         self.stop_version_pruner()
-        with self._pool_latch:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
         if self.durability is not None:
             self.durability.close()
         self._closed = True

@@ -35,12 +35,9 @@ through one :class:`_RowidSource`: a batch at a time, one buffer get
 per distinct heap page, the residual filter as a vector kernel over the
 fetched batch when the plan has one, row contexts for survivors only.
 
-Async prefetch (see :mod:`repro.sql.parallel`): when a domain scan is
-marked ``[PREFETCH depth=K]`` and the session allows it, the
-ODCIIndexFetch loop moves to a producer task on the engine's worker
-pool that stays ``K`` batches ahead of materialization; it degrades to
-the serial loop when the executor is already running on a pool worker
-(nested callback SQL must not deadlock the pool).
+The whole ODCI scan — Start, every Fetch, Close and any callback SQL
+the cartridge runs inside them — executes on the thread running the
+statement (:meth:`Executor._odci_scan`).
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from repro.sql.catalog import TableDef
 from repro.sql.columnar import ColumnBatch, ExecutorStats
 from repro.sql.expressions import (
     AggregateCall, Evaluator, RowContext, aggregate_key)
-from repro.sql.parallel import PrefetchPipeline
 from repro.types.values import NULL, is_null, sql_compare
 
 #: cap on the per-executor constant-expression memo (safety valve for
@@ -707,16 +703,16 @@ class Executor:
         query_info = ODCIQueryInfo(first_rows=node.first_rows,
                                    ancillary_label=call.label)
         return self._odci_scan(node, pred_info, query_info, materialize,
-                               self._prefetch_depth(node), self._scan_budget)
+                               self._scan_budget)
 
     def _odci_scan(self, node: pl.PlanNode, pred_info: ODCIPredInfo,
                    query_info: ODCIQueryInfo,
-                   materialize: Callable[[Any], Any], depth: int = 0,
+                   materialize: Callable[[Any], Any],
                    budget: Optional[int] = None) -> Iterator[Any]:
-        """The server side of the ODCI scan protocol: Start, Fetch until
-        the null-terminator, Close.  Yields each non-empty materialized
-        fetch result; ``depth`` > 0 fetches ahead on the worker pool,
-        ``budget`` stops fetching once that many rows are out."""
+        """The server side of the ODCI scan protocol, on the statement's
+        thread: Start, Fetch until the null-terminator, Close.  Yields
+        each non-empty materialized fetch result; ``budget`` stops
+        fetching once that many rows are out."""
         domain = node.index.domain
         if domain is None or domain.methods is None:
             raise ODCIError(type(node).__name__, f"index {node.index.name} "
@@ -738,36 +734,15 @@ class Executor:
         closer = self._make_closer(methods, context, env,
                                    index_name=node.index.name)
         batch_size = self.batch_size
-        index_name = node.index.name
-
-        def fetch(call: Callable = dispatcher.call) -> Any:
-            if env.trace_enabled:
-                env.trace(f"exec:ODCIIndexFetch(n={batch_size})")
-            return call("ODCIIndexFetch", methods.index_fetch,
-                        context, batch_size, env,
-                        index_name=index_name, phase="scan")
-
-        def fetches() -> Iterator[Any]:
-            while True:
-                result = fetch()
-                yield result
-                if result.done or not result.rowids:
-                    return
-
-        pipeline = None
-        if depth > 0:
-            # a single producer task on the engine pool issues the
-            # fetches (strictly sequentially — the scan context is
-            # stateful) up to ``depth`` batches ahead of materialization
-            engine = self.db.engine
-            pipeline = PrefetchPipeline(
-                engine.worker_pool(), depth,
-                lambda: fetch(functools.partial(
-                    dispatcher.call_from_worker, self.db)),
-                engine.parallel_stats)
         emitted = 0
         try:
-            for result in fetches() if pipeline is None else pipeline:
+            while True:
+                if env.trace_enabled:
+                    env.trace(f"exec:ODCIIndexFetch(n={batch_size})")
+                result = dispatcher.call(
+                    "ODCIIndexFetch", methods.index_fetch,
+                    context, batch_size, env,
+                    index_name=node.index.name, phase="scan")
                 # index-returned rowids are hints: the snapshot-aware
                 # base-table fetch re-validates each one, dropping rows
                 # whose versions are not visible to this statement
@@ -775,42 +750,16 @@ class Executor:
                 if batch:
                     yield batch
                 emitted += len(batch)
+                if result.done or not result.rowids:
+                    break
                 if budget is not None and emitted >= budget:
                     # the LIMIT above is satisfied: stop re-entering the
-                    # cartridge (and abandon queued batches) instead of
-                    # fetching rows nobody will see
+                    # cartridge instead of fetching rows nobody will see
                     break
         finally:
-            if pipeline is not None:
-                # quiesce first: no fetch may be in flight when
-                # ODCIIndexClose fires
-                pipeline.close()
             if env.trace_enabled:
                 env.trace("exec:ODCIIndexClose()")
             closer()
-
-    def _prefetch_depth(self, node: pl.DomainScan) -> int:
-        """Async-prefetch queue depth for this execution (0 = serial).
-
-        The plan-time marker carries the depth; the session's
-        ``parallel_execution`` is the off-switch.  No snapshot
-        requirement: the producer re-dispatches through the owning
-        session (``call_from_worker``), so even current-mode scans keep
-        their exact serial semantics — but nested scans on a pool
-        worker stay serial to keep the pool deadlock-free.
-        """
-        depth = getattr(node, "prefetch_depth", 0)
-        if depth <= 0:
-            return 0
-        db = self.db
-        if not getattr(db, "parallel_execution", False):
-            return 0
-        engine = getattr(db, "engine", None)
-        if engine is None:
-            return 0
-        if engine.worker_pool().on_worker():
-            return 0
-        return depth
 
     def _make_closer(self, methods, context, env, index_name: str = ""):
         """An idempotent ODCIIndexClose callable, registered with the

@@ -19,7 +19,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.core.odci import ODCIPredInfo
-from repro.errors import CatalogError, DatabaseError, ExecutionError
+from repro.errors import CatalogError, ExecutionError
 from repro.sql import ast_nodes as ast
 from repro.sql.catalog import Catalog, IndexDef, TableDef
 from repro.sql.expressions import (
@@ -85,18 +85,13 @@ class PlanNode:
         child = getattr(self, "child", None)
         return [] if child is None else [child]
 
-    def _markers(self) -> str:
-        """Extra EXPLAIN badges appended after the exec-mode marker
-        (``[PREFETCH depth=K]``)."""
-        return ""
-
     def explain(self, depth: int = 0) -> List[str]:
         """Indented EXPLAIN lines for this subtree."""
         mode = f" [{self.exec_mode}]" if self.exec_mode else ""
         vector = f" [{self.vector_mode}]" if self.vector_mode else ""
         line = (f"{'  ' * depth}{self.label()} "
                 f"(rows={self.est_rows:.0f} cost={self.est_cost:.2f})"
-                f"{mode}{vector}{self._markers()}")
+                f"{mode}{vector}")
         lines = [line]
         for note in self.annotations:
             lines.append(f"{'  ' * (depth + 1)}{note}")
@@ -196,14 +191,6 @@ class DomainScan(PlanNode):
     pred_info: ODCIPredInfo = None  # type: ignore[assignment]
     filter: Optional[ast.Expr] = None
     first_rows: bool = False
-    #: >0 when the planner judged this scan worth async ODCI prefetch
-    #: (bounded queue depth); 0 = the serial fetch loop
-    prefetch_depth: int = field(default=0, init=False)
-
-    def _markers(self) -> str:
-        if self.prefetch_depth > 0:
-            return f" [PREFETCH depth={self.prefetch_depth}]"
-        return ""
 
     def label(self) -> str:
         op = self.operator_call.operator.name
@@ -711,7 +698,7 @@ class Planner:
     stats types and to record optimizer trace events.
     """
 
-    def __init__(self, catalog: Catalog, db: Any = None):
+    def __init__(self, catalog: Catalog, db: Any):
         self.catalog = catalog
         self.db = db
 
@@ -726,7 +713,7 @@ class Planner:
         evaluated once up front: IN-subqueries become literal IN-lists,
         EXISTS becomes TRUE/FALSE.
         """
-        if expr is None or self.db is None:
+        if expr is None:
             return expr
         if isinstance(expr, ast.InSubquery):
             rows = self._run_subquery(expr.query, peek_binds,
@@ -1015,7 +1002,7 @@ class Planner:
         if stats is not None:
             cost = self._dispatch_stats("ODCIStatsFunctionCost",
                                         stats.function_cost, name, call.args,
-                                        self._stats_env())
+                                        self.db.make_stats_env())
             if cost is not None:
                 return cost
         return fn.cost if fn is not None else DEFAULT_FUNCTION_COST
@@ -1188,13 +1175,6 @@ class Planner:
                     self._selectivity(summary, pred.conjunct), matched,
                     pred.arg_values) \
                     + node.est_rows * self._filter_cost(node.filter)
-                # async ODCI prefetch pays once the result spans several
-                # fetch batches.  A marker, not a cost: path choice (and
-                # the shared plan-cache entry) is the same without it
-                depth = getattr(self.db, "prefetch_depth", 0)
-                if depth > 0 and node.est_rows >= max(
-                        1, getattr(self.db, "prefetch_min_rows", 64)):
-                    node.prefetch_depth = depth
             else:
                 node.est_cost = path.startup + matched * (
                     path.per_row + self._filter_cost(node.filter))
@@ -1206,7 +1186,7 @@ class Planner:
             # run through its functional implementation because every
             # matching domain index is sidelined
             best.annotations.extend(notes)
-        if self.db is not None and getattr(self.db, "trace_log", None) is not None:
+        if self.db.trace_log is not None:
             for cand in candidates:
                 marker = "*" if cand is best else " "
                 self.db.trace_log.append(
@@ -1222,35 +1202,23 @@ class Planner:
                 return self.catalog.get_stats_type(indextype.stats_name)()
         return None
 
-    def _stats_env(self):
-        if self.db is not None:
-            return self.db.make_stats_env()
-        return None
-
     def _dispatch_stats(self, routine: str, fn, *args, index_name: str = ""):
         """Invoke an ODCIStats routine, degrading failures to None.
 
         None makes the caller fall back to its documented default
         selectivity/cost heuristic — a broken statistics type must
         never abort planning (§2.4.2).  Routed through the dispatcher
-        when a database is attached (metrics + fault injection); a
-        bare catalog-only planner calls directly but still degrades.
+        (metrics + fault injection).
         """
-        if self.db is not None:
-            return self.db.dispatcher.call_degraded(
-                routine, fn, *args, index_name=index_name, phase="plan")
-        try:
-            return fn(*args)
-        except DatabaseError:
-            return None
+        return self.db.dispatcher.call_degraded(
+            routine, fn, *args, index_name=index_name, phase="plan")
 
     def _operator_selectivity(self, op_pred: OperatorPred) -> float:
         stats = self._stats_for_operator(op_pred.call.operator)
         if stats is not None:
-            env = self._stats_env()
-            if env is not None:
-                env.trace(f"optimizer:ODCIStatsSelectivity("
-                          f"{op_pred.call.operator.name})")
+            env = self.db.make_stats_env()
+            env.trace(f"optimizer:ODCIStatsSelectivity("
+                      f"{op_pred.call.operator.name})")
             sel = self._dispatch_stats("ODCIStatsSelectivity",
                                        stats.selectivity,
                                        op_pred.pred_info(),
@@ -1268,10 +1236,8 @@ class Planner:
         indextype = self.catalog.get_indextype(index.domain.indextype_name)
         if indextype.stats_name:
             stats = self.catalog.get_stats_type(indextype.stats_name)()
-            env = (self.db.make_stats_env(index.domain)
-                   if self.db is not None else None)
-            if env is not None:
-                env.trace(f"optimizer:ODCIStatsIndexCost({index.name})")
+            env = self.db.make_stats_env(index.domain)
+            env.trace(f"optimizer:ODCIStatsIndexCost({index.name})")
             cost = self._dispatch_stats("ODCIStatsIndexCost",
                                         stats.index_cost,
                                         index.domain.index_info(), pred_info,

@@ -108,7 +108,6 @@ class Session:
         #: a statement snapshot, taking *no* table locks; off restores
         #: current-mode reads (the differential suite proves parity)
         self.snapshot_reads = True
-        self.__dict__.update(engine.parallel_defaults())  # parallel knobs
         #: snapshot pinned by a callback scope (ODCIIndexStart/Fetch):
         #: callback SQL reads at the opening statement's SCN
         self._pinned_snapshot = None

@@ -96,8 +96,9 @@ class FaultPlan:
         self._previous: Any = None
         self._installed = False
         #: ordinal counters, rule state, and the ledger are shared
-        #: mutable state; parallel execution dispatches ODCI calls from
-        #: worker threads, so matching must be atomic per invocation
+        #: mutable state; the dispatcher is engine-wide and sessions on
+        #: several threads call through it, so matching must be atomic
+        #: per invocation
         self._latch = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CatalogError, StorageError
 
 
 class TestUserTables:
@@ -94,3 +94,40 @@ class TestUserOperatorsAndIndextypes:
         fresh = [r[0] for r in employees_db.query(
             "SELECT table_name FROM user_tables")]
         assert "brand_new" in fresh
+
+
+class TestOneTableOfViews:
+    def test_every_listed_view_builds(self, employees_db):
+        from repro.sql.dictionary import VIEW_NAMES
+        assert "user_tables" in VIEW_NAMES
+        assert "user_executor_stats" in VIEW_NAMES
+        for name in VIEW_NAMES:
+            employees_db.execute(f"SELECT * FROM {name}").fetchall()
+
+    def test_removed_view_is_an_ordinary_unknown_table(self, employees_db):
+        from repro.sql.dictionary import VIEW_NAMES
+        assert "user_parallel_stats" not in VIEW_NAMES
+        with pytest.raises(CatalogError, match="no such table"):
+            employees_db.execute("SELECT * FROM user_parallel_stats")
+
+    def test_concurrent_view_builds_get_distinct_segment_ids(
+            self, employees_db):
+        """``fetch_or_none`` rejects another snapshot's rowids by
+        segment id, so two builds must never share one."""
+        import threading
+        from repro.sql.dictionary import dictionary_view
+        catalog = employees_db.catalog
+        ids = [[] for __ in range(8)]
+
+        def build(mine):
+            for __ in range(500):
+                mine.append(dictionary_view(
+                    catalog, "user_operators").storage.segment_id)
+
+        threads = [threading.Thread(target=build, args=(mine,))
+                   for mine in ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len({i for mine in ids for i in mine}) == 4000

@@ -1,22 +1,16 @@
-"""Differential proof: prefetched == serial, generated == interpreter.
+"""Differential proof: generated == interpreter.
 
-Identically-seeded databases run the same randomized workload.  The
-cartridge classes pair a database with async ODCI prefetch forced
-eligible (row threshold dropped to 1) against one with
-``parallel_execution`` off.  The heap and native-index tests run a
+Identically-seeded databases run the same randomized workload over a
 two-way matrix — default execution (vector kernels, generated row
 functions) and the tree-walking interpreter forced through
-:func:`repro.testing.interpreter_forced`; the domain-scan matrix adds
-the prefetch-forced default as a third member.  Every
-query result must be identical,
-across heap tables, IOTs, and all four cartridges: the prefetch
-pipeline delivers batches (and faults) in fetch order, so neither
-prefetch nor vectorization must ever be observable in results.
+:func:`repro.testing.interpreter_forced`.  Every query result must be
+identical, across heap tables, IOTs, native indexes and all four
+cartridges' domain scans: generated code must never be observable in
+results.
 
-A final stress test runs mixed DML, scans and prefetched domain scans
-from eight threads against one shared engine worker pool, holding the
-invariants that survive arbitrary interleavings (counts, commit
-atomicity).
+A final stress test runs mixed DML, scans and domain scans from eight
+threads against one shared engine, holding the invariants that survive
+arbitrary interleavings (counts, commit atomicity).
 """
 
 import random
@@ -27,52 +21,20 @@ import pytest
 from repro import Database
 from repro.testing import interpreter_forced
 
-pytestmark = pytest.mark.parallel
-
-
-def _force_prefetch(db):
-    db.parallel_execution = True
-    db.prefetch_min_rows = 1  # every domain scan prefetches
-    db.prefetch_depth = 2
-
-
-def _pair(installer=None):
-    """Two fresh databases: prefetch forced vs serial."""
-    dbs = []
-    for prefetch in (True, False):
-        db = Database()
-        if installer is not None:
-            installer(db)
-        if prefetch:
-            _force_prefetch(db)
-        else:
-            db.parallel_execution = False
-        dbs.append(db)
-    return dbs
-
 
 def _fleet(installer=None):
-    """Fresh databases spanning the execution matrix: default
-    (generated code) and the tree-walking interpreter, both with
-    prefetch off.  With an ``installer`` (a cartridge: the workload runs
-    domain scans) a third member runs the default configuration with
-    prefetch forced.  Every query result must be identical across all
-    of them."""
-    configs = [(False, False), (False, True)]
-    if installer is not None:
-        configs.append((True, False))
+    """Two fresh databases spanning the execution matrix: default
+    (generated code) and the tree-walking interpreter; ``installer``
+    installs a cartridge in both.  Every query result must be identical
+    across them."""
     dbs = []
-    for prefetch, interpreted in configs:
+    for interpreted in (False, True):
         db = Database()
         if interpreted:
             # never exited: the member is interpreted for its lifetime
             interpreter_forced(db).__enter__()
         if installer is not None:
             installer(db)
-        if prefetch:
-            _force_prefetch(db)
-        else:
-            db.parallel_execution = False
         dbs.append(db)
     return dbs
 
@@ -350,10 +312,11 @@ class TestIndexDrivenPlans:
         _run_all(dbs, workload)
 
 
+@pytest.mark.vectorized
 class TestCartridges:
     def test_text(self):
         from repro.cartridges.text import install
-        dbs = _pair(install)
+        dbs = _fleet(install)
         words = ["oracle", "unix", "java", "linux", "cobol", "lisp"]
 
         def workload(db):
@@ -375,12 +338,10 @@ class TestCartridges:
             return out
 
         _run_all(dbs, workload)
-        # the prefetch-side database really did prefetch
-        assert dbs[0].engine.parallel_stats.prefetch_scans > 0
 
     def test_spatial(self):
         from repro.cartridges.spatial import install, make_rect
-        dbs = _pair(install)
+        dbs = _fleet(install)
 
         def workload(db):
             rng = random.Random(13)
@@ -407,7 +368,7 @@ class TestCartridges:
 
     def test_chemistry(self):
         from repro.cartridges.chemistry import install
-        dbs = _pair(install)
+        dbs = _fleet(install)
         mols = ["CCO", "CC(=O)O", "CCCC", "C1CCCCC1", "CCN"]
 
         def workload(db):
@@ -431,7 +392,7 @@ class TestCartridges:
     def test_vir(self):
         from repro.bench.workloads import make_signature_table
         from repro.cartridges.vir import install
-        dbs = _pair(install)
+        dbs = _fleet(install)
         rows, centre = make_signature_table(120, cluster_every=8, seed=4)
         weights = ("globalcolor=0.5,localcolor=0.2,"
                    "texture=0.2,structure=0.1")
@@ -456,7 +417,7 @@ class TestCartridges:
 
 
 @pytest.mark.vectorized
-class TestDomainScansThreeWay:
+class TestDomainScans:
     """ODCI-returned rowids through the batched fetch: a residual
     filter on the base table (vector kernel or row function) and the
     ancillary value each rowid came with must line up in every mode —
@@ -506,7 +467,6 @@ class TestDomainScansThreeWay:
         assert results[-1][0] == "ExecutionError"
         assert dbs[0].engine.executor_stats.snapshot()[
             "vector_batches"] > 0
-        assert dbs[-1].engine.parallel_stats.prefetch_scans > 0
 
     def test_spatial_residual(self):
         from repro.cartridges.spatial import install, make_rect
@@ -595,12 +555,12 @@ class TestDomainScansThreeWay:
         assert any(_run_all(dbs, workload))
 
 
-class TestSharedPoolStress:
-    def test_eight_threads_mixed_dml_scans_and_prefetch(self):
+@pytest.mark.concurrency
+class TestSharedEngineStress:
+    def test_eight_threads_mixed_dml_scans_and_domain_scans(self):
         from repro.cartridges.text import install
         db = Database()
         install(db)
-        _force_prefetch(db)
         db.execute("CREATE TABLE ledger (slot INTEGER, k INTEGER,"
                    " val NUMBER)")
         for slot in range(8):
@@ -620,7 +580,6 @@ class TestSharedPoolStress:
             try:
                 session = db.connect()
                 session.lock_timeout = 30.0
-                session.prefetch_min_rows = 1
                 rng = random.Random(slot)
                 for round_no in range(12):
                     rows = session.execute(
@@ -632,8 +591,7 @@ class TestSharedPoolStress:
                         "SELECT COUNT(*) FROM ledger WHERE slot = :1",
                         [slot]).fetchall()[0][0]
                     assert count == 200  # own partition stays intact
-                    # every thread's domain scans draw on the one
-                    # shared pool for their prefetch producer
+                    # a domain scan per round, on this thread
                     hits = session.execute(
                         "SELECT id FROM notes WHERE Contains(body, :1)",
                         [f"slot{slot}"]).fetchall()
@@ -661,5 +619,4 @@ class TestSharedPoolStress:
         assert not errors, errors[:2]
         assert db.execute(
             "SELECT COUNT(*) FROM ledger").fetchall() == [(1600,)]
-        assert db.engine.parallel_stats.prefetch_scans > 0
         db.close()

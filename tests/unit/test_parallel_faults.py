@@ -1,13 +1,18 @@
-"""Fault semantics of async ODCI prefetch.
+"""Fault semantics of the ODCI scan loop, and where it runs.
 
-The tentpole promise of the prefetch layer is that it changes *when*
-work happens, never *what* the dispatcher contract observes: wall-clock
-budgets, the fault taxonomy, bounded retry, and
-``skip_unusable_indexes`` degrade-and-retry all behave exactly as in
-the serial loop — and ``ODCIIndexClose`` fires exactly once per opened
-scan even when prefetched batches are abandoned.  Every test here spies
-on the real dispatcher seam with :class:`~repro.testing.FaultPlan`.
+``Executor._odci_scan`` is one loop on the statement's thread — Start,
+Fetch until the null terminator or the ``LIMIT`` budget, Close.  What
+the dispatcher contract observes through it: wall-clock budgets, the
+fault taxonomy, bounded retry, ``skip_unusable_indexes``
+degrade-and-retry on the statement's snapshot, and ``ODCIIndexClose``
+exactly once per opened scan, also for an abandoned cursor.  Every
+fault test here spies on the real dispatcher seam with
+:class:`~repro.testing.FaultPlan`; the thread tests record
+``threading.get_ident()`` inside the cartridge.  (Async prefetch, the
+engine worker pool and their three knobs were removed: DESIGN.md §14.)
 """
+
+import threading
 
 import pytest
 
@@ -16,7 +21,7 @@ from repro import Database, FetchResult, IndexMethods, IndexState, \
 from repro.errors import CallbackTimeoutError, ODCIError
 from repro.testing import FaultPlan, interpreter_forced
 
-pytestmark = pytest.mark.parallel
+pytestmark = pytest.mark.faults
 
 
 class EqScanMethods(IndexMethods):
@@ -81,24 +86,10 @@ def db():
     db.close()
 
 
-def force_prefetch(db, depth=2):
-    """Make every domain scan in ``db`` plan with prefetch ``depth``."""
-    db.prefetch_depth = depth
-    db.prefetch_min_rows = 1
-    db.plan_cache.clear()
-
-
-def serial_scan(db):
-    """Pin ``db`` to the serial fetch loop (no prefetch annotation)."""
-    db.prefetch_depth = 0
-    db.plan_cache.clear()
-
-
 class TestLimitEarlyStop:
     """Satellite: LIMIT stops the fetch loop at the batch boundary."""
 
     def test_serial_limit_issues_no_extra_fetch(self, db):
-        serial_scan(db)
         with FaultPlan(db) as plan:
             rows = db.execute(QUERY + " LIMIT 10", ["match"]).fetchall()
         assert len(rows) == 10
@@ -107,18 +98,7 @@ class TestLimitEarlyStop:
         assert plan.calls("ODCIIndexFetch") == 1
         assert plan.calls("ODCIIndexClose") == 1
 
-    def test_limit_cancels_queued_prefetches(self, db):
-        force_prefetch(db, depth=2)
-        with FaultPlan(db) as plan:
-            rows = db.execute(QUERY + " LIMIT 10", ["match"]).fetchall()
-        assert len(rows) == 10
-        # the producer may run at most ``depth`` fetches ahead of the
-        # one batch the limit consumed; close() cancels the rest
-        assert 1 <= plan.calls("ODCIIndexFetch") <= 3
-        assert plan.calls("ODCIIndexClose") == 1
-
     def test_limit_with_offset_budgets_both(self, db):
-        serial_scan(db)
         with FaultPlan(db) as plan:
             rows = db.execute(QUERY + " LIMIT 5 OFFSET 5",
                               ["match"]).fetchall()
@@ -127,21 +107,18 @@ class TestLimitEarlyStop:
         assert plan.calls("ODCIIndexClose") == 1
 
 
-class TestPrefetchFaults:
-    """Dispatcher taxonomy is preserved through the prefetch pipeline."""
+class TestScanFaults:
+    """The dispatcher taxonomy as the scan loop surfaces it."""
 
-    def test_transient_fetch_retried_through_prefetch(self, db):
+    def test_transient_fetch_retried(self, db):
         expected = db.execute(QUERY, ["match"]).fetchall()
-        force_prefetch(db)
         with FaultPlan(db) as plan:
             plan.fail_transient("ODCIIndexFetch", times=1)
             rows = db.execute(QUERY, ["match"]).fetchall()
         assert rows == expected
         assert plan.outcomes("ODCIIndexFetch")[0] == "transient"
-        assert db.engine.parallel_stats.prefetch_scans > 0
 
-    def test_budget_timeout_surfaces_through_prefetch(self, db):
-        force_prefetch(db)
+    def test_budget_timeout_surfaces_typed(self, db):
         db.skip_unusable_indexes = False
         db.dispatcher.set_timeout("ODCIIndexFetch", 0.050)
         with FaultPlan(db) as plan:
@@ -152,7 +129,6 @@ class TestPrefetchFaults:
 
     def test_hard_fetch_failure_degrades_and_retries(self, db):
         expected = db.execute(QUERY, ["match"]).fetchall()
-        force_prefetch(db)
         with FaultPlan(db) as plan:
             plan.fail_on_call("ODCIIndexFetch", nth=1)
             rows = db.execute(QUERY, ["match"]).fetchall()
@@ -167,7 +143,6 @@ class TestPrefetchFaults:
 
     def test_degrade_retry_reads_statement_snapshot(self, db):
         """The replanned retry runs against the *pinned* snapshot."""
-        force_prefetch(db)
         other = db.connect()
         with FaultPlan(db) as plan:
             plan.fail_on_call("ODCIIndexFetch", nth=1)
@@ -182,7 +157,6 @@ class TestPrefetchFaults:
         assert len(db.execute(QUERY, ["match"]).fetchall()) == 21
 
     def test_fetch_failure_propagates_with_skip_off(self, db):
-        force_prefetch(db)
         db.skip_unusable_indexes = False
         with FaultPlan(db) as plan:
             plan.fail_on_call("ODCIIndexFetch", nth=1)
@@ -194,24 +168,14 @@ class TestPrefetchFaults:
 
 
 class TestAbandonedCursor:
-    def test_abandoned_prefetching_cursor_closes_once(self, db):
-        force_prefetch(db, depth=2)
+    def test_abandoned_cursor_closes_once(self, db):
         with FaultPlan(db) as plan:
             cursor = db.execute(QUERY, ["match"])
             assert cursor.fetchone() is not None
-            cursor.close()  # quiesces the pipeline, then closes the scan
+            cursor.close()
             assert plan.calls("ODCIIndexClose") == 1
         # engine still healthy afterwards
         assert len(db.execute(QUERY, ["match"]).fetchall()) == 20
-
-    def test_abandoned_batches_are_counted(self, db):
-        force_prefetch(db, depth=2)
-        stats = db.engine.parallel_stats
-        before = stats.prefetch_scans
-        cursor = db.execute(QUERY, ["match"])
-        assert cursor.fetchone() is not None
-        cursor.close()
-        assert stats.prefetch_scans > before
 
 
 class TestParallelScanFaults:
@@ -236,7 +200,9 @@ class TestParallelScanFaults:
                                       {"parallel_min_pages": 1},
                                       {"parallel_pool_size": 4},
                                       {"compile_expressions": False},
-                                      {"vectorized_execution": False}])
+                                      {"vectorized_execution": False},
+                                      {"prefetch_depth": 2},
+                                      {"prefetch_min_rows": 64}])
     def test_removed_knobs_raise_type_error(self, knob):
         from repro.sql.engine import Engine
         with pytest.raises(TypeError):
@@ -244,13 +210,39 @@ class TestParallelScanFaults:
 
     @pytest.mark.parametrize("setting", [{"max_dop": 2},
                                          {"compile_expressions": False},
-                                         {"vectorized_execution": False}])
+                                         {"vectorized_execution": False},
+                                         {"prefetch_depth": 0},
+                                         {"prefetch_min_rows": 1},
+                                         {"parallel_execution": False}])
     def test_handshake_refuses_removed_settings(self, setting):
         from repro import dbapi
         from repro.server import Server
         with Server() as server:
             with pytest.raises(dbapi.Error, match=next(iter(setting))):
                 dbapi.connect(server.url, timeout=10.0, settings=setting)
+
+    @pytest.mark.parametrize("setting", [
+        {"lock_timeout": "soon"}, {"lock_timeout": -1.0},
+        {"lock_timeout": float("nan")}, {"lock_timeout": True},
+        {"fetch_batch_size": 0}, {"fetch_batch_size": 2.5},
+        {"fetch_batch_size": "32"}, {"snapshot_reads": 1},
+        {"skip_unusable_indexes": "no"}, {"bulk_index_build": None},
+        {"batch_index_maintenance": 0},
+        {"deferred_index_maintenance": "True"}])
+    def test_handshake_refuses_invalid_setting_values(self, setting):
+        """A value the engine would crash on statements later is refused
+        where an unknown name is: typed, at the handshake, counted."""
+        from repro import dbapi
+        from repro.server import Server
+        with Server() as server:
+            with pytest.raises(dbapi.Error, match=next(iter(setting))):
+                dbapi.connect(server.url, timeout=10.0, settings=setting)
+            assert server.stats.handshake_failures == 1
+            good = dbapi.connect(server.url, timeout=10.0, settings={
+                "lock_timeout": 0, "fetch_batch_size": 1,
+                "snapshot_reads": False})
+            good.close()
+            assert server.stats.handshake_failures == 1
 
     def test_order_by_over_many_pages_matches_interpreter(self, scan_db):
         sql = ("SELECT id, val FROM big WHERE NOT (id = :1)"
@@ -261,38 +253,106 @@ class TestParallelScanFaults:
             assert ordered == scan_db.execute(sql, [17]).fetchall()
         assert len(ordered) == 4999
 
-    def test_explain_reports_prefetch_marker(self, db):
-        force_prefetch(db, depth=3)
-        text = "\n".join(db.explain(QUERY, ["match"]))
-        assert "[PREFETCH depth=3]" in text
 
-    def test_user_parallel_stats_view_populates(self, db):
-        force_prefetch(db)
-        db.execute(QUERY, ["match"]).fetchall()
-        row = db.execute(
-            "SELECT prefetch_scans, prefetch_batches, pool_size,"
-            " worker_busy_seconds, worker_utilization,"
-            " prefetch_abandoned, prefetch_depth_histogram"
-            " FROM user_parallel_stats").fetchall()[0]
-        assert row[0] >= 1 and row[1] >= 1 and row[2] >= 1
+class ThreadSpyMethods(EqScanMethods):
+    """Records the thread each scan routine — and callback SQL issued
+    from inside Fetch — runs on."""
+
+    seen = []
+
+    def index_start(self, ia, op_info, query_info, env):
+        self.seen.append(("start", threading.get_ident()))
+        context = super().index_start(ia, op_info, query_info, env)
+        context.table = self._table(ia)
+        return context
+
+    def index_fetch(self, context, nrows, env):
+        self.seen.append(("fetch", threading.get_ident()))
+        # SpyThread runs inside the executor of the callback SELECT
+        env.callback.query(
+            f"SELECT COUNT(*) FROM {context.table} WHERE SpyThread(v) = 1")
+        return super().index_fetch(context, nrows, env)
+
+    def index_close(self, context, env):
+        self.seen.append(("close", threading.get_ident()))
+        super().index_close(context, env)
 
 
-def test_parallel_module_import_surface():
-    """sql/parallel.py holds the pool, its stats and the prefetch
-    pipeline — no expression code, so nothing from the compiler."""
-    import ast as pyast
-    import repro.sql.parallel as parallel
-    assert parallel.__all__ == ["WorkerPool", "ParallelStats",
-                                "PrefetchPipeline"]
-    with open(parallel.__file__) as handle:
-        tree = pyast.parse(handle.read())
-    imported = set()
-    for node in pyast.walk(tree):
-        if isinstance(node, pyast.ImportFrom):
-            imported.add(node.module)
-            imported.update(f"{node.module}.{alias.name}"
-                            for alias in node.names)
-        elif isinstance(node, pyast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert "repro.sql.compile" not in imported
-    assert "repro.sql.ast_nodes" not in imported
+class TestScanRunsOnTheCallersThread:
+    @pytest.fixture
+    def spy_db(self, db):
+        ThreadSpyMethods.seen = seen = []
+        db.create_function(
+            "SpyThread",
+            lambda v: seen.append(("callback", threading.get_ident())) or 1)
+        db.register_methods("ThreadSpyMethods", ThreadSpyMethods)
+        db.execute("CREATE INDEXTYPE SpyType"
+                   " FOR Eq_Val(VARCHAR2, VARCHAR2) USING ThreadSpyMethods")
+        db.execute("DROP INDEX t_idx")
+        db.execute("CREATE INDEX t_spy ON t(v) INDEXTYPE IS SpyType")
+        db.execute("CREATE TABLE probes (word VARCHAR2(100))")
+        db.execute("INSERT INTO probes VALUES ('match')")
+        db.execute("INSERT INTO probes VALUES ('other')")
+        db.execute("COMMIT")
+        del seen[:]
+        return db
+
+    @pytest.mark.parametrize("sql, binds, node", [
+        (QUERY, ["match"], "DOMAIN INDEX SCAN"),
+        ("SELECT t.id FROM probes p, t WHERE Eq_Val(t.v, p.word) = 1", [],
+         "DOMAIN NL JOIN")])
+    def test_every_routine_and_callback_on_the_calling_thread(
+            self, spy_db, sql, binds, node):
+        assert any(node in line for line in spy_db.explain(sql, binds))
+        rows = spy_db.execute(sql, binds).fetchall()
+        assert len(rows) == (20 if binds else 40)
+        seen = ThreadSpyMethods.seen
+        assert {kind for kind, __ in seen} == {"start", "fetch", "close",
+                                               "callback"}
+        assert {ident for __, ident in seen} == {threading.get_ident()}
+
+    def test_domain_scans_start_no_threads(self, spy_db):
+        before = threading.active_count()
+        failures = []
+
+        def worker():
+            try:
+                session = spy_db.connect()
+                for __ in range(13):  # 8 sessions x 13 > 100 scans
+                    assert len(session.execute(
+                        QUERY, ["match"]).fetchall()) == 20
+                    assert threading.active_count() <= before + 8
+                session.close()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker) for __ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not failures, failures[:1]
+        assert threading.active_count() == before
+        # every routine ran on one of the eight session threads
+        idents = {thread.ident for thread in threads}
+        assert {ident for __, ident in ThreadSpyMethods.seen} <= idents
+        assert sum(kind == "start"
+                   for kind, __ in ThreadSpyMethods.seen) == 8 * 13
+
+
+def test_thread_inventory():
+    """The engine's own threads are an enumerable four — the WAL's
+    ``LogWriter``, the version pruner, the server's accept loop and its
+    handlers.  Starting one anywhere else in ``src/repro`` is a
+    reviewed decision: extend this list in the same change."""
+    import pathlib
+    import re
+    import repro
+    starts_thread = re.compile(
+        r"Thread\(|ThreadPoolExecutor|start_new_thread")
+    root = pathlib.Path(repro.__file__).parent
+    found = {path.relative_to(root).as_posix()
+             for path in root.rglob("*.py")
+             if starts_thread.search(path.read_text("utf-8"))}
+    found = {name for name in found if not name.startswith("testing/")}
+    assert found == {"storage/wal.py", "txn/mvcc.py", "server/server.py"}
