@@ -27,7 +27,7 @@ from repro.cartridges.spatial.rtree import RTree, Rect
 from repro.cartridges.spatial.tiling import TileRange, tessellate, WORLD_SIZE
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
-    ODCIQueryInfo, net_updates)
+    ODCIQueryInfo)
 from repro.core.scan_context import ScanContext
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
@@ -162,11 +162,10 @@ class SpatialIndexMethods(IndexMethods):
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
         """Delete the old covers, then insert the new ones."""
-        net = net_updates(entries)
         self.index_delete_batch(
-            ia, [(rowid, old) for rowid, old, __ in net], env)
+            ia, [(rowid, old) for rowid, old, __ in entries], env)
         self.index_insert_batch(
-            ia, [(rowid, new) for rowid, __, new in net], env)
+            ia, [(rowid, new) for rowid, __, new in entries], env)
 
     # -- scan --------------------------------------------------------------------
 

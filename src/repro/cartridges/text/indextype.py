@@ -28,7 +28,7 @@ from repro.cartridges.text.lexer import TextLexer, TextParameters
 from repro.cartridges.text.query import Term, TextQuery, parse_query
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
-    ODCIQueryInfo, net_updates)
+    ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan, ScanContext
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
@@ -265,7 +265,7 @@ class TextIndexMethods(IndexMethods):
         lexer, locator = TextLexer(params), _locator(params)
         stale: List[Any] = []
         postings: List[List[Any]] = []
-        for rowid, old_values, new_values in net_updates(entries):
+        for rowid, old_values, new_values in entries:
             old_text, new_text = old_values[0], new_values[0]
             old = {} if is_null(old_text) \
                 else locator.term_frequencies(str(old_text))

@@ -74,9 +74,9 @@ class IndexMaintenanceStats:
     """Per-index array-maintenance accounting.
 
     ``entries_queued`` counts maintenance entries the DML layer placed
-    in a statement/transaction queue for this index;
-    ``entries_flushed`` counts entries that reached a dispatched batch
-    (the difference is entries discarded by rollback or degradation).
+    in a statement's queue for this index; ``entries_flushed`` counts
+    entries that reached a dispatched batch (the difference is entries
+    discarded by a failed statement or by degradation).
     ``native_batches`` vs ``shim_batches`` splits batches by whether the
     cartridge implements the array routine or the dispatcher looped its
     scalar one.  ``histogram`` buckets flushed batch sizes by powers of

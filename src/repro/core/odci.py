@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import ODCIError
 
@@ -158,27 +158,6 @@ class ODCIEnv:
             self._trace.append(message)
 
 
-def net_updates(entries: Sequence[Tuple[Any, Sequence[Any], Sequence[Any]]]
-                ) -> List[Tuple[Any, Sequence[Any], Sequence[Any]]]:
-    """One ``(rowid, first old_values, last new_values)`` per row of an
-    update batch, in first-seen order.
-
-    A row occurs more than once in a batch when maintenance was deferred
-    past several updates of it.  Within one batch its entries chain
-    (each old value is the previous new value), so the net change is
-    exact — and an array routine that deletes for the whole batch before
-    it inserts for the whole batch needs each row once.
-    """
-    net: Dict[Any, List[Any]] = {}
-    for rowid, old_values, new_values in entries:
-        change = net.get(rowid)
-        if change is None:
-            net[rowid] = [old_values, new_values]
-        else:
-            change[1] = new_values
-    return [(rowid, old, new) for rowid, (old, new) in net.items()]
-
-
 class IndexMethods(abc.ABC):
     """Base class for an indextype's implementation type.
 
@@ -239,7 +218,7 @@ class IndexMethods(abc.ABC):
     #
     # One call per index per *statement* instead of per row.  ``entries``
     # carries the statement's maintenance queue for this index, in row
-    # order.  The defaults loop the scalar routines, so scalar-only
+    # order, each rowid at most once.  The defaults loop the scalar routines, so scalar-only
     # indextypes keep working unchanged; when a cartridge overrides one
     # of these, the dispatcher routes the whole batch through it in a
     # single callback crossing (per-entry fault attribution is preserved

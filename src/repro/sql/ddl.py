@@ -396,24 +396,28 @@ class DDLEngine:
             except CatalogError:
                 # the indextype was never re-registered after restart;
                 # there is no cartridge state to drop in this process
-                db.catalog.drop_index(index.name)
-                return
-            env = db.make_env(CallbackPhase.DEFINITION, index.domain)
-            env.trace(f"ddl:ODCIIndexDrop({index.name})")
-            try:
-                db.dispatcher.call(
-                    "ODCIIndexDrop", index.domain.methods.index_drop,
-                    index.domain.index_info(), env,
-                    index_name=index.name, phase="definition")
-            except DatabaseError as exc:
-                # DROP ... FORCE must win even when the cartridge's own
-                # drop routine is broken — the catalog entry goes away
-                # regardless (§2.6: FAILED indexes can always be dropped).
-                if not force:
-                    raise
-                db._trace(f"ddl:drop force({index.name}) ignoring "
-                          f"ODCIIndexDrop failure [{exc}]")
+                pass
+            else:
+                env = db.make_env(CallbackPhase.DEFINITION, index.domain)
+                env.trace(f"ddl:ODCIIndexDrop({index.name})")
+                try:
+                    db.dispatcher.call(
+                        "ODCIIndexDrop", index.domain.methods.index_drop,
+                        index.domain.index_info(), env,
+                        index_name=index.name, phase="definition")
+                except DatabaseError as exc:
+                    # DROP ... FORCE must win even when the cartridge's
+                    # own drop routine is broken — the catalog entry goes
+                    # away regardless (§2.6: FAILED indexes can always be
+                    # dropped).
+                    if not force:
+                        raise
+                    db._trace(f"ddl:drop force({index.name}) ignoring "
+                              f"ODCIIndexDrop failure [{exc}]")
         db.catalog.drop_index(index.name)
+        # the maintenance counters go where the catalog entry goes: an
+        # index recreated under the same name starts from zero
+        db.dispatcher.maintenance.pop(index.name, None)
 
     # ------------------------------------------------------------------
     # operators / indextypes / types / statistics

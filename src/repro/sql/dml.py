@@ -24,16 +24,17 @@ entries in a :class:`MaintenanceQueue` and flushes once per index via
 ``ODCIIndex{Insert,Delete,Update}Batch`` (scalar-only cartridges are
 served by the dispatcher's looping shim).  A mid-batch fault therefore
 fails the statement exactly as a per-row fault did — the savepoint has
-everything.  The opt-in ``deferred_index_maintenance`` session setting
-extends the queue to transaction scope: entries flush at commit, or
-earlier when a scan touches a table with pending entries
-(read-your-writes).  ``batch_index_maintenance = False`` restores the
-historical per-row dispatch, which the differential tests use to prove
-both paths build identical indexes.
+everything.  The queue flushes exactly once, at the end of the statement
+that filled it, so an index never lags its table past a statement
+boundary.  ``batch_index_maintenance = False`` restores the historical
+per-row dispatch, which the differential tests use to prove both paths
+build identical indexes.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.callbacks import CallbackPhase
@@ -78,9 +79,6 @@ def _structure_delete(structure, key, rowid) -> None:
         structure.delete(key, rowid)
 
 
-#: queued-op list layout: [kind, rowid, old_vals, new_vals, alive]
-_OP_ALIVE = 4
-
 #: kind -> (batch routine, scalar routine, batch method, scalar method)
 _BATCH_SPECS = {
     "insert": ("ODCIIndexInsertBatch", "ODCIIndexInsert",
@@ -95,50 +93,37 @@ _BATCH_SPECS = {
 class _IndexBatch:
     """One index's slice of a maintenance queue (FIFO, kind-tagged)."""
 
-    __slots__ = ("index", "domain", "table_name", "ops")
+    __slots__ = ("index", "domain", "ops")
 
-    def __init__(self, index: Any, domain: DomainIndex, table_name: str):
+    def __init__(self, index: Any, domain: DomainIndex):
         self.index = index
         self.domain = domain
-        self.table_name = table_name
-        #: [kind, rowid, old_vals, new_vals, alive] in arrival order
-        self.ops: List[list] = []
+        #: (kind, entry) in arrival order; ``entry`` is the tuple the
+        #: array routine receives — (rowid, new_vals) for an insert,
+        #: (rowid, old_vals) for a delete, (rowid, old_vals, new_vals)
+        #: for an update
+        self.ops: List[Tuple[str, tuple]] = []
 
 
 class MaintenanceQueue:
     """Domain-index maintenance entries awaiting a batched flush.
 
     One queue per statement scope (nested callback DML gets its own
-    level), or per transaction under ``deferred_index_maintenance``.
-    Entries keep arrival order per index; the flush dispatches each
-    contiguous same-kind run as one batch, so cross-kind ordering on a
-    rowid (insert before delete, etc.) is preserved.
+    level).  Entries keep arrival order per index; the flush dispatches
+    each contiguous same-kind run as one batch, so cross-kind ordering
+    on a rowid (insert before delete, etc.) is preserved.
     """
 
     def __init__(self) -> None:
         #: index key -> _IndexBatch, in first-touch order
         self.batches: dict = {}
 
-    def batch_for(self, index: Any, domain: DomainIndex,
-                  table_name: str) -> _IndexBatch:
+    def add(self, index: Any, domain: DomainIndex, kind: str,
+            entry: tuple) -> None:
         batch = self.batches.get(index.key)
         if batch is None:
-            batch = self.batches[index.key] = _IndexBatch(
-                index, domain, table_name)
-        return batch
-
-    def add(self, index: Any, domain: DomainIndex, table_name: str,
-            kind: str, rowid: Any, old_vals: Optional[list],
-            new_vals: Optional[list]) -> list:
-        op = [kind, rowid, old_vals, new_vals, True]
-        self.batch_for(index, domain, table_name).ops.append(op)
-        return op
-
-    def pending_tables(self) -> set:
-        """Lower-cased base-table names with at least one live entry."""
-        return {batch.table_name.lower()
-                for batch in self.batches.values()
-                if any(op[_OP_ALIVE] for op in batch.ops)}
+            batch = self.batches[index.key] = _IndexBatch(index, domain)
+        batch.ops.append((kind, entry))
 
 
 class DMLEngine:
@@ -150,8 +135,6 @@ class DMLEngine:
         #: statement-scoped maintenance queues (a stack: callback DML
         #: issued from inside a flush gets its own level)
         self._queue_stack: List[MaintenanceQueue] = []
-        #: transaction-scoped queue (``deferred_index_maintenance``)
-        self._deferred: Optional[MaintenanceQueue] = None
 
     # ------------------------------------------------------------------
     # statement scope
@@ -218,18 +201,9 @@ class DMLEngine:
                 try:
                     db.locks.acquire(txn.txn_id, f"table:{table.key}",
                                      LockMode.EXCLUSIVE,
-                                     timeout=getattr(db, "lock_timeout",
-                                                     None))
-                    # write-after-deferred-write: pending deferred
-                    # entries for this table flush before new DML so the
-                    # queue never interleaves two statements' entries
-                    self.flush_deferred_for((table.name,))
+                                     timeout=db.lock_timeout)
                     result = body(txn)
-                    if (getattr(db, "deferred_index_maintenance", False)
-                            and not autocommit):
-                        self._defer_queue(queue, txn)
-                    else:
-                        self._flush(queue)
+                    self._flush(queue)
                 finally:
                     self._queue_stack.pop()
             except CallbackError as exc:
@@ -268,75 +242,39 @@ class DMLEngine:
     # maintenance queue (array ODCI dispatch)
     # ------------------------------------------------------------------
 
-    def _enqueue(self, index: Any, domain: DomainIndex, table: TableDef,
-                 kind: str, rowid: Any, old_vals: Optional[list],
-                 new_vals: Optional[list]) -> bool:
-        """Queue one maintenance entry; False -> caller dispatches per-row.
-
-        Per-row dispatch remains when ``batch_index_maintenance`` is off
-        (the differential-test seed path) or no statement scope is open
-        (direct ``maintain_*`` calls from outside ``run_maintained``).
-        """
-        if not getattr(self.db, "batch_index_maintenance", True):
-            return False
-        if not self._queue_stack:
-            return False
-        self._queue_stack[-1].add(index, domain, table.name, kind, rowid,
-                                  old_vals, new_vals)
-        self.db.dispatcher.maintenance_for(index.name).entries_queued += 1
-        return True
-
     def _flush(self, queue: MaintenanceQueue) -> None:
         """Dispatch every queued entry, one batch per index per kind-run.
 
-        Raises the first :class:`CallbackError` — the caller (statement
-        scope or deferred-flush policy) owns rollback and degradation.
-        Indexes that degraded (or were dropped) after their entries were
-        queued are skipped: their entries are moot once the index is no
-        longer VALID.
+        Runs once, at the end of the statement that filled ``queue``,
+        inside that statement's savepoint.  Raises the first
+        :class:`CallbackError` — the statement scope owns rollback and
+        degradation.  Indexes that degraded (or were dropped) after
+        their entries were queued are skipped: their entries are moot
+        once the index is no longer VALID.
         """
-        if not queue.batches:
-            return
         db = self.db
-        for key in list(queue.batches):
-            batch = queue.batches[key]
-            ops = [op for op in batch.ops if op[_OP_ALIVE]]
-            if ops:
-                domain = batch.domain
-                if not domain.valid or not db.catalog.has_index(
-                        batch.index.name):
-                    db._trace(f"dml:skip({batch.index.name}) "
-                              f"state={domain.state.value}")
-                else:
-                    self._flush_index(batch.index, domain, ops)
-            del queue.batches[key]
+        for batch in queue.batches.values():
+            domain = batch.domain
+            if not domain.valid or not db.catalog.has_index(
+                    batch.index.name):
+                db._trace(f"dml:skip({batch.index.name}) "
+                          f"state={domain.state.value}")
+            else:
+                self._flush_index(batch.index, domain, batch.ops)
 
     def _flush_index(self, index: Any, domain: DomainIndex,
-                     ops: List[list]) -> None:
+                     ops: List[Tuple[str, tuple]]) -> None:
         db = self.db
         env = db.make_env(CallbackPhase.MAINTENANCE, domain)
         methods = domain.methods
         ia = domain.index_info()
         methods_type = type(methods)
-        n = len(ops)
-        start = 0
-        while start < n:
-            kind = ops[start][0]
-            end = start
-            while end < n and ops[end][0] == kind:
-                end += 1
-            run = ops[start:end]
-            start = end
+        for kind, run in groupby(ops, key=itemgetter(0)):
+            entries = [entry for __, entry in run]
             batch_routine, scalar_routine, batch_attr, scalar_attr = \
                 _BATCH_SPECS[kind]
             native = (getattr(methods_type, batch_attr)
                       is not getattr(IndexMethods, batch_attr))
-            if kind == "insert":
-                entries = [(op[1], op[3]) for op in run]
-            elif kind == "delete":
-                entries = [(op[1], op[2]) for op in run]
-            else:
-                entries = [(op[1], op[2], op[3]) for op in run]
             if env.trace_enabled:
                 # per-entry lines record the logical maintenance events
                 # (the architecture-figure trace); the batch marker
@@ -351,84 +289,18 @@ class DMLEngine:
                 batch_routine, scalar_routine, fn, ia, entries, env,
                 native=native, index_name=index.name, phase="maintenance")
 
-    # -- transaction-scoped (deferred) maintenance ----------------------
-
-    def _defer_queue(self, queue: MaintenanceQueue, txn: Any) -> None:
-        """Move a finished statement's entries to the transaction queue.
-
-        Each migrated op records an undo action that marks it dead, so
-        ``ROLLBACK`` / ``ROLLBACK TO SAVEPOINT`` discards exactly the
-        entries whose base-row changes it undoes.
-        """
-        deferred = self._deferred
-        if deferred is None:
-            deferred = self._deferred = MaintenanceQueue()
-        for batch in queue.batches.values():
-            target = deferred.batch_for(batch.index, batch.domain,
-                                        batch.table_name)
-            for op in batch.ops:
-                if not op[_OP_ALIVE]:
-                    continue
-                target.ops.append(op)
-                txn.record_undo(lambda o=op: o.__setitem__(_OP_ALIVE,
-                                                           False))
-        queue.batches.clear()
-
-    def has_deferred(self) -> bool:
-        """Whether transaction-scoped maintenance entries are pending."""
-        return (self._deferred is not None
-                and bool(self._deferred.pending_tables()))
-
-    def flush_deferred_for(self, table_names) -> None:
-        """Read-your-writes: flush before a scan of an affected table.
-
-        A scan that could use a domain index with queued (unapplied)
-        entries would miss this transaction's own writes; flushing the
-        whole transaction queue first preserves cross-index ordering.
-        """
-        deferred = self._deferred
-        if deferred is None:
-            return
-        pending = deferred.pending_tables()
-        if pending and any(str(name).lower() in pending
-                           for name in table_names):
-            self.flush_deferred()
-
-    def flush_deferred(self) -> None:
-        """Flush the transaction queue (commit time or read-your-writes).
-
-        The queue is detached before dispatch (reentrancy: callbacks
-        issue their own SQL).  A failing flush marks every index that
-        still had pending entries UNUSABLE before re-raising — the
-        transaction stays open for the caller to roll back, and even a
-        commit-anyway cannot leave a silently stale index behind.
-        """
-        deferred = self._deferred
-        self._deferred = None
-        if deferred is None or not deferred.batches:
-            return
-        db = self.db
-        try:
-            self._flush(deferred)
-        except CallbackError:
-            for batch in deferred.batches.values():
-                name = batch.index.name
-                if (any(op[_OP_ALIVE] for op in batch.ops)
-                        and db.catalog.has_index(name)):
-                    db.catalog.set_index_state(name, IndexState.UNUSABLE)
-                    db._trace(f"dml:degrade index {name} -> UNUSABLE; "
-                              f"deferred flush failed")
-            raise
-
-    def discard_deferred(self) -> None:
-        """Drop pending entries (transaction rollback discards them)."""
-        self._deferred = None
-
     # ------------------------------------------------------------------
     # row validation / physical insert
     # ------------------------------------------------------------------
 
-    def validate_row(self, table: TableDef, row: List[Any]) -> List[Any]:
+    def validate_row(self, table: TableDef, row: Sequence[Any]
+                     ) -> List[Any]:
+        """A full-width row coerced to the column types; every insert
+        front-end reaches the arity and NOT NULL checks here."""
+        if len(row) != len(table.columns):
+            raise ExecutionError(
+                f"{table.name} has {len(table.columns)} columns, "
+                f"got {len(row)} values")
         out = []
         for col, value in zip(table.columns, row):
             validated = col.datatype.validate(value)
@@ -448,13 +320,8 @@ class DMLEngine:
         db = self.db
         table = db.catalog.get_table(table_name)
         db._check_table_privilege(table, "insert")
-        if len(values) != len(table.columns):
-            raise ExecutionError(
-                f"{table.name} has {len(table.columns)} columns, "
-                f"got {len(values)} values")
         return self.run_maintained(
-            table,
-            lambda txn: self.insert_physical(table, list(values), txn))
+            table, lambda txn: self.insert_physical(table, values, txn))
 
     def insert_rows(self, table_name: str,
                     rows: Sequence[Sequence[Any]]) -> int:
@@ -468,11 +335,7 @@ class DMLEngine:
             if bulk is not None:
                 return self._insert_bulk(table, rows, bulk, txn)
             for values in rows:
-                if len(values) != len(table.columns):
-                    raise ExecutionError(
-                        f"{table.name} has {len(table.columns)} columns, "
-                        f"got {len(values)} values")
-                self.insert_physical(table, list(values), txn)
+                self.insert_physical(table, values, txn)
             return len(rows)
 
         return self.run_maintained(table, body)
@@ -537,7 +400,7 @@ class DMLEngine:
             bulk = self._bulk_load_plan(table, len(rows))
             if bulk is None:  # raced with another writer: conventional path
                 for values in rows:
-                    self.insert_physical(table, list(values), txn)
+                    self.insert_physical(table, values, txn)
                 return len(rows)
             return self._insert_bulk(table, rows, bulk, txn,
                                      validate=False, presorted=presorted)
@@ -555,7 +418,7 @@ class DMLEngine:
         seed path all take the per-row route.
         """
         db = self.db
-        if n_rows < 2 or not getattr(db, "bulk_index_build", True):
+        if n_rows < 2 or not db.bulk_index_build:
             return None
         storage = table.storage
         if not hasattr(storage, "insert_bulk") or storage.row_count != 0:
@@ -588,31 +451,13 @@ class DMLEngine:
         direct-path contract: rows were built by a cartridge from
         already-validated values, so only the column arity is checked.
         """
-        n_cols = len(table.columns)
         if validate:
-            # column-major validator hoist: one attribute-lookup pass over
-            # the schema instead of one per value
-            validators = [(col.datatype.validate, col.not_null, col.name)
-                          for col in table.columns]
-            validated = []
-            for values in rows:
-                if len(values) != n_cols:
-                    raise ExecutionError(
-                        f"{table.name} has {n_cols} columns, "
-                        f"got {len(values)} values")
-                row = []
-                for (check, not_null, cname), value in zip(validators,
-                                                           values):
-                    value = check(value)
-                    if not_null and is_null(value):
-                        raise ConstraintError(
-                            f"column {table.name}.{cname} is NOT NULL")
-                    row.append(value)
-                validated.append(row)
+            validated = [self.validate_row(table, values) for values in rows]
         else:
             # no per-row copy: both storages copy on write (heap pages
             # copy the row, the IOT splits it into fresh key/payload)
             validated = rows if isinstance(rows, list) else list(rows)
+            n_cols = len(table.columns)
             if set(map(len, validated)) - {n_cols}:
                 raise ExecutionError(
                     f"{table.name} direct load: rows must all have "
@@ -710,106 +555,62 @@ class DMLEngine:
             rowid = storage.insert(row)
         self._durable_undo(txn, table, "insert", rowid, None, list(row),
                            lambda: storage.delete(rowid))
-        self.maintain_insert(table, rowid, row, txn)
+        self.maintain(table, rowid, None, row, txn)
         return rowid
 
     # ------------------------------------------------------------------
     # implicit index maintenance (ODCIIndexInsert/Update/Delete fan-out)
     # ------------------------------------------------------------------
 
-    def maintain_insert(self, table: TableDef, rowid: RowId,
-                        row: List[Any], txn) -> None:
-        db = self.db
-        for index in db.catalog.indexes_on(table.name):
-            if index.is_domain and index.domain is not None:
-                domain = index.domain
-                if not self._maintainable(index.name, domain):
-                    continue
-                values = [row[table.column_position(c)]
-                          for c in index.column_names]
-                if self._enqueue(index, domain, table, "insert", rowid,
-                                 None, values):
-                    continue
-                env = db.make_env(CallbackPhase.MAINTENANCE, domain)
-                if env.trace_enabled:
-                    env.trace(f"dml:ODCIIndexInsert({index.name})")
-                db.dispatcher.call(
-                    "ODCIIndexInsert", domain.methods.index_insert,
-                    domain.index_info(), rowid, values, env,
-                    index_name=index.name, phase="maintenance")
-                continue
-            structure = index.structure
-            positions = [table.column_position(c)
-                         for c in index.column_names]
-            key = index_key(row, positions)
-            if key is None:
-                continue
-            _structure_insert(structure, key, rowid)
-            txn.record_undo(
-                lambda s=structure, k=key, r=rowid: _structure_delete(
-                    s, k, r))
+    def maintain(self, table: TableDef, rowid: RowId,
+                 old_row: Optional[List[Any]], new_row: Optional[List[Any]],
+                 txn) -> None:
+        """Carry one row change to every index on ``table``.
 
-    def maintain_delete(self, table: TableDef, rowid: RowId,
-                        row: List[Any], txn) -> None:
+        An insert has no ``old_row``, a delete no ``new_row``.  A native
+        index moves the rowid from the old key to the new one when they
+        differ (NULL keys are not indexed), with undo.  A domain index
+        whose indexed columns changed gets one entry on the statement's
+        queue, dispatched by :meth:`_flush` when the statement ends —
+        or, with ``batch_index_maintenance`` off, one scalar
+        ``ODCIIndexInsert/Update/Delete`` call right here (the
+        differential suites' reference path: no queue, no
+        ``IndexMaintenanceStats`` record).
+        """
         db = self.db
-        for index in db.catalog.indexes_on(table.name):
-            if index.is_domain and index.domain is not None:
-                domain = index.domain
-                if not self._maintainable(index.name, domain):
-                    continue
-                values = [row[table.column_position(c)]
-                          for c in index.column_names]
-                if self._enqueue(index, domain, table, "delete", rowid,
-                                 values, None):
-                    continue
-                env = db.make_env(CallbackPhase.MAINTENANCE, domain)
-                if env.trace_enabled:
-                    env.trace(f"dml:ODCIIndexDelete({index.name})")
-                db.dispatcher.call(
-                    "ODCIIndexDelete", domain.methods.index_delete,
-                    domain.index_info(), rowid, values, env,
-                    index_name=index.name, phase="maintenance")
-                continue
-            structure = index.structure
-            positions = [table.column_position(c)
-                         for c in index.column_names]
-            key = index_key(row, positions)
-            if key is None:
-                continue
-            _structure_delete(structure, key, rowid)
-            txn.record_undo(
-                lambda s=structure, k=key, r=rowid: _structure_insert(
-                    s, k, r))
-
-    def maintain_update(self, table: TableDef, rowid: RowId,
-                        old_row: List[Any], new_row: List[Any],
-                        txn) -> None:
-        db = self.db
+        kind = ("insert" if old_row is None
+                else "delete" if new_row is None else "update")
         for index in db.catalog.indexes_on(table.name):
             positions = [table.column_position(c)
                          for c in index.column_names]
-            old_vals = [old_row[p] for p in positions]
-            new_vals = [new_row[p] for p in positions]
             if index.is_domain and index.domain is not None:
-                if old_vals == new_vals:
+                values = [[row[p] for p in positions]
+                          for row in (old_row, new_row) if row is not None]
+                if kind == "update" and values[0] == values[1]:
                     continue  # indexed columns unchanged
                 domain = index.domain
                 if not self._maintainable(index.name, domain):
                     continue
-                if self._enqueue(index, domain, table, "update", rowid,
-                                 old_vals, new_vals):
+                if db.batch_index_maintenance:
+                    self._queue_stack[-1].add(index, domain, kind,
+                                              (rowid, *values))
+                    db.dispatcher.maintenance_for(
+                        index.name).entries_queued += 1
                     continue
+                __, routine, __, method = _BATCH_SPECS[kind]
                 env = db.make_env(CallbackPhase.MAINTENANCE, domain)
                 if env.trace_enabled:
-                    env.trace(f"dml:ODCIIndexUpdate({index.name})")
+                    env.trace(f"dml:{routine}({index.name})")
                 db.dispatcher.call(
-                    "ODCIIndexUpdate", domain.methods.index_update,
-                    domain.index_info(), rowid, old_vals, new_vals, env,
+                    routine, getattr(domain.methods, method),
+                    domain.index_info(), rowid, *values, env,
                     index_name=index.name, phase="maintenance")
                 continue
             structure = index.structure
-            old_key = index_key(old_row, positions)
-            new_key = index_key(new_row, positions)
+            old_key = (None if old_row is None
+                       else index_key(old_row, positions))
+            new_key = (None if new_row is None
+                       else index_key(new_row, positions))
             if old_key == new_key:
                 continue
             if old_key is not None:
@@ -827,42 +628,57 @@ class DMLEngine:
     # statements
     # ------------------------------------------------------------------
 
-    def execute_insert(self, stmt: ast.Insert) -> Cursor:
+    def _insert_target(self, stmt: ast.Insert):
+        """Resolve an INSERT's target: ``(table, build_row)``.
+
+        ``build_row`` spreads one VALUES/SELECT row over the statement's
+        column list (the table's own order when none is given), NULL
+        elsewhere.
+        """
         db = self.db
         table = db.catalog.get_table(stmt.table)
         db._check_table_privilege(table, "insert")
         column_order = [c.lower() for c in stmt.columns] \
             if stmt.columns else [c.name for c in table.columns]
         positions = [table.column_position(c) for c in column_order]
+        n_cols = len(table.columns)
 
-        def build_row(values: List[Any]) -> List[Any]:
+        def build_row(values: Sequence[Any]) -> List[Any]:
             if len(values) != len(positions):
                 raise ExecutionError(
                     f"INSERT expects {len(positions)} values, "
                     f"got {len(values)}")
-            row: List[Any] = [NULL] * len(table.columns)
+            row: List[Any] = [NULL] * n_cols
             for pos, value in zip(positions, values):
                 row[pos] = value
             return row
 
-        rows_to_insert: List[List[Any]] = []
-        if stmt.select is not None:
-            for out in db.pipeline.run_select(stmt.select):
-                rows_to_insert.append(build_row(list(out)))
-        else:
-            empty = RowContext()
-            for value_row in stmt.rows:
-                binder = Binder(db.catalog, Scope([]))
-                values = [db.evaluator.evaluate(binder.bind(e), empty)
-                          for e in value_row]
-                rows_to_insert.append(build_row(values))
+        return table, build_row
 
+    def _insert_statement_rows(self, table: TableDef,
+                               rows: List[List[Any]]) -> Cursor:
+        """One maintained statement inserting ``rows``: one savepoint,
+        one maintenance flush."""
         def body(txn) -> int:
-            for row in rows_to_insert:
-                self.insert_physical(table, list(row), txn)
-            return len(rows_to_insert)
+            for row in rows:
+                self.insert_physical(table, row, txn)
+            return len(rows)
 
         return Cursor(rowcount=self.run_maintained(table, body))
+
+    def execute_insert(self, stmt: ast.Insert) -> Cursor:
+        db = self.db
+        table, build_row = self._insert_target(stmt)
+        if stmt.select is not None:
+            rows = [build_row(out)
+                    for out in db.pipeline.run_select(stmt.select)]
+        else:
+            empty = RowContext()
+            binder = Binder(db.catalog, Scope([]))
+            rows = [build_row([db.evaluator.evaluate(binder.bind(e), empty)
+                               for e in value_row])
+                    for value_row in stmt.rows]
+        return self._insert_statement_rows(table, rows)
 
     def execute_insert_many(self, stmt: ast.Insert,
                             param_sets: List[Any]) -> Cursor:
@@ -877,52 +693,31 @@ class DMLEngine:
         array DML without SAVE EXCEPTIONS).
         """
         db = self.db
-        table = db.catalog.get_table(stmt.table)
-        db._check_table_privilege(table, "insert")
-        column_order = [c.lower() for c in stmt.columns] \
-            if stmt.columns else [c.name for c in table.columns]
-        positions = [table.column_position(c) for c in column_order]
-        n_cols = len(table.columns)
-
+        table, build_row = self._insert_target(stmt)
         empty = RowContext()
         binder = Binder(db.catalog, Scope([]))
         # per-cell resolvers: a bind key, or a once-evaluated constant
-        templates = []
-        for value_row in stmt.rows:
-            if len(value_row) != len(positions):
-                raise ExecutionError(
-                    f"INSERT expects {len(positions)} values, "
-                    f"got {len(value_row)}")
-            cells = []
-            for expr in value_row:
-                if isinstance(expr, ast.BindParam):
-                    cells.append((expr.name.lower(), None))
-                else:
-                    cells.append((None, db.evaluator.evaluate(
-                        binder.bind(expr), empty)))
-            templates.append(cells)
+        templates = [
+            [(expr.name.lower(), None) if isinstance(expr, ast.BindParam)
+             else (None, db.evaluator.evaluate(binder.bind(expr), empty))
+             for expr in value_row]
+            for value_row in stmt.rows]
 
-        rows_to_insert: List[List[Any]] = []
+        rows: List[List[Any]] = []
         for params in param_sets:
             values_map = normalize_params(params)
             for cells in templates:
-                row: List[Any] = [NULL] * n_cols
-                for pos, (bind_key, const) in zip(positions, cells):
+                values = []
+                for bind_key, const in cells:
                     if bind_key is None:
-                        row[pos] = const
+                        values.append(const)
                     elif bind_key in values_map:
-                        row[pos] = values_map[bind_key]
+                        values.append(values_map[bind_key])
                     else:
                         raise ExecutionError(
                             f"no value supplied for bind :{bind_key}")
-                rows_to_insert.append(row)
-
-        def body(txn) -> int:
-            for row in rows_to_insert:
-                self.insert_physical(table, list(row), txn)
-            return len(rows_to_insert)
-
-        return Cursor(rowcount=self.run_maintained(table, body))
+                rows.append(build_row(values))
+        return self._insert_statement_rows(table, rows)
 
     def plan_target_rows(self, table: TableDef, binding: str,
                          where: Optional[ast.Expr]
@@ -977,7 +772,7 @@ class DMLEngine:
                 self._durable_undo(
                     txn, table, "update", rowid, old_copy, list(new_row),
                     lambda s=storage, r=rowid, o=old_copy: s.update(r, o))
-                self.maintain_update(table, rowid, old_copy, new_row, txn)
+                self.maintain(table, rowid, old_copy, new_row, txn)
                 count += 1
             return count
 
@@ -1019,4 +814,4 @@ class DMLEngine:
         self._durable_undo(
             txn, table, "delete", rowid, old_copy, None,
             lambda s=storage, r=rowid, o=old_copy: s.undelete(r, o))
-        self.maintain_delete(table, rowid, old_copy, txn)
+        self.maintain(table, rowid, old_copy, None, txn)

@@ -198,15 +198,16 @@ class StatementPipeline:
         return self.execute_statement(statement, sql)
 
     def executemany(self, sql: str, seq_of_params: Any) -> Cursor:
-        """Run one SQL text once per parameter set, parsing only once.
+        """Run one SQL text once per parameter set.
 
         Plain ``INSERT ... VALUES`` statements whose VALUES expressions
-        are all binds or literals take the array-DML fast path: the rows
-        are validated and inserted under a *single* maintained statement,
-        so index maintenance flushes once for the whole batch.  Anything
-        else (UPDATE, DELETE, INSERT ... SELECT, expressions over binds)
-        re-executes the parsed statement per set; ``rowcount`` is the
-        exact total either way.
+        are all binds or literals take the array-DML fast path: parsed
+        once, the rows are validated and inserted under a *single*
+        maintained statement, so index maintenance flushes once for the
+        whole batch.  Anything else (UPDATE, DELETE, INSERT ... SELECT,
+        expressions over binds) goes through :meth:`execute` per set —
+        parsed, bound and planned each time (a prepared form is ROADMAP
+        item 2a); ``rowcount`` is the exact total either way.
         """
         param_sets = list(seq_of_params)
         if not param_sets:
@@ -289,9 +290,6 @@ class StatementPipeline:
         for tref in select.tables:
             db._check_table_privilege(db.catalog.get_table(tref.name),
                                       "select")
-        # read-your-writes: deferred maintenance entries against a
-        # scanned table must reach the index before the scan starts
-        db.dml.flush_deferred_for([tref.name for tref in select.tables])
         plan = db.planner.plan_select(select)
         return self._run_plan(plan, {})
 
@@ -365,10 +363,8 @@ class StatementPipeline:
     def _execute_plan(self, plan: Any, values: Dict[str, Any]) -> Cursor:
         """Execute stage for a compiled (possibly shared) plan."""
         db = self.db
-        tables = plan.referenced_tables()
-        for table in tables:
+        for table in plan.referenced_tables():
             db._check_table_privilege(table, "select")
-        db.dml.flush_deferred_for([table.name for table in tables])
         return self._run_plan(plan, values)
 
     def _run_plan(self, plan: Any, values: Dict[str, Any]) -> Cursor:

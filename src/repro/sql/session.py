@@ -93,11 +93,6 @@ class Session:
         #: index per statement); off restores per-row dispatch — the
         #: differential tests drive both paths over the same workload
         self.batch_index_maintenance = True
-        #: opt-in: extend the maintenance queue to transaction scope
-        #: (flush at commit, or earlier for read-your-writes — see
-        #: DMLEngine.flush_deferred_for); only affects statements inside
-        #: an explicit transaction
-        self.deferred_index_maintenance = False
         #: CREATE INDEX / REBUILD may use bulk construction (bottom-up
         #: B-tree build, STR packing, sorted inverted-list load); off
         #: forces the row-at-a-time seed path (bench baseline)
@@ -392,10 +387,6 @@ class Session:
         txn = self.txns.current
         if txn is None or not txn.active:
             return  # commit with no open transaction is a no-op
-        # deferred maintenance flushes first, still inside the
-        # transaction: a flush failure aborts the commit with undo (and
-        # the affected indexes degraded) rather than after it
-        self.dml.flush_deferred()
         # stamp this txn's row versions with the commit SCN, atomically
         # with respect to snapshot handout
         prune_due = self.engine.mvcc.commit_transaction(txn)
@@ -419,14 +410,12 @@ class Session:
                 raise TransactionError("no transaction to roll back")
             return
         if savepoint is not None:
-            # undo unwinding marks this span's deferred entries dead
             txn.rollback_to_savepoint(savepoint)
             return
         txn.rollback()  # undo closures log CLRs as they compensate
         durability = self.engine.durability
         if durability is not None:
             durability.abort(txn)
-        self.dml.discard_deferred()
         self.locks.release_all(txn.txn_id)
         self.events.fire(DatabaseEvent.ROLLBACK)
 
@@ -461,12 +450,13 @@ class Session:
 
     def executemany(self, sql: str,
                     seq_of_params: Sequence[Any]) -> Cursor:
-        """Execute ``sql`` once per parameter set, parsing only once.
+        """Execute ``sql`` once per parameter set.
 
         The array-DML entry point behind ``dbapi.Cursor.executemany``:
-        plain ``INSERT ... VALUES`` batches run as a single maintained
-        statement with one index-maintenance flush; other statements
-        execute per set.  The returned cursor's ``rowcount`` is the
+        plain ``INSERT ... VALUES`` batches are parsed once and run as a
+        single maintained statement with one index-maintenance flush;
+        other statements are parsed, planned and executed per set
+        (ROADMAP item 2a).  The returned cursor's ``rowcount`` is the
         exact total across all sets.
         """
         self._bind()

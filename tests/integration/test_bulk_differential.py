@@ -195,13 +195,15 @@ class TestMaintenanceDifferential:
         assert sorted(batched.execute(q, [word]).fetchall()) \
             == sorted(looped.execute(q, [word]).fetchall())
 
-    def test_deferred_transaction_contents_identical(self, corpus):
+    def test_transaction_contents_identical(self, corpus):
+        """One explicit transaction of single-row statements: each
+        statement flushes its own queue, the per-row path has none."""
         from repro.cartridges.text import install
 
-        def run(deferred):
+        def run(batched):
             db = Database()
             install(db)
-            db.deferred_index_maintenance = deferred
+            db.batch_index_maintenance = batched
             db.execute(
                 "CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
             db.execute("CREATE INDEX docs_text ON docs(body)"

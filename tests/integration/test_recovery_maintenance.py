@@ -220,25 +220,3 @@ class TestCartridgeStorageRidesWal:
         rows = db2.execute("SELECT v FROM docs_idx_data").fetchall()
         assert rows == [("keep",)]
         db2.close()
-
-    def test_deferred_maintenance_of_loser_discarded(self, data_dir):
-        db = make_db(data_dir)
-        db.execute("CREATE TABLE docs (v VARCHAR2(100))")
-        db.execute("CREATE INDEX docs_idx ON docs(v)"
-                   " INDEXTYPE IS TextishType")
-        session = db.engine.connect(user="main")
-        session.deferred_index_maintenance = True
-        session.begin()
-        session.execute("INSERT INTO docs VALUES ('deferred1')")
-        session.execute("INSERT INTO docs VALUES ('deferred2')")
-        # crash before commit: the deferred queue never flushed, and the
-        # base-table records belong to a loser
-        db.engine.durability.wal.flush_all()
-        crash(db)
-
-        db2 = make_db(data_dir)
-        assert db2.execute("SELECT COUNT(*) FROM docs").fetchall() \
-            == [(0,)]
-        assert db2.execute("SELECT COUNT(*) FROM docs_idx_data"
-                           ).fetchall() == [(0,)]
-        db2.close()

@@ -6,6 +6,11 @@ results for random queries must equal the ground truth computed by
 applying the functional operator to the live rows.  This exercises the
 entire maintenance protocol (ODCIIndexInsert/Update/Delete through
 server callbacks with shared undo) under adversarial schedules.
+
+One operation holds a transaction open over several statements that
+touch *the same row* and checks the index **inside** it after every
+statement: each statement flushes its own maintenance queue, so the
+index never lags the table past a statement boundary.
 """
 
 from hypothesis import given, settings
@@ -26,11 +31,36 @@ operation = st.one_of(
     st.tuples(st.just("txn_rollback"),
               st.lists(st.tuples(st.just("insert"), body_strategy),
                        min_size=1, max_size=3)),
+    # one row inserted, updated, maybe deleted, maybe restored by
+    # ROLLBACK TO SAVEPOINT, updated again; then COMMIT or ROLLBACK
+    st.tuples(st.just("txn_same_row"), body_strategy, body_strategy,
+              body_strategy, st.booleans(), st.booleans(), st.booleans()),
 )
 
 
-def apply_operations(db, model, operations):
-    """Run operations against the engine and a plain-dict model."""
+def assert_index_matches(db, rows, words=WORDS):
+    """Index answers ≡ functional truth over ``rows``, as the calling
+    session sees them right now (inside a transaction included)."""
+    for word in words:
+        got = sorted(r[0] for r in db.query(
+            "SELECT id FROM docs WHERE Contains(body, :1)", [word]))
+        assert got == sorted(ident for ident, body in rows.items()
+                             if text_contains(body, word)), word
+
+
+def assert_every_entry_flushed(db):
+    """No statement failed, so no queued entry was left undispatched."""
+    stats = db.dispatcher.maintenance_snapshot().get("docs_text")
+    if stats is not None:
+        assert stats["entries_flushed"] == stats["entries_queued"]
+
+
+def apply_operations(db, model, operations, words=WORDS):
+    """Run operations against the engine and a plain-dict model.
+
+    ``words`` are the query words the in-transaction checks may use (a
+    test that extends the stop list passes the ones still indexed).
+    """
     next_id = [max(model, default=-1) + 1]
 
     def do_insert(body):
@@ -69,6 +99,39 @@ def apply_operations(db, model, operations):
                            [ident, body])
             db.rollback()
             # the model never sees them
+        elif kind == "txn_same_row":
+            __, first, second, third, delete, back, commit = op
+            ident = next_id[0]
+            next_id[0] += 1
+            rows = dict(model)  # what the open transaction sees
+            db.begin()
+            db.execute("INSERT INTO docs VALUES (:1, :2)", [ident, first])
+            rows[ident] = first
+            assert_index_matches(db, rows, words)
+            db.execute("SAVEPOINT sp")
+            db.execute("UPDATE docs SET body = :1 WHERE id = :2",
+                       [second, ident])
+            rows[ident] = second
+            assert_index_matches(db, rows, words)
+            if delete:
+                db.execute("DELETE FROM docs WHERE id = :1", [ident])
+                del rows[ident]
+                assert_index_matches(db, rows, words)
+            if back:
+                db.execute("ROLLBACK TO SAVEPOINT sp")
+                rows[ident] = first
+                assert_index_matches(db, rows, words)
+            if ident in rows:
+                db.execute("UPDATE docs SET body = :1 WHERE id = :2",
+                           [third, ident])
+                rows[ident] = third
+                assert_index_matches(db, rows, words)
+            if commit:
+                db.commit()
+                model.update(rows)  # the model plus, if it lived, the row
+            else:
+                db.rollback()
+            assert_index_matches(db, model, words)
 
 
 @given(st.lists(operation, max_size=20),
@@ -95,6 +158,7 @@ def test_index_results_equal_functional_truth(operations, word_a, word_b):
     # the base table itself matches the model too
     live = dict(db.query("SELECT id, body FROM docs"))
     assert live == model
+    assert_every_entry_flushed(db)
 
 
 @given(st.lists(operation, max_size=15))
@@ -162,7 +226,8 @@ def test_text_postings_equal_a_build_of_each_row_as_last_indexed(operations):
             params = TextParameters.parse(f":Ignore {op[1]}", base=params)
             continue
         before = dict(model)
-        apply_operations(db, model, [op])
+        apply_operations(db, model, [op], words=[
+            w for w in WORDS if w not in params.stopwords])
         lexer = TextLexer(params)
         for ident in before.keys() - model.keys():
             del indexed[ident]

@@ -1,17 +1,17 @@
-"""Array maintenance: dispatcher batches, queues, executemany, deferral.
+"""Array maintenance: dispatcher batches, queues, executemany, rollback.
 
 Covers the statement-scoped maintenance queue end to end at unit
 granularity: ``CallbackDispatcher.call_batch`` (native array routine vs
 the scalar compatibility shim), the per-index maintenance counters and
-batch-size histogram, ``executemany`` rowcounts, and the opt-in
-transaction-scoped (``deferred_index_maintenance``) queue with its
-read-your-writes flush and rollback discard.
+batch-size histogram, ``executemany`` rowcounts, the one-entry-per-rowid
+contract of an update batch, and index state after ``ROLLBACK``.
 """
 
 import pytest
 
 from repro import Database
 from repro.core.dispatch import CallbackDispatcher, _batch_size_bucket
+from repro.core.odci import FetchResult, IndexMethods
 from repro.errors import CallbackError, ODCIError
 
 
@@ -141,6 +141,22 @@ class TestQueueCounters:
             " FROM user_index_maintenance").fetchall()
         assert ("docs_text", 5, 5, 1, 1) in rows
 
+    def test_counters_die_with_the_index(self, docs_db):
+        view = ("SELECT index_name, entries_queued"
+                " FROM user_index_maintenance")
+        docs_db.insert_rows("docs", [[i, f"alpha w{i}"] for i in range(5)])
+        assert ("docs_text", 5) in docs_db.execute(view).fetchall()
+        docs_db.execute("DROP INDEX docs_text")
+        assert docs_db.execute(view).fetchall() == []
+        # a recreated index starts from zero, not from the dead one's sum
+        docs_db.execute("CREATE INDEX docs_text ON docs(body)"
+                        " INDEXTYPE IS TextIndexType")
+        docs_db.insert_rows("docs", [[9, "alpha w9"]])
+        assert docs_db.execute(view).fetchall() == [("docs_text", 1)]
+        # DROP TABLE takes its indexes' records with it
+        docs_db.execute("DROP TABLE docs")
+        assert docs_db.execute(view).fetchall() == []
+
 
 class TestExecutemanyRowcounts:
     def test_insert_rowcount_exact(self, docs_db):
@@ -191,42 +207,18 @@ class TestExecutemanyRowcounts:
         assert batched == looped == [(i,) for i in range(5)]
 
 
-class TestDeferredMaintenance:
-    def test_read_your_writes_flush(self, docs_db):
-        docs_db.deferred_index_maintenance = True
-        docs_db.begin()
-        docs_db.insert_rows("docs", [[1, "kumquat alpha"]])
-        stats = docs_db.dispatcher.maintenance_snapshot()["docs_text"]
-        assert stats["entries_queued"] == 1
-        assert stats["entries_flushed"] == 0  # still queued
-        # a scan of the indexed table flushes first: we see our write
-        got = docs_db.execute(
-            "SELECT id FROM docs WHERE Contains(body, 'kumquat')").fetchall()
-        assert got == [(1,)]
-        stats = docs_db.dispatcher.maintenance_snapshot()["docs_text"]
-        assert stats["entries_flushed"] == 1
-        docs_db.commit()
-
-    def test_commit_flushes(self, docs_db):
-        docs_db.deferred_index_maintenance = True
-        docs_db.begin()
-        docs_db.insert_rows("docs", [[1, "zygote alpha"],
-                                     [2, "zygote beta"]])
-        docs_db.commit()
-        stats = docs_db.dispatcher.maintenance_snapshot()["docs_text"]
-        assert stats["entries_flushed"] == 2
-        got = docs_db.execute(
-            "SELECT id FROM docs WHERE Contains(body, 'zygote')").fetchall()
-        assert sorted(got) == [(1,), (2,)]
-
+class TestRollback:
     def test_rollback_discards_entries(self, docs_db):
-        docs_db.deferred_index_maintenance = True
         docs_db.begin()
         docs_db.insert_rows("docs", [[1, "quixotic alpha"]])
-        docs_db.rollback()
+        # the statement flushed its own entries: the index already
+        # answers for the uncommitted row
         stats = docs_db.dispatcher.maintenance_snapshot()["docs_text"]
-        assert stats["entries_queued"] == 1
-        assert stats["entries_flushed"] == 0  # discarded, never dispatched
+        assert stats["entries_queued"] == stats["entries_flushed"] == 1
+        assert docs_db.execute(
+            "SELECT id FROM docs WHERE Contains(body, 'quixotic')"
+        ).fetchall() == [(1,)]
+        docs_db.rollback()
         # the index answers consistently with the (empty) base table
         assert docs_db.execute(
             "SELECT id FROM docs WHERE Contains(body, 'quixotic')"
@@ -236,3 +228,83 @@ class TestDeferredMaintenance:
         assert docs_db.execute(
             "SELECT id FROM docs WHERE Contains(body, 'quixotic')"
         ).fetchall() == [(2,)]
+
+
+class RecordingMethods(IndexMethods):
+    """Indexes nothing; records the rowids of every update batch.  An
+    update batch on ``docs`` issues callback DML against ``audit``,
+    which carries an index of the same type."""
+
+    calls = []
+
+    def index_create(self, ia, parameters, env):
+        pass
+
+    def index_drop(self, ia, env):
+        pass
+
+    def index_insert(self, ia, rowid, new_values, env):
+        pass
+
+    def index_delete(self, ia, rowid, old_values, env):
+        pass
+
+    def index_update_batch(self, ia, entries, env):
+        self.calls.append(
+            (ia.index_name.lower(), [rowid for rowid, __, __ in entries]))
+        if ia.table_name.lower() == "docs":
+            env.callback.execute("UPDATE audit SET note = note || '!'")
+
+    def index_start(self, ia, op_info, query_info, env):
+        return None
+
+    def index_fetch(self, context, nrows, env):
+        return FetchResult(done=True)
+
+    def index_close(self, context, env):
+        pass
+
+
+class TestUpdateBatchContract:
+    @pytest.fixture
+    def rec_db(self, db):
+        RecordingMethods.calls = []
+        db.create_function("RecFunc", lambda v, probe: 0)
+        db.register_methods("RecordingMethods", RecordingMethods)
+        db.execute("CREATE OPERATOR Rec BINDING (VARCHAR2, VARCHAR2)"
+                   " RETURN NUMBER USING RecFunc")
+        db.execute("CREATE INDEXTYPE RecType"
+                   " FOR Rec(VARCHAR2, VARCHAR2) USING RecordingMethods")
+        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(100))")
+        db.execute("CREATE TABLE audit (id INTEGER, note VARCHAR2(100))")
+        db.insert_rows("docs", [[i, f"doc {i}"] for i in range(6)])
+        db.insert_rows("audit", [[i, f"note {i}"] for i in range(3)])
+        db.execute("CREATE INDEX docs_rec ON docs(body)"
+                   " INDEXTYPE IS RecType")
+        db.execute("CREATE INDEX audit_rec ON audit(note)"
+                   " INDEXTYPE IS RecType")
+        return db
+
+    def test_each_rowid_once_per_call_in_row_order(self, rec_db):
+        """One queue per statement: an array routine may delete for the
+        whole batch before it inserts for the whole batch."""
+        rowid_of = dict(rec_db.execute(
+            "SELECT id, rowid FROM docs").fetchall())
+        rec_db.execute("UPDATE docs SET body = body || ' x' WHERE id < 4")
+        rec_db.executemany("UPDATE docs SET body = :1 WHERE id <= :2",
+                           [["first", 2], ["second", 2], ["third", 1]])
+        calls = RecordingMethods.calls
+        docs_calls = [rowids for name, rowids in calls if name == "docs_rec"]
+        # one call per statement execution (executemany runs per set)
+        assert docs_calls == [[rowid_of[i] for i in range(4)],
+                              [rowid_of[i] for i in range(3)],
+                              [rowid_of[i] for i in range(3)],
+                              [rowid_of[i] for i in range(2)]]
+        # the callback UPDATE flushed at its own level, once per outer
+        # call, and never saw the outer statement's entries
+        audit_calls = [rowids for name, rowids in calls
+                       if name == "audit_rec"]
+        assert len(audit_calls) == len(docs_calls)
+        for __, rowids in calls:
+            assert len(set(rowids)) == len(rowids)
+        assert {len(rowids) for rowids in audit_calls} == {3}

@@ -540,6 +540,20 @@ class TestPlannerStaysATable:
         assert sum(lines.values()) <= 3625
         assert not (sql / "parallel.py").exists()
 
+    def test_dml_has_one_maintenance_fan_out(self):
+        """A row change reaches its indexes through one function; the
+        ceiling is the size PR 19 reached by deleting transaction-
+        deferred maintenance and the copied ``maintain_*`` bodies."""
+        import ast
+        import pathlib
+        import repro.sql
+        source = (pathlib.Path(repro.sql.__file__).parent
+                  / "dml.py").read_text("utf-8")
+        assert len(source.splitlines()) <= 817
+        assert [node.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("maintain")] == ["maintain"]
+
     def test_no_other_module_lists_the_native_scan_classes(self):
         """executor/compile derive their scan-class tuples from
         ``ACCESS_PATHS``: a new structure is declared once."""
