@@ -171,15 +171,23 @@ def _user_lock_stats(engine: Any) -> TableDef:
 def _user_snapshot_stats(engine: Any) -> TableDef:
     """One-row view over the MVCC manager's counters.
 
-    ``chain_histogram`` is the version-chain-length distribution
-    recorded at each prune pass; ``oldest_active_scn`` is NULL when no
+    ``chain_histogram`` is the length distribution of the version
+    chains each prune pass walked (a settled row has no chain and is
+    not in it); ``heads_tracked`` is a gauge, the rowids mapped right
+    now over every table's store; ``oldest_active_scn`` is NULL when no
     snapshot is live.
     """
     snap = engine.mvcc.stats.snapshot()
+    with engine.catalog.latch:
+        tables = list(engine.catalog.tables.values())
+    heads_tracked = sum(
+        len(table.storage.versions.tracked_rowids()) for table in tables
+        if getattr(table.storage, "versions", None) is not None)
     rows = [[snap["snapshots_taken"], snap["statement_snapshots"],
              snap["transaction_snapshots"], snap["commits"],
              snap["versions_created"], snap["versions_stamped"],
              snap["versions_pruned"], snap["prune_passes"],
+             snap["heads_forgotten"], snap["read_retries"], heads_tracked,
              _histogram_text(snap["chain_histogram"]),
              engine.mvcc.oldest_active_scn(),
              engine.mvcc.current_scn]]
@@ -190,6 +198,8 @@ def _user_snapshot_stats(engine: Any) -> TableDef:
                   ("commits", INTEGER), ("versions_created", INTEGER),
                   ("versions_stamped", INTEGER),
                   ("versions_pruned", INTEGER), ("prune_passes", INTEGER),
+                  ("heads_forgotten", INTEGER), ("read_retries", INTEGER),
+                  ("heads_tracked", INTEGER),
                   ("chain_histogram", VARCHAR2),
                   ("oldest_active_scn", INTEGER),
                   ("current_scn", INTEGER)],

@@ -150,14 +150,24 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _version_stores(self):
-        """What a prune pass visits, one per catalog table: a heap's
-        version store, or the IOT itself (its ``prune`` prunes its store
-        and drops the ghosts that settles)."""
+        """What a prune pass visits: for each catalog table whose store
+        maps anything, the heap's version store or the IOT itself (its
+        ``prune`` prunes its store and drops the ghosts that settles).
+        A table with nothing mapped has nothing to cut or forget."""
         with self.catalog.latch:
             tables = list(self.catalog.tables.values())
-        return [t.storage if isinstance(t.storage, IndexOrganizedTable)
-                else t.storage.versions for t in tables
-                if getattr(t.storage, "versions", None) is not None]
+        stores = []
+        for table in tables:
+            storage = table.storage
+            versions = getattr(storage, "versions", None)
+            if versions is None:
+                continue
+            if isinstance(storage, IndexOrganizedTable):
+                if storage.ghost_count or not versions.clean:
+                    stores.append(storage)
+            elif not versions.clean:
+                stores.append(versions)
+        return stores
 
     def prune_versions(self) -> int:
         """One low-water-mark prune pass; returns versions removed."""

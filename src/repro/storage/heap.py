@@ -68,6 +68,16 @@ class RowId:
         return f"RID({self.segment_id}.{self.page_no}.{self.slot})"
 
 
+def _live(rowids: List[RowId], rows: List[Optional[List[Any]]]
+          ) -> Tuple[List[RowId], List[List[Any]]]:
+    """Drop the dead or invisible rows (None) of an aligned batch."""
+    if None in rows:
+        live = [i for i, row in enumerate(rows) if row is not None]
+        rowids = [rowids[i] for i in live]
+        rows = [rows[i] for i in live]
+    return rowids, rows
+
+
 class HeapTable:
     """An unordered table of rows stored on slotted pages.
 
@@ -158,10 +168,12 @@ class HeapTable:
             page = self._page_at(rowid)
         except InvalidRowIdError:
             return None
-        current = page.read_slot(rowid.slot)
         if snapshot is None:
-            return current
-        return self.versions.resolve(rowid, current, snapshot)
+            return page.read_slot(rowid.slot)
+        versions = self.versions
+        return versions.read(
+            lambda: versions.resolve(rowid, page.read_slot(rowid.slot),
+                                     snapshot), snapshot)
 
     def update(self, rowid: RowId, row: List[Any]) -> List[Any]:
         """Replace the row at ``rowid`` in place; returns the old row."""
@@ -211,38 +223,44 @@ class HeapTable:
                 if row is not None:
                     yield RowId(self.segment_id, page_no, slot), row
 
+    def _read_page(self, page_no: int, snapshot: Optional[Snapshot]
+                   ) -> Tuple[List[RowId], List[List[Any]]]:
+        """``(rowids, rows)`` of one page's rows, aligned; what both
+        page-batched scans are made of.
+
+        With a ``snapshot`` every slot — live or tombstoned — is
+        resolved through the version store, so the page shows exactly
+        the rows committed as of the snapshot's SCN plus the owning
+        transaction's own writes; a store with nothing mapped hands the
+        slots back as they are.
+        """
+        segment_id = self.segment_id
+        page = self.buffer.get_page(segment_id, page_no)
+        versions = self.versions
+
+        def read():
+            rows = list(page.slots)
+            rowids = [RowId(segment_id, page_no, slot)
+                      for slot in range(len(rows))]
+            if snapshot is not None:
+                rows = versions.resolve_batch(rowids, rows, snapshot)
+            return rowids, rows
+
+        return _live(*(read() if snapshot is None
+                       else versions.read(read, snapshot)))
+
     def scan_batches(self, snapshot: Optional[Snapshot] = None
                      ) -> Iterator[List[Tuple[RowId, List[Any]]]]:
-        """Full scan, one page per batch.
+        """Full scan, one page per batch (see :meth:`_read_page`).
 
         The batched executor pipeline consumes pages whole, so the
         buffer cache is latched once per page instead of once per row;
-        empty pages produce no batch.  With a ``snapshot``, every slot —
-        live or tombstoned — is resolved through its version chain, so
-        the scan sees exactly the rows committed as of the snapshot's
-        SCN plus the owning transaction's own writes.
+        empty pages produce no batch.
         """
-        segment_id = self.segment_id
-        if snapshot is None:
-            for page_no in range(self._page_count):
-                page = self.buffer.get_page(segment_id, page_no)
-                batch = [(RowId(segment_id, page_no, slot), row)
-                         for slot, row in enumerate(page.slots)
-                         if row is not None]
-                if batch:
-                    yield batch
-            return
-        resolve = self.versions.resolve
         for page_no in range(self._page_count):
-            page = self.buffer.get_page(segment_id, page_no)
-            batch = []
-            for slot, row in enumerate(list(page.slots)):
-                rowid = RowId(segment_id, page_no, slot)
-                value = resolve(rowid, row, snapshot)
-                if value is not None:
-                    batch.append((rowid, value))
-            if batch:
-                yield batch
+            rowids, rows = self._read_page(page_no, snapshot)
+            if rowids:
+                yield list(zip(rowids, rows))
 
     def scan_batches_columnar(
             self, width: int, snapshot: Optional[Snapshot] = None
@@ -254,30 +272,12 @@ class HeapTable:
         a ``ColumnBatch``.  ``width`` is the table's column count (the
         heap does not know its schema); it sizes the columns when a page
         is empty after filtering.  Same snapshot semantics as
-        :meth:`scan_batches`: version-chain resolution fills the columns
-        directly, no intermediate row-tuple batch is built.
+        :meth:`scan_batches`.
         """
-        segment_id = self.segment_id
-        resolve = self.versions.resolve if snapshot is not None else None
         for page_no in range(self._page_count):
-            page = self.buffer.get_page(segment_id, page_no)
-            rowids: List[RowId] = []
-            rows: List[List[Any]] = []
-            if resolve is None:
-                for slot, row in enumerate(page.slots):
-                    if row is not None:
-                        rowids.append(RowId(segment_id, page_no, slot))
-                        rows.append(row)
-            else:
-                for slot, row in enumerate(list(page.slots)):
-                    rowid = RowId(segment_id, page_no, slot)
-                    value = resolve(rowid, row, snapshot)
-                    if value is not None:
-                        rowids.append(rowid)
-                        rows.append(value)
+            rowids, rows = self._read_page(page_no, snapshot)
             if rowids:
-                columns = [list(col) for col in zip(*rows)]
-                yield rowids, columns
+                yield rowids, [list(col) for col in zip(*rows)]
 
     def fetch_batch(self, rowids: List[RowId],
                     snapshot: Optional[Snapshot] = None
@@ -298,29 +298,31 @@ class HeapTable:
         segment_id = self.segment_id
         page_count = self._page_count
         get_page = self.buffer.get_page
-        slots_of: dict = {}
-        found: List[RowId] = []
-        rows: List[Optional[List[Any]]] = []
-        for rowid in rowids:
-            if rowid.segment_id != segment_id:
-                continue
-            page_no = rowid.page_no
-            slots = slots_of.get(page_no)
-            if slots is None:
-                if not 0 <= page_no < page_count:
+        versions = self.versions
+
+        def read():
+            slots_of: dict = {}
+            found: List[RowId] = []
+            rows: List[Optional[List[Any]]] = []
+            for rowid in rowids:
+                if rowid.segment_id != segment_id:
                     continue
-                slots = slots_of[page_no] = get_page(
-                    segment_id, page_no).slots
-            slot = rowid.slot
-            found.append(rowid)
-            rows.append(slots[slot] if 0 <= slot < len(slots) else None)
-        if snapshot is not None:
-            rows = self.versions.resolve_batch(found, rows, snapshot)
-        if None in rows:
-            live = [i for i, row in enumerate(rows) if row is not None]
-            found = [found[i] for i in live]
-            rows = [rows[i] for i in live]
-        return found, rows
+                page_no = rowid.page_no
+                slots = slots_of.get(page_no)
+                if slots is None:
+                    if not 0 <= page_no < page_count:
+                        continue
+                    slots = slots_of[page_no] = get_page(
+                        segment_id, page_no).slots
+                slot = rowid.slot
+                found.append(rowid)
+                rows.append(slots[slot] if 0 <= slot < len(slots) else None)
+            if snapshot is not None:
+                rows = versions.resolve_batch(found, rows, snapshot)
+            return found, rows
+
+        return _live(*(read() if snapshot is None
+                       else versions.read(read, snapshot)))
 
     # -- durability support ----------------------------------------------
 

@@ -161,12 +161,16 @@ class IndexOrganizedTable:
                 return self.fetch(rowid)
             except InvalidRowIdError:
                 return None
-        with self._latch:  # concurrent writers restructure the tree
-            try:
-                current = self.fetch(rowid)
-            except InvalidRowIdError:
-                current = None
-        return self.versions.resolve(rowid, current, snapshot)
+
+        def read():
+            with self._latch:  # concurrent writers restructure the tree
+                try:
+                    current = self.fetch(rowid)
+                except InvalidRowIdError:
+                    current = None
+            return self.versions.resolve(rowid, current, snapshot)
+
+        return self.versions.read(read, snapshot)
 
     def update(self, rowid: RowId, row: List[Any]) -> List[Any]:
         """Replace the row at ``rowid``; key changes re-insert the entry."""
@@ -295,27 +299,41 @@ class IndexOrganizedTable:
         return in_range
 
     def _snapshot_scan(self, snapshot: Snapshot, walk, in_bounds=None
-                       ) -> Iterator[Tuple[RowId, List[Any]]]:
+                       ) -> List[Tuple[RowId, List[Any]]]:
         """Consistent-read scan: latched materialize + ghost overlay.
 
         ``walk(tree)`` yields a B-tree's entries in bounds.  The tree
         rows in bounds are materialized under the structure latch
-        (writers restructure the tree mid-flight otherwise), each
-        resolved through its version chain.  The ghosts in bounds —
-        surrogates some snapshot may still see under a key the tree no
-        longer holds for them — are walked with the same bounds and
-        overlaid, every row is bounds-checked against its *resolved*
-        key, and the merge re-sorted into key order.  The cost is the
-        entries and ghosts in bounds, whatever the table's history.
+        (writers restructure the tree mid-flight otherwise).  When the
+        store has nothing mapped and no ghost lies in bounds, that walk
+        is the answer as it stands, already in key order.  Otherwise
+        each row is resolved through its version chain; the ghosts in
+        bounds — surrogates some snapshot may still see under a key the
+        tree no longer holds for them — are walked with the same bounds
+        and overlaid, every row is bounds-checked against its
+        *resolved* key, and the merge re-sorted into key order.  The
+        cost is the entries and ghosts in bounds, whatever the table's
+        history.
         """
+        return self.versions.read(
+            lambda: self._read_entries(snapshot, walk, in_bounds), snapshot)
+
+    def _read_entries(self, snapshot: Snapshot, walk, in_bounds
+                      ) -> List[Tuple[RowId, List[Any]]]:
+        """One attempt at :meth:`_snapshot_scan`: read the tree, then
+        consult the store."""
         kw = self.key_width
+        versions = self.versions
         with self._latch:
             pairs = [(self._surrogate(key), key, payload)
                      for key, payload in walk(self._tree)]
             ghosts = [rid for __, rid in walk(self._ghosts)] \
                 if self._ghosts.entry_count else ()
-        resolve = self.versions.resolve
-        tracked = self.versions.tracked
+        if not ghosts and versions.settled(snapshot):
+            return [(rid, list(key) + list(payload))
+                    for rid, key, payload in pairs]
+        resolve = versions.resolve
+        tracked = versions.tracked
         seen = set()
         results = []
         for rid, key, payload in pairs:
@@ -343,8 +361,7 @@ class IndexOrganizedTable:
                 continue
             results.append((vkey, rid.sort_key, value, rid))
         results.sort(key=lambda item: (item[0], item[1]))
-        for __, __, value, rid in results:
-            yield rid, value
+        return [(rid, value) for __, __, value, rid in results]
 
     def locate(self, key_values: Any
                ) -> Optional[Tuple[RowId, List[Any]]]:
@@ -467,23 +484,21 @@ class IndexOrganizedTable:
         """:meth:`VersionStore.prune` for this table's store, then drop
         the ghosts no snapshot can see any more.
 
-        A surrogate the store does not report as unsettled has one
-        version — a tombstone, or a row the tree walk finds (or an
-        insert still rolling back, which nobody else can see) — or no
-        chain left: no snapshot can see an older value of it, so none
+        A surrogate the pass left unmapped is one every snapshot sees
+        as the tree has it — gone, or found by the tree walk — so none
         of its ghosts can put a row into a scan.  The structure latch
-        is held across both steps: a writer
-        chains its version before it enters :meth:`delete` /
-        :meth:`update`, so a ghost registered after the store was
-        examined cannot be dropped by this pass.
+        is held across both steps: a writer chains its version before
+        it enters :meth:`delete` / :meth:`update`, so a ghost
+        registered after the store was examined belongs to a mapped
+        surrogate and cannot be dropped by this pass.
         """
-        unsettled: set = set()
         with self._latch:
-            removed = self.versions.prune(lwm, stats, unsettled)
+            removed = self.versions.prune(lwm, stats)
             if self._ghosts.entry_count:
+                tracked = self.versions.tracked
                 for key, rid in [(key, rid)
                                  for key, rid in self._ghosts.items()
-                                 if rid not in unsettled]:
+                                 if not tracked(rid)]:
                     self._ghosts.delete(key, rid)
                 if not self._ghosts.entry_count:
                     self._ghosts.clear()  # deletes leave empty leaves

@@ -18,14 +18,16 @@ one fresh SCN under the same latch that hands out snapshots, so a
 snapshot can never observe half a transaction.
 
 A low-water-mark pass (opportunistic at commit, or a background thread)
-prunes chain tails no live snapshot can still need.
+prunes chain tails no live snapshot can still need, and forgets every
+chain all snapshots agree on: a store maps exactly the rowids whose slot
+is not the whole truth.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: chain-length histogram bucket upper bounds → label
 _CHAIN_BUCKETS: Tuple[Tuple[int, str], ...] = (
@@ -36,7 +38,8 @@ _CHAIN_BUCKETS: Tuple[Tuple[int, str], ...] = (
     (1 << 62, ">8"),
 )
 
-#: commits between opportunistic prune passes
+#: versions stamped (a commit that stamps none counts one) between
+#: opportunistic prune passes
 PRUNE_INTERVAL = 64
 
 
@@ -71,13 +74,16 @@ class Snapshot:
     sees its *own* uncommitted versions (read-your-writes).
     """
 
-    __slots__ = ("scn", "txn_id", "kind", "__weakref__")
+    __slots__ = ("scn", "txn_id", "kind", "stats", "__weakref__")
 
     def __init__(self, scn: int, txn_id: Optional[int],
                  kind: str = "statement"):
         self.scn = scn
         self.txn_id = txn_id
         self.kind = kind
+        #: where reads under this snapshot count their epoch redos (the
+        #: manager that handed the snapshot out sets it)
+        self.stats: "Optional[SnapshotStats]" = None
 
     def visible(self, version: RowVersion) -> bool:
         """Oracle visibility rule: own uncommitted, or committed <= scn."""
@@ -101,6 +107,12 @@ class SnapshotStats:
         self.versions_stamped = 0
         self.versions_pruned = 0
         self.prune_passes = 0
+        #: chains a prune pass unmapped: every snapshot sees their slot
+        self.heads_forgotten = 0
+        #: snapshot reads redone because a store's epoch moved under them
+        self.read_retries = 0
+        #: lengths of the chains each prune pass walked, before its cut;
+        #: a settled row has no chain and is not counted
         self.chain_histogram: Dict[str, int] = {
             label: 0 for __, label in _CHAIN_BUCKETS}
 
@@ -120,6 +132,8 @@ class SnapshotStats:
             "versions_stamped": self.versions_stamped,
             "versions_pruned": self.versions_pruned,
             "prune_passes": self.prune_passes,
+            "heads_forgotten": self.heads_forgotten,
+            "read_retries": self.read_retries,
             "chain_histogram": dict(self.chain_histogram),
         }
 
@@ -129,23 +143,25 @@ class VersionStore:
 
     Rowids are whatever the storage layer uses as stable row identity
     (:class:`~repro.storage.heap.RowId` or an IOT surrogate).  A rowid
-    absent from the store has never been written since the last bulk
-    load / truncate — its current slot value is valid for *any*
-    snapshot, modulo the *fence* version: ``insert_bulk`` registers one
-    fence version covering every bulk-loaded row, so old snapshots don't
-    see a load that committed after them.
+    is mapped exactly while some snapshot, live or future, could see
+    something other than its slot: a write in flight, a commit above
+    the low-water mark, or history a live snapshot still needs.  For a
+    rowid absent from the store *every snapshot sees its slot*, modulo
+    the *fence* version: ``insert_bulk`` registers one fence version
+    covering every bulk-loaded row, so old snapshots don't see a load
+    that committed after them.
+
+    The store says less only in :meth:`prune` (which forgets settled
+    chains), :meth:`pop`, :meth:`drop_fence` and :meth:`clear`, and
+    each bumps ``_epoch`` *before* it does; a snapshot read runs inside
+    :meth:`read`, which redoes it when the epoch moved.
     """
 
     def __init__(self):
         self.latch = threading.Lock()
         self._heads: Dict[Any, RowVersion] = {}
         self._fence: Optional[RowVersion] = None
-        #: rowids whose chain got a version on top of another since a
-        #: prune pass last found it *settled* (one committed version at
-        #: or below the low-water mark): the only chains a pass can cut,
-        #: so a pass costs the recent rewrites, not the heads.  A first
-        #: insert is a chain of one and is never in here
-        self._unsettled: set = set()
+        self._epoch = 0
 
     # -- write side ---------------------------------------------------------
 
@@ -162,8 +178,8 @@ class VersionStore:
         with self.latch:
             prev = self._heads.get(rowid)
             if prev is None and old_value is not None:
-                # first versioned write to a pre-existing row: anchor the
-                # old value so older snapshots still see it
+                # first versioned write to a settled row: anchor the old
+                # value so older snapshots still see it
                 fence = self._fence
                 if fence is not None:
                     base = RowVersion(fence.scn, fence.txn_id, old_value)
@@ -177,16 +193,20 @@ class VersionStore:
             version = RowVersion(None, txn.txn_id if txn else 0,
                                  new_value, prev)
             self._heads[rowid] = version
-            if prev is not None:
-                self._unsettled.add(rowid)
             return version
 
     def pop(self, rowid: Any, version: RowVersion) -> None:
-        """Undo ``push``: unlink ``version`` from ``rowid``'s chain."""
+        """Undo ``push``: unlink ``version`` from ``rowid``'s chain.
+
+        The caller has restored the slot already (undo runs in reverse
+        order of the write), so when the chain ends here the slot is
+        what every snapshot sees and the rowid is unmapped.
+        """
         with self.latch:
             head = self._heads.get(rowid)
             if head is version:
                 if version.prev is None:
+                    self._epoch += 1  # before the unmapping: see read()
                     del self._heads[rowid]
                 else:
                     self._heads[rowid] = version.prev
@@ -208,22 +228,51 @@ class VersionStore:
         """Undo ``set_fence`` (bulk-load rollback)."""
         with self.latch:
             if self._fence is fence:
+                self._epoch += 1
                 self._fence = None
 
     def clear(self) -> None:
         """Forget all chains (truncate / table drop)."""
         with self.latch:
+            self._epoch += 1
             self._heads.clear()
-            self._unsettled.clear()
             self._fence = None
 
     @property
     def clean(self) -> bool:
-        """True when no chains or fence exist (bulk-load fast path ok)."""
+        """True when no chains or fence exist (bulk-load fast path ok;
+        nothing for a prune pass to do)."""
         with self.latch:
             return not self._heads and self._fence is None
 
     # -- read side ----------------------------------------------------------
+
+    def read(self, body: Callable[[], Any], snapshot: Snapshot) -> Any:
+        """Run ``body`` — read the slot(s), *then* consult this store —
+        and return its result, redoing it while the epoch moved.
+
+        Every snapshot read of the storage goes through here.  Within
+        an unchanged epoch nothing was unmapped, so the ordering
+        argument of :meth:`push` holds: a rowid ``body`` found unmapped
+        was unmapped when it read the slot, and any writer since chained
+        before it touched the slot.  An unmapping bumps the epoch
+        *first*: a body that began before the bump is redone, and one
+        that began after it reads a slot that already holds the settled
+        (or restored) value.
+        """
+        while True:
+            epoch = self._epoch
+            result = body()
+            if self._epoch == epoch:
+                return result
+            if snapshot.stats is not None:
+                snapshot.stats.read_retries += 1
+
+    def settled(self, snapshot: Snapshot) -> bool:
+        """True when ``snapshot`` sees every slot as it stands: no chain
+        is mapped and no fence hides the rows from it."""
+        fence = self._fence
+        return not self._heads and (fence is None or snapshot.visible(fence))
 
     def resolve(self, rowid: Any, current: Optional[list],
                 snapshot: Snapshot) -> Optional[list]:
@@ -286,24 +335,18 @@ class VersionStore:
 
     # -- maintenance --------------------------------------------------------
 
-    def prune(self, lwm: int, stats: Optional[SnapshotStats] = None,
-              unsettled: Optional[set] = None) -> int:
-        """Cut chain tails below the newest committed version <= ``lwm``.
+    def prune(self, lwm: int, stats: Optional[SnapshotStats] = None) -> int:
+        """Cut chain tails below the newest committed version <= ``lwm``
+        and forget every chain that leaves settled.
 
-        Head mappings are never removed: a mapped rowid must *stay*
-        mapped, otherwise a concurrent reader could race a writer's
-        re-push and read an uncommitted slot value through the untracked
-        fast path.  Only links strictly older than the keeper are freed.
-
-        Only chains rewritten since a pass last found them settled are
-        walked; every other chain is one version, which is what the
-        pass would leave of it.  ``unsettled``, when given, collects
-        the walked rowids whose chain still says more than its head
-        after the cut — an in-flight rewrite, or a commit some live
-        snapshot cannot see yet.  Every other rowid, mapped or not, has
-        one version or none: no snapshot can see an older value of it
-        (the IOT drops its ghosts by this).  Returns the number of
-        versions cut loose.
+        A chain whose head is that keeper is down to one committed
+        version every live and future snapshot sees, and its slot holds
+        the same value (a tombstone included) — no writer is in flight
+        on it, or the head would be uncommitted — so the mapping says
+        nothing the slot does not and is dropped.  A rowid still mapped
+        after the pass is in flight, committed above ``lwm``, or holds
+        history a live snapshot needs (the IOT keeps its ghosts by
+        this).  Returns the number of versions cut loose.
         """
         removed = 0
         with self.latch:
@@ -313,31 +356,34 @@ class VersionStore:
                 # every live snapshot sees the bulk load: fence is moot
                 self._fence = None
             heads = self._heads
-            still, walked = set(), 0
-            for rowid in self._unsettled:
-                head = heads.get(rowid)
-                if head is None:
-                    continue  # a rolled-back insert: no chain left
-                walked += 1
+            settled = 0
+            for head in heads.values():
                 newer, keeper = 0, head  # versions above the keeper
                 while keeper is not None and (keeper.scn is None
                                               or keeper.scn > lwm):
                     keeper, newer = keeper.prev, newer + 1
-                if keeper is not head:
-                    still.add(rowid)
                 cut = 0
                 if keeper is not None:
                     tail, keeper.prev = keeper.prev, None
                     while tail is not None:
                         tail, cut = tail.prev, cut + 1
                     removed += cut
+                    settled += keeper is head
                 if stats is not None:
                     stats.record_chain(newer + (keeper is not None) + cut)
-            self._unsettled = still
-            if stats is not None:
-                stats.record_chain(1, len(heads) - walked)
-            if unsettled is not None:
-                unsettled.update(still)
+            if settled:
+                self._epoch += 1  # before the unmapping: see read()
+                if settled == len(heads):
+                    # a load settling at its commit: no list of its
+                    # rowids, and the table's memory goes back
+                    heads.clear()
+                else:
+                    for rowid in [rowid for rowid, head in heads.items()
+                                  if head.scn is not None
+                                  and head.scn <= lwm]:
+                        del heads[rowid]
+                if stats is not None:
+                    stats.heads_forgotten += settled
         return removed
 
 
@@ -358,7 +404,10 @@ class MVCCManager:
         self._scn = 0
         self._snapshots: "weakref.WeakSet[Snapshot]" = weakref.WeakSet()
         self.stats = SnapshotStats()
-        self._commits_since_prune = 0
+        self._stamped_since_prune = 0
+        #: low-water mark of the last pass: until it moves, nothing
+        #: committed since can have settled
+        self._pruned_lwm: Optional[int] = None
         self._pruner: Optional[threading.Thread] = None
         self._pruner_stop = threading.Event()
 
@@ -371,6 +420,7 @@ class MVCCManager:
         """Hand out a snapshot at the current SCN and register it."""
         with self._latch:
             snap = Snapshot(self._scn, txn_id, kind)
+            snap.stats = self.stats
             self._snapshots.add(snap)
             self.stats.snapshots_taken += 1
             if kind == "transaction":
@@ -380,7 +430,13 @@ class MVCCManager:
             return snap
 
     def commit_transaction(self, txn: Any) -> bool:
-        """Stamp the txn's versions with a fresh SCN; True → prune due."""
+        """Stamp the txn's versions with a fresh SCN; True → prune due.
+
+        A pass is due once :data:`PRUNE_INTERVAL` versions were stamped
+        since the last one (a commit that stamps none counts one), so a
+        large load settles at its own commit — unless the low-water
+        mark still is where the last pass left it.
+        """
         versions = getattr(txn, "versions", None)
         with self._latch:
             self._scn += 1
@@ -391,11 +447,12 @@ class MVCCManager:
                     version.scn = scn
                 self.stats.versions_stamped += len(versions)
             self.stats.commits += 1
-            self._commits_since_prune += 1
-            if self._commits_since_prune >= PRUNE_INTERVAL:
-                self._commits_since_prune = 0
-                return True
-            return False
+            self._stamped_since_prune += len(versions) if versions else 1
+            if (self._stamped_since_prune < PRUNE_INTERVAL
+                    or self._low_water_mark() == self._pruned_lwm):
+                return False
+            self._stamped_since_prune = 0  # this committer runs the pass
+            return True
 
     def restore_scn(self, scn: int) -> None:
         """Advance the SCN clock past the highest recovered commit SCN,
@@ -406,8 +463,10 @@ class MVCCManager:
     def low_water_mark(self) -> int:
         """Oldest SCN any live snapshot still needs."""
         with self._latch:
-            live = [s.scn for s in self._snapshots]
-            return min(live) if live else self._scn
+            return self._low_water_mark()
+
+    def _low_water_mark(self) -> int:
+        return min([s.scn for s in self._snapshots], default=self._scn)
 
     def oldest_active_scn(self) -> Optional[int]:
         """Oldest live snapshot SCN, or None when no snapshot is open."""
@@ -419,7 +478,8 @@ class MVCCManager:
         """One low-water-mark pass over ``stores`` — version stores, or
         storages that wrap theirs in a ``prune(lwm, stats)`` of their
         own (an IOT drops ghosts with it); returns versions cut."""
-        lwm = self.low_water_mark()
+        with self._latch:
+            lwm = self._pruned_lwm = self._low_water_mark()
         removed = 0
         for store in stores:
             removed += store.prune(lwm, self.stats)

@@ -96,6 +96,28 @@ class TestUserOperatorsAndIndextypes:
         assert "brand_new" in fresh
 
 
+class TestSnapshotStatsView:
+    def test_heads_tracked_forgotten_and_read_retries(self, db):
+        """``heads_tracked`` is a gauge over every store; a prune pass
+        moves its rows into ``heads_forgotten``; ``read_retries`` shows
+        the MVCC manager's epoch-redo counter."""
+        db.execute("CREATE TABLE t (k INTEGER)")
+        db.engine.prune_versions()
+        stats = "SELECT heads_tracked, heads_forgotten, read_retries," \
+            " chain_histogram FROM user_snapshot_stats"
+        __, forgotten, retries, __ = db.execute(stats).fetchall()[0]
+        db.begin()
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        assert db.execute(stats).fetchall()[0][:2] == (3, forgotten)
+        db.commit()
+        db.engine.prune_versions()
+        tracked, now, __, histogram = db.execute(stats).fetchall()[0]
+        assert (tracked, now) == (0, forgotten + 3)
+        assert "1:" in histogram  # walked at length 1, then forgotten
+        db.engine.mvcc.stats.read_retries += 2
+        assert db.execute(stats).fetchall()[0][2] == retries + 2
+
+
 class TestOneTableOfViews:
     def test_every_listed_view_builds(self, employees_db):
         from repro.sql.dictionary import VIEW_NAMES

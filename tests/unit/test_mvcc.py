@@ -98,24 +98,42 @@ class TestVersionStore:
         store.pop("r1", v)  # rollback
         assert store.resolve("r1", ["a"], mvcc.take_snapshot(None)) == ["a"]
 
-    def test_prune_keeps_head_mapping(self):
+    def test_prune_forgets_what_every_snapshot_agrees_on(self):
+        """A chain cut down to one committed version at or below the
+        low-water mark is unmapped: the slot says the same.  A head a
+        live snapshot cannot see stays mapped, with the value that
+        snapshot reads below it."""
         mvcc, store = MVCCManager(), VersionStore()
         for value in ("a", "b", "c"):
             txn = _FakeTxn()
             txn.track_version(store.push("r1", [value], None, txn))
             _commit(mvcc, txn)
         assert store.chain_length("r1") == 3
-        removed = store.prune(mvcc.low_water_mark())
-        assert removed == 2
-        assert store.chain_length("r1") == 1
-        # the mapping survives: tracked rowids never read the raw slot
+        epoch = store._epoch
+        assert store.prune(mvcc.low_water_mark()) == 2
+        assert not store.tracked("r1") and store.clean
+        assert store._epoch == epoch + 1
+        # every snapshot reads the slot now
         assert store.resolve("r1", ["c"], mvcc.take_snapshot(None)) == ["c"]
 
-    def test_prune_reports_the_chains_that_still_hold_history(self):
-        """``unsettled`` gets the rowids some snapshot may still read
-        below the head of; a chain cut down to one committed version at
-        or below the low-water mark (a tombstone included) and a chain
-        emptied by rollback are not in it."""
+        pinned = mvcc.take_snapshot(None)
+        txn = _FakeTxn()
+        txn.track_version(store.push("r1", ["d"], ["c"], txn))
+        _commit(mvcc, txn)
+        epoch = store._epoch
+        assert store.prune(mvcc.low_water_mark()) == 0
+        assert store.tracked("r1") and store._epoch == epoch
+        assert store.resolve("r1", ["d"], pinned) == ["c"]
+        assert store.resolve("r1", ["d"], mvcc.take_snapshot(None)) == ["d"]
+        del pinned
+        assert store.prune(mvcc.low_water_mark()) == 1
+        assert store.tracked_rowids() == []
+
+    def test_prune_leaves_mapped_the_chains_that_still_hold_history(self):
+        """After a pass ``_heads`` is the rowids some snapshot may still
+        read something other than the slot of: a chain cut down to one
+        committed version at or below the low-water mark (a tombstone
+        included) and a chain emptied by rollback are not in it."""
         mvcc, store = MVCCManager(), VersionStore()
         for rowid, value, old in (("live", ["a"], None),
                                   ("gone", None, ["g"]),
@@ -125,7 +143,9 @@ class TestVersionStore:
             txn.track_version(store.push(rowid, value, old, txn))
             _commit(mvcc, txn)
         rolled = store.push("back", ["r"], None, _FakeTxn())
+        epoch = store._epoch
         store.pop("back", rolled)
+        assert not store.tracked("back") and store._epoch == epoch + 1
         # an in-flight write, and a commit a live snapshot cannot see
         store.push("busy", ["b2"], ["b"], _FakeTxn())
         pinned = mvcc.take_snapshot(None)
@@ -133,19 +153,19 @@ class TestVersionStore:
         txn.track_version(store.push("late", ["l2"], ["l"], txn))
         _commit(mvcc, txn)
 
-        unsettled = set()
-        store.prune(mvcc.low_water_mark(), unsettled=unsettled)
-        assert unsettled == {"busy", "late"}
-        assert store.tracked("gone") and not store.tracked("back")
+        store.prune(mvcc.low_water_mark())
+        assert set(store._heads) == {"busy", "late"}
+        assert store.resolve("gone", None, pinned) is None
         assert store.resolve("late", ["l2"], pinned) == ["l"]
+        assert store.resolve("busy", ["b2"], pinned) == ["b"]
         del pinned
-        unsettled = set()
-        store.prune(mvcc.low_water_mark(), unsettled=unsettled)
-        assert unsettled == {"busy"}
+        store.prune(mvcc.low_water_mark())
+        assert set(store._heads) == {"busy"}
 
-    def test_prune_walks_only_chains_written_since_they_settled(self):
-        """A pass re-examines what was written since the last one; the
-        chain histogram still counts every chain, every pass."""
+    def test_prune_walks_only_the_chains_still_mapped(self):
+        """A pass walks ``_heads`` and nothing else: settled rows have
+        no chain, so they cost a pass nothing and the histogram does
+        not count them; a write maps the row again."""
         from repro.txn.mvcc import SnapshotStats
         mvcc, store = MVCCManager(), VersionStore()
         for n in range(50):
@@ -156,29 +176,30 @@ class TestVersionStore:
         stats = SnapshotStats()
         assert store.prune(mvcc.low_water_mark(), stats) == 50
         assert stats.chain_histogram["2"] == 50
-        # all settled: the next pass has nothing to walk, counts them all
+        assert stats.heads_forgotten == 50 and not store._heads
+        # all settled: the next pass has nothing to walk or count
         stats = SnapshotStats()
-        walked = set()
-        assert store.prune(mvcc.low_water_mark(), stats, walked) == 0
-        assert not walked and not store._unsettled
-        assert stats.chain_histogram["1"] == 50
-        # a write to a settled chain puts it back in line
-        for value in ("c", "d", "e"):
+        assert store.prune(mvcc.low_water_mark(), stats) == 0
+        assert not any(stats.chain_histogram.values())
+        # a write to a settled row maps it again, pre-image and all
+        for value, old in (("c", "b"), ("d", "c"), ("e", "d")):
             txn = _FakeTxn()
-            txn.track_version(store.push(7, [value], None, txn))
+            txn.track_version(store.push(7, [value], [old], txn))
             _commit(mvcc, txn)
-        assert store._unsettled == {7}
+        assert set(store._heads) == {7} and store.chain_length(7) == 4
         stats = SnapshotStats()
         assert store.prune(mvcc.low_water_mark(), stats) == 3
-        assert stats.chain_histogram["1"] == 49
+        assert stats.chain_histogram["1"] == 0
         assert stats.chain_histogram["<=4"] == 1
-        assert store.chain_length(7) == 1
+        assert stats.heads_forgotten == 1 and not store._heads
 
-    def test_incremental_prune_equals_a_walk_over_every_head(self):
+    def test_prune_equals_cutting_every_chain_then_dropping_the_settled(
+            self):
         """Random pushes, commits, rollbacks and pinned snapshots: after
-        every pass each chain is what cutting *all* chains at the
-        low-water mark would have left, and the histogram counted every
-        chain at its length before the cut."""
+        every pass ``_heads`` is what cutting *all* chains at the
+        low-water mark would have left, less the chains that leaves at
+        one committed version at or below it, and the histogram counted
+        every mapped chain at its length before the cut."""
         import random
         from repro.txn.mvcc import SnapshotStats
         rng = random.Random(15)
@@ -193,7 +214,7 @@ class TestVersionStore:
                     version = version.prev
             return out
 
-        pinned, open_txns = [], []
+        pinned, open_txns, forgotten = [], [], 0
         for step in range(400):
             roll = rng.random()
             if roll < 0.55:
@@ -223,19 +244,18 @@ class TestVersionStore:
                 histogram.record_chain(len(scns))
                 keep = next((i + 1 for i, scn in enumerate(scns)
                              if scn is not None and scn <= lwm), len(scns))
-                expected[rowid] = scns[:keep]
                 cut += len(scns) - keep
-            unsettled = set()
-            assert store.prune(lwm, stats, unsettled) == cut
+                if keep > 1 or scns[0] is None or scns[0] > lwm:
+                    expected[rowid] = scns[:keep]
+            epoch = store._epoch
+            assert store.prune(lwm, stats) == cut
             assert chains() == expected
             assert stats.chain_histogram == histogram.chain_histogram
-            # every chain that still holds history is reported; a
-            # chain of one is reported only if it is not settled
-            assert unsettled >= {rowid for rowid, scns in expected.items()
-                                 if len(scns) > 1}
-            assert all(len(expected[rowid]) > 1
-                       or expected[rowid][0] is None
-                       or expected[rowid][0] > lwm for rowid in unsettled)
+            assert stats.heads_forgotten == len(before) - len(expected)
+            # the epoch moves exactly when something was unmapped
+            assert (store._epoch != epoch) == (len(before) > len(expected))
+            forgotten += stats.heads_forgotten
+        assert forgotten and store._heads  # both outcomes were exercised
 
     def test_prune_respects_live_snapshot(self):
         mvcc, store = MVCCManager(), VersionStore()
@@ -618,3 +638,174 @@ class TestSqlSurface:
             db.engine.stop_version_pruner()
         assert db.execute("SELECT v FROM t WHERE k = 1"
                           ).fetchall() == [("w4",)]
+
+
+class TestSettledRowsAreUnmapped:
+    """The store's invariant, through the engine: a rowid is mapped
+    exactly while some snapshot could see something other than its
+    slot."""
+
+    def _world(self):
+        from repro.cartridges.text import install
+        engine = Engine()
+        session = engine.connect()
+        install(session)
+        session.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(80))")
+        session.execute("CREATE TABLE p (tok VARCHAR2(8), doc INTEGER,"
+                        " PRIMARY KEY (tok, doc)) ORGANIZATION INDEX")
+        session.insert_rows("docs", [[i, f"alpha w{i}"] for i in range(40)])
+        session.execute("CREATE INDEX docs_tidx ON docs(body)"
+                        " INDEXTYPE IS TextIndexType")
+        for i in range(40, 60):
+            session.execute("INSERT INTO docs VALUES (:1, :2)",
+                            [i, f"alpha w{i}"])
+            session.execute("INSERT INTO p VALUES ('a', :1)", [i])
+        session.execute("UPDATE docs SET body = 'alpha moved' WHERE id < 10")
+        session.execute("DELETE FROM docs WHERE id BETWEEN 10 AND 19")
+        session.execute("DELETE FROM p WHERE doc < 50")
+        return engine, session
+
+    @staticmethod
+    def _stores(engine):
+        return {name: table.storage
+                for name, table in engine.catalog.tables.items()
+                if getattr(table.storage, "versions", None) is not None}
+
+    def test_one_pass_with_nothing_live_leaves_nothing_mapped(self):
+        engine, session = self._world()
+        del session
+        engine.prune_versions()
+        for name, storage in self._stores(engine).items():
+            assert storage.versions.tracked_rowids() == [], name
+            assert storage.versions.clean, name  # no fence either
+            assert getattr(storage, "ghost_count", 0) == 0, name
+        check = engine.connect()
+        assert check.execute("SELECT COUNT(*) FROM docs WHERE"
+                             " Contains(body, 'alpha')").fetchall() == [(50,)]
+        assert check.execute("SELECT COUNT(*) FROM p WHERE tok = 'a'"
+                             ).fetchall() == [(10,)]
+
+    def test_what_a_snapshot_or_a_writer_still_needs_survives_the_pass(self):
+        engine, session = self._world()
+        engine.prune_versions()
+        docs = engine.catalog.get_table("docs").storage
+        reader = engine.connect()
+        reader.execute("SET TRANSACTION READ ONLY")
+        before = sorted(reader.execute("SELECT * FROM docs").fetchall())
+        rowid = {row[0]: rid for rid, row in docs.scan()}
+        session.execute("UPDATE docs SET body = 'alpha late' WHERE id = 30")
+        session.execute("UPDATE docs SET body = 'alpha later' WHERE id = 30")
+        session.execute("INSERT INTO docs VALUES (99, 'alpha new')")
+        writer = engine.connect()
+        writer.begin()
+        writer.execute("UPDATE docs SET body = 'alpha busy' WHERE id = 31")
+        rowid[99] = next(rid for rid, row in docs.scan() if row[0] == 99)
+        engine.prune_versions()
+        versions = docs.versions
+        # history below a live snapshot, a head it cannot see, in flight
+        assert versions.chain_length(rowid[30]) == 3
+        assert versions.chain_length(rowid[99]) == 1
+        assert versions.chain_length(rowid[31]) == 2
+        assert set(versions.tracked_rowids()) == {
+            rowid[30], rowid[99], rowid[31]}
+        assert sorted(reader.execute("SELECT * FROM docs").fetchall()) \
+            == before
+        writer.rollback()
+        reader.commit()
+        engine.prune_versions()
+        assert versions.tracked_rowids() == []
+
+    def test_a_large_load_settles_at_its_own_commit(self):
+        """The pass is due by versions stamped, not by commits."""
+        from repro.txn.mvcc import PRUNE_INTERVAL
+        db = Engine().connect()
+        db.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
+        storage = db.catalog.get_table("t").storage
+        db.engine.prune_versions()
+        passes = db.engine.mvcc.stats.prune_passes
+        db.begin()
+        for i in range(PRUNE_INTERVAL):
+            db.execute("INSERT INTO t VALUES (:1, 'x')", [100 + i])
+        assert len(storage.versions.tracked_rowids()) == PRUNE_INTERVAL
+        db.commit()
+        assert db.engine.mvcc.stats.prune_passes == passes + 1
+        assert storage.versions.tracked_rowids() == []
+
+    def test_a_due_pass_waits_for_the_low_water_mark_to_move(self):
+        """Nothing committed since the last pass can have settled while
+        a pinned snapshot holds the mark where that pass left it."""
+        from repro.txn.mvcc import PRUNE_INTERVAL
+        engine = Engine()
+        session = engine.connect()
+        session.execute("CREATE TABLE t (k INTEGER)")
+        reader = engine.connect()
+        reader.execute("SET TRANSACTION READ ONLY")
+        engine.prune_versions()
+        passes = engine.mvcc.stats.prune_passes
+        for i in range(2 * PRUNE_INTERVAL):
+            session.execute("INSERT INTO t VALUES (:1)", [i])
+        assert engine.mvcc.stats.prune_passes == passes
+        reader.commit()
+        session.execute("INSERT INTO t VALUES (-1)")
+        assert engine.mvcc.stats.prune_passes == passes + 1
+        storage = engine.catalog.get_table("t").storage
+        assert storage.versions.tracked_rowids() == []
+
+    def test_every_unmapping_bumps_the_epoch_first(self):
+        """``prune`` and ``pop`` are the two places a single mapping is
+        removed (``clear`` drops the lot); by the time the mapping goes
+        the epoch has already moved."""
+        import inspect
+        import re
+        unmapping = re.compile(r"del (self\._)?heads\[|heads\.(clear|pop)\(")
+        assert {name for name, fn in vars(VersionStore).items()
+                if inspect.isfunction(fn)
+                and unmapping.search(inspect.getsource(fn))} \
+            == {"prune", "pop", "clear"}
+
+        class Watched(dict):
+            """Records the store's epoch at each removal."""
+            seen = []
+
+            def __delitem__(self, key):
+                self.seen.append(store._epoch)
+                super().__delitem__(key)
+
+            def clear(self):
+                self.seen.append(store._epoch)
+                super().clear()
+
+        mvcc, store = MVCCManager(), VersionStore()
+        store._heads = Watched()
+
+        def committed(*rowids):
+            txn = _FakeTxn()
+            for rowid in rowids:
+                txn.track_version(store.push(rowid, ["v"], None, txn))
+            _commit(mvcc, txn)
+
+        before = store._epoch
+        store.pop("r", store.push("r", ["v"], None, _FakeTxn()))
+        assert Watched.seen == [before + 1]         # pop
+        committed("a", "b")
+        store.push("c", ["v"], None, _FakeTxn())
+        store.prune(mvcc.low_water_mark())          # forgets two of three
+        assert Watched.seen[1:] == [before + 2] * 2
+        assert len(store._heads) == 1
+        committed("d")
+        store.pop("c", store._heads["c"])
+        store.prune(mvcc.low_water_mark())          # forgets them all
+        store.clear()
+        assert Watched.seen[3:] == [before + 3, before + 4, before + 5]
+        assert store._epoch == before + 5
+
+    def test_the_storages_never_look_inside_the_store(self):
+        """The read bracket lives in mvcc.py: heap.py and iot.py go
+        through ``read`` / ``resolve*`` / ``settled`` / ``tracked``."""
+        import pathlib
+        import re
+        import repro.storage
+        for name in ("heap.py", "iot.py"):
+            source = (pathlib.Path(repro.storage.__file__).parent
+                      / name).read_text("utf-8")
+            assert not re.search(r"_heads|_fence|_epoch", source), name
