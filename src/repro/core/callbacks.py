@@ -76,10 +76,11 @@ class CallbackSession:
         travel through callback SQL.  Returns the same cursor a
         top-level ``db.execute`` returns.
 
-        Callback SQL shares the server's plan cache; phase validation
-        runs via the pipeline's ``check`` hook after Parse.  A cache hit
-        skips it by construction — only SELECTs are cached and SELECTs
-        are legal in every phase.
+        Callback SQL shares the server's plan cache, DML included, so
+        maintenance DML is parsed and planned once per statement shape.
+        Phase validation runs via the pipeline's ``check`` hook on every
+        execution: after Parse on a miss, and against the cached parsed
+        statement on a hit.
         """
         # §2.5 definer rights: "Indextype routines always execute under
         # the privileges of the owner of the index."

@@ -1,12 +1,13 @@
 """Bind-variable handling.
 
 ``db.execute("DELETE FROM t WHERE rid = :1", [rowid])`` parses the SQL
-with :class:`~repro.sql.ast_nodes.BindParam` placeholders.  For DML the
-placeholders are substituted with literals carrying the supplied Python
-values (:func:`substitute_binds`) — this is how cartridge callbacks move
-rowids, object values, and LOB locators through the SQL interface.  For
-cacheable queries the placeholders stay in the tree and the executor
-resolves them per execution, so one compiled plan serves every bind set
+with :class:`~repro.sql.ast_nodes.BindParam` placeholders, and they stay
+in the tree: a SELECT's plan and a DML statement's
+:class:`~repro.sql.dml.PreparedDML` are compiled once, and each
+execution supplies its values as arguments (the executor and evaluator
+resolve a placeholder from that execution's bind set).  This is how
+cartridge callbacks move rowids, object values, and LOB locators through
+the SQL interface, and why one cached plan serves every bind set
 (:func:`collect_bind_names` extracts the plan's bind signature).
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.errors import ExecutionError
 from repro.sql import ast_nodes as ast
 
 Params = Union[Sequence[Any], Dict[str, Any]]
@@ -27,83 +27,6 @@ def normalize_params(params: Optional[Params]) -> Dict[str, Any]:
     if isinstance(params, dict):
         return {str(k).lower(): v for k, v in params.items()}
     return {str(i + 1): v for i, v in enumerate(params)}
-
-
-def substitute_binds(statement: ast.Statement,
-                     params: Optional[Params]) -> ast.Statement:
-    """Replace every BindParam in ``statement`` with its bound literal.
-
-    Raises :class:`~repro.errors.ExecutionError` for a placeholder with
-    no supplied value.
-    """
-    values = normalize_params(params)
-
-    def sub(expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
-        if expr is None:
-            return None
-        return _sub_expr(expr, values)
-
-    if isinstance(statement, ast.Select):
-        _sub_select(statement, values)
-    elif isinstance(statement, ast.Insert):
-        statement.rows = [[sub(e) for e in row] for row in statement.rows]
-        if statement.select is not None:
-            _sub_select(statement.select, values)
-    elif isinstance(statement, ast.Update):
-        statement.assignments = [(col, sub(e))
-                                 for col, e in statement.assignments]
-        statement.where = sub(statement.where)
-    elif isinstance(statement, ast.Delete):
-        statement.where = sub(statement.where)
-    elif isinstance(statement, ast.Explain):
-        _sub_select(statement.query, values)
-    return statement
-
-
-def _sub_select(select: ast.Select, values: Dict[str, Any]) -> None:
-    for item in select.items:
-        item.expr = _sub_expr(item.expr, values)
-    select.where = _sub_expr(select.where, values) \
-        if select.where is not None else None
-    select.group_by = [_sub_expr(e, values) for e in select.group_by]
-    select.having = _sub_expr(select.having, values) \
-        if select.having is not None else None
-    for order in select.order_by:
-        order.expr = _sub_expr(order.expr, values)
-
-
-def _sub_expr(expr: ast.Expr, values: Dict[str, Any]) -> ast.Expr:
-    if isinstance(expr, ast.BindParam):
-        key = expr.name.lower()
-        if key not in values:
-            raise ExecutionError(f"no value supplied for bind :{expr.name}")
-        return ast.Literal(values[key])
-    if isinstance(expr, ast.BinaryOp):
-        expr.left = _sub_expr(expr.left, values)
-        expr.right = _sub_expr(expr.right, values)
-    elif isinstance(expr, ast.BoolOp):
-        expr.left = _sub_expr(expr.left, values)
-        expr.right = _sub_expr(expr.right, values)
-    elif isinstance(expr, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-        expr.operand = _sub_expr(expr.operand, values)
-    elif isinstance(expr, ast.LikeOp):
-        expr.operand = _sub_expr(expr.operand, values)
-        expr.pattern = _sub_expr(expr.pattern, values)
-    elif isinstance(expr, ast.BetweenOp):
-        expr.operand = _sub_expr(expr.operand, values)
-        expr.low = _sub_expr(expr.low, values)
-        expr.high = _sub_expr(expr.high, values)
-    elif isinstance(expr, ast.InListOp):
-        expr.operand = _sub_expr(expr.operand, values)
-        expr.items = [_sub_expr(i, values) for i in expr.items]
-    elif isinstance(expr, ast.FuncCall):
-        expr.args = [_sub_expr(a, values) for a in expr.args]
-    elif isinstance(expr, ast.InSubquery):
-        expr.operand = _sub_expr(expr.operand, values)
-        _sub_select(expr.query, values)
-    elif isinstance(expr, ast.ExistsSubquery):
-        _sub_select(expr.query, values)
-    return expr
 
 
 # ---------------------------------------------------------------------------

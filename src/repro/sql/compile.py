@@ -707,7 +707,7 @@ def _vector_group_slots(node: Any, scan: Any) -> Optional[Tuple]:
     return tuple(group_indices), tuple(agg_indices)
 
 
-def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
+def compile_plan(plan: Any, catalog: Any) -> None:
     """Attach generated row functions and batch kernels to a query plan.
 
     One walk of the plan tree.  For each row expression a node
@@ -726,13 +726,8 @@ def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
     EXPLAIN prints both modes per node.
 
     Runs once at plan time, so the artifacts ride the shared plan cache
-    and every session soft-parsing the statement reuses them.  A
-    ``one_shot`` plan (DML target selection: run once, never cached)
-    annotates full scans only: generating and byte-compiling a row
-    function or a kernel costs more than an index probe's few rows can
-    repay within one execution, while a full scan repays it inside the
-    statement; a probe's residual and the projection DML discards are
-    interpreted.
+    and every session soft-parsing the statement — query or DML target
+    selection — reuses them.
     """
     from repro.sql import planner as pl  # deferred: planner imports us
     tables = dict(plan.scope.entries)
@@ -786,9 +781,7 @@ def compile_plan(plan: Any, catalog: Any, one_shot: bool = False) -> None:
             return value(expr, truth=True)
 
         slots = node.compiled
-        if one_shot and not isinstance(node, pl.FullScan):
-            pass
-        elif isinstance(node, scans):
+        if isinstance(node, scans):
             slots["filter"] = predicate(node.filter)
             if node.vector_mode is None \
                     and not isinstance(node, pl.IOTPrefixScan):

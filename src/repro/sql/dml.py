@@ -1,7 +1,9 @@
 """DML execution and implicit index maintenance.
 
 :class:`DMLEngine` owns the write side of the statement pipeline:
-INSERT/UPDATE/DELETE execution, statement-level atomicity (each DML
+INSERT/UPDATE/DELETE execution — each statement is compiled once into a
+:class:`PreparedDML` that the shared plan cache holds, then run with
+each execution's binds as arguments — statement-level atomicity (each DML
 statement runs under an implicit savepoint), and the paper's *implicit
 domain-index maintenance* — every mutation of a table fans out to
 ``ODCIIndexInsert/Update/Delete`` on its domain indexes and to direct
@@ -33,9 +35,10 @@ build identical indexes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.callbacks import CallbackPhase
 from repro.core.domain_index import DomainIndex, IndexState
@@ -45,10 +48,10 @@ from repro.errors import (
     TransactionError)
 from repro.sql import ast_nodes as ast
 from repro.sql import planner as pl
-from repro.sql.binds import normalize_params
 from repro.sql.catalog import TableDef
 from repro.sql.cursor import Cursor
-from repro.sql.expressions import Binder, RowContext, Scope
+from repro.sql.executor import Executor
+from repro.sql.expressions import Binder, Evaluator, RowContext, Scope
 from repro.storage.heap import RowId
 from repro.txn.locks import LockMode
 from repro.types.values import NULL, is_null
@@ -126,6 +129,39 @@ class MaintenanceQueue:
         batch.ops.append((kind, entry))
 
 
+@dataclass
+class PreparedDML:
+    """An INSERT, UPDATE or DELETE compiled once and run per bind set.
+
+    What a DML statement's plan-cache entry holds (a SELECT's holds its
+    :class:`~repro.sql.planner.QueryPlan`): the statement, which the
+    callback ``check`` hook inspects on every hit; the target table and
+    the catalog version it was compiled at; the column ``positions``
+    the statement writes (an UPDATE's SET columns, an INSERT's column
+    list); and its work — an UPDATE's or DELETE's ``plan`` selects the
+    targets, ``SELECT rowid[, <SET expressions>] FROM <table> WHERE
+    <where>``, with BindParam placeholders and a compiled residual; an
+    INSERT ... SELECT's ``plan`` is its source; an INSERT ... VALUES has
+    the bound VALUES rows as its ``template``.
+    """
+
+    statement: ast.Statement
+    table: TableDef
+    version: int
+    positions: List[int]
+    plan: Optional[pl.QueryPlan] = None
+    template: Optional[List[List[ast.Expr]]] = None
+
+    def referenced_tables(self) -> List[TableDef]:
+        """The tables the plan reads (the cache's size signature)."""
+        return [] if self.plan is None else self.plan.referenced_tables()
+
+    def explain(self) -> List[str]:
+        head = f"{type(self.statement).__name__.upper()} {self.table.name}"
+        return [head] + ([] if self.plan is None
+                         else self.plan.root.explain(1))
+
+
 class DMLEngine:
     """Executes DML statements and maintains every index implicitly."""
 
@@ -181,16 +217,16 @@ class DMLEngine:
 
         The table's X lock is taken *before* ``body(txn)`` runs, so the
         body may both select its targets and mutate them — UPDATE/DELETE
-        plan their target rows inside the body, under the lock, which is
-        what makes read-modify-write statements from concurrent sessions
-        serialize instead of losing updates.  On a maintenance
+        select their target rows inside the body, under the lock, which
+        is what makes read-modify-write statements from concurrent
+        sessions serialize instead of losing updates.  On a maintenance
         :class:`CallbackError` the statement savepoint has already
         rolled back base table and index undo together; then, when
         ``skip_unusable_indexes`` is on, the failing index degrades to
         ``UNUSABLE`` and the body runs once more (re-planning its
-        targets against the restored data) with that index's maintenance
-        skipped.  Any second failure — or any failure with the setting
-        off — propagates.
+        targets, since the catalog moved, against the restored data)
+        with that index's maintenance skipped.  Any second failure — or
+        any failure with the setting off — propagates.
         """
         db = self.db
         for attempt in (0, 1):
@@ -625,146 +661,111 @@ class DMLEngine:
                     _structure_delete(s, k, r))
 
     # ------------------------------------------------------------------
-    # statements
+    # statements: prepare once, run per bind set
     # ------------------------------------------------------------------
 
-    def _insert_target(self, stmt: ast.Insert):
-        """Resolve an INSERT's target: ``(table, build_row)``.
+    def prepare(self, stmt: ast.Statement,
+                binds: Dict[str, Any]) -> PreparedDML:
+        """Compile an INSERT, UPDATE or DELETE for :meth:`run`.
 
-        ``build_row`` spreads one VALUES/SELECT row over the statement's
-        column list (the table's own order when none is given), NULL
-        elsewhere.
+        ``binds`` are the values of the execution that asked: the
+        planner peeks at them for costing, and materializes an IN/EXISTS
+        subquery with them (such a statement is never cached).
         """
         db = self.db
         table = db.catalog.get_table(stmt.table)
-        db._check_table_privilege(table, "insert")
-        column_order = [c.lower() for c in stmt.columns] \
-            if stmt.columns else [c.name for c in table.columns]
-        positions = [table.column_position(c) for c in column_order]
-        n_cols = len(table.columns)
-
-        def build_row(values: Sequence[Any]) -> List[Any]:
-            if len(values) != len(positions):
+        version = db.catalog.version
+        if isinstance(stmt, ast.Insert):
+            columns = [c.lower() for c in stmt.columns] if stmt.columns \
+                else [c.name for c in table.columns]
+            positions = [table.column_position(c) for c in columns]
+            if stmt.select is not None:
+                plan = db.planner.plan_select(stmt.select, peek_binds=binds)
+                prepared = PreparedDML(stmt, table, version, positions, plan)
+                widths = {len(plan.column_names)}
+            else:
+                binder = Binder(db.catalog, Scope([]))
+                template = [[binder.bind(e) for e in row] for row in stmt.rows]
+                prepared = PreparedDML(stmt, table, version, positions,
+                                       template=template)
+                widths = set(map(len, template))
+            for width in widths - {len(positions)}:
                 raise ExecutionError(
-                    f"INSERT expects {len(positions)} values, "
-                    f"got {len(values)}")
-            row: List[Any] = [NULL] * n_cols
-            for pos, value in zip(positions, values):
-                row[pos] = value
-            return row
+                    f"INSERT expects {len(positions)} values, got {width}")
+            return prepared
+        binding = (stmt.alias or stmt.table).lower()
+        items = [ast.SelectItem(ast.ColumnRef(path=[binding, "rowid"]))]
+        positions = []
+        if isinstance(stmt, ast.Update):
+            positions = [table.column_position(col)
+                         for col, __ in stmt.assignments]
+            items += [ast.SelectItem(expr) for __, expr in stmt.assignments]
+        select = ast.Select(items=items, where=stmt.where,
+                            tables=[ast.TableRef(table.name, binding)])
+        return PreparedDML(stmt, table, version, positions,
+                           db.planner.plan_select(select, peek_binds=binds))
 
-        return table, build_row
+    def run(self, prepared: PreparedDML,
+            bind_sets: Sequence[Dict[str, Any]]) -> Cursor:
+        """Execute ``prepared`` as one maintained statement: one
+        savepoint, one maintenance flush.
 
-    def _insert_statement_rows(self, table: TableDef,
-                               rows: List[List[Any]]) -> Cursor:
-        """One maintained statement inserting ``rows``: one savepoint,
-        one maintenance flush."""
-        def body(txn) -> int:
-            for row in rows:
-                self.insert_physical(table, row, txn)
-            return len(rows)
-
-        return Cursor(rowcount=self.run_maintained(table, body))
-
-    def execute_insert(self, stmt: ast.Insert) -> Cursor:
-        db = self.db
-        table, build_row = self._insert_target(stmt)
-        if stmt.select is not None:
-            rows = [build_row(out)
-                    for out in db.pipeline.run_select(stmt.select)]
-        else:
-            empty = RowContext()
-            binder = Binder(db.catalog, Scope([]))
-            rows = [build_row([db.evaluator.evaluate(binder.bind(e), empty)
-                               for e in value_row])
-                    for value_row in stmt.rows]
-        return self._insert_statement_rows(table, rows)
-
-    def execute_insert_many(self, stmt: ast.Insert,
-                            param_sets: List[Any]) -> Cursor:
-        """Array INSERT: one parse, one statement scope, one flush.
-
-        The ``executemany`` fast path for ``INSERT ... VALUES`` whose
-        row expressions are plain binds/literals: the VALUES template is
-        resolved once, each parameter set instantiates it, and the whole
-        batch runs as a single maintained statement — so index
-        maintenance flushes once per index for the entire batch, and the
-        batch is atomic (a failing set rolls back every set, like Oracle
-        array DML without SAVE EXCEPTIONS).
+        An INSERT ... VALUES takes every bind set (``executemany``'s
+        array INSERT: the batch succeeds or fails as a whole); UPDATE,
+        DELETE and INSERT ... SELECT take one.  The binds are arguments
+        only — a prepared statement is shared through the plan cache and
+        never specialized to one execution's values.
         """
         db = self.db
-        table, build_row = self._insert_target(stmt)
-        empty = RowContext()
-        binder = Binder(db.catalog, Scope([]))
-        # per-cell resolvers: a bind key, or a once-evaluated constant
-        templates = [
-            [(expr.name.lower(), None) if isinstance(expr, ast.BindParam)
-             else (None, db.evaluator.evaluate(binder.bind(expr), empty))
-             for expr in value_row]
-            for value_row in stmt.rows]
-
-        rows: List[List[Any]] = []
-        for params in param_sets:
-            values_map = normalize_params(params)
-            for cells in templates:
-                values = []
-                for bind_key, const in cells:
-                    if bind_key is None:
-                        values.append(const)
-                    elif bind_key in values_map:
-                        values.append(values_map[bind_key])
-                    else:
-                        raise ExecutionError(
-                            f"no value supplied for bind :{bind_key}")
-                rows.append(build_row(values))
-        return self._insert_statement_rows(table, rows)
-
-    def plan_target_rows(self, table: TableDef, binding: str,
-                         where: Optional[ast.Expr]
-                         ) -> List[Tuple[RowId, RowContext]]:
-        db = self.db
-        select = ast.Select(
-            items=[ast.SelectItem(ast.Star())],
-            tables=[ast.TableRef(name=table.name, alias=binding)],
-            where=where)
-        plan = db.planner.plan_select(select, one_shot=True)
-        node = plan.root
-        while isinstance(node, (pl.ProjectNode, pl.DistinctNode,
-                                pl.LimitNode, pl.SortNode)):
-            node = node.child
-        # materialize fully before mutating (Halloween-problem avoidance)
-        return [(ctx.rowids[binding], ctx)
-                for ctx in db.executor.iter_node(node)]
-
-    def execute_update(self, stmt: ast.Update) -> Cursor:
-        db = self.db
-        table = db.catalog.get_table(stmt.table)
-        db._check_table_privilege(table, "update")
-        binding = (stmt.alias or stmt.table).lower()
-        scope = Scope([(binding, table)])
-        binder = Binder(db.catalog, scope)
-        where = stmt.where
-        if where is not None:
-            where = binder.bind(db.planner.materialize_subqueries(where))
-        assignments = [(table.column_position(col), binder.bind(expr))
-                       for col, expr in stmt.assignments]
+        stmt = prepared.statement
+        db._check_table_privilege(prepared.table, type(stmt).__name__.lower())
+        if isinstance(stmt, ast.Insert):
+            n_cols, positions = len(prepared.table.columns), prepared.positions
+            if prepared.plan is not None:
+                sources = list(db.pipeline.execute_plan(prepared.plan,
+                                                        bind_sets[0]))
+            else:
+                empty = RowContext()
+                sources = []
+                for binds in bind_sets:
+                    evaluate = Evaluator(db.catalog, binds).evaluate
+                    sources.extend([evaluate(e, empty) for e in exprs]
+                                   for exprs in prepared.template)
+            rows = []
+            for values in sources:
+                row: List[Any] = [NULL] * n_cols
+                for pos, value in zip(positions, values):
+                    row[pos] = value
+                rows.append(row)
+            # the bulk-bind insert's statement body: many rows into
+            # empty storage load in bulk
+            return Cursor(rowcount=self.insert_rows(prepared.table.name,
+                                                    rows))
+        binds = bind_sets[0]
 
         def body(txn) -> int:
-            # target selection runs under the table X lock taken by
-            # run_maintained: SET expressions see current values, and
-            # concurrent read-modify-write UPDATEs serialize (no lost
-            # updates); materialized fully before mutating (Halloween)
-            targets = self.plan_target_rows(table, binding, where)
+            # targets are selected under the table X lock run_maintained
+            # took, so SET expressions read current values and concurrent
+            # read-modify-write UPDATEs serialize (no lost updates); a
+            # catalog change since prepare — DDL, or the index a failed
+            # first attempt degraded — replans; materialized fully before
+            # mutating (Halloween-problem avoidance)
+            target = prepared if prepared.version == db.catalog.version \
+                else self.prepare(stmt, binds)
+            table, storage = target.table, target.table.storage
             count = 0
-            for rowid, ctx in targets:
-                old_row = table.storage.fetch_or_none(rowid)
+            for rowid, *values in list(Executor(db, binds).run(target.plan)):
+                old_row = storage.fetch_or_none(rowid)
                 if old_row is None:
                     continue
+                count += 1
+                if isinstance(stmt, ast.Delete):
+                    self.delete_physical(table, rowid, old_row, txn)
+                    continue
                 new_row = list(old_row)
-                for pos, expr in assignments:
-                    new_row[pos] = db.evaluator.evaluate(expr, ctx)
+                for pos, value in zip(target.positions, values):
+                    new_row[pos] = value
                 new_row = self.validate_row(table, new_row)
-                storage = table.storage
                 old_copy = list(old_row)
                 self._record_version(storage, rowid, list(new_row),
                                      old_copy, txn)
@@ -773,35 +774,9 @@ class DMLEngine:
                     txn, table, "update", rowid, old_copy, list(new_row),
                     lambda s=storage, r=rowid, o=old_copy: s.update(r, o))
                 self.maintain(table, rowid, old_copy, new_row, txn)
-                count += 1
             return count
 
-        return Cursor(rowcount=self.run_maintained(table, body))
-
-    def execute_delete(self, stmt: ast.Delete) -> Cursor:
-        db = self.db
-        table = db.catalog.get_table(stmt.table)
-        db._check_table_privilege(table, "delete")
-        binding = (stmt.alias or stmt.table).lower()
-        scope = Scope([(binding, table)])
-        binder = Binder(db.catalog, scope)
-        where = stmt.where
-        if where is not None:
-            where = binder.bind(db.planner.materialize_subqueries(where))
-
-        def body(txn) -> int:
-            # targets planned under the table X lock (see execute_update)
-            targets = self.plan_target_rows(table, binding, where)
-            count = 0
-            for rowid, __ in targets:
-                old_row = table.storage.fetch_or_none(rowid)
-                if old_row is None:
-                    continue
-                self.delete_physical(table, rowid, old_row, txn)
-                count += 1
-            return count
-
-        return Cursor(rowcount=self.run_maintained(table, body))
+        return Cursor(rowcount=self.run_maintained(prepared.table, body))
 
     def delete_physical(self, table: TableDef, rowid: RowId,
                         old_row: List[Any], txn) -> None:

@@ -18,19 +18,24 @@ inspectable artifact:
 
 The shared plan cache fronts the pipeline: a repeated statement text
 with the same bind signature skips Parse and Plan entirely (like
-Oracle8i's soft parse against the shared pool).  Only SELECTs are
-cached, and only when the plan is execution-independent:
+Oracle8i's soft parse against the shared pool).  SELECT, INSERT, UPDATE
+and DELETE are all cached — a SELECT as its ``QueryPlan``, DML as a
+:class:`~repro.sql.dml.PreparedDML` — when the compiled form is
+execution-independent:
 
 * no IN/EXISTS subquery — the planner materializes subquery results at
   plan time, freezing data into the plan;
 * every referenced table is a real catalog table — dictionary views
   synthesize a fresh TableDef per lookup.
 
-Cached plans are shared read-only templates.  Each execution gets its
-own :class:`~repro.sql.executor.Executor` carrying that call's bind
-values and a :class:`~repro.core.scan_context.ScanTracker`, so closing
-the returned cursor drives ``ODCIIndexClose`` for any still-open domain
-index scan.
+A hit still runs every per-execution check: the entry keeps its parsed
+statement for the callback ``check`` hook, the privilege check runs
+against the executing user, and the bind check against the supplied
+values.  Cached plans are shared read-only templates.  Each execution
+gets its own :class:`~repro.sql.executor.Executor` carrying that call's
+bind values (a SELECT's also a
+:class:`~repro.core.scan_context.ScanTracker`, so closing the returned
+cursor drives ``ODCIIndexClose`` for any still-open domain index scan).
 """
 
 from __future__ import annotations
@@ -44,22 +49,25 @@ from repro.core.scan_context import ScanTracker
 from repro.errors import CallbackError, ExecutionError
 from repro.sql import ast_nodes as ast
 from repro.sql.binds import (
-    collect_bind_names, normalize_params, statement_has_subquery,
-    substitute_binds)
+    collect_bind_names, normalize_params, statement_has_subquery)
 from repro.sql.cursor import Cursor
+from repro.sql.dml import PreparedDML
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
 from repro.sql.plan_cache import (
     CachedPlan, PlanCache, normalize_sql, size_bucket)
 
 _EXPLAIN_RE = re.compile(r"^\s*EXPLAIN(\s+PLAN\s+FOR)?\s", re.IGNORECASE)
-#: cheap gate for the pre-parse cache probe — only SELECTs are ever
-#: stored, so probing for DML/DDL/TCL would just inflate miss counts
-_SELECT_RE = re.compile(r"^\s*SELECT\b", re.IGNORECASE)
+#: cheap gate for the pre-parse cache probe — only queries and DML are
+#: ever stored, so probing for DDL/TCL would just inflate miss counts
+_CACHED_RE = re.compile(r"^\s*(SELECT|INSERT|UPDATE|DELETE)\b",
+                        re.IGNORECASE)
 
 _TCL_TYPES = (ast.Commit, ast.Rollback, ast.BeginTransaction, ast.Savepoint,
               ast.SetTransaction)
 _DML_TYPES = (ast.Insert, ast.Update, ast.Delete)
+#: statements the Plan stage compiles (and the cache may hold)
+_PLANNED = (ast.Select,) + _DML_TYPES
 
 
 @dataclass
@@ -91,6 +99,7 @@ class BindArtifact:
 class PlanArtifact:
     """Output of the Plan stage."""
 
+    #: a QueryPlan for a SELECT, a PreparedDML for DML
     plan: Any
     #: True when the plan came out of the shared cache (soft parse)
     cache_hit: bool
@@ -141,24 +150,26 @@ class StatementPipeline:
 
     def plan(self, parsed: ParseArtifact, bound: BindArtifact,
              probed: bool = False) -> PlanArtifact:
-        """Plan stage: cache probe, then compile-and-store on a miss.
+        """Plan stage: cache probe, then compile — and store, when
+        cacheable — on a miss.
 
-        Only valid for cacheable SELECTs (``parsed.cacheable``); other
-        statements never reach this stage.  ``probed=True`` means the
-        caller already probed the cache for this key and missed, so the
-        lookup (and its stats accounting) is not repeated here.
+        Valid for SELECT, INSERT, UPDATE and DELETE; DDL and TCL never
+        reach this stage.  ``probed=True`` means the caller already
+        probed the cache for this key and missed, so the lookup (and its
+        stats accounting) is not repeated here.
         """
-        if not probed:
+        cacheable = parsed.cacheable
+        if cacheable and not probed:
             entry = self.cache.lookup(parsed.normalized_sql,
                                       bound.signature, self.db.catalog)
             if entry is not None:
                 return PlanArtifact(plan=entry.plan, cache_hit=True,
                                     cacheable=True)
-        plan = self.db.planner.plan_select(parsed.statement,
-                                           peek_binds=bound.values)
-        self.cache.store(parsed.normalized_sql, bound.signature,
-                         self._entry_for(parsed, plan))
-        return PlanArtifact(plan=plan, cache_hit=False, cacheable=True)
+        plan = self._compile(parsed.statement, bound.values)
+        if cacheable:
+            self.cache.store(parsed.normalized_sql, bound.signature,
+                             self._entry_for(parsed, plan))
+        return PlanArtifact(plan=plan, cache_hit=False, cacheable=cacheable)
 
     # ------------------------------------------------------------------
     # entry points
@@ -169,55 +180,40 @@ class StatementPipeline:
         """Run one SQL text through the pipeline.
 
         ``check`` is a pre-execution hook ``check(statement, sql)`` used
-        by restricted callback sessions; it runs after Parse on every
-        path that parses.  A plan-cache hit skips it by construction:
-        only SELECTs are cached and SELECTs pass every callback phase.
+        by restricted callback sessions.  It runs on every path, a
+        plan-cache hit included — DML is cached too, and DML is what the
+        callback phases restrict — and so do the privilege and bind
+        checks.
         """
         if _EXPLAIN_RE.match(sql):
             lines = self.explain_lines(sql, params, check=check)
             return Cursor(columns=["plan"],
                           rows=iter([(line,) for line in lines]))
         bound = self.bind(params)
-        probed = False
-        if _SELECT_RE.match(sql):
-            entry = self.cache.lookup(normalize_sql(sql), bound.signature,
-                                      self.db.catalog)
-            if entry is not None:
-                return self._execute_plan(entry.plan, bound.values)
-            probed = True
-        parsed = self.parse(sql)
-        if check is not None:
-            check(parsed.statement, sql)
-        if parsed.cacheable:
-            self._require_binds(parsed, bound)
-            planned = self.plan(parsed, bound, probed=probed)
-            return self._execute_plan(planned.plan, bound.values)
-        statement = parsed.statement
-        if params is not None:
-            statement = substitute_binds(statement, params)
-        return self.execute_statement(statement, sql)
+        compiled = self._compiled(sql, bound, check)
+        if isinstance(compiled, ast.Statement):
+            return self.execute_statement(compiled, sql)
+        return self.execute_plan(compiled, bound.values)
 
     def executemany(self, sql: str, seq_of_params: Any) -> Cursor:
         """Run one SQL text once per parameter set.
 
-        Plain ``INSERT ... VALUES`` statements whose VALUES expressions
-        are all binds or literals take the array-DML fast path: parsed
-        once, the rows are validated and inserted under a *single*
-        maintained statement, so index maintenance flushes once for the
-        whole batch.  Anything else (UPDATE, DELETE, INSERT ... SELECT,
-        expressions over binds) goes through :meth:`execute` per set —
-        parsed, bound and planned each time (a prepared form is ROADMAP
-        item 2a); ``rowcount`` is the exact total either way.
+        An ``INSERT ... VALUES`` is array DML: prepared once, like any
+        DML, its rows from every set are validated and inserted under a
+        *single* maintained statement, so index maintenance flushes once
+        for the whole batch and a failing set fails them all.  Anything
+        else (UPDATE, DELETE, INSERT ... SELECT) runs through
+        :meth:`execute` per set — a plan-cache hit after the first, each
+        set its own statement; ``rowcount`` is the exact total either
+        way.
         """
         param_sets = list(seq_of_params)
         if not param_sets:
             return Cursor(rowcount=0)
-        parsed = self.parse(sql)
-        statement = parsed.statement
-        if (isinstance(statement, ast.Insert) and statement.select is None
-                and all(isinstance(expr, (ast.BindParam, ast.Literal))
-                        for row in statement.rows for expr in row)):
-            return self.db.dml.execute_insert_many(statement, param_sets)
+        compiled = self._compiled(sql, self.bind(param_sets[0]))
+        if isinstance(compiled, PreparedDML) and compiled.template is not None:
+            return self.db.dml.run(compiled, [normalize_params(params)
+                                              for params in param_sets])
         total = 0
         for params in param_sets:
             cursor = self.execute(sql, params)
@@ -229,22 +225,16 @@ class StatementPipeline:
                           sql: str = "") -> Cursor:
         """Execute an already-parsed statement (no plan caching).
 
-        Entry point for callers that build ASTs directly; binds must
-        already be substituted for non-query statements.
+        Entry point for callers that build ASTs directly: the statement
+        carries no binds.
         """
         db = self.db
-        if isinstance(statement, ast.Select):
-            return self.run_select(statement)
+        if isinstance(statement, _PLANNED):
+            return self.execute_plan(self._compile(statement, {}), {})
         if isinstance(statement, ast.Explain):
             plan = db.planner.plan_select(statement.query)
             return Cursor(columns=["plan"],
                           rows=iter([(line,) for line in plan.explain()]))
-        if isinstance(statement, ast.Insert):
-            return db.dml.execute_insert(statement)
-        if isinstance(statement, ast.Update):
-            return db.dml.execute_update(statement)
-        if isinstance(statement, ast.Delete):
-            return db.dml.execute_delete(statement)
         if isinstance(statement, ast.Commit):
             db.commit()
             return Cursor(rowcount=0)
@@ -284,21 +274,14 @@ class StatementPipeline:
         ast.AnalyzeTable: "execute_analyze",
     }
 
-    def run_select(self, select: ast.Select) -> Cursor:
-        """Plan and run a SELECT AST outside the plan cache."""
-        db = self.db
-        for tref in select.tables:
-            db._check_table_privilege(db.catalog.get_table(tref.name),
-                                      "select")
-        plan = db.planner.plan_select(select)
-        return self._run_plan(plan, {})
-
     def explain_lines(self, sql: str, params: Optional[Any] = None,
                       check: Optional[Any] = None) -> List[str]:
         """EXPLAIN surface: plan tree plus a plan-cache status line.
 
-        Shares the SELECT's cache slot — explaining a statement warms
-        the cache for its execution and vice versa.
+        Takes a SELECT, INSERT, UPDATE or DELETE (DML shows the plan
+        that selects its targets or its source rows).  Shares the
+        statement's cache slot — explaining a statement warms the cache
+        for its execution and vice versa.
         """
         statement = parse(sql)
         if check is not None:
@@ -309,40 +292,70 @@ class StatementPipeline:
         else:
             query = statement
             inner_sql = sql
-        if not isinstance(query, ast.Select):
-            raise ExecutionError("explain requires a SELECT")
+        if not isinstance(query, _PLANNED):
+            raise ExecutionError(
+                "explain requires a SELECT, INSERT, UPDATE or DELETE")
         bound = self.bind(params)
-        if not self._cacheable(query):
-            if params is not None:
-                query = substitute_binds(query, params)
-            plan = self.db.planner.plan_select(query)
-            return plan.explain() + ["plan cache: BYPASS (not cacheable)"]
-        normalized = normalize_sql(inner_sql)
-        entry = self.cache.lookup(normalized, bound.signature,
+        parsed = self.parse_artifact(inner_sql, query)
+        if not parsed.cacheable:
+            return self._compile(query, bound.values).explain() + \
+                ["plan cache: BYPASS (not cacheable)"]
+        entry = self.cache.lookup(parsed.normalized_sql, bound.signature,
                                   self.db.catalog)
         if entry is not None:
             return entry.plan.explain() + \
                 [f"plan cache: HIT (executions={entry.hits})"]
-        plan = self.db.planner.plan_select(query, peek_binds=bound.values)
-        parsed = self.parse_artifact(inner_sql, query)
-        self.cache.store(normalized, bound.signature,
-                         self._entry_for(parsed, plan))
+        plan = self.plan(parsed, bound, probed=True).plan
         return plan.explain() + ["plan cache: MISS (stored)"]
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
+    def _compiled(self, sql: str, bound: BindArtifact,
+                  check: Optional[Any] = None) -> Any:
+        """What ``sql`` runs as: the plan (a QueryPlan or PreparedDML)
+        cached under its text and bind signature, else the one Parse and
+        Plan make (and store, when cacheable) — or, for DDL and TCL, the
+        parsed statement.  ``check`` and the bind check run either way."""
+        probed = _CACHED_RE.match(sql) is not None
+        if probed:
+            entry = self.cache.lookup(normalize_sql(sql), bound.signature,
+                                      self.db.catalog)
+            if entry is not None:
+                if check is not None:
+                    check(entry.statement, sql)
+                self._require_binds(entry.bind_names, bound)
+                return entry.plan
+        parsed = self.parse(sql)
+        if check is not None:
+            check(parsed.statement, sql)
+        if not isinstance(parsed.statement, _PLANNED):
+            return parsed.statement
+        self._require_binds(parsed.bind_names, bound)
+        return self.plan(parsed, bound, probed=probed).plan
+
+    def _compile(self, statement: ast.Statement,
+                 binds: Dict[str, Any]) -> Any:
+        """Plan a SELECT, prepare DML; ``binds`` are peeked at, and an
+        IN/EXISTS subquery (never cached) is materialized with them."""
+        if isinstance(statement, ast.Select):
+            return self.db.planner.plan_select(statement, peek_binds=binds)
+        return self.db.dml.prepare(statement, binds)
+
     def _cacheable(self, statement: ast.Statement) -> bool:
-        if not isinstance(statement, ast.Select):
+        if isinstance(statement, ast.Select):
+            tables = [tref.name for tref in statement.tables]
+        elif isinstance(statement, _DML_TYPES):
+            source = getattr(statement, "select", None)
+            tables = [statement.table] + (
+                [] if source is None else [t.name for t in source.tables])
+        else:
             return False
         if statement_has_subquery(statement):
             return False  # subquery results are frozen into the plan
-        catalog = self.db.catalog
-        for tref in statement.tables:
-            if not catalog.has_table(tref.name):
-                return False  # dictionary view (or will fail downstream)
-        return True
+        # a dictionary view (or a table that will fail downstream)
+        return all(map(self.db.catalog.has_table, tables))
 
     def _entry_for(self, parsed: ParseArtifact, plan: Any) -> CachedPlan:
         catalog = self.db.catalog
@@ -351,18 +364,22 @@ class StatementPipeline:
             for table in plan.referenced_tables()
             if not table.stats.analyzed)
         return CachedPlan(plan=plan, catalog_version=catalog.version,
-                          table_sig=table_sig,
-                          bind_names=parsed.bind_names, sql=parsed.sql)
+                          table_sig=table_sig, bind_names=parsed.bind_names,
+                          sql=parsed.sql, statement=parsed.statement)
 
     @staticmethod
-    def _require_binds(parsed: ParseArtifact, bound: BindArtifact) -> None:
-        for name in parsed.bind_names:
+    def _require_binds(names: Tuple[str, ...], bound: BindArtifact) -> None:
+        for name in names:
             if name not in bound.values:
                 raise ExecutionError(f"no value supplied for bind :{name}")
 
-    def _execute_plan(self, plan: Any, values: Dict[str, Any]) -> Cursor:
-        """Execute stage for a compiled (possibly shared) plan."""
+    def execute_plan(self, plan: Any, values: Dict[str, Any]) -> Cursor:
+        """Execute stage for a compiled (possibly shared) plan: DML runs
+        on the DML engine, which checks the privilege its statement
+        needs; a query needs SELECT on every table it reads."""
         db = self.db
+        if isinstance(plan, PreparedDML):
+            return db.dml.run(plan, [values])
         for table in plan.referenced_tables():
             db._check_table_privilege(table, "select")
         return self._run_plan(plan, values)

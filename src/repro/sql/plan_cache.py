@@ -4,7 +4,8 @@ Compiled :class:`~repro.sql.planner.QueryPlan` objects are expensive to
 produce — parsing, binding, and the cost-based choice between functional
 and domain-index evaluation all consult the catalog and (for domain
 indexes) ODCIStats routines.  The cache amortizes that work across
-repeated executions of the same statement text.
+repeated executions of the same statement text — queries and DML alike
+(a DML entry holds a :class:`~repro.sql.dml.PreparedDML`).
 
 Key: ``(normalized SQL text, bind-variable signature)``.  Normalization
 collapses whitespace outside quoted regions only — it never case-folds,
@@ -106,6 +107,9 @@ class CachedPlan:
     bind_names: Tuple[str, ...]
     #: original (un-normalized) statement text, for diagnostics
     sql: str
+    #: the parsed statement: a hit re-runs the callback ``check`` hook
+    #: on it, since DML (which callback phases restrict) is cached too
+    statement: object = None
     hits: int = field(default=0)
 
 

@@ -742,12 +742,13 @@ class Planner:
     def _run_subquery(self, select: ast.Select, peek_binds: Optional[dict],
                       single_column: bool, limit_one: bool = False
                       ) -> List[Tuple[Any, ...]]:
+        from repro.sql.executor import Executor  # executor imports us
         plan = self.plan_select(select, peek_binds)
         if single_column and len(plan.column_names) != 1:
             raise ExecutionError(
                 "an IN subquery must select exactly one column, got "
                 f"{plan.column_names}")
-        rows_iter = self.db.executor.run(plan)
+        rows_iter = Executor(self.db, peek_binds).run(plan)
         if limit_one:
             first = next(rows_iter, None)
             return [] if first is None else [first]
@@ -756,18 +757,16 @@ class Planner:
     # -- entry point ----------------------------------------------------------
 
     def plan_select(self, select: ast.Select,
-                    peek_binds: Optional[dict] = None,
-                    one_shot: bool = False) -> QueryPlan:
+                    peek_binds: Optional[dict] = None) -> QueryPlan:
         """Bind and plan a SELECT.
 
         ``peek_binds`` (name → value) lets cost estimation see the bind
         values of the execution that triggered compilation, even though
         the plan tree itself keeps the BindParam placeholders; they are
         read while the sargs are extracted, so planning re-entered from a
-        statistics callback or a subquery cannot disturb them.
-        ``one_shot`` marks a plan that runs once and is never cached
-        (DML target selection): see
-        :func:`repro.sql.compile.compile_plan`.
+        statistics callback or a subquery cannot disturb them.  An
+        IN/EXISTS subquery runs here, with these values as its binds —
+        which is why such a plan is never cached.
         """
         binds = peek_binds or {}
         if select.where is not None:
@@ -836,7 +835,7 @@ class Planner:
         # lower row expressions and batch kernels once, at plan time, so
         # the artifacts ride the shared plan cache across sessions
         from repro.sql.compile import compile_plan
-        compile_plan(plan, self.catalog, one_shot)
+        compile_plan(plan, self.catalog)
         return plan
 
     # -- select list -----------------------------------------------------------

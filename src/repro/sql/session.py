@@ -54,8 +54,6 @@ from repro.sql.cursor import Cursor
 from repro.sql.ddl import DDLEngine
 from repro.sql.dml import DMLEngine
 from repro.sql.engine import Engine
-from repro.sql.executor import Executor
-from repro.sql.expressions import Evaluator
 from repro.sql.pipeline import StatementPipeline
 from repro.sql.plan_cache import PlanCache
 from repro.sql.planner import Planner
@@ -112,9 +110,6 @@ class Session:
         #: workspace handles back (weak: a collected cursor drops out)
         self._open_cursors: "weakref.WeakSet" = weakref.WeakSet()
         self.planner = Planner(engine.catalog, db=self)
-        #: default bindless executor (planner subqueries, DML target rows)
-        self.executor = Executor(self)
-        self.evaluator = Evaluator(engine.catalog)
         self.pipeline = StatementPipeline(self, cache=engine.plan_cache)
         self.dml = DMLEngine(self)
         self.ddl = DDLEngine(self)
@@ -442,8 +437,8 @@ class Session:
 
         ``params`` supplies bind-variable values: a sequence for
         positional binds (``:1``, ``:2``, ...) or a mapping for named
-        binds (``:rid``).  Repeated cacheable SELECT texts reuse their
-        compiled plan from the engine's shared plan cache.
+        binds (``:rid``).  A repeated cacheable text — SELECT or DML —
+        reuses its compiled plan from the engine's shared plan cache.
         """
         self._bind()
         return self._track(self.pipeline.execute(sql, params))
@@ -453,11 +448,11 @@ class Session:
         """Execute ``sql`` once per parameter set.
 
         The array-DML entry point behind ``dbapi.Cursor.executemany``:
-        plain ``INSERT ... VALUES`` batches are parsed once and run as a
+        an ``INSERT ... VALUES`` is prepared once and its batch runs as a
         single maintained statement with one index-maintenance flush;
-        other statements are parsed, planned and executed per set
-        (ROADMAP item 2a).  The returned cursor's ``rowcount`` is the
-        exact total across all sets.
+        other statements execute per set, each a plan-cache hit after
+        the first.  The returned cursor's ``rowcount`` is the exact
+        total across all sets.
         """
         self._bind()
         return self._track(self.pipeline.executemany(sql, seq_of_params))

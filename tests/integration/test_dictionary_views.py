@@ -107,7 +107,10 @@ class TestSnapshotStatsView:
             " chain_histogram FROM user_snapshot_stats"
         __, forgotten, retries, __ = db.execute(stats).fetchall()[0]
         db.begin()
-        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        # one row a statement: a multi-row INSERT into an empty table
+        # loads in bulk, under one fence version instead of three heads
+        for k in (1, 2, 3):
+            db.execute("INSERT INTO t VALUES (:1)", [k])
         assert db.execute(stats).fetchall()[0][:2] == (3, forgotten)
         db.commit()
         db.engine.prune_versions()

@@ -159,24 +159,30 @@ class TestPipelineCaching:
         t_db.query("SELECT grp FROM t WHERE id = :1", [2])
         assert (stats.lookups, stats.misses, stats.hits) == (2, 1, 1)
 
-    def test_non_select_statements_skip_the_cache_probe(self, t_db):
+    def test_ddl_and_tcl_skip_the_cache_probe(self, t_db):
         stats = t_db.plan_cache.stats
+        t_db.plan_cache.clear()
         stats.reset()
-        t_db.execute("INSERT INTO t VALUES (:1, :2)", [40, "x"])
-        t_db.execute("UPDATE t SET grp = 'y' WHERE id = 40")
-        t_db.execute("DELETE FROM t WHERE id = 40")
         t_db.execute("COMMIT")
         t_db.execute("ANALYZE TABLE t COMPUTE STATISTICS")
-        assert stats.lookups == 0
-        assert stats.misses == 0
+        t_db.execute("CREATE INDEX t_grp ON t(grp)")
+        assert (stats.lookups, stats.misses) == (0, 0)
+        # DML probes the cache, and its second execution hits
+        for value in (40, 41):
+            t_db.execute("INSERT INTO t VALUES (:1, :2)", [value, "x"])
+            t_db.execute("UPDATE t SET grp = 'y' WHERE id = :1", [value])
+            t_db.execute("DELETE FROM t WHERE id = :1", [value])
+        assert (stats.lookups, stats.misses, stats.hits) == (6, 3, 3)
 
-    def test_dml_is_never_cached(self, t_db):
+    def test_dml_is_cached(self, t_db):
         t_db.plan_cache.clear()
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [100, "x"])
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [101, "x"])
-        assert len(t_db.plan_cache) == 0
+        assert len(t_db.plan_cache) == 1
+        assert t_db.plan_cache.stats.hits >= 1
 
     def test_subquery_select_not_cached_and_not_frozen(self, t_db):
+        t_db.plan_cache.clear()
         sql = "SELECT COUNT(*) FROM t WHERE id IN (SELECT id FROM t)"
         assert t_db.query(sql)[0][0] == 8
         assert len(t_db.plan_cache) == 0
@@ -193,6 +199,8 @@ class TestPipelineCaching:
     def test_table_growth_invalidates_nonanalyzed_plan(self, t_db):
         stats = t_db.plan_cache.stats
         t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
+        # re-prepare the fixture's INSERT, compiled before CREATE INDEX
+        t_db.execute("INSERT INTO t VALUES (:1, :2)", [199, "odd"])
         stats.reset()
         # push the row count across a power-of-two bucket boundary
         for i in range(20):
@@ -203,11 +211,13 @@ class TestPipelineCaching:
     def test_analyzed_table_plan_survives_small_growth(self, t_db):
         t_db.execute("ANALYZE TABLE t COMPUTE STATISTICS")
         t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
+        # re-prepare the fixture's INSERT, compiled before ANALYZE
+        t_db.execute("INSERT INTO t VALUES (:1, :2)", [300, "even"])
         stats = t_db.plan_cache.stats
         stats.reset()
-        t_db.execute("INSERT INTO t VALUES (:1, :2)", [300, "even"])
+        t_db.execute("INSERT INTO t VALUES (:1, :2)", [301, "even"])
         t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
-        assert stats.hits == 1
+        assert stats.hits == 2
         assert stats.invalidations == 0
 
     def test_missing_bind_raises(self, t_db):

@@ -554,6 +554,23 @@ class TestPlannerStaysATable:
                 if isinstance(node, ast.FunctionDef)
                 and node.name.startswith("maintain")] == ["maintain"]
 
+    def test_one_plan_mode_and_binds_stay_arguments(self):
+        """DML target selection is a cached, compiled plan like any
+        query: no run-once planning mode, and no pass that rewrites a
+        statement's binds into literals."""
+        import inspect
+        import pathlib
+        import repro
+        from repro.sql.compile import compile_plan
+        from repro.sql.planner import Planner
+        for fn in (Planner.plan_select, compile_plan):
+            assert "one_shot" not in inspect.signature(fn).parameters
+        root = pathlib.Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            text = path.read_text("utf-8")
+            assert "one_shot" not in text and "substitute_binds" not in text, \
+                path
+
     def test_no_other_module_lists_the_native_scan_classes(self):
         """executor/compile derive their scan-class tuples from
         ``ACCESS_PATHS``: a new structure is declared once."""

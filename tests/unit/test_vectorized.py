@@ -244,11 +244,6 @@ def _populate_indexed(db, n=400, seed=23):
     return db
 
 
-def _plan_root(db, sql, **kwargs):
-    from repro.sql.parser import parse
-    return db.planner.plan_select(parse(sql), **kwargs).root
-
-
 class TestIndexDrivenMarkers:
     def test_index_scan_with_residual_is_vectorized(self, db):
         _populate_indexed(db)
@@ -275,19 +270,6 @@ class TestIndexDrivenMarkers:
                            " AND rowid = :1")
         scan = next(ln for ln in lines if "INDEX RANGE SCAN" in ln)
         assert "[ROW]" in scan and "[COMPILED]" in scan
-
-    def test_one_shot_plans_annotate_full_scans_only(self, db):
-        """DML target plans run once: no kernel is generated for an
-        index probe's few rows, a full scan still gets one."""
-        _populate_indexed(db)
-        probe = _plan_root(db, "SELECT * FROM t WHERE id >= 390"
-                           " AND val < 1", one_shot=True).child
-        assert "INDEX RANGE SCAN" in probe.label()
-        assert probe.vector_mode is None
-        assert "vector_kernel" not in probe.compiled
-        full = _plan_root(db, "SELECT * FROM t WHERE val < 1",
-                          one_shot=True).child
-        assert full.vector_mode == "VECTORIZED"
 
 
 class TestIndexDrivenFallbacks:
