@@ -1,25 +1,15 @@
 """Columnar batches and executor statistics for vectorized execution.
 
-The batched pipeline (PR 4) moved row evaluation from one-row-at-a-time
-to page-sized lists of tuples; PR 9 compiled the hot predicates into raw
-``exec``-generated row kernels.  This module supplies the third step: a
-:class:`ColumnBatch` holds one page worth of rows *transposed* into
-per-column Python lists, so a single generated loop (see
-``compile_vector_kernel`` in :mod:`repro.sql.compile`) evaluates the
-whole batch with the interpreter entered once per batch instead of once
-per row.  A *selection vector* — a list of surviving row indices —
-replaces intermediate row materialization between filter and projection.
-
-Honesty note (documented in DESIGN.md §15): under CPython the win comes
-from amortizing interpreter dispatch and attribute lookups across the
-batch, not from SIMD or parallel memory access — the GIL still
-serializes everything.  ``array``-typed columns (``array('q')`` /
-``array('d')``) are supported as an opt-in memory optimization, but
-indexing an ``array`` re-boxes each element, so they are *not* used on
-the hot path by default.
+A :class:`ColumnBatch` holds one batch of rows — a heap page, or one
+fetch of index-returned rowids — *transposed* into per-column Python
+lists, so one generated loop (``compile_vector_kernel`` in
+:mod:`repro.sql.compile`) filters the whole batch with the interpreter
+entered once per batch instead of once per row, and a *selection
+vector* of surviving row indices replaces row materialization between
+filter and projection.  Under CPython the win is amortized interpreter
+dispatch, not SIMD: the GIL still serializes everything (DESIGN.md §15).
 """
 
-from array import array
 from dataclasses import dataclass
 from threading import Lock
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -33,7 +23,9 @@ class ColumnBatch:
     """One scan batch, stored column-wise.
 
     ``columns[c][i]`` is the value of column ``c`` in row ``i``;
-    ``rowids[i]`` is that row's :class:`~repro.storage.heap.RowId`.
+    ``rowids[i]`` is that row's :class:`~repro.storage.heap.RowId` —
+    from a heap page a :class:`~repro.storage.heap.PageRowIds`, which
+    builds it on access, so compare rowids with ``==``, never ``is``.
     ``sel`` is the selection vector: the indices (ascending) of rows
     that survived the filter, or ``None`` meaning *all rows selected*.
     Stored SQL NULLs appear exactly as they do in row tuples (the
@@ -43,7 +35,7 @@ class ColumnBatch:
 
     __slots__ = ("rowids", "columns", "n", "sel")
 
-    def __init__(self, rowids: List[Any], columns: List[List[Any]],
+    def __init__(self, rowids: Sequence[Any], columns: List[List[Any]],
                  sel: Optional[List[int]] = None):
         self.rowids = rowids
         self.columns = columns
@@ -52,14 +44,10 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, rowids: List[Any],
-                  rows: Sequence[Sequence[Any]],
-                  width: int) -> "ColumnBatch":
-        """Transpose ``rows`` (aligned with ``rowids``) into columns."""
-        if rows:
-            columns = [list(col) for col in zip(*rows)]
-        else:
-            columns = [[] for __ in range(width)]
-        return cls(rowids, columns)
+                  rows: Sequence[Sequence[Any]]) -> "ColumnBatch":
+        """Transpose ``rows`` (aligned with ``rowids``) into columns (an
+        empty batch has none: nothing reads the columns of one)."""
+        return cls(rowids, [list(col) for col in zip(*rows)])
 
     # -- row-side views ----------------------------------------------------
 
@@ -93,26 +81,6 @@ class ColumnBatch:
         else:
             for i in self.sel:
                 yield rowids[i], [col[i] for col in columns]
-
-    # -- optional typed columns (opt-in; see module docstring) -------------
-
-    def with_typed_columns(self) -> "ColumnBatch":
-        """Return a copy with int-only columns packed into ``array('q')``.
-
-        Only columns where every value is exactly ``int`` qualify —
-        ``bool`` is an ``int`` subclass and ``array('q')`` would coerce
-        ``True`` to ``1``, breaking value parity; any NULL disqualifies
-        the column since arrays cannot hold sentinels.  This trades
-        per-element boxing on read for a compact backing store; it is a
-        memory optimization, not a speed one, under CPython.
-        """
-        packed: List[Any] = []
-        for col in self.columns:
-            if col and all(type(v) is int for v in col):
-                packed.append(array("q", col))
-            else:
-                packed.append(col)
-        return ColumnBatch(self.rowids, packed, self.sel)
 
 
 @dataclass

@@ -24,26 +24,24 @@ binds a factory declines, and any row or batch generated code raises
 on.
 
 The :meth:`Executor._domain_batches` method is the server side of
-the ODCI scan protocol: it builds the ODCIPredInfo/ODCIQueryInfo
-descriptors, invokes ``index_start``, re-enters ``index_fetch`` batch by
-batch until the cartridge reports the null-terminator, fetches the
-streamed rowids from the base table, and finally calls ``index_close``.
+the ODCI scan protocol, on the statement's thread: it builds the
+ODCIPredInfo/ODCIQueryInfo descriptors, invokes ``index_start``,
+re-enters ``index_fetch`` batch by batch until the cartridge reports the
+null-terminator, fetches the streamed rowids from the base table, and
+finally calls ``index_close``.
 
 Every index-driven row source — B-tree/hash/bitmap scans, the inner
 sides of the index joins, ODCI-returned rowids — fetches its rowids
 through one :class:`_RowidSource`: a batch at a time, one buffer get
 per distinct heap page, the residual filter as a vector kernel over the
 fetched batch when the plan has one, row contexts for survivors only.
-
-The whole ODCI scan — Start, every Fetch, Close and any callback SQL
-the cartridge runs inside them — executes on the thread running the
-statement (:meth:`Executor._odci_scan`).
 """
 
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
+from itertools import chain, count
+from operator import iadd, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
     Tuple
 
@@ -61,6 +59,11 @@ from repro.types.values import NULL, is_null, sql_compare
 #: cap on the per-executor constant-expression memo (safety valve for
 #: the session's long-lived bindless executor)
 _CONST_CACHE_LIMIT = 1024
+
+#: rows a vectorized GROUP BY buffers between two folds of its groups
+_FOLD_CHUNK_ROWS = 4096
+
+_NULL_KEY = "\x00NULL"  # the group key every null shares
 
 #: native index scans: a probe yields rowids, the batched base-table
 #: fetch (:class:`_RowidSource`) turns them into rows
@@ -98,7 +101,7 @@ def _group_key(values: Iterable[Any]) -> Tuple[Any, ...]:
     that compare equal share a key (``1`` and ``1.0``), every null is
     one key, and unhashable values go by their ``repr``.  Runs once per
     input row: pass a list or a tuple, not a generator."""
-    key = tuple(["\x00NULL" if v is None or v is NULL else v
+    key = tuple([_NULL_KEY if v is None or v is NULL else v
                  for v in values])
     try:
         hash(key)
@@ -107,9 +110,16 @@ def _group_key(values: Iterable[Any]) -> Tuple[Any, ...]:
     return key
 
 
-def _flatten(batches: Iterable[List[RowContext]]) -> Iterator[RowContext]:
-    for batch in batches:
-        yield from batch
+def _group_keys(columns: List[List[Any]], sel: List[int]
+                ) -> List[Tuple[Any, ...]]:
+    """:func:`_group_key` of each selected row, a column at a time."""
+    keys = list(zip(*[[_NULL_KEY if (v := col[i]) is None or v is NULL
+                       else v for i in sel] for col in columns]))
+    try:
+        hash(tuple(keys))
+        return keys
+    except TypeError:  # an unhashable key: the batch goes row by row
+        return [_group_key(key) for key in keys]
 
 
 class Executor:
@@ -273,7 +283,7 @@ class Executor:
     def iter_node(self, node: pl.PlanNode) -> Iterator[RowContext]:
         """Yield row contexts for any relational plan node."""
         if isinstance(node, _BATCHED_NODES):
-            return _flatten(self.iter_batches(node))
+            return chain.from_iterable(self.iter_batches(node))
         if isinstance(node, pl.IOTPrefixScan):
             return self._iter_iot_prefix_scan(node)
         if isinstance(node, pl.NestedLoopJoin):
@@ -442,8 +452,7 @@ class Executor:
                   ) -> Iterator[ColumnBatch]:
         storage = node.table.storage
         snapshot = self.snapshot if node.versioned else None
-        width = len(node.table.columns)
-        for rowids, columns in storage.scan_batches_columnar(width, snapshot):
+        for rowids, columns in storage.scan_batches_columnar(snapshot):
             cbatch = ColumnBatch(rowids, columns)
             if kernel is not None:
                 self._run_kernel(kernel, cbatch, node)
@@ -980,30 +989,55 @@ class Executor:
     def _group_cbatches(self, node: pl.GroupByNode, scan: pl.FullScan,
                         slots: Tuple, cbatches: Iterator[ColumnBatch]
                         ) -> Iterator[RowContext]:
+        """Fold per group, a chunk of rows at a time: keys are built
+        column-wise per batch (a global aggregate: one key per batch),
+        the selected rows' aggregate arguments are buffered, and each
+        key collects its rows' offsets into the buffers in scan order.
+        Every ``_FOLD_CHUNK_ROWS`` rows, and at the end, each group's
+        accumulators fold their values in one ``add_values`` call
+        (COUNT(*) adds a length).  A group's first row is materialized,
+        for HAVING and the projection above."""
         group_indices, agg_indices = slots
         aggregates = node.aggregates
         make = self._ctx_factory(scan.table, scan.binding_name)
         self.xstats.record_materialize_boundary()
         groups: Dict[Tuple[Any, ...], Tuple[RowContext, List]] = {}
-        for cbatch in cbatches:
-            columns = cbatch.columns
-            group_cols = [columns[i] for i in group_indices]
-            agg_cols = [None if i is None else columns[i]
-                        for i in agg_indices]
-            for i in cbatch.selected():
-                key = _group_key([col[i] for col in group_cols])
-                state = groups.get(key)
-                if state is None:
-                    # one materialized row per group (first seen), for
-                    # HAVING and the projection above
-                    state = groups[key] = (
-                        make(cbatch.rowids[i], cbatch.row(i)),
-                        [_Accumulator(a) for a in aggregates])
-                for acc, col in zip(state[1], agg_cols):
-                    if col is None:
-                        acc.count += 1  # COUNT(*)
+
+        def fold(chunk: Dict[Tuple[Any, ...], List[int]], buffers) -> None:
+            for key, offsets in chunk.items():
+                for acc, buf in zip(groups[key][1], buffers):
+                    if buf is None:
+                        acc.count += len(offsets)  # COUNT(*)
                     else:
-                        acc.add_value(col[i])
+                        acc.add_values([buf[j] for j in offsets])
+
+        buffered = 0
+        for cbatch in cbatches:
+            if not buffered:
+                chunk: Dict[Tuple[Any, ...], List[int]] = {}
+                buffers = [None if i is None else [] for i in agg_indices]
+            columns, sel = cbatch.columns, cbatch.selected()
+            for buf, i in zip(buffers, agg_indices):
+                if buf is not None:
+                    buf.extend(map(columns[i].__getitem__, sel))
+            keys = _group_keys([columns[i] for i in group_indices], sel) \
+                if group_indices else [()]
+            for offset, key, i in zip(count(buffered), keys, sel):
+                offsets = chunk.get(key)
+                if offsets is None:
+                    if key not in groups:
+                        groups[key] = (make(cbatch.rowids[i], cbatch.row(i)),
+                                       [_Accumulator(a) for a in aggregates])
+                    offsets = chunk[key] = []
+                offsets.append(offset)
+            if not group_indices:
+                chunk[()].extend(range(buffered + 1, buffered + len(sel)))
+            buffered += len(sel)
+            if buffered >= _FOLD_CHUNK_ROWS:
+                fold(chunk, buffers)
+                buffered = 0
+        if buffered:
+            fold(chunk, buffers)
         return self._group_rows(node, groups)
 
     def _iter_group_by_rows(self, node: pl.GroupByNode
@@ -1091,8 +1125,7 @@ class _RowidSource:
     def _filtered(self, rowids: List[Any], rows: List[Any]) -> ColumnBatch:
         """The fetched batch as columns, ``sel`` set by the kernel (only
         scan nodes have one; its mid-batch fallback is the scan's)."""
-        cbatch = ColumnBatch.from_rows(rowids, rows,
-                                       len(self._table.columns))
+        cbatch = ColumnBatch.from_rows(rowids, rows)
         if self.kernel is not None and rows:
             self._executor._run_kernel(self.kernel, cbatch, self._node)
         return cbatch
@@ -1162,8 +1195,7 @@ class _Accumulator:
         self.distinct_seen = set() if call.distinct else None
 
     def add_value(self, value: Any) -> None:
-        """Fold one argument value in (row pipeline and vectorized
-        column folds alike)."""
+        """Fold one argument value in (the row pipeline's fold)."""
         call = self.call
         if is_null(value):
             return
@@ -1182,6 +1214,28 @@ class _Accumulator:
         if call.func == "max":
             if self.max_value is None or value > self.max_value:
                 self.max_value = value
+
+    def add_values(self, values: List[Any]) -> None:
+        """:meth:`add_value` over a chunk of one group's values, in
+        order — the same additions and comparisons, so the same float
+        sums and errors — in a pass per chunk (DISTINCT: per value)."""
+        if self.distinct_seen is not None:
+            for value in values:
+                self.add_value(value)
+            return
+        values = [v for v in values if v is not None and v is not NULL]
+        if not values:
+            return
+        self.count += len(values)
+        func = self.call.func
+        if func in ("sum", "avg"):
+            self.total = functools.reduce(iadd, values, self.total)
+        elif func == "min":
+            self.min_value = min(values if self.min_value is None
+                                 else [self.min_value, *values])
+        elif func == "max":
+            self.max_value = max(values if self.max_value is None
+                                 else [self.max_value, *values])
 
     def result(self) -> Any:
         func = self.call.func

@@ -8,7 +8,8 @@ stream them back from ``ODCIIndexFetch`` (§2.2.3).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidRowIdError, StorageError
 from repro.storage.buffer import BufferCache
@@ -66,6 +67,34 @@ class RowId:
 
     def __repr__(self) -> str:
         return f"RID({self.segment_id}.{self.page_no}.{self.slot})"
+
+
+class PageRowIds:
+    """The rowids of one page batch: segment, page, and the batch's slot
+    numbers (``range(n)`` when every slot is live).
+
+    A :class:`RowId` is built only when an item is indexed or iterated,
+    so a scan whose consumer never reads a row's address builds none.
+    Each read builds a new object: compare items with ``==``, never
+    ``is``.
+    """
+
+    __slots__ = ("segment_id", "page_no", "slots")
+
+    def __init__(self, segment_id: int, page_no: int, slots: Sequence[int]):
+        self.segment_id = segment_id
+        self.page_no = page_no
+        self.slots = slots
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __getitem__(self, i: int) -> RowId:
+        return RowId(self.segment_id, self.page_no, self.slots[i])
+
+    def __iter__(self) -> Iterator[RowId]:
+        return map(RowId, repeat(self.segment_id), repeat(self.page_no),
+                   self.slots)
 
 
 def _live(rowids: List[RowId], rows: List[Optional[List[Any]]]
@@ -224,15 +253,17 @@ class HeapTable:
                     yield RowId(self.segment_id, page_no, slot), row
 
     def _read_page(self, page_no: int, snapshot: Optional[Snapshot]
-                   ) -> Tuple[List[RowId], List[List[Any]]]:
-        """``(rowids, rows)`` of one page's rows, aligned; what both
-        page-batched scans are made of.
+                   ) -> Tuple[PageRowIds, List[List[Any]]]:
+        """``(rowids, rows)`` of one page's visible rows, aligned; what
+        both page-batched scans are made of.
 
-        With a ``snapshot`` every slot — live or tombstoned — is
-        resolved through the version store, so the page shows exactly
-        the rows committed as of the snapshot's SCN plus the owning
-        transaction's own writes; a store with nothing mapped hands the
-        slots back as they are.
+        ``rowids`` is a :class:`PageRowIds`: the live slot numbers, with
+        a ``RowId`` built only for an item a consumer reads.  With a
+        ``snapshot`` every slot — live or tombstoned — is resolved
+        through the version store, so the page shows exactly the rows
+        committed as of the snapshot's SCN plus the owning transaction's
+        own writes; a store with nothing mapped hands the slots back as
+        they are without reading a rowid.
         """
         segment_id = self.segment_id
         page = self.buffer.get_page(segment_id, page_no)
@@ -240,14 +271,18 @@ class HeapTable:
 
         def read():
             rows = list(page.slots)
-            rowids = [RowId(segment_id, page_no, slot)
-                      for slot in range(len(rows))]
             if snapshot is not None:
-                rows = versions.resolve_batch(rowids, rows, snapshot)
-            return rowids, rows
+                rows = versions.resolve_batch(
+                    PageRowIds(segment_id, page_no, range(len(rows))),
+                    rows, snapshot)
+            return rows
 
-        return _live(*(read() if snapshot is None
-                       else versions.read(read, snapshot)))
+        rows = read() if snapshot is None else versions.read(read, snapshot)
+        if None in rows:
+            live = [slot for slot, row in enumerate(rows) if row is not None]
+            return (PageRowIds(segment_id, page_no, live),
+                    [rows[slot] for slot in live])
+        return PageRowIds(segment_id, page_no, range(len(rows))), rows
 
     def scan_batches(self, snapshot: Optional[Snapshot] = None
                      ) -> Iterator[List[Tuple[RowId, List[Any]]]]:
@@ -262,16 +297,15 @@ class HeapTable:
             if rowids:
                 yield list(zip(rowids, rows))
 
-    def scan_batches_columnar(
-            self, width: int, snapshot: Optional[Snapshot] = None
-            ) -> Iterator[Tuple[List[RowId], List[List[Any]]]]:
+    def scan_batches_columnar(self, snapshot: Optional[Snapshot] = None
+                              ) -> Iterator[Tuple[PageRowIds,
+                                                  List[List[Any]]]]:
         """Full scan, one page per batch, transposed into columns.
 
         Yields ``(rowids, columns)`` where ``columns[c][i]`` is column
-        ``c`` of the batch's row ``i`` — the layer above wraps these in
-        a ``ColumnBatch``.  ``width`` is the table's column count (the
-        heap does not know its schema); it sizes the columns when a page
-        is empty after filtering.  Same snapshot semantics as
+        ``c`` of the batch's row ``i`` and ``rowids`` is the page's
+        :class:`PageRowIds` — the layer above wraps these in a
+        ``ColumnBatch``.  Same snapshot semantics as
         :meth:`scan_batches`.
         """
         for page_no in range(self._page_count):

@@ -10,6 +10,7 @@ classes), the
 selection-vector plumbing itself.
 """
 
+import math
 import random
 
 import pytest
@@ -17,6 +18,9 @@ import pytest
 from repro import Database
 from repro.errors import ExecutionError
 from repro.sql.columnar import ColumnBatch, ExecutorStats
+from repro.sql.engine import Engine
+from repro.sql.executor import _FOLD_CHUNK_ROWS
+from repro.storage.heap import PageRowIds, RowId
 from repro.testing import interpreter_forced
 from repro.types.values import NULL
 
@@ -41,7 +45,7 @@ class TestColumnBatch:
     def test_from_rows_round_trips_through_iter_rows(self):
         rows = [(rid, [rid * 2, f"s{rid}"]) for rid in range(5)]
         batch = ColumnBatch.from_rows([rid for rid, __ in rows],
-                                      [r for __, r in rows], width=2)
+                                      [r for __, r in rows])
         assert batch.n == 5
         assert batch.selected_count() == 5
         assert [(rid, list(row)) for rid, row in batch.iter_rows()] \
@@ -49,19 +53,20 @@ class TestColumnBatch:
 
     def test_selection_vector_restricts_iteration(self):
         batch = ColumnBatch.from_rows(list(range(10)),
-                                      [[i] for i in range(10)], width=1)
+                                      [[i] for i in range(10)])
         batch.sel = [1, 4, 7]
         assert batch.selected_count() == 3
         assert [row[0] for __, row in batch.iter_rows()] == [1, 4, 7]
 
-    def test_typed_columns_only_pack_pure_ints(self):
-        batch = ColumnBatch.from_rows(
-            [0, 1], [[1, True, 1.0], [2, 3, 2.0]], width=3)
-        batch.with_typed_columns()
-        # column 0 is pure int -> packable; column 1 holds a bool (an
-        # int subclass whose identity must survive), column 2 floats
-        assert batch.columns[1][0] is True
-        assert batch.row(0) == [1, True, 1.0]
+    def test_page_rowids_build_rowids_on_access(self):
+        rowids = PageRowIds(3, 9, [0, 2, 5])
+        assert len(rowids) == 3
+        assert rowids[1] == RowId(3, 9, 2)
+        assert rowids[1] is not rowids[1]  # built per read: compare by ==
+        assert list(rowids) == [RowId(3, 9, s) for s in (0, 2, 5)]
+        batch = ColumnBatch(PageRowIds(3, 9, range(2)), [["a", "b"]])
+        batch.sel = [1]
+        assert list(batch.iter_rows()) == [(RowId(3, 9, 1), ["b"])]
 
     def test_executor_stats_snapshot_and_histogram(self):
         stats = ExecutorStats()
@@ -234,6 +239,171 @@ class TestTwoWayDifferential:
             data, "SELECT id FROM t WHERE val / (id - 11) > 0 AND id < 40")
         assert generated == interpreted
         assert generated[0] == "ExecutionError"
+
+
+# ---------------------------------------------------------------------------
+# the grouped fold: many pages, more rows than one fold chunk
+# ---------------------------------------------------------------------------
+
+#: group keys in rotation: both nulls, ``1`` and ``1.0``; every 500th
+#: row's key is an unhashable list instead (grouped by its repr)
+_FOLD_KEYS = [1, 1.0, None, NULL, "1", 2.5]
+
+
+def _fold_rows(n=_FOLD_CHUNK_ROWS + 900):
+    return [[i, [1, 2] if i % 500 == 7 else _FOLD_KEYS[i % len(_FOLD_KEYS)],
+             NULL if i % 11 == 0 else i % 7,
+             NULL if i % 13 == 0 else (1e16, 1.0, -1e16)[i % 3],
+             NULL if i % 5 == 0 else f"s{i * 7919 % 97:02d}"]
+            for i in range(n)]
+
+
+FOLD_QUERIES = [
+    # null keys, 1 / 1.0, a key by repr; MIN / MAX over strings
+    "SELECT k, COUNT(*), COUNT(x), SUM(x), MIN(s), MAX(s) FROM f"
+    " GROUP BY k",
+    # float sums whose value depends on the order of the additions
+    "SELECT g, SUM(x), AVG(x), COUNT(DISTINCT s), COUNT(DISTINCT k)"
+    " FROM f GROUP BY g",
+    "SELECT k, g, COUNT(*), MAX(x) FROM f WHERE id BETWEEN 100 AND 4900"
+    " GROUP BY k, g",
+    # HAVING and the projection read each group's first row
+    "SELECT g, id, COUNT(*) FROM f GROUP BY g HAVING id < 5",
+    "SELECT SUM(x), MIN(id), MAX(s), COUNT(*) FROM f WHERE id > 10",
+    # a filter that selects nothing
+    "SELECT COUNT(*), SUM(x) FROM f WHERE id < 0",
+    # SUM over strings raises the interpreter's error
+    "SELECT g, SUM(s) FROM f GROUP BY g",
+]
+
+
+@pytest.mark.vectorized
+class TestGroupedFoldTwoWay:
+    @pytest.fixture(scope="class")
+    def data(self):
+        db = Database()
+        db.execute("CREATE TABLE f (id INTEGER, k ANYDATA, g INTEGER,"
+                   " x NUMBER, s VARCHAR2(8))")
+        db.executemany("INSERT INTO f VALUES (:1, :2, :3, :4, :5)",
+                       _fold_rows())
+        assert db.catalog.get_table("f").storage.page_count > 10
+        return db
+
+    @pytest.mark.parametrize("sql", FOLD_QUERIES)
+    def test_rows_and_order_agree(self, data, sql):
+        assert any("GROUP BY" in ln and "[VECTORIZED]" in ln
+                   for ln in data.explain(sql))
+        generated, interpreted = _both_ways(data, sql)
+        assert generated == interpreted, sql
+
+    def test_the_corpus_reaches_each_case(self, data):
+        keys = data.execute(FOLD_QUERIES[0]).fetchall()
+        assert [repr(row[0]) for row in keys] \
+            == ["1", "None", "'1'", "2.5", "[1, 2]"]
+        assert data.execute(FOLD_QUERIES[-2]).fetchall() == [(0, NULL)]
+        with pytest.raises(TypeError):
+            data.execute(FOLD_QUERIES[-1]).fetchall()
+        in_scan_order = {}
+        for __, __, g, x, __ in _fold_rows():
+            if g is not NULL and x is not NULL:
+                in_scan_order.setdefault(g, []).append(x)
+        naive = {}
+        for g, xs in in_scan_order.items():
+            naive[g] = 0
+            for x in xs:
+                naive[g] += x
+        sums = dict(data.execute("SELECT g, SUM(x) FROM f"
+                                 " WHERE g IS NOT NULL GROUP BY g").fetchall())
+        assert sums == naive
+        assert any(naive[g] != math.fsum(xs)
+                   for g, xs in in_scan_order.items())
+
+
+class TestLazyPageRowIds:
+    """A heap page batch builds a RowId only for a row whose address a
+    consumer reads; snapshot reads and page counts are unchanged."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        init = RowId.__init__
+
+        def counting(self, *args):
+            count[0] += 1
+            init(self, *args)
+        monkeypatch.setattr(RowId, "__init__", counting)
+        return lambda: count[0]
+
+    def test_a_fold_builds_one_per_group_and_a_filter_none(self, db, built):
+        """Only a group's first row has its rowid read — ``SELECT rowid,
+        COUNT(*)`` returns it, so a global aggregate builds one."""
+        _populate(db)
+        db.engine.prune_versions()
+        storage = db.catalog.get_table("t").storage
+        assert storage.page_count > 1
+        assert storage.versions.tracked_rowids() == []
+        count = "SELECT COUNT(*) FROM t WHERE val < 1"
+        grouped = "SELECT grp, COUNT(*) FROM t WHERE id > 3 GROUP BY grp"
+        projected = "SELECT id, val FROM t WHERE val < 1"
+        for sql in (count, grouped, projected):
+            assert any("[VECTORIZED]" in ln for ln in db.explain(sql)
+                       if "TABLE SCAN" in ln)
+        before = built()
+        assert db.execute(count).fetchall()[0][0] > 100
+        assert built() == before + 1
+        assert len(db.execute(grouped).fetchall()) == 5
+        assert built() == before + 6
+        assert len(db.execute(projected).fetchall()) > 100
+        assert built() == before + 6
+
+    def test_a_pinned_snapshot_reads_past_an_in_flight_update(self):
+        engine = Engine()
+        writer, reader = engine.connect(), engine.connect()
+        _populate(writer)
+        engine.prune_versions()
+        storage = engine.catalog.get_table("t").storage
+        fold = "SELECT grp, COUNT(*), SUM(id), MAX(val) FROM t GROUP BY grp"
+        scan = "SELECT id, grp, val FROM t WHERE id >= 0"
+        assert any("GROUP BY" in ln and "[VECTORIZED]" in ln
+                   for ln in reader.explain(fold))
+        reader.execute("SET TRANSACTION READ ONLY")
+        pinned = [reader.execute(fold).fetchall(),
+                  reader.execute(scan).fetchall()]
+        writer.begin()
+        writer.execute("UPDATE t SET grp = 'moved', id = id + 1000"
+                       " WHERE id < 9")
+        assert storage.versions.tracked_rowids()  # heads on page 0
+        assert [reader.execute(fold).fetchall(),
+                reader.execute(scan).fetchall()] == pinned
+        # rowids out of a vectorized filter address the rows they came with
+        rows = reader.execute("SELECT rowid, id FROM t WHERE id < 50"
+                              ).fetchall()
+        assert any("TABLE SCAN" in ln and "[VECTORIZED]" in ln
+                   for ln in reader.explain("SELECT rowid, id FROM t"
+                                            " WHERE id < 50"))
+        snapshot = engine.mvcc.take_snapshot(None)
+        assert [storage.fetch_or_none(rowid, snapshot)[0]
+                for rowid, __ in rows] == [i for __, i in rows] \
+            == list(range(50))
+        assert [rowid for rowid, __ in rows] \
+            == [rowid for rowid, row in storage.scan()][:50]
+        writer.commit()
+        assert [reader.execute(fold).fetchall(),
+                reader.execute(scan).fetchall()] == pinned
+        reader.commit()
+        assert reader.execute(fold).fetchall() != pinned[0]
+
+    def test_a_full_scan_reads_each_page_once(self, db):
+        _populate(db)
+        pages = db.catalog.get_table("t").storage.page_count
+        for sql in ("SELECT COUNT(*) FROM t WHERE val < 1",
+                    "SELECT grp, SUM(val) FROM t GROUP BY grp",
+                    "SELECT id FROM t WHERE val > 0 ORDER BY val",
+                    "SELECT id, val FROM t WHERE grp = 'g2'"):
+            db.execute(sql).fetchall()
+            before = db.stats.logical_reads
+            db.execute(sql).fetchall()
+            assert db.stats.logical_reads - before == pages, sql
 
 
 # ---------------------------------------------------------------------------
