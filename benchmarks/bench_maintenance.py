@@ -34,10 +34,8 @@ Emits ``BENCH_maintenance.json`` at the repo root.  Run directly::
 
 ``--check`` enforces the acceptance floors (text bulk build >= 5x,
 spatial >= 3x, batched executemany >= 3x, rectangle tessellation >= 3x,
-text scaling ratio at most 1.5) and compares the speedup ratios against
-the committed baseline, failing on a >20% regression.  The spatial
-scaling ratio has the same 1.5 ceiling but is recorded (``met``), not
-gated: a tile delete still reads its group's tiles.
+text and spatial scaling ratios at most 1.5) and compares the speedup
+ratios against the committed baseline, failing on a >20% regression.
 """
 
 import argparse
@@ -73,13 +71,12 @@ EXECUTEMANY_FLOOR = 3.0
 #: closed-form rectangle cover over the relate() descent
 TESSELLATE_FLOOR = 3.0
 #: per-row maintenance time at 4N rows over the time at N rows (a
-#: ceiling).  Text deletes are keyed: the time does not know the table,
-#: and ``--check`` holds it to that.  A spatial delete probes the tiles
-#: B-tree per group code of the old cover and filters that group's
-#: tiles — a sixteenth of the table, so its time still rises with the
-#: table.  It misses this ceiling; each case records ``met`` and only
-#: the text case is gated until tile deletes are keyed.
+#: ceiling).  Text and tile deletes are both keyed — the row's postings
+#: by ``(token, rid)``, its tiles by ``(grpcode, code, rid)`` — so the
+#: time does not know the table, and ``--check`` holds both cases to it.
 SCALING_CEILING = 1.5
+#: the scaling cases ``--check`` holds to SCALING_CEILING
+SCALING_CASES = ("text_update_scaling", "spatial_delete_scaling")
 
 
 def _text_db(n_docs):
@@ -435,11 +432,12 @@ def check_against_baseline(results, baseline_path):
             failures.append(
                 f"{case} speedup {speedup} is below the {floor}x "
                 "acceptance floor")
-    scaling = results["cases"]["text_update_scaling"]
-    if not scaling["met"]:
-        failures.append(
-            f"text_update_scaling: per-row time grew {scaling['ratio']}x "
-            f"for 4x the rows (ceiling {SCALING_CEILING}x)")
+    for case in SCALING_CASES:
+        scaling = results["cases"][case]
+        if not scaling["met"]:
+            failures.append(
+                f"{case}: per-row time grew {scaling['ratio']}x "
+                f"for 4x the rows (ceiling {SCALING_CEILING}x)")
     if not os.path.exists(baseline_path):
         failures.append(f"no committed baseline at {baseline_path}")
         return failures
@@ -480,8 +478,8 @@ def test_maintenance_benchmark():
         >= EXECUTEMANY_FLOOR, results["cases"]["executemany_insert"]
     assert results["cases"]["tessellate_rect"]["speedup"] \
         >= TESSELLATE_FLOOR, results["cases"]["tessellate_rect"]
-    assert results["cases"]["text_update_scaling"]["met"], \
-        results["cases"]["text_update_scaling"]
+    for case in SCALING_CASES:
+        assert results["cases"][case]["met"], results["cases"][case]
 
 
 def main(argv=None):

@@ -5,10 +5,21 @@ the candidate set of tiles in the parks and roads which overlap, and
 then applies an exact filter to these candidate rows".
 
 The tile index stores, per indexed row, the quadtree cover of its
-geometry in a heap table ``<index>_tiles(rid, grpcode, code, maxcode)``
-with a native B-tree on ``grpcode`` — a cartridge building an ordinary
-index on its own index table through server callbacks, exactly the
-"callbacks exploit the performance ... of SQL processing" point of §2.5.
+geometry in an index-organized table
+``<index>_tiles(grpcode, code, rid, maxcode)`` keyed on
+``(grpcode, code, rid)`` — the text cartridge's storage model, and the
+"callbacks exploit the performance ... of SQL processing" point of §2.5:
+
+* a build tessellates every geometry, sorts the tiles into key order and
+  direct-loads them in one call;
+* a delete derives the row's keys from its old geometry's cover and
+  deletes exactly those (``delete_rows``), so it costs the row's tiles,
+  whatever the size of the table or of the row's group codes; an update
+  deletes the old keys and inserts the new ones;
+* the primary filter runs one prefix scan per group code of the query
+  geometry's cover, bounded by that group's lowest ``code`` and highest
+  ``maxcode``, and keeps a stored tile only if its range meets one of
+  the group's query tiles.
 
 Scans are *Incremental Computation* with *return-state* contexts: exact
 geometry tests happen lazily as the executor fetches, so a LIMITed query
@@ -18,7 +29,10 @@ never exact-tests the whole candidate set.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from bisect import bisect_left
+from operator import attrgetter, itemgetter
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.cartridges.spatial.geometry import (
     GEOMETRY_TYPE_NAME, Relation, bounding_box, make_point, make_polygon,
@@ -49,6 +63,32 @@ def sdo_relate_functional(geometry: Any, query_geometry: Any,
 
 def _tiles_table(ia: ODCIIndexInfo) -> str:
     return f"{ia.index_name.lower()}_tiles"
+
+
+def _rid_order(row: Sequence[Any]):
+    """Sort key putting ``(rowid, ...)`` rows in rowid order."""
+    return row[0].sort_key
+
+
+#: sort key of a tile row ``(grpcode, code, rid, maxcode)`` short of
+#: its rowid; a stable sort of rows built in rowid order by it leaves
+#: them in the tiles table's key order
+_code_order = itemgetter(0, 1)
+_tile_code = attrgetter("code")
+
+
+def _tile_rows(pairs: Iterable[Tuple[Any, Any]]) -> List[Tuple[Any, ...]]:
+    """``(grpcode, code, rid, maxcode)`` for each tile of each non-null
+    ``(rid, geometry)``, rows in input order.  A cover never holds a
+    tile twice, so one row's keys are distinct."""
+    out: List[Tuple[Any, ...]] = []
+    append = out.append
+    for rid, geometry in pairs:
+        if is_null(geometry):
+            continue
+        for tile in tessellate(geometry):
+            append((tile.grpcode, tile.code, rid, tile.maxcode))
+    return out
 
 
 class _SpatialScan(ScanContext):
@@ -86,21 +126,25 @@ class SpatialIndexMethods(IndexMethods):
 
     def index_create(self, ia: ODCIIndexInfo, parameters: str,
                      env: ODCIEnv) -> None:
-        tiles = _tiles_table(ia)
         env.callback.execute(
-            f"CREATE TABLE {tiles} (rid ROWID, grpcode INTEGER,"
-            " code INTEGER, maxcode INTEGER)")
-        env.callback.execute(
-            f"CREATE INDEX {tiles}_grp ON {tiles}(grpcode)")
+            f"CREATE TABLE {_tiles_table(ia)} (grpcode INTEGER,"
+            " code INTEGER, rid ROWID, maxcode INTEGER,"
+            " PRIMARY KEY (grpcode, code, rid)) ORGANIZATION INDEX")
         self._load(ia, env)
 
     def _load(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         """Tessellate every base-table geometry into the (empty) tiles
-        table."""
+        table: rows in rowid order (a heap scan already hands them over
+        so), their tiles stably sorted by code, then one presorted
+        direct-path load."""
         rows = env.callback.query(
             f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}")
-        self.index_insert_batch(ia, [(rid, [geometry])
-                                     for rid, geometry in rows], env)
+        rows.sort(key=_rid_order)
+        tile_rows = _tile_rows(rows)
+        if tile_rows:
+            tile_rows.sort(key=_code_order)
+            env.callback.direct_load(_tiles_table(ia), tile_rows,
+                                     presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
@@ -129,35 +173,20 @@ class SpatialIndexMethods(IndexMethods):
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
         """Tessellate every new geometry, then insert all tiles at once."""
-        tile_rows: List[List[Any]] = []
-        for rowid, new_values in entries:
-            geometry = new_values[0]
-            if is_null(geometry):
-                continue
-            for tile in tessellate(geometry):
-                tile_rows.append([rowid, tile.grpcode, tile.code,
-                                  tile.maxcode])
+        tile_rows = _tile_rows((rowid, new_values[0])
+                               for rowid, new_values in entries)
         if tile_rows:
             env.callback.insert_rows(_tiles_table(ia), tile_rows)
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        """Delete every row's tiles, located from its old geometry.
-
-        A row's tiles lie in the group codes of its geometry's cover,
-        so each ``(group, row)`` pair is one probe of the tiles table's
-        own ``grpcode`` B-tree plus a filter on that group's tiles.
-        """
-        pairs: Dict[Any, None] = {}
-        for rowid, old_values in entries:
-            geometry = old_values[0]
-            if not is_null(geometry):
-                for tile in tessellate(geometry):
-                    pairs[tile.grpcode, rowid] = None
-        delete = (f"DELETE FROM {_tiles_table(ia)} "
-                  "WHERE grpcode = :1 AND rid = :2")
-        for pair in pairs:
-            env.callback.execute(delete, pair)
+        """Delete every row's tiles by key, located from its old geometry:
+        the old cover gives each tile's ``(grpcode, code)``, the row its
+        ``rid`` — one keyed delete call for the batch."""
+        keys = [tile[:3] for tile in _tile_rows(
+            (rowid, old_values[0]) for rowid, old_values in entries)]
+        if keys:
+            env.callback.delete_rows(_tiles_table(ia), keys)
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
@@ -192,15 +221,27 @@ class SpatialIndexMethods(IndexMethods):
 
     def _primary_filter(self, ia: ODCIIndexInfo, env: ODCIEnv,
                         query_geometry: ObjectValue) -> List[Any]:
-        tiles = _tiles_table(ia)
-        seen: Dict[Any, None] = {}
+        """The rows with a stored tile whose range meets a tile of the
+        query geometry's cover: one prefix scan per group code."""
+        groups: Dict[int, List[TileRange]] = {}
         for tile in tessellate(query_geometry):
-            rows = env.callback.query(
-                f"SELECT rid FROM {tiles} WHERE grpcode = :1 "
-                "AND code <= :2 AND maxcode >= :3",
-                [tile.grpcode, tile.maxcode, tile.code])
-            for (rid,) in rows:
-                seen[rid] = None
+            groups.setdefault(tile.grpcode, []).append(tile)
+        select = (f"SELECT rid, code, maxcode FROM {_tiles_table(ia)}"
+                  " WHERE grpcode = :1 AND code <= :2 AND maxcode >= :3")
+        seen: Dict[Any, None] = {}
+        for grpcode, group in groups.items():
+            # a cover's tiles are disjoint: in code order their maxcodes
+            # increase too
+            group.sort(key=_tile_code)
+            codes = [tile.code for tile in group]
+            maxcodes = [tile.maxcode for tile in group]
+            # the SQL admits the rows meeting the group's whole span (with
+            # one query tile, exactly the right ones); of the query tiles
+            # ending at or after a row's ``code``, the first starts lowest
+            for rid, code, maxcode in env.callback.query(
+                    select, [grpcode, maxcodes[-1], codes[0]]):
+                if codes[bisect_left(maxcodes, code)] <= maxcode:
+                    seen[rid] = None
         return sorted(seen)
 
     def index_fetch(self, context: Any, nrows: int,
@@ -236,8 +277,9 @@ class SpatialStatsMethods(StatsMethods):
                 ranges = float(len(tessellate(query_geometry)))
             except Exception:
                 ranges = 4.0
-        # each tile range costs one cheap B-tree probe on the tiles table;
-        # the exact filter costs one relate() per candidate
+        # the query cover's tile ranges bound the prefix scans of the
+        # tiles table (one per group code); the exact filter costs one
+        # relate() per candidate
         return IndexCost(io_cost=1.0 + 0.05 * ranges,
                          cpu_cost=selectivity * 100 * FUNCTIONAL_COST)
 

@@ -22,6 +22,7 @@ handle (*Precompute All* + *Return Handle*) — both §2.2.3 mechanisms.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cartridges.text.lexer import TextLexer, TextParameters
@@ -35,9 +36,10 @@ from repro.errors import ODCIError
 from repro.types.values import is_null
 
 
-def _rid_order(row: List[Any]):
-    """Sort key for one token bucket: the rowid's plain-tuple mirror."""
-    return row[1].sort_key
+def _rid_order(row: Sequence[Any]):
+    """Sort key putting ``(rowid, text)`` rows in rowid order: the
+    rowid's plain-tuple mirror."""
+    return row[0].sort_key
 
 
 def _posting_order(row: List[Any]):
@@ -160,13 +162,16 @@ class TextIndexMethods(IndexMethods):
             f"SELECT rowid, {column} FROM {ia.table_name}")
         lexer = TextLexer(params)
         if getattr(env, "bulk_build", True):
-            # sort-group construction: bucket postings per token while
-            # lexing, then emit token buckets in sorted token order —
-            # sorting the (small) vocabulary instead of every posting.
-            # Within a bucket rowids arrive in scan order; the cheap
-            # per-bucket sort makes (token, rid) order a guarantee, so
-            # the direct-path load bulk-builds the IOT bottom-up with
-            # no load-time sort and no per-row re-validation.
+            # sort-group construction: one (rowids, freqs) pair of
+            # columns per token while lexing, then the buckets emitted
+            # in sorted token order — sorting the (small) vocabulary
+            # instead of every posting.  The documents are put in rowid
+            # order first (one sort key per document; a heap scan
+            # already hands them over so), so every bucket fills in
+            # rowid order and (token, rid) order is a guarantee: the
+            # direct-path load bulk-builds the IOT bottom-up with no
+            # load-time sort and no per-row re-validation.
+            existing.sort(key=_rid_order)
             inverted: dict = {}
             get_bucket = inverted.get
             for rid, text in existing:
@@ -176,15 +181,15 @@ class TextIndexMethods(IndexMethods):
                         str(text)).items():
                     bucket = get_bucket(token)
                     if bucket is None:
-                        bucket = inverted[token] = []
-                    bucket.append([token, rid, freq])
+                        bucket = inverted[token] = ([], [])
+                    bucket[0].append(rid)
+                    bucket[1].append(freq)
             if inverted:
-                postings_rows: List[List[Any]] = []
+                postings_rows: List[Any] = []
                 extend = postings_rows.extend
                 for token in sorted(inverted):
-                    bucket = inverted[token]
-                    bucket.sort(key=_rid_order)
-                    extend(bucket)
+                    rids, freqs = inverted[token]
+                    extend(zip(repeat(token), rids, freqs))
                 env.callback.direct_load(terms, postings_rows,
                                          presorted=True)
         else:

@@ -7,6 +7,12 @@ separator keys.  Deletion empties slots without rebalancing (empty nodes
 are unlinked); the tree stays correct, and since this engine simulates
 I/O rather than bytes on disk, occupancy is not the point.
 
+A unique tree holds one payload per key, stored as it is; a non-unique
+tree holds a list of payloads per key.  The difference stays inside the
+leaves: every method takes and returns the same shapes either way.  An
+index-organized table is a unique tree, so an entry there costs its key
+and its payload and no list around the payload.
+
 Node visits are charged to an optional ``touch`` callback so index
 traffic shows up in the same :class:`~repro.storage.buffer.IOStats`
 counters as heap traffic.
@@ -35,8 +41,9 @@ class _Node:
     def __init__(self, leaf: bool):
         self.leaf = leaf
         self.keys: List[Any] = []
-        # leaf: values[i] is the payload list for keys[i]
-        self.values: List[List[Any]] = []
+        # leaf: values[i] is keys[i]'s payload (unique tree) or its list
+        # of payloads (non-unique tree)
+        self.values: List[Any] = []
         # interior: children[i] covers keys < keys[i]; len(children) == len(keys)+1
         self.children: List["_Node"] = []
         self.next_leaf: Optional["_Node"] = None
@@ -46,8 +53,9 @@ class BTree:
     """B+-tree mapping orderable keys to payload values.
 
     For ``unique=True`` a duplicate insert raises
-    :class:`~repro.errors.ConstraintError`; otherwise each key holds a
-    list of payloads in insertion order.
+    :class:`~repro.errors.ConstraintError` and each key holds its one
+    payload; otherwise each key holds a list of payloads in insertion
+    order.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER, unique: bool = False,
@@ -113,6 +121,15 @@ class BTree:
                 continue
             if node.keys[idx] != key:
                 return False
+            if self.unique:
+                stored = node.values[idx]
+                if value is not None and not (stored is value
+                                              or stored == value):
+                    return False
+                del node.keys[idx]
+                del node.values[idx]
+                self._count -= 1
+                return True
             payloads = node.values[idx]
             if value is None:
                 removed = len(payloads)
@@ -149,18 +166,18 @@ class BTree:
         """
         entries = sorted(pairs, key=_first)
         keys: List[Any] = []
-        values: List[List[Any]] = []
-        n_entries = len(entries)
+        values: List[Any] = []
+        unique = self.unique
         for key, value in entries:
             if keys and keys[-1] == key:
-                if self.unique:
+                if unique:
                     raise ConstraintError(
                         f"duplicate key {key!r} in unique index")
                 values[-1].append(value)
             else:
                 keys.append(key)
-                values.append([value])
-        self._build_sorted(keys, values, n_entries)
+                values.append(value if unique else [value])
+        self._build_sorted(keys, values, len(entries))
 
     def bulk_load_sorted(self, keys: List[Any],
                          payloads: List[Any]) -> None:
@@ -178,9 +195,10 @@ class BTree:
         if n_entries > 1 and not all(map(lt, keys, islice(keys, 1, None))):
             raise StorageError(
                 "bulk_load_sorted: keys are not strictly increasing")
-        self._build_sorted(list(keys), [[p] for p in payloads], n_entries)
+        values = list(payloads) if self.unique else [[p] for p in payloads]
+        self._build_sorted(list(keys), values, n_entries)
 
-    def _build_sorted(self, keys: List[Any], values: List[List[Any]],
+    def _build_sorted(self, keys: List[Any], values: List[Any],
                       n_entries: int) -> None:
         """Pack sorted unique ``keys``/``values`` into leaves bottom-up."""
         if not keys:
@@ -226,6 +244,8 @@ class BTree:
         node = self._leaf_for(key)
         idx = bisect.bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
+            if self.unique:
+                return [node.values[idx]]
             return list(node.values[idx])
         return []
 
@@ -250,7 +270,9 @@ class BTree:
                 idx = bisect.bisect_right(node.keys, low)
                 node = node.children[idx]
             self._visit()
+        unique = self.unique
         while node is not None:
+            values = node.values
             for idx, key in enumerate(node.keys):
                 if low is not None:
                     if key < low or (not low_inclusive and key == low):
@@ -258,8 +280,11 @@ class BTree:
                 if high is not None:
                     if key > high or (not high_inclusive and key == high):
                         return
-                for payload in node.values[idx]:
-                    yield key, payload
+                if unique:
+                    yield key, values[idx]
+                else:
+                    for payload in values[idx]:
+                        yield key, payload
             node = node.next_leaf
             if node is not None:
                 self._visit()
@@ -311,7 +336,7 @@ class BTree:
                 node.values[idx].append(value)
                 return None
             node.keys.insert(idx, key)
-            node.values.insert(idx, [value])
+            node.values.insert(idx, value if self.unique else [value])
         else:
             idx = bisect.bisect_right(node.keys, key)
             split = self._insert(node.children[idx], key, value)

@@ -9,6 +9,13 @@ An IOT here is a B+-tree whose key is a prefix of the row and whose
 payload is the rest of the row.  Rows are addressed by logical rowids
 (their key), but we also hand out :class:`~repro.storage.heap.RowId`-like
 surrogate ids so the executor can treat heap tables and IOTs uniformly.
+
+Key and payload are both tuples, and the tree is unique, so it stores
+the payload as it is: a row costs the tree one key tuple and one payload
+tuple.  A payload of plain values (numbers, strings) holds no reference
+the cyclic garbage collector must follow, so it stops being tracked at
+its first collection; only a key holding a rowid stays tracked.  What
+the table hands out is always a fresh list, ``list(key) + list(payload)``.
 """
 
 from __future__ import annotations
@@ -80,9 +87,10 @@ class IndexOrganizedTable:
 
     # -- DML ------------------------------------------------------------
 
-    def _split_row(self, row: List[Any]) -> Tuple[Tuple[Any, ...], List[Any]]:
-        key = tuple(row[:self.key_width])
-        return key, list(row[self.key_width:])
+    def _split_row(self, row: List[Any]
+                   ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+        kw = self.key_width
+        return tuple(row[:kw]), tuple(row[kw:])
 
     def insert(self, row: List[Any], on_rowid=None) -> RowId:
         """Insert ``row``; its first ``key_width`` values form the key.
@@ -126,7 +134,7 @@ class IndexOrganizedTable:
         else:
             key_of = itemgetter(*range(kw))  # C-level key extraction
             keys = [key_of(row) for row in rows]
-        payloads = [row[kw:] for row in rows]
+        payloads = list(map(tuple, map(itemgetter(slice(kw, None)), rows)))
         with self._latch:
             if presorted:
                 self._tree.bulk_load_sorted(keys, payloads)
@@ -307,7 +315,8 @@ class IndexOrganizedTable:
         (writers restructure the tree mid-flight otherwise).  When the
         store has nothing mapped and no ghost lies in bounds, that walk
         is the answer as it stands, already in key order.  Otherwise
-        each row is resolved through its version chain; the ghosts in
+        each row whose surrogate has a version chain is resolved through
+        it (the others are as the tree holds them); the ghosts in
         bounds — surrogates some snapshot may still see under a key the
         tree no longer holds for them — are walked with the same bounds
         and overlaid, every row is bounds-checked against its
@@ -332,17 +341,19 @@ class IndexOrganizedTable:
         if not ghosts and versions.settled(snapshot):
             return [(rid, list(key) + list(payload))
                     for rid, key, payload in pairs]
-        resolve = versions.resolve
+        rids = [rid for rid, __, __ in pairs]
+        values = versions.resolve_batch(
+            rids, [list(key) + list(payload) for __, key, payload in pairs],
+            snapshot)
         tracked = versions.tracked
         seen = set()
         results = []
-        for rid, key, payload in pairs:
+        for rid, value in zip(rids, values):
             if rid in seen and tracked(rid):
                 # non-unique duplicate keys share a surrogate; a tracked
                 # surrogate resolves once through its chain
                 continue
             seen.add(rid)
-            value = resolve(rid, list(key) + list(payload), snapshot)
             if value is None:
                 continue
             vkey = tuple(value[:kw])
@@ -353,7 +364,7 @@ class IndexOrganizedTable:
             if rid in seen:
                 continue
             seen.add(rid)
-            value = resolve(rid, None, snapshot)
+            value = versions.resolve(rid, None, snapshot)
             if value is None:
                 continue
             vkey = tuple(value[:kw])
@@ -400,7 +411,7 @@ class IndexOrganizedTable:
             for key, payload in self._tree.items():
                 if not columns:
                     columns = [[] for __ in range(len(key) + len(payload))]
-                for column, value in zip(columns, key + tuple(payload)):
+                for column, value in zip(columns, key + payload):
                     column.append(value)
         return columns
 
@@ -414,7 +425,7 @@ class IndexOrganizedTable:
             self._ghosts.clear()
             self._next_surrogate = self._surrogate_base = 0
             for row in zip(*columns):
-                self._tree.insert(row[:kw], list(row[kw:]))
+                self._tree.insert(row[:kw], row[kw:])
             self.applied_lsn = snap_lsn
             self.dump_dirty = False
 

@@ -8,6 +8,7 @@ from repro.bench.workloads import make_rect_layer
 from repro.cartridges.spatial import (
     LegacySpatialLayer, install_rtree, make_rect)
 from repro.cartridges.spatial.indextype import sdo_relate_functional
+from repro.cartridges.spatial.tiling import ranges_interact, tessellate
 
 
 @pytest.fixture
@@ -72,6 +73,84 @@ class TestWindowQueries:
             "SELECT gid FROM parks WHERE "
             "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
         assert "spatial_primary_candidates" in layers_db.stats.extra
+
+
+class TestPrimaryFilter:
+    def test_group_scans_equal_brute_force_ranges_interact(self, spatial_db):
+        """One prefix scan per group code of the query cover returns the
+        rows whose cover meets it — what one probe per query tile
+        returned — including stored tiles that contain a query tile
+        (geometries 64 or more units wide have level-4 or coarser
+        tiles) and query covers over one to four group codes."""
+        from repro.core.callbacks import CallbackPhase
+        db = spatial_db
+        gt = db.catalog.get_object_type("SDO_GEOMETRY")
+        rng = random.Random(13)
+        db.execute("CREATE TABLE geo (gid INTEGER, geometry SDO_GEOMETRY)")
+        shapes = {}
+        for gid in range(400):
+            if gid % 4 == 0:   # wide: coarse tiles, some grid-aligned
+                x, y = rng.randrange(0, 12) * 64, rng.randrange(0, 12) * 64
+                w, h = rng.choice((64, 128, 192)), rng.choice((64, 128))
+                if gid % 8:
+                    x, y = x + rng.uniform(0, 30), y + rng.uniform(0, 30)
+            else:
+                x, y = rng.uniform(0, 980), rng.uniform(0, 980)
+                w, h = rng.uniform(1, 40), rng.uniform(1, 40)
+            shapes[gid] = make_rect(gt, x, y, min(x + w, 1023),
+                                    min(y + h, 1023))
+        db.insert_rows("geo", [[g, geom] for g, geom in shapes.items()])
+        db.execute("CREATE INDEX geo_sidx ON geo(geometry)"
+                   " INDEXTYPE IS SpatialIndexType")
+        rid_of = dict((gid, rid) for rid, gid in db.execute(
+            "SELECT rowid, gid FROM geo").fetchall())
+        covers = {rid_of[g]: tessellate(geom) for g, geom in shapes.items()}
+
+        windows = [make_rect(gt, *box) for box in (
+            (300, 300, 340, 330),      # inside one group code
+            (230, 300, 290, 340),      # across two
+            (230, 230, 290, 290),      # across four
+            (200, 600, 600, 620),      # across three
+            (320, 320, 384, 384),      # one level-4 tile
+            (256, 256, 384, 320),      # two level-4 tiles, one group
+            (512, 0, 640, 128),        # one level-3 tile
+        )]
+        for __ in range(40):
+            x, y = rng.uniform(0, 900), rng.uniform(0, 900)
+            windows.append(make_rect(gt, x, y, x + rng.uniform(2, 120),
+                                     y + rng.uniform(2, 120)))
+
+        index = db.catalog.get_index("geo_sidx")
+        env = db.make_env(CallbackPhase.SCAN, index.domain)
+        ia = index.domain.index_info()
+        statements = []
+        real_query = env.callback.query
+        env.callback.query = lambda *args: (statements.append(args)
+                                            or real_query(*args))
+        group_counts, level4, contained = set(), False, False
+        for window in windows:
+            query_cover = tessellate(window)
+            groups = {t.grpcode for t in query_cover}
+            group_counts.add(len(groups))
+            level4 |= any(t.maxcode - t.code == 3 for t in query_cover)
+            expected = sorted(rid for rid, cover in covers.items()
+                              if ranges_interact(cover, query_cover))
+            contained |= any(
+                s.code <= q.code and q.maxcode <= s.maxcode and s != q
+                for cover in covers.values() for s in cover
+                for q in query_cover)
+            del statements[:]
+            assert index.domain.methods._primary_filter(
+                ia, env, window) == expected
+            assert len(statements) == len(groups)
+            indexed = db.execute(
+                "SELECT gid FROM geo WHERE Sdo_Relate(geometry, :1,"
+                " 'mask=ANYINTERACT')", [window]).fetchall()
+            assert sorted(indexed) == sorted(
+                (g,) for g, geom in shapes.items() if sdo_relate_functional(
+                    geom, window, "mask=ANYINTERACT"))
+        assert {1, 2, 3, 4} <= group_counts
+        assert level4 and contained
 
 
 class TestSpatialJoin:
@@ -169,20 +248,42 @@ class TestMaintenance:
         ).fetchall() == [(1,)]
 
     def test_maintenance_never_scans_the_tiles_table(self, layers_db):
-        """Update and delete reach a row's tiles through the grpcode
-        B-tree: no statement against the tiles table is a full scan."""
+        """Update and delete reach a row's tiles by key — the old cover's
+        ``(grpcode, code, rid)`` — and a window query by one prefix scan
+        per group code: every statement against the tiles table plans
+        as an IOT prefix scan, and none reads the whole table."""
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
+        storage = layers_db.catalog.get_table("parks_sidx_tiles").storage
+        located = []
+
+        def no_full_scan(*args, **kwargs):
+            raise AssertionError("full scan of the tiles table")
+
+        real_locate = storage.locate
+
+        def locate(key):
+            located.append(key)
+            return real_locate(key)
+        storage.scan, storage.locate = no_full_scan, locate
         layers_db.enable_tracing()
         victim, other = (g for g, __ in layers_db.parks_data[:2])
         layers_db.execute("UPDATE parks SET geometry = :1 WHERE gid = :2",
                           [make_rect(gt, 500, 500, 530, 540), victim])
         layers_db.execute("DELETE FROM parks WHERE gid = :1", [other])
+        # the two rows' old covers, one keyed delete per tile
+        assert len(located) == sum(
+            len(tessellate(geometry))
+            for __, geometry in layers_db.parks_data[:2])
+        assert (victim,) in layers_db.execute(
+            "SELECT gid FROM parks WHERE Sdo_Relate(geometry, :1,"
+            " 'mask=ANYINTERACT')", [make_rect(gt, 490, 490, 540, 550)]
+        ).fetchall()
         chosen = [line for line in layers_db.trace_log
                   if line.startswith("optimizer:candidate*")
                   and "parks_sidx_tiles" in line]
         assert chosen
-        assert all("INDEX RANGE SCAN parks_sidx_tiles_grp" in line
-                   for line in chosen)
+        assert all("IOT PREFIX SCAN parks_sidx_tiles" in line
+                   and "TABLE SCAN" not in line for line in chosen)
 
 
 class TestLegacyFormulation:

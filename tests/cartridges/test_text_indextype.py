@@ -116,6 +116,42 @@ class TestDomainIndexLifecycle:
         assert not employees_db.catalog.has_table("resume_text_index_terms")
 
 
+class TestBulkBuild:
+    def test_rowids_out_of_scan_order_still_load(self, text_db):
+        """An IOT base table hands its rows over in key order, and its
+        surrogate rowids were numbered in insert order: inserted in
+        descending key order, every token's rowids reach the build in
+        decreasing order.  The build still loads the postings in key
+        order and answers what ``TextContains`` answers."""
+        db = text_db
+        db.execute("CREATE TABLE notes (id INTEGER, body VARCHAR2(200),"
+                   " PRIMARY KEY (id)) ORGANIZATION INDEX")
+        bodies = {i: f"common w{i % 3} x{i % 7} only{i}"
+                  for i in range(60)}
+        for i in sorted(bodies, reverse=True):
+            db.execute("INSERT INTO notes VALUES (:1, :2)", [i, bodies[i]])
+        scanned = [rid for (rid,) in db.execute(
+            "SELECT rowid FROM notes").fetchall()]
+        assert scanned == sorted(scanned, reverse=True)
+        db.execute("CREATE INDEX notes_tidx ON notes(body)"
+                   " INDEXTYPE IS TextIndexType")
+        postings = db.execute(
+            "SELECT token, rid FROM notes_tidx_terms").fetchall()
+        assert len(postings) == 4 * len(bodies)
+        assert postings == sorted(postings,
+                                  key=lambda p: (p[0], p[1].sort_key))
+        assert any("DOMAIN INDEX SCAN notes_tidx" in line for line in
+                   db.explain("SELECT id FROM notes WHERE"
+                              " Contains(body, :1)", ["common"]))
+        for query in ("common", "w1", "x4 AND w2", "w0 OR x6", "only17",
+                      "common AND NOT w2"):
+            assert sorted(db.execute(
+                "SELECT id FROM notes WHERE Contains(body, :1)", [query]
+            ).fetchall()) == sorted(
+                (i,) for i, body in bodies.items()
+                if text_contains(body, query)), query
+
+
 class TestAncillaryScore:
     def test_score_from_index_scan(self, employees_db):
         rows = employees_db.query(

@@ -150,32 +150,33 @@ class TestOneRowMaintenance:
         with rows_read(db, tiles) as read:
             db.execute("UPDATE shapes SET shape = :1 WHERE id = 0",
                        [make_rect(gt, 50, 60, 90, 120)])
-            # one probe of the grpcode B-tree: the group's tiles
-            assert read() == own[0] + own[1]
+            # one keyed delete per tile of the old cover, and not a
+            # read of row 1's tiles in the same group code
+            assert read() == own[0]
         moved = len(tessellate(make_rect(gt, 50, 60, 90, 120)))
         with rows_read(db, tiles) as read:
             db.execute("DELETE FROM shapes WHERE id = 1")
-            assert read() == moved + own[1]
+            # row 1's own tiles, not row 0's moved ones beside them
+            assert read() == own[1]
         assert db.execute(f"SELECT COUNT(*) FROM {tiles} WHERE grpcode = 0"
                           ).fetchall() == [(moved,)]
 
-    def test_spatial_delete_reads_the_groups_of_the_old_cover_only(self):
-        """Within a group code the probe is linear in that group's
-        tiles: the B-tree is on ``grpcode`` alone.  What it never reads
-        is a tile of any other group."""
+    def test_spatial_delete_reads_the_rows_own_tiles_only(self):
+        """A tile delete is keyed on ``(grpcode, code, rid)``: it reads
+        exactly the row's own tiles, not the rest of their group codes."""
         db = _spatial_db(600)
         tiles = "shapes_sidx_tiles"
         rid, shape = db.execute(
             "SELECT rowid, shape FROM shapes WHERE id = 300").fetchall()[0]
-        groups = sorted({t.grpcode for t in tessellate(shape)})
+        cover = tessellate(shape)
         in_groups = sum(
             db.execute(f"SELECT COUNT(*) FROM {tiles} WHERE grpcode = :1",
-                       [g]).fetchall()[0][0] for g in groups)
-        total = db.execute(f"SELECT COUNT(*) FROM {tiles}").fetchall()[0][0]
+                       [g]).fetchall()[0][0]
+            for g in {t.grpcode for t in cover})
         with rows_read(db, tiles) as read:
             db.execute("DELETE FROM shapes WHERE id = 300")
-            assert read() == in_groups
-        assert in_groups < total / 3
+            assert read() == len(cover)
+        assert len(cover) < in_groups / 10
         assert db.execute(f"SELECT COUNT(*) FROM {tiles} WHERE rid = :1",
                           [rid]).fetchall() == [(0,)]
 
@@ -196,6 +197,48 @@ class TestBatchDelete:
             assert read() == own
         assert db.execute(f"SELECT COUNT(*) FROM {terms}").fetchall() == [
             (before - own,)]
+
+
+def _resolve_calls(db, table, sql, params):
+    """(``VersionStore.resolve`` calls of ``table``'s store, rows) for
+    one statement."""
+    versions = db.catalog.get_table(table).storage.versions
+    calls = [0]
+    real = versions.resolve
+
+    def counting(rowid, current, snapshot):
+        calls[0] += 1
+        return real(rowid, current, snapshot)
+    versions.resolve = counting
+    try:
+        rows = db.execute(sql, params).fetchall()
+    finally:
+        del versions.resolve
+    return calls[0], sorted(rows)
+
+
+class TestScanWithMappedHeads:
+    """A snapshot scan of an IOT whose store maps some surrogates
+    resolves those, not every entry in bounds."""
+
+    def test_window_query_resolves_only_the_changed_rows_tiles(self):
+        db = _spatial_db(400)
+        gt = db.catalog.get_object_type("SDO_GEOMETRY")
+        window = "SELECT id FROM shapes WHERE Sdo_Relate(shape, :1," \
+                 " 'mask=ANYINTERACT')"
+        query = make_rect(gt, 300, 300, 600, 600)
+        _resolve_calls(db, "shapes_sidx_tiles", window, [query])  # plan
+        # one new row maps its tiles' surrogates; the index read by the
+        # window query holds hundreds of other tiles in bounds
+        db.execute("INSERT INTO shapes VALUES (9999, :1)",
+                   [make_rect(gt, 400, 400, 420, 430)])
+        added = len(tessellate(make_rect(gt, 400, 400, 420, 430)))
+        calls, rows = _resolve_calls(db, "shapes_sidx_tiles", window, [query])
+        assert (9999,) in rows
+        assert calls == added
+        calls, rows = _resolve_calls(db, "shapes_sidx_tiles", window,
+                                     [make_rect(gt, 700, 700, 900, 900)])
+        assert rows and calls == 0
 
 
 class TestScanAfterMaintenance:

@@ -189,6 +189,74 @@ class TestCrashRecovery:
         assert db2.query("SELECT COUNT(*) FROM none") == [(0,)]
         db2.close()
 
+    def test_tile_index_checkpoint_image_then_redo(self, data_dir):
+        """The tile index's IOT comes back from its checkpointed dump
+        plus the log after it: its rows are the covers of the live rows,
+        keyed deletes included, and its primary filter with the exact
+        test answers what the functional ``Sdo_Relate`` answers — before
+        and after the rebuild that makes the index usable again."""
+        from repro.cartridges.spatial import install, make_rect
+        from repro.cartridges.spatial.indextype import (
+            SpatialIndexMethods, sdo_relate_functional)
+        from repro.cartridges.spatial.tiling import tessellate
+        from repro.core.callbacks import CallbackPhase
+        db = Database(data_dir=data_dir)
+        install(db)
+        gt = db.catalog.get_object_type("SDO_GEOMETRY")
+        db.execute("CREATE TABLE geo (gid NUMBER, g SDO_GEOMETRY)")
+        db.executemany("INSERT INTO geo VALUES (:1, :2)", [
+            [i, make_rect(gt, 30 * i, 20 * i, 30 * i + 35, 20 * i + 70)]
+            for i in range(30)])
+        db.execute("CREATE INDEX geo_sidx ON geo(g)"
+                   " INDEXTYPE IS SpatialIndexType")
+        db.execute("INSERT INTO geo VALUES (100, :1)",
+                   [make_rect(gt, 500, 500, 700, 650)])
+        db.execute("UPDATE geo SET g = :1 WHERE gid = 3",
+                   [make_rect(gt, 250, 250, 270, 300)])
+        db.execute("DELETE FROM geo WHERE gid = 4")
+        db.engine.durability.checkpoint()
+        db.execute("INSERT INTO geo VALUES (101, :1)",
+                   [make_rect(gt, 10, 900, 400, 1000)])
+        db.execute("UPDATE geo SET g = :1 WHERE gid = 5",
+                   [make_rect(gt, 600, 600, 640, 700)])
+        db.execute("DELETE FROM geo WHERE gid = 100")
+        db.execute("DELETE FROM geo WHERE gid = 6")
+        crash(db)
+
+        db2 = Database(data_dir=data_dir)
+        install(db2)
+        rows = db2.execute("SELECT rowid, gid, g FROM geo").fetchall()
+        assert len(rows) == 29
+        assert sorted(
+            (rid.sort_key, grpcode, code, maxcode)
+            for rid, grpcode, code, maxcode in db2.execute(
+                "SELECT rid, grpcode, code, maxcode FROM geo_sidx_tiles")
+        ) == sorted((rid.sort_key, t.grpcode, t.code, t.maxcode)
+                    for rid, __, g in rows for t in tessellate(g))
+        index = db2.catalog.get_index("geo_sidx")
+        env = db2.make_env(CallbackPhase.SCAN, index.domain)
+        windows = [make_rect(gt, *box) for box in (
+            (0, 0, 1023, 1023), (240, 240, 300, 310), (590, 590, 650, 620),
+            (100, 880, 300, 990), (500, 500, 700, 650))]
+
+        def functional(window):
+            return sorted(gid for __, gid, g in rows if sdo_relate_functional(
+                g, window, "mask=ANYINTERACT"))
+        for window in windows:
+            candidates = set(SpatialIndexMethods()._primary_filter(
+                index.domain.index_info(), env, window))
+            assert sorted(gid for rid, gid, g in rows
+                          if rid in candidates and sdo_relate_functional(
+                              g, window, "mask=ANYINTERACT")) \
+                == functional(window)
+        db2.execute("ALTER INDEX geo_sidx REBUILD")
+        for window in windows:
+            assert sorted(gid for (gid,) in db2.execute(
+                "SELECT gid FROM geo WHERE Sdo_Relate(g, :1,"
+                " 'mask=ANYINTERACT')", [window]).fetchall()) \
+                == functional(window)
+        db2.close()
+
     def test_page_store_compaction_keeps_pages_and_iot_dumps(self, data_dir):
         db = Database(data_dir=data_dir)
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")

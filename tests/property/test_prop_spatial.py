@@ -187,6 +187,17 @@ class TestClosedFormCover:
                      make_rect(GT, at, at, at, at)):
             assert tessellate(flat) == _relate_cover(flat)
 
+    @given(st.one_of(rects(), any_rect()))
+    @settings(max_examples=150, deadline=None)
+    def test_cover_tiles_are_disjoint(self, geom):
+        """No tile twice and no two tiles overlapping: a row's tiles
+        have distinct ``(grpcode, code)``, so its keys in the tiles
+        table ``(grpcode, code, rid)`` are distinct."""
+        cover = sorted(tessellate(geom), key=lambda t: t.code)
+        assert len({(t.grpcode, t.code) for t in cover}) == len(cover)
+        for before, after in zip(cover, cover[1:]):
+            assert before.maxcode < after.code
+
     @given(any_rect(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_coarser_max_level(self, rect, max_level):
