@@ -58,9 +58,12 @@ VECTORIZED_AGG_FLOOR = 1.3
 #: a B-tree range probe with a selective residual: vector kernel over
 #: the fetched rowid batches vs the interpreter over a context per row
 INDEX_LOOKUP_FLOOR = 1.5
-#: generated row functions (IOT prefix scan, hash-join keys,
+#: generated row functions (sort keys, hash-join keys and condition,
 #: projections) must beat the interpreter on the row pipeline
 ROW_LOOP_FLOOR = 1.1
+#: an IOT prefix scan's batches through the vector kernel and the fused
+#: projection vs the interpreter over a context per posting
+IOT_PREFIX_FLOOR = 1.5
 
 
 def build_scan_db(n_rows):
@@ -153,13 +156,19 @@ def bench_index_lookup(n_rows, repeats):
     return _versus_interpreter(interpreted, generated, fetched=300, rows=n1)
 
 
-#: the row pipeline's two biggest consumers in benchmarks/e2e: a
-#: projection over an IOT prefix scan (the text cartridge's posting
-#: reads) and hash-join keys
+#: what stays on the row pipeline: a sort over an IOT prefix scan, and
+#: a hash join (keys, a condition over both tables, the projection);
+#: no scan below them has a filter a kernel could take
 ROW_LOOP_SQL = (
-    "SELECT doc, freq * 2 FROM postings WHERE term = :1",
+    "SELECT doc, freq * 2 FROM postings WHERE term = :1 ORDER BY doc DESC",
     "SELECT p.doc, d.grp FROM postings p, d"
-    " WHERE p.doc = d.id AND p.term = :1 AND p.freq > 1")
+    " WHERE p.doc = d.id AND p.term = :1 AND p.freq > d.id - p.doc")
+
+#: a callback-shaped posting read (the text cartridge's ``SELECT rid,
+#: freq ... WHERE token = :1``) with a residual: the IOT's prefix
+#: batches go through the vector kernel and the fused projection
+IOT_PREFIX_SQL = ("SELECT doc, freq * 2 FROM postings"
+                  " WHERE term = :1 AND freq > 1")
 
 
 def build_row_loop_db(n_rows):
@@ -174,10 +183,13 @@ def build_row_loop_db(n_rows):
 
 
 def bench_row_loop(n_rows, repeats):
-    """Row functions: IOT prefix scan + projection, and a hash join
-    (filter, keys, projection) — nothing here reaches a vector kernel.
-    Min of three rounds per mode."""
+    """Row functions: a sort over an IOT prefix scan, and a hash join
+    (keys, condition, projection) — nothing here reaches a vector
+    kernel.  Min of three rounds per mode."""
     db = build_row_loop_db(n_rows)
+    for sql in ROW_LOOP_SQL:
+        assert not any("VECTORIZED" in line
+                       for line in db.explain(sql, ["w1"])), sql
 
     def total(interpreted):
         timings = [_timed(db, sql, ["w1"], repeats, interpreted)
@@ -186,6 +198,21 @@ def bench_row_loop(n_rows, repeats):
 
     interpreted, n1 = min(total(True) for __ in range(3))
     generated, n2 = min(total(False) for __ in range(3))
+    assert n1 == n2 and n1 > 0, (n1, n2)
+    return _versus_interpreter(interpreted, generated, rows=n1)
+
+
+def bench_iot_prefix(n_rows, repeats):
+    """An IOT prefix scan with a residual under a projection: prefix
+    batches through the vector kernel and the fused gather vs the
+    interpreter.  Min of three rounds per mode."""
+    db = build_row_loop_db(n_rows)
+    assert all("VECTORIZED" in line
+               for line in db.explain(IOT_PREFIX_SQL, ["w1"])[:2])
+    interpreted, n1 = min(_timed(db, IOT_PREFIX_SQL, ["w1"], repeats, True)
+                          for __ in range(3))
+    generated, n2 = min(_timed(db, IOT_PREFIX_SQL, ["w1"], repeats)
+                        for __ in range(3))
     assert n1 == n2 and n1 > 0, (n1, n2)
     return _versus_interpreter(interpreted, generated, rows=n1)
 
@@ -250,6 +277,7 @@ def run_benchmarks(smoke=False):
             "vectorized_agg": bench_vectorized_agg(n_rows, repeats),
             "index_lookup": bench_index_lookup(n_rows, repeats),
             "row_loop": bench_row_loop(n_rows, repeats),
+            "iot_prefix": bench_iot_prefix(n_rows, repeats),
             "plan_cache": bench_cold_vs_warm(n_rows, repeats),
             "domain_scan": bench_domain_scan(n_docs, repeats),
             "batch_sweep": bench_batch_sweep(n_docs, repeats),
@@ -268,7 +296,8 @@ def render_table(results):
             ("filter_full_scan", "filter-heavy full scan"),
             ("vectorized_agg", "group-by aggregation"),
             ("index_lookup", "b-tree range probe + residual"),
-            ("row_loop", "iot prefix scan + hash join (row functions)"),
+            ("row_loop", "sort + hash join (row functions)"),
+            ("iot_prefix", "iot prefix scan + residual, fused projection"),
             ("domain_scan", "text domain scan")):
         case = cases[name]
         table.add_row(f"{label} (interp -> generated)",
@@ -287,6 +316,7 @@ FLOORS = {"filter_full_scan": FILTER_SPEEDUP_FLOOR,
           "vectorized_agg": VECTORIZED_AGG_FLOOR,
           "index_lookup": INDEX_LOOKUP_FLOOR,
           "row_loop": ROW_LOOP_FLOOR,
+          "iot_prefix": IOT_PREFIX_FLOOR,
           # at smoke scale the domain scan is ODCI-dispatch dominated,
           # so its ratio is not stable across corpus sizes: generated
           # code must not be slower, no more
@@ -366,6 +396,8 @@ def test_executor_benchmark():
     assert lookup >= 1.2, f"vectorized index lookup only {lookup}x"
     row_loop = results["cases"]["row_loop"]["speedup"]
     assert row_loop >= 1.0, f"row functions slower than interpreter"
+    iot = results["cases"]["iot_prefix"]["speedup"]
+    assert iot >= 1.2, f"vectorized IOT prefix scan only {iot}x"
 
 
 def main(argv=None):

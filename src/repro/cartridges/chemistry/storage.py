@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cartridges.chemistry.fingerprint import FP_BITS
 from repro.errors import StorageError
@@ -32,9 +32,11 @@ from repro.storage.heap import RowId
 
 _MAGIC = b"CFP1"
 _HEADER = struct.Struct(">4sI")
-_RECORD_FIXED = struct.Struct(">IIIBQQ")
 _FP_BYTES = FP_BITS // 8
-_RECORD_SIZE = _RECORD_FIXED.size + _FP_BYTES
+#: one record, fingerprint bytes included: a whole image decodes with
+#: one ``iter_unpack``
+_RECORD = struct.Struct(f">IIIBQQ{_FP_BYTES}s")
+_RECORD_SIZE = _RECORD.size
 
 FLAG_TOMBSTONE = 1
 
@@ -50,20 +52,23 @@ class Record:
     tombstone: bool = False
 
     def pack(self) -> bytes:
-        fixed = _RECORD_FIXED.pack(
+        return _RECORD.pack(
             self.rowid.segment_id, self.rowid.page_no, self.rowid.slot,
             FLAG_TOMBSTONE if self.tombstone else 0,
-            self.cert_hash, self.taut_hash)
-        return fixed + self.fingerprint.to_bytes(_FP_BYTES, "big")
+            self.cert_hash, self.taut_hash,
+            self.fingerprint.to_bytes(_FP_BYTES, "big"))
 
     @classmethod
     def unpack(cls, data: bytes) -> "Record":
-        seg, page, slot, flags, cert_hash, taut_hash = _RECORD_FIXED.unpack(
-            data[:_RECORD_FIXED.size])
-        fp = int.from_bytes(data[_RECORD_FIXED.size:_RECORD_SIZE], "big")
-        return cls(rowid=RowId(seg, page, slot), cert_hash=cert_hash,
-                   taut_hash=taut_hash, fingerprint=fp,
-                   tombstone=bool(flags & FLAG_TOMBSTONE))
+        return _record(_RECORD.unpack_from(data))
+
+
+def _record(fields: Tuple[Any, ...]) -> Record:
+    """The :class:`Record` of one unpacked record tuple."""
+    seg, page, slot, flags, cert_hash, taut_hash, fp = fields
+    return Record(rowid=RowId(seg, page, slot), cert_hash=cert_hash,
+                  taut_hash=taut_hash, fingerprint=int.from_bytes(fp, "big"),
+                  tombstone=bool(flags & FLAG_TOMBSTONE))
 
 
 class FingerprintIndexFile:
@@ -138,40 +143,55 @@ class FingerprintIndexFile:
 
     # -- reading ----------------------------------------------------------------
 
-    def raw_records(self) -> Iterator[Record]:
-        """Every physical record in file order (tombstones included)."""
+    def _unpacked(self) -> Iterator[Tuple[Any, ...]]:
+        """Every physical record as a tuple, in file order: the image is
+        read in one call and decoded by one ``iter_unpack``, the same
+        over a LOB and over an external file."""
         count = self.record_count()
         handle = self._open()
         handle.seek(_HEADER.size)
-        for __ in range(count):
-            data = handle.read(_RECORD_SIZE)
-            if len(data) < _RECORD_SIZE:
-                raise StorageError("truncated fingerprint index record")
-            yield Record.unpack(data)
+        data = handle.read(count * _RECORD_SIZE)
+        if len(data) < count * _RECORD_SIZE:
+            raise StorageError("truncated fingerprint index record")
+        return _RECORD.iter_unpack(data)
 
-    def records(self) -> Iterator[Record]:
-        """Live records: tombstoned rowids removed, later wins."""
-        dead: Dict[RowId, int] = {}
-        entries: List[Record] = []
-        for record in self.raw_records():
-            if record.tombstone:
-                dead[record.rowid] = dead.get(record.rowid, 0) + 1
+    def raw_records(self) -> Iterator[Record]:
+        """Every physical record in file order (tombstones included)."""
+        return map(_record, self._unpacked())
+
+    def _live(self, keep: Optional[Callable[[Tuple[Any, ...]], bool]] = None
+              ) -> List[Record]:
+        """Live records — tombstoned rowids removed, later wins — whose
+        unpacked tuple passes ``keep``: a :class:`Record` is built only
+        for those."""
+        dead: Dict[Tuple[int, int, int], int] = {}
+        entries: List[Tuple[Any, ...]] = []
+        for fields in self._unpacked():
+            if fields[3] & FLAG_TOMBSTONE:
+                rowid = fields[:3]
+                dead[rowid] = dead.get(rowid, 0) + 1
             else:
-                entries.append(record)
-        if not dead:
-            yield from entries
-            return
-        for record in entries:
-            remaining = dead.get(record.rowid, 0)
-            if remaining:
-                dead[record.rowid] = remaining - 1
-                continue
-            yield record
+                entries.append(fields)
+        if dead:
+            live = []
+            for fields in entries:
+                remaining = dead.get(fields[:3], 0)
+                if remaining:
+                    dead[fields[:3]] = remaining - 1
+                else:
+                    live.append(fields)
+            entries = live
+        return [_record(fields) for fields in entries
+                if keep is None or keep(fields)]
+
+    def records(self) -> List[Record]:
+        """Live records: tombstoned rowids removed, later wins."""
+        return self._live()
 
     def find_by_cert(self, cert_hash: int) -> List[Record]:
         """Live records whose full-structure hash matches."""
-        return [r for r in self.records() if r.cert_hash == cert_hash]
+        return self._live(lambda fields: fields[4] == cert_hash)
 
     def find_by_tautomer(self, taut_hash: int) -> List[Record]:
         """Live records whose tautomer hash matches."""
-        return [r for r in self.records() if r.taut_hash == taut_hash]
+        return self._live(lambda fields: fields[5] == taut_hash)

@@ -261,30 +261,38 @@ class BTree:
         Either bound may be None for an open end; inclusivity is
         controlled per bound (needed for ``>`` vs ``>=`` predicates).
         """
-        node = self._root
-        self._visit()
-        while not node.leaf:
-            if low is None:
-                node = node.children[0]
+        for keys, values in self.range_slices(low, high, low_inclusive,
+                                              high_inclusive):
+            if self.unique:
+                yield from zip(keys, values)
             else:
-                idx = bisect.bisect_right(node.keys, low)
-                node = node.children[idx]
-            self._visit()
-        unique = self.unique
-        while node is not None:
-            values = node.values
-            for idx, key in enumerate(node.keys):
-                if low is not None:
-                    if key < low or (not low_inclusive and key == low):
-                        continue
-                if high is not None:
-                    if key > high or (not high_inclusive and key == high):
-                        return
-                if unique:
-                    yield key, values[idx]
-                else:
-                    for payload in values[idx]:
+                for key, payloads in zip(keys, values):
+                    for payload in payloads:
                         yield key, payload
+
+    def range_slices(self, low: Any = None, high: Any = None,
+                     low_inclusive: bool = True, high_inclusive: bool = True
+                     ) -> Iterator[Tuple[List[Any], List[Any]]]:
+        """:meth:`range_scan`'s entries a leaf at a time: ``(keys,
+        values)`` slices of each leaf's lists (``values[i]`` as a leaf
+        holds it: the payload, or a non-unique key's list of them).
+        Two bisects a leaf find the run, so a walk costs no Python code
+        per entry.  A bound need not be a key: it only has to order
+        against the keys."""
+        node = self._leaf_for(low)
+        while node is not None:
+            keys = node.keys
+            start = 0 if low is None else (
+                bisect.bisect_left if low_inclusive
+                else bisect.bisect_right)(keys, low)
+            end = len(keys) if high is None else (
+                bisect.bisect_right if high_inclusive
+                else bisect.bisect_left)(keys, high)
+            if start < end:
+                yield keys[start:end], node.values[start:end]
+                low = None  # every later leaf starts past it
+            if end < len(keys):
+                return
             node = node.next_leaf
             if node is not None:
                 self._visit()
@@ -317,11 +325,12 @@ class BTree:
     # -- internals ----------------------------------------------------------
 
     def _leaf_for(self, key: Any) -> _Node:
+        """The leaf ``key`` belongs in (None: the first leaf)."""
         node = self._root
         self._visit()
         while not node.leaf:
-            idx = bisect.bisect_right(node.keys, key)
-            node = node.children[idx]
+            node = node.children[
+                0 if key is None else bisect.bisect_right(node.keys, key)]
             self._visit()
         return node
 

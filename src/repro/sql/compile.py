@@ -12,9 +12,10 @@ two loop shapes differ in the column leaf only:
   (a comprehension producing the selection vector), a projection
   gathers output tuples straight through the selection vector.
 * **row** — ``vals[(alias, column)]`` over ``RowContext.values``, for
-  everything that consumes rows (IOT prefix scans, join conditions and
-  keys, HAVING, projections over ``GROUP BY`` output).  Row functions
-  may also call registered SQL functions and read aggregate results.
+  everything that consumes rows (join conditions and keys, HAVING,
+  projections over ``GROUP BY`` output, a scan's filter on the row
+  pipeline).  Row functions may also call registered SQL functions and
+  read aggregate results.
 
 Design rules:
 
@@ -81,7 +82,7 @@ _INV_RELOP = {"=": "!=", "!=": "==", "<": ">=", "<=": ">",
               ">": "<=", ">=": "<"}
 
 
-def _kind_of_value(value: Any) -> Optional[str]:
+def kind_of_value(value: Any) -> Optional[str]:
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
@@ -89,7 +90,7 @@ def _kind_of_value(value: Any) -> Optional[str]:
     return "str" if isinstance(value, str) else None
 
 
-def _kind_of_type(datatype: Any) -> Optional[str]:
+def kind_of_type(datatype: Any) -> Optional[str]:
     """Kind of a declared column type whose ``validate`` admits only
     that kind's Python classes (so stored values never need checking)."""
     if isinstance(datatype, NumberType):
@@ -243,7 +244,7 @@ class _KernelCodegen:
     def value(self, expr: ast.Expr) -> _Val:
         if isinstance(expr, ast.Literal):
             value = expr.value
-            kind = _kind_of_value(value)
+            kind = kind_of_value(value)
             if kind is not None:
                 return _Val(repr(value), True, False, kind, raw=True)
             # hoisted, so the emitted value is the literal object itself
@@ -302,7 +303,7 @@ class _KernelCodegen:
             code = f"v{index}[i]"
         kind = None
         if table is not None and ref.column != "rowid":
-            kind = _kind_of_type(table.column_info(ref.column).datatype)
+            kind = kind_of_type(table.column_info(ref.column).datatype)
         return _Val(code, False, True, kind, raw=True)
 
     def _arithmetic(self, expr: ast.BinaryOp) -> _Val:
@@ -731,8 +732,8 @@ def compile_plan(plan: Any, catalog: Any) -> None:
     """
     from repro.sql import planner as pl  # deferred: planner imports us
     tables = dict(plan.scope.entries)
-    scans = (pl.FullScan,) + tuple(
-        path.node for path in pl.ACCESS_PATHS.values())
+    paths = tuple(path.node for path in pl.ACCESS_PATHS.values())
+    scans = (pl.FullScan,) + paths
 
     def vector_filter(scan: Any) -> bool:
         """Compile the scan's filter into a vector kernel (once)."""
@@ -748,13 +749,14 @@ def compile_plan(plan: Any, catalog: Any) -> None:
         return scan.vector_mode == "VECTORIZED"
 
     def consume(node: Any, slot: str, exprs: Optional[List],
-                rowid_source: bool = False) -> None:
+                projection: bool = False) -> None:
         """Stamp a consumer of its child scan's column batches — a
         columnar-capable full scan's, or (under a projection) those of
-        a scan that hands over rowids for the batched base-table fetch:
-        a gather over ``exprs``, or (None) a grouped column fold."""
+        any access path's scan: the batched base-table fetch of an
+        index's rowids, or an IOT's prefix batches — a gather over
+        ``exprs``, or (None) a grouped column fold."""
         scan = node.child
-        if not (rowid_source and isinstance(scan, pl.ROWID_SCANS)
+        if not (projection and isinstance(scan, paths)
                 or isinstance(scan, pl.FullScan)
                 and scan.has_scan_columns and scan.versioned):
             return
@@ -783,8 +785,7 @@ def compile_plan(plan: Any, catalog: Any) -> None:
         slots = node.compiled
         if isinstance(node, scans):
             slots["filter"] = predicate(node.filter)
-            if node.vector_mode is None \
-                    and not isinstance(node, pl.IOTPrefixScan):
+            if node.vector_mode is None:
                 # no batch consumer above: rows come out.  A vector
                 # filter still pays for itself (only survivors cross the
                 # materialization boundary); without a filter there is
@@ -825,7 +826,7 @@ def compile_plan(plan: Any, catalog: Any) -> None:
         elif isinstance(node, pl.ProjectNode):
             items = [e for e, __ in node.items]
             slots["items"] = [value(e) for e in items]
-            consume(node, "vector_items", items, rowid_source=True)
+            consume(node, "vector_items", items, projection=True)
         if made:
             node.exec_mode = "INTERPRETED" if None in made else "COMPILED"
         for child in node.children():

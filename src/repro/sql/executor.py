@@ -52,6 +52,7 @@ from repro.sql import ast_nodes as ast
 from repro.sql import planner as pl
 from repro.sql.catalog import TableDef
 from repro.sql.columnar import ColumnBatch, ExecutorStats
+from repro.sql.compile import kind_of_type, kind_of_value
 from repro.sql.expressions import (
     AggregateCall, Evaluator, RowContext, aggregate_key)
 from repro.types.values import NULL, is_null, sql_compare
@@ -73,7 +74,7 @@ _INDEX_SCANS = pl.NATIVE_INDEX_SCANS
 _SCAN_NODES = (pl.FullScan,) + pl.ROWID_SCANS
 
 #: nodes whose rows arrive in producer-shaped batches (iter_batches)
-_BATCHED_NODES = _SCAN_NODES + (pl.FilterNode,)
+_BATCHED_NODES = _SCAN_NODES + (pl.IOTPrefixScan, pl.FilterNode)
 
 #: marks a fetched row the cartridge supplied no ancillary value for
 _NO_AUX = object()
@@ -284,8 +285,6 @@ class Executor:
         """Yield row contexts for any relational plan node."""
         if isinstance(node, _BATCHED_NODES):
             return chain.from_iterable(self.iter_batches(node))
-        if isinstance(node, pl.IOTPrefixScan):
-            return self._iter_iot_prefix_scan(node)
         if isinstance(node, pl.NestedLoopJoin):
             return self._iter_nl_join(node)
         if isinstance(node, pl.IndexedNLJoin):
@@ -304,14 +303,14 @@ class Executor:
                      ) -> Iterator[List[RowContext]]:
         """Yield row contexts in batches.
 
-        Scans whose producers are naturally batched (heap pages, ODCI
-        fetch results, rowid chunks of an index probe) keep their batch
-        shape through the pipeline;
+        Scans whose producers are naturally batched (heap pages, IOT
+        prefix batches, ODCI fetch results, rowid chunks of an index
+        probe) keep their batch shape through the pipeline;
         other nodes are regrouped into ``fetch_batch_size`` chunks so
         batch consumers (filter, project) always run their tight loop.
         """
-        if isinstance(node, pl.FullScan):
-            return self._batches_full_scan(node)
+        if isinstance(node, (pl.FullScan, pl.IOTPrefixScan)):
+            return self._batches_scan(node)
         if isinstance(node, pl.DomainScan):
             return self._batches_domain_scan(node)
         if isinstance(node, _INDEX_SCANS):
@@ -337,46 +336,38 @@ class Executor:
             return ctx
         return make
 
-    def _batches_full_scan(self, node: pl.FullScan
-                           ) -> Iterator[List[RowContext]]:
-        # Row consumer over a vector-eligible filtered scan (joins, DML
-        # subselects): run the vector filter over columns, then cross
-        # the materialization boundary for survivors only — the kernel
-        # win pays for the transpose when the filter is selective.
-        if node.filter is not None:
-            cbatches = self._vector_scan(node)
-            if cbatches is not None:
-                make = self._ctx_factory(node.table, node.binding_name)
-                self.xstats.record_materialize_boundary()
-                for cbatch in cbatches:
-                    batch = [make(rowid, row)
-                             for rowid, row in cbatch.iter_rows()]
-                    if batch:
-                        yield batch
-                return
+    def _batches_scan(self, node: pl.PlanNode
+                      ) -> Iterator[List[RowContext]]:
+        """Row contexts of a full or IOT prefix scan, a page or a prefix
+        batch at a time.  Under a row consumer (joins, DML subselects) a
+        vector-eligible filter runs over columns, and only its survivors
+        cross the materialization boundary — the kernel win pays for
+        the transpose when the filter is selective."""
         make = self._ctx_factory(node.table, node.binding_name)
+        cbatches = self._vector_scan(node) if node.filter is not None \
+            else None
+        if cbatches is not None:
+            self.xstats.record_materialize_boundary()
+            for cbatch in cbatches:
+                yield [make(rowid, row) for rowid, row in cbatch.iter_rows()]
+            return
         passes = self._truth_fn(node, "filter", node.filter)
         storage = node.table.storage
-        # storage capabilities were probed once at plan time
-        # (node.has_scan_batches / node.versioned), not per statement
-        snapshot = self.snapshot if node.versioned else None
-        if node.has_scan_batches:
-            pages = storage.scan_batches(snapshot) if snapshot is not None \
+        if isinstance(node, pl.IOTPrefixScan):
+            pages: Iterable[Any] = (
+                zip(rowids, zip(*columns))
+                for rowids, columns in self._column_pages(node))
+        elif node.has_scan_batches:  # (storage probes made at plan time)
+            pages = storage.scan_batches(self.snapshot) if node.versioned \
                 else storage.scan_batches()
-        elif snapshot is not None:
-            pages = _chunked(storage.scan(snapshot), self.batch_size)
         else:
-            pages = _chunked(storage.scan(), self.batch_size)
-        if passes is None:
-            for page in pages:
-                yield [make(rowid, row) for rowid, row in page]
-            return
+            pages = _chunked(storage.scan(self.snapshot)
+                             if node.versioned and self.snapshot is not None
+                             else storage.scan(), self.batch_size)
         for page in pages:
-            batch = []
-            for rowid, row in page:
-                ctx = make(rowid, row)
-                if passes(ctx):
-                    batch.append(ctx)
+            batch = [make(rowid, row) for rowid, row in page]
+            if passes is not None:
+                batch = [ctx for ctx in batch if passes(ctx)]
             if batch:
                 yield batch
 
@@ -408,10 +399,11 @@ class Executor:
             return False, None
         return True, kernel
 
-    def _vector_scan(self, node: pl.FullScan
+    def _vector_scan(self, node: pl.PlanNode
                      ) -> Optional[Iterator[ColumnBatch]]:
-        """Columnar batches for a full scan, or None for the row path."""
-        if not node.has_scan_columns:
+        """Columnar batches for a full or IOT prefix scan, or None for
+        the row path."""
+        if isinstance(node, pl.FullScan) and not node.has_scan_columns:
             return None
         ok, kernel = self._vector_filter(node)
         return self._cbatches(node, kernel) if ok else None
@@ -419,8 +411,8 @@ class Executor:
     def _vector_cbatches(self, scan: pl.PlanNode
                          ) -> Optional[Iterator[ColumnBatch]]:
         """Filtered columnar batches of any vector-capable scan — full,
-        native index, or domain — or None for the row path."""
-        if isinstance(scan, pl.FullScan):
+        IOT prefix, native index, or domain — or None for the row path."""
+        if isinstance(scan, (pl.FullScan, pl.IOTPrefixScan)):
             return self._vector_scan(scan)
         source = self._scan_source(scan, columnar=True)
         if source is None:
@@ -448,11 +440,9 @@ class Executor:
                 i for i in range(cbatch.n)
                 if truth(predicate, make(rowids[i], cbatch.row(i))) is True]
 
-    def _cbatches(self, node: pl.FullScan, kernel: Optional[Callable]
+    def _cbatches(self, node: pl.PlanNode, kernel: Optional[Callable]
                   ) -> Iterator[ColumnBatch]:
-        storage = node.table.storage
-        snapshot = self.snapshot if node.versioned else None
-        for rowids, columns in storage.scan_batches_columnar(snapshot):
+        for rowids, columns in self._column_pages(node):
             cbatch = ColumnBatch(rowids, columns)
             if kernel is not None:
                 self._run_kernel(kernel, cbatch, node)
@@ -586,23 +576,27 @@ class Executor:
         with latch:
             return list(produce())
 
-    def _iter_iot_prefix_scan(self, node: pl.IOTPrefixScan
-                              ) -> Iterator[RowContext]:
+    def _column_pages(self, node: pl.PlanNode
+                      ) -> Iterator[Tuple[Any, List[Any]]]:
+        """``(rowids, columns)`` batches of a full scan's heap pages, or
+        of an IOT prefix scan's prefix: none when a key value is NULL,
+        and a bound only when its value is of its column's kind (so
+        that tuple order is :func:`sql_compare`'s)."""
+        storage = node.table.storage
+        if isinstance(node, pl.FullScan):
+            return storage.scan_batches_columnar(
+                self.snapshot if node.versioned else None)
         key = [self._const(expr) for expr in node.key]
         if any(is_null(value) for value in key):
-            return
-        make = self._ctx_factory(node.table, node.binding_name)
-        passes = self._truth_fn(node, "filter", node.filter)
-        storage = node.table.storage
-        if self.snapshot is not None \
-                and getattr(storage, "versions", None) is not None:
-            pairs = storage.key_prefix_scan(key, snapshot=self.snapshot)
-        else:
-            pairs = storage.key_prefix_scan(key)
-        for rowid, row in pairs:
-            ctx = make(rowid, row)
-            if passes is None or passes(ctx):
-                yield ctx
+            return iter(())
+        bounds = {}
+        for sarg in node.bounds:
+            value = self._const(sarg.value_expr)
+            kind = kind_of_type(
+                node.table.column_info(sarg.column_ref.column).datatype)
+            if kind is not None and kind_of_value(value) == kind:
+                bounds["high" if "<" in sarg.op else "low"] = value
+        return storage.prefix_batches(key, snapshot=self.snapshot, **bounds)
 
     # -- native index scans ----------------------------------------------------
 

@@ -14,7 +14,8 @@ per-call cost of registered functions are expressed in the same unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import prod
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple)
 
@@ -92,9 +93,8 @@ class PlanNode:
         line = (f"{'  ' * depth}{self.label()} "
                 f"(rows={self.est_rows:.0f} cost={self.est_cost:.2f})"
                 f"{mode}{vector}")
-        lines = [line]
-        for note in self.annotations:
-            lines.append(f"{'  ' * (depth + 1)}{note}")
+        lines = [line] + [f"{'  ' * (depth + 1)}{note}"
+                          for note in self.annotations]
         for child in self.children():
             lines.extend(child.explain(depth + 1))
         return lines
@@ -167,17 +167,21 @@ class BitmapScan(PlanNode):
 
 @dataclass
 class IOTPrefixScan(PlanNode):
-    """Key-prefix scan of an index-organized table (its native path)."""
+    """Key-prefix scan of an index-organized table (its native path):
+    ``key`` holds equality values for the leading primary-key columns,
+    ``bounds`` range sargs on the next one — hints where the leaf walk
+    starts and stops, which ``filter`` still tests."""
 
     table: TableDef
     binding_name: str
-    #: equality values for the leading primary-key columns, in key order
     key: List[ast.Expr] = field(default_factory=list)
+    bounds: List["Sarg"] = field(default_factory=list)
     filter: Optional[ast.Expr] = None
 
     def label(self) -> str:
         return (f"IOT PREFIX SCAN {self.table.name} [{self.binding_name}]"
-                f" key={len(self.key)}/{len(self.table.primary_key)}")
+                f" key={len(self.key)}/{len(self.table.primary_key)}" + "".join(
+                    f" {s.column_ref.column}{s.op}" for s in self.bounds))
 
 
 @dataclass
@@ -496,21 +500,13 @@ def extract_operator_pred(conjunct: ast.Expr) -> Optional[OperatorPred]:
         if isinstance(right, OperatorCall) and isinstance(left, ast.Literal):
             left, right, op = right, left, _RELOP_FLIP[op]
         if isinstance(left, OperatorCall) and isinstance(right, ast.Literal) \
-                and not left.operator.is_ancillary:
+                and not left.operator.is_ancillary and op != "!=":
             value = right.value
-            if op == "=":
-                return OperatorPred(left, lower=value, upper=value,
-                                    source=conjunct)
-            if op == ">":
-                return OperatorPred(left, lower=value, include_lower=False,
-                                    source=conjunct)
-            if op == ">=":
-                return OperatorPred(left, lower=value, source=conjunct)
-            if op == "<":
-                return OperatorPred(left, upper=value, include_upper=False,
-                                    source=conjunct)
-            if op == "<=":
-                return OperatorPred(left, upper=value, source=conjunct)
+            return OperatorPred(
+                left, lower=value if op in ("=", ">", ">=") else None,
+                upper=value if op in ("=", "<", "<=") else None,
+                include_lower=op != ">", include_upper=op != "<",
+                source=conjunct)
     return None
 
 
@@ -575,8 +571,9 @@ ACCESS_PATHS: Dict[str, AccessPath] = {
     "bitmap": AccessPath(BitmapScan,
                          lambda used: {"keys": [used[0].value_expr]},
                          ("eq",), 1.0, FETCH_COST),
-    "iot": AccessPath(IOTPrefixScan,
-                      lambda used: {"key": [s.value_expr for s in used]},
+    "iot": AccessPath(IOTPrefixScan, lambda used: {
+        "key": [s.value_expr for s in used if s.op == "="],
+        "bounds": [s for s in used if s.op != "="]},
                       ("eq-prefix",), BTREE_DESCENT, ROW_CPU,
                       rowid_source=False),
     "domain": AccessPath(DomainScan,
@@ -905,14 +902,12 @@ class Planner:
         def walk(node: ast.Expr) -> None:
             if isinstance(node, AggregateCall):
                 aggregates.append(node)
-            else:
+            elif node is not None:  # (no HAVING)
                 for child in child_exprs(node):
                     walk(child)
 
-        for expr, _ in items:
+        for expr in [e for e, __ in items] + [having]:
             walk(expr)
-        if having is not None:
-            walk(having)
         return aggregates
 
     # -- FROM/WHERE planning -----------------------------------------------------
@@ -1078,7 +1073,9 @@ class Planner:
                     summary.table, low[0], high[0])
         elif shape == "eq-prefix":
             # equalities on the leading k key columns; a full key is one
-            # descent to at most one row
+            # descent to at most one row.  Short of it, the next column's
+            # first lower and upper bound ride along as hints, copies
+            # claiming no conjunct: the residual still tests them
             used: List[Sarg] = []
             for column in columns:
                 eq = summary.sargs.get((column, "eq"))
@@ -1086,8 +1083,13 @@ class Planner:
                     break
                 used.append(eq[0])
                 rows *= self._selectivity(summary, eq[0].conjunct)
-            if used:
-                yield used, 1.0 if len(used) == len(columns) else rows
+            if len(used) == len(columns):
+                yield used, 1.0
+            elif used:
+                bounds = [summary.sargs.get((columns[len(used)], side))
+                          for side in ("low", "high")]
+                yield used + [replace(s[0], conjunct=-1)
+                              for s in bounds if s], rows
         elif shape == "op":
             for pred in summary.op_preds:
                 if pred.call.args[0].column in columns:
@@ -1148,9 +1150,8 @@ class Planner:
         # baseline: full scan with all conjuncts as filter
         full = FullScan(table=table, binding_name=binding,
                         filter=and_together(conjuncts))
-        sel_all = 1.0
-        for i in range(len(conjuncts)):
-            sel_all *= self._selectivity(summary, i)
+        sel_all = prod(self._selectivity(summary, i)
+                       for i in range(len(conjuncts)))
         full.est_rows = max(1.0, rows * sel_all) if conjuncts else max(rows, 1.0)
         full.est_cost = pages + rows * (ROW_CPU
                                         + self._filter_cost(full.filter))

@@ -14,21 +14,66 @@ Key and payload are both tuples, and the tree is unique, so it stores
 the payload as it is: a row costs the tree one key tuple and one payload
 tuple.  A payload of plain values (numbers, strings) holds no reference
 the cyclic garbage collector must follow, so it stops being tracked at
-its first collection; only a key holding a rowid stays tracked.  What
-the table hands out is always a fresh list, ``list(key) + list(payload)``.
+its first collection; only a key holding a rowid stays tracked.  A row
+handed out one at a time is a fresh list, ``list(key) + list(payload)``;
+a prefix scan hands its rows over as columns instead
+(:meth:`IndexOrganizedTable.prefix_batches`), transposed from the key
+and payload tuples with no object built per row.
 """
 
 from __future__ import annotations
 
 import threading
-from operator import itemgetter
-from typing import Any, Iterator, List, Optional, Tuple
+from operator import add, itemgetter
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache
-from repro.storage.heap import RowId
+from repro.storage.heap import PageRowIds, RowId
 from repro.index.btree import BTree
 from repro.txn.mvcc import Snapshot, VersionStore
+
+
+class _Top:
+    """Orders above every other value: ``prefix + (_TOP,)`` is a bound
+    past every key that starts with ``prefix``.  (Tuples compare their
+    first unequal items with ``<`` / ``>``; a key column's value defers
+    to these reflections.)"""
+
+    __slots__ = ()
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+    def __gt__(self, other: Any) -> bool:
+        return True
+
+
+_TOP = _Top()
+
+
+def _prefix_bounds(prefix: List[Any], low: Any, high: Any
+                   ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...], bool, bool]:
+    """``BTree.range_scan`` arguments for the keys that start with
+    ``prefix`` and whose next column lies in ``[low, high]`` (None: no
+    bound on that side)."""
+    prefix = tuple(prefix)
+    return (prefix if low is None else prefix + (low,),
+            prefix + ((_TOP,) if high is None else (high, _TOP)),
+            True, False)
+
+
+def _range_test(low, high, low_inclusive, high_inclusive):
+    """The bounds of ``BTree.range_scan`` as a test on one key."""
+    def in_range(key):
+        if low is not None:
+            if key < low or (key == low and not low_inclusive):
+                return False
+        if high is not None:
+            if key > high or (key == high and not high_inclusive):
+                return False
+        return True
+    return in_range
 
 
 class IndexOrganizedTable:
@@ -62,7 +107,8 @@ class IndexOrganizedTable:
         self.dump_dirty = False
         # surrogate rowid <-> key mapping for executor uniformity.
         # Surrogates are numbered densely, so rowid -> key is a list
-        # indexed by slot number (less what TRUNCATE retired)
+        # indexed by slot number (less what TRUNCATE retired), and key ->
+        # rowid keeps the slot number
         self._key_of_surrogate: List[Optional[Tuple[Any, ...]]] = []
         self._surrogate_base = 0
         self._surrogate_of_key: dict = {}
@@ -211,7 +257,7 @@ class IndexOrganizedTable:
         with self._latch:
             self._tree.insert(key, payload)
             self._key_of_surrogate[rowid.slot - self._surrogate_base] = key
-            self._surrogate_of_key.setdefault(key, rowid)
+            self._surrogate_of_key.setdefault(key, rowid.slot)
             self._drop_ghost(key, rowid)
 
     def delete_by_key(self, key_values: List[Any]) -> int:
@@ -243,11 +289,7 @@ class IndexOrganizedTable:
     def scan(self, snapshot: Optional[Snapshot] = None
              ) -> Iterator[Tuple[RowId, List[Any]]]:
         """Scan in key order, yielding (surrogate rowid, full row)."""
-        if snapshot is not None:
-            yield from self._snapshot_scan(snapshot, BTree.items)
-            return
-        for key, payload in self._tree.items():
-            yield self._surrogate(key), list(key) + list(payload)
+        return self._rows((None, None, True, True), snapshot)
 
     def key_range_scan(self, low: Optional[Tuple[Any, ...]] = None,
                        high: Optional[Tuple[Any, ...]] = None,
@@ -256,123 +298,131 @@ class IndexOrganizedTable:
                        snapshot: Optional[Snapshot] = None,
                        ) -> Iterator[Tuple[RowId, List[Any]]]:
         """Scan rows whose key lies in [low, high] (tuple bounds)."""
-        def walk(tree):
-            return tree.range_scan(low, high, low_inclusive, high_inclusive)
-
-        if snapshot is not None:
-            yield from self._snapshot_scan(
-                snapshot, walk, self._range_test(low, high, low_inclusive,
-                                                 high_inclusive))
-            return
-        for key, payload in walk(self._tree):
-            yield self._surrogate(key), list(key) + list(payload)
+        return self._rows((low, high, low_inclusive, high_inclusive),
+                          snapshot)
 
     def key_prefix_scan(self, prefix: List[Any],
                         snapshot: Optional[Snapshot] = None
                         ) -> Iterator[Tuple[RowId, List[Any]]]:
-        """Scan rows whose key starts with ``prefix`` (in key order).
+        """Scan rows whose key starts with ``prefix`` (in key order): the
+        rows of :meth:`prefix_batches`, one ``(rowid, row)`` pair each."""
+        return self._rows(_prefix_bounds(prefix, None, None), snapshot)
+
+    def prefix_batches(self, prefix: List[Any], low: Any = None,
+                       high: Any = None, snapshot: Optional[Snapshot] = None
+                       ) -> Iterator[Tuple[PageRowIds, List[Sequence[Any]]]]:
+        """The rows whose key starts with ``prefix``, in key order, as
+        ``(rowids, columns)`` batches: ``columns[c][i]`` is column ``c``
+        of row ``i``, built straight from the key and payload tuples.
 
         This is the IOT's native access path for queries like
         ``WHERE token = :1`` on a ``(token, rid)``-keyed table — a
-        B-tree descent plus a bounded leaf walk, not a full scan.  A
-        prefix as wide as the key is one descent.
+        B-tree descent plus a bounded leaf walk, not a full scan; a
+        prefix as wide as the key is one descent.  ``low`` / ``high``
+        bound the key column after the prefix (both inclusive): the
+        walk starts at ``prefix + (low,)`` and stops past ``high``.
+        They must order against that column's stored values as SQL
+        does, and a caller still tests the predicate they came from.
+        ``rowids`` builds a surrogate ``RowId`` only for an item read.
         """
-        prefix_tuple = tuple(prefix)
-        width = len(prefix_tuple)
+        rowids, keys, payloads = self._read(
+            _prefix_bounds(prefix, low, high), snapshot)
+        if keys:
+            yield rowids, [*zip(*keys), *zip(*payloads)]
 
-        def in_prefix(key):
-            return tuple(key[:width]) == prefix_tuple
-
-        def walk(tree):
-            for key, payload in tree.range_scan(low=prefix_tuple):
-                if not in_prefix(key):
-                    break
-                yield key, payload
-
-        if snapshot is not None:
-            yield from self._snapshot_scan(snapshot, walk, in_prefix)
+    def _rows(self, bounds: Tuple[Any, Any, bool, bool],
+              snapshot: Optional[Snapshot]
+              ) -> Iterator[Tuple[RowId, List[Any]]]:
+        """``(rowid, row)`` for the rows in ``bounds`` (the arguments of
+        ``BTree.range_scan``); streamed from the tree in current mode."""
+        if snapshot is None:
+            for key, payload in self._tree.range_scan(*bounds):
+                yield self._surrogate(key), list(key) + list(payload)
             return
-        for key, payload in walk(self._tree):
-            yield self._surrogate(key), list(key) + list(payload)
+        rowids, keys, payloads = self._read(bounds, snapshot)
+        yield from zip(rowids, map(list, map(add, keys, payloads)))
 
-    def _range_test(self, low, high, low_inclusive, high_inclusive):
-        def in_range(key):
-            if low is not None:
-                if key < low or (key == low and not low_inclusive):
-                    return False
-            if high is not None:
-                if key > high or (key == high and not high_inclusive):
-                    return False
-            return True
-        return in_range
+    def _entries(self, bounds: Tuple[Any, Any, bool, bool]
+                 ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[Any, ...]]]:
+        """The keys and payloads of the tree's entries in ``bounds``, a
+        leaf slice at a time (caller holds the latch)."""
+        keys: List[Tuple[Any, ...]] = []
+        payloads: List[Tuple[Any, ...]] = []
+        for run, values in self._tree.range_slices(*bounds):
+            if not self.unique:  # a key's payloads are one entry each
+                run = [key for key, group in zip(run, values) for __ in group]
+                values = [payload for group in values for payload in group]
+            keys += run
+            payloads += values
+        return keys, payloads
 
-    def _snapshot_scan(self, snapshot: Snapshot, walk, in_bounds=None
-                       ) -> List[Tuple[RowId, List[Any]]]:
-        """Consistent-read scan: latched materialize + ghost overlay.
+    def _read(self, bounds: Tuple[Any, Any, bool, bool],
+              snapshot: Optional[Snapshot]
+              ) -> Tuple[Sequence[RowId], List[Tuple[Any, ...]],
+                         List[Tuple[Any, ...]]]:
+        """``(rowids, keys, payloads)`` of the rows in ``bounds``, aligned
+        and in key order: as the tree holds them, or as ``snapshot``
+        sees them.
 
-        ``walk(tree)`` yields a B-tree's entries in bounds.  The tree
-        rows in bounds are materialized under the structure latch
+        The tree's entries in bounds are read under the structure latch
         (writers restructure the tree mid-flight otherwise).  When the
-        store has nothing mapped and no ghost lies in bounds, that walk
-        is the answer as it stands, already in key order.  Otherwise
-        each row whose surrogate has a version chain is resolved through
-        it (the others are as the tree holds them); the ghosts in
-        bounds — surrogates some snapshot may still see under a key the
-        tree no longer holds for them — are walked with the same bounds
-        and overlaid, every row is bounds-checked against its
-        *resolved* key, and the merge re-sorted into key order.  The
-        cost is the entries and ghosts in bounds, whatever the table's
-        history.
+        store has nothing mapped and no ghost lies in bounds, they are
+        the snapshot's answer as they stand.  Otherwise each row whose
+        surrogate has a version chain is resolved through it (the
+        others are as the tree holds them); the ghosts in bounds —
+        surrogates some snapshot may still see under a key the tree no
+        longer holds for them — are walked with the same bounds and
+        overlaid, every row is bounds-checked against its *resolved*
+        key, and the merge re-sorted into key order.  The cost is the
+        entries and ghosts in bounds, whatever the table's history.
         """
+        if snapshot is None:
+            with self._latch:
+                keys, payloads = self._entries(bounds)
+                return self._rowids(keys), keys, payloads
         return self.versions.read(
-            lambda: self._read_entries(snapshot, walk, in_bounds), snapshot)
+            lambda: self._read_entries(bounds, snapshot), snapshot)
 
-    def _read_entries(self, snapshot: Snapshot, walk, in_bounds
-                      ) -> List[Tuple[RowId, List[Any]]]:
-        """One attempt at :meth:`_snapshot_scan`: read the tree, then
-        consult the store."""
+    def _read_entries(self, bounds: Tuple[Any, Any, bool, bool],
+                      snapshot: Snapshot):
+        """One attempt at :meth:`_read` under a snapshot: read the tree,
+        then consult the store."""
         kw = self.key_width
         versions = self.versions
         with self._latch:
-            pairs = [(self._surrogate(key), key, payload)
-                     for key, payload in walk(self._tree)]
-            ghosts = [rid for __, rid in walk(self._ghosts)] \
+            keys, payloads = self._entries(bounds)
+            rowids = self._rowids(keys)
+            ghosts = [rid for __, rid in self._ghosts.range_scan(*bounds)] \
                 if self._ghosts.entry_count else ()
         if not ghosts and versions.settled(snapshot):
-            return [(rid, list(key) + list(payload))
-                    for rid, key, payload in pairs]
-        rids = [rid for rid, __, __ in pairs]
+            return rowids, keys, payloads
+        rids = list(rowids)
         values = versions.resolve_batch(
-            rids, [list(key) + list(payload) for __, key, payload in pairs],
-            snapshot)
+            rids, list(map(add, keys, payloads)), snapshot)
+        in_bounds = _range_test(*bounds)
         tracked = versions.tracked
         seen = set()
         results = []
+
+        def place(rid, value):
+            if value is not None and in_bounds(vkey := tuple(value[:kw])):
+                results.append((vkey, rid.sort_key, tuple(value[kw:]), rid))
+
         for rid, value in zip(rids, values):
             if rid in seen and tracked(rid):
                 # non-unique duplicate keys share a surrogate; a tracked
                 # surrogate resolves once through its chain
                 continue
             seen.add(rid)
-            if value is None:
-                continue
-            vkey = tuple(value[:kw])
-            if in_bounds is not None and not in_bounds(vkey):
-                continue
-            results.append((vkey, rid.sort_key, value, rid))
+            place(rid, value)
         for rid in ghosts:
-            if rid in seen:
-                continue
-            seen.add(rid)
-            value = versions.resolve(rid, None, snapshot)
-            if value is None:
-                continue
-            vkey = tuple(value[:kw])
-            if in_bounds is not None and not in_bounds(vkey):
-                continue
-            results.append((vkey, rid.sort_key, value, rid))
-        results.sort(key=lambda item: (item[0], item[1]))
-        return [(rid, value) for __, __, value, rid in results]
+            if rid not in seen:
+                seen.add(rid)
+                place(rid, versions.resolve(rid, None, snapshot))
+        results.sort(key=itemgetter(0, 1))
+        return ([rid for *__, rid in results],
+                [vkey for vkey, *__ in results],
+                [payload for __, __, payload, __ in results])
 
     def locate(self, key_values: Any
                ) -> Optional[Tuple[RowId, List[Any]]]:
@@ -464,17 +514,32 @@ class IndexOrganizedTable:
 
     # -- internals ----------------------------------------------------------
 
-    def _surrogate(self, key: Tuple[Any, ...]) -> RowId:
-        rid = self._surrogate_of_key.get(key)
-        if rid is None:
+    def _slot(self, key: Tuple[Any, ...]) -> int:
+        """The slot number of ``key``'s surrogate, allocated on first
+        sight.  The map keeps the bare int — the ``RowId`` is built when
+        one is handed out — since it is never pruned."""
+        slot = self._surrogate_of_key.get(key)
+        if slot is None:
             with self._latch:  # check-then-allocate must be atomic
-                rid = self._surrogate_of_key.get(key)
-                if rid is None:
-                    rid = RowId(self.segment_id, 0, self._next_surrogate)
+                slot = self._surrogate_of_key.get(key)
+                if slot is None:
+                    slot = self._surrogate_of_key[key] = self._next_surrogate
                     self._next_surrogate += 1
-                    self._surrogate_of_key[key] = rid
                     self._key_of_surrogate.append(key)
-        return rid
+        return slot
+
+    def _surrogate(self, key: Tuple[Any, ...]) -> RowId:
+        slot = self._surrogate_of_key.get(key)
+        return RowId(self.segment_id, 0,
+                     self._slot(key) if slot is None else slot)
+
+    def _rowids(self, keys: List[Tuple[Any, ...]]) -> PageRowIds:
+        """The surrogates of ``keys`` as one batch (a surrogate is
+        ``RowId(segment, 0, slot)``, so page 0 of a page batch)."""
+        slots = list(map(self._surrogate_of_key.get, keys))
+        if None in slots:
+            slots = list(map(self._slot, keys))
+        return PageRowIds(self.segment_id, 0, slots)
 
     def _key_of(self, rowid: RowId) -> Optional[Tuple[Any, ...]]:
         """The key ``rowid`` was last bound to; None for a rowid this
@@ -523,6 +588,6 @@ class IndexOrganizedTable:
     def _rebind_surrogate(self, rowid: RowId, old_key: Tuple[Any, ...],
                           new_key: Tuple[Any, ...]) -> None:
         self._key_of_surrogate[rowid.slot - self._surrogate_base] = new_key
-        if self._surrogate_of_key.get(old_key) is rowid:
+        if self._surrogate_of_key.get(old_key) == rowid.slot:
             del self._surrogate_of_key[old_key]
-        self._surrogate_of_key[new_key] = rowid
+        self._surrogate_of_key[new_key] = rowid.slot

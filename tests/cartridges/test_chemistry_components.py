@@ -287,3 +287,110 @@ class TestFingerprintIndexFile:
         record = Record(rowid=RowId(7, 3, 2), cert_hash=123456789,
                         taut_hash=987654321, fingerprint=(1 << 200) | 5)
         assert Record.unpack(record.pack()) == record
+
+
+def _read_record_at_a_time(open_handle):
+    """The reference reader: one ``read`` and one :class:`Record` per
+    record, then tombstones applied (each cancels the earliest live
+    entry of its rowid).  Returns ``(physical records, live records)``."""
+    size = len(Record(RowId(0, 0, 0), 0, 0, 0).pack())
+    handle = open_handle()
+    handle.seek(0)
+    header = handle.read(8)
+    count = int.from_bytes(header[4:], "big")
+    raw = []
+    for __ in range(count):
+        data = handle.read(size)
+        if len(data) < size:
+            raise StorageError("truncated")
+        raw.append(Record.unpack(data))
+    dead = {}
+    for record in raw:
+        if record.tombstone:
+            dead[record.rowid] = dead.get(record.rowid, 0) + 1
+    live = []
+    for record in raw:
+        if record.tombstone:
+            continue
+        if dead.get(record.rowid):
+            dead[record.rowid] -= 1
+            continue
+        live.append(record)
+    return raw, live
+
+
+class TestOneReadDecoder:
+    """The fingerprint file is decoded from one read of its image by one
+    ``struct.iter_unpack``, and the LOB and the external file share that
+    code path: both answer what reading a record at a time answers."""
+
+    @pytest.fixture(params=["LOB", "FILE"])
+    def store(self, request):
+        from repro.storage.filestore import FileStore
+        from repro.storage.lob import LobManager
+        stats = IOStats()
+        if request.param == "LOB":
+            lobs = LobManager(BufferCache(stats))
+            lob_id = lobs.create().lob_id
+            return request.param, stats, lambda: lobs.open(lob_id)
+        files = FileStore(stats)
+        files.create("fp.cfp")
+        return request.param, stats, lambda: files.open("fp.cfp")
+
+    @staticmethod
+    def _fill(index_file):
+        """300 records over several LOB chunks: duplicate rowids,
+        tombstones of one, both and none of a rowid's entries, a
+        tombstone with no entry, re-inserts after a tombstone."""
+        rng = random.Random(5)
+        index_file.initialize()
+
+        def record(slot, tag):
+            return Record(rowid=RowId(2, slot // 50, slot % 50),
+                          cert_hash=slot % 17, taut_hash=tag % 11,
+                          fingerprint=rng.getrandbits(512))
+        index_file.append_many([record(s, s) for s in range(200)])
+        index_file.append_many([record(s, s + 1) for s in range(0, 60, 3)])
+        for slot in (0, 3, 4, 7, 9, 400):
+            index_file.tombstone(RowId(2, slot // 50, slot % 50))
+        index_file.tombstone(RowId(2, 0, 3))
+        index_file.append_many([record(s, s + 2) for s in (4, 9, 250)])
+
+    def test_decoder_equals_the_record_at_a_time_reader(self, store):
+        __, __, open_handle = store
+        index_file = FingerprintIndexFile(open_handle)
+        self._fill(index_file)
+        raw, live = _read_record_at_a_time(open_handle)
+        assert index_file.record_count() == len(raw) > 200
+        assert list(index_file.raw_records()) == raw
+        assert index_file.records() == live
+        assert {r.rowid for r in live} != {r.rowid for r in raw}
+        for value in range(17):
+            assert index_file.find_by_cert(value) == [
+                r for r in live if r.cert_hash == value]
+        for value in range(11):
+            assert index_file.find_by_tautomer(value) == [
+                r for r in live if r.taut_hash == value]
+
+    def test_one_read_of_the_image(self, store):
+        kind, stats, open_handle = store
+        index_file = FingerprintIndexFile(open_handle)
+        self._fill(index_file)
+        reads = stats.file_reads
+        assert len(index_file.records()) > 200
+        # a file read is the header, then the image; a LOB's reads go
+        # through the buffer cache and count none
+        assert stats.file_reads - reads == (2 if kind == "FILE" else 0)
+
+    def test_truncated_image_raises(self, store):
+        __, __, open_handle = store
+        index_file = FingerprintIndexFile(open_handle)
+        self._fill(index_file)
+        handle = open_handle()
+        handle.truncate(handle.length() - 40)
+        for read in (index_file.records, index_file.raw_records,
+                     lambda: index_file.find_by_cert(3)):
+            with pytest.raises(StorageError, match="truncated"):
+                read()
+        with pytest.raises(StorageError):
+            _read_record_at_a_time(open_handle)

@@ -152,6 +152,42 @@ class TestPrimaryFilter:
         assert {1, 2, 3, 4} <= group_counts
         assert level4 and contained
 
+    @pytest.mark.vectorized
+    def test_group_scan_walks_no_tile_past_the_bound(self, layers_db):
+        """``code <= :2`` bounds each group code's leaf walk: the tiles
+        table hands over exactly the group's tiles up to the bound —
+        none above it, and fewer than the group holds."""
+        gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
+        storage = layers_db.catalog.get_table("parks_sidx_tiles").storage
+        walked = []
+        real = storage.prefix_batches
+
+        def spy(prefix, low=None, high=None, snapshot=None):
+            for rowids, columns in real(prefix, low, high, snapshot):
+                walked.append((prefix[0], high, list(columns[1])))
+                yield rowids, columns
+        storage.prefix_batches = spy
+        try:
+            for box in ((100, 100, 160, 150), (300, 300, 700, 700),
+                        (0, 500, 1023, 540), (600, 40, 630, 90)):
+                layers_db.execute(
+                    "SELECT gid FROM parks WHERE Sdo_Relate(geometry, :1,"
+                    " 'mask=ANYINTERACT')", [make_rect(gt, *box)]).fetchall()
+        finally:
+            del storage.prefix_batches
+        assert walked
+        in_groups = 0
+        for grpcode, high, codes in walked:
+            assert high is not None and max(codes) <= high
+            # a full scan (``+ 0`` defeats the prefix path) agrees
+            assert len(codes) == layers_db.execute(
+                "SELECT COUNT(*) FROM parks_sidx_tiles WHERE grpcode + 0 = :1"
+                " AND code <= :2", [grpcode, high]).fetchall()[0][0]
+            in_groups += layers_db.execute(
+                "SELECT COUNT(*) FROM parks_sidx_tiles WHERE grpcode + 0 = :1",
+                [grpcode]).fetchall()[0][0]
+        assert sum(len(codes) for __, __, codes in walked) < in_groups
+
 
 class TestSpatialJoin:
     def test_join_uses_domain_nl_probe(self, layers_db):

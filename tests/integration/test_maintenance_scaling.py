@@ -60,6 +60,7 @@ def rows_read(db, table_name):
     # index-organized table
     for name in ("scan", "key_prefix_scan", "key_range_scan"):
         spy(name, each(lambda pair: 1))
+    spy("prefix_batches", each(lambda batch: len(batch[0])))
     spy("locate", once(lambda found: found is not None))
     # heap table
     spy("scan_batches", each(len))
@@ -111,6 +112,26 @@ def _spatial_db(n_rows, seed=7):
     db.execute("CREATE INDEX shapes_sidx ON shapes(shape)"
                " INDEXTYPE IS SpatialIndexType")
     return db
+
+
+class TestSpy:
+    def test_counts_what_each_read_path_hands_over(self):
+        """The spy sees every way a statement reads the postings: a
+        prefix scan (row path and vectorized projection), a full scan,
+        and a keyed lookup."""
+        db = _text_db(200)
+        terms = "docs_tidx_terms"
+        n = db.execute(f"SELECT COUNT(*) FROM {terms} WHERE token = 'w001'"
+                       ).fetchall()[0][0]
+        assert n > 2
+        for sql in (f"SELECT rid FROM {terms} WHERE token = 'w001'",
+                    f"SELECT COUNT(*) FROM {terms} WHERE token = 'w001'"):
+            with rows_read(db, terms) as read:
+                db.execute(sql).fetchall()
+                assert read() == n
+        with rows_read(db, terms) as read:
+            db.execute(f"SELECT COUNT(*) FROM {terms}").fetchall()
+            assert read() == 200 * WORDS_PER_DOC
 
 
 class TestOneRowMaintenance:

@@ -60,18 +60,24 @@ class TestIOTPrefixPath:
                                                 monkeypatch):
         storage = terms_db.catalog.get_table("terms").storage
         examined = []
-        real = storage.key_prefix_scan
+        real = storage.prefix_batches
 
-        def counting(prefix, snapshot=None):
-            for pair in real(prefix, snapshot=snapshot):
-                examined.append(pair)
-                yield pair
-        monkeypatch.setattr(storage, "key_prefix_scan", counting)
+        def counting(prefix, low=None, high=None, snapshot=None):
+            for rowids, columns in real(prefix, low, high, snapshot):
+                examined.extend(rowids)
+                yield rowids, columns
+        monkeypatch.setattr(storage, "prefix_batches", counting)
         sql = "SELECT freq FROM terms WHERE rid = :1 AND token = :2"
         plan = terms_db.explain(sql, [505, "tok05"])
         assert any("IOT PREFIX SCAN" in line and "key=2/2" in line
                    for line in plan)
+        terms_db.execute(sql, [505, "tok05"]).fetchall()  # cache the plan
+        del examined[:]
+        reads = terms_db.stats.logical_reads
         assert terms_db.execute(sql, [505, "tok05"]).fetchall() == [(6,)]
+        # one node per level, root to leaf
+        assert terms_db.stats.logical_reads - reads == storage._tree.height
+        assert storage._tree.height > 1
         assert len(examined) == 1
         # the one-column form walks the token's whole posting list
         del examined[:]
