@@ -14,12 +14,13 @@ Run directly::
 
 ``--check`` compares *speedup ratios* (not absolute seconds, which vary
 by machine) against the committed baseline JSON and fails on a >20%
-regression; it also enforces the >= 2x floor on the filter-heavy
-full-scan case.  The same entry points run under pytest via
+regression; it also enforces the absolute speedup floors and the
+ceiling on a full scan right after every page was written.  The same entry points run under pytest via
 :func:`test_executor_benchmark` so the suite keeps them healthy.
 """
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -64,6 +65,13 @@ ROW_LOOP_FLOOR = 1.1
 #: an IOT prefix scan's batches through the vector kernel and the fused
 #: projection vs the interpreter over a context per posting
 IOT_PREFIX_FLOOR = 1.5
+#: a full scan right after every page was written (each page rebuilds
+#: its column image) vs a cold scan of the same table: what a
+#: write-heavy table pays for the cache
+RESCAN_CEILING = 1.2
+
+#: the scan both sides of the rescan case time
+RESCAN_SQL = "SELECT COUNT(*) FROM t WHERE val < :1"
 
 
 def build_scan_db(n_rows):
@@ -217,6 +225,40 @@ def bench_iot_prefix(n_rows, repeats):
     return _versus_interpreter(interpreted, generated, rows=n1)
 
 
+def bench_rescan_after_writes(n_rows, repeats):
+    """A full scan after an UPDATE that wrote every page, so every page
+    rebuilds its column image, against a cold scan of the same table
+    (just reloaded: no page has an image yet) and a warm one (every
+    image reused).  The plan is cached and the write's garbage collected
+    before each timed scan; min of ``3 * repeats`` scans per mode (one
+    scan is a millisecond or so)."""
+    db = Database(buffer_capacity=4096)
+    db.execute("CREATE TABLE t (id INTEGER, grp VARCHAR2(8), val NUMBER)")
+    rng = random.Random(91)
+    rows = [[i, f"g{i % 16}", rng.random()] for i in range(n_rows)]
+    sql, binds = RESCAN_SQL, [0.5]
+
+    def reload():
+        db.execute("TRUNCATE TABLE t")
+        db.insert_rows("t", rows)
+
+    def scan_after(write):
+        write()
+        db.explain(sql, binds)  # plan (or hit the cache) untimed
+        gc.collect()
+        start = time.perf_counter()
+        db.execute(sql, binds).fetchall()
+        return time.perf_counter() - start
+
+    samples = range(3 * repeats)
+    cold = min(scan_after(reload) for __ in samples)
+    rescan = min(scan_after(lambda: db.execute("UPDATE t SET val = val"))
+                 for __ in samples)
+    warm = min(scan_after(lambda: None) for __ in samples)
+    return {"cold_s": round(cold, 5), "rescan_s": round(rescan, 5),
+            "warm_s": round(warm, 5), "ratio": round(rescan / cold, 3)}
+
+
 def bench_cold_vs_warm(n_rows, repeats):
     """Hard parse+plan+compile each execution vs the shared cached plan.
 
@@ -278,6 +320,8 @@ def run_benchmarks(smoke=False):
             "index_lookup": bench_index_lookup(n_rows, repeats),
             "row_loop": bench_row_loop(n_rows, repeats),
             "iot_prefix": bench_iot_prefix(n_rows, repeats),
+            "rescan_after_writes": bench_rescan_after_writes(n_rows,
+                                                             repeats),
             "plan_cache": bench_cold_vs_warm(n_rows, repeats),
             "domain_scan": bench_domain_scan(n_docs, repeats),
             "batch_sweep": bench_batch_sweep(n_docs, repeats),
@@ -303,6 +347,11 @@ def render_table(results):
         table.add_row(f"{label} (interp -> generated)",
                       case["interpreted_s"], case["generated_s"],
                       case["speedup"])
+    rescan = cases["rescan_after_writes"]
+    for label, key in (("after writing every page", "rescan_s"),
+                       ("column images reused", "warm_s")):
+        table.add_row(f"full scan (cold -> {label})", rescan["cold_s"],
+                      rescan[key], round(rescan["cold_s"] / rescan[key], 3))
     pc = cases["plan_cache"]
     table.add_row("plan cache (cold -> warm)",
                   pc["cold_s"], pc["warm_s"], pc["speedup"])
@@ -331,6 +380,11 @@ def check_against_baseline(results, baseline_path):
         if speedup < floor:
             failures.append(
                 f"{case} speedup {speedup} is below the {floor}x floor")
+    ratio = results["cases"]["rescan_after_writes"]["ratio"]
+    if ratio > RESCAN_CEILING:
+        failures.append(
+            f"rescan_after_writes: a scan after writes costs {ratio}x a"
+            f" cold scan, above the {RESCAN_CEILING}x ceiling")
     if not os.path.exists(baseline_path):
         failures.append(f"no committed baseline at {baseline_path}")
         return failures
@@ -398,6 +452,8 @@ def test_executor_benchmark():
     assert row_loop >= 1.0, f"row functions slower than interpreter"
     iot = results["cases"]["iot_prefix"]["speedup"]
     assert iot >= 1.2, f"vectorized IOT prefix scan only {iot}x"
+    rescan = results["cases"]["rescan_after_writes"]["ratio"]
+    assert rescan <= 1.5, f"a scan after writes costs {rescan}x a cold one"
 
 
 def main(argv=None):

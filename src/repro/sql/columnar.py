@@ -1,8 +1,8 @@
 """Columnar batches and executor statistics for vectorized execution.
 
 A :class:`ColumnBatch` holds one batch of rows — a heap page, or one
-fetch of index-returned rowids — *transposed* into per-column Python
-lists, so one generated loop (``compile_vector_kernel`` in
+fetch of index-returned rowids — *transposed* into read-only column
+sequences, so one generated loop (``compile_vector_kernel`` in
 :mod:`repro.sql.compile`) filters the whole batch with the interpreter
 entered once per batch instead of once per row, and a *selection
 vector* of surviving row indices replaces row materialization between
@@ -22,7 +22,8 @@ __all__ = ["ColumnBatch", "ExecutorStats"]
 class ColumnBatch:
     """One scan batch, stored column-wise.
 
-    ``columns[c][i]`` is the value of column ``c`` in row ``i``;
+    ``columns[c][i]`` is the value of column ``c`` in row ``i``, in a
+    tuple nothing writes (a heap page's columns are its shared image);
     ``rowids[i]`` is that row's :class:`~repro.storage.heap.RowId` —
     from a heap page a :class:`~repro.storage.heap.PageRowIds`, which
     builds it on access, so compare rowids with ``==``, never ``is``.
@@ -35,7 +36,8 @@ class ColumnBatch:
 
     __slots__ = ("rowids", "columns", "n", "sel")
 
-    def __init__(self, rowids: Sequence[Any], columns: List[List[Any]],
+    def __init__(self, rowids: Sequence[Any],
+                 columns: Sequence[Sequence[Any]],
                  sel: Optional[List[int]] = None):
         self.rowids = rowids
         self.columns = columns
@@ -45,9 +47,9 @@ class ColumnBatch:
     @classmethod
     def from_rows(cls, rowids: List[Any],
                   rows: Sequence[Sequence[Any]]) -> "ColumnBatch":
-        """Transpose ``rows`` (aligned with ``rowids``) into columns (an
-        empty batch has none: nothing reads the columns of one)."""
-        return cls(rowids, [list(col) for col in zip(*rows)])
+        """Transpose ``rows`` (aligned with ``rowids``) into column tuples
+        (an empty batch has none: nothing reads the columns of one)."""
+        return cls(rowids, list(zip(*rows)))
 
     # -- row-side views ----------------------------------------------------
 

@@ -252,32 +252,26 @@ class HeapTable:
                 if row is not None:
                     yield RowId(self.segment_id, page_no, slot), row
 
-    def _read_page(self, page_no: int, snapshot: Optional[Snapshot]
+    def _read_page(self, page: Page, snapshot: Optional[Snapshot]
                    ) -> Tuple[PageRowIds, List[List[Any]]]:
         """``(rowids, rows)`` of one page's visible rows, aligned; what
         both page-batched scans are made of.
 
         ``rowids`` is a :class:`PageRowIds`: the live slot numbers, with
         a ``RowId`` built only for an item a consumer reads.  With a
-        ``snapshot`` every slot — live or tombstoned — is resolved
-        through the version store, so the page shows exactly the rows
-        committed as of the snapshot's SCN plus the owning transaction's
-        own writes; a store with nothing mapped hands the slots back as
-        they are without reading a rowid.
+        ``snapshot`` every slot — live or tombstoned — is read, *then*
+        resolved through the version store, so the page shows exactly
+        the rows committed as of the snapshot's SCN plus the owning
+        transaction's own writes; a store with nothing mapped hands the
+        slots back as they are without reading a rowid.  A snapshot
+        read is one attempt: callers run it inside ``versions.read``.
         """
-        segment_id = self.segment_id
-        page = self.buffer.get_page(segment_id, page_no)
-        versions = self.versions
-
-        def read():
-            rows = list(page.slots)
-            if snapshot is not None:
-                rows = versions.resolve_batch(
-                    PageRowIds(segment_id, page_no, range(len(rows))),
-                    rows, snapshot)
-            return rows
-
-        rows = read() if snapshot is None else versions.read(read, snapshot)
+        segment_id, page_no = self.segment_id, page.page_no
+        rows = list(page.slots)
+        if snapshot is not None:
+            rows = self.versions.resolve_batch(
+                PageRowIds(segment_id, page_no, range(len(rows))),
+                rows, snapshot)
         if None in rows:
             live = [slot for slot, row in enumerate(rows) if row is not None]
             return (PageRowIds(segment_id, page_no, live),
@@ -292,26 +286,47 @@ class HeapTable:
         buffer cache is latched once per page instead of once per row;
         empty pages produce no batch.
         """
+        versions = self.versions
         for page_no in range(self._page_count):
-            rowids, rows = self._read_page(page_no, snapshot)
+            page = self.buffer.get_page(self.segment_id, page_no)
+            rowids, rows = self._read_page(page, None) if snapshot is None \
+                else versions.read(lambda: self._read_page(page, snapshot),
+                                   snapshot)
             if rowids:
                 yield list(zip(rowids, rows))
 
     def scan_batches_columnar(self, snapshot: Optional[Snapshot] = None
                               ) -> Iterator[Tuple[PageRowIds,
-                                                  List[List[Any]]]]:
-        """Full scan, one page per batch, transposed into columns.
+                                                  Sequence[Sequence[Any]]]]:
+        """Full scan, one page per batch, as columns.
 
         Yields ``(rowids, columns)`` where ``columns[c][i]`` is column
         ``c`` of the batch's row ``i`` and ``rowids`` is the page's
         :class:`PageRowIds` — the layer above wraps these in a
-        ``ColumnBatch``.  Same snapshot semantics as
-        :meth:`scan_batches`.
+        ``ColumnBatch``.  The columns are the page's column image
+        (:meth:`Page.columns`), shared by every scan until the page's
+        next write, so they are tuples.  Under a ``snapshot`` the image
+        is read first and the store consulted after, the order of every
+        snapshot read: a store ``settled`` for the snapshot leaves the
+        image as the snapshot sees it, and any other store resolves the
+        same page slot by slot (:meth:`_read_page`).
         """
+        segment_id = self.segment_id
+        versions = self.versions
+
+        def read(page: Page) -> Tuple[Sequence[int], Sequence[Any]]:
+            image = page.columns()
+            if versions.settled(snapshot):
+                return image
+            rowids, rows = self._read_page(page, snapshot)
+            return rowids.slots, tuple(zip(*rows))
+
         for page_no in range(self._page_count):
-            rowids, rows = self._read_page(page_no, snapshot)
-            if rowids:
-                yield rowids, [list(col) for col in zip(*rows)]
+            page = self.buffer.get_page(segment_id, page_no)
+            live, columns = page.columns() if snapshot is None \
+                else versions.read(lambda: read(page), snapshot)
+            if live:
+                yield PageRowIds(segment_id, page_no, live), columns
 
     def fetch_batch(self, rowids: List[RowId],
                     snapshot: Optional[Snapshot] = None

@@ -109,6 +109,9 @@ class LobManager:
         pages = self._directory[lob_id]
         while create and chunk_idx >= len(pages):
             page = self.buffer.new_page(self.segment_id, self._next_page)
+            # chunk pages write page.slots in place, past the Page
+            # methods that count writes: nothing heap-scans them, so
+            # none ever builds a column image (Page.columns)
             page.slots.append([bytearray()])
             self._next_page += 1
             pages.append(page.page_no)

@@ -8,7 +8,7 @@ deleted slots stay in place so rowids remain stable.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 #: Simulated page size in bytes.
 PAGE_SIZE = 4096
@@ -50,9 +50,14 @@ class Page:
     ``slots[i]`` is either a row (a list of values) or ``None`` for a
     deleted slot.  ``used`` tracks the simulated byte occupancy; a page
     accepts a new row while ``used + size <= PAGE_SIZE``.
+
+    A heap writes its slots only through the methods here, and each
+    bumps ``writes`` *after* it changes the slot: that ordering is what
+    lets :meth:`columns` trust a column image while the count stands.
     """
 
-    __slots__ = ("page_no", "slots", "used", "dirty", "page_lsn")
+    __slots__ = ("page_no", "slots", "used", "dirty", "page_lsn", "writes",
+                 "_image")
 
     def __init__(self, page_no: int):
         self.page_no = page_no
@@ -64,6 +69,11 @@ class Page:
         #: recovery redo skips records with lsn <= page_lsn, and the
         #: WAL rule flushes the log through page_lsn before the page.
         self.page_lsn = 0
+        #: slot writes so far, bumped after each one lands
+        self.writes = 0
+        #: ``(writes, live slots, column tuples)`` as of that count
+        self._image: Optional[Tuple[int, Sequence[int],
+                                    Tuple[Tuple[Any, ...], ...]]] = None
 
     def has_room(self, size: int) -> bool:
         """True when a row of ``size`` simulated bytes fits on this page."""
@@ -72,6 +82,7 @@ class Page:
     def insert(self, row: List[Any], size: int) -> int:
         """Append ``row`` and return its slot number."""
         self.slots.append(row)
+        self.writes += 1
         self.used += size
         self.dirty = True
         return len(self.slots) - 1
@@ -85,14 +96,43 @@ class Page:
     def update(self, slot: int, row: List[Any], old_size: int, new_size: int) -> None:
         """Replace the row at ``slot`` in place (rowids never change)."""
         self.slots[slot] = row
+        self.writes += 1
         self.used += new_size - old_size
         self.dirty = True
 
     def delete(self, slot: int, size: int) -> None:
         """Mark ``slot`` deleted; the slot stays so later rowids are stable."""
         self.slots[slot] = None
+        self.writes += 1
         self.used -= size
         self.dirty = True
+
+    def columns(self) -> Tuple[Sequence[int], Tuple[Tuple[Any, ...], ...]]:
+        """``(live slots, columns)`` of the page: ``columns[c][i]`` is
+        column ``c`` of the row in slot ``live[i]``.
+
+        The image is built from the slots on first use and reused while
+        ``writes`` still reads as it did when the build began: a write
+        bumps ``writes`` after its slot changes, so the build saw every
+        write that count includes, and any later write moves the count
+        on.  A build a write overtook is not kept, so it cannot replace
+        a newer image.  Columns are tuples — every scan shares them.
+        """
+        writes = self.writes
+        image = self._image
+        if image is not None and image[0] == writes:
+            return image[1], image[2]
+        rows = list(self.slots)
+        if None in rows:
+            live: Sequence[int] = [
+                slot for slot, row in enumerate(rows) if row is not None]
+            rows = [rows[slot] for slot in live]
+        else:
+            live = range(len(rows))
+        columns = tuple(zip(*rows))
+        if self.writes == writes:
+            self._image = (writes, live, columns)
+        return live, columns
 
     def live_count(self) -> int:
         """Number of non-deleted rows on the page."""
@@ -108,6 +148,7 @@ class Page:
         while len(self.slots) <= slot:
             self.slots.append(None)
         self.slots[slot] = row
+        self.writes += 1
         self.dirty = True
 
     def recompute_used(self) -> None:
@@ -116,7 +157,8 @@ class Page:
                         for r in self.slots if r is not None)
 
     def state(self) -> dict:
-        """Plain-data image of the page for the durable page store."""
+        """Plain-data image of the page for the durable page store (the
+        column image is a cache: a restored page starts without one)."""
         return {"page_no": self.page_no, "slots": list(self.slots),
                 "used": self.used, "lsn": self.page_lsn}
 

@@ -10,6 +10,10 @@ the rollback (and the prune pass) on the main thread, and releases the
 reader: it must not return the rolled-back bytes.  The store's epoch
 (bumped before every unmapping, compared by ``VersionStore.read`` after
 the lookup) is what makes the reader look again.
+
+The column-image tests park a thread through the page's slot list
+instead: a writer just before its slot write lands, or a reader just
+after it has read the slots it builds an image from.
 """
 
 import threading
@@ -158,3 +162,113 @@ class TestForgottenBase:
         assert [1, "one"] in rows
         assert not any(SENTINEL in row for row in rows)
         assert engine.mvcc.stats.read_retries == 1
+
+
+class _ParkedSlots(list):
+    """A page's slot list that parks the first thread but the one that
+    built it, once: at ``"write"`` just before a slot write lands, at
+    ``"read"`` just after the thread has read every slot."""
+
+    def __init__(self, slots, point):
+        super().__init__(slots)
+        self.point = point
+        self.parked = threading.Event()
+        self._released = threading.Event()
+        self._armed = True
+        self._main = threading.current_thread()
+
+    def _park(self, point):
+        if self._armed and point == self.point \
+                and threading.current_thread() is not self._main:
+            self._armed = False
+            self.parked.set()
+            assert self._released.wait(10), "never released"
+
+    def __setitem__(self, index, value):
+        self._park("write")
+        super().__setitem__(index, value)
+
+    def __iter__(self):
+        yield from super().__iter__()
+        self._park("read")
+
+    def release(self):
+        self._released.set()
+
+
+class TestColumnImage:
+    """A page's column image against a writer that updates a row on it
+    and rolls back.  An image is kept only when the page's write count
+    did not move while it was built, and a write bumps that count after
+    its slot lands, so no image is older than the count it carries.
+    The first test fails with the bump moved before the slot write (a
+    reader then tags the old slots with the new count); the second with
+    an image tagged with the count read after the build, unchecked
+    against the count it started from."""
+
+    UPDATE = "UPDATE t SET v = :1 WHERE k = 1"
+
+    @pytest.fixture
+    def page(self, engine, heap):
+        return engine.buffer.get_page(heap.segment_id, 0)
+
+    @staticmethod
+    def _values(storage, snapshot=None):
+        return sorted(value for __, columns
+                      in storage.scan_batches_columnar(snapshot)
+                      for value in columns[1])
+
+    def _snapshot_values(self, engine, storage):
+        return self._values(storage, engine.mvcc.take_snapshot(None))
+
+    def test_readers_rebuild_while_a_write_lands(self, engine, heap, page):
+        writer = engine.connect()
+        seen = []
+
+        def scans():
+            seen.append((self._values(heap),
+                         self._snapshot_values(engine, heap)))
+
+        # the update parks just before its slot write
+        writer.begin()
+        page.slots = park = _ParkedSlots(page.slots, "write")
+        _read_while(park, lambda: writer.execute(self.UPDATE, [SENTINEL]),
+                    scans)
+        assert self._values(heap) == ["two", SENTINEL]
+        assert self._snapshot_values(engine, heap) == ["one", "two"]
+        # the undo parks just before it restores the slot
+        page.slots = park = _ParkedSlots(page.slots, "write")
+        _read_while(park, writer.rollback, scans)
+        engine.prune_versions()
+        assert heap.versions.tracked_rowids() == []
+        assert self._values(heap) == ["one", "two"]
+        assert self._snapshot_values(engine, heap) == ["one", "two"]
+        assert seen == [(["one", "two"], ["one", "two"]),
+                        (["two", SENTINEL], ["one", "two"])]
+
+    def test_a_write_lands_while_a_reader_rebuilds(self, engine, heap, page):
+        writer = engine.connect()
+
+        def update_in_flight():
+            writer.begin()
+            writer.execute(self.UPDATE, [SENTINEL])
+
+        def rollback_and_prune():
+            writer.rollback()
+            engine.prune_versions()
+            assert heap.versions.tracked_rowids() == []
+
+        # a snapshot reader builds the image from 'one' as the update lands
+        page.slots = park = _ParkedSlots(page.slots, "read")
+        assert _read_while(park, lambda: self._snapshot_values(engine, heap),
+                           update_in_flight) == ["one", "two"]
+        assert self._values(heap) == ["two", SENTINEL]
+        # a second write leaves page 0 without an image: the reader builds
+        # one from the uncommitted value as the rollback and a prune land
+        writer.execute(self.UPDATE, [SENTINEL])
+        page.slots = park = _ParkedSlots(page.slots, "read")
+        assert _read_while(park, lambda: self._snapshot_values(engine, heap),
+                           rollback_and_prune) == ["one", "two"]
+        assert engine.mvcc.stats.read_retries == 1
+        assert self._values(heap) == ["one", "two"]
+        assert self._snapshot_values(engine, heap) == ["one", "two"]

@@ -21,6 +21,7 @@ from repro.sql.columnar import ColumnBatch, ExecutorStats
 from repro.sql.engine import Engine
 from repro.sql.executor import _FOLD_CHUNK_ROWS
 from repro.storage.heap import PageRowIds, RowId
+from repro.storage.page import Page
 from repro.testing import interpreter_forced
 from repro.types.values import NULL
 
@@ -50,6 +51,7 @@ class TestColumnBatch:
         assert batch.selected_count() == 5
         assert [(rid, list(row)) for rid, row in batch.iter_rows()] \
             == [(rid, row) for rid, row in rows]
+        assert [type(col) for col in batch.columns] == [tuple, tuple]
 
     def test_selection_vector_restricts_iteration(self):
         batch = ColumnBatch.from_rows(list(range(10)),
@@ -394,16 +396,89 @@ class TestLazyPageRowIds:
         assert reader.execute(fold).fetchall() != pinned[0]
 
     def test_a_full_scan_reads_each_page_once(self, db):
+        """On the column-image path, and on the slot-by-slot path a
+        snapshot takes while a write on the table is in flight."""
         _populate(db)
+        storage = db.catalog.get_table("t").storage
+        pages = storage.page_count
+        writer = db.engine.connect()
+        for in_flight in (False, True):
+            if in_flight:
+                writer.begin()
+                writer.execute("UPDATE t SET val = 0 WHERE id < 9")
+                assert storage.versions.tracked_rowids()
+            for sql in ("SELECT COUNT(*) FROM t WHERE val < 1",
+                        "SELECT grp, SUM(val) FROM t GROUP BY grp",
+                        "SELECT id FROM t WHERE val > 0 ORDER BY val",
+                        "SELECT id, val FROM t WHERE grp = 'g2'"):
+                db.execute(sql).fetchall()
+                before = db.stats.logical_reads
+                db.execute(sql).fetchall()
+                assert db.stats.logical_reads - before == pages, sql
+        writer.rollback()
+
+
+class TestSharedColumnImage:
+    """A full scan hands its consumers each page's column image itself:
+    tuples, built once per page until the page is written, and written
+    by no kernel, fused projection, ORDER BY or GROUP BY fold."""
+
+    QUERIES = (
+        "SELECT COUNT(*) FROM t WHERE val < 1",
+        "SELECT id, val * 2 FROM t WHERE grp = 'g2' AND val > -4",
+        "SELECT id FROM t WHERE val > 0 ORDER BY val DESC, id",
+        "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) FROM t"
+        " GROUP BY grp")
+
+    @pytest.fixture
+    def images(self, monkeypatch):
+        """Every column image a scan was handed, by identity, with a
+        copy of its values as first handed out."""
+        seen = {}
+        columns_of = Page.columns
+
+        def spy(page):
+            live, columns = columns_of(page)
+            seen.setdefault(id(columns),
+                            (columns, [list(col) for col in columns]))
+            return live, columns
+        monkeypatch.setattr(Page, "columns", spy)
+        return seen
+
+    def test_consumers_share_the_image_and_never_write_it(self, db, images):
+        _populate(db)
+        db.engine.prune_versions()
         pages = db.catalog.get_table("t").storage.page_count
-        for sql in ("SELECT COUNT(*) FROM t WHERE val < 1",
-                    "SELECT grp, SUM(val) FROM t GROUP BY grp",
-                    "SELECT id FROM t WHERE val > 0 ORDER BY val",
-                    "SELECT id, val FROM t WHERE grp = 'g2'"):
-            db.execute(sql).fetchall()
-            before = db.stats.logical_reads
-            db.execute(sql).fetchall()
-            assert db.stats.logical_reads - before == pages, sql
+        xstats = db.engine.executor_stats
+        for sql in self.QUERIES:
+            lines = db.explain(sql)
+            scan = next(i for i, ln in enumerate(lines) if "TABLE SCAN" in ln)
+            # the scan and the consumer above it run on the columns
+            assert all("[VECTORIZED]" in ln
+                       for ln in lines[scan - 1:scan + 1]), sql
+            with interpreter_forced(db):
+                expected = db.execute(sql).fetchall()
+            fallbacks = xstats.fallback_batches
+            for __ in range(2):
+                assert db.execute(sql).fetchall() == expected, sql
+            assert xstats.fallback_batches == fallbacks, sql
+        assert len(images) == pages
+        for columns, copy in images.values():
+            assert all(type(col) is tuple for col in columns)
+            assert [list(col) for col in columns] == copy
+
+    def test_a_write_rebuilds_the_image_of_its_page_only(self, db, images):
+        _populate(db)
+        db.engine.prune_versions()
+        storage = db.catalog.get_table("t").storage
+        count = self.QUERIES[0]
+        db.execute(count).fetchall()
+        assert len(images) == storage.page_count
+        db.execute("UPDATE t SET val = 0 WHERE id = 0")
+        with interpreter_forced(db):
+            expected = db.execute(count).fetchall()
+        assert db.execute(count).fetchall() == expected
+        assert len(images) == storage.page_count + 1
 
 
 # ---------------------------------------------------------------------------
