@@ -163,6 +163,15 @@ class ChemIndexMethods(IndexMethods):
 
     def index_create(self, ia: ODCIIndexInfo, parameters: str,
                      env: ODCIEnv) -> None:
+        base = env.callback.query_one(
+            "SELECT iot FROM user_tables WHERE LOWER(table_name) = :1",
+            [ia.table_name.lower()])
+        if base is not None and base[0]:
+            raise ODCIError(
+                "ChemIndexMethods",
+                f"{ia.table_name} is an index-organized table: the "
+                "fingerprint file packs each rowid as a fixed-width "
+                "(segment, page, slot), and an IOT row's rowid is its key")
         kind = _parse_storage(parameters)
         meta = _meta_table(ia)
         env.callback.execute(

@@ -119,8 +119,7 @@ class DDLEngine:
                     f"(got key {pk}, leading columns {leading})")
             storage: Any = IndexOrganizedTable(db.buffer,
                                                key_width=len(pk),
-                                               name=stmt.name,
-                                               unique=True)
+                                               name=stmt.name)
         else:
             storage = HeapTable(db.buffer, name=stmt.name)
         table = TableDef(name=stmt.name, columns=columns, storage=storage,

@@ -506,8 +506,7 @@ class DMLEngine:
             fence = versions.set_fence(txn)
             txn.track_version(fence)
             txn.record_undo(lambda: versions.drop_fence(fence))
-        rowids = storage.insert_bulk(validated, with_rowids=bool(native),
-                                     presorted=presorted)
+        rowids = storage.insert_bulk(validated, presorted=presorted)
         durability = self.db.engine.durability
         if durability is None:
             txn.record_undo(lambda s=storage: s.truncate())
@@ -565,8 +564,8 @@ class DMLEngine:
             txn.record_undo(action)
             return
         storage = table.storage
-        # IOT rows are logged logically (surrogate rowids die with the
-        # process); heap rows physiologically by (segment, page, slot)
+        # IOT rows are logged logically (a row carries its key, which is
+        # its rowid); heap rows physiologically by (segment, page, slot)
         rid = None if table.is_iot else rowid
         prev = durability.log_row(txn, table.key, storage, op, rid,
                                   old, new)
@@ -752,6 +751,9 @@ class DMLEngine:
             target = prepared if prepared.version == db.catalog.version \
                 else self.prepare(stmt, binds)
             table, storage = target.table, target.table.storage
+            # an IOT row's rowid is its key: one whose key changes is
+            # deleted and inserted under the new key
+            key_width = storage.key_width if table.is_iot else 0
             count = 0
             for rowid, *values in list(Executor(db, binds).run(target.plan)):
                 old_row = storage.fetch_or_none(rowid)
@@ -765,6 +767,10 @@ class DMLEngine:
                 for pos, value in zip(target.positions, values):
                     new_row[pos] = value
                 new_row = self.validate_row(table, new_row)
+                if new_row[:key_width] != old_row[:key_width]:
+                    self.delete_physical(table, rowid, old_row, txn)
+                    self.insert_physical(table, new_row, txn)
+                    continue
                 old_copy = list(old_row)
                 self._record_version(storage, rowid, list(new_row),
                                      old_copy, txn)

@@ -3,7 +3,7 @@
 from repro.storage.page import Page, PAGE_SIZE, estimate_size
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import HeapTable, RowId
-from repro.storage.iot import IndexOrganizedTable
+from repro.storage.iot import IndexOrganizedTable, LogicalRowId
 from repro.storage.lob import LobManager, LobLocator
 from repro.storage.filestore import FileStore, ExternalFile
 
@@ -16,6 +16,7 @@ __all__ = [
     "HeapTable",
     "RowId",
     "IndexOrganizedTable",
+    "LogicalRowId",
     "LobManager",
     "LobLocator",
     "FileStore",

@@ -123,8 +123,8 @@ class DurabilityManager:
 
         ``rid`` is a :class:`~repro.storage.heap.RowId` for heap tables
         (physiological record: replay targets the slot) and ``None`` for
-        IOTs (logical record: replay works on full rows, because IOT
-        surrogate rowids do not survive a restart).
+        IOTs (logical record: replay works on full rows, which carry
+        their keys, and so their logical rowids).
         """
         prev = txn.last_lsn
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
@@ -357,7 +357,6 @@ class DurabilityManager:
                     "primary_key": list(table.primary_key),
                     "is_iot": table.is_iot,
                     "key_width": getattr(storage, "key_width", 0),
-                    "unique": getattr(storage, "unique", True),
                     "segment_id": storage.segment_id,
                     "owner": table.owner,
                 })

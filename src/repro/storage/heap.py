@@ -9,7 +9,8 @@ stream them back from ``ODCIIndexFetch`` (§2.2.3).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from operator import eq, ge, gt, le, lt
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidRowIdError, StorageError
 from repro.storage.buffer import BufferCache
@@ -17,15 +18,37 @@ from repro.storage.page import Page, PAGE_SIZE, estimate_row_size
 from repro.txn.mvcc import Snapshot, VersionStore
 
 
-class RowId:
-    """Physical row address: (segment, page, slot).  Ordered and hashable.
+def _by_sort_key(op: Callable[[Any, Any], bool]):
+    """A comparison method applying ``op`` to two rowids' ``sort_key``s
+    (rowids of another kind are not comparable)."""
+    def compare(self, other: Any) -> Any:
+        if other.__class__ is self.__class__:
+            return op(self.sort_key, other.sort_key)
+        return NotImplemented
+    return compare
 
-    Hand-rolled rather than a dataclass: rowids are created, hashed, and
-    compared millions of times on index-build and sort paths, so the
-    comparison methods work on one precomputed key tuple instead of the
-    generated per-call tuple packing (and construction skips the frozen
-    dataclass ``object.__setattr__`` detour).
-    """
+
+class RowIdBase:
+    """Hash, equality and order of a rowid kind, all by its ``sort_key``:
+    a plain tuple computed once, so comparisons stay C-level tuple
+    compares and sort paths can decorate with it.  Rowids are created,
+    hashed and compared millions of times on index-build and sort
+    paths, hence no dataclass."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
+
+    __eq__ = _by_sort_key(eq)
+    __lt__ = _by_sort_key(lt)
+    __le__ = _by_sort_key(le)
+    __gt__ = _by_sort_key(gt)
+    __ge__ = _by_sort_key(ge)
+
+
+class RowId(RowIdBase):
+    """Physical row address: (segment, page, slot).  Ordered and hashable."""
 
     __slots__ = ("segment_id", "page_no", "slot", "sort_key")
 
@@ -33,37 +56,7 @@ class RowId:
         self.segment_id = segment_id
         self.page_no = page_no
         self.slot = slot
-        #: plain-int tuple mirror of the address; sort paths decorate
-        #: with it so comparisons stay C-level tuple compares
         self.sort_key = (segment_id, page_no, slot)
-
-    def __hash__(self) -> int:
-        return hash(self.sort_key)
-
-    def __eq__(self, other: Any) -> Any:
-        if other.__class__ is RowId:
-            return self.sort_key == other.sort_key
-        return NotImplemented
-
-    def __lt__(self, other: Any) -> Any:
-        if other.__class__ is RowId:
-            return self.sort_key < other.sort_key
-        return NotImplemented
-
-    def __le__(self, other: Any) -> Any:
-        if other.__class__ is RowId:
-            return self.sort_key <= other.sort_key
-        return NotImplemented
-
-    def __gt__(self, other: Any) -> Any:
-        if other.__class__ is RowId:
-            return self.sort_key > other.sort_key
-        return NotImplemented
-
-    def __ge__(self, other: Any) -> Any:
-        if other.__class__ is RowId:
-            return self.sort_key >= other.sort_key
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"RID({self.segment_id}.{self.page_no}.{self.slot})"
@@ -154,15 +147,13 @@ class HeapTable:
         return rowid
 
     def insert_bulk(self, rows: List[List[Any]],
-                    with_rowids: bool = True,
                     presorted: bool = False) -> List[RowId]:
         """Store ``rows`` and return their rowids in input order.
 
         Pages fill append-only: each is latched for write once per run
-        of rows it absorbs rather than once per row.  Heap rowids are
-        byproducts of page placement, so ``with_rowids=False`` still
-        returns them, and ``presorted`` is irrelevant to an unordered
-        heap (both flags only matter for key-organized storage).
+        of rows it absorbs rather than once per row.  ``presorted`` is
+        irrelevant to an unordered heap (it only matters for
+        key-organized storage).
         """
         rowids: List[RowId] = []
         page: Optional[Page] = None

@@ -6,9 +6,13 @@ that "index-organized tables are commonly used as index data stores" —
 the text cartridge stores its inverted index in one.
 
 An IOT here is a B+-tree whose key is a prefix of the row and whose
-payload is the rest of the row.  Rows are addressed by logical rowids
-(their key), but we also hand out :class:`~repro.storage.heap.RowId`-like
-surrogate ids so the executor can treat heap tables and IOTs uniformly.
+payload is the rest of the row.  A row's address is its key: like
+Oracle8i's logical rowids, a :class:`LogicalRowId` carries the table's
+segment and the primary key, so a fetch is one descent, the table keeps
+no state per row outside its tree, and a rowid read before a restart
+finds the same row after it.  An update never changes the key (the DML
+layer deletes and re-inserts a row whose key changes), so a rowid names
+one row for as long as that key is stored.
 
 Key and payload are both tuples, and the tree is unique, so it stores
 the payload as it is: a row costs the tree one key tuple and one payload
@@ -24,14 +28,63 @@ and payload tuples with no object built per row.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from operator import add, itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache
-from repro.storage.heap import PageRowIds, RowId
+from repro.storage.heap import RowIdBase
 from repro.index.btree import BTree
 from repro.txn.mvcc import Snapshot, VersionStore
+
+
+class LogicalRowId(RowIdBase):
+    """An IOT row's address: (segment, primary key).
+
+    Hashable, picklable, and ordered by key within one table —
+    ``sort_key`` is ``(segment_id, key)``, as a heap rowid's is its
+    address — so the cartridges' rowid sorts take either kind.  It is
+    equal to no physical :class:`~repro.storage.heap.RowId`.
+    """
+
+    __slots__ = ("segment_id", "key", "sort_key")
+
+    def __init__(self, segment_id: int, key: Tuple[Any, ...]):
+        self.segment_id = segment_id
+        self.key = key
+        self.sort_key = (segment_id, key)
+
+    def __reduce__(self):
+        return LogicalRowId, (self.segment_id, self.key)
+
+    def __repr__(self) -> str:
+        return f"LRID({self.segment_id}:{self.key!r})"
+
+
+class KeyRowIds:
+    """The logical rowids of a batch of keys, in the keys' order.
+
+    The batch is the key tuples the producer already holds: a
+    :class:`LogicalRowId` is built only when an item is indexed or
+    iterated (as :class:`~repro.storage.heap.PageRowIds` does for a
+    heap page), so compare items with ``==``, never ``is``.
+    """
+
+    __slots__ = ("segment_id", "keys")
+
+    def __init__(self, segment_id: int, keys: Sequence[Tuple[Any, ...]]):
+        self.segment_id = segment_id
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> LogicalRowId:
+        return LogicalRowId(self.segment_id, self.keys[i])
+
+    def __iter__(self) -> Iterator[LogicalRowId]:
+        return map(LogicalRowId, repeat(self.segment_id), self.keys)
 
 
 class _Top:
@@ -63,21 +116,9 @@ def _prefix_bounds(prefix: List[Any], low: Any, high: Any
             True, False)
 
 
-def _range_test(low, high, low_inclusive, high_inclusive):
-    """The bounds of ``BTree.range_scan`` as a test on one key."""
-    def in_range(key):
-        if low is not None:
-            if key < low or (key == low and not low_inclusive):
-                return False
-        if high is not None:
-            if key > high or (key == high and not high_inclusive):
-                return False
-        return True
-    return in_range
-
-
 class IndexOrganizedTable:
-    """A table stored as a B+-tree on its first ``key_width`` columns.
+    """A table stored as a unique B+-tree on its first ``key_width``
+    columns.
 
     Unlike a heap table, rows live in key order: a range scan over the
     key prefix is the native access path.  Node visits are charged to the
@@ -85,48 +126,36 @@ class IndexOrganizedTable:
     """
 
     def __init__(self, buffer_cache: BufferCache, key_width: int,
-                 name: str = "?", unique: bool = True,
-                 segment_id: Optional[int] = None):
+                 name: str = "?", segment_id: Optional[int] = None):
         if key_width < 1:
             raise ConstraintError("IOT key width must be >= 1")
         self.buffer = buffer_cache
         self.name = name
         self.key_width = key_width
-        self.unique = unique
         # Recovery re-creates IOTs with their original segment ids so
-        # durable dumps and WAL records keep addressing them.
+        # durable dumps, WAL records and logical rowids keep addressing
+        # them.
         self.segment_id = (segment_id if segment_id is not None
                            else buffer_cache.allocate_segment())
-        self._tree = BTree(unique=unique, touch=self._touch)
+        self._tree = BTree(unique=True, touch=self._touch)
         #: LSN of the last WAL record applied to the tree; IOT redo is
-        #: logical (surrogates don't survive restarts), so the whole
-        #: table carries one applied-LSN watermark instead of per-page
-        #: stamps.  Persisted as the durable dump's snap_lsn.
+        #: logical (a record carries whole rows), so the whole table
+        #: carries one applied-LSN watermark instead of per-page stamps.
+        #: Persisted as the durable dump's snap_lsn.
         self.applied_lsn = 0
         #: True when the tree changed since the last durable dump
         self.dump_dirty = False
-        # surrogate rowid <-> key mapping for executor uniformity.
-        # Surrogates are numbered densely, so rowid -> key is a list
-        # indexed by slot number (less what TRUNCATE retired), and key ->
-        # rowid keeps the slot number
-        self._key_of_surrogate: List[Optional[Tuple[Any, ...]]] = []
-        self._surrogate_base = 0
-        self._surrogate_of_key: dict = {}
-        self._next_surrogate = 0
-        #: MVCC version chains keyed by surrogate rowid
+        #: MVCC version chains keyed by logical rowid
         self.versions = VersionStore()
-        #: *ghosts*: ``key -> surrogate`` for every tracked surrogate
-        #: that some snapshot may still see under ``key`` although the
-        #: tree no longer holds it there (deleted, or moved by a
-        #: key-changing update).  Snapshot scans walk it with the same
-        #: bounds as the tree; rows still in the tree are found by the
-        #: tree walk and need no entry here.
-        self._ghosts = BTree(unique=False)
-        #: guards tree + surrogate maps against snapshot readers; DML is
+        #: *ghosts*: the keys some snapshot may still see a row under
+        #: although the tree no longer holds one (deleted, and not
+        #: re-inserted).  Snapshot scans walk them with the same bounds
+        #: as the tree; a key in the tree is never a ghost.
+        self._ghosts = BTree(unique=True)
+        #: guards tree and ghosts against snapshot readers; DML is
         #: already single-writer per table (X lock), but snapshot scans
-        #: materialize concurrently with writers.  Reentrant: the scan
-        #: paths allocate surrogates while holding it.
-        self._latch = threading.RLock()
+        #: materialize concurrently with writers
+        self._latch = threading.Lock()
 
     def _touch(self, nodes: int) -> None:
         self.buffer.stats.logical_reads += nodes
@@ -138,38 +167,37 @@ class IndexOrganizedTable:
         kw = self.key_width
         return tuple(row[:kw]), tuple(row[kw:])
 
-    def insert(self, row: List[Any], on_rowid=None) -> RowId:
+    def insert(self, row: List[Any], on_rowid=None) -> LogicalRowId:
         """Insert ``row``; its first ``key_width`` values form the key.
 
-        ``on_rowid`` (MVCC) is invoked with the surrogate rowid *before*
-        the tree mutates, under the structure latch, so a concurrent
-        snapshot scan either misses the entry or finds its version chain
-        already registered — never a bare uncommitted row.
+        ``on_rowid`` (MVCC) is invoked with the rowid *before* the tree
+        mutates, under the structure latch, so a concurrent snapshot
+        scan either misses the entry or finds its version chain already
+        registered — never a bare uncommitted row.
         """
         key, payload = self._split_row(row)
+        rid = LogicalRowId(self.segment_id, key)
         with self._latch:
-            rid = self._surrogate(key)
             if on_rowid is not None:
                 on_rowid(rid)
             self._tree.insert(key, payload)
-            self._drop_ghost(key, rid)
+            self._drop_ghost(key)
         self.buffer.stats.logical_writes += 1
         return rid
 
     def insert_bulk(self, rows: List[List[Any]],
-                    with_rowids: bool = True,
-                    presorted: bool = False) -> Optional[List[RowId]]:
-        """Insert ``rows`` via the B-tree's sorted bulk build.
+                    presorted: bool = False) -> KeyRowIds:
+        """Insert ``rows`` via the B-tree's sorted bulk build; returns
+        their rowids in input order.
 
         Only valid on an empty IOT (the bulk build replaces the tree
-        wholesale); callers gate on ``row_count == 0``.  Returns the
-        surrogate rowids in input order, or None when ``with_rowids``
-        is False — surrogates then materialize lazily on first scan,
-        which is what direct-path loads of secondary-index-free tables
-        want (the rowids would otherwise be built and thrown away).
-        ``presorted`` promises the rows already arrive in strictly
-        increasing key order (verified by the tree), skipping the sort
-        and duplicate-grouping passes entirely.
+        wholesale); callers gate on ``row_count == 0`` and on a version
+        store with no chains.  No snapshot can then see a ghost (a
+        rolled-back insert leaves one of its key), so the load drops
+        them all: a loaded key must not be both in the tree and a
+        ghost.  ``presorted`` promises the rows already arrive in
+        strictly increasing key order (verified by the tree), skipping
+        the sort and duplicate-grouping passes entirely.
         """
         if self._tree.entry_count:
             raise ConstraintError(
@@ -186,98 +214,89 @@ class IndexOrganizedTable:
                 self._tree.bulk_load_sorted(keys, payloads)
             else:
                 self._tree.bulk_load(zip(keys, payloads))
+            self._ghosts.clear()
         self.buffer.stats.logical_writes += len(rows)
-        if not with_rowids:
+        return KeyRowIds(self.segment_id, keys)
+
+    def _current(self, rowid: Any) -> Optional[List[Any]]:
+        """The row stored under ``rowid``'s key, or None (also for a
+        rowid of another table): one descent."""
+        if (rowid.__class__ is not LogicalRowId
+                or rowid.segment_id != self.segment_id):
             return None
-        with self._latch:
-            return [self._surrogate(key) for key in keys]
+        payloads = self._tree.search(rowid.key)
+        return list(rowid.key) + list(payloads[0]) if payloads else None
 
-    def fetch(self, rowid: RowId) -> List[Any]:
-        """Fetch by surrogate rowid (first match under the key)."""
-        key = self._key_of(rowid)
-        if key is None:
-            raise InvalidRowIdError(f"{rowid} is not a rowid of IOT {self.name}")
-        payloads = self._tree.search(key)
-        if not payloads:
-            raise InvalidRowIdError(f"{rowid}: key {key!r} no longer present")
-        return list(key) + list(payloads[0])
+    def fetch(self, rowid: LogicalRowId) -> List[Any]:
+        """The row at ``rowid``; raises for a key no longer stored."""
+        row = self._current(rowid)
+        if row is None:
+            raise InvalidRowIdError(
+                f"{rowid} does not identify a live row of IOT {self.name}")
+        return row
 
-    def fetch_or_none(self, rowid: RowId,
+    def fetch_or_none(self, rowid: LogicalRowId,
                       snapshot: Optional[Snapshot] = None
                       ) -> Optional[List[Any]]:
-        """Like :meth:`fetch` but returns None for a dead surrogate.
+        """Like :meth:`fetch` but returns None for a dead rowid.
 
-        With a ``snapshot``, the surrogate's version chain wins over the
+        With a ``snapshot``, the rowid's version chain wins over the
         tree: the caller sees the row as of the snapshot's SCN.
         """
         if snapshot is None:
-            try:
-                return self.fetch(rowid)
-            except InvalidRowIdError:
-                return None
+            return self._current(rowid)
 
         def read():
             with self._latch:  # concurrent writers restructure the tree
-                try:
-                    current = self.fetch(rowid)
-                except InvalidRowIdError:
-                    current = None
+                current = self._current(rowid)
             return self.versions.resolve(rowid, current, snapshot)
 
         return self.versions.read(read, snapshot)
 
-    def update(self, rowid: RowId, row: List[Any]) -> List[Any]:
-        """Replace the row at ``rowid``; key changes re-insert the entry."""
+    def update(self, rowid: LogicalRowId, row: List[Any]) -> List[Any]:
+        """Replace the payload of the row at ``rowid``; returns the old
+        row.  The key is the rowid, so a new key is refused: the caller
+        deletes the row and inserts it under the new key."""
         old = self.fetch(rowid)
-        old_key, old_payload = self._split_row(old)
-        new_key, new_payload = self._split_row(row)
+        key, payload = self._split_row(row)
+        if key != rowid.key:
+            raise ConstraintError(
+                f"IOT {self.name}: an update cannot move {rowid} to key "
+                f"{key!r}; delete and re-insert the row")
         with self._latch:
-            self._tree.delete(old_key, old_payload)
-            self._tree.insert(new_key, new_payload)
-            if new_key != old_key:
-                self._rebind_surrogate(rowid, old_key, new_key)
-                self._ghosts.insert(old_key, rowid)
-                self._drop_ghost(new_key, rowid)
+            self._tree.delete(key)
+            self._tree.insert(key, payload)
         self.buffer.stats.logical_writes += 1
         return old
 
-    def delete(self, rowid: RowId) -> List[Any]:
+    def delete(self, rowid: LogicalRowId) -> List[Any]:
         """Delete the row at ``rowid``; returns the old row."""
         old = self.fetch(rowid)
-        key, payload = self._split_row(old)
         with self._latch:
-            self._tree.delete(key, payload)
-            self._ghosts.insert(key, rowid)
+            # ghost first: if it fails, the tree is as it was
+            self._ghosts.insert(rowid.key, None)
+            self._tree.delete(rowid.key)
         self.buffer.stats.logical_writes += 1
         return old
 
-    def undelete(self, rowid: RowId, row: List[Any]) -> None:
-        """Restore a deleted row under its original surrogate (rollback)."""
+    def undelete(self, rowid: LogicalRowId, row: List[Any]) -> None:
+        """Restore a deleted row (rollback)."""
         key, payload = self._split_row(row)
         with self._latch:
             self._tree.insert(key, payload)
-            self._key_of_surrogate[rowid.slot - self._surrogate_base] = key
-            self._surrogate_of_key.setdefault(key, rowid.slot)
-            self._drop_ghost(key, rowid)
+            self._drop_ghost(key)
 
     def delete_by_key(self, key_values: List[Any]) -> int:
-        """Delete every row matching a full key; returns the count."""
-        key = tuple(key_values)
+        """Delete the row stored under a full key; returns the count."""
         with self._latch:
-            removed = len(self._tree.search(key))
-            if removed:
-                self._tree.delete(key)
-        if removed:
-            self.buffer.stats.logical_writes += 1
+            removed = int(self._tree.delete(tuple(key_values)))
+        self.buffer.stats.logical_writes += removed
         return removed
 
     def truncate(self) -> None:
         """Discard every row."""
         with self._latch:
             self._tree.clear()
-            self._key_of_surrogate.clear()
-            self._surrogate_base = self._next_surrogate
-            self._surrogate_of_key.clear()
             self.versions.clear()
             self._ghosts.clear()
             # not WAL-logged (DDL), so the next checkpoint must rewrite
@@ -287,8 +306,8 @@ class IndexOrganizedTable:
     # -- scans ------------------------------------------------------------
 
     def scan(self, snapshot: Optional[Snapshot] = None
-             ) -> Iterator[Tuple[RowId, List[Any]]]:
-        """Scan in key order, yielding (surrogate rowid, full row)."""
+             ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
+        """Scan in key order, yielding (rowid, full row)."""
         return self._rows((None, None, True, True), snapshot)
 
     def key_range_scan(self, low: Optional[Tuple[Any, ...]] = None,
@@ -296,21 +315,21 @@ class IndexOrganizedTable:
                        low_inclusive: bool = True,
                        high_inclusive: bool = True,
                        snapshot: Optional[Snapshot] = None,
-                       ) -> Iterator[Tuple[RowId, List[Any]]]:
+                       ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
         """Scan rows whose key lies in [low, high] (tuple bounds)."""
         return self._rows((low, high, low_inclusive, high_inclusive),
                           snapshot)
 
     def key_prefix_scan(self, prefix: List[Any],
                         snapshot: Optional[Snapshot] = None
-                        ) -> Iterator[Tuple[RowId, List[Any]]]:
+                        ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
         """Scan rows whose key starts with ``prefix`` (in key order): the
         rows of :meth:`prefix_batches`, one ``(rowid, row)`` pair each."""
         return self._rows(_prefix_bounds(prefix, None, None), snapshot)
 
     def prefix_batches(self, prefix: List[Any], low: Any = None,
                        high: Any = None, snapshot: Optional[Snapshot] = None
-                       ) -> Iterator[Tuple[PageRowIds, List[Sequence[Any]]]]:
+                       ) -> Iterator[Tuple[KeyRowIds, List[Sequence[Any]]]]:
         """The rows whose key starts with ``prefix``, in key order, as
         ``(rowids, columns)`` batches: ``columns[c][i]`` is column ``c``
         of row ``i``, built straight from the key and payload tuples.
@@ -323,7 +342,7 @@ class IndexOrganizedTable:
         walk starts at ``prefix + (low,)`` and stops past ``high``.
         They must order against that column's stored values as SQL
         does, and a caller still tests the predicate they came from.
-        ``rowids`` builds a surrogate ``RowId`` only for an item read.
+        ``rowids`` is a :class:`KeyRowIds` over the same key tuples.
         """
         rowids, keys, payloads = self._read(
             _prefix_bounds(prefix, low, high), snapshot)
@@ -332,12 +351,13 @@ class IndexOrganizedTable:
 
     def _rows(self, bounds: Tuple[Any, Any, bool, bool],
               snapshot: Optional[Snapshot]
-              ) -> Iterator[Tuple[RowId, List[Any]]]:
+              ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
         """``(rowid, row)`` for the rows in ``bounds`` (the arguments of
         ``BTree.range_scan``); streamed from the tree in current mode."""
         if snapshot is None:
+            segment_id = self.segment_id
             for key, payload in self._tree.range_scan(*bounds):
-                yield self._surrogate(key), list(key) + list(payload)
+                yield LogicalRowId(segment_id, key), list(key) + list(payload)
             return
         rowids, keys, payloads = self._read(bounds, snapshot)
         yield from zip(rowids, map(list, map(add, keys, payloads)))
@@ -349,16 +369,13 @@ class IndexOrganizedTable:
         keys: List[Tuple[Any, ...]] = []
         payloads: List[Tuple[Any, ...]] = []
         for run, values in self._tree.range_slices(*bounds):
-            if not self.unique:  # a key's payloads are one entry each
-                run = [key for key, group in zip(run, values) for __ in group]
-                values = [payload for group in values for payload in group]
             keys += run
             payloads += values
         return keys, payloads
 
     def _read(self, bounds: Tuple[Any, Any, bool, bool],
               snapshot: Optional[Snapshot]
-              ) -> Tuple[Sequence[RowId], List[Tuple[Any, ...]],
+              ) -> Tuple[KeyRowIds, List[Tuple[Any, ...]],
                          List[Tuple[Any, ...]]]:
         """``(rowids, keys, payloads)`` of the rows in ``bounds``, aligned
         and in key order: as the tree holds them, or as ``snapshot``
@@ -367,19 +384,18 @@ class IndexOrganizedTable:
         The tree's entries in bounds are read under the structure latch
         (writers restructure the tree mid-flight otherwise).  When the
         store has nothing mapped and no ghost lies in bounds, they are
-        the snapshot's answer as they stand.  Otherwise each row whose
-        surrogate has a version chain is resolved through it (the
-        others are as the tree holds them); the ghosts in bounds —
-        surrogates some snapshot may still see under a key the tree no
-        longer holds for them — are walked with the same bounds and
-        overlaid, every row is bounds-checked against its *resolved*
-        key, and the merge re-sorted into key order.  The cost is the
+        the snapshot's answer as they stand.  Otherwise each row is
+        resolved through its version chain (a row without one is as the
+        tree holds it), and so is each ghost in bounds — a key some
+        snapshot may still see a row under — and the visible ghosts are
+        merged in key order.  A version never moves a row to another
+        key, so what resolves in bounds stays there.  The cost is the
         entries and ghosts in bounds, whatever the table's history.
         """
         if snapshot is None:
             with self._latch:
                 keys, payloads = self._entries(bounds)
-                return self._rowids(keys), keys, payloads
+            return KeyRowIds(self.segment_id, keys), keys, payloads
         return self.versions.read(
             lambda: self._read_entries(bounds, snapshot), snapshot)
 
@@ -387,52 +403,32 @@ class IndexOrganizedTable:
                       snapshot: Snapshot):
         """One attempt at :meth:`_read` under a snapshot: read the tree,
         then consult the store."""
-        kw = self.key_width
-        versions = self.versions
         with self._latch:
             keys, payloads = self._entries(bounds)
-            rowids = self._rowids(keys)
-            ghosts = [rid for __, rid in self._ghosts.range_scan(*bounds)] \
-                if self._ghosts.entry_count else ()
-        if not ghosts and versions.settled(snapshot):
-            return rowids, keys, payloads
-        rids = list(rowids)
-        values = versions.resolve_batch(
-            rids, list(map(add, keys, payloads)), snapshot)
-        in_bounds = _range_test(*bounds)
-        tracked = versions.tracked
-        seen = set()
-        results = []
-
-        def place(rid, value):
-            if value is not None and in_bounds(vkey := tuple(value[:kw])):
-                results.append((vkey, rid.sort_key, tuple(value[kw:]), rid))
-
-        for rid, value in zip(rids, values):
-            if rid in seen and tracked(rid):
-                # non-unique duplicate keys share a surrogate; a tracked
-                # surrogate resolves once through its chain
-                continue
-            seen.add(rid)
-            place(rid, value)
-        for rid in ghosts:
-            if rid not in seen:
-                seen.add(rid)
-                place(rid, versions.resolve(rid, None, snapshot))
-        results.sort(key=itemgetter(0, 1))
-        return ([rid for *__, rid in results],
-                [vkey for vkey, *__ in results],
-                [payload for __, __, payload, __ in results])
+            ghosts = [key for key, __ in self._ghosts.range_scan(*bounds)] \
+                if self._ghosts.entry_count else []
+        if not ghosts and self.versions.settled(snapshot):
+            return KeyRowIds(self.segment_id, keys), keys, payloads
+        keys += ghosts
+        values = self.versions.resolve_batch(
+            KeyRowIds(self.segment_id, keys),
+            list(map(add, keys, payloads)) + [None] * len(ghosts), snapshot)
+        live = [(key, value) for key, value in zip(keys, values)
+                if value is not None]
+        if ghosts:
+            live.sort(key=itemgetter(0))
+        kw = self.key_width
+        keys = [key for key, __ in live]
+        return (KeyRowIds(self.segment_id, keys), keys,
+                [tuple(value[kw:]) for __, value in live])
 
     def locate(self, key_values: Any
-               ) -> Optional[Tuple[RowId, List[Any]]]:
-        """(surrogate rowid, full row) stored under an exact key, or
-        None: one descent, current mode."""
-        key = tuple(key_values)
-        payloads = self._tree.search(key)
-        if not payloads:
-            return None
-        return self._surrogate(key), list(key) + list(payloads[0])
+               ) -> Optional[Tuple[LogicalRowId, List[Any]]]:
+        """(rowid, full row) stored under an exact key, or None: one
+        descent, current mode."""
+        rowid = LogicalRowId(self.segment_id, tuple(key_values))
+        row = self._current(rowid)
+        return None if row is None else (rowid, row)
 
     def lookup(self, key_values: List[Any]) -> List[List[Any]]:
         """Return the full rows stored under an exact key."""
@@ -470,35 +466,28 @@ class IndexOrganizedTable:
         kw = self.key_width
         with self._latch:
             self._tree.clear()
-            self._key_of_surrogate.clear()
-            self._surrogate_of_key.clear()
             self._ghosts.clear()
-            self._next_surrogate = self._surrogate_base = 0
             for row in zip(*columns):
                 self._tree.insert(row[:kw], row[kw:])
             self.applied_lsn = snap_lsn
             self.dump_dirty = False
 
     def recover_insert(self, row: List[Any]) -> None:
-        """Redo/undo replay: insert without surrogate or MVCC tracking."""
+        """Redo/undo replay: store ``row`` without MVCC tracking,
+        replacing a row already under its key (a record replayed against
+        a fuzzier-than-stamped dump must not fail or double)."""
         key, payload = self._split_row(row)
         with self._latch:
+            self._tree.delete(key)
             self._tree.insert(key, payload)
 
     def recover_delete(self, row: List[Any]) -> None:
-        """Redo/undo replay: delete by full row; missing rows tolerated
-        (replay against a fuzzy image may target an already-gone row)."""
+        """Redo/undo replay: delete by full row; a row that is not there
+        is skipped (replay against a fuzzy image may target an
+        already-gone row)."""
         key, payload = self._split_row(row)
         with self._latch:
-            try:
-                self._tree.delete(key, payload)
-            except Exception:
-                pass
-
-    def recover_update(self, old: List[Any], new: List[Any]) -> None:
-        """Redo/undo replay: replace ``old`` with ``new``."""
-        self.recover_delete(old)
-        self.recover_insert(new)
+            self._tree.delete(key, payload)
 
     # -- statistics --------------------------------------------------------
 
@@ -512,82 +501,38 @@ class IndexOrganizedTable:
         """Approximate node count, used by the optimizer's cost model."""
         return max(1, self._tree.entry_count // 32)
 
-    # -- internals ----------------------------------------------------------
+    # -- ghosts ---------------------------------------------------------------
 
-    def _slot(self, key: Tuple[Any, ...]) -> int:
-        """The slot number of ``key``'s surrogate, allocated on first
-        sight.  The map keeps the bare int — the ``RowId`` is built when
-        one is handed out — since it is never pruned."""
-        slot = self._surrogate_of_key.get(key)
-        if slot is None:
-            with self._latch:  # check-then-allocate must be atomic
-                slot = self._surrogate_of_key.get(key)
-                if slot is None:
-                    slot = self._surrogate_of_key[key] = self._next_surrogate
-                    self._next_surrogate += 1
-                    self._key_of_surrogate.append(key)
-        return slot
-
-    def _surrogate(self, key: Tuple[Any, ...]) -> RowId:
-        slot = self._surrogate_of_key.get(key)
-        return RowId(self.segment_id, 0,
-                     self._slot(key) if slot is None else slot)
-
-    def _rowids(self, keys: List[Tuple[Any, ...]]) -> PageRowIds:
-        """The surrogates of ``keys`` as one batch (a surrogate is
-        ``RowId(segment, 0, slot)``, so page 0 of a page batch)."""
-        slots = list(map(self._surrogate_of_key.get, keys))
-        if None in slots:
-            slots = list(map(self._slot, keys))
-        return PageRowIds(self.segment_id, 0, slots)
-
-    def _key_of(self, rowid: RowId) -> Optional[Tuple[Any, ...]]:
-        """The key ``rowid`` was last bound to; None for a rowid this
-        table never handed out (or retired by TRUNCATE)."""
-        index = rowid.slot - self._surrogate_base
-        if (rowid.segment_id != self.segment_id or rowid.page_no
-                or not 0 <= index < len(self._key_of_surrogate)):
-            return None
-        return self._key_of_surrogate[index]
-
-    def _drop_ghost(self, key: Tuple[Any, ...], rowid: RowId) -> None:
-        """``rowid`` is back in the tree under ``key``: the tree walk
-        finds it again (caller holds the latch)."""
+    def _drop_ghost(self, key: Tuple[Any, ...]) -> None:
+        """``key`` is back in the tree: the tree walk finds its row
+        again (caller holds the latch)."""
         if self._ghosts.entry_count:
-            self._ghosts.delete(key, rowid)
+            self._ghosts.delete(key)
 
     def prune(self, lwm: int, stats=None) -> int:
         """:meth:`VersionStore.prune` for this table's store, then drop
         the ghosts no snapshot can see any more.
 
-        A surrogate the pass left unmapped is one every snapshot sees
-        as the tree has it — gone, or found by the tree walk — so none
-        of its ghosts can put a row into a scan.  The structure latch
-        is held across both steps: a writer chains its version before
-        it enters :meth:`delete` / :meth:`update`, so a ghost
-        registered after the store was examined belongs to a mapped
-        surrogate and cannot be dropped by this pass.
+        A ghost whose rowid the pass left unmapped is a key every
+        snapshot sees as the tree has it — gone — so it cannot put a row
+        into a scan.  The structure latch is held across both steps: a
+        writer chains its version before it enters :meth:`delete`, so a
+        ghost registered after the store was examined belongs to a
+        mapped rowid and cannot be dropped by this pass.
         """
         with self._latch:
             removed = self.versions.prune(lwm, stats)
             if self._ghosts.entry_count:
                 tracked = self.versions.tracked
-                for key, rid in [(key, rid)
-                                 for key, rid in self._ghosts.items()
-                                 if not tracked(rid)]:
-                    self._ghosts.delete(key, rid)
+                segment_id = self.segment_id
+                for key in [key for key, __ in self._ghosts.items()
+                            if not tracked(LogicalRowId(segment_id, key))]:
+                    self._ghosts.delete(key)
                 if not self._ghosts.entry_count:
                     self._ghosts.clear()  # deletes leave empty leaves
         return removed
 
     @property
     def ghost_count(self) -> int:
-        """Entries in the ghost set (what a snapshot scan overlays)."""
+        """Keys in the ghost set (what a snapshot scan overlays)."""
         return self._ghosts.entry_count
-
-    def _rebind_surrogate(self, rowid: RowId, old_key: Tuple[Any, ...],
-                          new_key: Tuple[Any, ...]) -> None:
-        self._key_of_surrogate[rowid.slot - self._surrogate_base] = new_key
-        if self._surrogate_of_key.get(old_key) == rowid.slot:
-            del self._surrogate_of_key[old_key]
-        self._surrogate_of_key[new_key] = rowid.slot

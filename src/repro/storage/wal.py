@@ -11,8 +11,9 @@ module provides it:
   (``C``), commit (``X``), abort (``A``), and fuzzy checkpoints (``K``).
   Row changes are physiological for heap tables (segment/page/slot plus
   before/after images — replay is a slot-targeted, idempotent set) and
-  logical for index-organized tables (full before/after rows — their
-  surrogate rowids do not survive a restart).
+  logical for index-organized tables (full before/after rows — a row
+  carries its key, which is its logical rowid, and the tree has no
+  durable pages to address).
 
 * **LSNs.**  A record's LSN is ``(epoch << 40) | byte offset``.  The
   epoch bumps every time the log is truncated at a quiet checkpoint, so

@@ -115,7 +115,8 @@ class VersionStore:
     """Version chains for one table (heap or IOT), keyed by rowid.
 
     Rowids are whatever the storage layer uses as stable row identity
-    (:class:`~repro.storage.heap.RowId` or an IOT surrogate).  A rowid
+    (a heap's :class:`~repro.storage.heap.RowId`, an IOT's
+    :class:`~repro.storage.iot.LogicalRowId`).  A rowid
     is mapped exactly while some snapshot, live or future, could see
     something other than its slot: a write in flight, a commit above
     the low-water mark, or history a live snapshot still needs.  For a

@@ -229,8 +229,7 @@ def _restore_catalog(engine: Any, snapshot: Optional[Dict[str, Any]],
             if desc["is_iot"]:
                 storage: Any = IndexOrganizedTable(
                     engine.buffer, key_width=desc["key_width"],
-                    name=desc["name"], unique=desc["unique"],
-                    segment_id=desc["segment_id"])
+                    name=desc["name"], segment_id=desc["segment_id"])
             else:
                 storage = HeapTable(engine.buffer, name=desc["name"],
                                     segment_id=desc["segment_id"])
@@ -332,12 +331,12 @@ def _apply_redo(engine: Any, tables: Dict[str, Any], lsn: int,
     if lsn <= storage.applied_lsn:
         return False
     if op == "insert":
-        _iot_idempotent_insert(storage, payload["new"])
+        storage.recover_insert(payload["new"])
     elif op == "delete":
         storage.recover_delete(payload["old"])
     elif op == "update":
         storage.recover_delete(payload["old"])
-        _iot_idempotent_insert(storage, payload["new"])
+        storage.recover_insert(payload["new"])
     storage.applied_lsn = lsn
     return True
 
@@ -350,7 +349,7 @@ def _redo_bulk(engine: Any, storage: Any, lsn: int,
         if lsn <= storage.applied_lsn:
             return False
         for row in rows:
-            _iot_idempotent_insert(storage, row)
+            storage.recover_insert(row)
         storage.applied_lsn = lsn
         return True
     applied = False
@@ -365,15 +364,6 @@ def _redo_bulk(engine: Any, storage: Any, lsn: int,
         if lsn > page.page_lsn:
             page.page_lsn = lsn
     return applied
-
-
-def _iot_idempotent_insert(storage: Any, row: List[Any]) -> None:
-    """Replay an IOT insert; on a unique tree, delete-then-insert so a
-    record replayed against a fuzzier-than-stamped dump cannot double."""
-    key, payload = storage._split_row(row)
-    if storage.unique and storage._tree.search(key):
-        storage.recover_delete(row)
-    storage.recover_insert(row)
 
 
 def _apply_undo(engine: Any, dm: Any, tables: Dict[str, Any], txn_id: int,
@@ -396,10 +386,10 @@ def _apply_undo(engine: Any, dm: Any, tables: Dict[str, Any], txn_id: int,
             if op == "insert":
                 storage.recover_delete(payload["new"])
             elif op == "delete":
-                _iot_idempotent_insert(storage, payload["old"])
+                storage.recover_insert(payload["old"])
             elif op == "update":
                 storage.recover_delete(payload["new"])
-                _iot_idempotent_insert(storage, payload["old"])
+                storage.recover_insert(payload["old"])
     clr = {"t": REC_CLR, "x": txn_id, "tb": payload["tb"], "op": comp_op,
            "rid": rid if op != "bulk_insert" else None,
            "old": comp_old, "new": comp_new,

@@ -202,7 +202,8 @@ class BlobType(DataType):
 
 
 class RowIdType(DataType):
-    """Physical row identifier type (``ROWID``)."""
+    """Row identifier type (``ROWID``): a heap row's physical rowid or an
+    index-organized row's logical one."""
 
     name = "ROWID"
     _rowid_cls = None  # resolved lazily to avoid an import cycle with storage
@@ -212,8 +213,8 @@ class RowIdType(DataType):
             return NULL
         cls = RowIdType._rowid_cls
         if cls is None:
-            from repro.storage.heap import RowId
-            cls = RowIdType._rowid_cls = RowId
+            from repro.storage.heap import RowIdBase
+            cls = RowIdType._rowid_cls = RowIdBase
         if isinstance(value, cls):
             return value
         raise TypeMismatchError(f"expected ROWID, got {type(value).__name__}")

@@ -117,12 +117,12 @@ class TestDomainIndexLifecycle:
 
 
 class TestBulkBuild:
-    def test_rowids_out_of_scan_order_still_load(self, text_db):
-        """An IOT base table hands its rows over in key order, and its
-        surrogate rowids were numbered in insert order: inserted in
-        descending key order, every token's rowids reach the build in
-        decreasing order.  The build still loads the postings in key
-        order and answers what ``TextContains`` answers."""
+    def test_logical_rowids_load_in_key_order(self, text_db):
+        """An IOT base table hands its rows over in key order, and their
+        logical rowids are ordered by that key, however the rows were
+        inserted: every token's rowids reach the build in increasing
+        order.  The build loads the postings in key order and answers
+        what ``TextContains`` answers."""
         db = text_db
         db.execute("CREATE TABLE notes (id INTEGER, body VARCHAR2(200),"
                    " PRIMARY KEY (id)) ORGANIZATION INDEX")
@@ -132,7 +132,8 @@ class TestBulkBuild:
             db.execute("INSERT INTO notes VALUES (:1, :2)", [i, bodies[i]])
         scanned = [rid for (rid,) in db.execute(
             "SELECT rowid FROM notes").fetchall()]
-        assert scanned == sorted(scanned, reverse=True)
+        assert scanned == sorted(scanned)
+        assert [rid.key for rid in scanned] == [(i,) for i in range(60)]
         db.execute("CREATE INDEX notes_tidx ON notes(body)"
                    " INDEXTYPE IS TextIndexType")
         postings = db.execute(

@@ -11,6 +11,7 @@ row) and the B-tree's nodes are the rest.
 
 import gc
 import random
+import tracemalloc
 
 from repro import Database
 from repro.cartridges.spatial import install as install_spatial
@@ -68,3 +69,36 @@ def test_tile_build_leaves_about_one_tracked_object_per_tile():
     # about 2.9 tiles a geometry: the rowids the keys share are 0.34 of
     # this, the key tuples 1
     assert per_tile <= 1.5, per_tile
+
+
+def test_scanning_postings_retains_nothing_per_posting():
+    """A scan keeps nothing per row it read: an IOT row's rowid is its
+    key, built on demand and dropped with the result.  Every posting is
+    read once by a full scan and once by a ``token = :1`` prefix scan."""
+    db = Database()
+    install_text(db)
+    rng = random.Random(5)
+    vocabulary = [f"w{i}" for i in range(2000)]
+    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
+    db.insert_rows("docs", [[i, " ".join(rng.sample(vocabulary, 40))]
+                            for i in range(300)])
+    db.execute("CREATE INDEX docs_tidx ON docs(body)"
+               " INDEXTYPE IS TextIndexType")
+    full_scan = "SELECT token, rid, freq FROM docs_tidx_terms"
+    prefix_scan = "SELECT rid, freq FROM docs_tidx_terms WHERE token = :1"
+    tokens = sorted({word for (body,) in db.execute(
+        "SELECT body FROM docs").fetchall() for word in body.split()})
+    # warm the plan cache without reading a posting
+    db.execute(prefix_scan, ["absent"]).fetchall()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        postings = len(db.execute(full_scan).fetchall())
+        assert sum(len(db.execute(prefix_scan, [token]).fetchall())
+                   for token in tokens) == postings > 4000
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / postings < 8, retained / postings

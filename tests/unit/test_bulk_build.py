@@ -148,10 +148,9 @@ class TestRTreeStrPacking:
 
 
 class TestIOTInsertBulk:
-    def _iot(self, key_width=1, unique=True):
+    def _iot(self, key_width=1):
         return IndexOrganizedTable(BufferCache(IOStats()),
-                                   key_width=key_width, name="iot",
-                                   unique=unique)
+                                   key_width=key_width, name="iot")
 
     def test_matches_per_row_insert(self):
         rng = random.Random(3)
@@ -173,15 +172,15 @@ class TestIOTInsertBulk:
         for rid, row in zip(rids, rows):
             assert iot.fetch(rid) == row
 
-    def test_with_rowids_false_returns_none(self):
+    def test_rowids_are_the_loaded_keys(self):
         iot = self._iot()
-        assert iot.insert_bulk([[2, "b"], [1, "a"]],
-                               with_rowids=False) is None
-        # surrogates still materialize lazily for scans and fetches
-        rows = list(iot.scan())
-        assert [row[0] for __, row in rows] == [1, 2]
-        rid = rows[0][0]
-        assert iot.fetch(rid) == [1, "a"]
+        rids = iot.insert_bulk([[2, "b"], [1, "a"]])
+        # a lazy view over the keys the load built: nothing per row
+        # until an item is read, and each item is the row's key
+        assert rids.keys == [(2,), (1,)]
+        assert list(rids) == [rid for rid, __ in
+                              reversed(list(iot.scan()))]
+        assert iot.fetch(rids[1]) == [1, "a"]
 
     def test_presorted_fast_path(self):
         iot = self._iot(key_width=2)
@@ -212,7 +211,7 @@ class TestHeapInsertBulk:
     def test_flags_do_not_change_heap_semantics(self):
         heap = HeapTable(BufferCache(IOStats()), name="t")
         rows = [[i, f"r{i}"] for i in range(20)]
-        rids = heap.insert_bulk(rows, with_rowids=False, presorted=True)
+        rids = heap.insert_bulk(rows, presorted=True)
         # heap order is arrival order; rowids always come back
         assert len(rids) == 20
         assert [row for __, row in heap.scan()] == rows

@@ -540,6 +540,17 @@ class TestPlannerStaysATable:
         assert sum(lines.values()) <= 3625
         assert not (sql / "parallel.py").exists()
 
+    def test_iot_keeps_no_state_per_key(self):
+        """An IOT row's rowid is its key: ``storage/iot.py`` keeps no map
+        from keys to rowids, and stays at the size deleting its
+        surrogate maps left it."""
+        import pathlib
+        import repro.storage
+        source = (pathlib.Path(repro.storage.__file__).parent
+                  / "iot.py").read_text("utf-8")
+        assert len(source.splitlines()) <= 538
+        assert "surrogate" not in source
+
     def test_dml_has_one_maintenance_fan_out(self):
         """A row change reaches its indexes through one function; the
         ceiling is the size PR 19 reached by deleting transaction-
