@@ -4,16 +4,17 @@ Measures the write path introduced by the array maintenance interface:
 
 * **bulk CREATE INDEX** — sorted bottom-up construction (sort-group
   inverted list for the text cartridge, Sort-Tile-Recursive packing for
-  the spatial R-tree) against the per-row seed path
-  (``bulk_index_build = False``);
+  the spatial R-tree) against a bench-local indextype of the same
+  cartridge whose ``ODCIIndexCreate`` loads one row at a time
+  (:class:`PerRowTextMethods`, :class:`PerRowRtreeMethods`);
 * **batched executemany** — one parsed statement streaming every bind
   set through a single maintained statement (one maintenance flush per
-  index) against looping ``execute`` per row on the per-row seed path
-  (``batch_index_maintenance = False``).  The gated case is the classic
-  array-DML workload (heap table + two native B-tree indexes); the
-  text/chemistry rows are informational — cartridge maintenance is
-  compute-bound (lexing, fingerprinting) and identical in both paths,
-  which caps their ratios near the per-statement overhead share;
+  index) against looping ``execute`` per row (one statement, and one
+  flush, per row).  The gated case is the classic array-DML workload
+  (heap table + two native B-tree indexes); the text/chemistry rows are
+  informational — cartridge maintenance is compute-bound (lexing,
+  fingerprinting) and identical in both paths, which caps their ratios
+  near the per-statement overhead share;
 * **trace-guard micro-bench** — the per-row cost of building trace
   f-strings on the DML hot path, which ``env.trace_enabled`` now skips
   entirely when tracing is off (recorded as a note, not gated);
@@ -52,6 +53,11 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
 from repro import Database
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
+from repro.cartridges.spatial.indextype import RtreeIndexMethods
+from repro.cartridges.text.indextype import (
+    TextIndexMethods, _settings_table, _terms_table)
+from repro.cartridges.text.lexer import TextLexer, TextParameters
+from repro.types.values import is_null
 
 REPORT_FILE = "maintenance.txt"
 JSON_FILE = "BENCH_maintenance.json"
@@ -63,7 +69,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: regression tolerance for --check: a speedup ratio may not drop below
 #: 80% of the committed baseline's
 CHECK_TOLERANCE = 0.8
-#: acceptance floors (ISSUE 5): bulk CREATE INDEX over the per-row seed
+#: acceptance floors: bulk CREATE INDEX over the per-row build
 TEXT_BUILD_FLOOR = 5.0
 SPATIAL_BUILD_FLOOR = 3.0
 #: batched executemany INSERT over looping execute per row
@@ -79,12 +85,60 @@ SCALING_CEILING = 1.5
 SCALING_CASES = ("text_update_scaling", "spatial_delete_scaling")
 
 
+class PerRowTextMethods(TextIndexMethods):
+    """TextIndexType with a row-at-a-time ``ODCIIndexCreate``: the
+    per-row build baseline.
+
+    Postings go in document scan order, unsorted.  The first one is
+    inserted in its own statement, so the rest meet a populated IOT and
+    are inserted one row at a time (an insert into the empty IOT would
+    take the bulk-load plan).
+    """
+
+    def index_create(self, ia, parameters, env):
+        params = TextParameters.parse(parameters or "")
+        terms = _terms_table(ia)
+        env.callback.execute(
+            f"CREATE TABLE {terms} ("
+            "token VARCHAR2(64), rid ROWID, freq INTEGER,"
+            " PRIMARY KEY (token, rid)) ORGANIZATION INDEX")
+        env.callback.execute(
+            f"CREATE TABLE {_settings_table(ia)} "
+            "(key VARCHAR2(32), value VARCHAR2(4000))")
+        self._save_params(ia, env, params)
+        lexer = TextLexer(params)
+        postings = []
+        for rid, text in env.callback.query(
+                f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"):
+            if not is_null(text):
+                for token, freq in lexer.term_frequencies(
+                        str(text)).items():
+                    postings.append([token, rid, freq])
+        if postings:
+            env.callback.insert_rows(terms, postings[:1])
+            env.callback.insert_rows(terms, postings[1:])
+
+
+class PerRowRtreeMethods(RtreeIndexMethods):
+    """RtreeIndexType with a row-at-a-time ``ODCIIndexCreate``: one
+    quadratic-split ``RTree.insert`` per rectangle (the per-row build
+    baseline)."""
+
+    def index_create(self, ia, parameters, env):
+        for rid, geometry in env.callback.query(
+                f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"):
+            self.index_insert(ia, rid, [geometry], env)
+
+
 def _text_db(n_docs):
     from repro.cartridges.text import install
     corpus = make_corpus(n_docs, words_per_doc=40, vocabulary_size=400,
                          seed=23)
     db = Database(buffer_capacity=4096)
     install(db)
+    db.register_methods("PerRowTextMethods", PerRowTextMethods)
+    db.execute("CREATE INDEXTYPE PerRowTextIndexType"
+               " FOR Contains(VARCHAR2, VARCHAR2) USING PerRowTextMethods")
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(4000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
     return db, corpus
@@ -94,6 +148,10 @@ def _spatial_db(n_rows):
     from repro.cartridges.spatial import install_rtree
     db = Database(buffer_capacity=4096)
     install_rtree(db)
+    db.register_methods("PerRowRtreeMethods", PerRowRtreeMethods)
+    db.execute("CREATE INDEXTYPE PerRowRtreeIndexType"
+               " FOR Sdo_Relate(SDO_GEOMETRY, SDO_GEOMETRY, VARCHAR2)"
+               " USING PerRowRtreeMethods")
     db.execute("CREATE TABLE assets (id INTEGER, geom SDO_GEOMETRY)")
     rng = random.Random(29)
     sets = []
@@ -119,24 +177,22 @@ TILE_INDEX = ("CREATE INDEX assets_sidx ON assets(geom)"
               " INDEXTYPE IS SpatialIndexType")
 
 
-def _timed_create(db, create_sql, drop_sql, bulk):
-    """Time one CREATE INDEX under the given bulk_index_build setting."""
-    db.bulk_index_build = bulk
+def _timed_create(db, create_sql, drop_sql):
+    """Time one CREATE INDEX, then drop the index."""
     start = time.perf_counter()
     db.execute(create_sql)
     elapsed = time.perf_counter() - start
     db.execute(drop_sql)
-    db.bulk_index_build = True
     return elapsed
 
 
 def bench_text_bulk_create(n_docs):
     """Text inverted-index build: sort-group bulk vs per-row postings."""
     db, __ = _text_db(n_docs)
-    create = "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS TextIndexType"
+    create = "CREATE INDEX docs_text ON docs(body) INDEXTYPE IS {}"
     drop = "DROP INDEX docs_text"
-    per_row = _timed_create(db, create, drop, bulk=False)
-    bulk = _timed_create(db, create, drop, bulk=True)
+    per_row = _timed_create(db, create.format("PerRowTextIndexType"), drop)
+    bulk = _timed_create(db, create.format("TextIndexType"), drop)
     return {"per_row_s": round(per_row, 4), "bulk_s": round(bulk, 4),
             "speedup": round(per_row / bulk, 3)}
 
@@ -144,16 +200,14 @@ def bench_text_bulk_create(n_docs):
 def bench_spatial_bulk_create(n_rows):
     """R-tree build: STR packing vs quadratic-split per-row inserts."""
     db = _spatial_db(n_rows)
-    create = ("CREATE INDEX assets_ridx ON assets(geom)"
-              " INDEXTYPE IS RtreeIndexType")
+    create = "CREATE INDEX assets_ridx ON assets(geom) INDEXTYPE IS {}"
     drop = "DROP INDEX assets_ridx"
-    per_row = _timed_create(db, create, drop, bulk=False)
-    bulk = _timed_create(db, create, drop, bulk=True)
+    per_row = _timed_create(db, create.format("PerRowRtreeIndexType"), drop)
+    bulk = _timed_create(db, create.format("RtreeIndexType"), drop)
     # the same rectangles through the tile index: the build that
     # tessellates (not part of the gated R-tree ratio)
     tile_db = _tile_db(n_rows)
-    tile = _timed_create(tile_db, TILE_INDEX, "DROP INDEX assets_sidx",
-                         bulk=True)
+    tile = _timed_create(tile_db, TILE_INDEX, "DROP INDEX assets_sidx")
     return {"per_row_s": round(per_row, 4), "bulk_s": round(bulk, 4),
             "speedup": round(per_row / bulk, 3),
             "tile_index_s": round(tile, 4)}
@@ -241,14 +295,12 @@ def bench_tessellate_rect(n_rects):
 
 def _looped_vs_batched(db, sql, looped_sets, batched_sets, cleanup_sql):
     """Time looped per-row execute vs one executemany on ``db``."""
-    db.batch_index_maintenance = False
     start = time.perf_counter()
     for params in looped_sets:
         db.execute(sql, params)
     looped = time.perf_counter() - start
     db.execute(cleanup_sql)
 
-    db.batch_index_maintenance = True
     start = time.perf_counter()
     cursor = db.executemany(sql, batched_sets)
     batched = time.perf_counter() - start
@@ -261,8 +313,7 @@ def bench_executemany(n_rows):
     """Array INSERT into an indexed table: executemany vs looped execute.
 
     The classic array-DML measurement: the looped side pays parse,
-    transaction, lock, and per-row maintenance dispatch once per row
-    (the per-row seed path, ``batch_index_maintenance = False``); the
+    transaction, lock, and a maintenance flush once per row; the
     batched side parses once and flushes maintenance once per index.
     """
     db = Database(buffer_capacity=4096)
@@ -378,7 +429,7 @@ def render_table(results):
     cases = results["cases"]
     meta = results["meta"]
     table = ReportTable(
-        "maintenance — bulk builds and array DML vs per-row seed paths "
+        "maintenance — bulk builds and array DML vs per-row baselines "
         f"(docs={meta['n_docs']}, geoms={meta['n_geoms']}, "
         f"inserts={meta['n_inserts']})",
         ["case", "per_row_s", "bulk_s", "speedup"])

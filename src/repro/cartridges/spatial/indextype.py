@@ -320,13 +320,9 @@ class RtreeIndexMethods(IndexMethods):
         with self._latch:
             self._tree = RTree(max_entries=8)
             self._rect_of = rect_of
-            if getattr(env, "bulk_build", True):
-                # Sort-Tile-Recursive packing: one sorted pass per level
-                # instead of a quadratic-split descent per geometry
-                self._tree.bulk_load(pairs)
-            else:
-                for rect, rid in pairs:
-                    self._tree.insert(rect, rid)
+            # Sort-Tile-Recursive packing: one sorted pass per level
+            # instead of a quadratic-split descent per geometry
+            self._tree.bulk_load(pairs)
 
     def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         with self._latch:

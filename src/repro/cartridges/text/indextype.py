@@ -161,48 +161,33 @@ class TextIndexMethods(IndexMethods):
         existing = env.callback.query(
             f"SELECT rowid, {column} FROM {ia.table_name}")
         lexer = TextLexer(params)
-        if getattr(env, "bulk_build", True):
-            # sort-group construction: one (rowids, freqs) pair of
-            # columns per token while lexing, then the buckets emitted
-            # in sorted token order — sorting the (small) vocabulary
-            # instead of every posting.  The documents are put in rowid
-            # order first (one sort key per document; a heap scan
-            # already hands them over so), so every bucket fills in
-            # rowid order and (token, rid) order is a guarantee: the
-            # direct-path load bulk-builds the IOT bottom-up with no
-            # load-time sort and no per-row re-validation.
-            existing.sort(key=_rid_order)
-            inverted: dict = {}
-            get_bucket = inverted.get
-            for rid, text in existing:
-                if is_null(text):
-                    continue
-                for token, freq in lexer.term_frequencies(
-                        str(text)).items():
-                    bucket = get_bucket(token)
-                    if bucket is None:
-                        bucket = inverted[token] = ([], [])
-                    bucket[0].append(rid)
-                    bucket[1].append(freq)
-            if inverted:
-                postings_rows: List[Any] = []
-                extend = postings_rows.extend
-                for token in sorted(inverted):
-                    rids, freqs = inverted[token]
-                    extend(zip(repeat(token), rids, freqs))
-                env.callback.direct_load(terms, postings_rows,
-                                         presorted=True)
-        else:
-            # per-row seed path: postings in document scan order
-            postings_rows = []
-            for rid, text in existing:
-                if is_null(text):
-                    continue
-                for token, freq in lexer.term_frequencies(
-                        str(text)).items():
-                    postings_rows.append([token, rid, freq])
-            if postings_rows:
-                env.callback.insert_rows(terms, postings_rows)
+        # sort-group construction: one (rowids, freqs) pair of columns
+        # per token while lexing, then the buckets emitted in sorted
+        # token order — sorting the (small) vocabulary instead of every
+        # posting.  The documents are put in rowid order first (one sort
+        # key per document; a heap scan already hands them over so), so
+        # every bucket fills in rowid order and (token, rid) order is a
+        # guarantee: the direct-path load bulk-builds the IOT bottom-up
+        # with no load-time sort and no per-row re-validation.
+        existing.sort(key=_rid_order)
+        inverted: dict = {}
+        get_bucket = inverted.get
+        for rid, text in existing:
+            if is_null(text):
+                continue
+            for token, freq in lexer.term_frequencies(str(text)).items():
+                bucket = get_bucket(token)
+                if bucket is None:
+                    bucket = inverted[token] = ([], [])
+                bucket[0].append(rid)
+                bucket[1].append(freq)
+        if inverted:
+            postings_rows: List[Any] = []
+            extend = postings_rows.extend
+            for token in sorted(inverted):
+                rids, freqs = inverted[token]
+                extend(zip(repeat(token), rids, freqs))
+            env.callback.direct_load(terms, postings_rows, presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:

@@ -119,12 +119,15 @@ class ODCIEnv:
     ``callback`` is the restricted SQL session (server callbacks, §2.5);
     ``workspace`` allocates return-handle scan state (§2.2.3); ``stats``
     exposes the shared I/O counters so cartridges can account index work.
+    There is no build-mode flag: ``ODCIIndexCreate`` always builds from
+    the whole base table, with whatever bulk construction the cartridge
+    has.
     """
 
     def __init__(self, callback: Any, workspace: Any, stats: Any,
                  trace: Optional[Any] = None, invoker: str = "",
                  definer: str = "", lobs: Any = None, files: Any = None,
-                 events: Any = None, bulk_build: bool = True):
+                 events: Any = None):
         self.callback = callback
         self.workspace = workspace
         self.stats = stats
@@ -137,11 +140,6 @@ class ODCIEnv:
         self.files = files
         #: database-event manager (§5's commit/rollback hooks)
         self.events = events
-        #: whether CREATE/REBUILD may use the cartridge's bulk-build path
-        #: (the ``bulk_index_build`` session setting); cartridges that
-        #: support sorted/packed construction consult this and fall back
-        #: to row-at-a-time loading when it is off
-        self.bulk_build = bulk_build
 
     @property
     def trace_enabled(self) -> bool:

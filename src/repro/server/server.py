@@ -80,8 +80,6 @@ SESSION_SETTINGS = {
     "lock_timeout": _is_timeout,
     "skip_unusable_indexes": _is_flag,
     "snapshot_reads": _is_flag,
-    "batch_index_maintenance": _is_flag,
-    "bulk_index_build": _is_flag,
     "fetch_batch_size": _is_batch_size,
 }
 

@@ -560,8 +560,7 @@ def _exec_factory(gen: _KernelCodegen, lines: List[str],
     serves.
     """
     source = "\n".join(lines[:1] + _emit_bind_guards(gen) + lines[1:])
-    namespace = dict(_RUNTIME)
-    namespace.update(gen.env)
+    env = gen.env
     generated: List[Callable] = []
 
     def factory(*args: Any) -> Optional[Callable]:
@@ -572,10 +571,11 @@ def _exec_factory(gen: _KernelCodegen, lines: List[str],
                 if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
                     _CODE_CACHE.clear()
                 _CODE_CACHE[source] = code
+            # a namespace per exec, so racing first calls never pop each
+            # other's ``_factory``; popping it leaves no cycle through the
+            # function's globals, so a retired plan dies by refcount
+            namespace = {**_RUNTIME, **env}
             exec(code, namespace)  # noqa: S102
-            # popped so the namespace (the function's globals) does not
-            # point back at the function: a retired plan is then freed
-            # by reference counting, not left for the cycle collector
             generated.append(namespace.pop("_factory"))
         return generated[0](*args)
     return factory

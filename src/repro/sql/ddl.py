@@ -235,25 +235,19 @@ class DDLEngine:
 
     def _populate_native(self, table: TableDef, structure: Any,
                          positions: List[int]) -> None:
-        """Load a native index structure from the table's current rows.
-
-        Sorted bulk build when the structure supports it (B-trees) and
-        ``bulk_index_build`` is on; per-row insertion otherwise.
-        """
-        db = self.db
-        if (getattr(db, "bulk_index_build", True)
-                and hasattr(structure, "bulk_load")):
-            pairs = []
-            for rowid, row in table.storage.scan():
-                key = index_key(row, positions)
-                if key is not None:
-                    pairs.append((key, rowid))
-            structure.bulk_load(pairs)
-            return
+        """Load a native index structure from the table's current rows:
+        a sorted bulk build when the structure has one (B-trees),
+        per-row insertion otherwise (hash, bitmap)."""
+        pairs = []
         for rowid, row in table.storage.scan():
             key = index_key(row, positions)
             if key is not None:
-                structure.insert(key, rowid)
+                pairs.append((key, rowid))
+        if hasattr(structure, "bulk_load"):
+            structure.bulk_load(pairs)
+            return
+        for key, rowid in pairs:
+            structure.insert(key, rowid)
 
     def _create_domain_index(self, stmt: ast.CreateIndex, table: TableDef,
                              columns: Tuple[str, ...]) -> Cursor:

@@ -28,9 +28,7 @@ served by the dispatcher's looping shim).  A mid-batch fault therefore
 fails the statement exactly as a per-row fault did — the savepoint has
 everything.  The queue flushes exactly once, at the end of the statement
 that filled it, so an index never lags its table past a statement
-boundary.  ``batch_index_maintenance = False`` restores the historical
-per-row dispatch, which the differential tests use to prove both paths
-build identical indexes.
+boundary.
 """
 
 from __future__ import annotations
@@ -450,11 +448,10 @@ class DMLEngine:
         empty bulk-loadable native structures — the shape of a freshly
         created index data table (text IOT, spatial tiles, VIR coarse
         table) being populated by ``ODCIIndexCreate``/REBUILD.  Domain
-        indexes, populated tables, and the ``bulk_index_build = False``
-        seed path all take the per-row route.
+        indexes and populated tables take the per-row route.
         """
         db = self.db
-        if n_rows < 2 or not db.bulk_index_build:
+        if n_rows < 2:
             return None
         storage = table.storage
         if not hasattr(storage, "insert_bulk") or storage.row_count != 0:
@@ -606,11 +603,7 @@ class DMLEngine:
         index moves the rowid from the old key to the new one when they
         differ (NULL keys are not indexed), with undo.  A domain index
         whose indexed columns changed gets one entry on the statement's
-        queue, dispatched by :meth:`_flush` when the statement ends —
-        or, with ``batch_index_maintenance`` off, one scalar
-        ``ODCIIndexInsert/Update/Delete`` call right here (the
-        differential suites' reference path: no queue, no
-        ``IndexMaintenanceStats`` record).
+        queue, dispatched by :meth:`_flush` when the statement ends.
         """
         db = self.db
         kind = ("insert" if old_row is None
@@ -624,21 +617,10 @@ class DMLEngine:
                 if kind == "update" and values[0] == values[1]:
                     continue  # indexed columns unchanged
                 domain = index.domain
-                if not self._maintainable(index.name, domain):
-                    continue
-                if db.batch_index_maintenance:
+                if self._maintainable(index.name, domain):
                     self._queue_stack[-1].add(index, domain, kind,
                                               (rowid, *values))
                     db.dispatcher.maintenance[index.name].entries_queued += 1
-                    continue
-                __, routine, __, method = _BATCH_SPECS[kind]
-                env = db.make_env(CallbackPhase.MAINTENANCE, domain)
-                if env.trace_enabled:
-                    env.trace(f"dml:{routine}({index.name})")
-                db.dispatcher.call(
-                    routine, getattr(domain.methods, method),
-                    domain.index_info(), rowid, *values, env,
-                    index_name=index.name, phase="maintenance")
                 continue
             structure = index.structure
             old_key = (None if old_row is None

@@ -87,14 +87,6 @@ class Session:
         self.skip_unusable_indexes = True
         #: seconds a lock request blocks before LockTimeoutError
         self.lock_timeout = engine.default_lock_timeout
-        #: array ODCI maintenance (ODCIIndex*Batch, one dispatch per
-        #: index per statement); off restores per-row dispatch — the
-        #: differential tests drive both paths over the same workload
-        self.batch_index_maintenance = True
-        #: CREATE INDEX / REBUILD may use bulk construction (bottom-up
-        #: B-tree build, STR packing, sorted inverted-list load); off
-        #: forces the row-at-a-time seed path (bench baseline)
-        self.bulk_index_build = True
         #: when True, SELECTs skip table S-locks (plan-time stats reads)
         self._suppress_table_locks = False
         #: MVCC consistent reads (default): SELECTs resolve rows against
@@ -280,8 +272,7 @@ class Session:
         return ODCIEnv(callback=callback, workspace=self.workspace,
                        stats=self.stats, trace=self.trace_log,
                        invoker=self.session_user, definer=definer,
-                       lobs=self.lobs, files=self.files, events=self.events,
-                       bulk_build=self.bulk_index_build)
+                       lobs=self.lobs, files=self.files, events=self.events)
 
     def make_stats_env(self, domain: Optional[DomainIndex] = None) -> ODCIEnv:
         """Environment for optimizer statistics routines (query-only).

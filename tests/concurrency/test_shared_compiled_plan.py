@@ -80,3 +80,30 @@ class TestSharedCompiledPlan:
         with interpreter_forced(slow):
             assert fast.execute(SQL, [9, 3]).fetchall() == expected
             assert slow.execute(SQL, [9, 3]).fetchall() == expected
+
+    def test_racing_first_calls_each_get_the_factory(self):
+        """Two sessions making the first call of one shared factory both
+        byte-compile and run its source.  The source here holds both
+        threads right after ``_factory`` is defined, the widest form of
+        that race: each call must still get a working function."""
+        from repro.sql.compile import _exec_factory, _KernelCodegen
+        gen = _KernelCodegen({})
+        barrier = threading.Barrier(2)
+        gen.env["_both_defined"] = lambda: barrier.wait(timeout=10)
+        factory = _exec_factory(gen, [
+            "def _factory(binds):", "    return len(binds)",
+            "_both_defined()"], "<race>")
+        results = []
+
+        def first_call():
+            try:
+                results.append(factory([1, 2]))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                results.append(repr(exc))
+
+        threads = [threading.Thread(target=first_call) for __ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert results == [2, 2]

@@ -1,5 +1,7 @@
 """Shared fixtures: fresh databases, optionally with cartridges installed."""
 
+import contextlib
+
 import pytest
 
 from repro import Database
@@ -69,3 +71,36 @@ def employees_db(text_db):
         " INDEXTYPE IS TextIndexType"
         " PARAMETERS (':Language English :Ignore the a an')")
     return text_db
+
+
+@pytest.fixture
+def scalar_text_routines(monkeypatch):
+    """A context in which the text cartridge is a scalar-only indextype.
+
+    Its array routines go back to the ``IndexMethods`` defaults, so the
+    dispatcher's shim calls ``ODCIIndexInsert/Delete/Update`` once per
+    row and an update is the default delete + insert.  The cartridge's
+    scalar insert and delete hand their one row to its array bodies;
+    they are rebound to the original bodies here, so they cannot loop
+    back through the defaults.
+    """
+    from repro.cartridges.text.indextype import TextIndexMethods
+    from repro.core.odci import IndexMethods
+
+    def one_row(array_body):
+        return lambda self, ia, rowid, values, env: array_body(
+            self, ia, [(rowid, values)], env)
+
+    @contextlib.contextmanager
+    def scalar():
+        with monkeypatch.context() as patch:
+            for kind in ("insert", "delete"):
+                patch.setattr(TextIndexMethods, f"index_{kind}", one_row(
+                    getattr(TextIndexMethods, f"index_{kind}_batch")))
+            for kind in ("insert", "delete", "update"):
+                name = f"index_{kind}_batch"
+                patch.setattr(TextIndexMethods, name,
+                              getattr(IndexMethods, name))
+            yield
+
+    return scalar

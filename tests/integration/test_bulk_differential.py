@@ -1,16 +1,19 @@
-"""Differential proofs: bulk and batched paths equal the per-row seed.
+"""Differential proofs: the bulk build and the array routines equal a
+reference that shares no code with them.
 
 Two families:
 
-* **build differential** — ``CREATE INDEX`` / ``ALTER INDEX REBUILD``
-  under ``bulk_index_build = True`` must produce an index observably
-  identical to the per-row seed build (``bulk_index_build = False``):
-  exact postings-table contents for text, identical operator answers
-  for spatial and chemistry;
+* **build differential** — ``CREATE INDEX`` on a loaded table (the
+  cartridge's bulk build: sorted inverted-list load, STR packing, one
+  fingerprint append) must produce the index that ``CREATE INDEX`` on
+  the empty table followed by inserting the same rows produces (the
+  maintenance path): exact postings-table contents for text, and for
+  the R-tree and chemistry operator answers equal to each other and to
+  the operator's functional evaluation on a table with no index;
 * **maintenance differential** — a deterministic mixed DML stress run
-  under batched maintenance must leave the same index contents as the
-  identical run under per-row maintenance
-  (``batch_index_maintenance = False``).
+  through the text cartridge's native array routines must leave the
+  same postings as the identical run through its scalar routines,
+  which the dispatcher's shim loops one row per call.
 """
 
 import random
@@ -24,6 +27,38 @@ def _text_contents(db, index_name="docs_text"):
     """The full inverted index, in key order (token, rid, freq)."""
     return db.execute(
         f"SELECT token, rid, freq FROM {index_name}_terms").fetchall()
+
+
+def _built_and_maintained(install, create_table, load, create_index):
+    """Three databases over the same rows: the index built from the
+    loaded table, the index built empty and maintained as the rows
+    arrive, and no index at all (functional evaluation)."""
+    dbs = []
+    for mode in ("built", "maintained", "functional"):
+        db = Database()
+        install(db)
+        db.execute(create_table)
+        if mode == "maintained":
+            db.execute(create_index)
+        load(db)
+        if mode == "built":
+            db.execute(create_index)
+        dbs.append(db)
+    return dbs
+
+
+def _answers(db, sql, binds=None):
+    return sorted(db.execute(sql, binds or []).fetchall())
+
+
+def _index_answers(db, sql, binds=None):
+    """The answer of a query that must take the domain index."""
+    before = db.dispatcher.snapshot().get(
+        "ODCIIndexStart", {}).get("invocations", 0)
+    rows = _answers(db, sql, binds)
+    assert db.dispatcher.snapshot()["ODCIIndexStart"]["invocations"] \
+        == before + 1
+    return rows
 
 
 @pytest.fixture
@@ -43,17 +78,15 @@ class TestTextBuildDifferential:
         return db
 
     def test_create_index_contents_identical(self, corpus):
-        db = self._db(corpus)
-        create = ("CREATE INDEX docs_text ON docs(body)"
-                  " INDEXTYPE IS TextIndexType")
-        db.bulk_index_build = False
-        db.execute(create)
-        per_row = _text_contents(db)
-        db.execute("DROP INDEX docs_text")
-        db.bulk_index_build = True
-        db.execute(create)
-        bulk = _text_contents(db)
-        assert bulk == per_row
+        from repro.cartridges.text import install
+        built, maintained, __ = _built_and_maintained(
+            install, "CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))",
+            lambda db: db.insert_rows(
+                "docs", [[i, d] for i, d in enumerate(corpus.documents)]),
+            "CREATE INDEX docs_text ON docs(body)"
+            " INDEXTYPE IS TextIndexType")
+        bulk = _text_contents(built)
+        assert bulk == _text_contents(maintained)
         assert len(bulk) > 100  # a real corpus, not a trivial pass
 
     def test_rebuild_uses_bulk_and_matches(self, corpus):
@@ -87,70 +120,70 @@ class TestTextBuildDifferential:
 
 class TestSpatialBuildDifferential:
     def test_rtree_str_answers_match_per_row(self):
+        """STR packing against one ``RTree.insert`` per row."""
         from repro.cartridges.spatial import install_rtree
-
-        def build(bulk):
-            db = Database()
-            install_rtree(db)
-            db.execute(
-                "CREATE TABLE assets (id INTEGER, geom SDO_GEOMETRY)")
-            rng = random.Random(41)
-            sets = []
-            for i in range(150):
-                x, y = rng.uniform(0, 800), rng.uniform(0, 800)
-                sets.append([i, x, y, x + rng.uniform(1, 30),
-                             y + rng.uniform(1, 30)])
-            db.executemany(
+        rng = random.Random(41)
+        sets = []
+        for i in range(150):
+            x, y = rng.uniform(0, 800), rng.uniform(0, 800)
+            sets.append([i, x, y, x + rng.uniform(1, 30),
+                         y + rng.uniform(1, 30)])
+        dbs = _built_and_maintained(
+            install_rtree,
+            "CREATE TABLE assets (id INTEGER, geom SDO_GEOMETRY)",
+            lambda db: db.executemany(
                 "INSERT INTO assets VALUES"
-                " (:1, sdo_rect(:2, :3, :4, :5))", sets)
-            db.bulk_index_build = bulk
-            db.execute("CREATE INDEX assets_ridx ON assets(geom)"
-                       " INDEXTYPE IS RtreeIndexType")
-            return db
-
-        per_row, bulk = build(False), build(True)
+                " (:1, sdo_rect(:2, :3, :4, :5))", sets),
+            "CREATE INDEX assets_ridx ON assets(geom)"
+            " INDEXTYPE IS RtreeIndexType")
+        built, maintained, functional = dbs
         windows = [(0, 0, 200, 200), (300, 300, 500, 500),
                    (0, 0, 800, 800), (790, 790, 800, 800)]
+        answered = set()
         for x1, y1, x2, y2 in windows:
             q = ("SELECT id FROM assets WHERE Sdo_Relate(geom,"
                  f" sdo_rect({x1}, {y1}, {x2}, {y2}),"
                  " 'mask=ANYINTERACT')")
-            assert sorted(per_row.execute(q).fetchall()) \
-                == sorted(bulk.execute(q).fetchall())
+            expected = _answers(functional, q)
+            assert _index_answers(built, q) == expected
+            assert _index_answers(maintained, q) == expected
+            answered.update(expected)
+        assert len(answered) == len(sets)  # every row is some answer
 
 
 class TestChemistryBuildDifferential:
     def test_fingerprint_or_answers_match_per_row(self):
+        """One fingerprint-file append for the table against one
+        ``ODCIIndexInsert`` append per row."""
         from repro.bench.workloads import make_molecule_table
         from repro.cartridges.chemistry import install
-
         rows = make_molecule_table(50, seed=19)
+        built, maintained, functional = _built_and_maintained(
+            install,
+            "CREATE TABLE molecules (mid INTEGER, mol VARCHAR2(512))",
+            lambda db: db.insert_rows("molecules", [list(r) for r in rows]),
+            "CREATE INDEX mol_idx ON molecules(mol)"
+            " INDEXTYPE IS ChemIndexType PARAMETERS (':Storage LOB')")
+        q = "SELECT mid FROM molecules WHERE Chem_Match(mol, :1)"
+        # targets from both ends of the load: a build that drops a row
+        # at either end loses that molecule's self-match
+        for __, target in rows[:4] + rows[-4:]:
+            expected = _answers(functional, q, [target])
+            assert expected
+            assert _index_answers(built, q, [target]) == expected
+            assert _index_answers(maintained, q, [target]) == expected
 
-        def build(bulk):
-            db = Database()
-            install(db)
-            db.execute(
-                "CREATE TABLE molecules (mid INTEGER, mol VARCHAR2(512))")
-            db.insert_rows("molecules", [list(r) for r in rows])
-            db.bulk_index_build = bulk
-            db.execute("CREATE INDEX mol_idx ON molecules(mol)"
-                       " INDEXTYPE IS ChemIndexType"
-                       " PARAMETERS (':Storage LOB')")
-            return db
 
-        per_row, bulk = build(False), build(True)
-        for __, target in rows[:8]:
-            q = "SELECT mid FROM molecules WHERE Chem_Match(mol, :1)"
-            assert sorted(per_row.execute(q, [target]).fetchall()) \
-                == sorted(bulk.execute(q, [target]).fetchall())
+def _shim_batches(db, index_name="docs_text"):
+    stats = db.dispatcher.maintenance.snapshot().get(index_name, {})
+    return stats.get("native_batches", 0), stats.get("shim_batches", 0)
 
 
 class TestMaintenanceDifferential:
-    def _stress(self, batched, corpus):
+    def _stress(self, corpus):
         from repro.cartridges.text import install
         db = Database()
         install(db)
-        db.batch_index_maintenance = batched
         db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
         db.insert_rows(
             "docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -181,9 +214,13 @@ class TestMaintenanceDifferential:
                 next_id += 4
         return db
 
-    def test_mixed_dml_stress_contents_identical(self, corpus):
-        batched = self._stress(True, corpus)
-        looped = self._stress(False, corpus)
+    def test_mixed_dml_stress_contents_identical(self, corpus,
+                                                 scalar_text_routines):
+        batched = self._stress(corpus)
+        with scalar_text_routines():
+            looped = self._stress(corpus)
+        assert _shim_batches(batched)[1] == 0
+        assert _shim_batches(looped)[0] == 0
         assert batched.execute(
             "SELECT id FROM docs ORDER BY id").fetchall() \
             == looped.execute(
@@ -195,15 +232,16 @@ class TestMaintenanceDifferential:
         assert sorted(batched.execute(q, [word]).fetchall()) \
             == sorted(looped.execute(q, [word]).fetchall())
 
-    def test_transaction_contents_identical(self, corpus):
+    def test_transaction_contents_identical(self, corpus,
+                                            scalar_text_routines):
         """One explicit transaction of single-row statements: each
-        statement flushes its own queue, the per-row path has none."""
+        statement flushes its own queue, through either kind of
+        routine."""
         from repro.cartridges.text import install
 
-        def run(batched):
+        def run():
             db = Database()
             install(db)
-            db.batch_index_maintenance = batched
             db.execute(
                 "CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
             db.execute("CREATE INDEX docs_text ON docs(body)"
@@ -218,4 +256,8 @@ class TestMaintenanceDifferential:
             db.commit()
             return db
 
-        assert _text_contents(run(True)) == _text_contents(run(False))
+        batched = run()
+        with scalar_text_routines():
+            looped = run()
+        assert _shim_batches(looped) == (0, 12)
+        assert _text_contents(batched) == _text_contents(looped)

@@ -129,12 +129,20 @@ class TestQueueCounters:
         # the text cartridge implements the array routine
         assert stats["native_batches"] == 1
 
-    def test_per_row_seed_path_bypasses_queue(self, docs_db):
-        docs_db.batch_index_maintenance = False
-        docs_db.insert_rows("docs", [[i, f"alpha w{i}"] for i in range(4)])
-        assert "docs_text" not in docs_db.dispatcher.maintenance.snapshot()
+    def test_scalar_only_indextype_goes_through_the_shim(
+            self, docs_db, scalar_text_routines):
+        """An indextype without array routines still rides the queue:
+        one shim batch that calls ``ODCIIndexInsert`` once per entry."""
+        with scalar_text_routines():
+            docs_db.insert_rows("docs", [[i, f"alpha w{i}"]
+                                         for i in range(4)])
+        stats = docs_db.dispatcher.maintenance.snapshot()["docs_text"]
+        assert stats["entries_queued"] == stats["entries_flushed"] == 4
+        assert stats["shim_batches"] == 1
+        assert stats["native_batches"] == 0
         metrics = docs_db.dispatcher.snapshot()
         assert metrics["ODCIIndexInsert"]["invocations"] == 4
+        assert "ODCIIndexInsertBatch" not in metrics
 
     def test_dictionary_view_reports_counters(self, docs_db):
         docs_db.insert_rows("docs", [[i, f"alpha w{i}"] for i in range(5)])
@@ -192,22 +200,35 @@ class TestExecutemanyRowcounts:
         assert docs_db.execute(
             "SELECT COUNT(*) FROM docs").fetchall() == [(4,)]
 
-    def test_batched_results_match_looped(self, text_db):
-        text_db.execute(
-            "CREATE TABLE d2 (id INTEGER, body VARCHAR2(200))")
-        text_db.execute("CREATE INDEX d2_text ON d2(body)"
-                        " INDEXTYPE IS TextIndexType")
-        sets = [[i, f"omega gamma w{i}"] for i in range(5)]
-        text_db.executemany("INSERT INTO d2 VALUES (:1, :2)", sets)
-        batched = sorted(text_db.execute(
-            "SELECT id FROM d2 WHERE Contains(body, 'omega')").fetchall())
-        text_db.execute("DELETE FROM d2")
-        text_db.batch_index_maintenance = False
-        for params in sets:
-            text_db.execute("INSERT INTO d2 VALUES (:1, :2)", params)
-        looped = sorted(text_db.execute(
-            "SELECT id FROM d2 WHERE Contains(body, 'omega')").fetchall())
-        assert batched == looped == [(i,) for i in range(5)]
+    def test_batched_results_match_looped(self, scalar_text_routines):
+        """The native array routines and the scalar routines the shim
+        loops leave the same postings."""
+        from repro.cartridges.text import install
+
+        def run():
+            db = Database()
+            install(db)
+            db.execute("CREATE TABLE d2 (id INTEGER, body VARCHAR2(200))")
+            db.execute("CREATE INDEX d2_text ON d2(body)"
+                       " INDEXTYPE IS TextIndexType")
+            db.executemany("INSERT INTO d2 VALUES (:1, :2)",
+                           [[i, f"omega gamma w{i}"] for i in range(5)])
+            db.execute("UPDATE d2 SET body = 'omega delta' WHERE id < 2")
+            db.execute("DELETE FROM d2 WHERE id = 4")
+            return db
+
+        batched = run()
+        with scalar_text_routines():
+            looped = run()
+        postings = "SELECT token, rid, freq FROM d2_text_terms"
+        assert batched.execute(postings).fetchall() \
+            == looped.execute(postings).fetchall()
+        assert sorted(looped.execute(
+            "SELECT id FROM d2 WHERE Contains(body, 'omega')").fetchall()) \
+            == [(i,) for i in range(4)]
+        stats = looped.dispatcher.maintenance.snapshot()["d2_text"]
+        # one batch per statement: the INSERT, the UPDATE, the DELETE
+        assert (stats["native_batches"], stats["shim_batches"]) == (0, 3)
 
 
 class TestRollback:

@@ -215,7 +215,10 @@ class TestParallelScanFaults:
                                          {"prefetch_min_rows": 1},
                                          {"parallel_execution": False},
                                          {"deferred_index_maintenance":
-                                          True}])
+                                          True},
+                                         {"bulk_index_build": True},
+                                         {"batch_index_maintenance":
+                                          False}])
     def test_handshake_refuses_removed_settings(self, setting):
         from repro import dbapi
         from repro.server import Server
@@ -233,15 +236,16 @@ class TestParallelScanFaults:
         session = Engine().connect()
         assert [name for name in SESSION_SETTINGS
                 if name not in vars(session)] == []
-        assert not hasattr(session, "deferred_index_maintenance")
+        for removed in ("deferred_index_maintenance", "bulk_index_build",
+                        "batch_index_maintenance"):
+            assert not hasattr(session, removed)
 
     @pytest.mark.parametrize("setting", [
         {"lock_timeout": "soon"}, {"lock_timeout": -1.0},
         {"lock_timeout": float("nan")}, {"lock_timeout": True},
         {"fetch_batch_size": 0}, {"fetch_batch_size": 2.5},
         {"fetch_batch_size": "32"}, {"snapshot_reads": 1},
-        {"skip_unusable_indexes": "no"}, {"bulk_index_build": None},
-        {"batch_index_maintenance": 0}])
+        {"skip_unusable_indexes": "no"}])
     def test_handshake_refuses_invalid_setting_values(self, setting):
         """A value the engine would crash on statements later is refused
         where an unknown name is: typed, at the handshake, counted."""

@@ -553,14 +553,15 @@ class TestPlannerStaysATable:
 
     def test_dml_has_one_maintenance_fan_out(self):
         """A row change reaches its indexes through one function; the
-        ceiling is the size PR 19 reached by deleting transaction-
-        deferred maintenance and the copied ``maintain_*`` bodies."""
+        ceiling is the size deleting transaction-deferred maintenance,
+        the copied ``maintain_*`` bodies and the per-row dispatch
+        branch left."""
         import ast
         import pathlib
         import repro.sql
         source = (pathlib.Path(repro.sql.__file__).parent
                   / "dml.py").read_text("utf-8")
-        assert len(source.splitlines()) <= 817
+        assert len(source.splitlines()) <= 779
         assert [node.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.FunctionDef)
                 and node.name.startswith("maintain")] == ["maintain"]
@@ -581,6 +582,23 @@ class TestPlannerStaysATable:
             text = path.read_text("utf-8")
             assert "one_shot" not in text and "substitute_binds" not in text, \
                 path
+
+    def test_one_build_path_and_one_maintenance_path(self):
+        """An index build and DML maintenance each have one path: no
+        setting selects a per-row build or per-row dispatch, and the
+        handshake whitelists only the four settings that remain."""
+        import pathlib
+        import re
+        import repro
+        from repro.server.server import SESSION_SETTINGS
+        knobs = re.compile(
+            r"bulk_index_build|batch_index_maintenance|bulk_build")
+        root = pathlib.Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            assert not knobs.search(path.read_text("utf-8")), path
+        assert set(SESSION_SETTINGS) == {
+            "lock_timeout", "skip_unusable_indexes", "snapshot_reads",
+            "fetch_batch_size"}
 
     def test_no_other_module_lists_the_native_scan_classes(self):
         """executor/compile derive their scan-class tuples from
