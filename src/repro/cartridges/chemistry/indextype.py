@@ -290,6 +290,7 @@ class ChemIndexMethods(IndexMethods):
                     query_info: ODCIQueryInfo, env: ODCIEnv) -> Any:
         operator = op_info.operator_name.lower().split(".")[-1]
         index_file = self._index_file(ia, env)
+        want_aux = False
         if operator == "chem_match":
             results = self._exact_scan(ia, env, index_file, op_info,
                                        tautomer=False)
@@ -300,10 +301,11 @@ class ChemIndexMethods(IndexMethods):
             results = self._substructure_scan(ia, env, index_file, op_info)
         elif operator == "chem_similar":
             results = self._similarity_scan(index_file, op_info, query_info)
+            want_aux = query_info.ancillary_label is not None
         else:
             raise ODCIError("ODCIIndexStart",
                             f"ChemIndexType cannot evaluate {operator!r}")
-        return env.workspace.allocate(PrecomputedScan(results))
+        return env.workspace.allocate(PrecomputedScan(results, want_aux))
 
     def _query_molecule(self, op_info: ODCIPredInfo) -> Molecule:
         if not op_info.operator_args:
@@ -379,7 +381,7 @@ class ChemIndexMethods(IndexMethods):
                     env: ODCIEnv) -> FetchResult:
         scan = env.workspace.resolve(context)
         batch = scan.next_batch(nrows)
-        if batch and isinstance(batch[0], tuple):
+        if scan.want_aux:
             return FetchResult(rowids=[rid for rid, __ in batch],
                                aux=[score for __, score in batch],
                                done=len(batch) < nrows)

@@ -122,16 +122,13 @@ class CollectionIndexMethods(IndexMethods):
             (rid, count) for rid, count in rows
             if op_info.bound_accepts(count))
         if query_info.ancillary_label is not None:
-            scan = PrecomputedScan(accepted)
-            scan.want_aux = True  # type: ignore[attr-defined]
-        else:
-            scan = PrecomputedScan([rid for rid, __ in accepted])
-        return scan
+            return PrecomputedScan(accepted, want_aux=True)
+        return PrecomputedScan([rid for rid, __ in accepted])
 
     def index_fetch(self, context: Any, nrows: int,
                     env: ODCIEnv) -> FetchResult:
         batch = context.next_batch(nrows)
-        if getattr(context, "want_aux", False):
+        if context.want_aux:
             return FetchResult(rowids=[rid for rid, __ in batch],
                                aux=[count for __, count in batch],
                                done=len(batch) < nrows)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter
 from typing import (
     Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
@@ -65,30 +65,24 @@ def _tiles_table(ia: ODCIIndexInfo) -> str:
     return f"{ia.index_name.lower()}_tiles"
 
 
-def _rid_order(row: Sequence[Any]):
-    """Sort key putting ``(rowid, ...)`` rows in rowid order."""
-    return row[0].sort_key
-
-
-#: sort key of a tile row ``(grpcode, code, rid, maxcode)`` short of
-#: its rowid; a stable sort of rows built in rowid order by it leaves
-#: them in the tiles table's key order
-_code_order = itemgetter(0, 1)
 _tile_code = attrgetter("code")
 
 
-def _tile_rows(pairs: Iterable[Tuple[Any, Any]]) -> List[Tuple[Any, ...]]:
-    """``(grpcode, code, rid, maxcode)`` for each tile of each non-null
-    ``(rid, geometry)``, rows in input order.  A cover never holds a
-    tile twice, so one row's keys are distinct."""
-    out: List[Tuple[Any, ...]] = []
-    append = out.append
+def _tile_columns(pairs: Iterable[Tuple[Any, Any]]
+                  ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[int]]]:
+    """The tiles of each non-null ``(rid, geometry)``, in input order, as
+    two aligned columns: keys ``(grpcode, code, rid)`` and payloads
+    ``(maxcode,)``.  A cover never holds a tile twice, so one row's
+    keys are distinct."""
+    keys: List[Tuple[Any, ...]] = []
+    payloads: List[Tuple[int]] = []
     for rid, geometry in pairs:
         if is_null(geometry):
             continue
         for tile in tessellate(geometry):
-            append((tile.grpcode, tile.code, rid, tile.maxcode))
-    return out
+            keys.append((tile.grpcode, tile.code, rid))
+            payloads.append((tile.maxcode,))
+    return keys, payloads
 
 
 class _SpatialScan(ScanContext):
@@ -134,17 +128,16 @@ class SpatialIndexMethods(IndexMethods):
 
     def _load(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         """Tessellate every base-table geometry into the (empty) tiles
-        table: rows in rowid order (a heap scan already hands them over
-        so), their tiles stably sorted by code, then one presorted
-        direct-path load."""
-        rows = env.callback.query(
-            f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}")
-        rows.sort(key=_rid_order)
-        tile_rows = _tile_rows(rows)
-        if tile_rows:
-            tile_rows.sort(key=_code_order)
-            env.callback.direct_load(_tiles_table(ia), tile_rows,
-                                     presorted=True)
+        table: the tiles' keys sorted (rowids compare as tuples, in C),
+        the payloads put in the same order, then one presorted
+        direct-path load of the two columns."""
+        keys, payloads = _tile_columns(env.callback.query(
+            f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"))
+        if keys:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            env.callback.direct_load(
+                _tiles_table(ia), list(map(keys.__getitem__, order)),
+                list(map(payloads.__getitem__, order)), presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
@@ -173,18 +166,19 @@ class SpatialIndexMethods(IndexMethods):
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
         """Tessellate every new geometry, then insert all tiles at once."""
-        tile_rows = _tile_rows((rowid, new_values[0])
-                               for rowid, new_values in entries)
-        if tile_rows:
-            env.callback.insert_rows(_tiles_table(ia), tile_rows)
+        keys, payloads = _tile_columns((rowid, new_values[0])
+                                       for rowid, new_values in entries)
+        if keys:
+            env.callback.insert_rows(_tiles_table(ia),
+                                     list(map(add, keys, payloads)))
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
         """Delete every row's tiles by key, located from its old geometry:
         the old cover gives each tile's ``(grpcode, code)``, the row its
         ``rid`` — one keyed delete call for the batch."""
-        keys = [tile[:3] for tile in _tile_rows(
-            (rowid, old_values[0]) for rowid, old_values in entries)]
+        keys, __ = _tile_columns(
+            (rowid, old_values[0]) for rowid, old_values in entries)
         if keys:
             env.callback.delete_rows(_tiles_table(ia), keys)
 

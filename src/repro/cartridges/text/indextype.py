@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cartridges.text.lexer import TextLexer, TextParameters
@@ -36,18 +37,12 @@ from repro.errors import ODCIError
 from repro.types.values import is_null
 
 
-def _rid_order(row: Sequence[Any]):
-    """Sort key putting ``(rowid, text)`` rows in rowid order: the
-    rowid's plain-tuple mirror."""
-    return row[0].sort_key
-
-
-def _posting_order(row: List[Any]):
-    """Sort key putting postings in the terms table's key order."""
-    return row[0], row[1].sort_key
-
 #: Per-call optimizer cost of the functional TextContains (page units).
 FUNCTIONAL_COST = 0.3
+
+#: The functional Contains' lexer: English with its default stop list,
+#: built once rather than per evaluated row.
+_FUNCTIONAL_LEXER = TextLexer(TextParameters.parse(":Language English"))
 
 
 def _terms_table(ia: ODCIIndexInfo) -> str:
@@ -78,9 +73,7 @@ def text_contains(text: Any, query: Any) -> int:
     """
     if is_null(text) or is_null(query):
         return 0
-    params = TextParameters.parse(":Language English")
-    lexer = TextLexer(params)
-    freqs = lexer.term_frequencies(str(text))
+    freqs = _FUNCTIONAL_LEXER.term_frequencies(str(text))
     tree = parse_query(str(query))
     if not tree.matches(set(freqs)):
         return 0
@@ -89,16 +82,16 @@ def text_contains(text: Any, query: Any) -> int:
 
 
 class _IncrementalTermScan(ScanContext):
-    """Streams one term's postings straight off a callback cursor."""
+    """Streams one term's rowids straight off a callback cursor (a
+    query with no ancillary score)."""
 
-    def __init__(self, cursor, want_aux: bool):
+    def __init__(self, cursor):
         super().__init__()
         self._cursor = cursor
-        self._want_aux = want_aux
 
     def row_source(self):
-        for rid, freq in self._cursor:
-            yield (rid, freq) if self._want_aux else rid
+        for rid, __ in self._cursor:
+            yield rid
 
     def close(self) -> None:
         self._cursor = None
@@ -164,12 +157,13 @@ class TextIndexMethods(IndexMethods):
         # sort-group construction: one (rowids, freqs) pair of columns
         # per token while lexing, then the buckets emitted in sorted
         # token order — sorting the (small) vocabulary instead of every
-        # posting.  The documents are put in rowid order first (one sort
-        # key per document; a heap scan already hands them over so), so
+        # posting.  The documents are put in rowid order first (a rowid
+        # sorts as itself; a heap scan already hands them over so), so
         # every bucket fills in rowid order and (token, rid) order is a
         # guarantee: the direct-path load bulk-builds the IOT bottom-up
-        # with no load-time sort and no per-row re-validation.
-        existing.sort(key=_rid_order)
+        # from its key and payload columns, with no load-time sort and
+        # no row built per posting.
+        existing.sort(key=itemgetter(0))
         inverted: dict = {}
         get_bucket = inverted.get
         for rid, text in existing:
@@ -182,12 +176,13 @@ class TextIndexMethods(IndexMethods):
                 bucket[0].append(rid)
                 bucket[1].append(freq)
         if inverted:
-            postings_rows: List[Any] = []
-            extend = postings_rows.extend
+            keys: List[Any] = []
+            payloads: List[Any] = []
             for token in sorted(inverted):
                 rids, freqs = inverted[token]
-                extend(zip(repeat(token), rids, freqs))
-            env.callback.direct_load(terms, postings_rows, presorted=True)
+                keys += zip(repeat(token), rids)
+                payloads += zip(freqs)
+            env.callback.direct_load(terms, keys, payloads, presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
@@ -229,7 +224,7 @@ class TextIndexMethods(IndexMethods):
             for token, freq in lexer.term_frequencies(str(text)).items():
                 postings.append([token, rowid, freq])
         if postings:
-            postings.sort(key=_posting_order)
+            postings.sort(key=itemgetter(0, 1))
             env.callback.insert_rows(_terms_table(ia), postings)
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
@@ -271,7 +266,7 @@ class TextIndexMethods(IndexMethods):
         if stale:
             env.callback.delete_rows(terms, stale)
         if postings:
-            postings.sort(key=_posting_order)
+            postings.sort(key=itemgetter(0, 1))
             env.callback.insert_rows(terms, postings)
 
     # -- scan routines ---------------------------------------------------------------
@@ -298,7 +293,7 @@ class TextIndexMethods(IndexMethods):
             cursor = env.callback.execute(
                 f"SELECT rid, freq FROM {terms} WHERE token = :1",
                 [tree.word])
-            return _IncrementalTermScan(cursor, want_aux=False)
+            return _IncrementalTermScan(cursor)
 
         # Precompute All + Return Handle: evaluate the boolean query now
         def postings(term: str) -> Dict[Any, int]:
@@ -314,17 +309,13 @@ class TextIndexMethods(IndexMethods):
             results: List[Any] = [(rid, scores[rid]) for rid in accepted]
         else:
             results = list(accepted)
-        scan = PrecomputedScan(results)
-        scan.want_aux = want_aux  # type: ignore[attr-defined]
-        return env.workspace.allocate(scan)
+        return env.workspace.allocate(PrecomputedScan(results, want_aux))
 
     def index_fetch(self, context: Any, nrows: int,
                     env: ODCIEnv) -> FetchResult:
         scan = self._resolve(context, env)
         batch = scan.next_batch(nrows)
-        want_aux = getattr(scan, "want_aux", False) \
-            or isinstance(scan, _IncrementalTermScan) and scan._want_aux
-        if want_aux:
+        if scan.want_aux:
             rowids = [rid for rid, __ in batch]
             aux = [score for __, score in batch]
         else:

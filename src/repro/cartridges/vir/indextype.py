@@ -194,9 +194,8 @@ class VirIndexMethods(IndexMethods):
             results: List[Any] = matches
         else:
             results = [rid for rid, __ in matches]
-        scan = PrecomputedScan(results)
-        scan.want_aux = query_info.ancillary_label is not None  # type: ignore[attr-defined]
-        return env.workspace.allocate(scan)
+        return env.workspace.allocate(PrecomputedScan(
+            results, query_info.ancillary_label is not None))
 
     def _phase1_range_filter(self, ia: ODCIIndexInfo, env: ODCIEnv,
                              query_coarse: Sequence[float], weights: Weights,
@@ -227,7 +226,7 @@ class VirIndexMethods(IndexMethods):
         scan = env.workspace.resolve(context) if isinstance(context, int) \
             else context
         batch = scan.next_batch(nrows)
-        if getattr(scan, "want_aux", False):
+        if scan.want_aux:
             return FetchResult(rowids=[rid for rid, __ in batch],
                                aux=[score for __, score in batch],
                                done=len(batch) < nrows)

@@ -159,22 +159,26 @@ class CallbackSession:
         with self._db.as_user(self.definer):
             return self._db.delete_rows(table_name, keys)
 
-    def direct_load(self, table_name: str, rows: Any,
+    def direct_load(self, table_name: str, rows: Any, payloads: Any = None,
                     presorted: bool = False):
         """Direct-path load of cartridge-built rows into an index table.
 
         The analogue of a direct-path insert: skips per-row type
         validation because the rows were derived from already-validated
-        base-table values by the calling routine.  Only valid shapes
-        (empty table, empty native indexes) take the fast path; anything
-        else degrades to :meth:`insert_rows`.  ``presorted`` promises
-        strictly increasing key order (verified by the storage layer).
+        base-table values by the calling routine.  An index-organized
+        table takes the load as two aligned columns — ``rows`` the key
+        tuples, ``payloads`` the payload tuples — so the routine builds
+        no row per entry; only each column's arity is checked.  Only
+        valid shapes (empty table, empty native indexes) take the fast
+        path; anything else degrades to :meth:`insert_rows`.
+        ``presorted`` promises strictly increasing key order (verified
+        by the storage layer).
         """
         fake = ast.Insert(table=table_name, columns=None, rows=[])
         self._check(fake, f"INSERT INTO {table_name} (direct path)")
         with self._db.as_user(self.definer):
-            return self._db.direct_load(table_name, rows,
-                                        presorted=presorted)
+            return self._db.direct_load(table_name, rows, payloads,
+                                        presorted)
 
     # -- validation ---------------------------------------------------------
 

@@ -127,8 +127,13 @@ class ScanContext:
 
     Subclasses typically hold an open iterator over index tables; the
     default :meth:`next_batch` drains ``self.rows`` produced lazily by
-    :meth:`row_source`.
+    :meth:`row_source`.  ``want_aux`` says the rows are ``(rowid, aux)``
+    pairs — the query asked for an ancillary value — rather than bare
+    rowids; a fetch routine reads it, never the shape of a row (a heap
+    rowid is itself a tuple).
     """
+
+    want_aux = False
 
     def __init__(self):
         self._source: Optional[Iterator[Any]] = None
@@ -167,9 +172,10 @@ class PrecomputedScan(ScanContext):
     the entire collection." (§2.2.3)
     """
 
-    def __init__(self, results: List[Any]):
+    def __init__(self, results: List[Any], want_aux: bool = False):
         super().__init__()
         self.results = list(results)
+        self.want_aux = want_aux
         self._cursor = 0
 
     def row_source(self) -> Iterator[Any]:

@@ -620,29 +620,42 @@ class _RemoteResult:
         self.rowcount = rowcount
         self._dbapi_cursor = dbapi_cursor
         self._buffer: List[Tuple[Any, ...]] = []
+        #: rows of ``_buffer`` before this offset were handed out by
+        #: ``fetchone``, which advances it instead of popping the head
+        #: (a pop per row would copy the buffer per row)
+        self._pos = 0
         self._done = cursor_id is None
+
+    def _unread(self) -> List[Tuple[Any, ...]]:
+        """The buffer without the rows already handed out."""
+        if self._pos:
+            del self._buffer[:self._pos]
+            self._pos = 0
+        return self._buffer
 
     def _fetch_batch(self, n: int) -> None:
         payload = self._connection._roundtrip(
             "fetch", {"cursor": self._cursor_id, "n": n})
-        self._buffer.extend(payload["rows"])
+        self._unread().extend(payload["rows"])
         if payload["done"]:
             self._done = True
             self._cursor_id = None
 
     def fetchone(self) -> Optional[Tuple[Any, ...]]:
-        if not self._buffer and not self._done:
+        if self._pos == len(self._buffer) and not self._done:
             hint = 1
             if self._dbapi_cursor is not None:
                 hint = max(1, int(self._dbapi_cursor.arraysize))
             self._fetch_batch(hint)
-        if self._buffer:
-            return self._buffer.pop(0)
+        if self._pos < len(self._buffer):
+            self._pos += 1
+            return self._buffer[self._pos - 1]
         return None
 
     def fetchmany(self, size: int) -> List[Tuple[Any, ...]]:
         if size <= 0:
             return []
+        self._unread()
         while len(self._buffer) < size and not self._done:
             self._fetch_batch(size - len(self._buffer))
         out, self._buffer = self._buffer[:size], self._buffer[size:]
@@ -654,6 +667,7 @@ class _RemoteResult:
             arraysize = int(self._dbapi_cursor.arraysize)
             if arraysize > 1:  # negotiated frame size; 1 is the DB-API
                 frame = arraysize  # default, not a drain preference
+        self._unread()
         while not self._done:
             self._fetch_batch(frame)
         out, self._buffer = self._buffer, []
@@ -661,7 +675,7 @@ class _RemoteResult:
 
     def close(self) -> None:
         cursor_id, self._cursor_id = self._cursor_id, None
-        self._buffer = []
+        self._buffer, self._pos = [], 0
         self._done = True
         if cursor_id is not None and not self._connection._closed:
             try:

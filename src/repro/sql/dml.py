@@ -20,22 +20,19 @@ cached plans pinned to it) and the statement is retried once, this time
 skipping maintenance of the now-UNUSABLE index.  With the setting off
 the statement simply fails, mirroring ORA-01502.
 
-Maintenance is *batched per statement*: instead of one dispatcher
-crossing per row per index, each statement accumulates its domain-index
-entries in a :class:`MaintenanceQueue` and flushes once per index via
-``ODCIIndex{Insert,Delete,Update}Batch`` (scalar-only cartridges are
-served by the dispatcher's looping shim).  A mid-batch fault therefore
-fails the statement exactly as a per-row fault did — the savepoint has
-everything.  The queue flushes exactly once, at the end of the statement
-that filled it, so an index never lags its table past a statement
-boundary.
+Maintenance is *batched per statement*: each statement queues its
+domain-index entries in a :class:`MaintenanceQueue` and flushes it once,
+at its end, per index via ``ODCIIndex{Insert,Delete,Update}Batch`` (the
+dispatcher's looping shim serves scalar-only cartridges).  An index never
+lags its table past a statement boundary, and a mid-batch fault fails
+the statement as a per-row fault would — the savepoint has everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.callbacks import CallbackPhase
@@ -345,12 +342,8 @@ class DMLEngine:
         return out
 
     def insert_row(self, table_name: str, values: Sequence[Any]) -> RowId:
-        """Insert one row of Python values (bypasses the parser).
-
-        Used by application code that holds non-literal values (rowids,
-        object instances, LOB locators) — e.g. the legacy text baseline
-        writing rowids to its temporary result table.
-        """
+        """Insert one row of Python values (bypasses the parser), for
+        code holding non-literal values: rowids, objects, LOB locators."""
         db = self.db
         table = db.catalog.get_table(table_name)
         db._check_table_privilege(table, "insert")
@@ -360,19 +353,7 @@ class DMLEngine:
     def insert_rows(self, table_name: str,
                     rows: Sequence[Sequence[Any]]) -> int:
         """Bulk :meth:`insert_row`; returns the number of rows inserted."""
-        db = self.db
-        table = db.catalog.get_table(table_name)
-        db._check_table_privilege(table, "insert")
-
-        def body(txn) -> int:
-            bulk = self._bulk_load_plan(table, len(rows))
-            if bulk is not None:
-                return self._insert_bulk(table, rows, bulk, txn)
-            for values in rows:
-                self.insert_physical(table, values, txn)
-            return len(rows)
-
-        return self.run_maintained(table, body)
+        return self._load(table_name, rows, None, True, False)
 
     def delete_rows(self, table_name: str,
                     keys: Sequence[Sequence[Any]]) -> int:
@@ -412,32 +393,40 @@ class DMLEngine:
 
     def direct_load(self, table_name: str,
                     rows: Sequence[Sequence[Any]],
+                    payloads: Optional[Sequence[Tuple[Any, ...]]] = None,
                     presorted: bool = False) -> int:
         """Direct-path load: bulk-append ``rows`` without row validation.
 
-        The analogue of Oracle's direct-path insert for index data
-        tables: the caller (a cartridge's ``ODCIIndexCreate``/REBUILD
-        routine) constructed the rows itself from already-validated
-        base-table values, so the per-row type-coercion pass of the
-        conventional path is skipped.  Only applies when the bulk-load
-        plan does (empty storage, empty bulk-loadable native indexes);
-        any other shape falls back to :meth:`insert_rows`, which
-        validates normally.
-        """
+        Oracle's direct-path insert for index data tables: the caller (a
+        cartridge's ``ODCIIndexCreate``/REBUILD routine) built the values
+        from already-validated base-table values, so no per-row type
+        coercion runs.  An IOT target may take its two columns instead —
+        ``rows`` the key tuples, ``payloads`` the aligned payload tuples
+        — so no row is built per entry.  A target the bulk-load plan
+        does not fit takes the validated per-row path."""
+        return self._load(table_name, rows, payloads, False, presorted)
+
+    def _load(self, table_name: str, rows: Sequence[Sequence[Any]],
+              payloads: Optional[Sequence[Tuple[Any, ...]]],
+              validate: bool, presorted: bool) -> int:
+        """One statement loading many rows: a bulk append when the plan
+        fits, else one validated insert per row."""
         db = self.db
         table = db.catalog.get_table(table_name)
-        if self._bulk_load_plan(table, len(rows)) is None:
-            return self.insert_rows(table_name, rows)
         db._check_table_privilege(table, "insert")
+        if payloads is not None and not table.is_iot:
+            raise ExecutionError(f"{table.name} is a heap table: only an "
+                                 "IOT loads key and payload columns")
 
         def body(txn) -> int:
             bulk = self._bulk_load_plan(table, len(rows))
-            if bulk is None:  # raced with another writer: conventional path
-                for values in rows:
-                    self.insert_physical(table, values, txn)
-                return len(rows)
-            return self._insert_bulk(table, rows, bulk, txn,
-                                     validate=False, presorted=presorted)
+            if bulk is not None:
+                return self._insert_bulk(table, rows, bulk, txn, validate,
+                                         presorted, payloads)
+            for values in (rows if payloads is None
+                           else list(map(add, rows, payloads))):
+                self.insert_physical(table, values, txn)
+            return len(rows)
 
         return self.run_maintained(table, body)
 
@@ -474,28 +463,36 @@ class DMLEngine:
         return native
 
     def _insert_bulk(self, table: TableDef, rows: Sequence[Sequence[Any]],
-                     native: list, txn, validate: bool = True,
-                     presorted: bool = False) -> int:
+                     native: list, txn, validate: bool, presorted: bool,
+                     payloads: Optional[Sequence[Tuple[Any, ...]]]) -> int:
         """Bulk-append ``rows`` and bottom-up-build the native indexes.
 
         One undo record per structure instead of one per row; rollback
         restores the empty pre-load state (the plan above guarantees
-        storage and indexes started empty).  ``validate=False`` is the
-        direct-path contract: rows were built by a cartridge from
-        already-validated values, so only the column arity is checked.
-        """
-        if validate:
-            validated = [self.validate_row(table, values) for values in rows]
-        else:
-            # no per-row copy: both storages copy on write (heap pages
-            # copy the row, the IOT splits it into fresh key/payload)
-            validated = rows if isinstance(rows, list) else list(rows)
-            n_cols = len(table.columns)
-            if set(map(len, validated)) - {n_cols}:
-                raise ExecutionError(
-                    f"{table.name} direct load: rows must all have "
-                    f"{n_cols} values")
+        storage and indexes started empty).  An IOT loads key and
+        payload columns: ``rows`` are the keys when ``payloads`` is
+        given, else the rows are split here, once.  ``validate=False``
+        (direct path) checks only each column's arity, at C speed."""
         storage = table.storage
+        n_cols = len(table.columns)
+        if validate:
+            rows = [self.validate_row(table, values) for values in rows]
+        elif not isinstance(rows, list):
+            rows = list(rows)  # no per-row copy: storage copies on write
+        keys, shapes = rows, [(rows, n_cols)]
+        if table.is_iot:
+            kw = storage.key_width
+            if payloads is None:
+                keys = list(map(tuple, map(itemgetter(slice(kw)), rows)))
+                payloads = list(map(tuple, map(itemgetter(slice(kw, None)),
+                                               rows)))
+            else:
+                rows = None  # joined only for a log record or an index
+            shapes = [(keys, kw), (payloads, n_cols - kw)]
+        if not validate and (len(shapes[-1][0]) != len(keys) or any(
+                set(map(len, column)) - {width} for column, width in shapes)):
+            raise ExecutionError(f"{table.name} direct load: every entry "
+                                 f"must have {n_cols} values")
         versions = getattr(storage, "versions", None)
         if versions is not None:
             # one fence version covers the whole load: snapshots older
@@ -503,29 +500,32 @@ class DMLEngine:
             fence = versions.set_fence(txn)
             txn.track_version(fence)
             txn.record_undo(lambda: versions.drop_fence(fence))
-        rowids = storage.insert_bulk(validated, presorted=presorted)
+        rowids = storage.insert_bulk(keys, payloads, presorted) \
+            if table.is_iot else storage.insert_bulk(rows)
         durability = self.db.engine.durability
+        if rows is None and (durability is not None or native):
+            rows = list(map(add, keys, payloads))
         if durability is None:
             txn.record_undo(lambda s=storage: s.truncate())
         else:
             # one WAL record for the whole load; its undo (and CLR) is a
             # truncate, valid because the plan guaranteed empty storage
             prev = durability.log_bulk(
-                txn, table.key, storage, validated,
+                txn, table.key, storage, rows,
                 None if table.is_iot else rowids)
             txn.record_undo(durability.wrap_undo(
                 lambda s=storage: s.truncate(), txn, table.key, storage,
                 "truncate", None, None, None, prev))
         for structure, positions in native:
             pairs = []
-            for rowid, row in zip(rowids, validated):
+            for rowid, row in zip(rowids, rows):
                 key = index_key(row, positions)
                 if key is not None:
                     pairs.append((key, rowid))
             with structure.latch:
                 structure.bulk_load(pairs)
             txn.record_undo(lambda s=structure: s.clear())
-        return len(validated)
+        return len(keys)
 
     def _record_version(self, storage, rowid, new_value, old_value,
                         txn) -> None:

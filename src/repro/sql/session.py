@@ -529,17 +529,20 @@ class Session:
 
     def direct_load(self, table_name: str,
                     rows: Sequence[Sequence[Any]],
+                    payloads: Optional[Sequence[Tuple[Any, ...]]] = None,
                     presorted: bool = False) -> int:
         """Direct-path load of cartridge-built rows (no row validation).
 
         Falls back to :meth:`insert_rows` unless the table is empty with
         only empty bulk-loadable native indexes — the shape of an index
-        data table being populated by ``ODCIIndexCreate``/REBUILD.
+        data table being populated by ``ODCIIndexCreate``/REBUILD.  An
+        index-organized table may be loaded as two aligned columns:
+        ``rows`` its key tuples and ``payloads`` its payload tuples.
         ``presorted`` additionally promises strictly increasing key
         order for key-organized storage (skips the load-time sort).
         """
         self._bind()
-        return self.dml.direct_load(table_name, rows, presorted=presorted)
+        return self.dml.direct_load(table_name, rows, payloads, presorted)
 
 
 class Database(Session):

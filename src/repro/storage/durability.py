@@ -128,7 +128,7 @@ class DurabilityManager:
         """
         prev = txn.last_lsn
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
-                   "op": op, "rid": rid.sort_key if rid is not None else None,
+                   "op": op, "rid": tuple(rid) if rid is not None else None,
                    "old": old, "new": new, "prev": prev}
         if rid is None:
             self._note_iot_dirty(storage.segment_id)
@@ -147,7 +147,7 @@ class DurabilityManager:
                  ) -> Optional[int]:
         """Append one record covering a whole direct-path load."""
         prev = txn.last_lsn
-        rid_tuples = ([r.sort_key for r in rowids]
+        rid_tuples = (list(map(tuple, rowids))
                       if rowids is not None else None)
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
                    "op": "bulk_insert", "rid": None,
@@ -195,8 +195,7 @@ class DurabilityManager:
                 rid: Any, old: Optional[List[Any]],
                 new: Optional[List[Any]],
                 undo_next: Optional[int]) -> int:
-        rid_t = rid.sort_key if rid is not None and hasattr(rid, "sort_key") \
-            else rid
+        rid_t = tuple(rid) if rid is not None else None
         payload = {"t": REC_CLR, "x": txn.txn_id, "tb": table_key,
                    "op": comp_op, "rid": rid_t, "old": old, "new": new,
                    "prev": txn.last_lsn, "un": undo_next}

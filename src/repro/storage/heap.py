@@ -9,8 +9,8 @@ stream them back from ``ODCIIndexFetch`` (§2.2.3).
 from __future__ import annotations
 
 from itertools import repeat
-from operator import eq, ge, gt, le, lt
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidRowIdError, StorageError
 from repro.storage.buffer import BufferCache
@@ -18,48 +18,38 @@ from repro.storage.page import Page, PAGE_SIZE, estimate_row_size
 from repro.txn.mvcc import Snapshot, VersionStore
 
 
-def _by_sort_key(op: Callable[[Any, Any], bool]):
-    """A comparison method applying ``op`` to two rowids' ``sort_key``s
-    (rowids of another kind are not comparable)."""
-    def compare(self, other: Any) -> Any:
-        if other.__class__ is self.__class__:
-            return op(self.sort_key, other.sort_key)
-        return NotImplemented
-    return compare
-
-
 class RowIdBase:
-    """Hash, equality and order of a rowid kind, all by its ``sort_key``:
-    a plain tuple computed once, so comparisons stay C-level tuple
-    compares and sort paths can decorate with it.  Rowids are created,
-    hashed and compared millions of times on index-build and sort
-    paths, hence no dataclass."""
+    """The marker every rowid kind carries: what a ``ROWID`` column
+    accepts.  It defines no comparison, so each kind keeps its own."""
 
     __slots__ = ()
 
-    def __hash__(self) -> int:
-        return hash(self.sort_key)
 
-    __eq__ = _by_sort_key(eq)
-    __lt__ = _by_sort_key(lt)
-    __le__ = _by_sort_key(le)
-    __gt__ = _by_sort_key(gt)
-    __ge__ = _by_sort_key(ge)
+class RowId(RowIdBase, tuple):
+    """Physical row address: the tuple ``(segment_id, page_no, slot)``.
 
+    Hash, equality and order are the tuple's own C slots, so sorting,
+    bisecting, hashing and comparing rowids — or keys that hold them —
+    runs no Python code.  A rowid equals no
+    :class:`~repro.storage.iot.LogicalRowId` and does not order against
+    one.  Rowids are created millions of times on scan and build paths,
+    hence a bare tuple: the names read positions.
+    """
 
-class RowId(RowIdBase):
-    """Physical row address: (segment, page, slot).  Ordered and hashable."""
+    __slots__ = ()
 
-    __slots__ = ("segment_id", "page_no", "slot", "sort_key")
+    def __new__(cls, segment_id: int, page_no: int, slot: int) -> "RowId":
+        return tuple.__new__(cls, (segment_id, page_no, slot))
 
-    def __init__(self, segment_id: int, page_no: int, slot: int):
-        self.segment_id = segment_id
-        self.page_no = page_no
-        self.slot = slot
-        self.sort_key = (segment_id, page_no, slot)
+    segment_id = property(itemgetter(0))
+    page_no = property(itemgetter(1))
+    slot = property(itemgetter(2))
+
+    def __getnewargs__(self) -> Tuple[int, int, int]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"RID({self.segment_id}.{self.page_no}.{self.slot})"
+        return "RID(%s.%s.%s)" % self
 
 
 class PageRowIds:
@@ -345,16 +335,17 @@ class HeapTable:
             found: List[RowId] = []
             rows: List[Optional[List[Any]]] = []
             for rowid in rowids:
-                if rowid.segment_id != segment_id:
+                if rowid.__class__ is not RowId:
                     continue
-                page_no = rowid.page_no
+                seg, page_no, slot = rowid
+                if seg != segment_id:
+                    continue
                 slots = slots_of.get(page_no)
                 if slots is None:
                     if not 0 <= page_no < page_count:
                         continue
                     slots = slots_of[page_no] = get_page(
                         segment_id, page_no).slots
-                slot = rowid.slot
                 found.append(rowid)
                 rows.append(slots[slot] if 0 <= slot < len(slots) else None)
             if snapshot is not None:
@@ -412,11 +403,14 @@ class HeapTable:
         return page
 
     def _page_at(self, rowid: RowId, for_write: bool = False) -> Page:
-        if rowid.segment_id != self.segment_id:
+        if rowid.__class__ is not RowId:
+            raise InvalidRowIdError(f"{rowid!r} is not a heap rowid")
+        segment_id, page_no, __ = rowid
+        if segment_id != self.segment_id:
             raise InvalidRowIdError(
                 f"{rowid} belongs to another table (segment "
-                f"{rowid.segment_id} != {self.segment_id})")
-        if not 0 <= rowid.page_no < self._page_count:
+                f"{segment_id} != {self.segment_id})")
+        if not 0 <= page_no < self._page_count:
             raise InvalidRowIdError(f"{rowid}: page out of range")
-        return self.buffer.get_page(self.segment_id, rowid.page_no,
+        return self.buffer.get_page(segment_id, page_no,
                                     for_write=for_write)

@@ -5,32 +5,27 @@ modeled as a table, where each row is an index entry", and §2.5 reports
 that "index-organized tables are commonly used as index data stores" —
 the text cartridge stores its inverted index in one.
 
-An IOT here is a B+-tree whose key is a prefix of the row and whose
-payload is the rest of the row.  A row's address is its key: like
+An IOT here is a unique B+-tree whose key is a prefix of the row and
+whose payload is the rest of the row.  A row's address is its key: like
 Oracle8i's logical rowids, a :class:`LogicalRowId` carries the table's
 segment and the primary key, so a fetch is one descent, the table keeps
 no state per row outside its tree, and a rowid read before a restart
 finds the same row after it.  An update never changes the key (the DML
-layer deletes and re-inserts a row whose key changes), so a rowid names
-one row for as long as that key is stored.
+layer deletes and re-inserts a row whose key changes).
 
-Key and payload are both tuples, and the tree is unique, so it stores
-the payload as it is: a row costs the tree one key tuple and one payload
-tuple.  A payload of plain values (numbers, strings) holds no reference
-the cyclic garbage collector must follow, so it stops being tracked at
-its first collection; only a key holding a rowid stays tracked.  A row
-handed out one at a time is a fresh list, ``list(key) + list(payload)``;
-a prefix scan hands its rows over as columns instead
-(:meth:`IndexOrganizedTable.prefix_batches`), transposed from the key
-and payload tuples with no object built per row.
+A row costs the tree one key tuple and one payload tuple, and a load
+hands them over as two columns (:meth:`IndexOrganizedTable.insert_bulk`)
+— no row is built to be split.  A row handed out one at a time is a
+fresh list; a prefix scan hands its rows over as columns instead
+(:meth:`IndexOrganizedTable.prefix_batches`), with no object per row.
 """
 
 from __future__ import annotations
 
 import threading
 from itertools import repeat
-from operator import add, itemgetter
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from operator import add, eq, ge, gt, itemgetter, le, lt
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache
@@ -39,13 +34,22 @@ from repro.index.btree import BTree
 from repro.txn.mvcc import Snapshot, VersionStore
 
 
+def _by_sort_key(op: Callable[[Any, Any], bool]):
+    """``op`` over two logical rowids' ``sort_key``s (no other kind)."""
+    def compare(self, other: Any) -> Any:
+        if other.__class__ is self.__class__:
+            return op(self.sort_key, other.sort_key)
+        return NotImplemented
+    return compare
+
+
 class LogicalRowId(RowIdBase):
     """An IOT row's address: (segment, primary key).
 
-    Hashable, picklable, and ordered by key within one table —
-    ``sort_key`` is ``(segment_id, key)``, as a heap rowid's is its
-    address — so the cartridges' rowid sorts take either kind.  It is
-    equal to no physical :class:`~repro.storage.heap.RowId`.
+    Hashable, picklable, and ordered by key within one table: hash,
+    equality and order are those of ``sort_key``, ``(segment_id, key)``.
+    It equals no physical :class:`~repro.storage.heap.RowId` and does
+    not order against one.
     """
 
     __slots__ = ("segment_id", "key", "sort_key")
@@ -55,6 +59,15 @@ class LogicalRowId(RowIdBase):
         self.key = key
         self.sort_key = (segment_id, key)
 
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
+
+    __eq__ = _by_sort_key(eq)
+    __lt__ = _by_sort_key(lt)
+    __le__ = _by_sort_key(le)
+    __gt__ = _by_sort_key(gt)
+    __ge__ = _by_sort_key(ge)
+
     def __reduce__(self):
         return LogicalRowId, (self.segment_id, self.key)
 
@@ -63,13 +76,10 @@ class LogicalRowId(RowIdBase):
 
 
 class KeyRowIds:
-    """The logical rowids of a batch of keys, in the keys' order.
-
-    The batch is the key tuples the producer already holds: a
-    :class:`LogicalRowId` is built only when an item is indexed or
-    iterated (as :class:`~repro.storage.heap.PageRowIds` does for a
-    heap page), so compare items with ``==``, never ``is``.
-    """
+    """The logical rowids of a batch of the producer's key tuples, in
+    their order.  A :class:`LogicalRowId` is built only when an item is
+    read (as :class:`~repro.storage.heap.PageRowIds` does for a heap
+    page), so compare items with ``==``, never ``is``."""
 
     __slots__ = ("segment_id", "keys")
 
@@ -185,37 +195,27 @@ class IndexOrganizedTable:
         self.buffer.stats.logical_writes += 1
         return rid
 
-    def insert_bulk(self, rows: List[List[Any]],
+    def insert_bulk(self, keys: List[Tuple[Any, ...]],
+                    payloads: List[Tuple[Any, ...]],
                     presorted: bool = False) -> KeyRowIds:
-        """Insert ``rows`` via the B-tree's sorted bulk build; returns
-        their rowids in input order.
+        """Load aligned key and payload tuples via the B-tree's sorted
+        bulk build; returns the rowids in input order.
 
-        Only valid on an empty IOT (the bulk build replaces the tree
-        wholesale); callers gate on ``row_count == 0`` and on a version
-        store with no chains.  No snapshot can then see a ghost (a
-        rolled-back insert leaves one of its key), so the load drops
-        them all: a loaded key must not be both in the tree and a
-        ghost.  ``presorted`` promises the rows already arrive in
-        strictly increasing key order (verified by the tree), skipping
-        the sort and duplicate-grouping passes entirely.
+        Only valid on an empty IOT whose version store has no chains
+        (callers gate on both), so no snapshot can see a ghost and the
+        load drops them all.  ``presorted`` promises strictly increasing
+        keys (verified by the tree): no sort, no duplicate grouping.
         """
         if self._tree.entry_count:
             raise ConstraintError(
                 f"bulk load requires empty IOT {self.name}")
-        kw = self.key_width
-        if kw == 1:
-            keys = [(row[0],) for row in rows]
-        else:
-            key_of = itemgetter(*range(kw))  # C-level key extraction
-            keys = [key_of(row) for row in rows]
-        payloads = list(map(tuple, map(itemgetter(slice(kw, None)), rows)))
         with self._latch:
             if presorted:
                 self._tree.bulk_load_sorted(keys, payloads)
             else:
                 self._tree.bulk_load(zip(keys, payloads))
             self._ghosts.clear()
-        self.buffer.stats.logical_writes += len(rows)
+        self.buffer.stats.logical_writes += len(keys)
         return KeyRowIds(self.segment_id, keys)
 
     def _current(self, rowid: Any) -> Optional[List[Any]]:

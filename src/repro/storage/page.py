@@ -16,6 +16,10 @@ PAGE_SIZE = 4096
 #: Per-slot bookkeeping overhead charged against the page budget.
 SLOT_OVERHEAD = 16
 
+#: The collection types sized by their elements.  A subclass is one
+#: opaque value: a heap :class:`~repro.storage.heap.RowId` is a tuple.
+_CONTAINERS = frozenset((list, tuple, set, frozenset))
+
 
 def estimate_size(value: Any) -> int:
     """Rough byte-size estimate of a SQL value for page-budget accounting."""
@@ -31,7 +35,7 @@ def estimate_size(value: Any) -> int:
         return len(value)
     if isinstance(value, (bytes, bytearray)):
         return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
+    if value.__class__ in _CONTAINERS:
         return SLOT_OVERHEAD + sum(estimate_size(v) for v in value)
     if hasattr(value, "as_dict"):  # ObjectValue
         return SLOT_OVERHEAD + sum(

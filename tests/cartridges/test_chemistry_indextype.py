@@ -93,6 +93,30 @@ class TestBothStorages:
         assert rows[0][0] == 4
         assert rows[0][1] == 1.0
 
+    def test_similarity_with_and_without_ancillary(self, storage_fixture,
+                                                   request):
+        """The same rows with and without a ``Chem_Score`` label, both
+        from the index: the fetch routine reads the scan's want-aux
+        flag, not the shape of a row (a heap rowid is a tuple too).  A
+        failed fetch would degrade the index and answer from a table
+        scan, so the plans are checked after the queries."""
+        db = request.getfixturevalue(storage_fixture)
+        target = db.rows_data[4][1]
+        expected = {mid: chem_similar(s, target, 0.4)
+                    for mid, s in db.rows_data}
+        expected = {mid: score for mid, score in expected.items() if score}
+        bare = "SELECT mid FROM molecules WHERE Chem_Similar(mol, :1, 0.4)"
+        scored = ("SELECT mid, Chem_Score(1) FROM molecules"
+                  " WHERE Chem_Similar(mol, :1, 0.4, 1)")
+        assert sorted(mid for mid, in db.execute(bare, [target])) \
+            == sorted(expected)
+        got = dict(db.execute(scored, [target]).fetchall())
+        assert got == pytest.approx(expected, abs=1e-6)
+        assert len(expected) > 1
+        for sql in (bare, scored):
+            assert any("DOMAIN INDEX SCAN mol_idx" in line
+                       for line in db.explain(sql, [target]))
+
     def test_maintenance_insert_delete(self, storage_fixture, request):
         db = request.getfixturevalue(storage_fixture)
         db.execute("INSERT INTO molecules VALUES (500, 'CC(=O)OC')")

@@ -254,7 +254,7 @@ class TestMaintenance:
 
         def tiles():
             return sorted(
-                (rid.sort_key, grp, code, maxcode)
+                (rid, grp, code, maxcode)
                 for rid, grp, code, maxcode in db.execute(
                     "SELECT rid, grpcode, code, maxcode"
                     " FROM geo_sidx_tiles").fetchall())

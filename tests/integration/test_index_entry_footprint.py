@@ -6,7 +6,8 @@ the key holds a rowid, so it stays tracked, and the payload holds plain
 values, so the collector stops tracking it at its first pass.  These
 tests count what a build adds to ``gc.get_objects()`` — a count that
 repeats exactly — per entry.  The rowids the keys share (one per base
-row) and the B-tree's nodes are the rest.
+row) and the B-tree's nodes are the rest.  A build's traced-memory peak
+per entry shows whether it built a row per entry on the way.
 """
 
 import gc
@@ -69,6 +70,64 @@ def test_tile_build_leaves_about_one_tracked_object_per_tile():
     # about 2.9 tiles a geometry: the rowids the keys share are 0.34 of
     # this, the key tuples 1
     assert per_tile <= 1.5, per_tile
+
+
+def _peak_bytes_per_entry(db, create_sql, drop_sql, table):
+    """The traced-memory peak of a second build above what was resident
+    before it, per row of ``table``: the entries the build leaves plus
+    its transient objects at their largest."""
+    db.execute(create_sql)
+    db.execute(drop_sql)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db.execute(create_sql)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    entries = db.execute(f"SELECT COUNT(*) FROM {table}").fetchall()[0][0]
+    assert entries > 4000
+    return peak / entries
+
+
+def test_text_build_makes_no_row_per_posting():
+    """A text build hands the terms table its key and payload columns:
+    no ``(token, rid, freq)`` row is built per posting and split again
+    by the table (that peaked at about 300 bytes a posting)."""
+    db = Database()
+    install_text(db)
+    rng = random.Random(5)
+    vocabulary = [f"w{i}" for i in range(2000)]
+    db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
+    db.insert_rows("docs", [[i, " ".join(rng.sample(vocabulary, 40))]
+                            for i in range(300)])
+    per_posting = _peak_bytes_per_entry(
+        db, "CREATE INDEX docs_tidx ON docs(body) INDEXTYPE IS TextIndexType",
+        "DROP INDEX docs_tidx", "docs_tidx_terms")
+    assert per_posting < 260, per_posting
+
+
+def test_tile_build_makes_no_row_per_tile():
+    """The tile build emits ``(grpcode, code, rid)`` keys and
+    ``(maxcode,)`` payloads, sorted by key: no four-value row per tile
+    and no sort-key tuple per tile (together about 390 bytes a tile)."""
+    db = Database()
+    install_spatial(db)
+    rng = random.Random(5)
+    gt = db.catalog.get_object_type("SDO_GEOMETRY")
+    db.execute("CREATE TABLE shapes (id INTEGER, shape SDO_GEOMETRY)")
+    rows = []
+    for i in range(1500):
+        x, y = rng.uniform(0, 950), rng.uniform(0, 950)
+        rows.append([i, make_rect(gt, x, y, x + rng.uniform(5, 40),
+                                  y + rng.uniform(5, 40))])
+    db.insert_rows("shapes", rows)
+    per_tile = _peak_bytes_per_entry(
+        db, "CREATE INDEX shapes_sidx ON shapes(shape)"
+            " INDEXTYPE IS SpatialIndexType",
+        "DROP INDEX shapes_sidx", "shapes_sidx_tiles")
+    assert per_tile < 350, per_tile
 
 
 def test_scanning_postings_retains_nothing_per_posting():

@@ -228,10 +228,10 @@ class TestCrashRecovery:
         rows = db2.execute("SELECT rowid, gid, g FROM geo").fetchall()
         assert len(rows) == 29
         assert sorted(
-            (rid.sort_key, grpcode, code, maxcode)
+            (rid, grpcode, code, maxcode)
             for rid, grpcode, code, maxcode in db2.execute(
                 "SELECT rid, grpcode, code, maxcode FROM geo_sidx_tiles")
-        ) == sorted((rid.sort_key, t.grpcode, t.code, t.maxcode)
+        ) == sorted((rid, t.grpcode, t.code, t.maxcode)
                     for rid, __, g in rows for t in tessellate(g))
         index = db2.catalog.get_index("geo_sidx")
         env = db2.make_env(CallbackPhase.SCAN, index.domain)

@@ -237,10 +237,10 @@ def test_text_postings_equal_a_build_of_each_row_as_last_indexed(operations):
 
     rid_of = {ident: rid for rid, ident in db.query(
         "SELECT rowid, id FROM docs")}
-    expected = sorted((token, rid_of[ident].sort_key, freq)
+    expected = sorted((token, rid_of[ident], freq)
                       for ident, freqs in indexed.items()
                       for token, freq in freqs.items())
-    got = sorted((token, rid.sort_key, freq) for token, rid, freq in
+    got = sorted((token, rid, freq) for token, rid, freq in
                  db.query("SELECT token, rid, freq FROM docs_text_terms"))
     assert got == expected
     assert db.query("SELECT COUNT(*) FROM docs_text_terms") == [
@@ -332,10 +332,10 @@ def test_spatial_tiles_equal_the_covers_of_the_live_rows(operations, window):
     rid_of = {ident: rid for rid, ident in db.query(
         "SELECT rowid, id FROM shapes")}
     expected = sorted(
-        (rid_of[ident].sort_key, t.grpcode, t.code, t.maxcode)
+        (rid_of[ident], t.grpcode, t.code, t.maxcode)
         for ident, value in model.items() if value is not None
         for t in tessellate(geometry(value)))
-    got = sorted((rid.sort_key, grp, code, maxcode)
+    got = sorted((rid, grp, code, maxcode)
                  for rid, grp, code, maxcode in db.query(
                      "SELECT rid, grpcode, code, maxcode"
                      " FROM shapes_sidx_tiles"))

@@ -377,6 +377,33 @@ class TestFetchFraming:
         assert len(recorded) <= 2  # one drain + the done frame at most
         conn.close()
 
+    def test_fetchone_drains_a_large_buffer_in_order(self, server):
+        """fetchone walks a buffered batch by a read offset: 5 000 rows
+        come back in order at one FETCH per ``arraysize`` rows, the
+        result is done once the short last frame arrives, and a
+        fetchmany or fetchall after some fetchone calls starts at the
+        first row not yet handed out."""
+        conn = self._seeded_conn(server, n_rows=5000)
+        recorded = self._spy_fetches(conn)
+        cur = conn.cursor()
+        cur.arraysize = 1024
+        cur.execute("SELECT id FROM t ORDER BY id")
+        result = cur._result
+        rows = [cur.fetchone() for __ in range(4096)]
+        assert not result._done
+        rows += [cur.fetchone() for __ in range(904)]
+        assert rows == [(i,) for i in range(5000)]
+        assert result._done
+        assert cur.fetchone() is None
+        assert recorded == [1024] * 5
+        cur.execute("SELECT id FROM t ORDER BY id")
+        assert cur.fetchone() == (0,)
+        assert cur.fetchmany(3) == [(1,), (2,), (3,)]
+        assert cur.fetchone() == (4,)
+        assert cur.fetchall() == [(i,) for i in range(5, 5000)]
+        assert cur.fetchone() is None
+        conn.close()
+
 
 class TestAbandonedCursors:
     """Satellite fix: cursors abandoned mid-fetch fire ODCIIndexClose

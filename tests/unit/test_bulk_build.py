@@ -159,14 +159,16 @@ class TestIOTInsertBulk:
         for key in keys:
             grown.insert([key, f"v{key}"])
         bulk = self._iot()
-        bulk.insert_bulk([[key, f"v{key}"] for key in keys])
+        bulk.insert_bulk([(key,) for key in keys],
+                         [(f"v{key}",) for key in keys])
         assert [row for __, row in bulk.scan()] \
             == [row for __, row in grown.scan()]
 
     def test_rowids_fetch_back(self):
         iot = self._iot()
         rows = [[k, f"v{k}"] for k in (5, 1, 9)]
-        rids = iot.insert_bulk(rows)
+        rids = iot.insert_bulk([(k,) for k, __ in rows],
+                               [(v,) for __, v in rows])
         assert len(rids) == 3
         # rowids come back in input order, not key order
         for rid, row in zip(rids, rows):
@@ -174,7 +176,7 @@ class TestIOTInsertBulk:
 
     def test_rowids_are_the_loaded_keys(self):
         iot = self._iot()
-        rids = iot.insert_bulk([[2, "b"], [1, "a"]])
+        rids = iot.insert_bulk([(2,), (1,)], [("b",), ("a",)])
         # a lazy view over the keys the load built: nothing per row
         # until an item is read, and each item is the row's key
         assert rids.keys == [(2,), (1,)]
@@ -184,27 +186,25 @@ class TestIOTInsertBulk:
 
     def test_presorted_fast_path(self):
         iot = self._iot(key_width=2)
-        rows = [[("alpha", i), None, i] for i in range(50)]
-        rows = [[key[0], key[1], payload]
-                for key, __, payload in rows]
-        iot.insert_bulk(rows, presorted=True)
+        iot.insert_bulk([("alpha", i) for i in range(50)],
+                        [(i,) for i in range(50)], presorted=True)
         assert [row[2] for __, row in iot.scan()] == list(range(50))
 
     def test_presorted_lie_detected(self):
         iot = self._iot()
         with pytest.raises(StorageError):
-            iot.insert_bulk([[2, "b"], [1, "a"]], presorted=True)
+            iot.insert_bulk([(2,), (1,)], [("b",), ("a",)], presorted=True)
 
     def test_bulk_into_populated_table_rejected(self):
         iot = self._iot()
         iot.insert([1, "a"])
         with pytest.raises(ConstraintError):
-            iot.insert_bulk([[2, "b"]])
+            iot.insert_bulk([(2,)], [("b",)])
 
     def test_duplicate_keys_rejected_when_unique(self):
         iot = self._iot()
         with pytest.raises(ConstraintError):
-            iot.insert_bulk([[1, "a"], [1, "b"]])
+            iot.insert_bulk([(1,), (1,)], [("a",), ("b",)])
 
 
 class TestHeapInsertBulk:
@@ -215,3 +215,75 @@ class TestHeapInsertBulk:
         # heap order is arrival order; rowids always come back
         assert len(rids) == 20
         assert [row for __, row in heap.scan()] == rows
+
+
+class TestColumnarDirectLoad:
+    """A direct-path load into an IOT as key and payload columns lands
+    the same table as its rows would, checks the arity of both columns,
+    and survives a restart (its log record holds the joined rows)."""
+
+    KEYS = [("a", i) for i in range(30)]
+    PAYLOADS = [(i * 10, f"p{i}") for i in range(30)]
+
+    def _db(self, **kw):
+        from repro import Database
+        db = Database(**kw)
+        db.execute("CREATE TABLE kv (k VARCHAR2(8), n INTEGER,"
+                   " v INTEGER, note VARCHAR2(8), PRIMARY KEY (k, n))"
+                   " ORGANIZATION INDEX")
+        return db
+
+    def _contents(self, db):
+        return db.execute("SELECT k, n, v, note FROM kv").fetchall()
+
+    def test_columns_land_the_rows(self):
+        expected = [k + p for k, p in zip(self.KEYS, self.PAYLOADS)]
+        columnar, by_rows, by_sql = self._db(), self._db(), self._db()
+        assert columnar.direct_load("kv", self.KEYS, self.PAYLOADS,
+                                    presorted=True) == 30
+        by_rows.direct_load("kv", [list(row) for row in expected])
+        by_sql.executemany("INSERT INTO kv VALUES (:1, :2, :3, :4)",
+                           [list(row) for row in reversed(expected)])
+        assert self._contents(columnar) == self._contents(by_rows) \
+            == self._contents(by_sql) == expected
+
+    def test_populated_target_joins_the_columns(self):
+        db = self._db()
+        db.execute("INSERT INTO kv VALUES ('0', 0, 0, 'first')")
+        db.direct_load("kv", self.KEYS, self.PAYLOADS)
+        assert self._contents(db) == [("0", 0, 0, "first")] + [
+            k + p for k, p in zip(self.KEYS, self.PAYLOADS)]
+
+    @pytest.mark.parametrize("keys, payloads", [
+        (KEYS[:29] + [("a",)], PAYLOADS),             # short key
+        (KEYS, PAYLOADS[:29] + [(1, "x", "extra")]),  # long payload
+        (KEYS, PAYLOADS[:29]),                        # one payload short
+    ])
+    def test_arity_of_both_columns_is_checked(self, keys, payloads):
+        from repro.errors import ExecutionError
+        db = self._db()
+        with pytest.raises(ExecutionError, match="direct load"):
+            db.direct_load("kv", keys, payloads)
+        assert self._contents(db) == []
+
+    def test_a_heap_takes_rows_only(self):
+        from repro.errors import ExecutionError
+        db = self._db()
+        db.execute("CREATE TABLE h (k VARCHAR2(8), n INTEGER)")
+        with pytest.raises(ExecutionError, match="heap table"):
+            db.direct_load("h", [("a",), ("b",)], [(1,), (2,)])
+
+    def test_restart_replays_a_columnar_load(self, tmp_path):
+        """A power cut right after the load: the committed log record
+        alone rebuilds the table."""
+        from repro import Database
+        db = self._db(data_dir=str(tmp_path / "data"))
+        db.direct_load("kv", self.KEYS, self.PAYLOADS, presorted=True)
+        expected = self._contents(db)
+        durability = db.engine.durability
+        if durability.log_writer is not None:
+            durability.log_writer.stop()
+        durability.wal.device.simulate_crash()
+        reopened = Database(data_dir=str(tmp_path / "data"))
+        assert self._contents(reopened) == expected
+        reopened.close()

@@ -328,12 +328,12 @@ class TestLazyPageRowIds:
     @pytest.fixture
     def built(self, monkeypatch):
         count = [0]
-        init = RowId.__init__
+        new = RowId.__new__
 
-        def counting(self, *args):
+        def counting(cls, *args):
             count[0] += 1
-            init(self, *args)
-        monkeypatch.setattr(RowId, "__init__", counting)
+            return new(cls, *args)
+        monkeypatch.setattr(RowId, "__new__", counting)
         return lambda: count[0]
 
     def test_a_fold_builds_one_per_group_and_a_filter_none(self, db, built):
