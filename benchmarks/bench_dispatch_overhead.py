@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import install
@@ -31,7 +31,7 @@ pytestmark = pytest.mark.faults
 def workload():
     corpus = make_corpus(300, words_per_doc=30, vocabulary_size=150,
                          seed=17)
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -41,7 +41,7 @@ def workload():
     sql = (f"SELECT id FROM docs WHERE "
            f"Contains(body, '{corpus.common_word(0)}')")
     # warm the plan cache so every timed run is the soft-parse hot path
-    assert db.query(sql)
+    assert db.execute(sql).fetchall()
     plan = db.explain(sql)
     assert any("DOMAIN INDEX SCAN docs_text" in line for line in plan)
     assert any("plan cache: HIT" in line for line in plan)
@@ -51,7 +51,7 @@ def workload():
 def _timed_round(db, sql):
     start = time.perf_counter()
     for __ in range(REPEATS):
-        db.query(sql)
+        db.execute(sql).fetchall()
     return time.perf_counter() - start
 
 

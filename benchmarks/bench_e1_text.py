@@ -13,7 +13,7 @@ search-intensive queries."
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, io_delta, time_to_first_row
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import LegacyTextIndex, install
@@ -25,7 +25,7 @@ SIZES = (400, 1600)
 def build_database(n_docs):
     corpus = make_corpus(n_docs, words_per_doc=40, vocabulary_size=400,
                          seed=17)
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(4000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -52,7 +52,7 @@ def test_e1_integrated_query(benchmark, workloads, n_docs):
     db, corpus, __ = workloads[n_docs]
     query = search_query(corpus)
     sql = "SELECT id, body FROM docs WHERE Contains(body, :1)"
-    rows = benchmark(lambda: db.query(sql, [query]))
+    rows = benchmark(lambda: db.execute(sql, [query]).fetchall())
     assert rows  # the query matches something
 
 
@@ -106,7 +106,8 @@ def test_e1_report(benchmark, workloads, fresh_result_file):
                     ("AND pair", search_query(corpus)),
                     ("rare", corpus.rare_word(4))]:
                 sql = "SELECT id, body FROM docs WHERE Contains(body, :1)"
-                integrated = io_delta(db, lambda: db.query(sql, [query]))
+                integrated = io_delta(db, lambda: db.execute(
+                    sql, [query]).fetchall())
                 legacy_run = io_delta(
                     db, lambda: legacy.query(query, "d.id, d.body"))
                 first_int = time_to_first_row(

@@ -8,7 +8,7 @@ performance of the prior implementation".
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, time_call
 from repro.bench.workloads import make_rect_layer
 from repro.cartridges.spatial import (
@@ -19,7 +19,7 @@ SIZES = (100, 250)
 
 
 def build_database(n_each):
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE roads (gid INTEGER, geometry SDO_GEOMETRY)")
     db.execute("CREATE TABLE parks (gid INTEGER, geometry SDO_GEOMETRY)")
@@ -54,7 +54,7 @@ INTEGRATED_SQL = ("SELECT r.gid, p.gid FROM roads r, parks p "
 @pytest.mark.parametrize("n_each", SIZES)
 def test_e2_integrated_overlap_join(benchmark, workloads, n_each):
     db, __, __ = workloads[n_each]
-    rows = benchmark(lambda: db.query(INTEGRATED_SQL))
+    rows = benchmark(lambda: db.execute(INTEGRATED_SQL).fetchall())
     assert rows
 
 
@@ -73,7 +73,7 @@ def test_e2_window_query(benchmark, workloads, n_each):
     window = make_rect(gt, 300, 300, 640, 640)
     sql = ("SELECT gid FROM parks WHERE "
            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')")
-    rows = benchmark(lambda: db.query(sql, [window]))
+    rows = benchmark(lambda: db.execute(sql, [window]).fetchall())
     assert rows
 
 
@@ -115,8 +115,9 @@ def test_e2_report(benchmark, workloads, fresh_result_file):
             db, road_layer, park_layer = workloads[n_each]
             legacy_sql = LegacySpatialLayer.overlap_query_sql(
                 road_layer, park_layer)
-            legacy = time_call(lambda: db.query(legacy_sql))
-            integrated = time_call(lambda: db.query(INTEGRATED_SQL))
+            legacy = time_call(lambda: db.execute(legacy_sql).fetchall())
+            integrated = time_call(lambda: db.execute(
+                INTEGRATED_SQL).fetchall())
             table.add_row(n_each, legacy.elapsed, integrated.elapsed,
                           legacy.elapsed / max(integrated.elapsed, 1e-9),
                           integrated.rows, len(legacy_sql),
@@ -129,8 +130,8 @@ def test_e2_report(benchmark, workloads, fresh_result_file):
 
     for db, legacy_sql, legacy, integrated in shape:
         # identical answers
-        assert sorted(db.query(legacy_sql)) == sorted(
-            db.query(INTEGRATED_SQL))
+        assert sorted(db.execute(legacy_sql).fetchall()) == sorted(
+            db.execute(INTEGRATED_SQL).fetchall())
         # "vastly simplifying the queries"
         assert len(INTEGRATED_SQL) < len(legacy_sql) / 2
         # "performance ... as good as the prior implementation":

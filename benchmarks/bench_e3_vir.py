@@ -10,7 +10,7 @@ content-based image queries on tables with millions of rows."
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, io_delta, time_call
 from repro.bench.workloads import make_signature_table
 from repro.cartridges.vir import install
@@ -24,7 +24,7 @@ THRESHOLD = 8
 def build_database(count):
     rows, centre = make_signature_table(count, cluster_every=50, noise=0.03,
                                         seed=31)
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     install(db)
     image_type = db.catalog.get_object_type("IMAGE_T")
     db.execute("CREATE TABLE images (iid INTEGER, img IMAGE_T)")
@@ -60,14 +60,16 @@ FULLSCAN_SQL = ("SELECT iid FROM images_noidx WHERE "
 @pytest.mark.parametrize("count", SIZES[:2])
 def test_e3_indexed_similarity(benchmark, workloads, count):
     db, centre = workloads[count]
-    rows = benchmark(lambda: db.query(INDEXED_SQL, [centre, WEIGHTS]))
+    rows = benchmark(lambda: db.execute(
+        INDEXED_SQL, [centre, WEIGHTS]).fetchall())
     assert rows
 
 
 @pytest.mark.parametrize("count", SIZES[:2])
 def test_e3_fullscan_similarity(benchmark, workloads, count):
     db, centre = workloads[count]
-    rows = benchmark(lambda: db.query(FULLSCAN_SQL, [centre, WEIGHTS]))
+    rows = benchmark(lambda: db.execute(
+        FULLSCAN_SQL, [centre, WEIGHTS]).fetchall())
     assert rows
 
 
@@ -75,7 +77,8 @@ def test_e3_large_table_feasibility(benchmark, big_workload):
     """The 'millions of rows' claim, scaled to the simulator: the indexed
     query cost stays far below one functional full scan."""
     db, centre = big_workload
-    rows = benchmark(lambda: db.query(INDEXED_SQL, [centre, WEIGHTS]))
+    rows = benchmark(lambda: db.execute(
+        INDEXED_SQL, [centre, WEIGHTS]).fetchall())
     assert rows
 
 
@@ -93,10 +96,10 @@ def test_e3_report(benchmark, workloads, big_workload, fresh_result_file):
             db, centre = entries[count]
             db.stats.extra.clear()
             indexed = time_call(
-                lambda: db.query(INDEXED_SQL, [centre, WEIGHTS]))
+                lambda: db.execute(INDEXED_SQL, [centre, WEIGHTS]).fetchall())
             phases = dict(db.stats.extra)
             fullscan = time_call(
-                lambda: db.query(FULLSCAN_SQL, [centre, WEIGHTS]))
+                lambda: db.execute(FULLSCAN_SQL, [centre, WEIGHTS]).fetchall())
             table.add_row(count, fullscan.elapsed, indexed.elapsed,
                           fullscan.elapsed / max(indexed.elapsed, 1e-9),
                           phases.get("vir_phase1_candidates", 0),
@@ -114,8 +117,9 @@ def test_e3_report(benchmark, workloads, big_workload, fresh_result_file):
     for count, indexed, fullscan, phases in shape:
         db, centre = entries[count]
         # identical answers on the twin tables
-        assert sorted(db.query(INDEXED_SQL, [centre, WEIGHTS])) == sorted(
-            db.query(FULLSCAN_SQL, [centre, WEIGHTS]))
+        assert sorted(db.execute(
+            INDEXED_SQL, [centre, WEIGHTS]).fetchall()) == sorted(
+            db.execute(FULLSCAN_SQL, [centre, WEIGHTS]).fetchall())
         # the funnel is monotone and prunes hard before the full comparison
         assert (phases["vir_phase1_candidates"]
                 >= phases["vir_phase2_candidates"]

@@ -15,7 +15,7 @@ database events.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, io_delta, time_call
 from repro.bench.workloads import make_molecule_table
 from repro.cartridges.chemistry import install, protect_external_index
@@ -26,7 +26,7 @@ SIZES = (300, 1000)
 
 def build_database(count, storage):
     rows = make_molecule_table(count, seed=41)
-    db = Database(buffer_capacity=2048)
+    db = Engine(buffer_capacity=2048).connect()
     install(db)
     db.execute("CREATE TABLE molecules (mid INTEGER, mol VARCHAR2(512))")
     db.insert_rows("molecules", [list(r) for r in rows])
@@ -54,7 +54,7 @@ SIM_SQL = ("SELECT mid FROM molecules WHERE Chem_Similar(mol, :1, 0.5)")
 def test_e4_similarity_query(benchmark, workloads, count, storage):
     db, rows, __ = workloads[(count, storage)]
     target = rows[7][1]
-    got = benchmark(lambda: db.query(SIM_SQL, [target]))
+    got = benchmark(lambda: db.execute(SIM_SQL, [target]).fetchall())
     assert got
 
 
@@ -91,8 +91,10 @@ def test_e4_report(benchmark, fresh_result_file):
                     [90_000 + i, rows[i][1]]) for i in range(10)])
                 # cold query: empty the buffer cache first
                 db.buffer.clear()
-                cold = io_delta(db, lambda: db.query(SIM_SQL, [target]))
-                warm = io_delta(db, lambda: db.query(SIM_SQL, [target]))
+                cold = io_delta(db, lambda: db.execute(
+                    SIM_SQL, [target]).fetchall())
+                warm = io_delta(db, lambda: db.execute(
+                    SIM_SQL, [target]).fetchall())
                 table.add_row(
                     count, storage,
                     build_io.io.get("file_writes", 0),
@@ -130,7 +132,7 @@ def test_e4_rollback_consistency(benchmark, fresh_result_file):
         rows = make_molecule_table(60, seed=43)
         results = {}
         for protected in (False, True):
-            db = Database()
+            db = Engine().connect()
             install(db)
             db.execute("CREATE TABLE mols (mid INTEGER, mol VARCHAR2(512))")
             db.insert_rows("mols", [list(r) for r in rows])

@@ -11,7 +11,7 @@ forced plans, locating the crossover.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, time_call
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import install
@@ -24,7 +24,7 @@ N_DOCS = 1200
 def workload():
     corpus = make_corpus(N_DOCS, words_per_doc=40, vocabulary_size=300,
                          seed=51)
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE employees (id INTEGER, resume VARCHAR2(4000))")
     db.insert_rows("employees",
@@ -52,7 +52,7 @@ def test_e5_text_only_uses_domain_index(benchmark, workload):
     word = corpus.common_word(6)
     sql = f"SELECT id FROM employees WHERE Contains(resume, '{word}')"
     assert chosen_access_path(db, sql) == "domain"
-    benchmark(lambda: db.query(sql))
+    benchmark(lambda: db.execute(sql).fetchall())
 
 
 def test_e5_paper_example_uses_btree(benchmark, workload):
@@ -61,7 +61,7 @@ def test_e5_paper_example_uses_btree(benchmark, workload):
     sql = (f"SELECT id FROM employees WHERE Contains(resume, '{word}')"
            " AND id = 100")
     assert chosen_access_path(db, sql) == "btree"
-    benchmark(lambda: db.query(sql))
+    benchmark(lambda: db.execute(sql).fetchall())
 
 
 def test_e5_report(benchmark, workload, fresh_result_file):
@@ -79,7 +79,7 @@ def test_e5_report(benchmark, workload, fresh_result_file):
             sql = (f"SELECT id FROM employees "
                    f"WHERE Contains(resume, '{word}') AND id < {k}")
             plan = chosen_access_path(db, sql)
-            run = time_call(lambda: db.query(sql))
+            run = time_call(lambda: db.execute(sql).fetchall())
             table.add_row(k, k / N_DOCS, plan, run.elapsed, run.rows)
             shape.append((k, plan, run))
         return table, shape
@@ -109,18 +109,18 @@ def test_e5_forced_plan_times_agree_with_choice(benchmark, workload,
         for k, regime in ((5, "selective"), (N_DOCS, "unselective")):
             sql = (f"SELECT id FROM employees "
                    f"WHERE Contains(resume, '{word}') AND id < {k}")
-            chosen = time_call(lambda: db.query(sql))
+            chosen = time_call(lambda: db.execute(sql).fetchall())
             # force the other plan by hiding the domain index / b-tree
             index = db.catalog.get_index("emp_text")
             if chosen_access_path(db, sql) == "btree":
                 btree = db.catalog.drop_index("emp_id")
-                forced = time_call(lambda: db.query(sql))
+                forced = time_call(lambda: db.execute(sql).fetchall())
                 db.catalog.add_index(btree)
             else:
                 index.domain.valid = False
                 # direct mutation bypasses DDL: invalidate cached plans
                 db.catalog.bump_version()
-                forced = time_call(lambda: db.query(sql))
+                forced = time_call(lambda: db.execute(sql).fetchall())
                 index.domain.valid = True
                 db.catalog.bump_version()
             out[regime] = (chosen, forced)

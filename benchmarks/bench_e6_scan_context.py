@@ -13,7 +13,7 @@ Measures the design choices the paper describes for ODCIIndex scans:
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, time_call, time_to_first_row
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import install
@@ -26,7 +26,7 @@ N_DOCS = 1500
 def workload():
     corpus = make_corpus(N_DOCS, words_per_doc=40, vocabulary_size=250,
                          seed=61)
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(4000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -42,7 +42,7 @@ def test_e6_fetch_batch_size(benchmark, workload, batch_size):
     word = corpus.common_word(0)
     sql = f"SELECT id FROM docs WHERE Contains(body, '{word}')"
     try:
-        rows = benchmark(lambda: db.query(sql))
+        rows = benchmark(lambda: db.execute(sql).fetchall())
     finally:
         db.fetch_batch_size = 32
     assert rows
@@ -55,7 +55,7 @@ def test_e6_incremental_first_row(benchmark, workload):
     sql = f"SELECT id FROM docs WHERE Contains(body, '{word}') LIMIT 1"
 
     def first():
-        return db.query(sql)
+        return db.execute(sql).fetchall()
 
     assert benchmark(first)
 
@@ -70,10 +70,10 @@ def test_e6_report(benchmark, workload, fresh_result_file):
             "E6a (§2.2.3) — ODCIIndexFetch batch size (same result set)",
             ["batch size", "time_s", "fetch_calls(approx)"])
         batch_times = {}
-        match_count = len(db.query(sql))
+        match_count = len(db.execute(sql).fetchall())
         for batch_size in (1, 8, 64):
             db.fetch_batch_size = batch_size
-            run = time_call(lambda: db.query(sql))
+            run = time_call(lambda: db.execute(sql).fetchall())
             batch_times[batch_size] = run.elapsed
             batch_table.add_row(batch_size, run.elapsed,
                                 match_count // batch_size + 1)
@@ -114,7 +114,7 @@ def test_e6_bulk_build_vs_incremental(benchmark, fresh_result_file):
                          seed=62)
 
     def build(bulk: bool):
-        db = Database()
+        db = Engine().connect()
         install(db)
         db.execute("CREATE TABLE d (id INTEGER, body VARCHAR2(2000))")
         if bulk:
@@ -155,7 +155,7 @@ def test_e6_workspace_handles_released(benchmark, workload):
            f"'{word} AND {corpus.common_word(3)}')")
 
     def run():
-        return db.query(sql)
+        return db.execute(sql).fetchall()
 
     benchmark(run)
     assert db.workspace.live_handles == 0

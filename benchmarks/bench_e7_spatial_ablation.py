@@ -10,7 +10,7 @@ query and maintenance profiles.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, time_call
 from repro.bench.workloads import make_rect_layer
 from repro.cartridges.spatial import install, install_rtree, make_rect
@@ -24,7 +24,7 @@ WINDOW_SQL = ("SELECT gid FROM %s WHERE "
 
 @pytest.fixture(scope="module")
 def workload():
-    db = Database(buffer_capacity=2048)
+    db = Engine(buffer_capacity=2048).connect()
     install(db)
     install_rtree(db)
     gt = db.catalog.get_object_type("SDO_GEOMETRY")
@@ -47,7 +47,8 @@ def workload():
 def test_e7_window_query(benchmark, workload, table):
     db, __, windows = workload
     sql = WINDOW_SQL % table
-    rows = benchmark(lambda: [db.query(sql, [w]) for w in windows])
+    rows = benchmark(lambda: [db.execute(
+        sql, [w]).fetchall() for w in windows])
     assert any(rows)
 
 
@@ -78,14 +79,18 @@ def test_e7_report(benchmark, workload, fresh_result_file):
         for i, window in enumerate(windows):
             db.stats.extra.clear()
             tiles = time_call(
-                lambda: db.query(WINDOW_SQL % "tiles_t", [window]))
+                lambda: db.execute(
+                    WINDOW_SQL % "tiles_t", [window]).fetchall())
             tile_cands = db.stats.extra.get("spatial_primary_candidates", 0)
             db.stats.extra.clear()
             rtree = time_call(
-                lambda: db.query(WINDOW_SQL % "rtree_t", [window]))
+                lambda: db.execute(
+                    WINDOW_SQL % "rtree_t", [window]).fetchall())
             rtree_cands = db.stats.extra.get("spatial_primary_candidates", 0)
-            tile_rows = sorted(db.query(WINDOW_SQL % "tiles_t", [window]))
-            rtree_rows = sorted(db.query(WINDOW_SQL % "rtree_t", [window]))
+            tile_rows = sorted(db.execute(
+                WINDOW_SQL % "tiles_t", [window]).fetchall())
+            rtree_rows = sorted(db.execute(
+                WINDOW_SQL % "rtree_t", [window]).fetchall())
             agree = tile_rows == rtree_rows
             agreements.append(agree)
             table.add_row(f"w{i}", tiles.elapsed, rtree.elapsed,

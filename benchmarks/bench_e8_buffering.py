@@ -13,7 +13,7 @@ cartridge never wrote a line of buffering code either way.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable, io_delta
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import install
@@ -26,7 +26,7 @@ N_DOCS = 800
 def build_database(cache_pages):
     corpus = make_corpus(N_DOCS, words_per_doc=40, vocabulary_size=300,
                          seed=88)
-    db = Database(buffer_capacity=cache_pages)
+    db = Engine(buffer_capacity=cache_pages).connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(4000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -45,8 +45,8 @@ def test_e8_query_under_cache_size(benchmark, workloads, cache_pages):
     db, corpus = workloads[cache_pages]
     word = corpus.common_word(3)
     sql = f"SELECT id, body FROM docs WHERE Contains(body, '{word}')"
-    db.query(sql)  # warm what fits
-    rows = benchmark(lambda: db.query(sql))
+    db.execute(sql).fetchall()  # warm what fits
+    rows = benchmark(lambda: db.execute(sql).fetchall())
     assert rows
 
 
@@ -62,8 +62,8 @@ def test_e8_report(benchmark, workloads, fresh_result_file):
             word = corpus.common_word(3)
             sql = (f"SELECT id, body FROM docs "
                    f"WHERE Contains(body, '{word}')")
-            db.query(sql)  # warm pass
-            run = io_delta(db, lambda: db.query(sql))
+            db.execute(sql).fetchall()  # warm pass
+            run = io_delta(db, lambda: db.execute(sql).fetchall())
             table.add_row(cache_pages, run.io.get("physical_reads", 0),
                           run.elapsed)
             shape.append((cache_pages, run))

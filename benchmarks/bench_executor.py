@@ -31,7 +31,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
 from repro.testing import interpreter_forced
@@ -75,7 +75,7 @@ RESCAN_SQL = "SELECT COUNT(*) FROM t WHERE val < :1"
 
 
 def build_scan_db(n_rows):
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     db.execute("CREATE TABLE t (id INTEGER, grp VARCHAR2(8), val NUMBER)")
     rng = random.Random(91)
     db.insert_rows("t", [[i, f"g{i % 16}", rng.random()]
@@ -89,7 +89,7 @@ def build_text_db(n_docs):
     from repro.cartridges.text import install
     corpus = make_corpus(n_docs, words_per_doc=40, vocabulary_size=400,
                          seed=17)
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(4000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -180,7 +180,7 @@ IOT_PREFIX_SQL = ("SELECT doc, freq * 2 FROM postings"
 
 
 def build_row_loop_db(n_rows):
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     db.execute("CREATE TABLE postings (term VARCHAR2(16), doc INTEGER,"
                " freq INTEGER, PRIMARY KEY (term, doc)) ORGANIZATION INDEX")
     db.execute("CREATE TABLE d (id INTEGER, grp VARCHAR2(8))")
@@ -232,7 +232,7 @@ def bench_rescan_after_writes(n_rows, repeats):
     image reused).  The plan is cached and the write's garbage collected
     before each timed scan; min of ``3 * repeats`` scans per mode (one
     scan is a millisecond or so)."""
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     db.execute("CREATE TABLE t (id INTEGER, grp VARCHAR2(8), val NUMBER)")
     rng = random.Random(91)
     rows = [[i, f"g{i % 16}", rng.random()] for i in range(n_rows)]

@@ -8,7 +8,7 @@ overhead measured against a plain (non-extensible) query.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import install
@@ -20,7 +20,7 @@ REPORT_FILE = "f1_architecture.txt"
 def workload():
     corpus = make_corpus(300, words_per_doc=30, vocabulary_size=150,
                          seed=81)
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -36,7 +36,7 @@ def test_f1_traced_query_overhead(benchmark, workload):
     word = corpus.common_word(0)
     sql = f"SELECT id FROM docs WHERE Contains(body, '{word}')"
     try:
-        rows = benchmark(lambda: db.query(sql))
+        rows = benchmark(lambda: db.execute(sql).fetchall())
     finally:
         db.disable_tracing()
     assert rows
@@ -45,7 +45,8 @@ def test_f1_traced_query_overhead(benchmark, workload):
 def test_f1_plain_query_baseline(benchmark, workload):
     """A non-extensible query of similar result size, for contrast."""
     db, __ = workload
-    rows = benchmark(lambda: db.query("SELECT id FROM docs WHERE id < 50"))
+    rows = benchmark(lambda: db.execute(
+        "SELECT id FROM docs WHERE id < 50").fetchall())
     assert rows
 
 
@@ -55,7 +56,8 @@ def test_f1_report(benchmark, workload, fresh_result_file):
 
     def capture():
         db.enable_tracing()
-        db.query(f"SELECT id FROM docs WHERE Contains(body, '{word}')")
+        db.execute(
+            f"SELECT id FROM docs WHERE Contains(body, '{word}')").fetchall()
         trace = list(db.trace_log)
         db.disable_tracing()
         return trace

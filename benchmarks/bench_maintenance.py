@@ -50,7 +50,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable
 from repro.bench.workloads import make_corpus
 from repro.cartridges.spatial.indextype import RtreeIndexMethods
@@ -134,7 +134,7 @@ def _text_db(n_docs):
     from repro.cartridges.text import install
     corpus = make_corpus(n_docs, words_per_doc=40, vocabulary_size=400,
                          seed=23)
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     install(db)
     db.register_methods("PerRowTextMethods", PerRowTextMethods)
     db.execute("CREATE INDEXTYPE PerRowTextIndexType"
@@ -146,7 +146,7 @@ def _text_db(n_docs):
 
 def _spatial_db(n_rows):
     from repro.cartridges.spatial import install_rtree
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     install_rtree(db)
     db.register_methods("PerRowRtreeMethods", PerRowRtreeMethods)
     db.execute("CREATE INDEXTYPE PerRowRtreeIndexType"
@@ -316,7 +316,7 @@ def bench_executemany(n_rows):
     transaction, lock, and a maintenance flush once per row; the
     batched side parses once and flushes maintenance once per index.
     """
-    db = Database(buffer_capacity=4096)
+    db = Engine(buffer_capacity=4096).connect()
     db.execute("CREATE TABLE events (id INTEGER, grp INTEGER,"
                " name VARCHAR2(64))")
     db.execute("CREATE INDEX events_id ON events(id)")
@@ -349,7 +349,7 @@ def bench_executemany_cartridges(n_docs, n_inserts):
         f"DELETE FROM docs WHERE id >= {n_docs}")
 
     from repro.cartridges.chemistry import install
-    chem_db = Database(buffer_capacity=4096)
+    chem_db = Engine(buffer_capacity=4096).connect()
     install(chem_db)
     chem_db.execute("CREATE TABLE mols (id INTEGER, smiles VARCHAR2(512))")
     mols = ["CCO", "CC(=O)O", "CCN", "C1CCCCC1", "CCOC", "CN", "CCC",

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable
 from repro.index import BitmapIndex, BTree, HashIndex
 
@@ -21,7 +21,7 @@ REPEATS = 1000
 
 @pytest.fixture(scope="module")
 def loaded_db():
-    db = Database(buffer_capacity=2048)
+    db = Engine(buffer_capacity=2048).connect()
     db.execute("CREATE TABLE t (id INTEGER, grp VARCHAR2(8), val NUMBER)")
     rng = random.Random(91)
     db.insert_rows("t", [[i, f"g{i % 16}", rng.random()]
@@ -70,14 +70,14 @@ def test_micro_bitmap_or(benchmark):
 
 
 def test_micro_full_scan_sql(benchmark, loaded_db):
-    rows = benchmark(lambda: loaded_db.query(
-        "SELECT COUNT(*) FROM t WHERE val < 0.5"))
+    rows = benchmark(lambda: loaded_db.execute(
+        "SELECT COUNT(*) FROM t WHERE val < 0.5").fetchall())
     assert rows[0][0] > 0
 
 
 def test_micro_indexed_point_sql(benchmark, loaded_db):
-    rows = benchmark(lambda: loaded_db.query(
-        "SELECT grp FROM t WHERE id = 2500"))
+    rows = benchmark(lambda: loaded_db.execute(
+        "SELECT grp FROM t WHERE id = 2500").fetchall())
     assert rows
 
 
@@ -93,8 +93,8 @@ def test_micro_insert_with_indexes(benchmark, loaded_db):
 
 
 def test_micro_group_by_sql(benchmark, loaded_db):
-    rows = benchmark(lambda: loaded_db.query(
-        "SELECT grp, COUNT(*), AVG(val) FROM t GROUP BY grp"))
+    rows = benchmark(lambda: loaded_db.execute(
+        "SELECT grp, COUNT(*), AVG(val) FROM t GROUP BY grp").fetchall())
     assert len(rows) == 16
 
 
@@ -111,7 +111,7 @@ def _repeated_point_queries(db, cold):
     for ident in ids:
         if cold:
             db.plan_cache.clear()
-        rows = db.query(sql, [ident])
+        rows = db.execute(sql, [ident]).fetchall()
         assert rows
     return time.perf_counter() - start
 
@@ -136,16 +136,18 @@ def test_micro_repeated_statement_cold_vs_warm(loaded_db, fresh_result_file):
 
 
 def test_micro_warm_plan_cache_point_sql(benchmark, loaded_db):
-    loaded_db.query("SELECT grp FROM t WHERE id = :1", [1])  # warm the cache
-    rows = benchmark(lambda: loaded_db.query(
-        "SELECT grp FROM t WHERE id = :1", [2500]))
+    loaded_db.execute(
+        "SELECT grp FROM t WHERE id = :1", [1]).fetchall()  # warm the cache
+    rows = benchmark(lambda: loaded_db.execute(
+        "SELECT grp FROM t WHERE id = :1", [2500]).fetchall())
     assert rows
 
 
 def test_micro_cold_plan_cache_point_sql(benchmark, loaded_db):
     def cold_query():
         loaded_db.plan_cache.clear()
-        return loaded_db.query("SELECT grp FROM t WHERE id = :1", [2500])
+        return loaded_db.execute(
+            "SELECT grp FROM t WHERE id = :1", [2500]).fetchall()
 
     rows = benchmark(cold_query)
     assert rows
@@ -156,8 +158,9 @@ def test_micro_filter_heavy_full_scan(benchmark, loaded_db):
     full scan, warm plan cache (expression evaluation dominates)."""
     sql = ("SELECT id FROM t WHERE val < :1 AND grp LIKE 'g1%'"
            " AND id BETWEEN :2 AND :3")
-    loaded_db.query(sql, [0.9, 100, N - 100])  # warm the cache
-    rows = benchmark(lambda: loaded_db.query(sql, [0.9, 100, N - 100]))
+    loaded_db.execute(sql, [0.9, 100, N - 100]).fetchall()  # warm the cache
+    rows = benchmark(lambda: loaded_db.execute(
+        sql, [0.9, 100, N - 100]).fetchall())
     assert rows
 
 
@@ -166,7 +169,7 @@ def test_micro_domain_scan_text(benchmark):
     from repro.bench.workloads import make_corpus
     from repro.cartridges.text import install
     corpus = make_corpus(400, words_per_doc=40, vocabulary_size=400, seed=17)
-    db = Database(buffer_capacity=2048)
+    db = Engine(buffer_capacity=2048).connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(4000))")
     db.insert_rows("docs", [[i, d] for i, d in enumerate(corpus.documents)])
@@ -174,8 +177,8 @@ def test_micro_domain_scan_text(benchmark):
                " INDEXTYPE IS TextIndexType")
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     word = corpus.common_word(5)
-    db.query(sql, [word])  # warm the cache
-    rows = benchmark(lambda: db.query(sql, [word]))
+    db.execute(sql, [word]).fetchall()  # warm the cache
+    rows = benchmark(lambda: db.execute(sql, [word]).fetchall())
     assert rows
 
 
@@ -184,6 +187,6 @@ def test_micro_hash_join_sql(benchmark, loaded_db):
     for i in range(16):
         loaded_db.execute("INSERT INTO g VALUES (:1, :2)",
                           [f"g{i}", f"L{i}"])
-    rows = benchmark(lambda: loaded_db.query(
-        "SELECT COUNT(*) FROM t, g WHERE t.grp = g.grp"))
+    rows = benchmark(lambda: loaded_db.execute(
+        "SELECT COUNT(*) FROM t, g WHERE t.grp = g.grp").fetchall())
     assert rows[0][0] >= N

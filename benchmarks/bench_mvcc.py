@@ -39,7 +39,6 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
 
-from repro import Database
 from repro.bench.harness import ReportTable
 from repro.sql.engine import Engine
 from repro.txn.locks import LockMode
@@ -262,7 +261,7 @@ def bench_resolve_overhead(n_rows, n_scans, repeats=7):
     """
     dbs = {}
     for label, snapshot_reads in (("mvcc", True), ("current", False)):
-        db = dbs[label] = Database()
+        db = dbs[label] = Engine().connect()
         db.snapshot_reads = snapshot_reads
         db.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(30))")
         for i in range(n_rows):

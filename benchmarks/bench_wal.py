@@ -39,7 +39,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import ReportTable
 
 REPORT_FILE = "wal.txt"
@@ -96,9 +96,9 @@ class _Committer:
 def _run_commit_load(group_commit, n_sessions, txns_per_session):
     data_dir = tempfile.mkdtemp(prefix="bench-wal-")
     try:
-        db = Database(data_dir=data_dir,
-                      wal_group_commit=group_commit,
-                      wal_fsync_delay=FSYNC_DELAY_S)
+        db = Engine(data_dir=data_dir,
+                    wal_group_commit=group_commit,
+                    wal_fsync_delay=FSYNC_DELAY_S).connect()
         for i in range(n_sessions):
             db.execute(f"CREATE TABLE ledger{i} "
                        "(id NUMBER, who VARCHAR2(10))")
@@ -116,6 +116,7 @@ def _run_commit_load(group_commit, n_sessions, txns_per_session):
                 raise agent.error
         stats = db.engine.durability.wal.stats.snapshot()
         db.close()
+        db.engine.close()
         commits = n_sessions * txns_per_session
         return {"commits": commits,
                 "elapsed_s": round(elapsed, 4),
@@ -150,8 +151,8 @@ def bench_wal_overhead(n_rows):
     data_dir = tempfile.mkdtemp(prefix="bench-wal-ovh-")
     try:
         for label in ("wal_on", "wal_off"):
-            db = (Database(data_dir=data_dir) if label == "wal_on"
-                  else Database())
+            db = (Engine(data_dir=data_dir).connect() if label == "wal_on"
+                  else Engine().connect())
             db.execute("CREATE TABLE t (k NUMBER, v VARCHAR2(30))")
             start = time.perf_counter()
             db.begin()
@@ -162,6 +163,7 @@ def bench_wal_overhead(n_rows):
             db.commit()
             timings[label] = time.perf_counter() - start
             db.close()
+            db.engine.close()
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
     return {"rows": n_rows,

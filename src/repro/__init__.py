@@ -3,7 +3,7 @@ Integrating Domain-Specific Indexing Schemes into Oracle8i" (ICDE 2000).
 
 The package provides:
 
-* a from-scratch relational engine (:class:`repro.Database`) with SQL,
+* a from-scratch relational engine (:class:`repro.Engine`) with SQL,
   heap/index-organized storage, LOBs, native B-tree/hash/bitmap indexes,
   transactions, and a cost-based optimizer;
 * the paper's extensible indexing framework (:mod:`repro.core`) —
@@ -15,19 +15,22 @@ The package provides:
 
 Quickstart::
 
-    from repro import Database
+    from repro import dbapi
     from repro.cartridges import text
 
-    db = Database()
-    text.install(db)
-    db.execute("CREATE TABLE employees (name VARCHAR2(128), id INTEGER,"
-               " resume VARCHAR2(1024))")
-    db.execute("INSERT INTO employees VALUES ('Amy', 1,"
-               " 'Oracle and UNIX expert')")
-    db.execute("CREATE INDEX resume_text_idx ON employees(resume)"
-               " INDEXTYPE IS TextIndexType")
-    rows = db.execute("SELECT name FROM employees"
-                      " WHERE Contains(resume, 'Oracle AND UNIX')").fetchall()
+    conn = dbapi.connect()          # "file:/path" for a durable engine
+    text.install(conn.session)
+    cur = conn.cursor()
+    cur.execute("CREATE TABLE employees (name VARCHAR2(128), id INTEGER,"
+                " resume VARCHAR2(1024))")
+    cur.execute("INSERT INTO employees VALUES ('Amy', 1,"
+                " 'Oracle and UNIX expert')")
+    cur.execute("CREATE INDEX resume_text_idx ON employees(resume)"
+                " INDEXTYPE IS TextIndexType")
+    cur.execute("SELECT name FROM employees"
+                " WHERE Contains(resume, 'Oracle AND UNIX')")
+    rows = cur.fetchall()
+    conn.close()                    # also shuts the private engine down
 """
 
 from repro.errors import (
@@ -55,7 +58,7 @@ from repro.errors import (
     WALError,
 )
 from repro.sql.engine import Engine
-from repro.sql.session import Cursor, Database, Session
+from repro.sql.session import Cursor, Session
 from repro.core import (
     FetchResult,
     IndexMethods,
@@ -74,7 +77,6 @@ from repro.types.values import NULL
 __version__ = "1.0.0"
 
 __all__ = [
-    "Database",
     "Engine",
     "Session",
     "Cursor",

@@ -31,7 +31,7 @@ from repro.cartridges.spatial.tiling import tessellate
 from repro.errors import ExecutionError
 from repro.types.values import is_null
 
-#: Attribute attached to the Database holding gid -> geometry.
+#: Attribute attached to the session holding gid -> geometry.
 _REGISTRY_ATTR = "legacy_spatial_geometries"
 
 

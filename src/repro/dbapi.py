@@ -516,12 +516,13 @@ class _BaseConnection:
 class Connection(_BaseConnection):
     """In-process connection: one session on an (owned or shared) engine."""
 
-    def __init__(self, session: Any):
+    def __init__(self, session: Any, owns_engine: bool = False):
         super().__init__()
         self._session: Optional[Any] = session
         #: the shared engine — pass to ``connect(engine)`` for more
         #: concurrent connections against the same data
         self.engine: Engine = session.engine
+        self._owns_engine = owns_engine
 
     @property
     def session(self) -> Any:
@@ -550,7 +551,10 @@ class Connection(_BaseConnection):
         Cursors abandoned mid-fetch release their resources here: the
         session closes every statement cursor it still tracks, so any
         open domain-index scan fires ``ODCIIndexClose`` and returns its
-        workspace handle before the rollback (§2.5 resource rule).
+        workspace handle before the rollback (§2.5 resource rule).  A
+        connection that created its engine (``connect()`` or
+        ``connect("file:...")``) then shuts that engine down cleanly; one
+        from ``connect(engine)`` leaves the shared engine up.
         """
         session = self._session
         if session is None:
@@ -560,6 +564,8 @@ class Connection(_BaseConnection):
             session.close()
         finally:
             self._session = None
+            if self._owns_engine:
+                self.engine.close()
 
     # -- internals -------------------------------------------------------------
 
@@ -882,4 +888,4 @@ def connect(dsn: Optional[Any] = None, user: str = "main",
         new_engine = Engine(data_dir=parsed.path, **engine_options)
     else:
         new_engine = Engine(**engine_options)
-    return Connection(new_engine.connect(user))
+    return Connection(new_engine.connect(user), owns_engine=True)

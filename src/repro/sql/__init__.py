@@ -1,5 +1,5 @@
-"""SQL engine: lexer, parser, catalog, planner, executor, session facade."""
+"""SQL engine: lexer, parser, catalog, planner, executor, sessions."""
 
-from repro.sql.session import Database, Cursor
+from repro.sql.session import Cursor, Session
 
-__all__ = ["Database", "Cursor"]
+__all__ = ["Cursor", "Session"]

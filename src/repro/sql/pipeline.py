@@ -1,7 +1,7 @@
 """The staged statement pipeline: Parse → Bind → Plan → Execute.
 
-Every statement the :class:`~repro.sql.session.Database` facade accepts
-flows through :class:`StatementPipeline`.  Each stage produces an
+Every statement a :class:`~repro.sql.session.Session` accepts flows
+through :class:`StatementPipeline`.  Each stage produces an
 inspectable artifact:
 
 * **Parse** (:class:`ParseArtifact`) — the AST, the statement class

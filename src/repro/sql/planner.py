@@ -691,7 +691,7 @@ def _range_pair_selectivity(table: TableDef, low: Sarg, high: Sarg) -> float:
 class Planner:
     """Builds a :class:`QueryPlan` for a bound SELECT statement.
 
-    ``db`` is the owning Database; the planner needs it to instantiate
+    ``db`` is the owning Session; the planner needs it to instantiate
     stats types and to record optimizer trace events.
     """
 

@@ -26,18 +26,15 @@ together (§2.5).  Commit/rollback fire registered database events (§5).
 Transaction ids come from the engine so they are globally ordered —
 deadlock victim selection compares them across sessions.
 
-:class:`Database` is the historical single-session facade: an engine
-plus one default session, kept as a thin wrapper so existing code and
-tests run unchanged.  New multi-session code should use
-``Engine().connect()`` or :mod:`repro.dbapi`.  A session (and its
-transaction) is confined to one thread at a time; concurrency comes
-from many sessions, not from sharing one.
+A session comes from ``Engine(**options).connect()``, or as
+``conn.session`` of a :mod:`repro.dbapi` connection.  A session (and
+its transaction) is confined to one thread at a time; concurrency
+comes from many sessions, not from sharing one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import warnings
 import weakref
 from typing import (
     Any, Callable, List, Optional, Sequence, Tuple, Type)
@@ -63,7 +60,7 @@ from repro.txn.transaction import TransactionManager
 from repro.types.datatypes import DataType
 from repro.types.objects import ObjectType
 
-__all__ = ["Cursor", "Database", "Session"]
+__all__ = ["Cursor", "Session"]
 
 
 class Session:
@@ -465,31 +462,6 @@ class Session:
         self._open_cursors.clear()
         self.rollback()
 
-    def query(self, sql: str,
-              params: Optional[Any] = None) -> List[Tuple[Any, ...]]:
-        """Execute a SELECT and return all rows.
-
-        .. deprecated:: use ``execute(sql, params).fetchall()`` (or
-           iterate the cursor) — one fetch protocol shared with
-           :mod:`repro.dbapi`.
-        """
-        warnings.warn("Database.query is deprecated; use "
-                      "execute(...).fetchall() — see docs/API.md",
-                      DeprecationWarning, stacklevel=2)
-        return self.execute(sql, params).fetchall()
-
-    def query_one(self, sql: str,
-                  params: Optional[Any] = None) -> Optional[Tuple[Any, ...]]:
-        """Execute a SELECT and return the first row (or None).
-
-        .. deprecated:: use ``execute(sql, params).fetchone()``.
-        """
-        warnings.warn("Database.query_one is deprecated; use "
-                      "execute(...).fetchone() — see docs/API.md",
-                      DeprecationWarning, stacklevel=2)
-        with self.execute(sql, params) as cursor:
-            return cursor.fetchone()
-
     def explain(self, sql: str, params: Optional[Any] = None) -> List[str]:
         """Return the EXPLAIN plan lines (plus a plan-cache status line)."""
         self._bind()
@@ -544,34 +516,3 @@ class Session:
         self._bind()
         return self.dml.direct_load(table_name, rows, payloads, presorted)
 
-
-class Database(Session):
-    """Deprecated single-session facade: engine + default session.
-
-    New code should use :func:`repro.dbapi.connect` (no DSN for
-    in-memory, ``file:/path`` for durable) and reach the native
-    surface through ``conn.session`` / ``conn.engine``.  Kept as a
-    thin back-compat wrapper — every pre-split attribute
-    (``db.catalog``, ``db.locks``, ...) still resolves via the
-    session's delegating properties.
-    """
-
-    def __init__(self, buffer_capacity: int = 512,
-                 fetch_batch_size: int = 32, **engine_options: Any):
-        super().__init__(Engine(buffer_capacity=buffer_capacity,
-                                fetch_batch_size=fetch_batch_size,
-                                **engine_options))
-
-    def connect(self, user: str = "main") -> Session:
-        """Open another session against this database's engine."""
-        return self.engine.connect(user)
-
-    def close(self) -> None:
-        """Shut the engine down cleanly (see :meth:`Engine.close`).
-
-        Closes the default session's cursors and transaction first, so
-        abandoned scans release their handles before the WAL's final
-        checkpoint.
-        """
-        super().close()
-        self.engine.close()

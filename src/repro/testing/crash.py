@@ -162,13 +162,14 @@ def _ack(fd: int, tag: str) -> None:
 
 
 def run_child(data_dir: str, seed: int, kind: str, nth: int) -> None:
-    from repro.sql.session import Database
+    from repro.sql.engine import Engine
 
     ack_fd = os.open(os.path.join(data_dir, ACKED_FILE),
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    db = Database(data_dir=data_dir,
-                  wal_checkpoint_interval=checkpoint_interval(seed),
-                  durability_event_hook=_Killer(kind, nth))
+    engine = Engine(data_dir=data_dir,
+                    wal_checkpoint_interval=checkpoint_interval(seed),
+                    durability_event_hook=_Killer(kind, nth))
+    db = engine.connect()
     db.execute("CREATE TABLE h (tag VARCHAR2(10), n NUMBER, v NUMBER)")
     db.execute("CREATE INDEX h_tag ON h (tag)")
     db.execute("CREATE TABLE kv (a NUMBER, b NUMBER, "
@@ -186,7 +187,7 @@ def run_child(data_dir: str, seed: int, kind: str, nth: int) -> None:
     errors: List[BaseException] = []
 
     def run_plans(worker: int) -> None:
-        session = db.engine.connect(user="main")
+        session = engine.connect(user="main")
         try:
             for plan in plans[worker::workers]:
                 session.begin()
@@ -220,14 +221,14 @@ def run_child(data_dir: str, seed: int, kind: str, nth: int) -> None:
     if errors:
         raise errors[0]
     db.close()
+    engine.close()
 
 
 def run_recover_child(data_dir: str, kind: str, nth: int) -> None:
     """Reopen with a kill scheduled inside recovery itself."""
-    from repro.sql.session import Database
-    db = Database(data_dir=data_dir,
-                  durability_event_hook=_Killer(kind, nth))
-    db.close()
+    from repro.sql.engine import Engine
+    Engine(data_dir=data_dir,
+           durability_event_hook=_Killer(kind, nth)).close()
 
 
 # ----------------------------------------------------------------------
@@ -257,13 +258,14 @@ def _read_acked(data_dir: str) -> List[str]:
 
 def verify(data_dir: str, seed: int, acked: List[str]) -> Dict[str, Any]:
     """Reopen the directory, recover, and check the ACID ledger."""
-    from repro.sql.session import Database
+    from repro.sql.engine import Engine
 
     plans = plan_workload(seed)
     by_tag = {p.tag: p for p in plans}
-    db = Database(data_dir=data_dir)
+    engine = Engine(data_dir=data_dir)
+    db = engine.connect()
     try:
-        stats = db.engine.recovery_stats
+        stats = engine.recovery_stats
         tables = {r[0] for r in
                   db.execute("SELECT table_name FROM user_tables")
                   .fetchall()}
@@ -345,6 +347,7 @@ def verify(data_dir: str, seed: int, acked: List[str]) -> Dict[str, Any]:
                 "stats": stats.snapshot() if stats else None}
     finally:
         db.close()
+        engine.close()
 
 
 def run_seed(seed: int, verbose: bool = False,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 from repro.types.values import NULL
 
 
@@ -18,14 +17,16 @@ class TestTextLanguages:
         return text_db
 
     def test_german_stopwords_not_indexed(self, german_db):
-        rows = german_db.query("SELECT token FROM de_idx_terms ORDER BY 1")
+        rows = german_db.execute(
+            "SELECT token FROM de_idx_terms ORDER BY 1").fetchall()
         tokens = [r[0] for r in rows]
         assert "datenbank" in tokens
         assert "die" not in tokens and "und" not in tokens
 
     def test_query_works(self, german_db):
-        rows = german_db.query(
-            "SELECT COUNT(*) FROM de_docs WHERE Contains(body, 'Datenbank')")
+        rows = german_db.execute(
+            "SELECT COUNT(*) FROM de_docs WHERE Contains(body, 'Datenbank')"
+        ).fetchall()
         assert rows == [(1,)]
 
 
@@ -35,9 +36,11 @@ class TestNullColumns:
         text_db.execute("INSERT INTO t VALUES (NULL)")
         text_db.execute("CREATE INDEX t_idx ON t(body)"
                         " INDEXTYPE IS TextIndexType")
-        assert text_db.query("SELECT COUNT(*) FROM t_idx_terms") == [(0,)]
+        assert text_db.execute(
+            "SELECT COUNT(*) FROM t_idx_terms").fetchall() == [(0,)]
         text_db.execute("INSERT INTO t VALUES (NULL)")  # maintained, no-op
-        assert text_db.query("SELECT COUNT(*) FROM t_idx_terms") == [(0,)]
+        assert text_db.execute(
+            "SELECT COUNT(*) FROM t_idx_terms").fetchall() == [(0,)]
 
     def test_update_null_to_value(self, text_db):
         text_db.execute("CREATE TABLE t (id INTEGER, body VARCHAR2(100))")
@@ -45,8 +48,8 @@ class TestNullColumns:
         text_db.execute("CREATE INDEX t_idx ON t(body)"
                         " INDEXTYPE IS TextIndexType")
         text_db.execute("UPDATE t SET body = 'now oracle' WHERE id = 1")
-        rows = text_db.query(
-            "SELECT id FROM t WHERE Contains(body, 'oracle')")
+        rows = text_db.execute(
+            "SELECT id FROM t WHERE Contains(body, 'oracle')").fetchall()
         assert rows == [(1,)]
 
     def test_update_value_to_null(self, text_db):
@@ -55,9 +58,10 @@ class TestNullColumns:
         text_db.execute("CREATE INDEX t_idx ON t(body)"
                         " INDEXTYPE IS TextIndexType")
         text_db.execute("UPDATE t SET body = NULL WHERE id = 1")
-        assert text_db.query(
-            "SELECT id FROM t WHERE Contains(body, 'oracle')") == []
-        assert text_db.query("SELECT COUNT(*) FROM t_idx_terms") == [(0,)]
+        assert text_db.execute(
+            "SELECT id FROM t WHERE Contains(body, 'oracle')").fetchall() == []
+        assert text_db.execute(
+            "SELECT COUNT(*) FROM t_idx_terms").fetchall() == [(0,)]
 
 
 class TestEmptyTables:
@@ -65,8 +69,8 @@ class TestEmptyTables:
         text_db.execute("CREATE TABLE empty_t (body VARCHAR2(100))")
         text_db.execute("CREATE INDEX e_idx ON empty_t(body)"
                         " INDEXTYPE IS TextIndexType")
-        assert text_db.query(
-            "SELECT * FROM empty_t WHERE Contains(body, 'x')") == []
+        assert text_db.execute(
+            "SELECT * FROM empty_t WHERE Contains(body, 'x')").fetchall() == []
 
     def test_spatial_empty_query(self, spatial_db):
         from repro.cartridges.spatial import make_rect
@@ -76,9 +80,10 @@ class TestEmptyTables:
                            " INDEXTYPE IS SpatialIndexType")
         gt = spatial_db.catalog.get_object_type("SDO_GEOMETRY")
         window = make_rect(gt, 0, 0, 100, 100)
-        assert spatial_db.query(
+        assert spatial_db.execute(
             "SELECT gid FROM geo WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]) == []
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall() == []
 
 
 class TestSpatialPolygons:
@@ -92,16 +97,18 @@ class TestSpatialPolygons:
         spatial_db.execute("CREATE INDEX s_idx ON shapes(geometry)"
                            " INDEXTYPE IS SpatialIndexType")
         inside_window = make_rect(gt, 50, 50, 350, 350)
-        rows = spatial_db.query(
+        rows = spatial_db.execute(
             "SELECT sid FROM shapes WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=INSIDE')", [inside_window])
+            "Sdo_Relate(geometry, :1, 'mask=INSIDE')", [inside_window]
+        ).fetchall()
         assert rows == [(1,)]
         # a window overlapping only the triangle's bbox corner, not the
         # triangle itself, must not match (exact filter at work)
         corner = make_rect(gt, 280, 250, 310, 290)
-        rows = spatial_db.query(
+        rows = spatial_db.execute(
             "SELECT sid FROM shapes WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [corner])
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [corner]
+        ).fetchall()
         assert rows == []
 
     def test_sql_polygon_constructor(self, spatial_db):
@@ -110,7 +117,8 @@ class TestSpatialPolygons:
         spatial_db.execute(
             "INSERT INTO shapes VALUES (1,"
             " sdo_polygon(10, 10, 50, 10, 30, 40))")
-        rows = spatial_db.query("SELECT geometry.gtype FROM shapes")
+        rows = spatial_db.execute(
+            "SELECT geometry.gtype FROM shapes").fetchall()
         assert rows == [(3,)]
 
 
@@ -120,7 +128,8 @@ class TestVirNullAndEdge:
         vir_db.execute("INSERT INTO imgs VALUES (1, NULL)")
         vir_db.execute("CREATE INDEX i_idx ON imgs(img)"
                        " INDEXTYPE IS VirIndexType")
-        assert vir_db.query("SELECT COUNT(*) FROM i_idx_coarse") == [(0,)]
+        assert vir_db.execute(
+            "SELECT COUNT(*) FROM i_idx_coarse").fetchall() == [(0,)]
 
     def test_zero_threshold_only_exact(self, vir_db):
         import random
@@ -136,9 +145,9 @@ class TestVirNullAndEdge:
                        [image_type.new(signature=random_signature(rng))])
         vir_db.execute("CREATE INDEX i_idx ON imgs(img)"
                        " INDEXTYPE IS VirIndexType")
-        rows = vir_db.query(
+        rows = vir_db.execute(
             "SELECT iid FROM imgs WHERE "
-            "VIRSimilar(img.signature, :1, '', 0)", [sig])
+            "VIRSimilar(img.signature, :1, '', 0)", [sig]).fetchall()
         assert rows == [(1,)]
 
 
@@ -154,6 +163,6 @@ class TestChemistryReopen:
         index = chem_db.catalog.get_index("m_idx")
         index.domain.methods._factory = None
         index.domain.methods._storage_kind = None
-        rows = chem_db.query(
-            "SELECT mid FROM m WHERE Chem_Match(mol, 'OCC')")
+        rows = chem_db.execute(
+            "SELECT mid FROM m WHERE Chem_Match(mol, 'OCC')").fetchall()
         assert rows == [(1,)]

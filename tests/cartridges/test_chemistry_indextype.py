@@ -57,8 +57,9 @@ class TestBothStorages:
     def test_match_query(self, storage_fixture, request):
         db = request.getfixturevalue(storage_fixture)
         target = db.rows_data[10][1]
-        rows = db.query(
-            "SELECT mid FROM molecules WHERE Chem_Match(mol, :1)", [target])
+        rows = db.execute(
+            "SELECT mid FROM molecules WHERE Chem_Match(mol, :1)", [target]
+        ).fetchall()
         expected = sorted(i for i, s in db.rows_data if chem_match(s, target))
         assert sorted(r[0] for r in rows) == expected
 
@@ -68,9 +69,9 @@ class TestBothStorages:
         rng = random.Random(7)
         sub = to_smiles(random_substructure(
             rng, parse_smiles(db.rows_data[5][1]), size=3))
-        rows = db.query(
+        rows = db.execute(
             "SELECT mid FROM molecules WHERE Chem_Substructure(mol, :1)",
-            [sub])
+            [sub]).fetchall()
         expected = sorted(i for i, s in db.rows_data
                           if chem_substructure(s, sub))
         assert sorted(r[0] for r in rows) == expected
@@ -78,18 +79,18 @@ class TestBothStorages:
     def test_tautomer_query(self, storage_fixture, request):
         db = request.getfixturevalue(storage_fixture)
         target = db.rows_data[3][1]
-        rows = db.query(
+        rows = db.execute(
             "SELECT mid FROM molecules WHERE Chem_Tautomer(mol, :1)",
-            [target])
+            [target]).fetchall()
         assert 3 in [r[0] for r in rows]
 
     def test_similarity_with_score(self, storage_fixture, request):
         db = request.getfixturevalue(storage_fixture)
         target = db.rows_data[4][1]
-        rows = db.query(
+        rows = db.execute(
             "SELECT mid, Chem_Score(1) FROM molecules "
             "WHERE Chem_Similar(mol, :1, 0.4, 1) "
-            "ORDER BY Chem_Score(1) DESC LIMIT 3", [target])
+            "ORDER BY Chem_Score(1) DESC LIMIT 3", [target]).fetchall()
         assert rows[0][0] == 4
         assert rows[0][1] == 1.0
 
@@ -120,12 +121,14 @@ class TestBothStorages:
     def test_maintenance_insert_delete(self, storage_fixture, request):
         db = request.getfixturevalue(storage_fixture)
         db.execute("INSERT INTO molecules VALUES (500, 'CC(=O)OC')")
-        rows = db.query(
-            "SELECT mid FROM molecules WHERE Chem_Match(mol, 'CC(=O)OC')")
+        rows = db.execute(
+            "SELECT mid FROM molecules WHERE Chem_Match(mol, 'CC(=O)OC')"
+        ).fetchall()
         assert 500 in [r[0] for r in rows]
         db.execute("DELETE FROM molecules WHERE mid = 500")
-        rows = db.query(
-            "SELECT mid FROM molecules WHERE Chem_Match(mol, 'CC(=O)OC')")
+        rows = db.execute(
+            "SELECT mid FROM molecules WHERE Chem_Match(mol, 'CC(=O)OC')"
+        ).fetchall()
         assert 500 not in [r[0] for r in rows]
 
     def test_plan_uses_domain_index(self, storage_fixture, request):
@@ -163,8 +166,9 @@ class TestStorageDifferences:
         lob_db.begin()
         lob_db.execute("INSERT INTO molecules VALUES (600, 'CCCCC')")
         lob_db.rollback()
-        rows = lob_db.query(
-            "SELECT mid FROM molecules WHERE Chem_Match(mol, 'CCCCC')")
+        rows = lob_db.execute(
+            "SELECT mid FROM molecules WHERE Chem_Match(mol, 'CCCCC')"
+        ).fetchall()
         assert 600 not in [r[0] for r in rows]
 
     def test_file_rollback_leaves_stale_entries(self, file_db):

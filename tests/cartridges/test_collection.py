@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.cartridges import collection
 from repro.types.values import NULL
 
 
 @pytest.fixture
 def hobbies_db():
-    db = Database()
+    db = Engine().connect()
     collection.install(db)
     db.execute("CREATE TABLE employees (name VARCHAR2(40),"
                " hobbies VARRAY(10) OF VARCHAR2(64))")
@@ -43,9 +43,9 @@ class TestFunctional:
 
 class TestPaperQuery:
     def test_paper_example(self, hobbies_db):
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         assert sorted(r[0] for r in rows) == ["Amy", "Bob"]
 
     def test_plan_uses_domain_index(self, hobbies_db):
@@ -60,26 +60,26 @@ class TestPaperQuery:
         assert any("DOMAIN INDEX SCAN hobbies_idx" in line for line in plan)
 
     def test_functional_agrees_when_index_dropped(self, hobbies_db):
-        indexed = hobbies_db.query(
+        indexed = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         hobbies_db.execute("DROP INDEX hobbies_idx")
-        functional = hobbies_db.query(
+        functional = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         assert sorted(indexed) == sorted(functional)
 
     def test_ancillary_occurrence_count(self, hobbies_db):
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name, Coll_Count(1) FROM employees"
             " WHERE Coll_Contains(hobbies, 'Skiing', 1)"
-            " ORDER BY Coll_Count(1) DESC")
+            " ORDER BY Coll_Count(1) DESC").fetchall()
         assert rows == [("Bob", 2), ("Amy", 1)]
 
     def test_bounded_predicate_uses_occurrences(self, hobbies_db):
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing') >= 2")
+            " WHERE Coll_Contains(hobbies, 'Skiing') >= 2").fetchall()
         assert [r[0] for r in rows] == ["Bob"]
 
 
@@ -87,44 +87,44 @@ class TestMaintenance:
     def test_insert(self, hobbies_db):
         hobbies_db.execute("INSERT INTO employees VALUES ('Fay', :1)",
                            [("Skiing",)])
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         assert "Fay" in [r[0] for r in rows]
 
     def test_update_collection(self, hobbies_db):
         hobbies_db.execute(
             "UPDATE employees SET hobbies = :1 WHERE name = 'Amy'",
             [("Baking",)])
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         assert sorted(r[0] for r in rows) == ["Bob"]
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Baking')")
+            " WHERE Coll_Contains(hobbies, 'Baking')").fetchall()
         assert [r[0] for r in rows] == ["Amy"]
 
     def test_delete(self, hobbies_db):
         hobbies_db.execute("DELETE FROM employees WHERE name = 'Bob'")
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         assert [r[0] for r in rows] == ["Amy"]
 
     def test_rollback(self, hobbies_db):
         hobbies_db.begin()
         hobbies_db.execute("DELETE FROM employees WHERE name = 'Amy'")
         hobbies_db.rollback()
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')")
+            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
         assert sorted(r[0] for r in rows) == ["Amy", "Bob"]
 
     def test_varray_literal_via_sql_function(self, hobbies_db):
         hobbies_db.execute(
             "INSERT INTO employees VALUES ('Gus', varray('Skiing', 'Go'))")
-        rows = hobbies_db.query(
+        rows = hobbies_db.execute(
             "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Go')")
+            " WHERE Coll_Contains(hobbies, 'Go')").fetchall()
         assert sorted(r[0] for r in rows) == ["Bob", "Gus"]

@@ -41,9 +41,10 @@ class TestWindowQueries:
     def test_index_matches_functional(self, layers_db):
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         window = make_rect(gt, 300, 300, 700, 700)
-        indexed = layers_db.query(
+        indexed = layers_db.execute(
             "SELECT gid FROM parks WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall()
         expected = sorted(g for g, geom in layers_db.parks_data
                           if sdo_relate_functional(geom, window,
                                                    "mask=ANYINTERACT"))
@@ -60,18 +61,19 @@ class TestWindowQueries:
     def test_inside_mask(self, layers_db):
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         window = make_rect(gt, 0, 0, 1023, 1023)
-        rows = layers_db.query(
+        rows = layers_db.execute(
             "SELECT COUNT(*) FROM parks WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=INSIDE')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=INSIDE')", [window]).fetchall()
         assert rows[0][0] == len(layers_db.parks_data)
 
     def test_primary_filter_counts_recorded(self, layers_db):
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         window = make_rect(gt, 100, 100, 200, 200)
         layers_db.stats.extra.clear()
-        layers_db.query(
+        layers_db.execute(
             "SELECT gid FROM parks WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall()
         assert "spatial_primary_candidates" in layers_db.stats.extra
 
 
@@ -197,9 +199,9 @@ class TestSpatialJoin:
         assert any("DOMAIN NL JOIN" in line for line in plan)
 
     def test_join_matches_brute_force(self, layers_db):
-        rows = layers_db.query(
+        rows = layers_db.execute(
             "SELECT r.gid, p.gid FROM roads r, parks p WHERE "
-            "Sdo_Relate(p.geometry, r.geometry, 'mask=OVERLAPS')")
+            "Sdo_Relate(p.geometry, r.geometry, 'mask=OVERLAPS')").fetchall()
         expected = brute_pairs(layers_db.roads_data, layers_db.parks_data,
                                "OVERLAPS")
         assert sorted(rows) == expected
@@ -212,9 +214,9 @@ class TestMaintenance:
         layers_db.execute("INSERT INTO parks VALUES (:1, :2)",
                           [999, new_geom])
         window = make_rect(gt, 5, 5, 25, 25)
-        rows = layers_db.query(
+        rows = layers_db.execute(
             "SELECT gid FROM parks WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=INSIDE')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=INSIDE')", [window]).fetchall()
         assert 999 in [r[0] for r in rows]
 
     def test_delete_then_gone(self, layers_db):
@@ -222,21 +224,22 @@ class TestMaintenance:
         victim = layers_db.parks_data[0][0]
         layers_db.execute("DELETE FROM parks WHERE gid = :1", [victim])
         window = make_rect(gt, 0, 0, 1023, 1023)
-        rows = layers_db.query(
+        rows = layers_db.execute(
             "SELECT gid FROM parks WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall()
         assert victim not in [r[0] for r in rows]
 
     def test_rollback_restores_tiles(self, layers_db):
-        tiles_before = layers_db.query(
-            "SELECT COUNT(*) FROM parks_sidx_tiles")
+        tiles_before = layers_db.execute(
+            "SELECT COUNT(*) FROM parks_sidx_tiles").fetchall()
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         layers_db.begin()
         layers_db.execute("INSERT INTO parks VALUES (:1, :2)",
                           [888, make_rect(gt, 30, 30, 60, 60)])
         layers_db.rollback()
-        assert layers_db.query(
-            "SELECT COUNT(*) FROM parks_sidx_tiles") == tiles_before
+        assert layers_db.execute(
+            "SELECT COUNT(*) FROM parks_sidx_tiles").fetchall() == tiles_before
 
 
     def test_alter_rebuild_leaves_a_fresh_builds_tiles(self, spatial_db):
@@ -345,15 +348,17 @@ class TestLegacyFormulation:
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         park_layer = LegacySpatialLayer(layers_db, "parks", "gid", "geometry")
         park_layer.build()
-        count_before = layers_db.query(
-            "SELECT COUNT(*) FROM parks_sdoindex")[0][0]
+        count_before = layers_db.execute(
+            "SELECT COUNT(*) FROM parks_sdoindex").fetchall()[0][0]
         layers_db.execute("INSERT INTO parks VALUES (:1, :2)",
                           [777, make_rect(gt, 500, 500, 520, 520)])
-        assert layers_db.query(
-            "SELECT COUNT(*) FROM parks_sdoindex")[0][0] == count_before
+        assert layers_db.execute(
+            "SELECT COUNT(*) FROM parks_sdoindex"
+        ).fetchall()[0][0] == count_before
         park_layer.sync()
-        assert layers_db.query(
-            "SELECT COUNT(*) FROM parks_sdoindex")[0][0] > count_before
+        assert layers_db.execute(
+            "SELECT COUNT(*) FROM parks_sdoindex"
+        ).fetchall()[0][0] > count_before
 
 
 class TestRtreeAblation:
@@ -367,12 +372,14 @@ class TestRtreeAblation:
                           " INDEXTYPE IS RtreeIndexType")
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         window = make_rect(gt, 200, 200, 600, 600)
-        tile_rows = layers_db.query(
+        tile_rows = layers_db.execute(
             "SELECT gid FROM parks WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
-        rtree_rows = layers_db.query(
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall()
+        rtree_rows = layers_db.execute(
             "SELECT gid FROM parks_rt WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall()
         assert sorted(tile_rows) == sorted(rtree_rows)
 
     def test_rtree_maintenance(self, layers_db):
@@ -388,7 +395,8 @@ class TestRtreeAblation:
                           [make_rect(gt, 100, 100, 120, 120)])
         layers_db.execute("DELETE FROM zone WHERE gid = 1")
         window = make_rect(gt, 0, 0, 200, 200)
-        rows = layers_db.query(
+        rows = layers_db.execute(
             "SELECT gid FROM zone WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window])
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall()
         assert [r[0] for r in rows] == [2]

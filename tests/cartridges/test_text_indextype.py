@@ -26,8 +26,9 @@ class TestDomainIndexLifecycle:
         assert employees_db.catalog.has_table("resume_text_index_settings")
 
     def test_existing_rows_indexed_at_create(self, employees_db):
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')"
+        ).fetchall()
         assert sorted(r[0] for r in rows) == ["Amy", "Cid"]
 
     def test_plan_uses_domain_index(self, employees_db):
@@ -37,77 +38,85 @@ class TestDomainIndexLifecycle:
 
     def test_boolean_queries(self, employees_db):
         q = "SELECT name FROM employees WHERE Contains(resume, :1)"
-        assert sorted(r[0] for r in employees_db.query(
-            q, ["Oracle AND UNIX"])) == ["Amy", "Cid"]
-        assert sorted(r[0] for r in employees_db.query(
-            q, ["Oracle OR java"])) == ["Amy", "Bob", "Cid"]
-        assert sorted(r[0] for r in employees_db.query(
-            q, ["UNIX AND NOT Oracle"])) == ["Eve"]
+        assert sorted(r[0] for r in employees_db.execute(
+            q, ["Oracle AND UNIX"]).fetchall()) == ["Amy", "Cid"]
+        assert sorted(r[0] for r in employees_db.execute(
+            q, ["Oracle OR java"]).fetchall()) == ["Amy", "Bob", "Cid"]
+        assert sorted(r[0] for r in employees_db.execute(
+            q, ["UNIX AND NOT Oracle"]).fetchall()) == ["Eve"]
 
     def test_stopwords_ignored(self, employees_db):
         # 'the' is a stop word from the PARAMETERS clause
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'the')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'the')"
+        ).fetchall()
         assert rows == []
 
     def test_insert_maintained(self, employees_db):
         employees_db.execute(
             "INSERT INTO employees VALUES ('Fay', 6, 'Oracle and UNIX pro')")
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle AND UNIX')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees"
+            " WHERE Contains(resume, 'Oracle AND UNIX')").fetchall()
         assert "Fay" in [r[0] for r in rows]
 
     def test_update_maintained(self, employees_db):
         employees_db.execute(
             "UPDATE employees SET resume = 'Rust only' WHERE name = 'Amy'")
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')"
+        ).fetchall()
         assert [r[0] for r in rows] == ["Cid"]
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Rust')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Rust')"
+        ).fetchall()
         assert [r[0] for r in rows] == ["Amy"]
 
     def test_delete_maintained(self, employees_db):
         employees_db.execute("DELETE FROM employees WHERE name = 'Amy'")
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')"
+        ).fetchall()
         assert [r[0] for r in rows] == ["Cid"]
 
     def test_update_of_other_column_skips_index(self, employees_db):
-        before = employees_db.query(
-            "SELECT COUNT(*) FROM resume_text_index_terms")
+        before = employees_db.execute(
+            "SELECT COUNT(*) FROM resume_text_index_terms").fetchall()
         employees_db.execute("UPDATE employees SET id = 100 WHERE name = 'Amy'")
-        after = employees_db.query(
-            "SELECT COUNT(*) FROM resume_text_index_terms")
+        after = employees_db.execute(
+            "SELECT COUNT(*) FROM resume_text_index_terms").fetchall()
         assert before == after
 
     def test_truncate_table_truncates_index(self, employees_db):
         employees_db.execute("TRUNCATE TABLE employees")
-        assert employees_db.query(
-            "SELECT COUNT(*) FROM resume_text_index_terms") == [(0,)]
+        assert employees_db.execute(
+            "SELECT COUNT(*) FROM resume_text_index_terms"
+        ).fetchall() == [(0,)]
 
     def test_alter_index_adds_stopword(self, employees_db):
         employees_db.execute(
             "ALTER INDEX resume_text_index PARAMETERS (':Ignore COBOL')")
         employees_db.execute(
             "INSERT INTO employees VALUES ('Gus', 7, 'COBOL wizard')")
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'wizard')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'wizard')"
+        ).fetchall()
         assert [r[0] for r in rows] == ["Gus"]
         # COBOL was never indexed for Gus (Dee's pre-ALTER entry remains)
-        gus_rid = employees_db.query(
-            "SELECT rowid FROM employees WHERE name = 'Gus'")[0][0]
-        rows = employees_db.query(
+        gus_rid = employees_db.execute(
+            "SELECT rowid FROM employees WHERE name = 'Gus'").fetchall()[0][0]
+        rows = employees_db.execute(
             "SELECT token FROM resume_text_index_terms "
-            "WHERE token = 'cobol' AND rid = :1", [gus_rid])
+            "WHERE token = 'cobol' AND rid = :1", [gus_rid]).fetchall()
         assert rows == []
 
     def test_drop_index_drops_tables(self, employees_db):
         employees_db.execute("DROP INDEX resume_text_index")
         assert not employees_db.catalog.has_table("resume_text_index_terms")
         # queries fall back to the functional implementation
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')"
+        ).fetchall()
         assert sorted(r[0] for r in rows) == ["Amy", "Cid"]
 
     def test_drop_table_drops_domain_index(self, employees_db):
@@ -154,23 +163,25 @@ class TestBulkBuild:
 
 class TestAncillaryScore:
     def test_score_from_index_scan(self, employees_db):
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT name, Score(1) FROM employees "
-            "WHERE Contains(resume, 'Oracle', 1) ORDER BY Score(1) DESC")
+            "WHERE Contains(resume, 'Oracle', 1) ORDER BY Score(1) DESC"
+        ).fetchall()
         assert rows[0] == ("Amy", 2)  # 'Oracle' appears twice in Amy's resume
         assert rows[1] == ("Cid", 1)
 
     def test_score_from_functional_path(self, text_db):
         text_db.execute("CREATE TABLE notes (body VARCHAR2(100))")
         text_db.execute("INSERT INTO notes VALUES ('ox ox ox')")
-        rows = text_db.query(
-            "SELECT Score(9) FROM notes WHERE Contains(body, 'ox', 9)")
+        rows = text_db.execute(
+            "SELECT Score(9) FROM notes WHERE Contains(body, 'ox', 9)"
+        ).fetchall()
         assert rows == [(3,)]
 
     def test_score_without_primary_errors(self, employees_db):
         from repro.errors import ExecutionError
         with pytest.raises(ExecutionError):
-            employees_db.query("SELECT Score(1) FROM employees")
+            employees_db.execute("SELECT Score(1) FROM employees").fetchall()
 
 
 class TestTransactionalIndex:
@@ -178,12 +189,14 @@ class TestTransactionalIndex:
         employees_db.begin()
         employees_db.execute(
             "INSERT INTO employees VALUES ('Hal', 8, 'Oracle guru')")
-        in_txn = employees_db.query(
-            "SELECT COUNT(*) FROM employees WHERE Contains(resume, 'guru')")
+        in_txn = employees_db.execute(
+            "SELECT COUNT(*) FROM employees WHERE Contains(resume, 'guru')"
+        ).fetchall()
         assert in_txn == [(1,)]
         employees_db.rollback()
-        after = employees_db.query(
-            "SELECT COUNT(*) FROM employees WHERE Contains(resume, 'guru')")
+        after = employees_db.execute(
+            "SELECT COUNT(*) FROM employees WHERE Contains(resume, 'guru')"
+        ).fetchall()
         assert after == [(0,)]
 
     def test_rollback_of_update(self, employees_db):
@@ -191,8 +204,9 @@ class TestTransactionalIndex:
         employees_db.execute(
             "UPDATE employees SET resume = 'nothing' WHERE name = 'Amy'")
         employees_db.rollback()
-        rows = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle AND UNIX')")
+        rows = employees_db.execute(
+            "SELECT name FROM employees"
+            " WHERE Contains(resume, 'Oracle AND UNIX')").fetchall()
         assert "Amy" in [r[0] for r in rows]
 
 
@@ -201,8 +215,9 @@ class TestLegacyBaseline:
         legacy = LegacyTextIndex(employees_db, "employees", "resume")
         legacy.create()
         legacy_rows = legacy.query("Oracle AND UNIX", "d.name")
-        integrated = employees_db.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle AND UNIX')")
+        integrated = employees_db.execute(
+            "SELECT name FROM employees"
+            " WHERE Contains(resume, 'Oracle AND UNIX')").fetchall()
         assert sorted(legacy_rows) == sorted(integrated)
 
     def test_temp_table_cleaned_up(self, employees_db):

@@ -154,10 +154,10 @@ class TestVirIndex:
                                             weights) <= threshold)
 
     def test_index_matches_functional(self, images):
-        got = images.query(
+        got = images.execute(
             "SELECT iid FROM images WHERE "
             "VIRSimilar(img.signature, :1, :2, 8)",
-            [images.centre, self.WEIGHTS])
+            [images.centre, self.WEIGHTS]).fetchall()
         assert sorted(r[0] for r in got) == self._truth(images, 8)
 
     def test_plan_uses_domain_index(self, images):
@@ -169,10 +169,10 @@ class TestVirIndex:
 
     def test_phase_funnel_recorded(self, images):
         images.stats.extra.clear()
-        images.query(
+        images.execute(
             "SELECT iid FROM images WHERE "
             "VIRSimilar(img.signature, :1, :2, 8)",
-            [images.centre, self.WEIGHTS])
+            [images.centre, self.WEIGHTS]).fetchall()
         extra = images.stats.extra
         assert extra["vir_phase1_candidates"] >= extra["vir_phase2_candidates"]
         assert extra["vir_phase2_candidates"] >= extra["vir_phase3_comparisons"]
@@ -184,25 +184,25 @@ class TestVirIndex:
         images.execute("INSERT INTO images VALUES (:1, :2)",
                        [9999, image_type.new(signature=images.centre,
                                              width=1, height=1)])
-        got = images.query(
+        got = images.execute(
             "SELECT iid FROM images WHERE "
             "VIRSimilar(img.signature, :1, :2, 1)",
-            [images.centre, self.WEIGHTS])
+            [images.centre, self.WEIGHTS]).fetchall()
         assert 9999 in [r[0] for r in got]
         images.execute("DELETE FROM images WHERE iid = 9999")
-        got = images.query(
+        got = images.execute(
             "SELECT iid FROM images WHERE "
             "VIRSimilar(img.signature, :1, :2, 1)",
-            [images.centre, self.WEIGHTS])
+            [images.centre, self.WEIGHTS]).fetchall()
         assert 9999 not in [r[0] for r in got]
 
     def test_tight_threshold_returns_subset(self, images):
-        wide = images.query(
+        wide = images.execute(
             "SELECT iid FROM images WHERE "
             "VIRSimilar(img.signature, :1, :2, 12)",
-            [images.centre, self.WEIGHTS])
-        tight = images.query(
+            [images.centre, self.WEIGHTS]).fetchall()
+        tight = images.execute(
             "SELECT iid FROM images WHERE "
             "VIRSimilar(img.signature, :1, :2, 4)",
-            [images.centre, self.WEIGHTS])
+            [images.centre, self.WEIGHTS]).fetchall()
         assert set(r[0] for r in tight) <= set(r[0] for r in wide)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro import Database, DeadlockError  # noqa: F401 (re-export check)
+from repro import DeadlockError  # noqa: F401 (re-export check)
 from repro.errors import LockTimeoutError
 from repro.sql.engine import Engine
 from repro.sql.session import Session
@@ -79,30 +79,21 @@ class TestPerSessionState:
         assert (s1.session_user, s2.session_user) == ("alice", "bob")
 
 
-class TestBackCompatFacade:
-    def test_database_is_a_session_with_private_engine(self):
-        db = Database()
+class TestPrivateEngines:
+    def test_each_engine_is_private_to_its_sessions(self):
+        db = Engine().connect()
         assert isinstance(db, Session)
         assert isinstance(db.engine, Engine)
-        db2 = Database()
+        db2 = Engine().connect()
         assert db.engine is not db2.engine
 
-    def test_database_connect_opens_sibling_session(self):
-        db = Database()
+    def test_engine_connect_opens_sibling_session(self):
+        db = Engine().connect()
         db.execute("CREATE TABLE t (id INTEGER)")
         db.execute("INSERT INTO t VALUES (7)")
-        sibling = db.connect()
+        sibling = db.engine.connect()
         assert sibling.engine is db.engine
         assert sibling.execute("SELECT id FROM t").fetchall() == [(7,)]
-
-    def test_query_helpers_deprecated_but_work(self):
-        db = Database()
-        db.execute("CREATE TABLE t (id INTEGER)")
-        db.execute("INSERT INTO t VALUES (7)")
-        with pytest.warns(DeprecationWarning):
-            assert db.query("SELECT id FROM t") == [(7,)]
-        with pytest.warns(DeprecationWarning):
-            assert db.query_one("SELECT id FROM t") == (7,)
 
 
 class TestBlockingLocks:

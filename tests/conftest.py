@@ -1,52 +1,50 @@
-"""Shared fixtures: fresh databases, optionally with cartridges installed."""
+"""Shared fixtures: fresh sessions, optionally with cartridges installed."""
 
 import contextlib
 
 import pytest
 
-from repro import Database
+from repro import Engine
 
 
 @pytest.fixture
 def db():
-    """A fresh empty database."""
-    return Database()
+    """A session on a fresh empty in-memory engine, closed at teardown."""
+    session = Engine().connect()
+    yield session
+    session.engine.close()
 
 
 @pytest.fixture
-def text_db():
-    """A database with the text cartridge installed."""
+def text_db(db):
+    """A session with the text cartridge installed."""
     from repro.cartridges.text import install
-    database = Database()
-    install(database)
-    return database
+    install(db)
+    return db
 
 
 @pytest.fixture
-def spatial_db():
-    """A database with the spatial (tile) cartridge installed."""
+def spatial_db(db):
+    """A session with the spatial (tile) cartridge installed."""
     from repro.cartridges.spatial import install
-    database = Database()
-    install(database)
-    return database
+    install(db)
+    return db
 
 
 @pytest.fixture
-def vir_db():
-    """A database with the VIR cartridge installed."""
+def vir_db(db):
+    """A session with the VIR cartridge installed."""
     from repro.cartridges.vir import install
-    database = Database()
-    install(database)
-    return database
+    install(db)
+    return db
 
 
 @pytest.fixture
-def chem_db():
-    """A database with the chemistry cartridge installed."""
+def chem_db(db):
+    """A session with the chemistry cartridge installed."""
     from repro.cartridges.chemistry import install
-    database = Database()
-    install(database)
-    return database
+    install(db)
+    return db
 
 
 @pytest.fixture

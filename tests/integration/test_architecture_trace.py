@@ -46,8 +46,9 @@ class TestOptimizerCalls:
 
 class TestExecutionCalls:
     def test_scan_protocol_order(self, traced):
-        traced.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')")
+        traced.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')"
+        ).fetchall()
         events = [t for t in traced.trace_log if t.startswith("exec:")]
         assert events[0].startswith("exec:ODCIIndexStart(TextIndexType:")
         assert any(e.startswith("exec:ODCIIndexFetch") for e in events)
@@ -55,8 +56,9 @@ class TestExecutionCalls:
 
     def test_fetch_reentered_until_done(self, traced):
         traced.fetch_batch_size = 1
-        traced.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')")
+        traced.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'Oracle')"
+        ).fetchall()
         fetches = [t for t in traced.trace_log
                    if t.startswith("exec:ODCIIndexFetch")]
         # 2 matching rows at batch size 1 => at least 3 fetch calls
@@ -106,8 +108,9 @@ class TestDefinitionAndMaintenanceCalls:
 class TestFullRoundTrip:
     def test_complete_figure_sequence(self, traced):
         """One query exercises optimizer then executor paths in order."""
-        traced.query(
-            "SELECT name FROM employees WHERE Contains(resume, 'UNIX')")
+        traced.execute(
+            "SELECT name FROM employees WHERE Contains(resume, 'UNIX')"
+        ).fetchall()
         trace = traced.trace_log
         first_optimizer = next(i for i, t in enumerate(trace)
                                if "ODCIStats" in t)

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro import Database, IndexState
+from repro import IndexState
 from repro.errors import CallbackError
 from repro.testing import FaultPlan
 

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro import Database
+from repro import Engine
 
 
 def _text_contents(db, index_name="docs_text"):
@@ -35,7 +35,7 @@ def _built_and_maintained(install, create_table, load, create_index):
     arrive, and no index at all (functional evaluation)."""
     dbs = []
     for mode in ("built", "maintained", "functional"):
-        db = Database()
+        db = Engine().connect()
         install(db)
         db.execute(create_table)
         if mode == "maintained":
@@ -70,7 +70,7 @@ def corpus():
 class TestTextBuildDifferential:
     def _db(self, corpus):
         from repro.cartridges.text import install
-        db = Database()
+        db = Engine().connect()
         install(db)
         db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
         db.insert_rows(
@@ -182,7 +182,7 @@ def _shim_batches(db, index_name="docs_text"):
 class TestMaintenanceDifferential:
     def _stress(self, corpus):
         from repro.cartridges.text import install
-        db = Database()
+        db = Engine().connect()
         install(db)
         db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
         db.insert_rows(
@@ -240,7 +240,7 @@ class TestMaintenanceDifferential:
         from repro.cartridges.text import install
 
         def run():
-            db = Database()
+            db = Engine().connect()
             install(db)
             db.execute(
                 "CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")

@@ -7,15 +7,16 @@ from repro.errors import CatalogError, StorageError
 
 class TestUserTables:
     def test_lists_tables_with_owner_and_counts(self, employees_db):
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT table_name, owner, num_rows FROM user_tables"
-            " WHERE table_name = 'employees'")
+            " WHERE table_name = 'employees'").fetchall()
         assert rows == [("employees", "main", 5)]
 
     def test_cartridge_index_tables_visible(self, employees_db):
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT table_name, iot FROM user_tables"
-            " WHERE table_name LIKE 'resume_text_index%' ORDER BY 1")
+            " WHERE table_name LIKE 'resume_text_index%' ORDER BY 1"
+        ).fetchall()
         names = [r[0] for r in rows]
         assert "resume_text_index_terms" in names
         assert "resume_text_index_settings" in names
@@ -30,10 +31,10 @@ class TestUserTables:
 
 class TestUserIndexes:
     def test_domain_index_row(self, employees_db):
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT index_name, table_name, index_type, domain_indextype,"
             " parameters FROM user_indexes"
-            " WHERE index_name = 'resume_text_index'")
+            " WHERE index_name = 'resume_text_index'").fetchall()
         name, table, kind, indextype, parameters = rows[0]
         assert (name, table, kind) == ("resume_text_index", "employees",
                                        "DOMAIN")
@@ -42,46 +43,46 @@ class TestUserIndexes:
 
     def test_native_index_row(self, employees_db):
         employees_db.execute("CREATE UNIQUE INDEX emp_id ON employees(id)")
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT index_type, uniqueness FROM user_indexes"
-            " WHERE index_name = 'emp_id'")
+            " WHERE index_name = 'emp_id'").fetchall()
         assert rows == [("BTREE", True)]
 
     def test_drop_reflected(self, employees_db):
         employees_db.execute("DROP INDEX resume_text_index")
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT index_name FROM user_indexes"
-            " WHERE index_name = 'resume_text_index'")
+            " WHERE index_name = 'resume_text_index'").fetchall()
         assert rows == []
 
 
 class TestUserOperatorsAndIndextypes:
     def test_operators_listed(self, employees_db):
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT operator_name, binding_count, ancillary_to"
-            " FROM user_operators ORDER BY operator_name")
+            " FROM user_operators ORDER BY operator_name").fetchall()
         by_name = {r[0]: r for r in rows}
         assert by_name["Contains"][1] == 1
         assert by_name["Score"][2] == "Contains"
 
     def test_indextypes_listed(self, employees_db):
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT indextype_name, operators, implementation, statistics"
-            " FROM user_indextypes")
+            " FROM user_indextypes").fetchall()
         assert rows == [("TextIndexType", "contains", "TextIndexMethods",
                          "TextStatsMethods")]
 
     def test_join_dictionary_views(self, employees_db):
         # which tables have a domain index, via a dictionary self-join
-        rows = employees_db.query(
+        rows = employees_db.execute(
             "SELECT t.table_name, i.domain_indextype FROM user_tables t,"
             " user_indexes i WHERE i.table_name = t.table_name"
-            " AND i.index_type = 'DOMAIN'")
+            " AND i.index_type = 'DOMAIN'").fetchall()
         assert rows == [("employees", "TextIndexType")]
 
     def test_aggregate_over_view(self, employees_db):
-        rows = employees_db.query(
-            "SELECT COUNT(*) FROM user_operators")
+        rows = employees_db.execute(
+            "SELECT COUNT(*) FROM user_operators").fetchall()
         assert rows[0][0] == 2  # Contains + Score
 
     def test_snapshot_semantics(self, employees_db):
@@ -91,8 +92,8 @@ class TestUserOperatorsAndIndextypes:
         names = [r[0] for r in cursor.fetchall()]
         # the open cursor sees the snapshot taken at bind time
         assert "brand_new" not in names
-        fresh = [r[0] for r in employees_db.query(
-            "SELECT table_name FROM user_tables")]
+        fresh = [r[0] for r in employees_db.execute(
+            "SELECT table_name FROM user_tables").fetchall()]
         assert "brand_new" in fresh
 
 

@@ -3,8 +3,7 @@ and a mixed multi-cartridge workload in one database."""
 
 import pytest
 
-from repro import (
-    Database, FetchResult, IndexMethods, PrecomputedScan)
+from repro import Engine, FetchResult, IndexMethods, PrecomputedScan
 from repro.errors import CatalogError, IndextypeError
 
 
@@ -19,13 +18,15 @@ class TestPaperQuickstart:
                    " ('Jane', 1, 'Oracle and UNIX since 1995')")
         db.execute("CREATE INDEX ResumeTextIndex ON Employees(resume)"
                    " INDEXTYPE IS TextIndexType")
-        rows = db.query("SELECT * FROM Employees "
-                        "WHERE Contains(resume, 'Oracle AND UNIX')")
+        rows = db.execute("SELECT * FROM Employees "
+                          "WHERE Contains(resume, 'Oracle AND UNIX')"
+                          ).fetchall()
         assert len(rows) == 1
         db.execute("INSERT INTO Employees VALUES"
                    " ('Joe', 2, 'UNIX but not that database')")
-        rows = db.query("SELECT name FROM Employees "
-                        "WHERE Contains(resume, 'Oracle AND UNIX')")
+        rows = db.execute("SELECT name FROM Employees "
+                          "WHERE Contains(resume, 'Oracle AND UNIX')"
+                          ).fetchall()
         assert [r[0] for r in rows] == ["Jane"]
 
 
@@ -35,7 +36,7 @@ class TestUserDefinedIndextype:
 
     @pytest.fixture
     def absdb(self):
-        db = Database()
+        db = Engine().connect()
 
         def abs_equals(value, probe):
             from repro.types.values import is_null
@@ -103,7 +104,8 @@ class TestUserDefinedIndextype:
                       " INDEXTYPE IS AbsIndexType")
         plan = absdb.explain("SELECT x FROM vals WHERE Abs_Equals(x, -5)")
         assert any("DOMAIN INDEX SCAN vals_abs" in line for line in plan)
-        rows = absdb.query("SELECT x FROM vals WHERE Abs_Equals(x, -5)")
+        rows = absdb.execute(
+            "SELECT x FROM vals WHERE Abs_Equals(x, -5)").fetchall()
         assert sorted(r[0] for r in rows) == [-5, 5]
 
     def test_custom_index_maintained(self, absdb):
@@ -111,12 +113,14 @@ class TestUserDefinedIndextype:
         absdb.execute("CREATE INDEX vals_abs ON vals(x)"
                       " INDEXTYPE IS AbsIndexType")
         absdb.execute("INSERT INTO vals VALUES (-9)")
-        rows = absdb.query("SELECT x FROM vals WHERE Abs_Equals(x, 9)")
+        rows = absdb.execute(
+            "SELECT x FROM vals WHERE Abs_Equals(x, 9)").fetchall()
         assert [r[0] for r in rows] == [-9]
         absdb.execute("UPDATE vals SET x = 4 WHERE x = -9")
-        assert absdb.query("SELECT x FROM vals WHERE Abs_Equals(x, 9)") == []
-        assert absdb.query(
-            "SELECT x FROM vals WHERE Abs_Equals(x, -4)") == [(4,)]
+        assert absdb.execute(
+            "SELECT x FROM vals WHERE Abs_Equals(x, 9)").fetchall() == []
+        assert absdb.execute(
+            "SELECT x FROM vals WHERE Abs_Equals(x, -4)").fetchall() == [(4,)]
 
     def test_indextype_ddl_validation(self, absdb):
         with pytest.raises(CatalogError):
@@ -130,7 +134,7 @@ class TestUserDefinedIndextype:
 class TestMixedWorkload:
     def test_all_cartridges_in_one_database(self):
         from repro.cartridges import chemistry, spatial, text, vir
-        db = Database()
+        db = Engine().connect()
         text.install(db)
         spatial.install(db)
         vir.install(db)
@@ -152,24 +156,27 @@ class TestMixedWorkload:
         db.execute("CREATE INDEX assets_mol ON assets(mol)"
                    " INDEXTYPE IS ChemIndexType")
 
-        rows = db.query("SELECT aid FROM assets "
-                        "WHERE Contains(note, 'Oracle')")
+        rows = db.execute("SELECT aid FROM assets "
+                          "WHERE Contains(note, 'Oracle')").fetchall()
         assert [r[0] for r in rows] == [1]
         window = make_rect(gt, 0, 0, 100, 100)
-        rows = db.query("SELECT aid FROM assets WHERE "
-                        "Sdo_Relate(shape, :1, 'mask=INSIDE')", [window])
+        rows = db.execute("SELECT aid FROM assets WHERE "
+                          "Sdo_Relate(shape, :1, 'mask=INSIDE')", [window]
+                          ).fetchall()
         assert [r[0] for r in rows] == [1]
-        rows = db.query("SELECT aid FROM assets WHERE Chem_Match(mol, 'OCC')")
+        rows = db.execute(
+            "SELECT aid FROM assets WHERE Chem_Match(mol, 'OCC')").fetchall()
         assert [r[0] for r in rows] == [1]
 
         # one DML maintains all three domain indexes, transactionally
         db.begin()
         db.execute("DELETE FROM assets WHERE aid = 1")
-        assert db.query("SELECT aid FROM assets "
-                        "WHERE Contains(note, 'Oracle')") == []
+        assert db.execute("SELECT aid FROM assets "
+                          "WHERE Contains(note, 'Oracle')").fetchall() == []
         db.rollback()
-        assert db.query("SELECT aid FROM assets "
-                        "WHERE Contains(note, 'Oracle')") == [(1,)]
+        assert db.execute("SELECT aid FROM assets "
+                          "WHERE Contains(note, 'Oracle')"
+                          ).fetchall() == [(1,)]
 
     def test_two_domain_indexes_same_table_same_column_type(self, text_db):
         text_db.execute("CREATE TABLE pair (a VARCHAR2(100),"
@@ -179,13 +186,13 @@ class TestMixedWorkload:
                         " INDEXTYPE IS TextIndexType")
         text_db.execute("CREATE INDEX pair_b ON pair(b)"
                         " INDEXTYPE IS TextIndexType")
-        assert text_db.query("SELECT a FROM pair "
-                             "WHERE Contains(a, 'alpha')") != []
-        assert text_db.query("SELECT a FROM pair "
-                             "WHERE Contains(b, 'gamma')") != []
+        assert text_db.execute("SELECT a FROM pair "
+                               "WHERE Contains(a, 'alpha')").fetchall() != []
+        assert text_db.execute("SELECT a FROM pair "
+                               "WHERE Contains(b, 'gamma')").fetchall() != []
         # each index only serves its own column
-        assert text_db.query("SELECT a FROM pair "
-                             "WHERE Contains(b, 'alpha')") == []
+        assert text_db.execute("SELECT a FROM pair "
+                               "WHERE Contains(b, 'alpha')").fetchall() == []
 
 
 class TestDDLGuards:

@@ -13,8 +13,8 @@ REBUILD`` restores the index.
 
 import pytest
 
-from repro import Database, FetchResult, IndexMethods, IndexState, \
-    PrecomputedScan
+from repro import (
+    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan)
 from repro.errors import CatalogError, IndexUnusableError, ODCIError
 
 pytestmark = pytest.mark.faults
@@ -75,7 +75,7 @@ class FlakyIndexMethods(IndexMethods):
 @pytest.fixture
 def flaky_db():
     FlakyIndexMethods.fail_on = ""
-    db = Database()
+    db = Engine().connect()
     # a deliberately expensive functional implementation so the
     # optimizer always prefers the (flaky) domain index scan
     db.create_function("EqValFunc",
@@ -101,8 +101,9 @@ class TestCreateFailure:
         index = flaky_db.catalog.get_index("t_idx")
         assert index.domain.state is IndexState.FAILED
         # and the query still works functionally (FAILED is never planned)
-        assert flaky_db.query(
-            "SELECT v FROM t WHERE Eq_Val(v, 'alpha')") == [("alpha",)]
+        assert flaky_db.execute(
+            "SELECT v FROM t WHERE Eq_Val(v, 'alpha')"
+        ).fetchall() == [("alpha",)]
 
     def test_failed_index_allows_only_drop(self, flaky_db):
         FlakyIndexMethods.fail_on = "create"
@@ -146,13 +147,15 @@ class TestMaintenanceFailure:
         FlakyIndexMethods.fail_on = ""
         index = indexed.catalog.get_index("t_idx")
         assert index.domain.state is IndexState.UNUSABLE
-        assert indexed.query("SELECT COUNT(*) FROM t") == [(3,)]
+        assert indexed.execute("SELECT COUNT(*) FROM t").fetchall() == [(3,)]
         # the rolled-back maintenance left no index entry behind
-        assert indexed.query(
-            "SELECT COUNT(*) FROM t_idx_data WHERE v = 'gamma'") == [(0,)]
+        assert indexed.execute(
+            "SELECT COUNT(*) FROM t_idx_data WHERE v = 'gamma'"
+        ).fetchall() == [(0,)]
         # and the row is still found — via functional evaluation
-        assert indexed.query(
-            "SELECT v FROM t WHERE Eq_Val(v, 'gamma')") == [("gamma",)]
+        assert indexed.execute(
+            "SELECT v FROM t WHERE Eq_Val(v, 'gamma')"
+        ).fetchall() == [("gamma",)]
 
     def test_failed_insert_raises_with_skip_disabled(self, indexed):
         indexed.skip_unusable_indexes = False
@@ -163,16 +166,17 @@ class TestMaintenanceFailure:
         # no degradation, full rollback: index stays VALID, row is gone
         index = indexed.catalog.get_index("t_idx")
         assert index.domain.state is IndexState.VALID
-        assert indexed.query("SELECT COUNT(*) FROM t") == [(2,)]
-        assert indexed.query(
-            "SELECT COUNT(*) FROM t_idx_data WHERE v = 'gamma'") == [(0,)]
+        assert indexed.execute("SELECT COUNT(*) FROM t").fetchall() == [(2,)]
+        assert indexed.execute(
+            "SELECT COUNT(*) FROM t_idx_data WHERE v = 'gamma'"
+        ).fetchall() == [(0,)]
 
     def test_dml_on_unusable_index_raises_with_skip_disabled(self, indexed):
         indexed.execute("ALTER INDEX t_idx UNUSABLE")
         indexed.skip_unusable_indexes = False
         with pytest.raises(IndexUnusableError):
             indexed.execute("INSERT INTO t VALUES ('gamma')")
-        assert indexed.query("SELECT COUNT(*) FROM t") == [(2,)]
+        assert indexed.execute("SELECT COUNT(*) FROM t").fetchall() == [(2,)]
 
     def test_failed_delete_degrades_index_and_retries(self, indexed):
         FlakyIndexMethods.fail_on = "delete"
@@ -180,9 +184,9 @@ class TestMaintenanceFailure:
         FlakyIndexMethods.fail_on = ""
         index = indexed.catalog.get_index("t_idx")
         assert index.domain.state is IndexState.UNUSABLE
-        assert indexed.query("SELECT COUNT(*) FROM t") == [(1,)]
-        assert indexed.query(
-            "SELECT v FROM t WHERE Eq_Val(v, 'alpha')") == []
+        assert indexed.execute("SELECT COUNT(*) FROM t").fetchall() == [(1,)]
+        assert indexed.execute(
+            "SELECT v FROM t WHERE Eq_Val(v, 'alpha')").fetchall() == []
 
     def test_failure_in_explicit_txn_preserves_earlier_work(self, indexed):
         indexed.begin()
@@ -193,7 +197,8 @@ class TestMaintenanceFailure:
         # the failed attempt rolled back to its own savepoint only; the
         # earlier insert survived, and the retry landed the late row
         indexed.commit()
-        values = sorted(r[0] for r in indexed.query("SELECT v FROM t"))
+        values = sorted(r[0] for r in indexed.execute(
+            "SELECT v FROM t").fetchall())
         assert "early" in values and "late" in values
         # the degraded index never saw either maintenance call complete
         assert indexed.catalog.get_index(
@@ -212,10 +217,10 @@ class TestMaintenanceFailure:
         assert indexed.catalog.get_index(
             "t_idx").domain.state is IndexState.VALID
         # index answers equal functional answers
-        indexed_rows = indexed.query(
-            "SELECT rowid FROM t WHERE Eq_Val(v, 'y')")
+        indexed_rows = indexed.execute(
+            "SELECT rowid FROM t WHERE Eq_Val(v, 'y')").fetchall()
         assert len(indexed_rows) == 3
-        base = indexed.query("SELECT COUNT(*) FROM t")
+        base = indexed.execute("SELECT COUNT(*) FROM t").fetchall()
         assert base == [(5,)]
 
     def test_rebuild_restores_index_after_degradation(self, indexed):
@@ -230,8 +235,9 @@ class TestMaintenanceFailure:
         # the rebuilt index includes the row inserted while degraded
         plan = indexed.explain("SELECT v FROM t WHERE Eq_Val(v, 'gamma')")
         assert any("DOMAIN INDEX SCAN" in line for line in plan)
-        assert indexed.query(
-            "SELECT v FROM t WHERE Eq_Val(v, 'gamma')") == [("gamma",)]
+        assert indexed.execute(
+            "SELECT v FROM t WHERE Eq_Val(v, 'gamma')"
+        ).fetchall() == [("gamma",)]
 
 
 class TestScanFailure:

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro import Database, IndexState
+from repro import Engine, IndexState
 from repro.errors import ODCIError
 from repro.testing import FaultPlan
 
@@ -33,7 +33,7 @@ def assert_acceptance(db, *, index_name, table, select_sql, params,
     plan = db.explain(select_sql, params)
     assert any(f"DOMAIN INDEX SCAN {index_name}" in line for line in plan)
     assert any("plan cache: MISS (stored)" in line for line in plan)
-    got = sorted(r[0] for r in db.query(select_sql, params))
+    got = sorted(r[0] for r in db.execute(select_sql, params).fetchall())
     assert got == expected_before
     plan = db.explain(select_sql, params)
     assert any("plan cache: HIT" in line for line in plan)
@@ -49,7 +49,7 @@ def assert_acceptance(db, *, index_name, table, select_sql, params,
         assert faults.outcomes("ODCIIndexInsert")[-1] == "fault"
 
     # the statement succeeded (degrade-and-retry) and was atomic
-    count = db.query(f"SELECT COUNT(*) FROM {table}")
+    count = db.execute(f"SELECT COUNT(*) FROM {table}").fetchall()
     assert count == [(rows_before + rows_inserted,)]
     index = db.catalog.get_index(index_name)
     assert index.domain.state is IndexState.UNUSABLE
@@ -60,7 +60,7 @@ def assert_acceptance(db, *, index_name, table, select_sql, params,
     assert not any("DOMAIN INDEX SCAN" in line for line in plan)
     assert any(f"FUNCTIONAL (index {index_name} UNUSABLE)" in line
                for line in plan)
-    got = sorted(r[0] for r in db.query(select_sql, params))
+    got = sorted(r[0] for r in db.execute(select_sql, params).fetchall())
     assert got == expected_after
 
     # -- REBUILD restores VALID and the index path ---------------------
@@ -68,7 +68,7 @@ def assert_acceptance(db, *, index_name, table, select_sql, params,
     assert db.catalog.get_index(index_name).domain.state is IndexState.VALID
     plan = db.explain(select_sql, params)
     assert any(f"DOMAIN INDEX SCAN {index_name}" in line for line in plan)
-    got = sorted(r[0] for r in db.query(select_sql, params))
+    got = sorted(r[0] for r in db.execute(select_sql, params).fetchall())
     assert got == expected_after
 
 
@@ -230,7 +230,7 @@ class TestMultiIndexUpdateRollback:
         from repro.cartridges.spatial import make_rect
         from repro.cartridges.text import install as install_text
 
-        db = Database()
+        db = Engine().connect()
         install_text(db)
         install_spatial(db)
         db.execute("CREATE TABLE assets (aid INTEGER, body VARCHAR2(200),"
@@ -251,11 +251,13 @@ class TestMultiIndexUpdateRollback:
         gt = db.geometry_type
         from repro.cartridges.spatial import make_rect
         window = make_rect(gt, 0, 0, 250, 250)
-        text_hits = sorted(r[0] for r in db.query(
-            "SELECT aid FROM assets WHERE Contains(body, 'landmark')"))
-        spatial_hits = sorted(r[0] for r in db.query(
+        text_hits = sorted(r[0] for r in db.execute(
+            "SELECT aid FROM assets WHERE Contains(body, 'landmark')"
+        ).fetchall())
+        spatial_hits = sorted(r[0] for r in db.execute(
             "SELECT aid FROM assets WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]))
+            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
+        ).fetchall())
         return text_hits, spatial_hits, window
 
     def test_mid_statement_fault_rolls_back_both_indexes(self, assets_db):
@@ -288,8 +290,8 @@ class TestMultiIndexUpdateRollback:
         assert after_spatial == before_spatial
         # the replacement values are nowhere — in the base table or
         # either index
-        assert db.query("SELECT aid FROM assets"
-                        " WHERE Contains(body, 'renamed')") == []
+        assert db.execute("SELECT aid FROM assets"
+                          " WHERE Contains(body, 'renamed')").fetchall() == []
         # and both queries still run through their domain indexes
         plan = db.explain(
             "SELECT aid FROM assets WHERE Contains(body, 'landmark')")
@@ -316,8 +318,9 @@ class TestMultiIndexUpdateRollback:
             "assets_sidx").domain.state is IndexState.UNUSABLE
         assert db.catalog.get_index(
             "assets_text").domain.state is IndexState.VALID
-        renamed = sorted(r[0] for r in db.query(
-            "SELECT aid FROM assets WHERE Contains(body, 'renamed')"))
+        renamed = sorted(r[0] for r in db.execute(
+            "SELECT aid FROM assets WHERE Contains(body, 'renamed')"
+        ).fetchall())
         assert renamed == [0, 1, 2, 3, 4]
         plan = db.explain(
             "SELECT aid FROM assets WHERE Contains(body, 'renamed')")

@@ -14,7 +14,7 @@ import gc
 import random
 import tracemalloc
 
-from repro import Database
+from repro import Engine
 from repro.cartridges.spatial import install as install_spatial
 from repro.cartridges.spatial import make_rect
 from repro.cartridges.text import install as install_text
@@ -36,7 +36,7 @@ def _tracked_per_entry(db, create_sql, drop_sql, table):
 
 
 def test_text_build_leaves_about_one_tracked_object_per_posting():
-    db = Database()
+    db = Engine().connect()
     install_text(db)
     rng = random.Random(5)
     vocabulary = [f"w{i}" for i in range(2000)]
@@ -52,7 +52,7 @@ def test_text_build_leaves_about_one_tracked_object_per_posting():
 
 
 def test_tile_build_leaves_about_one_tracked_object_per_tile():
-    db = Database()
+    db = Engine().connect()
     install_spatial(db)
     rng = random.Random(5)
     gt = db.catalog.get_object_type("SDO_GEOMETRY")
@@ -95,7 +95,7 @@ def test_text_build_makes_no_row_per_posting():
     """A text build hands the terms table its key and payload columns:
     no ``(token, rid, freq)`` row is built per posting and split again
     by the table (that peaked at about 300 bytes a posting)."""
-    db = Database()
+    db = Engine().connect()
     install_text(db)
     rng = random.Random(5)
     vocabulary = [f"w{i}" for i in range(2000)]
@@ -112,7 +112,7 @@ def test_tile_build_makes_no_row_per_tile():
     """The tile build emits ``(grpcode, code, rid)`` keys and
     ``(maxcode,)`` payloads, sorted by key: no four-value row per tile
     and no sort-key tuple per tile (together about 390 bytes a tile)."""
-    db = Database()
+    db = Engine().connect()
     install_spatial(db)
     rng = random.Random(5)
     gt = db.catalog.get_object_type("SDO_GEOMETRY")
@@ -134,7 +134,7 @@ def test_scanning_postings_retains_nothing_per_posting():
     """A scan keeps nothing per row it read: an IOT row's rowid is its
     key, built on demand and dropped with the result.  Every posting is
     read once by a full scan and once by a ``token = :1`` prefix scan."""
-    db = Database()
+    db = Engine().connect()
     install_text(db)
     rng = random.Random(5)
     vocabulary = [f"w{i}" for i in range(2000)]

@@ -58,8 +58,9 @@ class TestInterleavedScans:
         cursor.fetchone()
         del cursor
         # a fresh full scan still works and the workspace drains over time
-        rows = corpus_db.query(
-            "SELECT COUNT(*) FROM docs WHERE Contains(body, 'beta')")
+        rows = corpus_db.execute(
+            "SELECT COUNT(*) FROM docs WHERE Contains(body, 'beta')"
+        ).fetchall()
         assert rows[0][0] == 30
 
     def test_scan_interleaved_with_dml_on_other_table(self, corpus_db):
@@ -78,8 +79,8 @@ class TestInterleavedScans:
             "SELECT id FROM docs WHERE Contains(body, 'alpha') LIMIT 5")
         looked_up = []
         for (ident,) in outer:
-            inner = corpus_db.query(
-                "SELECT body FROM docs WHERE id = :1", [ident])
+            inner = corpus_db.execute(
+                "SELECT body FROM docs WHERE id = :1", [ident]).fetchall()
             looked_up.append(inner[0][0])
         assert len(looked_up) == 5
         assert all("alpha" in body for body in looked_up)

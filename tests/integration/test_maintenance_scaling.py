@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.cartridges.spatial import install as install_spatial
 from repro.cartridges.spatial import make_rect
 from repro.cartridges.spatial.tiling import tessellate
@@ -79,7 +79,7 @@ def _doc(rng):
 
 def _text_db(n_rows, seed=7):
     """``n_rows`` documents; row 0 is the same at every size."""
-    db = Database()
+    db = Engine().connect()
     install_text(db)
     rng = random.Random(seed)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))")
@@ -96,7 +96,7 @@ def _text_db(n_rows, seed=7):
 def _spatial_db(n_rows, seed=7):
     """``n_rows`` rectangles.  Rows 0 and 1 lie alone in the group-code
     tile [0, 256)^2; every other row lies at x, y >= 300."""
-    db = Database()
+    db = Engine().connect()
     install_spatial(db)
     rng = random.Random(seed)
     gt = db.catalog.get_object_type("SDO_GEOMETRY")
@@ -273,7 +273,7 @@ class TestScanAfterMaintenance:
         extra = [[i, _doc(rng)] for i in range(300, 800)]
 
         def build(loaded, inserted):
-            db = Database()
+            db = Engine().connect()
             install_text(db)
             db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(400))")
             db.insert_rows("docs", loaded)

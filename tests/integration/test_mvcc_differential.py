@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro import Database
+from repro import Engine
 
 pytestmark = pytest.mark.mvcc
 
@@ -22,7 +22,7 @@ def _pair(installer=None):
     """Two fresh databases, snapshot reads on/off, same cartridges."""
     dbs = []
     for snapshot_reads in (True, False):
-        db = Database()
+        db = Engine().connect()
         if installer is not None:
             installer(db)
         db.snapshot_reads = snapshot_reads

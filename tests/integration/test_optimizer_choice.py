@@ -40,9 +40,9 @@ class TestPaperExample:
 
     def test_btree_plan_still_answers_correctly(self, docs_db):
         word = docs_db.corpus.common_word()
-        rows = docs_db.query(
+        rows = docs_db.execute(
             f"SELECT id FROM docs WHERE Contains(body, '{word}')"
-            " AND id = 100")
+            " AND id = 100").fetchall()
         expected = [(100,)] if word in docs_db.corpus.documents[100] else []
         assert rows == expected
 
@@ -52,8 +52,8 @@ class TestPaperExample:
         plan = text_db.explain(
             "SELECT * FROM raw WHERE Contains(body, 'Oracle')")
         assert any("TABLE SCAN" in line for line in plan)
-        rows = text_db.query(
-            "SELECT * FROM raw WHERE Contains(body, 'Oracle')")
+        rows = text_db.execute(
+            "SELECT * FROM raw WHERE Contains(body, 'Oracle')").fetchall()
         assert len(rows) == 1
 
     def test_invalid_domain_index_skipped(self, docs_db):
@@ -91,11 +91,11 @@ class TestSelectivitySensitivity:
 
     def test_forced_functional_matches_index_results(self, docs_db):
         word = docs_db.corpus.common_word(3)
-        indexed = docs_db.query(
-            f"SELECT id FROM docs WHERE Contains(body, '{word}')")
+        indexed = docs_db.execute(
+            f"SELECT id FROM docs WHERE Contains(body, '{word}')").fetchall()
         docs_db.execute("DROP INDEX docs_text")
-        functional = docs_db.query(
-            f"SELECT id FROM docs WHERE Contains(body, '{word}')")
+        functional = docs_db.execute(
+            f"SELECT id FROM docs WHERE Contains(body, '{word}')").fetchall()
         assert sorted(indexed) == sorted(functional)
 
 

@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.testing import interpreter_forced
 
 
@@ -29,7 +29,7 @@ def _fleet(installer=None):
     across them."""
     dbs = []
     for interpreted in (False, True):
-        db = Database()
+        db = Engine().connect()
         if interpreted:
             # never exited: the member is interpreted for its lifetime
             interpreter_forced(db).__enter__()
@@ -559,7 +559,7 @@ class TestDomainScans:
 class TestSharedEngineStress:
     def test_eight_threads_mixed_dml_scans_and_domain_scans(self):
         from repro.cartridges.text import install
-        db = Database()
+        db = Engine().connect()
         install(db)
         db.execute("CREATE TABLE ledger (slot INTEGER, k INTEGER,"
                    " val NUMBER)")
@@ -578,7 +578,7 @@ class TestSharedEngineStress:
 
         def worker(slot):
             try:
-                session = db.connect()
+                session = db.engine.connect()
                 session.lock_timeout = 30.0
                 rng = random.Random(slot)
                 for round_no in range(12):

@@ -24,7 +24,7 @@ class TestTextPathInvalidation:
     def test_drop_index_replans_to_functional(self, employees_db):
         db = employees_db
         assert uses_domain_scan(db.explain(TEXT_SQL), "resume_text_index")
-        before = sorted(db.query(TEXT_SQL))
+        before = sorted(db.execute(TEXT_SQL).fetchall())
         stats = db.plan_cache.stats
         stats.reset()
         db.execute("DROP INDEX resume_text_index")
@@ -32,7 +32,7 @@ class TestTextPathInvalidation:
         assert stats.invalidations == 1
         assert not uses_domain_scan(lines, "resume_text_index")
         # the replanned (functional) evaluation returns the same rows
-        assert sorted(db.query(TEXT_SQL)) == before
+        assert sorted(db.execute(TEXT_SQL).fetchall()) == before
 
     def test_create_index_replans_to_domain_scan(self, employees_db):
         db = employees_db
@@ -51,11 +51,11 @@ class TestTextPathInvalidation:
 
     def test_analyze_invalidates_cached_plan(self, employees_db):
         db = employees_db
-        db.query(TEXT_SQL)
+        db.execute(TEXT_SQL).fetchall()
         stats = db.plan_cache.stats
         stats.reset()
         db.execute("ANALYZE TABLE employees COMPUTE STATISTICS")
-        db.query(TEXT_SQL)
+        db.execute(TEXT_SQL).fetchall()
         # callback SQL shares the cache, so other entries may also have
         # been invalidated by the same version bump — at least this one was
         assert stats.invalidations >= 1
@@ -63,22 +63,22 @@ class TestTextPathInvalidation:
 
     def test_statistics_reassociation_invalidates(self, employees_db):
         db = employees_db
-        db.query(TEXT_SQL)
+        db.execute(TEXT_SQL).fetchall()
         stats = db.plan_cache.stats
         stats.reset()
         db.execute("ASSOCIATE STATISTICS WITH INDEXTYPES TextIndexType"
                    " USING TextStatsMethods")
-        db.query(TEXT_SQL)
+        db.execute(TEXT_SQL).fetchall()
         assert stats.invalidations >= 1
         assert stats.hits == 0
 
     def test_warm_statement_hits_without_replanning(self, employees_db):
         db = employees_db
-        db.query(TEXT_SQL)
-        db.query(TEXT_SQL)
+        db.execute(TEXT_SQL).fetchall()
+        db.execute(TEXT_SQL).fetchall()
         stats = db.plan_cache.stats
         stats.reset()
-        db.query(TEXT_SQL)
+        db.execute(TEXT_SQL).fetchall()
         # top-level statement and its callback SQL are all warm now
         assert stats.hits >= 1
         assert stats.misses == 0
@@ -106,28 +106,29 @@ SPATIAL_SQL = ("SELECT gid FROM parks WHERE"
 class TestSpatialPathInvalidation:
     def test_repeat_window_query_hits_cache(self, parks_db):
         db = parks_db
-        first = sorted(db.query(SPATIAL_SQL, [db.window]))
+        first = sorted(db.execute(SPATIAL_SQL, [db.window]).fetchall())
         stats = db.plan_cache.stats
         stats.reset()
-        assert sorted(db.query(SPATIAL_SQL, [db.window])) == first
+        assert sorted(db.execute(SPATIAL_SQL, [db.window]).fetchall()) == first
         assert stats.hits >= 1
         assert stats.stores == 0
 
     def test_drop_index_replans_and_matches(self, parks_db):
         db = parks_db
-        before = sorted(db.query(SPATIAL_SQL, [db.window]))
+        before = sorted(db.execute(SPATIAL_SQL, [db.window]).fetchall())
         stats = db.plan_cache.stats
         stats.reset()
         db.execute("DROP INDEX parks_sidx")
         lines = db.explain(SPATIAL_SQL, [db.window])
         assert stats.invalidations >= 1
         assert not uses_domain_scan(lines, "parks_sidx")
-        assert sorted(db.query(SPATIAL_SQL, [db.window])) == before
+        assert sorted(db.execute(
+            SPATIAL_SQL, [db.window]).fetchall()) == before
 
     def test_create_index_replans_to_domain_scan(self, parks_db):
         db = parks_db
         db.execute("DROP INDEX parks_sidx")
-        db.query(SPATIAL_SQL, [db.window])
+        db.execute(SPATIAL_SQL, [db.window]).fetchall()
         db.execute("CREATE INDEX parks_sidx ON parks(geometry)"
                    " INDEXTYPE IS SpatialIndexType")
         stats = db.plan_cache.stats
@@ -138,10 +139,10 @@ class TestSpatialPathInvalidation:
 
     def test_analyze_invalidates_cached_plan(self, parks_db):
         db = parks_db
-        db.query(SPATIAL_SQL, [db.window])
+        db.execute(SPATIAL_SQL, [db.window]).fetchall()
         stats = db.plan_cache.stats
         stats.reset()
         db.execute("ANALYZE TABLE parks COMPUTE STATISTICS")
-        db.query(SPATIAL_SQL, [db.window])
+        db.execute(SPATIAL_SQL, [db.window]).fetchall()
         assert stats.invalidations >= 1
         assert stats.stores >= 1  # the query was recompiled and re-stored

@@ -9,7 +9,7 @@ give, and follow the cache's invalidation rules.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.core.callbacks import CallbackPhase, CallbackSession
 from repro.errors import (
     CallbackViolation, ConstraintError, ExecutionError, PrivilegeError)
@@ -106,7 +106,7 @@ _STATEMENTS = [
 
 
 def _table_db(shape):
-    db = Database()
+    db = Engine().connect()
     if shape == "iot":
         db.execute("CREATE TABLE t (k INTEGER, g INTEGER, v INTEGER,"
                    " PRIMARY KEY (k)) ORGANIZATION INDEX")

@@ -10,7 +10,7 @@ instead of the current invoker."
 
 import pytest
 
-from repro import Database, PrivilegeError
+from repro import PrivilegeError
 
 
 @pytest.fixture
@@ -32,13 +32,13 @@ class TestGrantsBasics:
         db.execute("INSERT INTO docs VALUES (2, 'more text')")
         db.execute("UPDATE docs SET id = 20 WHERE id = 2")
         db.execute("DELETE FROM docs WHERE id = 20")
-        assert db.query("SELECT COUNT(*) FROM docs") == [(1,)]
+        assert db.execute("SELECT COUNT(*) FROM docs").fetchall() == [(1,)]
 
     def test_stranger_denied(self, multi_user_db):
         db = multi_user_db
         db.set_user("bob")
         with pytest.raises(PrivilegeError):
-            db.query("SELECT * FROM docs")
+            db.execute("SELECT * FROM docs").fetchall()
         with pytest.raises(PrivilegeError):
             db.execute("INSERT INTO docs VALUES (3, 'x')")
         with pytest.raises(PrivilegeError):
@@ -51,7 +51,7 @@ class TestGrantsBasics:
         db.set_user("alice")
         db.execute("GRANT SELECT ON docs TO bob")
         db.set_user("bob")
-        assert db.query("SELECT COUNT(*) FROM docs") == [(1,)]
+        assert db.execute("SELECT COUNT(*) FROM docs").fetchall() == [(1,)]
         with pytest.raises(PrivilegeError):
             db.execute("INSERT INTO docs VALUES (3, 'x')")
 
@@ -64,7 +64,7 @@ class TestGrantsBasics:
         db.set_user("alice")
         db.execute("REVOKE INSERT, UPDATE, DELETE ON docs FROM bob")
         db.set_user("bob")
-        assert db.query("SELECT COUNT(*) FROM docs") == [(2,)]
+        assert db.execute("SELECT COUNT(*) FROM docs").fetchall() == [(2,)]
         with pytest.raises(PrivilegeError):
             db.execute("DELETE FROM docs")
 
@@ -105,8 +105,8 @@ class TestDefinerRights:
         # bob has NO grant on docs_text_terms (owned by alice), yet his
         # insert flows into it through the definer-rights callback
         db.execute("INSERT INTO docs VALUES (5, 'Oracle wizardry')")
-        rows = db.query("SELECT id FROM docs"
-                        " WHERE Contains(body, 'wizardry')")
+        rows = db.execute("SELECT id FROM docs"
+                          " WHERE Contains(body, 'wizardry')").fetchall()
         assert [r[0] for r in rows] == [5]
 
     def test_grantee_cannot_touch_index_tables_directly(self,
@@ -116,7 +116,7 @@ class TestDefinerRights:
         db.execute("GRANT ALL ON docs TO bob")
         db.set_user("bob")
         with pytest.raises(PrivilegeError):
-            db.query("SELECT * FROM docs_text_terms")
+            db.execute("SELECT * FROM docs_text_terms").fetchall()
         with pytest.raises(PrivilegeError):
             db.execute("DELETE FROM docs_text_terms")
 
@@ -130,8 +130,8 @@ class TestDefinerRights:
         db.set_user("alice")
         db.execute("GRANT SELECT ON docs TO bob")
         db.set_user("bob")
-        rows = db.query("SELECT id FROM docs"
-                        " WHERE Contains(body, 'Oracle')")
+        rows = db.execute("SELECT id FROM docs"
+                          " WHERE Contains(body, 'Oracle')").fetchall()
         assert rows == [(1,)]
 
     def test_env_reports_invoker_and_definer(self, multi_user_db):

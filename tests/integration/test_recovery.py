@@ -10,8 +10,8 @@ fsync before acking, so committed transactions always survive it.
 
 import pytest
 
-from repro import Database, FetchResult, IndexMethods, IndexState, \
-    PrecomputedScan, WALError
+from repro import (
+    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan, WALError)
 from repro.testing import StorageFaultPlan
 
 pytestmark = pytest.mark.crash
@@ -32,38 +32,43 @@ def data_dir(tmp_path):
 
 class TestCleanShutdown:
     def test_reopen_after_close_is_clean(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
         db.execute("INSERT INTO t VALUES (1, 'one')")
         db.close()
+        db.engine.close()
 
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         stats = db2.engine.recovery_stats
         assert stats.ran and stats.clean
         assert stats.redo_records == 0
         assert stats.undo_records == 0
         assert stats.loser_transactions == 0
-        assert db2.query("SELECT v FROM t") == [("one",)]
+        assert db2.execute("SELECT v FROM t").fetchall() == [("one",)]
         db2.close()
+        db2.engine.close()
 
     def test_close_is_idempotent(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.close()
-        db.close()  # second close is a no-op, not an error
+        db.engine.close()
+        db.close()  # second closes are no-ops, not errors
+        db.engine.close()
 
     def test_recovery_stats_view_after_clean_reopen(self, data_dir):
-        Database(data_dir=data_dir).close()
-        db = Database(data_dir=data_dir)
-        rows = db.query("SELECT ran, clean, redo_records, undo_records "
-                        "FROM user_recovery_stats")
+        Engine(data_dir=data_dir).close()
+        db = Engine(data_dir=data_dir).connect()
+        rows = db.execute("SELECT ran, clean, redo_records, undo_records "
+                          "FROM user_recovery_stats").fetchall()
         assert rows == [(True, True, 0, 0)]
         db.close()
+        db.engine.close()
 
 
 class TestCrashRecovery:
     def test_committed_work_survives(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
         db.begin()
         for i in range(20):
@@ -75,15 +80,16 @@ class TestCrashRecovery:
         db.commit()
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         assert not db2.engine.recovery_stats.clean
-        rows = dict(db2.query("SELECT id, v FROM t"))
+        rows = dict(db2.execute("SELECT id, v FROM t").fetchall())
         assert len(rows) == 19
         assert rows[0] == "upd" and rows[10] == "v10" and 19 not in rows
         db2.close()
+        db2.engine.close()
 
     def test_loser_transaction_fully_undone(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
         db.execute("INSERT INTO t VALUES (1, 'keep')")
         db.begin()
@@ -94,42 +100,45 @@ class TestCrashRecovery:
         db.engine.durability.wal.flush_all()
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         stats = db2.engine.recovery_stats
         assert stats.loser_transactions == 1
         assert stats.undo_records == 2
-        assert db2.query("SELECT id, v FROM t") == [(1, "keep")]
+        assert db2.execute("SELECT id, v FROM t").fetchall() == [(1, "keep")]
         db2.close()
+        db2.engine.close()
 
     def test_unfsynced_tail_simply_disappears(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.execute("INSERT INTO t VALUES (1)")
         db.begin()
         db.execute("INSERT INTO t VALUES (2)")  # never flushed, no commit
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        assert db2.query("SELECT id FROM t") == [(1,)]
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.execute("SELECT id FROM t").fetchall() == [(1,)]
         db2.close()
+        db2.engine.close()
 
     def test_scn_clock_restored(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         for i in range(5):
             db.execute(f"INSERT INTO t VALUES ({i})")
         scn_before = db.engine.mvcc.current_scn
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         assert db2.engine.mvcc.current_scn >= scn_before
         # new commits must get strictly newer SCNs than recovered ones
         db2.execute("INSERT INTO t VALUES (99)")
         assert db2.engine.mvcc.current_scn > scn_before
         db2.close()
+        db2.engine.close()
 
     def test_iot_crud_replayed(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE kv (a NUMBER, b NUMBER, "
                    "PRIMARY KEY (a)) ORGANIZATION INDEX")
         db.begin()
@@ -144,19 +153,20 @@ class TestCrashRecovery:
         db.execute("DELETE FROM kv WHERE a = 0")  # loser
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        rows = db2.query("SELECT a, b FROM kv ORDER BY a")
+        db2 = Engine(data_dir=data_dir).connect()
+        rows = db2.execute("SELECT a, b FROM kv ORDER BY a").fetchall()
         assert len(rows) == 9
         assert (3, 100) in rows and (7, 7) not in rows and (0, 0) in rows
         # key order (the IOT's native access path) survived recovery
         assert rows == sorted(rows)
         db2.close()
+        db2.engine.close()
 
     def test_iot_checkpoint_image_then_redo(self, data_dir):
         """The tree comes back from the checkpointed dump plus the log
         after it; the dump is one list per column, of which the page
         store keeps the pickled bytes."""
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE kv (a VARCHAR2(8), b NUMBER, c NUMBER, "
                    "PRIMARY KEY (a, b)) ORGANIZATION INDEX")
         db.execute("CREATE TABLE none (a NUMBER, PRIMARY KEY (a)) "
@@ -178,16 +188,18 @@ class TestCrashRecovery:
         image = pages.iot_dump_of(storage.segment_id)
         assert sorted(zip(*image["columns"])) == sorted(
             (f"k{i % 5}", i, i) for i in range(40))
-        expected = db.query("SELECT a, b, c FROM kv")
+        expected = db.execute("SELECT a, b, c FROM kv").fetchall()
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        assert db2.query("SELECT a, b, c FROM kv") == expected
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.execute("SELECT a, b, c FROM kv").fetchall() == expected
         assert ("k3", 3, 100) in expected and len(expected) == 33
-        assert db2.query("SELECT c FROM kv WHERE a = 'k9' AND b = 9") \
+        assert db2.execute(
+            "SELECT c FROM kv WHERE a = 'k9' AND b = 9").fetchall() \
             == [(9,)]
-        assert db2.query("SELECT COUNT(*) FROM none") == [(0,)]
+        assert db2.execute("SELECT COUNT(*) FROM none").fetchall() == [(0,)]
         db2.close()
+        db2.engine.close()
 
     def test_tile_index_checkpoint_image_then_redo(self, data_dir):
         """The tile index's IOT comes back from its checkpointed dump
@@ -200,7 +212,7 @@ class TestCrashRecovery:
             SpatialIndexMethods, sdo_relate_functional)
         from repro.cartridges.spatial.tiling import tessellate
         from repro.core.callbacks import CallbackPhase
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         install(db)
         gt = db.catalog.get_object_type("SDO_GEOMETRY")
         db.execute("CREATE TABLE geo (gid NUMBER, g SDO_GEOMETRY)")
@@ -223,7 +235,7 @@ class TestCrashRecovery:
         db.execute("DELETE FROM geo WHERE gid = 6")
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         install(db2)
         rows = db2.execute("SELECT rowid, gid, g FROM geo").fetchall()
         assert len(rows) == 29
@@ -256,9 +268,10 @@ class TestCrashRecovery:
                 " 'mask=ANYINTERACT')", [window]).fetchall()) \
                 == functional(window)
         db2.close()
+        db2.engine.close()
 
     def test_page_store_compaction_keeps_pages_and_iot_dumps(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
         db.execute("CREATE TABLE kv (a NUMBER, b NUMBER, PRIMARY KEY (a)) "
                    "ORGANIZATION INDEX")
@@ -273,30 +286,32 @@ class TestCrashRecovery:
         written = pages.records_written
         pages.compact()
         assert pages.records_written < written
-        expected = (db.query("SELECT id, v FROM t ORDER BY id"),
-                    db.query("SELECT a, b FROM kv"))
+        expected = (db.execute("SELECT id, v FROM t ORDER BY id").fetchall(),
+                    db.execute("SELECT a, b FROM kv").fetchall())
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        assert (db2.query("SELECT id, v FROM t ORDER BY id"),
-                db2.query("SELECT a, b FROM kv")) == expected
+        db2 = Engine(data_dir=data_dir).connect()
+        assert (db2.execute("SELECT id, v FROM t ORDER BY id").fetchall(),
+                db2.execute("SELECT a, b FROM kv").fetchall()) == expected
         assert (5, 28) in expected[1]
         db2.close()
+        db2.engine.close()
 
     def test_bulk_load_replayed(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
         db.executemany("INSERT INTO t VALUES (:1, :2)",
                        [[i, f"v{i}"] for i in range(50)])
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        rows = db2.query("SELECT COUNT(*) FROM t")
+        db2 = Engine(data_dir=data_dir).connect()
+        rows = db2.execute("SELECT COUNT(*) FROM t").fetchall()
         assert rows == [(50,)]
         db2.close()
+        db2.engine.close()
 
     def test_native_index_rebuilt_from_storage(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
         db.execute("CREATE INDEX t_id ON t (id)")
         db.begin()
@@ -305,16 +320,18 @@ class TestCrashRecovery:
         db.commit()
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        assert db2.query("SELECT v FROM t WHERE id = 17") == [("v17",)]
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.execute(
+            "SELECT v FROM t WHERE id = 17").fetchall() == [("v17",)]
         index = db2.catalog.get_index("t_id")
         assert index.structure is not None
         db2.close()
+        db2.engine.close()
 
 
 class TestDDLPermanence:
     def test_truncate_not_resurrected(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.execute("CREATE TABLE kv (a NUMBER, PRIMARY KEY (a)) "
                    "ORGANIZATION INDEX")
@@ -325,20 +342,21 @@ class TestDDLPermanence:
         db.execute("TRUNCATE TABLE kv")
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        assert db2.query("SELECT COUNT(*) FROM t") == [(0,)]
-        assert db2.query("SELECT COUNT(*) FROM kv") == [(0,)]
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.execute("SELECT COUNT(*) FROM t").fetchall() == [(0,)]
+        assert db2.execute("SELECT COUNT(*) FROM kv").fetchall() == [(0,)]
         # and the truncated tables accept new durable rows
         db2.execute("INSERT INTO t VALUES (100)")
         db2.execute("INSERT INTO kv VALUES (100)")
         crash(db2)
-        db3 = Database(data_dir=data_dir)
-        assert db3.query("SELECT id FROM t") == [(100,)]
-        assert db3.query("SELECT a FROM kv") == [(100,)]
+        db3 = Engine(data_dir=data_dir).connect()
+        assert db3.execute("SELECT id FROM t").fetchall() == [(100,)]
+        assert db3.execute("SELECT a FROM kv").fetchall() == [(100,)]
         db3.close()
+        db3.engine.close()
 
     def test_drop_table_stays_dropped(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE gone_heap (id NUMBER)")
         db.execute("CREATE TABLE gone_iot (a NUMBER, PRIMARY KEY (a)) "
                    "ORGANIZATION INDEX")
@@ -348,28 +366,30 @@ class TestDDLPermanence:
         db.execute("DROP TABLE gone_iot")
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
-        names = {r[0] for r in db2.query("SELECT table_name "
-                                         "FROM user_tables")}
+        db2 = Engine(data_dir=data_dir).connect()
+        names = {r[0] for r in db2.execute("SELECT table_name "
+                                           "FROM user_tables").fetchall()}
         assert "gone_heap" not in names and "gone_iot" not in names
         db2.close()
+        db2.engine.close()
 
     def test_grants_survive_restart(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.execute("GRANT SELECT ON t TO alice")
         crash(db)
 
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         alice = db2.engine.connect(user="alice")
         assert alice.execute("SELECT COUNT(*) FROM t").fetchall() == [(0,)]
         db2.close()
+        db2.engine.close()
 
 
 class TestWalPanic:
     def test_failed_log_refuses_commits(self, data_dir):
         plan = StorageFaultPlan().io_error("wal.append", nth=3)
-        db = Database(data_dir=data_dir, storage_fault_plan=plan)
+        db = Engine(data_dir=data_dir, storage_fault_plan=plan).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.begin()
         with pytest.raises(WALError):
@@ -381,18 +401,20 @@ class TestWalPanic:
             db.execute("INSERT INTO t VALUES (2)")
         # restart clears the panic; the dead log's losers are gone
         del db
-        db2 = Database(data_dir=data_dir)
-        assert db2.query("SELECT COUNT(*) FROM t") == [(0,)]
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.execute("SELECT COUNT(*) FROM t").fetchall() == [(0,)]
         db2.execute("INSERT INTO t VALUES (3)")
         db2.close()
+        db2.engine.close()
 
     def test_torn_commit_record_not_recovered(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.close()
+        db.engine.close()
 
         plan = StorageFaultPlan()
-        db2 = Database(data_dir=data_dir, storage_fault_plan=plan)
+        db2 = Engine(data_dir=data_dir, storage_fault_plan=plan).connect()
         db2.execute("INSERT INTO t VALUES (1)")
         # tear the second append from here: the U record of the next
         # transaction lands intact, then its commit record tears
@@ -403,36 +425,39 @@ class TestWalPanic:
             db2.commit()
         crash(db2)
 
-        db3 = Database(data_dir=data_dir)
+        db3 = Engine(data_dir=data_dir).connect()
         # txn 1 committed intact; txn 2's commit record is torn, so the
         # checksum scan stops before it and the txn is undone as a loser
-        assert db3.query("SELECT id FROM t") == [(1,)]
+        assert db3.execute("SELECT id FROM t").fetchall() == [(1,)]
         db3.close()
+        db3.engine.close()
 
 
 class TestEngineOptions:
     def test_per_commit_fsync_mode_recovers(self, data_dir):
-        db = Database(data_dir=data_dir, wal_group_commit=False)
+        db = Engine(data_dir=data_dir, wal_group_commit=False).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.execute("INSERT INTO t VALUES (1)")
         crash(db)
-        db2 = Database(data_dir=data_dir, wal_group_commit=False)
-        assert db2.query("SELECT id FROM t") == [(1,)]
+        db2 = Engine(data_dir=data_dir, wal_group_commit=False).connect()
+        assert db2.execute("SELECT id FROM t").fetchall() == [(1,)]
         db2.close()
+        db2.engine.close()
 
     def test_wal_stats_view_reports_activity(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.execute("INSERT INTO t VALUES (1)")
-        rows = db.query("SELECT enabled, commit_records, failed "
-                        "FROM user_wal_stats")
+        rows = db.execute("SELECT enabled, commit_records, failed "
+                          "FROM user_wal_stats").fetchall()
         assert rows[0][0] is True
         assert rows[0][1] >= 1
         assert rows[0][2] is False
         db.close()
+        db.engine.close()
 
     def test_wal_stats_view_reports_last_checkpoint_lsn(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         view = "SELECT last_checkpoint_lsn FROM user_wal_stats"
         (before,) = db.execute(view).fetchone()
@@ -441,17 +466,19 @@ class TestEngineOptions:
         assert after > before
         assert after == db.engine.durability.wal.stats.last_checkpoint_lsn
         db.close()
+        db.engine.close()
 
     def test_recovery_stats_view_reports_last_checkpoint_lsn(self, data_dir):
-        db = Database(data_dir=data_dir)
+        db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")
         db.engine.durability.checkpoint(reason="test")
         checkpoint = db.engine.durability.wal.stats.last_checkpoint_lsn
         db.execute("INSERT INTO t VALUES (1)")
         crash(db)
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         rows = db2.execute("SELECT ran, last_checkpoint_lsn"
                            " FROM user_recovery_stats").fetchall()
         assert rows == [(True, checkpoint)]
         assert checkpoint > 0
         db2.close()
+        db2.engine.close()

@@ -8,8 +8,8 @@ import shutil
 
 import pytest
 
-from repro import Database, FetchResult, IndexMethods, IndexState, \
-    PrecomputedScan
+from repro import (
+    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan)
 
 pytestmark = pytest.mark.crash
 
@@ -95,7 +95,7 @@ def _reset_snapshot():
 
 
 def make_db(data_dir):
-    db = Database(data_dir=data_dir)
+    db = Engine(data_dir=data_dir).connect()
     install_textish(db)
     return db
 
@@ -118,6 +118,7 @@ class TestDomainIndexRecovery:
         assert db2.execute("SELECT v FROM docs WHERE Eq_Val(v, 'alpha')"
                            ).fetchall() == [("alpha",)]
         db2.close()
+        db2.engine.close()
 
     def test_rebuild_repairs_restored_index(self, data_dir):
         db = make_db(data_dir)
@@ -135,6 +136,7 @@ class TestDomainIndexRecovery:
         assert db2.execute("SELECT v FROM docs WHERE Eq_Val(v, 'beta')"
                            ).fetchall() == [("beta",)]
         db2.close()
+        db2.engine.close()
 
     def test_crash_mid_create_recovers_failed_never_valid(
             self, data_dir, tmp_path):
@@ -147,10 +149,11 @@ class TestDomainIndexRecovery:
         db.execute("CREATE INDEX docs_idx ON docs(v)"
                    " INDEXTYPE IS TextishType")
         db.close()
+        db.engine.close()
 
         # reopen the crash-consistent image captured *inside* the create:
         # the IN_PROGRESS barrier had run, the VALID barrier had not
-        db2 = Database(data_dir=snap)
+        db2 = Engine(data_dir=snap).connect()
         install_textish(db2)
         index = db2.catalog.get_index("docs_idx")
         assert index.domain.state is IndexState.FAILED
@@ -161,6 +164,7 @@ class TestDomainIndexRecovery:
         db2.execute("DROP INDEX docs_idx FORCE")
         assert not db2.catalog.has_index("docs_idx")
         db2.close()
+        db2.engine.close()
 
     def test_restored_index_can_be_dropped_without_cartridge(
             self, data_dir):
@@ -173,12 +177,13 @@ class TestDomainIndexRecovery:
         # reopen WITHOUT re-registering the cartridge: the index is
         # restored UNUSABLE with no methods and no indextype, and DROP
         # must still work (there is no cartridge state in this process)
-        db2 = Database(data_dir=data_dir)
+        db2 = Engine(data_dir=data_dir).connect()
         index = db2.catalog.get_index("docs_idx")
         assert index.domain.state is IndexState.UNUSABLE
         db2.execute("DROP INDEX docs_idx FORCE")
         assert not db2.catalog.has_index("docs_idx")
         db2.close()
+        db2.engine.close()
 
 
 class TestCartridgeStorageRidesWal:
@@ -200,6 +205,7 @@ class TestCartridgeStorageRidesWal:
                            ).fetchall()
         assert [r[0] for r in rows] == ["alpha", "beta"]
         db2.close()
+        db2.engine.close()
 
     def test_loser_maintenance_discarded(self, data_dir):
         db = make_db(data_dir)
@@ -220,3 +226,4 @@ class TestCartridgeStorageRidesWal:
         rows = db2.execute("SELECT v FROM docs_idx_data").fetchall()
         assert rows == [("keep",)]
         db2.close()
+        db2.engine.close()

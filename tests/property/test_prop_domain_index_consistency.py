@@ -16,7 +16,7 @@ index never lags the table past a statement boundary.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database
+from repro import Engine
 from repro.cartridges.text import install, text_contains
 
 WORDS = ["oracle", "unix", "java", "rust", "sql", "linux"]
@@ -42,8 +42,8 @@ def assert_index_matches(db, rows, words=WORDS):
     """Index answers ≡ functional truth over ``rows``, as the calling
     session sees them right now (inside a transaction included)."""
     for word in words:
-        got = sorted(r[0] for r in db.query(
-            "SELECT id FROM docs WHERE Contains(body, :1)", [word]))
+        got = sorted(r[0] for r in db.execute(
+            "SELECT id FROM docs WHERE Contains(body, :1)", [word]).fetchall())
         assert got == sorted(ident for ident, body in rows.items()
                              if text_contains(body, word)), word
 
@@ -138,7 +138,7 @@ def apply_operations(db, model, operations, words=WORDS):
        st.sampled_from(WORDS), st.sampled_from(WORDS))
 @settings(max_examples=40, deadline=None)
 def test_index_results_equal_functional_truth(operations, word_a, word_b):
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
     db.execute("CREATE INDEX docs_text ON docs(body)"
@@ -149,14 +149,15 @@ def test_index_results_equal_functional_truth(operations, word_a, word_b):
     for query in (word_a, f"{word_a} AND {word_b}",
                   f"{word_a} OR {word_b}",
                   f"{word_a} AND NOT {word_b}"):
-        got = sorted(r[0] for r in db.query(
-            "SELECT id FROM docs WHERE Contains(body, :1)", [query]))
+        got = sorted(r[0] for r in db.execute(
+            "SELECT id FROM docs WHERE Contains(body, :1)", [query]
+        ).fetchall())
         expected = sorted(ident for ident, body in model.items()
                           if text_contains(body, query))
         assert got == expected, (query, got, expected)
 
     # the base table itself matches the model too
-    live = dict(db.query("SELECT id, body FROM docs"))
+    live = dict(db.execute("SELECT id, body FROM docs").fetchall())
     assert live == model
     assert_every_entry_flushed(db)
 
@@ -166,7 +167,7 @@ def test_index_results_equal_functional_truth(operations, word_a, word_b):
 def test_terms_table_has_no_orphans(operations):
     """Every posting references a live row with that token, and every
     live row's tokens are present — full index/base synchronization."""
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
     db.execute("CREATE INDEX docs_text ON docs(body)"
@@ -174,9 +175,9 @@ def test_terms_table_has_no_orphans(operations):
     model = {}
     apply_operations(db, model, operations)
 
-    postings = db.query("SELECT token, rid FROM docs_text_terms")
-    live = {rid: body for rid, body in db.query(
-        "SELECT rowid, body FROM docs")}
+    postings = db.execute("SELECT token, rid FROM docs_text_terms").fetchall()
+    live = {rid: body for rid, body in db.execute(
+        "SELECT rowid, body FROM docs").fetchall()}
     from repro.cartridges.text.lexer import TextLexer, TextParameters
     lexer = TextLexer(TextParameters.parse(""))
     # no orphaned postings
@@ -211,7 +212,7 @@ def test_text_postings_equal_a_build_of_each_row_as_last_indexed(operations):
     inserted with ``w``, ``w`` ignored, the row deleted or updated.
     """
     from repro.cartridges.text.lexer import TextLexer, TextParameters
-    db = Database()
+    db = Engine().connect()
     install(db)
     db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
     db.execute("CREATE INDEX docs_text ON docs(body)"
@@ -235,22 +236,22 @@ def test_text_postings_equal_a_build_of_each_row_as_last_indexed(operations):
             if before.get(ident, object()) != body:
                 indexed[ident] = dict(lexer.term_frequencies(body))
 
-    rid_of = {ident: rid for rid, ident in db.query(
-        "SELECT rowid, id FROM docs")}
+    rid_of = {ident: rid for rid, ident in db.execute(
+        "SELECT rowid, id FROM docs").fetchall()}
     expected = sorted((token, rid_of[ident], freq)
                       for ident, freqs in indexed.items()
                       for token, freq in freqs.items())
-    got = sorted((token, rid, freq) for token, rid, freq in
-                 db.query("SELECT token, rid, freq FROM docs_text_terms"))
+    got = sorted(db.execute(
+        "SELECT token, rid, freq FROM docs_text_terms").fetchall())
     assert got == expected
-    assert db.query("SELECT COUNT(*) FROM docs_text_terms") == [
+    assert db.execute("SELECT COUNT(*) FROM docs_text_terms").fetchall() == [
         (len(expected),)]
 
     # index ≡ functional Contains for every word still indexed; for an
     # ignored word the index answers from the rows indexed before
     for word in WORDS:
-        got = sorted(r[0] for r in db.query(
-            "SELECT id FROM docs WHERE Contains(body, :1)", [word]))
+        got = sorted(r[0] for r in db.execute(
+            "SELECT id FROM docs WHERE Contains(body, :1)", [word]).fetchall())
         assert got == sorted(i for i, freqs in indexed.items()
                              if word in freqs)
         if word not in params.stopwords:
@@ -260,7 +261,7 @@ def test_text_postings_equal_a_build_of_each_row_as_last_indexed(operations):
 
 def _spatial_db():
     from repro.cartridges.spatial import install as install_spatial
-    db = Database()
+    db = Engine().connect()
     install_spatial(db)
     db.execute("CREATE TABLE shapes (id INTEGER, shape SDO_GEOMETRY)")
     db.execute("CREATE INDEX shapes_sidx ON shapes(shape)"
@@ -329,22 +330,22 @@ def test_spatial_tiles_equal_the_covers_of_the_live_rows(operations, window):
             for ident in range(low, low + op[2] + 1):
                 model.pop(ident, None)
 
-    rid_of = {ident: rid for rid, ident in db.query(
-        "SELECT rowid, id FROM shapes")}
+    rid_of = {ident: rid for rid, ident in db.execute(
+        "SELECT rowid, id FROM shapes").fetchall()}
     expected = sorted(
         (rid_of[ident], t.grpcode, t.code, t.maxcode)
         for ident, value in model.items() if value is not None
         for t in tessellate(geometry(value)))
     got = sorted((rid, grp, code, maxcode)
-                 for rid, grp, code, maxcode in db.query(
+                 for rid, grp, code, maxcode in db.execute(
                      "SELECT rid, grpcode, code, maxcode"
-                     " FROM shapes_sidx_tiles"))
+                     " FROM shapes_sidx_tiles").fetchall())
     assert got == expected
 
     query = geometry(window)
-    got = sorted(r[0] for r in db.query(
+    got = sorted(r[0] for r in db.execute(
         "SELECT id FROM shapes WHERE"
-        " Sdo_Relate(shape, :1, 'mask=ANYINTERACT') = 1", [query]))
+        " Sdo_Relate(shape, :1, 'mask=ANYINTERACT') = 1", [query]).fetchall())
     assert got == sorted(
         ident for ident, value in model.items() if value is not None
         and relate(geometry(value), query) is not Relation.DISJOINT)

@@ -10,7 +10,7 @@ maintenance bug, or NULL-semantics slip shows up as a disagreement.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database
+from repro import Engine
 
 COLUMNS = ("a", "b", "c")
 
@@ -141,7 +141,7 @@ def expected_ids(rows, pred):
 
 
 def load(rows, with_indexes):
-    db = Database()
+    db = Engine().connect()
     db.execute("CREATE TABLE t (rid INTEGER, a INTEGER, b INTEGER,"
                " c VARCHAR2(8))")
     db.insert_rows("t", [[i, a, b, c] for i, (a, b, c) in enumerate(rows)])
@@ -156,7 +156,7 @@ def load(rows, with_indexes):
 @settings(max_examples=120, deadline=None)
 def test_engine_matches_model_without_indexes(rows, pred):
     db = load(rows, with_indexes=False)
-    got = db.query(f"SELECT rid FROM t WHERE {to_sql(pred)}")
+    got = db.execute(f"SELECT rid FROM t WHERE {to_sql(pred)}").fetchall()
     assert sorted(r[0] for r in got) == expected_ids(rows, pred)
 
 
@@ -164,7 +164,7 @@ def test_engine_matches_model_without_indexes(rows, pred):
 @settings(max_examples=120, deadline=None)
 def test_engine_matches_model_with_indexes(rows, pred):
     db = load(rows, with_indexes=True)
-    got = db.query(f"SELECT rid FROM t WHERE {to_sql(pred)}")
+    got = db.execute(f"SELECT rid FROM t WHERE {to_sql(pred)}").fetchall()
     assert sorted(r[0] for r in got) == expected_ids(rows, pred)
 
 
@@ -179,7 +179,7 @@ def test_results_survive_dml_and_rollback(rows, pred, data):
         db.execute("DELETE FROM t WHERE rid = :1", [victim])
         db.execute("UPDATE t SET a = 99 WHERE rid >= :1", [victim])
     db.rollback()
-    got = db.query(f"SELECT rid FROM t WHERE {to_sql(pred)}")
+    got = db.execute(f"SELECT rid FROM t WHERE {to_sql(pred)}").fetchall()
     assert sorted(r[0] for r in got) == expected_ids(rows, pred)
 
 
@@ -187,8 +187,8 @@ def test_results_survive_dml_and_rollback(rows, pred, data):
 @settings(max_examples=60, deadline=None)
 def test_aggregates_match_model(rows):
     db = load(rows, with_indexes=False)
-    got = db.query("SELECT COUNT(*), COUNT(a), SUM(b), MIN(a), MAX(b)"
-                   " FROM t")[0]
+    got = db.execute("SELECT COUNT(*), COUNT(a), SUM(b), MIN(a), MAX(b)"
+                     " FROM t").fetchall()[0]
     a_values = [a for a, __, __c in rows if a is not None]
     b_values = [b for __, b, __c in rows if b is not None]
     assert got[0] == len(rows)

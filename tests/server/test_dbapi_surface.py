@@ -4,12 +4,16 @@ Every test in this module runs unchanged against all four ``connect()``
 forms (in-memory DSN, ``file:`` DSN, shared engine, ``repro://``
 network) via the parameterized ``backend`` fixture — the acceptance
 criterion that a network connection is wire-indistinguishable from the
-in-process driver, enforced by construction.
+in-process driver, enforced by construction.  ``TestOwnedEngine`` is
+the exception: it checks which forms shut their engine down on close.
 """
+
+import threading
 
 import pytest
 
 from repro import dbapi
+from repro.sql.engine import Engine
 
 pytestmark = pytest.mark.server
 
@@ -203,6 +207,46 @@ class TestLifecycle:
             cur.fetchone()
         with pytest.raises(dbapi.InterfaceError):
             cur.fetchone()
+
+
+class TestOwnedEngine:
+    """A connection that created its engine closes it; one opened on a
+    shared engine leaves that engine to its owner."""
+
+    @staticmethod
+    def _log_writers():
+        return {t for t in threading.enumerate()
+                if t.name == "wal-log-writer" and t.is_alive()}
+
+    def test_file_dsn_close_shuts_its_engine_down(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        before = self._log_writers()
+        conn = dbapi.connect("file:" + data_dir)
+        writer = conn.engine.durability.log_writer
+        cur = conn.cursor()
+        cur.execute("CREATE TABLE t (id INTEGER)")
+        cur.executemany("INSERT INTO t VALUES (?)",
+                        [(i,) for i in range(50)])
+        conn.commit()
+        conn.close()
+        assert not writer.running
+        assert self._log_writers() <= before
+        reopened = Engine(data_dir=data_dir)
+        try:
+            assert reopened.recovery_stats.clean is True
+            assert reopened.recovery_stats.redo_records == 0
+        finally:
+            reopened.close()
+
+    def test_shared_engine_outlives_its_connections(self, tmp_path):
+        owner = dbapi.connect("file:" + str(tmp_path / "data"))
+        writer = owner.engine.durability.log_writer
+        sibling = dbapi.connect(owner.engine)
+        sibling.close()
+        assert writer.running
+        owner.execute("CREATE TABLE t (id INTEGER)")
+        owner.close()
+        assert not writer.running
 
 
 class TestDomainIndexes:

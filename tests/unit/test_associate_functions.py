@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, StatsMethods
+from repro import StatsMethods
 from repro.errors import CatalogError
 
 
@@ -66,7 +66,7 @@ class TestFunctionStatistics:
                               " USING Missing")
 
     def test_results_unchanged_by_association(self, costed_db):
-        baseline = costed_db.query(self.SQL)
+        baseline = costed_db.execute(self.SQL).fetchall()
         costed_db.execute("ASSOCIATE STATISTICS WITH FUNCTIONS Score_Row"
                           " USING PriceyStats")
-        assert costed_db.query(self.SQL) == baseline
+        assert costed_db.execute(self.SQL).fetchall() == baseline

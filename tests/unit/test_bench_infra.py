@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.bench.harness import (
     Measurement, ReportTable, io_delta, time_call, time_to_first_row)
 from repro.bench.workloads import (
@@ -102,7 +102,7 @@ class TestHarness:
         assert run.first_row is None
 
     def test_io_delta(self):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE t (x NUMBER)")
         run = io_delta(db, lambda: db.execute("INSERT INTO t VALUES (1)"))
         assert run.io["logical_writes"] > 0

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import Engine
 from repro.errors import ConstraintError, StorageError
 from repro.index.btree import BTree
 from repro.storage.buffer import BufferCache, IOStats
@@ -226,8 +227,7 @@ class TestColumnarDirectLoad:
     PAYLOADS = [(i * 10, f"p{i}") for i in range(30)]
 
     def _db(self, **kw):
-        from repro import Database
-        db = Database(**kw)
+        db = Engine(**kw).connect()
         db.execute("CREATE TABLE kv (k VARCHAR2(8), n INTEGER,"
                    " v INTEGER, note VARCHAR2(8), PRIMARY KEY (k, n))"
                    " ORGANIZATION INDEX")
@@ -276,7 +276,6 @@ class TestColumnarDirectLoad:
     def test_restart_replays_a_columnar_load(self, tmp_path):
         """A power cut right after the load: the committed log record
         alone rebuilds the table."""
-        from repro import Database
         db = self._db(data_dir=str(tmp_path / "data"))
         db.direct_load("kv", self.KEYS, self.PAYLOADS, presorted=True)
         expected = self._contents(db)
@@ -284,6 +283,7 @@ class TestColumnarDirectLoad:
         if durability.log_writer is not None:
             durability.log_writer.stop()
         durability.wal.device.simulate_crash()
-        reopened = Database(data_dir=str(tmp_path / "data"))
+        reopened = Engine(data_dir=str(tmp_path / "data")).connect()
         assert self._contents(reopened) == expected
         reopened.close()
+        reopened.engine.close()

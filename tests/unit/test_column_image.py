@@ -13,7 +13,7 @@ takes the image too).
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.storage.heap import HeapTable
 from repro.storage.page import Page
 from repro.testing import interpreter_forced
@@ -135,7 +135,7 @@ def test_restart_redo(tmp_path):
     """Restart rebuilds the pages from their checkpointed state and
     redoes the later writes slot by slot; neither carries an image."""
     data_dir = str(tmp_path / "db")
-    db = Database(data_dir=data_dir)
+    db = Engine(data_dir=data_dir).connect()
     rows = _create(db)
     db.engine.durability.checkpoint()
     db.execute("UPDATE t SET val = 7 WHERE id < 30")
@@ -150,7 +150,7 @@ def test_restart_redo(tmp_path):
         durability.log_writer.stop()
     durability.wal.device.simulate_crash()
 
-    restarted = Database(data_dir=data_dir)
+    restarted = Engine(data_dir=data_dir).connect()
     assert restarted.engine.recovery_stats.redo_records > 0
     _check(restarted, rows.values())
     restarted.execute("UPDATE t SET grp = 'late' WHERE id < 5")
@@ -158,6 +158,7 @@ def test_restart_redo(tmp_path):
         rows[i] = (i, "late", 7)
     _check(restarted, rows.values())
     restarted.close()
+    restarted.engine.close()
 
 
 def test_slot_writes_and_restored_pages():

@@ -3,7 +3,7 @@ scan contexts, workspace, callback restrictions."""
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.core.callbacks import CallbackPhase, CallbackSession
 from repro.core.indextype import Indextype, SupportedOperator
 from repro.core.odci import FetchResult, ODCIPredInfo
@@ -161,7 +161,7 @@ class TestWorkspace:
 class TestCallbackRestrictions:
     @pytest.fixture
     def setup_db(self):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE base (x NUMBER)")
         db.execute("CREATE TABLE idxdata (x NUMBER)")
         return db
@@ -237,9 +237,11 @@ class TestCallbackRestrictions:
         assert other.execute("SELECT COUNT(*) FROM postings"
                              ).fetchall() == [(3,)]   # snapshot read
         keyed_db.rollback()
-        assert keyed_db.query("SELECT COUNT(*) FROM postings") == [(3,)]
-        assert keyed_db.query(
-            "SELECT tok, doc FROM postings WHERE freq = 6") == [("a", 2)]
+        assert keyed_db.execute(
+            "SELECT COUNT(*) FROM postings").fetchall() == [(3,)]
+        assert keyed_db.execute(
+            "SELECT tok, doc FROM postings WHERE freq = 6"
+        ).fetchall() == [("a", 2)]
 
     def test_bulk_delete_checked_like_a_delete_statement(self, keyed_db):
         from repro.errors import ExecutionError
@@ -259,7 +261,8 @@ class TestCallbackRestrictions:
             maintenance.delete_rows("idxdata", [(1,)])
         with pytest.raises(ExecutionError):
             maintenance.delete_rows("postings", [("a",)])
-        assert keyed_db.query("SELECT COUNT(*) FROM postings") == [(3,)]
+        assert keyed_db.execute(
+            "SELECT COUNT(*) FROM postings").fetchall() == [(3,)]
 
     def test_scan_allows_only_queries(self, setup_db):
         session = CallbackSession(setup_db, CallbackPhase.SCAN,
@@ -301,11 +304,12 @@ class TestCallbackRestrictions:
             session.execute("COMMIT")
         # the violation did not disturb the surrounding transaction
         setup_db.rollback()
-        assert setup_db.query("SELECT COUNT(*) FROM idxdata") == [(0,)]
+        assert setup_db.execute(
+            "SELECT COUNT(*) FROM idxdata").fetchall() == [(0,)]
 
     def test_fetch_helpers(self, setup_db):
         setup_db.execute("INSERT INTO idxdata VALUES (42)")
-        rid = setup_db.query("SELECT rowid FROM idxdata")[0][0]
+        rid = setup_db.execute("SELECT rowid FROM idxdata").fetchall()[0][0]
         session = CallbackSession(setup_db, CallbackPhase.SCAN)
         assert session.fetch_row("idxdata", rid) == [42]
         assert session.fetch_value("idxdata", rid, "x") == 42

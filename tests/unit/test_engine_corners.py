@@ -3,7 +3,6 @@ index rebuild/truncate interactions, cursor metadata."""
 
 import pytest
 
-from repro import Database
 from repro.types.values import is_null
 
 
@@ -19,25 +18,27 @@ class TestJoinNullSemantics:
         return db
 
     def test_hash_join_drops_null_keys(self, jdb):
-        rows = jdb.query("SELECT l.v, r.w FROM l, r WHERE l.k = r.k")
+        rows = jdb.execute(
+            "SELECT l.v, r.w FROM l, r WHERE l.k = r.k").fetchall()
         assert rows == [("a", "x")]  # NULL keys never join
 
     def test_indexed_nl_join_drops_null_keys(self, jdb):
         jdb.execute("CREATE INDEX r_k ON r(k)")
         jdb.execute("ANALYZE TABLE r COMPUTE STATISTICS")
-        rows = jdb.query("SELECT l.v, r.w FROM l, r WHERE l.k = r.k")
+        rows = jdb.execute(
+            "SELECT l.v, r.w FROM l, r WHERE l.k = r.k").fetchall()
         assert rows == [("a", "x")]
 
     def test_nested_loop_with_null_condition(self, jdb):
-        rows = jdb.query("SELECT l.v FROM l, r WHERE l.k < r.k")
+        rows = jdb.execute("SELECT l.v FROM l, r WHERE l.k < r.k").fetchall()
         assert rows == []  # only r.k = 1 exists; nothing below it joins...
 
     def test_three_way_join(self, jdb):
         jdb.execute("CREATE TABLE m (k INTEGER, z VARCHAR2(4))")
         jdb.execute("INSERT INTO m VALUES (1, 'm1')")
-        rows = jdb.query(
+        rows = jdb.execute(
             "SELECT l.v, r.w, m.z FROM l, r, m"
-            " WHERE l.k = r.k AND r.k = m.k")
+            " WHERE l.k = r.k AND r.k = m.k").fetchall()
         assert rows == [("a", "x", "m1")]
 
 
@@ -52,21 +53,24 @@ class TestIOTSqlDml:
 
     def test_update_payload(self, iot_db):
         iot_db.execute("UPDATE kv SET v = 'new' WHERE k = 2")
-        assert iot_db.query("SELECT v FROM kv WHERE k = 2") == [("new",)]
+        assert iot_db.execute(
+            "SELECT v FROM kv WHERE k = 2").fetchall() == [("new",)]
 
     def test_update_key_reorders(self, iot_db):
         iot_db.execute("UPDATE kv SET k = 9 WHERE k = 1")
-        assert [r[0] for r in iot_db.query("SELECT k FROM kv")] == [2, 3, 9]
+        assert [r[0] for r in iot_db.execute(
+            "SELECT k FROM kv").fetchall()] == [2, 3, 9]
 
     def test_delete(self, iot_db):
         iot_db.execute("DELETE FROM kv WHERE k = 2")
-        assert [r[0] for r in iot_db.query("SELECT k FROM kv")] == [1, 3]
+        assert [r[0] for r in iot_db.execute(
+            "SELECT k FROM kv").fetchall()] == [1, 3]
 
     def test_rollback_on_iot(self, iot_db):
         iot_db.begin()
         iot_db.execute("DELETE FROM kv")
         iot_db.rollback()
-        assert iot_db.query("SELECT COUNT(*) FROM kv") == [(3,)]
+        assert iot_db.execute("SELECT COUNT(*) FROM kv").fetchall() == [(3,)]
 
     def test_duplicate_pk_rejected(self, iot_db):
         from repro.errors import ConstraintError
@@ -84,7 +88,7 @@ class TestIndexLifecycleSql:
         assert len(index.structure) == 0
         db.execute("INSERT INTO t VALUES (5)")
         db.execute("ANALYZE TABLE t COMPUTE STATISTICS")
-        assert db.query("SELECT x FROM t WHERE x = 5") == [(5,)]
+        assert db.execute("SELECT x FROM t WHERE x = 5").fetchall() == [(5,)]
 
     def test_alter_index_rebuild(self, db):
         db.execute("CREATE TABLE t (x INTEGER)")
@@ -100,7 +104,7 @@ class TestIndexLifecycleSql:
         db.execute("CREATE INDEX t_x ON t(x)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("DROP INDEX t_x")
-        assert db.query("SELECT COUNT(*) FROM t") == [(1,)]
+        assert db.execute("SELECT COUNT(*) FROM t").fetchall() == [(1,)]
 
     def test_multi_column_btree_key(self, db):
         db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
@@ -149,6 +153,6 @@ class TestInsertSelectWithIndexMaintenance:
         text_db.execute("CREATE INDEX dst_idx ON dst(body)"
                         " INDEXTYPE IS TextIndexType")
         text_db.execute("INSERT INTO dst SELECT body FROM src")
-        rows = text_db.query(
-            "SELECT body FROM dst WHERE Contains(body, 'oracle')")
+        rows = text_db.execute(
+            "SELECT body FROM dst WHERE Contains(body, 'oracle')").fetchall()
         assert rows == [("oracle tips",)]

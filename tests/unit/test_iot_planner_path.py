@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 
 
 @pytest.fixture
@@ -25,18 +24,19 @@ class TestIOTPrefixPath:
         assert any("IOT PREFIX SCAN" in line for line in plan)
 
     def test_results_correct(self, terms_db):
-        rows = terms_db.query(
-            "SELECT rid, freq FROM terms WHERE token = 'tok05'")
+        rows = terms_db.execute(
+            "SELECT rid, freq FROM terms WHERE token = 'tok05'").fetchall()
         assert len(rows) == 25
         assert all(500 <= rid < 525 for rid, __ in rows)
 
     def test_missing_key_empty(self, terms_db):
-        assert terms_db.query(
-            "SELECT rid FROM terms WHERE token = 'nope'") == []
+        assert terms_db.execute(
+            "SELECT rid FROM terms WHERE token = 'nope'").fetchall() == []
 
     def test_residual_filter_applied(self, terms_db):
-        rows = terms_db.query(
-            "SELECT rid FROM terms WHERE token = 'tok05' AND freq > 20")
+        rows = terms_db.execute(
+            "SELECT rid FROM terms WHERE token = 'tok05' AND freq > 20"
+        ).fetchall()
         assert len(rows) == 5
 
     def test_range_on_key_not_prefix_scanned(self, terms_db):
@@ -44,8 +44,8 @@ class TestIOTPrefixPath:
         plan = terms_db.explain(
             "SELECT rid FROM terms WHERE token > 'tok30'")
         assert not any("IOT PREFIX SCAN" in line for line in plan)
-        rows = terms_db.query(
-            "SELECT COUNT(*) FROM terms WHERE token > 'tok30'")
+        rows = terms_db.execute(
+            "SELECT COUNT(*) FROM terms WHERE token > 'tok30'").fetchall()
         assert rows == [(9 * 25,)]
 
     def test_non_leading_key_column_not_prefix_scanned(self, terms_db):
@@ -106,10 +106,11 @@ class TestIOTPrefixPath:
 
     def test_prefix_scan_cheaper_than_full(self, terms_db):
         before = terms_db.stats.logical_reads
-        terms_db.query("SELECT rid FROM terms WHERE token = 'tok05'")
+        terms_db.execute(
+            "SELECT rid FROM terms WHERE token = 'tok05'").fetchall()
         prefix_reads = terms_db.stats.logical_reads - before
         before = terms_db.stats.logical_reads
-        terms_db.query("SELECT rid FROM terms WHERE freq = -1")
+        terms_db.execute("SELECT rid FROM terms WHERE freq = -1").fetchall()
         full_reads = terms_db.stats.logical_reads - before
         assert prefix_reads < full_reads / 5
 
@@ -120,6 +121,6 @@ class TestIOTPrefixPath:
         assert not any("IOT PREFIX SCAN" in line for line in plan)
 
     def test_null_key_returns_nothing(self, terms_db):
-        rows = terms_db.query(
-            "SELECT rid FROM terms WHERE token = :1", [None])
+        rows = terms_db.execute(
+            "SELECT rid FROM terms WHERE token = :1", [None]).fetchall()
         assert rows == []

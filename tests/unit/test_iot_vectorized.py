@@ -11,7 +11,6 @@ any bind: NULL, of another kind than the column, bool, or none.
 
 import pytest
 
-from repro import Database
 from repro.errors import TypeMismatchError
 from repro.sql.engine import Engine
 from repro.testing import interpreter_forced
@@ -110,7 +109,7 @@ QUERIES = [
 class TestTwoWay:
     @pytest.fixture(scope="class")
     def data(self):
-        return _load(Database())
+        return _load(Engine().connect())
 
     @pytest.mark.parametrize("sql,binds", QUERIES)
     def test_agrees_with_interpreter_and_full_scan(self, data, sql, binds):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.errors import LockTimeoutError, StorageError
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.lob import LOB_CHUNK, LobManager
@@ -74,7 +74,7 @@ class TestRangeLocking:
 
 class TestDatabaseIntegration:
     def test_session_lobs_share_session_locks(self):
-        db = Database()
+        db = Engine().connect()
         locator = db.lobs.create(b"y" * 100)
         db.lobs.lock_range(1, locator.lob_id, 0, 50)
         assert db.locks.holders(f"lob:{locator.lob_id}:chunk:0") == {1}

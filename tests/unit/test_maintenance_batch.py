@@ -9,7 +9,7 @@ contract of an update batch, and index state after ``ROLLBACK``.
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.core.dispatch import CallbackDispatcher, IndexMaintenanceStats
 from repro.core.odci import FetchResult, IndexMethods
 from repro.errors import CallbackError, ODCIError
@@ -206,7 +206,7 @@ class TestExecutemanyRowcounts:
         from repro.cartridges.text import install
 
         def run():
-            db = Database()
+            db = Engine().connect()
             install(db)
             db.execute("CREATE TABLE d2 (id INTEGER, body VARCHAR2(200))")
             db.execute("CREATE INDEX d2_text ON d2(body)"

@@ -2,12 +2,11 @@
 lifecycle, pruning, bulk-load fences, and the dictionary views.
 
 These exercise the `repro.txn.mvcc` primitives directly plus the SQL
-surface (`SET TRANSACTION`, statement snapshots) through a Database.
+surface (`SET TRANSACTION`, statement snapshots) through a session.
 """
 
 import pytest
 
-from repro import Database
 from repro.errors import TransactionError
 from repro.sql.engine import Engine
 from repro.txn.mvcc import (
@@ -435,7 +434,7 @@ class TestManager:
 class TestSqlSurface:
     @pytest.fixture
     def db(self):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
         db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
         return db

@@ -16,8 +16,8 @@ import threading
 
 import pytest
 
-from repro import Database, FetchResult, IndexMethods, IndexState, \
-    PrecomputedScan
+from repro import (
+    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan)
 from repro.errors import CallbackTimeoutError, ODCIError
 from repro.testing import FaultPlan, interpreter_forced
 
@@ -67,7 +67,7 @@ QUERY = "SELECT v FROM t WHERE Eq_Val(v, :1) = 1"
 
 @pytest.fixture
 def db():
-    db = Database()
+    db = Engine().connect()
     db.create_function("EqValFunc",
                        lambda v, probe: 1 if v == probe else 0, cost=5.0)
     db.register_methods("EqScanMethods", EqScanMethods)
@@ -143,7 +143,7 @@ class TestScanFaults:
 
     def test_degrade_retry_reads_statement_snapshot(self, db):
         """The replanned retry runs against the *pinned* snapshot."""
-        other = db.connect()
+        other = db.engine.connect()
         with FaultPlan(db) as plan:
             plan.fail_on_call("ODCIIndexFetch", nth=1)
             cursor = db.execute(QUERY, ["match"])  # snapshot pinned here
@@ -183,7 +183,7 @@ class TestParallelScanFaults:
 
     @pytest.fixture
     def scan_db(self):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE big (id INTEGER, val NUMBER)")
         db.insert_rows("big", [[i, i / 1000.0] for i in range(5000)])
         db.execute("ANALYZE TABLE big COMPUTE STATISTICS")
@@ -204,7 +204,6 @@ class TestParallelScanFaults:
                                       {"prefetch_depth": 2},
                                       {"prefetch_min_rows": 64}])
     def test_removed_knobs_raise_type_error(self, knob):
-        from repro.sql.engine import Engine
         with pytest.raises(TypeError):
             Engine(**knob)
 
@@ -232,7 +231,6 @@ class TestParallelScanFaults:
         deleted from ``Session`` but left in the whitelist would be
         accepted and silently ignored."""
         from repro.server.server import SESSION_SETTINGS
-        from repro.sql.engine import Engine
         session = Engine().connect()
         assert [name for name in SESSION_SETTINGS
                 if name not in vars(session)] == []
@@ -334,7 +332,7 @@ class TestScanRunsOnTheCallersThread:
 
         def worker():
             try:
-                session = spy_db.connect()
+                session = spy_db.engine.connect()
                 for __ in range(13):  # 8 sessions x 13 > 100 scans
                     assert len(session.execute(
                         QUERY, ["match"]).fetchall()) == 20

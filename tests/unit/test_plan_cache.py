@@ -121,23 +121,26 @@ class TestPipelineCaching:
     def test_repeat_select_hits_cache(self, t_db):
         stats = t_db.plan_cache.stats
         stats.reset()
-        assert t_db.query("SELECT grp FROM t WHERE id = :1", [3]) \
+        assert t_db.execute(
+            "SELECT grp FROM t WHERE id = :1", [3]).fetchall() \
             == [("odd",)]
-        assert t_db.query("SELECT grp FROM t WHERE id = :1", [4]) \
+        assert t_db.execute(
+            "SELECT grp FROM t WHERE id = :1", [4]).fetchall() \
             == [("even",)]
         assert stats.hits == 1
         assert stats.stores == 1
 
     def test_shared_plan_gives_per_bind_results(self, t_db):
         for i in range(8):
-            rows = t_db.query("SELECT id FROM t WHERE id = :1", [i])
+            rows = t_db.execute(
+                "SELECT id FROM t WHERE id = :1", [i]).fetchall()
             assert rows == [(i,)]
         assert t_db.plan_cache.stats.hits >= 7
 
     def test_whitespace_variants_share_one_entry(self, t_db):
-        t_db.query("SELECT id FROM t WHERE id = :1", [1])
+        t_db.execute("SELECT id FROM t WHERE id = :1", [1]).fetchall()
         before = len(t_db.plan_cache)
-        t_db.query("SELECT  id   FROM t\n WHERE id = :1", [2])
+        t_db.execute("SELECT  id   FROM t\n WHERE id = :1", [2]).fetchall()
         assert len(t_db.plan_cache) == before
         assert t_db.plan_cache.stats.hits >= 1
 
@@ -146,17 +149,17 @@ class TestPipelineCaching:
         # "= 'a  b'" must not reuse the plan compiled for "= 'a b'"
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [50, "a b"])
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [51, "a  b"])
-        assert t_db.query("SELECT id FROM t WHERE grp = 'a  b'") \
+        assert t_db.execute("SELECT id FROM t WHERE grp = 'a  b'").fetchall() \
             == [(51,)]
-        assert t_db.query("SELECT id FROM t WHERE grp = 'a b'") \
+        assert t_db.execute("SELECT id FROM t WHERE grp = 'a b'").fetchall() \
             == [(50,)]
 
     def test_miss_is_counted_once_per_execution(self, t_db):
         stats = t_db.plan_cache.stats
         stats.reset()
-        t_db.query("SELECT grp FROM t WHERE id = :1", [1])
+        t_db.execute("SELECT grp FROM t WHERE id = :1", [1]).fetchall()
         assert (stats.lookups, stats.misses, stats.hits) == (1, 1, 0)
-        t_db.query("SELECT grp FROM t WHERE id = :1", [2])
+        t_db.execute("SELECT grp FROM t WHERE id = :1", [2]).fetchall()
         assert (stats.lookups, stats.misses, stats.hits) == (2, 1, 1)
 
     def test_ddl_and_tcl_skip_the_cache_probe(self, t_db):
@@ -184,50 +187,50 @@ class TestPipelineCaching:
     def test_subquery_select_not_cached_and_not_frozen(self, t_db):
         t_db.plan_cache.clear()
         sql = "SELECT COUNT(*) FROM t WHERE id IN (SELECT id FROM t)"
-        assert t_db.query(sql)[0][0] == 8
+        assert t_db.execute(sql).fetchall()[0][0] == 8
         assert len(t_db.plan_cache) == 0
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [8, "even"])
         # a frozen (cached) plan would still report 8
-        assert t_db.query(sql)[0][0] == 9
+        assert t_db.execute(sql).fetchall()[0][0] == 9
 
     def test_dictionary_views_not_cached(self, t_db):
         t_db.plan_cache.clear()
-        t_db.query("SELECT table_name FROM user_tables")
-        t_db.query("SELECT table_name FROM user_tables")
+        t_db.execute("SELECT table_name FROM user_tables").fetchall()
+        t_db.execute("SELECT table_name FROM user_tables").fetchall()
         assert len(t_db.plan_cache) == 0
 
     def test_table_growth_invalidates_nonanalyzed_plan(self, t_db):
         stats = t_db.plan_cache.stats
-        t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
+        t_db.execute("SELECT COUNT(*) FROM t WHERE grp = 'even'").fetchall()
         # re-prepare the fixture's INSERT, compiled before CREATE INDEX
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [199, "odd"])
         stats.reset()
         # push the row count across a power-of-two bucket boundary
         for i in range(20):
             t_db.execute("INSERT INTO t VALUES (:1, :2)", [200 + i, "even"])
-        t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
+        t_db.execute("SELECT COUNT(*) FROM t WHERE grp = 'even'").fetchall()
         assert stats.invalidations == 1
 
     def test_analyzed_table_plan_survives_small_growth(self, t_db):
         t_db.execute("ANALYZE TABLE t COMPUTE STATISTICS")
-        t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
+        t_db.execute("SELECT COUNT(*) FROM t WHERE grp = 'even'").fetchall()
         # re-prepare the fixture's INSERT, compiled before ANALYZE
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [300, "even"])
         stats = t_db.plan_cache.stats
         stats.reset()
         t_db.execute("INSERT INTO t VALUES (:1, :2)", [301, "even"])
-        t_db.query("SELECT COUNT(*) FROM t WHERE grp = 'even'")
+        t_db.execute("SELECT COUNT(*) FROM t WHERE grp = 'even'").fetchall()
         assert stats.hits == 2
         assert stats.invalidations == 0
 
     def test_missing_bind_raises(self, t_db):
         with pytest.raises(ExecutionError, match="no value supplied"):
-            t_db.query("SELECT id FROM t WHERE id = :1")
+            t_db.execute("SELECT id FROM t WHERE id = :1").fetchall()
 
     def test_cached_plan_missing_bind_still_raises(self, t_db):
-        t_db.query("SELECT id FROM t WHERE id = :1", [1])
+        t_db.execute("SELECT id FROM t WHERE id = :1", [1]).fetchall()
         with pytest.raises(ExecutionError, match="no value supplied"):
-            t_db.query("SELECT id FROM t WHERE id = :1")
+            t_db.execute("SELECT id FROM t WHERE id = :1").fetchall()
 
     def test_explain_reports_miss_then_hit(self, t_db):
         sql = "SELECT grp FROM t WHERE id = :1"
@@ -238,9 +241,11 @@ class TestPipelineCaching:
         assert first[:-1] == second[:-1]  # same shared plan tree
 
     def test_explain_statement_form_reports_cache_state(self, t_db):
-        rows = t_db.query("EXPLAIN SELECT grp FROM t WHERE id = 3")
+        rows = t_db.execute(
+            "EXPLAIN SELECT grp FROM t WHERE id = 3").fetchall()
         assert rows[-1][0] == "plan cache: MISS (stored)"
-        rows = t_db.query("EXPLAIN PLAN FOR SELECT grp FROM t WHERE id = 3")
+        rows = t_db.execute(
+            "EXPLAIN PLAN FOR SELECT grp FROM t WHERE id = 3").fetchall()
         assert rows[-1][0].startswith("plan cache: HIT")
 
     def test_explain_warms_the_execute_path(self, t_db):
@@ -248,7 +253,7 @@ class TestPipelineCaching:
         t_db.explain(sql, [5])
         stats = t_db.plan_cache.stats
         stats.reset()
-        assert t_db.query(sql, [5]) == [("odd",)]
+        assert t_db.execute(sql, [5]).fetchall() == [("odd",)]
         assert stats.hits == 1
 
     def test_explain_of_subquery_reports_bypass(self, t_db):
@@ -320,7 +325,9 @@ class TestCursorLifecycle:
 
 
 class TestSessionFacadeStaysThin:
-    def test_session_module_under_600_lines(self):
+    def test_session_module_line_ceiling(self):
+        """The ceiling is the size deleting the single-session facade
+        and the ``query``/``query_one`` shortcuts left."""
         import repro.sql.session as session
         with open(session.__file__, "r", encoding="utf-8") as fh:
-            assert sum(1 for _ in fh) < 600
+            assert sum(1 for _ in fh) <= 518

@@ -14,7 +14,7 @@ from operator import ge, gt, le, lt
 
 import pytest
 
-from repro import Database
+from repro import Engine
 from repro.storage.heap import RowId, RowIdBase
 from repro.storage.iot import LogicalRowId
 from repro.storage.page import estimate_row_size, estimate_size
@@ -92,7 +92,7 @@ def test_page_bytes_of_a_row_holding_a_rowid_are_unchanged():
 def test_the_log_carries_rowids_as_plain_tuples(tmp_path):
     """Row records carry ``rid``, a direct-path record ``rids``, and a
     compensation record its ``rid``, each a plain tuple."""
-    db = Database(data_dir=str(tmp_path / "data"))
+    db = Engine(data_dir=str(tmp_path / "data")).connect()
     db.execute("CREATE TABLE t (id INTEGER, note VARCHAR2(20))")
     db.executemany("INSERT INTO t VALUES (:1, :2)",
                    [[i, f"n{i}"] for i in range(20)])
@@ -113,3 +113,4 @@ def test_the_log_carries_rowids_as_plain_tuples(tmp_path):
         for record in ops[op]:
             assert type(record["rid"]) is tuple, (op, record["rid"])
     db.close()
+    db.engine.close()

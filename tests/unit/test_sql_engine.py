@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 from repro.errors import (
     CatalogError, ConstraintError, ExecutionError, ParseError)
 from repro.types.values import NULL, is_null
@@ -26,12 +25,12 @@ def emp(db):
 
 class TestSelectBasics:
     def test_star(self, emp):
-        rows = emp.query("SELECT * FROM emp")
+        rows = emp.execute("SELECT * FROM emp").fetchall()
         assert len(rows) == 5
         assert rows[0] == ("amy", "eng", 100, 1)
 
     def test_projection_order(self, emp):
-        rows = emp.query("SELECT id, name FROM emp WHERE id = 3")
+        rows = emp.execute("SELECT id, name FROM emp WHERE id = 3").fetchall()
         assert rows == [(3, "cid")]
 
     def test_description(self, emp):
@@ -39,43 +38,51 @@ class TestSelectBasics:
         assert cursor.description == ["id", "who"]
 
     def test_where_comparisons(self, emp):
-        assert len(emp.query("SELECT * FROM emp WHERE salary >= 80")) == 3
-        assert len(emp.query("SELECT * FROM emp WHERE salary != 70")) == 4
+        assert len(emp.execute(
+            "SELECT * FROM emp WHERE salary >= 80").fetchall()) == 3
+        assert len(emp.execute(
+            "SELECT * FROM emp WHERE salary != 70").fetchall()) == 4
 
     def test_where_and_or_not(self, emp):
-        rows = emp.query("SELECT name FROM emp "
-                         "WHERE dept = 'eng' AND salary > 90 OR dept = 'hr'")
+        rows = emp.execute("SELECT name FROM emp "
+                           "WHERE dept = 'eng' AND salary > 90 OR dept = 'hr'"
+                           ).fetchall()
         assert sorted(r[0] for r in rows) == ["amy", "eve"]
-        rows = emp.query("SELECT name FROM emp WHERE NOT dept = 'eng'")
+        rows = emp.execute(
+            "SELECT name FROM emp WHERE NOT dept = 'eng'").fetchall()
         assert len(rows) == 3
 
     def test_between_in_like(self, emp):
-        assert len(emp.query(
-            "SELECT * FROM emp WHERE salary BETWEEN 70 AND 90")) == 3
-        assert len(emp.query(
-            "SELECT * FROM emp WHERE dept IN ('eng', 'hr')")) == 3
-        assert len(emp.query(
-            "SELECT * FROM emp WHERE name LIKE '%e%'")) == 2
+        assert len(emp.execute(
+            "SELECT * FROM emp WHERE salary BETWEEN 70 AND 90"
+        ).fetchall()) == 3
+        assert len(emp.execute(
+            "SELECT * FROM emp WHERE dept IN ('eng', 'hr')").fetchall()) == 3
+        assert len(emp.execute(
+            "SELECT * FROM emp WHERE name LIKE '%e%'").fetchall()) == 2
 
     def test_expressions_in_select(self, emp):
-        rows = emp.query("SELECT name, salary * 2 FROM emp WHERE id = 1")
+        rows = emp.execute(
+            "SELECT name, salary * 2 FROM emp WHERE id = 1").fetchall()
         assert rows == [("amy", 200)]
 
     def test_functions(self, emp):
-        rows = emp.query("SELECT UPPER(name), LENGTH(dept) FROM emp "
-                         "WHERE id = 1")
+        rows = emp.execute("SELECT UPPER(name), LENGTH(dept) FROM emp "
+                           "WHERE id = 1").fetchall()
         assert rows == [("AMY", 3)]
 
     def test_order_by(self, emp):
-        rows = emp.query("SELECT name FROM emp ORDER BY salary DESC")
+        rows = emp.execute(
+            "SELECT name FROM emp ORDER BY salary DESC").fetchall()
         assert [r[0] for r in rows] == ["amy", "dee", "bob", "eve", "cid"]
 
     def test_order_by_multiple(self, emp):
-        rows = emp.query("SELECT name FROM emp ORDER BY dept, salary DESC")
+        rows = emp.execute(
+            "SELECT name FROM emp ORDER BY dept, salary DESC").fetchall()
         assert [r[0] for r in rows] == ["amy", "bob", "eve", "dee", "cid"]
 
     def test_distinct(self, emp):
-        rows = emp.query("SELECT DISTINCT dept FROM emp")
+        rows = emp.execute("SELECT DISTINCT dept FROM emp").fetchall()
         assert sorted(r[0] for r in rows) == ["eng", "hr", "sales"]
 
     def test_distinct_identifies_rows_as_group_by_does(self, db):
@@ -97,11 +104,13 @@ class TestSelectBasics:
             == ["1", "NULL", "[1, 2]", "2.5", "'1'"]
 
     def test_limit_offset(self, emp):
-        rows = emp.query("SELECT name FROM emp ORDER BY id LIMIT 2 OFFSET 1")
+        rows = emp.execute(
+            "SELECT name FROM emp ORDER BY id LIMIT 2 OFFSET 1").fetchall()
         assert [r[0] for r in rows] == ["bob", "cid"]
 
     def test_rowid_pseudocolumn(self, emp):
-        rows = emp.query("SELECT rowid, name FROM emp WHERE id = 1")
+        rows = emp.execute(
+            "SELECT rowid, name FROM emp WHERE id = 1").fetchall()
         from repro.storage.heap import RowId
         assert isinstance(rows[0][0], RowId)
 
@@ -115,21 +124,21 @@ class TestSelectBasics:
 
 class TestAggregates:
     def test_count_star(self, emp):
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(5,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(5,)]
 
     def test_sum_avg_min_max(self, emp):
-        rows = emp.query("SELECT SUM(salary), AVG(salary), MIN(salary),"
-                         " MAX(salary) FROM emp")
+        rows = emp.execute("SELECT SUM(salary), AVG(salary), MIN(salary),"
+                           " MAX(salary) FROM emp").fetchall()
         assert rows == [(400, 80, 60, 100)]
 
     def test_group_by(self, emp):
-        rows = emp.query("SELECT dept, COUNT(*), SUM(salary) FROM emp "
-                         "GROUP BY dept ORDER BY dept")
+        rows = emp.execute("SELECT dept, COUNT(*), SUM(salary) FROM emp "
+                           "GROUP BY dept ORDER BY dept").fetchall()
         assert rows == [("eng", 2, 180), ("hr", 1, 70), ("sales", 2, 150)]
 
     def test_having(self, emp):
-        rows = emp.query("SELECT dept FROM emp GROUP BY dept "
-                         "HAVING COUNT(*) > 1 ORDER BY dept")
+        rows = emp.execute("SELECT dept FROM emp GROUP BY dept "
+                           "HAVING COUNT(*) > 1 ORDER BY dept").fetchall()
         assert [r[0] for r in rows] == ["eng", "sales"]
 
     def test_having_aggregate_inside_between_and_in(self, emp):
@@ -144,18 +153,20 @@ class TestAggregates:
         ).fetchall() == [("hr",)]
 
     def test_count_distinct(self, emp):
-        assert emp.query("SELECT COUNT(DISTINCT dept) FROM emp") == [(3,)]
+        assert emp.execute(
+            "SELECT COUNT(DISTINCT dept) FROM emp").fetchall() == [(3,)]
 
     def test_aggregate_over_empty(self, db):
         db.execute("CREATE TABLE empty (x NUMBER)")
-        rows = db.query("SELECT COUNT(*), SUM(x) FROM empty")
+        rows = db.execute("SELECT COUNT(*), SUM(x) FROM empty").fetchall()
         assert rows[0][0] == 0
         assert is_null(rows[0][1])
 
     def test_aggregates_skip_nulls(self, db):
         db.execute("CREATE TABLE t (x NUMBER)")
         db.execute("INSERT INTO t VALUES (1), (NULL), (3)")
-        assert db.query("SELECT COUNT(x), AVG(x) FROM t") == [(2, 2)]
+        assert db.execute(
+            "SELECT COUNT(x), AVG(x) FROM t").fetchall() == [(2, 2)]
 
 
 class TestJoins:
@@ -167,32 +178,32 @@ class TestJoins:
         return emp
 
     def test_equi_join(self, join_db):
-        rows = join_db.query(
+        rows = join_db.execute(
             "SELECT e.name, d.floor FROM emp e, dept d "
-            "WHERE e.dept = d.dname AND e.id = 1")
+            "WHERE e.dept = d.dname AND e.id = 1").fetchall()
         assert rows == [("amy", 3)]
 
     def test_join_all_rows(self, join_db):
-        rows = join_db.query(
+        rows = join_db.execute(
             "SELECT e.name, d.floor FROM emp e, dept d "
-            "WHERE e.dept = d.dname")
+            "WHERE e.dept = d.dname").fetchall()
         assert len(rows) == 5
 
     def test_cartesian_with_filter(self, join_db):
-        rows = join_db.query(
+        rows = join_db.execute(
             "SELECT e.name, d.dname FROM emp e, dept d "
-            "WHERE e.salary > 90 AND d.floor = 1")
+            "WHERE e.salary > 90 AND d.floor = 1").fetchall()
         assert rows == [("amy", "sales")]
 
     def test_self_join(self, emp):
-        rows = emp.query(
+        rows = emp.execute(
             "SELECT a.name, b.name FROM emp a, emp b "
-            "WHERE a.dept = b.dept AND a.id < b.id")
+            "WHERE a.dept = b.dept AND a.id < b.id").fetchall()
         assert sorted(rows) == [("amy", "bob"), ("cid", "dee")]
 
     def test_ambiguous_column_raises(self, join_db):
         with pytest.raises(CatalogError):
-            join_db.query("SELECT name FROM emp e, emp f")
+            join_db.execute("SELECT name FROM emp e, emp f").fetchall()
 
 
 class TestDML:
@@ -208,7 +219,7 @@ class TestDML:
     def test_insert_with_column_list_defaults_null(self, db):
         db.execute("CREATE TABLE t (a NUMBER, b NUMBER)")
         db.execute("INSERT INTO t (b) VALUES (5)")
-        row = db.query("SELECT a, b FROM t")[0]
+        row = db.execute("SELECT a, b FROM t").fetchall()[0]
         assert is_null(row[0]) and row[1] == 5
 
     def test_insert_select(self, emp):
@@ -226,12 +237,13 @@ class TestDML:
         cursor = emp.execute("UPDATE emp SET salary = salary + 10 "
                              "WHERE dept = 'eng'")
         assert cursor.rowcount == 2
-        assert emp.query("SELECT salary FROM emp WHERE id = 1") == [(110,)]
+        assert emp.execute(
+            "SELECT salary FROM emp WHERE id = 1").fetchall() == [(110,)]
 
     def test_delete(self, emp):
         cursor = emp.execute("DELETE FROM emp WHERE dept = 'sales'")
         assert cursor.rowcount == 2
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(3,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(3,)]
 
     def test_not_null_enforced(self, db):
         db.execute("CREATE TABLE t (a NUMBER NOT NULL)")
@@ -255,18 +267,18 @@ class TestDDL:
         db.execute("CREATE TABLE t (a NUMBER)")
         db.execute("DROP TABLE t")
         with pytest.raises(CatalogError):
-            db.query("SELECT * FROM t")
+            db.execute("SELECT * FROM t").fetchall()
 
     def test_truncate(self, emp):
         emp.execute("TRUNCATE TABLE emp")
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(0,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(0,)]
 
     def test_iot_table(self, db):
         db.execute("CREATE TABLE iot (k INTEGER PRIMARY KEY, v VARCHAR2(10))"
                    " ORGANIZATION INDEX")
         for key in (5, 1, 3):
             db.execute("INSERT INTO iot VALUES (:1, 'v')", [key])
-        rows = db.query("SELECT k FROM iot")
+        rows = db.execute("SELECT k FROM iot").fetchall()
         assert [r[0] for r in rows] == [1, 3, 5]  # key order
 
     def test_iot_requires_pk(self, db):
@@ -293,21 +305,23 @@ class TestTransactionsSQL:
         emp.execute("UPDATE emp SET salary = 0 WHERE id = 1")
         emp.execute("DELETE FROM emp WHERE id = 2")
         emp.rollback()
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(5,)]
-        assert emp.query("SELECT salary FROM emp WHERE id = 1") == [(100,)]
-        assert emp.query("SELECT name FROM emp WHERE id = 2") == [("bob",)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(5,)]
+        assert emp.execute(
+            "SELECT salary FROM emp WHERE id = 1").fetchall() == [(100,)]
+        assert emp.execute(
+            "SELECT name FROM emp WHERE id = 2").fetchall() == [("bob",)]
 
     def test_commit_persists(self, emp):
         emp.begin()
         emp.execute("DELETE FROM emp WHERE id = 5")
         emp.commit()
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(4,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(4,)]
 
     def test_sql_level_txn_statements(self, emp):
         emp.execute("BEGIN TRANSACTION")
         emp.execute("DELETE FROM emp")
         emp.execute("ROLLBACK")
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(5,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(5,)]
 
     def test_savepoint_sql(self, emp):
         emp.execute("BEGIN TRANSACTION")
@@ -315,48 +329,52 @@ class TestTransactionsSQL:
         emp.execute("SAVEPOINT sp")
         emp.execute("DELETE FROM emp WHERE id = 2")
         emp.execute("ROLLBACK TO SAVEPOINT sp")
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(4,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(4,)]
         emp.execute("ROLLBACK")
-        assert emp.query("SELECT COUNT(*) FROM emp") == [(5,)]
+        assert emp.execute("SELECT COUNT(*) FROM emp").fetchall() == [(5,)]
 
     def test_rollback_restores_native_index(self, emp):
         emp.execute("CREATE INDEX emp_sal ON emp(salary)")
         emp.begin()
         emp.execute("UPDATE emp SET salary = 999 WHERE id = 1")
         emp.rollback()
-        rows = emp.query("SELECT name FROM emp WHERE salary = 100")
+        rows = emp.execute(
+            "SELECT name FROM emp WHERE salary = 100").fetchall()
         assert rows == [("amy",)]
-        assert emp.query("SELECT name FROM emp WHERE salary = 999") == []
+        assert emp.execute(
+            "SELECT name FROM emp WHERE salary = 999").fetchall() == []
 
     def test_autocommit_failure_rolls_back_statement(self, db):
         db.execute("CREATE TABLE t (a NUMBER NOT NULL)")
         with pytest.raises(ConstraintError):
             db.execute("INSERT INTO t VALUES (1), (NULL)")
         # the whole statement rolled back, including the first row
-        assert db.query("SELECT COUNT(*) FROM t") == [(0,)]
+        assert db.execute("SELECT COUNT(*) FROM t").fetchall() == [(0,)]
 
 
 class TestBinds:
     def test_positional(self, emp):
-        rows = emp.query("SELECT name FROM emp WHERE id = :1", [3])
+        rows = emp.execute(
+            "SELECT name FROM emp WHERE id = :1", [3]).fetchall()
         assert rows == [("cid",)]
 
     def test_named(self, emp):
-        rows = emp.query("SELECT name FROM emp WHERE dept = :d AND id > :n",
-                         {"d": "sales", "n": 3})
+        rows = emp.execute("SELECT name FROM emp WHERE dept = :d AND id > :n",
+                           {"d": "sales", "n": 3}).fetchall()
         assert rows == [("dee",)]
 
     def test_missing_bind_raises(self, emp):
         with pytest.raises(ExecutionError):
-            emp.query("SELECT * FROM emp WHERE id = :1")
+            emp.execute("SELECT * FROM emp WHERE id = :1").fetchall()
 
     def test_bind_arbitrary_object(self, db):
         db.execute("CREATE TABLE t (rid ROWID)")
         db.execute("CREATE TABLE src (x NUMBER)")
         db.execute("INSERT INTO src VALUES (1)")
-        rid = db.query("SELECT rowid FROM src")[0][0]
+        rid = db.execute("SELECT rowid FROM src").fetchall()[0][0]
         db.execute("INSERT INTO t VALUES (:1)", [rid])
-        assert db.query("SELECT rid FROM t WHERE rid = :1", [rid]) == [(rid,)]
+        assert db.execute(
+            "SELECT rid FROM t WHERE rid = :1", [rid]).fetchall() == [(rid,)]
 
 
 class TestVarrayColumns:
@@ -366,8 +384,9 @@ class TestVarrayColumns:
         db.execute("INSERT INTO people VALUES ('amy',"
                    " varray('Skiing', 'Chess'))")
         db.execute("INSERT INTO people VALUES ('bob', varray('Go'))")
-        rows = db.query("SELECT name FROM people WHERE :1 = 1",
-                        [1])
+        rows = db.execute("SELECT name FROM people WHERE :1 = 1",
+                          [1]).fetchall()
         assert len(rows) == 2
-        value = db.query("SELECT hobbies FROM people WHERE name = 'amy'")
+        value = db.execute(
+            "SELECT hobbies FROM people WHERE name = 'amy'").fetchall()
         assert value[0][0] == ("Skiing", "Chess")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 from repro.errors import CatalogError, ExecutionError
 from repro.sql.expressions import (
     AggregateCall, Binder, Evaluator, OperatorCall, RowContext, Scope)
@@ -177,9 +176,11 @@ class TestBuiltins:
     def test_builtin(self, db, expr, expected):
         db.execute("CREATE TABLE dual (x NUMBER)")
         db.execute("INSERT INTO dual VALUES (1)")
-        assert db.query(f"SELECT {expr} FROM dual")[0][0] == expected
+        assert db.execute(
+            f"SELECT {expr} FROM dual").fetchall()[0][0] == expected
 
     def test_null_safety(self, db):
         db.execute("CREATE TABLE dual (x NUMBER)")
         db.execute("INSERT INTO dual VALUES (NULL)")
-        assert is_null(db.query("SELECT UPPER(x) FROM dual")[0][0])
+        assert is_null(db.execute(
+            "SELECT UPPER(x) FROM dual").fetchall()[0][0])

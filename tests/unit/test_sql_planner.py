@@ -86,7 +86,7 @@ class TestAccessPathChoice:
         big.execute("CREATE INDEX big_id ON big(id)")
         plan = big.explain("SELECT * FROM big WHERE id > 390")
         assert any("INDEX RANGE SCAN" in line for line in plan)
-        rows = big.query("SELECT id FROM big WHERE id > 390")
+        rows = big.execute("SELECT id FROM big WHERE id > 390").fetchall()
         assert len(rows) == 9
 
     def test_hash_index_eq_only(self, big):
@@ -102,7 +102,8 @@ class TestAccessPathChoice:
         big.execute("CREATE BITMAP INDEX big_grp ON big(grp)")
         plan = big.explain("SELECT * FROM big WHERE grp = 'g1'")
         assert any("BITMAP INDEX SCAN" in line for line in plan)
-        rows = big.query("SELECT COUNT(*) FROM big WHERE grp = 'g1'")
+        rows = big.execute(
+            "SELECT COUNT(*) FROM big WHERE grp = 'g1'").fetchall()
         assert rows == [(100,)]
 
     def test_unselective_eq_prefers_full_scan(self, big):
@@ -114,7 +115,8 @@ class TestAccessPathChoice:
 
     def test_residual_filter_applied(self, big):
         big.execute("CREATE INDEX big_id ON big(id)")
-        rows = big.query("SELECT id FROM big WHERE id > 395 AND grp = 'g1'")
+        rows = big.execute(
+            "SELECT id FROM big WHERE id > 395 AND grp = 'g1'").fetchall()
         assert all(r[0] % 4 == 1 for r in rows)
 
     def test_analyze_updates_stats(self, big):
@@ -274,8 +276,9 @@ class TestJoinPlanning:
         plan = joined.explain(
             "SELECT b.id, s.label FROM big b, small s WHERE b.grp = s.grp")
         assert any("HASH JOIN" in line for line in plan)
-        rows = joined.query(
-            "SELECT b.id, s.label FROM big b, small s WHERE b.grp = s.grp")
+        rows = joined.execute(
+            "SELECT b.id, s.label FROM big b, small s WHERE b.grp = s.grp"
+        ).fetchall()
         assert len(rows) == 400
 
     def test_indexed_nl_join_when_inner_indexed(self, joined):
@@ -284,16 +287,17 @@ class TestJoinPlanning:
         plan = joined.explain(
             "SELECT s.label, b.id FROM small s, big b WHERE b.grp = s.grp")
         assert any("INDEXED NL JOIN" in line for line in plan)
-        rows = joined.query(
-            "SELECT s.label, b.id FROM small s, big b WHERE b.grp = s.grp")
+        rows = joined.execute(
+            "SELECT s.label, b.id FROM small s, big b WHERE b.grp = s.grp"
+        ).fetchall()
         assert len(rows) == 400
 
     def test_nested_loop_for_non_equi(self, joined):
         plan = joined.explain(
             "SELECT s.label FROM small s, big b WHERE b.id < 2")
         assert any("NESTED LOOP JOIN" in line for line in plan)
-        rows = joined.query(
-            "SELECT s.label FROM small s, big b WHERE b.id < 2")
+        rows = joined.execute(
+            "SELECT s.label FROM small s, big b WHERE b.id < 2").fetchall()
         assert len(rows) == 8  # 4 labels x 2 rows
 
     def test_equijoin_extraction(self, joined):
@@ -341,7 +345,7 @@ class TestOperatorPredExtraction:
 
 class TestExplainShape:
     def test_explain_statement_returns_rows(self, big):
-        rows = big.query("EXPLAIN SELECT * FROM big WHERE id = 1")
+        rows = big.execute("EXPLAIN SELECT * FROM big WHERE id = 1").fetchall()
         assert all(isinstance(r[0], str) for r in rows)
 
     def test_costs_and_rows_annotated(self, big):
@@ -610,3 +614,21 @@ class TestPlannerStaysATable:
         for path in pathlib.Path(repro.sql.__file__).parent.glob("*.py"):
             if path.name != "planner.py":
                 assert not spelled.search(path.read_text("utf-8")), path.name
+
+
+class TestOneWayIn:
+    """An application reaches the engine through ``Engine.connect()`` or
+    ``dbapi.connect()``; ``query``/``query_one`` are the cartridge's
+    callback API only."""
+
+    def test_no_facade_and_no_session_fetch_shortcuts(self):
+        import repro
+        import repro.sql
+        from repro.core.callbacks import CallbackSession
+        from repro.sql.session import Session
+        assert not hasattr(repro, "Database")
+        assert not hasattr(repro.sql, "Database")
+        assert not hasattr(Session, "query")
+        assert not hasattr(Session, "query_one")
+        assert callable(CallbackSession.query)
+        assert callable(CallbackSession.query_one)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Database
 from repro.errors import StorageError
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import HeapTable
@@ -196,15 +195,16 @@ class TestTextIncrementalPath:
         return text_db
 
     def test_limit_single_term_streams(self, docs):
-        rows = docs.query(
-            "SELECT id FROM docs WHERE Contains(body, 'apple') LIMIT 2")
+        rows = docs.execute(
+            "SELECT id FROM docs WHERE Contains(body, 'apple') LIMIT 2"
+        ).fetchall()
         assert len(rows) == 2
 
     def test_batch_boundary_exact_multiple(self, docs):
         docs.fetch_batch_size = 10  # 50 results = exactly 5 batches
         try:
-            rows = docs.query(
-                "SELECT id FROM docs WHERE Contains(body, 'apple')")
+            rows = docs.execute(
+                "SELECT id FROM docs WHERE Contains(body, 'apple')").fetchall()
         finally:
             docs.fetch_batch_size = 32
         assert len(rows) == 50
@@ -212,15 +212,16 @@ class TestTextIncrementalPath:
     def test_batch_size_one(self, docs):
         docs.fetch_batch_size = 1
         try:
-            rows = docs.query(
-                "SELECT COUNT(*) FROM docs WHERE Contains(body, 'apple')")
+            rows = docs.execute(
+                "SELECT COUNT(*) FROM docs WHERE Contains(body, 'apple')"
+            ).fetchall()
         finally:
             docs.fetch_batch_size = 32
         assert rows == [(50,)]
 
     def test_no_workspace_leak_after_limit(self, docs):
-        docs.query("SELECT id FROM docs WHERE Contains(body, 'apple')"
-                   " LIMIT 1")
+        docs.execute("SELECT id FROM docs WHERE Contains(body, 'apple')"
+                     " LIMIT 1").fetchall()
         # precompute-all scans must be closed and freed even when the
         # consumer stops early
         assert docs.workspace.live_handles == 0

@@ -80,10 +80,10 @@ class TestSpatialScanCounters:
                            " INDEXTYPE IS SpatialIndexType")
         window = make_rect(gt, 0, 0, 1000, 1000)
         spatial_db.stats.extra.clear()
-        rows = spatial_db.query(
+        rows = spatial_db.execute(
             "SELECT gid FROM geo WHERE "
             "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT') LIMIT 3",
-            [window])
+            [window]).fetchall()
         assert len(rows) == 3
         extra = spatial_db.stats.extra
         assert extra["spatial_exact_tests"] \

@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro import Database
 from repro.errors import ExecutionError
 from repro.sql.columnar import ColumnBatch, ExecutorStats
 from repro.sql.engine import Engine
@@ -212,7 +211,7 @@ class TestTwoWayDifferential:
     def data(self):
         """One dataset, NULL-heavy so validity handling is exercised on
         every query."""
-        return _populate(Database(), n=400, seed=23)
+        return _populate(Engine().connect(), n=400, seed=23)
 
     @pytest.mark.parametrize("sql,binds", TWO_WAY_QUERIES)
     def test_rows_agree(self, data, sql, binds):
@@ -283,7 +282,7 @@ FOLD_QUERIES = [
 class TestGroupedFoldTwoWay:
     @pytest.fixture(scope="class")
     def data(self):
-        db = Database()
+        db = Engine().connect()
         db.execute("CREATE TABLE f (id INTEGER, k ANYDATA, g INTEGER,"
                    " x NUMBER, s VARCHAR2(8))")
         db.executemany("INSERT INTO f VALUES (:1, :2, :3, :4, :5)",
@@ -603,7 +602,7 @@ INDEXED_TWO_WAY_QUERIES = [
 class TestIndexDrivenTwoWay:
     @pytest.fixture(scope="class")
     def data(self):
-        return _populate_indexed(Database())
+        return _populate_indexed(Engine().connect())
 
     @pytest.mark.parametrize("sql,binds", INDEXED_TWO_WAY_QUERIES)
     def test_rows_and_order_agree(self, data, sql, binds):
