@@ -53,16 +53,21 @@ def test_f1_plain_query_baseline(benchmark, workload):
 def test_f1_report(benchmark, workload, fresh_result_file):
     db, corpus = workload
     word = corpus.common_word(0)
+    # text no other test runs: the traced run is a hard parse whatever
+    # ran before it, so the optimizer's ODCIStats calls are in the trace
+    sql = f"SELECT id AS figure_1 FROM docs WHERE Contains(body, '{word}')"
 
     def capture():
         db.enable_tracing()
-        db.execute(
-            f"SELECT id FROM docs WHERE Contains(body, '{word}')").fetchall()
+        before = db.plan_cache.stats.snapshot()
+        db.execute(sql).fetchall()
+        cache = db.plan_cache.stats.diff(before)
         trace = list(db.trace_log)
         db.disable_tracing()
-        return trace
+        return trace, cache
 
-    trace = benchmark.pedantic(capture, iterations=1, rounds=1)
+    trace, cache = benchmark.pedantic(capture, iterations=1, rounds=1)
+    assert cache["misses"] >= 1
 
     table = ReportTable(
         "F1 — Figure 1 as a call trace (client -> ORDBMS -> cartridge)",
@@ -89,3 +94,9 @@ def test_f1_report(benchmark, workload, fresh_result_file):
     assert exec_calls[0].startswith("exec:ODCIIndexStart")
     assert exec_calls[-1] == "exec:ODCIIndexClose()"
     assert trace.index(stats_calls[0]) < trace.index(exec_calls[0])
+
+    # the same text again is a plan-cache HIT: no optimizer, no ODCIStats
+    rerun, cache = capture()
+    assert cache["hits"] >= 1 and cache["misses"] == 0
+    assert not any("ODCIStats" in e for e in rerun)
+    assert any(e.startswith("exec:ODCIIndexStart") for e in rerun)

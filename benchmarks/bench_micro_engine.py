@@ -12,7 +12,7 @@ import pytest
 
 from repro import Engine
 from repro.bench.harness import ReportTable
-from repro.index import BitmapIndex, BTree, HashIndex
+from repro.index import BTree
 
 REPORT_FILE = "micro_plan_cache.txt"
 N = 5000
@@ -27,7 +27,7 @@ def loaded_db():
     db.insert_rows("t", [[i, f"g{i % 16}", rng.random()]
                          for i in range(N)])
     db.execute("CREATE INDEX t_id ON t(id)")
-    db.execute("CREATE BITMAP INDEX t_grp ON t(grp)")
+    db.execute("CREATE INDEX t_grp ON t(grp)")
     db.execute("ANALYZE TABLE t COMPUTE STATISTICS")
     return db
 
@@ -51,22 +51,6 @@ def test_micro_btree_point_lookup(benchmark):
     for key in range(N):
         tree.insert(key, key)
     benchmark(lambda: [tree.search(k) for k in range(0, N, 97)])
-
-
-def test_micro_hash_point_lookup(benchmark):
-    index = HashIndex()
-    for key in range(N):
-        index.insert(key, key)
-    benchmark(lambda: [index.search(k) for k in range(0, N, 97)])
-
-
-def test_micro_bitmap_or(benchmark):
-    index = BitmapIndex()
-    for key in range(N):
-        index.insert(f"g{key % 16}", key)
-    rows = benchmark(lambda: index.search_any_of(["g1", "g5", "g9"]))
-    expected = sum(1 for key in range(N) if key % 16 in (1, 5, 9))
-    assert len(rows) == expected
 
 
 def test_micro_full_scan_sql(benchmark, loaded_db):

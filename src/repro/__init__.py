@@ -4,7 +4,7 @@ Integrating Domain-Specific Indexing Schemes into Oracle8i" (ICDE 2000).
 The package provides:
 
 * a from-scratch relational engine (:class:`repro.Engine`) with SQL,
-  heap/index-organized storage, LOBs, native B-tree/hash/bitmap indexes,
+  heap/index-organized storage, LOBs, native B-tree indexes,
   transactions, and a cost-based optimizer;
 * the paper's extensible indexing framework (:mod:`repro.core`) —
   user-defined operators, indextypes, domain indexes driven through the

@@ -1,11 +1,9 @@
-"""Native index implementations: B+-tree, hash, and bitmap indexes.
+"""The native index: a B+-tree.
 
-These are the built-in access methods the paper contrasts domain indexes
+This is the built-in access method the paper contrasts domain indexes
 against ("analogous to those built natively by the database system").
 """
 
 from repro.index.btree import BTree
-from repro.index.hashindex import HashIndex
-from repro.index.bitmap import BitmapIndex
 
-__all__ = ["BTree", "HashIndex", "BitmapIndex"]
+__all__ = ["BTree"]

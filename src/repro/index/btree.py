@@ -325,13 +325,15 @@ class BTree:
     # -- internals ----------------------------------------------------------
 
     def _leaf_for(self, key: Any) -> _Node:
-        """The leaf ``key`` belongs in (None: the first leaf)."""
+        """The leaf ``key`` belongs in (None: the first leaf).  The
+        descent charges its levels to the counter in one call."""
         node = self._root
-        self._visit()
+        levels = 1
         while not node.leaf:
             node = node.children[
                 0 if key is None else bisect.bisect_right(node.keys, key)]
-            self._visit()
+            levels += 1
+        self._visit(levels)
         return node
 
     def _insert(self, node: _Node, key: Any,

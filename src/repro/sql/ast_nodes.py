@@ -237,7 +237,7 @@ class CreateIndex(Statement):
     table: str
     columns: List[str]
     unique: bool = False
-    kind: str = "btree"  # btree | bitmap | hash | domain
+    kind: str = "btree"  # btree | domain
     indextype: Optional[str] = None
     parameters: Optional[str] = None
 

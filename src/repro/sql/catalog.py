@@ -18,11 +18,12 @@ from repro.core.odci import IndexMethods
 from repro.core.operators import Operator
 from repro.core.stats import StatsMethods
 from repro.errors import CatalogError
-from repro.index import BitmapIndex, BTree, HashIndex
+from repro.index import BTree
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
 from repro.types.datatypes import DataType
 from repro.types.objects import ObjectType
+from repro.types.values import is_null
 
 
 @dataclass
@@ -97,19 +98,43 @@ class TableDef:
         return self.storage.row_count
 
 
-NativeStructure = Union[BTree, HashIndex, BitmapIndex]
+def index_key(row: List[Any], positions: List[int]) -> Any:
+    """The native-index key for ``row`` restricted to ``positions``.
+
+    Returns None for rows with any NULL key column (NULL keys are not
+    indexed, Oracle semantics); a bare value for single-column keys.
+    """
+    values = [row[p] for p in positions]
+    if any(is_null(v) for v in values):
+        return None
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+def native_structure(name: str, kind: str, unique: bool,
+                     stats: Any) -> BTree:
+    """The empty structure behind native index ``name``: a B-tree whose
+    node visits count as ``stats.logical_reads``.  ``"btree"`` is the
+    one native kind; any other raises :class:`CatalogError`."""
+    if kind != "btree":
+        raise CatalogError(
+            f"index {name} has unknown native index kind {kind!r}")
+
+    def touch(nodes: int) -> None:
+        stats.logical_reads += nodes
+    return BTree(unique=unique, touch=touch)
 
 
 @dataclass
 class IndexDef:
-    """Catalog record of an index — native (btree/hash/bitmap) or domain."""
+    """Catalog record of an index — a native B-tree (``kind="btree"``)
+    or a domain index (``kind="domain"``)."""
 
     name: str
     table_name: str
     column_names: Tuple[str, ...]
-    kind: str  # "btree" | "hash" | "bitmap" | "domain"
+    kind: str
     unique: bool = False
-    structure: Optional[NativeStructure] = None
+    structure: Optional[BTree] = None
     domain: Optional[DomainIndex] = None
 
     @property
@@ -119,6 +144,17 @@ class IndexDef:
     @property
     def is_domain(self) -> bool:
         return self.kind == "domain"
+
+    def build_native(self, table: TableDef) -> None:
+        """Bulk-load the native structure from ``table``'s current rows,
+        replacing what it held."""
+        positions = [table.column_position(c) for c in self.column_names]
+        pairs = []
+        for rowid, row in table.storage.scan():
+            key = index_key(row, positions)
+            if key is not None:
+                pairs.append((key, rowid))
+        self.structure.bulk_load(pairs)
 
 
 @dataclass

@@ -22,12 +22,11 @@ from repro.core.domain_index import DomainIndex, IndexState
 from repro.core.indextype import Indextype, SupportedOperator
 from repro.core.operators import Operator, OperatorBinding
 from repro.errors import CallbackError, CatalogError, DatabaseError
-from repro.index import BitmapIndex, BTree, HashIndex
 from repro.sql import ast_nodes as ast
 from repro.sql.catalog import (
-    ColumnInfo, ColumnStats, IndexDef, TableDef, TableStats)
+    ColumnInfo, ColumnStats, IndexDef, TableDef, TableStats,
+    native_structure)
 from repro.sql.cursor import Cursor
-from repro.sql.dml import index_key
 from repro.sql.expressions import Binder, Scope
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
@@ -214,40 +213,14 @@ class DDLEngine:
     def _create_native_index(self, stmt: ast.CreateIndex, table: TableDef,
                              columns: Tuple[str, ...]) -> Cursor:
         db = self.db
-        touch = lambda n: setattr(  # noqa: E731 - tiny counter hook
-            db.stats, "logical_reads", db.stats.logical_reads + n)
-        if stmt.kind == "btree":
-            structure: Any = BTree(unique=stmt.unique, touch=touch)
-        elif stmt.kind == "hash":
-            structure = HashIndex(unique=stmt.unique, touch=touch)
-        elif stmt.kind == "bitmap":
-            structure = BitmapIndex(touch=touch)
-        else:
-            raise CatalogError(f"unknown index kind {stmt.kind!r}")
         index = IndexDef(name=stmt.name, table_name=table.name,
                          column_names=columns, kind=stmt.kind,
-                         unique=stmt.unique, structure=structure)
-        positions = [table.column_position(c) for c in columns]
-        self._populate_native(table, structure, positions)
+                         unique=stmt.unique, structure=native_structure(
+                             stmt.name, stmt.kind, stmt.unique, db.stats))
+        index.build_native(table)
         db.catalog.add_index(index)
         self._checkpoint_barrier()
         return Cursor(rowcount=0)
-
-    def _populate_native(self, table: TableDef, structure: Any,
-                         positions: List[int]) -> None:
-        """Load a native index structure from the table's current rows:
-        a sorted bulk build when the structure has one (B-trees),
-        per-row insertion otherwise (hash, bitmap)."""
-        pairs = []
-        for rowid, row in table.storage.scan():
-            key = index_key(row, positions)
-            if key is not None:
-                pairs.append((key, rowid))
-        if hasattr(structure, "bulk_load"):
-            structure.bulk_load(pairs)
-            return
-        for key, rowid in pairs:
-            structure.insert(key, rowid)
 
     def _create_domain_index(self, stmt: ast.CreateIndex, table: TableDef,
                              columns: Tuple[str, ...]) -> Cursor:
@@ -320,11 +293,7 @@ class DDLEngine:
                 f"index {index.name} is not a domain index; "
                 "UNUSABLE applies to domain indexes only")
         if stmt.rebuild:
-            table = db.catalog.get_table(index.table_name)
-            index.structure.clear()
-            positions = [table.column_position(c)
-                         for c in index.column_names]
-            self._populate_native(table, index.structure, positions)
+            index.build_native(db.catalog.get_table(index.table_name))
             db.catalog.bump_version()
             self._checkpoint_barrier()
             return Cursor(rowcount=0)

@@ -43,25 +43,13 @@ from repro.errors import (
     TransactionError)
 from repro.sql import ast_nodes as ast
 from repro.sql import planner as pl
-from repro.sql.catalog import TableDef
+from repro.sql.catalog import TableDef, index_key
 from repro.sql.cursor import Cursor
 from repro.sql.executor import Executor
 from repro.sql.expressions import Binder, Evaluator, RowContext, Scope
 from repro.storage.heap import RowId
 from repro.txn.locks import LockMode
 from repro.types.values import NULL, is_null
-
-
-def index_key(row: List[Any], positions: List[int]) -> Any:
-    """The native-index key for ``row`` restricted to ``positions``.
-
-    Returns None for rows with any NULL key column (NULL keys are not
-    indexed, Oracle semantics); a bare value for single-column keys.
-    """
-    values = [row[p] for p in positions]
-    if any(is_null(v) for v in values):
-        return None
-    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _structure_insert(structure, key, rowid) -> None:
@@ -434,10 +422,10 @@ class DMLEngine:
         """The bulk-append plan for loading ``table``, or None.
 
         Bulk loading applies to empty storage whose indexes are all
-        empty bulk-loadable native structures — the shape of a freshly
-        created index data table (text IOT, spatial tiles, VIR coarse
-        table) being populated by ``ODCIIndexCreate``/REBUILD.  Domain
-        indexes and populated tables take the per-row route.
+        empty native B-trees — the shape of a freshly created index data
+        table (text IOT, spatial tiles, VIR coarse table) being populated
+        by ``ODCIIndexCreate``/REBUILD.  Domain indexes and populated
+        tables take the per-row route.
         """
         db = self.db
         if n_rows < 2:
@@ -453,9 +441,7 @@ class DMLEngine:
         native = []
         for index in db.catalog.indexes_on(table.name):
             structure = index.structure
-            if (index.is_domain or structure is None
-                    or not hasattr(structure, "bulk_load")
-                    or structure.entry_count != 0):
+            if index.is_domain or structure.entry_count != 0:
                 return None
             positions = [table.column_position(c)
                          for c in index.column_names]

@@ -30,8 +30,8 @@ re-enters ``index_fetch`` batch by batch until the cartridge reports the
 null-terminator, fetches the streamed rowids from the base table, and
 finally calls ``index_close``.
 
-Every index-driven row source — B-tree/hash/bitmap scans, the inner
-sides of the index joins, ODCI-returned rowids — fetches its rowids
+Every index-driven row source — B-tree scans, the inner sides of the
+index joins, ODCI-returned rowids — fetches its rowids
 through one :class:`_RowidSource`: a batch at a time, one buffer get
 per distinct heap page, the residual filter as a vector kernel over the
 fetched batch when the plan has one, row contexts for survivors only.
@@ -600,34 +600,25 @@ class Executor:
 
     # -- native index scans ----------------------------------------------------
 
-    def _probe_rowids(self, node: pl.PlanNode) -> Iterable[Any]:
-        """The rowids a native index scan's probe returns, in index
-        order.  A NULL key or bound compares unknown to every entry:
-        the probe is empty."""
+    def _probe_rowids(self, node: pl.BTreeScan) -> Iterable[Any]:
+        """The rowids a B-tree scan's probe returns, in index order.  A
+        NULL key or bound compares unknown to every entry: the probe is
+        empty."""
         structure = node.index.structure
-        if isinstance(node, pl.BTreeScan):
-            low = self._const(node.low)
-            if node.low is node.high and node.low is not None:
-                # equality sarg: one descent, no leaf walk
-                if is_null(low):
-                    return ()
-                return self._probe(structure, lambda: structure.search(low))
-            high = self._const(node.high)
-            if (node.low is not None and is_null(low)) \
-                    or (node.high is not None and is_null(high)):
+        low = self._const(node.low)
+        if node.low is node.high and node.low is not None:
+            # equality sarg: one descent, no leaf walk
+            if is_null(low):
                 return ()
-            return map(itemgetter(1), self._probe(
-                structure,
-                lambda: structure.range_scan(low, high, node.low_inclusive,
-                                             node.high_inclusive)))
-        if isinstance(node, pl.HashScan):
-            key = self._const(node.key)
-            if is_null(key):
-                return ()
-            return self._probe(structure, lambda: structure.search(key))
-        keys = [key for key in map(self._const, node.keys)
-                if not is_null(key)]
-        return self._probe(structure, lambda: structure.search_any_of(keys))
+            return self._probe(structure, lambda: structure.search(low))
+        high = self._const(node.high)
+        if (node.low is not None and is_null(low)) \
+                or (node.high is not None and is_null(high)):
+            return ()
+        return map(itemgetter(1), self._probe(
+            structure,
+            lambda: structure.range_scan(low, high, node.low_inclusive,
+                                         node.high_inclusive)))
 
     def _scan_source(self, node: pl.PlanNode, columnar: bool
                      ) -> Optional["_RowidSource"]:

@@ -233,13 +233,12 @@ class Parser:
         if self._accept_keyword("TYPE"):
             return self._create_type()
         unique = bool(self._accept_keyword("UNIQUE"))
-        kind = "btree"
         tok = self._peek()
         if tok.kind is TokenKind.IDENT and tok.text.upper() in ("BITMAP", "HASH"):
-            kind = tok.text.lower()
-            self._next()
+            raise self._error(f"{tok.text.upper()} indexes are not supported;"
+                              " use CREATE INDEX for a B-tree index", tok)
         self._expect_keyword("INDEX")
-        return self._create_index(unique=unique, kind=kind)
+        return self._create_index(unique=unique)
 
     def _create_table(self) -> ast.CreateTable:
         name = self._ident("table name")
@@ -326,7 +325,7 @@ class Parser:
             return tok.value
         raise self._error("expected integer literal")
 
-    def _create_index(self, unique: bool, kind: str) -> ast.CreateIndex:
+    def _create_index(self, unique: bool) -> ast.CreateIndex:
         name = self._ident("index name")
         self._expect_keyword("ON")
         table = self._ident("table name")
@@ -340,7 +339,6 @@ class Parser:
         if self._accept_keyword("INDEXTYPE"):
             self._expect_keyword("IS")
             indextype = ".".join(self._dotted_name())
-            kind = "domain"
         if self._accept_keyword("PARAMETERS"):
             self._expect_punct("(")
             tok = self._next()
@@ -349,7 +347,8 @@ class Parser:
             parameters = tok.value
             self._expect_punct(")")
         return ast.CreateIndex(name=name, table=table, columns=columns,
-                               unique=unique, kind=kind, indextype=indextype,
+                               unique=unique, indextype=indextype,
+                               kind="domain" if indextype else "btree",
                                parameters=parameters)
 
     def _create_operator(self) -> ast.CreateOperator:

@@ -140,32 +140,6 @@ class BTreeScan(PlanNode):
 
 
 @dataclass
-class HashScan(PlanNode):
-    table: TableDef
-    binding_name: str
-    index: IndexDef
-    key: ast.Expr = None  # type: ignore[assignment]
-    filter: Optional[ast.Expr] = None
-
-    def label(self) -> str:
-        return (f"HASH INDEX SCAN {self.index.name} -> "
-                f"{self.table.name} [{self.binding_name}]")
-
-
-@dataclass
-class BitmapScan(PlanNode):
-    table: TableDef
-    binding_name: str
-    index: IndexDef
-    keys: List[ast.Expr] = field(default_factory=list)
-    filter: Optional[ast.Expr] = None
-
-    def label(self) -> str:
-        return (f"BITMAP INDEX SCAN {self.index.name} -> "
-                f"{self.table.name} [{self.binding_name}]")
-
-
-@dataclass
 class IOTPrefixScan(PlanNode):
     """Key-prefix scan of an index-organized table (its native path):
     ``key`` holds equality values for the leading primary-key columns,
@@ -566,11 +540,6 @@ ACCESS_PATHS: Dict[str, AccessPath] = {
     "btree": AccessPath(BTreeScan, _range_args,
                         ("eq", "low", "high", "low+high"),
                         BTREE_DESCENT, FETCH_COST, join_probe=True),
-    "hash": AccessPath(HashScan, lambda used: {"key": used[0].value_expr},
-                       ("eq",), 1.0, FETCH_COST, join_probe=True),
-    "bitmap": AccessPath(BitmapScan,
-                         lambda used: {"keys": [used[0].value_expr]},
-                         ("eq",), 1.0, FETCH_COST),
     "iot": AccessPath(IOTPrefixScan, lambda used: {
         "key": [s.value_expr for s in used if s.op == "="],
         "bounds": [s for s in used if s.op != "="]},

@@ -506,7 +506,7 @@ class Session:
         """Direct-path load of cartridge-built rows (no row validation).
 
         Falls back to :meth:`insert_rows` unless the table is empty with
-        only empty bulk-loadable native indexes — the shape of an index
+        only empty native B-trees — the shape of an index
         data table being populated by ``ODCIIndexCreate``/REBUILD.  An
         index-organized table may be loaded as two aligned columns:
         ``rows`` its key tuples and ``payloads`` its payload tuples.

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.domain_index import DomainIndex, IndexState
-from repro.index import BitmapIndex, BTree, HashIndex
 from repro.metrics import Metrics
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
@@ -218,7 +217,8 @@ def _restore_catalog(engine: Any, snapshot: Optional[Dict[str, Any]],
     """
     if snapshot is None:
         return
-    from repro.sql.catalog import ColumnInfo, IndexDef, TableDef
+    from repro.sql.catalog import (ColumnInfo, IndexDef, TableDef,
+                                   native_structure)
     catalog = engine.catalog
     with catalog.latch:
         for desc in snapshot["tables"]:
@@ -254,15 +254,8 @@ def _restore_catalog(engine: Any, snapshot: Optional[Dict[str, Any]],
                     parameters=d["parameters"], methods=None,
                     state=IndexState(d["state"]), owner=d["owner"])
             else:
-                touch = lambda n: setattr(  # noqa: E731 - counter hook
-                    engine.stats, "logical_reads",
-                    engine.stats.logical_reads + n)
-                if desc["kind"] == "btree":
-                    structure = BTree(unique=desc["unique"], touch=touch)
-                elif desc["kind"] == "hash":
-                    structure = HashIndex(unique=desc["unique"], touch=touch)
-                elif desc["kind"] == "bitmap":
-                    structure = BitmapIndex(touch=touch)
+                structure = native_structure(desc["name"], desc["kind"],
+                                             desc["unique"], engine.stats)
             index = IndexDef(name=desc["name"],
                              table_name=desc["table_name"],
                              column_names=desc["column_names"],
@@ -430,29 +423,11 @@ def _rebuild_native_indexes(engine: Any) -> None:
     they are never logged — rebuilding them is the recovery path (same
     policy as ALTER INDEX ... REBUILD on a native index).
     """
-    from repro.sql.dml import index_key
     catalog = engine.catalog
     for index in list(catalog.indexes.values()):
-        if index.structure is None:
-            continue
         table = catalog.tables.get(index.table_name.lower())
-        if table is None:
-            continue
-        positions = [table.column_position(c) for c in index.column_names]
-        structure = index.structure
-        structure.clear()
-        if hasattr(structure, "bulk_load"):
-            pairs = []
-            for rowid, row in table.storage.scan():
-                key = index_key(row, positions)
-                if key is not None:
-                    pairs.append((key, rowid))
-            structure.bulk_load(pairs)
-        else:
-            for rowid, row in table.storage.scan():
-                key = index_key(row, positions)
-                if key is not None:
-                    structure.insert(key, rowid)
+        if index.structure is not None and table is not None:
+            index.build_native(table)
 
 
 def _degrade_domain_indexes(engine: Any) -> int:

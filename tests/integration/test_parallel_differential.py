@@ -202,8 +202,8 @@ class TestIndexDrivenPlans:
         db.execute("CREATE TABLE dims (id INTEGER, name VARCHAR2(10))")
         db.insert_rows("dims", [[i, f"d{i}"] for i in range(0, 1200, 7)])
         db.execute("CREATE INDEX t_k ON t(k)")
-        db.execute("CREATE HASH INDEX t_grp ON t(grp)")
-        db.execute("CREATE BITMAP INDEX t_tag ON t(tag)")
+        db.execute("CREATE INDEX t_grp ON t(grp)")
+        db.execute("CREATE INDEX t_tag ON t(tag)")
         db.execute("COMMIT")
 
     def test_native_index_scans_agree(self):
@@ -219,9 +219,9 @@ class TestIndexDrivenPlans:
              " AND NOT (val > 0 OR tag LIKE 't1%')", [300, 700],
              "INDEX RANGE SCAN"),
             ("SELECT k, val FROM t WHERE grp = :1 AND val < :2",
-             ["g7", 1.0], "HASH INDEX SCAN"),
+             ["g7", 1.0], "INDEX RANGE SCAN t_grp"),
             ("SELECT k, grp FROM t WHERE tag = :1 AND val IS NOT NULL"
-             " AND k < :2", ["t3", 900], "BITMAP INDEX SCAN"),
+             " AND k < :2", ["t3", 900], "INDEX RANGE SCAN t_tag"),
             # row consumers above the scan: sort, group, limit
             ("SELECT k, val FROM t WHERE k BETWEEN :1 AND :2 AND val < :3"
              " ORDER BY val DESC, k", [100, 600, 1.5], "INDEX RANGE SCAN"),
@@ -242,7 +242,7 @@ class TestIndexDrivenPlans:
             ("SELECT k FROM t WHERE k BETWEEN :1 AND :2", [None, 50],
              "INDEX RANGE SCAN"),
             ("SELECT k FROM t WHERE grp = :1 AND val < 0", [None],
-             "HASH INDEX SCAN"),
+             "INDEX RANGE SCAN t_grp"),
             # forced mid-batch kernel error
             ("SELECT k FROM t WHERE k BETWEEN :1 AND :2"
              " AND val / (k - 151) > 0", [100, 200], "INDEX RANGE SCAN"),

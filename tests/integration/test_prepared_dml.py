@@ -90,8 +90,6 @@ _SHAPES = {
     "heap": [],
     "iot": None,
     "btree": ["CREATE INDEX t_k ON t(k)"],
-    "hash": ["CREATE HASH INDEX t_k ON t(k)"],
-    "bitmap": ["CREATE BITMAP INDEX t_g ON t(g)"],
 }
 
 _STATEMENTS = [

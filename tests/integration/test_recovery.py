@@ -8,10 +8,15 @@ device never fsynced — exactly what a power cut leaves behind.  Commits
 fsync before acking, so committed transactions always survive it.
 """
 
+import os
+import pickle
+
 import pytest
 
 from repro import (
     Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan, WALError)
+from repro.errors import CatalogError
+from repro.storage.durability import CATALOG_FILE
 from repro.testing import StorageFaultPlan
 
 pytestmark = pytest.mark.crash
@@ -327,6 +332,27 @@ class TestCrashRecovery:
         assert index.structure is not None
         db2.close()
         db2.engine.close()
+
+    @pytest.mark.parametrize("kind", ["hash", "bitmap", "rtree"])
+    def test_unknown_native_index_kind_fails_the_open(self, data_dir, kind):
+        """A checkpoint that names a native index kind this engine does
+        not build fails the reopen with an error naming the index and
+        its kind, not later on the first DML."""
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE t (id NUMBER)")
+        db.execute("CREATE INDEX t_id ON t (id)")
+        db.close()
+        db.engine.close()
+        path = os.path.join(data_dir, CATALOG_FILE)
+        with open(path, "rb") as fh:
+            snapshot = pickle.load(fh)
+        for desc in snapshot["indexes"]:
+            if desc["name"] == "t_id":
+                desc["kind"] = kind
+        with open(path, "wb") as fh:
+            pickle.dump(snapshot, fh)
+        with pytest.raises(CatalogError, match=rf"t_id .*'{kind}'"):
+            Engine(data_dir=data_dir)
 
 
 class TestDDLPermanence:

@@ -147,7 +147,7 @@ def load(rows, with_indexes):
     db.insert_rows("t", [[i, a, b, c] for i, (a, b, c) in enumerate(rows)])
     if with_indexes:
         db.execute("CREATE INDEX t_a ON t(a)")
-        db.execute("CREATE HASH INDEX t_b ON t(b)")
+        db.execute("CREATE INDEX t_b ON t(b)")
         db.execute("ANALYZE TABLE t COMPUTE STATISTICS")
     return db
 

@@ -158,3 +158,21 @@ class TestInstrumentation:
         visits.clear()
         tree.search(50)
         assert sum(visits) >= tree.height
+
+    def test_descent_charges_its_levels_in_one_call(self):
+        """A search on a 3-level tree calls the hook once, with 3, for
+        loaded and for inserted trees alike; the reads it charges are
+        the levels it descended."""
+        for build in ("bulk", "insert"):
+            visits = []
+            tree = BTree(order=4, touch=visits.append)
+            if build == "bulk":
+                tree.bulk_load((key, key) for key in range(40))
+            else:
+                for key in range(20):
+                    tree.insert(key, key)
+            assert tree.height == 3
+            for key in (0, 7, 19, 1000):
+                visits.clear()
+                tree.search(key)
+                assert visits == [3], (build, key)

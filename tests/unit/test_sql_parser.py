@@ -188,11 +188,14 @@ class TestIndexDDL:
         assert stmt.unique
         assert stmt.columns == ["a", "b"]
 
-    def test_bitmap_index(self):
-        assert parse("CREATE BITMAP INDEX i ON t(a)").kind == "bitmap"
-
-    def test_hash_index(self):
-        assert parse("CREATE HASH INDEX i ON t(a)").kind == "hash"
+    @pytest.mark.parametrize("kind", ["HASH", "BITMAP", "hash"])
+    def test_hash_and_bitmap_indexes_are_refused(self, kind):
+        with pytest.raises(ParseError) as err:
+            parse(f"CREATE {kind} INDEX i ON t(a)")
+        message = str(err.value)
+        assert kind.upper() in message and "CREATE INDEX" in message
+        with pytest.raises(ParseError):
+            parse(f"CREATE UNIQUE {kind} INDEX i ON t(a)")
 
     def test_domain_index_with_parameters(self):
         stmt = parse("CREATE INDEX ResumeTextIndex ON Employees(resume) "

@@ -487,7 +487,7 @@ class TestSharedColumnImage:
 def _populate_indexed(db, n=400, seed=23):
     _populate(db, n=n, seed=seed)
     db.execute("CREATE INDEX t_id ON t(id)")
-    db.execute("CREATE HASH INDEX t_grp ON t(grp)")
+    db.execute("CREATE INDEX t_grp ON t(grp)")
     return db
 
 
