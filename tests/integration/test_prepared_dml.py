@@ -13,8 +13,10 @@ from repro import Engine
 from repro.core.callbacks import CallbackPhase, CallbackSession
 from repro.errors import (
     CallbackViolation, ConstraintError, ExecutionError, PrivilegeError)
+from repro.sql.catalog import IndexDef, native_structure
 from repro.sql.dml import PreparedDML
 from repro.sql.plan_cache import normalize_sql
+from repro.storage.buffer import IOStats
 from repro.testing import interpreter_forced
 
 
@@ -90,6 +92,10 @@ _SHAPES = {
     "heap": [],
     "iot": None,
     "btree": ["CREATE INDEX t_k ON t(k)"],
+    # an index on the low-cardinality column the UPDATEs move
+    "btree_g": ["CREATE INDEX t_g ON t(g)"],
+    "btree_kg": ["CREATE INDEX t_kg ON t(k, g)"],
+    "unique": ["CREATE UNIQUE INDEX t_k ON t(k)"],
 }
 
 _STATEMENTS = [
@@ -131,10 +137,25 @@ def _workload(db, mode):
                           key=repr)
 
 
+def _assert_native_indexes_match_the_table(db):
+    """Each native index holds what a fresh build from the table does."""
+    table = db.catalog.get_table("t")
+    for index in db.catalog.indexes_on("t"):
+        fresh = IndexDef(index.name, "t", index.column_names, index.kind,
+                         index.unique, native_structure(
+                             index.name, index.kind, index.unique, IOStats()))
+        fresh.build_native(table)
+        assert sorted(index.structure.items()) \
+            == sorted(fresh.structure.items()), index.name
+
+
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 def test_cold_warm_and_interpreter_agree(shape):
-    results = {mode: _workload(_table_db(shape), mode)
-               for mode in ("cold", "warm", "interpreter")}
+    results = {}
+    for mode in ("cold", "warm", "interpreter"):
+        db = _table_db(shape)
+        results[mode] = _workload(db, mode)
+        _assert_native_indexes_match_the_table(db)
     assert results["cold"] == results["warm"] == results["interpreter"]
     counts, rows = results["warm"]
     assert sum(counts) > 0 and rows

@@ -15,7 +15,7 @@ import pytest
 
 from repro import (
     Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan, WALError)
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ConstraintError
 from repro.storage.durability import CATALOG_FILE
 from repro.testing import StorageFaultPlan
 
@@ -330,6 +330,24 @@ class TestCrashRecovery:
             "SELECT v FROM t WHERE id = 17").fetchall() == [("v17",)]
         index = db2.catalog.get_index("t_id")
         assert index.structure is not None
+        db2.close()
+        db2.engine.close()
+
+    def test_unique_native_index_enforced_after_reopen(self, data_dir):
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
+        db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
+        db.insert_rows("t", [[i, f"v{i}"] for i in range(20)])
+        db.execute("INSERT INTO t VALUES (20, 'v20')")
+        crash(db)
+
+        db2 = Engine(data_dir=data_dir).connect()
+        index = db2.catalog.get_index("t_id")
+        assert index.unique and len(index.structure) == 21
+        assert db2.execute(
+            "SELECT v FROM t WHERE id = 20").fetchall() == [("v20",)]
+        with pytest.raises(ConstraintError):
+            db2.execute("INSERT INTO t VALUES (7, 'dup')")
         db2.close()
         db2.engine.close()
 

@@ -6,10 +6,10 @@ from repro.core.indextype import Indextype
 from repro.core.odci import IndexMethods
 from repro.core.operators import Operator
 from repro.core.stats import StatsMethods
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ConstraintError
 from repro.index import BTree
 from repro.sql.catalog import (
-    Catalog, ColumnInfo, IndexDef, SQLFunction, TableDef)
+    Catalog, ColumnInfo, IndexDef, SQLFunction, TableDef, native_structure)
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import HeapTable
 from repro.types.datatypes import INTEGER, VARCHAR2
@@ -86,6 +86,91 @@ class TestIndexes:
             catalog.add_index(IndexDef(name="I", table_name="t",
                                        column_names=("id",), kind="btree",
                                        structure=BTree()))
+
+
+class TestNativeStructure:
+    """``native_structure`` is the one builder of a native index's
+    structure, for DDL and for recovery alike."""
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_an_empty_btree_with_the_unique_flag(self, unique):
+        tree = native_structure("i", "btree", unique, IOStats())
+        assert isinstance(tree, BTree)
+        assert tree.unique is unique and len(tree) == 0
+        tree.insert(1, "a")
+        if unique:
+            with pytest.raises(ConstraintError):
+                tree.insert(1, "b")
+        else:
+            tree.insert(1, "b")
+            assert tree.search(1) == ["a", "b"]
+
+    def test_node_visits_count_as_logical_reads(self):
+        stats = IOStats()
+        tree = native_structure("i", "btree", False, stats)
+        tree.bulk_load((key, key) for key in range(5000))
+        assert tree.height > 1
+        before = stats.logical_reads
+        assert tree.search(4321) == [4321]
+        assert stats.logical_reads - before == tree.height
+
+    @pytest.mark.parametrize("kind", ["hash", "bitmap", "domain", "rtree"])
+    def test_other_kinds_are_refused_by_name(self, kind):
+        with pytest.raises(CatalogError,
+                           match=rf"index emp_ix .*'{kind}'"):
+            native_structure("emp_ix", kind, False, IOStats())
+
+
+class TestBuildNative:
+    """``IndexDef.build_native`` bulk-loads an index from its table."""
+
+    @staticmethod
+    def _index(columns=("id",), unique=False):
+        return IndexDef(name="i", table_name="t", column_names=columns,
+                        kind="btree", unique=unique,
+                        structure=native_structure("i", "btree", unique,
+                                                   IOStats()))
+
+    def test_loads_every_row_with_a_non_null_key(self):
+        table = make_table()
+        rids = [table.storage.insert(row) for row in
+                ([1, "a"], [None, "b"], [2, "c"], [1, "d"])]
+        index = self._index()
+        index.build_native(table)
+        assert index.structure.search(1) == [rids[0], rids[3]]
+        assert index.structure.search(2) == [rids[2]]
+        # NULL keys are not indexed
+        assert len(index.structure) == 3
+
+    def test_a_composite_key_is_a_tuple_and_any_null_skips_the_row(self):
+        table = make_table()
+        rids = [table.storage.insert(row) for row in
+                ([1, "a"], [1, None], [None, "a"], [2, "b"])]
+        index = self._index(columns=("id", "name"))
+        index.build_native(table)
+        assert [key for key, __ in index.structure.items()] \
+            == [(1, "a"), (2, "b")]
+        assert index.structure.search((1, "a")) == [rids[0]]
+
+    def test_a_rebuild_replaces_what_the_structure_held(self):
+        table = make_table()
+        rid = table.storage.insert([7, "x"])
+        index = self._index()
+        index.structure.insert(99, "stale")
+        index.build_native(table)
+        assert list(index.structure.items()) == [(7, rid)]
+
+    def test_a_unique_build_over_duplicates_keeps_the_old_contents(self):
+        table = make_table()
+        for row in ([1, "a"], [2, "b"]):
+            table.storage.insert(row)
+        index = self._index(unique=True)
+        index.build_native(table)
+        held = list(index.structure.items())
+        table.storage.insert([2, "again"])
+        with pytest.raises(ConstraintError, match="duplicate key 2"):
+            index.build_native(table)
+        assert list(index.structure.items()) == held
 
 
 class TestOperatorsAndIndextypes:

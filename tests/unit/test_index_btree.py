@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConstraintError, StorageError
 from repro.index.btree import BTree
+from repro.storage.heap import RowId
 
 
 class TestInsertSearch:
@@ -122,6 +123,20 @@ class TestDelete:
         tree.insert("k", 1)
         assert not tree.delete("k", 99)
         assert not tree.delete("missing")
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_delete_by_an_equal_rowid(self, unique):
+        """Index payloads are rowids; the DML engine deletes with a
+        rowid it rebuilt, equal to the stored one but not the same
+        object."""
+        tree = BTree(order=4, unique=unique)
+        for slot in range(20):
+            tree.insert(slot if unique else slot % 3, RowId(1, 0, slot))
+        key = 7 if unique else 1
+        assert not tree.delete(key, RowId(1, 1, 7))
+        assert tree.delete(key, RowId(1, 0, 7))
+        assert RowId(1, 0, 7) not in tree.search(key)
+        assert len(tree) == 19
 
     def test_delete_then_range_scan(self):
         tree = BTree(order=4)

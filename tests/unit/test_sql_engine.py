@@ -292,6 +292,45 @@ class TestDDL:
         with pytest.raises(ConstraintError):
             db.execute("INSERT INTO t VALUES (1)")
 
+    def test_unique_index_over_duplicate_rows_is_refused(self, db):
+        db.execute("CREATE TABLE t (a NUMBER)")
+        db.insert_rows("t", [[1], [2], [2]])
+        with pytest.raises(ConstraintError, match="duplicate key 2"):
+            db.execute("CREATE UNIQUE INDEX t_a ON t(a)")
+        assert not db.catalog.has_index("t_a")
+        db.execute("CREATE INDEX t_a ON t(a)")
+        assert db.execute("SELECT COUNT(*) FROM t WHERE a = 2"
+                          ).fetchall() == [(2,)]
+
+    def test_native_index_leaves_out_null_keys(self, db):
+        db.execute("CREATE TABLE t (a NUMBER, b NUMBER)")
+        db.insert_rows("t", [[i if i % 3 else NULL, i] for i in range(600)])
+        db.execute("CREATE INDEX t_a ON t(a)")
+        db.execute("INSERT INTO t VALUES (NULL, 999)")
+        assert len(db.catalog.get_index("t_a").structure) == 400
+        sql = "SELECT b FROM t WHERE a >= 0"
+        assert any("INDEX RANGE SCAN t_a" in line
+                   for line in db.explain(sql))
+        assert sorted(db.execute(sql).fetchall()) \
+            == [(i,) for i in range(600) if i % 3]
+        assert db.execute("SELECT COUNT(*) FROM t WHERE a IS NULL"
+                          ).fetchall() == [(201,)]
+
+    def test_rebuild_native_index(self, db):
+        db.execute("CREATE TABLE t (a NUMBER, b NUMBER)")
+        db.insert_rows("t", [[i, i * 2] for i in range(50)])
+        db.execute("CREATE UNIQUE INDEX t_a ON t(a)")
+        db.execute("DELETE FROM t WHERE a < 10")
+        db.execute("UPDATE t SET a = a + 100 WHERE a >= 40")
+        index = db.catalog.get_index("t_a")
+        before = sorted(index.structure.items())
+        db.execute("ALTER INDEX t_a REBUILD")
+        assert sorted(index.structure.items()) == before
+        assert db.execute("SELECT b FROM t WHERE a = 145"
+                          ).fetchall() == [(90,)]
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO t VALUES (145, 0)")
+
     def test_index_on_missing_column(self, db):
         db.execute("CREATE TABLE t (a NUMBER)")
         with pytest.raises(CatalogError):

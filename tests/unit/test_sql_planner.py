@@ -89,6 +89,20 @@ class TestAccessPathChoice:
         rows = big.execute("SELECT id FROM big WHERE id > 390").fetchall()
         assert len(rows) == 9
 
+    def test_btree_serves_unanalyzed_low_cardinality_eq(self, big):
+        """Without statistics the optimizer assumes an equality is
+        selective, so the B-tree serves it; after ANALYZE the 25 %
+        selectivity makes the full scan cheaper.  Both answer alike."""
+        big.execute("CREATE INDEX big_grp ON big(grp)")
+        sql = "SELECT COUNT(*) FROM big WHERE grp = 'g1'"
+        assert any("INDEX RANGE SCAN big_grp" in line
+                   for line in big.explain(sql))
+        assert big.execute(sql).fetchall() == [(100,)]
+        big.execute("ANALYZE TABLE big COMPUTE STATISTICS")
+        assert not any("INDEX RANGE SCAN" in line
+                       for line in big.explain(sql))
+        assert big.execute(sql).fetchall() == [(100,)]
+
     def test_unselective_eq_prefers_full_scan(self, big):
         big.execute("CREATE INDEX big_grp_b ON big(grp)")
         big.execute("ANALYZE TABLE big COMPUTE STATISTICS")
@@ -391,6 +405,7 @@ def _scan_of(db, sql, **plan_args):
 
 
 _BTREE = "CREATE INDEX big_id ON big(id)"
+_UNIQUE = "CREATE UNIQUE INDEX big_id ON big(id)"
 _RANGE_SCAN = "INDEX RANGE SCAN big_id -> big [big]"
 _FULL_SCAN = "TABLE SCAN big [big] FILTER"
 _DOMAIN_SCAN = "DOMAIN INDEX SCAN docs_text (Contains) -> docs [docs]"
@@ -400,7 +415,9 @@ class TestAccessPathMatrix:
     """(setup, index DDL, WHERE) -> chosen label, the residual's
     conjuncts, est_cost; the expected values were recorded from the
     commit before the access-path table replaced the per-shape
-    enumerators."""
+    enumerators, and the B-tree rows that took the place of the hash
+    and bitmap rows (and the composite row) when those kinds were
+    deleted."""
 
     @pytest.mark.parametrize("setup,ddl,where,label,residual,cost", [
         (_heap, _BTREE, "id = 5", _RANGE_SCAN, [], 2.1),
@@ -411,6 +428,10 @@ class TestAccessPathMatrix:
         (_heap, _BTREE, "id BETWEEN 10 AND 20 AND grp = 'g1'", _RANGE_SCAN,
          ["grp ="], 3.01),
         (_heap, _BTREE, "id != 5", _FULL_SCAN, ["id !="], 8.4),
+        (_heap, _BTREE, "id = 5 AND val < 100", _RANGE_SCAN, ["val <"],
+         2.1),
+        (_heap, _BTREE, "id > 395", _RANGE_SCAN, [], 2.4),
+        (_heap, _UNIQUE, "id = 5", _RANGE_SCAN, [], 2.1),
         (_iot, None, "a = 1", "IOT PREFIX SCAN post [post] key=1/3",
          [], 2.4),
         (_iot, None, "b = 2 AND a = 1",
@@ -425,6 +446,10 @@ class TestAccessPathMatrix:
         (_text, None, "Contains(body, 'oracle')", _DOMAIN_SCAN, [], 1.4),
         (_text, None, "id < 100 AND Contains(body, 'oracle') > 0",
          _DOMAIN_SCAN, ["id <"], 1.42),
+        # a composite B-tree is probed on its leading column
+        (_heap, "CREATE INDEX big_idg ON big(id, grp)",
+         "id = 5 AND grp = 'g1'", "INDEX RANGE SCAN big_idg -> big [big]",
+         ["grp ="], 2.1),
     ])
     def test_shape(self, db, setup, ddl, where, label, residual, cost):
         table = setup(db, ddl)
