@@ -9,6 +9,7 @@ the same path with dispatch bypassed (callbacks invoked directly), and
 fails if the seam costs more than 5%.
 """
 
+import gc
 import time
 
 import pytest
@@ -20,8 +21,8 @@ from repro.cartridges.text import install
 
 REPORT_FILE = "dispatch_overhead.txt"
 
-REPEATS = 60          # queries per timed round
-ROUNDS = 5            # min-of-rounds defeats scheduler noise
+REPEATS = 20          # queries per timed round
+ROUNDS = 60           # min-of-rounds defeats scheduler noise
 MAX_OVERHEAD = 0.05   # the guard: dispatch may cost at most 5%
 
 pytestmark = pytest.mark.faults
@@ -61,18 +62,40 @@ def _bypass_dispatch(db):
 
 
 def _measure(db, sql):
-    """Interleaved min-of-rounds for dispatched vs bypassed dispatch."""
+    """Interleaved min-of-rounds for dispatched vs bypassed dispatch.
+
+    Each round times both configurations, and the one that goes first
+    alternates from round to round, so neither always runs on the heels
+    of the other (a warm or a disturbed interpreter); one untimed round
+    of each warms both first.  Short rounds, many of them, let the
+    minimum find the box's quiet moments, and the collector is off while
+    they run: a collection pass (its cost set by whatever else the
+    process holds) is not the seam's."""
     original_call = db.dispatcher.call
-    dispatched, bypassed = [], []
-    try:
-        for __ in range(ROUNDS):
+    times = {"dispatched": [], "bypassed": []}
+
+    def run(config, timed=True):
+        if config == "dispatched":
             db.dispatcher.call = original_call
-            dispatched.append(_timed_round(db, sql))
+        else:
             _bypass_dispatch(db)
-            bypassed.append(_timed_round(db, sql))
+        elapsed = _timed_round(db, sql)
+        if timed:
+            times[config].append(elapsed)
+
+    gc.collect()
+    gc.disable()
+    try:
+        run("dispatched", timed=False)
+        run("bypassed", timed=False)
+        for i in range(ROUNDS):
+            order = ("dispatched", "bypassed")
+            for config in order if i % 2 == 0 else reversed(order):
+                run(config)
     finally:
+        gc.enable()
         db.dispatcher.call = original_call
-    return min(dispatched), min(bypassed)
+    return min(times["dispatched"]), min(times["bypassed"])
 
 
 def test_dispatch_overhead_under_5_percent(workload, fresh_result_file):

@@ -97,6 +97,14 @@ def test_e5_report(benchmark, workload, fresh_result_file):
     assert all(p == "domain" for p in plans[first_domain:])
 
 
+def warm_min(fn, runs=5):
+    """``fn`` run once untimed — a plan forced through DDL pays its hard
+    parse there — then the fastest of ``runs`` timed runs."""
+    fn()
+    return min((time_call(fn) for __ in range(runs)),
+               key=lambda run: run.elapsed)
+
+
 def test_e5_forced_plan_times_agree_with_choice(benchmark, workload,
                                                 fresh_result_file):
     """Measure both plans at the extremes: the optimizer's pick is the
@@ -109,28 +117,36 @@ def test_e5_forced_plan_times_agree_with_choice(benchmark, workload,
         for k, regime in ((5, "selective"), (N_DOCS, "unselective")):
             sql = (f"SELECT id FROM employees "
                    f"WHERE Contains(resume, '{word}') AND id < {k}")
-            chosen = time_call(lambda: db.execute(sql).fetchall())
+            path = chosen_access_path(db, sql)
+            chosen = warm_min(lambda: db.execute(sql).fetchall())
             # force the other plan through DDL: drop the B-tree, or
             # mark the domain index UNUSABLE (functional Contains)
-            if chosen_access_path(db, sql) == "btree":
+            if path == "btree":
                 db.execute("DROP INDEX emp_id")
-                forced = time_call(lambda: db.execute(sql).fetchall())
+                forced = warm_min(lambda: db.execute(sql).fetchall())
                 db.execute("CREATE INDEX emp_id ON employees(id)")
             else:
                 db.execute("ALTER INDEX emp_text UNUSABLE")
-                forced = time_call(lambda: db.execute(sql).fetchall())
+                forced = warm_min(lambda: db.execute(sql).fetchall())
                 db.execute("ALTER INDEX emp_text REBUILD")
-            out[regime] = (chosen, forced)
+            out[regime] = (path, chosen, forced)
         return out
 
     results = benchmark.pedantic(measure, iterations=1, rounds=1)
     table = ReportTable(
-        "E5b — chosen plan vs forced alternative",
-        ["regime", "chosen_s", "forced_alternative_s", "chosen wins"])
-    for regime, (chosen, forced) in results.items():
-        table.add_row(regime, chosen.elapsed, forced.elapsed,
+        "E5b — chosen plan vs forced alternative (each plan run once"
+        " untimed, then the fastest of 5 runs)",
+        ["regime", "chosen_plan", "chosen_s", "forced_alternative_s",
+         "chosen wins"])
+    for regime, (path, chosen, forced) in results.items():
+        table.add_row(regime, path, chosen.elapsed, forced.elapsed,
                       "yes" if chosen.elapsed <= forced.elapsed else "no")
     table.emit(fresh_result_file)
+    # selective: the B-tree plan is no slower than the forced domain plan
+    path, chosen, forced = results["selective"]
+    assert path == "btree"
+    assert chosen.elapsed <= forced.elapsed
     # in the unselective regime the domain index must beat functional
-    chosen, forced = results["unselective"]
+    path, chosen, forced = results["unselective"]
+    assert path == "domain"
     assert chosen.elapsed < forced.elapsed

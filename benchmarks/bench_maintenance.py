@@ -224,10 +224,15 @@ def _median_statement_s(db, sql, param_sets):
 
 
 def _scaling(measure, n_small, statements, repeats=3):
-    # each repeat builds its table afresh; the fastest median of a size
-    # is the one the machine disturbed least
-    small = min(measure(n_small, statements) for __ in range(repeats))
-    large = min(measure(4 * n_small, statements) for __ in range(repeats))
+    # each repeat builds its tables afresh and measures both sizes, which
+    # goes first alternating, so a slow spell of the machine falls on
+    # both sizes, not on one; the fastest median of a size is the one
+    # the machine disturbed least
+    times = {n_small: [], 4 * n_small: []}
+    for i in range(repeats):
+        for n in sorted(times, reverse=i % 2 == 1):
+            times[n].append(measure(n, statements))
+    small, large = min(times[n_small]), min(times[4 * n_small])
     return {"rows": n_small, "rows_x4": 4 * n_small,
             "statements": statements,
             "per_row_ms": round(small * 1000, 4),

@@ -66,7 +66,7 @@ from repro.sql.expressions import (
     AggregateCall, Binder, Evaluator, Scope, aggregate_key)
 from repro.types.datatypes import NumberType, VarcharType
 from repro.types.values import (
-    NULL, _like_regex, is_null, sql_compare, sql_like, sql_truth)
+    NULL, is_null, like_pattern, sql_compare, sql_like, sql_truth)
 
 __all__ = ["CannotCompile", "compile_plan", "compile_row_function",
            "compile_vector_kernel", "compile_vector_projection"]
@@ -104,7 +104,7 @@ def _div0() -> Any:
     raise ExecutionError("division by zero")
 
 
-_RUNTIME = {"_NULLV": NULL, "_like_rx": _like_regex, "_cmp": sql_compare,
+_RUNTIME = {"_NULLV": NULL, "_like_parts": like_pattern, "_cmp": sql_compare,
             "_like": sql_like, "_truth": sql_truth, "_div0": _div0,
             # an attribute path is walked by the interpreter's own code
             "_column_value": Evaluator(None)._column_value}
@@ -481,31 +481,39 @@ class _KernelCodegen:
 
     def _like_pattern(self, pattern: ast.Expr, operand: _Val,
                       pre: Dict[str, str]) -> _Val:
-        """The LIKE pattern: a regex compiled ahead of the rows (kind
-        ``"regex"``) when it is a string literal or a bind and the
-        operand is known to be a string; else a per-row operand."""
+        """The LIKE pattern ahead of the rows, for a string operand: a
+        literal's prefix (kind ``"prefix"``) or regex (``"regex"``), or
+        a bind (``"bind"``: the factory sets its ``px_`` and ``rx_``)."""
         if operand.kind == "str":
             if isinstance(pattern, ast.Literal) \
                     and isinstance(pattern.value, str):
-                return _Val(self._hoist("rx", _like_regex(pattern.value)),
-                            True, False, "regex")
+                regex, prefix = like_pattern(pattern.value)
+                if prefix is not None:
+                    return _Val(repr(prefix), True, False, "prefix")
+                return _Val(self._hoist("rx", regex), True, False, "regex")
             if isinstance(pattern, ast.BindParam):
                 entry = self._bind_entry(pattern)
                 entry[1] = True
-                return _Val(f"rx_{entry[0]}", True, False, "regex")
+                return _Val(entry[0], True, False, "bind")
         return self._operand(pattern, pre)
 
     def _like(self, operand: _Val, pattern: _Val, pre: Dict[str, str],
               matched: bool) -> str:
-        if pattern.kind == "regex":
-            ve, conds = self._guarded(operand)
-            test = "is not None" if matched else "is None"
-            conds = conds + [f"{pattern.code}.fullmatch({ve}) {test}"]
-            return f"({' and '.join(conds)})"
-        # sql_like decides: NULL and non-string operands included
-        self._effects += 1
-        m = self._bound(pre, f"_like({operand.code}, {pattern.code})")
-        return f"({m} is {matched})"
+        if pattern.kind not in ("prefix", "regex", "bind"):
+            # sql_like decides: NULL and non-string operands included
+            self._effects += 1
+            m = self._bound(pre, f"_like({operand.code}, {pattern.code})")
+            return f"({m} is {matched})"
+        ve, conds = self._guarded(operand)
+        px = rx = pattern.code
+        if pattern.kind == "bind":
+            px, rx = f"px_{px}", f"rx_{rx}"
+        no = "" if matched else "not "
+        tests = {"prefix": f"{no}{ve}.startswith({px})",
+                 "regex": f"{no}({rx}.fullmatch({ve}) is not None)"}
+        test = tests.get(pattern.kind) or \
+            f"({tests['prefix']} if {px} is not None else {tests['regex']})"
+        return f"({' and '.join(conds + [test])})"
 
 
 def _is_leaf(expr: ast.Expr) -> bool:
@@ -537,7 +545,7 @@ def _emit_bind_guards(gen: _KernelCodegen) -> List[str]:
             lines.append(f"    if {local}.__class__ is not str:")
             lines.append("        return None")
         if needs_rx:
-            lines.append(f"    rx_{local} = _like_rx({local})")
+            lines.append(f"    rx_{local}, px_{local} = _like_parts({local})")
     return lines
 
 

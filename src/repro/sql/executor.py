@@ -40,7 +40,8 @@ fetched batch when the plan has one, row contexts for survivors only.
 from __future__ import annotations
 
 import functools
-from itertools import chain, count
+from contextlib import suppress
+from itertools import chain
 from operator import iadd, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
     Tuple
@@ -64,7 +65,8 @@ _CONST_CACHE_LIMIT = 1024
 #: rows a vectorized GROUP BY buffers between two folds of its groups
 _FOLD_CHUNK_ROWS = 4096
 
-_NULL_KEY = "\x00NULL"  # the group key every null shares
+#: the group key every null shares; no SQL value equals it
+_NULL_KEY = object()
 
 #: native index scans: a probe yields rowids, the batched base-table
 #: fetch (:class:`_RowidSource`) turns them into rows
@@ -107,20 +109,8 @@ def _group_key(values: Iterable[Any]) -> Tuple[Any, ...]:
     try:
         hash(key)
     except TypeError:
-        key = tuple([repr(k) for k in key])
+        key = tuple([k if k is _NULL_KEY else repr(k) for k in key])
     return key
-
-
-def _group_keys(columns: List[List[Any]], sel: List[int]
-                ) -> List[Tuple[Any, ...]]:
-    """:func:`_group_key` of each selected row, a column at a time."""
-    keys = list(zip(*[[_NULL_KEY if (v := col[i]) is None or v is NULL
-                       else v for i in sel] for col in columns]))
-    try:
-        hash(tuple(keys))
-        return keys
-    except TypeError:  # an unhashable key: the batch goes row by row
-        return [_group_key(key) for key in keys]
 
 
 class Executor:
@@ -944,10 +934,7 @@ class Executor:
         return iter([ctx for __, ctx in decorated])
 
     def _iter_group_by(self, node: pl.GroupByNode) -> Iterator[RowContext]:
-        vectored = self._vector_group_by(node)
-        if vectored is not None:
-            return vectored
-        return self._iter_group_by_rows(node)
+        return self._vector_group_by(node) or self._iter_group_by_rows(node)
 
     def _vector_group_by(self, node: pl.GroupByNode
                          ) -> Optional[Iterator[RowContext]]:
@@ -958,71 +945,75 @@ class Executor:
         accumulator semantics (NULL skip, DISTINCT markers, result
         typing) live in :class:`_Accumulator` for both pipelines.
         """
-        if self._interpret_only or node.vector_mode != "VECTORIZED":
+        slots = node.compiled.get("vector_group")  # over a FullScan only
+        if self._interpret_only or slots is None:
             return None
-        child = node.child
-        if not isinstance(child, pl.FullScan):
-            return None
-        slots = node.compiled.get("vector_group")
-        if slots is None:
-            return None
-        cbatches = self._vector_scan(child)
+        cbatches = self._vector_scan(node.child)
         if cbatches is None:
             return None
-        return self._group_cbatches(node, child, slots, cbatches)
+        return self._group_cbatches(node, node.child, slots, cbatches)
 
     def _group_cbatches(self, node: pl.GroupByNode, scan: pl.FullScan,
                         slots: Tuple, cbatches: Iterator[ColumnBatch]
                         ) -> Iterator[RowContext]:
-        """Fold per group, a chunk of rows at a time: keys are built
-        column-wise per batch (a global aggregate: one key per batch),
-        the selected rows' aggregate arguments are buffered, and each
-        key collects its rows' offsets into the buffers in scan order.
-        Every ``_FOLD_CHUNK_ROWS`` rows, and at the end, each group's
-        accumulators fold their values in one ``add_values`` call
-        (COUNT(*) adds a length).  A group's first row is materialized,
-        for HAVING and the projection above."""
+        """Fold per group in one loop over the selected rows: a row
+        appends its aggregate argument (several: a tuple) to its group's
+        list, found by its key (one group column: the value itself), so
+        COUNT(*) is the list's length; a global aggregate extends one
+        list a batch.  Every ``_FOLD_CHUNK_ROWS`` rows, and at the end,
+        the lists go through ``add_values``.  A group's first row is
+        materialized, for HAVING and the projection above."""
         group_indices, agg_indices = slots
-        aggregates = node.aggregates
         make = self._ctx_factory(scan.table, scan.binding_name)
         self.xstats.record_materialize_boundary()
         groups: Dict[Tuple[Any, ...], Tuple[RowContext, List]] = {}
+        chunk: Dict[Tuple[Any, ...], List[Any]] = {}  # key -> its values
+        index: Dict[Any, List[Any]] = {}  # a row's key column(s) -> same
+        args = list(dict.fromkeys(i for i in agg_indices if i is not None))
+        one_key = len(group_indices) == 1
 
-        def fold(chunk: Dict[Tuple[Any, ...], List[int]], buffers) -> None:
-            for key, offsets in chunk.items():
-                for acc, buf in zip(groups[key][1], buffers):
-                    if buf is None:
-                        acc.count += len(offsets)  # COUNT(*)
+        def bucket(k: Any, cbatch: ColumnBatch, i: int) -> List[Any]:
+            key = _group_key((k,) if one_key else k)
+            if key not in groups:
+                groups[key] = (make(cbatch.rowids[i], cbatch.row(i)),
+                               [_Accumulator(a) for a in node.aggregates])
+            values = chunk.setdefault(key, [])
+            with suppress(TypeError):  # an unhashable ``k``: not indexed
+                index[k] = values
+            return values
+
+        def fold() -> None:
+            for key, values in chunk.items():
+                columns = list(zip(*values)) if len(args) > 1 else [values]
+                for acc, i in zip(groups[key][1], agg_indices):
+                    if i is None:
+                        acc.count += len(values)  # COUNT(*)
                     else:
-                        acc.add_values([buf[j] for j in offsets])
+                        acc.add_values(columns[args.index(i)])
+            chunk.clear()
+            index.clear()
 
         buffered = 0
         for cbatch in cbatches:
-            if not buffered:
-                chunk: Dict[Tuple[Any, ...], List[int]] = {}
-                buffers = [None if i is None else [] for i in agg_indices]
             columns, sel = cbatch.columns, cbatch.selected()
-            for buf, i in zip(buffers, agg_indices):
-                if buf is not None:
-                    buf.extend(map(columns[i].__getitem__, sel))
-            keys = _group_keys([columns[i] for i in group_indices], sel) \
-                if group_indices else [()]
-            for offset, key, i in zip(count(buffered), keys, sel):
-                offsets = chunk.get(key)
-                if offsets is None:
-                    if key not in groups:
-                        groups[key] = (make(cbatch.rowids[i], cbatch.row(i)),
-                                       [_Accumulator(a) for a in aggregates])
-                    offsets = chunk[key] = []
-                offsets.append(offset)
-            if not group_indices:
-                chunk[()].extend(range(buffered + 1, buffered + len(sel)))
+            vcol = columns[args[0]] if len(args) == 1 else list(
+                zip(*[columns[a] for a in args])) if args else columns[0]
+            kcol = columns[group_indices[0]] if one_key else list(
+                zip(*[columns[g] for g in group_indices]))
+            if not group_indices and sel:  # COUNT(*) alone counts ``sel``
+                (chunk.get(()) or bucket((), cbatch, sel[0])).extend(
+                    map(vcol.__getitem__, sel) if args else sel)
+            for i in sel if group_indices else ():
+                k = kcol[i]
+                try:
+                    index[k].append(vcol[i])
+                except (KeyError, TypeError):  # new in this chunk, or
+                    bucket(k, cbatch, i).append(vcol[i])  # unhashable
             buffered += len(sel)
             if buffered >= _FOLD_CHUNK_ROWS:
-                fold(chunk, buffers)
+                fold()
                 buffered = 0
-        if buffered:
-            fold(chunk, buffers)
+        fold()
         return self._group_rows(node, groups)
 
     def _iter_group_by_rows(self, node: pl.GroupByNode

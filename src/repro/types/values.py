@@ -9,8 +9,9 @@ join conditions, index-key comparison).
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.errors import TypeMismatchError
 
@@ -135,17 +136,18 @@ def sql_like(value: Any, pattern: Any) -> TriBool:
         return NULL
     if not isinstance(value, str) or not isinstance(pattern, str):
         raise TypeMismatchError("LIKE requires string operands")
-    regex = _like_regex(pattern)
-    return regex.fullmatch(value) is not None
+    return like_pattern(pattern)[0].fullmatch(value) is not None
 
 
-def _like_regex(pattern: str) -> "re.Pattern[str]":
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.compile("".join(parts), re.DOTALL)
+@functools.lru_cache(maxsize=256)
+def like_pattern(pattern: str) -> Tuple["re.Pattern[str]", Optional[str]]:
+    """A LIKE pattern's regex, and its literal prefix when its one
+    wildcard is a single trailing ``%`` (``'tag07%'`` -> ``'tag07'``,
+    ``'%'`` -> ``''``; else None): exactly the strings that start with
+    the prefix match.  Built once per pattern text (a fixed-size memo)."""
+    head = pattern[:-1]
+    prefix = head if pattern.endswith("%") and "%" not in head \
+        and "_" not in head else None
+    regex = "".join(".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+                    for ch in pattern)
+    return re.compile(regex, re.DOTALL), prefix
