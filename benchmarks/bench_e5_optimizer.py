@@ -12,7 +12,7 @@ forced plans, locating the crossover.
 import pytest
 
 from repro import Engine
-from repro.bench.harness import ReportTable, time_call
+from repro.bench.harness import ReportTable, time_call, warm_min
 from repro.bench.workloads import make_corpus
 from repro.cartridges.text import install
 
@@ -95,14 +95,6 @@ def test_e5_report(benchmark, workload, fresh_result_file):
     # a single crossover: once domain is chosen it stays chosen
     first_domain = plans.index("domain")
     assert all(p == "domain" for p in plans[first_domain:])
-
-
-def warm_min(fn, runs=5):
-    """``fn`` run once untimed — a plan forced through DDL pays its hard
-    parse there — then the fastest of ``runs`` timed runs."""
-    fn()
-    return min((time_call(fn) for __ in range(runs)),
-               key=lambda run: run.elapsed)
 
 
 def test_e5_forced_plan_times_agree_with_choice(benchmark, workload,

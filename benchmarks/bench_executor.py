@@ -99,18 +99,59 @@ def build_text_db(n_docs):
     return db, corpus
 
 
-def _timed(db, sql, binds, repeats, interpreted=False):
-    """Plan afresh, warm the plan cache, then time ``repeats``
-    executions — with ``interpreted``, on the interpreter only."""
-    if interpreted:
-        with interpreter_forced(db):
-            return _timed(db, sql, binds, repeats)
+def _clock(fn):
+    """A side for :func:`_fastest` that times all of ``fn``."""
+    def side():
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+    return side
+
+
+def _fastest(sides, rounds):
+    """Each side's fastest of ``rounds`` timed calls, the dispatch
+    guard's way (``bench_dispatch_overhead._measure``): ``sides`` maps a
+    name to a callable returning the seconds it timed; one untimed call
+    of each warms them all, every round calls each side once with the
+    order reversed every other round, and the collector is off while
+    they run — so the minimum finds the box's quiet moments and no side
+    always runs on the heels of another."""
+    names = list(sides)
+    times = {name: [] for name in names}
+    gc.collect()
+    gc.disable()
+    try:
+        for name in names:
+            sides[name]()
+        for i in range(rounds):
+            for name in names if i % 2 == 0 else reversed(names):
+                times[name].append(sides[name]())
+    finally:
+        gc.enable()
+    return {name: min(seconds) for name, seconds in times.items()}
+
+
+def _timed(db, sql, binds, repeats):
+    """The interpreter against generated code on one freshly planned,
+    cached plan: ``3 * repeats`` rounds of one execution a side, and no
+    fewer than the dispatch guard's 60 (see :func:`_fastest`).  Returns
+    ``(interpreted_s, generated_s, rows)``, each side's fastest
+    execution scaled to ``repeats`` executions."""
+    def run(interpreted):
+        def execute():
+            if interpreted:
+                with interpreter_forced(db):
+                    return db.execute(sql, binds).fetchall()
+            return db.execute(sql, binds).fetchall()
+        return execute
+
     db.plan_cache.clear()
-    rows = db.execute(sql, binds).fetchall()
-    start = time.perf_counter()
-    for __ in range(repeats):
-        db.execute(sql, binds).fetchall()
-    return time.perf_counter() - start, len(rows)
+    n1, n2 = len(run(True)()), len(run(False)())
+    assert n1 == n2 and n1 > 0, (n1, n2)
+    best = _fastest({"interpreted": _clock(run(True)),
+                     "generated": _clock(run(False))},
+                    max(60, 3 * repeats))
+    return best["interpreted"] * repeats, best["generated"] * repeats, n1
 
 
 def _versus_interpreter(interpreted, generated, **extra):
@@ -123,10 +164,8 @@ def bench_filter_full_scan(n_rows, repeats):
     """Filter-heavy full scan: vector kernel vs interpreter."""
     db = build_scan_db(n_rows)
     binds = [0.9, 100, n_rows - 100]
-    interpreted, n1 = _timed(db, FILTER_SQL, binds, repeats, True)
-    generated, n2 = _timed(db, FILTER_SQL, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return _versus_interpreter(interpreted, generated, rows=n1)
+    interpreted, generated, rows = _timed(db, FILTER_SQL, binds, repeats)
+    return _versus_interpreter(interpreted, generated, rows=rows)
 
 
 def bench_vectorized_agg(n_rows, repeats):
@@ -135,10 +174,8 @@ def bench_vectorized_agg(n_rows, repeats):
     db = build_scan_db(n_rows)
     sql = ("SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val)"
            " FROM t GROUP BY grp")
-    interpreted, n1 = _timed(db, sql, [], repeats, True)
-    generated, n2 = _timed(db, sql, [], repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return _versus_interpreter(interpreted, generated, groups=n1)
+    interpreted, generated, groups = _timed(db, sql, [], repeats)
+    return _versus_interpreter(interpreted, generated, groups=groups)
 
 
 def bench_index_lookup(n_rows, repeats):
@@ -149,19 +186,17 @@ def bench_index_lookup(n_rows, repeats):
     Both modes fetch the rowids in page-sorted batches; generated, the
     residual runs over the fetched columns and only the survivors are
     projected; interpreted, every fetched row gets a RowContext and a
-    tree walk.  Min of five rounds per mode.
+    tree walk.  Ten times the rounds of the other cases: one probe is
+    a millisecond or so.
     """
     db = build_scan_db(n_rows)
     sql = ("SELECT id, grp FROM t WHERE id BETWEEN :1 AND :2"
            " AND val < :3 AND grp LIKE 'g%'")
     low = n_rows // 3
     binds = [low, low + 299, 0.01]
-    rounds = repeats * 10
-    interpreted, n1 = min(_timed(db, sql, binds, rounds, True)
-                          for __ in range(5))
-    generated, n2 = min(_timed(db, sql, binds, rounds) for __ in range(5))
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return _versus_interpreter(interpreted, generated, fetched=300, rows=n1)
+    interpreted, generated, rows = _timed(db, sql, binds, repeats * 10)
+    return _versus_interpreter(interpreted, generated, fetched=300,
+                               rows=rows)
 
 
 #: what stays on the row pipeline: a sort over an IOT prefix scan, and
@@ -193,36 +228,27 @@ def build_row_loop_db(n_rows):
 def bench_row_loop(n_rows, repeats):
     """Row functions: a sort over an IOT prefix scan, and a hash join
     (keys, condition, projection) — nothing here reaches a vector
-    kernel.  Min of three rounds per mode."""
+    kernel."""
     db = build_row_loop_db(n_rows)
     for sql in ROW_LOOP_SQL:
         assert not any("VECTORIZED" in line
                        for line in db.explain(sql, ["w1"])), sql
 
-    def total(interpreted):
-        timings = [_timed(db, sql, ["w1"], repeats, interpreted)
-                   for sql in ROW_LOOP_SQL]
-        return sum(t for t, __ in timings), sum(n for __, n in timings)
-
-    interpreted, n1 = min(total(True) for __ in range(3))
-    generated, n2 = min(total(False) for __ in range(3))
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return _versus_interpreter(interpreted, generated, rows=n1)
+    timings = [_timed(db, sql, ["w1"], repeats) for sql in ROW_LOOP_SQL]
+    interpreted, generated, rows = (sum(t) for t in zip(*timings))
+    return _versus_interpreter(interpreted, generated, rows=rows)
 
 
 def bench_iot_prefix(n_rows, repeats):
     """An IOT prefix scan with a residual under a projection: prefix
     batches through the vector kernel and the fused gather vs the
-    interpreter.  Min of three rounds per mode."""
+    interpreter."""
     db = build_row_loop_db(n_rows)
     assert all("VECTORIZED" in line
                for line in db.explain(IOT_PREFIX_SQL, ["w1"])[:2])
-    interpreted, n1 = min(_timed(db, IOT_PREFIX_SQL, ["w1"], repeats, True)
-                          for __ in range(3))
-    generated, n2 = min(_timed(db, IOT_PREFIX_SQL, ["w1"], repeats)
-                        for __ in range(3))
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return _versus_interpreter(interpreted, generated, rows=n1)
+    interpreted, generated, rows = _timed(db, IOT_PREFIX_SQL, ["w1"],
+                                          repeats)
+    return _versus_interpreter(interpreted, generated, rows=rows)
 
 
 def bench_rescan_after_writes(n_rows, repeats):
@@ -230,8 +256,9 @@ def bench_rescan_after_writes(n_rows, repeats):
     rebuilds its column image, against a cold scan of the same table
     (just reloaded: no page has an image yet) and a warm one (every
     image reused).  The plan is cached and the write's garbage collected
-    before each timed scan; min of ``3 * repeats`` scans per mode (one
-    scan is a millisecond or so)."""
+    before each timed scan; the fastest of ``3 * repeats`` rounds of one
+    scan a mode (one scan is a millisecond or so; see :func:`_fastest`).
+    Each mode's write sets up its own start, whatever ran before it."""
     db = Engine(buffer_capacity=4096).connect()
     db.execute("CREATE TABLE t (id INTEGER, grp VARCHAR2(8), val NUMBER)")
     rng = random.Random(91)
@@ -243,18 +270,20 @@ def bench_rescan_after_writes(n_rows, repeats):
         db.insert_rows("t", rows)
 
     def scan_after(write):
-        write()
-        db.explain(sql, binds)  # plan (or hit the cache) untimed
-        gc.collect()
-        start = time.perf_counter()
-        db.execute(sql, binds).fetchall()
-        return time.perf_counter() - start
+        def side():
+            write()
+            db.explain(sql, binds)  # plan (or hit the cache) untimed
+            gc.collect()
+            start = time.perf_counter()
+            db.execute(sql, binds).fetchall()
+            return time.perf_counter() - start
+        return side
 
-    samples = range(3 * repeats)
-    cold = min(scan_after(reload) for __ in samples)
-    rescan = min(scan_after(lambda: db.execute("UPDATE t SET val = val"))
-                 for __ in samples)
-    warm = min(scan_after(lambda: None) for __ in samples)
+    best = _fastest({
+        "cold": scan_after(reload),
+        "rescan": scan_after(lambda: db.execute("UPDATE t SET val = val")),
+        "warm": scan_after(lambda: None)}, 3 * repeats)
+    cold, rescan, warm = best["cold"], best["rescan"], best["warm"]
     return {"cold_s": round(cold, 5), "rescan_s": round(rescan, 5),
             "warm_s": round(warm, 5), "ratio": round(rescan / cold, 3)}
 
@@ -288,23 +317,27 @@ def bench_domain_scan(n_docs, repeats):
     db, corpus = build_text_db(n_docs)
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     binds = [corpus.common_word(5)]
-    interpreted, n1 = _timed(db, sql, binds, repeats, True)
-    generated, n2 = _timed(db, sql, binds, repeats)
-    assert n1 == n2 and n1 > 0, (n1, n2)
-    return _versus_interpreter(interpreted, generated, rows=n1)
+    interpreted, generated, rows = _timed(db, sql, binds, repeats)
+    return _versus_interpreter(interpreted, generated, rows=rows)
 
 
 def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
-    """ODCIIndexFetch batch-size sweep over the same domain scan."""
+    """ODCIIndexFetch batch-size sweep over the same domain scan: each
+    size's fastest execution (see :func:`_fastest`), scaled to
+    ``repeats`` executions."""
     db, corpus = build_text_db(n_docs)
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
     binds = [corpus.common_word(2)]
-    sweep = {}
-    for size in sizes:
-        db.fetch_batch_size = size
-        elapsed, __ = _timed(db, sql, binds, repeats)
-        sweep[str(size)] = round(elapsed, 4)
-    return sweep
+
+    def at(size):
+        def execute():
+            db.fetch_batch_size = size
+            db.execute(sql, binds).fetchall()
+        return _clock(execute)
+
+    best = _fastest({str(size): at(size) for size in sizes}, 3 * repeats)
+    return {size: round(elapsed * repeats, 4)
+            for size, elapsed in best.items()}
 
 
 def run_benchmarks(smoke=False):

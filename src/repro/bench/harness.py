@@ -32,6 +32,14 @@ def time_call(fn: Callable[[], Any]) -> Measurement:
     return Measurement(elapsed=elapsed, rows=rows)
 
 
+def warm_min(fn: Callable[[], Any], runs: int = 5) -> Measurement:
+    """``fn`` run once untimed — a plan forced through DDL pays its hard
+    parse there — then the fastest of ``runs`` timed runs."""
+    fn()
+    return min((time_call(fn) for __ in range(runs)),
+               key=lambda run: run.elapsed)
+
+
 def time_to_first_row(iterator_factory: Callable[[], Iterator[Any]]
                       ) -> Measurement:
     """Time both the first yielded row and full consumption."""

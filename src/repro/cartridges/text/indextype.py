@@ -284,9 +284,12 @@ class TextIndexMethods(IndexMethods):
             raise ODCIError("ODCIIndexStart",
                             "Contains requires a query argument")
         query_text = op_info.operator_args[0]
+        want_aux = query_info.ancillary_label is not None
+        if is_null(query_text):
+            # the functional Contains is 0 for a NULL query: no row
+            return env.workspace.allocate(PrecomputedScan([], want_aux))
         tree = parse_query(str(query_text))
         terms = _terms_table(ia)
-        want_aux = query_info.ancillary_label is not None
 
         if isinstance(tree, Term) and query_info.first_rows and not want_aux:
             # Incremental Computation: stream postings as fetched

@@ -806,15 +806,12 @@ def compile_plan(plan: Any, catalog: Any) -> None:
             slots["predicate"] = predicate(node.predicate)
         elif isinstance(node, pl.NestedLoopJoin):
             slots["condition"] = predicate(node.condition)
-        elif isinstance(node, pl.IndexedNLJoin):
+        elif isinstance(node, pl.IndexNLJoin):
+            # the inner scan runs once per outer row on a few rowids: its
+            # bounds read the outer row, its filter is a row function
             slots["condition"] = predicate(node.condition)
-            slots["inner_filter"] = predicate(node.inner_filter)
-            slots["outer_key"] = value(node.outer_key)
-        elif isinstance(node, pl.DomainNLJoin):
-            slots["condition"] = predicate(node.condition)
-            slots["inner_filter"] = predicate(node.inner_filter)
-            slots["value_args"] = [
-                value(a) for a in node.operator_call.value_args]
+            slots["bounds"] = [value(e) for e in node.inner.probe_exprs]
+            node.inner.compiled["filter"] = predicate(node.inner.filter)
         elif isinstance(node, pl.HashJoin):
             slots["left_keys"] = [value(k) for k in node.left_keys]
             slots["right_keys"] = [value(k) for k in node.right_keys]

@@ -68,10 +68,6 @@ _FOLD_CHUNK_ROWS = 4096
 #: the group key every null shares; no SQL value equals it
 _NULL_KEY = object()
 
-#: native index scans: a probe yields rowids, the batched base-table
-#: fetch (:class:`_RowidSource`) turns them into rows
-_INDEX_SCANS = pl.NATIVE_INDEX_SCANS
-
 #: single-table scans a LIMIT's row budget can be pushed into
 _SCAN_NODES = (pl.FullScan,) + pl.ROWID_SCANS
 
@@ -277,10 +273,8 @@ class Executor:
             return chain.from_iterable(self.iter_batches(node))
         if isinstance(node, pl.NestedLoopJoin):
             return self._iter_nl_join(node)
-        if isinstance(node, pl.IndexedNLJoin):
-            return self._iter_indexed_nl_join(node)
-        if isinstance(node, pl.DomainNLJoin):
-            return self._iter_domain_nl_join(node)
+        if isinstance(node, pl.IndexNLJoin):
+            return self._iter_index_nl_join(node)
         if isinstance(node, pl.HashJoin):
             return self._iter_hash_join(node)
         if isinstance(node, pl.SortNode):
@@ -301,9 +295,7 @@ class Executor:
         """
         if isinstance(node, (pl.FullScan, pl.IOTPrefixScan)):
             return self._batches_scan(node)
-        if isinstance(node, pl.DomainScan):
-            return self._batches_domain_scan(node)
-        if isinstance(node, _INDEX_SCANS):
+        if isinstance(node, pl.ROWID_SCANS):
             return self._batches_index_scan(node)
         if isinstance(node, pl.FilterNode):
             return self._batches_filter(node)
@@ -407,10 +399,11 @@ class Executor:
         source = self._scan_source(scan, columnar=True)
         if source is None:
             return None
+        bounds = [self._const(expr) for expr in scan.probe_exprs]
         if isinstance(scan, pl.DomainScan):
             return self._domain_batches(
-                scan, lambda result: source.cbatch(result.rowids))
-        return self._index_batches(scan, source.cbatch)
+                scan, bounds, lambda result: source.cbatch(result.rowids))
+        return self._index_batches(scan, bounds, source.cbatch)
 
     def _run_kernel(self, kernel: Callable, cbatch: ColumnBatch,
                     node: pl.PlanNode) -> None:
@@ -590,18 +583,17 @@ class Executor:
 
     # -- native index scans ----------------------------------------------------
 
-    def _probe_rowids(self, node: pl.BTreeScan) -> Iterable[Any]:
-        """The rowids a B-tree scan's probe returns, in index order.  A
-        NULL key or bound compares unknown to every entry: the probe is
-        empty."""
+    def _probe_rowids(self, node: pl.BTreeScan, low: Any,
+                      high: Any) -> Iterable[Any]:
+        """The rowids a B-tree scan's probe returns, in index order, for
+        the values of its bound expressions.  A NULL key or bound
+        compares unknown to every entry: the probe is empty."""
         structure = node.index.structure
-        low = self._const(node.low)
         if node.low is node.high and node.low is not None:
             # equality sarg: one descent, no leaf walk
             if is_null(low):
                 return ()
             return self._probe(structure, lambda: structure.search(low))
-        high = self._const(node.high)
         if (node.low is not None and is_null(low)) \
                 or (node.high is not None and is_null(high)):
             return ()
@@ -629,7 +621,7 @@ class Executor:
         return _RowidSource(self, node, node.table, node.binding_name,
                             node.filter, "filter", kernel, label)
 
-    def _index_batches(self, node: pl.PlanNode,
+    def _index_batches(self, node: pl.PlanNode, bounds: List[Any],
                        materialize: Callable[[List[Any]], Any]
                        ) -> Iterator[Any]:
         """Probe a native index and materialize its rowids a chunk at a
@@ -644,7 +636,7 @@ class Executor:
         size = self.batch_size
         if budget is not None and node.filter is None:
             size = min(size, budget)
-        rowids = self._probe_rowids(node)
+        rowids = self._probe_rowids(node, *bounds)
         if isinstance(rowids, list) and len(rowids) <= size:
             chunks: Iterable[List[Any]] = (rowids,)  # the point probe
         else:
@@ -660,32 +652,35 @@ class Executor:
 
     def _batches_index_scan(self, node: pl.PlanNode
                             ) -> Iterator[List[RowContext]]:
-        source = self._scan_source(node, columnar=False)
-        return self._index_batches(node, source.contexts)
+        return self._probe_batches(
+            node, self._scan_source(node, columnar=False),
+            [self._const(expr) for expr in node.probe_exprs])
+
+    def _probe_batches(self, node: pl.PlanNode, source: "_RowidSource",
+                       bounds: List[Any]) -> Iterator[List[RowContext]]:
+        """Row-context batches of one probe of a native index or domain
+        scan for these values of its bound expressions: evaluated once
+        per execution for a scan, once per outer row for an index
+        join's inner scan."""
+        if isinstance(node, pl.DomainScan):
+            return self._domain_batches(node, bounds, lambda result:
+                                        source.contexts(result.rowids,
+                                                        result.aux))
+        return self._index_batches(node, bounds, source.contexts)
 
     # -- the domain index scan (ODCI orchestration) ----------------------------
 
-    def _batches_domain_scan(self, node: pl.DomainScan
-                             ) -> Iterator[List[RowContext]]:
-        source = self._scan_source(node, columnar=False)
-        return self._domain_batches(
-            node, lambda result: source.contexts(result.rowids, result.aux))
-
-    def _domain_batches(self, node: pl.DomainScan,
+    def _domain_batches(self, node: pl.DomainScan, args: List[Any],
                         materialize: Callable[[Any], Any]) -> Iterator[Any]:
-        """One domain index scan: each ODCIIndexFetch result goes
-        through ``materialize`` (row contexts for a row consumer, a
-        filtered ``ColumnBatch`` under a fused projection)."""
-        call = node.operator_call
-        # the operator's value arguments are constants here
-        const_ctx = RowContext()
-        evaluated_args = tuple(self.evaluator.evaluate(a, const_ctx)
-                               for a in call.value_args)
+        """One domain index scan with these operator argument values:
+        each ODCIIndexFetch result goes through ``materialize`` (row
+        contexts for a row consumer, a filtered ``ColumnBatch`` under a
+        fused projection)."""
         # the plan (and its pred_info) may be shared via the plan cache:
         # never mutate it — take a per-execution copy with these args
-        pred_info = node.pred_info.with_args(evaluated_args)
+        pred_info = node.pred_info.with_args(tuple(args))
         query_info = ODCIQueryInfo(first_rows=node.first_rows,
-                                   ancillary_label=call.label)
+                                   ancillary_label=node.operator_call.label)
         return self._odci_scan(node, pred_info, query_info, materialize,
                                self._scan_budget)
 
@@ -786,54 +781,18 @@ class Executor:
                 if accepts is None or accepts(merged):
                     yield merged
 
-    def _iter_indexed_nl_join(self, node: pl.IndexedNLJoin
-                              ) -> Iterator[RowContext]:
-        structure = node.index.structure
-        outer_key = self._row_fn(node.compiled.get("outer_key"),
-                                 node.outer_key)
+    def _iter_index_nl_join(self, node: pl.IndexNLJoin
+                            ) -> Iterator[RowContext]:
+        """Per outer row, run the inner scan with its bound expressions
+        read from that row ("multiple sets of invocations of operators
+        can be interleaved", §2.2.3, for a domain probe)."""
+        inner = node.inner
+        bounds = self._value_fns(node, "bounds", inner.probe_exprs)
         accepts = self._truth_fn(node, "condition", node.condition)
-        inner = self._join_source(node)
+        source = self._scan_source(inner, columnar=False)
         for outer_ctx in self.iter_node(node.outer):
-            key = outer_key(outer_ctx)
-            if is_null(key):
-                continue
-            rowids = self._probe(structure, lambda: structure.search(key))
-            for inner_ctx in inner.contexts(rowids):
-                merged = outer_ctx.merged_with(inner_ctx)
-                if accepts is None or accepts(merged):
-                    yield merged
-
-    def _join_source(self, node: pl.PlanNode,
-                     label: Optional[Any] = None) -> "_RowidSource":
-        """The inner side of an index join: one probe's rowids are one
-        fetch batch; the inner filter runs as a row function."""
-        return _RowidSource(self, node, node.inner_table, node.inner_binding,
-                            node.inner_filter, "inner_filter", None, label)
-
-    def _iter_domain_nl_join(self, node: pl.DomainNLJoin
-                             ) -> Iterator[RowContext]:
-        """Per outer row, re-run the domain index scan with bound args.
-
-        "Multiple sets of invocations of operators can be interleaved.
-        At any given time, a number of operators can be evaluated using
-        the same indextype routines." (§2.2.3)
-        """
-        call = node.operator_call
-        arg_fns = self._value_fns(node, "value_args", call.value_args)
-        accepts = self._truth_fn(node, "condition", node.condition)
-        inner = self._join_source(node, call.label)
-        query_info = ODCIQueryInfo(ancillary_label=call.label)
-        for outer_ctx in self.iter_node(node.outer):
-            pred_info = ODCIPredInfo(
-                operator_name=call.operator.name,
-                operator_args=tuple(fn(outer_ctx) for fn in arg_fns),
-                lower_bound=node.lower, upper_bound=node.upper,
-                include_lower=node.include_lower,
-                include_upper=node.include_upper)
-            for batch in self._odci_scan(
-                    node, pred_info, query_info,
-                    lambda result: inner.contexts(result.rowids,
-                                                  result.aux)):
+            for batch in self._probe_batches(
+                    inner, source, [fn(outer_ctx) for fn in bounds]):
                 for inner_ctx in batch:
                     merged = outer_ctx.merged_with(inner_ctx)
                     if accepts is None or accepts(merged):

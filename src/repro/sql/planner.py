@@ -138,6 +138,11 @@ class BTreeScan(PlanNode):
         return (f"INDEX RANGE SCAN {self.index.name} -> "
                 f"{self.table.name} [{self.binding_name}]")
 
+    @property
+    def probe_exprs(self) -> List[Optional[ast.Expr]]:
+        """What the probe's key range is evaluated from."""
+        return [self.low, self.high]
+
 
 @dataclass
 class IOTPrefixScan(PlanNode):
@@ -175,6 +180,11 @@ class DomainScan(PlanNode):
         return (f"DOMAIN INDEX SCAN {self.index.name} ({op}) -> "
                 f"{self.table.name} [{self.binding_name}]")
 
+    @property
+    def probe_exprs(self) -> List[ast.Expr]:
+        """What ODCIIndexStart's operator arguments are evaluated from."""
+        return list(self.operator_call.value_args)
+
 
 @dataclass
 class FilterNode(PlanNode):
@@ -199,52 +209,20 @@ class NestedLoopJoin(PlanNode):
 
 
 @dataclass
-class IndexedNLJoin(PlanNode):
-    """NL join probing the inner table through an index per outer row."""
+class IndexNLJoin(PlanNode):
+    """NL join probing the inner table per outer row through its own
+    :class:`BTreeScan` or :class:`DomainScan` (``Sdo_Relate``'s spatial
+    join, §3.2.2), whose bound expressions read the outer row."""
 
     outer: PlanNode = None  # type: ignore[assignment]
-    inner_table: TableDef = None  # type: ignore[assignment]
-    inner_binding: str = ""
-    index: IndexDef = None  # type: ignore[assignment]
-    outer_key: ast.Expr = None  # type: ignore[assignment]
+    inner: PlanNode = None  # type: ignore[assignment]
     condition: Optional[ast.Expr] = None
-    inner_filter: Optional[ast.Expr] = None
 
     def label(self) -> str:
-        return (f"INDEXED NL JOIN probe {self.index.name} -> "
-                f"{self.inner_table.name} [{self.inner_binding}]")
-
-    def children(self) -> List[PlanNode]:
-        return [self.outer]
-
-
-@dataclass
-class DomainNLJoin(PlanNode):
-    """NL join probing a *domain* index on the inner table per outer row.
-
-    Covers operator join predicates like
-    ``Sdo_Relate(p.geometry, r.geometry, 'mask=OVERLAPS')`` where the
-    first argument is the inner table's indexed column and the remaining
-    arguments are evaluated against each outer row — the index-based
-    spatial join of §3.2.2.
-    """
-
-    outer: PlanNode = None  # type: ignore[assignment]
-    inner_table: TableDef = None  # type: ignore[assignment]
-    inner_binding: str = ""
-    index: IndexDef = None  # type: ignore[assignment]
-    operator_call: OperatorCall = None  # type: ignore[assignment]
-    lower: Optional[Any] = None
-    upper: Optional[Any] = None
-    include_lower: bool = True
-    include_upper: bool = True
-    condition: Optional[ast.Expr] = None
-    inner_filter: Optional[ast.Expr] = None
-
-    def label(self) -> str:
-        op = self.operator_call.operator.name
-        return (f"DOMAIN NL JOIN probe {self.index.name} ({op}) -> "
-                f"{self.inner_table.name} [{self.inner_binding}]")
+        # the inner scan's label past its kind: "index (op) -> table [b]"
+        kind = "DOMAIN" if isinstance(self.inner, DomainScan) else "INDEXED"
+        return (f"{kind} NL JOIN probe "
+                f"{self.inner.label().split(' SCAN ', 1)[1]}")
 
     def children(self) -> List[PlanNode]:
         return [self.outer]
@@ -527,8 +505,6 @@ class AccessPath:
     per_row: float
     #: its scan yields rowids for the batched base-table fetch
     rowid_source: bool = True
-    #: a nested-loop join may probe it once per outer row
-    join_probe: bool = False
 
 
 #: ``IndexDef.kind`` (``"iot"``: an index-organized table's own key) →
@@ -539,7 +515,7 @@ class AccessPath:
 ACCESS_PATHS: Dict[str, AccessPath] = {
     "btree": AccessPath(BTreeScan, _range_args,
                         ("eq", "low", "high", "low+high"),
-                        BTREE_DESCENT, FETCH_COST, join_probe=True),
+                        BTREE_DESCENT, FETCH_COST),
     "iot": AccessPath(IOTPrefixScan, lambda used: {
         "key": [s.value_expr for s in used if s.op == "="],
         "bounds": [s for s in used if s.op != "="]},
@@ -549,7 +525,7 @@ ACCESS_PATHS: Dict[str, AccessPath] = {
                          lambda used: {"operator_call": used[0].call,
                                        "pred_info": used[0].pred_info()},
                          ("op",), DOMAIN_SCAN_STARTUP,
-                         FETCH_COST + DOMAIN_SCAN_PER_ROW, join_probe=True),
+                         FETCH_COST + DOMAIN_SCAN_PER_ROW),
 }
 
 #: plan-node classes of the scans that hand the executor rowids to fetch
@@ -903,7 +879,7 @@ class Planner:
             if multi:
                 plan = self._wrap_filter(plan, and_together(multi))
             return plan
-        return self._plan_joins(scope, base_plans, multi, binds)
+        return self._plan_joins(scope, base_plans, per_table, multi, binds)
 
     def _wrap_filter(self, plan: PlanNode, predicate: Optional[ast.Expr]
                      ) -> PlanNode:
@@ -911,8 +887,8 @@ class Planner:
             return plan
         node = FilterNode(child=plan, predicate=predicate)
         node.est_rows = max(1.0, plan.est_rows * 0.5)
-        node.est_cost = plan.est_cost + plan.est_rows * self._filter_cost(
-            predicate)
+        node.est_cost = self._cost(plan.est_cost, plan.est_rows, 0.0,
+                                   predicate)
         return node
 
     # -- single-table access paths --------------------------------------------
@@ -977,13 +953,16 @@ class Planner:
         plan-time value now: a statistics routine's callback SQL may
         re-enter the planner before the estimates are read.  ``outer``
         (a join's already-joined bindings) makes their columns constants
-        — the sargs an inner-table probe sees per outer row."""
+        and offers only the conjuncts that read them: the sargs and
+        operator predicates an inner-table probe sees per outer row."""
         summary = SargSummary(table, *self._table_stats(table), conjuncts)
         for i, conjunct in enumerate(conjuncts):
             parts: list = extract_sargs(conjunct, outer)
+            offered = not outer or referenced_aliases(conjunct) & outer
             for sarg in parts:
                 sarg.conjunct, sarg.value = i, _peek(sarg.value_expr, binds)
-                if sarg.column_ref.alias == binding and sarg.op in _SIDE:
+                if offered and sarg.column_ref.alias == binding \
+                        and sarg.op in _SIDE:
                     summary.sargs.setdefault(
                         (sarg.column_ref.column or "", _SIDE[sarg.op]),
                         []).append(sarg)
@@ -993,7 +972,7 @@ class Planner:
                 args = pred.call.args
                 pred.conjunct = i
                 pred.arg_values = [_peek(arg, binds) for arg in args]
-                if args and isinstance(args[0], ast.ColumnRef) \
+                if offered and args and isinstance(args[0], ast.ColumnRef) \
                         and args[0].bound and args[0].alias == binding \
                         and all(_is_constant(arg, outer)
                                 for arg in pred.call.value_args):
@@ -1122,31 +1101,16 @@ class Planner:
         sel_all = prod(self._selectivity(summary, i)
                        for i in range(len(conjuncts)))
         full.est_rows = max(1.0, rows * sel_all) if conjuncts else max(rows, 1.0)
-        full.est_cost = pages + rows * (ROW_CPU
-                                        + self._filter_cost(full.filter))
+        full.est_cost = self._cost(pages, rows, ROW_CPU, full.filter)
         candidates: List[PlanNode] = [full]
         notes: List[str] = []
 
         for path, index, __, used, matched in self._paths(
                 table, summary, Scope([(binding, table)]), notes):
-            fields = path.node_args(used)
-            if index is not None:
-                fields["index"] = index
-            node = path.node(table=table, binding_name=binding,
-                             filter=summary.residual(used), **fields)
-            node.est_rows = max(1.0, matched)
+            node = self._scan_node(summary, binding, path, index, used,
+                                   matched)
             if isinstance(node, DomainScan):
-                # the cartridge prices its own scan (ODCIStatsIndexCost)
-                pred = used[0]
                 node.first_rows = first_rows
-                node.est_cost = self._domain_scan_cost(
-                    index, node.pred_info,
-                    self._selectivity(summary, pred.conjunct), matched,
-                    pred.arg_values) \
-                    + node.est_rows * self._filter_cost(node.filter)
-            else:
-                node.est_cost = path.startup + matched * (
-                    path.per_row + self._filter_cost(node.filter))
             candidates.append(node)
 
         best = min(candidates, key=lambda c: c.est_cost)
@@ -1196,30 +1160,45 @@ class Planner:
                 return min(1.0, max(0.0, sel))
         return DEFAULT_OPERATOR_SELECTIVITY
 
-    def _domain_scan_cost(self, index: IndexDef, pred_info: ODCIPredInfo,
-                          sel: float, matched: float,
-                          arg_values: Sequence[Any]) -> float:
-        """Cost of reaching ``matched`` rows through a domain index: the
-        indextype's ODCIStatsIndexCost when it has a statistics type,
-        else the ``"domain"`` row of :data:`ACCESS_PATHS`."""
-        indextype = self.catalog.get_indextype(index.domain.indextype_name)
-        if indextype.stats_name:
+    def _scan_node(self, summary: SargSummary, binding: str,
+                   path: AccessPath, index: Optional[IndexDef], used: list,
+                   matched: float) -> PlanNode:
+        """A candidate's plan node, filtered by the summary's residual and
+        priced by :meth:`_cost`: ``startup + matched * (per_row +
+        residual filter CPU)``.  A domain index whose indextype has a
+        statistics type prices ``startup + matched * per_row`` itself
+        (ODCIStatsIndexCost, §2.4.2), for a scan and a join probe alike."""
+        fields = path.node_args(used)
+        if index is not None:
+            fields["index"] = index
+        node = path.node(table=summary.table, binding_name=binding,
+                         filter=summary.residual(used), **fields)
+        node.est_rows = max(1.0, matched)
+        startup, per_row = path.startup, path.per_row
+        indextype = self.catalog.get_indextype(index.domain.indextype_name) \
+            if isinstance(node, DomainScan) else None
+        if indextype is not None and indextype.stats_name:
             stats = self.catalog.get_stats_type(indextype.stats_name)()
             env = self.db.make_stats_env(index.domain)
             env.trace(f"optimizer:ODCIStatsIndexCost({index.name})")
-            cost = self._dispatch_stats("ODCIStatsIndexCost",
-                                        stats.index_cost,
-                                        index.domain.index_info(), pred_info,
-                                        sel, list(arg_values), env,
-                                        index_name=index.name)
+            cost = self._dispatch_stats(
+                "ODCIStatsIndexCost", stats.index_cost,
+                index.domain.index_info(), node.pred_info,
+                self._selectivity(summary, used[0].conjunct),
+                list(used[0].arg_values), env, index_name=index.name)
             if cost is not None:
-                return cost.total
-        path = ACCESS_PATHS["domain"]
-        return path.startup + matched * path.per_row
+                startup, per_row = cost.total, 0.0
+        node.est_cost = self._cost(startup, matched, per_row, node.filter)
+        return node
+
+    def _cost(self, startup: float, matched: float, per_row: float,
+              residual: Optional[ast.Expr]) -> float:
+        """The one cost formula, for every candidate and join probe."""
+        return startup + matched * (per_row + self._filter_cost(residual))
 
     # -- joins -------------------------------------------------------------------
 
-    def _plan_joins(self, scope: Scope, base_plans: dict,
+    def _plan_joins(self, scope: Scope, base_plans: dict, per_table: dict,
                     multi: List[ast.Expr], binds: dict) -> PlanNode:
         remaining_bindings = [binding for binding, _ in scope.entries]
         remaining_bindings.sort(key=lambda b: base_plans[b].est_rows)
@@ -1236,7 +1215,7 @@ class Planner:
             for conjunct in join_conjuncts:
                 pending.remove(conjunct)
             plan = self._join_step(scope, binds, plan, joined, next_binding,
-                                   base_plans[next_binding], join_conjuncts)
+                                   base_plans, per_table, join_conjuncts)
             joined.add(next_binding)
             # attach any now-answerable pending predicates
             ready = [c for c in pending
@@ -1259,28 +1238,10 @@ class Planner:
                 return binding, conjuncts
         return remaining[0], []
 
-    def _join_probe(self, scope: Scope, binds: dict, notes: List[str],
-                    binding: str, conjuncts: List[ast.Expr], joined: set,
-                    shape: str) -> Optional[Tuple[IndexDef, Any, float]]:
-        """What a nested-loop join probes ``binding`` through per outer
-        row: the first :data:`ACCESS_PATHS` candidate declared
-        ``join_probe`` that serves ``shape`` for one of the join
-        conjuncts — the single-table matcher, with the joined tables'
-        columns as constants.  Returns ``(index, consumed sarg or
-        operator predicate, its selectivity)``."""
-        table = scope.table_for_alias(binding)
-        summary = self._sarg_summary(table, binding, conjuncts, binds,
-                                     frozenset(joined))
-        for path, index, found, used, __ in self._paths(
-                table, summary, scope, notes):
-            if path.join_probe and found == shape:
-                return index, used[0], self._selectivity(summary,
-                                                         used[0].conjunct)
-        return None
-
     def _join_step(self, scope: Scope, binds: dict, outer: PlanNode,
-                   joined: set, inner_binding: str, inner_plan: PlanNode,
-                   conjuncts: List[ast.Expr]) -> PlanNode:
+                   joined: set, inner_binding: str, base_plans: dict,
+                   per_table: dict, conjuncts: List[ast.Expr]) -> PlanNode:
+        inner_plan = base_plans[inner_binding]
         equi_pairs = []
         equi_conjuncts: List[ast.Expr] = []
         residual: List[ast.Expr] = []
@@ -1299,26 +1260,17 @@ class Planner:
         condition = and_together(residual)
 
         if equi_pairs:
-            # a small outer probes the inner table per row when a declared
-            # join-probe path serves the first equality; the rest filter
+            # a small outer probes the inner table per row when a B-tree
+            # serves the first equality; the rest filter
             small_outer = outer.est_rows <= max(
                 4.0, 0.2 * max(inner_plan.est_rows, 1.0))
-            probe = self._join_probe(scope, binds, [], inner_binding,
-                                     equi_conjuncts[:1], joined, "eq") \
+            probe = self._index_join(
+                scope, binds, [], outer, joined, inner_binding,
+                per_table[inner_binding], conjuncts, "eq",
+                equi_conjuncts[:1]) \
                 if small_outer and isinstance(inner_plan, FullScan) else None
             if probe is not None:
-                node = IndexedNLJoin(outer=outer,
-                                     inner_table=inner_plan.table,
-                                     inner_binding=inner_binding,
-                                     index=probe[0],
-                                     outer_key=equi_pairs[0][0],
-                                     condition=and_together(
-                                         residual + equi_conjuncts[1:]),
-                                     inner_filter=inner_plan.filter)
-                node.est_rows = max(1.0, outer.est_rows)
-                node.est_cost = (outer.est_cost
-                                 + outer.est_rows * (BTREE_DESCENT + 1.0))
-                return node
+                return probe
             node = HashJoin(left=outer, right=inner_plan,
                             left_keys=[lk for lk, _ in equi_pairs],
                             right_keys=[rk for _, rk in equi_pairs],
@@ -1329,21 +1281,21 @@ class Planner:
                              + inner_plan.est_rows * CPU_PER_PREDICATE)
             return node
 
+        # an operator join predicate a domain index serves; the indexed
+        # column may be on the other side: swap roles when the current
+        # outer is a single base-table scan
         notes: List[str] = []
-        domain_join = self._try_domain_join(scope, binds, notes, outer,
-                                            inner_binding, inner_plan,
-                                            residual, joined)
-        if domain_join is not None:
-            return domain_join
-        # the indexed column may be on the other side: swap roles when
-        # the current outer is a single base-table scan
-        if isinstance(outer, (FullScan,) + NATIVE_INDEX_SCANS) \
-                and len(joined) == 1:
-            swapped = self._try_domain_join(
-                scope, binds, notes, inner_plan, outer.binding_name, outer,
-                residual, {inner_binding})
-            if swapped is not None:
-                return swapped
+        node = self._index_join(scope, binds, notes, outer, joined,
+                                inner_binding, per_table[inner_binding],
+                                residual, "op", residual)
+        if node is None and len(joined) == 1 \
+                and isinstance(outer, (FullScan,) + NATIVE_INDEX_SCANS):
+            node = self._index_join(
+                scope, binds, notes, inner_plan, {inner_binding},
+                outer.binding_name, per_table[outer.binding_name],
+                residual, "op", residual)
+        if node is not None:
+            return node
 
         node = NestedLoopJoin(outer=outer, inner=inner_plan,
                               condition=condition)
@@ -1356,30 +1308,33 @@ class Planner:
                          + outer.est_rows * max(inner_plan.est_cost, 0.1))
         return node
 
-    def _try_domain_join(self, scope: Scope, binds: dict, notes: List[str],
-                         outer: PlanNode, inner_binding: str,
-                         inner_plan: PlanNode, residual: List[ast.Expr],
-                         joined: set) -> Optional[DomainNLJoin]:
-        """An operator join predicate a domain index on the inner table
-        serves (see :meth:`_join_probe`): probe it per outer row."""
-        probe = self._join_probe(scope, binds, notes, inner_binding,
-                                 residual, joined, "op")
-        if probe is None:
-            return None
-        index, op_pred, sel = probe
-        node = DomainNLJoin(
-            outer=outer, inner_table=scope.table_for_alias(inner_binding),
-            inner_binding=inner_binding, index=index,
-            operator_call=op_pred.call,
-            lower=op_pred.lower, upper=op_pred.upper,
-            include_lower=op_pred.include_lower,
-            include_upper=op_pred.include_upper,
-            condition=and_together([c for c in residual
-                                    if c is not op_pred.source]),
-            inner_filter=inner_plan.filter
-            if isinstance(inner_plan, FullScan) else None)
-        inner_rows = max(inner_plan.est_rows, 1.0)
-        node.est_rows = max(1.0, outer.est_rows * inner_rows * sel)
-        node.est_cost = (outer.est_cost + outer.est_rows
-                         * (DOMAIN_SCAN_STARTUP + inner_rows * sel))
-        return node
+    def _index_join(self, scope: Scope, binds: dict, notes: List[str],
+                    outer: PlanNode, joined: set, binding: str,
+                    own: List[ast.Expr], conjuncts: List[ast.Expr],
+                    shape: str, wanted: List[ast.Expr]
+                    ) -> Optional[IndexNLJoin]:
+        """Probe ``binding`` per outer row through the first candidate of
+        the single-table matcher that serves ``shape`` with one of the
+        ``wanted`` join conjuncts.  The summary holds the table's ``own``
+        conjuncts beside the join ``conjuncts``, with the joined tables'
+        columns as constants: its residual is the inner scan's filter
+        (the table's own predicates) and the join's condition."""
+        table = scope.table_for_alias(binding)
+        summary = self._sarg_summary(table, binding, conjuncts + own, binds,
+                                     frozenset(joined))
+        for path, index, found, used, matched in self._paths(
+                table, summary, scope, notes):
+            if found == shape and any(used[0].source is c for c in wanted):
+                inner = self._scan_node(summary, binding, path, index, used,
+                                        matched)
+                residual = split_conjuncts(inner.filter)
+                inner.filter = and_together(
+                    [c for c in residual if c in own])
+                node = IndexNLJoin(outer=outer, inner=inner,
+                                   condition=and_together(
+                                       [c for c in residual if c not in own]))
+                node.est_rows = max(1.0, outer.est_rows * matched)
+                node.est_cost = (outer.est_cost
+                                 + outer.est_rows * inner.est_cost)
+                return node
+        return None
