@@ -70,7 +70,3 @@ class Operator:
         raise OperatorBindingError(
             f"no binding of operator {self.name} matches argument types "
             f"{[repr(t) for t in arg_types]}; available: {available}")
-
-    def add_binding(self, binding: OperatorBinding) -> None:
-        """Register an additional binding."""
-        self.bindings.append(binding)

@@ -107,11 +107,6 @@ class ScanTracker:
         except ValueError:
             pass
 
-    @property
-    def open_scans(self) -> int:
-        """Number of scans still open."""
-        return len(self._closers)
-
     def close_all(self) -> None:
         """Run every outstanding closer (errors are swallowed)."""
         closers, self._closers = self._closers, []

@@ -92,11 +92,6 @@ class TableDef:
         """Column names in declaration order."""
         return [c.name for c in self.columns]
 
-    @property
-    def live_row_count(self) -> int:
-        """Current row count straight from storage (not ANALYZE)."""
-        return self.storage.row_count
-
 
 def index_key(row: List[Any], positions: List[int]) -> Any:
     """The native-index key for ``row`` restricted to ``positions``.
@@ -149,11 +144,14 @@ class IndexDef:
         """Bulk-load the native structure from ``table``'s current rows,
         replacing what it held."""
         positions = [table.column_position(c) for c in self.column_names]
+        width = range(len(positions))
         pairs = []
-        for rowid, row in table.storage.scan():
-            key = index_key(row, positions)
-            if key is not None:
-                pairs.append((key, rowid))
+        for rowids, columns in table.storage.scan_batches():
+            keys = zip(*[columns[p] for p in positions])
+            for rowid, values in zip(rowids, keys):
+                key = index_key(values, width)
+                if key is not None:
+                    pairs.append((key, rowid))
         self.structure.bulk_load(pairs)
 
 

@@ -1,7 +1,7 @@
 """Columnar batches and executor statistics for vectorized execution.
 
-A :class:`ColumnBatch` holds one batch of rows — a heap page, or one
-fetch of index-returned rowids — *transposed* into read-only column
+A :class:`ColumnBatch` holds one batch of rows — a storage's scan batch
+or one fetch of index-returned rowids — *transposed* into read-only column
 sequences, so one generated loop (``compile_vector_kernel`` in
 :mod:`repro.sql.compile`) filters the whole batch with the interpreter
 entered once per batch instead of once per row, and a *selection
@@ -29,12 +29,14 @@ class ColumnBatch:
     builds it on access, so compare rowids with ``==``, never ``is``.
     ``sel`` is the selection vector: the indices (ascending) of rows
     that survived the filter, or ``None`` meaning *all rows selected*.
+    ``aux[i]``, when ``aux`` is not None, is the ancillary value a
+    domain index returned with row ``i`` (see ``Executor._contexts``).
     Stored SQL NULLs appear exactly as they do in row tuples (the
     ``NULL`` singleton or Python ``None``) — transposition must not
     normalize them, or repr-based parity with the row path breaks.
     """
 
-    __slots__ = ("rowids", "columns", "n", "sel")
+    __slots__ = ("rowids", "columns", "n", "sel", "aux")
 
     def __init__(self, rowids: Sequence[Any],
                  columns: Sequence[Sequence[Any]],
@@ -43,6 +45,7 @@ class ColumnBatch:
         self.columns = columns
         self.n = len(rowids)
         self.sel = sel
+        self.aux: Optional[List[Any]] = None
 
     @classmethod
     def from_rows(cls, rowids: List[Any],
@@ -56,9 +59,7 @@ class ColumnBatch:
     def selected(self) -> List[int]:
         """The selection vector, materialized (all rows when ``sel`` is
         None)."""
-        if self.sel is None:
-            return list(range(self.n))
-        return self.sel
+        return list(range(self.n)) if self.sel is None else self.sel
 
     def selected_count(self) -> int:
         return self.n if self.sel is None else len(self.sel)
@@ -74,15 +75,11 @@ class ColumnBatch:
     def iter_rows(self) -> Iterator[Tuple[Any, List[Any]]]:
         """Yield ``(rowid, row_list)`` for each *selected* row, in row
         order — the materialization boundary back to the tuple
-        pipeline."""
-        rowids = self.rowids
-        columns = self.columns
+        pipeline.  A batch with every row selected is transposed in C."""
+        rowids, columns = self.rowids, self.columns
         if self.sel is None:
-            for i in range(self.n):
-                yield rowids[i], [col[i] for col in columns]
-        else:
-            for i in self.sel:
-                yield rowids[i], [col[i] for col in columns]
+            return zip(rowids, map(list, zip(*columns)))
+        return ((rowids[i], [col[i] for col in columns]) for i in self.sel)
 
 
 @dataclass

@@ -740,8 +740,8 @@ def compile_plan(plan: Any, catalog: Any) -> None:
     """
     from repro.sql import planner as pl  # deferred: planner imports us
     tables = dict(plan.scope.entries)
-    paths = tuple(path.node for path in pl.ACCESS_PATHS.values())
-    scans = (pl.FullScan,) + paths
+    scans = (pl.FullScan,) + tuple(
+        path.node for path in pl.ACCESS_PATHS.values())
 
     def vector_filter(scan: Any) -> bool:
         """Compile the scan's filter into a vector kernel (once)."""
@@ -758,15 +758,13 @@ def compile_plan(plan: Any, catalog: Any) -> None:
 
     def consume(node: Any, slot: str, exprs: Optional[List],
                 projection: bool = False) -> None:
-        """Stamp a consumer of its child scan's column batches — a
-        columnar-capable full scan's, or (under a projection) those of
-        any access path's scan: the batched base-table fetch of an
-        index's rowids, or an IOT's prefix batches — a gather over
-        ``exprs``, or (None) a grouped column fold."""
+        """Stamp a consumer of its child scan's column batches — a full
+        scan's, or (under a projection) those of any access path's scan:
+        the batched base-table fetch of an index's rowids, or an IOT's
+        prefix batches — a gather over ``exprs``, or (None) a grouped
+        column fold."""
         scan = node.child
-        if not (projection and isinstance(scan, paths)
-                or isinstance(scan, pl.FullScan)
-                and scan.has_scan_columns and scan.versioned):
+        if not isinstance(scan, scans if projection else pl.FullScan):
             return
         artifact = _vector_group_slots(node, scan) if exprs is None \
             else compile_vector_projection(exprs, scan.binding_name,

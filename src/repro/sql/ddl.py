@@ -500,20 +500,22 @@ class DDLEngine:
         nulls: Dict[str, int] = {c.name: 0 for c in table.columns}
         mins: Dict[str, Any] = {}
         maxs: Dict[str, Any] = {}
-        for __, row in table.storage.scan():
-            for col, value in zip(table.columns, row):
-                if is_null(value):
-                    nulls[col.name] += 1
-                    continue
-                marker = value if isinstance(value, (int, float, str, bool)) \
-                    else repr(value)
-                distinct[col.name].add(marker)
-                if isinstance(value, (int, float, str)) \
-                        and not isinstance(value, bool):
-                    if col.name not in mins or value < mins[col.name]:
-                        mins[col.name] = value
-                    if col.name not in maxs or value > maxs[col.name]:
-                        maxs[col.name] = value
+        for __, columns in table.storage.scan_batches():
+            for col, values in zip(table.columns, columns):
+                for value in values:
+                    if is_null(value):
+                        nulls[col.name] += 1
+                        continue
+                    marker = value \
+                        if isinstance(value, (int, float, str, bool)) \
+                        else repr(value)
+                    distinct[col.name].add(marker)
+                    if isinstance(value, (int, float, str)) \
+                            and not isinstance(value, bool):
+                        if col.name not in mins or value < mins[col.name]:
+                            mins[col.name] = value
+                        if col.name not in maxs or value > maxs[col.name]:
+                            maxs[col.name] = value
         for col in table.columns:
             stats.columns[col.name] = ColumnStats(
                 ndv=len(distinct[col.name]), null_count=nulls[col.name],

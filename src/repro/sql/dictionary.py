@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Tuple
 from repro.errors import StorageError
 from repro.metrics import Histogram, Keyed
 from repro.sql.catalog import Catalog, ColumnInfo, TableDef
-from repro.storage.heap import RowId
+from repro.storage.heap import PageRowIds, RowId
 from repro.types.datatypes import BOOLEAN, INTEGER, NUMBER, VARCHAR2
 
 #: segment ids for view snapshots, far away from real segments; one
@@ -51,9 +51,13 @@ class _SnapshotStorage:
     def page_count(self) -> int:
         return max(1, len(self._rows) // 50)
 
-    def scan(self) -> Iterator[Tuple[RowId, List[Any]]]:
-        for slot, row in enumerate(self._rows):
-            yield RowId(self.segment_id, 0, slot), row
+    def scan_batches(self, snapshot: Any = None
+                     ) -> Iterator[Tuple[PageRowIds, List[Tuple[Any, ...]]]]:
+        """The view's rows as one batch of columns (a snapshot of the
+        catalog has no versions: ``snapshot`` changes nothing)."""
+        if self._rows:
+            yield (PageRowIds(self.segment_id, 0, range(len(self._rows))),
+                   list(zip(*self._rows)))
 
     def fetch_or_none(self, rowid: RowId) -> Optional[List[Any]]:
         if rowid.segment_id != self.segment_id:

@@ -238,11 +238,6 @@ class Engine:
         self._tls.session = session
 
     @property
-    def current_session(self) -> Optional[Any]:
-        """The session bound to the current thread (or None)."""
-        return getattr(self._tls, "session", None)
-
-    @property
     def trace_log(self) -> Optional[List[str]]:
         """The bound session's trace log — the dispatcher's trace sink."""
         session = getattr(self._tls, "session", None)

@@ -7,10 +7,10 @@ the pipeline — which is precisely the §3.2.1 "pipelined fashion ... all
 rows that satisfy the text predicate do not have to be identified before
 the first result row can be returned" behaviour the E1 benchmark
 measures via time-to-first-row.  The unit of streaming, however, is a
-*batch* of rows where the producer is naturally batched: full scans move
-page-at-a-time (:meth:`~repro.storage.heap.HeapTable.scan_batches`), and
-domain scans materialize each ODCIIndexFetch result — which the protocol
-already returns in batches — into one row batch.
+*batch* of rows where the producer is naturally batched: every table
+storage scans as ``(rowids, columns)`` batches (``scan_batches``: a heap
+page at a time), and domain scans materialize each ODCIIndexFetch
+result — which the protocol already returns in batches — into one batch.
 
 Row expressions come lowered on the plan: the planner runs
 :func:`repro.sql.compile.compile_plan` once, at plan time, so the
@@ -30,11 +30,13 @@ re-enters ``index_fetch`` batch by batch until the cartridge reports the
 null-terminator, fetches the streamed rowids from the base table, and
 finally calls ``index_close``.
 
-Every index-driven row source — B-tree scans, the inner sides of the
-index joins, ODCI-returned rowids — fetches its rowids
-through one :class:`_RowidSource`: a batch at a time, one buffer get
-per distinct heap page, the residual filter as a vector kernel over the
-fetched batch when the plan has one, row contexts for survivors only.
+Every scan — full, IOT prefix, B-tree, domain, and the inner side of an
+index join — runs through :meth:`Executor._scan_source` as filtered
+:class:`~repro.sql.columnar.ColumnBatch` objects: an index-driven one
+fetches its rowids a batch at a time, one buffer get per distinct heap
+page, and the residual filter runs as a vector kernel over the batch
+when the plan has one.  Row consumers get their contexts from
+:meth:`Executor._contexts`, for the survivors only.
 """
 
 from __future__ import annotations
@@ -71,8 +73,11 @@ _NULL_KEY = object()
 #: single-table scans a LIMIT's row budget can be pushed into
 _SCAN_NODES = (pl.FullScan,) + pl.ROWID_SCANS
 
+#: every scan kind (see Executor._scan_source)
+_SCANS = _SCAN_NODES + (pl.IOTPrefixScan,)
+
 #: nodes whose rows arrive in producer-shaped batches (iter_batches)
-_BATCHED_NODES = _SCAN_NODES + (pl.IOTPrefixScan, pl.FilterNode)
+_BATCHED_NODES = _SCANS + (pl.FilterNode,)
 
 #: marks a fetched row the cartridge supplied no ancillary value for
 _NO_AUX = object()
@@ -287,16 +292,14 @@ class Executor:
                      ) -> Iterator[List[RowContext]]:
         """Yield row contexts in batches.
 
-        Scans whose producers are naturally batched (heap pages, IOT
-        prefix batches, ODCI fetch results, rowid chunks of an index
-        probe) keep their batch shape through the pipeline;
-        other nodes are regrouped into ``fetch_batch_size`` chunks so
-        batch consumers (filter, project) always run their tight loop.
+        Scans keep their producer's batch shape through the pipeline
+        (heap pages, IOT prefix batches, ODCI fetch results, rowid
+        chunks of an index probe); other nodes are regrouped into
+        ``fetch_batch_size`` chunks so batch consumers (filter, project)
+        always run their tight loop.
         """
-        if isinstance(node, (pl.FullScan, pl.IOTPrefixScan)):
-            return self._batches_scan(node)
-        if isinstance(node, pl.ROWID_SCANS):
-            return self._batches_index_scan(node)
+        if isinstance(node, _SCANS):
+            return self._scan_rows(node)()
         if isinstance(node, pl.FilterNode):
             return self._batches_filter(node)
         return _chunked(self.iter_node(node), self.batch_size)
@@ -318,40 +321,98 @@ class Executor:
             return ctx
         return make
 
-    def _batches_scan(self, node: pl.PlanNode
-                      ) -> Iterator[List[RowContext]]:
-        """Row contexts of a full or IOT prefix scan, a page or a prefix
-        batch at a time.  Under a row consumer (joins, DML subselects) a
-        vector-eligible filter runs over columns, and only its survivors
-        cross the materialization boundary — the kernel win pays for
-        the transpose when the filter is selective."""
-        make = self._ctx_factory(node.table, node.binding_name)
-        cbatches = self._vector_scan(node) if node.filter is not None \
-            else None
-        if cbatches is not None:
-            self.xstats.record_materialize_boundary()
-            for cbatch in cbatches:
-                yield [make(rowid, row) for rowid, row in cbatch.iter_rows()]
-            return
-        passes = self._truth_fn(node, "filter", node.filter)
-        storage = node.table.storage
-        if isinstance(node, pl.IOTPrefixScan):
-            pages: Iterable[Any] = (
-                zip(rowids, zip(*columns))
-                for rowids, columns in self._column_pages(node))
-        elif node.has_scan_batches:  # (storage probes made at plan time)
-            pages = storage.scan_batches(self.snapshot) if node.versioned \
-                else storage.scan_batches()
-        else:
-            pages = _chunked(storage.scan(self.snapshot)
-                             if node.versioned and self.snapshot is not None
-                             else storage.scan(), self.batch_size)
-        for page in pages:
-            batch = [make(rowid, row) for rowid, row in page]
+    def _contexts(self, scan: pl.PlanNode,
+                  passes: Optional[Callable[[RowContext], bool]] = None
+                  ) -> Callable[[ColumnBatch], List[RowContext]]:
+        """The one place a scan's batches become rows: a function from
+        one of ``scan``'s filtered batches to row contexts for its
+        selected rows, each with the ancillary value the batch carries
+        for it, then ``passes`` — the scan's filter as a row function,
+        when it has no kernel — applied.  Records the materialization
+        boundary."""
+        make = self._ctx_factory(scan.table, scan.binding_name)
+        label = scan.operator_call.label \
+            if isinstance(scan, pl.DomainScan) else None
+        self.xstats.record_materialize_boundary()
+
+        def contexts(cbatch: ColumnBatch) -> List[RowContext]:
+            batch = [make(rowid, row) for rowid, row in cbatch.iter_rows()]
+            aux = cbatch.aux
+            if aux is not None:
+                for ctx, i in zip(batch, cbatch.selected()):
+                    if aux[i] is not _NO_AUX:
+                        ctx.aux[label] = aux[i]
             if passes is not None:
                 batch = [ctx for ctx in batch if passes(ctx)]
-            if batch:
-                yield batch
+            return batch
+        return contexts
+
+    def _scan_rows(self, scan: pl.PlanNode
+                   ) -> Callable[..., Iterator[List[RowContext]]]:
+        """``run(bounds=None)``: row-context batches of one run of
+        ``scan`` for a row consumer.  A vector-eligible filter runs as
+        the kernel over columns, and only its survivors cross the
+        materialization boundary."""
+        vectorized, kernel = self._vector_filter(scan)
+        passes = self._truth_fn(scan, "filter", scan.filter) \
+            if kernel is None else None
+        return self._scan_source(scan, vectorized, kernel,
+                                 self._contexts(scan, passes))
+
+    def _scan_source(self, scan: pl.PlanNode, vectorized: bool,
+                     kernel: Optional[Callable],
+                     then: Optional[Callable[[ColumnBatch], Any]] = None
+                     ) -> Callable[..., Iterator[Any]]:
+        """``run(bounds=None)``: the non-empty batches of one run of any
+        scan — full, IOT prefix, native index or domain — each a
+        ``ColumnBatch`` whose ``sel`` is ``kernel``'s (every row without
+        one), or what ``then`` makes of it.  ``bounds`` are the values
+        of an index scan's probe expressions: by default its constants,
+        evaluated once per statement; an index join's, per outer row.
+
+        An index-driven scan fetches each batch of rowids from the base
+        table in one go (see :meth:`_batch_fetcher`), in probe order,
+        and transposes it; a domain scan's ancillary values ride along,
+        aligned with the rows the fetch kept."""
+        xstats = self.xstats
+
+        def select(cbatch: ColumnBatch) -> Any:
+            if cbatch.n:
+                if kernel is not None:
+                    self._run_kernel(kernel, cbatch, scan)
+                elif vectorized:
+                    xstats.record_vector_batch(cbatch.n)
+            return cbatch if then is None else then(cbatch)
+
+        if not isinstance(scan, pl.ROWID_SCANS):
+            def pages(bounds: Optional[List[Any]] = None) -> Iterator[Any]:
+                for rowids, columns in self._column_pages(scan):
+                    batch = select(ColumnBatch(rowids, columns))
+                    if batch:
+                        yield batch
+            return pages
+
+        fetch = self._batch_fetcher(scan.table)
+        label = scan.operator_call.label \
+            if isinstance(scan, pl.DomainScan) else None
+
+        def fetched(rowids: List[Any], aux: Optional[List[Any]] = None
+                    ) -> Any:
+            found, rows = fetch(rowids)
+            cbatch = ColumnBatch.from_rows(found, rows)
+            if aux and label is not None:
+                cbatch.aux = _aligned_aux(aux, rowids, found)
+            return select(cbatch)
+
+        def probe(bounds: Optional[List[Any]] = None) -> Iterator[Any]:
+            if bounds is None:
+                bounds = [self._const(expr) for expr in scan.probe_exprs]
+            if isinstance(scan, pl.DomainScan):
+                return self._domain_batches(
+                    scan, bounds,
+                    lambda result: fetched(result.rowids, result.aux))
+            return self._index_batches(scan, bounds, fetched)
+        return probe
 
     # -- vectorized columnar scan ----------------------------------------------
 
@@ -381,29 +442,14 @@ class Executor:
             return False, None
         return True, kernel
 
-    def _vector_scan(self, node: pl.PlanNode
-                     ) -> Optional[Iterator[ColumnBatch]]:
-        """Columnar batches for a full or IOT prefix scan, or None for
-        the row path."""
-        if isinstance(node, pl.FullScan) and not node.has_scan_columns:
-            return None
-        ok, kernel = self._vector_filter(node)
-        return self._cbatches(node, kernel) if ok else None
-
-    def _vector_cbatches(self, scan: pl.PlanNode
-                         ) -> Optional[Iterator[ColumnBatch]]:
-        """Filtered columnar batches of any vector-capable scan — full,
-        IOT prefix, native index, or domain — or None for the row path."""
-        if isinstance(scan, (pl.FullScan, pl.IOTPrefixScan)):
-            return self._vector_scan(scan)
-        source = self._scan_source(scan, columnar=True)
-        if source is None:
-            return None
-        bounds = [self._const(expr) for expr in scan.probe_exprs]
-        if isinstance(scan, pl.DomainScan):
-            return self._domain_batches(
-                scan, bounds, lambda result: source.cbatch(result.rowids))
-        return self._index_batches(scan, bounds, source.cbatch)
+    def _vector_batches(self, scan: pl.PlanNode
+                        ) -> Optional[Iterator[ColumnBatch]]:
+        """Filtered column batches of a scan for a columnar consumer, or
+        None when its filter cannot run as its kernel this execution
+        (the consumer takes the row path)."""
+        vectorized, kernel = self._vector_filter(scan)
+        return self._scan_source(scan, True, kernel)() if vectorized \
+            else None
 
     def _run_kernel(self, kernel: Callable, cbatch: ColumnBatch,
                     node: pl.PlanNode) -> None:
@@ -423,17 +469,6 @@ class Executor:
                 i for i in range(cbatch.n)
                 if truth(predicate, make(rowids[i], cbatch.row(i))) is True]
 
-    def _cbatches(self, node: pl.PlanNode, kernel: Optional[Callable]
-                  ) -> Iterator[ColumnBatch]:
-        for rowids, columns in self._column_pages(node):
-            cbatch = ColumnBatch(rowids, columns)
-            if kernel is not None:
-                self._run_kernel(kernel, cbatch, node)
-            else:
-                self.xstats.record_vector_batch(cbatch.n)
-            if cbatch.selected_count():
-                yield cbatch
-
     def _vector_project_scan(self, node: pl.ProjectNode, scan: pl.PlanNode
                              ) -> Optional[Iterator[Tuple[Any, ...]]]:
         """Fused filter→project over columnar batches, or None.
@@ -442,7 +477,7 @@ class Executor:
         through the selection vector — selected rows are never
         materialized as row tuples between the two operators.  The
         planner stamps the projection ``VECTORIZED`` only over a scan
-        that produces column batches (full, native index, or domain).
+        (full, IOT prefix, native index, or domain).
         """
         if self._interpret_only or node.vector_mode != "VECTORIZED":
             return None
@@ -453,7 +488,7 @@ class Executor:
         if project is None:
             self.xstats.record_factory_decline()
             return None
-        cbatches = self._vector_cbatches(scan)
+        cbatches = self._vector_batches(scan)
         if cbatches is None:
             return None
         return self._project_cbatches(node, scan, project, cbatches)
@@ -462,7 +497,6 @@ class Executor:
                           project: Callable,
                           cbatches: Iterator[ColumnBatch]
                           ) -> Iterator[Tuple[Any, ...]]:
-        xstats = self.xstats
         for cbatch in cbatches:
             try:
                 rows = project(cbatch.columns, cbatch.rowids,
@@ -472,8 +506,7 @@ class Executor:
                 # code's contract: materialize this batch and re-project
                 # through the interpreter, which yields the same prefix
                 # then raises the proper taxonomy error if one is real
-                xstats.record_fallback_batch()
-                xstats.record_materialize_boundary()
+                self.xstats.record_fallback_batch()
                 yield from self._interpreted_tuples(
                     [e for e, _ in node.items], scan, cbatch)
                 continue
@@ -484,10 +517,8 @@ class Executor:
                             ) -> Iterator[Tuple[Any, ...]]:
         """``exprs`` over each selected row of ``cbatch``, on the
         interpreter: what a failed generated gather falls back to."""
-        make = self._ctx_factory(scan.table, scan.binding_name)
         evaluate = self.evaluator.evaluate
-        for rowid, row in cbatch.iter_rows():
-            ctx = make(rowid, row)
+        for ctx in self._contexts(scan)(cbatch):
             yield tuple(evaluate(e, ctx) for e in exprs)
 
     def _const(self, expr: Optional[ast.Expr]) -> Any:
@@ -561,14 +592,13 @@ class Executor:
 
     def _column_pages(self, node: pl.PlanNode
                       ) -> Iterator[Tuple[Any, List[Any]]]:
-        """``(rowids, columns)`` batches of a full scan's heap pages, or
-        of an IOT prefix scan's prefix: none when a key value is NULL,
-        and a bound only when its value is of its column's kind (so
-        that tuple order is :func:`sql_compare`'s)."""
+        """``(rowids, columns)`` batches of a full scan — its storage's
+        ``scan_batches`` — or of an IOT prefix scan's prefix: none when
+        a key value is NULL, and a bound only when its value is of its
+        column's kind (so that tuple order is :func:`sql_compare`'s)."""
         storage = node.table.storage
         if isinstance(node, pl.FullScan):
-            return storage.scan_batches_columnar(
-                self.snapshot if node.versioned else None)
+            return storage.scan_batches(self.snapshot)
         key = [self._const(expr) for expr in node.key]
         if any(is_null(value) for value in key):
             return iter(())
@@ -602,25 +632,6 @@ class Executor:
             lambda: structure.range_scan(low, high, node.low_inclusive,
                                          node.high_inclusive)))
 
-    def _scan_source(self, node: pl.PlanNode, columnar: bool
-                     ) -> Optional["_RowidSource"]:
-        """The batched base-table fetch behind an index-driven scan.
-
-        A ``columnar`` consumer (the fused projection) needs the
-        residual filter to run as the plan's vector kernel: None when it
-        cannot, and the caller takes the row path.  A row consumer gets
-        the kernel when there is one — crossing a materialization
-        boundary for the survivors — and a row function otherwise."""
-        ok, kernel = self._vector_filter(node)
-        if columnar and not ok:
-            return None
-        if not columnar and kernel is not None:
-            self.xstats.record_materialize_boundary()
-        label = node.operator_call.label \
-            if isinstance(node, pl.DomainScan) else None
-        return _RowidSource(self, node, node.table, node.binding_name,
-                            node.filter, "filter", kernel, label)
-
     def _index_batches(self, node: pl.PlanNode, bounds: List[Any],
                        materialize: Callable[[List[Any]], Any]
                        ) -> Iterator[Any]:
@@ -649,24 +660,6 @@ class Executor:
                 emitted += len(batch)
                 if budget is not None and emitted >= budget:
                     return
-
-    def _batches_index_scan(self, node: pl.PlanNode
-                            ) -> Iterator[List[RowContext]]:
-        return self._probe_batches(
-            node, self._scan_source(node, columnar=False),
-            [self._const(expr) for expr in node.probe_exprs])
-
-    def _probe_batches(self, node: pl.PlanNode, source: "_RowidSource",
-                       bounds: List[Any]) -> Iterator[List[RowContext]]:
-        """Row-context batches of one probe of a native index or domain
-        scan for these values of its bound expressions: evaluated once
-        per execution for a scan, once per outer row for an index
-        join's inner scan."""
-        if isinstance(node, pl.DomainScan):
-            return self._domain_batches(node, bounds, lambda result:
-                                        source.contexts(result.rowids,
-                                                        result.aux))
-        return self._index_batches(node, bounds, source.contexts)
 
     # -- the domain index scan (ODCI orchestration) ----------------------------
 
@@ -789,10 +782,9 @@ class Executor:
         inner = node.inner
         bounds = self._value_fns(node, "bounds", inner.probe_exprs)
         accepts = self._truth_fn(node, "condition", node.condition)
-        source = self._scan_source(inner, columnar=False)
+        probe = self._scan_rows(inner)
         for outer_ctx in self.iter_node(node.outer):
-            for batch in self._probe_batches(
-                    inner, source, [fn(outer_ctx) for fn in bounds]):
+            for batch in probe([fn(outer_ctx) for fn in bounds]):
                 for inner_ctx in batch:
                     merged = outer_ctx.merged_with(inner_ctx)
                     if accepts is None or accepts(merged):
@@ -872,23 +864,20 @@ class Executor:
         if keys_of is None:
             self.xstats.record_factory_decline()
             return None
-        cbatches = self._vector_scan(child)
+        cbatches = self._vector_batches(child)
         if cbatches is None:
             return None
-        make = self._ctx_factory(child.table, child.binding_name)
-        xstats = self.xstats
+        contexts = self._contexts(child)
         decorated = []
         for cbatch in cbatches:
             try:
                 keys = keys_of(cbatch.columns, cbatch.rowids,
                                cbatch.selected())
             except Exception:  # noqa: BLE001 — degrade to exact semantics
-                xstats.record_fallback_batch()
+                self.xstats.record_fallback_batch()
                 keys = self._interpreted_tuples(
                     [item.expr for item in node.order_items], child, cbatch)
-            xstats.record_materialize_boundary()
-            for key, (rowid, row) in zip(keys, cbatch.iter_rows()):
-                decorated.append((key, make(rowid, row)))
+            decorated += zip(keys, contexts(cbatch))
         decorated.sort(key=sort_key)
         return iter([ctx for __, ctx in decorated])
 
@@ -907,7 +896,7 @@ class Executor:
         slots = node.compiled.get("vector_group")  # over a FullScan only
         if self._interpret_only or slots is None:
             return None
-        cbatches = self._vector_scan(node.child)
+        cbatches = self._vector_batches(node.child)
         if cbatches is None:
             return None
         return self._group_cbatches(node, node.child, slots, cbatches)
@@ -1014,88 +1003,6 @@ class Executor:
                 out.agg[aggregate_key(agg)] = acc.result()
             if having is None or having(out):
                 yield out
-
-
-class _RowidSource:
-    """One index-driven row source of a running statement.
-
-    Everything that turns index-returned rowids into rows — the native
-    index scans, the inner sides of the index joins, the domain scan —
-    builds one of these per execution and hands it rowid batches in
-    probe order.  A batch is fetched from the base table in one go (see
-    :meth:`Executor._batch_fetcher`); when the statement has a vector
-    kernel for the residual filter the batch is transposed into a
-    ``ColumnBatch`` and the kernel picks the survivors, and
-    ``RowContext``s are built for those only.  Without a kernel
-    (factory declined, filter outside the batch subset) the filter runs
-    as a row function over the batch's contexts.
-    Either way the output keeps the order the rowids came in.
-    """
-
-    def __init__(self, executor: Executor, node: pl.PlanNode, table: TableDef,
-                 binding: str, predicate: Optional[ast.Expr], slot: str,
-                 kernel: Optional[Callable], label: Optional[Any]):
-        self._executor = executor
-        self._node = node
-        self._table = table
-        self._binding = binding
-        #: context constructor, built at the first row boundary (a fused
-        #: projection never crosses one)
-        self._make: Optional[Callable] = None
-        self._fetch = executor._batch_fetcher(table)
-        #: row form of the residual filter, for when there is no kernel
-        self._passes = executor._truth_fn(node, slot, predicate) \
-            if kernel is None else None
-        self.kernel = kernel
-        #: ancillary-operator label the ODCIIndexFetch aux values feed
-        self._label = label
-
-    def _ctx_maker(self) -> Callable[[Any, List[Any]], RowContext]:
-        make = self._make
-        if make is None:
-            make = self._make = self._executor._ctx_factory(
-                self._table, self._binding)
-        return make
-
-    def _filtered(self, rowids: List[Any], rows: List[Any]) -> ColumnBatch:
-        """The fetched batch as columns, ``sel`` set by the kernel (only
-        scan nodes have one; its mid-batch fallback is the scan's)."""
-        cbatch = ColumnBatch.from_rows(rowids, rows)
-        if self.kernel is not None and rows:
-            self._executor._run_kernel(self.kernel, cbatch, self._node)
-        return cbatch
-
-    def cbatch(self, rowids: List[Any]) -> ColumnBatch:
-        """Fetch one rowid batch for a columnar consumer."""
-        return self._filtered(*self._fetch(rowids))
-
-    def contexts(self, rowids: List[Any],
-                 aux: Optional[List[Any]] = None) -> List[RowContext]:
-        """Fetch one rowid batch for a row consumer: contexts for the
-        surviving rows only.  ``aux[i]`` is the ancillary value the
-        index returned with ``rowids[i]``."""
-        found, rows = self._fetch(rowids)
-        label = self._label
-        if aux and label is not None:
-            aux = _aligned_aux(aux, rowids, found)
-        else:
-            aux = None
-        if self.kernel is not None and rows:
-            sel = self._filtered(found, rows).sel
-            found = [found[i] for i in sel]
-            rows = [rows[i] for i in sel]
-            if aux is not None:
-                aux = [aux[i] for i in sel]
-        make = self._ctx_maker()
-        batch = [make(rowid, row) for rowid, row in zip(found, rows)]
-        if aux is not None:
-            for ctx, value in zip(batch, aux):
-                if value is not _NO_AUX:
-                    ctx.aux[label] = value
-        if self._passes is not None:
-            passes = self._passes
-            batch = [ctx for ctx in batch if passes(ctx)]
-        return batch
 
 
 def _aligned_aux(aux: List[Any], rowids: List[Any],

@@ -105,18 +105,6 @@ class FullScan(PlanNode):
     table: TableDef
     binding_name: str
     filter: Optional[ast.Expr] = None
-    #: storage capability probes, hoisted here from the executor's
-    #: per-statement hot path (the executor branches on these flags
-    #: instead of getattr-probing the storage on every scan)
-    has_scan_batches: bool = field(default=False, init=False)
-    has_scan_columns: bool = field(default=False, init=False)
-    versioned: bool = field(default=False, init=False)
-
-    def __post_init__(self) -> None:
-        storage = self.table.storage
-        self.has_scan_batches = hasattr(storage, "scan_batches")
-        self.has_scan_columns = hasattr(storage, "scan_batches_columnar")
-        self.versioned = getattr(storage, "versions", None) is not None
 
     def label(self) -> str:
         suffix = " FILTER" if self.filter is not None else ""

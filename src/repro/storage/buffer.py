@@ -214,11 +214,6 @@ class BufferCache:
                     pages[pno] = page
             return pages
 
-    def dirty_pages(self) -> Dict[PageKey, Page]:
-        """Snapshot of the currently dirty cached pages (checkpointing)."""
-        with self._latch:
-            return {k: p for k, p in self._cache.items() if p.dirty}
-
     def restore_next_segment_id(self, next_id: int) -> None:
         """Advance the segment allocator past recovered segments."""
         with self._latch:

@@ -225,72 +225,25 @@ class HeapTable:
 
     # -- scans ----------------------------------------------------------
 
-    def scan(self) -> Iterator[Tuple[RowId, List[Any]]]:
-        """Full table scan: yield (rowid, row) for every live row."""
-        for page_no in range(self._page_count):
-            page = self.buffer.get_page(self.segment_id, page_no)
-            for slot, row in enumerate(page.slots):
-                if row is not None:
-                    yield RowId(self.segment_id, page_no, slot), row
-
-    def _read_page(self, page: Page, snapshot: Optional[Snapshot]
-                   ) -> Tuple[PageRowIds, List[List[Any]]]:
-        """``(rowids, rows)`` of one page's visible rows, aligned; what
-        both page-batched scans are made of.
-
-        ``rowids`` is a :class:`PageRowIds`: the live slot numbers, with
-        a ``RowId`` built only for an item a consumer reads.  With a
-        ``snapshot`` every slot — live or tombstoned — is read, *then*
-        resolved through the version store, so the page shows exactly
-        the rows committed as of the snapshot's SCN plus the owning
-        transaction's own writes; a store with nothing mapped hands the
-        slots back as they are without reading a rowid.  A snapshot
-        read is one attempt: callers run it inside ``versions.read``.
-        """
-        segment_id, page_no = self.segment_id, page.page_no
-        rows = list(page.slots)
-        if snapshot is not None:
-            rows = self.versions.resolve_batch(
-                PageRowIds(segment_id, page_no, range(len(rows))),
-                rows, snapshot)
-        if None in rows:
-            live = [slot for slot, row in enumerate(rows) if row is not None]
-            return (PageRowIds(segment_id, page_no, live),
-                    [rows[slot] for slot in live])
-        return PageRowIds(segment_id, page_no, range(len(rows))), rows
-
     def scan_batches(self, snapshot: Optional[Snapshot] = None
-                     ) -> Iterator[List[Tuple[RowId, List[Any]]]]:
-        """Full scan, one page per batch (see :meth:`_read_page`).
-
-        The batched executor pipeline consumes pages whole, so the
-        buffer cache is latched once per page instead of once per row;
-        empty pages produce no batch.
-        """
-        versions = self.versions
-        for page_no in range(self._page_count):
-            page = self.buffer.get_page(self.segment_id, page_no)
-            rowids, rows = self._read_page(page, None) if snapshot is None \
-                else versions.read(lambda: self._read_page(page, snapshot),
-                                   snapshot)
-            if rowids:
-                yield list(zip(rowids, rows))
-
-    def scan_batches_columnar(self, snapshot: Optional[Snapshot] = None
-                              ) -> Iterator[Tuple[PageRowIds,
-                                                  Sequence[Sequence[Any]]]]:
-        """Full scan, one page per batch, as columns.
+                     ) -> Iterator[Tuple[PageRowIds, Sequence[Sequence[Any]]]]:
+        """Full scan, one page per batch, as columns: the table's one
+        scan.
 
         Yields ``(rowids, columns)`` where ``columns[c][i]`` is column
         ``c`` of the batch's row ``i`` and ``rowids`` is the page's
-        :class:`PageRowIds` — the layer above wraps these in a
-        ``ColumnBatch``.  The columns are the page's column image
-        (:meth:`Page.columns`), shared by every scan until the page's
-        next write, so they are tuples.  Under a ``snapshot`` the image
-        is read first and the store consulted after, the order of every
-        snapshot read: a store ``settled`` for the snapshot leaves the
-        image as the snapshot sees it, and any other store resolves the
-        same page slot by slot (:meth:`_read_page`).
+        :class:`PageRowIds`: its live slot numbers, with a ``RowId``
+        built only for an item a consumer reads.  The layer above wraps
+        these in a ``ColumnBatch``.  The columns are the page's column
+        image (:meth:`Page.columns`), shared by every scan until the
+        page's next write, so they are tuples.  Under a ``snapshot`` the
+        image is read first and the store consulted after, the order of
+        every snapshot read: a store ``settled`` for the snapshot leaves
+        the image as the snapshot sees it.  Any other store resolves
+        every slot of the page, live or tombstoned, so the batch holds
+        exactly the rows committed as of the snapshot's SCN plus the
+        owning transaction's own writes; a read is one attempt, retried
+        by ``versions.read``.
         """
         segment_id = self.segment_id
         versions = self.versions
@@ -299,8 +252,12 @@ class HeapTable:
             image = page.columns()
             if versions.settled(snapshot):
                 return image
-            rowids, rows = self._read_page(page, snapshot)
-            return rowids.slots, tuple(zip(*rows))
+            rows = list(page.slots)
+            rows = versions.resolve_batch(
+                PageRowIds(segment_id, page.page_no, range(len(rows))),
+                rows, snapshot)
+            live = [slot for slot, row in enumerate(rows) if row is not None]
+            return live, tuple(zip(*[rows[slot] for slot in live]))
 
         for page_no in range(self._page_count):
             page = self.buffer.get_page(segment_id, page_no)
@@ -314,7 +271,7 @@ class HeapTable:
                     ) -> Tuple[List[RowId], List[List[Any]]]:
         """Fetch a batch of rowids: ``(rowids, rows)`` for the live ones.
 
-        The rowid-batch counterpart of the page-batched scans, for
+        The rowid-batch counterpart of :meth:`scan_batches`, for
         index-returned rowids: each distinct page is fetched from the
         buffer cache once per batch, every slot is read before any
         version chain is consulted (the order :meth:`fetch_or_none`

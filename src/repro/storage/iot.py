@@ -16,8 +16,9 @@ layer deletes and re-inserts a row whose key changes).
 A row costs the tree one key tuple and one payload tuple, and a load
 hands them over as two columns (:meth:`IndexOrganizedTable.insert_bulk`)
 — no row is built to be split.  A row handed out one at a time is a
-fresh list; a prefix scan hands its rows over as columns instead
-(:meth:`IndexOrganizedTable.prefix_batches`), with no object per row.
+fresh list; a scan hands its rows over as columns instead
+(:meth:`IndexOrganizedTable.prefix_batches`; a full scan is the empty
+prefix), with no object per row.
 """
 
 from __future__ import annotations
@@ -305,27 +306,11 @@ class IndexOrganizedTable:
 
     # -- scans ------------------------------------------------------------
 
-    def scan(self, snapshot: Optional[Snapshot] = None
-             ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
-        """Scan in key order, yielding (rowid, full row)."""
-        return self._rows((None, None, True, True), snapshot)
-
-    def key_range_scan(self, low: Optional[Tuple[Any, ...]] = None,
-                       high: Optional[Tuple[Any, ...]] = None,
-                       low_inclusive: bool = True,
-                       high_inclusive: bool = True,
-                       snapshot: Optional[Snapshot] = None,
-                       ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
-        """Scan rows whose key lies in [low, high] (tuple bounds)."""
-        return self._rows((low, high, low_inclusive, high_inclusive),
-                          snapshot)
-
-    def key_prefix_scan(self, prefix: List[Any],
-                        snapshot: Optional[Snapshot] = None
-                        ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
-        """Scan rows whose key starts with ``prefix`` (in key order): the
-        rows of :meth:`prefix_batches`, one ``(rowid, row)`` pair each."""
-        return self._rows(_prefix_bounds(prefix, None, None), snapshot)
+    def scan_batches(self, snapshot: Optional[Snapshot] = None
+                     ) -> Iterator[Tuple[KeyRowIds, List[Sequence[Any]]]]:
+        """Full scan in key order: the walk of :meth:`prefix_batches`
+        with an empty prefix, one batch of every row."""
+        return self._batches(_prefix_bounds([], None, None), snapshot)
 
     def prefix_batches(self, prefix: List[Any], low: Any = None,
                        high: Any = None, snapshot: Optional[Snapshot] = None
@@ -344,23 +329,15 @@ class IndexOrganizedTable:
         does, and a caller still tests the predicate they came from.
         ``rowids`` is a :class:`KeyRowIds` over the same key tuples.
         """
-        rowids, keys, payloads = self._read(
-            _prefix_bounds(prefix, low, high), snapshot)
+        return self._batches(_prefix_bounds(prefix, low, high), snapshot)
+
+    def _batches(self, bounds: Tuple[Any, Any, bool, bool],
+                 snapshot: Optional[Snapshot]
+                 ) -> Iterator[Tuple[KeyRowIds, List[Sequence[Any]]]]:
+        """The rows in ``bounds`` as one ``(rowids, columns)`` batch."""
+        rowids, keys, payloads = self._read(bounds, snapshot)
         if keys:
             yield rowids, [*zip(*keys), *zip(*payloads)]
-
-    def _rows(self, bounds: Tuple[Any, Any, bool, bool],
-              snapshot: Optional[Snapshot]
-              ) -> Iterator[Tuple[LogicalRowId, List[Any]]]:
-        """``(rowid, row)`` for the rows in ``bounds`` (the arguments of
-        ``BTree.range_scan``); streamed from the tree in current mode."""
-        if snapshot is None:
-            segment_id = self.segment_id
-            for key, payload in self._tree.range_scan(*bounds):
-                yield LogicalRowId(segment_id, key), list(key) + list(payload)
-            return
-        rowids, keys, payloads = self._read(bounds, snapshot)
-        yield from zip(rowids, map(list, map(add, keys, payloads)))
 
     def _entries(self, bounds: Tuple[Any, Any, bool, bool]
                  ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[Any, ...]]]:

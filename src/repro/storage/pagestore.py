@@ -147,10 +147,6 @@ class PageStore:
             segs.update(self.iot_dumps)
             return sorted(segs)
 
-    def max_segment(self) -> int:
-        segs = self.segments()
-        return max(segs) if segs else 0
-
     def max_page_lsn(self) -> int:
         """Highest LSN stamped on any stored image (epoch recovery aid)."""
         with self._latch:

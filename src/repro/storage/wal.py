@@ -353,7 +353,8 @@ class WriteAheadLog:
             self.flushed_lsn = make_lsn(epoch, 0)
             self.stats.truncations += 1
 
-    def scan(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    def records(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(lsn, payload)`` of every intact record, oldest first."""
         return scan_log(self.device, self.epoch)
 
     def close(self) -> None:

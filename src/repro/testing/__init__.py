@@ -1,13 +1,14 @@
 """Deterministic testing utilities for the extensible-indexing engine."""
 
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.testing.faults import (FaultPlan, LedgerEntry,
                                   StorageFaultPlan, StorageLedgerEntry)
 
 __all__ = ["FaultPlan", "LedgerEntry",
-           "StorageFaultPlan", "StorageLedgerEntry", "interpreter_forced"]
+           "StorageFaultPlan", "StorageLedgerEntry", "interpreter_forced",
+           "scanned"]
 
 
 @contextmanager
@@ -24,3 +25,12 @@ def interpreter_forced(session: Any) -> Iterator[Any]:
         yield session
     finally:
         session._interpret_only = False
+
+
+def scanned(batches: Iterable[Tuple[Sequence[Any], Sequence[Sequence[Any]]]]
+            ) -> List[Tuple[Any, List[Any]]]:
+    """``(rowid, row)`` pairs, in order, of a storage scan's ``(rowids,
+    columns)`` batches (``scan_batches``, ``prefix_batches``): the rows a
+    test compares a scan by."""
+    return [(rowid, list(row)) for rowids, columns in batches
+            for rowid, row in zip(rowids, zip(*columns))]

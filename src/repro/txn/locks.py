@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import DeadlockError, LockTimeoutError, TransactionError
+from repro.errors import DeadlockError, LockTimeoutError
 from repro.metrics import Histogram, Metrics, histogram
 
 #: cap on one condition wait so doomed flags and missed notifies are
@@ -273,8 +273,3 @@ class LockManager:
         with self._cond:
             held = self._locks.get(resource.lower())
             return held[0] if held else None
-
-    def assert_unlocked(self, resource: str) -> None:
-        """Raise unless ``resource`` is free (used by DDL)."""
-        if self.holders(resource):
-            raise TransactionError(f"{resource!r} is locked")

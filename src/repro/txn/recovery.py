@@ -94,7 +94,7 @@ def run_recovery(engine: Any, dm: Any) -> RecoveryStats:
     max_scn = snapshot["scn"] if snapshot else 0
     max_txn = snapshot["next_txn_id"] if snapshot else 1
     max_seg = snapshot["next_segment_id"] if snapshot else 1
-    for lsn, payload in dm.wal.scan():
+    for lsn, payload in dm.wal.records():
         records[lsn] = payload
         order.append(lsn)
         stats.log_records_scanned += 1
@@ -200,7 +200,7 @@ def _detect_epoch(dm: Any) -> int:
     checkpoint after any truncation).  An empty log means the last
     truncation's contents were fully flushed — start a fresh epoch past
     any LSN stamped on stored pages."""
-    for __, payload in dm.wal.scan():
+    for __, payload in dm.wal.records():
         if payload["t"] == REC_CHECKPOINT:
             return payload["epoch"]
         break

@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.testing import scanned
 from repro.txn.mvcc import VersionStore
 
 pytestmark = [pytest.mark.concurrency, pytest.mark.mvcc]
@@ -86,8 +87,7 @@ def heap(engine):
 
 
 def _scan(storage, snapshot):
-    return [row for batch in storage.scan_batches(snapshot)
-            for __, row in batch]
+    return [row for __, row in scanned(storage.scan_batches(snapshot))]
 
 
 class TestRolledBackInsert:
@@ -99,7 +99,7 @@ class TestRolledBackInsert:
             writer = engine.connect()
             writer.begin()
             writer.execute("INSERT INTO t VALUES (3, :1)", [SENTINEL])
-            (rowid,) = [rid for rid, row in heap.scan()
+            (rowid,) = [rid for rid, row in scanned(heap.scan_batches())
                         if row[1] == SENTINEL]
             snapshot = engine.mvcc.take_snapshot(None)
             park = _Park(monkeypatch)
@@ -127,7 +127,8 @@ class TestRolledBackInsert:
         park = _Park(monkeypatch)
         rows = _read_while(
             park,
-            lambda: [row for __, row in iot.key_prefix_scan(["a"], snapshot)],
+            lambda: [row for __, row in scanned(
+                iot.prefix_batches(["a"], snapshot=snapshot))],
             writer.rollback)
         assert rows == [["a", 1]]
         assert iot.fetch_or_none(iot.locate(("a", 1))[0], snapshot) \
@@ -144,7 +145,8 @@ class TestForgottenBase:
         writer = engine.connect()
         writer.begin()
         writer.execute("UPDATE t SET v = :1 WHERE k = 1", [SENTINEL])
-        (rowid,) = [rid for rid, row in heap.scan() if row[1] == SENTINEL]
+        (rowid,) = [rid for rid, row in scanned(heap.scan_batches())
+                    if row[1] == SENTINEL]
         snapshot = engine.mvcc.take_snapshot(None)
         park = _Park(monkeypatch)
 
@@ -215,7 +217,7 @@ class TestColumnImage:
     @staticmethod
     def _values(storage, snapshot=None):
         return sorted(value for __, columns
-                      in storage.scan_batches_columnar(snapshot)
+                      in storage.scan_batches(snapshot)
                       for value in columns[1])
 
     def _snapshot_values(self, engine, storage):

@@ -57,14 +57,11 @@ def rows_read(db, table_name):
             return result
         return measure
 
-    # index-organized table
-    for name in ("scan", "key_prefix_scan", "key_range_scan"):
-        spy(name, each(lambda pair: 1))
+    # every table storage's full scan, then the IOT's keyed reads and
+    # the heap's rowid fetch
+    spy("scan_batches", each(lambda batch: len(batch[0])))
     spy("prefix_batches", each(lambda batch: len(batch[0])))
     spy("locate", once(lambda found: found is not None))
-    # heap table
-    spy("scan_batches", each(len))
-    spy("scan_batches_columnar", each(lambda batch: len(batch[0])))
     spy("fetch_batch", once(lambda found: len(found[0])))
     try:
         yield lambda: count[0]

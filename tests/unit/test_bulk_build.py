@@ -16,6 +16,7 @@ from repro.index.btree import BTree
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
+from repro.testing import scanned
 
 
 class TestBTreeBulkLoad:
@@ -162,8 +163,8 @@ class TestIOTInsertBulk:
         bulk = self._iot()
         bulk.insert_bulk([(key,) for key in keys],
                          [(f"v{key}",) for key in keys])
-        assert [row for __, row in bulk.scan()] \
-            == [row for __, row in grown.scan()]
+        assert scanned(bulk.scan_batches()) \
+            == scanned(grown.scan_batches())
 
     def test_rowids_fetch_back(self):
         iot = self._iot()
@@ -182,14 +183,15 @@ class TestIOTInsertBulk:
         # until an item is read, and each item is the row's key
         assert rids.keys == [(2,), (1,)]
         assert list(rids) == [rid for rid, __ in
-                              reversed(list(iot.scan()))]
+                              reversed(scanned(iot.scan_batches()))]
         assert iot.fetch(rids[1]) == [1, "a"]
 
     def test_presorted_fast_path(self):
         iot = self._iot(key_width=2)
         iot.insert_bulk([("alpha", i) for i in range(50)],
                         [(i,) for i in range(50)], presorted=True)
-        assert [row[2] for __, row in iot.scan()] == list(range(50))
+        assert [row[2] for __, row in scanned(iot.scan_batches())] \
+            == list(range(50))
 
     def test_presorted_lie_detected(self):
         iot = self._iot()
@@ -215,7 +217,7 @@ class TestHeapInsertBulk:
         rids = heap.insert_bulk(rows, presorted=True)
         # heap order is arrival order; rowids always come back
         assert len(rids) == 20
-        assert [row for __, row in heap.scan()] == rows
+        assert [row for __, row in scanned(heap.scan_batches())] == rows
 
 
 class TestColumnarDirectLoad:

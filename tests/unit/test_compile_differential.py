@@ -18,7 +18,7 @@ from repro.sql.builtins import register_builtins
 from repro.sql.catalog import Catalog, ColumnInfo, SQLFunction, TableDef
 from repro.sql.compile import compile_row_function
 from repro.sql.expressions import Evaluator, RowContext
-from repro.testing import interpreter_forced
+from repro.testing import interpreter_forced, scanned
 from repro.types.datatypes import NUMBER, VARCHAR2
 from repro.types.values import NULL
 
@@ -490,10 +490,12 @@ class TestBatchPipeline:
             db.execute("INSERT INTO t VALUES (:1, :2)", [i, "x" * 50])
         db.execute("DELETE FROM t WHERE id BETWEEN 50 AND 149")
         storage = db.catalog.get_table("t").storage
-        flat = list(storage.scan())
-        batched = [pair for page in storage.scan_batches() for pair in page]
-        assert flat == batched
-        assert all(len(page) > 0 for page in storage.scan_batches())
+        pages = list(storage.scan_batches())
+        assert [row for __, row in scanned(pages)] == [
+            [i, "x" * 50] for i in [*range(50), *range(150, 200)]]
+        assert len(pages) > 1 and all(len(rowids) > 0 for rowids, __ in pages)
+        assert [storage.fetch(rowid)[0] for rowid, __ in scanned(pages)] \
+            == [*range(50), *range(150, 200)]
 
     @pytest.mark.parametrize("batch_size", [1, 3, 32, 1000])
     def test_results_invariant_under_batch_size(self, db, batch_size):

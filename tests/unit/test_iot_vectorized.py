@@ -106,15 +106,38 @@ QUERIES = [
 ]
 
 
+#: (sql over ``post``, binds); every one plans a TABLE SCAN of the IOT
+#: (its full scan: the prefix walk with an empty prefix), so kernels,
+#: the fused projection, sort and grouped fold run over the tree's rows
+FULL_SCANS = [
+    ("SELECT term, pos, doc, freq FROM post WHERE freq > :1", [2]),
+    ("SELECT term, doc, note FROM post WHERE note IS NULL AND pos < :1",
+     [4]),
+    ("SELECT term, pos, freq, note FROM post", []),
+    ("SELECT term FROM post WHERE freq > :1", [None]),
+    ("SELECT term, pos, doc FROM post WHERE freq < :1"
+     " ORDER BY freq, note, term DESC, pos, doc", [3]),
+    ("SELECT term, COUNT(*), SUM(freq), MAX(note) FROM post GROUP BY term",
+     []),
+    ("SELECT note, COUNT(freq), MIN(freq) FROM post WHERE doc = :1"
+     " GROUP BY note", [1]),
+    ("SELECT term, pos FROM post WHERE freq IS NULL LIMIT 5", []),
+    ("SELECT term, pos, doc FROM post LIMIT 4 OFFSET 58", []),
+    ("SELECT rowid, term FROM post WHERE pos = 19 AND doc = 2", []),
+    ("SELECT term FROM post WHERE freq / (pos - 5) > 0", []),
+]
+
+
 class TestTwoWay:
     @pytest.fixture(scope="class")
     def data(self):
         return _load(Engine().connect())
 
-    @pytest.mark.parametrize("sql,binds", QUERIES)
+    @pytest.mark.parametrize("sql,binds", QUERIES + FULL_SCANS)
     def test_agrees_with_interpreter_and_full_scan(self, data, sql, binds):
-        assert any("IOT PREFIX SCAN" in line
-                   for line in data.explain(sql, binds))
+        scan = "TABLE SCAN post" if (sql, binds) in FULL_SCANS \
+            else "IOT PREFIX SCAN"
+        assert any(scan in line for line in data.explain(sql, binds))
         generated, interpreted = _both_ways(data, sql, binds)
         assert generated == interpreted, sql
         oracle, __ = _both_ways(data, sql.replace("post", "heap"), binds)
@@ -213,7 +236,8 @@ class TestPinnedSnapshot:
            ("SELECT freq FROM post WHERE term = :1 AND pos = :2"
             " AND doc = :3", ["b", 3, 1]),
            ("SELECT doc, COUNT(*) FROM post WHERE term = :1 AND pos < :2"
-            " GROUP BY doc", ["b", 6])]
+            " GROUP BY doc", ["b", 6]),
+           *FULL_SCANS]
 
     def test_reader_sees_its_snapshot_both_ways(self):
         engine = Engine()
@@ -246,3 +270,24 @@ class TestPinnedSnapshot:
         for sql, binds in self.SQL:
             generated, interpreted = _both_ways(reader, sql, binds)
             assert generated == interpreted, sql
+
+    def test_an_uncommitted_delete_stays_visible_both_ways(self):
+        """The deleted rows' keys are ghosts: a full scan's snapshot
+        overlays them until the delete commits."""
+        engine = Engine()
+        writer, reader = engine.connect(), engine.connect()
+        _load(writer)
+        writer.execute("COMMIT")
+        before = [_both_ways(reader, sql, binds) for sql, binds in self.SQL]
+        writer.begin()
+        writer.execute("DELETE FROM post WHERE pos = 4 OR freq IS NULL")
+        storage = engine.catalog.get_table("post").storage
+        assert storage.ghost_count > 0
+        for (sql, binds), outcome in zip(self.SQL, before):
+            assert outcome[0] == outcome[1], sql
+            assert _both_ways(reader, sql, binds) == outcome, sql
+        writer.execute("COMMIT")
+        kept = [(repr(sum(1 for row in _rows()
+                          if row[1] != 4 and row[3] is not NULL)),)]
+        assert _both_ways(reader, "SELECT COUNT(*) FROM post") == (
+            kept, kept)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import TransactionError
 from repro.sql.engine import Engine
+from repro.testing import scanned
 from repro.txn.mvcc import (
     MVCCManager, RowVersion, Snapshot, VersionStore)
 
@@ -349,7 +350,7 @@ class TestBatchFetchUnderSnapshots:
         writer.execute("CREATE INDEX t_k ON t(k)")
         writer.execute("COMMIT")
         storage = engine.catalog.get_table("t").storage
-        rowids = [rowid for rowid, __ in storage.scan()]
+        rowids = [rowid for rowid, __ in scanned(storage.scan_batches())]
         old = engine.mvcc.take_snapshot(None)
         writer.execute("UPDATE t SET v = 'changed' WHERE k = 3")
         writer.execute("DELETE FROM t WHERE k = 7")
@@ -362,7 +363,7 @@ class TestBatchFetchUnderSnapshots:
 
     def test_batch_equals_row_at_a_time_for_every_snapshot(self, world):
         engine, writer, reader, storage, rowids, old = world
-        rowids = rowids + [r for r, __ in storage.scan()
+        rowids = rowids + [r for r, __ in scanned(storage.scan_batches())
                            if r not in rowids]  # plus the late insert
         for snapshot in (old, engine.mvcc.take_snapshot(None), None):
             expected = [(rowid, storage.fetch_or_none(rowid, snapshot))
@@ -692,14 +693,15 @@ class TestSettledRowsAreUnmapped:
         reader = engine.connect()
         reader.execute("SET TRANSACTION READ ONLY")
         before = sorted(reader.execute("SELECT * FROM docs").fetchall())
-        rowid = {row[0]: rid for rid, row in docs.scan()}
+        rowid = {row[0]: rid for rid, row in scanned(docs.scan_batches())}
         session.execute("UPDATE docs SET body = 'alpha late' WHERE id = 30")
         session.execute("UPDATE docs SET body = 'alpha later' WHERE id = 30")
         session.execute("INSERT INTO docs VALUES (99, 'alpha new')")
         writer = engine.connect()
         writer.begin()
         writer.execute("UPDATE docs SET body = 'alpha busy' WHERE id = 31")
-        rowid[99] = next(rid for rid, row in docs.scan() if row[0] == 99)
+        rowid[99] = next(rid for rid, row in scanned(docs.scan_batches())
+                         if row[0] == 99)
         engine.prune_versions()
         versions = docs.versions
         # history below a live snapshot, a head it cannot see, in flight

@@ -101,7 +101,7 @@ def test_the_log_carries_rowids_as_plain_tuples(tmp_path):
     db.execute("INSERT INTO t VALUES (99, 'gone')")
     db.rollback()
     ops = {}
-    for __, record in db.engine.durability.wal.scan():
+    for __, record in db.engine.durability.wal.records():
         if record.get("tb") == "t":
             ops.setdefault(record["op"], []).append(record)
     assert {"bulk_insert", "update", "insert", "delete"} <= set(ops)

@@ -6,6 +6,7 @@ from repro.errors import InvalidRowIdError, StorageError
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import HeapTable, RowId
 from repro.storage.page import PAGE_SIZE, estimate_row_size
+from repro.testing import scanned
 
 
 @pytest.fixture
@@ -103,18 +104,18 @@ class TestScan:
     def test_scan_yields_live_rows_only(self, table):
         rids = [table.insert([i]) for i in range(5)]
         table.delete(rids[2])
-        values = [row[0] for __, row in table.scan()]
+        values = [row[0] for __, row in scanned(table.scan_batches())]
         assert values == [0, 1, 3, 4]
 
     def test_scan_empty(self, table):
-        assert list(table.scan()) == []
+        assert list(table.scan_batches()) == []
 
     def test_truncate(self, table):
         for i in range(5):
             table.insert([i])
         table.truncate()
         assert table.row_count == 0
-        assert list(table.scan()) == []
+        assert list(table.scan_batches()) == []
 
 
 class TestBufferAccounting:
@@ -127,7 +128,7 @@ class TestBufferAccounting:
         for i in range(5):
             table.insert([i])
         before = stats.logical_reads
-        list(table.scan())
+        list(table.scan_batches())
         assert stats.logical_reads > before
 
     def test_eviction_counts_physical_io(self, stats):
@@ -138,7 +139,7 @@ class TestBufferAccounting:
             table.insert([big])
         # cold pages must have been written back and later re-read
         assert stats.physical_writes > 0
-        list(table.scan())
+        list(table.scan_batches())
         assert stats.physical_reads > 0
 
     def test_clear_simulates_cold_start(self, table, stats, buffer_cache):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.iot import IndexOrganizedTable
+from repro.testing import scanned
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ class TestBasics:
     def test_rows_come_back_in_key_order(self, iot):
         for key in [5, 1, 9, 3]:
             iot.insert([key, f"v{key}"])
-        assert [row[0] for __, row in iot.scan()] == [1, 3, 5, 9]
+        assert [row[0] for row in _rows(iot.scan_batches())] == [1, 3, 5, 9]
 
     def test_fetch_by_surrogate(self, iot):
         rid = iot.insert([7, "seven"])
@@ -74,8 +75,7 @@ class TestCompositeKey:
         iot2.insert(["oracle", 1, 0])
         iot2.insert(["oracle", 2, 0])
         iot2.insert(["zebra", 1, 0])
-        rows = [row for __, row in iot2.key_range_scan(
-            low=("oracle", float("-inf")), high=("oracle", float("inf")))]
+        rows = _rows(iot2.prefix_batches(["oracle"]))
         assert len(rows) == 2
         assert all(row[0] == "oracle" for row in rows)
 
@@ -98,7 +98,7 @@ class TestUpdateDelete:
         rid = iot.insert([1, "v"])
         with pytest.raises(ConstraintError):
             iot.update(rid, [2, "v"])
-        assert [row for __, row in iot.scan()] == [[1, "v"]]
+        assert _rows(iot.scan_batches()) == [[1, "v"]]
 
     def test_delete_then_fetch_raises(self, iot):
         rid = iot.insert([1, "x"])
@@ -117,7 +117,7 @@ class TestUpdateDelete:
             iot.insert([key, "v"])
         iot.truncate()
         assert iot.row_count == 0
-        assert list(iot.scan()) == []
+        assert list(iot.scan_batches()) == []
 
     def test_rowids_after_truncate_name_keys(self, iot):
         """A logical rowid names its key: after TRUNCATE it finds the row
@@ -144,7 +144,7 @@ class TestUpdateDelete:
         iot.insert([1, "x"])
         iot.recover_delete([2, "x"])      # no such key
         iot.recover_delete([1, "other"])  # the key holds another row
-        assert [row for __, row in iot.scan()] == [[1, "x"]]
+        assert _rows(iot.scan_batches()) == [[1, "x"]]
 
     def test_replay_does_not_hide_a_real_fault(self, iot):
         iot.insert([1, "x"])
@@ -232,8 +232,8 @@ class _World:
         return self.mvcc.prune([self.iot])  # as Engine._version_stores
 
 
-def _rows(pairs):
-    return [row for __, row in pairs]
+def _rows(batches):
+    return [row for __, row in scanned(batches)]
 
 
 class TestGhosts:
@@ -258,24 +258,24 @@ class TestGhosts:
         iot = world.iot
         assert iot.ghost_count == 1
         # ghost inside the bounds: the old snapshot still sees the row
-        assert _rows(iot.key_prefix_scan(["b"], snapshot=before)) == [
+        assert _rows(iot.prefix_batches(["b"], snapshot=before)) == [
             ["b", 1, 1], ["b", 2, 1], ["b", 3, 1]]
-        assert _rows(iot.key_range_scan(("b", 2), ("b", 3),
+        assert _rows(iot.prefix_batches(["b"], 2, 3,
                                         snapshot=before)) == [
             ["b", 2, 1], ["b", 3, 1]]
-        assert _rows(iot.key_prefix_scan(["b", 2], snapshot=before)) == [
+        assert _rows(iot.prefix_batches(["b", 2], snapshot=before)) == [
             ["b", 2, 1]]
         # ghost outside the bounds: not overlaid
-        assert _rows(iot.key_prefix_scan(["a"], snapshot=before)) == [
+        assert _rows(iot.prefix_batches(["a"], snapshot=before)) == [
             ["a", 1, 1], ["a", 2, 1], ["a", 3, 1]]
-        assert _rows(iot.key_range_scan(("c", 1), None,
+        assert _rows(iot.prefix_batches(["c"], 1, None,
                                         snapshot=before)) == [
             ["c", 1, 1], ["c", 2, 1], ["c", 3, 1]]
         # and the newer snapshot does not see it anywhere
-        assert _rows(iot.key_prefix_scan(["b"], snapshot=after)) == [
+        assert _rows(iot.prefix_batches(["b"], snapshot=after)) == [
             ["b", 1, 1], ["b", 3, 1]]
-        assert len(_rows(iot.scan(snapshot=before))) == 9
-        assert len(_rows(iot.scan(snapshot=after))) == 8
+        assert len(_rows(iot.scan_batches(snapshot=before))) == 9
+        assert len(_rows(iot.scan_batches(snapshot=after))) == 8
 
     def test_key_changing_update_leaves_a_ghost_under_the_old_key(
             self, world):
@@ -287,20 +287,18 @@ class TestGhosts:
         iot = world.iot
         assert iot.ghost_count == 1
         # old snapshot: the row is where it was, not where it went
-        assert _rows(iot.key_prefix_scan(["a"], snapshot=before)) == [
+        assert _rows(iot.prefix_batches(["a"], snapshot=before)) == [
             ["a", 1, 1], ["a", 2, 1], ["a", 3, 1]]
-        assert _rows(iot.key_prefix_scan(["c"], snapshot=before)) == [
+        assert _rows(iot.prefix_batches(["c"], snapshot=before)) == [
             ["c", 1, 1], ["c", 2, 1], ["c", 3, 1]]
-        assert _rows(iot.key_range_scan(("a", 2), ("c", 9),
-                                        snapshot=before))[0] == ["a", 2, 1]
+        assert _rows(iot.scan_batches(snapshot=before))[1] == ["a", 2, 1]
         # new snapshot: the other way round
-        assert _rows(iot.key_prefix_scan(["a"], snapshot=after)) == [
+        assert _rows(iot.prefix_batches(["a"], snapshot=after)) == [
             ["a", 1, 1], ["a", 3, 1]]
-        assert _rows(iot.key_prefix_scan(["c"], snapshot=after))[-1] == [
+        assert _rows(iot.prefix_batches(["c"], snapshot=after))[-1] == [
             "c", 9, 7]
-        # a range holding both keys yields the row once
-        both = _rows(iot.key_range_scan(("a", 1), ("c", 9),
-                                        snapshot=before))
+        # a scan holding both keys yields the row once
+        both = _rows(iot.scan_batches(snapshot=before))
         assert both.count(["a", 2, 1]) == 1 and ["c", 9, 7] not in both
 
     def test_delete_then_reinsert_keeps_the_old_row_for_old_snapshots(
@@ -318,13 +316,13 @@ class TestGhosts:
         # the key is back in the tree under its old surrogate: the tree
         # walk finds the chain, no ghost is needed
         assert iot.ghost_count == 0
-        assert ["b", 2, 1] in _rows(iot.key_prefix_scan(["b"],
+        assert ["b", 2, 1] in _rows(iot.prefix_batches(["b"],
                                                         snapshot=before))
-        assert _rows(iot.key_prefix_scan(["b"], snapshot=between)) == [
+        assert _rows(iot.prefix_batches(["b"], snapshot=between)) == [
             ["b", 1, 1], ["b", 3, 1]]
-        assert ["b", 2, 5] in _rows(iot.key_prefix_scan(["b"],
+        assert ["b", 2, 5] in _rows(iot.prefix_batches(["b"],
                                                         snapshot=after))
-        assert _rows(iot.key_range_scan(("b", 2), ("b", 2),
+        assert _rows(iot.prefix_batches(["b", 2],
                                         snapshot=before)) == [["b", 2, 1]]
 
     def test_prune_with_no_open_snapshot_empties_the_ghost_set(self, world):
@@ -335,7 +333,8 @@ class TestGhosts:
         assert world.iot.ghost_count == 2
         world.prune()
         assert world.iot.ghost_count == 0
-        assert len(_rows(world.iot.scan(snapshot=world.snapshot()))) == 8
+        assert len(_rows(world.iot.scan_batches(
+            snapshot=world.snapshot()))) == 8
 
     def test_prune_keeps_a_ghost_an_open_snapshot_can_see(self, world):
         before = world.snapshot()
@@ -344,7 +343,7 @@ class TestGhosts:
         world.commit()
         world.prune()
         assert world.iot.ghost_count == 1
-        assert _rows(world.iot.key_prefix_scan(["a", 1],
+        assert _rows(world.iot.prefix_batches(["a", 1],
                                                snapshot=before)) == [
             ["a", 1, 1]]
         del before
@@ -360,7 +359,7 @@ class TestGhosts:
         world.iot.undelete(rid, old)
         world.iot.versions.pop(rid, version)
         assert world.iot.ghost_count == 0
-        assert _rows(world.iot.key_prefix_scan(
+        assert _rows(world.iot.prefix_batches(
             ["c"], snapshot=world.snapshot())) == [
             ["c", 1, 1], ["c", 2, 1], ["c", 3, 1]]
 
@@ -391,7 +390,7 @@ class TestGhosts:
             world.iot.versions, "resolve",
             lambda rid, cur, snap: calls.append(rid) or real(rid, cur, snap))
         snap = world.snapshot()
-        assert len(_rows(world.iot.key_prefix_scan(["b"],
+        assert len(_rows(world.iot.prefix_batches(["b"],
                                                    snapshot=snap))) == 3
         assert len(calls) == 3
 

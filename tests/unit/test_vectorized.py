@@ -21,7 +21,7 @@ from repro.sql.engine import Engine
 from repro.sql.executor import _FOLD_CHUNK_ROWS
 from repro.storage.heap import PageRowIds, RowId
 from repro.storage.page import Page
-from repro.testing import interpreter_forced
+from repro.testing import interpreter_forced, scanned
 from repro.types.values import NULL
 
 pytestmark = pytest.mark.vectorized
@@ -122,6 +122,59 @@ class TestExplain:
         assert db.engine.executor_stats.snapshot()[
             "vector_batches"] == before
         assert len(expected) == 296
+
+
+class TestExplainTruth:
+    """A scan EXPLAIN marks ``[VECTORIZED]`` runs vector batches, and one
+    it marks ``[ROW]`` runs none, whatever the table's storage."""
+
+    #: (the scan line's start, sql); ``rowid = :1`` has no kernel
+    CASES = [
+        ("TABLE SCAN h", "SELECT k FROM h WHERE v = 3"),
+        ("TABLE SCAN h", "SELECT k FROM h"),
+        ("TABLE SCAN h", "SELECT k FROM h WHERE rowid = :1"),
+        ("TABLE SCAN kv", "SELECT k FROM kv WHERE v = 3"),
+        ("TABLE SCAN kv", "SELECT k, v FROM kv WHERE v > 1 ORDER BY v, k"),
+        ("TABLE SCAN kv", "SELECT v, COUNT(*) FROM kv WHERE k > 9"
+                          " GROUP BY v"),
+        ("TABLE SCAN kv", "SELECT k FROM kv WHERE rowid = :1"),
+        ("IOT PREFIX SCAN kv", "SELECT v FROM kv WHERE k = 5"),
+        ("IOT PREFIX SCAN kv", "SELECT v FROM kv WHERE k = 5"
+                               " AND rowid = :1"),
+        ("INDEX RANGE SCAN h_k", "SELECT v FROM h WHERE k = 5"),
+        ("INDEX RANGE SCAN h_k", "SELECT v FROM h WHERE k BETWEEN 3 AND 9"
+                                 " AND v > 1"),
+        ("INDEX RANGE SCAN h_k", "SELECT v FROM h WHERE k >= 995"
+                                 " ORDER BY v"),
+        ("TABLE SCAN user_tables", "SELECT table_name FROM user_tables"
+                                   " WHERE table_name = 'H'"),
+        ("TABLE SCAN user_tables", "SELECT table_name, num_rows"
+                                   " FROM user_tables WHERE num_rows > 1"
+                                   " ORDER BY num_rows"),
+        ("TABLE SCAN user_tables", "SELECT table_name FROM user_tables"
+                                   " WHERE rowid = :1"),
+    ]
+
+    @pytest.mark.parametrize("kind,sql", CASES)
+    def test_a_scan_runs_as_explain_marks_it(self, db, kind, sql):
+        db.execute("CREATE TABLE h (k INTEGER, v INTEGER)")
+        db.execute("CREATE TABLE kv (k INTEGER, v INTEGER, PRIMARY KEY (k))"
+                   " ORGANIZATION INDEX")
+        for table in ("h", "kv"):
+            db.insert_rows(table, [[i, i % 7] for i in range(1000)])
+        db.execute("CREATE INDEX h_k ON h(k)")
+        binds = [None] if ":1" in sql else []
+        (scan,) = [ln.strip() for ln in db.explain(sql, binds)
+                   if "SCAN" in ln]
+        assert scan.startswith(kind), scan
+        marker = "[VECTORIZED]" if "[VECTORIZED]" in scan else "[ROW]"
+        assert marker in scan
+        before = db.engine.executor_stats.snapshot()["vector_batches"]
+        rows = db.execute(sql, binds).fetchall()
+        ran = db.engine.executor_stats.snapshot()["vector_batches"] - before
+        assert (ran > 0) == (marker == "[VECTORIZED]"), (scan, ran)
+        with interpreter_forced(db):
+            assert db.execute(sql, binds).fetchall() == rows
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +475,7 @@ class TestLazyPageRowIds:
                 for rowid, __ in rows] == [i for __, i in rows] \
             == list(range(50))
         assert [rowid for rowid, __ in rows] \
-            == [rowid for rowid, row in storage.scan()][:50]
+            == [rowid for rowid, __ in scanned(storage.scan_batches())][:50]
         writer.commit()
         assert [reader.execute(fold).fetchall(),
                 reader.execute(scan).fetchall()] == pinned

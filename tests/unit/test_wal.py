@@ -36,7 +36,7 @@ class TestRecordScan:
         payloads = [{"t": "U", "x": i, "op": "insert", "new": [i, "v"]}
                     for i in range(5)]
         lsns = [wal.append(p) for p in payloads]
-        scanned = list(wal.scan())
+        scanned = list(wal.records())
         assert [lsn for lsn, __ in scanned] == lsns
         assert [p for __, p in scanned] == payloads
         wal.close()
@@ -47,7 +47,7 @@ class TestRecordScan:
         wal.append({"t": "U", "x": 2})
         # chop bytes off the second record's body: torn tail
         wal.device.truncate(wal.device.size - 3)
-        payloads = [p for __, p in wal.scan()]
+        payloads = [p for __, p in wal.records()]
         assert [p["x"] for p in payloads] == [1]
         wal.close()
 
@@ -58,7 +58,7 @@ class TestRecordScan:
         wal.append({"t": "U", "x": 2})
         # flip a byte inside the second record's body
         os.pwrite(wal.device._fd, b"\xff", second_off + 12)
-        payloads = [p for __, p in wal.scan()]
+        payloads = [p for __, p in wal.records()]
         assert [p["x"] for p in payloads] == [1]
         assert lsn_offset(first) == 0
         wal.close()
@@ -71,7 +71,7 @@ class TestRecordScan:
         assert lsn_epoch(lsn) == 3
         assert lsn_offset(lsn) == 0
         assert wal.stats.truncations == 1
-        assert [p["t"] for __, p in wal.scan()] == ["K"]
+        assert [p["t"] for __, p in wal.records()] == ["K"]
         wal.close()
 
 
