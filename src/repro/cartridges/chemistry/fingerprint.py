@@ -77,17 +77,12 @@ def screen_passes(query_fp: int, candidate_fp: int) -> bool:
     return query_fp & candidate_fp == query_fp
 
 
-def popcount(value: int) -> int:
-    """Number of set bits."""
-    return bin(value).count("1")
-
-
 def tanimoto(fp_a: int, fp_b: int) -> float:
     """Tanimoto coefficient |a∧b| / |a∨b| (1.0 for two empty prints)."""
-    union = popcount(fp_a | fp_b)
+    union = (fp_a | fp_b).bit_count()
     if union == 0:
         return 1.0
-    return popcount(fp_a & fp_b) / union
+    return (fp_a & fp_b).bit_count() / union
 
 
 def fingerprint_bytes(fp: int, bits: int = FP_BITS) -> bytes:

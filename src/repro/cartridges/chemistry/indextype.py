@@ -36,6 +36,7 @@ from repro.core.odci import (
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
+from repro.storage.heap import RowId
 from repro.txn.events import DatabaseEvent
 from repro.types.values import is_null
 
@@ -315,11 +316,15 @@ class ChemIndexMethods(IndexMethods):
     def _exact_scan(self, ia: ODCIIndexInfo, env: ODCIEnv,
                     index_file: FingerprintIndexFile,
                     op_info: ODCIPredInfo, tautomer: bool) -> List[Any]:
+        """Hash probe, then each candidate's certificate (or tautomer key)
+        against the query's, computed once per scan."""
         query = self._query_molecule(op_info)
         if tautomer:
-            candidates = index_file.find_by_tautomer(tautomer_hash(query))
+            query_key = tautomer_key(query)
+            candidates = index_file.find_by_tautomer(_hash64(query_key))
         else:
-            candidates = index_file.find_by_cert(certificate_hash(query))
+            query_key = certificate(query)
+            candidates = index_file.find_by_cert(_hash64(query_key))
         env.stats.bump("chem_hash_candidates", len(candidates))
         column = ia.column_names[0]
         matches: List[Any] = []
@@ -331,9 +336,9 @@ class ChemIndexMethods(IndexMethods):
             molecule = parse_smiles(str(text))
             env.stats.bump("chem_exact_tests")
             if tautomer:
-                ok = tautomer_key(molecule) == tautomer_key(query)
+                ok = tautomer_key(molecule) == query_key
             else:
-                ok = full_match(molecule, query)
+                ok = full_match(molecule, query, query_key)
             if ok:
                 matches.append(record.rowid)
         return sorted(matches)
@@ -343,19 +348,19 @@ class ChemIndexMethods(IndexMethods):
                            op_info: ODCIPredInfo) -> List[Any]:
         query = self._query_molecule(op_info)
         query_fp = fingerprint(query)
-        screened = [record for record in index_file.records()
-                    if screen_passes(query_fp, record.fingerprint)]
+        screened = [RowId(seg, page, slot)
+                    for seg, page, slot, fp in index_file.fingerprints()
+                    if screen_passes(query_fp, fp)]
         env.stats.bump("chem_screen_candidates", len(screened))
         column = ia.column_names[0]
         matches: List[Any] = []
-        for record in screened:
-            text = env.callback.fetch_value(ia.table_name, record.rowid,
-                                            column)
+        for rowid in screened:
+            text = env.callback.fetch_value(ia.table_name, rowid, column)
             if is_null(text):
                 continue
             env.stats.bump("chem_exact_tests")
             if substructure_match(query, parse_smiles(str(text))):
-                matches.append(record.rowid)
+                matches.append(rowid)
         return sorted(matches)
 
     def _similarity_scan(self, index_file: FingerprintIndexFile,
@@ -368,10 +373,10 @@ class ChemIndexMethods(IndexMethods):
         threshold = float(op_info.operator_args[1])
         query_fp = fingerprint(query)
         scored = []
-        for record in index_file.records():
-            score = tanimoto(record.fingerprint, query_fp)
+        for seg, page, slot, fp in index_file.fingerprints():
+            score = tanimoto(fp, query_fp)
             if score >= threshold:
-                scored.append((record.rowid, round(score, 6)))
+                scored.append((RowId(seg, page, slot), round(score, 6)))
         scored.sort()
         if query_info.ancillary_label is not None:
             return scored

@@ -8,18 +8,25 @@ models end up with comparable query performance.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cartridges.chemistry.fingerprint import fingerprint, tanimoto
 from repro.cartridges.chemistry.molecule import (
     Molecule, certificate, tautomer_key)
 
 
-def full_match(molecule: Molecule, query: Molecule) -> bool:
-    """Exact (full-structure) match via canonical certificates."""
-    return (molecule.atom_count == query.atom_count
-            and molecule.bond_count == query.bond_count
-            and certificate(molecule) == certificate(query))
+def full_match(molecule: Molecule, query: Molecule,
+               query_certificate: Optional[str] = None) -> bool:
+    """Exact (full-structure) match via canonical certificates.
+
+    ``query_certificate`` is ``certificate(query)`` when the caller has
+    it already (a scan tests many candidates against one query)."""
+    if (molecule.atom_count != query.atom_count
+            or molecule.bond_count != query.bond_count):
+        return False
+    if query_certificate is None:
+        query_certificate = certificate(query)
+    return certificate(molecule) == query_certificate
 
 
 def tautomer_match(molecule: Molecule, query: Molecule) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.cartridges.chemistry.fingerprint import FP_BITS
 from repro.errors import StorageError
@@ -159,11 +159,9 @@ class FingerprintIndexFile:
         """Every physical record in file order (tombstones included)."""
         return map(_record, self._unpacked())
 
-    def _live(self, keep: Optional[Callable[[Tuple[Any, ...]], bool]] = None
-              ) -> List[Record]:
-        """Live records — tombstoned rowids removed, later wins — whose
-        unpacked tuple passes ``keep``: a :class:`Record` is built only
-        for those."""
+    def _live(self) -> List[Tuple[Any, ...]]:
+        """Live records as unpacked tuples, in file order: tombstoned
+        rowids removed, later wins."""
         dead: Dict[Tuple[int, int, int], int] = {}
         entries: List[Tuple[Any, ...]] = []
         for fields in self._unpacked():
@@ -181,17 +179,25 @@ class FingerprintIndexFile:
                 else:
                     live.append(fields)
             entries = live
-        return [_record(fields) for fields in entries
-                if keep is None or keep(fields)]
+        return entries
 
     def records(self) -> List[Record]:
         """Live records: tombstoned rowids removed, later wins."""
-        return self._live()
+        return [_record(fields) for fields in self._live()]
+
+    def fingerprints(self) -> List[Tuple[int, int, int, int]]:
+        """Live records as ``(seg, page, slot, fingerprint)``, in file
+        order: what a screen or a similarity scan reads, without a
+        :class:`Record` (or a rowid) built for each."""
+        return [(seg, page, slot, int.from_bytes(fp, "big"))
+                for seg, page, slot, __, __, __, fp in self._live()]
 
     def find_by_cert(self, cert_hash: int) -> List[Record]:
         """Live records whose full-structure hash matches."""
-        return self._live(lambda fields: fields[4] == cert_hash)
+        return [_record(fields) for fields in self._live()
+                if fields[4] == cert_hash]
 
     def find_by_tautomer(self, taut_hash: int) -> List[Record]:
         """Live records whose tautomer hash matches."""
-        return self._live(lambda fields: fields[5] == taut_hash)
+        return [_record(fields) for fields in self._live()
+                if fields[5] == taut_hash]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -149,7 +150,7 @@ def signature_distance(sig_a: Sequence[float], sig_b: Sequence[float],
             continue
         component_a = sig_a[sl]
         component_b = sig_b[sl]
-        diff = sum(abs(a - b) for a, b in zip(component_a, component_b))
+        diff = sum(map(abs, map(sub, component_a, component_b)))
         total += weight * (diff / len(component_a))
     return 100.0 * total / weights.total
 

@@ -48,6 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import errors as _errors
 from repro.sql.engine import Engine
+from repro.sql.lexer import split_quoted
 
 __all__ = [
     "apilevel", "threadsafety", "paramstyle", "connect", "parse_dsn", "DSN",
@@ -294,31 +295,16 @@ def _qmark_to_native(sql: str) -> Tuple[str, int]:
     alone (a doubled quote is the SQL escape).  Returns the rewritten
     text and the number of placeholders replaced.
     """
-    out: List[str] = []
+    pieces = split_quoted(sql)
     count = 0
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in ("'", '"'):
-            j = i + 1
-            while j < n:
-                if sql[j] == ch:
-                    if j + 1 < n and sql[j + 1] == ch:
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                j += 1
-            out.append(sql[i:j])
-            i = j
-        elif ch == "?":
-            count += 1
-            out.append(f":{count}")
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out), count
+    for k in range(0, len(pieces), 2):
+        head, *rest = pieces[k].split("?")
+        if rest:
+            pieces[k] = head + "".join(f":{count + number}{piece}"
+                                       for number, piece
+                                       in enumerate(rest, 1))
+            count += len(rest)
+    return "".join(pieces), count
 
 
 # ----------------------------------------------------------------------

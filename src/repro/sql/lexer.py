@@ -9,6 +9,7 @@ PARAMETERS, ASSOCIATE STATISTICS).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Any, Iterator, List
 
@@ -43,6 +44,20 @@ KEYWORDS = frozenset("""
 _TWO_CHAR_OPS = ("<=", ">=", "!=", "<>", ":=", "||")
 _ONE_CHAR_OPS = "+-*/=<>"
 _PUNCT = "(),.;"
+
+#: a ``'...'`` literal or ``"..."`` identifier; an unterminated one runs
+#: to the end.  A doubled quote (the SQL escape) ends one region and
+#: opens the next with no text between, so no rewrite of the unquoted
+#: text can reach inside
+_QUOTED = re.compile(r"""('[^']*'?|"[^"]*"?)""")
+
+
+def split_quoted(sql: str) -> List[str]:
+    """``sql`` cut at its quoted regions: the unquoted text is at the
+    even indices (the first and last included, possibly empty) and each
+    quoted region, quotes and all, at an odd index.  Statement-text
+    rewrites that must leave quoted text alone edit the even pieces."""
+    return _QUOTED.split(sql)
 
 
 @dataclass(frozen=True)

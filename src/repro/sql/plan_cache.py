@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.metrics import Metrics
+from repro.sql.lexer import split_quoted
 
 __all__ = ["PlanCache", "CachedPlan", "PlanCacheStats", "normalize_sql"]
 
@@ -46,31 +47,14 @@ def normalize_sql(sql: str) -> str:
     Deliberately does NOT lower-case: string literals are
     case-significant, and the parser already case-folds identifiers.
     """
-    out = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in ("'", '"'):
-            j = i + 1
-            while j < n:
-                if sql[j] == ch:
-                    if j + 1 < n and sql[j + 1] == ch:  # escaped quote
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                j += 1
-            out.append(sql[i:j])
-            i = j
-        elif ch.isspace():
-            while i < n and sql[i].isspace():
-                i += 1
-            if out and i < n:  # no leading/trailing separator
-                out.append(" ")
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    pieces = split_quoted(sql)
+    pieces[0] = pieces[0].lstrip()  # no leading/trailing separator
+    pieces[-1] = pieces[-1].rstrip()
+    # one space per run of str.isspace characters; the "x" guards keep
+    # a run at a piece's edge (next to a quote) as a space
+    pieces[::2] = [" ".join(f"x{piece}x".split())[1:-1]
+                   for piece in pieces[::2]]
+    return "".join(pieces)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from repro.cartridges.vir import (
     parse_weights, perturb_signature, random_signature, signature_distance,
     vir_similar_functional)
 from repro.cartridges.vir.signature import (
-    SIGNATURE_LENGTH, component_bound)
+    _SLICES, SIGNATURE_LENGTH, component_bound)
 from repro.errors import ExecutionError
 
 
@@ -45,6 +45,19 @@ class TestWeights:
     def test_whitespace_separator(self):
         weights = parse_weights("globalcolor=1 texture=0.5")
         assert weights.texture == 0.5
+
+
+def _generator_distance(sig_a, sig_b, weights):
+    """``signature_distance`` with a generator over each component's pairs."""
+    total = 0.0
+    for (__, sl), weight in zip(_SLICES, weights.as_tuple()):
+        if weight == 0.0:
+            continue
+        component_a = sig_a[sl]
+        component_b = sig_b[sl]
+        diff = sum(abs(x - y) for x, y in zip(component_a, component_b))
+        total += weight * (diff / len(component_a))
+    return 100.0 * total / weights.total
 
 
 class TestSignatures:
@@ -84,6 +97,19 @@ class TestSignatures:
         b[0] = 1.0 - b[0]  # change a globalcolor value only
         weights = parse_weights("texture=1.0")
         assert signature_distance(a, b, weights) == 0.0
+
+    def test_distance_equals_generator_form(self):
+        """The ``map`` form adds the same differences in the same order
+        as a generator over each component's pairs: equal, not close."""
+        rng = random.Random(8)
+        for trial in range(200):
+            a, b = random_signature(rng), random_signature(rng)
+            values = [rng.choice((0.0, rng.uniform(0.0, 2.0)))
+                      for __ in range(4)]
+            values[trial % 4] = rng.uniform(0.1, 2.0)
+            weights = Weights(*values)
+            assert signature_distance(a, b, weights) \
+                == _generator_distance(a, b, weights)
 
     def test_perturbed_is_near(self):
         rng = random.Random(5)
