@@ -32,7 +32,7 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import Engine
-from repro.bench.harness import ReportTable
+from repro.bench.harness import ReportTable, fastest
 from repro.bench.workloads import make_corpus
 from repro.testing import interpreter_forced
 
@@ -100,7 +100,7 @@ def build_text_db(n_docs):
 
 
 def _clock(fn):
-    """A side for :func:`_fastest` that times all of ``fn``."""
+    """A side for :func:`fastest` that times all of ``fn``."""
     def side():
         start = time.perf_counter()
         fn()
@@ -108,33 +108,10 @@ def _clock(fn):
     return side
 
 
-def _fastest(sides, rounds):
-    """Each side's fastest of ``rounds`` timed calls, the dispatch
-    guard's way (``bench_dispatch_overhead._measure``): ``sides`` maps a
-    name to a callable returning the seconds it timed; one untimed call
-    of each warms them all, every round calls each side once with the
-    order reversed every other round, and the collector is off while
-    they run — so the minimum finds the box's quiet moments and no side
-    always runs on the heels of another."""
-    names = list(sides)
-    times = {name: [] for name in names}
-    gc.collect()
-    gc.disable()
-    try:
-        for name in names:
-            sides[name]()
-        for i in range(rounds):
-            for name in names if i % 2 == 0 else reversed(names):
-                times[name].append(sides[name]())
-    finally:
-        gc.enable()
-    return {name: min(seconds) for name, seconds in times.items()}
-
-
 def _timed(db, sql, binds, repeats):
     """The interpreter against generated code on one freshly planned,
     cached plan: ``3 * repeats`` rounds of one execution a side, and no
-    fewer than the dispatch guard's 60 (see :func:`_fastest`).  Returns
+    fewer than the dispatch guard's 60 (see :func:`fastest`).  Returns
     ``(interpreted_s, generated_s, rows)``, each side's fastest
     execution scaled to ``repeats`` executions."""
     def run(interpreted):
@@ -148,7 +125,7 @@ def _timed(db, sql, binds, repeats):
     db.plan_cache.clear()
     n1, n2 = len(run(True)()), len(run(False)())
     assert n1 == n2 and n1 > 0, (n1, n2)
-    best = _fastest({"interpreted": _clock(run(True)),
+    best = fastest({"interpreted": _clock(run(True)),
                      "generated": _clock(run(False))},
                     max(60, 3 * repeats))
     return best["interpreted"] * repeats, best["generated"] * repeats, n1
@@ -257,7 +234,7 @@ def bench_rescan_after_writes(n_rows, repeats):
     (just reloaded: no page has an image yet) and a warm one (every
     image reused).  The plan is cached and the write's garbage collected
     before each timed scan; the fastest of ``3 * repeats`` rounds of one
-    scan a mode (one scan is a millisecond or so; see :func:`_fastest`).
+    scan a mode (one scan is a millisecond or so; see :func:`fastest`).
     Each mode's write sets up its own start, whatever ran before it."""
     db = Engine(buffer_capacity=4096).connect()
     db.execute("CREATE TABLE t (id INTEGER, grp VARCHAR2(8), val NUMBER)")
@@ -279,7 +256,7 @@ def bench_rescan_after_writes(n_rows, repeats):
             return time.perf_counter() - start
         return side
 
-    best = _fastest({
+    best = fastest({
         "cold": scan_after(reload),
         "rescan": scan_after(lambda: db.execute("UPDATE t SET val = val")),
         "warm": scan_after(lambda: None)}, 3 * repeats)
@@ -323,7 +300,7 @@ def bench_domain_scan(n_docs, repeats):
 
 def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
     """ODCIIndexFetch batch-size sweep over the same domain scan: each
-    size's fastest execution (see :func:`_fastest`), scaled to
+    size's fastest execution (see :func:`fastest`), scaled to
     ``repeats`` executions."""
     db, corpus = build_text_db(n_docs)
     sql = "SELECT id FROM docs WHERE Contains(body, :1)"
@@ -335,7 +312,7 @@ def bench_batch_sweep(n_docs, repeats, sizes=(8, 32, 128)):
             db.execute(sql, binds).fetchall()
         return _clock(execute)
 
-    best = _fastest({str(size): at(size) for size in sizes}, 3 * repeats)
+    best = fastest({str(size): at(size) for size in sizes}, 3 * repeats)
     return {size: round(elapsed * repeats, 4)
             for size, elapsed in best.items()}
 

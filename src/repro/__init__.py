@@ -44,6 +44,7 @@ from repro.errors import (
     ExecutionError,
     ExtensibleIndexError,
     FatalCallbackError,
+    IndexFormatError,
     IndextypeError,
     IndexUnusableError,
     LockTimeoutError,
@@ -110,6 +111,7 @@ __all__ = [
     "CallbackTimeoutError",
     "FatalCallbackError",
     "IndexUnusableError",
+    "IndexFormatError",
     "IndexState",
     "CallbackViolation",
     "OperatorBindingError",

@@ -8,6 +8,7 @@ EXPERIMENTS.md can cite them.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
@@ -38,6 +39,32 @@ def warm_min(fn: Callable[[], Any], runs: int = 5) -> Measurement:
     fn()
     return min((time_call(fn) for __ in range(runs)),
                key=lambda run: run.elapsed)
+
+
+def fastest(sides: Dict[str, Callable[[], float]],
+            rounds: int) -> Dict[str, float]:
+    """Each side's fastest of ``rounds`` timed calls.
+
+    ``sides`` maps a name to a callable returning the seconds it timed
+    (so a side can leave its set-up and clean-up out).  One untimed call
+    of each warms them all; every round calls each side once, the order
+    reversed every other round; the collector is off while they run.
+    The minimum finds the box's quiet moments, no side always runs on
+    the heels of another, and no collection pass lands on one side.
+    """
+    names = list(sides)
+    times: Dict[str, List[float]] = {name: [] for name in names}
+    gc.collect()
+    gc.disable()
+    try:
+        for name in names:
+            sides[name]()
+        for i in range(rounds):
+            for name in names if i % 2 == 0 else reversed(names):
+                times[name].append(sides[name]())
+    finally:
+        gc.enable()
+    return {name: min(seconds) for name, seconds in times.items()}
 
 
 def time_to_first_row(iterator_factory: Callable[[], Iterator[Any]]

@@ -22,7 +22,7 @@ from repro.cartridges.chemistry.molecule import (
 from repro.cartridges.chemistry.fingerprint import (
     FP_BITS, fingerprint, path_strings, tanimoto)
 from repro.cartridges.chemistry.search import (
-    substructure_match, full_match, tautomer_match, similarity,
+    substructure_match, full_match, similarity,
     nearest_neighbors)
 from repro.cartridges.chemistry.storage import FingerprintIndexFile, Record
 from repro.cartridges.chemistry.indextype import (
@@ -43,7 +43,6 @@ __all__ = [
     "FP_BITS",
     "substructure_match",
     "full_match",
-    "tautomer_match",
     "similarity",
     "nearest_neighbors",
     "FingerprintIndexFile",

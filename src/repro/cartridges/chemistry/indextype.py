@@ -118,6 +118,10 @@ def _parse_storage(parameters: str) -> str:
 class ChemIndexMethods(IndexMethods):
     """ODCIIndex routines of ChemIndexType."""
 
+    #: 2: certificates stop refining at colour refinement's fixpoint, so
+    #: every stored ``cert_hash`` / ``taut_hash`` differs from version 1's.
+    format_version = 2
+
     def __init__(self):
         self._factory: Optional[Callable[[], Any]] = None
         self._storage_kind: Optional[str] = None

@@ -7,8 +7,9 @@ symbols (C, N, O, S, P, B, F, I, Cl, Br), single/double/triple bonds
 charges, isotopes, or explicit hydrogens — enough structure for the
 search algorithms while staying implementable.
 
-Canonical identity uses a Weisfeiler-Lehman certificate: iterated
-neighbourhood-hash refinement of atom labels.  WL can in principle
+Canonical identity uses a Weisfeiler-Lehman certificate: neighbourhood-
+hash refinement of atom labels, iterated until the partition of the
+atoms stops splitting.  WL can in principle
 collide on pathological regular graphs; for molecule-like graphs it is a
 standard, reliable canonical key (and exact operators re-verify against
 the stored structure anyway).
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 
@@ -228,23 +229,44 @@ def _hash64(text: str) -> int:
     return int.from_bytes(hashlib.md5(text.encode()).digest()[:8], "big")
 
 
-def certificate(molecule: Molecule) -> str:
-    """Weisfeiler-Lehman canonical certificate (full-structure identity)."""
+def _refine(molecule: Molecule) -> Tuple[List[str], int]:
+    """Colour refinement to its fixpoint: ``(atom labels, rounds run)``.
+
+    A round hashes each atom's label with its neighbours' ``order:label``
+    pairs.  Labels only split, never merge, so the first round that
+    adds no distinct label has reached the stable partition, and every
+    later round would split nothing.  The number of distinct labels per
+    round depends only on the isomorphism class, so two isomorphic
+    molecules stop at the same round with the same label multiset.
+    """
     adjacency = molecule.neighbors()
     labels = [f"{symbol}/{len(adjacency[i])}"
               for i, symbol in enumerate(molecule.atoms)]
-    rounds = max(1, molecule.atom_count)
-    for __ in range(rounds):
-        new_labels = []
-        for i in range(molecule.atom_count):
-            neighborhood = sorted(f"{order}:{labels[j]}"
-                                  for j, order in adjacency[i])
-            new_labels.append(
-                f"{_hash64(labels[i] + '|' + ';'.join(neighborhood)):016x}")
-        if sorted(new_labels) == sorted(labels):
-            labels = new_labels
-            break
-        labels = new_labels
+    distinct = len(set(labels))
+    rounds = 0
+    while True:
+        rounds += 1
+        signatures = [
+            labels[i] + "|" + ";".join(sorted(
+                [f"{order}:{labels[j]}" for j, order in neighbors]))
+            for i, neighbors in enumerate(adjacency)]
+        # one hash per distinct signature; their number is the number
+        # of classes this round's partition has
+        hashed = {signature: f"{_hash64(signature):016x}"
+                  for signature in signatures}
+        labels = [hashed[signature] for signature in signatures]
+        if len(hashed) == distinct:
+            return labels, rounds
+        distinct = len(hashed)
+
+
+def certificate(molecule: Molecule) -> str:
+    """Weisfeiler-Lehman canonical certificate (full-structure identity).
+
+    Stored in every chemistry index record (as a hash): a change to what
+    this returns must bump ``ChemIndexMethods.format_version``.
+    """
+    labels, __ = _refine(molecule)
     edge_labels = sorted(
         f"{order}:{min(labels[i], labels[j])}-{max(labels[i], labels[j])}"
         for i, j, order in molecule.bonds)

@@ -1,4 +1,4 @@
-"""Structure search algorithms: exact, tautomer, substructure, similarity.
+"""Structure search algorithms: exact, substructure, similarity.
 
 These are the "complex operations on in-memory data structures" the
 paper notes dominate chemistry query time (§3.2.4) — identical for the
@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.cartridges.chemistry.fingerprint import fingerprint, tanimoto
 from repro.cartridges.chemistry.molecule import (
-    Molecule, certificate, tautomer_key)
+    Molecule, certificate)
 
 
 def full_match(molecule: Molecule, query: Molecule,
@@ -27,11 +27,6 @@ def full_match(molecule: Molecule, query: Molecule,
     if query_certificate is None:
         query_certificate = certificate(query)
     return certificate(molecule) == query_certificate
-
-
-def tautomer_match(molecule: Molecule, query: Molecule) -> bool:
-    """Tautomer-insensitive match: bond-order-erased certificates agree."""
-    return tautomer_key(molecule) == tautomer_key(query)
 
 
 def similarity(molecule: Molecule, query: Molecule) -> float:

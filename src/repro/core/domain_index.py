@@ -20,6 +20,12 @@ index.  The state machine mirrors Oracle's domain-index status column:
   ``skip_unusable_indexes`` session setting; ``ALTER INDEX ... REBUILD``
   restores ``VALID``.
 
+The record also keeps the ``format_version`` of the routines that wrote
+the index's data.  An index opened under routines of another version is
+UNUSABLE and carries an :class:`~repro.errors.IndexFormatError` naming
+the REBUILD that rewrites it (:meth:`Catalog.open_domain_index
+<repro.sql.catalog.Catalog.open_domain_index>`).
+
 State transitions happen through :meth:`~repro.sql.catalog.Catalog.
 set_index_state` so each one bumps the catalog version and invalidates
 cached plans pinned to the old state.
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.core.odci import IndexMethods, ODCIIndexInfo
+from repro.errors import IndexUnusableError
 
 
 class IndexState(enum.Enum):
@@ -62,6 +69,12 @@ class DomainIndex:
     owner: str = "main"
     #: Ad-hoc state a cartridge wants to pin to the index across calls.
     scratch: dict = field(default_factory=dict)
+    #: ``IndexMethods.format_version`` of the routines that wrote the
+    #: index's data, recorded at CREATE and REBUILD.
+    format_version: int = 1
+    #: Why a non-VALID index cannot be used, when more is known than its
+    #: state (an :class:`~repro.errors.IndexFormatError` after open).
+    error: Optional[IndexUnusableError] = None
 
     @property
     def key(self) -> str:

@@ -171,6 +171,12 @@ class IndexMethods(abc.ABC):
     back to :meth:`index_fetch` and :meth:`index_close` (§2.2.3).
     """
 
+    #: Version of the data these routines write and read.  A domain index
+    #: records it at CREATE and REBUILD; one opened under another version
+    #: is UNUSABLE (``IndexFormatError``) until ``ALTER INDEX ... REBUILD``.
+    #: Bump it whenever what the index stores changes meaning.
+    format_version: int = 1
+
     # -- index definition routines -----------------------------------------
 
     @abc.abstractmethod

@@ -212,6 +212,31 @@ class IndexUnusableError(ExtensibleIndexError):
         return (self.__class__, (self.index_name, self.state))
 
 
+class IndexFormatError(IndexUnusableError):
+    """A domain index holds data in another format than its routines read.
+
+    Every indextype declares ``IndexMethods.format_version``; a domain
+    index records the version that wrote it at CREATE and REBUILD.  An
+    index opened under a different version is UNUSABLE (its stored keys
+    would silently miss) until ``ALTER INDEX <name> REBUILD`` rewrites it.
+    """
+
+    def __init__(self, index_name: str, stored: int, expected: int):
+        ExtensibleIndexError.__init__(
+            self,
+            f"index {index_name} holds format version {stored} data; its "
+            f"indextype reads version {expected}: run ALTER INDEX "
+            f"{index_name} REBUILD")
+        self.index_name = index_name
+        self.state = "UNUSABLE"
+        self.stored = stored
+        self.expected = expected
+
+    def __reduce__(self):
+        return (self.__class__,
+                (self.index_name, self.stored, self.expected))
+
+
 class CallbackViolation(ExtensibleIndexError):
     """An indextype routine issued a SQL callback its phase forbids.
 

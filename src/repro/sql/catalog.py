@@ -17,7 +17,7 @@ from repro.core.indextype import Indextype
 from repro.core.odci import IndexMethods
 from repro.core.operators import Operator
 from repro.core.stats import StatsMethods
-from repro.errors import CatalogError
+from repro.errors import CatalogError, IndexFormatError
 from repro.index import BTree
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
@@ -356,12 +356,41 @@ class Catalog:
     # -- indextypes -------------------------------------------------------------
 
     def add_indextype(self, indextype: Indextype) -> None:
+        """Register ``indextype`` and open the restored domain indexes
+        that name it (an application re-registers its indextypes after
+        restart recovery restored their indexes)."""
         with self.latch:
             if indextype.key in self.indextypes:
                 raise CatalogError(
                     f"indextype {indextype.name} already exists")
             self.indextypes[indextype.key] = indextype
+            for index in self.indexes.values():
+                domain = index.domain
+                if (domain is not None and
+                        domain.indextype_name.lower() == indextype.key):
+                    self.open_domain_index(domain)
             self.bump_version()
+
+    def open_domain_index(self, domain: DomainIndex) -> None:
+        """Hold a restored domain index to its routines' data format.
+
+        An index whose recorded ``format_version`` differs from its
+        indextype's ``IndexMethods.format_version`` was written by other
+        code: its stored keys may not be the ones today's routines look
+        up, so it goes UNUSABLE (a FAILED one stays FAILED) carrying an
+        :class:`IndexFormatError` until REBUILD.  A no-op until both the
+        indextype and its implementation class are registered.
+        """
+        indextype = self.indextypes.get(domain.indextype_name.lower())
+        methods = indextype and self.method_types.get(
+            indextype.implementation_name.lower())
+        if methods is None or domain.format_version == methods.format_version:
+            return
+        domain.error = IndexFormatError(domain.name, domain.format_version,
+                                        methods.format_version)
+        if domain.state is not IndexState.FAILED:
+            domain.state = IndexState.UNUSABLE
+        self.bump_version()
 
     def get_indextype(self, name: str) -> Indextype:
         try:

@@ -181,10 +181,12 @@ class DDLEngine:
                     db._trace(f"ddl:truncate degrade({index.name}) -> "
                               f"UNUSABLE [{exc.routine}]")
                     continue
-                if domain.state is IndexState.UNUSABLE:
+                if (domain.state is IndexState.UNUSABLE
+                        and domain.error is None):
                     # empty index + empty table are trivially consistent:
                     # a successful truncate restores the index (Oracle
-                    # TRUNCATE resets unusable indexes the same way)
+                    # TRUNCATE resets unusable indexes the same way); one
+                    # written in another format waits for REBUILD
                     db.catalog.set_index_state(index.name, IndexState.VALID)
             elif index.structure is not None:
                 index.structure.clear()
@@ -233,7 +235,8 @@ class DDLEngine:
             name=stmt.name, table_name=table.name, column_names=columns,
             column_types=column_types, indextype_name=indextype.name,
             parameters=stmt.parameters or "", methods=methods_cls(),
-            state=IndexState.IN_PROGRESS, owner=db.session_user)
+            state=IndexState.IN_PROGRESS, owner=db.session_user,
+            format_version=methods_cls.format_version)
         # Catalog entry first (Oracle records the index before building
         # it): a failed ODCIIndexCreate leaves the index behind in the
         # FAILED state, where the only legal statement is DROP INDEX.
@@ -307,8 +310,9 @@ class DDLEngine:
         discarded via a best-effort ``ODCIIndexDrop`` (an UNUSABLE
         index's drop routine may itself fail — that must not block
         recovery), then ``ODCIIndexCreate`` rebuilds from the base
-        table under ``IN_PROGRESS``.  Success restores ``VALID``;
-        a failed rebuild leaves the index ``FAILED``.
+        table under ``IN_PROGRESS``.  Success restores ``VALID`` and
+        records the routines' ``format_version``; a failed rebuild
+        leaves the index ``FAILED``.
         """
         db = self.db
         domain = index.domain
@@ -338,6 +342,9 @@ class DDLEngine:
             db.catalog.set_index_state(index.name, IndexState.FAILED)
             self._checkpoint_barrier(reason="domain-rebuild")
             raise
+        # the index now holds what today's routines write
+        domain.format_version = type(domain.methods).format_version
+        domain.error = None
         db.catalog.set_index_state(index.name, IndexState.VALID)
         self._checkpoint_barrier(reason="domain-rebuild")
         return Cursor(rowcount=0)

@@ -104,17 +104,21 @@ def _user_tables(catalog: Catalog):
 def _user_indexes(catalog: Catalog):
     rows = []
     for index in sorted(catalog.indexes.values(), key=lambda i: i.key):
-        indextype = parameters = None
+        indextype = parameters = version = None
+        status = "VALID"
         if index.is_domain and index.domain is not None:
             indextype = index.domain.indextype_name
             parameters = index.domain.parameters
+            status = index.domain.state.value
+            version = index.domain.format_version
         rows.append([index.name, index.table_name,
                      ",".join(index.column_names), index.kind.upper(),
-                     index.unique, indextype, parameters])
+                     index.unique, indextype, parameters, status, version])
     return ([("index_name", VARCHAR2), ("table_name", VARCHAR2),
              ("columns", VARCHAR2), ("index_type", VARCHAR2),
              ("uniqueness", BOOLEAN), ("domain_indextype", VARCHAR2),
-             ("parameters", VARCHAR2)],
+             ("parameters", VARCHAR2), ("status", VARCHAR2),
+             ("format_version", INTEGER)],
             rows)
 
 

@@ -30,6 +30,7 @@ the statement as a per-row fault would — the savepoint has everything.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, itemgetter
@@ -253,6 +254,9 @@ class DMLEngine:
         if domain.valid:
             return True
         if not self.db.skip_unusable_indexes:
+            if domain.error is not None:
+                # the carried error, as a fresh instance per statement
+                raise copy.copy(domain.error)
             raise IndexUnusableError(index_name, domain.state.value)
         self.db._trace(f"dml:skip({index_name}) state={domain.state.value}")
         return False

@@ -341,8 +341,9 @@ class DurabilityManager:
         Functions, operators, indextypes, and implementation classes are
         *not* captured: they are code, re-registered by the application
         at startup exactly like loading a cartridge library.  Domain
-        indexes are captured by definition + state; their ``methods``
-        instances are rebuilt by ``ALTER INDEX ... REBUILD``.
+        indexes are captured by definition, state and the format version
+        that wrote their data; their ``methods`` instances are rebuilt by
+        ``ALTER INDEX ... REBUILD``.
         """
         catalog = self.engine.catalog
         with catalog.latch:
@@ -374,6 +375,7 @@ class DurabilityManager:
                         "indextype_name": d.indextype_name,
                         "parameters": d.parameters,
                         "state": d.state.value, "owner": d.owner,
+                        "format_version": d.format_version,
                     }
                 indexes.append(desc)
             return {

@@ -252,7 +252,9 @@ def _restore_catalog(engine: Any, snapshot: Optional[Dict[str, Any]],
                     column_types=d["column_types"],
                     indextype_name=d["indextype_name"],
                     parameters=d["parameters"], methods=None,
-                    state=IndexState(d["state"]), owner=d["owner"])
+                    state=IndexState(d["state"]), owner=d["owner"],
+                    # a snapshot from before format versions: version 1
+                    format_version=d.get("format_version", 1))
             else:
                 structure = native_structure(desc["name"], desc["kind"],
                                              desc["unique"], engine.stats)
@@ -271,16 +273,21 @@ def _restore_catalog(engine: Any, snapshot: Optional[Dict[str, Any]],
 
 
 def _install_pages(engine: Any, dm: Any) -> int:
-    """Seed the buffer cache's disk with the checkpointed images."""
+    """Seed the buffer cache's disk with the checkpointed images of the
+    recovered tables.  Pages of a segment no table owns are skipped: the
+    LOB segment's are among them, and its directory of LOBs is not
+    durable, so after a restart they name nothing and would only collide
+    with the pages the new LOB manager allocates."""
     installed = 0
     segments_by_id = {t.storage.segment_id: t
                       for t in engine.catalog.tables.values()}
     for seg in dm.pages.segments():
         table = segments_by_id.get(seg)
+        if table is None:
+            continue
         dump = dm.pages.iot_dump_of(seg)
         if dump is not None:
-            if table is not None and isinstance(table.storage,
-                                                IndexOrganizedTable):
+            if isinstance(table.storage, IndexOrganizedTable):
                 table.storage.load_columns(dump["columns"],
                                            dump["snap_lsn"])
                 installed += 1

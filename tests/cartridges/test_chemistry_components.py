@@ -108,6 +108,26 @@ class TestCertificates:
         assert certificate(parse_smiles("CC")) != certificate(
             parse_smiles("C=C"))
 
+    #: certificate() / tautomer_key() of fixed structures, as stored
+    #: (hashed) in every ChemIndexType record.  These pin the index data
+    #: format: change them and ChemIndexMethods.format_version together,
+    #: so indexes written before the change go UNUSABLE until REBUILD.
+    GOLDEN = [
+        ("CCCCCC", "6:5:7c4dad1969482a10", "6:5:7c4dad1969482a10"),
+        ("CC(C)(C)O", "5:4:978500e8f724dafc", "5:4:978500e8f724dafc"),
+        ("C1CCOCC1", "6:6:33e0613d78d0f6c5", "6:6:33e0613d78d0f6c5"),
+        ("C=CC#N", "4:3:52e270d66f7d6746", "4:3:03ae03182ee21780"),
+        ("OC(=O)CNS", "6:5:268695a72d50fb3c", "6:5:cce5078e3c35ed0d"),
+    ]
+
+    def test_stored_keys_are_pinned_to_the_format_version(self):
+        from repro.cartridges.chemistry import ChemIndexMethods
+        assert ChemIndexMethods.format_version == 2
+        for notation, cert, taut in self.GOLDEN:
+            mol = parse_smiles(notation)
+            assert (certificate(mol), tautomer_key(mol)) == (cert, taut), \
+                notation
+
     def test_tautomer_key_ignores_bond_orders(self):
         assert tautomer_key(parse_smiles("CC=O")) == tautomer_key(
             parse_smiles("CCO"))
