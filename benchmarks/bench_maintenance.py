@@ -130,6 +130,7 @@ class PerRowRtreeMethods(RtreeIndexMethods):
     def index_create(self, ia, parameters, env):
         for rid, geometry in env.callback.query(
                 f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"):
+            # the IndexMethods default: one row through index_insert_batch
             self.index_insert(ia, rid, [geometry], env)
 
 

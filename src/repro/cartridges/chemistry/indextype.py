@@ -242,20 +242,6 @@ class ChemIndexMethods(IndexMethods):
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         self._index_file(ia, env).initialize()
 
-    # -- maintenance --------------------------------------------------------------
-
-    def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
-                     new_values: Sequence[Any], env: ODCIEnv) -> None:
-        text = new_values[0]
-        if is_null(text):
-            return
-        record = self._record_for(rowid, parse_smiles(str(text)))
-        self._index_file(ia, env).append(record)
-
-    def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
-                     old_values: Sequence[Any], env: ODCIEnv) -> None:
-        self._index_file(ia, env).tombstone(rowid)
-
     # -- array maintenance --------------------------------------------------
 
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],

@@ -151,16 +151,6 @@ class SpatialIndexMethods(IndexMethods):
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         env.callback.execute(f"TRUNCATE TABLE {_tiles_table(ia)}")
 
-    # -- maintenance ------------------------------------------------------------
-
-    def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
-                     new_values: Sequence[Any], env: ODCIEnv) -> None:
-        self.index_insert_batch(ia, [(rowid, new_values)], env)
-
-    def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
-                     old_values: Sequence[Any], env: ODCIEnv) -> None:
-        self.index_delete_batch(ia, [(rowid, old_values)], env)
-
     # -- array maintenance --------------------------------------------------
 
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
@@ -325,25 +315,6 @@ class RtreeIndexMethods(IndexMethods):
 
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         self.index_drop(ia, env)
-
-    # -- maintenance ------------------------------------------------------------
-
-    def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
-                     new_values: Sequence[Any], env: ODCIEnv) -> None:
-        geometry = new_values[0]
-        if is_null(geometry):
-            return
-        rect = Rect.from_box(bounding_box(geometry))
-        with self._latch:
-            self._tree.insert(rect, rowid)
-            self._rect_of[rowid] = rect
-
-    def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
-                     old_values: Sequence[Any], env: ODCIEnv) -> None:
-        with self._latch:
-            rect = self._rect_of.pop(rowid, None)
-            if rect is not None:
-                self._tree.delete(rect, rowid)
 
     # -- array maintenance --------------------------------------------------
 

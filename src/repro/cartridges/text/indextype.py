@@ -199,16 +199,6 @@ class TextIndexMethods(IndexMethods):
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         env.callback.execute(f"TRUNCATE TABLE {_terms_table(ia)}")
 
-    # -- maintenance routines -----------------------------------------------------
-
-    def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
-                     new_values: Sequence[Any], env: ODCIEnv) -> None:
-        self.index_insert_batch(ia, [(rowid, new_values)], env)
-
-    def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
-                     old_values: Sequence[Any], env: ODCIEnv) -> None:
-        self.index_delete_batch(ia, [(rowid, old_values)], env)
-
     # -- array maintenance routines -------------------------------------------
 
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],

@@ -105,21 +105,6 @@ class VirIndexMethods(IndexMethods):
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         env.callback.execute(f"DELETE FROM {_coarse_table(ia)}")
 
-    # -- maintenance ------------------------------------------------------------
-
-    def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
-                     new_values: Sequence[Any], env: ODCIEnv) -> None:
-        sig = _signature_of(new_values[0])
-        if sig is None:
-            return
-        env.callback.insert_row(
-            _coarse_table(ia), [rowid] + list(coarse_vector(sig)))
-
-    def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
-                     old_values: Sequence[Any], env: ODCIEnv) -> None:
-        env.callback.execute(
-            f"DELETE FROM {_coarse_table(ia)} WHERE rid = :1", [rowid])
-
     # -- array maintenance --------------------------------------------------
 
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],

@@ -72,30 +72,26 @@ class IndexMaintenanceStats(Metrics):
     in a statement's queue for this index; ``entries_flushed`` counts
     entries that reached a dispatched batch (the difference is entries
     discarded by a failed statement or by degradation).
-    ``native_batches`` vs ``shim_batches`` splits batches by whether the
-    cartridge implements the array routine or the dispatcher looped its
-    scalar one.  ``histogram`` buckets flushed batch sizes by powers of
-    two, so the batching win per statement shape is visible.
+    ``histogram`` buckets flushed batch sizes by powers of two, so the
+    batching win per statement shape is visible.
     """
 
     entries_queued: int = 0
     entries_flushed: int = 0
     batches_flushed: int = 0
-    native_batches: int = 0
-    shim_batches: int = 0
     max_batch: int = 0
     histogram: Histogram = histogram(_SIZE_TOPS, _SIZE_LABELS)
 
-    def record_batch(self, size: int, native: bool) -> None:
+    def record_batch(self, size: int) -> None:
         self.entries_flushed += size
         self.batches_flushed += 1
-        if native:
-            self.native_batches += 1
-        else:
-            self.shim_batches += 1
         if size > self.max_batch:
             self.max_batch = size
         self.histogram.add(size)
+
+
+def _no_op() -> None:
+    """The body of a per-entry fault-seam event (see ``call_batch``)."""
 
 
 @dataclass
@@ -197,45 +193,34 @@ class CallbackDispatcher:
 
     def call_batch(self, routine: str, scalar_routine: str,
                    fn: Callable[..., Any], ia: Any, entries: list, env: Any,
-                   *, native: bool, index_name: str = "",
-                   phase: str = "") -> int:
+                   *, index_name: str = "", phase: str = "") -> int:
         """Dispatch one array-maintenance call covering ``entries``.
 
         ``entries`` is one index's slice of a statement's maintenance
-        queue (row order preserved).  With ``native=True`` ``fn`` is the
-        cartridge's array routine, invoked once as ``fn(ia, entries,
-        env)``; with ``native=False`` ``fn`` is the scalar routine and
-        the dispatcher loops it per entry (the compatibility shim), with
-        per-entry classification and bounded transient retry.
+        queue (row order preserved) and ``fn`` the index's array
+        routine, invoked once as ``fn(ia, entries, env)``.
 
-        Fault-seam compatibility: the injection seam sees one event per
-        entry under the *scalar* routine name in both modes, so fault
-        plans written against per-row dispatch keep their ordinals and
-        ledgers.  In native mode every per-entry event fires *before*
-        the single array call — an injected fault at entry N fails the
-        batch before the cartridge does any work, which composes with
-        statement-savepoint rollback exactly like a per-row fault.  In
-        shim mode the events interleave with application, so entries
-        before the faulting one are genuinely applied (and rolled back
-        with the statement).
+        Fault-seam compatibility: with a fault plan installed, the seam
+        first sees one event per entry under the *scalar* routine name,
+        each a :meth:`call` of a no-op, so fault plans written against
+        per-row dispatch keep their ordinals, ledgers, delays and
+        budgets.  An injected fault at entry N fails the batch before
+        the cartridge does any work, and the statement savepoint rolls
+        it back exactly like a per-row fault.
 
         Returns the number of entries dispatched.  An empty batch is a
         no-op: no invocation, no metrics.
         """
         if not entries:
             return 0
-        if native:
-            if self.fault_plan is not None:
-                self._entry_faults(scalar_routine, len(entries), routine,
-                                   index_name, phase)
-            self.call(routine, fn, ia, list(entries), env,
-                      index_name=index_name, phase=phase)
-        else:
-            for entry in entries:
-                self.call(scalar_routine, fn, ia, *entry, env,
-                          index_name=index_name, phase=phase)
+        if self.fault_plan is not None:
+            for __ in entries:
+                self.call(scalar_routine, _no_op, index_name=index_name,
+                          phase=phase)
+        self.call(routine, fn, ia, list(entries), env,
+                  index_name=index_name, phase=phase)
         self.maintenance[index_name or ia.index_name].record_batch(
-            len(entries), native=native)
+            len(entries))
         return len(entries)
 
     def call_degraded(self, routine: str, fn: Callable[..., Any], *args: Any,
@@ -276,59 +261,6 @@ class CallbackDispatcher:
         elapsed = time.perf_counter() - start + injected
         metrics.total_seconds += elapsed
         return _Attempt(result=result, elapsed=elapsed)
-
-    def _entry_faults(self, scalar_routine: str, count: int,
-                      batch_routine: str, index_name: str,
-                      phase: str) -> None:
-        """Fire one fault-seam event per batch entry (native mode).
-
-        Mirrors :meth:`call`'s classification: transient injections get
-        bounded per-entry retry (each retry is another seam event, as it
-        would be under scalar dispatch), database-class injections
-        surface as :class:`CallbackError` attributed to the batch
-        routine, and transaction errors pass through untyped.
-        """
-        metrics = self.metrics[batch_routine]
-        done = 0
-        attempts = 0
-        while done < count:
-            try:
-                self.fault_plan.on_call(scalar_routine, index_name)
-            except TransientCallbackError as exc:
-                attempts += 1
-                if attempts <= self.max_transient_retries:
-                    metrics.retries += 1
-                    self._trace(f"dispatch:retry {batch_routine}"
-                                f"({index_name}) entry={done + 1} "
-                                f"attempt={attempts}")
-                    continue
-                metrics.failures += 1
-                raise CallbackError(
-                    batch_routine,
-                    f"transient failure persisted after "
-                    f"{self.max_transient_retries} retries: {exc}",
-                    index_name=index_name, phase=phase,
-                    cause=exc) from exc
-            except TransactionError:
-                raise
-            except CallbackError:
-                metrics.failures += 1
-                raise
-            except DatabaseError as exc:
-                metrics.failures += 1
-                raise CallbackError(
-                    batch_routine,
-                    f"entry {done + 1}/{count}: {exc}",
-                    index_name=index_name, phase=phase, cause=exc) from exc
-            except BaseException as exc:
-                metrics.failures += 1
-                raise FatalCallbackError(
-                    batch_routine,
-                    f"crashed with {type(exc).__name__}: {exc}",
-                    index_name=index_name, phase=phase, cause=exc) from exc
-            else:
-                attempts = 0
-                done += 1
 
     def _check_budget(self, routine: str, elapsed: float, index_name: str,
                       phase: str, metrics: RoutineMetrics) -> None:

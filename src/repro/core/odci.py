@@ -162,8 +162,9 @@ class IndexMethods(abc.ABC):
     Cartridge developers subclass this and register the subclass with
     the database (``db.register_methods``); ``CREATE INDEXTYPE ... USING
     <name>`` then ties an indextype to it.  Routines the paper makes
-    optional have default implementations; the definition, maintenance,
-    and scan cores are abstract.
+    optional have default implementations; the definition and scan
+    cores are abstract, and each maintenance routine may be written in
+    its scalar or its array form.
 
     Scan protocol: :meth:`index_start` returns either a scan-context
     object (*return state*) or an integer workspace handle obtained from
@@ -200,16 +201,25 @@ class IndexMethods(abc.ABC):
         self.index_create(ia, ia.parameters, env)
 
     # -- index maintenance routines ---------------------------------------
+    #
+    # Each routine has two forms: the paper's scalar one (one row) and an
+    # array one (one index's slice of a statement's maintenance queue, in
+    # row order, each rowid at most once).  DML always calls the array
+    # form, once per index per statement.  A cartridge writes whichever
+    # form it runs and the defaults below bridge the other: a scalar
+    # routine hands its row to the array routine, an array routine loops
+    # the scalar one.  ``register_methods`` refuses a class that writes
+    # neither form of insert or of delete (see :meth:`unwritten_routines`).
 
-    @abc.abstractmethod
     def index_insert(self, ia: ODCIIndexInfo, rowid: Any, new_values: Sequence[Any],
                      env: ODCIEnv) -> None:
         """ODCIIndexInsert: add entries for a newly inserted row."""
+        self.index_insert_batch(ia, [(rowid, new_values)], env)
 
-    @abc.abstractmethod
     def index_delete(self, ia: ODCIIndexInfo, rowid: Any, old_values: Sequence[Any],
                      env: ODCIEnv) -> None:
         """ODCIIndexDelete: remove entries for a deleted row."""
+        self.index_delete_batch(ia, [(rowid, old_values)], env)
 
     def index_update(self, ia: ODCIIndexInfo, rowid: Any,
                      old_values: Sequence[Any], new_values: Sequence[Any],
@@ -217,16 +227,6 @@ class IndexMethods(abc.ABC):
         """ODCIIndexUpdate: default is delete-old + insert-new (§2.2.3)."""
         self.index_delete(ia, rowid, old_values, env)
         self.index_insert(ia, rowid, new_values, env)
-
-    # -- array maintenance routines ----------------------------------------
-    #
-    # One call per index per *statement* instead of per row.  ``entries``
-    # carries the statement's maintenance queue for this index, in row
-    # order, each rowid at most once.  The defaults loop the scalar routines, so scalar-only
-    # indextypes keep working unchanged; when a cartridge overrides one
-    # of these, the dispatcher routes the whole batch through it in a
-    # single callback crossing (per-entry fault attribution is preserved
-    # by the dispatch seam, not by the cartridge).
 
     def index_insert_batch(self, ia: ODCIIndexInfo,
                            entries: Sequence[Tuple[Any, Sequence[Any]]],
@@ -249,6 +249,16 @@ class IndexMethods(abc.ABC):
         """ODCIIndexUpdateBatch: apply ``(rowid, old_values, new_values)`` tuples."""
         for rowid, old_values, new_values in entries:
             self.index_update(ia, rowid, old_values, new_values, env)
+
+    @classmethod
+    def unwritten_routines(cls) -> List[str]:
+        """The insert/delete routines ``cls`` writes in neither form:
+        for those the two defaults would only call each other."""
+        return [f"{scalar}/{scalar}_batch"
+                for scalar in ("index_insert", "index_delete")
+                if getattr(cls, scalar) is getattr(IndexMethods, scalar)
+                and getattr(cls, f"{scalar}_batch")
+                is getattr(IndexMethods, f"{scalar}_batch")]
 
     # -- index scan routines -------------------------------------------------
 

@@ -468,6 +468,11 @@ class Catalog:
         if not (isinstance(cls, type) and issubclass(cls, IndexMethods)):
             raise CatalogError(
                 f"{name}: implementation must subclass IndexMethods")
+        unwritten = cls.unwritten_routines()
+        if unwritten:
+            raise CatalogError(
+                f"{name}: implementation writes neither form of "
+                f"{', '.join(unwritten)}")
         with self.latch:
             self.method_types[name.lower()] = cls
             self.bump_version()

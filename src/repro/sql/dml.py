@@ -22,10 +22,11 @@ the statement simply fails, mirroring ORA-01502.
 
 Maintenance is *batched per statement*: each statement queues its
 domain-index entries in a :class:`MaintenanceQueue` and flushes it once,
-at its end, per index via ``ODCIIndex{Insert,Delete,Update}Batch`` (the
-dispatcher's looping shim serves scalar-only cartridges).  An index never
-lags its table past a statement boundary, and a mid-batch fault fails
-the statement as a per-row fault would — the savepoint has everything.
+at its end, per index via ``ODCIIndex{Insert,Delete,Update}Batch`` (for
+a cartridge that writes the scalar routines, the ``IndexMethods`` array
+defaults loop them).  An index never lags its table past a statement
+boundary, and a mid-batch fault fails the statement as a per-row fault
+would — the savepoint has everything.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.callbacks import CallbackPhase
 from repro.core.domain_index import DomainIndex, IndexState
-from repro.core.odci import IndexMethods
 from repro.errors import (
     CallbackError, ConstraintError, ExecutionError, IndexUnusableError,
     TransactionError)
@@ -66,14 +66,14 @@ def _structure_delete(structure, key, rowid) -> None:
         structure.delete(key, rowid)
 
 
-#: kind -> (batch routine, scalar routine, batch method, scalar method)
+#: kind -> (array routine, scalar routine, array method)
 _BATCH_SPECS = {
     "insert": ("ODCIIndexInsertBatch", "ODCIIndexInsert",
-               "index_insert_batch", "index_insert"),
+               "index_insert_batch"),
     "delete": ("ODCIIndexDeleteBatch", "ODCIIndexDelete",
-               "index_delete_batch", "index_delete"),
+               "index_delete_batch"),
     "update": ("ODCIIndexUpdateBatch", "ODCIIndexUpdate",
-               "index_update_batch", "index_update"),
+               "index_update_batch"),
 }
 
 
@@ -291,13 +291,9 @@ class DMLEngine:
         env = db.make_env(CallbackPhase.MAINTENANCE, domain)
         methods = domain.methods
         ia = domain.index_info()
-        methods_type = type(methods)
         for kind, run in groupby(ops, key=itemgetter(0)):
             entries = [entry for __, entry in run]
-            batch_routine, scalar_routine, batch_attr, scalar_attr = \
-                _BATCH_SPECS[kind]
-            native = (getattr(methods_type, batch_attr)
-                      is not getattr(IndexMethods, batch_attr))
+            batch_routine, scalar_routine, batch_attr = _BATCH_SPECS[kind]
             if env.trace_enabled:
                 # per-entry lines record the logical maintenance events
                 # (the architecture-figure trace); the batch marker
@@ -305,12 +301,11 @@ class DMLEngine:
                 for __ in entries:
                     env.trace(f"dml:{scalar_routine}({index.name})")
                 env.trace(f"dml:{batch_routine}({index.name})"
-                          f"[n={len(entries)}, "
-                          f"{'native' if native else 'shim'}]")
-            fn = getattr(methods, batch_attr if native else scalar_attr)
+                          f"[n={len(entries)}]")
             db.dispatcher.call_batch(
-                batch_routine, scalar_routine, fn, ia, entries, env,
-                native=native, index_name=index.name, phase="maintenance")
+                batch_routine, scalar_routine, getattr(methods, batch_attr),
+                ia, entries, env, index_name=index.name,
+                phase="maintenance")
 
     # ------------------------------------------------------------------
     # row validation / physical insert

@@ -7,24 +7,66 @@ from repro.cartridges import collection
 from repro.types.values import NULL
 
 
+_PEOPLE = [
+    ("Amy", ("Skiing", "Chess")),
+    ("Bob", ("Go", "Skiing", "Skiing")),
+    ("Cid", ("Running",)),
+    ("Dee", NULL),
+    ("Eve", ()),
+]
+
+#: rows that make a full scan dearer than the domain index scan
+_GROWTH = [[f"p{i}", (f"hobby{i % 7}",)] for i in range(300)]
+
+#: elements every indexed answer is checked for
+_ELEMENTS = ("Skiing", "Baking", "Go", "hobby3")
+
+_QUERY = "SELECT name FROM {table} WHERE Coll_Contains(hobbies, :1)"
+
+
 @pytest.fixture
 def hobbies_db():
     db = Engine().connect()
     collection.install(db)
     db.execute("CREATE TABLE employees (name VARCHAR2(40),"
                " hobbies VARRAY(10) OF VARCHAR2(64))")
-    people = [
-        ("Amy", ("Skiing", "Chess")),
-        ("Bob", ("Go", "Skiing", "Skiing")),
-        ("Cid", ("Running",)),
-        ("Dee", NULL),
-        ("Eve", ()),
-    ]
-    for name, hobbies in people:
+    for name, hobbies in _PEOPLE:
         db.execute("INSERT INTO employees VALUES (:1, :2)", [name, hobbies])
     db.execute("CREATE INDEX hobbies_idx ON employees(hobbies)"
                " INDEXTYPE IS CollectionIndexType")
     return db
+
+
+@pytest.fixture
+def grown_db(hobbies_db):
+    """``hobbies_db`` grown (through index maintenance) until the planner
+    picks the domain scan, beside ``plain``: the same rows, no index."""
+    hobbies_db.execute("CREATE TABLE plain (name VARCHAR2(40),"
+                       " hobbies VARRAY(10) OF VARCHAR2(64))")
+    hobbies_db.insert_rows("plain", [list(person) for person in _PEOPLE])
+    for table in ("employees", "plain"):
+        hobbies_db.insert_rows(table, _GROWTH)
+    return hobbies_db
+
+
+def on_both(db, sql, params=None):
+    """Run one DML statement on the indexed table and on its copy."""
+    for table in ("employees", "plain"):
+        db.execute(sql.format(table=table), params)
+
+
+def indexed_names(db, element):
+    """The names a domain index scan finds for ``element``, checked
+    against the index-free copy."""
+    query = _QUERY.format(table="employees")
+    plan = db.explain(query, [element])
+    assert any("DOMAIN INDEX SCAN hobbies_idx" in line for line in plan)
+    starts = db.dispatcher.metrics["ODCIIndexStart"].invocations
+    names = sorted(r[0] for r in db.execute(query, [element]).fetchall())
+    assert db.dispatcher.metrics["ODCIIndexStart"].invocations == starts + 1
+    assert names == sorted(r[0] for r in db.execute(
+        _QUERY.format(table="plain"), [element]).fetchall()), element
+    return names
 
 
 class TestFunctional:
@@ -59,15 +101,18 @@ class TestPaperQuery:
             " WHERE Coll_Contains(hobbies, 'Skiing')")
         assert any("DOMAIN INDEX SCAN hobbies_idx" in line for line in plan)
 
-    def test_functional_agrees_when_index_dropped(self, hobbies_db):
-        indexed = hobbies_db.execute(
-            "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
-        hobbies_db.execute("DROP INDEX hobbies_idx")
-        functional = hobbies_db.execute(
-            "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
-        assert sorted(indexed) == sorted(functional)
+    def test_functional_agrees_when_index_dropped(self, grown_db):
+        indexed = {element: indexed_names(grown_db, element)
+                   for element in _ELEMENTS}
+        assert indexed["Skiing"] == ["Amy", "Bob"]
+        assert len(indexed["hobby3"]) == 43
+        grown_db.execute("DROP INDEX hobbies_idx")
+        query = _QUERY.format(table="employees")
+        assert not any("DOMAIN INDEX SCAN" in line
+                       for line in grown_db.explain(query, ["Skiing"]))
+        for element in _ELEMENTS:
+            assert sorted(r[0] for r in grown_db.execute(
+                query, [element]).fetchall()) == indexed[element]
 
     def test_ancillary_occurrence_count(self, hobbies_db):
         rows = hobbies_db.execute(
@@ -84,33 +129,32 @@ class TestPaperQuery:
 
 
 class TestMaintenance:
-    def test_insert(self, hobbies_db):
-        hobbies_db.execute("INSERT INTO employees VALUES ('Fay', :1)",
-                           [("Skiing",)])
-        rows = hobbies_db.execute(
-            "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
-        assert "Fay" in [r[0] for r in rows]
+    """INSERT, UPDATE and DELETE read back through the domain scan."""
 
-    def test_update_collection(self, hobbies_db):
-        hobbies_db.execute(
-            "UPDATE employees SET hobbies = :1 WHERE name = 'Amy'",
-            [("Baking",)])
-        rows = hobbies_db.execute(
-            "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
-        assert sorted(r[0] for r in rows) == ["Bob"]
-        rows = hobbies_db.execute(
-            "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Baking')").fetchall()
-        assert [r[0] for r in rows] == ["Amy"]
+    def test_insert(self, grown_db):
+        on_both(grown_db, "INSERT INTO {table} VALUES ('Fay', :1)",
+                [("Skiing",)])
+        assert "Fay" in indexed_names(grown_db, "Skiing")
+        for element in _ELEMENTS:
+            indexed_names(grown_db, element)
 
-    def test_delete(self, hobbies_db):
-        hobbies_db.execute("DELETE FROM employees WHERE name = 'Bob'")
-        rows = hobbies_db.execute(
-            "SELECT name FROM employees"
-            " WHERE Coll_Contains(hobbies, 'Skiing')").fetchall()
-        assert [r[0] for r in rows] == ["Amy"]
+    def test_update_collection(self, grown_db):
+        on_both(grown_db,
+                "UPDATE {table} SET hobbies = :1 WHERE name = 'Amy'",
+                [("Baking",)])
+        on_both(grown_db, "UPDATE {table} SET hobbies = :1"
+                " WHERE name IN ('p3', 'p10', 'p17')", [("Go",)])
+        assert indexed_names(grown_db, "Skiing") == ["Bob"]
+        assert indexed_names(grown_db, "Baking") == ["Amy"]
+        assert indexed_names(grown_db, "Go") == ["Bob", "p10", "p17", "p3"]
+        assert len(indexed_names(grown_db, "hobby3")) == 40
+
+    def test_delete(self, grown_db):
+        on_both(grown_db, "DELETE FROM {table} WHERE name = 'Bob'")
+        on_both(grown_db, "DELETE FROM {table} WHERE name LIKE 'p1%'")
+        assert indexed_names(grown_db, "Skiing") == ["Amy"]
+        for element in _ELEMENTS:
+            indexed_names(grown_db, element)
 
     def test_rollback(self, hobbies_db):
         hobbies_db.begin()

@@ -383,20 +383,52 @@ class TestRtreeAblation:
         assert sorted(tile_rows) == sorted(rtree_rows)
 
     def test_rtree_maintenance(self, layers_db):
+        """INSERT, UPDATE and DELETE on an R-tree-indexed table, read
+        back through the domain scan against an index-free copy."""
         install_rtree(layers_db)
-        layers_db.execute(
-            "CREATE TABLE zone (gid INTEGER, geometry SDO_GEOMETRY)")
         gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
+        for table in ("zone", "zone_plain"):
+            layers_db.execute(
+                f"CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)")
         layers_db.execute("CREATE INDEX zone_idx ON zone(geometry)"
                           " INDEXTYPE IS RtreeIndexType")
-        layers_db.execute("INSERT INTO zone VALUES (1, :1)",
-                          [make_rect(gt, 0, 0, 10, 10)])
-        layers_db.execute("INSERT INTO zone VALUES (2, :1)",
-                          [make_rect(gt, 100, 100, 120, 120)])
-        layers_db.execute("DELETE FROM zone WHERE gid = 1")
-        window = make_rect(gt, 0, 0, 200, 200)
-        rows = layers_db.execute(
-            "SELECT gid FROM zone WHERE "
-            "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')", [window]
-        ).fetchall()
-        assert [r[0] for r in rows] == [2]
+        rects = make_rect_layer(gt, 200, seed=17, min_size=10, max_size=80)
+        moved = make_rect(gt, 850, 850, 900, 900)
+
+        def on_both(sql, params=None):
+            for table in ("zone", "zone_plain"):
+                layers_db.execute(sql.format(table=table), params)
+
+        def on_both_many(sql, param_sets):
+            for table in ("zone", "zone_plain"):
+                layers_db.executemany(sql.format(table=table), param_sets)
+
+        on_both_many("INSERT INTO {table} VALUES (:1, :2)",
+                     [[g, geom] for g, geom in rects])
+        on_both("DELETE FROM {table} WHERE gid <= 20")
+        on_both("UPDATE {table} SET geometry = :1 WHERE gid > 180",
+                [moved])
+        on_both_many("UPDATE {table} SET geometry = :1 WHERE gid = :2",
+                     [[make_rect(gt, 10 * k, 10 * k, 10 * k + 30,
+                                 10 * k + 30), 100 + k]
+                      for k in range(10)])
+        query = ("SELECT gid FROM {table} WHERE "
+                 "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')")
+        windows = [make_rect(gt, 0, 0, 200, 200),
+                   make_rect(gt, 300, 300, 700, 700),
+                   make_rect(gt, 840, 840, 1000, 1000),
+                   make_rect(gt, 0, 0, 1000, 1000)]
+        found = []
+        for window in windows:
+            plan = layers_db.explain(query.format(table="zone"), [window])
+            assert any("DOMAIN INDEX SCAN zone_idx" in line
+                       for line in plan)
+            got = sorted(layers_db.execute(
+                query.format(table="zone"), [window]).fetchall())
+            assert got == sorted(layers_db.execute(
+                query.format(table="zone_plain"), [window]).fetchall())
+            found.append([gid for gid, in got])
+        # the moved rows answer where they moved to, the deleted nowhere
+        assert set(range(181, 201)) <= set(found[2])
+        assert set(range(100, 110)) <= set(found[0])
+        assert len(found[3]) == 180

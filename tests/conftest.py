@@ -1,5 +1,6 @@
 """Shared fixtures: fresh sessions, optionally with cartridges installed."""
 
+import collections
 import contextlib
 
 import pytest
@@ -75,30 +76,35 @@ def employees_db(text_db):
 def scalar_text_routines(monkeypatch):
     """A context in which the text cartridge is a scalar-only indextype.
 
-    Its array routines go back to the ``IndexMethods`` defaults, so the
-    dispatcher's shim calls ``ODCIIndexInsert/Delete/Update`` once per
-    row and an update is the default delete + insert.  The cartridge's
-    scalar insert and delete hand their one row to its array bodies;
-    they are rebound to the original bodies here, so they cannot loop
-    back through the defaults.
+    Its array routines go back to the ``IndexMethods`` defaults, which
+    loop the scalar routines once per entry (an update is the default
+    delete + insert).  The cartridge writes only array routines, so the
+    context supplies a scalar insert and delete that each hand their
+    one row to the cartridge's own array bodies, bound before the
+    defaults replace them.  It yields a ``Counter`` of the rows those
+    scalar routines received, keyed ``"insert"`` / ``"delete"``.
     """
     from repro.cartridges.text.indextype import TextIndexMethods
     from repro.core.odci import IndexMethods
 
-    def one_row(array_body):
-        return lambda self, ia, rowid, values, env: array_body(
-            self, ia, [(rowid, values)], env)
+    def one_row(kind, array_body, calls):
+        def scalar(self, ia, rowid, values, env):
+            calls[kind] += 1
+            array_body(self, ia, [(rowid, values)], env)
+        return scalar
 
     @contextlib.contextmanager
     def scalar():
+        calls = collections.Counter()
         with monkeypatch.context() as patch:
             for kind in ("insert", "delete"):
                 patch.setattr(TextIndexMethods, f"index_{kind}", one_row(
-                    getattr(TextIndexMethods, f"index_{kind}_batch")))
+                    kind, getattr(TextIndexMethods, f"index_{kind}_batch"),
+                    calls))
             for kind in ("insert", "delete", "update"):
                 name = f"index_{kind}_batch"
                 patch.setattr(TextIndexMethods, name,
                               getattr(IndexMethods, name))
-            yield
+            yield calls
 
     return scalar

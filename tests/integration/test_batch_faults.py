@@ -4,11 +4,11 @@ The array maintenance interface must preserve PR 2's fault semantics
 exactly: a fault at entry *k* of a batched statement rolls the whole
 statement back (statement-level atomicity), and the degradation policy
 (``skip_unusable_indexes``) still decides between fail-the-statement
-and sideline-the-index-and-retry.  Native-batch cartridges (text,
-spatial, chemistry) fire one fault-seam event per entry *before* the
-array call; VIR has no array routines, so its batches run through the
-scalar shim where entries before the fault are genuinely applied — and
-rolled back with the statement either way.
+and sideline-the-index-and-retry.  Every cartridge's batch fires one
+fault-seam event per entry, under the scalar routine name, *before* its
+array routine runs, so a fault at entry *k* fails the batch before the
+cartridge does any work, and an injected delay meets the scalar
+routine's budget as it did under per-row dispatch.
 
 All tests carry the ``faults`` marker.
 """
@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro import IndexState
-from repro.errors import CallbackError
+from repro.errors import CallbackError, CallbackTimeoutError
 from repro.testing import FaultPlan
 
 pytestmark = pytest.mark.faults
@@ -92,6 +92,27 @@ class TestTextBatch:
                 "INSERT INTO docs VALUES (:1, :2)", new_docs),
             fault_entry=3, rows_before=12, rows_inserted=4)
 
+    def test_injected_delay_meets_the_scalar_budget(self, text_db):
+        """A per-entry delay counts against ``ODCIIndexInsert``'s budget
+        for a cartridge that writes only the array routines."""
+        text_db.execute(
+            "CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
+        text_db.execute("CREATE INDEX docs_text ON docs(body)"
+                        " INDEXTYPE IS TextIndexType")
+        text_db.skip_unusable_indexes = False
+        text_db.dispatcher.set_timeout("ODCIIndexInsert", 0.05)
+        try:
+            with FaultPlan(text_db) as faults:
+                faults.delay("ODCIIndexInsert", ms=100)
+                with pytest.raises(CallbackTimeoutError):
+                    text_db.executemany(
+                        "INSERT INTO docs VALUES (:1, :2)",
+                        [[1, "alpha"], [2, "beta"]])
+        finally:
+            text_db.dispatcher.set_timeout("ODCIIndexInsert", None)
+        assert text_db.execute(
+            "SELECT COUNT(*) FROM docs").fetchall() == [(0,)]
+
 
 class TestSpatialBatch:
     def test_insert_rows_mid_batch_fault(self, spatial_db):
@@ -160,8 +181,8 @@ class TestChemistryBatch:
             fault_entry=2, rows_before=40, rows_inserted=3)
 
 
-class TestVirShimBatch:
-    """VIR has no array routines: batches run through the scalar shim."""
+class TestVirBatch:
+    """VIR writes the array routines, like text, spatial and chemistry."""
 
     def test_insert_rows_mid_batch_fault(self, vir_db):
         from repro.bench.workloads import make_signature_table
@@ -199,8 +220,9 @@ class TestVirShimBatch:
                 for i, sig in new_rows]),
             fault_entry=2, rows_before=80, rows_inserted=3)
 
-    def test_shim_applies_prefix_then_rolls_back(self, vir_db):
-        """Entries before the faulting one really ran — and rolled back."""
+    def test_fault_fails_the_batch_before_the_array_call(self, vir_db):
+        """A fault at entry 3 stops the batch before the cartridge runs,
+        and the statement rolls back."""
         from repro.bench.workloads import make_signature_table
 
         rows, centre = make_signature_table(20, cluster_every=5, seed=12)
@@ -221,10 +243,11 @@ class TestVirShimBatch:
                 vir_db.insert_rows("images", [
                     [i, image_type.new(signature=sig, width=64, height=64)]
                     for i, sig in new_rows])
-            # shim mode: entries 1 and 2 were dispatched, then entry 3
-            # faulted — exactly 3 scalar events on the seam
+            # entries 1 and 2 passed the seam, entry 3 faulted: exactly
+            # 3 scalar events, and the array routine was never invoked
             assert faults.calls("ODCIIndexInsert",
                                 index="images_vidx") == 3
+            assert faults.calls("ODCIIndexInsertBatch") == 0
         assert vir_db.execute(
             "SELECT COUNT(*) FROM images").fetchall() == [(20,)]
         assert vir_db.catalog.get_index("images_vidx").domain.state \

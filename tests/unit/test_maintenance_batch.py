@@ -1,10 +1,11 @@
 """Array maintenance: dispatcher batches, queues, executemany, rollback.
 
 Covers the statement-scoped maintenance queue end to end at unit
-granularity: ``CallbackDispatcher.call_batch`` (native array routine vs
-the scalar compatibility shim), the per-index maintenance counters and
-batch-size histogram, ``executemany`` rowcounts, the one-entry-per-rowid
-contract of an update batch, and index state after ``ROLLBACK``.
+granularity: ``CallbackDispatcher.call_batch`` (one array-routine call
+per batch, scalar-only cartridges riding the ``IndexMethods`` adapter),
+the per-index maintenance counters and batch-size histogram,
+``executemany`` rowcounts, the one-entry-per-rowid contract of an
+update batch, and index state after ``ROLLBACK``.
 """
 
 import pytest
@@ -30,73 +31,59 @@ class TestCallBatch:
     def _dispatcher(self):
         return CallbackDispatcher(db=None)
 
-    def test_native_invokes_once_with_whole_batch(self):
+    def test_invokes_array_routine_once_with_whole_batch(self):
         dispatcher = self._dispatcher()
         calls = []
         entries = [("rid1", ["a"]), ("rid2", ["b"]), ("rid3", ["c"])]
         n = dispatcher.call_batch(
             "ODCIIndexInsertBatch", "ODCIIndexInsert",
             lambda ia, batch, env: calls.append(batch),
-            _FakeIA(), entries, _FakeEnv(), native=True,
-            index_name="fake_idx")
+            _FakeIA(), entries, _FakeEnv(), index_name="fake_idx")
         assert n == 3
         assert calls == [entries]
         stats = dispatcher.maintenance["fake_idx"].snapshot()
         assert stats["entries_flushed"] == 3
         assert stats["batches_flushed"] == 1
-        assert stats["native_batches"] == 1
-        assert stats["shim_batches"] == 0
         assert stats["max_batch"] == 3
         assert stats["histogram"] == {"2-3": 1}
         # the array routine is what got invoked, exactly once
         assert dispatcher.metrics["ODCIIndexInsertBatch"].invocations == 1
         assert "ODCIIndexInsert" not in dispatcher.metrics
 
-    def test_shim_loops_scalar_routine_per_entry(self):
-        dispatcher = self._dispatcher()
-        calls = []
-        entries = [("rid1", ["a"]), ("rid2", ["b"])]
-        n = dispatcher.call_batch(
-            "ODCIIndexInsertBatch", "ODCIIndexInsert",
-            lambda ia, rowid, vals, env: calls.append((rowid, vals)),
-            _FakeIA(), entries, _FakeEnv(), native=False,
-            index_name="fake_idx")
-        assert n == 2
-        assert calls == [("rid1", ["a"]), ("rid2", ["b"])]
-        stats = dispatcher.maintenance["fake_idx"].snapshot()
-        assert stats["shim_batches"] == 1
-        assert stats["native_batches"] == 0
-        # per-entry scalar invocations, no array-routine invocation
-        assert dispatcher.metrics["ODCIIndexInsert"].invocations == 2
-        assert "ODCIIndexInsertBatch" not in dispatcher.metrics
-
     def test_empty_batch_is_a_no_op(self):
         dispatcher = self._dispatcher()
         n = dispatcher.call_batch(
             "ODCIIndexInsertBatch", "ODCIIndexInsert",
             lambda *a: pytest.fail("must not be invoked"),
-            _FakeIA(), [], _FakeEnv(), native=True, index_name="fake_idx")
+            _FakeIA(), [], _FakeEnv(), index_name="fake_idx")
         assert n == 0
         assert dispatcher.maintenance == {}
         assert dispatcher.metrics == {}
 
-    def test_shim_failure_classified_per_entry(self):
+    def test_adapter_failure_mid_batch_is_classified(self):
+        """A scalar-only cartridge's routine faults inside the adapter's
+        loop: the batch fails as one classified, attributed call."""
         dispatcher = self._dispatcher()
+        methods = RecordingMethods()
         applied = []
 
         def scalar(ia, rowid, vals, env):
             if rowid == "rid2":
-                raise ODCIError("boom")
+                raise ODCIError("ODCIIndexInsert", "boom")
             applied.append(rowid)
 
+        methods.index_insert = scalar
         with pytest.raises(CallbackError) as info:
             dispatcher.call_batch(
-                "ODCIIndexInsertBatch", "ODCIIndexInsert", scalar,
+                "ODCIIndexInsertBatch", "ODCIIndexInsert",
+                methods.index_insert_batch,
                 _FakeIA(), [("rid1", ["a"]), ("rid2", ["b"]),
                             ("rid3", ["c"])],
-                _FakeEnv(), native=False, index_name="fake_idx")
+                _FakeEnv(), index_name="fake_idx")
         assert info.value.index_name == "fake_idx"
-        # entries before the fault were genuinely applied (shim mode)
+        assert info.value.routine == "ODCIIndexInsertBatch"
+        # the adapter applied the entries before the fault (the
+        # statement savepoint rolls them back)
         assert applied == ["rid1"]
         # the failed batch never reaches the maintenance counters
         assert "fake_idx" not in dispatcher.maintenance
@@ -104,7 +91,7 @@ class TestCallBatch:
     def test_histogram_buckets_are_powers_of_two(self):
         stats = IndexMaintenanceStats()
         for size in (100, 1, 2, 3, 4, 7, 8):
-            stats.record_batch(size, native=True)
+            stats.record_batch(size)
         assert stats.snapshot()["histogram"] == {
             "1": 1, "2-3": 2, "4-7": 2, "8-15": 1, "64-127": 1}
 
@@ -126,31 +113,33 @@ class TestQueueCounters:
         assert stats["entries_flushed"] == 8
         assert stats["batches_flushed"] == 1
         assert stats["max_batch"] == 8
-        # the text cartridge implements the array routine
-        assert stats["native_batches"] == 1
 
-    def test_scalar_only_indextype_goes_through_the_shim(
+    def test_scalar_only_indextype_rides_the_adapter(
             self, docs_db, scalar_text_routines):
         """An indextype without array routines still rides the queue:
-        one shim batch that calls ``ODCIIndexInsert`` once per entry."""
-        with scalar_text_routines():
+        one array dispatch per statement, whose ``IndexMethods`` default
+        runs the scalar routine once per entry."""
+        with scalar_text_routines() as calls:
             docs_db.insert_rows("docs", [[i, f"alpha w{i}"]
                                          for i in range(4)])
         stats = docs_db.dispatcher.maintenance.snapshot()["docs_text"]
         assert stats["entries_queued"] == stats["entries_flushed"] == 4
-        assert stats["shim_batches"] == 1
-        assert stats["native_batches"] == 0
+        assert stats["batches_flushed"] == 1
+        assert calls == {"insert": 4}
         metrics = docs_db.dispatcher.snapshot()
-        assert metrics["ODCIIndexInsert"]["invocations"] == 4
-        assert "ODCIIndexInsertBatch" not in metrics
+        assert metrics["ODCIIndexInsertBatch"]["invocations"] == 1
+        assert "ODCIIndexInsert" not in metrics
+        assert docs_db.execute(
+            "SELECT COUNT(*) FROM docs_text_terms WHERE token = 'alpha'"
+        ).fetchall() == [(4,)]
 
     def test_dictionary_view_reports_counters(self, docs_db):
         docs_db.insert_rows("docs", [[i, f"alpha w{i}"] for i in range(5)])
         rows = docs_db.execute(
             "SELECT index_name, entries_queued, entries_flushed,"
-            " batches_flushed, native_batches"
+            " batches_flushed, max_batch"
             " FROM user_index_maintenance").fetchall()
-        assert ("docs_text", 5, 5, 1, 1) in rows
+        assert ("docs_text", 5, 5, 1, 5) in rows
 
     def test_counters_die_with_the_index(self, docs_db):
         view = ("SELECT index_name, entries_queued"
@@ -201,8 +190,8 @@ class TestExecutemanyRowcounts:
             "SELECT COUNT(*) FROM docs").fetchall() == [(4,)]
 
     def test_batched_results_match_looped(self, scalar_text_routines):
-        """The native array routines and the scalar routines the shim
-        loops leave the same postings."""
+        """The cartridge's array routines and scalar routines looped by
+        the ``IndexMethods`` defaults leave the same postings."""
         from repro.cartridges.text import install
 
         def run():
@@ -218,7 +207,7 @@ class TestExecutemanyRowcounts:
             return db
 
         batched = run()
-        with scalar_text_routines():
+        with scalar_text_routines() as calls:
             looped = run()
         postings = "SELECT token, rid, freq FROM d2_text_terms"
         assert batched.execute(postings).fetchall() \
@@ -227,8 +216,10 @@ class TestExecutemanyRowcounts:
             "SELECT id FROM d2 WHERE Contains(body, 'omega')").fetchall()) \
             == [(i,) for i in range(4)]
         stats = looped.dispatcher.maintenance.snapshot()["d2_text"]
-        # one batch per statement: the INSERT, the UPDATE, the DELETE
-        assert (stats["native_batches"], stats["shim_batches"]) == (0, 3)
+        # one batch per statement: the INSERT, the UPDATE, the DELETE;
+        # the update's two rows are a delete and an insert each
+        assert stats["batches_flushed"] == 3
+        assert calls == {"insert": 7, "delete": 3}
 
 
 class TestRollback:

@@ -115,7 +115,7 @@ def test_first_touch_from_two_sessions_keeps_both_counts(group):
             dispatcher.call_batch(
                 "ODCIIndexInsertBatch", "ODCIIndexInsert",
                 lambda ia, entries, env: None, IA(), [("rid", ["v"])],
-                None, native=True, index_name="idx")
+                None, index_name="idx")
 
     threads = [threading.Thread(target=touch) for __ in range(2)]
     for thread in threads:

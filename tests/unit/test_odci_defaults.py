@@ -1,11 +1,13 @@
 """Default behaviours of the ODCI base classes and error formatting."""
 
+import importlib
+
 import pytest
 
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo)
 from repro.core.stats import IndexCost, StatsMethods
-from repro.errors import ODCIError, ParseError
+from repro.errors import CatalogError, ODCIError, ParseError
 
 
 class MinimalMethods(IndexMethods):
@@ -34,6 +36,57 @@ class MinimalMethods(IndexMethods):
 
     def index_close(self, context, env):
         pass
+
+
+class NoMaintenanceMethods(IndexMethods):
+    """Writes the definition and scan routines, no maintenance form."""
+
+    def index_create(self, ia, parameters, env):
+        pass
+
+    def index_drop(self, ia, env):
+        pass
+
+    def index_start(self, ia, op_info, query_info, env):
+        return None
+
+    def index_fetch(self, context, nrows, env):
+        return FetchResult(done=True)
+
+    def index_close(self, context, env):
+        pass
+
+
+class ArrayOnlyMethods(NoMaintenanceMethods):
+    """Writes only the array insert and delete routines."""
+
+    def __init__(self):
+        self.log = []
+
+    def index_insert_batch(self, ia, entries, env):
+        self.log.append(("insert_batch", list(entries)))
+
+    def index_delete_batch(self, ia, entries, env):
+        self.log.append(("delete_batch", list(entries)))
+
+
+#: module -> IndexMethods subclasses it ships
+_CARTRIDGES = {
+    "repro.cartridges.text.indextype": ["TextIndexMethods"],
+    "repro.cartridges.spatial.indextype": ["SpatialIndexMethods",
+                                           "RtreeIndexMethods"],
+    "repro.cartridges.vir.indextype": ["VirIndexMethods"],
+    "repro.cartridges.chemistry.indextype": ["ChemIndexMethods"],
+    "repro.cartridges.collection": ["CollectionIndexMethods"],
+}
+
+
+def _written(cls, name):
+    """Whether ``cls`` or a class between it and IndexMethods defines
+    ``name``."""
+    return any(name in vars(klass) for klass in cls.__mro__
+               if klass is not IndexMethods
+               and issubclass(klass, IndexMethods))
 
 
 @pytest.fixture
@@ -89,6 +142,66 @@ class TestDefaults:
         assert result.rowids == []
         assert result.aux is None
         assert not result.done
+
+
+class TestOneMaintenanceForm:
+    def test_scalar_defaults_hand_their_row_to_the_array_routines(
+            self, ia, env):
+        methods = ArrayOnlyMethods()
+        methods.index_insert(ia, "R1", ["a"], env)
+        methods.index_update(ia, "R2", ["old"], ["new"], env)
+        assert methods.log == [("insert_batch", [("R1", ["a"])]),
+                               ("delete_batch", [("R2", ["old"])]),
+                               ("insert_batch", [("R2", ["new"])])]
+
+    def test_array_defaults_loop_the_scalar_routines(self, ia, env):
+        methods = MinimalMethods()
+        methods.index_insert_batch(ia, [("R1", ["a"]), ("R2", ["b"])], env)
+        methods.index_update_batch(ia, [("R3", ["old"], ["new"])], env)
+        methods.index_delete_batch(ia, [("R1", ["a"])], env)
+        assert methods.log == [("insert", "R1", ("a",)),
+                               ("insert", "R2", ("b",)),
+                               ("delete", "R3", ("old",)),
+                               ("insert", "R3", ("new",)),
+                               ("delete", "R1", ("a",))]
+
+    def test_shipped_cartridges_write_one_form_per_routine(self):
+        shipped = []
+        for module, names in _CARTRIDGES.items():
+            loaded = importlib.import_module(module)
+            shipped += [getattr(loaded, name) for name in names]
+            # every IndexMethods subclass a cartridge module defines is
+            # in the table above
+            assert sorted(
+                name for name, value in vars(loaded).items()
+                if isinstance(value, type)
+                and issubclass(value, IndexMethods)
+                and value.__module__ == module) == sorted(names)
+        assert len(shipped) == 6
+        for cls in shipped:
+            for routine in ("index_insert", "index_delete"):
+                forms = [name for name in (routine, f"{routine}_batch")
+                         if _written(cls, name)]
+                assert len(forms) == 1, (cls.__name__, forms)
+            assert not (_written(cls, "index_update")
+                        and _written(cls, "index_update_batch")), \
+                cls.__name__
+
+    def test_register_rejects_a_class_with_neither_form(self, db):
+        with pytest.raises(CatalogError, match="index_insert"):
+            db.register_methods("NoMaintenance", NoMaintenanceMethods)
+
+        class InsertOnly(NoMaintenanceMethods):
+            def index_insert(self, ia, rowid, new_values, env):
+                pass
+
+        with pytest.raises(CatalogError, match="index_delete"):
+            db.register_methods("InsertOnly", InsertOnly)
+
+    @pytest.mark.parametrize("cls", [MinimalMethods, ArrayOnlyMethods])
+    def test_register_accepts_either_form(self, db, cls):
+        db.register_methods(cls.__name__, cls)
+        assert db.catalog.get_method_type(cls.__name__) is cls
 
 
 class TestErrorFormatting:
