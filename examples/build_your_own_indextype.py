@@ -13,8 +13,7 @@ Run:  python examples/build_your_own_indextype.py
 """
 
 from repro import (
-    FetchResult, IndexCost, IndexMethods, PrecomputedScan, StatsMethods,
-    dbapi)
+    IndexCost, IndexMethods, PrecomputedScan, StatsMethods, dbapi)
 from repro.types.values import is_null
 
 
@@ -87,14 +86,8 @@ class SoundexIndexMethods(IndexMethods):
         code = soundex(str(op_info.operator_args[0]))
         rows = env.callback.query(
             f"SELECT rid FROM {self._table(ia)} WHERE code = :1", [code])
+        # the framework fetches and closes a ScanContext for us
         return PrecomputedScan(sorted(r[0] for r in rows))
-
-    def index_fetch(self, context, nrows, env):
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=batch, done=len(batch) < nrows)
-
-    def index_close(self, context, env):
-        context.close()
 
 
 class SoundexStatsMethods(StatsMethods):

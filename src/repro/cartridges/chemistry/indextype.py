@@ -31,7 +31,7 @@ from repro.cartridges.chemistry.molecule import (
 from repro.cartridges.chemistry.search import full_match, substructure_match
 from repro.cartridges.chemistry.storage import FingerprintIndexFile, Record
 from repro.core.odci import (
-    FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
@@ -371,20 +371,6 @@ class ChemIndexMethods(IndexMethods):
         if query_info.ancillary_label is not None:
             return scored
         return [rowid for rowid, __ in scored]
-
-    def index_fetch(self, context: Any, nrows: int,
-                    env: ODCIEnv) -> FetchResult:
-        scan = env.workspace.resolve(context)
-        batch = scan.next_batch(nrows)
-        if scan.want_aux:
-            return FetchResult(rowids=[rid for rid, __ in batch],
-                               aux=[score for __, score in batch],
-                               done=len(batch) < nrows)
-        return FetchResult(rowids=list(batch), done=len(batch) < nrows)
-
-    def index_close(self, context: Any, env: ODCIEnv) -> None:
-        env.workspace.resolve(context).close()
-        env.workspace.free(context)
 
 
 class ChemStatsMethods(StatsMethods):

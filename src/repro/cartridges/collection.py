@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.core.odci import (
-    FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
@@ -124,18 +124,6 @@ class CollectionIndexMethods(IndexMethods):
         if query_info.ancillary_label is not None:
             return PrecomputedScan(accepted, want_aux=True)
         return PrecomputedScan([rid for rid, __ in accepted])
-
-    def index_fetch(self, context: Any, nrows: int,
-                    env: ODCIEnv) -> FetchResult:
-        batch = context.next_batch(nrows)
-        if context.want_aux:
-            return FetchResult(rowids=[rid for rid, __ in batch],
-                               aux=[count for __, count in batch],
-                               done=len(batch) < nrows)
-        return FetchResult(rowids=list(batch), done=len(batch) < nrows)
-
-    def index_close(self, context: Any, env: ODCIEnv) -> None:
-        context.close()
 
 
 class CollectionStatsMethods(StatsMethods):

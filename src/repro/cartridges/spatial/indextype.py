@@ -35,12 +35,12 @@ from typing import (
     Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.cartridges.spatial.geometry import (
-    GEOMETRY_TYPE_NAME, Relation, bounding_box, make_point, make_polygon,
+    GEOMETRY_TYPE_NAME, bounding_box, make_point, make_polygon,
     make_rect, mask_matches, parse_mask_param, relate)
 from repro.cartridges.spatial.rtree import RTree, Rect
 from repro.cartridges.spatial.tiling import TileRange, tessellate, WORLD_SIZE
 from repro.core.odci import (
-    FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import ScanContext
 from repro.core.stats import IndexCost, StatsMethods
@@ -228,14 +228,6 @@ class SpatialIndexMethods(IndexMethods):
                     seen[rid] = None
         return sorted(seen)
 
-    def index_fetch(self, context: Any, nrows: int,
-                    env: ODCIEnv) -> FetchResult:
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=list(batch), done=len(batch) < nrows)
-
-    def index_close(self, context: Any, env: ODCIEnv) -> None:
-        context.close()
-
 
 class SpatialStatsMethods(StatsMethods):
     """ODCIStats routines for the spatial indextypes."""
@@ -370,14 +362,6 @@ class RtreeIndexMethods(IndexMethods):
             candidates = sorted(self._tree.search(rect))
         env.stats.bump("spatial_primary_candidates", len(candidates))
         return _SpatialScan(env, ia, candidates, query_geometry, mask)
-
-    def index_fetch(self, context: Any, nrows: int,
-                    env: ODCIEnv) -> FetchResult:
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=list(batch), done=len(batch) < nrows)
-
-    def index_close(self, context: Any, env: ODCIEnv) -> None:
-        context.close()
 
 
 def _install_common(db) -> None:

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.cartridges.text.lexer import TextLexer, TextParameters
 from repro.cartridges.text.query import Term, TextQuery, parse_query
 from repro.core.odci import (
-    FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan, ScanContext
 from repro.core.stats import IndexCost, StatsMethods
@@ -303,31 +303,6 @@ class TextIndexMethods(IndexMethods):
         else:
             results = list(accepted)
         return env.workspace.allocate(PrecomputedScan(results, want_aux))
-
-    def index_fetch(self, context: Any, nrows: int,
-                    env: ODCIEnv) -> FetchResult:
-        scan = self._resolve(context, env)
-        batch = scan.next_batch(nrows)
-        if scan.want_aux:
-            rowids = [rid for rid, __ in batch]
-            aux = [score for __, score in batch]
-        else:
-            rowids = list(batch)
-            aux = None
-        return FetchResult(rowids=rowids, aux=aux,
-                           done=len(batch) < nrows)
-
-    def index_close(self, context: Any, env: ODCIEnv) -> None:
-        scan = self._resolve(context, env)
-        scan.close()
-        if isinstance(context, int):
-            env.workspace.free(context)
-
-    @staticmethod
-    def _resolve(context: Any, env: ODCIEnv) -> ScanContext:
-        if isinstance(context, int):  # return-handle mechanism
-            return env.workspace.resolve(context)
-        return context  # return-state mechanism
 
 
 class TextStatsMethods(StatsMethods):

@@ -18,13 +18,13 @@ series the E3 benchmark prints.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.cartridges.vir.signature import (
     COARSE_DIMS, Weights, coarse_distance, coarse_vector, component_bound,
     parse_weights, signature_distance)
 from repro.core.odci import (
-    FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
@@ -205,24 +205,6 @@ class VirIndexMethods(IndexMethods):
         rows = env.callback.query(
             f"SELECT rid, {cols} FROM {coarse} WHERE {where}", binds)
         return [(row[0], tuple(row[1:])) for row in rows]
-
-    def index_fetch(self, context: Any, nrows: int,
-                    env: ODCIEnv) -> FetchResult:
-        scan = env.workspace.resolve(context) if isinstance(context, int) \
-            else context
-        batch = scan.next_batch(nrows)
-        if scan.want_aux:
-            return FetchResult(rowids=[rid for rid, __ in batch],
-                               aux=[score for __, score in batch],
-                               done=len(batch) < nrows)
-        return FetchResult(rowids=list(batch), done=len(batch) < nrows)
-
-    def index_close(self, context: Any, env: ODCIEnv) -> None:
-        if isinstance(context, int):
-            env.workspace.resolve(context).close()
-            env.workspace.free(context)
-        else:
-            context.close()
 
 
 class VirStatsMethods(StatsMethods):

@@ -53,16 +53,11 @@ class CallbackSession:
 
     def __init__(self, database: Any, phase: CallbackPhase,
                  base_table: Optional[str] = None, definer: str = "main",
-                 locking: bool = True, snapshot: Optional[Any] = None):
+                 snapshot: Optional[Any] = None):
         self._db = database
         self.phase = phase
         self.base_table = (base_table or "").lower()
         self.definer = definer
-        #: False for optimizer-statistics callbacks: plan-time reads of
-        #: index tables take no table locks (they run before the
-        #: statement locks its own tables — locking here would invert
-        #: the base-table → index-table order writers follow)
-        self.locking = locking
         #: the invoking statement's MVCC snapshot (scan phase): every
         #: callback query this session runs resolves against it, so
         #: ODCIIndexStart/Fetch observe one frozen database state
@@ -86,10 +81,6 @@ class CallbackSession:
         # the privileges of the owner of the index."
         with self._db.as_user(self.definer):
             with self._db._pin_snapshot(self.snapshot):
-                if not self.locking:
-                    with self._db._no_table_locks():
-                        return self._db.pipeline.execute(sql, params,
-                                                         check=self._check)
                 return self._db.pipeline.execute(sql, params,
                                                  check=self._check)
 

@@ -162,14 +162,18 @@ class IndexMethods(abc.ABC):
     Cartridge developers subclass this and register the subclass with
     the database (``db.register_methods``); ``CREATE INDEXTYPE ... USING
     <name>`` then ties an indextype to it.  Routines the paper makes
-    optional have default implementations; the definition and scan
-    cores are abstract, and each maintenance routine may be written in
-    its scalar or its array form.
+    optional have default implementations; the definition cores and
+    :meth:`index_start` are abstract, and each maintenance routine may
+    be written in its scalar or its array form.
 
     Scan protocol: :meth:`index_start` returns either a scan-context
     object (*return state*) or an integer workspace handle obtained from
     ``env.workspace`` (*return handle*); whatever it returns is passed
-    back to :meth:`index_fetch` and :meth:`index_close` (§2.2.3).
+    back to :meth:`index_fetch` and :meth:`index_close` (§2.2.3).  When
+    that state is a :class:`~repro.core.scan_context.ScanContext`, the
+    defaults serve both: Fetch returns its next batch, Close closes it
+    and frees the handle.  A cartridge overrides them only for state of
+    another kind.
     """
 
     #: Version of the data these routines write and read.  A domain index
@@ -267,10 +271,20 @@ class IndexMethods(abc.ABC):
                     query_info: ODCIQueryInfo, env: ODCIEnv) -> Any:
         """ODCIIndexStart: begin a scan; returns scan state or a handle."""
 
-    @abc.abstractmethod
     def index_fetch(self, context: Any, nrows: int, env: ODCIEnv) -> FetchResult:
         """ODCIIndexFetch: return up to ``nrows`` rowids (batch interface)."""
+        return _scan_state(context, env).fetch(nrows)
 
-    @abc.abstractmethod
     def index_close(self, context: Any, env: ODCIEnv) -> None:
-        """ODCIIndexClose: release scan resources."""
+        """ODCIIndexClose: release scan resources (and the handle)."""
+        _scan_state(context, env).close()
+        if isinstance(context, int):
+            env.workspace.free(context)
+
+
+def _scan_state(context: Any, env: ODCIEnv) -> Any:
+    """The scan state ``index_start`` returned: parked in the workspace
+    under an integer handle, or the object itself."""
+    if isinstance(context, int):  # return handle
+        return env.workspace.resolve(context)
+    return context  # return state

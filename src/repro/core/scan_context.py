@@ -13,7 +13,10 @@ Section 2.2.3 describes two mechanisms for carrying scan state between
 and simulated spill accounting, so the E6 ablation can show the
 difference.  :class:`PrecomputedScan` and :class:`ScanContext` are the
 two scan-implementation styles the paper names (*Precompute All* vs
-*Incremental Computation*).
+*Incremental Computation*).  A :class:`ScanContext` lays out its own
+fetch results (:meth:`ScanContext.fetch`), so an ``index_start`` that
+returns one — directly or under a workspace handle — gets Fetch and
+Close from ``IndexMethods``' defaults.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.core.odci import FetchResult
 from repro.errors import ODCIError
 from repro.storage.page import estimate_size
 
@@ -121,10 +125,10 @@ class ScanContext:
     """Base class for *incremental* scan state (return-state style).
 
     Subclasses typically hold an open iterator over index tables; the
-    default :meth:`next_batch` drains ``self.rows`` produced lazily by
-    :meth:`row_source`.  ``want_aux`` says the rows are ``(rowid, aux)``
+    default :meth:`next_batch` drains the rows :meth:`row_source`
+    yields.  ``want_aux`` says the rows are ``(rowid, aux)``
     pairs — the query asked for an ancillary value — rather than bare
-    rowids; a fetch routine reads it, never the shape of a row (a heap
+    rowids; :meth:`fetch` reads it, never the shape of a row (a heap
     rowid is itself a tuple).
     """
 
@@ -153,6 +157,17 @@ class ScanContext:
             self.exhausted = True
         return batch
 
+    def fetch(self, nrows: int) -> FetchResult:
+        """One ``ODCIIndexFetch`` result: the next batch, its pairs split
+        into rowids and aux values when ``want_aux``; a short batch is
+        the null terminator."""
+        batch = self.next_batch(nrows)
+        done = len(batch) < nrows
+        if self.want_aux:
+            return FetchResult(rowids=[rid for rid, __ in batch],
+                               aux=[aux for __, aux in batch], done=done)
+        return FetchResult(rowids=batch, done=done)
+
     def close(self) -> None:
         """Release any resources (default: drop the iterator)."""
         self._source = None
@@ -171,15 +186,18 @@ class PrecomputedScan(ScanContext):
         super().__init__()
         self.results = list(results)
         self.want_aux = want_aux
-        self._cursor = 0
+        self._offset = 0
 
-    def row_source(self) -> Iterator[Any]:
-        while self._cursor < len(self.results):
-            item = self.results[self._cursor]
-            self._cursor += 1
-            yield item
+    def next_batch(self, nrows: int) -> List[Any]:
+        """The next ``nrows`` results, sliced off the precomputed list."""
+        start = self._offset
+        batch = self.results[start:start + nrows]
+        self._offset = start + len(batch)
+        if len(batch) < nrows:
+            self.exhausted = True
+        return batch
 
     @property
     def remaining(self) -> int:
         """Rows not yet fetched."""
-        return len(self.results) - self._cursor
+        return len(self.results) - self._offset

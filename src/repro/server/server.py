@@ -75,11 +75,12 @@ def _is_batch_size(value: Any) -> bool:
 
 #: session settings a client may set in the handshake, each with the
 #: test its value must pass (``setattr`` on the session follows, so a
-#: wrong type would otherwise surface statements later, untyped)
+#: wrong type would otherwise surface statements later, untyped).
+#: ``snapshot_reads`` is not one: reads take no table locks, so a
+#: session reading current mode would see uncommitted rows
 SESSION_SETTINGS = {
     "lock_timeout": _is_timeout,
     "skip_unusable_indexes": _is_flag,
-    "snapshot_reads": _is_flag,
     "fetch_batch_size": _is_batch_size,
 }
 

@@ -110,13 +110,11 @@ class PlanArtifact:
 class StatementPipeline:
     """Drives statements through Parse → Bind → Plan → Execute."""
 
-    def __init__(self, db: Any, cache_capacity: int = 128,
-                 cache: Optional[PlanCache] = None):
+    def __init__(self, db: Any, cache: PlanCache):
         self.db = db
-        #: the plan cache; sessions pass the engine's shared instance so
-        #: a statement compiled by one connection soft-parses on all
-        self.cache = cache if cache is not None else \
-            PlanCache(capacity=cache_capacity)
+        #: the engine's shared plan cache: a statement compiled by one
+        #: connection soft-parses on all
+        self.cache = cache
 
     # ------------------------------------------------------------------
     # stages

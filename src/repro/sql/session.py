@@ -84,11 +84,11 @@ class Session:
         self.skip_unusable_indexes = True
         #: seconds a lock request blocks before LockTimeoutError
         self.lock_timeout = engine.default_lock_timeout
-        #: when True, SELECTs skip table S-locks (plan-time stats reads)
-        self._suppress_table_locks = False
         #: MVCC consistent reads (default): SELECTs resolve rows against
-        #: a statement snapshot, taking *no* table locks; off restores
-        #: current-mode reads (the differential suite proves parity)
+        #: a statement snapshot, taking *no* table locks.  Off (in
+        #: process only: the wire handshake refuses it) reads current
+        #: mode, uncommitted rows included — the reference path of the
+        #: MVCC differential suite and the baseline of bench_mvcc
         self.snapshot_reads = True
         #: snapshot pinned by a callback scope (ODCIIndexStart/Fetch):
         #: callback SQL reads at the opening statement's SCN
@@ -253,7 +253,7 @@ class Session:
 
     def make_env(self, phase: CallbackPhase,
                  domain: Optional[DomainIndex] = None,
-                 locking: bool = True, snapshot=None) -> ODCIEnv:
+                 snapshot=None) -> ODCIEnv:
         """Build the session-scoped ODCIEnv passed into cartridge routines.
 
         ``snapshot`` pins every SQL statement the callback runs to the
@@ -264,8 +264,7 @@ class Session:
         base_table = domain.table_name if domain is not None else None
         definer = domain.owner if domain is not None else self.session_user
         callback = CallbackSession(self, phase, base_table=base_table,
-                                   definer=definer, locking=locking,
-                                   snapshot=snapshot)
+                                   definer=definer, snapshot=snapshot)
         return ODCIEnv(callback=callback, workspace=self.workspace,
                        stats=self.stats, trace=self.trace_log,
                        invoker=self.session_user, definer=definer,
@@ -279,24 +278,12 @@ class Session:
         estimation can read the cartridge's index tables regardless of
         who issued the query.
 
-        Statistics callbacks read *without table locks*: costing runs at
-        plan time, before the statement has locked its own tables, so an
-        S-lock on an index data table here would invert the base-table →
-        index-table lock order every writer follows and manufacture
-        deadlocks with concurrent DML.  Plan-time reads are estimates;
-        they tolerate concurrent mutation by design.
+        Costing runs at plan time, before the statement has locked its
+        own tables; its callback reads cannot invert the base-table →
+        index-table lock order writers follow, because reads take no
+        table locks at all.
         """
-        return self.make_env(CallbackPhase.SCAN, domain, locking=False)
-
-    @contextlib.contextmanager
-    def _no_table_locks(self):
-        """Scope in which this session's SELECTs skip table S-locks."""
-        prev = self._suppress_table_locks
-        self._suppress_table_locks = True
-        try:
-            yield
-        finally:
-            self._suppress_table_locks = prev
+        return self.make_env(CallbackPhase.SCAN, domain)
 
     # ------------------------------------------------------------------
     # snapshots (consistent reads; see repro.txn.mvcc)

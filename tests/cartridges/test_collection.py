@@ -156,6 +156,28 @@ class TestMaintenance:
         for element in _ELEMENTS:
             indexed_names(grown_db, element)
 
+    def test_truncate_table_empties_the_index(self, grown_db):
+        """TRUNCATE TABLE runs the cartridge's ODCIIndexTruncate: the
+        index keeps no element of the old rows, stays VALID, and finds
+        rows inserted afterwards."""
+        on_both(grown_db, "TRUNCATE TABLE {table}")
+        assert grown_db.execute(
+            "SELECT COUNT(*) FROM hobbies_idx_elems").fetchall() == [(0,)]
+        assert grown_db.execute(
+            "SELECT status FROM user_indexes"
+            " WHERE index_name = 'hobbies_idx'").fetchall() == [("VALID",)]
+        # new rows under the old rows' rowids, holding none of the
+        # elements the old rows held
+        refill = [[f"q{i}", (f"pastime{i % 5}",)] for i in range(300)]
+        for table in ("employees", "plain"):
+            grown_db.insert_rows(table, refill)
+        for element in _ELEMENTS:
+            assert indexed_names(grown_db, element) == [], element
+        on_both(grown_db, "INSERT INTO {table} VALUES ('Gus', :1)",
+                [("Skiing", "Go")])
+        assert indexed_names(grown_db, "Skiing") == ["Gus"]
+        assert len(indexed_names(grown_db, "pastime2")) == 60
+
     def test_rollback(self, hobbies_db):
         hobbies_db.begin()
         hobbies_db.execute("DELETE FROM employees WHERE name = 'Amy'")

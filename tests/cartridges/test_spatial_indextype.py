@@ -32,6 +32,12 @@ def layers_db(spatial_db):
     return db
 
 
+def _on_both(db, sql, params=None):
+    """Run one statement on ``zone`` and on its index-free copy."""
+    for table in ("zone", "zone_plain"):
+        db.execute(sql.format(table=table), params)
+
+
 def brute_pairs(roads, parks, mask):
     return sorted((r, p) for r, rg in roads for p, pg in parks
                   if sdo_relate_functional(pg, rg, f"mask={mask}"))
@@ -382,53 +388,81 @@ class TestRtreeAblation:
         ).fetchall()
         assert sorted(tile_rows) == sorted(rtree_rows)
 
-    def test_rtree_maintenance(self, layers_db):
-        """INSERT, UPDATE and DELETE on an R-tree-indexed table, read
-        back through the domain scan against an index-free copy."""
+    @pytest.fixture
+    def zone_db(self, layers_db):
+        """Two empty tables, ``zone`` R-tree-indexed and ``zone_plain``
+        index-free."""
         install_rtree(layers_db)
-        gt = layers_db.catalog.get_object_type("SDO_GEOMETRY")
         for table in ("zone", "zone_plain"):
             layers_db.execute(
                 f"CREATE TABLE {table} (gid INTEGER, geometry SDO_GEOMETRY)")
         layers_db.execute("CREATE INDEX zone_idx ON zone(geometry)"
                           " INDEXTYPE IS RtreeIndexType")
+        return layers_db
+
+    @staticmethod
+    def indexed_gids(db, window):
+        """The gids a ``zone_idx`` domain scan finds in ``window``,
+        checked against ``zone_plain``."""
+        query = ("SELECT gid FROM {table} WHERE "
+                 "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')")
+        plan = db.explain(query.format(table="zone"), [window])
+        assert any("DOMAIN INDEX SCAN zone_idx" in line for line in plan)
+        got = sorted(db.execute(query.format(table="zone"),
+                                [window]).fetchall())
+        assert got == sorted(db.execute(query.format(table="zone_plain"),
+                                        [window]).fetchall())
+        return [gid for gid, in got]
+
+    def test_rtree_maintenance(self, zone_db):
+        """INSERT, UPDATE and DELETE on an R-tree-indexed table, read
+        back through the domain scan against an index-free copy."""
+        gt = zone_db.catalog.get_object_type("SDO_GEOMETRY")
         rects = make_rect_layer(gt, 200, seed=17, min_size=10, max_size=80)
         moved = make_rect(gt, 850, 850, 900, 900)
 
-        def on_both(sql, params=None):
-            for table in ("zone", "zone_plain"):
-                layers_db.execute(sql.format(table=table), params)
-
         def on_both_many(sql, param_sets):
             for table in ("zone", "zone_plain"):
-                layers_db.executemany(sql.format(table=table), param_sets)
+                zone_db.executemany(sql.format(table=table), param_sets)
 
         on_both_many("INSERT INTO {table} VALUES (:1, :2)",
                      [[g, geom] for g, geom in rects])
-        on_both("DELETE FROM {table} WHERE gid <= 20")
-        on_both("UPDATE {table} SET geometry = :1 WHERE gid > 180",
-                [moved])
+        _on_both(zone_db, "DELETE FROM {table} WHERE gid <= 20")
+        _on_both(zone_db, "UPDATE {table} SET geometry = :1 WHERE gid > 180",
+                 [moved])
         on_both_many("UPDATE {table} SET geometry = :1 WHERE gid = :2",
                      [[make_rect(gt, 10 * k, 10 * k, 10 * k + 30,
                                  10 * k + 30), 100 + k]
                       for k in range(10)])
-        query = ("SELECT gid FROM {table} WHERE "
-                 "Sdo_Relate(geometry, :1, 'mask=ANYINTERACT')")
         windows = [make_rect(gt, 0, 0, 200, 200),
                    make_rect(gt, 300, 300, 700, 700),
                    make_rect(gt, 840, 840, 1000, 1000),
                    make_rect(gt, 0, 0, 1000, 1000)]
-        found = []
-        for window in windows:
-            plan = layers_db.explain(query.format(table="zone"), [window])
-            assert any("DOMAIN INDEX SCAN zone_idx" in line
-                       for line in plan)
-            got = sorted(layers_db.execute(
-                query.format(table="zone"), [window]).fetchall())
-            assert got == sorted(layers_db.execute(
-                query.format(table="zone_plain"), [window]).fetchall())
-            found.append([gid for gid, in got])
+        found = [self.indexed_gids(zone_db, window) for window in windows]
         # the moved rows answer where they moved to, the deleted nowhere
         assert set(range(181, 201)) <= set(found[2])
         assert set(range(100, 110)) <= set(found[0])
         assert len(found[3]) == 180
+
+    def test_rtree_truncate(self, zone_db):
+        """TRUNCATE TABLE runs the R-tree's ODCIIndexTruncate: the old
+        rectangles answer no window, the index stays VALID, and rows
+        inserted afterwards (under the old rows' rowids) are found."""
+        gt = zone_db.catalog.get_object_type("SDO_GEOMETRY")
+        for table in ("zone", "zone_plain"):
+            zone_db.insert_rows(table, [
+                [g, geom] for g, geom in make_rect_layer(
+                    gt, 200, seed=17, min_size=10, max_size=80)])
+        _on_both(zone_db, "TRUNCATE TABLE {table}")
+        assert zone_db.execute(
+            "SELECT status FROM user_indexes WHERE index_name = 'zone_idx'"
+        ).fetchall() == [("VALID",)]
+        # 200 new rows, every one in the top-right quarter
+        fresh = [[k, make_rect(gt, 520 + 24 * (k % 20), 520 + 48 * (k // 20),
+                               535 + 24 * (k % 20), 560 + 48 * (k // 20))]
+                 for k in range(200)]
+        for table in ("zone", "zone_plain"):
+            zone_db.insert_rows(table, fresh)
+        assert self.indexed_gids(zone_db, make_rect(gt, 0, 0, 500, 500)) == []
+        assert self.indexed_gids(
+            zone_db, make_rect(gt, 0, 0, 1000, 1000)) == list(range(200))

@@ -222,6 +222,38 @@ class TestVirIndex:
             [images.centre, self.WEIGHTS]).fetchall()
         assert 9999 not in [r[0] for r in got]
 
+    def test_truncate_table_empties_the_index(self, images):
+        """TRUNCATE TABLE runs VIR's ODCIIndexTruncate: the coarse table
+        is emptied, the index stays VALID, and rows inserted afterwards
+        (under the old rows' rowids) are each found once."""
+        query = ("SELECT iid FROM images WHERE "
+                 "VIRSimilar(img.signature, :1, :2, 8)")
+        params = [images.centre, self.WEIGHTS]
+        matching = set(self._truth(images, 8))
+        images.execute("TRUNCATE TABLE images")
+        assert images.execute(
+            "SELECT COUNT(*) FROM images_vidx_coarse").fetchall() == [(0,)]
+        assert images.execute(
+            "SELECT status FROM user_indexes"
+            " WHERE index_name = 'images_vidx'").fetchall() == [("VALID",)]
+        image_type = images.catalog.get_object_type("IMAGE_T")
+
+        def reinsert(keep):
+            images.insert_rows("images", [
+                [i, image_type.new(signature=sig, width=64, height=64)]
+                for i, sig in images.rows_data if keep(i)])
+
+        def indexed():
+            assert any("DOMAIN INDEX SCAN images_vidx" in line
+                       for line in images.explain(query, params))
+            return sorted(r[0] for r in images.execute(
+                query, params).fetchall())
+
+        reinsert(lambda i: i not in matching)
+        assert indexed() == []
+        reinsert(lambda i: i in matching)
+        assert indexed() == sorted(matching)
+
     def test_tight_threshold_returns_subset(self, images):
         wide = images.execute(
             "SELECT iid FROM images WHERE "

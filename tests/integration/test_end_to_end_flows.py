@@ -3,8 +3,8 @@ and a mixed multi-cartridge workload in one database."""
 
 import pytest
 
-from repro import Engine, FetchResult, IndexMethods, PrecomputedScan
-from repro.errors import CatalogError, IndextypeError
+from repro import Engine, IndexMethods, PrecomputedScan
+from repro.errors import CatalogError
 
 
 class TestPaperQuickstart:
@@ -79,13 +79,6 @@ class TestUserDefinedIndextype:
                     f"SELECT rid FROM {self._table(ia)} WHERE absval = :1",
                     [probe])
                 return PrecomputedScan(sorted(r[0] for r in rows))
-
-            def index_fetch(self, context, nrows, env):
-                batch = context.next_batch(nrows)
-                return FetchResult(rowids=batch, done=len(batch) < nrows)
-
-            def index_close(self, context, env):
-                context.close()
 
         db.create_function("AbsEqualsFunc", abs_equals, cost=0.2)
         db.register_methods("AbsIndexMethods", AbsIndexMethods)

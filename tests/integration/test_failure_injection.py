@@ -14,7 +14,7 @@ REBUILD`` restores the index.
 import pytest
 
 from repro import (
-    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan)
+    Engine, IndexMethods, IndexState, PrecomputedScan)
 from repro.errors import CatalogError, IndexUnusableError, ODCIError
 
 pytestmark = pytest.mark.faults
@@ -65,11 +65,7 @@ class FlakyIndexMethods(IndexMethods):
     def index_fetch(self, context, nrows, env):
         if FlakyIndexMethods.fail_on == "fetch":
             raise ODCIError("ODCIIndexFetch", "injected failure")
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=batch, done=len(batch) < nrows)
-
-    def index_close(self, context, env):
-        context.close()
+        return super().index_fetch(context, nrows, env)
 
 
 @pytest.fixture

@@ -13,8 +13,7 @@ import pickle
 
 import pytest
 
-from repro import (
-    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan, WALError)
+from repro import Engine, WALError
 from repro.errors import CatalogError, ConstraintError
 from repro.storage.durability import CATALOG_FILE
 from repro.testing import StorageFaultPlan

@@ -9,7 +9,7 @@ import shutil
 import pytest
 
 from repro import (
-    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan)
+    Engine, IndexMethods, IndexState, PrecomputedScan)
 
 pytestmark = pytest.mark.crash
 
@@ -54,13 +54,6 @@ class TextishMethods(IndexMethods):
             f"SELECT rid FROM {self._table(ia)} WHERE v = :1",
             [op_info.operator_args[0]])
         return PrecomputedScan(sorted(r[0] for r in rows))
-
-    def index_fetch(self, context, nrows, env):
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=batch, done=len(batch) < nrows)
-
-    def index_close(self, context, env):
-        context.close()
 
 
 def install_textish(db):

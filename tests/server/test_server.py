@@ -75,6 +75,24 @@ class TestHandshake:
         assert "turbo_mode" in payload["message"]
         sock.close()
 
+    def test_snapshot_reads_is_refused(self, server):
+        """Reads take no table locks, so a session reading current mode
+        would see other sessions' uncommitted rows: no client may turn
+        snapshot reads off."""
+        writer = dbapi.connect(server.url, timeout=10.0)
+        writer.execute("CREATE TABLE t (x NUMBER)")
+        writer.commit()
+        writer.execute("INSERT INTO t VALUES (1)")   # left uncommitted
+        with pytest.raises(dbapi.InterfaceError, match="snapshot_reads"):
+            dbapi.connect(server.url, timeout=10.0,
+                          settings={"snapshot_reads": False})
+        assert server.stats.handshake_failures == 1
+        reader = dbapi.connect(server.url, timeout=10.0)
+        assert reader.execute("SELECT x FROM t").fetchall() == []
+        reader.close()
+        writer.rollback()
+        writer.close()
+
     def test_accept_loop_survives_bad_handshakes(self, server):
         for __ in range(3):
             sock = _raw_client(server, {**_good_hello(), "version": 0})

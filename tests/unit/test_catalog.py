@@ -221,12 +221,6 @@ class TestRegistries:
             def index_start(self, ia, op_info, query_info, env):
                 pass
 
-            def index_fetch(self, context, nrows, env):
-                pass
-
-            def index_close(self, context, env):
-                pass
-
         catalog.register_method_type("Impl", Impl)
         assert catalog.get_method_type("IMPL") is Impl
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro import Engine
 from repro.core.dispatch import CallbackDispatcher, IndexMaintenanceStats
-from repro.core.odci import FetchResult, IndexMethods
+from repro.core.odci import IndexMethods
+from repro.core.scan_context import PrecomputedScan
 from repro.errors import CallbackError, ODCIError
 
 
@@ -271,13 +272,7 @@ class RecordingMethods(IndexMethods):
             env.callback.execute("UPDATE audit SET note = note || '!'")
 
     def index_start(self, ia, op_info, query_info, env):
-        return None
-
-    def index_fetch(self, context, nrows, env):
-        return FetchResult(done=True)
-
-    def index_close(self, context, env):
-        pass
+        return PrecomputedScan([])
 
 
 class TestUpdateBatchContract:

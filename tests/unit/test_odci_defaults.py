@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.odci import (
     FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo)
+from repro.core.scan_context import PrecomputedScan, ScanContext, Workspace
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import CatalogError, ODCIError, ParseError
+from repro.storage.buffer import IOStats
 
 
 class MinimalMethods(IndexMethods):
@@ -29,13 +31,7 @@ class MinimalMethods(IndexMethods):
         self.log.append(("delete", rowid, tuple(old_values)))
 
     def index_start(self, ia, op_info, query_info, env):
-        return None
-
-    def index_fetch(self, context, nrows, env):
-        return FetchResult(done=True)
-
-    def index_close(self, context, env):
-        pass
+        return PrecomputedScan([])
 
 
 class NoMaintenanceMethods(IndexMethods):
@@ -48,13 +44,7 @@ class NoMaintenanceMethods(IndexMethods):
         pass
 
     def index_start(self, ia, op_info, query_info, env):
-        return None
-
-    def index_fetch(self, context, nrows, env):
-        return FetchResult(done=True)
-
-    def index_close(self, context, env):
-        pass
+        return PrecomputedScan([])
 
 
 class ArrayOnlyMethods(NoMaintenanceMethods):
@@ -186,6 +176,10 @@ class TestOneMaintenanceForm:
             assert not (_written(cls, "index_update")
                         and _written(cls, "index_update_batch")), \
                 cls.__name__
+            # every scan's state is a ScanContext: IndexMethods serves
+            # its Fetch and Close
+            assert not _written(cls, "index_fetch"), cls.__name__
+            assert not _written(cls, "index_close"), cls.__name__
 
     def test_register_rejects_a_class_with_neither_form(self, db):
         with pytest.raises(CatalogError, match="index_insert"):
@@ -202,6 +196,125 @@ class TestOneMaintenanceForm:
     def test_register_accepts_either_form(self, db, cls):
         db.register_methods(cls.__name__, cls)
         assert db.catalog.get_method_type(cls.__name__) is cls
+
+
+class _Numbers(ScanContext):
+    """Incremental scan over ``count`` rows that records its close."""
+
+    def __init__(self, count, want_aux=False):
+        super().__init__()
+        self.count = count
+        self.want_aux = want_aux
+        self.closed = False
+
+    def row_source(self):
+        for i in range(self.count):
+            yield (f"R{i}", i / 10) if self.want_aux else f"R{i}"
+
+    def close(self):
+        self.closed = True
+        super().close()
+
+
+class ListStateMethods(MinimalMethods):
+    """Scan state that is not a ScanContext (a plain list of every
+    rowid): the cartridge writes its own Fetch and Close."""
+
+    closed = []
+
+    def index_start(self, ia, op_info, query_info, env):
+        return [rid for rid, in env.callback.query(
+            f"SELECT rowid FROM {ia.table_name}")]
+
+    def index_fetch(self, context, nrows, env):
+        batch, context[:nrows] = context[:nrows], []
+        return FetchResult(rowids=batch, done=not context)
+
+    def index_close(self, context, env):
+        ListStateMethods.closed.append(len(context))
+
+
+class TestOneScanProtocol:
+    """IndexMethods' default Fetch and Close serve any ScanContext,
+    carried as return state or under a workspace handle (§2.2.3)."""
+
+    @pytest.fixture
+    def scan_env(self):
+        return ODCIEnv(callback=None, workspace=Workspace(IOStats()),
+                       stats=None)
+
+    def test_fetch_serves_return_state(self, scan_env):
+        methods = MinimalMethods()
+        scan = _Numbers(3)
+        first = methods.index_fetch(scan, 2, scan_env)
+        assert (first.rowids, first.aux, first.done) == (
+            ["R0", "R1"], None, False)
+        last = methods.index_fetch(scan, 2, scan_env)
+        assert (last.rowids, last.aux, last.done) == (["R2"], None, True)
+
+    def test_fetch_serves_return_handle(self, scan_env):
+        methods = MinimalMethods()
+        handle = scan_env.workspace.allocate(PrecomputedScan(["R0", "R1"]))
+        first = methods.index_fetch(handle, 2, scan_env)
+        assert (first.rowids, first.done) == (["R0", "R1"], False)
+        last = methods.index_fetch(handle, 2, scan_env)
+        assert (last.rowids, last.done) == ([], True)
+
+    @pytest.mark.parametrize("scan", [
+        _Numbers(3, want_aux=True),
+        PrecomputedScan([("R0", 0.0), ("R1", 0.1), ("R2", 0.2)],
+                        want_aux=True)], ids=["incremental", "precomputed"])
+    def test_want_aux_splits_pairs_and_a_short_batch_is_done(
+            self, scan_env, scan):
+        methods = MinimalMethods()
+        first = methods.index_fetch(scan, 2, scan_env)
+        assert (first.rowids, first.aux, first.done) == (
+            ["R0", "R1"], [0.0, 0.1], False)
+        last = methods.index_fetch(scan, 2, scan_env)
+        assert (last.rowids, last.aux, last.done) == (["R2"], [0.2], True)
+
+    def test_tuple_rowids_are_not_split_without_want_aux(self, scan_env):
+        # a heap rowid is itself a tuple: the flag decides, not the shape
+        scan = PrecomputedScan([(1, 0, 1), (1, 0, 2)])
+        result = MinimalMethods().index_fetch(scan, 4, scan_env)
+        assert (result.rowids, result.aux, result.done) == (
+            [(1, 0, 1), (1, 0, 2)], None, True)
+
+    def test_close_closes_the_scan_and_frees_the_handle(self, scan_env):
+        methods = MinimalMethods()
+        scan = _Numbers(5)
+        handle = scan_env.workspace.allocate(scan)
+        methods.index_fetch(handle, 2, scan_env)
+        methods.index_close(handle, scan_env)
+        assert scan.closed
+        assert scan_env.workspace.live_handles == 0
+
+    def test_close_closes_a_return_state_scan(self, scan_env):
+        methods = MinimalMethods()
+        scan = _Numbers(5)
+        methods.index_fetch(scan, 2, scan_env)
+        methods.index_close(scan, scan_env)
+        assert scan.closed
+        assert scan_env.workspace.live_handles == 0
+
+    def test_a_cartridge_that_overrides_fetch_gets_its_own(self, db):
+        ListStateMethods.closed = []
+        db.create_function("AnyFunc", lambda v, probe: 1, cost=5.0)
+        db.register_methods("ListStateMethods", ListStateMethods)
+        db.execute("CREATE OPERATOR Any_Of BINDING (VARCHAR2, VARCHAR2)"
+                   " RETURN NUMBER USING AnyFunc")
+        db.execute("CREATE INDEXTYPE ListType FOR Any_Of(VARCHAR2, VARCHAR2)"
+                   " USING ListStateMethods")
+        db.execute("CREATE TABLE t (v VARCHAR2(10))")
+        db.execute("CREATE INDEX t_idx ON t(v) INDEXTYPE IS ListType")
+        db.executemany("INSERT INTO t VALUES (:1)",
+                       [[f"v{i}"] for i in range(5)])
+        db.fetch_batch_size = 2
+        sql = "SELECT v FROM t WHERE Any_Of(v, 'x') = 1"
+        assert "DOMAIN INDEX SCAN t_idx" in "\n".join(db.explain(sql))
+        assert sorted(db.execute(sql).fetchall()) == [
+            (f"v{i}",) for i in range(5)]
+        assert ListStateMethods.closed == [0]
 
 
 class TestErrorFormatting:

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro import (
-    Engine, FetchResult, IndexMethods, IndexState, PrecomputedScan)
+    Engine, IndexMethods, IndexState, PrecomputedScan)
 from repro.errors import CallbackTimeoutError, ODCIError
 from repro.testing import FaultPlan, interpreter_forced
 
@@ -53,13 +53,6 @@ class EqScanMethods(IndexMethods):
             f"SELECT rid FROM {self._table(ia)} WHERE v = :1",
             [op_info.operator_args[0]])
         return PrecomputedScan(sorted(r[0] for r in rows))
-
-    def index_fetch(self, context, nrows, env):
-        batch = context.next_batch(nrows)
-        return FetchResult(rowids=batch, done=len(batch) < nrows)
-
-    def index_close(self, context, env):
-        context.close()
 
 
 QUERY = "SELECT v FROM t WHERE Eq_Val(v, :1) = 1"
@@ -242,8 +235,7 @@ class TestParallelScanFaults:
         {"lock_timeout": "soon"}, {"lock_timeout": -1.0},
         {"lock_timeout": float("nan")}, {"lock_timeout": True},
         {"fetch_batch_size": 0}, {"fetch_batch_size": 2.5},
-        {"fetch_batch_size": "32"}, {"snapshot_reads": 1},
-        {"skip_unusable_indexes": "no"}])
+        {"fetch_batch_size": "32"}, {"skip_unusable_indexes": "no"}])
     def test_handshake_refuses_invalid_setting_values(self, setting):
         """A value the engine would crash on statements later is refused
         where an unknown name is: typed, at the handshake, counted."""
@@ -255,7 +247,7 @@ class TestParallelScanFaults:
             assert server.stats.handshake_failures == 1
             good = dbapi.connect(server.url, timeout=10.0, settings={
                 "lock_timeout": 0, "fetch_batch_size": 1,
-                "snapshot_reads": False})
+                "skip_unusable_indexes": False})
             good.close()
             assert server.stats.handshake_failures == 1
 

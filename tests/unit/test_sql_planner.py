@@ -727,8 +727,7 @@ class TestPlannerStaysATable:
         for path in root.rglob("*.py"):
             assert not knobs.search(path.read_text("utf-8")), path
         assert set(SESSION_SETTINGS) == {
-            "lock_timeout", "skip_unusable_indexes", "snapshot_reads",
-            "fetch_batch_size"}
+            "lock_timeout", "skip_unusable_indexes", "fetch_batch_size"}
 
     def test_no_other_module_lists_the_native_scan_classes(self):
         """executor/compile derive their scan-class tuples from
