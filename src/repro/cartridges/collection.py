@@ -104,8 +104,11 @@ class CollectionIndexMethods(IndexMethods):
 
     def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
                      old_values: Sequence[Any], env: ODCIEnv) -> None:
-        env.callback.execute(
-            f"DELETE FROM {_elements_table(ia)} WHERE rid = :1", [rowid])
+        """Delete the row's ``(elem, rid)`` keys, derived from its old
+        collection."""
+        keys = [(key, rowid) for key in self._element_counts(old_values[0])]
+        if keys:
+            env.callback.delete_rows(_elements_table(ia), keys)
 
     def index_start(self, ia: ODCIIndexInfo, op_info: ODCIPredInfo,
                     query_info: ODCIQueryInfo, env: ODCIEnv) -> Any:

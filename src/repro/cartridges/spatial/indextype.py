@@ -79,9 +79,9 @@ def _tile_columns(pairs: Iterable[Tuple[Any, Any]]
     for rid, geometry in pairs:
         if is_null(geometry):
             continue
-        for tile in tessellate(geometry):
-            keys.append((tile.grpcode, tile.code, rid))
-            payloads.append((tile.maxcode,))
+        for grpcode, code, maxcode in tessellate(geometry):
+            keys.append((grpcode, code, rid))
+            payloads.append((maxcode,))
     return keys, payloads
 
 

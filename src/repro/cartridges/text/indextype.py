@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from itertools import repeat
 from operator import itemgetter
+from sys import intern
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cartridges.text.lexer import TextLexer, TextParameters
@@ -56,10 +57,10 @@ def _settings_table(ia: ODCIIndexInfo) -> str:
 def _locator(params: TextParameters) -> TextLexer:
     """The lexer that finds a row's postings from its old text.
 
-    It has no stop list, so it yields a superset of the tokens the row
-    was indexed under whatever ``:Ignore`` words ``ALTER INDEX`` has
-    added since: no posting is left behind, and a key that was never
-    written is skipped by ``delete_rows``.
+    It has no stop list, so its ``term_frequencies`` name a superset of
+    the tokens the row was indexed under whatever ``:Ignore`` words
+    ``ALTER INDEX`` has added since: no posting is left behind, and a
+    key that was never written is skipped by ``delete_rows``.
     """
     return TextLexer(TextParameters(language=params.language))
 
@@ -79,6 +80,14 @@ def text_contains(text: Any, query: Any) -> int:
         return 0
     score = sum(freqs.get(term, 0) for term in set(tree.terms()))
     return max(1, score)
+
+
+class _Payloads(dict):
+    """freq → the one ``(freq,)`` payload tuple a build shares."""
+
+    def __missing__(self, freq: int):
+        payload = self[freq] = (freq,)
+        return payload
 
 
 class _IncrementalTermScan(ScanContext):
@@ -178,10 +187,14 @@ class TextIndexMethods(IndexMethods):
         if inverted:
             keys: List[Any] = []
             payloads: List[Any] = []
+            # a payload is immutable, and a build's postings hold a few
+            # distinct frequencies: one (freq,) tuple each, not one per
+            # posting for the collector to count
+            shared = _Payloads()
             for token in sorted(inverted):
                 rids, freqs = inverted[token]
                 keys += zip(repeat(token), rids)
-                payloads += zip(freqs)
+                payloads += map(shared.__getitem__, freqs)
             env.callback.direct_load(terms, keys, payloads, presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
@@ -203,7 +216,11 @@ class TextIndexMethods(IndexMethods):
 
     def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        """Lex every new row once, then insert all postings in one call."""
+        """Lex every new row once, then insert all postings in one call.
+
+        A posting's token is interned, so the postings of one term that
+        accumulate through maintenance share one string.
+        """
         params = self._load_params(ia, env)
         lexer = TextLexer(params)
         postings: List[List[Any]] = []
@@ -212,7 +229,7 @@ class TextIndexMethods(IndexMethods):
             if is_null(text):
                 continue
             for token, freq in lexer.term_frequencies(str(text)).items():
-                postings.append([token, rowid, freq])
+                postings.append([intern(token), rowid, freq])
         if postings:
             postings.sort(key=itemgetter(0, 1))
             env.callback.insert_rows(_terms_table(ia), postings)
@@ -225,8 +242,8 @@ class TextIndexMethods(IndexMethods):
         for rowid, old_values in entries:
             text = old_values[0]
             if not is_null(text):
-                keys.extend((token, rowid)
-                            for token in set(locator.tokens(str(text))))
+                keys.extend((token, rowid) for token
+                            in locator.term_frequencies(str(text)))
         if keys:
             env.callback.delete_rows(_terms_table(ia), keys)
 
@@ -251,7 +268,7 @@ class TextIndexMethods(IndexMethods):
                     stale.append((token, rowid))
             for token, freq in new.items():
                 if old.get(token) != freq:
-                    postings.append([token, rowid, freq])
+                    postings.append([intern(token), rowid, freq])
         terms = _terms_table(ia)
         if stale:
             env.callback.delete_rows(terms, stale)

@@ -15,8 +15,7 @@ INDEX with ``':Ignore COBOL'`` extends the stop list.
 from __future__ import annotations
 
 import re
-import sys
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set
 
@@ -113,13 +112,22 @@ class TextLexer:
         return [w for w in _WORD.findall(text.lower()) if w not in stop]
 
     def term_frequencies(self, text: str) -> Dict[str, int]:
-        """token → occurrence count for ``text``.
+        """token → occurrence count for ``text``: the one routine the
+        build, the maintenance routines and the functional Contains lex
+        a document with.
 
-        The tokens are interned: this is what index rows are built
-        from, and a term's postings then share one string instead of
-        holding a copy per document.
+        Counts every token into a plain dict in one C pass
+        (``collections._count_elements``, what ``Counter.update`` runs),
+        then drops the stop words among the *distinct* tokens.  Each
+        token is the dict's first occurrence of it; the build's buckets
+        then share that one string across the documents.
         """
-        return Counter(map(sys.intern, self.tokens(text)))
+        counts: Dict[str, int] = {}
+        if text:
+            _count_elements(counts, _WORD.findall(text.lower()))
+            for word in self.params.stopwords.intersection(counts):
+                del counts[word]
+        return counts
 
 
 def tokenize(text: str, stopwords: Iterable[str] = ()) -> List[str]:

@@ -121,22 +121,23 @@ class VirIndexMethods(IndexMethods):
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        coarse = _coarse_table(ia)
-        for rowid, __ in entries:
-            env.callback.execute(
-                f"DELETE FROM {coarse} WHERE rid = :1", [rowid])
+        """Delete each row's coarse row by key, located from its old
+        signature: the old coarse vector's ``c1`` probes the ``c1``
+        B-tree, and ``rid`` picks the row among those sharing it."""
+        delete = (f"DELETE FROM {_coarse_table(ia)}"
+                  " WHERE c1 = :1 AND rid = :2")
+        for rowid, old_values in entries:
+            sig = _signature_of(old_values[0])
+            if sig is not None:
+                env.callback.execute(delete, [coarse_vector(sig)[0], rowid])
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
-        coarse = _coarse_table(ia)
-        for rowid, __, new_values in entries:
-            env.callback.execute(
-                f"DELETE FROM {coarse} WHERE rid = :1", [rowid])
-            sig = _signature_of(new_values[0])
-            if sig is None:
-                continue
-            env.callback.insert_row(
-                coarse, [rowid] + list(coarse_vector(sig)))
+        """Delete the old coarse rows, then insert the new ones."""
+        self.index_delete_batch(
+            ia, [(rowid, old) for rowid, old, __ in entries], env)
+        self.index_insert_batch(
+            ia, [(rowid, new) for rowid, __, new in entries], env)
 
     # -- scan: the three phases ---------------------------------------------------
 

@@ -113,10 +113,7 @@ def native_structure(name: str, kind: str, unique: bool,
     if kind != "btree":
         raise CatalogError(
             f"index {name} has unknown native index kind {kind!r}")
-
-    def touch(nodes: int) -> None:
-        stats.logical_reads += nodes
-    return BTree(unique=unique, touch=touch)
+    return BTree(unique=unique, touch=stats.count_reads)
 
 
 @dataclass

@@ -719,20 +719,19 @@ def _vector_group_slots(node: Any, scan: Any) -> Optional[Tuple]:
 def compile_plan(plan: Any, catalog: Any) -> None:
     """Attach generated row functions and batch kernels to a query plan.
 
-    One walk of the plan tree.  For each row expression a node
+    One walk, parents first, as a loop (a recursive closure would be a
+    cycle holding the plan's tables).  For each row expression a node
     evaluates per row (filters, join conditions/keys, sort keys, group
     keys, HAVING, aggregate arguments, projections) it stores the
-    :func:`compile_row_function` factory in ``node.compiled`` — ``None``
-    where the generator declined.  ``node.exec_mode`` becomes
-    ``"COMPILED"`` when every expression on the node has a generated
-    row function, ``"INTERPRETED"`` when any was declined, and stays
-    ``None`` for nodes with no row expressions.  A node in the
-    vectorizable chain — a scan that produces column batches, and the
-    projection, sort or grouped fold over it — also gets its vector
-    artifacts and a ``vector_mode``: ``"VECTORIZED"`` when they
-    compiled, ``"ROW"`` when it runs on the row pipeline instead.
-    Annotations only: costs and access-path choice are untouched, and
-    EXPLAIN prints both modes per node.
+    :func:`compile_row_function` factory in ``node.compiled`` (``None``
+    where the generator declined); ``node.exec_mode`` is ``"COMPILED"``
+    when every expression on the node has a generated row function,
+    ``"INTERPRETED"`` when any was declined, ``None`` with no row
+    expressions.  A node in the vectorizable chain — a scan producing
+    column batches, and the projection, sort or grouped fold over it —
+    also gets vector artifacts and a ``vector_mode``: ``"VECTORIZED"``
+    when they compiled, else ``"ROW"``.  Annotations only: costs and
+    access paths are untouched; EXPLAIN prints both modes per node.
 
     Runs once at plan time, so the artifacts ride the shared plan cache
     and every session soft-parsing the statement — query or DML target
@@ -832,7 +831,8 @@ def compile_plan(plan: Any, catalog: Any) -> None:
             consume(node, "vector_items", items, projection=True)
         if made:
             node.exec_mode = "INTERPRETED" if None in made else "COMPILED"
-        for child in node.children():
-            visit(child)
+        return node.children()
 
-    visit(plan.root)
+    nodes = [plan.root]
+    for node in nodes:
+        nodes += visit(node)

@@ -149,6 +149,7 @@ class DDLEngine:
             if durability is not None:
                 durability.segment_dropped(table.storage.segment_id)
         db.catalog.drop_table(stmt.name)
+        db.plan_cache.forget_table(table.key)
         self._checkpoint_barrier()
         return Cursor(rowcount=0)
 
@@ -286,8 +287,12 @@ class DDLEngine:
                 "ODCIIndexAlter", domain.methods.index_alter,
                 domain.index_info(), stmt.parameters or "", env,
                 index_name=index.name, phase="definition")
-            if stmt.parameters is not None:
-                domain.parameters = stmt.parameters
+            if stmt.parameters:
+                # kept after CREATE's (and earlier ALTERs'): a REBUILD
+                # passes them all to ODCIIndexCreate, not the last
+                # ALTER's alone
+                domain.parameters = " ".join(
+                    filter(None, (domain.parameters, stmt.parameters)))
             db.catalog.bump_version()  # parameters can change scan behaviour
             self._checkpoint_barrier()
             return Cursor(rowcount=0)

@@ -70,6 +70,17 @@ _DML_TYPES = (ast.Insert, ast.Update, ast.Delete)
 _PLANNED = (ast.Select,) + _DML_TYPES
 
 
+def _statement_tables(statement: ast.Statement) -> Optional[List[str]]:
+    """The tables a SELECT or DML statement names; None for any other."""
+    if isinstance(statement, ast.Select):
+        return [tref.name for tref in statement.tables]
+    if isinstance(statement, _DML_TYPES):
+        source = getattr(statement, "select", None)
+        return [statement.table] + (
+            [] if source is None else [t.name for t in source.tables])
+    return None
+
+
 @dataclass
 class ParseArtifact:
     """Output of the Parse stage."""
@@ -342,13 +353,8 @@ class StatementPipeline:
         return self.db.dml.prepare(statement, binds)
 
     def _cacheable(self, statement: ast.Statement) -> bool:
-        if isinstance(statement, ast.Select):
-            tables = [tref.name for tref in statement.tables]
-        elif isinstance(statement, _DML_TYPES):
-            source = getattr(statement, "select", None)
-            tables = [statement.table] + (
-                [] if source is None else [t.name for t in source.tables])
-        else:
+        tables = _statement_tables(statement)
+        if tables is None:
             return False
         if statement_has_subquery(statement):
             return False  # subquery results are frozen into the plan
@@ -361,9 +367,12 @@ class StatementPipeline:
             (table.key, size_bucket(table.storage.row_count))
             for table in plan.referenced_tables()
             if not table.stats.analyzed)
+        tables = frozenset(
+            name.lower() for name in _statement_tables(parsed.statement))
         return CachedPlan(plan=plan, catalog_version=catalog.version,
                           table_sig=table_sig, bind_names=parsed.bind_names,
-                          sql=parsed.sql, statement=parsed.statement)
+                          sql=parsed.sql, statement=parsed.statement,
+                          tables=tables)
 
     @staticmethod
     def _require_binds(names: Tuple[str, ...], bound: BindArtifact) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.metrics import Metrics
 from repro.sql.lexer import split_quoted
@@ -94,6 +94,9 @@ class CachedPlan:
     #: on it, since DML (which callback phases restrict) is cached too
     statement: object = None
     hits: int = field(default=0)
+    #: keys of every table the statement names: a DROP TABLE of one of
+    #: them forgets the entry (:meth:`PlanCache.forget_table`)
+    tables: FrozenSet[str] = frozenset()
 
 
 class PlanCache:
@@ -166,6 +169,18 @@ class PlanCache:
             dropped = len(self._entries)
             self._entries.clear()
             return dropped
+
+    def forget_table(self, table_key: str) -> None:
+        """Drop every entry naming the dropped table ``table_key``.
+
+        No lookup could accept one again (the catalog version moved
+        on), but a stale entry otherwise waits for its own key or for
+        eviction, and its plan keeps the dropped table's storage alive.
+        """
+        with self._latch:
+            for key in [key for key, entry in self._entries.items()
+                        if table_key in entry.tables]:
+                del self._entries[key]
 
     # -- validation ------------------------------------------------------
 

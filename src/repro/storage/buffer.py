@@ -52,6 +52,12 @@ class IOStats(Metrics):
     file_bytes_written: int = 0
     extra: Histogram = histogram()
 
+    def count_reads(self, nodes: int) -> None:
+        """Count ``nodes`` B-tree node visits as logical reads: the
+        ``touch`` hook of native index and IOT trees.  A bound method of
+        the stats, so a tree holds no reference to the table it serves."""
+        self.logical_reads += nodes
+
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a named ad-hoc counter (used by cartridges/benchmarks)."""
         self.extra[counter] = self.extra.get(counter, 0) + amount

@@ -148,7 +148,7 @@ class IndexOrganizedTable:
         # them.
         self.segment_id = (segment_id if segment_id is not None
                            else buffer_cache.allocate_segment())
-        self._tree = BTree(unique=True, touch=self._touch)
+        self._tree = BTree(unique=True, touch=buffer_cache.stats.count_reads)
         #: LSN of the last WAL record applied to the tree; IOT redo is
         #: logical (a record carries whole rows), so the whole table
         #: carries one applied-LSN watermark instead of per-page stamps.
@@ -167,9 +167,6 @@ class IndexOrganizedTable:
         #: already single-writer per table (X lock), but snapshot scans
         #: materialize concurrently with writers
         self._latch = threading.Lock()
-
-    def _touch(self, nodes: int) -> None:
-        self.buffer.stats.logical_reads += nodes
 
     # -- DML ------------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Collection cartridge: the §3.1 'Contains(Hobbies, Skiing)' example."""
 
+from collections import Counter
+
 import pytest
 
 from repro import Engine
 from repro.cartridges import collection
-from repro.types.values import NULL
+from repro.types.objects import iter_collection
+from repro.types.values import NULL, is_null
 
 
 _PEOPLE = [
@@ -53,6 +56,23 @@ def on_both(db, sql, params=None):
     """Run one DML statement on the indexed table and on its copy."""
     for table in ("employees", "plain"):
         db.execute(sql.format(table=table), params)
+
+
+def assert_elements_match_rows(db):
+    """The elements table holds exactly each live row's ``(elem, rid,
+    occurrences)``: a delete that leaves a key behind shows here even
+    where no query answer would (the base-table fetch drops the deleted
+    row's rowid)."""
+    expected = []
+    for rid, hobbies in db.execute(
+            "SELECT rowid, hobbies FROM employees").fetchall():
+        if not is_null(hobbies):
+            expected += [(element, rid, count) for element, count in Counter(
+                item for item in iter_collection(hobbies)
+                if not is_null(item)).items()]
+    assert sorted(db.execute(
+        "SELECT elem, rid, occurrences FROM hobbies_idx_elems").fetchall()) \
+        == sorted(expected)
 
 
 def indexed_names(db, element):
@@ -148,6 +168,7 @@ class TestMaintenance:
         assert indexed_names(grown_db, "Baking") == ["Amy"]
         assert indexed_names(grown_db, "Go") == ["Bob", "p10", "p17", "p3"]
         assert len(indexed_names(grown_db, "hobby3")) == 40
+        assert_elements_match_rows(grown_db)
 
     def test_delete(self, grown_db):
         on_both(grown_db, "DELETE FROM {table} WHERE name = 'Bob'")
@@ -155,6 +176,12 @@ class TestMaintenance:
         assert indexed_names(grown_db, "Skiing") == ["Amy"]
         for element in _ELEMENTS:
             indexed_names(grown_db, element)
+        assert_elements_match_rows(grown_db)
+        # then every remaining row
+        on_both(grown_db, "DELETE FROM {table}")
+        assert_elements_match_rows(grown_db)
+        assert grown_db.execute(
+            "SELECT COUNT(*) FROM hobbies_idx_elems").fetchall() == [(0,)]
 
     def test_truncate_table_empties_the_index(self, grown_db):
         """TRUNCATE TABLE runs the cartridge's ODCIIndexTruncate: the

@@ -12,6 +12,7 @@ from repro.cartridges.vir import (
 from repro.cartridges.vir.signature import (
     _SLICES, SIGNATURE_LENGTH, component_bound)
 from repro.errors import ExecutionError
+from repro.types.values import is_null
 
 
 class TestWeights:
@@ -221,6 +222,54 @@ class TestVirIndex:
             "VIRSimilar(img.signature, :1, :2, 1)",
             [images.centre, self.WEIGHTS]).fetchall()
         assert 9999 not in [r[0] for r in got]
+
+    @staticmethod
+    def _assert_coarse_rows_match_images(db):
+        """The coarse table holds exactly one row per live image, with
+        its signature's coarse vector.  Answers cannot show a row left
+        behind (phase 3 re-reads the base row), so this is the check
+        that a delete found its coarse row."""
+        expected = [
+            (rid, *coarse_vector(img.get("signature")))
+            for rid, img in db.execute(
+                "SELECT rowid, img FROM images").fetchall()
+            if not is_null(img)]
+        assert sorted(db.execute(
+            "SELECT rid, c1, c2, c3, c4 FROM images_vidx_coarse").fetchall()) \
+            == sorted(expected)
+
+    def test_coarse_rows_follow_delete_and_update(self, images):
+        image_type = images.catalog.get_object_type("IMAGE_T")
+        self._assert_coarse_rows_match_images(images)
+        images.execute("DELETE FROM images WHERE iid < 40")
+        self._assert_coarse_rows_match_images(images)
+        assert images.execute(
+            "SELECT COUNT(*) FROM images_vidx_coarse").fetchall() == [(260,)]
+        # a moved signature: its coarse row is found by the old c1
+        images.execute(
+            "UPDATE images SET img = :1 WHERE iid >= 40 AND iid < 80",
+            [image_type.new(signature=images.centre, width=1, height=1)])
+        self._assert_coarse_rows_match_images(images)
+        images.execute(
+            "UPDATE images SET img = NULL WHERE iid >= 80 AND iid < 90")
+        self._assert_coarse_rows_match_images(images)
+        assert images.execute(
+            "SELECT COUNT(*) FROM images_vidx_coarse").fetchall() == [(250,)]
+        images.execute("DELETE FROM images WHERE iid < 100")
+        self._assert_coarse_rows_match_images(images)
+        assert images.execute(
+            "SELECT COUNT(*) FROM images_vidx_coarse").fetchall() == [(200,)]
+
+    def test_keyed_delete_probes_the_c1_btree(self, images):
+        """The delete routine's statement: the old coarse vector's c1
+        bounds an index range scan, not a scan of the coarse table."""
+        rid, c1 = images.execute(
+            "SELECT rid, c1 FROM images_vidx_coarse").fetchone()
+        plan = images.explain(
+            "DELETE FROM images_vidx_coarse WHERE c1 = :1 AND rid = :2",
+            [c1, rid])
+        assert any("INDEX RANGE SCAN images_vidx_coarse_c1" in line
+                   for line in plan), plan
 
     def test_truncate_table_empties_the_index(self, images):
         """TRUNCATE TABLE runs VIR's ODCIIndexTruncate: the coarse table

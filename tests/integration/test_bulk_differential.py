@@ -9,7 +9,9 @@ Two families:
   the empty table followed by inserting the same rows produces (the
   maintenance path): exact postings-table contents for text, and for
   the R-tree and chemistry operator answers equal to each other and to
-  the operator's functional evaluation on a table with no index;
+  the operator's functional evaluation on a table with no index (text
+  postings also against a reference lexer: the build and the
+  maintenance routines share one lexing routine);
 * **maintenance differential** — a deterministic mixed DML stress run
   through the text cartridge's array routines must leave the same
   postings as the identical run through scalar routines, which the
@@ -116,6 +118,100 @@ class TestTextBuildDifferential:
         assert sorted(text_db.execute(
             "SELECT id, v FROM t").fetchall()) \
             == [(1, "pre-existing"), (2, "two"), (3, "three")]
+
+
+#: bodies that exercise the lexer: mixed case, punctuation, repeated
+#: tokens and stop words, and bodies that index nothing at all
+_LEXER_BODIES = [
+    "Oracle ORACLE oracle, the Unix-based DB!",
+    "COBOL; cobol... C++ & C# -- SQL*Plus (sql plus)",
+    "the a an and of to",
+    None,
+    "",
+    "...!?; -- ()",
+    "repeat repeat REPEAT Repeat rePEAT once",
+    "unix_shell 42 42 x86_64 under_score",
+    "An Oracle expert and a UNIX guru: oracle, unix, oracle.",
+    "Der Oracle-Experte und die UNIX-Welt",
+]
+
+
+def _lexer_rows():
+    return [[i, body] for i, body in enumerate(_LEXER_BODIES * 3)]
+
+
+def _reference_postings(db, stopwords):
+    """``(token, rid, freq)`` of every live row, lexed by a reference
+    that shares no code with the cartridge's lexer."""
+    from collections import Counter
+    import re
+    postings = []
+    for rid, body in db.execute("SELECT rowid, body FROM docs").fetchall():
+        words = re.findall(r"[a-z0-9_]+", (body or "").lower())
+        postings += [(token, rid, freq) for token, freq in Counter(
+            w for w in words if w not in stopwords).items()]
+    return sorted(postings)
+
+
+def _create_text_index(parameters):
+    clause = f" PARAMETERS ('{parameters}')" if parameters else ""
+    return ("CREATE INDEX docs_text ON docs(body)"
+            f" INDEXTYPE IS TextIndexType{clause}")
+
+
+class TestTextLexingDifferential:
+    """The built and the maintained index hold the same postings, and
+    both hold what a reference lexer finds, whatever the body holds and
+    whatever the stop list."""
+
+    @pytest.mark.parametrize("parameters", [
+        "", ":Ignore oracle UNIX", ":Language german :Ignore cobol"])
+    def test_built_equals_maintained(self, parameters):
+        from repro.cartridges.text import install
+        from repro.cartridges.text.lexer import TextParameters
+        built, maintained, __ = _built_and_maintained(
+            install, "CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))",
+            lambda db: db.executemany(
+                "INSERT INTO docs VALUES (:1, :2)", _lexer_rows()),
+            _create_text_index(parameters))
+        stopwords = TextParameters.parse(parameters).stopwords
+        contents = _text_contents(built)
+        assert contents == _text_contents(maintained)
+        assert sorted(contents) == _reference_postings(built, stopwords)
+        tokens = {token for token, __, __ in contents}
+        assert tokens.isdisjoint(stopwords)
+        assert {"repeat", "plus", "42"} <= tokens
+        assert ("repeat", 5) in {(t, f) for t, __, f in contents}
+
+    def test_alter_ignore_then_rebuild_equals_maintained(self):
+        """ALTER INDEX's ``:Ignore`` extends the stop list CREATE gave:
+        the rebuilt index ignores both, as does one altered while empty
+        and maintained as the rows arrive."""
+        from repro.cartridges.text import install
+        from repro.cartridges.text.lexer import TextParameters
+        alter = "ALTER INDEX docs_text PARAMETERS (':Ignore unix repeat')"
+        dbs = {}
+        for mode in ("rebuilt", "maintained"):
+            db = dbs[mode] = Engine().connect()
+            install(db)
+            db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
+            if mode == "rebuilt":
+                db.executemany("INSERT INTO docs VALUES (:1, :2)",
+                               _lexer_rows())
+            db.execute(_create_text_index(":Ignore oracle"))
+            db.execute(alter)
+            if mode == "rebuilt":
+                db.execute("ALTER INDEX docs_text REBUILD")
+            else:
+                db.executemany("INSERT INTO docs VALUES (:1, :2)",
+                               _lexer_rows())
+        rebuilt = _text_contents(dbs["rebuilt"])
+        assert rebuilt == _text_contents(dbs["maintained"])
+        stopwords = TextParameters.parse(":Ignore oracle unix repeat") \
+            .stopwords
+        assert sorted(rebuilt) == _reference_postings(
+            dbs["rebuilt"], stopwords)
+        assert not {"oracle", "unix", "repeat"} & {t for t, __, __ in rebuilt}
 
 
 class TestSpatialBuildDifferential:

@@ -1,6 +1,7 @@
 """Default behaviours of the ODCI base classes and error formatting."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -180,6 +181,13 @@ class TestOneMaintenanceForm:
             # its Fetch and Close
             assert not _written(cls, "index_fetch"), cls.__name__
             assert not _written(cls, "index_close"), cls.__name__
+
+    def test_shipped_cartridges_delete_by_key(self):
+        """Every cartridge's delete derives its index keys from
+        ``old_values``; none looks its row up by a scan on ``rid``."""
+        for module in _CARTRIDGES:
+            source = inspect.getsource(importlib.import_module(module))
+            assert "WHERE rid = :1" not in source, module
 
     def test_register_rejects_a_class_with_neither_form(self, db):
         with pytest.raises(CatalogError, match="index_insert"):
