@@ -54,8 +54,7 @@ from repro import Engine
 from repro.bench.harness import ReportTable, fastest
 from repro.bench.workloads import make_corpus
 from repro.cartridges.spatial.indextype import RtreeIndexMethods
-from repro.cartridges.text.indextype import (
-    TextIndexMethods, _settings_table, _terms_table)
+from repro.cartridges.text.indextype import TextIndexMethods, _TERMS
 from repro.cartridges.text.lexer import TextLexer, TextParameters
 from repro.types.values import is_null
 
@@ -89,8 +88,8 @@ SCALING_CASES = ("text_update_scaling", "spatial_delete_scaling")
 
 
 class PerRowTextMethods(TextIndexMethods):
-    """TextIndexType with a row-at-a-time ``ODCIIndexCreate``: the
-    per-row build baseline.
+    """TextIndexType with a row-at-a-time load step: the per-row build
+    baseline.
 
     Postings go in document scan order, unsorted.  The first one is
     inserted in its own statement, so the rest meet a populated IOT and
@@ -98,39 +97,27 @@ class PerRowTextMethods(TextIndexMethods):
     take the bulk-load plan).
     """
 
-    def index_create(self, ia, parameters, env):
-        params = TextParameters.parse(parameters or "")
-        terms = _terms_table(ia)
-        env.callback.execute(
-            f"CREATE TABLE {terms} ("
-            "token VARCHAR2(64), rid ROWID, freq INTEGER,"
-            " PRIMARY KEY (token, rid)) ORGANIZATION INDEX")
-        env.callback.execute(
-            f"CREATE TABLE {_settings_table(ia)} "
-            "(key VARCHAR2(32), value VARCHAR2(4000))")
-        self._save_params(ia, env, params)
-        lexer = TextLexer(params)
+    def index_load(self, ia, rows, env):
+        lexer = TextLexer(TextParameters.parse(ia.parameters))
         postings = []
-        for rid, text in env.callback.query(
-                f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"):
+        for rid, text in rows:
             if not is_null(text):
                 for token, freq in lexer.term_frequencies(
                         str(text)).items():
                     postings.append([token, rid, freq])
         if postings:
+            terms = _TERMS.name(ia)
             env.callback.insert_rows(terms, postings[:1])
             env.callback.insert_rows(terms, postings[1:])
 
 
 class PerRowRtreeMethods(RtreeIndexMethods):
-    """RtreeIndexType with a row-at-a-time ``ODCIIndexCreate``: one
+    """RtreeIndexType with a row-at-a-time load step: one
     quadratic-split ``RTree.insert`` per rectangle (the per-row build
     baseline)."""
 
-    def index_create(self, ia, parameters, env):
-        for rid, geometry in env.callback.query(
-                f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"):
-            # the IndexMethods default: one row through index_insert_batch
+    def index_load(self, ia, rows, env):
+        for rid, geometry in rows:
             self.index_insert(ia, rid, [geometry], env)
 
 

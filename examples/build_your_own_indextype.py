@@ -13,7 +13,7 @@ Run:  python examples/build_your_own_indextype.py
 """
 
 from repro import (
-    IndexCost, IndexMethods, PrecomputedScan, StatsMethods, dbapi)
+    IndexCost, IndexMethods, IndexTable, PrecomputedScan, StatsMethods, dbapi)
 from repro.types.values import is_null
 
 
@@ -49,43 +49,37 @@ def sounds_like(value, probe) -> int:
 
 # --- step 3: the ODCIIndex implementation type -------------------------------
 
+#: the index's one table, ``<index>_codes``: (soundex code, rowid) pairs
+_CODES = IndexTable("codes", "code VARCHAR2(4), rid ROWID,"
+                    " PRIMARY KEY (code, rid)", organization_index=True)
+
+
 class SoundexIndexMethods(IndexMethods):
-    """Stores (soundex code, rowid) pairs in an IOT via server callbacks."""
+    """Stores (soundex code, rowid) pairs in an IOT via server callbacks.
 
-    def _table(self, ia):
-        return f"{ia.index_name.lower()}_codes"
+    Declaring the table is the whole definition: the framework creates
+    it, loads the rows already in the base table through
+    ``index_insert``, and truncates and drops it.
+    """
 
-    def index_create(self, ia, parameters, env):
-        env.callback.execute(
-            f"CREATE TABLE {self._table(ia)} (code VARCHAR2(4), rid ROWID,"
-            " PRIMARY KEY (code, rid)) ORGANIZATION INDEX")
-        column = ia.column_names[0]
-        rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        entries = [[soundex(str(value)), rid] for rid, value in rows
-                   if not is_null(value)]
-        if entries:
-            env.callback.insert_rows(self._table(ia), entries)
-
-    def index_drop(self, ia, env):
-        env.callback.execute(f"DROP TABLE {self._table(ia)}")
+    index_tables = (_CODES,)
 
     def index_insert(self, ia, rowid, new_values, env):
         if not is_null(new_values[0]):
             env.callback.insert_row(
-                self._table(ia), [soundex(str(new_values[0])), rowid])
+                _CODES.name(ia), [soundex(str(new_values[0])), rowid])
 
     def index_delete(self, ia, rowid, old_values, env):
         # the old value says which entry the row has: delete that key,
         # never scan the index table by rowid
         if not is_null(old_values[0]):
             env.callback.delete_rows(
-                self._table(ia), [(soundex(str(old_values[0])), rowid)])
+                _CODES.name(ia), [(soundex(str(old_values[0])), rowid)])
 
     def index_start(self, ia, op_info, query_info, env):
         code = soundex(str(op_info.operator_args[0]))
         rows = env.callback.query(
-            f"SELECT rid FROM {self._table(ia)} WHERE code = :1", [code])
+            f"SELECT rid FROM {_CODES.name(ia)} WHERE code = :1", [code])
         # the framework fetches and closes a ScanContext for us
         return PrecomputedScan(sorted(r[0] for r in rows))
 

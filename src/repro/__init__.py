@@ -63,6 +63,7 @@ from repro.sql.session import Cursor, Session
 from repro.core import (
     FetchResult,
     IndexMethods,
+    IndexTable,
     IndexCost,
     IndexState,
     ODCIEnv,
@@ -83,6 +84,7 @@ __all__ = [
     "Cursor",
     "NULL",
     "IndexMethods",
+    "IndexTable",
     "StatsMethods",
     "IndexCost",
     "FetchResult",

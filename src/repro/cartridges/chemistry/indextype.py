@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 import hashlib
+from itertools import zip_longest
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cartridges.chemistry.fingerprint import (
@@ -31,8 +32,8 @@ from repro.cartridges.chemistry.molecule import (
 from repro.cartridges.chemistry.search import full_match, substructure_match
 from repro.cartridges.chemistry.storage import FingerprintIndexFile, Record
 from repro.core.odci import (
-    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
-    ODCIQueryInfo)
+    IndexMethods, IndexTable, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    ODCIQueryInfo, base_table_rows)
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
@@ -99,20 +100,22 @@ def chem_similar(mol_text: Any, query_text: Any, threshold: Any) -> float:
 # the indextype implementation
 # ---------------------------------------------------------------------------
 
-def _meta_table(ia: ODCIIndexInfo) -> str:
-    return f"{ia.index_name.lower()}_meta"
+#: Where the index's fingerprint file is: ``storage`` (LOB or FILE)
+#: and the LOB's ``lob_id`` or the file's name.
+_META = IndexTable("meta", "key VARCHAR2(32), value VARCHAR2(256)")
 
 
-def _parse_storage(parameters: str) -> str:
-    tokens = (parameters or "").split()
-    for i, token in enumerate(tokens):
-        if token.lower() == ":storage" and i + 1 < len(tokens):
-            kind = tokens[i + 1].upper()
-            if kind not in ("LOB", "FILE"):
-                raise ODCIError("ChemIndexMethods",
-                                f"unknown :Storage kind {kind!r}")
-            return kind
-    return "LOB"
+def _storage(parameters: str) -> str:
+    """The store ``:Storage LOB|FILE`` names: the last one given, LOB
+    when none is."""
+    tokens = parameters.split()
+    pairs = zip_longest(tokens[::2], tokens[1::2], fillvalue="")
+    for keyword, kind in pairs:
+        if keyword.lower() != ":storage" \
+                or kind.upper() not in ("LOB", "FILE"):
+            raise ODCIError("ChemIndexMethods", "expected :Storage LOB or"
+                            f" :Storage FILE, got {keyword} {kind}".rstrip())
+    return tokens[-1].upper() if tokens else "LOB"
 
 
 class ChemIndexMethods(IndexMethods):
@@ -122,9 +125,10 @@ class ChemIndexMethods(IndexMethods):
     #: every stored ``cert_hash`` / ``taut_hash`` differs from version 1's.
     format_version = 2
 
+    index_tables = (_META,)
+
     def __init__(self):
         self._factory: Optional[Callable[[], Any]] = None
-        self._storage_kind: Optional[str] = None
         # shared across sessions; keeps the lazily-resolved storage
         # factory consistent (SQL runs outside the latch)
         self._latch = threading.Lock()
@@ -137,7 +141,7 @@ class ChemIndexMethods(IndexMethods):
             factory = self._factory
         if factory is None:
             meta = {key: value for key, value in env.callback.query(
-                f"SELECT key, value FROM {_meta_table(ia)}")}
+                f"SELECT key, value FROM {_META.name(ia)}")}
             kind = meta.get("storage")
             if kind == "LOB":
                 lob_id = int(meta["lob_id"])
@@ -153,7 +157,6 @@ class ChemIndexMethods(IndexMethods):
             with self._latch:
                 if self._factory is None:
                     self._factory = factory
-                    self._storage_kind = kind
                 factory = self._factory
         return FingerprintIndexFile(factory)
 
@@ -166,6 +169,9 @@ class ChemIndexMethods(IndexMethods):
 
     # -- definition ----------------------------------------------------------
 
+    def parse_parameters(self, parameters: str, current: str) -> str:
+        return f":Storage {_storage(f'{current} {parameters}')}"
+
     def index_create(self, ia: ODCIIndexInfo, parameters: str,
                      env: ODCIEnv) -> None:
         base = env.callback.query_one(
@@ -177,44 +183,31 @@ class ChemIndexMethods(IndexMethods):
                 f"{ia.table_name} is an index-organized table: the "
                 "fingerprint file packs each rowid as a fixed-width "
                 "(segment, page, slot), and an IOT row's rowid is its key")
-        kind = _parse_storage(parameters)
-        meta = _meta_table(ia)
-        env.callback.execute(
-            f"CREATE TABLE {meta} (key VARCHAR2(32), value VARCHAR2(256))")
-        env.callback.execute(
-            f"INSERT INTO {meta} VALUES ('storage', :1)", [kind])
+        super().index_create(ia, parameters, env)
+
+    def index_load(self, ia: ODCIIndexInfo, rows: List[Any],
+                   env: ODCIEnv) -> None:
+        """Make the store ``:Storage`` names and record it in the meta
+        table, then append every row's record to the new file."""
+        kind = _storage(ia.parameters)
+        meta = _META.name(ia)
+        insert = f"INSERT INTO {meta} VALUES (:1, :2)"
+        env.callback.execute(insert, ["storage", kind])
         if kind == "LOB":
             locator = env.lobs.create()
-            env.callback.execute(
-                f"INSERT INTO {meta} VALUES ('lob_id', :1)",
-                [str(locator.lob_id)])
+            env.callback.execute(insert, ["lob_id", str(locator.lob_id)])
             lobs = env.lobs
             factory = lambda: lobs.open(locator.lob_id)  # noqa: E731
         else:
             name = f"{ia.index_name.lower()}.cfp"
             env.files.open(name, create=True)
-            env.callback.execute(
-                f"INSERT INTO {meta} VALUES ('file', :1)", [name])
+            env.callback.execute(insert, ["file", name])
             files = env.files
             factory = lambda: files.open(name)  # noqa: E731
         with self._latch:
             self._factory = factory
-            self._storage_kind = kind
-        index_file = FingerprintIndexFile(factory)
-        index_file.initialize()
-        self._populate(ia, env, index_file)
-
-    def _populate(self, ia: ODCIIndexInfo, env: ODCIEnv,
-                  index_file: FingerprintIndexFile) -> None:
-        column = ia.column_names[0]
-        rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        records: List[Record] = []
-        for rid, text in rows:
-            if is_null(text):
-                continue
-            records.append(self._record_for(rid, parse_smiles(str(text))))
-        index_file.append_many(records)
+        FingerprintIndexFile(factory).initialize()
+        super().index_load(ia, rows, env)
 
     def rebuild(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         """Re-derive the whole index from the base table.
@@ -222,22 +215,21 @@ class ChemIndexMethods(IndexMethods):
         Used by the rollback event handler for FILE storage (§5) and
         available to applications as a recovery tool.
         """
-        index_file = self._index_file(ia, env)
-        index_file.initialize()
-        self._populate(ia, env, index_file)
+        self.index_truncate(ia, env)
+        # the default load step: the store already exists
+        super().index_load(ia, base_table_rows(ia, env), env)
 
     def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         meta = {key: value for key, value in env.callback.query(
-            f"SELECT key, value FROM {_meta_table(ia)}")}
+            f"SELECT key, value FROM {_META.name(ia)}")}
         if meta.get("storage") == "LOB" and "lob_id" in meta:
             env.lobs.delete(int(meta["lob_id"]))
         elif meta.get("storage") == "FILE" and "file" in meta:
             if env.files.exists(meta["file"]):
                 env.files.delete(meta["file"])
-        env.callback.execute(f"DROP TABLE {_meta_table(ia)}")
+        super().index_drop(ia, env)
         with self._latch:
             self._factory = None
-            self._storage_kind = None
 
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
         self._index_file(ia, env).initialize()

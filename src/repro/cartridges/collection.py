@@ -19,10 +19,10 @@ the matched collection).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.core.odci import (
-    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, IndexTable, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
@@ -42,8 +42,10 @@ def coll_contains(collection: Any, element: Any) -> int:
                if not is_null(item) and item == element)
 
 
-def _elements_table(ia: ODCIIndexInfo) -> str:
-    return f"{ia.index_name.lower()}_elems"
+#: The element inverted index: occurrences of each element per row.
+_ELEMS = IndexTable(
+    "elems", "elem VARCHAR2(256), rid ROWID, occurrences INTEGER,"
+    " PRIMARY KEY (elem, rid)", organization_index=True)
 
 
 def _element_key(element: Any) -> str:
@@ -59,22 +61,7 @@ class CollectionIndexMethods(IndexMethods):
     collection elements instead of tokens.
     """
 
-    def index_create(self, ia: ODCIIndexInfo, parameters: str,
-                     env: ODCIEnv) -> None:
-        table = _elements_table(ia)
-        env.callback.execute(
-            f"CREATE TABLE {table} (elem VARCHAR2(256), rid ROWID,"
-            " occurrences INTEGER, PRIMARY KEY (elem, rid))"
-            " ORGANIZATION INDEX")
-        column = ia.column_names[0]
-        rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        entries: List[List[Any]] = []
-        for rid, collection in rows:
-            for key, count in self._element_counts(collection).items():
-                entries.append([key, rid, count])
-        if entries:
-            env.callback.insert_rows(table, entries)
+    index_tables = (_ELEMS,)
 
     @staticmethod
     def _element_counts(collection: Any) -> Dict[str, int]:
@@ -88,19 +75,14 @@ class CollectionIndexMethods(IndexMethods):
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"DROP TABLE {_elements_table(ia)}")
-
-    def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"TRUNCATE TABLE {_elements_table(ia)}")
-
-    def index_insert(self, ia: ODCIIndexInfo, rowid: Any,
-                     new_values: Sequence[Any], env: ODCIEnv) -> None:
-        counts = self._element_counts(new_values[0])
-        if counts:
-            env.callback.insert_rows(
-                _elements_table(ia),
-                [[key, rowid, count] for key, count in counts.items()])
+    def index_insert_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
+                           env: ODCIEnv) -> None:
+        """Count every new collection's elements, then insert all
+        ``(elem, rid, occurrences)`` rows in one call."""
+        rows = [[key, rowid, count] for rowid, new_values in entries
+                for key, count in self._element_counts(new_values[0]).items()]
+        if rows:
+            env.callback.insert_rows(_ELEMS.name(ia), rows)
 
     def index_delete(self, ia: ODCIIndexInfo, rowid: Any,
                      old_values: Sequence[Any], env: ODCIEnv) -> None:
@@ -108,7 +90,7 @@ class CollectionIndexMethods(IndexMethods):
         collection."""
         keys = [(key, rowid) for key in self._element_counts(old_values[0])]
         if keys:
-            env.callback.delete_rows(_elements_table(ia), keys)
+            env.callback.delete_rows(_ELEMS.name(ia), keys)
 
     def index_start(self, ia: ODCIIndexInfo, op_info: ODCIPredInfo,
                     query_info: ODCIQueryInfo, env: ODCIEnv) -> Any:
@@ -119,7 +101,7 @@ class CollectionIndexMethods(IndexMethods):
         if is_null(element):
             return PrecomputedScan([])
         rows = env.callback.query(
-            f"SELECT rid, occurrences FROM {_elements_table(ia)}"
+            f"SELECT rid, occurrences FROM {_ELEMS.name(ia)}"
             " WHERE elem = :1", [_element_key(element)])
         accepted = sorted(
             (rid, count) for rid, count in rows

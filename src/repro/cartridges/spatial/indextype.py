@@ -40,8 +40,8 @@ from repro.cartridges.spatial.geometry import (
 from repro.cartridges.spatial.rtree import RTree, Rect
 from repro.cartridges.spatial.tiling import TileRange, tessellate, WORLD_SIZE
 from repro.core.odci import (
-    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
-    ODCIQueryInfo)
+    IndexMethods, IndexTable, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    ODCIQueryInfo, base_table_rows)
 from repro.core.scan_context import ScanContext
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
@@ -61,8 +61,10 @@ def sdo_relate_functional(geometry: Any, query_geometry: Any,
     return 1 if mask_matches(relate(geometry, query_geometry), mask) else 0
 
 
-def _tiles_table(ia: ODCIIndexInfo) -> str:
-    return f"{ia.index_name.lower()}_tiles"
+#: The quadtree cover of each row's geometry, one tile per entry.
+_TILES = IndexTable(
+    "tiles", "grpcode INTEGER, code INTEGER, rid ROWID, maxcode INTEGER,"
+    " PRIMARY KEY (grpcode, code, rid)", organization_index=True)
 
 
 _tile_code = attrgetter("code")
@@ -116,40 +118,28 @@ class _SpatialScan(ScanContext):
 class SpatialIndexMethods(IndexMethods):
     """ODCIIndex routines of SpatialIndexType (tile index)."""
 
+    index_tables = (_TILES,)
+
     # -- definition ---------------------------------------------------------
 
-    def index_create(self, ia: ODCIIndexInfo, parameters: str,
-                     env: ODCIEnv) -> None:
-        env.callback.execute(
-            f"CREATE TABLE {_tiles_table(ia)} (grpcode INTEGER,"
-            " code INTEGER, rid ROWID, maxcode INTEGER,"
-            " PRIMARY KEY (grpcode, code, rid)) ORGANIZATION INDEX")
-        self._load(ia, env)
-
-    def _load(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
+    def index_load(self, ia: ODCIIndexInfo, rows: List[Any],
+                   env: ODCIEnv) -> None:
         """Tessellate every base-table geometry into the (empty) tiles
         table: the tiles' keys sorted (rowids compare as tuples, in C),
         the payloads put in the same order, then one presorted
         direct-path load of the two columns."""
-        keys, payloads = _tile_columns(env.callback.query(
-            f"SELECT rowid, {ia.column_names[0]} FROM {ia.table_name}"))
+        keys, payloads = _tile_columns(rows)
         if keys:
             order = sorted(range(len(keys)), key=keys.__getitem__)
             env.callback.direct_load(
-                _tiles_table(ia), list(map(keys.__getitem__, order)),
+                _TILES.name(ia), list(map(keys.__getitem__, order)),
                 list(map(payloads.__getitem__, order)), presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
         # the tile index takes no parameters; ALTER is a rebuild
         self.index_truncate(ia, env)
-        self._load(ia, env)
-
-    def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"DROP TABLE {_tiles_table(ia)}")
-
-    def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"TRUNCATE TABLE {_tiles_table(ia)}")
+        self.index_load(ia, base_table_rows(ia, env), env)
 
     # -- array maintenance --------------------------------------------------
 
@@ -159,7 +149,7 @@ class SpatialIndexMethods(IndexMethods):
         keys, payloads = _tile_columns((rowid, new_values[0])
                                        for rowid, new_values in entries)
         if keys:
-            env.callback.insert_rows(_tiles_table(ia),
+            env.callback.insert_rows(_TILES.name(ia),
                                      list(map(add, keys, payloads)))
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
@@ -170,7 +160,7 @@ class SpatialIndexMethods(IndexMethods):
         keys, __ = _tile_columns(
             (rowid, old_values[0]) for rowid, old_values in entries)
         if keys:
-            env.callback.delete_rows(_tiles_table(ia), keys)
+            env.callback.delete_rows(_TILES.name(ia), keys)
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
@@ -210,7 +200,7 @@ class SpatialIndexMethods(IndexMethods):
         groups: Dict[int, List[TileRange]] = {}
         for tile in tessellate(query_geometry):
             groups.setdefault(tile.grpcode, []).append(tile)
-        select = (f"SELECT rid, code, maxcode FROM {_tiles_table(ia)}"
+        select = (f"SELECT rid, code, maxcode FROM {_TILES.name(ia)}"
                   " WHERE grpcode = :1 AND code <= :2 AND maxcode >= :3")
         seen: Dict[Any, None] = {}
         for grpcode, group in groups.items():
@@ -280,11 +270,11 @@ class RtreeIndexMethods(IndexMethods):
 
     # -- definition ---------------------------------------------------------
 
-    def index_create(self, ia: ODCIIndexInfo, parameters: str,
-                     env: ODCIEnv) -> None:
-        column = ia.column_names[0]
-        rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
+    def index_load(self, ia: ODCIIndexInfo, rows: List[Any],
+                   env: ODCIEnv) -> None:
+        """Sort-Tile-Recursive packing of every row's bounding box: one
+        sorted pass per level instead of a quadratic-split descent per
+        geometry."""
         pairs: List[Any] = []
         rect_of: Dict[Any, Rect] = {}
         for rid, geometry in rows:
@@ -296,8 +286,6 @@ class RtreeIndexMethods(IndexMethods):
         with self._latch:
             self._tree = RTree(max_entries=8)
             self._rect_of = rect_of
-            # Sort-Tile-Recursive packing: one sorted pass per level
-            # instead of a quadratic-split descent per geometry
             self._tree.bulk_load(pairs)
 
     def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:

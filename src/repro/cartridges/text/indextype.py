@@ -6,12 +6,10 @@ inverted index is stored in an index-organized table, and is maintained
 by performing insert/update/delete on the table whenever the table on
 which the text index is defined is modified."
 
-For a domain index named ``ResumeTextIndex`` the cartridge creates:
-
-* ``resumetextindex_terms`` — IOT ``(token, rid, freq)`` keyed on
-  ``(token, rid)``: the occurrence lists;
-* ``resumetextindex_settings`` — the persisted PARAMETERS state
-  (language + stop list), updated by ALTER INDEX.
+For a domain index named ``ResumeTextIndex`` the cartridge declares one
+table, ``resumetextindex_terms``: an IOT ``(token, rid, freq)`` keyed on
+``(token, rid)`` holding the occurrence lists.  The PARAMETERS (language
+and stop list) are the catalog's canonical string, ``ia.parameters``.
 
 Scan styles: single-term queries stream incrementally from a callback
 cursor (*Incremental Computation*); boolean queries precompute the
@@ -21,7 +19,6 @@ handle (*Precompute All* + *Return Handle*) — both §2.2.3 mechanisms.
 
 from __future__ import annotations
 
-import threading
 from itertools import repeat
 from operator import itemgetter
 from sys import intern
@@ -30,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.cartridges.text.lexer import TextLexer, TextParameters
 from repro.cartridges.text.query import Term, TextQuery, parse_query
 from repro.core.odci import (
-    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, IndexTable, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan, ScanContext
 from repro.core.stats import IndexCost, StatsMethods
@@ -46,23 +43,22 @@ FUNCTIONAL_COST = 0.3
 _FUNCTIONAL_LEXER = TextLexer(TextParameters.parse(":Language English"))
 
 
-def _terms_table(ia: ODCIIndexInfo) -> str:
-    return f"{ia.index_name.lower()}_terms"
+#: The inverted index: one posting per (token, row).
+_TERMS = IndexTable(
+    "terms", "token VARCHAR2(64), rid ROWID, freq INTEGER,"
+    " PRIMARY KEY (token, rid)", organization_index=True)
+
+#: The lexer that finds a row's postings from its old text.  It has no
+#: stop list, so its ``term_frequencies`` name a superset of the tokens
+#: the row was indexed under whatever ``:Ignore`` words ``ALTER INDEX``
+#: has added since: no posting is left behind, and a key that was never
+#: written is skipped by ``delete_rows``.
+_LOCATOR = TextLexer()
 
 
-def _settings_table(ia: ODCIIndexInfo) -> str:
-    return f"{ia.index_name.lower()}_settings"
-
-
-def _locator(params: TextParameters) -> TextLexer:
-    """The lexer that finds a row's postings from its old text.
-
-    It has no stop list, so its ``term_frequencies`` name a superset of
-    the tokens the row was indexed under whatever ``:Ignore`` words
-    ``ALTER INDEX`` has added since: no posting is left behind, and a
-    key that was never written is skipped by ``delete_rows``.
-    """
-    return TextLexer(TextParameters(language=params.language))
+def _lexer(ia: ODCIIndexInfo) -> TextLexer:
+    """The lexer the index's current PARAMETERS select."""
+    return TextLexer(TextParameters.parse(ia.parameters))
 
 
 def text_contains(text: Any, query: Any) -> int:
@@ -110,72 +106,38 @@ class _IncrementalTermScan(ScanContext):
 class TextIndexMethods(IndexMethods):
     """ODCIIndex routines of TextIndexType."""
 
-    def __init__(self):
-        self._params_cache: Optional[TextParameters] = None
-        # one methods instance serves every session using the index;
-        # the latch keeps the cached-parameters snapshot consistent
-        # (SQL runs outside it — never hold a cartridge latch across
-        # callback SQL, which takes table locks)
-        self._latch = threading.Lock()
+    #: 2: the settings are the catalog's canonical PARAMETERS string;
+    #: version 1 kept them in a second table of the index's own
+    format_version = 2
 
-    # -- parameters persistence ---------------------------------------------
-
-    def _load_params(self, ia: ODCIIndexInfo, env: ODCIEnv) -> TextParameters:
-        with self._latch:
-            if self._params_cache is not None:
-                return self._params_cache
-        row = env.callback.query_one(
-            f"SELECT value FROM {_settings_table(ia)} WHERE key = 'params'")
-        if row is None:
-            raise ODCIError("TextIndexMethods",
-                            f"index {ia.index_name} has no persisted settings")
-        params = TextParameters.parse(row[0])
-        with self._latch:
-            if self._params_cache is None:
-                self._params_cache = params
-            return self._params_cache
-
-    def _save_params(self, ia: ODCIIndexInfo, env: ODCIEnv,
-                     params: TextParameters) -> None:
-        settings = _settings_table(ia)
-        env.callback.execute(f"DELETE FROM {settings} WHERE key = 'params'")
-        env.callback.execute(
-            f"INSERT INTO {settings} VALUES ('params', :1)",
-            [params.render()])
-        with self._latch:
-            self._params_cache = params
+    index_tables = (_TERMS,)
 
     # -- definition routines ---------------------------------------------------
 
-    def index_create(self, ia: ODCIIndexInfo, parameters: str,
-                     env: ODCIEnv) -> None:
-        params = TextParameters.parse(parameters or "")
-        terms = _terms_table(ia)
-        env.callback.execute(
-            f"CREATE TABLE {terms} ("
-            "token VARCHAR2(64), rid ROWID, freq INTEGER,"
-            " PRIMARY KEY (token, rid)) ORGANIZATION INDEX")
-        env.callback.execute(
-            f"CREATE TABLE {_settings_table(ia)} "
-            "(key VARCHAR2(32), value VARCHAR2(4000))")
-        self._save_params(ia, env, params)
-        column = ia.column_names[0]
-        existing = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        lexer = TextLexer(params)
-        # sort-group construction: one (rowids, freqs) pair of columns
-        # per token while lexing, then the buckets emitted in sorted
-        # token order — sorting the (small) vocabulary instead of every
-        # posting.  The documents are put in rowid order first (a rowid
-        # sorts as itself; a heap scan already hands them over so), so
-        # every bucket fills in rowid order and (token, rid) order is a
-        # guarantee: the direct-path load bulk-builds the IOT bottom-up
-        # from its key and payload columns, with no load-time sort and
-        # no row built per posting.
-        existing.sort(key=itemgetter(0))
+    def parse_parameters(self, parameters: str, current: str) -> str:
+        """``:Language`` and ``:Ignore`` (see :class:`TextParameters`),
+        merged onto the current settings."""
+        return TextParameters.parse(
+            parameters, base=TextParameters.parse(current)).render()
+
+    def index_load(self, ia: ODCIIndexInfo, rows: List[Any],
+                   env: ODCIEnv) -> None:
+        """Sort-group construction: one (rowids, freqs) pair of columns
+        per token while lexing, then the buckets emitted in sorted token
+        order — sorting the (small) vocabulary instead of every posting.
+
+        The documents are put in rowid order first (a rowid sorts as
+        itself; a heap scan already hands them over so), so every bucket
+        fills in rowid order and (token, rid) order is a guarantee: the
+        direct-path load bulk-builds the IOT bottom-up from its key and
+        payload columns, with no load-time sort and no row built per
+        posting.
+        """
+        lexer = _lexer(ia)
+        rows.sort(key=itemgetter(0))
         inverted: dict = {}
         get_bucket = inverted.get
-        for rid, text in existing:
+        for rid, text in rows:
             if is_null(text):
                 continue
             for token, freq in lexer.term_frequencies(str(text)).items():
@@ -195,22 +157,14 @@ class TextIndexMethods(IndexMethods):
                 rids, freqs = inverted[token]
                 keys += zip(repeat(token), rids)
                 payloads += map(shared.__getitem__, freqs)
-            env.callback.direct_load(terms, keys, payloads, presorted=True)
+            env.callback.direct_load(_TERMS.name(ia), keys, payloads,
+                                     presorted=True)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
-        current = self._load_params(ia, env)
-        merged = TextParameters.parse(parameters or "", base=current)
-        self._save_params(ia, env, merged)
-
-    def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"DROP TABLE {_terms_table(ia)}")
-        env.callback.execute(f"DROP TABLE {_settings_table(ia)}")
-        with self._latch:
-            self._params_cache = None
-
-    def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"TRUNCATE TABLE {_terms_table(ia)}")
+        """Nothing to rewrite: rows written from now on are lexed with
+        the merged settings in ``ia.parameters``, and rows indexed
+        before keep their postings."""
 
     # -- array maintenance routines -------------------------------------------
 
@@ -221,8 +175,7 @@ class TextIndexMethods(IndexMethods):
         A posting's token is interned, so the postings of one term that
         accumulate through maintenance share one string.
         """
-        params = self._load_params(ia, env)
-        lexer = TextLexer(params)
+        lexer = _lexer(ia)
         postings: List[List[Any]] = []
         for rowid, new_values in entries:
             text = new_values[0]
@@ -232,20 +185,19 @@ class TextIndexMethods(IndexMethods):
                 postings.append([intern(token), rowid, freq])
         if postings:
             postings.sort(key=itemgetter(0, 1))
-            env.callback.insert_rows(_terms_table(ia), postings)
+            env.callback.insert_rows(_TERMS.name(ia), postings)
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
         """Delete every row's ``(token, rid)`` keys in one call."""
-        locator = _locator(self._load_params(ia, env))
         keys: List[Any] = []
         for rowid, old_values in entries:
             text = old_values[0]
             if not is_null(text):
                 keys.extend((token, rowid) for token
-                            in locator.term_frequencies(str(text)))
+                            in _LOCATOR.term_frequencies(str(text)))
         if keys:
-            env.callback.delete_rows(_terms_table(ia), keys)
+            env.callback.delete_rows(_TERMS.name(ia), keys)
 
     def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
@@ -253,14 +205,13 @@ class TextIndexMethods(IndexMethods):
         tokens that left it, insert the ones that entered it, rewrite
         the ones whose frequency changed — one keyed delete and one
         insert call for the batch."""
-        params = self._load_params(ia, env)
-        lexer, locator = TextLexer(params), _locator(params)
+        lexer = _lexer(ia)
         stale: List[Any] = []
         postings: List[List[Any]] = []
         for rowid, old_values, new_values in entries:
             old_text, new_text = old_values[0], new_values[0]
             old = {} if is_null(old_text) \
-                else locator.term_frequencies(str(old_text))
+                else _LOCATOR.term_frequencies(str(old_text))
             new = {} if is_null(new_text) \
                 else lexer.term_frequencies(str(new_text))
             for token, freq in old.items():
@@ -269,7 +220,7 @@ class TextIndexMethods(IndexMethods):
             for token, freq in new.items():
                 if old.get(token) != freq:
                     postings.append([intern(token), rowid, freq])
-        terms = _terms_table(ia)
+        terms = _TERMS.name(ia)
         if stale:
             env.callback.delete_rows(terms, stale)
         if postings:
@@ -296,7 +247,7 @@ class TextIndexMethods(IndexMethods):
             # the functional Contains is 0 for a NULL query: no row
             return env.workspace.allocate(PrecomputedScan([], want_aux))
         tree = parse_query(str(query_text))
-        terms = _terms_table(ia)
+        terms = _TERMS.name(ia)
 
         if isinstance(tree, Term) and query_info.first_rows and not want_aux:
             # Incremental Computation: stream postings as fetched
@@ -373,7 +324,7 @@ class TextStatsMethods(StatsMethods):
         io = 1.0
         for term in set(terms):
             row = env.callback.query_one(
-                f"SELECT COUNT(*) FROM {_terms_table(ia)} "
+                f"SELECT COUNT(*) FROM {_TERMS.name(ia)} "
                 f"WHERE token = :1", [term])
             df = row[0] if row else 0
             io += 0.01 * df
@@ -381,9 +332,9 @@ class TextStatsMethods(StatsMethods):
 
     def stats_collect(self, ia: ODCIIndexInfo, env: ODCIEnv) -> Optional[dict]:
         row = env.callback.query_one(
-            f"SELECT COUNT(*) FROM {_terms_table(ia)}")
+            f"SELECT COUNT(*) FROM {_TERMS.name(ia)}")
         distinct = env.callback.query_one(
-            f"SELECT COUNT(DISTINCT token) FROM {_terms_table(ia)}")
+            f"SELECT COUNT(DISTINCT token) FROM {_TERMS.name(ia)}")
         return {"postings": row[0] if row else 0,
                 "distinct_tokens": distinct[0] if distinct else 0}
 

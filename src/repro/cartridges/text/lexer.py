@@ -9,15 +9,16 @@ The paper's example::
 "the parameters string identifies the language of the text document
 (thus identifying the lexical analyzer to use), and the list of stop
 words which are to be ignored while creating the text index."  ALTER
-INDEX with ``':Ignore COBOL'`` extends the stop list.
+INDEX with ``':Ignore COBOL'`` extends the stop list.  The catalog keeps
+the string as :meth:`TextParameters.render` writes it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import _count_elements
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.errors import ODCIError
 
@@ -35,12 +36,19 @@ DEFAULT_STOPWORDS: Dict[str, Set[str]] = {
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TextParameters:
-    """Parsed PARAMETERS string of a text domain index."""
+    """Parsed PARAMETERS string of a text domain index: the language and
+    the user's ``:Ignore`` words.  The stop list is the language's
+    defaults plus those words."""
 
     language: str = "english"
-    stopwords: Set[str] = field(default_factory=set)
+    ignore: FrozenSet[str] = frozenset()
+
+    @property
+    def stopwords(self) -> FrozenSet[str]:
+        """The words the index ignores."""
+        return frozenset(DEFAULT_STOPWORDS[self.language]) | self.ignore
 
     @classmethod
     def parse(cls, parameters: str,
@@ -48,14 +56,13 @@ class TextParameters:
         """Parse a ``:Keyword value...`` parameters string.
 
         ``base`` carries existing settings for ALTER INDEX semantics:
-        ``:Ignore`` *extends* the stop list, ``:Language`` replaces the
-        language (and its default stop list).
+        ``:Ignore`` *extends* the ignored words, ``:Language`` replaces
+        the language (and its default stop list).
         """
         language = base.language if base is not None else "english"
-        extra: Set[str] = set(base.stopwords) if base is not None else set()
+        ignore: Set[str] = set(base.ignore) if base is not None else set()
         tokens = parameters.split()
         i = 0
-        language_given = False
         while i < len(tokens):
             token = tokens[i]
             if not token.startswith(":"):
@@ -67,11 +74,10 @@ class TextParameters:
                 if i >= len(tokens):
                     raise ODCIError("TextParameters", ":Language needs a value")
                 language = tokens[i].lower()
-                language_given = True
                 i += 1
             elif keyword == "ignore":
                 while i < len(tokens) and not tokens[i].startswith(":"):
-                    extra.add(tokens[i].lower())
+                    ignore.add(tokens[i].lower())
                     i += 1
             else:
                 raise ODCIError("TextParameters",
@@ -79,24 +85,26 @@ class TextParameters:
         if language not in DEFAULT_STOPWORDS:
             raise ODCIError("TextParameters",
                             f"unsupported language {language!r}")
-        params = cls(language=language)
-        if base is None or language_given:
-            params.stopwords = set(DEFAULT_STOPWORDS[language]) | extra
-        else:
-            params.stopwords = extra | set(DEFAULT_STOPWORDS[language])
-        return params
+        return cls(language=language, ignore=frozenset(ignore))
 
     def render(self) -> str:
-        """Serialize back to a PARAMETERS string (settings persistence)."""
-        ignore = " ".join(sorted(self.stopwords))
-        return f":Language {self.language} :Ignore {ignore}".strip()
+        """The canonical PARAMETERS string: ``:Language <Name>`` and, when
+        there are any, ``:Ignore`` and the user's words in order."""
+        rendered = f":Language {self.language.capitalize()}"
+        if self.ignore:
+            rendered += " :Ignore " + " ".join(sorted(self.ignore))
+        return rendered
 
 
 class TextLexer:
-    """The lexical analyzer selected by the ``:Language`` parameter."""
+    """The lexical analyzer selected by the ``:Language`` parameter.
 
-    def __init__(self, params: TextParameters):
-        self.params = params
+    Without parameters it ignores no word.
+    """
+
+    def __init__(self, params: Optional[TextParameters] = None):
+        self.stopwords = params.stopwords if params is not None \
+            else frozenset()
 
     def tokens(self, text: str) -> List[str]:
         """All non-stopword tokens of ``text``, lower-cased, in order.
@@ -108,7 +116,7 @@ class TextLexer:
         """
         if not text:
             return []
-        stop = self.params.stopwords
+        stop = self.stopwords
         return [w for w in _WORD.findall(text.lower()) if w not in stop]
 
     def term_frequencies(self, text: str) -> Dict[str, int]:
@@ -125,13 +133,12 @@ class TextLexer:
         counts: Dict[str, int] = {}
         if text:
             _count_elements(counts, _WORD.findall(text.lower()))
-            for word in self.params.stopwords.intersection(counts):
+            for word in self.stopwords.intersection(counts):
                 del counts[word]
         return counts
 
 
 def tokenize(text: str, stopwords: Iterable[str] = ()) -> List[str]:
-    """Convenience one-shot tokenizer used by the functional operator."""
-    params = TextParameters(language="english", stopwords=set(
-        w.lower() for w in stopwords))
-    return TextLexer(params).tokens(text)
+    """One-shot tokenizer: the tokens of ``text`` but ``stopwords``."""
+    stop = {w.lower() for w in stopwords}
+    return [w for w in _WORD.findall((text or "").lower()) if w not in stop]

@@ -8,10 +8,11 @@ measure, and the third phase does the actual image signature comparison.
 reduce the data set on which the image signature comparisons need to be
 performed."
 
-Index storage: heap table ``<index>_coarse(rid, c1..c4)`` holding the
-coarse vector per image, with a native B-tree on ``c1`` so the phase-1
-range query is itself index-driven ("optimization of the range query on
-the index data table using indexes").  Per-phase candidate counts are
+Index storage: the declared heap table ``<index>_coarse(rid, c1..c4)``
+holding the coarse vector per image, with a native B-tree on ``c1`` so
+the phase-1 range query is itself index-driven ("optimization of the
+range query on the index data table using indexes").  The framework
+creates, fills, truncates and drops it.  Per-phase candidate counts are
 recorded in the shared statistics (``vir_phase1/2/3``) — they are the
 series the E3 benchmark prints.
 """
@@ -24,7 +25,7 @@ from repro.cartridges.vir.signature import (
     COARSE_DIMS, Weights, coarse_distance, coarse_vector, component_bound,
     parse_weights, signature_distance)
 from repro.core.odci import (
-    IndexMethods, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
+    IndexMethods, IndexTable, ODCIEnv, ODCIIndexInfo, ODCIPredInfo,
     ODCIQueryInfo)
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
@@ -61,8 +62,11 @@ def vir_similar_functional(signature: Any, query_signature: Any,
     return 1 if signature_distance(sig, query, weights) <= threshold else 0
 
 
-def _coarse_table(ia: ODCIIndexInfo) -> str:
-    return f"{ia.index_name.lower()}_coarse"
+#: The coarse vector of each image, with a B-tree on ``c1``.
+_COARSE = IndexTable(
+    "coarse", "rid ROWID, " + ", ".join(
+        f"c{i + 1} NUMBER" for i in range(COARSE_DIMS)),
+    indexes=("c1",))
 
 
 class VirIndexMethods(IndexMethods):
@@ -77,33 +81,7 @@ class VirIndexMethods(IndexMethods):
     the §2.5 "index data in database objects" argument.
     """
 
-    # -- definition ---------------------------------------------------------
-
-    def index_create(self, ia: ODCIIndexInfo, parameters: str,
-                     env: ODCIEnv) -> None:
-        coarse = _coarse_table(ia)
-        dims = ", ".join(f"c{i + 1} NUMBER" for i in range(COARSE_DIMS))
-        env.callback.execute(
-            f"CREATE TABLE {coarse} (rid ROWID, {dims})")
-        env.callback.execute(
-            f"CREATE INDEX {coarse}_c1 ON {coarse}(c1)")
-        column = ia.column_names[0]
-        rows = env.callback.query(
-            f"SELECT rowid, {column} FROM {ia.table_name}")
-        coarse_rows: List[List[Any]] = []
-        for rid, value in rows:
-            sig = _signature_of(value)
-            if sig is None:
-                continue
-            coarse_rows.append([rid] + list(coarse_vector(sig)))
-        if coarse_rows:
-            env.callback.insert_rows(coarse, coarse_rows)
-
-    def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"DROP TABLE {_coarse_table(ia)}")
-
-    def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        env.callback.execute(f"DELETE FROM {_coarse_table(ia)}")
+    index_tables = (_COARSE,)
 
     # -- array maintenance --------------------------------------------------
 
@@ -117,14 +95,14 @@ class VirIndexMethods(IndexMethods):
                 continue
             coarse_rows.append([rowid] + list(coarse_vector(sig)))
         if coarse_rows:
-            env.callback.insert_rows(_coarse_table(ia), coarse_rows)
+            env.callback.insert_rows(_COARSE.name(ia), coarse_rows)
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
         """Delete each row's coarse row by key, located from its old
         signature: the old coarse vector's ``c1`` probes the ``c1``
         B-tree, and ``rid`` picks the row among those sharing it."""
-        delete = (f"DELETE FROM {_coarse_table(ia)}"
+        delete = (f"DELETE FROM {_COARSE.name(ia)}"
                   " WHERE c1 = :1 AND rid = :2")
         for rowid, old_values in entries:
             sig = _signature_of(old_values[0])
@@ -188,7 +166,7 @@ class VirIndexMethods(IndexMethods):
                              threshold: float) -> List[Any]:
         """Range query on the coarse table, driven by the c1 B-tree when
         globalcolor participates, falling back to a scan otherwise."""
-        coarse = _coarse_table(ia)
+        coarse = _COARSE.name(ia)
         cols = ", ".join(f"c{i + 1}" for i in range(COARSE_DIMS))
         conditions: List[str] = []
         binds: List[Any] = []

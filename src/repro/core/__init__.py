@@ -19,6 +19,7 @@ This package defines the contract between the server and a cartridge:
 
 from repro.core.odci import (
     IndexMethods,
+    IndexTable,
     ODCIEnv,
     ODCIIndexInfo,
     ODCIPredInfo,
@@ -38,6 +39,7 @@ __all__ = [
     "RoutineMetrics",
     "IndexState",
     "IndexMethods",
+    "IndexTable",
     "ODCIEnv",
     "ODCIIndexInfo",
     "ODCIPredInfo",

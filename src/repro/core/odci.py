@@ -156,15 +156,41 @@ class ODCIEnv:
             self._trace.append(message)
 
 
+@dataclass(frozen=True)
+class IndexTable:
+    """A table an indextype keeps index data in: ``<index>_<suffix>``,
+    with ``columns`` as its column and key list, an IOT when
+    ``organization_index``, and a B-tree ``<table>_<column>`` on each
+    column in ``indexes``."""
+
+    suffix: str
+    columns: str
+    organization_index: bool = False
+    indexes: Tuple[str, ...] = ()
+
+    def name(self, ia: ODCIIndexInfo) -> str:
+        return f"{ia.index_name.lower()}_{self.suffix}"
+
+
+def base_table_rows(ia: ODCIIndexInfo, env: ODCIEnv) -> List[Any]:
+    """The indexed table's ``(rowid, value...)`` rows: what a build loads."""
+    return env.callback.query(
+        f"SELECT rowid, {', '.join(ia.column_names)} FROM {ia.table_name}")
+
+
 class IndexMethods(abc.ABC):
     """Base class for an indextype's implementation type.
 
     Cartridge developers subclass this and register the subclass with
     the database (``db.register_methods``); ``CREATE INDEXTYPE ... USING
     <name>`` then ties an indextype to it.  Routines the paper makes
-    optional have default implementations; the definition cores and
-    :meth:`index_start` are abstract, and each maintenance routine may
-    be written in its scalar or its array form.
+    optional have default implementations, and :meth:`index_start` is
+    the one abstract routine.
+
+    A cartridge declares the tables its index keeps
+    (:attr:`index_tables`); the definition defaults create, fill,
+    truncate and drop them.  Each maintenance routine may be written in
+    its scalar or its array form.
 
     Scan protocol: :meth:`index_start` returns either a scan-context
     object (*return state*) or an integer workspace handle obtained from
@@ -182,27 +208,57 @@ class IndexMethods(abc.ABC):
     #: Bump it whenever what the index stores changes meaning.
     format_version: int = 1
 
+    #: The tables the index keeps its data in; data kept elsewhere (a
+    #: LOB, a file, memory) needs definition routines of its own.
+    index_tables: Tuple[IndexTable, ...] = ()
+
     # -- index definition routines -----------------------------------------
 
-    @abc.abstractmethod
+    def parse_parameters(self, parameters: str, current: str) -> str:
+        """The canonical string of ``parameters`` merged onto ``current``
+        (empty at CREATE): the catalog stores it, and every routine
+        reads it as ``ia.parameters``.  Raise :class:`ODCIError` for a
+        malformed string.  The default, for indextypes without
+        parameters, keeps both strings as given."""
+        return " ".join(filter(None, (current, parameters)))
+
     def index_create(self, ia: ODCIIndexInfo, parameters: str,
                      env: ODCIEnv) -> None:
-        """ODCIIndexCreate: build storage for the index and load existing rows."""
+        """ODCIIndexCreate: create the declared tables, then load the
+        base table's rows."""
+        for table in self.index_tables:
+            name = table.name(ia)
+            iot = " ORGANIZATION INDEX" if table.organization_index else ""
+            env.callback.execute(
+                f"CREATE TABLE {name} ({table.columns}){iot}")
+            for column in table.indexes:
+                env.callback.execute(
+                    f"CREATE INDEX {name}_{column} ON {name}({column})")
+        self.index_load(ia, base_table_rows(ia, env), env)
+
+    def index_load(self, ia: ODCIIndexInfo, rows: List[Any],
+                   env: ODCIEnv) -> None:
+        """Fill the new index from the base table's rows: one array
+        insert of them all, unless a cartridge has a faster builder."""
+        self.index_insert_batch(ia, [(row[0], row[1:]) for row in rows],
+                                env)
 
     def index_alter(self, ia: ODCIIndexInfo, parameters: str,
                     env: ODCIEnv) -> None:
-        """ODCIIndexAlter: apply a new PARAMETERS string (default: error)."""
+        """ODCIIndexAlter: apply the merged ``ia.parameters`` (default:
+        error)."""
         raise ODCIError("ODCIIndexAlter",
                         f"indextype {type(self).__name__} does not support ALTER")
 
-    @abc.abstractmethod
     def index_drop(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        """ODCIIndexDrop: drop the index storage."""
+        """ODCIIndexDrop: drop the declared tables."""
+        for table in self.index_tables:
+            env.callback.execute(f"DROP TABLE {table.name(ia)}")
 
     def index_truncate(self, ia: ODCIIndexInfo, env: ODCIEnv) -> None:
-        """ODCIIndexTruncate: clear index data (default: drop + create)."""
-        self.index_drop(ia, env)
-        self.index_create(ia, ia.parameters, env)
+        """ODCIIndexTruncate: empty the declared tables."""
+        for table in self.index_tables:
+            env.callback.execute(f"TRUNCATE TABLE {table.name(ia)}")
 
     # -- index maintenance routines ---------------------------------------
     #

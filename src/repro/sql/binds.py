@@ -52,64 +52,56 @@ def statement_has_subquery(statement: ast.Statement) -> bool:
 
 
 def _walk_statement(statement: ast.Statement, names, flag=None) -> None:
-    def walk(expr: Optional[ast.Expr]) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.BindParam):
-            if names is not None:
-                names.add(expr.name.lower())
-        elif isinstance(expr, (ast.BinaryOp, ast.BoolOp)):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-            walk(expr.operand)
-        elif isinstance(expr, ast.LikeOp):
-            walk(expr.operand)
-            walk(expr.pattern)
-        elif isinstance(expr, ast.BetweenOp):
-            walk(expr.operand)
-            walk(expr.low)
-            walk(expr.high)
-        elif isinstance(expr, ast.InListOp):
-            walk(expr.operand)
-            for item in expr.items:
-                walk(item)
-        elif isinstance(expr, ast.FuncCall):
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, ast.InSubquery):
-            if flag is not None:
-                flag[0] = True
-            walk(expr.operand)
-            walk_select(expr.query)
-        elif isinstance(expr, ast.ExistsSubquery):
-            if flag is not None:
-                flag[0] = True
-            walk_select(expr.query)
+    """Add every BindParam's name to ``names`` (unless None) and set
+    ``flag[0]`` when a subquery is found.
 
-    def walk_select(select: ast.Select) -> None:
-        for item in select.items:
-            walk(item.expr)
-        walk(select.where)
-        for e in select.group_by:
-            walk(e)
-        walk(select.having)
-        for order in select.order_by:
-            walk(order.expr)
-
+    One loop over an explicit stack of expressions and SELECTs: a
+    recursive closure would be a reference cycle per cold parse.
+    """
+    stack: List[Any] = []
     if isinstance(statement, ast.Select):
-        walk_select(statement)
+        stack.append(statement)
     elif isinstance(statement, ast.Insert):
-        for row in statement.rows:
-            for e in row:
-                walk(e)
-        if statement.select is not None:
-            walk_select(statement.select)
+        stack.extend(e for row in statement.rows for e in row)
+        stack.append(statement.select)
     elif isinstance(statement, ast.Update):
-        for _, e in statement.assignments:
-            walk(e)
-        walk(statement.where)
+        stack.extend(e for __, e in statement.assignments)
+        stack.append(statement.where)
     elif isinstance(statement, ast.Delete):
-        walk(statement.where)
+        stack.append(statement.where)
     elif isinstance(statement, ast.Explain):
-        walk_select(statement.query)
+        stack.append(statement.query)
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if isinstance(node, ast.Select):
+            stack.extend(item.expr for item in node.items)
+            stack.append(node.where)
+            stack.extend(node.group_by)
+            stack.append(node.having)
+            stack.extend(order.expr for order in node.order_by)
+        elif isinstance(node, ast.BindParam):
+            if names is not None:
+                names.add(node.name.lower())
+        elif isinstance(node, (ast.BinaryOp, ast.BoolOp)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
+            stack.append(node.operand)
+        elif isinstance(node, ast.LikeOp):
+            stack += (node.operand, node.pattern)
+        elif isinstance(node, ast.BetweenOp):
+            stack += (node.operand, node.low, node.high)
+        elif isinstance(node, ast.InListOp):
+            stack.append(node.operand)
+            stack.extend(node.items)
+        elif isinstance(node, ast.FuncCall):
+            stack.extend(node.args)
+        elif isinstance(node, ast.InSubquery):
+            if flag is not None:
+                flag[0] = True
+            stack += (node.operand, node.query)
+        elif isinstance(node, ast.ExistsSubquery):
+            if flag is not None:
+                flag[0] = True
+            stack.append(node.query)

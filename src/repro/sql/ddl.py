@@ -15,6 +15,7 @@ cached plans built against the old state are invalidated.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.callbacks import CallbackPhase
@@ -250,9 +251,15 @@ class DDLEngine:
         env = db.make_env(CallbackPhase.DEFINITION, domain)
         env.trace(f"ddl:ODCIIndexCreate({indextype.name}:{stmt.name})")
         try:
+            # the catalog keeps the indextype's canonical form of the
+            # string: ODCIIndexCreate, REBUILD and maintenance all read it
+            domain.parameters = db.dispatcher.call(
+                "ODCIIndexCreate", domain.methods.parse_parameters,
+                domain.parameters, "",
+                index_name=stmt.name, phase="definition")
             db.dispatcher.call(
                 "ODCIIndexCreate", domain.methods.index_create,
-                domain.index_info(), stmt.parameters or "", env,
+                domain.index_info(), domain.parameters, env,
                 index_name=stmt.name, phase="definition")
         except CallbackError:
             db.catalog.set_index_state(stmt.name, IndexState.FAILED)
@@ -283,16 +290,18 @@ class DDLEngine:
             self._ensure_methods(domain)
             env = db.make_env(CallbackPhase.DEFINITION, domain)
             env.trace(f"ddl:ODCIIndexAlter({index.name})")
+            # merged onto the stored string, so a REBUILD keeps what
+            # CREATE and every earlier ALTER set
+            merged = db.dispatcher.call(
+                "ODCIIndexAlter", domain.methods.parse_parameters,
+                stmt.parameters or "", domain.parameters,
+                index_name=index.name, phase="definition")
             db.dispatcher.call(
                 "ODCIIndexAlter", domain.methods.index_alter,
-                domain.index_info(), stmt.parameters or "", env,
+                replace(domain.index_info(), parameters=merged),
+                stmt.parameters or "", env,
                 index_name=index.name, phase="definition")
-            if stmt.parameters:
-                # kept after CREATE's (and earlier ALTERs'): a REBUILD
-                # passes them all to ODCIIndexCreate, not the last
-                # ALTER's alone
-                domain.parameters = " ".join(
-                    filter(None, (domain.parameters, stmt.parameters)))
+            domain.parameters = merged
             db.catalog.bump_version()  # parameters can change scan behaviour
             self._checkpoint_barrier()
             return Cursor(rowcount=0)

@@ -830,17 +830,16 @@ class Planner:
         return binder.bind(expr)
 
     def _collect_aggregates(self, items, having) -> List[AggregateCall]:
+        """The aggregate calls of the select list and HAVING, in order
+        (a loop over an explicit stack, not a recursive closure)."""
         aggregates: List[AggregateCall] = []
-
-        def walk(node: ast.Expr) -> None:
+        stack = [having] + [e for e, __ in reversed(items)]
+        while stack:
+            node = stack.pop()
             if isinstance(node, AggregateCall):
                 aggregates.append(node)
             elif node is not None:  # (no HAVING)
-                for child in child_exprs(node):
-                    walk(child)
-
-        for expr in [e for e, __ in items] + [having]:
-            walk(expr)
+                stack.extend(reversed(child_exprs(node)))
         return aggregates
 
     # -- FROM/WHERE planning -----------------------------------------------------
@@ -890,22 +889,18 @@ class Planner:
         if predicate is None:
             return 0.0
         cost = CPU_PER_PREDICATE
-
-        def walk(node: ast.Expr) -> None:
-            nonlocal cost
+        # calls costed in tree order, by a loop over an explicit stack
+        stack = [predicate]
+        while stack:
+            node = stack.pop()
             if isinstance(node, (OperatorCall, ast.FuncCall)):
                 cost += self._call_cost(node)
-                for arg in node.args:
-                    walk(arg)
+                stack.extend(reversed(node.args))
             elif isinstance(node, (ast.BinaryOp, ast.BoolOp)):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp)):
-                walk(node.operand)
-            elif isinstance(node, ast.BetweenOp):
-                walk(node.operand)
-
-        walk(predicate)
+                stack += (node.right, node.left)
+            elif isinstance(node, (ast.NotOp, ast.UnaryMinus, ast.IsNullOp,
+                                   ast.BetweenOp)):
+                stack.append(node.operand)
         return cost
 
     def _call_cost(self, call: Any) -> float:

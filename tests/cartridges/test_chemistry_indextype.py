@@ -7,6 +7,7 @@ from repro.cartridges.chemistry import (
     parse_smiles, protect_external_index, random_substructure, to_smiles)
 from repro.cartridges.chemistry.indextype import (
     chem_match, chem_similar, chem_substructure, chem_tautomer)
+from repro.errors import ODCIError
 
 
 @pytest.fixture
@@ -143,6 +144,48 @@ class TestBothStorages:
         assert not db.catalog.has_table("mol_idx_meta")
         if storage_fixture == "file_db":
             assert db.files.listdir() == []
+
+
+class TestStorageParameter:
+    def _index(self, db, name):
+        return db.execute("SELECT parameters, status FROM user_indexes"
+                          " WHERE index_name = :1", [name]).fetchall()
+
+    @pytest.mark.parametrize("parameters, kind", [
+        ("", "LOB"), (":storage file", "FILE"),
+        (":Storage FILE :Storage lob", "LOB")])
+    def test_catalog_keeps_the_canonical_string(self, mols_db, parameters,
+                                                kind):
+        mols_db.execute("CREATE INDEX mol_idx ON molecules(mol)"
+                        " INDEXTYPE IS ChemIndexType"
+                        f" PARAMETERS ('{parameters}')")
+        assert self._index(mols_db, "mol_idx") == [
+            (f":Storage {kind}", "VALID")]
+        assert dict(mols_db.execute(
+            "SELECT key, value FROM mol_idx_meta").fetchall())[
+                "storage"] == kind
+
+    @pytest.mark.parametrize("parameters, error", [
+        (":Storgae FILE", ":Storgae FILE"), (":Storage", ":Storage$"),
+        (":Storage TAPE", ":Storage TAPE")])
+    def test_malformed_storage_fails_like_bad_text_parameters(
+            self, mols_db, parameters, error):
+        from repro.cartridges.text import install
+        install(mols_db)
+        mols_db.execute("CREATE TABLE docs (body VARCHAR2(100))")
+        with pytest.raises(ODCIError, match="unknown parameter :bogus"):
+            mols_db.execute("CREATE INDEX docs_idx ON docs(body)"
+                            " INDEXTYPE IS TextIndexType"
+                            " PARAMETERS (':Bogus x')")
+        with pytest.raises(ODCIError, match=f"got {error}"):
+            mols_db.execute("CREATE INDEX mol_idx ON molecules(mol)"
+                            " INDEXTYPE IS ChemIndexType"
+                            f" PARAMETERS ('{parameters}')")
+        # refused before anything was built: FAILED, as the text index
+        assert self._index(mols_db, "mol_idx") == [(parameters, "FAILED")]
+        assert self._index(mols_db, "docs_idx") == [(":Bogus x", "FAILED")]
+        assert not mols_db.catalog.has_table("mol_idx_meta")
+        assert mols_db.files.listdir() == []
 
 
 class TestStorageDifferences:

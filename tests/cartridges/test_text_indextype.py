@@ -22,8 +22,11 @@ class TestFunctionalImplementation:
 
 class TestDomainIndexLifecycle:
     def test_index_tables_created(self, employees_db):
-        assert employees_db.catalog.has_table("resume_text_index_terms")
-        assert employees_db.catalog.has_table("resume_text_index_settings")
+        # one table: the settings are the catalog's PARAMETERS string
+        assert employees_db.execute(
+            "SELECT table_name FROM user_tables"
+            " WHERE table_name LIKE 'resume_text_index%'").fetchall() \
+            == [("resume_text_index_terms",)]
 
     def test_existing_rows_indexed_at_create(self, employees_db):
         rows = employees_db.execute(

@@ -5,10 +5,11 @@ Two families:
 
 * **build differential** — ``CREATE INDEX`` on a loaded table (the
   cartridge's bulk build: sorted inverted-list load, STR packing, one
-  fingerprint append) must produce the index that ``CREATE INDEX`` on
-  the empty table followed by inserting the same rows produces (the
-  maintenance path): exact postings-table contents for text, and for
-  the R-tree and chemistry operator answers equal to each other and to
+  fingerprint append, or the default load step's one array insert) must
+  produce the index that ``CREATE INDEX`` on the empty table followed
+  by inserting the same rows produces (the maintenance path): exact
+  index-table contents for text, VIR and collection, and for the
+  R-tree and chemistry operator answers equal to each other and to
   the operator's functional evaluation on a table with no index (text
   postings also against a reference lexer: the build and the
   maintenance routines share one lexing routine);
@@ -213,6 +214,25 @@ class TestTextLexingDifferential:
             dbs["rebuilt"], stopwords)
         assert not {"oracle", "unix", "repeat"} & {t for t, __, __ in rebuilt}
 
+    def test_language_change_rebuilds_what_maintenance_wrote(self):
+        """``:Language german`` swaps English's stop list for German's:
+        a row inserted after the ALTER and the REBUILD of it hold the
+        same postings, and Contains answers the same before and after
+        the REBUILD."""
+        from repro.cartridges.text import install
+        db = Engine().connect()
+        install(db)
+        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
+        db.execute(_create_text_index(""))
+        db.execute("ALTER INDEX docs_text PARAMETERS (':Language german')")
+        db.execute("INSERT INTO docs VALUES (1, 'the der oracle')")
+        q = "SELECT id FROM docs WHERE Contains(body, 'the')"
+        maintained, answer = _text_contents(db), _index_answers(db, q)
+        db.execute("ALTER INDEX docs_text REBUILD")
+        assert [token for token, __, __ in maintained] == ["oracle", "the"]
+        assert _text_contents(db) == maintained
+        assert _index_answers(db, q) == answer == [(1,)]
+
 
 class TestSpatialBuildDifferential:
     def test_rtree_str_answers_match_per_row(self):
@@ -245,6 +265,58 @@ class TestSpatialBuildDifferential:
             assert _index_answers(maintained, q) == expected
             answered.update(expected)
         assert len(answered) == len(sets)  # every row is some answer
+
+
+def _sorted_contents(db, table):
+    return sorted(db.execute(f"SELECT * FROM {table}").fetchall())
+
+
+class TestDefaultLoadDifferential:
+    """VIR and collection build through IndexMethods' default load step
+    (one array insert of every row): the tables it fills must equal the
+    ones maintenance fills row by row, whatever the row count."""
+
+    def test_vir_coarse_table_identical(self):
+        from repro.bench.workloads import make_signature_table
+        from repro.cartridges.vir import install
+        rows, centre = make_signature_table(150, seed=29)
+
+        def load(db):
+            image = db.catalog.get_object_type("IMAGE_T")
+            db.insert_rows("images", [
+                [i, None if i % 37 == 5
+                 else image.new(signature=sig, width=8, height=8)]
+                for i, sig in rows])
+
+        built, maintained, functional = _built_and_maintained(
+            install, "CREATE TABLE images (iid INTEGER, img IMAGE_T)", load,
+            "CREATE INDEX images_vidx ON images(img)"
+            " INDEXTYPE IS VirIndexType")
+        coarse = _sorted_contents(built, "images_vidx_coarse")
+        assert coarse == _sorted_contents(maintained, "images_vidx_coarse")
+        assert len(coarse) == 150 - 4  # one row per non-null image
+        q = ("SELECT iid FROM images"
+             " WHERE VIRSimilar(img.signature, :1, '', 10)")
+        expected = _answers(functional, q, [centre])
+        assert expected
+        assert _index_answers(built, q, [centre]) == expected
+
+    def test_collection_elements_table_identical(self):
+        from repro.cartridges.collection import install
+        people = [[i, None if i % 41 == 3 else tuple(
+            f"h{(i * k) % 13}" for k in range(i % 5))] for i in range(150)]
+        built, maintained, functional = _built_and_maintained(
+            install, "CREATE TABLE people (pid INTEGER,"
+            " hobbies VARRAY(10) OF VARCHAR2(64))",
+            lambda db: db.insert_rows("people", people),
+            "CREATE INDEX people_idx ON people(hobbies)"
+            " INDEXTYPE IS CollectionIndexType")
+        elems = _sorted_contents(built, "people_idx_elems")
+        assert elems == _sorted_contents(maintained, "people_idx_elems")
+        assert len(elems) > 150
+        assert {count for __, __, count in elems} > {1}  # repeats counted
+        q = "SELECT pid FROM people WHERE Coll_Contains(hobbies, :1)"
+        assert _answers(built, q, ["h0"]) == _answers(functional, q, ["h0"])
 
 
 class TestChemistryBuildDifferential:

@@ -18,8 +18,7 @@ class TestUserTables:
             " WHERE table_name LIKE 'resume_text_index%' ORDER BY 1"
         ).fetchall()
         names = [r[0] for r in rows]
-        assert "resume_text_index_terms" in names
-        assert "resume_text_index_settings" in names
+        assert names == ["resume_text_index_terms"]
         iot_flags = dict(rows)
         assert iot_flags["resume_text_index_terms"] is True
 

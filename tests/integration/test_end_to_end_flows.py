@@ -3,7 +3,7 @@ and a mixed multi-cartridge workload in one database."""
 
 import pytest
 
-from repro import Engine, IndexMethods, PrecomputedScan
+from repro import Engine, IndexMethods, IndexTable, PrecomputedScan
 from repro.errors import CatalogError
 
 
@@ -45,23 +45,10 @@ class TestUserDefinedIndextype:
             return 1 if abs(value) == abs(probe) else 0
 
         class AbsIndexMethods(IndexMethods):
+            index_tables = (IndexTable("abs", "absval NUMBER, rid ROWID"),)
+
             def _table(self, ia):
-                return f"{ia.index_name.lower()}_abs"
-
-            def index_create(self, ia, parameters, env):
-                env.callback.execute(
-                    f"CREATE TABLE {self._table(ia)}"
-                    " (absval NUMBER, rid ROWID)")
-                column = ia.column_names[0]
-                for rid, value in env.callback.query(
-                        f"SELECT rowid, {column} FROM {ia.table_name}"):
-                    from repro.types.values import is_null
-                    if not is_null(value):
-                        env.callback.insert_row(self._table(ia),
-                                                [abs(value), rid])
-
-            def index_drop(self, ia, env):
-                env.callback.execute(f"DROP TABLE {self._table(ia)}")
+                return self.index_tables[0].name(ia)
 
             def index_insert(self, ia, rowid, new_values, env):
                 from repro.types.values import is_null

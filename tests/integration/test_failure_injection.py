@@ -14,7 +14,7 @@ REBUILD`` restores the index.
 import pytest
 
 from repro import (
-    Engine, IndexMethods, IndexState, PrecomputedScan)
+    Engine, IndexMethods, IndexState, IndexTable, PrecomputedScan)
 from repro.errors import CatalogError, IndexUnusableError, ODCIError
 
 pytestmark = pytest.mark.faults
@@ -25,23 +25,20 @@ class FlakyIndexMethods(IndexMethods):
 
     fail_on: str = ""  # class-level switch set by tests
 
+    index_tables = (IndexTable("data", "v VARCHAR2(100), rid ROWID"),)
+
     def _table(self, ia):
-        return f"{ia.index_name.lower()}_data"
+        return self.index_tables[0].name(ia)
 
     def index_create(self, ia, parameters, env):
         if FlakyIndexMethods.fail_on == "create":
             raise ODCIError("ODCIIndexCreate", "injected failure")
-        env.callback.execute(
-            f"CREATE TABLE {self._table(ia)} (v VARCHAR2(100), rid ROWID)")
-        column = ia.column_names[0]
-        for rid, value in env.callback.query(
-                f"SELECT rowid, {column} FROM {ia.table_name}"):
-            env.callback.insert_row(self._table(ia), [value, rid])
+        super().index_create(ia, parameters, env)
 
     def index_drop(self, ia, env):
         if FlakyIndexMethods.fail_on == "drop":
             raise ODCIError("ODCIIndexDrop", "injected failure")
-        env.callback.execute(f"DROP TABLE {self._table(ia)}")
+        super().index_drop(ia, env)
 
     def index_insert(self, ia, rowid, new_values, env):
         if FlakyIndexMethods.fail_on == "insert":

@@ -9,7 +9,7 @@ import shutil
 import pytest
 
 from repro import (
-    Engine, IndexMethods, IndexState, PrecomputedScan)
+    Engine, IndexMethods, IndexState, IndexTable, PrecomputedScan)
 
 pytestmark = pytest.mark.crash
 
@@ -19,28 +19,22 @@ class TextishMethods(IndexMethods):
     the §2.5 'store index data inside the database' pattern, which is
     exactly what lets recovery replay it from the WAL."""
 
-    #: when set, index_create copies the data_dir here mid-build — a
+    #: when set, the load step copies the data_dir here mid-build — a
     #: crash-consistent image taken between the IN_PROGRESS barrier and
     #: the VALID barrier
     snapshot_to = None
     snapshot_src = None
 
-    def _table(self, ia):
-        return f"{ia.index_name.lower()}_data"
+    index_tables = (IndexTable("data", "v VARCHAR2(100), rid ROWID"),)
 
-    def index_create(self, ia, parameters, env):
-        env.callback.execute(
-            f"CREATE TABLE {self._table(ia)} (v VARCHAR2(100), rid ROWID)")
+    def _table(self, ia):
+        return self.index_tables[0].name(ia)
+
+    def index_load(self, ia, rows, env):
         if TextishMethods.snapshot_to is not None:
             shutil.copytree(TextishMethods.snapshot_src,
                             TextishMethods.snapshot_to)
-        column = ia.column_names[0]
-        for rid, value in env.callback.query(
-                f"SELECT rowid, {column} FROM {ia.table_name}"):
-            env.callback.insert_row(self._table(ia), [value, rid])
-
-    def index_drop(self, ia, env):
-        env.callback.execute(f"DROP TABLE {self._table(ia)}")
+        super().index_load(ia, rows, env)
 
     def index_insert(self, ia, rowid, new_values, env):
         env.callback.insert_row(self._table(ia), [new_values[0], rowid])

@@ -206,12 +206,6 @@ class TestRegistries:
 
     def test_method_type_roundtrip(self, catalog):
         class Impl(IndexMethods):
-            def index_create(self, ia, parameters, env):
-                pass
-
-            def index_drop(self, ia, env):
-                pass
-
             def index_insert(self, ia, rowid, new_values, env):
                 pass
 

@@ -253,12 +253,6 @@ class RecordingMethods(IndexMethods):
 
     calls = []
 
-    def index_create(self, ia, parameters, env):
-        pass
-
-    def index_drop(self, ia, env):
-        pass
-
     def index_insert(self, ia, rowid, new_values, env):
         pass
 

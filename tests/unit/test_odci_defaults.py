@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 from repro.core.odci import (
-    FetchResult, IndexMethods, ODCIEnv, ODCIIndexInfo)
+    FetchResult, IndexMethods, IndexTable, ODCIEnv, ODCIIndexInfo)
 from repro.core.scan_context import PrecomputedScan, ScanContext, Workspace
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import CatalogError, ODCIError, ParseError
@@ -14,16 +14,11 @@ from repro.storage.buffer import IOStats
 
 
 class MinimalMethods(IndexMethods):
-    """Implements only the abstract routines; inherits the defaults."""
+    """Writes the scan and the scalar maintenance routines; inherits the
+    rest."""
 
     def __init__(self):
         self.log = []
-
-    def index_create(self, ia, parameters, env):
-        self.log.append(("create", parameters))
-
-    def index_drop(self, ia, env):
-        self.log.append(("drop",))
 
     def index_insert(self, ia, rowid, new_values, env):
         self.log.append(("insert", rowid, tuple(new_values)))
@@ -36,13 +31,7 @@ class MinimalMethods(IndexMethods):
 
 
 class NoMaintenanceMethods(IndexMethods):
-    """Writes the definition and scan routines, no maintenance form."""
-
-    def index_create(self, ia, parameters, env):
-        pass
-
-    def index_drop(self, ia, env):
-        pass
+    """Writes the scan routine, no maintenance form."""
 
     def index_start(self, ia, op_info, query_info, env):
         return PrecomputedScan([])
@@ -98,11 +87,6 @@ class TestDefaults:
         methods.index_update(ia, "RID", ["old"], ["new"], env)
         assert methods.log == [("delete", "RID", ("old",)),
                                ("insert", "RID", ("new",))]
-
-    def test_default_truncate_is_drop_plus_create(self, ia, env):
-        methods = MinimalMethods()
-        methods.index_truncate(ia, env)
-        assert methods.log == [("drop",), ("create", ":p")]
 
     def test_default_alter_raises(self, ia, env):
         with pytest.raises(ODCIError):
@@ -204,6 +188,104 @@ class TestOneMaintenanceForm:
     def test_register_accepts_either_form(self, db, cls):
         db.register_methods(cls.__name__, cls)
         assert db.catalog.get_method_type(cls.__name__) is cls
+
+
+_VALS = IndexTable("vals", "rid ROWID, code VARCHAR2(10)",
+                   indexes=("code",))
+_KEYS = IndexTable("keys", "code VARCHAR2(10), rid ROWID,"
+                   " PRIMARY KEY (code, rid)", organization_index=True)
+
+
+class DeclaredMethods(IndexMethods):
+    """Declares a heap table with a secondary index and an IOT, and
+    writes only maintenance and scan: the defaults do the definition."""
+
+    index_tables = (_VALS, _KEYS)
+
+    def index_insert_batch(self, ia, entries, env):
+        env.callback.insert_rows(
+            _VALS.name(ia), [[rid, values[0]] for rid, values in entries])
+        env.callback.insert_rows(
+            _KEYS.name(ia), [[values[0], rid] for rid, values in entries])
+
+    def index_delete(self, ia, rowid, old_values, env):
+        env.callback.delete_rows(_KEYS.name(ia), [(old_values[0], rowid)])
+        env.callback.execute(f"DELETE FROM {_VALS.name(ia)} WHERE"
+                             " code = :1 AND rid = :2",
+                             [old_values[0], rowid])
+
+    def index_start(self, ia, op_info, query_info, env):
+        return PrecomputedScan([])
+
+
+class TestOneDefinitionForm:
+    """The declared tables are the whole of a cartridge's definition
+    code: IndexMethods creates, fills, truncates and drops them."""
+
+    @pytest.fixture
+    def declared_db(self, db):
+        db.create_function("CodeFunc", lambda v, probe: 0, cost=1.0)
+        db.register_methods("DeclaredMethods", DeclaredMethods)
+        db.execute("CREATE OPERATOR Code_Of BINDING (VARCHAR2, VARCHAR2)"
+                   " RETURN NUMBER USING CodeFunc")
+        db.execute("CREATE INDEXTYPE DeclaredType FOR"
+                   " Code_Of(VARCHAR2, VARCHAR2) USING DeclaredMethods")
+        db.execute("CREATE TABLE t (v VARCHAR2(10))")
+        db.executemany("INSERT INTO t VALUES (:1)",
+                       [[f"v{i % 3}"] for i in range(5)])
+        db.execute("CREATE INDEX t_idx ON t(v) INDEXTYPE IS DeclaredType")
+        return db
+
+    @staticmethod
+    def _objects(db):
+        """The index's tables (name, IOT?) and their native indexes."""
+        tables = db.execute("SELECT table_name, iot FROM user_tables"
+                            " WHERE table_name LIKE 't_idx%'"
+                            " ORDER BY 1").fetchall()
+        indexes = db.execute("SELECT index_name, table_name"
+                             " FROM user_indexes WHERE table_name"
+                             " LIKE 't_idx%' ORDER BY 1").fetchall()
+        return tables, indexes
+
+    @staticmethod
+    def _sizes(db):
+        """Rows of each table, and entries of the secondary index."""
+        return (db.execute("SELECT COUNT(*) FROM t_idx_vals").fetchall(),
+                db.execute("SELECT COUNT(*) FROM t_idx_keys").fetchall(),
+                len(db.catalog.get_index("t_idx_vals_code").structure))
+
+    def test_create_truncate_drop_act_on_exactly_the_declared_tables(
+            self, declared_db):
+        declared = ([("t_idx_keys", True), ("t_idx_vals", False)],
+                    [("t_idx_vals_code", "t_idx_vals")])
+        assert self._objects(declared_db) == declared
+        # the default load step put every base-table row in each
+        assert self._sizes(declared_db) == ([(5,)], [(5,)], 5)
+        declared_db.execute("TRUNCATE TABLE t")
+        assert self._objects(declared_db) == declared
+        assert self._sizes(declared_db) == ([(0,)], [(0,)], 0)
+        declared_db.execute("INSERT INTO t VALUES ('v9')")
+        assert self._sizes(declared_db) == ([(1,)], [(1,)], 1)
+        declared_db.execute("DROP INDEX t_idx")
+        assert self._objects(declared_db) == ([], [])
+
+    def test_rebuild_reloads_the_declared_tables(self, declared_db):
+        declared_db.execute("ALTER INDEX t_idx REBUILD")
+        assert self._sizes(declared_db) == ([(5,)], [(5,)], 5)
+
+    def test_index_start_is_the_only_abstract_routine(self):
+        assert IndexMethods.__abstractmethods__ == {"index_start"}
+
+    def test_default_parameters_keep_the_strings_as_given(self):
+        methods = MinimalMethods()
+        assert methods.parse_parameters(":a 1", "") == ":a 1"
+        assert methods.parse_parameters(":b", ":a 1") == ":a 1 :b"
+
+    def test_shipped_indextypes_write_no_table_ddl(self):
+        for module in _CARTRIDGES:
+            source = inspect.getsource(importlib.import_module(module))
+            for ddl in ("CREATE TABLE", "DROP TABLE", "TRUNCATE TABLE"):
+                assert ddl not in source, (module, ddl)
 
 
 class _Numbers(ScanContext):

@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from repro import (
-    Engine, IndexMethods, IndexState, PrecomputedScan)
+    Engine, IndexMethods, IndexState, IndexTable, PrecomputedScan)
 from repro.errors import CallbackTimeoutError, ODCIError
 from repro.testing import FaultPlan, interpreter_forced
 
@@ -27,19 +27,10 @@ pytestmark = pytest.mark.faults
 class EqScanMethods(IndexMethods):
     """Minimal equality indextype (index table + precomputed scan)."""
 
+    index_tables = (IndexTable("data", "v VARCHAR2(100), rid ROWID"),)
+
     def _table(self, ia):
-        return f"{ia.index_name.lower()}_data"
-
-    def index_create(self, ia, parameters, env):
-        env.callback.execute(
-            f"CREATE TABLE {self._table(ia)} (v VARCHAR2(100), rid ROWID)")
-        column = ia.column_names[0]
-        for rid, value in env.callback.query(
-                f"SELECT rowid, {column} FROM {ia.table_name}"):
-            env.callback.insert_row(self._table(ia), [value, rid])
-
-    def index_drop(self, ia, env):
-        env.callback.execute(f"DROP TABLE {self._table(ia)}")
+        return self.index_tables[0].name(ia)
 
     def index_insert(self, ia, rowid, new_values, env):
         env.callback.insert_row(self._table(ia), [new_values[0], rowid])

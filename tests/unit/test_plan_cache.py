@@ -1,5 +1,8 @@
 """Plan cache, statement pipeline, and cursor-lifecycle unit tests."""
 
+import gc
+import types
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -322,6 +325,44 @@ class TestCursorLifecycle:
         assert "exec:ODCIIndexClose()" not in db.trace_log
         cur.close()
         assert "exec:ODCIIndexClose()" in db.trace_log
+
+
+#: the walks a cold parse and plan runs over a statement's expressions
+_COLD_WALKS = ("_walk_statement", "_collect_aggregates", "_filter_cost")
+
+
+def _from_cold_walks(obj):
+    """A function defined inside one of the walks, or a cell holding one
+    (what a self-calling closure leaves behind as a cycle)."""
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:  # an empty cell
+            return False
+    return isinstance(obj, types.FunctionType) and any(
+        f"{walk}.<locals>" in obj.__qualname__ for walk in _COLD_WALKS)
+
+
+class TestColdPlanLeavesNoCycles:
+    def test_group_by_having_plans_leave_no_walk_closures(self, db):
+        db.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+        db.executemany("INSERT INTO t VALUES (:1, :2)",
+                       [[i % 3, i] for i in range(12)])
+        sql = ("SELECT g, SUM(v) FROM t WHERE v > :1 AND ABS(v) < :2"
+               " GROUP BY g HAVING COUNT(*) > :3 ORDER BY g")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for __ in range(5):
+                db.plan_cache.clear()  # every execution plans cold
+                assert db.execute(sql, [0, 100, 1]).fetchall() \
+                    == [(0, 18), (1, 22), (2, 26)]
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if _from_cold_walks(obj)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestSessionFacadeStaysThin:
