@@ -250,22 +250,13 @@ class ChemIndexMethods(IndexMethods):
 
     def index_delete_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
                            env: ODCIEnv) -> None:
+        """Tombstone every row that has a record.  A NULL molecule never
+        got one, and a tombstone cancels one of its rowid's records
+        wherever it lies in the file, so it would hide the next."""
         index_file = self._index_file(ia, env)
-        for rowid, __ in entries:
-            index_file.tombstone(rowid)
-
-    def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
-                           env: ODCIEnv) -> None:
-        index_file = self._index_file(ia, env)
-        records: List[Record] = []
-        for rowid, __, new_values in entries:
-            index_file.tombstone(rowid)
-            text = new_values[0]
-            if is_null(text):
-                continue
-            records.append(self._record_for(rowid, parse_smiles(str(text))))
-        if records:
-            index_file.append_many(records)
+        for rowid, old_values in entries:
+            if not is_null(old_values[0]):
+                index_file.tombstone(rowid)
 
     # -- scans -----------------------------------------------------------------------
 

@@ -162,14 +162,6 @@ class SpatialIndexMethods(IndexMethods):
         if keys:
             env.callback.delete_rows(_TILES.name(ia), keys)
 
-    def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
-                           env: ODCIEnv) -> None:
-        """Delete the old covers, then insert the new ones."""
-        self.index_delete_batch(
-            ia, [(rowid, old) for rowid, old, __ in entries], env)
-        self.index_insert_batch(
-            ia, [(rowid, new) for rowid, __, new in entries], env)
-
     # -- scan --------------------------------------------------------------------
 
     def index_start(self, ia: ODCIIndexInfo, op_info: ODCIPredInfo,
@@ -319,20 +311,6 @@ class RtreeIndexMethods(IndexMethods):
                 rect = self._rect_of.pop(rowid, None)
                 if rect is not None:
                     self._tree.delete(rect, rowid)
-
-    def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
-                           env: ODCIEnv) -> None:
-        with self._latch:
-            for rowid, __, new_values in entries:
-                rect = self._rect_of.pop(rowid, None)
-                if rect is not None:
-                    self._tree.delete(rect, rowid)
-                geometry = new_values[0]
-                if is_null(geometry):
-                    continue
-                new_rect = Rect.from_box(bounding_box(geometry))
-                self._tree.insert(new_rect, rowid)
-                self._rect_of[rowid] = new_rect
 
     # -- scan --------------------------------------------------------------------
 

@@ -199,34 +199,6 @@ class TextIndexMethods(IndexMethods):
         if keys:
             env.callback.delete_rows(_TERMS.name(ia), keys)
 
-    def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
-                           env: ODCIEnv) -> None:
-        """Apply each row's old-text -> new-text difference: delete the
-        tokens that left it, insert the ones that entered it, rewrite
-        the ones whose frequency changed — one keyed delete and one
-        insert call for the batch."""
-        lexer = _lexer(ia)
-        stale: List[Any] = []
-        postings: List[List[Any]] = []
-        for rowid, old_values, new_values in entries:
-            old_text, new_text = old_values[0], new_values[0]
-            old = {} if is_null(old_text) \
-                else _LOCATOR.term_frequencies(str(old_text))
-            new = {} if is_null(new_text) \
-                else lexer.term_frequencies(str(new_text))
-            for token, freq in old.items():
-                if new.get(token) != freq:
-                    stale.append((token, rowid))
-            for token, freq in new.items():
-                if old.get(token) != freq:
-                    postings.append([intern(token), rowid, freq])
-        terms = _TERMS.name(ia)
-        if stale:
-            env.callback.delete_rows(terms, stale)
-        if postings:
-            postings.sort(key=itemgetter(0, 1))
-            env.callback.insert_rows(terms, postings)
-
     # -- scan routines ---------------------------------------------------------------
 
     def index_start(self, ia: ODCIIndexInfo, op_info: ODCIPredInfo,

@@ -109,14 +109,6 @@ class VirIndexMethods(IndexMethods):
             if sig is not None:
                 env.callback.execute(delete, [coarse_vector(sig)[0], rowid])
 
-    def index_update_batch(self, ia: ODCIIndexInfo, entries: Sequence[Any],
-                           env: ODCIEnv) -> None:
-        """Delete the old coarse rows, then insert the new ones."""
-        self.index_delete_batch(
-            ia, [(rowid, old) for rowid, old, __ in entries], env)
-        self.index_insert_batch(
-            ia, [(rowid, new) for rowid, __, new in entries], env)
-
     # -- scan: the three phases ---------------------------------------------------
 
     def index_start(self, ia: ODCIIndexInfo, op_info: ODCIPredInfo,

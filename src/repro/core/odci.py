@@ -189,8 +189,9 @@ class IndexMethods(abc.ABC):
 
     A cartridge declares the tables its index keeps
     (:attr:`index_tables`); the definition defaults create, fill,
-    truncate and drop them.  Each maintenance routine may be written in
-    its scalar or its array form.
+    truncate and drop them.  Insert and delete are each written in
+    their scalar or their array form; update defaults to deleting the
+    old entries and inserting the new ones.
 
     Scan protocol: :meth:`index_start` returns either a scan-context
     object (*return state*) or an integer workspace handle obtained from
@@ -268,8 +269,10 @@ class IndexMethods(abc.ABC):
     # form, once per index per statement.  A cartridge writes whichever
     # form it runs and the defaults below bridge the other: a scalar
     # routine hands its row to the array routine, an array routine loops
-    # the scalar one.  ``register_methods`` refuses a class that writes
-    # neither form of insert or of delete (see :meth:`unwritten_routines`).
+    # the scalar one.  Update needs neither form (see
+    # :meth:`index_update_batch`).  ``register_methods`` refuses a class
+    # that writes neither form of insert or of delete (see
+    # :meth:`unwritten_routines`).
 
     def index_insert(self, ia: ODCIIndexInfo, rowid: Any, new_values: Sequence[Any],
                      env: ODCIEnv) -> None:
@@ -284,9 +287,8 @@ class IndexMethods(abc.ABC):
     def index_update(self, ia: ODCIIndexInfo, rowid: Any,
                      old_values: Sequence[Any], new_values: Sequence[Any],
                      env: ODCIEnv) -> None:
-        """ODCIIndexUpdate: default is delete-old + insert-new (§2.2.3)."""
-        self.index_delete(ia, rowid, old_values, env)
-        self.index_insert(ia, rowid, new_values, env)
+        """ODCIIndexUpdate: replace a row's entries."""
+        self.index_update_batch(ia, [(rowid, old_values, new_values)], env)
 
     def index_insert_batch(self, ia: ODCIIndexInfo,
                            entries: Sequence[Tuple[Any, Sequence[Any]]],
@@ -306,9 +308,20 @@ class IndexMethods(abc.ABC):
             self, ia: ODCIIndexInfo,
             entries: Sequence[Tuple[Any, Sequence[Any], Sequence[Any]]],
             env: ODCIEnv) -> None:
-        """ODCIIndexUpdateBatch: apply ``(rowid, old_values, new_values)`` tuples."""
-        for rowid, old_values, new_values in entries:
-            self.index_update(ia, rowid, old_values, new_values, env)
+        """ODCIIndexUpdateBatch: apply ``(rowid, old_values, new_values)``
+        tuples.  The default is the paper's delete-old + insert-new
+        (§2.2.3): one array delete of every old entry, then one array
+        insert of the new ones — safe because a batch holds each rowid
+        at most once.  A class that writes the scalar update has it run
+        per entry instead."""
+        if type(self).index_update is not IndexMethods.index_update:
+            for rowid, old_values, new_values in entries:
+                self.index_update(ia, rowid, old_values, new_values, env)
+            return
+        self.index_delete_batch(
+            ia, [(rowid, old) for rowid, old, __ in entries], env)
+        self.index_insert_batch(
+            ia, [(rowid, new) for rowid, __, new in entries], env)
 
     @classmethod
     def unwritten_routines(cls) -> List[str]:

@@ -207,12 +207,6 @@ class Engine:
     # durability lifecycle
     # ------------------------------------------------------------------
 
-    def checkpoint(self, reason: str = "manual") -> Optional[int]:
-        """Take a fuzzy checkpoint (no-op without durability)."""
-        if self.durability is None:
-            return None
-        return self.durability.checkpoint(reason=reason)
-
     def close(self) -> None:
         """Clean shutdown: stop background threads, flush the WAL, take
         a final checkpoint.  Reopening the same data_dir after close()

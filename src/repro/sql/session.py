@@ -45,7 +45,6 @@ from repro.core.odci import IndexMethods, ODCIEnv
 from repro.core.scan_context import Workspace
 from repro.core.stats import StatsMethods
 from repro.errors import PrivilegeError, TransactionError
-from repro.sql import ast_nodes as ast
 from repro.sql.catalog import SQLFunction, TableDef
 from repro.sql.cursor import Cursor
 from repro.sql.ddl import DDLEngine
@@ -453,12 +452,6 @@ class Session:
         """Return the EXPLAIN plan lines (plus a plan-cache status line)."""
         self._bind()
         return self.pipeline.explain_lines(sql, params)
-
-    def execute_statement(self, statement: ast.Statement,
-                          sql: str = "") -> Cursor:
-        """Execute a parsed statement (entry point shared with callbacks)."""
-        self._bind()
-        return self._track(self.pipeline.execute_statement(statement, sql))
 
     # ------------------------------------------------------------------
     # direct-value DML (delegates to the DML engine)

