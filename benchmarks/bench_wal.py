@@ -5,12 +5,14 @@ Measures the durability subsystem's two costs:
 * **group-commit throughput** — N concurrent sessions each run small
   commit-heavy transactions against a WAL whose fsync is artificially
   slowed to ``FSYNC_DELAY_S`` (a realistic spinning-disk / fsync-heavy
-  regime; in-memory tmpfs fsyncs are too fast to show batching).  With
-  the **LogWriter** on, concurrent committers share one fsync per
-  batch; the **per-commit baseline** (``wal_group_commit=False``)
-  fsyncs once per commit.  Reported at 1, 4, and 8 sessions — batching
-  cannot help a single session, and the win must grow with
-  concurrency;
+  regime; in-memory tmpfs fsyncs are too fast to show batching).
+  **Grouped** is the engine as shipped: each session makes its own
+  commit durable through ``WriteAheadLog.flush_to``, and commits that
+  arrive while an fsync is in flight share the next one.  The
+  **per-commit baseline** patches the engine's WAL here, in the
+  benchmark, so that every commit pays its own fsync under one lock.
+  Reported at 1, 4, and 8 sessions — batching cannot help a single
+  session, and the win must grow with concurrency;
 * **WAL on vs off DML overhead** — the same single-session insert/
   update workload with durability enabled (``data_dir`` set, no fsync
   delay) vs the pure in-memory engine, recording what logging itself
@@ -22,8 +24,9 @@ Emits ``BENCH_wal.json`` at the repo root.  Run directly::
     python benchmarks/bench_wal.py --smoke --check   # CI perf gate
 
 ``--check`` enforces the acceptance floor (group-commit throughput
->= 3x the per-commit baseline at 8 sessions) and compares the ratio
-against the committed baseline, failing on a >20% regression.
+>= 3x the per-commit baseline at 8 sessions) and a work ceiling
+(grouped fsyncs <= 0.5 per commit at 8 sessions), and compares the
+ratio against the committed baseline, failing on a >20% regression.
 """
 
 import argparse
@@ -60,6 +63,9 @@ GROUP_COMMIT_FLOOR = 3.0
 #: the exact ratio is scheduling noise, while the gate only needs to
 #: see it stay comfortably above the floor
 SPEEDUP_CAP = 4 * GROUP_COMMIT_FLOOR
+#: work ceiling: grouped fsyncs per commit at 8 concurrent sessions —
+#: a count, so it holds on a loaded box where the timing floor wobbles
+GROUPED_FSYNCS_PER_COMMIT_CEILING = 0.5
 
 #: simulated fsync latency; ~2 ms is a cheap-SSD / shared-disk figure
 FSYNC_DELAY_S = 0.002
@@ -93,12 +99,31 @@ class _Committer:
             self.error = exc
 
 
+def _fsync_every_commit(wal):
+    """Patch ``wal`` into the per-commit baseline: each commit pays its
+    own fsync, serialized under one lock, even when a concurrent fsync
+    already covered its record (the engine's ``flush_to`` would share
+    that one)."""
+    lock = threading.Lock()
+
+    def commit_flush(lsn):
+        wal.stats.commit_waits += 1
+        with lock:
+            target = wal.end_lsn
+            wal.device.fsync()
+            wal.stats.fsyncs += 1
+            wal.flushed_lsn = max(wal.flushed_lsn, target)
+
+    wal.commit_flush = commit_flush
+
+
 def _run_commit_load(group_commit, n_sessions, txns_per_session):
     data_dir = tempfile.mkdtemp(prefix="bench-wal-")
     try:
         db = Engine(data_dir=data_dir,
-                    wal_group_commit=group_commit,
                     wal_fsync_delay=FSYNC_DELAY_S).connect()
+        if not group_commit:
+            _fsync_every_commit(db.engine.durability.wal)
         for i in range(n_sessions):
             db.execute(f"CREATE TABLE ledger{i} "
                        "(id NUMBER, who VARCHAR2(10))")
@@ -122,6 +147,7 @@ def _run_commit_load(group_commit, n_sessions, txns_per_session):
                 "elapsed_s": round(elapsed, 4),
                 "commits_per_s": round(commits / elapsed, 2),
                 "fsyncs": stats["fsyncs"],
+                "fsyncs_per_commit": round(stats["fsyncs"] / commits, 3),
                 "group_batches": stats["group_batches"],
                 "max_batch": stats["max_batch"]}
     finally:
@@ -229,6 +255,11 @@ def check_against_baseline(results, baseline_path):
             "group commit did not reduce fsyncs at 8 sessions "
             f"({at8['grouped']['fsyncs']} vs "
             f"{at8['per_commit']['fsyncs']})")
+    per_commit = at8["grouped"]["fsyncs_per_commit"]
+    if per_commit > GROUPED_FSYNCS_PER_COMMIT_CEILING:
+        failures.append(
+            f"grouped fsyncs per commit at 8 sessions {per_commit} is "
+            f"above the {GROUPED_FSYNCS_PER_COMMIT_CEILING} ceiling")
     if not os.path.exists(baseline_path):
         failures.append(f"no committed baseline at {baseline_path}")
         return failures
@@ -260,11 +291,14 @@ def write_results(results):
 # -- pytest entry point (keeps the script healthy inside the suite) --------
 
 def test_wal_benchmark():
-    """Smoke-size run: group commit must beat per-commit >= 3x at 8."""
+    """Smoke-size run: group commit must beat per-commit >= 3x at 8,
+    with at most half an fsync per commit."""
     results = run_benchmarks(smoke=True)
     at8 = results["cases"]["group_commit"]["8"]
     assert at8["speedup"] >= GROUP_COMMIT_FLOOR, at8
     assert at8["grouped"]["fsyncs"] < at8["per_commit"]["fsyncs"], at8
+    assert (at8["grouped"]["fsyncs_per_commit"]
+            <= GROUPED_FSYNCS_PER_COMMIT_CEILING), at8
 
 
 def main(argv=None):

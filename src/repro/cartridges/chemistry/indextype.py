@@ -253,10 +253,10 @@ class ChemIndexMethods(IndexMethods):
         """Tombstone every row that has a record.  A NULL molecule never
         got one, and a tombstone cancels one of its rowid's records
         wherever it lies in the file, so it would hide the next."""
-        index_file = self._index_file(ia, env)
-        for rowid, old_values in entries:
-            if not is_null(old_values[0]):
-                index_file.tombstone(rowid)
+        rowids = [rowid for rowid, old_values in entries
+                  if not is_null(old_values[0])]
+        if rowids:
+            self._index_file(ia, env).tombstone(rowids)
 
     # -- scans -----------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.cartridges.chemistry.fingerprint import FP_BITS
 from repro.errors import StorageError
@@ -106,17 +106,8 @@ class FingerprintIndexFile:
 
     # -- mutation ------------------------------------------------------------
 
-    def append(self, record: Record) -> None:
-        """Append one record and bump the header count."""
-        count = self.record_count()
-        handle = self._open()
-        handle.seek(_HEADER.size + count * _RECORD_SIZE)
-        handle.write(record.pack())
-        handle.seek(0)
-        handle.write(_HEADER.pack(_MAGIC, count + 1))
-
     def append_many(self, records: List[Record]) -> None:
-        """Batch append (one header update for the whole batch)."""
+        """Append records (one header update for the whole batch)."""
         if not records:
             return
         count = self.record_count()
@@ -126,10 +117,11 @@ class FingerprintIndexFile:
         handle.seek(0)
         handle.write(_HEADER.pack(_MAGIC, count + len(records)))
 
-    def tombstone(self, rowid: RowId) -> None:
-        """Append a deletion marker for ``rowid``."""
-        self.append(Record(rowid=rowid, cert_hash=0, taut_hash=0,
-                           fingerprint=0, tombstone=True))
+    def tombstone(self, rowids: Iterable[RowId]) -> None:
+        """Append one deletion marker per rowid, in one append."""
+        self.append_many([Record(rowid=rowid, cert_hash=0, taut_hash=0,
+                                 fingerprint=0, tombstone=True)
+                          for rowid in rowids])
 
     def compact(self) -> int:
         """Rewrite the file without dead records; returns the live count."""

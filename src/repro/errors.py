@@ -92,7 +92,7 @@ class WALError(StorageError):
     """The write-ahead log (or its device) failed.
 
     Raised on log-device I/O errors and on any operation attempted
-    after the log writer has failed: like Oracle after an LGWR error,
+    after the log device has failed: like Oracle after an LGWR error,
     the instance cannot guarantee durability anymore, so it refuses
     further work until the process restarts and runs recovery.
     """

@@ -69,10 +69,8 @@ class Engine:
 
     def __init__(self, buffer_capacity: int = 512,
                  fetch_batch_size: int = 32,
-                 plan_cache_capacity: int = 128,
                  lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
                  data_dir: Optional[str] = None,
-                 wal_group_commit: bool = True,
                  wal_fsync_delay: float = 0.0,
                  wal_checkpoint_interval: int = 256,
                  durability_event_hook: Any = None,
@@ -85,7 +83,7 @@ class Engine:
         self.lobs = LobManager(self.buffer, lock_manager=self.locks)
         self.files = FileStore(self.stats)
         self.events = EventManager()
-        self.plan_cache = PlanCache(capacity=plan_cache_capacity)
+        self.plan_cache = PlanCache()
         #: SCN clock + snapshot registry; SELECT reads resolve against
         #: snapshots from here instead of taking LockManager S locks
         self.mvcc = MVCCManager()
@@ -128,8 +126,7 @@ class Engine:
         if data_dir is not None:
             from repro.storage.durability import DurabilityManager
             self.durability = DurabilityManager(
-                self, data_dir, group_commit=wal_group_commit,
-                fsync_delay=wal_fsync_delay,
+                self, data_dir, fsync_delay=wal_fsync_delay,
                 checkpoint_interval=wal_checkpoint_interval,
                 event_hook=durability_event_hook,
                 fault_plan=storage_fault_plan)
@@ -173,13 +170,6 @@ class Engine:
         """One low-water-mark prune pass; returns versions removed."""
         return self.mvcc.prune(self._version_stores())
 
-    def start_version_pruner(self, interval: float = 1.0) -> None:
-        """Start the background low-water-mark pruner (opt-in)."""
-        self.mvcc.start_pruner(self._version_stores, interval)
-
-    def stop_version_pruner(self) -> None:
-        self.mvcc.stop_pruner()
-
     def allocate_txn_id(self) -> int:
         """Next globally-ordered transaction id (shared by all sessions)."""
         with self._id_latch:
@@ -208,12 +198,11 @@ class Engine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Clean shutdown: stop background threads, flush the WAL, take
-        a final checkpoint.  Reopening the same data_dir after close()
-        reports a clean (zero-redo, zero-undo) recovery pass."""
+        """Clean shutdown: flush the WAL and take a final checkpoint.
+        Reopening the same data_dir after close() reports a clean
+        (zero-redo, zero-undo) recovery pass."""
         if self._closed:
             return
-        self.stop_version_pruner()
         if self.durability is not None:
             self.durability.close()
         self._closed = True

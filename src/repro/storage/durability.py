@@ -19,9 +19,10 @@ disk (``wal.log`` + ``pages.db`` + ``catalog.pkl`` under the engine's
   active-transaction table so restart redo can start at the right LSN
   without quiescing writers (a fuzzy checkpoint).
 
-* **Group commit.**  Commit records are made durable through the
-  :class:`~repro.storage.wal.LogWriter`, batching fsyncs across
-  sessions.  Read-only transactions never log and never fsync.
+* **Group commit.**  A committing session makes its commit record
+  durable on its own thread; :meth:`~repro.storage.wal.WriteAheadLog.
+  flush_to` shares one fsync among the commits that meet at it.
+  Read-only transactions never log and never fsync.
 
 * **Log truncation.**  When a checkpoint finds no active transactions,
   everything is flushed and the log resets to a fresh generation (epoch
@@ -38,9 +39,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WALError
 from repro.storage.pagestore import PageStore
-from repro.storage.wal import (LogWriter, WriteAheadLog,
-                               REC_ABORT, REC_CHECKPOINT, REC_CLR,
-                               REC_COMMIT, REC_UPDATE)
+from repro.storage.wal import (WriteAheadLog, REC_ABORT, REC_CHECKPOINT,
+                               REC_CLR, REC_COMMIT, REC_UPDATE)
 
 __all__ = ["DurabilityManager"]
 
@@ -53,7 +53,6 @@ class DurabilityManager:
     """Coordinates WAL, page store, and catalog snapshots for one engine."""
 
     def __init__(self, engine: Any, data_dir: str,
-                 group_commit: bool = True,
                  fsync_delay: float = 0.0,
                  checkpoint_interval: int = 256,
                  event_hook: Optional[Callable[[str], None]] = None,
@@ -61,7 +60,6 @@ class DurabilityManager:
         self.engine = engine
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
-        self.group_commit = group_commit
         self.checkpoint_interval = checkpoint_interval
         self.event_hook = event_hook
         fault_check = fault_plan.check if fault_plan is not None else None
@@ -73,7 +71,6 @@ class DurabilityManager:
                                fault_check=fault_check,
                                event_hook=event_hook)
         self.catalog_path = os.path.join(data_dir, CATALOG_FILE)
-        self.log_writer = LogWriter(self.wal) if group_commit else None
         #: dirty-page table: ("page", seg, pno) | ("iot", seg) -> rec_lsn
         #: (conservative: <= the LSN of the first record that dirtied it)
         self._dpt: Dict[Tuple, int] = {}
@@ -398,19 +395,14 @@ class DurabilityManager:
     # ------------------------------------------------------------------
 
     def open(self) -> Any:
-        """Run restart recovery, then start the group-commit writer."""
+        """Run restart recovery; returns its stats."""
         from repro.txn.recovery import run_recovery
-        stats = run_recovery(self.engine, self)
-        if self.log_writer is not None:
-            self.log_writer.start()
-        return stats
+        return run_recovery(self.engine, self)
 
     def close(self) -> None:
-        """Clean shutdown: stop the writer, flush, final checkpoint."""
+        """Clean shutdown: flush, final checkpoint."""
         if self.closed:
             return
-        if self.log_writer is not None:
-            self.log_writer.stop()
         if not self.wal.failed:
             try:
                 self.wal.flush_all()

@@ -20,12 +20,13 @@ module provides it:
   LSNs stay monotonic across truncation and page-image stamps from an
   old log generation always compare below new records.
 
-* **Group commit.**  Sessions do not fsync their own commit record;
-  they enqueue the commit LSN with :class:`LogWriter` and wait.  The
-  log-writer thread drains all waiting sessions, issues **one** fsync
-  covering the highest LSN in the batch, and wakes everyone — the
-  classic commit-throughput win, benchmarked in
-  ``benchmarks/bench_wal.py``.
+* **Group commit.**  A committing session makes its own record
+  durable, on its own thread, through :meth:`WriteAheadLog.flush_to` —
+  a leader/follower on one condition.  At most one fsync is in flight;
+  its leader fsyncs through everything appended so far, and the
+  sessions that arrived meanwhile either find their record covered or
+  one of them leads the next fsync for all of them — the classic
+  commit-throughput win, benchmarked in ``benchmarks/bench_wal.py``.
 
 * **Torn-tail scan.**  :func:`scan_log` stops cleanly at the first
   truncated or checksum-failing record — a crash mid-append leaves a
@@ -47,12 +48,12 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import WALError
 from repro.metrics import Histogram, Metrics, histogram
 
-__all__ = ["LogDevice", "LogWriter", "WALStats", "WriteAheadLog",
+__all__ = ["LogDevice", "WALStats", "WriteAheadLog",
            "lsn_epoch", "lsn_offset", "make_lsn", "scan_log",
            "REC_UPDATE", "REC_CLR", "REC_COMMIT", "REC_ABORT",
            "REC_CHECKPOINT"]
@@ -272,9 +273,14 @@ class WriteAheadLog:
         self.epoch = 0
         self.stats = WALStats()
         self._latch = threading.Lock()
-        self._flush_latch = threading.Lock()
+        #: guards ``_flushing`` and ``flushed_lsn``; waiters for an fsync
+        #: in flight sleep on it
+        self._flush_cond = threading.Condition(threading.Lock())
+        self._flushing = False
         self.flushed_lsn = 0
-        self.writer: Optional["LogWriter"] = None
+        #: commit records appended since the last fsync began: the batch
+        #: the next fsync makes durable
+        self._unflushed_commits = 0
 
     @property
     def failed(self) -> bool:
@@ -292,6 +298,8 @@ class WriteAheadLog:
             offset = self.device.append(data)
             self.stats.records += 1
             self.stats.bytes_written += len(data)
+            if payload["t"] == REC_COMMIT:
+                self._unflushed_commits += 1
             return make_lsn(self.epoch, offset)
 
     def flush_to(self, lsn: int) -> None:
@@ -301,16 +309,37 @@ class WriteAheadLog:
         ``flushed_lsn`` strictly beyond it — ``>=`` would skip the fsync
         for a record appended exactly at the flushed boundary (the first
         commit after a checkpoint) and ack a commit that is not durable.
+
+        Leader/follower: a caller that finds an fsync in flight waits
+        for it; when it lands, a waiter it covered returns and the
+        first uncovered one leads the next fsync, through everything
+        appended by then.  A failed fsync fails the device and wakes
+        every waiter, whose own fsync then raises
+        :class:`~repro.errors.WALError`.
         """
         if self.flushed_lsn > lsn:
             return
-        with self._flush_latch:
-            if self.flushed_lsn > lsn:
-                return
-            target = self.end_lsn  # all bytes below are already written
-            self.device.fsync()
-            self.stats.fsyncs += 1
-            self.flushed_lsn = target
+        with self._flush_cond:
+            while self.flushed_lsn <= lsn:
+                if self._flushing:
+                    self._flush_cond.wait()
+                    continue
+                self._flushing = True
+                with self._latch:  # every byte below target is written
+                    target = self.end_lsn
+                    batch, self._unflushed_commits = (
+                        self._unflushed_commits, 0)
+                self._flush_cond.release()
+                try:
+                    self.device.fsync()
+                finally:
+                    self._flush_cond.acquire()
+                    self._flushing = False
+                    self._flush_cond.notify_all()
+                self.stats.fsyncs += 1
+                if batch:
+                    self.stats.record_batch(batch)
+                self.flushed_lsn = target
 
     def flush_all(self) -> None:
         if self.device.size == 0:
@@ -318,26 +347,10 @@ class WriteAheadLog:
         self.flush_to(self.end_lsn - 1)  # start of the last byte written
 
     def commit_flush(self, lsn: int) -> None:
-        """Durably flush a commit record.
-
-        With the group-commit writer running, the commit joins the
-        writer's next batch and shares its fsync.  Without it this is
-        literal per-commit-fsync mode: every commit pays its own fsync,
-        even when a concurrent flush already covered this LSN —
-        ``flush_to``'s coverage skip is itself a batching optimisation,
-        and the no-writer mode exists to be the unbatched baseline.
-        """
+        """Durably flush a commit record, sharing an fsync with every
+        commit that arrives while one is in flight."""
         self.stats.commit_waits += 1
-        writer = self.writer
-        if writer is not None and writer.running:
-            writer.commit_wait(lsn)
-        else:
-            with self._flush_latch:
-                target = self.end_lsn
-                self.device.fsync()
-                self.stats.fsyncs += 1
-                if target > self.flushed_lsn:
-                    self.flushed_lsn = target
+        self.flush_to(lsn)
         if self.failed:
             raise WALError("write-ahead log failed during commit flush; "
                            "restart the instance")
@@ -347,11 +360,14 @@ class WriteAheadLog:
     def reset(self, epoch: int) -> None:
         """Truncate the log and start a new generation (quiet checkpoint:
         no active transactions, all dirty pages flushed)."""
-        with self._latch, self._flush_latch:
-            self.device.truncate(0)
-            self.epoch = epoch
-            self.flushed_lsn = make_lsn(epoch, 0)
-            self.stats.truncations += 1
+        with self._flush_cond:
+            while self._flushing:
+                self._flush_cond.wait()
+            with self._latch:
+                self.device.truncate(0)
+                self.epoch = epoch
+                self.flushed_lsn = make_lsn(epoch, 0)
+                self.stats.truncations += 1
 
     def records(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """``(lsn, payload)`` of every intact record, oldest first."""
@@ -359,83 +375,3 @@ class WriteAheadLog:
 
     def close(self) -> None:
         self.device.close()
-
-
-class LogWriter:
-    """The group-commit thread: batches commit fsyncs across sessions.
-
-    Mirrors the futures-over-a-queue idiom of the async writers in
-    ``/root/related/opendatacube__dea-proto``: committers enqueue
-    ``(lsn, event)`` and block on the event; the writer drains the whole
-    queue, fsyncs once through the highest LSN, and releases the batch.
-    """
-
-    def __init__(self, wal: WriteAheadLog):
-        self.wal = wal
-        self._cond = threading.Condition()
-        self._queue: List[Tuple[int, threading.Event]] = []
-        self._stop = False
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self._stop = False
-        self._thread = threading.Thread(target=self._loop,
-                                        name="wal-log-writer", daemon=True)
-        self._thread.start()
-        self.wal.writer = self
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self.wal.writer is self:
-            self.wal.writer = None
-
-    def commit_wait(self, lsn: int) -> None:
-        """Enqueue a commit LSN and block until it is durable (or failed)."""
-        done = threading.Event()
-        with self._cond:
-            if self._stop or not self.running:
-                # writer wound down between the caller's check and here
-                self.wal.flush_to(lsn)
-                return
-            self._queue.append((lsn, done))
-            self._cond.notify()
-        done.wait()
-
-    def _loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stop:
-                    self._cond.wait()
-                batch, self._queue = self._queue, []
-                stopping = self._stop
-            if batch:
-                target = max(lsn for lsn, __ in batch)
-                try:
-                    self.wal.flush_to(target)
-                except WALError:
-                    pass  # waiters observe wal.failed and raise
-                self.wal.stats.record_batch(len(batch))
-                for __, event in batch:
-                    event.set()
-            if stopping:
-                # drain anything that raced the stop flag
-                with self._cond:
-                    leftovers, self._queue = self._queue, []
-                for lsn, event in leftovers:
-                    try:
-                        self.wal.flush_to(lsn)
-                    except WALError:
-                        pass
-                    event.set()
-                return

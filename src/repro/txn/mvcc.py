@@ -17,10 +17,10 @@ its own transaction.  Commit stamps all of a transaction's versions with
 one fresh SCN under the same latch that hands out snapshots, so a
 snapshot can never observe half a transaction.
 
-A low-water-mark pass (opportunistic at commit, or a background thread)
-prunes chain tails no live snapshot can still need, and forgets every
-chain all snapshots agree on: a store maps exactly the rowids whose slot
-is not the whole truth.
+A low-water-mark pass (opportunistic at commit, or an explicit
+``Engine.prune_versions()``) prunes chain tails no live snapshot can
+still need, and forgets every chain all snapshots agree on: a store maps
+exactly the rowids whose slot is not the whole truth.
 """
 
 from __future__ import annotations
@@ -383,8 +383,6 @@ class MVCCManager:
         #: low-water mark of the last pass: until it moves, nothing
         #: committed since can have settled
         self._pruned_lwm: Optional[int] = None
-        self._pruner: Optional[threading.Thread] = None
-        self._pruner_stop = threading.Event()
 
     @property
     def current_scn(self) -> int:
@@ -461,27 +459,3 @@ class MVCCManager:
         self.stats.versions_pruned += removed
         self.stats.prune_passes += 1
         return removed
-
-    # -- background pruner --------------------------------------------------
-
-    def start_pruner(self, stores_fn: Callable[[], Iterable[VersionStore]],
-                     interval: float = 1.0) -> None:
-        """Start a daemon thread pruning every ``interval`` seconds."""
-        if self._pruner is not None and self._pruner.is_alive():
-            return
-        self._pruner_stop.clear()
-
-        def loop():
-            while not self._pruner_stop.wait(interval):
-                self.prune(stores_fn())
-
-        self._pruner = threading.Thread(
-            target=loop, name="mvcc-pruner", daemon=True)
-        self._pruner.start()
-
-    def stop_pruner(self) -> None:
-        if self._pruner is None:
-            return
-        self._pruner_stop.set()
-        self._pruner.join(timeout=5.0)
-        self._pruner = None

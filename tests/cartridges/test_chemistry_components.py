@@ -252,8 +252,7 @@ class TestFingerprintIndexFile:
                       taut_hash=i * 13, fingerprint=fp, tombstone=tomb)
 
     def test_append_and_read(self, index_file):
-        index_file.append(self._record(1))
-        index_file.append(self._record(2))
+        index_file.append_many([self._record(1), self._record(2)])
         records = list(index_file.records())
         assert [r.rowid.slot for r in records] == [1, 2]
         assert index_file.record_count() == 2
@@ -263,30 +262,28 @@ class TestFingerprintIndexFile:
         assert len(list(index_file.records())) == 5
 
     def test_tombstone_hides_entry(self, index_file):
-        index_file.append(self._record(1))
-        index_file.append(self._record(2))
-        index_file.tombstone(RowId(1, 0, 1))
+        index_file.append_many([self._record(1), self._record(2)])
+        index_file.tombstone([RowId(1, 0, 1)])
         assert [r.rowid.slot for r in index_file.records()] == [2]
         assert index_file.record_count() == 3  # physical records
 
     def test_tombstone_then_reinsert_same_rowid(self, index_file):
-        index_file.append(self._record(1, fp=1))
-        index_file.tombstone(RowId(1, 0, 1))
-        index_file.append(self._record(1, fp=2))
+        index_file.append_many([self._record(1, fp=1)])
+        index_file.tombstone([RowId(1, 0, 1)])
+        index_file.append_many([self._record(1, fp=2)])
         live = list(index_file.records())
         assert len(live) == 1
         assert live[0].fingerprint == 2
 
     def test_compact_removes_dead(self, index_file):
-        for i in range(4):
-            index_file.append(self._record(i))
-        index_file.tombstone(RowId(1, 0, 0))
+        index_file.append_many([self._record(i) for i in range(4)])
+        index_file.tombstone([RowId(1, 0, 0)])
         assert index_file.compact() == 3
         assert index_file.record_count() == 3
         assert [r.rowid.slot for r in index_file.records()] == [1, 2, 3]
 
     def test_hash_lookups(self, index_file):
-        index_file.append(self._record(3))
+        index_file.append_many([self._record(3)])
         assert index_file.find_by_cert(21)[0].rowid.slot == 3
         assert index_file.find_by_tautomer(39)[0].rowid.slot == 3
         assert index_file.find_by_cert(999) == []
@@ -371,9 +368,9 @@ class TestOneReadDecoder:
                           fingerprint=rng.getrandbits(512))
         index_file.append_many([record(s, s) for s in range(200)])
         index_file.append_many([record(s, s + 1) for s in range(0, 60, 3)])
-        for slot in (0, 3, 4, 7, 9, 400):
-            index_file.tombstone(RowId(2, slot // 50, slot % 50))
-        index_file.tombstone(RowId(2, 0, 3))
+        index_file.tombstone([RowId(2, slot // 50, slot % 50)
+                              for slot in (0, 3, 4, 7, 9, 400)])
+        index_file.tombstone([RowId(2, 0, 3)])
         index_file.append_many([record(s, s + 2) for s in (4, 9, 250)])
 
     def test_decoder_equals_the_record_at_a_time_reader(self, store):

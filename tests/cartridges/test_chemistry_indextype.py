@@ -254,3 +254,38 @@ class TestStorageDifferences:
             index.domain.index_info(), env)
         records = list(index_file.raw_records())
         assert not any(r.tombstone for r in records)
+
+
+class TestBatchAppends:
+    def test_update_rewrites_the_header_once_per_batch(self, chem_db,
+                                                       monkeypatch):
+        """A 500-row UPDATE is one tombstone batch and one record batch:
+        two header rewrites, not one per deleted row plus one."""
+        from repro.cartridges.chemistry import storage
+        mols = [mol for __, mol in make_molecule_table(500, seed=12)]
+        chem_db.execute("CREATE TABLE m (id INTEGER, mol VARCHAR2(512),"
+                        " alt VARCHAR2(512))")
+        chem_db.insert_rows("m", [[i, mols[i], mols[(i + 1) % 500]]
+                                  for i in range(500)])
+        chem_db.execute("CREATE INDEX m_idx ON m(mol) INDEXTYPE IS"
+                        " ChemIndexType PARAMETERS (':Storage LOB')")
+        header = storage._HEADER
+        packs = []
+
+        class HeaderSpy:
+            size = header.size
+            unpack = staticmethod(header.unpack)
+
+            @staticmethod
+            def pack(*fields):
+                packs.append(fields)
+                return header.pack(*fields)
+
+        monkeypatch.setattr(storage, "_HEADER", HeaderSpy)
+        chem_db.execute("UPDATE m SET mol = alt")
+        assert len(packs) == 2
+        monkeypatch.undo()
+        for i in (0, 250, 499):
+            assert (i,) in chem_db.execute(
+                "SELECT id FROM m WHERE Chem_Match(mol, :1)",
+                [mols[(i + 1) % 500]]).fetchall()

@@ -34,10 +34,7 @@ def _load(conn):
 
 def _crash(conn):
     """Power-cut: drop unfsynced log bytes, abandon the instance."""
-    durability = conn.engine.durability
-    if durability.log_writer is not None:
-        durability.log_writer.stop()
-    durability.wal.device.simulate_crash()
+    conn.engine.durability.wal.device.simulate_crash()
 
 
 def test_rowid_survives_a_clean_restart(tmp_path):

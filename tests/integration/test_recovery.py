@@ -23,10 +23,7 @@ pytestmark = pytest.mark.crash
 
 def crash(db):
     """Power-cut: drop unfsynced log bytes, abandon the instance."""
-    dur = db.engine.durability
-    if dur.log_writer is not None:
-        dur.log_writer.stop()
-    dur.wal.device.simulate_crash()
+    db.engine.durability.wal.device.simulate_crash()
 
 
 @pytest.fixture
@@ -477,16 +474,6 @@ class TestWalPanic:
 
 
 class TestEngineOptions:
-    def test_per_commit_fsync_mode_recovers(self, data_dir):
-        db = Engine(data_dir=data_dir, wal_group_commit=False).connect()
-        db.execute("CREATE TABLE t (id NUMBER)")
-        db.execute("INSERT INTO t VALUES (1)")
-        crash(db)
-        db2 = Engine(data_dir=data_dir, wal_group_commit=False).connect()
-        assert db2.execute("SELECT id FROM t").fetchall() == [(1,)]
-        db2.close()
-        db2.engine.close()
-
     def test_wal_stats_view_reports_activity(self, data_dir):
         db = Engine(data_dir=data_dir).connect()
         db.execute("CREATE TABLE t (id NUMBER)")

@@ -61,10 +61,7 @@ def install_textish(db):
 
 
 def crash(db):
-    dur = db.engine.durability
-    if dur.log_writer is not None:
-        dur.log_writer.stop()
-    dur.wal.device.simulate_crash()
+    db.engine.durability.wal.device.simulate_crash()
 
 
 @pytest.fixture

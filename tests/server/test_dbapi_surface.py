@@ -211,26 +211,23 @@ class TestLifecycle:
 
 class TestOwnedEngine:
     """A connection that created its engine closes it; one opened on a
-    shared engine leaves that engine to its owner."""
-
-    @staticmethod
-    def _log_writers():
-        return {t for t in threading.enumerate()
-                if t.name == "wal-log-writer" and t.is_alive()}
+    shared engine leaves that engine to its owner.  Neither starts a
+    thread: threads of earlier tests' servers may still be winding
+    down, so the checks are that none was added."""
 
     def test_file_dsn_close_shuts_its_engine_down(self, tmp_path):
         data_dir = str(tmp_path / "data")
-        before = self._log_writers()
+        before = set(threading.enumerate())
         conn = dbapi.connect("file:" + data_dir)
-        writer = conn.engine.durability.log_writer
+        engine = conn.engine
         cur = conn.cursor()
         cur.execute("CREATE TABLE t (id INTEGER)")
         cur.executemany("INSERT INTO t VALUES (?)",
                         [(i,) for i in range(50)])
         conn.commit()
         conn.close()
-        assert not writer.running
-        assert self._log_writers() <= before
+        assert engine.durability.closed
+        assert set(threading.enumerate()) <= before
         reopened = Engine(data_dir=data_dir)
         try:
             assert reopened.recovery_stats.clean is True
@@ -239,14 +236,16 @@ class TestOwnedEngine:
             reopened.close()
 
     def test_shared_engine_outlives_its_connections(self, tmp_path):
+        before = set(threading.enumerate())
         owner = dbapi.connect("file:" + str(tmp_path / "data"))
-        writer = owner.engine.durability.log_writer
+        durability = owner.engine.durability
         sibling = dbapi.connect(owner.engine)
         sibling.close()
-        assert writer.running
+        assert not durability.closed
         owner.execute("CREATE TABLE t (id INTEGER)")
         owner.close()
-        assert not writer.running
+        assert durability.closed
+        assert set(threading.enumerate()) <= before
 
 
 class TestDomainIndexes:

@@ -281,10 +281,7 @@ class TestColumnarDirectLoad:
         db = self._db(data_dir=str(tmp_path / "data"))
         db.direct_load("kv", self.KEYS, self.PAYLOADS, presorted=True)
         expected = self._contents(db)
-        durability = db.engine.durability
-        if durability.log_writer is not None:
-            durability.log_writer.stop()
-        durability.wal.device.simulate_crash()
+        db.engine.durability.wal.device.simulate_crash()
         reopened = Engine(data_dir=str(tmp_path / "data")).connect()
         assert self._contents(reopened) == expected
         reopened.close()

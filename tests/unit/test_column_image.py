@@ -153,10 +153,7 @@ def test_restart_redo(tmp_path):
     for i in range(270, 300):
         del rows[i]
     _check(db, rows.values())
-    durability = db.engine.durability
-    if durability.log_writer is not None:
-        durability.log_writer.stop()
-    durability.wal.device.simulate_crash()
+    db.engine.durability.wal.device.simulate_crash()
 
     restarted = Engine(data_dir=data_dir).connect()
     assert restarted.engine.recovery_stats.redo_records > 0

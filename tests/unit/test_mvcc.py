@@ -630,16 +630,6 @@ class TestSqlSurface:
         assert db.execute("SELECT v FROM t WHERE k = 1"
                           ).fetchall() == [("v9",)]
 
-    def test_background_pruner_start_stop(self, db):
-        db.engine.start_version_pruner(interval=0.01)
-        try:
-            for i in range(5):
-                db.execute(f"UPDATE t SET v = 'w{i}' WHERE k = 1")
-        finally:
-            db.engine.stop_version_pruner()
-        assert db.execute("SELECT v FROM t WHERE k = 1"
-                          ).fetchall() == [("w4",)]
-
 
 class TestSettledRowsAreUnmapped:
     """The store's invariant, through the engine: a rowid is mapped

@@ -339,10 +339,11 @@ class TestScanRunsOnTheCallersThread:
 
 
 def test_thread_inventory():
-    """The engine's own threads are an enumerable four — the WAL's
-    ``LogWriter``, the version pruner, the server's accept loop and its
-    handlers.  Starting one anywhere else in ``src/repro`` is a
-    reviewed decision: extend this list in the same change."""
+    """The engine starts no thread: a commit is made durable on the
+    committing session's own thread.  The only threads repro starts are
+    the server's accept loop and its handlers.  Starting one anywhere
+    else in ``src/repro`` is a reviewed decision: extend this set in the
+    same change."""
     import pathlib
     import re
     import repro
@@ -353,4 +354,24 @@ def test_thread_inventory():
              for path in root.rglob("*.py")
              if starts_thread.search(path.read_text("utf-8"))}
     found = {name for name in found if not name.startswith("testing/")}
-    assert found == {"storage/wal.py", "txn/mvcc.py", "server/server.py"}
+    assert found == {"server/server.py"}
+
+
+def test_durable_engine_leaves_the_thread_set_alone(tmp_path):
+    """Opening a durable engine, committing on it and closing it starts
+    no thread and leaves none behind."""
+    before = set(threading.enumerate())
+    engine = Engine(data_dir=str(tmp_path / "data"))
+    assert set(threading.enumerate()) == before
+    session = engine.connect()
+    session.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(10))")
+    for i in range(20):
+        session.execute("INSERT INTO t VALUES (:1, 'a')", [i])
+    session.begin()
+    session.execute("UPDATE t SET v = 'b' WHERE id < 10")
+    session.execute("DELETE FROM t WHERE id >= 15")
+    session.commit()
+    assert set(threading.enumerate()) == before
+    session.close()
+    engine.close()
+    assert set(threading.enumerate()) == before

@@ -1,15 +1,16 @@
 """Unit tests for the write-ahead log: records, scanning, torn tails,
-device faults, the WAL rule, and the group-commit writer."""
+device faults, the WAL rule, and group commit."""
 
 import os
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.errors import WALError
-from repro.storage.wal import (LogDevice, LogWriter, WriteAheadLog,
-                               encode_record, lsn_epoch, lsn_offset,
-                               make_lsn, scan_log)
+from repro.storage.wal import (LogDevice, WriteAheadLog, encode_record,
+                               lsn_epoch, lsn_offset, make_lsn, scan_log)
 from repro.testing import StorageFaultPlan
 
 
@@ -153,22 +154,21 @@ class TestWalRule:
         wal.close()
 
 
-class TestLogWriter:
+class TestGroupCommit:
+    """``flush_to`` is a leader/follower: committers arriving while an
+    fsync is in flight wait for it instead of queueing their own."""
+
     def test_group_commit_batches_fsyncs(self, wal_path):
         # a slow device forces concurrent committers into one batch
         wal = WriteAheadLog(wal_path, fsync_delay=0.01)
-        writer = LogWriter(wal)
-        writer.start()
-        try:
-            lsns = [wal.append({"t": "X", "x": i}) for i in range(8)]
-            threads = [threading.Thread(target=wal.commit_flush,
-                                        args=(lsn,)) for lsn in lsns]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            writer.stop()
+        lsns = [wal.append({"t": "X", "x": i}) for i in range(8)]
+        threads = [threading.Thread(target=wal.commit_flush, args=(lsn,),
+                                    daemon=True) for lsn in lsns]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
         snap = wal.stats.snapshot()
         assert snap["group_commits"] == 8
         assert snap["group_batches"] < 8  # at least one real batch
@@ -178,26 +178,90 @@ class TestLogWriter:
         assert wal.flushed_lsn >= max(lsns)
         wal.close()
 
-    def test_stopped_writer_falls_back_to_direct_flush(self, wal_path):
+    def test_stress_every_commit_is_durable_and_counted_once(self, wal_path):
+        """More committers than cores at a tiny switch interval: each
+        returns only once its record is below ``flushed_lsn``, and each
+        commit lands in exactly one fsync's batch."""
         wal = WriteAheadLog(wal_path)
-        writer = LogWriter(wal)
-        writer.start()
-        writer.stop()
-        lsn = wal.append({"t": "X", "x": 1})
-        wal.commit_flush(lsn)  # no writer: flushes inline
-        assert wal.flushed_lsn >= lsn
+        n_threads, n_commits = 8, 40
+        late = []
+
+        def committer(i):
+            for j in range(n_commits):
+                lsn = wal.append({"t": "X", "x": (i, j)})
+                wal.commit_flush(lsn)
+                if wal.flushed_lsn <= lsn:
+                    late.append(lsn)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=committer, args=(i,),
+                                        daemon=True)
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        snap = wal.stats.snapshot()
+        assert late == []
+        assert snap["group_commits"] == n_threads * n_commits
+        assert sum(size * count for size, count in
+                   snap["batch_histogram"].items()) == n_threads * n_commits
+        # every fsync here is some committer's, and made a batch durable
+        assert snap["fsyncs"] == snap["group_batches"]
+        assert wal.device.durable_size == wal.device.size
         wal.close()
 
-    def test_writer_survives_wal_failure(self, wal_path):
+    def test_lone_commit_raises_on_failed_fsync(self, wal_path):
         plan = StorageFaultPlan().io_error("wal.fsync", nth=1)
         wal = WriteAheadLog(wal_path, fault_check=plan.check)
-        writer = LogWriter(wal)
-        writer.start()
-        try:
-            lsn = wal.append({"t": "X", "x": 1})
-            with pytest.raises(WALError):
+        lsn = wal.append({"t": "X", "x": 1})
+        with pytest.raises(WALError):
+            wal.commit_flush(lsn)
+        assert wal.failed
+        with pytest.raises(WALError):  # and every later commit
+            wal.commit_flush(wal.end_lsn)
+        wal.close()
+
+    def test_failed_leader_fsync_fails_every_waiter(self, wal_path):
+        plan = StorageFaultPlan().io_error("wal.fsync", nth=1)
+        in_fsync = threading.Event()
+        release = threading.Event()
+
+        def check(op):
+            if op == "wal.fsync":
+                in_fsync.set()
+                release.wait(5)  # hold the leader until followers wait
+            return plan.check(op)
+
+        wal = WriteAheadLog(wal_path, fault_check=check)
+        lsns = [wal.append({"t": "X", "x": i}) for i in range(5)]
+        errors = []
+
+        def commit(lsn):
+            try:
                 wal.commit_flush(lsn)
-            assert wal.failed
-        finally:
-            writer.stop()
+            except WALError as exc:
+                errors.append(exc)
+
+        leader = threading.Thread(target=commit, args=(lsns[0],),
+                                  daemon=True)
+        leader.start()
+        assert in_fsync.wait(5)
+        followers = [threading.Thread(target=commit, args=(lsn,),
+                                      daemon=True) for lsn in lsns[1:]]
+        for t in followers:
+            t.start()
+        time.sleep(0.1)
+        release.set()
+        for t in [leader] + followers:
+            t.join(5)
+            assert not t.is_alive()
+        assert len(errors) == 5
+        assert wal.failed
+        assert wal.stats.fsyncs == 0
         wal.close()
