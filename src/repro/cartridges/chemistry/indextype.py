@@ -37,7 +37,6 @@ from repro.core.odci import (
 from repro.core.scan_context import PrecomputedScan
 from repro.core.stats import IndexCost, StatsMethods
 from repro.errors import ODCIError
-from repro.storage.heap import RowId
 from repro.txn.events import DatabaseEvent
 from repro.types.values import is_null
 
@@ -321,7 +320,7 @@ class ChemIndexMethods(IndexMethods):
                            op_info: ODCIPredInfo) -> List[Any]:
         query = self._query_molecule(op_info)
         query_fp = fingerprint(query)
-        screened = [RowId(seg, page, slot)
+        screened = [(seg, page, slot)
                     for seg, page, slot, fp in index_file.fingerprints()
                     if screen_passes(query_fp, fp)]
         env.stats.bump("chem_screen_candidates", len(screened))
@@ -349,7 +348,7 @@ class ChemIndexMethods(IndexMethods):
         for seg, page, slot, fp in index_file.fingerprints():
             score = tanimoto(fp, query_fp)
             if score >= threshold:
-                scored.append((RowId(seg, page, slot), round(score, 6)))
+                scored.append(((seg, page, slot), round(score, 6)))
         scored.sort()
         if query_info.ancillary_label is not None:
             return scored

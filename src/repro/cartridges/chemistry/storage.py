@@ -53,8 +53,7 @@ class Record:
 
     def pack(self) -> bytes:
         return _RECORD.pack(
-            self.rowid.segment_id, self.rowid.page_no, self.rowid.slot,
-            FLAG_TOMBSTONE if self.tombstone else 0,
+            *self.rowid, FLAG_TOMBSTONE if self.tombstone else 0,
             self.cert_hash, self.taut_hash,
             self.fingerprint.to_bytes(_FP_BYTES, "big"))
 
@@ -66,7 +65,7 @@ class Record:
 def _record(fields: Tuple[Any, ...]) -> Record:
     """The :class:`Record` of one unpacked record tuple."""
     seg, page, slot, flags, cert_hash, taut_hash, fp = fields
-    return Record(rowid=RowId(seg, page, slot), cert_hash=cert_hash,
+    return Record(rowid=(seg, page, slot), cert_hash=cert_hash,
                   taut_hash=taut_hash, fingerprint=int.from_bytes(fp, "big"),
                   tombstone=bool(flags & FLAG_TOMBSTONE))
 

@@ -22,7 +22,7 @@ Close from ``IndexMethods``' defaults.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.core.odci import FetchResult
 from repro.errors import ODCIError
@@ -119,6 +119,33 @@ class ScanTracker:
                 closer()
             except Exception:
                 pass
+
+
+class ScanCloser:
+    """One open scan's idempotent closer: the first call unregisters it
+    from ``tracker`` (if any) and runs ``close``; later calls do nothing.
+
+    An object rather than a closure: a closure that unregisters itself
+    names itself, and that cycle would hold the scan's executor and
+    session until a full collection.
+    """
+
+    __slots__ = ("_close", "_tracker")
+
+    def __init__(self, close: Callable[[], Any],
+                 tracker: Optional[ScanTracker]):
+        self._close = close
+        self._tracker = tracker
+        if tracker is not None:
+            tracker.register(self)
+
+    def __call__(self) -> None:
+        close, self._close = self._close, None
+        if close is None:
+            return
+        if self._tracker is not None:
+            self._tracker.unregister(self)
+        close()
 
 
 class ScanContext:

@@ -7,11 +7,15 @@ separator keys.  Deletion empties slots without rebalancing (empty nodes
 are unlinked); the tree stays correct, and since this engine simulates
 I/O rather than bytes on disk, occupancy is not the point.
 
-A unique tree holds one payload per key, stored as it is; a non-unique
-tree holds a list of payloads per key.  The difference stays inside the
-leaves: every method takes and returns the same shapes either way.  An
-index-organized table is a unique tree, so an entry there costs its key
-and its payload and no list around the payload.
+A unique tree holds one payload per key, stored as it is.  A non-unique
+tree stores a key's payload as it is too while the key has one, and a
+list of them from the second: a second insert makes the list and the
+delete that leaves one payload unmakes it (so a payload must not itself
+be a list).  The difference stays inside the leaves: every method takes and
+returns the same shapes either way.  An entry with one payload costs its
+key and its payload and no list around the payload, so a leaf of such
+entries holds nothing the cyclic collector tracks but the leaf's own
+lists when its keys and payloads are plain values and tuples of them.
 
 Node visits are charged to an optional ``touch`` callback so index
 traffic shows up in the same :class:`~repro.storage.buffer.IOStats`
@@ -41,8 +45,8 @@ class _Node:
     def __init__(self, leaf: bool):
         self.leaf = leaf
         self.keys: List[Any] = []
-        # leaf: values[i] is keys[i]'s payload (unique tree) or its list
-        # of payloads (non-unique tree)
+        # leaf: values[i] is keys[i]'s payload, or (non-unique tree, a
+        # key with several) the list of its payloads
         self.values: List[Any] = []
         # interior: children[i] covers keys < keys[i]; len(children) == len(keys)+1
         self.children: List["_Node"] = []
@@ -54,8 +58,8 @@ class BTree:
 
     For ``unique=True`` a duplicate insert raises
     :class:`~repro.errors.ConstraintError` and each key holds its one
-    payload; otherwise each key holds a list of payloads in insertion
-    order.
+    payload; otherwise a key holds its payloads in insertion order.  No
+    payload may be a ``list``.
     """
 
     def __init__(self, order: int = DEFAULT_ORDER, unique: bool = False,
@@ -121,8 +125,8 @@ class BTree:
                 continue
             if node.keys[idx] != key:
                 return False
-            if self.unique:
-                stored = node.values[idx]
+            stored = node.values[idx]
+            if stored.__class__ is not list:
                 if value is not None and not (stored is value
                                               or stored == value):
                     return False
@@ -130,20 +134,17 @@ class BTree:
                 del node.values[idx]
                 self._count -= 1
                 return True
-            payloads = node.values[idx]
             if value is None:
-                removed = len(payloads)
                 del node.keys[idx]
                 del node.values[idx]
-                self._count -= removed
-                return removed > 0
+                self._count -= len(stored)
+                return True
             try:
-                payloads.remove(value)
+                stored.remove(value)
             except ValueError:
                 return False
-            if not payloads:
-                del node.keys[idx]
-                del node.values[idx]
+            if len(stored) == 1:
+                node.values[idx] = stored[0]
             self._count -= 1
             return True
         return False
@@ -162,7 +163,8 @@ class BTree:
         level from the subtree minima of the level below — no per-entry
         descent, no splits.  Duplicate keys collapse into one payload
         list preserving input order (or raise for a unique tree, before
-        any existing contents are discarded).
+        any existing contents are discarded); a key loaded once holds
+        its payload bare.
         """
         entries = sorted(pairs, key=_first)
         keys: List[Any] = []
@@ -173,10 +175,13 @@ class BTree:
                 if unique:
                     raise ConstraintError(
                         f"duplicate key {key!r} in unique index")
-                values[-1].append(value)
+                if values[-1].__class__ is list:
+                    values[-1].append(value)
+                else:
+                    values[-1] = [values[-1], value]
             else:
                 keys.append(key)
-                values.append(value if unique else [value])
+                values.append(value)
         self._build_sorted(keys, values, len(entries))
 
     def bulk_load_sorted(self, keys: List[Any],
@@ -195,8 +200,7 @@ class BTree:
         if n_entries > 1 and not all(map(lt, keys, islice(keys, 1, None))):
             raise StorageError(
                 "bulk_load_sorted: keys are not strictly increasing")
-        values = list(payloads) if self.unique else [[p] for p in payloads]
-        self._build_sorted(list(keys), values, n_entries)
+        self._build_sorted(list(keys), list(payloads), n_entries)
 
     def _build_sorted(self, keys: List[Any], values: List[Any],
                       n_entries: int) -> None:
@@ -244,9 +248,8 @@ class BTree:
         node = self._leaf_for(key)
         idx = bisect.bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
-            if self.unique:
-                return [node.values[idx]]
-            return list(node.values[idx])
+            stored = node.values[idx]
+            return stored[:] if stored.__class__ is list else [stored]
         return []
 
     def contains(self, key: Any) -> bool:
@@ -265,17 +268,21 @@ class BTree:
                                               high_inclusive):
             if self.unique:
                 yield from zip(keys, values)
-            else:
-                for key, payloads in zip(keys, values):
-                    for payload in payloads:
+                continue
+            for key, stored in zip(keys, values):
+                if stored.__class__ is list:
+                    for payload in stored:
                         yield key, payload
+                else:
+                    yield key, stored
 
     def range_slices(self, low: Any = None, high: Any = None,
                      low_inclusive: bool = True, high_inclusive: bool = True
                      ) -> Iterator[Tuple[List[Any], List[Any]]]:
         """:meth:`range_scan`'s entries a leaf at a time: ``(keys,
         values)`` slices of each leaf's lists (``values[i]`` as a leaf
-        holds it: the payload, or a non-unique key's list of them).
+        holds it: the payload, or the list of a non-unique key's
+        several).
         Two bisects a leaf find the run, so a walk costs no Python code
         per entry.  A bound need not be a key: it only has to order
         against the keys."""
@@ -344,10 +351,14 @@ class BTree:
             if idx < len(node.keys) and node.keys[idx] == key:
                 if self.unique:
                     raise ConstraintError(f"duplicate key {key!r} in unique index")
-                node.values[idx].append(value)
+                stored = node.values[idx]
+                if stored.__class__ is list:
+                    stored.append(value)
+                else:
+                    node.values[idx] = [stored, value]
                 return None
             node.keys.insert(idx, key)
-            node.values.insert(idx, value if self.unique else [value])
+            node.values.insert(idx, value)
         else:
             idx = bisect.bisect_right(node.keys, key)
             split = self._insert(node.children[idx], key, value)

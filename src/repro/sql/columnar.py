@@ -24,9 +24,9 @@ class ColumnBatch:
 
     ``columns[c][i]`` is the value of column ``c`` in row ``i``, in a
     tuple nothing writes (a heap page's columns are its shared image);
-    ``rowids[i]`` is that row's :class:`~repro.storage.heap.RowId` —
-    from a heap page a :class:`~repro.storage.heap.PageRowIds`, which
-    builds it on access, so compare rowids with ``==``, never ``is``.
+    ``rowids[i]`` is that row's rowid — from a heap page a
+    :class:`~repro.storage.heap.PageRowIds`, which builds it on access,
+    so compare rowids with ``==``, never ``is``.
     ``sel`` is the selection vector: the indices (ascending) of rows
     that survived the filter, or ``None`` meaning *all rows selected*.
     ``aux[i]``, when ``aux`` is not None, is the ancillary value a

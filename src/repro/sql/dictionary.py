@@ -60,10 +60,9 @@ class _SnapshotStorage:
                    list(zip(*self._rows)))
 
     def fetch_or_none(self, rowid: RowId) -> Optional[List[Any]]:
-        if rowid.segment_id != self.segment_id:
-            return None
-        if 0 <= rowid.slot < len(self._rows):
-            return self._rows[rowid.slot]
+        if (rowid.__class__ is tuple and rowid[0] == self.segment_id
+                and 0 <= rowid[2] < len(self._rows)):
+            return self._rows[rowid[2]]
         return None
 
     def _read_only(self, *args: Any, **kwargs: Any):

@@ -32,6 +32,7 @@ would — the savepoint has everything.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, itemgetter
@@ -526,14 +527,14 @@ class DMLEngine:
             return
         version = versions.push(rowid, new_value, old_value, txn)
         txn.track_version(version)
-        txn.record_undo(lambda: versions.pop(rowid, version))
+        txn.record_undo(versions.pop, rowid, version)
         self.db.engine.mvcc.stats.versions_created += 1
 
     def _durable_undo(self, txn, table: TableDef, op: str, rowid,
-                      old, new, action) -> None:
-        """Register a row change's undo; with durability on, first log
-        the change to the WAL and wrap the undo so running it writes a
-        compensation record (CLR).
+                      old, new, action, *args) -> None:
+        """Register a row change's undo, ``action(*args)``; with
+        durability on, first log the change to the WAL and wrap the undo
+        so running it writes a compensation record (CLR).
 
         Called *after* the storage mutation: the WAL rule only requires
         the log durable before a page image is, which the checkpoint
@@ -543,7 +544,7 @@ class DMLEngine:
         """
         durability = self.db.engine.durability
         if durability is None:
-            txn.record_undo(action)
+            txn.record_undo(action, *args)
             return
         storage = table.storage
         # IOT rows are logged logically (a row carries its key, which is
@@ -558,20 +559,23 @@ class DMLEngine:
         else:
             comp_op, comp_old, comp_new = "insert", None, old
         txn.record_undo(durability.wrap_undo(
-            action, txn, table.key, storage, comp_op, rid,
-            comp_old, comp_new, prev))
+            functools.partial(action, *args), txn, table.key, storage,
+            comp_op, rid, comp_old, comp_new, prev))
 
-    def insert_physical(self, table: TableDef, row: List[Any], txn) -> RowId:
-        row = self.validate_row(table, row)
+    def insert_physical(self, table: TableDef, row: Sequence[Any],
+                        txn) -> RowId:
+        # one immutable tuple is the stored row, its version, its log
+        # image and what maintenance reads
+        row = tuple(self.validate_row(table, row))
         storage = table.storage
         if getattr(storage, "versions", None) is not None:
             rowid = storage.insert(
                 row, on_rowid=lambda rid: self._record_version(
-                    storage, rid, list(row), None, txn))
+                    storage, rid, row, None, txn))
         else:
             rowid = storage.insert(row)
-        self._durable_undo(txn, table, "insert", rowid, None, list(row),
-                           lambda: storage.delete(rowid))
+        self._durable_undo(txn, table, "insert", rowid, None, row,
+                           storage.delete, rowid)
         self.maintain(table, rowid, None, row, txn)
         return rowid
 
@@ -580,7 +584,8 @@ class DMLEngine:
     # ------------------------------------------------------------------
 
     def maintain(self, table: TableDef, rowid: RowId,
-                 old_row: Optional[List[Any]], new_row: Optional[List[Any]],
+                 old_row: Optional[Sequence[Any]],
+                 new_row: Optional[Sequence[Any]],
                  txn) -> None:
         """Carry one row change to every index on ``table``.
 
@@ -616,14 +621,10 @@ class DMLEngine:
                 continue
             if old_key is not None:
                 _structure_delete(structure, old_key, rowid)
-                txn.record_undo(
-                    lambda s=structure, k=old_key, r=rowid:
-                    _structure_insert(s, k, r))
+                txn.record_undo(_structure_insert, structure, old_key, rowid)
             if new_key is not None:
                 _structure_insert(structure, new_key, rowid)
-                txn.record_undo(
-                    lambda s=structure, k=new_key, r=rowid:
-                    _structure_delete(s, k, r))
+                txn.record_undo(_structure_delete, structure, new_key, rowid)
 
     # ------------------------------------------------------------------
     # statements: prepare once, run per bind set
@@ -730,35 +731,35 @@ class DMLEngine:
                 if isinstance(stmt, ast.Delete):
                     self.delete_physical(table, rowid, old_row, txn)
                     continue
+                # rows are never changed in place: the fetched row is
+                # the before-image, and the new row one fresh tuple
                 new_row = list(old_row)
                 for pos, value in zip(target.positions, values):
                     new_row[pos] = value
-                new_row = self.validate_row(table, new_row)
-                if new_row[:key_width] != old_row[:key_width]:
+                new_row = tuple(self.validate_row(table, new_row))
+                if new_row[:key_width] != tuple(old_row[:key_width]):
                     self.delete_physical(table, rowid, old_row, txn)
                     self.insert_physical(table, new_row, txn)
                     continue
-                old_copy = list(old_row)
-                self._record_version(storage, rowid, list(new_row),
-                                     old_copy, txn)
+                self._record_version(storage, rowid, new_row, old_row, txn)
                 storage.update(rowid, new_row)
                 self._durable_undo(
-                    txn, table, "update", rowid, old_copy, list(new_row),
-                    lambda s=storage, r=rowid, o=old_copy: s.update(r, o))
-                self.maintain(table, rowid, old_copy, new_row, txn)
+                    txn, table, "update", rowid, old_row, new_row,
+                    storage.update, rowid, old_row)
+                self.maintain(table, rowid, old_row, new_row, txn)
             return count
 
         return Cursor(rowcount=self.run_maintained(prepared.table, body))
 
     def delete_physical(self, table: TableDef, rowid: RowId,
-                        old_row: List[Any], txn) -> None:
+                        old_row: Sequence[Any], txn) -> None:
         """Delete one located row: version, storage, WAL + undo, and
-        index maintenance."""
+        index maintenance.  ``old_row`` is the row as fetched, which
+        nothing changes in place."""
         storage = table.storage
-        old_copy = list(old_row)
-        self._record_version(storage, rowid, None, old_copy, txn)
+        self._record_version(storage, rowid, None, old_row, txn)
         storage.delete(rowid)
         self._durable_undo(
-            txn, table, "delete", rowid, old_copy, None,
-            lambda s=storage, r=rowid, o=old_copy: s.undelete(r, o))
-        self.maintain(table, rowid, old_copy, None, txn)
+            txn, table, "delete", rowid, old_row, None,
+            storage.undelete, rowid, old_row)
+        self.maintain(table, rowid, old_row, None, txn)

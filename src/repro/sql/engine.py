@@ -200,12 +200,22 @@ class Engine:
     def close(self) -> None:
         """Clean shutdown: flush the WAL and take a final checkpoint.
         Reopening the same data_dir after close() reports a clean
-        (zero-redo, zero-undo) recovery pass."""
+        (zero-redo, zero-undo) recovery pass.
+
+        Then the engine drops the references that lead back to it — the
+        dispatcher's, the catalog's dictionary-view hook and the sessions
+        bound to threads — so a closed engine and its data are freed as
+        soon as the last outside reference goes, without waiting for a
+        full collection.  Dictionary views and ODCI tracing end here.
+        """
         if self._closed:
             return
         if self.durability is not None:
             self.durability.close()
         self._closed = True
+        self.dispatcher.db = None
+        self.catalog.view_provider = None
+        self._tls = threading.local()
 
     # ------------------------------------------------------------------
     # thread ↔ session binding

@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
 
 from repro.core.callbacks import CallbackPhase
 from repro.core.odci import ODCIPredInfo, ODCIQueryInfo
+from repro.core.scan_context import ScanCloser
 from repro.errors import ExecutionError, ODCIError
 from repro.sql import ast_nodes as ast
 from repro.sql import planner as pl
@@ -703,8 +704,10 @@ class Executor:
             "ODCIIndexStart", methods.index_start,
             domain.index_info(), pred_info, query_info, env,
             index_name=node.index.name, phase="scan")
-        closer = self._make_closer(methods, context, env,
-                                   index_name=node.index.name)
+        closer = ScanCloser(functools.partial(
+            dispatcher.call, "ODCIIndexClose", methods.index_close,
+            context, env, index_name=node.index.name, phase="scan"),
+            self.tracker)
         batch_size = self.batch_size
         emitted = 0
         try:
@@ -732,25 +735,6 @@ class Executor:
             if env.trace_enabled:
                 env.trace("exec:ODCIIndexClose()")
             closer()
-
-    def _make_closer(self, methods, context, env, index_name: str = ""):
-        """An idempotent ODCIIndexClose callable, registered with the
-        statement's scan tracker (if any) so cursor close can run it."""
-        closed = [False]
-
-        def closer() -> None:
-            if closed[0]:
-                return
-            closed[0] = True
-            if self.tracker is not None:
-                self.tracker.unregister(closer)
-            self.db.dispatcher.call(
-                "ODCIIndexClose", methods.index_close, context, env,
-                index_name=index_name, phase="scan")
-
-        if self.tracker is not None:
-            self.tracker.register(closer)
-        return closer
 
     # -- composite nodes ------------------------------------------------------
 

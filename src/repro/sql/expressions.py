@@ -81,7 +81,7 @@ class RowContext:
     """Values visible to expression evaluation for one candidate row.
 
     ``values`` maps (alias, column) → value; ``rowids`` maps alias →
-    RowId; ``aux`` maps ancillary label → auxiliary value produced by a
+    rowid; ``aux`` maps ancillary label → auxiliary value produced by a
     domain-index scan or a functional primary-operator evaluation.
     """
 

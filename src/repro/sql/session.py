@@ -44,7 +44,7 @@ from repro.core.domain_index import DomainIndex
 from repro.core.odci import IndexMethods, ODCIEnv
 from repro.core.scan_context import Workspace
 from repro.core.stats import StatsMethods
-from repro.errors import PrivilegeError, TransactionError
+from repro.errors import ExecutionError, PrivilegeError, TransactionError
 from repro.sql.catalog import SQLFunction, TableDef
 from repro.sql.cursor import Cursor
 from repro.sql.ddl import DDLEngine
@@ -104,6 +104,8 @@ class Session:
         engine.bind_session(self)
 
     def _bind(self) -> None:
+        if self.pipeline is None:
+            raise ExecutionError("session is closed")
         # thread ↔ session binding: lets shared components (dispatcher
         # tracing) resolve the driving session without plumbing it through
         self.engine.bind_session(self)
@@ -439,7 +441,12 @@ class Session:
         """End the session: close tracked cursors (abandoned domain-index
         scans fire ``ODCIIndexClose`` and return their workspace handles
         *before* the rollback releases locks), then roll back.  Idempotent;
-        the shared engine stays up."""
+        the shared engine stays up.
+
+        The statement layers, which point back at the session, go last:
+        a closed session holds no reference cycle, so it — and an engine
+        only it still names — is freed with its last outside reference.
+        """
         for cursor in list(self._open_cursors):
             try:
                 cursor.close()
@@ -447,6 +454,7 @@ class Session:
                 pass
         self._open_cursors.clear()
         self.rollback()
+        self.planner = self.pipeline = self.dml = self.ddl = None
 
     def explain(self, sql: str, params: Optional[Any] = None) -> List[str]:
         """Return the EXPLAIN plan lines (plus a plan-cache status line)."""

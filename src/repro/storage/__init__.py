@@ -2,7 +2,7 @@
 
 from repro.storage.page import Page, PAGE_SIZE, estimate_size
 from repro.storage.buffer import BufferCache, IOStats
-from repro.storage.heap import HeapTable, RowId
+from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable, LogicalRowId
 from repro.storage.lob import LobManager, LobLocator
 from repro.storage.filestore import FileStore, ExternalFile
@@ -14,7 +14,6 @@ __all__ = [
     "BufferCache",
     "IOStats",
     "HeapTable",
-    "RowId",
     "IndexOrganizedTable",
     "LogicalRowId",
     "LobManager",

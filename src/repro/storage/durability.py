@@ -24,10 +24,15 @@ disk (``wal.log`` + ``pages.db`` + ``catalog.pkl`` under the engine's
   flush_to` shares one fsync among the commits that meet at it.
   Read-only transactions never log and never fsync.
 
-* **Log truncation.**  When a checkpoint finds no active transactions,
-  everything is flushed and the log resets to a fresh generation (epoch
-  + 1) whose first record is the checkpoint itself — undo information
-  for in-flight transactions is never discarded.
+* **Log truncation.**  When a checkpoint finds a quiet point — no
+  transaction holds undo in the log, and nothing was logged since it
+  drained the dirty pages — everything is durable in the page store and
+  the log resets to a fresh generation (epoch + 1) whose first record is
+  the checkpoint itself.  The test, the truncation and the checkpoint
+  record happen under the latch every record is appended under, so no
+  record lands between them: undo information for in-flight
+  transactions and the redo of a commit the drain missed are never
+  discarded.
 """
 
 from __future__ import annotations
@@ -76,6 +81,10 @@ class DurabilityManager:
         self._dpt: Dict[Tuple, int] = {}
         #: active-transaction table: txn_id -> last logged LSN
         self._att: Dict[int, int] = {}
+        #: held while a record is appended and its ATT entry set, and
+        #: while a checkpoint snapshots the ATT, decides on truncation
+        #: and appends its record
+        self._log_latch = threading.Lock()
         self._dpt_latch = threading.Lock()
         self._ckpt_latch = threading.RLock()
         self._commits_since_ckpt = 0
@@ -118,48 +127,50 @@ class DurabilityManager:
         """Append one row-change record; returns the txn's previous LSN
         (the ``undo_next`` target for a CLR compensating this record).
 
-        ``rid`` is a :class:`~repro.storage.heap.RowId` for heap tables
-        (physiological record: replay targets the slot) and ``None`` for
-        IOTs (logical record: replay works on full rows, which carry
-        their keys, and so their logical rowids).
+        ``rid`` is the heap rowid ``(segment, page, slot)`` for heap
+        tables (physiological record: replay targets the slot) and
+        ``None`` for IOTs (logical record: replay works on full rows,
+        which carry their keys, and so their logical rowids).
         """
         prev = txn.last_lsn
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
-                   "op": op, "rid": tuple(rid) if rid is not None else None,
+                   "op": op, "rid": rid,
                    "old": old, "new": new, "prev": prev}
         if rid is None:
             self._note_iot_dirty(storage.segment_id)
-        lsn = self.wal.append(payload)
-        txn.last_lsn = lsn
-        txn.logged = True
-        self._att[txn.txn_id] = lsn
+        lsn = self._append(txn, payload)
         if rid is None:
             storage.stamp_lsn(lsn)
         else:
             storage.stamp_lsn(rid, lsn)
         return prev
 
+    def _append(self, txn: Any, payload: Dict[str, Any]) -> int:
+        """Append ``txn``'s record and enter it in the ATT, as one step
+        for a checkpoint's quiet-point test."""
+        with self._log_latch:
+            lsn = self.wal.append(payload)
+            self._att[txn.txn_id] = lsn
+        txn.last_lsn = lsn
+        txn.logged = True
+        return lsn
+
     def log_bulk(self, txn: Any, table_key: str, storage: Any,
                  rows: List[List[Any]], rowids: Optional[List[Any]]
                  ) -> Optional[int]:
         """Append one record covering a whole direct-path load."""
         prev = txn.last_lsn
-        rid_tuples = (list(map(tuple, rowids))
-                      if rowids is not None else None)
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
                    "op": "bulk_insert", "rid": None,
-                   "old": None, "new": rows, "rids": rid_tuples,
+                   "old": None, "new": rows, "rids": rowids,
                    "prev": prev}
-        if rid_tuples is None:
+        if rowids is None:
             self._note_iot_dirty(storage.segment_id)
-        lsn = self.wal.append(payload)
-        txn.last_lsn = lsn
-        txn.logged = True
-        self._att[txn.txn_id] = lsn
-        if rid_tuples is None:
+        lsn = self._append(txn, payload)
+        if rowids is None:
             storage.stamp_lsn(lsn)
         else:
-            for seg, page_no, __ in rid_tuples:
+            for seg, page_no, __ in rowids:
                 page = self.engine.buffer.peek_page(seg, page_no)
                 if page is not None and lsn > page.page_lsn:
                     page.page_lsn = lsn
@@ -192,21 +203,17 @@ class DurabilityManager:
                 rid: Any, old: Optional[List[Any]],
                 new: Optional[List[Any]],
                 undo_next: Optional[int]) -> int:
-        rid_t = tuple(rid) if rid is not None else None
         payload = {"t": REC_CLR, "x": txn.txn_id, "tb": table_key,
-                   "op": comp_op, "rid": rid_t, "old": old, "new": new,
+                   "op": comp_op, "rid": rid, "old": old, "new": new,
                    "prev": txn.last_lsn, "un": undo_next}
-        if rid_t is None and comp_op != "truncate":
+        if rid is None and comp_op != "truncate":
             self._note_iot_dirty(storage.segment_id)
-        lsn = self.wal.append(payload)
-        txn.last_lsn = lsn
-        txn.logged = True
-        self._att[txn.txn_id] = lsn
+        lsn = self._append(txn, payload)
         if comp_op != "truncate":
-            if rid_t is None:
+            if rid is None:
                 storage.stamp_lsn(lsn)
             else:
-                page = self.engine.buffer.peek_page(rid_t[0], rid_t[1])
+                page = self.engine.buffer.peek_page(rid[0], rid[1])
                 if page is not None and lsn > page.page_lsn:
                     page.page_lsn = lsn
         return lsn
@@ -225,10 +232,13 @@ class DurabilityManager:
             return  # read-only: nothing to make durable, no fsync
         payload = {"t": REC_COMMIT, "x": txn.txn_id,
                    "scn": txn.commit_scn, "prev": txn.last_lsn}
-        lsn = self.wal.append(payload)
+        with self._log_latch:
+            # leaves the ATT with its commit record, so a checkpoint
+            # record never lists a transaction whose commit precedes it
+            lsn = self.wal.append(payload)
+            self._att.pop(txn.txn_id, None)
         self.wal.stats.commit_records += 1
         self.wal.commit_flush(lsn)
-        self._att.pop(txn.txn_id, None)
         self._commits_since_ckpt += 1
         if (self.checkpoint_interval
                 and self._commits_since_ckpt >= self.checkpoint_interval):
@@ -268,6 +278,9 @@ class DurabilityManager:
             with self._dpt_latch:
                 drain = dict(self._dpt)
                 self._dpt.clear()
+                # a record at or past this LSN may belong to a change
+                # the drain missed (every change dirties before it logs)
+                drained_end = self.wal.end_lsn
             iot_by_segment = self._iot_storages()
             buffer = self.engine.buffer
             for entry in sorted(drain):
@@ -286,22 +299,24 @@ class DurabilityManager:
                                          storage.dump_columns(), snap_lsn)
                     storage.dump_dirty = False
             self.pages.fsync()
-            att = dict(self._att)
-            with self._dpt_latch:
-                dpt = dict(self._dpt)
-            record = {"t": REC_CHECKPOINT,
-                      "epoch": self.wal.epoch,
-                      "scn": self.engine.mvcc.current_scn,
-                      "next_txn": self.engine.peek_next_txn_id(),
-                      "next_seg": buffer.peek_next_segment_id(),
-                      "att": att, "dpt": dpt, "clean": not att,
-                      "reason": reason}
-            if not att and not self.wal.failed:
-                # quiet point: every committed effect is durable in the
-                # page store, so the log can start a new generation
-                self.wal.reset(self.wal.epoch + 1)
-                record["epoch"] = self.wal.epoch
-            lsn = self.wal.append(record)
+            with self._log_latch:
+                att = dict(self._att)
+                with self._dpt_latch:
+                    dpt = dict(self._dpt)
+                record = {"t": REC_CHECKPOINT,
+                          "epoch": self.wal.epoch,
+                          "scn": self.engine.mvcc.current_scn,
+                          "next_txn": self.engine.peek_next_txn_id(),
+                          "next_seg": buffer.peek_next_segment_id(),
+                          "att": att, "dpt": dpt, "clean": not att,
+                          "reason": reason}
+                if (not att and self.wal.end_lsn == drained_end
+                        and not self.wal.failed):
+                    # quiet point: every effect the log holds is durable
+                    # in the page store, so it can start a new generation
+                    self.wal.reset(self.wal.epoch + 1)
+                    record["epoch"] = self.wal.epoch
+                lsn = self.wal.append(record)
             self.wal.flush_all()
             self.wal.stats.checkpoints += 1
             self.wal.stats.last_checkpoint_lsn = lsn

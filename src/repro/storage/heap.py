@@ -1,15 +1,25 @@
 """Heap tables and rowids.
 
-A heap table is a segment of slotted pages; rows are addressed by a
-:class:`RowId` (segment, page, slot) that stays valid across updates —
-which is what lets domain indexes store rowids as index entries and
-stream them back from ``ODCIIndexFetch`` (§2.2.3).
+A heap table is a segment of slotted pages.  A row is addressed by its
+*rowid*, the plain tuple ``(segment_id, page_no, slot)``.  A rowid stays
+valid across updates, which is what lets domain indexes store rowids as
+index entries and stream them back from ``ODCIIndexFetch`` (§2.2.3).
+
+A rowid is an exact ``tuple`` of three ints, and a stored row is an
+exact ``tuple`` of plain values, because CPython's cyclic collector
+stops tracking such a tuple at its first pass: the rows and rowids a
+database keeps resident cost a full collection nothing, and neither do
+the index keys that hold a rowid.  Hash, equality and order are the
+tuple's own, so sorting, bisecting and hashing rowids runs no Python
+code; a heap rowid equals no :class:`~repro.storage.iot.LogicalRowId`
+and does not order against one.
 """
 
 from __future__ import annotations
 
+import io
+import pickle
 from itertools import repeat
-from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidRowIdError, StorageError
@@ -17,49 +27,51 @@ from repro.storage.buffer import BufferCache
 from repro.storage.page import Page, PAGE_SIZE, estimate_row_size
 from repro.txn.mvcc import Snapshot, VersionStore
 
-
-class RowIdBase:
-    """The marker every rowid kind carries: what a ``ROWID`` column
-    accepts.  It defines no comparison, so each kind keeps its own."""
-
-    __slots__ = ()
+#: A heap rowid: ``(segment_id, page_no, slot)``.
+RowId = Tuple[int, int, int]
 
 
-class RowId(RowIdBase, tuple):
-    """Physical row address: the tuple ``(segment_id, page_no, slot)``.
+def format_rowid(rowid: Any) -> str:
+    """A rowid as messages show it: ``RID(segment.page.slot)`` for a
+    heap rowid, the logical rowid's own ``repr`` otherwise."""
+    if rowid.__class__ is tuple and len(rowid) == 3:
+        return "RID(%s.%s.%s)" % rowid
+    return repr(rowid)
 
-    Hash, equality and order are the tuple's own C slots, so sorting,
-    bisecting, hashing and comparing rowids — or keys that hold them —
-    runs no Python code.  A rowid equals no
-    :class:`~repro.storage.iot.LogicalRowId` and does not order against
-    one.  Rowids are created millions of times on scan and build paths,
-    hence a bare tuple: the names read positions.
+
+class _PickledRowId:
+    """What a rowid pickled by the engine's earlier layout loads as.
+
+    Earlier versions stored a heap rowid as an instance of a ``tuple``
+    subclass, ``repro.storage.heap.RowId``; its pickle calls the class
+    with ``(segment_id, page_no, slot)``, and this answers the plain
+    tuple, so a log or page store written then reads as one written now.
     """
 
-    __slots__ = ()
+    def __new__(cls, segment_id: int, page_no: int, slot: int) -> Any:
+        return (segment_id, page_no, slot)
 
-    def __new__(cls, segment_id: int, page_no: int, slot: int) -> "RowId":
-        return tuple.__new__(cls, (segment_id, page_no, slot))
 
-    segment_id = property(itemgetter(0))
-    page_no = property(itemgetter(1))
-    slot = property(itemgetter(2))
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "RowId":
+            return _PickledRowId
+        return super().find_class(module, name)
 
-    def __getnewargs__(self) -> Tuple[int, int, int]:
-        return tuple(self)
 
-    def __repr__(self) -> str:
-        return "RID(%s.%s.%s)" % self
+def load_stored(data: bytes) -> Any:
+    """``pickle.loads`` for what the engine stored: log records, page
+    images and IOT dumps, including those of the earlier rowid layout."""
+    return _Unpickler(io.BytesIO(data)).load()
 
 
 class PageRowIds:
     """The rowids of one page batch: segment, page, and the batch's slot
     numbers (``range(n)`` when every slot is live).
 
-    A :class:`RowId` is built only when an item is indexed or iterated,
-    so a scan whose consumer never reads a row's address builds none.
-    Each read builds a new object: compare items with ``==``, never
-    ``is``.
+    A rowid tuple is built only when an item is indexed or iterated, so
+    a scan whose consumer never reads a row's address builds none.  Each
+    read builds a new tuple: compare items with ``==``, never ``is``.
     """
 
     __slots__ = ("segment_id", "page_no", "slots")
@@ -73,15 +85,14 @@ class PageRowIds:
         return len(self.slots)
 
     def __getitem__(self, i: int) -> RowId:
-        return RowId(self.segment_id, self.page_no, self.slots[i])
+        return (self.segment_id, self.page_no, self.slots[i])
 
     def __iter__(self) -> Iterator[RowId]:
-        return map(RowId, repeat(self.segment_id), repeat(self.page_no),
-                   self.slots)
+        return zip(repeat(self.segment_id), repeat(self.page_no), self.slots)
 
 
-def _live(rowids: List[RowId], rows: List[Optional[List[Any]]]
-          ) -> Tuple[List[RowId], List[List[Any]]]:
+def _live(rowids: List[RowId], rows: List[Optional[Sequence[Any]]]
+          ) -> Tuple[List[RowId], List[Sequence[Any]]]:
     """Drop the dead or invisible rows (None) of an aligned batch."""
     if None in rows:
         live = [i for i, row in enumerate(rows) if row is not None]
@@ -114,7 +125,7 @@ class HeapTable:
 
     # -- DML ------------------------------------------------------------
 
-    def insert(self, row: List[Any], on_rowid=None) -> RowId:
+    def insert(self, row: Sequence[Any], on_rowid=None) -> RowId:
         """Store ``row`` and return its new rowid.
 
         ``on_rowid`` closes the MVCC insert-visibility race: the slot is
@@ -123,20 +134,21 @@ class HeapTable:
         is the real row written — so no snapshot reader can observe the
         uncommitted row through the untracked-rowid fast path.
         """
+        row = tuple(row)
         size = min(estimate_row_size(row), PAGE_SIZE)
         page = self._page_for_insert(size)
         if on_rowid is None:
-            slot = page.insert(list(row), size)
+            slot = page.insert(row, size)
             self._row_count += 1
-            return RowId(self.segment_id, page.page_no, slot)
+            return (self.segment_id, page.page_no, slot)
         slot = page.insert(None, size)
-        rowid = RowId(self.segment_id, page.page_no, slot)
+        rowid = (self.segment_id, page.page_no, slot)
         on_rowid(rowid)
-        page.update(slot, list(row), size, size)
+        page.update(slot, row, size, size)
         self._row_count += 1
         return rowid
 
-    def insert_bulk(self, rows: List[List[Any]],
+    def insert_bulk(self, rows: List[Sequence[Any]],
                     presorted: bool = False) -> List[RowId]:
         """Store ``rows`` and return their rowids in input order.
 
@@ -146,27 +158,28 @@ class HeapTable:
         key-organized storage).
         """
         rowids: List[RowId] = []
+        segment_id = self.segment_id
         page: Optional[Page] = None
-        for row in rows:
+        for row in map(tuple, rows):
             size = min(estimate_row_size(row), PAGE_SIZE)
             if page is None or not page.has_room(size):
                 page = self._page_for_insert(size)
-            slot = page.insert(list(row), size)
-            rowids.append(RowId(self.segment_id, page.page_no, slot))
+            rowids.append((segment_id, page.page_no, page.insert(row, size)))
         self._row_count += len(rows)
         return rowids
 
-    def fetch(self, rowid: RowId) -> List[Any]:
+    def fetch(self, rowid: RowId) -> Tuple[Any, ...]:
         """Return the row at ``rowid``; raises for dead or foreign rowids."""
-        page = self._page_at(rowid)
-        row = page.read_slot(rowid.slot)
+        page, slot = self._page_at(rowid)
+        row = page.read_slot(slot)
         if row is None:
-            raise InvalidRowIdError(f"{rowid} does not identify a live row")
+            raise InvalidRowIdError(
+                f"{format_rowid(rowid)} does not identify a live row")
         return row
 
     def fetch_or_none(self, rowid: RowId,
                       snapshot: Optional[Snapshot] = None
-                      ) -> Optional[List[Any]]:
+                      ) -> Optional[Sequence[Any]]:
         """Like :meth:`fetch` but returns None for a deleted slot.
 
         With a ``snapshot``, the slot value is resolved through the
@@ -175,44 +188,48 @@ class HeapTable:
         the truth for this snapshot.
         """
         try:
-            page = self._page_at(rowid)
+            page, slot = self._page_at(rowid)
         except InvalidRowIdError:
             return None
         if snapshot is None:
-            return page.read_slot(rowid.slot)
+            return page.read_slot(slot)
         versions = self.versions
         return versions.read(
-            lambda: versions.resolve(rowid, page.read_slot(rowid.slot),
+            lambda: versions.resolve(rowid, page.read_slot(slot),
                                      snapshot), snapshot)
 
-    def update(self, rowid: RowId, row: List[Any]) -> List[Any]:
+    def update(self, rowid: RowId, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Replace the row at ``rowid`` in place; returns the old row."""
-        page = self._page_at(rowid, for_write=True)
-        old = page.read_slot(rowid.slot)
+        page, slot = self._page_at(rowid, for_write=True)
+        old = page.read_slot(slot)
         if old is None:
-            raise InvalidRowIdError(f"{rowid} does not identify a live row")
+            raise InvalidRowIdError(
+                f"{format_rowid(rowid)} does not identify a live row")
+        row = tuple(row)
         old_size = min(estimate_row_size(old), PAGE_SIZE)
         new_size = min(estimate_row_size(row), PAGE_SIZE)
-        page.update(rowid.slot, list(row), old_size, new_size)
+        page.update(slot, row, old_size, new_size)
         return old
 
-    def delete(self, rowid: RowId) -> List[Any]:
+    def delete(self, rowid: RowId) -> Tuple[Any, ...]:
         """Delete the row at ``rowid``; returns the old row."""
-        page = self._page_at(rowid, for_write=True)
-        old = page.read_slot(rowid.slot)
+        page, slot = self._page_at(rowid, for_write=True)
+        old = page.read_slot(slot)
         if old is None:
-            raise InvalidRowIdError(f"{rowid} does not identify a live row")
-        page.delete(rowid.slot, min(estimate_row_size(old), PAGE_SIZE))
+            raise InvalidRowIdError(
+                f"{format_rowid(rowid)} does not identify a live row")
+        page.delete(slot, min(estimate_row_size(old), PAGE_SIZE))
         self._row_count -= 1
         return old
 
-    def undelete(self, rowid: RowId, row: List[Any]) -> None:
+    def undelete(self, rowid: RowId, row: Sequence[Any]) -> None:
         """Restore a deleted slot (used by transaction rollback)."""
-        page = self._page_at(rowid, for_write=True)
-        if page.read_slot(rowid.slot) is not None:
-            raise StorageError(f"{rowid} is live; cannot undelete")
-        size = min(estimate_row_size(row), PAGE_SIZE)
-        page.update(rowid.slot, list(row), 0, size)
+        page, slot = self._page_at(rowid, for_write=True)
+        if page.read_slot(slot) is not None:
+            raise StorageError(f"{format_rowid(rowid)} is live; "
+                               "cannot undelete")
+        row = tuple(row)
+        page.update(slot, row, 0, min(estimate_row_size(row), PAGE_SIZE))
         self._row_count += 1
 
     def truncate(self) -> None:
@@ -232,8 +249,8 @@ class HeapTable:
 
         Yields ``(rowids, columns)`` where ``columns[c][i]`` is column
         ``c`` of the batch's row ``i`` and ``rowids`` is the page's
-        :class:`PageRowIds`: its live slot numbers, with a ``RowId``
-        built only for an item a consumer reads.  The layer above wraps
+        :class:`PageRowIds`: its live slot numbers, with a rowid built
+        only for an item a consumer reads.  The layer above wraps
         these in a ``ColumnBatch``.  The columns are the page's column
         image (:meth:`Page.columns`), shared by every scan until the
         page's next write, so they are tuples.  Under a ``snapshot`` the
@@ -268,7 +285,7 @@ class HeapTable:
 
     def fetch_batch(self, rowids: List[RowId],
                     snapshot: Optional[Snapshot] = None
-                    ) -> Tuple[List[RowId], List[List[Any]]]:
+                    ) -> Tuple[List[RowId], List[Sequence[Any]]]:
         """Fetch a batch of rowids: ``(rowids, rows)`` for the live ones.
 
         The rowid-batch counterpart of :meth:`scan_batches`, for
@@ -290,9 +307,9 @@ class HeapTable:
         def read():
             slots_of: dict = {}
             found: List[RowId] = []
-            rows: List[Optional[List[Any]]] = []
+            rows: List[Optional[Sequence[Any]]] = []
             for rowid in rowids:
-                if rowid.__class__ is not RowId:
+                if rowid.__class__ is not tuple:
                     continue
                 seg, page_no, slot = rowid
                 if seg != segment_id:
@@ -321,7 +338,7 @@ class HeapTable:
         not disturb the exact-I/O benchmark assertions, which run with
         durability off.
         """
-        page = self.buffer.get_page(self.segment_id, rowid.page_no)
+        page = self.buffer.get_page(self.segment_id, rowid[1])
         if lsn > page.page_lsn:
             page.page_lsn = lsn
 
@@ -359,15 +376,19 @@ class HeapTable:
         self._last_insert_page = page.page_no
         return page
 
-    def _page_at(self, rowid: RowId, for_write: bool = False) -> Page:
-        if rowid.__class__ is not RowId:
+    def _page_at(self, rowid: RowId, for_write: bool = False
+                 ) -> Tuple[Page, int]:
+        """``rowid``'s page and slot; raises for a rowid that is not a
+        heap rowid of this table or names no allocated page."""
+        if rowid.__class__ is not tuple or len(rowid) != 3:
             raise InvalidRowIdError(f"{rowid!r} is not a heap rowid")
-        segment_id, page_no, __ = rowid
+        segment_id, page_no, slot = rowid
         if segment_id != self.segment_id:
             raise InvalidRowIdError(
-                f"{rowid} belongs to another table (segment "
+                f"{format_rowid(rowid)} belongs to another table (segment "
                 f"{segment_id} != {self.segment_id})")
         if not 0 <= page_no < self._page_count:
-            raise InvalidRowIdError(f"{rowid}: page out of range")
+            raise InvalidRowIdError(
+                f"{format_rowid(rowid)}: page out of range")
         return self.buffer.get_page(segment_id, page_no,
-                                    for_write=for_write)
+                                    for_write=for_write), slot

@@ -30,7 +30,6 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache
-from repro.storage.heap import RowIdBase
 from repro.index.btree import BTree
 from repro.txn.mvcc import Snapshot, VersionStore
 
@@ -44,13 +43,13 @@ def _by_sort_key(op: Callable[[Any, Any], bool]):
     return compare
 
 
-class LogicalRowId(RowIdBase):
+class LogicalRowId:
     """An IOT row's address: (segment, primary key).
 
     Hashable, picklable, and ordered by key within one table: hash,
     equality and order are those of ``sort_key``, ``(segment_id, key)``.
-    It equals no physical :class:`~repro.storage.heap.RowId` and does
-    not order against one.
+    It equals no heap rowid (a plain ``(segment, page, slot)`` tuple)
+    and does not order against one.
     """
 
     __slots__ = ("segment_id", "key", "sort_key")

@@ -16,8 +16,8 @@ PAGE_SIZE = 4096
 #: Per-slot bookkeeping overhead charged against the page budget.
 SLOT_OVERHEAD = 16
 
-#: The collection types sized by their elements.  A subclass is one
-#: opaque value: a heap :class:`~repro.storage.heap.RowId` is a tuple.
+#: The collection types sized by their elements (a heap rowid is a
+#: tuple of three ints, so a row is charged 40 bytes for one).
 _CONTAINERS = frozenset((list, tuple, set, frozenset))
 
 
@@ -43,7 +43,7 @@ def estimate_size(value: Any) -> int:
     return 32
 
 
-def estimate_row_size(row: List[Any]) -> int:
+def estimate_row_size(row: Sequence[Any]) -> int:
     """Byte-size estimate of a whole row including slot overhead."""
     return SLOT_OVERHEAD + sum(estimate_size(v) for v in row)
 
@@ -51,9 +51,12 @@ def estimate_row_size(row: List[Any]) -> int:
 class Page:
     """A slotted page of rows.
 
-    ``slots[i]`` is either a row (a list of values) or ``None`` for a
-    deleted slot.  ``used`` tracks the simulated byte occupancy; a page
-    accepts a new row while ``used + size <= PAGE_SIZE``.
+    ``slots[i]`` is either a row (a tuple of values) or ``None`` for a
+    deleted slot.  Rows are tuples so that no caller can change a stored
+    row in place, and so that the collector stops tracking a row of
+    plain values at its first pass.  ``used`` tracks the simulated byte
+    occupancy; a page accepts a new row while ``used + size <=
+    PAGE_SIZE``.
 
     A heap writes its slots only through the methods here, and each
     bumps ``writes`` *after* it changes the slot: that ordering is what
@@ -65,7 +68,7 @@ class Page:
 
     def __init__(self, page_no: int):
         self.page_no = page_no
-        self.slots: List[Optional[List[Any]]] = []
+        self.slots: List[Optional[Tuple[Any, ...]]] = []
         self.used = 0
         self.dirty = False
         #: LSN of the last WAL record applied to this page (0 = never
@@ -83,7 +86,7 @@ class Page:
         """True when a row of ``size`` simulated bytes fits on this page."""
         return self.used + size <= PAGE_SIZE
 
-    def insert(self, row: List[Any], size: int) -> int:
+    def insert(self, row: Optional[Tuple[Any, ...]], size: int) -> int:
         """Append ``row`` and return its slot number."""
         self.slots.append(row)
         self.writes += 1
@@ -91,13 +94,14 @@ class Page:
         self.dirty = True
         return len(self.slots) - 1
 
-    def read_slot(self, slot: int) -> Optional[List[Any]]:
+    def read_slot(self, slot: int) -> Optional[Tuple[Any, ...]]:
         """Return the row at ``slot`` or None when the slot is deleted/bad."""
         if 0 <= slot < len(self.slots):
             return self.slots[slot]
         return None
 
-    def update(self, slot: int, row: List[Any], old_size: int, new_size: int) -> None:
+    def update(self, slot: int, row: Tuple[Any, ...], old_size: int,
+               new_size: int) -> None:
         """Replace the row at ``slot`` in place (rowids never change)."""
         self.slots[slot] = row
         self.writes += 1
@@ -142,8 +146,9 @@ class Page:
         """Number of non-deleted rows on the page."""
         return sum(1 for s in self.slots if s is not None)
 
-    def set_slot(self, slot: int, row: Optional[List[Any]]) -> None:
-        """Slot-targeted write used by redo/undo replay.
+    def set_slot(self, slot: int, row: Optional[Sequence[Any]]) -> None:
+        """Slot-targeted write used by redo/undo replay (a logged row
+        arrives as the log holds it and is stored as a tuple).
 
         Pads the slot directory as needed and leaves ``used`` stale —
         replay is followed by :meth:`recompute_used` once per page.
@@ -151,7 +156,7 @@ class Page:
         """
         while len(self.slots) <= slot:
             self.slots.append(None)
-        self.slots[slot] = row
+        self.slots[slot] = None if row is None else tuple(row)
         self.writes += 1
         self.dirty = True
 
@@ -169,7 +174,9 @@ class Page:
     @classmethod
     def from_state(cls, state: dict) -> "Page":
         page = cls(state["page_no"])
-        page.slots = list(state["slots"])
+        # an image written before rows were tuples holds lists
+        page.slots = [None if row is None else tuple(row)
+                      for row in state["slots"]]
         page.used = state["used"]
         page.page_lsn = state["lsn"]
         return page

@@ -27,6 +27,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WALError
+from repro.storage.heap import load_stored
 
 __all__ = ["PageStore", "REC_PAGE", "REC_IOT", "REC_TOMB"]
 
@@ -83,7 +84,7 @@ class PageStore:
                 if len(body) != body_len or zlib.crc32(body) != crc:
                     break  # torn tail
                 try:
-                    payload = pickle.loads(body)
+                    payload = load_stored(body)
                 except Exception:
                     break
                 self._index_record(rec_type, payload, body)
@@ -162,7 +163,7 @@ class PageStore:
     def iot_dump_of(self, seg: int) -> Optional[Dict[str, Any]]:
         with self._latch:
             dump = self.iot_dumps.get(seg)
-        return None if dump is None else pickle.loads(dump["body"])
+        return None if dump is None else load_stored(dump["body"])
 
     # -- compaction -----------------------------------------------------
 

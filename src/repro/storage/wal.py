@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import WALError
+from repro.storage.heap import load_stored
 from repro.metrics import Histogram, Metrics, histogram
 
 __all__ = ["LogDevice", "WALStats", "WriteAheadLog",
@@ -219,7 +220,7 @@ def scan_log(device: LogDevice, epoch: int
         if len(body) != body_len or zlib.crc32(body) != crc:
             return  # torn tail: checksum failure
         try:
-            payload = pickle.loads(body)
+            payload = load_stored(body)
         except Exception:
             return  # torn tail: garbage body that happened to checksum
         yield make_lsn(epoch, offset), payload

@@ -115,7 +115,7 @@ class VersionStore:
     """Version chains for one table (heap or IOT), keyed by rowid.
 
     Rowids are whatever the storage layer uses as stable row identity
-    (a heap's :class:`~repro.storage.heap.RowId`, an IOT's
+    (a heap's ``(segment, page, slot)`` tuple, an IOT's
     :class:`~repro.storage.iot.LogicalRowId`).  A rowid
     is mapped exactly while some snapshot, live or future, could see
     something other than its slot: a write in flight, a commit above

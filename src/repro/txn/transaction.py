@@ -15,11 +15,11 @@ reproducing §5's gap.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import TransactionError
 
-UndoAction = Callable[[], None]
+UndoAction = Callable[..., None]
 
 
 class Transaction:
@@ -28,7 +28,8 @@ class Transaction:
     def __init__(self, txn_id: int):
         self.txn_id = txn_id
         self.active = True
-        self._undo: List[UndoAction] = []
+        #: ``(action, *args)`` entries, run newest first
+        self._undo: List[Tuple[Any, ...]] = []
         self._savepoints: dict = {}
         #: row versions created by this txn; commit stamps them with the
         #: commit SCN (see :mod:`repro.txn.mvcc`)
@@ -50,11 +51,16 @@ class Transaction:
         """Register a row version for commit-time SCN stamping."""
         self.versions.append(version)
 
-    def record_undo(self, action: UndoAction) -> None:
-        """Register a compensating action to run on rollback."""
+    def record_undo(self, action: UndoAction, *args: Any) -> None:
+        """Register ``action(*args)`` to run on rollback.
+
+        An entry is one tuple, where a closure would be a function, its
+        cells and their tuple: a large transaction's undo log is that
+        much less for the cyclic collector to walk.
+        """
         if not self.active:
             raise TransactionError("transaction is not active")
-        self._undo.append(action)
+        self._undo.append((action, *args))
 
     @property
     def undo_depth(self) -> int:
@@ -95,8 +101,8 @@ class Transaction:
 
     def _unwind(self, mark: int) -> None:
         while len(self._undo) > mark:
-            action = self._undo.pop()
-            action()
+            action, *args = self._undo.pop()
+            action(*args)
 
     def _require_active(self) -> None:
         if not self.active:

@@ -202,20 +202,23 @@ class BlobType(DataType):
 
 
 class RowIdType(DataType):
-    """Row identifier type (``ROWID``): a heap row's physical rowid or an
-    index-organized row's logical one."""
+    """Row identifier type (``ROWID``): a heap row's physical rowid, the
+    tuple ``(segment, page, slot)``, or an index-organized row's
+    :class:`~repro.storage.iot.LogicalRowId`."""
 
     name = "ROWID"
-    _rowid_cls = None  # resolved lazily to avoid an import cycle with storage
+    _logical_cls = None  # resolved lazily: import cycle with storage
 
     def validate(self, value: Any) -> Any:
         if is_null(value):
             return NULL
-        cls = RowIdType._rowid_cls
+        if value.__class__ is tuple and len(value) == 3:
+            return value
+        cls = RowIdType._logical_cls
         if cls is None:
-            from repro.storage.heap import RowIdBase
-            cls = RowIdType._rowid_cls = RowIdBase
-        if isinstance(value, cls):
+            from repro.storage.iot import LogicalRowId
+            cls = RowIdType._logical_cls = LogicalRowId
+        if value.__class__ is cls:
             return value
         raise TypeMismatchError(f"expected ROWID, got {type(value).__name__}")
 

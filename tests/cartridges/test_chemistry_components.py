@@ -13,7 +13,6 @@ from repro.cartridges.chemistry.fingerprint import (
     fingerprint_bytes, fingerprint_from_bytes, screen_passes)
 from repro.errors import ExecutionError, StorageError
 from repro.storage.buffer import BufferCache, IOStats
-from repro.storage.heap import RowId
 
 
 class TestSmilesParser:
@@ -248,13 +247,13 @@ class TestFingerprintIndexFile:
         return index
 
     def _record(self, i, fp=0b1010, tomb=False):
-        return Record(rowid=RowId(1, 0, i), cert_hash=i * 7,
+        return Record(rowid=(1, 0, i), cert_hash=i * 7,
                       taut_hash=i * 13, fingerprint=fp, tombstone=tomb)
 
     def test_append_and_read(self, index_file):
         index_file.append_many([self._record(1), self._record(2)])
         records = list(index_file.records())
-        assert [r.rowid.slot for r in records] == [1, 2]
+        assert [r.rowid[2] for r in records] == [1, 2]
         assert index_file.record_count() == 2
 
     def test_append_many(self, index_file):
@@ -263,13 +262,13 @@ class TestFingerprintIndexFile:
 
     def test_tombstone_hides_entry(self, index_file):
         index_file.append_many([self._record(1), self._record(2)])
-        index_file.tombstone([RowId(1, 0, 1)])
-        assert [r.rowid.slot for r in index_file.records()] == [2]
+        index_file.tombstone([(1, 0, 1)])
+        assert [r.rowid[2] for r in index_file.records()] == [2]
         assert index_file.record_count() == 3  # physical records
 
     def test_tombstone_then_reinsert_same_rowid(self, index_file):
         index_file.append_many([self._record(1, fp=1)])
-        index_file.tombstone([RowId(1, 0, 1)])
+        index_file.tombstone([(1, 0, 1)])
         index_file.append_many([self._record(1, fp=2)])
         live = list(index_file.records())
         assert len(live) == 1
@@ -277,15 +276,15 @@ class TestFingerprintIndexFile:
 
     def test_compact_removes_dead(self, index_file):
         index_file.append_many([self._record(i) for i in range(4)])
-        index_file.tombstone([RowId(1, 0, 0)])
+        index_file.tombstone([(1, 0, 0)])
         assert index_file.compact() == 3
         assert index_file.record_count() == 3
-        assert [r.rowid.slot for r in index_file.records()] == [1, 2, 3]
+        assert [r.rowid[2] for r in index_file.records()] == [1, 2, 3]
 
     def test_hash_lookups(self, index_file):
         index_file.append_many([self._record(3)])
-        assert index_file.find_by_cert(21)[0].rowid.slot == 3
-        assert index_file.find_by_tautomer(39)[0].rowid.slot == 3
+        assert index_file.find_by_cert(21)[0].rowid[2] == 3
+        assert index_file.find_by_tautomer(39)[0].rowid[2] == 3
         assert index_file.find_by_cert(999) == []
 
     def test_uninitialized_rejected(self):
@@ -301,7 +300,7 @@ class TestFingerprintIndexFile:
             index.record_count()
 
     def test_record_pack_roundtrip(self):
-        record = Record(rowid=RowId(7, 3, 2), cert_hash=123456789,
+        record = Record(rowid=(7, 3, 2), cert_hash=123456789,
                         taut_hash=987654321, fingerprint=(1 << 200) | 5)
         assert Record.unpack(record.pack()) == record
 
@@ -310,7 +309,7 @@ def _read_record_at_a_time(open_handle):
     """The reference reader: one ``read`` and one :class:`Record` per
     record, then tombstones applied (each cancels the earliest live
     entry of its rowid).  Returns ``(physical records, live records)``."""
-    size = len(Record(RowId(0, 0, 0), 0, 0, 0).pack())
+    size = len(Record((0, 0, 0), 0, 0, 0).pack())
     handle = open_handle()
     handle.seek(0)
     header = handle.read(8)
@@ -363,14 +362,14 @@ class TestOneReadDecoder:
         index_file.initialize()
 
         def record(slot, tag):
-            return Record(rowid=RowId(2, slot // 50, slot % 50),
+            return Record(rowid=(2, slot // 50, slot % 50),
                           cert_hash=slot % 17, taut_hash=tag % 11,
                           fingerprint=rng.getrandbits(512))
         index_file.append_many([record(s, s) for s in range(200)])
         index_file.append_many([record(s, s + 1) for s in range(0, 60, 3)])
-        index_file.tombstone([RowId(2, slot // 50, slot % 50)
+        index_file.tombstone([(2, slot // 50, slot % 50)
                               for slot in (0, 3, 4, 7, 9, 400)])
-        index_file.tombstone([RowId(2, 0, 3)])
+        index_file.tombstone([(2, 0, 3)])
         index_file.append_many([record(s, s + 2) for s in (4, 9, 250)])
 
     def test_decoder_equals_the_record_at_a_time_reader(self, store):

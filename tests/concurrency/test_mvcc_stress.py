@@ -23,7 +23,6 @@ import pytest
 from repro.cartridges.spatial import install as install_spatial
 from repro.cartridges.spatial import make_rect
 from repro.cartridges.text import install as install_text
-from repro.storage.heap import RowId
 from repro.txn.mvcc import VersionStore
 
 pytestmark = [pytest.mark.concurrency, pytest.mark.mvcc]
@@ -349,7 +348,7 @@ class _ChurnReader:
         heap = self.heap
         snapshot = self.engine.mvcc.take_snapshot(None)
         rowids = [
-            RowId(heap.segment_id, page_no, slot)
+            (heap.segment_id, page_no, slot)
             for page_no in range(heap.page_count)
             for slot in range(len(heap.buffer.get_page(
                 heap.segment_id, page_no).slots))]

@@ -15,6 +15,7 @@ then checks the properties the Engine/Session split must guarantee:
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -150,10 +151,19 @@ def test_mixed_dml_stress(stress_engine):
     workers = [_Worker(engine, tid) for tid in range(N_THREADS)]
     threads = [threading.Thread(target=w.run, name=f"worker-{w.tid}")
                for w in workers]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=300)
+    # switch threads every 0.1 ms, not every 5: a statement is preempted
+    # while it holds its table lock often enough that the blocking path
+    # runs in every run (hundreds of waits, where the default interval
+    # gave a dozen or, at times, none)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads), "stress threads hung"
     errors = [w.error for w in workers if w.error is not None]
     assert not errors, f"worker failures: {errors!r}"

@@ -1,13 +1,15 @@
 """A dropped table's or domain index's storage is freed by the DROP
 itself: nothing the engine keeps (a cached plan, a tree's hook, a
-compiled plan's closures) holds it until a later collection."""
+compiled plan's closures) holds it until a later collection.  A closed
+engine, and everything it held, is freed by the close the same way."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro import Engine
+from repro import Engine, dbapi
+from repro.errors import ExecutionError
 
 
 @pytest.fixture
@@ -91,3 +93,49 @@ class TestDropTableForgetsItsCachedPlans:
         assert len(db.plan_cache) == cached - 2
         db.execute("INSERT INTO keep VALUES (:1)", [2])
         assert db.execute("SELECT COUNT(*) FROM keep").fetchall() == [(2,)]
+
+
+class TestCloseFreesTheEngine:
+    """``close()`` leaves no reference cycle through the engine or the
+    session, so the last outside reference frees them and their data."""
+
+    def _use(self, conn):
+        cur = conn.cursor()
+        cur.execute("CREATE TABLE t (id INTEGER, v VARCHAR2(10))")
+        cur.executemany("INSERT INTO t VALUES (?, ?)",
+                        [[i, "x"] for i in range(100)])
+        cur.execute("CREATE INDEX t_id ON t(id)")
+        assert cur.execute("SELECT v FROM t WHERE id < 3").fetchall() \
+            == [("x",)] * 3
+        assert cur.execute("SELECT COUNT(*) FROM user_tables").fetchall()
+        conn.commit()
+
+    def test_a_closed_connection_frees_its_engine(self, collector_off):
+        conn = dbapi.connect()
+        self._use(conn)
+        engine = weakref.ref(conn.engine)
+        table = weakref.ref(conn.engine.catalog.get_table("t").storage)
+        conn.close()
+        del conn
+        assert engine() is None
+        assert table() is None
+
+    def test_a_closed_session_and_engine_are_freed(self, collector_off):
+        from repro.cartridges.text import install
+        engine = Engine()
+        session = engine.connect()
+        install(session)
+        session.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(99))")
+        session.executemany("INSERT INTO docs VALUES (:1, :2)",
+                            [[i, f"oracle text {i}"] for i in range(20)])
+        session.execute("CREATE INDEX docs_text ON docs(body)"
+                        " INDEXTYPE IS TextIndexType")
+        assert session.execute("SELECT id FROM docs WHERE"
+                               " Contains(body, 'oracle')").fetchall()
+        refs = [weakref.ref(engine), weakref.ref(session)]
+        session.close()
+        engine.close()
+        with pytest.raises(ExecutionError, match="session is closed"):
+            session.execute("SELECT 1 FROM dual")
+        del engine, session
+        assert [ref() for ref in refs] == [None, None]

@@ -512,3 +512,41 @@ class TestEngineOptions:
         assert checkpoint > 0
         db2.close()
         db2.engine.close()
+
+
+class TestCheckpointTruncation:
+    """A checkpoint truncates the log only at a quiet point: no
+    transaction holds undo in the log and nothing was logged since it
+    drained the dirty pages, decided under the latch every record is
+    appended under."""
+
+    def test_a_commit_after_the_drain_survives_the_truncation(
+            self, data_dir):
+        engine = Engine(data_dir=data_dir)
+        db, other = engine.connect(), engine.connect()
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("CREATE TABLE u (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        engine.durability.checkpoint()
+        db.execute("INSERT INTO u VALUES (1)")  # the only dirty page
+        committed = []
+
+        def commit_mid_checkpoint(event):
+            # the checkpoint has drained and is writing u's page; t's
+            # page is clean, so this commit's change is not in the drain
+            if event == "page.flush" and not committed:
+                other.execute("INSERT INTO t VALUES (42)")
+                committed.append(True)
+        engine.durability.pages.event_hook = commit_mid_checkpoint
+        engine.durability.checkpoint()
+        assert committed
+        assert sorted(db.execute("SELECT id FROM t").fetchall()) \
+            == [(1,), (42,)]
+        crash(db)
+
+        back = Engine(data_dir=data_dir).connect()
+        assert sorted(back.execute("SELECT id FROM t").fetchall()) \
+            == [(1,), (42,)]
+        assert back.execute("SELECT id FROM u").fetchall() == [(1,)]
+        back.close()
+        back.engine.close()

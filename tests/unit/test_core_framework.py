@@ -311,7 +311,7 @@ class TestCallbackRestrictions:
         setup_db.execute("INSERT INTO idxdata VALUES (42)")
         rid = setup_db.execute("SELECT rowid FROM idxdata").fetchall()[0][0]
         session = CallbackSession(setup_db, CallbackPhase.SCAN)
-        assert session.fetch_row("idxdata", rid) == [42]
+        assert session.fetch_row("idxdata", rid) == (42,)
         assert session.fetch_value("idxdata", rid, "x") == 42
 
     def test_binds_work_in_callbacks(self, setup_db):

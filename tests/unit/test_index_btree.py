@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConstraintError, StorageError
 from repro.index.btree import BTree
-from repro.storage.heap import RowId
 
 
 class TestInsertSearch:
@@ -131,11 +130,11 @@ class TestDelete:
         object."""
         tree = BTree(order=4, unique=unique)
         for slot in range(20):
-            tree.insert(slot if unique else slot % 3, RowId(1, 0, slot))
+            tree.insert(slot if unique else slot % 3, (1, 0, slot))
         key = 7 if unique else 1
-        assert not tree.delete(key, RowId(1, 1, 7))
-        assert tree.delete(key, RowId(1, 0, 7))
-        assert RowId(1, 0, 7) not in tree.search(key)
+        assert not tree.delete(key, (1, 1, 7))
+        assert tree.delete(key, (1, 0, 7))
+        assert (1, 0, 7) not in tree.search(key)
         assert len(tree) == 19
 
     def test_delete_then_range_scan(self):
@@ -162,6 +161,66 @@ class TestDelete:
         for key in range(50, 100):
             tree.delete(key)
         assert tree.max_key() == 49
+
+
+class TestOnePayloadIsStoredBare:
+    """A non-unique key holding one payload stores it without a list: a
+    second insert makes the list and the delete that leaves one payload
+    unmakes it.  Every method returns the same shapes either way."""
+
+    @staticmethod
+    def _stored(tree):
+        return [value for __, values in tree.range_slices()
+                for value in values]
+
+    def test_insert_and_delete_move_between_the_two_layouts(self):
+        tree = BTree(order=4)
+        for slot in range(30):
+            tree.insert(slot, (1, 0, slot))
+        assert self._stored(tree) == [(1, 0, slot) for slot in range(30)]
+        tree.insert(7, (1, 1, 7))
+        tree.insert(7, (1, 2, 7))
+        stored = self._stored(tree)
+        assert stored[7] == [(1, 0, 7), (1, 1, 7), (1, 2, 7)]
+        assert tree.search(7) == [(1, 0, 7), (1, 1, 7), (1, 2, 7)]
+        assert len(tree) == 32
+        assert tree.delete(7, (1, 1, 7)) and tree.delete(7, (1, 0, 7))
+        assert self._stored(tree)[7] == (1, 2, 7)
+        assert tree.search(7) == [(1, 2, 7)]
+        assert not tree.delete(7, (1, 0, 7))
+        assert tree.delete(7, (1, 2, 7))
+        assert tree.search(7) == [] and len(tree) == 29
+        assert list(tree.range_scan(5, 9)) \
+            == [(5, (1, 0, 5)), (6, (1, 0, 6)), (8, (1, 0, 8)),
+                (9, (1, 0, 9))]
+
+    def test_search_hands_out_a_copy(self):
+        tree = BTree()
+        tree.insert(1, "a")
+        tree.insert(1, "b")
+        tree.search(1).append("c")
+        tree.search(2).append("c")
+        assert tree.search(1) == ["a", "b"] and tree.search(2) == []
+
+    def test_whole_key_delete_counts_every_payload(self):
+        tree = BTree()
+        for value in ("a", "b", "c"):
+            tree.insert(1, value)
+        tree.insert(2, "d")
+        assert tree.delete(1) and tree.delete(2)
+        assert len(tree) == 0 and list(tree.range_scan()) == []
+
+    def test_bulk_loads_store_a_lone_payload_bare(self):
+        tree = BTree(order=4)
+        tree.bulk_load([(2, "x"), (1, "a"), (2, "y"), (3, "z")])
+        assert self._stored(tree) == ["a", ["x", "y"], "z"]
+        assert list(tree.range_scan()) \
+            == [(1, "a"), (2, "x"), (2, "y"), (3, "z")]
+        assert len(tree) == 4
+        tree.bulk_load_sorted([1, 2, 3], ["p", "q", "r"])
+        assert self._stored(tree) == ["p", "q", "r"]
+        tree.insert(2, "s")
+        assert tree.search(2) == ["q", "s"]
 
 
 class TestInstrumentation:

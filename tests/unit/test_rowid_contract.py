@@ -1,13 +1,16 @@
-"""The rowid contract: a heap rowid is the tuple ``(segment, page, slot)``.
+"""The rowid contract: a heap rowid is the plain tuple ``(segment, page,
+slot)``.
 
-Hash, equality and order are the tuple's own C slots, so every sort,
-bisect, hash and key compare that meets a rowid stays in C.  A heap
-rowid never equals an IOT's logical rowid and does not order against
-one; the log stores rowids as plain tuples; and a row that holds a
-rowid is charged the same page bytes as when a rowid was an opaque
-object, so page fill does not move.
+Hash, equality and order are the tuple's own, so every sort, bisect,
+hash and key compare that meets a rowid stays in C, and the collector
+stops tracking a rowid — and a key that holds one — at its first pass.
+A heap rowid never equals an IOT's logical rowid and does not order
+against one; and the log stores rowids as they are.  (A rowid pickled
+by the earlier layout, an instance of a ``tuple`` subclass, loads as
+the plain tuple: ``tests/integration/test_rowid_layout_upgrade.py``.)
 """
 
+import gc
 import pickle
 import random
 from operator import ge, gt, le, lt
@@ -15,7 +18,7 @@ from operator import ge, gt, le, lt
 import pytest
 
 from repro import Engine
-from repro.storage.heap import RowId, RowIdBase
+from repro.storage.heap import format_rowid, load_stored
 from repro.storage.iot import LogicalRowId
 from repro.storage.page import estimate_row_size, estimate_size
 from repro.types.datatypes import ROWID
@@ -27,34 +30,40 @@ def _triples(n, seed=3):
             for __ in range(n)]
 
 
-def test_hash_equality_and_order_are_the_address_tuples():
-    triples = _triples(400)
-    rids = [RowId(*t) for t in triples]
-    assert sorted(rids) == [RowId(*t) for t in sorted(triples)]
-    for rid, t in zip(rids, triples):
-        assert rid == t and hash(rid) == hash(t)
-        assert (rid.segment_id, rid.page_no, rid.slot) == t
-        assert repr(rid) == "RID(%d.%d.%d)" % t
-    for (a, ta), (b, tb) in zip(zip(rids, triples),
-                                zip(rids[1:], triples[1:])):
-        assert (a < b, a <= b, a > b, a >= b, a == b) \
-            == (ta < tb, ta <= tb, ta > tb, ta >= tb, ta == tb)
-    assert len(set(rids)) == len(set(triples))
+def test_a_heap_rowid_is_an_exact_tuple_the_collector_drops():
+    db = Engine().connect()
+    db.execute("CREATE TABLE t (id INTEGER, pad VARCHAR2(400))")
+    db.executemany("INSERT INTO t VALUES (:1, :2)",
+                   [[i, "x" * 400] for i in range(40)])
+    rowids = [rid for (rid,) in db.execute("SELECT rowid FROM t")]
+    segment = db.catalog.get_table("t").storage.segment_id
+    assert {type(rid) for rid in rowids} == {tuple}
+    assert {rid[0] for rid in rowids} == {segment}
+    assert len({rid[1] for rid in rowids}) > 1  # several pages
+    assert ROWID.validate(rowids[0]) is rowids[0]
+    # equality, hash and order are the address tuple's
+    shuffled = random.Random(4).sample(rowids, len(rowids))
+    assert sorted(shuffled) == rowids
+    for rid in rowids:
+        address = (rid[0], rid[1], rid[2])
+        assert rid == address and hash(rid) == hash(address)
+        assert db.execute("SELECT id FROM t WHERE rowid = :1",
+                          [address]).fetchall() \
+            == [(rowids.index(rid),)]
+    key = ("token", rowids[0])
+    gc.collect()
+    assert not gc.is_tracked(rowids[0]) and not gc.is_tracked(key)
 
 
-def test_comparisons_are_the_tuple_slots():
-    """Nobody puts the Python dunders back: each comparison and the hash
-    is tuple's own C slot."""
-    for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__",
-                 "__gt__", "__ge__"):
-        assert getattr(RowId, name) is getattr(tuple, name), name
-    assert RowId.__slots__ == ()
-    assert isinstance(RowId(1, 2, 3), RowIdBase)
-    assert ROWID.validate(RowId(1, 2, 3)) == (1, 2, 3)
+def test_a_rowid_displays_as_rid():
+    for rid in _triples(400):
+        assert format_rowid(rid) == "RID(%d.%d.%d)" % rid
+    lrid = LogicalRowId(1, ("a", 2))
+    assert format_rowid(lrid) == repr(lrid) == "LRID(1:('a', 2))"
 
 
 def test_a_heap_rowid_never_meets_a_logical_one():
-    rid = RowId(1, 2, 3)
+    rid = (1, 2, 3)
     for lrid in (LogicalRowId(1, (2, 3)), LogicalRowId(1, (1, 2, 3))):
         assert rid != lrid and lrid != rid
         assert not rid == lrid and not lrid == rid
@@ -64,29 +73,25 @@ def test_a_heap_rowid_never_meets_a_logical_one():
                     compare(a, b)
         assert len({rid, lrid}) == 2
     with pytest.raises(TypeError):
-        sorted([LogicalRowId(1, (5,)), RowId(1, 2, 3)])
+        sorted([LogicalRowId(1, (5,)), (1, 2, 3)])
     # logical rowids keep their own order within a table
     assert sorted([LogicalRowId(1, ("b",)), LogicalRowId(1, ("a",))]) \
         == [LogicalRowId(1, ("a",)), LogicalRowId(1, ("b",))]
 
 
 def test_pickle_round_trip():
-    for rid in (RowId(0, 0, 0), RowId(7, 123456, 99)):
-        back = pickle.loads(pickle.dumps(rid, protocol=5))
-        assert back == rid and type(back) is RowId
-        assert pickle.loads(pickle.dumps((rid, [rid]), protocol=5)) \
-            == (rid, [rid])
-    lrid = LogicalRowId(4, ("tok", RowId(1, 2, 3)))
-    back = pickle.loads(pickle.dumps(lrid, protocol=5))
-    assert back == lrid and type(back.key[1]) is RowId
+    for rid in ((0, 0, 0), (7, 123456, 99)):
+        back = load_stored(pickle.dumps(rid, protocol=5))
+        assert back == rid and type(back) is tuple
+    lrid = LogicalRowId(4, ("tok", (1, 2, 3)))
+    back = load_stored(pickle.dumps(lrid, protocol=5))
+    assert back == lrid and type(back.key[1]) is tuple
 
 
-def test_page_bytes_of_a_row_holding_a_rowid_are_unchanged():
-    """A rowid is one opaque 32-byte value, not a 3-int collection."""
-    assert estimate_size(RowId(1, 2, 3)) == 32
-    assert estimate_row_size([RowId(1, 2, 3), "abc", 5]) == 59
-    assert estimate_row_size([RowId(1, 2, 3)]) == 48
-    assert estimate_row_size([(1, 2, 3)]) == 56  # a plain tuple is not
+def test_a_rowid_is_charged_as_three_ints():
+    assert estimate_size((1, 2, 3)) == 40
+    assert estimate_row_size([(1, 2, 3), "abc", 5]) == 67
+    assert estimate_row_size([(1, 2, 3)]) == 56
 
 
 def test_the_log_carries_rowids_as_plain_tuples(tmp_path):

@@ -111,8 +111,9 @@ class TestSelectBasics:
     def test_rowid_pseudocolumn(self, emp):
         rows = emp.execute(
             "SELECT rowid, name FROM emp WHERE id = 1").fetchall()
-        from repro.storage.heap import RowId
-        assert isinstance(rows[0][0], RowId)
+        rowid = rows[0][0]
+        assert type(rowid) is tuple and len(rowid) == 3
+        assert rowid[0] == emp.catalog.get_table("emp").storage.segment_id
 
     def test_streaming_fetchone(self, emp):
         cursor = emp.execute("SELECT name FROM emp")

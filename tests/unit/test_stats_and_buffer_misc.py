@@ -93,7 +93,7 @@ class TestRowidBatchIO:
 
     def test_n_rowids_on_p_pages_cost_p_reads(self, paged):
         stats, table, rowids = paged
-        pages = {rowid.page_no for rowid in rowids}
+        pages = {rowid[1] for rowid in rowids}
         assert 4 < len(pages) < len(rowids)  # several rows per page
         before = stats.logical_reads
         found, rows = table.fetch_batch(rowids)
@@ -114,16 +114,15 @@ class TestRowidBatchIO:
         assert [row[0] for row in rows] == [41, 3, 40, 3]
         assert all(a is b for a, b in zip(found, probe))
         assert stats.logical_reads - before == len(
-            {rowid.page_no for rowid in probe})
+            {rowid[1] for rowid in probe})
 
     def test_dead_foreign_and_out_of_range_rowids_are_dropped(self, paged):
-        from repro.storage.heap import RowId
         stats, table, rowids = paged
         table.delete(rowids[5])
         other = HeapTable(table.buffer, name="other")
         foreign = other.insert([1, "y"])
-        beyond = RowId(table.segment_id, table.page_count + 3, 0)
-        bad_slot = RowId(table.segment_id, 0, 10_000)
+        beyond = (table.segment_id, table.page_count + 3, 0)
+        bad_slot = (table.segment_id, 0, 10_000)
         probe = [rowids[4], rowids[5], foreign, beyond, bad_slot, rowids[6]]
         found, rows = table.fetch_batch(probe)
         assert found == [rowids[4], rowids[6]]

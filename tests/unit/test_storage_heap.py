@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InvalidRowIdError, StorageError
 from repro.storage.buffer import BufferCache, IOStats
-from repro.storage.heap import HeapTable, RowId
+from repro.storage.heap import HeapTable
 from repro.storage.page import PAGE_SIZE, estimate_row_size
 from repro.testing import scanned
 
@@ -27,13 +27,13 @@ def table(buffer_cache):
 class TestInsertFetch:
     def test_roundtrip(self, table):
         rid = table.insert(["hello", 42])
-        assert table.fetch(rid) == ["hello", 42]
+        assert table.fetch(rid) == ("hello", 42)
 
     def test_rowids_are_stable_and_distinct(self, table):
         rids = [table.insert([i]) for i in range(100)]
         assert len(set(rids)) == 100
         for i, rid in enumerate(rids):
-            assert table.fetch(rid) == [i]
+            assert table.fetch(rid) == (i,)
 
     def test_row_count(self, table):
         for i in range(10):
@@ -62,17 +62,17 @@ class TestUpdateDelete:
     def test_update_in_place(self, table):
         rid = table.insert(["a"])
         old = table.update(rid, ["b"])
-        assert old == ["a"]
-        assert table.fetch(rid) == ["b"]
+        assert old == ("a",)
+        assert table.fetch(rid) == ("b",)
 
     def test_update_keeps_rowid(self, table):
         rid = table.insert(["a"])
         table.update(rid, ["b" * 100])
-        assert table.fetch(rid) == ["b" * 100]
+        assert table.fetch(rid) == ("b" * 100,)
 
     def test_delete_returns_old(self, table):
         rid = table.insert(["gone"])
-        assert table.delete(rid) == ["gone"]
+        assert table.delete(rid) == ("gone",)
         with pytest.raises(InvalidRowIdError):
             table.fetch(rid)
 
@@ -86,7 +86,7 @@ class TestUpdateDelete:
         rid = table.insert([7])
         table.delete(rid)
         table.undelete(rid, [7])
-        assert table.fetch(rid) == [7]
+        assert table.fetch(rid) == (7,)
 
     def test_undelete_live_slot_raises(self, table):
         rid = table.insert([7])
@@ -97,7 +97,7 @@ class TestUpdateDelete:
         first = table.insert([1])
         second = table.insert([2])
         table.delete(first)
-        assert table.fetch(second) == [2]
+        assert table.fetch(second) == (2,)
 
 
 class TestScan:
@@ -152,11 +152,11 @@ class TestBufferAccounting:
 
 class TestRowIdOrdering:
     def test_rowids_order_and_hash(self):
-        a = RowId(1, 0, 0)
-        b = RowId(1, 0, 1)
-        c = RowId(1, 1, 0)
+        a = (1, 0, 0)
+        b = (1, 0, 1)
+        c = (1, 1, 0)
         assert a < b < c
-        assert len({a, b, c, RowId(1, 0, 0)}) == 3
+        assert len({a, b, c, (1, 0, 0)}) == 3
 
     def test_row_size_estimate_positive(self):
         assert estimate_row_size(["abc", 1, None]) > 0

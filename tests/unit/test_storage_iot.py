@@ -47,7 +47,6 @@ class TestBasics:
         rowid built from them, ordered by key, and never equal to a
         physical rowid."""
         import pickle
-        from repro.storage.heap import RowId
         from repro.storage.iot import LogicalRowId
         rid = iot.insert([7, "x"])
         assert rid == LogicalRowId(iot.segment_id, (7,))
@@ -55,7 +54,7 @@ class TestBasics:
             LogicalRowId(iot.segment_id, (7,)))
         assert pickle.loads(pickle.dumps(rid)) == rid
         assert rid < iot.insert([9, "y"])
-        assert rid != RowId(iot.segment_id, 0, 7)
+        assert rid != (iot.segment_id, 0, 7)
 
     def test_key_width_validated(self):
         with pytest.raises(ConstraintError):
@@ -132,10 +131,9 @@ class TestUpdateDelete:
             with pytest.raises(InvalidRowIdError):
                 iot.fetch(rid)
         # a rowid of another segment, or of another kind
-        from repro.storage.heap import RowId
         from repro.storage.iot import LogicalRowId
         for rid in (LogicalRowId(iot.segment_id + 1, (1,)),
-                    RowId(iot.segment_id, 0, 1)):
+                    (iot.segment_id, 0, 1)):
             with pytest.raises(InvalidRowIdError):
                 iot.fetch(rid)
             assert iot.fetch_or_none(rid) is None

@@ -98,8 +98,7 @@ class TestBooleanDateLobs:
 
 class TestRowIdType:
     def test_accepts_rowid(self):
-        from repro.storage.heap import RowId
-        rid = RowId(1, 0, 0)
+        rid = (1, 0, 0)
         assert ROWID.validate(rid) is rid
 
     def test_rejects_int(self):

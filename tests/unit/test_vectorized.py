@@ -19,7 +19,7 @@ from repro.errors import ExecutionError
 from repro.sql.columnar import ColumnBatch, ExecutorStats
 from repro.sql.engine import Engine
 from repro.sql.executor import _FOLD_CHUNK_ROWS
-from repro.storage.heap import PageRowIds, RowId
+from repro.storage.heap import PageRowIds
 from repro.storage.page import Page
 from repro.testing import interpreter_forced, scanned
 from repro.types.values import NULL
@@ -62,12 +62,12 @@ class TestColumnBatch:
     def test_page_rowids_build_rowids_on_access(self):
         rowids = PageRowIds(3, 9, [0, 2, 5])
         assert len(rowids) == 3
-        assert rowids[1] == RowId(3, 9, 2)
+        assert rowids[1] == (3, 9, 2)
         assert rowids[1] is not rowids[1]  # built per read: compare by ==
-        assert list(rowids) == [RowId(3, 9, s) for s in (0, 2, 5)]
+        assert list(rowids) == [(3, 9, s) for s in (0, 2, 5)]
         batch = ColumnBatch(PageRowIds(3, 9, range(2)), [["a", "b"]])
         batch.sel = [1]
-        assert list(batch.iter_rows()) == [(RowId(3, 9, 1), ["b"])]
+        assert list(batch.iter_rows()) == [((3, 9, 1), ["b"])]
 
     def test_executor_stats_snapshot_and_histogram(self):
         stats = ExecutorStats()
@@ -409,18 +409,25 @@ class TestNullGroupKey:
 
 
 class TestLazyPageRowIds:
-    """A heap page batch builds a RowId only for a row whose address a
+    """A heap page batch builds a rowid only for a row whose address a
     consumer reads; snapshot reads and page counts are unchanged."""
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Counts the rowids read out of heap page batches."""
         count = [0]
-        new = RowId.__new__
+        getitem, iterate = PageRowIds.__getitem__, PageRowIds.__iter__
 
-        def counting(cls, *args):
+        def counting_getitem(rowids, i):
             count[0] += 1
-            return new(cls, *args)
-        monkeypatch.setattr(RowId, "__new__", counting)
+            return getitem(rowids, i)
+
+        def counting_iter(rowids):
+            for rowid in iterate(rowids):
+                count[0] += 1
+                yield rowid
+        monkeypatch.setattr(PageRowIds, "__getitem__", counting_getitem)
+        monkeypatch.setattr(PageRowIds, "__iter__", counting_iter)
         return lambda: count[0]
 
     def test_a_fold_builds_one_per_group_and_a_filter_none(self, db, built):
