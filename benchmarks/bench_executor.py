@@ -13,13 +13,13 @@ Run directly::
     python benchmarks/bench_executor.py --smoke --check   # CI perf gate
 
 ``--check`` compares *speedup ratios* (not absolute seconds, which vary
-by machine) against the committed baseline JSON and fails on a >20%
-regression; it also enforces the absolute speedup floors and the
-ceiling on a full scan right after every page was written.  The same entry points run under pytest via
+by machine) against the committed baseline JSON (``BASELINE``); it also
+enforces the absolute speedup floors and the ceiling on a full scan
+right after every page was written (``GATES``).
+The same entry points run under pytest via
 :func:`test_executor_benchmark` so the suite keeps them healthy.
 """
 
-import argparse
 import gc
 import json
 import os
@@ -32,43 +32,15 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import Engine
-from repro.bench.harness import ReportTable, fastest
+from repro.bench.harness import (
+    Baseline, BenchScript, Gate, ReportTable, assert_gates, fastest)
 from repro.bench.workloads import make_corpus
 from repro.testing import interpreter_forced
-
-REPORT_FILE = "executor.txt"
-JSON_FILE = "BENCH_executor.json"
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-#: machine-readable results live at the repo root (text reports stay
-#: under benchmarks/results/)
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: several compiled-friendly predicates over one full scan — the
 #: expression-evaluation-dominated workload the compiler targets
 FILTER_SQL = ("SELECT id FROM t WHERE val < :1 AND grp LIKE 'g1%'"
               " AND id BETWEEN :2 AND :3 AND NOT (val * 2 > 1.9)")
-
-#: regression tolerance for --check: a speedup ratio may not drop below
-#: 80% of the committed baseline's
-CHECK_TOLERANCE = 0.8
-#: acceptance floor: the vector kernel must beat the interpreter by
-#: >= 2x on the filter-heavy full scan
-FILTER_SPEEDUP_FLOOR = 2.0
-#: grouped column folds must beat the interpreted accumulator loop
-VECTORIZED_AGG_FLOOR = 1.3
-#: a B-tree range probe with a selective residual: vector kernel over
-#: the fetched rowid batches vs the interpreter over a context per row
-INDEX_LOOKUP_FLOOR = 1.5
-#: generated row functions (sort keys, hash-join keys and condition,
-#: projections) must beat the interpreter on the row pipeline
-ROW_LOOP_FLOOR = 1.1
-#: an IOT prefix scan's batches through the vector kernel and the fused
-#: projection vs the interpreter over a context per posting
-IOT_PREFIX_FLOOR = 1.5
-#: a full scan right after every page was written (each page rebuilds
-#: its column image) vs a cold scan of the same table: what a
-#: write-heavy table pays for the cache
-RESCAN_CEILING = 1.2
 
 #: the scan both sides of the rescan case time
 RESCAN_SQL = "SELECT COUNT(*) FROM t WHERE val < :1"
@@ -370,123 +342,74 @@ def render_table(results):
     return table
 
 
-#: absolute speedup floors --check enforces, whatever the baseline says
-FLOORS = {"filter_full_scan": FILTER_SPEEDUP_FLOOR,
-          "vectorized_agg": VECTORIZED_AGG_FLOOR,
-          "index_lookup": INDEX_LOOKUP_FLOOR,
-          "row_loop": ROW_LOOP_FLOOR,
-          "iot_prefix": IOT_PREFIX_FLOOR,
-          # at smoke scale the domain scan is ODCI-dispatch dominated,
-          # so its ratio is not stable across corpus sizes: generated
-          # code must not be slower, no more
-          "domain_scan": 0.9}
+#: the bounds on a run.  The pytest entry's are looser where they differ:
+#: under the full suite's load the timings wobble, and the perf job
+#: (--smoke --check) holds the line
+GATES = (
+    # acceptance floor: the vector kernel must beat the interpreter by
+    # >= 2x on the filter-heavy full scan
+    Gate("filter_full_scan.speedup", ">=", 2.0),
+    # grouped column folds must beat the interpreted accumulator loop
+    Gate("vectorized_agg.speedup", ">=", 1.3, test=1.1),
+    # a B-tree range probe with a selective residual: vector kernel over
+    # the fetched rowid batches vs the interpreter over a context per row
+    Gate("index_lookup.speedup", ">=", 1.5, test=1.2),
+    # generated row functions (sort keys, hash-join keys and condition,
+    # projections) must beat the interpreter on the row pipeline
+    Gate("row_loop.speedup", ">=", 1.1, test=1.0),
+    # an IOT prefix scan's batches through the vector kernel and the
+    # fused projection vs the interpreter over a context per posting
+    Gate("iot_prefix.speedup", ">=", 1.5, test=1.2),
+    # at smoke scale the domain scan is ODCI-dispatch dominated, so its
+    # ratio is not stable across corpus sizes: generated code must not
+    # be slower, no more
+    Gate("domain_scan.speedup", ">=", 0.9, test=None),
+    # a full scan right after every page was written (each page rebuilds
+    # its column image) vs a cold scan of the same table: what a
+    # write-heavy table pays for the cache
+    Gate("rescan_after_writes.ratio", "<=", 1.2, test=1.5),
+    Gate("plan_cache.speedup", ">", None, test=1.0),
+)
+#: regression tolerance for --check: a speedup ratio may not drop below
+#: 80% of the committed baseline's
+CHECK_TOLERANCE = 0.8
+BASELINE = Baseline(("filter_full_scan.speedup", "plan_cache.speedup"),
+                    CHECK_TOLERANCE)
 
 
-def check_against_baseline(results, baseline_path):
-    """Ratio-based regression gate; returns a list of failure strings."""
-    failures = []
-    for case, floor in FLOORS.items():
-        speedup = results["cases"][case]["speedup"]
-        if speedup < floor:
-            failures.append(
-                f"{case} speedup {speedup} is below the {floor}x floor")
-    ratio = results["cases"]["rescan_after_writes"]["ratio"]
-    if ratio > RESCAN_CEILING:
-        failures.append(
-            f"rescan_after_writes: a scan after writes costs {ratio}x a"
-            f" cold scan, above the {RESCAN_CEILING}x ceiling")
-    if not os.path.exists(baseline_path):
-        failures.append(f"no committed baseline at {baseline_path}")
-        return failures
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    for case in ("filter_full_scan", "plan_cache"):
-        base = baseline["cases"].get(case, {}).get("speedup")
-        now = results["cases"][case]["speedup"]
-        if base is None:
+def keep_previous(results, json_path):
+    """Keep the recording being replaced next to the new one, so the file
+    shows which way each case moved (and what a dropped case last
+    measured)."""
+    if not os.path.exists(json_path):
+        return
+    with open(json_path) as handle:
+        before = json.load(handle)
+    dropped = before.get("previous", {})
+    for name, case in before["cases"].items():
+        if "speedup" not in case:  # the batch sweep: bare timings
             continue
-        if now < base * CHECK_TOLERANCE:
-            failures.append(
-                f"{case}: speedup regressed >20% "
-                f"(baseline {base}x, now {now}x)")
-    return failures
+        case.pop("previous", None)
+        now = results["cases"].get(name)
+        if now is None:
+            dropped[name] = case
+            continue
+        # recorded once by hand: the same queries on the parent
+        # commit's closure tier, same box, same session
+        if "parent_closure_s" in case:
+            now["parent_closure_s"] = case.pop("parent_closure_s")
+        now["previous"] = case
+    results["previous"] = dropped
 
 
-def write_results(results):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    json_path = os.path.join(REPO_ROOT, JSON_FILE)
-    if os.path.exists(json_path):
-        # keep the recording being replaced next to the new one, so the
-        # file shows which way each case moved (and what a dropped case
-        # last measured)
-        with open(json_path) as handle:
-            before = json.load(handle)
-        dropped = before.get("previous", {})
-        for name, case in before["cases"].items():
-            if "speedup" not in case:  # the batch sweep: bare timings
-                continue
-            case.pop("previous", None)
-            now = results["cases"].get(name)
-            if now is None:
-                dropped[name] = case
-                continue
-            # recorded once by hand: the same queries on the parent
-            # commit's closure tier, same box, same session
-            if "parent_closure_s" in case:
-                now["parent_closure_s"] = case.pop("parent_closure_s")
-            now["previous"] = case
-        results["previous"] = dropped
-    with open(json_path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    render_table(results).emit(os.path.join(RESULTS_DIR, REPORT_FILE))
-    return json_path
+BENCH = BenchScript(__file__, run_benchmarks, render_table, GATES, BASELINE,
+                    before_write=keep_previous)
 
-
-# -- pytest entry point (keeps the script healthy inside the suite) --------
 
 def test_executor_benchmark():
-    """Smoke-size run: results must satisfy the acceptance floor."""
-    results = run_benchmarks(smoke=True)
-    speedup = results["cases"]["filter_full_scan"]["speedup"]
-    assert speedup >= FILTER_SPEEDUP_FLOOR, (
-        f"vector kernel only {speedup}x over the interpreter")
-    assert results["cases"]["plan_cache"]["speedup"] > 1.0
-    # looser than the perf-job gates: under the full suite's load the
-    # timings wobble, and the perf job (--smoke --check) holds the line
-    agg = results["cases"]["vectorized_agg"]["speedup"]
-    assert agg >= 1.1, f"vectorized aggregation only {agg}x"
-    lookup = results["cases"]["index_lookup"]["speedup"]
-    assert lookup >= 1.2, f"vectorized index lookup only {lookup}x"
-    row_loop = results["cases"]["row_loop"]["speedup"]
-    assert row_loop >= 1.0, f"row functions slower than interpreter"
-    iot = results["cases"]["iot_prefix"]["speedup"]
-    assert iot >= 1.2, f"vectorized IOT prefix scan only {iot}x"
-    rescan = results["cases"]["rescan_after_writes"]["ratio"]
-    assert rescan <= 1.5, f"a scan after writes costs {rescan}x a cold one"
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for CI")
-    parser.add_argument("--check", action="store_true",
-                        help="compare speedup ratios against the committed "
-                             "baseline instead of overwriting it")
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(smoke=args.smoke)
-    if args.check:
-        render_table(results).emit()
-        failures = check_against_baseline(
-            results, os.path.join(REPO_ROOT, JSON_FILE))
-        for failure in failures:
-            print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    path = write_results(results)
-    print(f"wrote {path}")
-    return 0
+    """Smoke-size run: results must hold the pytest side of ``GATES``."""
+    assert_gates(GATES, run_benchmarks(smoke=True))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

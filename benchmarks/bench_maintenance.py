@@ -33,14 +33,11 @@ Emits ``BENCH_maintenance.json`` at the repo root.  Run directly::
     python benchmarks/bench_maintenance.py            # record JSON + table
     python benchmarks/bench_maintenance.py --smoke --check   # CI perf gate
 
-``--check`` enforces the acceptance floors (text bulk build >= 5x,
-spatial >= 3x, batched executemany >= 3x, rectangle tessellation >= 3x,
-text and spatial scaling ratios at most 1.5) and compares the speedup
-ratios against the committed baseline, failing on a >20% regression.
+``--check`` holds the acceptance floors and the scaling ceiling
+(``GATES``) and compares the speedup ratios against the committed
+baseline (``BASELINE``).
 """
 
-import argparse
-import json
 import os
 import random
 import sys
@@ -51,40 +48,23 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import Engine
-from repro.bench.harness import ReportTable, fastest
+from repro.bench.harness import (
+    Baseline, BenchScript, Gate, ReportTable, assert_gates, fastest)
 from repro.bench.workloads import make_corpus
 from repro.cartridges.spatial.indextype import RtreeIndexMethods
 from repro.cartridges.text.indextype import TextIndexMethods, _TERMS
 from repro.cartridges.text.lexer import TextLexer, TextParameters
 from repro.types.values import is_null
 
-REPORT_FILE = "maintenance.txt"
-JSON_FILE = "BENCH_maintenance.json"
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-#: machine-readable results live at the repo root (text reports stay
-#: under benchmarks/results/)
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: regression tolerance for --check: a speedup ratio may not drop below
-#: 80% of the committed baseline's
-CHECK_TOLERANCE = 0.8
 #: timed rounds a side of each ratio case (the fastest counts; see
 #: repro.bench.harness.fastest)
 ROUNDS = 7
-#: acceptance floors: bulk CREATE INDEX over the per-row build
-TEXT_BUILD_FLOOR = 5.0
-SPATIAL_BUILD_FLOOR = 3.0
-#: batched executemany INSERT over looping execute per row
-EXECUTEMANY_FLOOR = 3.0
-#: closed-form rectangle cover over the relate() descent
-TESSELLATE_FLOOR = 3.0
 #: per-row maintenance time at 4N rows over the time at N rows (a
-#: ceiling).  Text and tile deletes are both keyed — the row's postings
-#: by ``(token, rid)``, its tiles by ``(grpcode, code, rid)`` — so the
-#: time does not know the table, and ``--check`` holds both cases to it.
+#: ceiling, recorded as each scaling case's ``met``).  Text and tile
+#: deletes are both keyed — the row's postings by ``(token, rid)``, its
+#: tiles by ``(grpcode, code, rid)`` — so the time does not know the
+#: table, and ``GATES`` holds both cases to it.
 SCALING_CEILING = 1.5
-#: the scaling cases ``--check`` holds to SCALING_CEILING
-SCALING_CASES = ("text_update_scaling", "spatial_delete_scaling")
 
 
 class PerRowTextMethods(TextIndexMethods):
@@ -492,90 +472,31 @@ def render_table(results):
     return table
 
 
-def check_against_baseline(results, baseline_path):
-    """Ratio-based regression gate; returns a list of failure strings."""
-    failures = []
-    floors = (("text_bulk_create", TEXT_BUILD_FLOOR),
-              ("spatial_bulk_create", SPATIAL_BUILD_FLOOR),
-              ("executemany_insert", EXECUTEMANY_FLOOR),
-              ("tessellate_rect", TESSELLATE_FLOOR))
-    for case, floor in floors:
-        speedup = results["cases"][case]["speedup"]
-        if speedup < floor:
-            failures.append(
-                f"{case} speedup {speedup} is below the {floor}x "
-                "acceptance floor")
-    for case in SCALING_CASES:
-        scaling = results["cases"][case]
-        if not scaling["met"]:
-            failures.append(
-                f"{case}: per-row time grew {scaling['ratio']}x "
-                f"for 4x the rows (ceiling {SCALING_CEILING}x)")
-    if not os.path.exists(baseline_path):
-        failures.append(f"no committed baseline at {baseline_path}")
-        return failures
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    for case, __ in floors:
-        base = baseline["cases"].get(case, {}).get("speedup")
-        now = results["cases"][case]["speedup"]
-        if base is None:
-            continue
-        if now < base * CHECK_TOLERANCE:
-            failures.append(
-                f"{case}: speedup regressed >20% "
-                f"(baseline {base}x, now {now}x)")
-    return failures
+GATES = (
+    # acceptance floors: bulk CREATE INDEX over the per-row build
+    Gate("text_bulk_create.speedup", ">=", 5.0),
+    Gate("spatial_bulk_create.speedup", ">=", 3.0),
+    # batched executemany INSERT over looping execute per row
+    Gate("executemany_insert.speedup", ">=", 3.0),
+    # closed-form rectangle cover over the relate() descent
+    Gate("tessellate_rect.speedup", ">=", 3.0),
+    Gate("text_update_scaling.met", "==", True),
+    Gate("spatial_delete_scaling.met", "==", True),
+)
+#: regression tolerance for --check: a speedup ratio may not drop below
+#: 80% of the committed baseline's
+CHECK_TOLERANCE = 0.8
+BASELINE = Baseline(("text_bulk_create.speedup",
+                     "spatial_bulk_create.speedup",
+                     "executemany_insert.speedup",
+                     "tessellate_rect.speedup"), CHECK_TOLERANCE)
+BENCH = BenchScript(__file__, run_benchmarks, render_table, GATES, BASELINE)
 
-
-def write_results(results):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    json_path = os.path.join(REPO_ROOT, JSON_FILE)
-    with open(json_path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    render_table(results).emit(os.path.join(RESULTS_DIR, REPORT_FILE))
-    return json_path
-
-
-# -- pytest entry point (keeps the script healthy inside the suite) --------
 
 def test_maintenance_benchmark():
-    """Smoke-size run: results must satisfy the acceptance floors."""
-    results = run_benchmarks(smoke=True)
-    assert results["cases"]["text_bulk_create"]["speedup"] \
-        >= TEXT_BUILD_FLOOR, results["cases"]["text_bulk_create"]
-    assert results["cases"]["spatial_bulk_create"]["speedup"] \
-        >= SPATIAL_BUILD_FLOOR, results["cases"]["spatial_bulk_create"]
-    assert results["cases"]["executemany_insert"]["speedup"] \
-        >= EXECUTEMANY_FLOOR, results["cases"]["executemany_insert"]
-    assert results["cases"]["tessellate_rect"]["speedup"] \
-        >= TESSELLATE_FLOOR, results["cases"]["tessellate_rect"]
-    for case in SCALING_CASES:
-        assert results["cases"][case]["met"], results["cases"][case]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for CI")
-    parser.add_argument("--check", action="store_true",
-                        help="compare speedup ratios against the committed "
-                             "baseline instead of overwriting it")
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(smoke=args.smoke)
-    if args.check:
-        render_table(results).emit()
-        failures = check_against_baseline(
-            results, os.path.join(REPO_ROOT, JSON_FILE))
-        for failure in failures:
-            print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    path = write_results(results)
-    print(f"wrote {path}")
-    return 0
+    """Smoke-size run: results must hold the pytest side of ``GATES``."""
+    assert_gates(GATES, run_benchmarks(smoke=True))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -21,14 +21,12 @@ Emits ``BENCH_mvcc.json`` at the repo root.  Run directly::
     python benchmarks/bench_mvcc.py            # record JSON + table
     python benchmarks/bench_mvcc.py --smoke --check   # CI perf gate
 
-``--check`` enforces the acceptance floor (MVCC aggregate reader
-throughput >= 2x the locked baseline under 8-writer stress), the
-resolve-overhead ceiling, and compares the speedup ratio against the
-committed baseline, failing on a >20% regression.
+``--check`` holds ``GATES`` (the reader-throughput floor under
+8-writer stress, no deadlocks, the resolve-overhead ceiling) and
+compares the speedup ratio against the committed baseline
+(``BASELINE``).
 """
 
-import argparse
-import json
 import os
 import random
 import sys
@@ -39,27 +37,17 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
     sys.path.insert(0, os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
 
-from repro.bench.harness import ReportTable
+from repro.bench.harness import (
+    Baseline, BenchScript, Gate, ReportTable, assert_gates)
 from repro.sql.engine import Engine
 from repro.txn.locks import LockMode
 
-REPORT_FILE = "mvcc.txt"
-JSON_FILE = "BENCH_mvcc.json"
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-#: machine-readable results live at the repo root (text reports stay
-#: under benchmarks/results/)
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: regression tolerance for --check: the speedup ratio may not drop
-#: below 80% of the committed baseline's
-CHECK_TOLERANCE = 0.8
 #: acceptance floor (ISSUE 6): aggregate reader throughput under
 #: 8-writer stress, MVCC snapshot reads over the locked-read baseline
 MVCC_FLOOR = 2.0
-#: ceiling on ``resolve_overhead.overhead_x``: a snapshot scan of a
-#: settled table over the same scan in current mode (1.674 while every
-#: row kept a head; ~1.1 once settled heads are forgotten)
-RESOLVE_OVERHEAD_CEILING = 1.2
+#: regression tolerance for --check: the speedup ratio may not drop
+#: below 80% of the committed baseline's
+CHECK_TOLERANCE = 0.8
 #: speedups are clamped here before the baseline comparison: beyond
 #: this the locked baseline is starvation-dominated and the exact
 #: ratio is scheduling noise (observed 30-70x run to run), while the
@@ -327,82 +315,24 @@ def render_table(results):
     return table
 
 
-def check_against_baseline(results, baseline_path):
-    """Ratio-based regression gate; returns a list of failure strings."""
-    failures = []
-    rt = results["cases"]["reader_throughput"]
-    if rt["speedup"] < MVCC_FLOOR:
-        failures.append(
-            f"reader_throughput speedup {rt['speedup']} is below the "
-            f"{MVCC_FLOOR}x acceptance floor")
-    if rt["mvcc"]["deadlocks"] != 0:
-        failures.append(
-            f"mvcc mode saw {rt['mvcc']['deadlocks']} deadlocks")
-    ro = results["cases"]["resolve_overhead"]
-    if ro["overhead_x"] > RESOLVE_OVERHEAD_CEILING or ro["heads_tracked"]:
-        failures.append(
-            f"resolve_overhead {ro['overhead_x']}x is above the "
-            f"{RESOLVE_OVERHEAD_CEILING}x ceiling, or the settled table "
-            f"still tracks {ro['heads_tracked']} heads")
-    if not os.path.exists(baseline_path):
-        failures.append(f"no committed baseline at {baseline_path}")
-        return failures
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    base = baseline["cases"].get(
-        "reader_throughput", {}).get("speedup")
-    if base is not None:
-        capped_base = min(base, SPEEDUP_CAP)
-        capped_now = min(rt["speedup"], SPEEDUP_CAP)
-        if capped_now < capped_base * CHECK_TOLERANCE:
-            failures.append(
-                "reader_throughput: speedup regressed >20% "
-                f"(baseline {base}x, now {rt['speedup']}x, "
-                f"compared capped at {SPEEDUP_CAP}x)")
-    return failures
+GATES = (
+    Gate("reader_throughput.speedup", ">=", MVCC_FLOOR),
+    Gate("reader_throughput.mvcc.deadlocks", "==", 0),
+    # a snapshot scan of a settled table over the same scan in current
+    # mode (1.674 while every row kept a head; ~1.1 once settled heads
+    # are forgotten)
+    Gate("resolve_overhead.overhead_x", "<=", 1.2, test=None),
+    Gate("resolve_overhead.heads_tracked", "==", 0, test=None),
+)
+BASELINE = Baseline(("reader_throughput.speedup",), CHECK_TOLERANCE,
+                    cap=SPEEDUP_CAP)
+BENCH = BenchScript(__file__, run_benchmarks, render_table, GATES, BASELINE)
 
-
-def write_results(results):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    json_path = os.path.join(REPO_ROOT, JSON_FILE)
-    with open(json_path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    render_table(results).emit(os.path.join(RESULTS_DIR, REPORT_FILE))
-    return json_path
-
-
-# -- pytest entry point (keeps the script healthy inside the suite) --------
 
 def test_mvcc_benchmark():
-    """Smoke-size run: MVCC readers must beat locked readers >= 2x."""
-    results = run_benchmarks(smoke=True)
-    rt = results["cases"]["reader_throughput"]
-    assert rt["speedup"] >= MVCC_FLOOR, rt
-    assert rt["mvcc"]["deadlocks"] == 0, rt
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for CI")
-    parser.add_argument("--check", action="store_true",
-                        help="compare the speedup ratio against the "
-                             "committed baseline instead of overwriting it")
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(smoke=args.smoke)
-    if args.check:
-        render_table(results).emit()
-        failures = check_against_baseline(
-            results, os.path.join(REPO_ROOT, JSON_FILE))
-        for failure in failures:
-            print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    path = write_results(results)
-    print(f"wrote {path}")
-    return 0
+    """Smoke-size run: results must hold the pytest side of ``GATES``."""
+    assert_gates(GATES, run_benchmarks(smoke=True))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -20,13 +20,11 @@ Emits ``BENCH_server.json`` at the repo root.  Run directly::
     python benchmarks/bench_server.py            # record JSON + table
     python benchmarks/bench_server.py --smoke --check   # CI perf gate
 
-``--check`` enforces the acceptance floor (single-client network
-throughput >= ``NET_THROUGHPUT_FLOOR`` statements/s on loopback) and
-compares against the committed baseline, failing on a large regression.
+``--check`` holds the acceptance floors (``GATES``: single-client
+network statements/s and streamed rows/s on loopback) and compares
+against the committed baseline (``BASELINE``).
 """
 
-import argparse
-import json
 import os
 import sys
 import threading
@@ -37,28 +35,10 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import dbapi
-from repro.bench.harness import ReportTable
+from repro.bench.harness import (
+    Baseline, BenchScript, Gate, ReportTable, assert_gates)
 from repro.server import Server
 from repro.sql.engine import Engine
-
-REPORT_FILE = "server.txt"
-JSON_FILE = "BENCH_server.json"
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-#: machine-readable results live at the repo root (text reports stay
-#: under benchmarks/results/)
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: acceptance floor: a single network client on loopback must push at
-#: least this many point SELECTs per second.  Deliberately generous —
-#: loopback round trips run thousands/s; the gate catches accidental
-#: per-request disasters (sleeping, reconnecting, re-pickling the
-#: world), not honest machine-speed variance.
-NET_THROUGHPUT_FLOOR = 150.0
-#: streaming floor: rows/s through arraysize-batched FETCH frames
-STREAM_FLOOR = 10_000.0
-#: regression tolerance for --check: throughput may not drop below
-#: this fraction of the committed baseline (network benches are noisy)
-CHECK_TOLERANCE = 0.5
 
 N_TABLE_ROWS = 500
 CONCURRENT_CLIENTS = (1, 4, 8)
@@ -215,82 +195,30 @@ def render_table(results):
     return table
 
 
-def check_against_baseline(results, baseline_path):
-    """Floor + ratio regression gate; returns failure strings."""
-    failures = []
-    rt = results["cases"]["roundtrip"]
-    if rt["network_ops_per_s"] < NET_THROUGHPUT_FLOOR:
-        failures.append(
-            f"network throughput {rt['network_ops_per_s']} ops/s is "
-            f"below the {NET_THROUGHPUT_FLOOR} ops/s acceptance floor")
-    best_stream = max(
-        row["rows_per_s"] for row in
-        results["cases"]["streaming"]["by_arraysize"].values())
-    if best_stream < STREAM_FLOOR:
-        failures.append(
-            f"streaming fetch {best_stream} rows/s is below the "
-            f"{STREAM_FLOOR} rows/s acceptance floor")
-    if not os.path.exists(baseline_path):
-        failures.append(f"no committed baseline at {baseline_path}")
-        return failures
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    base_ops = baseline["cases"].get("roundtrip", {}).get(
-        "network_ops_per_s")
-    if base_ops is not None and (
-            rt["network_ops_per_s"] < base_ops * CHECK_TOLERANCE):
-        failures.append(
-            "roundtrip: network throughput regressed >50% "
-            f"(baseline {base_ops} ops/s, now "
-            f"{rt['network_ops_per_s']} ops/s)")
-    return failures
+GATES = (
+    # a single network client on loopback must push at least this many
+    # point SELECTs per second.  Deliberately generous — loopback round
+    # trips run thousands/s; the gate catches accidental per-request
+    # disasters (sleeping, reconnecting, re-pickling the world), not
+    # honest machine-speed variance.
+    Gate("roundtrip.network_ops_per_s", ">=", 150.0),
+    # rows/s through arraysize-batched FETCH frames, best arraysize
+    Gate("streaming.best_rows_per_s", ">=", 10_000.0,
+         read=lambda cases: max(
+             row["rows_per_s"]
+             for row in cases["streaming"]["by_arraysize"].values())),
+)
+#: regression tolerance for --check: throughput may not drop below
+#: this fraction of the committed baseline (network benches are noisy)
+CHECK_TOLERANCE = 0.5
+BASELINE = Baseline(("roundtrip.network_ops_per_s",), CHECK_TOLERANCE)
+BENCH = BenchScript(__file__, run_benchmarks, render_table, GATES, BASELINE)
 
-
-def write_results(results):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    json_path = os.path.join(REPO_ROOT, JSON_FILE)
-    with open(json_path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    render_table(results).emit(os.path.join(RESULTS_DIR, REPORT_FILE))
-    return json_path
-
-
-# -- pytest entry point (keeps the script healthy inside the suite) --------
 
 def test_server_benchmark():
-    """Smoke-size run: the network path must clear the absolute floors."""
-    results = run_benchmarks(smoke=True)
-    rt = results["cases"]["roundtrip"]
-    assert rt["network_ops_per_s"] >= NET_THROUGHPUT_FLOOR, rt
-    best_stream = max(
-        row["rows_per_s"] for row in
-        results["cases"]["streaming"]["by_arraysize"].values())
-    assert best_stream >= STREAM_FLOOR, results["cases"]["streaming"]
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for CI")
-    parser.add_argument("--check", action="store_true",
-                        help="enforce the throughput floor and compare "
-                             "against the committed baseline instead of "
-                             "overwriting it")
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(smoke=args.smoke)
-    if args.check:
-        render_table(results).emit()
-        failures = check_against_baseline(
-            results, os.path.join(REPO_ROOT, JSON_FILE))
-        for failure in failures:
-            print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    path = write_results(results)
-    print(f"wrote {path}")
-    return 0
+    """Smoke-size run: results must hold the pytest side of ``GATES``."""
+    assert_gates(GATES, run_benchmarks(smoke=True))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -23,14 +23,12 @@ Emits ``BENCH_wal.json`` at the repo root.  Run directly::
     python benchmarks/bench_wal.py            # record JSON + table
     python benchmarks/bench_wal.py --smoke --check   # CI perf gate
 
-``--check`` enforces the acceptance floor (group-commit throughput
->= 3x the per-commit baseline at 8 sessions) and a work ceiling
-(grouped fsyncs <= 0.5 per commit at 8 sessions), and compares the
-ratio against the committed baseline, failing on a >20% regression.
+``--check`` holds ``GATES`` (the group-commit floor over the
+per-commit baseline at 8 sessions, and the grouped fsyncs-per-commit
+work ceiling) and compares the ratio against the committed baseline
+(``BASELINE``).
 """
 
-import argparse
-import json
 import os
 import shutil
 import sys
@@ -43,29 +41,20 @@ if __name__ == "__main__":  # runnable without PYTHONPATH=src
         os.path.abspath(__file__)), "..", "src"))
 
 from repro import Engine
-from repro.bench.harness import ReportTable
+from repro.bench.harness import (
+    Baseline, BenchScript, Gate, ReportTable, assert_gates)
 
-REPORT_FILE = "wal.txt"
-JSON_FILE = "BENCH_wal.json"
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-#: machine-readable results live at the repo root (text reports stay
-#: under benchmarks/results/)
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: regression tolerance for --check: the speedup ratio may not drop
-#: below 80% of the committed baseline's
-CHECK_TOLERANCE = 0.8
 #: acceptance floor (ISSUE 7): group-commit throughput over the
 #: per-commit-fsync baseline at 8 concurrent sessions
 GROUP_COMMIT_FLOOR = 3.0
+#: regression tolerance for --check: the speedup ratio may not drop
+#: below 80% of the committed baseline's
+CHECK_TOLERANCE = 0.8
 #: speedups are clamped here before the baseline comparison — beyond
 #: this the per-commit baseline is fsync-serialization-dominated and
 #: the exact ratio is scheduling noise, while the gate only needs to
 #: see it stay comfortably above the floor
 SPEEDUP_CAP = 4 * GROUP_COMMIT_FLOOR
-#: work ceiling: grouped fsyncs per commit at 8 concurrent sessions —
-#: a count, so it holds on a loaded box where the timing floor wobbles
-GROUPED_FSYNCS_PER_COMMIT_CEILING = 0.5
 
 #: simulated fsync latency; ~2 ms is a cheap-SSD / shared-disk figure
 FSYNC_DELAY_S = 0.002
@@ -241,87 +230,23 @@ def render_table(results):
     return table
 
 
-def check_against_baseline(results, baseline_path):
-    """Ratio-based regression gate; returns a list of failure strings."""
-    failures = []
-    gc = results["cases"]["group_commit"]
-    at8 = gc["8"]
-    if at8["speedup"] < GROUP_COMMIT_FLOOR:
-        failures.append(
-            f"group_commit speedup at 8 sessions {at8['speedup']} is "
-            f"below the {GROUP_COMMIT_FLOOR}x acceptance floor")
-    if at8["grouped"]["fsyncs"] >= at8["per_commit"]["fsyncs"]:
-        failures.append(
-            "group commit did not reduce fsyncs at 8 sessions "
-            f"({at8['grouped']['fsyncs']} vs "
-            f"{at8['per_commit']['fsyncs']})")
-    per_commit = at8["grouped"]["fsyncs_per_commit"]
-    if per_commit > GROUPED_FSYNCS_PER_COMMIT_CEILING:
-        failures.append(
-            f"grouped fsyncs per commit at 8 sessions {per_commit} is "
-            f"above the {GROUPED_FSYNCS_PER_COMMIT_CEILING} ceiling")
-    if not os.path.exists(baseline_path):
-        failures.append(f"no committed baseline at {baseline_path}")
-        return failures
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    base = baseline["cases"].get("group_commit", {}).get(
-        "8", {}).get("speedup")
-    if base is not None:
-        capped_base = min(base, SPEEDUP_CAP)
-        capped_now = min(at8["speedup"], SPEEDUP_CAP)
-        if capped_now < capped_base * CHECK_TOLERANCE:
-            failures.append(
-                "group_commit: 8-session speedup regressed >20% "
-                f"(baseline {base}x, now {at8['speedup']}x, "
-                f"compared capped at {SPEEDUP_CAP}x)")
-    return failures
+GATES = (
+    Gate("group_commit.8.speedup", ">=", GROUP_COMMIT_FLOOR),
+    Gate("group_commit.8.grouped.fsyncs", "<",
+         "group_commit.8.per_commit.fsyncs"),
+    # work ceiling: grouped fsyncs per commit at 8 concurrent sessions —
+    # a count, so it holds on a loaded box where the timing floor wobbles
+    Gate("group_commit.8.grouped.fsyncs_per_commit", "<=", 0.5),
+)
+BASELINE = Baseline(("group_commit.8.speedup",), CHECK_TOLERANCE,
+                    cap=SPEEDUP_CAP)
+BENCH = BenchScript(__file__, run_benchmarks, render_table, GATES, BASELINE)
 
-
-def write_results(results):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    json_path = os.path.join(REPO_ROOT, JSON_FILE)
-    with open(json_path, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    render_table(results).emit(os.path.join(RESULTS_DIR, REPORT_FILE))
-    return json_path
-
-
-# -- pytest entry point (keeps the script healthy inside the suite) --------
 
 def test_wal_benchmark():
-    """Smoke-size run: group commit must beat per-commit >= 3x at 8,
-    with at most half an fsync per commit."""
-    results = run_benchmarks(smoke=True)
-    at8 = results["cases"]["group_commit"]["8"]
-    assert at8["speedup"] >= GROUP_COMMIT_FLOOR, at8
-    assert at8["grouped"]["fsyncs"] < at8["per_commit"]["fsyncs"], at8
-    assert (at8["grouped"]["fsyncs_per_commit"]
-            <= GROUPED_FSYNCS_PER_COMMIT_CEILING), at8
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sizes for CI")
-    parser.add_argument("--check", action="store_true",
-                        help="compare the speedup ratio against the "
-                             "committed baseline instead of overwriting it")
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(smoke=args.smoke)
-    if args.check:
-        render_table(results).emit()
-        failures = check_against_baseline(
-            results, os.path.join(REPO_ROOT, JSON_FILE))
-        for failure in failures:
-            print(f"PERF CHECK FAILED: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    path = write_results(results)
-    print(f"wrote {path}")
-    return 0
+    """Smoke-size run: results must hold the pytest side of ``GATES``."""
+    assert_gates(GATES, run_benchmarks(smoke=True))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(BENCH.main())

@@ -3,10 +3,11 @@
 ``pages.db`` is an append-only file of checksummed records — heap page
 images, whole-tree IOT dumps, and segment tombstones.  Startup scans the
 file once to build an in-memory directory (last record wins, tombstones
-erase a segment's earlier images) and stops cleanly at a torn tail, the
-same discipline as the WAL.  Fuzzy checkpoints append the dirty page set
-and may compact the file (rewrite live records to a temp file, fsync,
-atomic rename) once dead records dominate.
+erase a segment's earlier images) and stops cleanly at a torn tail, with
+the WAL's own scan loop (:func:`repro.storage.wal.scan_records`).  Fuzzy
+checkpoints append the dirty page set and may compact the file (rewrite
+live records to a temp file, fsync, atomic rename) once dead records
+dominate.
 
 A page image written here is *fuzzy*: DML may race the checkpoint.  That
 is safe because rows are stored as fresh list copies (never mutated in
@@ -28,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WALError
 from repro.storage.heap import load_stored
+from repro.storage.wal import scan_records
 
 __all__ = ["PageStore", "REC_PAGE", "REC_IOT", "REC_TOMB"]
 
@@ -67,31 +69,21 @@ class PageStore:
 
     def load(self) -> None:
         """Build the in-memory directory from the file; truncate a torn
-        tail so later appends start on a record boundary."""
-        offset = 0
-        size = self._size
-        header_len = _HEADER.size
+        tail so later appends start on a record boundary.  A record that
+        passes its checksum but does not decode raises
+        :class:`WALError`, and the file is left as it is."""
+        end = 0
         with self._latch:
             self.pages.clear()
             self.iot_dumps.clear()
-            while offset + header_len <= size:
-                rec_type, body_len, crc = _HEADER.unpack(
-                    os.pread(self._fd, header_len, offset))
-                body_off = offset + header_len
-                if body_off + body_len > size:
-                    break  # torn tail
-                body = os.pread(self._fd, body_len, body_off)
-                if len(body) != body_len or zlib.crc32(body) != crc:
-                    break  # torn tail
-                try:
-                    payload = load_stored(body)
-                except Exception:
-                    break
+            for __, end, (rec_type,), body, payload in scan_records(
+                    lambda length, offset: os.pread(self._fd, length,
+                                                    offset),
+                    self._size, _HEADER, self.path):
                 self._index_record(rec_type, payload, body)
-                offset = body_off + body_len
-            if offset < size:
-                os.ftruncate(self._fd, offset)
-                self._size = offset
+            if end < self._size:
+                os.ftruncate(self._fd, end)
+                self._size = end
             self._live_records = len(self.pages) + len(self.iot_dumps)
 
     def _index_record(self, rec_type: int, payload: Dict[str, Any],

@@ -28,9 +28,12 @@ module provides it:
   one of them leads the next fsync for all of them — the classic
   commit-throughput win, benchmarked in ``benchmarks/bench_wal.py``.
 
-* **Torn-tail scan.**  :func:`scan_log` stops cleanly at the first
-  truncated or checksum-failing record — a crash mid-append leaves a
-  torn tail, never a corrupt replay.
+* **Torn-tail scan.**  :func:`scan_records` (the log's and
+  ``pages.db``'s one scan loop) stops cleanly at the first truncated or
+  checksum-failing record — a crash mid-append leaves a torn tail,
+  never a corrupt replay.  A record that passes its checksum but does
+  not decode was written whole: the scan raises instead of dropping it
+  and everything after it.
 
 * **Failure model.**  A log-device error (including injected torn
   writes / I/O errors from :class:`repro.testing.faults.StorageFaultPlan`)
@@ -55,7 +58,7 @@ from repro.storage.heap import load_stored
 from repro.metrics import Histogram, Metrics, histogram
 
 __all__ = ["LogDevice", "WALStats", "WriteAheadLog",
-           "lsn_epoch", "lsn_offset", "make_lsn", "scan_log",
+           "lsn_epoch", "lsn_offset", "make_lsn", "scan_log", "scan_records",
            "REC_UPDATE", "REC_CLR", "REC_COMMIT", "REC_ABORT",
            "REC_CHECKPOINT"]
 
@@ -204,27 +207,47 @@ class LogDevice:
             self._fd = -1
 
 
-def scan_log(device: LogDevice, epoch: int
-             ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-    """Yield ``(lsn, payload)`` for every intact record; stop at a torn
-    tail (truncated header/body or checksum mismatch)."""
+def scan_records(read: Callable[[int, int], bytes], size: int,
+                 header: struct.Struct, path: str
+                 ) -> Iterator[Tuple[int, int, Tuple[Any, ...], bytes, Any]]:
+    """Yield ``(offset, end, tags, body, payload)`` for every intact
+    record of a file of ``size`` bytes that ``read(length, offset)``
+    reads.  ``header`` packs a record's tags, then its body's length and
+    crc32; ``tags`` are the fields before those two.
+
+    A short header, a short body or a checksum mismatch is a torn tail
+    and ends the scan, as does an empty body: every record pickles to
+    some bytes, so it is a zero-filled tail.  A body that passes its
+    checksum but does not decode was written whole: that raises
+    :class:`WALError` naming ``path`` and the record's offset, and the
+    caller truncates nothing."""
     offset = 0
-    size = device.size
-    header_len = _HEADER.size
-    while offset + header_len <= size:
-        body_len, crc = _HEADER.unpack(device.pread(header_len, offset))
-        body_off = offset + header_len
-        if body_off + body_len > size:
-            return  # torn tail: body truncated
-        body = device.pread(body_len, body_off)
+    while offset + header.size <= size:
+        *tags, body_len, crc = header.unpack(read(header.size, offset))
+        body_off = offset + header.size
+        if body_len == 0 or body_off + body_len > size:
+            return
+        body = read(body_len, body_off)
         if len(body) != body_len or zlib.crc32(body) != crc:
-            return  # torn tail: checksum failure
+            return
         try:
             payload = load_stored(body)
-        except Exception:
-            return  # torn tail: garbage body that happened to checksum
+        except Exception as exc:
+            raise WALError(
+                f"{path}: the record at offset {offset} passes its "
+                f"checksum but does not decode ({exc!r})") from exc
+        end = body_off + body_len
+        yield offset, end, tuple(tags), body, payload
+        offset = end
+
+
+def scan_log(device: LogDevice, epoch: int
+             ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield ``(lsn, payload)`` for every intact record, up to a torn
+    tail (see :func:`scan_records`)."""
+    for offset, __, __, __, payload in scan_records(
+            device.pread, device.size, _HEADER, device.path):
         yield make_lsn(epoch, offset), payload
-        offset = body_off + body_len
 
 
 @dataclass

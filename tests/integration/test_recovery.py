@@ -8,14 +8,17 @@ device never fsynced — exactly what a power cut leaves behind.  Commits
 fsync before acking, so committed transactions always survive it.
 """
 
+import collections
 import os
 import pickle
+import struct
+import zlib
 
 import pytest
 
 from repro import Engine, WALError
 from repro.errors import CatalogError, ConstraintError
-from repro.storage.durability import CATALOG_FILE
+from repro.storage.durability import CATALOG_FILE, PAGES_FILE, WAL_FILE
 from repro.testing import StorageFaultPlan
 
 pytestmark = pytest.mark.crash
@@ -471,6 +474,56 @@ class TestWalPanic:
         assert db3.execute("SELECT id FROM t").fetchall() == [(1,)]
         db3.close()
         db3.engine.close()
+
+
+def undecodable_body():
+    """A pickle naming a module that does not exist: whole, checksummed,
+    and impossible to load."""
+    return pickle.dumps({"t": "U", "x": collections.OrderedDict()}
+                        ).replace(b"collections", b"collectionz")
+
+
+class TestUndecodableRecord:
+    """A record that passes its checksum was written whole: failing to
+    decode it is an error, never a torn tail to cut off."""
+
+    def test_log_record_fails_recovery_and_keeps_the_log(self, data_dir):
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE t (id NUMBER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        device = db.engine.durability.wal.device
+        body = undecodable_body()
+        spliced_at = device.append(
+            struct.pack("<II", len(body), zlib.crc32(body)) + body)
+        db.execute("INSERT INTO t VALUES (2)")
+        crash(db)
+        path = os.path.join(data_dir, WAL_FILE)
+        size = os.path.getsize(path)
+
+        with pytest.raises(WALError, match=rf"{WAL_FILE}: the record at "
+                           rf"offset {spliced_at} passes its checksum"):
+            Engine(data_dir=data_dir)
+        assert os.path.getsize(path) == size
+
+    def test_page_store_record_fails_open_and_keeps_the_file(
+            self, data_dir):
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE t (id NUMBER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.close()
+        db.engine.close()
+        path = os.path.join(data_dir, PAGES_FILE)
+        spliced_at = os.path.getsize(path)
+        body = undecodable_body()
+        with open(path, "ab") as handle:
+            handle.write(struct.pack("<BII", 1, len(body), zlib.crc32(body))
+                         + body)
+        size = os.path.getsize(path)
+
+        with pytest.raises(WALError, match=rf"{PAGES_FILE}: the record at "
+                           rf"offset {spliced_at} passes its checksum"):
+            Engine(data_dir=data_dir)
+        assert os.path.getsize(path) == size
 
 
 class TestEngineOptions:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Engine
 from repro.errors import TypeMismatchError
 from repro.types.datatypes import INTEGER, NUMBER, VARCHAR2
 from repro.types.objects import (
@@ -70,6 +71,16 @@ class TestObjectType:
 
     def test_as_dict(self, point_type):
         assert point_type.new(1, 2).as_dict() == {"x": 1, "y": 2}
+
+
+class TestCreateTypeThroughSql:
+    def test_object_column_of_a_created_type(self):
+        db = Engine().connect()
+        db.execute("CREATE TYPE point_t AS OBJECT (x NUMBER, y NUMBER)")
+        db.execute("CREATE TABLE p (id NUMBER, pt point_t)")
+        db.execute("INSERT INTO p VALUES (1, point_t(3, 4))")
+        assert db.execute("SELECT id, p.pt.x FROM p p").fetchall() \
+            == [(1, 3)]
 
 
 class TestVarray:
