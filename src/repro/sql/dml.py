@@ -32,7 +32,7 @@ would — the savepoint has everything.
 from __future__ import annotations
 
 import copy
-import functools
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, itemgetter
@@ -42,13 +42,14 @@ from repro.core.callbacks import CallbackPhase
 from repro.core.domain_index import DomainIndex, IndexState
 from repro.errors import (
     CallbackError, ConstraintError, ExecutionError, IndexUnusableError,
-    TransactionError)
+    TransactionError, WALError)
 from repro.sql import ast_nodes as ast
 from repro.sql import planner as pl
 from repro.sql.catalog import TableDef, index_key
 from repro.sql.cursor import Cursor
 from repro.sql.executor import Executor
 from repro.sql.expressions import Binder, Evaluator, RowContext, Scope
+from repro.storage.durability import clr_record
 from repro.storage.heap import RowId
 from repro.txn.locks import LockMode
 from repro.types.values import NULL, is_null
@@ -65,6 +66,32 @@ def _structure_delete(structure, key, rowid) -> None:
     """Delete from a native index under its latch."""
     with structure.latch:
         structure.delete(key, rowid)
+
+
+def _undo_change(durability, txn, table_key, storage, op, rowid, rid,
+                 old, new, version, prev_lsn) -> None:
+    """Roll back one row change (or a whole load, ``op="bulk_insert"``):
+    restore the slot as the change's CLR says, log that CLR when the
+    engine is durable, then unlink the change's row version — after the
+    slot, so no snapshot resolves past a chain to an unrestored slot.
+    ``prev_lsn`` is the transaction's last LSN before the change."""
+    clr = clr_record(txn.txn_id, table_key, op, rid, old, new,
+                     txn.last_lsn, prev_lsn)
+    comp = clr["op"]
+    if comp == "delete":
+        storage.delete(rowid)
+    elif comp == "insert":
+        storage.undelete(rowid, clr["new"])
+    elif comp == "update":
+        storage.update(rowid, clr["new"])
+    else:
+        storage.truncate()
+    if durability is not None:
+        # a dead log fails no rollback: restart undoes what it holds
+        with suppress(WALError):
+            durability.log_change(txn, storage, clr)
+    if version is not None:
+        storage.versions.pop(rowid, version)
 
 
 #: kind -> (array routine, scalar routine, array method)
@@ -373,7 +400,7 @@ class DMLEngine:
                         f"got {len(key)} values")
                 found = locate(key)
                 if found is not None:
-                    self.delete_physical(table, found[0], found[1], txn)
+                    self.change_physical(table, found[0], found[1], None, txn)
                     count += 1
             return count
 
@@ -485,23 +512,21 @@ class DMLEngine:
             # than this txn's commit see none of the bulk rows
             fence = versions.set_fence(txn)
             txn.track_version(fence)
-            txn.record_undo(lambda: versions.drop_fence(fence))
+            txn.record_undo(versions.drop_fence, fence)
         rowids = storage.insert_bulk(keys, payloads, presorted) \
             if table.is_iot else storage.insert_bulk(rows)
         durability = self.db.engine.durability
         if rows is None and (durability is not None or native):
             rows = list(map(add, keys, payloads))
-        if durability is None:
-            txn.record_undo(lambda s=storage: s.truncate())
-        else:
-            # one WAL record for the whole load; its undo (and CLR) is a
-            # truncate, valid because the plan guaranteed empty storage
-            prev = durability.log_bulk(
-                txn, table.key, storage, rows,
-                None if table.is_iot else rowids)
-            txn.record_undo(durability.wrap_undo(
-                lambda s=storage: s.truncate(), txn, table.key, storage,
-                "truncate", None, None, None, prev))
+        # one undo entry and one WAL record for the whole load; the
+        # undo (and its CLR) is a truncate, valid because the plan
+        # guaranteed empty storage
+        txn.record_undo(_undo_change, durability, txn, table.key, storage,
+                        "bulk_insert", None, None, None, None, None,
+                        txn.last_lsn)
+        if durability is not None:
+            durability.log_bulk(txn, table.key, storage, rows,
+                                None if table.is_iot else rowids)
         for structure, positions in native:
             pairs = []
             for rowid, row in zip(rowids, rows):
@@ -513,71 +538,12 @@ class DMLEngine:
             txn.record_undo(lambda s=structure: s.clear())
         return len(keys)
 
-    def _record_version(self, storage, rowid, new_value, old_value,
-                        txn) -> None:
-        """Chain an uncommitted row version (MVCC write path).
-
-        Must run *before* the slot/tree mutates: a snapshot reader that
-        races the write resolves through the chain, never through the
-        raw slot.  The pop is recorded as undo so statement savepoints
-        and rollback unlink exactly the versions they undo.
-        """
-        versions = getattr(storage, "versions", None)
-        if versions is None:
-            return
-        version = versions.push(rowid, new_value, old_value, txn)
-        txn.track_version(version)
-        txn.record_undo(versions.pop, rowid, version)
-        self.db.engine.mvcc.stats.versions_created += 1
-
-    def _durable_undo(self, txn, table: TableDef, op: str, rowid,
-                      old, new, action, *args) -> None:
-        """Register a row change's undo, ``action(*args)``; with
-        durability on, first log the change to the WAL and wrap the undo
-        so running it writes a compensation record (CLR).
-
-        Called *after* the storage mutation: the WAL rule only requires
-        the log durable before a page image is, which the checkpoint
-        enforces — and logging after the mutation means a fuzzy
-        checkpoint can never stamp a page with an LSN whose change it
-        does not contain.
-        """
-        durability = self.db.engine.durability
-        if durability is None:
-            txn.record_undo(action, *args)
-            return
-        storage = table.storage
-        # IOT rows are logged logically (a row carries its key, which is
-        # its rowid); heap rows physiologically by (segment, page, slot)
-        rid = None if table.is_iot else rowid
-        prev = durability.log_row(txn, table.key, storage, op, rid,
-                                  old, new)
-        if op == "insert":
-            comp_op, comp_old, comp_new = "delete", new, None
-        elif op == "update":
-            comp_op, comp_old, comp_new = "update", new, old
-        else:
-            comp_op, comp_old, comp_new = "insert", None, old
-        txn.record_undo(durability.wrap_undo(
-            functools.partial(action, *args), txn, table.key, storage,
-            comp_op, rid, comp_old, comp_new, prev))
-
     def insert_physical(self, table: TableDef, row: Sequence[Any],
                         txn) -> RowId:
         # one immutable tuple is the stored row, its version, its log
         # image and what maintenance reads
-        row = tuple(self.validate_row(table, row))
-        storage = table.storage
-        if getattr(storage, "versions", None) is not None:
-            rowid = storage.insert(
-                row, on_rowid=lambda rid: self._record_version(
-                    storage, rid, row, None, txn))
-        else:
-            rowid = storage.insert(row)
-        self._durable_undo(txn, table, "insert", rowid, None, row,
-                           storage.delete, rowid)
-        self.maintain(table, rowid, None, row, txn)
-        return rowid
+        return self.change_physical(
+            table, None, None, tuple(self.validate_row(table, row)), txn)
 
     # ------------------------------------------------------------------
     # implicit index maintenance (ODCIIndexInsert/Update/Delete fan-out)
@@ -729,7 +695,7 @@ class DMLEngine:
                     continue
                 count += 1
                 if isinstance(stmt, ast.Delete):
-                    self.delete_physical(table, rowid, old_row, txn)
+                    self.change_physical(table, rowid, old_row, None, txn)
                     continue
                 # rows are never changed in place: the fetched row is
                 # the before-image, and the new row one fresh tuple
@@ -738,28 +704,63 @@ class DMLEngine:
                     new_row[pos] = value
                 new_row = tuple(self.validate_row(table, new_row))
                 if new_row[:key_width] != tuple(old_row[:key_width]):
-                    self.delete_physical(table, rowid, old_row, txn)
+                    self.change_physical(table, rowid, old_row, None, txn)
                     self.insert_physical(table, new_row, txn)
                     continue
-                self._record_version(storage, rowid, new_row, old_row, txn)
-                storage.update(rowid, new_row)
-                self._durable_undo(
-                    txn, table, "update", rowid, old_row, new_row,
-                    storage.update, rowid, old_row)
-                self.maintain(table, rowid, old_row, new_row, txn)
+                self.change_physical(table, rowid, old_row, new_row, txn)
             return count
 
         return Cursor(rowcount=self.run_maintained(prepared.table, body))
 
-    def delete_physical(self, table: TableDef, rowid: RowId,
-                        old_row: Sequence[Any], txn) -> None:
-        """Delete one located row: version, storage, WAL + undo, and
-        index maintenance.  ``old_row`` is the row as fetched, which
-        nothing changes in place."""
+    def change_physical(self, table: TableDef, rowid: Optional[RowId],
+                        old_row: Optional[Sequence[Any]],
+                        new_row: Optional[Sequence[Any]], txn) -> RowId:
+        """Apply one row change and return its rowid: insert ``new_row``
+        (no ``old_row``; the storage picks the rowid), update the row at
+        ``rowid`` in place, or delete it (no ``new_row``).  Chains the
+        row version, mutates storage, records the change's one undo
+        entry, logs the change on a durable engine and maintains the
+        indexes.  ``old_row`` is the row as fetched, which nothing
+        changes in place."""
         storage = table.storage
-        self._record_version(storage, rowid, None, old_row, txn)
-        storage.delete(rowid)
-        self._durable_undo(
-            txn, table, "delete", rowid, old_row, None,
-            storage.undelete, rowid, old_row)
-        self.maintain(table, rowid, old_row, None, txn)
+        versions = getattr(storage, "versions", None)  # a view has none
+        version = None
+
+        def chain(rid):
+            # the uncommitted version is chained before any snapshot
+            # reader can see the change (before the slot or tree
+            # mutates; an IOT insert, inside the latch hold in which its
+            # tree takes the entry): a racing reader resolves through
+            # the chain, never through the raw slot
+            nonlocal version
+            if versions is not None:
+                version = versions.push(rid, new_row, old_row, txn)
+                txn.track_version(version)
+                self.db.engine.mvcc.stats.versions_created += 1
+
+        if old_row is None:
+            op = "insert"
+            rowid = storage.insert(new_row, on_rowid=chain)
+        else:
+            op = "delete" if new_row is None else "update"
+            chain(rowid)
+            if new_row is None:
+                storage.delete(rowid)
+            else:
+                storage.update(rowid, new_row)
+        durability = self.db.engine.durability
+        # IOT rows are logged logically (a row carries its key, which is
+        # its rowid); heap rows physiologically by (segment, page, slot)
+        rid = None if table.is_iot else rowid
+        txn.record_undo(_undo_change, durability, txn, table.key, storage,
+                        op, rowid, rid, old_row, new_row, version,
+                        txn.last_lsn)
+        if durability is not None:
+            # logged after the mutation: the WAL rule only needs the log
+            # durable before a page image is, which the checkpoint
+            # enforces, and a fuzzy checkpoint then never stamps a page
+            # with an LSN whose change it does not contain
+            durability.log_row(txn, table.key, storage, op, rid, old_row,
+                               new_row)
+        self.maintain(table, rowid, old_row, new_row, txn)
+        return rowid

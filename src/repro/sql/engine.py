@@ -94,12 +94,12 @@ class Engine:
         self.default_lock_timeout = lock_timeout
         #: default for Session.fetch_batch_size
         self.fetch_batch_size = fetch_batch_size
-        # compatibility shims for benchmarks/e2e, which this PR may not
-        # edit: ``parallel_execution`` is accepted and ignored (oltp_wire
-        # passes it through Server(**engine_options)), and
+        # compatibility shims for benchmarks/e2e, which only a benchmark
+        # change edits: ``parallel_execution`` is accepted and ignored
+        # (oltp_wire passes it through Server(**engine_options)), and
         # ``parallel_stats.snapshot()`` reports the constant zeros of the
         # removed morsel and async-prefetch counters (enginestats.py reads
-        # both keys).  Delete both with their readers (ROADMAP item 3).
+        # both keys).  Delete both with their readers (ROADMAP item 5).
         self.parallel_stats = _RemovedParallelStats()
         #: counters behind the user_executor_stats dictionary view
         from repro.sql.columnar import ExecutorStats

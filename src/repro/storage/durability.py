@@ -6,11 +6,11 @@ disk (``wal.log`` + ``pages.db`` + ``catalog.pkl`` under the engine's
 
 * **Row logging.**  Every DML write point calls :meth:`log_row` /
   :meth:`log_bulk` *after* mutating storage; the record carries redo and
-  undo images and chains into the transaction's ``prev`` list.  Undo
-  closures are wrapped (:meth:`wrap_undo`) so rollback writes
-  compensation records (CLRs) — statement rollback, full rollback, and
-  restart undo all leave a redo-able trace, which is what makes
-  recovery idempotent.
+  undo images and chains into the transaction's ``prev`` list.  Undoing
+  a change logs the compensation record (CLR) that
+  :func:`clr_record` builds — statement rollback, full rollback and
+  restart undo all build it there and leave a redo-able trace, which is
+  what makes recovery idempotent.
 
 * **The WAL rule.**  Dirty pages are only made durable inside
   :meth:`checkpoint`, which flushes the log first.  The dirty-page
@@ -47,11 +47,39 @@ from repro.storage.pagestore import PageStore
 from repro.storage.wal import (WriteAheadLog, REC_ABORT, REC_CHECKPOINT,
                                REC_CLR, REC_COMMIT, REC_UPDATE)
 
-__all__ = ["DurabilityManager"]
+__all__ = ["DurabilityManager", "clr_record"]
 
 WAL_FILE = "wal.log"
 PAGES_FILE = "pages.db"
 CATALOG_FILE = "catalog.pkl"
+
+
+def clr_record(txn_id: int, table_key: str, op: str, rid: Any,
+               old: Any, new: Any, prev: Optional[int],
+               undo_next: Optional[int]) -> Dict[str, Any]:
+    """The compensation log record (CLR) that undoes one row change.
+
+    ``op``, ``rid``, ``old`` and ``new`` are the change's, as its ``U``
+    record carries them.  The CLR is the compensating change, logged as
+    redo: an insert is undone by a delete, a delete by an insert, an
+    update by an update with the images swapped, and a bulk load by a
+    truncate.  ``prev`` chains it into the transaction's records, and
+    ``undo_next`` is the change's own ``prev`` — the ARIES trick that
+    makes a repeated undo skip already-compensated work.
+    """
+    if op == "insert":
+        op, old, new = "delete", new, None
+    elif op == "delete":
+        op, old, new = "insert", None, old
+    elif op == "update":
+        old, new = new, old
+    elif op == "bulk_insert":
+        op, rid, old, new = "truncate", None, None, None
+    else:
+        raise ValueError(f"cannot compensate op {op!r}")
+    return {"t": REC_CLR, "x": txn_id, "tb": table_key, "op": op,
+            "rid": rid, "old": old, "new": new, "prev": prev,
+            "un": undo_next}
 
 
 class DurabilityManager:
@@ -123,19 +151,27 @@ class DurabilityManager:
 
     def log_row(self, txn: Any, table_key: str, storage: Any, op: str,
                 rid: Any, old: Optional[List[Any]],
-                new: Optional[List[Any]]) -> Optional[int]:
-        """Append one row-change record; returns the txn's previous LSN
-        (the ``undo_next`` target for a CLR compensating this record).
+                new: Optional[List[Any]]) -> None:
+        """Append one row-change record.
 
         ``rid`` is the heap rowid ``(segment, page, slot)`` for heap
         tables (physiological record: replay targets the slot) and
         ``None`` for IOTs (logical record: replay works on full rows,
         which carry their keys, and so their logical rowids).
         """
-        prev = txn.last_lsn
-        payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
-                   "op": op, "rid": rid,
-                   "old": old, "new": new, "prev": prev}
+        self.log_change(txn, storage, {
+            "t": REC_UPDATE, "x": txn.txn_id, "tb": table_key, "op": op,
+            "rid": rid, "old": old, "new": new, "prev": txn.last_lsn})
+
+    def log_change(self, txn: Any, storage: Any,
+                   payload: Dict[str, Any]) -> None:
+        """Append ``txn``'s row-change record or CLR (:func:`clr_record`)
+        and stamp the page or IOT it changed with the record's LSN; a
+        truncate stamps nothing."""
+        rid = payload["rid"]
+        if payload["op"] == "truncate":
+            self._append(txn, payload)
+            return
         if rid is None:
             self._note_iot_dirty(storage.segment_id)
         lsn = self._append(txn, payload)
@@ -143,7 +179,6 @@ class DurabilityManager:
             storage.stamp_lsn(lsn)
         else:
             storage.stamp_lsn(rid, lsn)
-        return prev
 
     def _append(self, txn: Any, payload: Dict[str, Any]) -> int:
         """Append ``txn``'s record and enter it in the ATT, as one step
@@ -157,66 +192,20 @@ class DurabilityManager:
 
     def log_bulk(self, txn: Any, table_key: str, storage: Any,
                  rows: List[List[Any]], rowids: Optional[List[Any]]
-                 ) -> Optional[int]:
+                 ) -> None:
         """Append one record covering a whole direct-path load."""
-        prev = txn.last_lsn
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
                    "op": "bulk_insert", "rid": None,
                    "old": None, "new": rows, "rids": rowids,
-                   "prev": prev}
+                   "prev": txn.last_lsn}
         if rowids is None:
             self._note_iot_dirty(storage.segment_id)
         lsn = self._append(txn, payload)
         if rowids is None:
             storage.stamp_lsn(lsn)
         else:
-            for seg, page_no, __ in rowids:
-                page = self.engine.buffer.peek_page(seg, page_no)
-                if page is not None and lsn > page.page_lsn:
-                    page.page_lsn = lsn
-        return prev
-
-    def wrap_undo(self, action: Callable[[], None], txn: Any,
-                  table_key: str, storage: Any, comp_op: str, rid: Any,
-                  old: Optional[List[Any]], new: Optional[List[Any]],
-                  undo_next: Optional[int]) -> Callable[[], None]:
-        """Wrap an in-memory undo closure so running it also logs a CLR.
-
-        The CLR encodes the *compensating* operation as a redo-able
-        record (undo-of-insert logs a delete, and so on), chained via
-        ``undo_next`` to the record before the one being undone — the
-        ARIES trick that makes repeated undo skip already-compensated
-        work.
-        """
-        def undo_with_clr():
-            action()
-            try:
-                self.log_clr(txn, table_key, storage, comp_op, rid,
-                             old, new, undo_next)
-            except WALError:
-                # the log is dead; in-memory undo still ran, and restart
-                # recovery will undo from the surviving records
-                pass
-        return undo_with_clr
-
-    def log_clr(self, txn: Any, table_key: str, storage: Any, comp_op: str,
-                rid: Any, old: Optional[List[Any]],
-                new: Optional[List[Any]],
-                undo_next: Optional[int]) -> int:
-        payload = {"t": REC_CLR, "x": txn.txn_id, "tb": table_key,
-                   "op": comp_op, "rid": rid, "old": old, "new": new,
-                   "prev": txn.last_lsn, "un": undo_next}
-        if rid is None and comp_op != "truncate":
-            self._note_iot_dirty(storage.segment_id)
-        lsn = self._append(txn, payload)
-        if comp_op != "truncate":
-            if rid is None:
-                storage.stamp_lsn(lsn)
-            else:
-                page = self.engine.buffer.peek_page(rid[0], rid[1])
-                if page is not None and lsn > page.page_lsn:
-                    page.page_lsn = lsn
-        return lsn
+            for rowid in rowids:
+                storage.stamp_lsn(rowid, lsn)
 
     # ------------------------------------------------------------------
     # commit / abort

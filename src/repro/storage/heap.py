@@ -332,14 +332,10 @@ class HeapTable:
     # -- durability support ----------------------------------------------
 
     def stamp_lsn(self, rowid: RowId, lsn: int) -> None:
-        """Record the WAL LSN of the last change to ``rowid``'s page.
-
-        Only called when durability is on; the extra ``get_page`` does
-        not disturb the exact-I/O benchmark assertions, which run with
-        durability off.
-        """
-        page = self.buffer.get_page(self.segment_id, rowid[1])
-        if lsn > page.page_lsn:
+        """Record the WAL LSN of the last change to ``rowid``'s page
+        (no I/O accounting: the change itself fetched the page)."""
+        page = self.buffer.peek_page(self.segment_id, rowid[1])
+        if page is not None and lsn > page.page_lsn:
             page.page_lsn = lsn
 
     def rebuild_from_pages(self) -> None:

@@ -177,17 +177,20 @@ class IndexOrganizedTable:
     def insert(self, row: List[Any], on_rowid=None) -> LogicalRowId:
         """Insert ``row``; its first ``key_width`` values form the key.
 
-        ``on_rowid`` (MVCC) is invoked with the rowid *before* the tree
-        mutates, under the structure latch, so a concurrent snapshot
-        scan either misses the entry or finds its version chain already
-        registered — never a bare uncommitted row.
+        ``on_rowid`` (MVCC) is invoked with the rowid once the tree has
+        accepted the entry, under the same hold of the structure latch
+        that snapshot scans read the tree under: a scan either misses
+        the entry or finds its version chain already registered — never
+        a bare uncommitted row.  A duplicate key raises before
+        ``on_rowid`` runs, so a refused insert chains no version over
+        the committed row under that key.
         """
         key, payload = self._split_row(row)
         rid = LogicalRowId(self.segment_id, key)
         with self._latch:
+            self._tree.insert(key, payload)
             if on_rowid is not None:
                 on_rowid(rid)
-            self._tree.insert(key, payload)
             self._drop_ghost(key)
         self.buffer.stats.logical_writes += 1
         return rid

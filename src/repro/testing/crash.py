@@ -9,7 +9,10 @@ directory, run restart recovery, and check the ACID ledger:
   is fully present after recovery.
 * **Atomicity** — every other attempted transaction is all-or-nothing:
   either every row it wrote survives or none does.  Losers killed
-  mid-flight must leave no partial effects.
+  mid-flight must leave no partial effects.  Some transactions end in
+  ROLLBACK, and some roll back to a savepoint before they commit: what
+  a rollback undid must stay undone after recovery, which replays the
+  compensation records the rollback logged.
 * **Consistency** — shared counters equal the number of recovered
   transactions that incremented them; native-index lookups agree with
   full scans; a transaction-snapshot read agrees with a current read.
@@ -63,6 +66,11 @@ RECOVERY_KILL_KINDS: List[Tuple[str, int]] = [
 
 COUNTER_KEYS = 8
 KV_BASE = 10_000
+#: how a transaction undoes changes before it ends, weighted:
+#: ``rollback`` ends it in ROLLBACK; ``savepoint`` makes extra changes
+#: after a SAVEPOINT and rolls back to it before the commit
+UNDO_WEIGHTS: Dict[Optional[str], int] = {"rollback": 15, "savepoint": 20,
+                                          None: 65}
 
 
 @dataclass
@@ -75,6 +83,7 @@ class TxnPlan:
     update_n: Optional[int]              # own row updated: v -> v + 1000
     delete_n: Optional[int]              # own row deleted afterwards
     counters: List[int] = field(default_factory=list)
+    undo: Optional[str] = None           # an UNDO_WEIGHTS key
 
     @property
     def kv_key(self) -> int:
@@ -93,6 +102,9 @@ class TxnPlan:
 def plan_workload(seed: int, txns: int = 40) -> List[TxnPlan]:
     """The deterministic transaction mix for one seed (pure function)."""
     rng = random.Random(seed)
+    # rollbacks draw from their own stream, so a seed's row, update,
+    # delete and counter choices do not depend on them
+    undo_rng = random.Random(seed * 6007 + 3)
     plans = []
     for i in range(txns):
         nrows = rng.randint(1, 5)
@@ -105,9 +117,11 @@ def plan_workload(seed: int, txns: int = 40) -> List[TxnPlan]:
                 delete_n = rng.choice(candidates)
         counters = sorted(rng.sample(range(COUNTER_KEYS),
                                      rng.randint(0, 2)))
+        undo = undo_rng.choices(list(UNDO_WEIGHTS),
+                                list(UNDO_WEIGHTS.values()))[0]
         plans.append(TxnPlan(index=i, tag=f"t{i:03d}", rows=rows,
                              update_n=update_n, delete_n=delete_n,
-                             counters=counters))
+                             counters=counters, undo=undo))
     return plans
 
 
@@ -207,6 +221,25 @@ def run_child(data_dir: str, seed: int, kind: str, nth: int) -> None:
                 for c in plan.counters:
                     session.execute("UPDATE counters SET n = n + 1 "
                                     f"WHERE id = {c}")
+                if plan.undo == "rollback":
+                    session.rollback()
+                    continue
+                if plan.undo == "savepoint":
+                    # every table touched here is already locked by this
+                    # transaction, so the extra changes wait on no one
+                    session.execute("SAVEPOINT extra")
+                    session.execute("INSERT INTO h VALUES "
+                                    f"('{plan.tag}', 99, 0)")
+                    session.execute("UPDATE h SET v = -1 WHERE "
+                                    f"tag = '{plan.tag}'")
+                    session.execute(f"DELETE FROM h WHERE "
+                                    f"tag = '{plan.tag}' AND n = 0")
+                    session.execute(f"UPDATE kv SET b = -1 WHERE "
+                                    f"a = {plan.kv_key}")
+                    # a key change: the IOT deletes and re-inserts
+                    session.execute(f"UPDATE kv SET a = a + {KV_BASE} "
+                                    f"WHERE a = {plan.kv_key}")
+                    session.execute("ROLLBACK TO SAVEPOINT extra")
                 session.commit()
                 _ack(ack_fd, plan.tag)
         except BaseException as exc:  # surfaced by the parent as failure
@@ -283,6 +316,15 @@ def verify(data_dir: str, seed: int, acked: List[str]) -> Dict[str, Any]:
         for tag, n, v in h_rows:
             h_by_tag.setdefault(tag, {})[n] = v
         recovered = {p.tag for p in plans if p.kv_key in kv}
+        strays = sorted(set(kv) - {p.kv_key for p in plans})
+        if strays:
+            raise CrashVerifyError(
+                f"seed {seed}: kv keys {strays} belong to no plan (a "
+                f"rolled-back key move survived)")
+        for plan in plans:
+            if plan.undo == "rollback" and plan.tag in recovered:
+                raise CrashVerifyError(
+                    f"seed {seed}: rolled-back txn {plan.tag} survived")
 
         # durability: every acked transaction survived
         for tag in acked:

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.domain_index import DomainIndex, IndexState
 from repro.metrics import Metrics
+from repro.storage.durability import clr_record
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
 from repro.storage.page import Page
@@ -311,34 +312,47 @@ def _apply_redo(engine: Any, tables: Dict[str, Any], lsn: int,
     if storage is None:
         return False  # table dropped later; its tombstone is durable
     op = payload["op"]
-    if op == "truncate":
-        storage.truncate()
-        return True
     if op == "bulk_insert":
         return _redo_bulk(engine, storage, lsn, payload)
-    rid = payload.get("rid")
+    rid = payload["rid"]
+    if op != "truncate":
+        # the checkpointed image (heap page / IOT dump watermark)
+        # already has this change
+        stamped = (storage.applied_lsn if rid is None
+                   else engine.buffer.ensure_page(rid[0], rid[1]).page_lsn)
+        if lsn <= stamped:
+            return False
+    _replay(engine, storage, payload)
+    _stamp(engine, storage, rid, lsn)
+    return True
+
+
+def _replay(engine: Any, storage: Any, payload: Dict[str, Any]) -> None:
+    """Land one record's after-state in ``storage``: a heap record on
+    its slot, an IOT record by key (logical replay, idempotent)."""
+    op = payload["op"]
+    if op == "truncate":
+        storage.truncate()
+        return
+    rid = payload["rid"]
+    if rid is not None:
+        engine.buffer.ensure_page(rid[0], rid[1]).set_slot(
+            rid[2], None if op == "delete" else payload["new"])
+        return
+    if op != "insert":
+        storage.recover_delete(payload["old"])
+    if op != "delete":
+        storage.recover_insert(payload["new"])
+
+
+def _stamp(engine: Any, storage: Any, rid: Any, lsn: int) -> None:
+    """Advance the page's or IOT's LSN to a record just replayed; a
+    heap truncate has nothing to stamp."""
     if rid is not None:
         page = engine.buffer.ensure_page(rid[0], rid[1])
-        if lsn <= page.page_lsn:
-            return False  # the checkpointed image already has this change
-        if op == "delete":
-            page.set_slot(rid[2], None)
-        else:  # insert / update land the after-image
-            page.set_slot(rid[2], payload["new"])
-        page.page_lsn = lsn
-        return True
-    # IOT: logical replay behind the dump watermark
-    if lsn <= storage.applied_lsn:
-        return False
-    if op == "insert":
-        storage.recover_insert(payload["new"])
-    elif op == "delete":
-        storage.recover_delete(payload["old"])
-    elif op == "update":
-        storage.recover_delete(payload["old"])
-        storage.recover_insert(payload["new"])
-    storage.applied_lsn = lsn
-    return True
+        page.page_lsn = max(page.page_lsn, lsn)
+    elif isinstance(storage, IndexOrganizedTable):
+        storage.stamp_lsn(lsn)
 
 
 def _redo_bulk(engine: Any, storage: Any, lsn: int,
@@ -368,59 +382,20 @@ def _redo_bulk(engine: Any, storage: Any, lsn: int,
 
 def _apply_undo(engine: Any, dm: Any, tables: Dict[str, Any], txn_id: int,
                 payload: Dict[str, Any], last_clr: int) -> int:
-    """Apply the inverse of one loser record and log the CLR."""
-    storage = _storage_for(tables, payload["tb"])
-    op = payload["op"]
-    rid = payload.get("rid")
-    comp_op, comp_old, comp_new = _compensation(payload)
+    """Apply the inverse of one loser record and log its CLR."""
+    clr = clr_record(txn_id, payload["tb"], payload["op"], payload["rid"],
+                     payload["old"], payload["new"], last_clr,
+                     payload["prev"])
+    storage = _storage_for(tables, clr["tb"])
     if storage is not None:
-        if op == "bulk_insert":
-            storage.truncate()
-        elif rid is not None:
-            page = engine.buffer.ensure_page(rid[0], rid[1])
-            if comp_op == "delete":
-                page.set_slot(rid[2], None)
-            else:
-                page.set_slot(rid[2], comp_new)
-        else:
-            if op == "insert":
-                storage.recover_delete(payload["new"])
-            elif op == "delete":
-                storage.recover_insert(payload["old"])
-            elif op == "update":
-                storage.recover_delete(payload["new"])
-                storage.recover_insert(payload["old"])
-    clr = {"t": REC_CLR, "x": txn_id, "tb": payload["tb"], "op": comp_op,
-           "rid": rid if op != "bulk_insert" else None,
-           "old": comp_old, "new": comp_new,
-           "prev": last_clr, "un": payload["prev"]}
+        _replay(engine, storage, clr)
     try:
         lsn = dm.wal.append(clr)
     except Exception:
         return last_clr
     if storage is not None:
-        if op == "bulk_insert" or rid is None:
-            if hasattr(storage, "applied_lsn"):
-                storage.applied_lsn = max(storage.applied_lsn, lsn)
-                storage.dump_dirty = True
-        else:
-            page = engine.buffer.ensure_page(rid[0], rid[1])
-            page.page_lsn = max(page.page_lsn, lsn)
+        _stamp(engine, storage, clr["rid"], lsn)
     return lsn
-
-
-def _compensation(payload: Dict[str, Any]):
-    """The redo-able inverse of a row-change record."""
-    op = payload["op"]
-    if op == "insert":
-        return "delete", payload["new"], None
-    if op == "delete":
-        return "insert", None, payload["old"]
-    if op == "update":
-        return "update", payload["new"], payload["old"]
-    if op == "bulk_insert":
-        return "truncate", None, None
-    raise ValueError(f"cannot compensate op {op!r}")
 
 
 def _rebuild_native_indexes(engine: Any) -> None:

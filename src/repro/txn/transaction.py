@@ -55,8 +55,12 @@ class Transaction:
         """Register ``action(*args)`` to run on rollback.
 
         An entry is one tuple, where a closure would be a function, its
-        cells and their tuple: a large transaction's undo log is that
-        much less for the cyclic collector to walk.
+        cells and their tuple, and a bound method or ``partial`` one
+        more object: a large transaction's undo log is that much less
+        for the cyclic collector to walk.  A row change leaves exactly
+        one entry (the DML layer's ``_undo_change``), which restores the
+        slot, logs the compensation record on a durable engine and
+        unlinks the row version.
         """
         if not self.active:
             raise TransactionError("transaction is not active")

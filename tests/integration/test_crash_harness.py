@@ -7,6 +7,8 @@ exercises the subprocess SIGKILL machinery end to end, plus unit checks
 that the seed-derived plans are stable.
 """
 
+import zlib
+
 import pytest
 
 from repro.testing.crash import (kill_spec, plan_workload,
@@ -21,10 +23,24 @@ class TestSeedDeterminism:
     def test_workload_plan_is_pure(self):
         a = plan_workload(42)
         b = plan_workload(42)
-        assert [(p.tag, p.rows, p.update_n, p.delete_n, p.counters)
-                for p in a] == \
-               [(p.tag, p.rows, p.update_n, p.delete_n, p.counters)
-                for p in b]
+        assert [(p.tag, p.rows, p.update_n, p.delete_n, p.counters,
+                 p.undo) for p in a] == \
+               [(p.tag, p.rows, p.update_n, p.delete_n, p.counters,
+                 p.undo) for p in b]
+
+    @pytest.mark.parametrize("seed, digest", [(0, 1293686219),
+                                              (42, 3797050329)])
+    def test_rollbacks_leave_the_commit_plans_as_they_were(self, seed,
+                                                           digest):
+        """The rollback draws come from their own stream: each seed's
+        rows, updates, deletes and counters are the ones it drew before
+        plans rolled back (the digests were taken then)."""
+        plans = plan_workload(seed)
+        assert zlib.crc32(repr([(p.tag, p.rows, p.update_n, p.delete_n,
+                                 p.counters) for p in plans]).encode()) \
+            == digest
+        undone = [p.undo for p in plans]
+        assert undone.count("rollback") and undone.count("savepoint")
 
     def test_kill_specs_are_pure(self):
         assert kill_spec(7) == kill_spec(7)
@@ -46,5 +62,8 @@ class TestSmokeSweep:
         assert result["seed"] == seed
         assert result["acked"] <= result["recovered"]
         if not result["killed"]:
-            # the child ran to completion: every planned txn committed
-            assert result["acked"] == result["recovered"] == 40
+            # the child ran to completion: every planned txn that does
+            # not end in ROLLBACK committed
+            committed = sum(p.undo != "rollback"
+                            for p in plan_workload(seed))
+            assert result["acked"] == result["recovered"] == committed

@@ -166,6 +166,28 @@ class TestCrashRecovery:
         db2.close()
         db2.engine.close()
 
+    def test_iot_emptied_by_redo_stays_empty_after_a_second_restart(
+            self, data_dir):
+        """Redo that empties an IOT must rewrite its dump: recovery's
+        closing checkpoint truncates the log, so a dump left holding
+        the deleted row would bring it back at the next restart."""
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE kv (a NUMBER, b NUMBER, "
+                   "PRIMARY KEY (a)) ORGANIZATION INDEX")
+        db.execute("INSERT INTO kv VALUES (1, 1)")
+        db.engine.durability.checkpoint()
+        db.execute("DELETE FROM kv WHERE a = 1")
+        crash(db)
+
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.execute("SELECT a FROM kv").fetchall() == []
+        crash(db2)
+
+        db3 = Engine(data_dir=data_dir).connect()
+        assert db3.execute("SELECT a FROM kv").fetchall() == []
+        db3.close()
+        db3.engine.close()
+
     def test_iot_checkpoint_image_then_redo(self, data_dir):
         """The tree comes back from the checkpointed dump plus the log
         after it; the dump is one list per column, of which the page
@@ -372,6 +394,71 @@ class TestCrashRecovery:
             Engine(data_dir=data_dir)
 
 
+class TestRollbackThenCrash:
+    """A rollback's compensation records replay at restart to the state
+    the rollback left: redo repeats history, the CLRs included, so an
+    undone change stays undone after a crash."""
+
+    TABLES = {
+        "heap": ["CREATE TABLE t (id NUMBER, v VARCHAR2(10))",
+                 "CREATE UNIQUE INDEX t_id ON t(id)"],
+        "iot": ["CREATE TABLE t (id NUMBER, v VARCHAR2(10), "
+                "PRIMARY KEY (id)) ORGANIZATION INDEX"],
+    }
+
+    @staticmethod
+    def _change(db):
+        db.execute("INSERT INTO t VALUES (3, 'rolled')")
+        db.execute("UPDATE t SET v = 'rolled' WHERE id = 1")
+        db.execute("DELETE FROM t WHERE id = 2")
+
+    @pytest.mark.parametrize("organization", ["heap", "iot"])
+    @pytest.mark.parametrize("undo", ["rollback", "savepoint",
+                                      "failed_statement"])
+    def test_rolled_back_changes_stay_absent(self, data_dir,
+                                             organization, undo):
+        db = Engine(data_dir=data_dir).connect()
+        for ddl in self.TABLES[organization]:
+            db.execute(ddl)
+        db.execute("INSERT INTO t VALUES (1, 'kept')")
+        db.execute("INSERT INTO t VALUES (2, 'kept')")
+        db.begin()
+        if undo == "rollback":
+            self._change(db)
+            db.rollback()
+            db.begin()
+        elif undo == "savepoint":
+            db.execute("SAVEPOINT sp")
+            self._change(db)
+            db.execute("ROLLBACK TO SAVEPOINT sp")
+        else:
+            # each statement changes a row, then hits a duplicate key
+            with pytest.raises(ConstraintError):
+                db.execute("INSERT INTO t VALUES (3, 'rolled'), "
+                           "(1, 'rolled')")
+            # id 1 becomes 2 (heap: updated in place, then the unique
+            # index refuses key 2; IOT: deleted, then its re-insert
+            # under key 2 is refused)
+            with pytest.raises(ConstraintError):
+                db.execute("UPDATE t SET id = id + 1, v = 'rolled' "
+                           "WHERE id < 3")
+        expected = [(1, "kept"), (2, "kept")]
+        assert sorted(db.execute("SELECT id, v FROM t").fetchall()) \
+            == expected
+        db.execute("INSERT INTO t VALUES (9, 'after')")
+        db.commit()
+        crash(db)
+
+        db2 = Engine(data_dir=data_dir).connect()
+        assert db2.engine.recovery_stats.redo_records > 0
+        assert sorted(db2.execute("SELECT id, v FROM t").fetchall()) \
+            == expected + [(9, "after")]
+        assert db2.execute("SELECT v FROM t WHERE id = 1").fetchall() \
+            == [("kept",)]
+        db2.close()
+        db2.engine.close()
+
+
 class TestDDLPermanence:
     def test_truncate_not_resurrected(self, data_dir):
         db = Engine(data_dir=data_dir).connect()
@@ -439,6 +526,8 @@ class TestWalPanic:
             while True:  # the nth append dies mid-transaction
                 db.execute("INSERT INTO t VALUES (1)")
         db.rollback()  # in-memory undo still runs (CLR logging is moot)
+        # the insert whose record the log refused is undone too
+        assert db.execute("SELECT COUNT(*) FROM t").fetchall() == [(0,)]
         db.begin()
         with pytest.raises(WALError):
             db.execute("INSERT INTO t VALUES (2)")

@@ -7,7 +7,7 @@ surface (`SET TRANSACTION`, statement snapshots) through a session.
 
 import pytest
 
-from repro.errors import TransactionError
+from repro.errors import ConstraintError, TransactionError
 from repro.sql.engine import Engine
 from repro.testing import scanned
 from repro.txn.mvcc import (
@@ -742,6 +742,31 @@ class TestSettledRowsAreUnmapped:
         assert engine.mvcc.stats.prune_passes == passes + 1
         storage = engine.catalog.get_table("t").storage
         assert storage.versions.tracked_rowids() == []
+
+    def test_a_refused_duplicate_key_insert_leaves_no_chain(self):
+        """An IOT INSERT of a stored key fails in the tree.  Its version
+        must not stay chained over the committed row: every other
+        reader would resolve the key through the failed insert's
+        uncommitted head and lose the row."""
+        engine = Engine()
+        writer, reader = engine.connect(), engine.connect()
+        writer.execute("CREATE TABLE kv (k INTEGER, v VARCHAR2(8),"
+                       " PRIMARY KEY (k)) ORGANIZATION INDEX")
+        writer.execute("INSERT INTO kv VALUES (1, 'kept')")
+        engine.prune_versions()
+        versions = engine.catalog.get_table("kv").storage.versions
+        assert versions.tracked_rowids() == []
+        writer.begin()
+        with pytest.raises(ConstraintError):
+            writer.execute("INSERT INTO kv VALUES (1, 'dup')")
+        assert reader.execute("SELECT k, v FROM kv").fetchall() \
+            == [(1, "kept")]
+        assert reader.execute("SELECT v FROM kv WHERE k = 1").fetchall() \
+            == [("kept",)]
+        assert versions.tracked_rowids() == []
+        writer.rollback()
+        assert reader.execute("SELECT k, v FROM kv").fetchall() \
+            == [(1, "kept")]
 
     def test_every_unmapping_bumps_the_epoch_first(self):
         """``prune`` and ``pop`` are the two places a single mapping is
