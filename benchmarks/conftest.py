@@ -1,31 +1,11 @@
-"""Shared benchmark fixtures: results directory and determinism."""
-
-import os
+"""Shared benchmark fixtures."""
 
 import pytest
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture(scope="session")
-def results_dir():
-    """Directory benchmark reports are appended to; cleared per session."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
-
-
-def result_path(name: str) -> str:
-    """Path of one experiment's report file (truncated on first use)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
-    return path
-
 
 @pytest.fixture(scope="module")
-def fresh_result_file(request):
-    """Truncate this module's report file once per run."""
-    name = request.module.REPORT_FILE
-    path = result_path(name)
-    with open(path, "w"):
-        pass
-    return path
+def fresh_result_file(request, tmp_path_factory):
+    """This module's report file, new in a directory of the session's
+    temp tree: a pytest run leaves the committed ``results/*.txt`` as
+    they are (only a gated script's own plain run writes those)."""
+    return str(tmp_path_factory.mktemp("results") / request.module.REPORT_FILE)

@@ -365,7 +365,10 @@ class Cursor:
         """
         self._check_open()
         sql, placeholders = _qmark_to_native(operation)
-        param_sets = [list(parameters) for parameters in seq_of_parameters]
+        # a list or tuple set is passed on as it is: no copy per set
+        param_sets = [parameters if isinstance(parameters, (list, tuple))
+                      else list(parameters)
+                      for parameters in seq_of_parameters]
         if placeholders and any(not parameters for parameters in param_sets):
             raise ProgrammingError(
                 f"statement has {placeholders} placeholder(s) "

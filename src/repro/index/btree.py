@@ -32,8 +32,9 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConstraintError, StorageError
 
-#: fast first-element key extractor for bulk-load sorting
+#: fast first- and second-element extractors for bulk-load sorting
 _first = itemgetter(0)
+_second = itemgetter(1)
 
 #: Maximum entries per node before a split.
 DEFAULT_ORDER = 64
@@ -166,23 +167,52 @@ class BTree:
         any existing contents are discarded); a key loaded once holds
         its payload bare.
         """
-        entries = sorted(pairs, key=_first)
-        keys: List[Any] = []
-        values: List[Any] = []
+        pairs = list(pairs)
+        self.bulk_load_columns(list(map(_first, pairs)),
+                               list(map(_second, pairs)))
+
+    def bulk_load_columns(self, keys: List[Any], values: List[Any]) -> None:
+        """:meth:`bulk_load` of the pairs ``zip(keys, values)``, given as
+        two aligned columns, so a caller builds no pair per entry."""
+        out_keys: List[Any] = []
+        out_values: List[Any] = []
         unique = self.unique
-        for key, value in entries:
-            if keys and keys[-1] == key:
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            key, value = keys[i], values[i]
+            if out_keys and out_keys[-1] == key:
                 if unique:
                     raise ConstraintError(
                         f"duplicate key {key!r} in unique index")
-                if values[-1].__class__ is list:
-                    values[-1].append(value)
+                if out_values[-1].__class__ is list:
+                    out_values[-1].append(value)
                 else:
-                    values[-1] = [values[-1], value]
+                    out_values[-1] = [out_values[-1], value]
             else:
-                keys.append(key)
-                values.append(value)
-        self._build_sorted(keys, values, len(entries))
+                out_keys.append(key)
+                out_values.append(value)
+        self._build_sorted(out_keys, out_values, len(keys))
+
+    def insert_batch(self, pairs: List[Tuple[Any, Any]]) -> None:
+        """Insert ``(key, value)`` pairs as one batch, all or none.
+
+        An empty tree is built bottom-up (:meth:`bulk_load`); into a
+        populated one the pairs go in key order.  A unique violation —
+        against a stored key or inside the batch — raises with the tree
+        as it was.
+        """
+        if not self._count:
+            self.bulk_load(pairs)
+            return
+        pairs = sorted(pairs, key=_first)
+        done = 0
+        try:
+            for key, value in pairs:
+                self.insert(key, value)
+                done += 1
+        except ConstraintError:
+            for key, value in pairs[:done]:
+                self.delete(key, value)
+            raise
 
     def bulk_load_sorted(self, keys: List[Any],
                          payloads: List[Any]) -> None:

@@ -142,14 +142,18 @@ class IndexDef:
         replacing what it held."""
         positions = [table.column_position(c) for c in self.column_names]
         width = range(len(positions))
-        pairs = []
-        for rowids, columns in table.storage.scan_batches():
-            keys = zip(*[columns[p] for p in positions])
-            for rowid, values in zip(rowids, keys):
+        keys: List[Any] = []
+        rowids: List[Any] = []
+        for batch, columns in table.storage.scan_batches():
+            for rowid, values in zip(batch, zip(*[columns[p]
+                                                  for p in positions])):
                 key = index_key(values, width)
                 if key is not None:
-                    pairs.append((key, rowid))
-        self.structure.bulk_load(pairs)
+                    keys.append(key)
+                    rowids.append(rowid)
+        # two columns, not a (key, rowid) pair per entry for the
+        # collector to count
+        self.structure.bulk_load_columns(keys, rowids)
 
 
 @dataclass

@@ -34,9 +34,10 @@ from __future__ import annotations
 import copy
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import add, itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.callbacks import CallbackPhase
 from repro.core.domain_index import DomainIndex, IndexState
@@ -68,13 +69,24 @@ def _structure_delete(structure, key, rowid) -> None:
         structure.delete(key, rowid)
 
 
+def _structure_unload(structure, pairs) -> None:
+    """Take a load's ``pairs`` out of a native index under its latch
+    (None: the load found it empty, so empty it)."""
+    with structure.latch:
+        if pairs is None:
+            structure.clear()
+        for key, rowid in pairs or ():
+            structure.delete(key, rowid)
+
+
 def _undo_change(durability, txn, table_key, storage, op, rowid, rid,
                  old, new, version, prev_lsn) -> None:
-    """Roll back one row change (or a whole load, ``op="bulk_insert"``):
-    restore the slot as the change's CLR says, log that CLR when the
-    engine is durable, then unlink the change's row version — after the
-    slot, so no snapshot resolves past a chain to an unrestored slot.
-    ``prev_lsn`` is the transaction's last LSN before the change."""
+    """Roll back one row change (or a whole load, ``op="bulk_insert"``,
+    ``rid`` the heap's mark): restore the slot as the change's CLR says,
+    log that CLR when the engine is durable, then unlink the change's
+    row version — after the slot, so no snapshot resolves past a chain
+    to an unrestored slot.  ``prev_lsn`` is the transaction's last LSN
+    before the change."""
     clr = clr_record(txn.txn_id, table_key, op, rid, old, new,
                      txn.last_lsn, prev_lsn)
     comp = clr["op"]
@@ -84,6 +96,8 @@ def _undo_change(durability, txn, table_key, storage, op, rowid, rid,
         storage.undelete(rowid, clr["new"])
     elif comp == "update":
         storage.update(rowid, clr["new"])
+    elif rid is not None:
+        storage.cut_to(rid)
     else:
         storage.truncate()
     if durability is not None:
@@ -340,7 +354,7 @@ class DMLEngine:
     # ------------------------------------------------------------------
 
     def validate_row(self, table: TableDef, row: Sequence[Any]
-                     ) -> List[Any]:
+                     ) -> Tuple[Any, ...]:
         """A full-width row coerced to the column types; every insert
         front-end reaches the arity and NOT NULL checks here."""
         if len(row) != len(table.columns):
@@ -354,7 +368,7 @@ class DMLEngine:
                 raise ConstraintError(
                     f"column {table.name}.{col.name} is NOT NULL")
             out.append(validated)
-        return out
+        return tuple(out)
 
     def insert_row(self, table_name: str, values: Sequence[Any]) -> RowId:
         """Insert one row of Python values (bypasses the parser), for
@@ -446,46 +460,40 @@ class DMLEngine:
         return self.run_maintained(table, body)
 
     def _bulk_load_plan(self, table: TableDef, n_rows: int):
-        """The bulk-append plan for loading ``table``, or None.
-
-        Bulk loading applies to empty storage whose indexes are all
-        empty native B-trees — the shape of a freshly created index data
-        table (text IOT, spatial tiles, VIR coarse table) being populated
-        by ``ODCIIndexCreate``/REBUILD.  Domain indexes and populated
-        tables take the per-row route.
-        """
-        db = self.db
-        if n_rows < 2:
-            return None
+        """The bulk-append plan for ``table``: its native indexes as
+        ``(structure, positions)`` and domain ones as ``(index,
+        positions)``; or None.  Any heap loads above its high-water mark.
+        An IOT has no such mark (its keys interleave), so only an empty
+        one with no chain, fence or native index entry loads in bulk."""
         storage = table.storage
-        if not hasattr(storage, "insert_bulk") or storage.row_count != 0:
+        if n_rows < 2 or not hasattr(storage, "insert_bulk"):
             return None
-        versions = getattr(storage, "versions", None)
-        if versions is not None and not versions.clean:
-            # version chains from prior DML may still be visible to live
-            # snapshots; the one-undo-per-structure load can't honor them
+        iot = table.is_iot
+        if iot and (storage.row_count or not storage.versions.clean):
             return None
-        native = []
-        for index in db.catalog.indexes_on(table.name):
-            structure = index.structure
-            if index.is_domain or structure.entry_count != 0:
-                return None
+        native, domain = [], []
+        for index in self.db.catalog.indexes_on(table.name):
             positions = [table.column_position(c)
                          for c in index.column_names]
-            native.append((structure, positions))
-        return native
+            if index.is_domain:
+                domain.append((index, positions))
+            elif iot and index.structure.entry_count:
+                return None
+            else:
+                native.append((index.structure, positions))
+        return native, domain
 
     def _insert_bulk(self, table: TableDef, rows: Sequence[Sequence[Any]],
-                     native: list, txn, validate: bool, presorted: bool,
+                     plan: tuple, txn, validate: bool, presorted: bool,
                      payloads: Optional[Sequence[Tuple[Any, ...]]]) -> int:
-        """Bulk-append ``rows`` and bottom-up-build the native indexes.
-
-        One undo record per structure instead of one per row; rollback
-        restores the empty pre-load state (the plan above guarantees
-        storage and indexes started empty).  An IOT loads key and
-        payload columns: ``rows`` are the keys when ``payloads`` is
-        given, else the rows are split here, once.  ``validate=False``
+        """Bulk-append ``rows`` under one fence version per transaction,
+        one undo entry (a heap cut back to its mark, an IOT emptied) and
+        one WAL record, batch-insert each native index with one undo
+        entry, and queue the rows for the domain indexes.  An IOT loads
+        key and payload columns: ``rows`` are the keys when ``payloads``
+        is given, else the rows are split here, once.  ``validate=False``
         (direct path) checks only each column's arity, at C speed."""
+        native, domain = plan
         storage = table.storage
         n_cols = len(table.columns)
         if validate:
@@ -506,36 +514,42 @@ class DMLEngine:
                 set(map(len, column)) - {width} for column, width in shapes)):
             raise ExecutionError(f"{table.name} direct load: every entry "
                                  f"must have {n_cols} values")
-        versions = getattr(storage, "versions", None)
-        if versions is not None:
-            # one fence version covers the whole load: snapshots older
-            # than this txn's commit see none of the bulk rows
-            fence = versions.set_fence(txn)
+        versions = storage.versions
+        mark = None if table.is_iot else storage.high_water_mark()
+        # snapshots older than this txn's commit see no row it loads
+        fence = versions.set_fence(txn, mark)
+        if fence is not None:
             txn.track_version(fence)
             txn.record_undo(versions.drop_fence, fence)
+        txn.loaded += len(keys)
         rowids = storage.insert_bulk(keys, payloads, presorted) \
             if table.is_iot else storage.insert_bulk(rows)
         durability = self.db.engine.durability
-        if rows is None and (durability is not None or native):
+        if rows is None and (durability is not None or native or domain):
             rows = list(map(add, keys, payloads))
-        # one undo entry and one WAL record for the whole load; the
-        # undo (and its CLR) is a truncate, valid because the plan
-        # guaranteed empty storage
         txn.record_undo(_undo_change, durability, txn, table.key, storage,
-                        "bulk_insert", None, None, None, None, None,
+                        "bulk_insert", None, mark, None, None, None,
                         txn.last_lsn)
         if durability is not None:
             durability.log_bulk(txn, table.key, storage, rows,
-                                None if table.is_iot else rowids)
+                                None if table.is_iot else rowids, mark)
         for structure, positions in native:
-            pairs = []
-            for rowid, row in zip(rowids, rows):
-                key = index_key(row, positions)
-                if key is not None:
-                    pairs.append((key, rowid))
+            pairs = [pair for pair in zip(map(index_key, rows,
+                                              repeat(positions)), rowids)
+                     if pair[0] is not None]
             with structure.latch:
-                structure.bulk_load(pairs)
-            txn.record_undo(lambda s=structure: s.clear())
+                empty = not structure.entry_count
+                structure.insert_batch(pairs)
+            txn.record_undo(_structure_unload, structure,
+                            None if empty else pairs)
+        for index, positions in domain:
+            if index.domain is not None and self._maintainable(
+                    index.name, index.domain):
+                for rowid, row in zip(rowids, rows):
+                    self._queue_stack[-1].add(index, index.domain, "insert", (
+                        rowid, [row[p] for p in positions]))
+                self.db.dispatcher.maintenance[index.name].entries_queued \
+                    += len(rows)
         return len(keys)
 
     def insert_physical(self, table: TableDef, row: Sequence[Any],
@@ -543,7 +557,7 @@ class DMLEngine:
         # one immutable tuple is the stored row, its version, its log
         # image and what maintenance reads
         return self.change_physical(
-            table, None, None, tuple(self.validate_row(table, row)), txn)
+            table, None, None, self.validate_row(table, row), txn)
 
     # ------------------------------------------------------------------
     # implicit index maintenance (ODCIIndexInsert/Update/Delete fan-out)
@@ -638,13 +652,13 @@ class DMLEngine:
                            db.planner.plan_select(select, peek_binds=binds))
 
     def run(self, prepared: PreparedDML,
-            bind_sets: Sequence[Dict[str, Any]]) -> Cursor:
+            bind_sets: Iterable[Dict[str, Any]]) -> Cursor:
         """Execute ``prepared`` as one maintained statement: one
         savepoint, one maintenance flush.
 
-        An INSERT ... VALUES takes every bind set (``executemany``'s
+        An INSERT ... VALUES reads every bind set once (``executemany``'s
         array INSERT: the batch succeeds or fails as a whole); UPDATE,
-        DELETE and INSERT ... SELECT take one.  The binds are arguments
+        DELETE and INSERT ... SELECT take a list of one.  The binds are arguments
         only — a prepared statement is shared through the plan cache and
         never specialized to one execution's values.
         """
@@ -654,25 +668,24 @@ class DMLEngine:
         if isinstance(stmt, ast.Insert):
             n_cols, positions = len(prepared.table.columns), prepared.positions
             if prepared.plan is not None:
-                sources = list(db.pipeline.execute_plan(prepared.plan,
-                                                        bind_sets[0]))
+                sources = db.pipeline.execute_plan(prepared.plan,
+                                                   bind_sets[0])
             else:
                 empty = RowContext()
-                sources = []
-                for binds in bind_sets:
-                    evaluate = Evaluator(db.catalog, binds).evaluate
-                    sources.extend([evaluate(e, empty) for e in exprs]
-                                   for exprs in prepared.template)
+                sources = ([evaluate(e, empty) for e in exprs]
+                           for evaluate in (Evaluator(db.catalog, b).evaluate
+                                            for b in bind_sets)
+                           for exprs in prepared.template)
+            # every row is read and validated into the tuple the heap
+            # stores before the first insert; none stays tracked
             rows = []
             for values in sources:
                 row: List[Any] = [NULL] * n_cols
                 for pos, value in zip(positions, values):
                     row[pos] = value
-                rows.append(row)
-            # the bulk-bind insert's statement body: many rows into
-            # empty storage load in bulk
-            return Cursor(rowcount=self.insert_rows(prepared.table.name,
-                                                    rows))
+                rows.append(self.validate_row(prepared.table, row))
+            return Cursor(rowcount=self._load(prepared.table.name, rows,
+                                              None, False, False))
         binds = bind_sets[0]
 
         def body(txn) -> int:
@@ -702,7 +715,7 @@ class DMLEngine:
                 new_row = list(old_row)
                 for pos, value in zip(target.positions, values):
                     new_row[pos] = value
-                new_row = tuple(self.validate_row(table, new_row))
+                new_row = self.validate_row(table, new_row)
                 if new_row[:key_width] != tuple(old_row[:key_width]):
                     self.change_physical(table, rowid, old_row, None, txn)
                     self.insert_physical(table, new_row, txn)

@@ -221,8 +221,9 @@ class StatementPipeline:
             return Cursor(rowcount=0)
         compiled = self._compiled(sql, self.bind(param_sets[0]))
         if isinstance(compiled, PreparedDML) and compiled.template is not None:
-            return self.db.dml.run(compiled, [normalize_params(params)
-                                              for params in param_sets])
+            # one bind dict at a time: none outlives its row
+            return self.db.dml.run(compiled, map(normalize_params,
+                                                 param_sets))
         total = 0
         for params in param_sets:
             cursor = self.execute(sql, params)

@@ -493,10 +493,12 @@ class Session:
                     presorted: bool = False) -> int:
         """Direct-path load of cartridge-built rows (no row validation).
 
-        Falls back to :meth:`insert_rows` unless the table is empty with
-        only empty native B-trees — the shape of an index
-        data table being populated by ``ODCIIndexCreate``/REBUILD.  An
-        index-organized table may be loaded as two aligned columns:
+        A heap takes the rows above its high-water mark, whatever it
+        holds; an index-organized table only while it and its native
+        B-trees are empty — the shape of an index data table being
+        populated by ``ODCIIndexCreate``/REBUILD — and through
+        :meth:`insert_rows` otherwise.  An index-organized table may be
+        loaded as two aligned columns:
         ``rows`` its key tuples and ``payloads`` its payload tuples.
         ``presorted`` additionally promises strictly increasing key
         order for key-organized storage (skips the load-time sort).

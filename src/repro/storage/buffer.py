@@ -102,15 +102,16 @@ class BufferCache:
             self._next_segment_id += 1
             return seg
 
-    def drop_segment(self, segment_id: int) -> None:
-        """Discard every page of a segment (DROP/TRUNCATE)."""
+    def drop_segment(self, segment_id: int, first_page: int = 0) -> None:
+        """Discard every page of a segment (DROP/TRUNCATE), or its pages
+        from ``first_page`` on (a heap cut back to a load's mark)."""
         with self._latch:
-            for key in [k for k in self._cache if k[0] == segment_id]:
-                del self._cache[key]
-            for key in [k for k in self._disk if k[0] == segment_id]:
-                del self._disk[key]
+            for pages in (self._cache, self._disk):
+                for key in [k for k in pages
+                            if k[0] == segment_id and k[1] >= first_page]:
+                    del pages[key]
         if self.durability is not None:
-            self.durability.segment_dropped(segment_id)
+            self.durability.segment_dropped(segment_id, first_page)
 
     def segment_page_count(self, segment_id: int) -> int:
         """Number of allocated pages in a segment (cached or on disk)."""

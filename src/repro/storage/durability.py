@@ -40,6 +40,8 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WALError
@@ -63,7 +65,10 @@ def clr_record(txn_id: int, table_key: str, op: str, rid: Any,
     record carries them.  The CLR is the compensating change, logged as
     redo: an insert is undone by a delete, a delete by an insert, an
     update by an update with the images swapped, and a bulk load by a
-    truncate.  ``prev`` chains it into the transaction's records, and
+    truncate back to the load's high-water mark, which both records
+    carry as ``rid`` (None for an IOT, whose load went into an empty
+    table and is undone by emptying it).  ``prev`` chains it into the
+    transaction's records, and
     ``undo_next`` is the change's own ``prev`` — the ARIES trick that
     makes a repeated undo skip already-compensated work.
     """
@@ -74,7 +79,7 @@ def clr_record(txn_id: int, table_key: str, op: str, rid: Any,
     elif op == "update":
         old, new = new, old
     elif op == "bulk_insert":
-        op, rid, old, new = "truncate", None, None, None
+        op, old, new = "truncate", None, None
     else:
         raise ValueError(f"cannot compensate op {op!r}")
     return {"t": REC_CLR, "x": txn_id, "tb": table_key, "op": op,
@@ -135,15 +140,21 @@ class DurabilityManager:
             if entry not in self._dpt:
                 self._dpt[entry] = self.wal.end_lsn
 
-    def segment_dropped(self, segment_id: int) -> None:
-        """DROP/TRUNCATE discarded a segment: durably tombstone it so its
-        old page images cannot resurrect at the next recovery."""
+    def segment_dropped(self, segment_id: int, first_page: int = 0) -> None:
+        """DROP/TRUNCATE discarded a segment, or a load's undo its pages
+        from ``first_page`` on: durably tombstone them so their old page
+        images cannot resurrect at the next recovery.  A checkpoint
+        writes no image of them after the tombstone: it holds the
+        checkpoint latch from finding a page to writing it."""
         if self.closed:
             return
-        with self._dpt_latch:
-            for key in [k for k in self._dpt if k[1] == segment_id]:
-                del self._dpt[key]
-        self.pages.tombstone(segment_id)
+        with self._ckpt_latch:
+            with self._dpt_latch:
+                for key in [k for k in self._dpt if k[1] == segment_id
+                            and (not first_page or k[0] == "page"
+                                 and k[2] >= first_page)]:
+                    del self._dpt[key]
+            self.pages.tombstone(segment_id, first_page)
 
     # ------------------------------------------------------------------
     # row logging (called by the DML layer, after mutating storage)
@@ -166,10 +177,11 @@ class DurabilityManager:
     def log_change(self, txn: Any, storage: Any,
                    payload: Dict[str, Any]) -> None:
         """Append ``txn``'s row-change record or CLR (:func:`clr_record`)
-        and stamp the page or IOT it changed with the record's LSN; a
-        truncate stamps nothing."""
+        and stamp the page or IOT it changed with the record's LSN (a
+        heap's truncate back to a mark stamps the mark's page, if the
+        cut left it; an IOT's truncate stamps nothing)."""
         rid = payload["rid"]
-        if payload["op"] == "truncate":
+        if rid is None and payload["op"] == "truncate":
             self._append(txn, payload)
             return
         if rid is None:
@@ -191,11 +203,13 @@ class DurabilityManager:
         return lsn
 
     def log_bulk(self, txn: Any, table_key: str, storage: Any,
-                 rows: List[List[Any]], rowids: Optional[List[Any]]
-                 ) -> None:
-        """Append one record covering a whole direct-path load."""
+                 rows: List[List[Any]], rowids: Optional[List[Any]],
+                 mark: Any = None) -> None:
+        """Append one record covering a whole direct-path load: a heap
+        load carries its rowids and its high-water ``mark`` (what its
+        undo cuts back to), and stamps each page it filled once."""
         payload = {"t": REC_UPDATE, "x": txn.txn_id, "tb": table_key,
-                   "op": "bulk_insert", "rid": None,
+                   "op": "bulk_insert", "rid": mark,
                    "old": None, "new": rows, "rids": rowids,
                    "prev": txn.last_lsn}
         if rowids is None:
@@ -204,8 +218,9 @@ class DurabilityManager:
         if rowids is None:
             storage.stamp_lsn(lsn)
         else:
-            for rowid in rowids:
-                storage.stamp_lsn(rowid, lsn)
+            # the rowids run in page order: one stamp per page
+            for __, run in groupby(rowids, itemgetter(1)):
+                storage.stamp_lsn(next(run), lsn)
 
     # ------------------------------------------------------------------
     # commit / abort

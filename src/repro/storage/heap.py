@@ -152,9 +152,11 @@ class HeapTable:
                     presorted: bool = False) -> List[RowId]:
         """Store ``rows`` and return their rowids in input order.
 
-        Pages fill append-only: each is latched for write once per run
-        of rows it absorbs rather than once per row.  ``presorted`` is
-        irrelevant to an unordered heap (it only matters for
+        Pages fill append-only from the :meth:`high_water_mark`, so
+        every rowid is at or above it and :meth:`cut_to` that mark
+        takes the load back: each page is latched for write once per
+        run of rows it absorbs rather than once per row.  ``presorted``
+        is irrelevant to an unordered heap (it only matters for
         key-organized storage).
         """
         rowids: List[RowId] = []
@@ -240,6 +242,42 @@ class HeapTable:
         self._last_insert_page = None
         self.versions.clear()
 
+    def high_water_mark(self) -> RowId:
+        """``(segment, last page, that page's slot count)``: every row
+        stored from now on gets a rowid at or above it (a heap only
+        appends).  A table with no page has ``(segment, 0, 0)``."""
+        last = self._page_count - 1
+        if last < 0:
+            return (self.segment_id, 0, 0)
+        page = self.buffer.peek_page(self.segment_id, last)
+        return (self.segment_id, last, len(page.slots))
+
+    def cut_to(self, mark: RowId, lsn: Optional[int] = None) -> None:
+        """Drop every slot at or above ``mark`` (a :meth:`high_water_mark`):
+        the undo of the loads since it was taken.
+
+        The slots at or above the mark on the mark's page go, and so
+        does every later page (the mark's page too when the mark is its
+        first slot: the load allocated it).  Restart replay passes the
+        record's ``lsn``: a mark page stamped at or past it already
+        holds the cut, and a page cut here is stamped with it.  Applying
+        the same cut twice lands the same state.
+        """
+        segment_id, page_no, slot = mark
+        pages = self.buffer.segment_pages(segment_id)
+        removed = sum(page.live_count() for number, page in pages.items()
+                      if number > page_no or (number == page_no and not slot))
+        page = pages.get(page_no)
+        if page is not None and slot and (lsn is None or page.page_lsn < lsn):
+            page = self.buffer.get_page(segment_id, page_no, for_write=True)
+            removed += page.cut(slot)
+            if lsn is not None:
+                page.page_lsn = lsn
+        self.buffer.drop_segment(segment_id, page_no + (slot > 0))
+        self._row_count -= removed
+        self._page_count = page_no + (slot > 0)
+        self._last_insert_page = page_no if slot else None
+
     # -- scans ----------------------------------------------------------
 
     def scan_batches(self, snapshot: Optional[Snapshot] = None
@@ -255,8 +293,10 @@ class HeapTable:
         image (:meth:`Page.columns`), shared by every scan until the
         page's next write, so they are tuples.  Under a ``snapshot`` the
         image is read first and the store consulted after, the order of
-        every snapshot read: a store ``settled`` for the snapshot leaves
-        the image as the snapshot sees it.  Any other store resolves
+        every snapshot read: a store ``settled`` for the snapshot below
+        the page's end (no chain, and no fence it does not see at or
+        under the page's slots) leaves the image as the snapshot sees
+        it.  Any other store resolves
         every slot of the page, live or tombstoned, so the batch holds
         exactly the rows committed as of the snapshot's SCN plus the
         owning transaction's own writes; a read is one attempt, retried
@@ -267,7 +307,8 @@ class HeapTable:
 
         def read(page: Page) -> Tuple[Sequence[int], Sequence[Any]]:
             image = page.columns()
-            if versions.settled(snapshot):
+            if versions.settled(snapshot, (segment_id, page.page_no,
+                                           len(page.slots))):
                 return image
             rows = list(page.slots)
             rows = versions.resolve_batch(

@@ -213,7 +213,7 @@ class IndexOrganizedTable:
             if presorted:
                 self._tree.bulk_load_sorted(keys, payloads)
             else:
-                self._tree.bulk_load(zip(keys, payloads))
+                self._tree.bulk_load_columns(keys, payloads)
             self._ghosts.clear()
         self.buffer.stats.logical_writes += len(keys)
         return KeyRowIds(self.segment_id, keys)

@@ -142,6 +142,16 @@ class Page:
             self._image = (writes, live, columns)
         return live, columns
 
+    def cut(self, slot: int) -> int:
+        """Drop the slots from ``slot`` on (a load's undo); returns the
+        number of live rows dropped."""
+        dropped = sum(1 for row in self.slots[slot:] if row is not None)
+        del self.slots[slot:]
+        self.writes += 1
+        self.dirty = True
+        self.recompute_used()
+        return dropped
+
     def live_count(self) -> int:
         """Number of non-deleted rows on the page."""
         return sum(1 for s in self.slots if s is not None)

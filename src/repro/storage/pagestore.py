@@ -3,7 +3,8 @@
 ``pages.db`` is an append-only file of checksummed records — heap page
 images, whole-tree IOT dumps, and segment tombstones.  Startup scans the
 file once to build an in-memory directory (last record wins, tombstones
-erase a segment's earlier images) and stops cleanly at a torn tail, with
+erase a segment's earlier images, or those of its pages from a given
+page on) and stops cleanly at a torn tail, with
 the WAL's own scan loop (:func:`repro.storage.wal.scan_records`).  Fuzzy
 checkpoints append the dirty page set and may compact the file (rewrite
 live records to a temp file, fsync, atomic rename) once dead records
@@ -38,7 +39,7 @@ _HEADER = struct.Struct("<BII")
 
 REC_PAGE = 1  # {"seg", "page": Page.state() dict}
 REC_IOT = 2   # {"seg", "columns": [[...], ...], "snap_lsn": int}
-REC_TOMB = 3  # {"seg"}
+REC_TOMB = 3  # {"seg", "from": first page dropped; 0 → the whole segment}
 
 
 class PageStore:
@@ -94,10 +95,12 @@ class PageStore:
             self.iot_dumps[payload["seg"]] = {
                 "snap_lsn": payload["snap_lsn"], "body": body}
         elif rec_type == REC_TOMB:
-            seg = payload["seg"]
-            for key in [k for k in self.pages if k[0] == seg]:
+            seg, first = payload["seg"], payload.get("from", 0)
+            for key in [k for k in self.pages
+                        if k[0] == seg and k[1] >= first]:
                 del self.pages[key]
-            self.iot_dumps.pop(seg, None)
+            if not first:
+                self.iot_dumps.pop(seg, None)
 
     # -- appends --------------------------------------------------------
 
@@ -126,8 +129,8 @@ class PageStore:
         self._append(REC_IOT, {"seg": seg, "columns": columns,
                                "snap_lsn": snap_lsn})
 
-    def tombstone(self, seg: int) -> None:
-        self._append(REC_TOMB, {"seg": seg})
+    def tombstone(self, seg: int, first_page: int = 0) -> None:
+        self._append(REC_TOMB, {"seg": seg, "from": first_page})
 
     def fsync(self) -> None:
         os.fsync(self._fd)

@@ -12,7 +12,10 @@ directory, run restart recovery, and check the ACID ledger:
   mid-flight must leave no partial effects.  Some transactions end in
   ROLLBACK, and some roll back to a savepoint before they commit: what
   a rollback undid must stay undone after recovery, which replays the
-  compensation records the rollback logged.
+  compensation records the rollback logged.  Some transactions load a
+  few pages of rows into the table the earlier ones filled with one
+  ``executemany`` (a bulk append above its high-water mark), and some
+  of those loads are rolled back to a savepoint.
 * **Consistency** — shared counters equal the number of recovered
   transactions that incremented them; native-index lookups agree with
   full scans; a transaction-snapshot read agrees with a current read.
@@ -71,6 +74,14 @@ KV_BASE = 10_000
 #: after a SAVEPOINT and rolls back to it before the commit
 UNDO_WEIGHTS: Dict[Optional[str], int] = {"rollback": 15, "savepoint": 20,
                                           None: 65}
+#: whether a transaction also loads rows into ``h`` with one
+#: ``executemany``, weighted: ``keep`` commits with the transaction,
+#: ``savepoint`` is rolled back to a SAVEPOINT taken before it
+LOAD_WEIGHTS: Dict[Optional[str], int] = {"keep": 25, "savepoint": 15,
+                                          None: 60}
+#: ``n`` of a load's first row; a load is 250–400 rows of ``h``, at
+#: least two of its pages
+LOAD_BASE = 1000
 
 
 @dataclass
@@ -84,14 +95,23 @@ class TxnPlan:
     delete_n: Optional[int]              # own row deleted afterwards
     counters: List[int] = field(default_factory=list)
     undo: Optional[str] = None           # an UNDO_WEIGHTS key
+    load: Optional[str] = None           # a LOAD_WEIGHTS key
+    load_rows: int = 0
 
     @property
     def kv_key(self) -> int:
         return KV_BASE + self.index
 
+    def loaded(self) -> List[Tuple[int, int]]:
+        """The (n, v) rows the transaction's load inserts into h."""
+        return [(n, (n * 7 + self.index) % 1000)
+                for n in range(LOAD_BASE, LOAD_BASE + self.load_rows)]
+
     def expected_h_rows(self) -> Dict[int, int]:
         """Final (n -> v) content of h for this txn, if it committed."""
         out = dict(self.rows)
+        if self.load == "keep":
+            out.update(self.loaded())
         if self.update_n is not None:
             out[self.update_n] += 1000
         if self.delete_n is not None:
@@ -105,6 +125,7 @@ def plan_workload(seed: int, txns: int = 40) -> List[TxnPlan]:
     # rollbacks draw from their own stream, so a seed's row, update,
     # delete and counter choices do not depend on them
     undo_rng = random.Random(seed * 6007 + 3)
+    load_rng = random.Random(seed * 4481 + 11)
     plans = []
     for i in range(txns):
         nrows = rng.randint(1, 5)
@@ -119,9 +140,13 @@ def plan_workload(seed: int, txns: int = 40) -> List[TxnPlan]:
                                      rng.randint(0, 2)))
         undo = undo_rng.choices(list(UNDO_WEIGHTS),
                                 list(UNDO_WEIGHTS.values()))[0]
+        load = load_rng.choices(list(LOAD_WEIGHTS),
+                                list(LOAD_WEIGHTS.values()))[0]
         plans.append(TxnPlan(index=i, tag=f"t{i:03d}", rows=rows,
                              update_n=update_n, delete_n=delete_n,
-                             counters=counters, undo=undo))
+                             counters=counters, undo=undo, load=load,
+                             load_rows=load_rng.randint(250, 400)
+                             if load else 0))
     return plans
 
 
@@ -216,6 +241,14 @@ def run_child(data_dir: str, seed: int, kind: str, nth: int) -> None:
                     session.execute(f"DELETE FROM h WHERE "
                                     f"tag = '{plan.tag}' "
                                     f"AND n = {plan.delete_n}")
+                if plan.load == "savepoint":
+                    session.execute("SAVEPOINT load")
+                if plan.load:
+                    session.executemany(
+                        "INSERT INTO h VALUES (:1, :2, :3)",
+                        [[plan.tag, n, v] for n, v in plan.loaded()])
+                if plan.load == "savepoint":
+                    session.execute("ROLLBACK TO SAVEPOINT load")
                 session.execute(f"INSERT INTO kv VALUES "
                                 f"({plan.kv_key}, {plan.index})")
                 for c in plan.counters:

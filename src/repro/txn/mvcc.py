@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics import Histogram, Metrics, histogram
 
@@ -121,20 +121,28 @@ class VersionStore:
     something other than its slot: a write in flight, a commit above
     the low-water mark, or history a live snapshot still needs.  For a
     rowid absent from the store *every snapshot sees its slot*, modulo
-    the *fence* version: ``insert_bulk`` registers one fence version
-    covering every bulk-loaded row, so old snapshots don't see a load
-    that committed after them.
+    the *fences*: a bulk load registers one fence version carrying the
+    table's high-water *mark* at the load's start, and a later load by
+    the same transaction reuses it.  The fences are kept in mark order;
+    a fence covers the rowids at or above its mark and below the next
+    fence's mark (a mark of None covers from the first rowid: an IOT's
+    load, which only goes into an empty table), and an untracked rowid
+    a fence covers is hidden from every snapshot that does not see the
+    fence — old snapshots don't see a load that committed after them.
 
     The store says less only in :meth:`prune` (which forgets settled
-    chains), :meth:`pop`, :meth:`drop_fence` and :meth:`clear`, and
-    each bumps ``_epoch`` *before* it does; a snapshot read runs inside
-    :meth:`read`, which redoes it when the epoch moved.
+    chains and fences), :meth:`pop`, :meth:`drop_fence` and
+    :meth:`clear`, and each unmapping bumps ``_epoch`` *before* it
+    does; a snapshot read runs inside :meth:`read`, which redoes it
+    when the epoch moved.
     """
 
     def __init__(self):
         self.latch = threading.Lock()
         self._heads: Dict[Any, RowVersion] = {}
-        self._fence: Optional[RowVersion] = None
+        #: ``(mark, fence version)`` in mark order; replaced, never
+        #: changed in place, so a reader walks a list no writer mutates
+        self._fences: List[Tuple[Any, RowVersion]] = []
         self._epoch = 0
 
     # -- write side ---------------------------------------------------------
@@ -146,15 +154,17 @@ class VersionStore:
         Called *before* the slot mutates so a concurrent snapshot reader
         can never observe the new slot value through the untracked-row
         fast path.  When the row was untracked and had a previous value,
-        a committed base version is synthesised below the new head so
-        old snapshots keep resolving to ``old_value``.
+        a base version is synthesised below the new head so old
+        snapshots keep resolving to ``old_value``: committed at the SCN
+        of the fence that covers the rowid (a bulk-loaded row), else at
+        SCN 0.
         """
         with self.latch:
             prev = self._heads.get(rowid)
             if prev is None and old_value is not None:
                 # first versioned write to a settled row: anchor the old
                 # value so older snapshots still see it
-                fence = self._fence
+                fence = self._covering(rowid)
                 if fence is not None:
                     base = RowVersion(fence.scn, fence.txn_id, old_value)
                     if fence.scn is None and txn is not None \
@@ -190,34 +200,61 @@ class VersionStore:
             if head is not None:
                 head.prev = version.prev
 
-    def set_fence(self, txn: Any) -> RowVersion:
-        """Register a bulk-load fence: rows loaded now are invisible to
-        snapshots older than the loading transaction's commit."""
-        fence = RowVersion(None, txn.txn_id if txn else 0, None)
+    def set_fence(self, txn: Any, mark: Any = None
+                  ) -> Optional[RowVersion]:
+        """Register a bulk-load fence at ``mark`` (the table's high-water
+        mark before the load): rows appended from here on are invisible
+        to snapshots older than the loading transaction's commit.
+
+        Returns the new fence, or None when ``txn``'s own fence is the
+        last one and so already covers every row appended now."""
         with self.latch:
-            self._fence = fence
+            fences = self._fences
+            if fences and txn is not None:
+                last = fences[-1][1]
+                if last.scn is None and last.txn_id == txn.txn_id:
+                    return None
+            fence = RowVersion(None, txn.txn_id if txn else 0, None)
+            self._fences = fences + [(mark, fence)]
         return fence
 
     def drop_fence(self, fence: RowVersion) -> None:
         """Undo ``set_fence`` (bulk-load rollback)."""
         with self.latch:
-            if self._fence is fence:
+            fences = [entry for entry in self._fences
+                      if entry[1] is not fence]
+            if len(fences) != len(self._fences):
                 self._epoch += 1
-                self._fence = None
+                self._fences = fences
 
     def clear(self) -> None:
-        """Forget all chains (truncate / table drop)."""
+        """Forget all chains and fences (truncate / table drop)."""
         with self.latch:
             self._epoch += 1
             self._heads.clear()
-            self._fence = None
+            self._fences = []
 
     @property
     def clean(self) -> bool:
-        """True when no chains or fence exist (bulk-load fast path ok;
-        nothing for a prune pass to do)."""
+        """True when no chains or fences exist (nothing for a prune
+        pass to do)."""
         with self.latch:
-            return not self._heads and self._fence is None
+            return not self._heads and not self._fences
+
+    def _covering(self, rowid: Any) -> Optional[RowVersion]:
+        """The fence whose range holds ``rowid``, or None."""
+        for mark, fence in reversed(self._fences):
+            if mark is None or mark <= rowid:
+                return fence
+        return None
+
+    def _hidden(self, snapshot: Snapshot) -> List[Tuple[Any, Any]]:
+        """The ``(mark, next mark)`` ranges of the fences ``snapshot``
+        does not see, lowest first (a next mark of None: no end)."""
+        fences = self._fences
+        return [(mark, fences[i + 1][0] if i + 1 < len(fences) else None)
+                for i, (mark, fence) in enumerate(fences)
+                if not snapshot.visible(fence)]
 
     # -- read side ----------------------------------------------------------
 
@@ -242,24 +279,30 @@ class VersionStore:
             if snapshot.stats is not None:
                 snapshot.stats.read_retries += 1
 
-    def settled(self, snapshot: Snapshot) -> bool:
-        """True when ``snapshot`` sees every slot as it stands: no chain
-        is mapped and no fence hides the rows from it."""
-        fence = self._fence
-        return not self._heads and (fence is None or snapshot.visible(fence))
+    def settled(self, snapshot: Snapshot, below: Any = None) -> bool:
+        """True when ``snapshot`` sees every slot as it stands — every
+        slot under the rowid ``below``, when given: no chain is mapped
+        and no fence hides those rows from it."""
+        if self._heads:
+            return False
+        if not self._fences:
+            return True
+        hidden = self._hidden(snapshot)
+        return not hidden or (below is not None and hidden[0][0] is not None
+                              and below <= hidden[0][0])
 
     def resolve(self, rowid: Any, current: Optional[list],
                 snapshot: Snapshot) -> Optional[list]:
         """The row value ``snapshot`` should see for ``rowid``.
 
         ``current`` is the live slot value (None when the slot is a
-        tombstone).  Untracked rowids fall back to ``current`` unless a
-        bulk-load fence hides them.  Returns None when the row is
-        invisible to the snapshot.
+        tombstone).  Untracked rowids fall back to ``current`` unless
+        the bulk-load fence that covers them hides them.  Returns None
+        when the row is invisible to the snapshot.
         """
         head = self._heads.get(rowid)
         if head is None:
-            fence = self._fence
+            fence = self._covering(rowid) if self._fences else None
             if fence is None or snapshot.visible(fence):
                 return current
             return None
@@ -279,17 +322,22 @@ class VersionStore:
         The caller must have read every slot *before* this call — the
         same read-slot-then-check-chain order :meth:`resolve` relies on
         (writers register the chain before they mutate the slot).  A
-        store with no chains answers the whole batch with one fence
-        test; rowids that do have a chain go through :meth:`resolve`.
+        store with no chains answers a batch wholly below the lowest
+        fence the snapshot does not see with its slots; rowids that do
+        have a chain go through :meth:`resolve`, and the others are
+        tested against the hidden fence ranges.
         """
         heads = self._heads
-        fence = self._fence
-        hidden = fence is not None and not snapshot.visible(fence)
-        if not heads:
-            return [None] * len(rowids) if hidden else currents
+        hidden = self._hidden(snapshot) if self._fences else None
+        if hidden and hidden[0][0] is not None and rowids \
+                and max(rowids) < hidden[0][0]:
+            hidden = None
+        if not heads and not hidden:
+            return currents
         resolve = self.resolve
         return [resolve(rowid, current, snapshot) if rowid in heads
-                else (None if hidden else current)
+                else None if hidden and _in_ranges(rowid, hidden)
+                else current
                 for rowid, current in zip(rowids, currents)]
 
     def tracked_rowids(self) -> List[Any]:
@@ -311,7 +359,7 @@ class VersionStore:
 
     def prune(self, lwm: int, stats: Optional[SnapshotStats] = None) -> int:
         """Cut chain tails below the newest committed version <= ``lwm``
-        and forget every chain that leaves settled.
+        and forget every chain, and every fence, that leaves settled.
 
         A chain whose head is that keeper is down to one committed
         version every live and future snapshot sees, and its slot holds
@@ -324,11 +372,16 @@ class VersionStore:
         """
         removed = 0
         with self.latch:
-            fence = self._fence
-            if (fence is not None and fence.scn is not None
-                    and fence.scn <= lwm):
-                # every live snapshot sees the bulk load: fence is moot
-                self._fence = None
+            # a fence every live snapshot sees is moot; the loads commit
+            # in mark order (a loading transaction holds the table), so
+            # the settled fences are the lowest
+            fences = self._fences
+            moot = 0
+            while (moot < len(fences) and fences[moot][1].scn is not None
+                   and fences[moot][1].scn <= lwm):
+                moot += 1
+            if moot:
+                self._fences = fences[moot:]
             heads = self._heads
             settled = 0
             for head in heads.values():
@@ -360,6 +413,15 @@ class VersionStore:
                 if stats is not None:
                     stats.heads_forgotten += settled
         return removed
+
+
+def _in_ranges(rowid: Any, ranges: List[Tuple[Any, Any]]) -> bool:
+    """Whether ``rowid`` lies in one of the ``(mark, next mark)``
+    ranges :meth:`VersionStore._hidden` returns."""
+    for low, high in ranges:
+        if (low is None or low <= rowid) and (high is None or rowid < high):
+            return True
+    return False
 
 
 class MVCCManager:
@@ -406,9 +468,10 @@ class MVCCManager:
         """Stamp the txn's versions with a fresh SCN; True → prune due.
 
         A pass is due once :data:`PRUNE_INTERVAL` versions were stamped
-        since the last one (a commit that stamps none counts one), so a
-        large load settles at its own commit — unless the low-water
-        mark still is where the last pass left it.
+        since the last one (a commit that stamps none counts one, and a
+        bulk load's rows count as the versions its one fence stands
+        for), so a large load settles at its own commit — unless the
+        low-water mark still is where the last pass left it.
         """
         versions = getattr(txn, "versions", None)
         with self._latch:
@@ -420,7 +483,8 @@ class MVCCManager:
                     version.scn = scn
                 self.stats.versions_stamped += len(versions)
             self.stats.commits += 1
-            self._stamped_since_prune += len(versions) if versions else 1
+            stamped = len(versions) if versions else 1
+            self._stamped_since_prune += stamped + getattr(txn, "loaded", 0)
             if (self._stamped_since_prune < PRUNE_INTERVAL
                     or self._low_water_mark() == self._pruned_lwm):
                 return False

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, List, Optional
 
 from repro.core.domain_index import DomainIndex, IndexState
@@ -322,19 +324,26 @@ def _apply_redo(engine: Any, tables: Dict[str, Any], lsn: int,
                    else engine.buffer.ensure_page(rid[0], rid[1]).page_lsn)
         if lsn <= stamped:
             return False
-    _replay(engine, storage, payload)
+    _replay(engine, storage, payload, lsn)
     _stamp(engine, storage, rid, lsn)
     return True
 
 
-def _replay(engine: Any, storage: Any, payload: Dict[str, Any]) -> None:
+def _replay(engine: Any, storage: Any, payload: Dict[str, Any],
+            lsn: Optional[int] = None) -> None:
     """Land one record's after-state in ``storage``: a heap record on
-    its slot, an IOT record by key (logical replay, idempotent)."""
+    its slot, an IOT record by key (logical replay, idempotent).  A
+    truncate that carries a mark cuts the heap back to it (redo passes
+    the record's ``lsn``, so a mark page already past it is left as it
+    is); one without empties the table."""
     op = payload["op"]
-    if op == "truncate":
-        storage.truncate()
-        return
     rid = payload["rid"]
+    if op == "truncate":
+        if rid is None:
+            storage.truncate()
+        else:
+            storage.cut_to(rid, lsn)
+        return
     if rid is not None:
         engine.buffer.ensure_page(rid[0], rid[1]).set_slot(
             rid[2], None if op == "delete" else payload["new"])
@@ -346,11 +355,11 @@ def _replay(engine: Any, storage: Any, payload: Dict[str, Any]) -> None:
 
 
 def _stamp(engine: Any, storage: Any, rid: Any, lsn: int) -> None:
-    """Advance the page's or IOT's LSN to a record just replayed; a
-    heap truncate has nothing to stamp."""
+    """Advance the page's or IOT's LSN to a record just replayed (a
+    heap's truncate back to a mark: the mark's page, if the cut left
+    it)."""
     if rid is not None:
-        page = engine.buffer.ensure_page(rid[0], rid[1])
-        page.page_lsn = max(page.page_lsn, lsn)
+        storage.stamp_lsn(rid, lsn)
     elif isinstance(storage, IndexOrganizedTable):
         storage.stamp_lsn(lsn)
 
@@ -366,17 +375,18 @@ def _redo_bulk(engine: Any, storage: Any, lsn: int,
             storage.recover_insert(row)
         storage.applied_lsn = lsn
         return True
+    # the rowids run in page order: one page fetch and stamp per page
     applied = False
-    for row, rid in zip(rows, rids):
-        page = engine.buffer.ensure_page(rid[0], rid[1])
+    for page_no, run in groupby(zip(map(itemgetter(1), rids),
+                                    map(itemgetter(2), rids), rows),
+                                itemgetter(0)):
+        page = engine.buffer.ensure_page(storage.segment_id, page_no)
         if lsn <= page.page_lsn:
             continue
-        page.set_slot(rid[2], row)
+        for __, slot, row in run:
+            page.set_slot(slot, row)
+        page.page_lsn = lsn
         applied = True
-    for __, rid in zip(rows, rids):
-        page = engine.buffer.ensure_page(rid[0], rid[1])
-        if lsn > page.page_lsn:
-            page.page_lsn = lsn
     return applied
 
 

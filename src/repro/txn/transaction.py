@@ -34,6 +34,9 @@ class Transaction:
         #: row versions created by this txn; commit stamps them with the
         #: commit SCN (see :mod:`repro.txn.mvcc`)
         self.versions: list = []
+        #: rows this txn bulk-loaded under a fence, which commit counts
+        #: toward the next prune pass as it counts stamped versions
+        self.loaded = 0
         #: transaction-duration snapshot (SET TRANSACTION READ ONLY /
         #: ISOLATION LEVEL SERIALIZABLE); None → statement snapshots
         self.snapshot = None

@@ -118,11 +118,11 @@ class TestTextBuildDifferential:
         assert got == expected
 
     def test_direct_load_degrades_for_populated_target(self, text_db):
-        """direct_load falls back to validated inserts when the target
-        shape disqualifies the fast path — identical observable result."""
+        """direct_load into a populated table gives the same observable
+        result as validated inserts."""
         text_db.execute("CREATE TABLE t (id INTEGER, v VARCHAR2(40))")
         text_db.insert_rows("t", [[1, "pre-existing"]])
-        # populated table: no bulk-load plan; falls back to insert_rows
+        # a populated heap still loads in bulk, above its high-water mark
         text_db.direct_load("t", [[2, "two"], [3, "three"]])
         assert sorted(text_db.execute(
             "SELECT id, v FROM t").fetchall()) \

@@ -24,9 +24,9 @@ class TestSeedDeterminism:
         a = plan_workload(42)
         b = plan_workload(42)
         assert [(p.tag, p.rows, p.update_n, p.delete_n, p.counters,
-                 p.undo) for p in a] == \
+                 p.undo, p.load, p.load_rows) for p in a] == \
                [(p.tag, p.rows, p.update_n, p.delete_n, p.counters,
-                 p.undo) for p in b]
+                 p.undo, p.load, p.load_rows) for p in b]
 
     @pytest.mark.parametrize("seed, digest", [(0, 1293686219),
                                               (42, 3797050329)])
@@ -41,6 +41,21 @@ class TestSeedDeterminism:
             == digest
         undone = [p.undo for p in plans]
         assert undone.count("rollback") and undone.count("savepoint")
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_loads_span_pages_and_some_are_rolled_back(self, seed):
+        """Loads draw from their own stream too (the digests above hold);
+        each covers at least two pages of ``h``, and some commit, some
+        roll back to a savepoint and some end in ROLLBACK."""
+        from repro.storage.page import PAGE_SIZE, estimate_row_size
+        plans = plan_workload(seed)
+        loads = [p for p in plans if p.load]
+        assert {p.load for p in loads} == {"keep", "savepoint"}
+        assert any(p.undo == "rollback" for p in loads)
+        for plan in loads:
+            size = sum(estimate_row_size((plan.tag, n, v))
+                       for n, v in plan.loaded())
+            assert size > 2 * PAGE_SIZE
 
     def test_kill_specs_are_pure(self):
         assert kill_spec(7) == kill_spec(7)

@@ -459,6 +459,123 @@ class TestRollbackThenCrash:
         db2.engine.close()
 
 
+class TestLoadIntoNonEmptyTable:
+    """A load into a table that holds rows is one log record: redo lands
+    it page by page, and its undo — at rollback or at restart — cuts
+    the heap back to the high-water mark the record carries."""
+
+    INSERT = "INSERT INTO t VALUES (:1, :2)"
+
+    @staticmethod
+    def rows(start, stop):
+        return [[i, f"row{i:05d}"] for i in range(start, stop)]
+
+    def _table(self, data_dir):
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE t (id NUMBER, v VARCHAR2(20))")
+        db.execute("CREATE UNIQUE INDEX t_id ON t(id)")
+        db.executemany(self.INSERT, self.rows(0, 300))
+        return db, db.catalog.get_table("t").storage
+
+    def test_a_committed_load_reads_back_once_with_each_page_stamped(
+            self, data_dir, monkeypatch):
+        from repro.storage.buffer import BufferCache
+        from repro.storage.heap import HeapTable
+        db, storage = self._table(data_dir)
+        first = list(range(storage.page_count))
+        mark = storage.high_water_mark()
+        stamped = []
+        stamp = HeapTable.stamp_lsn
+        monkeypatch.setattr(HeapTable, "stamp_lsn", lambda heap, rowid, lsn: (
+            stamped.append(rowid[1]), stamp(heap, rowid, lsn)))
+        db.begin()
+        db.executemany(self.INSERT, self.rows(300, 1500))
+        lsn = db.txns.current.last_lsn
+        db.commit()
+        monkeypatch.undo()
+        pages = list(range(mark[1], storage.page_count))
+        assert len(pages) > 3
+        assert stamped == pages  # once a page, not once a row
+        crash(db)
+
+        fetched = []
+        ensure = BufferCache.ensure_page
+        monkeypatch.setattr(BufferCache, "ensure_page", lambda cache, seg, no: (
+            fetched.append(no) if seg == mark[0] else None,
+            ensure(cache, seg, no))[1])
+        db2 = Engine(data_dir=data_dir).connect()
+        monkeypatch.undo()
+        assert db2.engine.recovery_stats.redo_records > 0
+        assert sorted(fetched) == sorted(first + pages)
+        assert sorted(db2.execute("SELECT id, v FROM t").fetchall()) == [
+            tuple(row) for row in self.rows(0, 1500)]
+        assert db2.execute("SELECT v FROM t WHERE id = 1499").fetchall() \
+            == [("row01499",)]
+        buffer = db2.engine.buffer
+        assert [buffer.peek_page(mark[0], no).page_lsn for no in pages] \
+            == [lsn] * len(pages)
+        db2.close()
+        db2.engine.close()
+
+    @pytest.mark.parametrize("undo, quiet", [
+        ("rollback", True), ("rollback", False), ("savepoint", True),
+        ("savepoint", False), ("crash", False)],
+        ids=["rollback, log truncated", "rollback, clr replayed",
+             "savepoint, log truncated", "savepoint, clr replayed",
+             "loser undone at restart"])
+    def test_an_undone_load_stays_undone(self, data_dir, undo, quiet):
+        db, storage = self._table(data_dir)
+        shape = (storage.page_count, storage.row_count)
+        db.begin()
+        db.execute("SAVEPOINT sp")
+        db.executemany(self.INSERT, self.rows(300, 1500))
+        # the loaded pages reach the page store before the undo
+        db.engine.durability.checkpoint()
+        expected = [tuple(row) for row in self.rows(0, 300)]
+        if undo == "crash":
+            db.engine.durability.wal.flush_all()
+        else:
+            if undo == "rollback":
+                db.rollback()
+                db.begin()
+            else:
+                db.execute("ROLLBACK TO SAVEPOINT sp")
+            assert (storage.page_count, storage.row_count) == shape
+            db.execute("INSERT INTO t VALUES (9999, 'after')")
+            db.commit()
+            expected.append((9999, "after"))
+            if quiet:
+                db.engine.durability.checkpoint()
+        crash(db)
+
+        db2 = Engine(data_dir=data_dir).connect()
+        assert sorted(db2.execute("SELECT id, v FROM t").fetchall()) \
+            == expected
+        assert db2.execute("SELECT COUNT(*) FROM t WHERE id >= 300"
+                           ).fetchall() == [(len(expected) - 300,)]
+        assert db2.catalog.get_table("t").storage.page_count == shape[0]
+        db2.close()
+        db2.engine.close()
+
+    def test_replay_cuts_a_mark_page_only_below_the_record(self, data_dir):
+        """Redo of a cut leaves a mark page stamped at or past the
+        record: that image already holds the cut and what came after."""
+        from repro.txn.recovery import _replay
+        db, storage = self._table(data_dir)
+        mark = (storage.segment_id, 0, 100)
+        page = db.engine.buffer.peek_page(storage.segment_id, 0)
+        page.page_lsn = 50
+        record = {"op": "truncate", "rid": mark}
+        _replay(db.engine, storage, record, 50)
+        assert len(page.slots) > 100
+        _replay(db.engine, storage, record, 51)
+        assert len(page.slots) == 100 and page.page_lsn == 51
+        _replay(db.engine, storage, record, 51)  # idempotent
+        assert len(page.slots) == 100
+        db.close()
+        db.engine.close()
+
+
 class TestDDLPermanence:
     def test_truncate_not_resurrected(self, data_dir):
         db = Engine(data_dir=data_dir).connect()

@@ -286,3 +286,20 @@ class TestBenchScript:
             in capsys.readouterr().err
         assert not (tmp_path / "BENCH_toy.json").exists()
         assert not (tmp_path / "benchmarks" / "results").exists()
+
+
+@pytest.mark.parametrize("name", ["executor", "maintenance", "mvcc",
+                                  "server", "wal"])
+def test_each_committed_recording_passes_its_own_gates(name):
+    """A committed ``BENCH_<name>.json`` holds every reading its script's
+    ``GATES`` and ``BASELINE`` name, within their bounds."""
+    import importlib.util
+    import pathlib
+    path = (pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+            / f"bench_{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with open(script.BENCH.json_path) as handle:
+        recorded = json.load(handle)
+    assert script.BENCH.check(recorded) == []

@@ -288,6 +288,40 @@ class TestVersionStore:
         assert store.clean
 
 
+class TestFenceRanges:
+    def test_a_fence_covers_its_mark_up_to_the_next_fences_mark(self):
+        mvcc, store = MVCCManager(), VersionStore()
+        snaps = [mvcc.take_snapshot(None)]
+        for mark in ((1, 0, 5), (1, 2, 0)):
+            txn = _FakeTxn()
+            txn.track_version(store.set_fence(txn, mark))
+            # a second load by the same transaction reuses its fence
+            assert store.set_fence(txn, (1, 9, 9)) is None
+            _commit(mvcc, txn)
+            snaps.append(mvcc.take_snapshot(None))
+        rowids = [(1, 0, 4), (1, 0, 5), (1, 1, 9), (1, 2, 0), (1, 3, 1)]
+        currents = [("r",)] * len(rowids)
+        for snap, seen in zip(snaps, (1, 3, 5)):
+            expected = currents[:seen] + [None] * (len(rowids) - seen)
+            assert [store.resolve(r, c, snap) for r, c
+                    in zip(rowids, currents)] == expected
+            assert store.resolve_batch(rowids, currents, snap) == expected
+        assert store.settled(snaps[0], (1, 0, 5))
+        assert not store.settled(snaps[0], (1, 0, 6))
+        assert store.settled(snaps[1], (1, 2, 0))
+        assert not store.settled(snaps[1], (1, 2, 1))
+        assert store.settled(snaps[2])
+        # the first write to a loaded row keeps its committed image for
+        # the snapshots that see its load, and only for those
+        txn = _FakeTxn()
+        for rowid in rowids[:2]:
+            txn.track_version(store.push(rowid, ("new",), ("r",), txn))
+        _commit(mvcc, txn)
+        assert store.resolve(rowids[0], ("new",), snaps[0]) == ("r",)
+        assert store.resolve(rowids[1], ("new",), snaps[0]) is None
+        assert store.resolve(rowids[1], ("new",), snaps[1]) == ("r",)
+
+
 class TestResolveBatch:
     def test_no_chains_no_fence_returns_the_slots_untouched(self):
         mvcc, store = MVCCManager(), VersionStore()
@@ -826,3 +860,170 @@ class TestSettledRowsAreUnmapped:
             source = (pathlib.Path(repro.storage.__file__).parent
                       / name).read_text("utf-8")
             assert not re.search(r"_heads|_fence|_epoch", source), name
+
+
+class TestLoadsIntoNonEmptyTables:
+    """A load into a table that holds rows appends above its high-water
+    mark under one fence: snapshots that do not see the loading commit
+    see the table as it was, and rollback cuts it back to the mark."""
+
+    PRE = 500
+
+    @pytest.fixture
+    def db(self):
+        db = Engine().connect()
+        db.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
+        db.execute("CREATE UNIQUE INDEX t_k ON t(k)")
+        db.execute("CREATE INDEX t_v ON t(v)")
+        self.load(db, range(self.PRE))
+        return db
+
+    @staticmethod
+    def load(db, keys):
+        db.executemany("INSERT INTO t VALUES (:1, :2)",
+                       [[k, f"v{k % 7}"] for k in keys])
+
+    @staticmethod
+    def shape(db):
+        """Page count, row count, the last page's slot count and each
+        B-tree's entry count."""
+        storage = db.catalog.get_table("t").storage
+        last = db.engine.buffer.peek_page(storage.segment_id,
+                                          storage.page_count - 1)
+        return (storage.page_count, storage.row_count, len(last.slots),
+                [db.catalog.get_index(name).structure.entry_count
+                 for name in ("t_k", "t_v")])
+
+    @staticmethod
+    def reads(db):
+        """A full scan, a B-tree probe on each side of the load and
+        COUNT(*), each under a statement of ``db``."""
+        return (sorted(db.execute("SELECT k, v FROM t").fetchall()),
+                db.execute("SELECT v FROM t WHERE k = 20").fetchall(),
+                db.execute("SELECT v FROM t WHERE k = 1200").fetchall(),
+                db.execute("SELECT COUNT(*) FROM t").fetchall())
+
+    def test_a_snapshot_before_the_load_sees_the_table_as_it_was(
+            self, db, monkeypatch):
+        reader = db.engine.connect()
+        reader.execute("SET TRANSACTION READ ONLY")
+        before = self.reads(reader)
+        assert before[1:] == ([("v6",)], [], [(self.PRE,)])
+        storage = db.catalog.get_table("t").storage
+        mark = storage.high_water_mark()
+        db.begin()
+        self.load(db, range(1000, 1600))
+        # one fence, no chain per row
+        assert storage.versions.tracked_rowids() == []
+        assert storage.page_count > mark[1] + 2
+        # pages wholly below the mark stay on the settled fast path
+        resolved = []
+        resolve_batch = VersionStore.resolve_batch
+
+        def spy(store, rowids, currents, snapshot):
+            resolved.append(rowids.page_no)
+            return resolve_batch(store, rowids, currents, snapshot)
+
+        monkeypatch.setattr(VersionStore, "resolve_batch", spy)
+        assert sorted(reader.execute("SELECT k, v FROM t").fetchall()) \
+            == before[0]
+        assert resolved == list(range(mark[1], storage.page_count))
+        monkeypatch.undo()
+        assert self.reads(reader) == before
+        other = db.engine.connect()
+        assert self.reads(other) == before
+        assert self.reads(db)[3] == [(self.PRE + 600,)]
+        db.commit()
+        assert self.reads(reader) == before
+        after = self.reads(other)
+        assert after[2:] == ([("v3",)], [(self.PRE + 600,)])
+        reader.commit()
+        assert self.reads(reader) == after
+
+    @pytest.mark.parametrize("undo", ["rollback", "savepoint"])
+    def test_undoing_two_loads_restores_the_table(self, db, undo):
+        pre = self.shape(db)
+        db.begin()
+        self.load(db, range(1000, 1300))
+        first = self.shape(db)
+        db.execute("SAVEPOINT second_load")
+        self.load(db, range(2000, 2300))
+        assert self.shape(db)[0] > first[0] > pre[0]
+        if undo == "rollback":
+            db.rollback()
+            assert self.shape(db) == pre
+            assert db.execute("SELECT COUNT(*) FROM t").fetchall() \
+                == [(self.PRE,)]
+        else:
+            db.execute("ROLLBACK TO SAVEPOINT second_load")
+            assert self.shape(db) == first
+            db.commit()
+            assert sorted(db.execute("SELECT k FROM t").fetchall()) == [
+                (k,) for k in [*range(self.PRE), *range(1000, 1300)]]
+        db.engine.prune_versions()
+        assert db.catalog.get_table("t").storage.versions.clean
+        # the next load appends where the undone one started
+        self.load(db, range(3000, 3100))
+        assert db.execute("SELECT COUNT(*) FROM t WHERE k >= 3000"
+                          ).fetchall() == [(100,)]
+
+    @pytest.mark.parametrize("keys", [[1000, 1001, 1000], [1000, 20]],
+                             ids=["inside the load", "against a row"])
+    def test_a_duplicate_unique_key_leaves_nothing_behind(self, db, keys):
+        pre = self.shape(db)
+        before = self.reads(db)
+        with pytest.raises(ConstraintError):
+            self.load(db, [*range(2000, 2400), *keys])
+        assert self.shape(db) == pre
+        assert self.reads(db) == before
+        db.engine.prune_versions()
+        assert db.catalog.get_table("t").storage.versions.clean
+
+    def test_first_writes_keep_each_rows_history(self, db):
+        """After a load, updating and deleting rows below and above its
+        mark leaves a snapshot from before the load, and one between the
+        load and the writes, reading what they read."""
+        before = db.engine.connect()
+        before.execute("SET TRANSACTION READ ONLY")
+        old = self.reads(before)
+        self.load(db, range(1000, 1600))
+        between = db.engine.connect()
+        between.execute("SET TRANSACTION READ ONLY")
+        loaded = self.reads(between)
+        db.execute("UPDATE t SET v = 'new' WHERE k IN (20, 1200)")
+        db.execute("DELETE FROM t WHERE k IN (21, 1201)")
+        assert self.reads(before) == old
+        assert self.reads(between) == loaded
+        assert db.execute("SELECT v FROM t WHERE k = 1200").fetchall() \
+            == [("new",)]
+
+    def test_a_load_settles_at_its_own_commit(self, db):
+        """A load's rows count toward the prune pass as stamped versions
+        do: its commit runs the pass, and nothing is left mapped."""
+        versions = db.catalog.get_table("t").storage.versions
+        db.engine.prune_versions()
+        passes = db.engine.mvcc.stats.prune_passes
+        self.load(db, range(1000, 1100))
+        assert db.engine.mvcc.stats.prune_passes == passes + 1
+        assert versions.clean
+
+    def test_a_hundred_committed_loads_leave_no_fence_after_one_pass(
+            self, db):
+        reader = db.engine.connect()
+        reader.execute("SET TRANSACTION READ ONLY")
+        assert reader.execute("SELECT COUNT(*) FROM t").fetchall() \
+            == [(self.PRE,)]
+        for i in range(100):
+            self.load(db, range(1000 + 3 * i, 1003 + 3 * i))
+        # the pinned snapshot holds every fence; it sees no loaded row
+        versions = db.catalog.get_table("t").storage.versions
+        assert not versions.clean
+        assert reader.execute("SELECT COUNT(*) FROM t").fetchall() \
+            == [(self.PRE,)]
+        assert db.execute("SELECT COUNT(*) FROM t").fetchall() \
+            == [(self.PRE + 300,)]
+        reader.commit()
+        db.engine.prune_versions()
+        assert versions.clean
+        assert reader.execute("SELECT COUNT(*) FROM t").fetchall() \
+            == [(self.PRE + 300,)]
