@@ -148,11 +148,11 @@ class MaintenanceQueue:
         self.batches: dict = {}
 
     def add(self, index: Any, domain: DomainIndex, kind: str,
-            entry: tuple) -> None:
+            entries: List[tuple]) -> None:
         batch = self.batches.get(index.key)
         if batch is None:
             batch = self.batches[index.key] = _IndexBatch(index, domain)
-        batch.ops.append((kind, entry))
+        batch.ops.extend(zip(repeat(kind), entries))
 
 
 @dataclass
@@ -376,8 +376,8 @@ class DMLEngine:
         db = self.db
         table = db.catalog.get_table(table_name)
         db._check_table_privilege(table, "insert")
-        return self.run_maintained(
-            table, lambda txn: self.insert_physical(table, values, txn))
+        return self.run_maintained(table, lambda txn: self.change_physical(
+            table, None, None, self.validate_row(table, values), txn))
 
     def insert_rows(self, table_name: str,
                     rows: Sequence[Sequence[Any]]) -> int:
@@ -437,9 +437,11 @@ class DMLEngine:
 
     def _load(self, table_name: str, rows: Sequence[Sequence[Any]],
               payloads: Optional[Sequence[Tuple[Any, ...]]],
-              validate: bool, presorted: bool) -> int:
+              validate: Optional[bool], presorted: bool) -> int:
         """One statement loading many rows: a bulk append when the plan
-        fits, else one validated insert per row."""
+        fits, else one insert per row.  ``validate`` True validates each
+        row, False (direct path) only on the per-row path, and None
+        takes rows validated already (an INSERT statement's)."""
         db = self.db
         table = db.catalog.get_table(table_name)
         db._check_table_privilege(table, "insert")
@@ -454,7 +456,9 @@ class DMLEngine:
                                          presorted, payloads)
             for values in (rows if payloads is None
                            else list(map(add, rows, payloads))):
-                self.insert_physical(table, values, txn)
+                if validate is not None:
+                    values = self.validate_row(table, values)
+                self.change_physical(table, None, None, values, txn)
             return len(rows)
 
         return self.run_maintained(table, body)
@@ -510,7 +514,7 @@ class DMLEngine:
             else:
                 rows = None  # joined only for a log record or an index
             shapes = [(keys, kw), (payloads, n_cols - kw)]
-        if not validate and (len(shapes[-1][0]) != len(keys) or any(
+        if validate is False and (len(shapes[-1][0]) != len(keys) or any(
                 set(map(len, column)) - {width} for column, width in shapes)):
             raise ExecutionError(f"{table.name} direct load: every entry "
                                  f"must have {n_cols} values")
@@ -543,21 +547,10 @@ class DMLEngine:
             txn.record_undo(_structure_unload, structure,
                             None if empty else pairs)
         for index, positions in domain:
-            if index.domain is not None and self._maintainable(
-                    index.name, index.domain):
-                for rowid, row in zip(rowids, rows):
-                    self._queue_stack[-1].add(index, index.domain, "insert", (
-                        rowid, [row[p] for p in positions]))
-                self.db.dispatcher.maintenance[index.name].entries_queued \
-                    += len(rows)
+            self._queue_domain(index, "insert", [
+                (rowid, [row[p] for p in positions])
+                for rowid, row in zip(rowids, rows)])
         return len(keys)
-
-    def insert_physical(self, table: TableDef, row: Sequence[Any],
-                        txn) -> RowId:
-        # one immutable tuple is the stored row, its version, its log
-        # image and what maintenance reads
-        return self.change_physical(
-            table, None, None, self.validate_row(table, row), txn)
 
     # ------------------------------------------------------------------
     # implicit index maintenance (ODCIIndexInsert/Update/Delete fan-out)
@@ -581,16 +574,11 @@ class DMLEngine:
         for index in db.catalog.indexes_on(table.name):
             positions = [table.column_position(c)
                          for c in index.column_names]
-            if index.is_domain and index.domain is not None:
+            if index.is_domain:
                 values = [[row[p] for p in positions]
                           for row in (old_row, new_row) if row is not None]
-                if kind == "update" and values[0] == values[1]:
-                    continue  # indexed columns unchanged
-                domain = index.domain
-                if self._maintainable(index.name, domain):
-                    self._queue_stack[-1].add(index, domain, kind,
-                                              (rowid, *values))
-                    db.dispatcher.maintenance[index.name].entries_queued += 1
+                if kind != "update" or values[0] != values[1]:
+                    self._queue_domain(index, kind, [(rowid, *values)])
                 continue
             structure = index.structure
             old_key = (None if old_row is None
@@ -605,6 +593,16 @@ class DMLEngine:
             if new_key is not None:
                 _structure_insert(structure, new_key, rowid)
                 txn.record_undo(_structure_delete, structure, new_key, rowid)
+
+    def _queue_domain(self, index: Any, kind: str,
+                      entries: List[tuple]) -> None:
+        """Queue ``entries`` for a domain index on the statement's queue,
+        unless it has no domain yet or :meth:`_maintainable` skips it."""
+        domain = index.domain
+        if domain is not None and self._maintainable(index.name, domain):
+            self._queue_stack[-1].add(index, domain, kind, entries)
+            self.db.dispatcher.maintenance[index.name].entries_queued \
+                += len(entries)
 
     # ------------------------------------------------------------------
     # statements: prepare once, run per bind set
@@ -685,7 +683,7 @@ class DMLEngine:
                     row[pos] = value
                 rows.append(self.validate_row(prepared.table, row))
             return Cursor(rowcount=self._load(prepared.table.name, rows,
-                                              None, False, False))
+                                              None, None, False))
         binds = bind_sets[0]
 
         def body(txn) -> int:
@@ -718,7 +716,7 @@ class DMLEngine:
                 new_row = self.validate_row(table, new_row)
                 if new_row[:key_width] != tuple(old_row[:key_width]):
                     self.change_physical(table, rowid, old_row, None, txn)
-                    self.insert_physical(table, new_row, txn)
+                    self.change_physical(table, None, None, new_row, txn)
                     continue
                 self.change_physical(table, rowid, old_row, new_row, txn)
             return count
@@ -733,8 +731,9 @@ class DMLEngine:
         ``rowid`` in place, or delete it (no ``new_row``).  Chains the
         row version, mutates storage, records the change's one undo
         entry, logs the change on a durable engine and maintains the
-        indexes.  ``old_row`` is the row as fetched, which nothing
-        changes in place."""
+        indexes.  ``old_row`` is the row as fetched and ``new_row`` one
+        :meth:`validate_row` tuple: each is the stored row, its version,
+        its log image and what maintenance reads, changed by nothing."""
         storage = table.storage
         versions = getattr(storage, "versions", None)  # a view has none
         version = None

@@ -258,24 +258,35 @@ class HeapTable:
 
         The slots at or above the mark on the mark's page go, and so
         does every later page (the mark's page too when the mark is its
-        first slot: the load allocated it).  Restart replay passes the
-        record's ``lsn``: a mark page stamped at or past it already
-        holds the cut, and a page cut here is stamped with it.  Applying
-        the same cut twice lands the same state.
+        first slot: the load allocated it).  A dropped page is emptied
+        first, so a snapshot reader still holding it reads no row there.
+        Restart redo passes the record's ``lsn``: a mark page stamped at
+        or past it already holds the cut, and a page cut here is stamped
+        with it; the heap's counters are not rebuilt yet, so the buffer
+        says where the segment ends (a rollback, and restart undo, go to
+        the page count).  Applying the same cut twice lands the same
+        state.
         """
         segment_id, page_no, slot = mark
-        pages = self.buffer.segment_pages(segment_id)
-        removed = sum(page.live_count() for number, page in pages.items()
-                      if number > page_no or (number == page_no and not slot))
-        page = pages.get(page_no)
-        if page is not None and slot and (lsn is None or page.page_lsn < lsn):
-            page = self.buffer.get_page(segment_id, page_no, for_write=True)
+        first = page_no + (slot > 0)
+        buffer = self.buffer
+        end = (max(buffer.segment_pages(segment_id), default=-1) + 1
+               if lsn is not None else self._page_count)
+        removed = 0
+        page = buffer.peek_page(segment_id, page_no) if slot else None
+        if page is not None and (lsn is None or page.page_lsn < lsn):
+            page = buffer.get_page(segment_id, page_no, for_write=True)
             removed += page.cut(slot)
             if lsn is not None:
                 page.page_lsn = lsn
-        self.buffer.drop_segment(segment_id, page_no + (slot > 0))
+        if first < end:
+            for number in range(first, end):
+                page = buffer.peek_page(segment_id, number)
+                if page is not None:
+                    removed += page.cut(0)
+            buffer.drop_segment(segment_id, first)
         self._row_count -= removed
-        self._page_count = page_no + (slot > 0)
+        self._page_count = first
         self._last_insert_page = page_no if slot else None
 
     # -- scans ----------------------------------------------------------
@@ -296,19 +307,22 @@ class HeapTable:
         every snapshot read: a store ``settled`` for the snapshot below
         the page's end (no chain, and no fence it does not see at or
         under the page's slots) leaves the image as the snapshot sees
-        it.  Any other store resolves
+        it (the image's own slots: a load's undo may have cut the page
+        since).  Any other store resolves
         every slot of the page, live or tombstoned, so the batch holds
         exactly the rows committed as of the snapshot's SCN plus the
         owning transaction's own writes; a read is one attempt, retried
-        by ``versions.read``.
+        by ``versions.read``.  A page a rolled-back load dropped after
+        the scan began ends it: no snapshot sees a row there.
         """
         segment_id = self.segment_id
         versions = self.versions
 
         def read(page: Page) -> Tuple[Sequence[int], Sequence[Any]]:
             image = page.columns()
+            live = image[0]
             if versions.settled(snapshot, (segment_id, page.page_no,
-                                           len(page.slots))):
+                                           live[-1] + 1 if live else 0)):
                 return image
             rows = list(page.slots)
             rows = versions.resolve_batch(
@@ -318,7 +332,9 @@ class HeapTable:
             return live, tuple(zip(*[rows[slot] for slot in live]))
 
         for page_no in range(self._page_count):
-            page = self.buffer.get_page(segment_id, page_no)
+            page = self._page(page_no)
+            if page is None:
+                break
             live, columns = page.columns() if snapshot is None \
                 else versions.read(lambda: read(page), snapshot)
             if live:
@@ -341,8 +357,7 @@ class HeapTable:
         order, aligned with the rows.
         """
         segment_id = self.segment_id
-        page_count = self._page_count
-        get_page = self.buffer.get_page
+        page_of = self._page
         versions = self.versions
 
         def read():
@@ -357,10 +372,10 @@ class HeapTable:
                     continue
                 slots = slots_of.get(page_no)
                 if slots is None:
-                    if not 0 <= page_no < page_count:
+                    page = page_of(page_no)
+                    if page is None:
                         continue
-                    slots = slots_of[page_no] = get_page(
-                        segment_id, page_no).slots
+                    slots = slots_of[page_no] = page.slots
                 found.append(rowid)
                 rows.append(slots[slot] if 0 <= slot < len(slots) else None)
             if snapshot is not None:
@@ -424,8 +439,21 @@ class HeapTable:
             raise InvalidRowIdError(
                 f"{format_rowid(rowid)} belongs to another table (segment "
                 f"{segment_id} != {self.segment_id})")
-        if not 0 <= page_no < self._page_count:
+        page = self._page(page_no, for_write)
+        if page is None:
             raise InvalidRowIdError(
                 f"{format_rowid(rowid)}: page out of range")
-        return self.buffer.get_page(segment_id, page_no,
-                                    for_write=for_write), slot
+        return page, slot
+
+    def _page(self, page_no: int, for_write: bool = False
+              ) -> Optional[Page]:
+        """Page ``page_no``, or None when the table has no such page:
+        beyond its end, or dropped meanwhile by a rolled-back load (a
+        snapshot reader holds no table lock)."""
+        if 0 <= page_no < self._page_count:
+            try:
+                return self.buffer.get_page(self.segment_id, page_no,
+                                            for_write=for_write)
+            except StorageError:
+                pass
+        return None

@@ -96,8 +96,9 @@ class Page:
 
     def read_slot(self, slot: int) -> Optional[Tuple[Any, ...]]:
         """Return the row at ``slot`` or None when the slot is deleted/bad."""
-        if 0 <= slot < len(self.slots):
-            return self.slots[slot]
+        slots = self.slots  # one list: a load's undo rebinds it
+        if 0 <= slot < len(slots):
+            return slots[slot]
         return None
 
     def update(self, slot: int, row: Tuple[Any, ...], old_size: int,
@@ -144,9 +145,15 @@ class Page:
 
     def cut(self, slot: int) -> int:
         """Drop the slots from ``slot`` on (a load's undo); returns the
-        number of live rows dropped."""
-        dropped = sum(1 for row in self.slots[slot:] if row is not None)
-        del self.slots[slot:]
+        number of live rows dropped.
+
+        The page gets a new, shorter slot list: a reader that bound the
+        old one reads on, and the version store hides what it finds
+        there at or above the load's mark until the reader retries.
+        """
+        slots = self.slots
+        dropped = sum(1 for row in slots[slot:] if row is not None)
+        self.slots = slots[:slot]
         self.writes += 1
         self.dirty = True
         self.recompute_used()

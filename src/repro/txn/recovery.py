@@ -145,6 +145,10 @@ def run_recovery(engine: Any, dm: Any) -> RecoveryStats:
             dm.event_hook("recovery.redo")
 
     # -- undo losers ----------------------------------------------------
+    if att:
+        # a load's undo cuts a heap back to its mark as a rollback does,
+        # up to the heap's page count
+        _count_heaps(tables)
     for txn_id in sorted(att, reverse=True):
         lsn = att[txn_id]
         last_clr = att[txn_id]
@@ -173,9 +177,7 @@ def run_recovery(engine: Any, dm: Any) -> RecoveryStats:
                    and not att)
 
     # -- rebuild the in-memory superstructure ---------------------------
-    for table in tables.values():
-        if isinstance(table.storage, HeapTable):
-            table.storage.rebuild_from_pages()
+    _count_heaps(tables)
     _rebuild_native_indexes(engine)
     stats.indexes_degraded = _degrade_domain_indexes(engine)
 
@@ -406,6 +408,13 @@ def _apply_undo(engine: Any, dm: Any, tables: Dict[str, Any], txn_id: int,
     if storage is not None:
         _stamp(engine, storage, clr["rid"], lsn)
     return lsn
+
+
+def _count_heaps(tables: Dict[str, Any]) -> None:
+    """Recompute every heap's counters from its recovered pages."""
+    for table in tables.values():
+        if isinstance(table.storage, HeapTable):
+            table.storage.rebuild_from_pages()
 
 
 def _rebuild_native_indexes(engine: Any) -> None:

@@ -274,3 +274,61 @@ class TestColumnImage:
         assert engine.mvcc.stats.read_retries == 1
         assert self._values(heap) == ["one", "two"]
         assert self._snapshot_values(engine, heap) == ["one", "two"]
+
+
+class TestLoadRolledBack:
+    """A load into a table that holds rows appends above its high-water
+    mark, and its undo cuts the mark's page back and drops every later
+    page — while snapshot readers hold no table lock.  A reader that
+    read the loaded slots, or holds a page the undo drops, must neither
+    fail nor return a loaded row."""
+
+    @staticmethod
+    def _load(engine, n):
+        writer = engine.connect()
+        writer.begin()
+        writer.executemany("INSERT INTO t VALUES (:1, :2)",
+                           [[k, SENTINEL] for k in range(3, 3 + n)])
+        return writer
+
+    @pytest.mark.parametrize("read", ["fetch", "scan", "fetch_batch"])
+    def test_the_undo_drops_pages_under_a_reader(self, engine, heap,
+                                                 monkeypatch, read):
+        segment = heap.segment_id
+        writer = self._load(engine, 2000)
+        last = heap.page_count - 1
+        assert last >= 2
+        snapshot = engine.mvcc.take_snapshot(None)
+        park = _Park(monkeypatch)
+        reads = {
+            "fetch": lambda: [heap.fetch_or_none((segment, last, 0),
+                                                 snapshot)],
+            "scan": lambda: _scan(heap, snapshot),
+            "fetch_batch": lambda: heap.fetch_batch(
+                [(segment, 0, 0), (segment, 0, 2), (segment, last, 0)],
+                snapshot)[1],
+        }
+        rows = _read_while(park, reads[read], writer.rollback)
+        expected = {"fetch": [None], "scan": [[1, "one"], [2, "two"]],
+                    "fetch_batch": [(1, "one")]}[read]
+        assert [row and tuple(row) for row in rows] \
+            == [row and tuple(row) for row in expected]
+        assert engine.mvcc.stats.read_retries == 1
+        assert heap.page_count == 1
+
+    def test_the_mark_page_is_cut_under_a_reader(self, engine, heap):
+        """The undo cuts the heap before it drops the fence: a reader
+        whose column image holds the loaded slots and who asks the store
+        between the two must judge the image by its own slots."""
+        page = engine.buffer.get_page(heap.segment_id, 0)
+        mark = heap.high_water_mark()
+        page.slots = park = _ParkedSlots(page.slots, "read")
+        writer = self._load(engine, 20)
+        assert heap.page_count == 1
+        snapshot = engine.mvcc.take_snapshot(None)
+        rows = _read_while(park, lambda: _scan(heap, snapshot),
+                           lambda: heap.cut_to(mark))
+        assert sorted(rows) == [[1, "one"], [2, "two"]]
+        writer.rollback()
+        assert sorted(_scan(heap, snapshot)) == [[1, "one"], [2, "two"]]
+        assert heap.high_water_mark() == mark

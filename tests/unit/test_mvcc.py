@@ -979,6 +979,23 @@ class TestLoadsIntoNonEmptyTables:
         db.engine.prune_versions()
         assert db.catalog.get_table("t").storage.versions.clean
 
+    def test_a_load_that_stays_on_its_mark_page_drops_no_page(
+            self, db, monkeypatch):
+        """Undoing a load that allocated no page cuts the mark page and
+        leaves the buffer's segment map (and a durable page store) be."""
+        db.execute("CREATE TABLE u (k INTEGER)")
+        db.execute("CREATE UNIQUE INDEX u_k ON u(k)")
+        db.execute("INSERT INTO u VALUES (1), (2)")
+        storage = db.catalog.get_table("u").storage
+        dropped = []
+        monkeypatch.setattr(db.engine.buffer, "drop_segment",
+                            lambda *args: dropped.append(args))
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO u VALUES (3), (4), (1)")
+        assert (storage.page_count, storage.row_count) == (1, 2)
+        assert storage.high_water_mark() == (storage.segment_id, 0, 2)
+        assert dropped == []
+
     def test_first_writes_keep_each_rows_history(self, db):
         """After a load, updating and deleting rows below and above its
         mark leaves a snapshot from before the load, and one between the

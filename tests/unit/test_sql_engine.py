@@ -257,6 +257,28 @@ class TestDML:
         with pytest.raises(TypeMismatchError):
             db.execute("INSERT INTO t VALUES ('xyz')")
 
+    @pytest.mark.parametrize("table", ["heap", "iot"])
+    def test_each_statement_validates_a_row_once(self, db, monkeypatch,
+                                                 table):
+        """One INSERT row, each row of a multi-row INSERT, and an IOT
+        row an UPDATE moves to a new key are validated once each."""
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v VARCHAR2(9))"
+                   + (" ORGANIZATION INDEX" if table == "iot" else ""))
+        from repro.sql.dml import DMLEngine
+        calls = []
+        real = DMLEngine.validate_row
+        monkeypatch.setattr(DMLEngine, "validate_row",
+                            lambda self, t, row: calls.append(row)
+                            or real(self, t, row))
+        db.execute("INSERT INTO t VALUES (1, 'a')")
+        assert len(calls) == 1
+        db.execute("INSERT INTO t VALUES (2, 'b'), (3, 'c')")
+        assert len(calls) == 3
+        db.execute("UPDATE t SET k = 4 WHERE k = 3")
+        assert len(calls) == 4
+        assert sorted(db.execute("SELECT k, v FROM t").fetchall()) == [
+            (1, "a"), (2, "b"), (4, "c")]
+
 
 class TestDDL:
     def test_duplicate_table_rejected(self, db):
