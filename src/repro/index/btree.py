@@ -100,7 +100,7 @@ class BTree:
 
     def insert(self, key: Any, value: Any) -> None:
         """Insert a (key, value) entry; splits nodes as needed."""
-        split = self._insert(self._root, key, value)
+        split = self._insert(self._root, key, value, True)
         if split is not None:
             sep, right = split
             new_root = _Node(leaf=False)
@@ -203,7 +203,8 @@ class BTree:
         if not self._count:
             self.bulk_load(pairs)
             return
-        pairs = sorted(pairs, key=_first)
+        if len(pairs) > 1:
+            pairs = sorted(pairs, key=_first)
         done = 0
         try:
             for key, value in pairs:
@@ -373,8 +374,10 @@ class BTree:
         self._visit(levels)
         return node
 
-    def _insert(self, node: _Node, key: Any,
-                value: Any) -> Optional[Tuple[Any, _Node]]:
+    def _insert(self, node: _Node, key: Any, value: Any,
+                rightmost: bool) -> Optional[Tuple[Any, _Node]]:
+        """Insert under ``node`` (``rightmost``: on the tree's right
+        edge); returns ``(separator, new right sibling)`` on a split."""
         self._visit()
         if node.leaf:
             idx = bisect.bisect_left(node.keys, key)
@@ -391,18 +394,22 @@ class BTree:
             node.values.insert(idx, value)
         else:
             idx = bisect.bisect_right(node.keys, key)
-            split = self._insert(node.children[idx], key, value)
+            split = self._insert(node.children[idx], key, value,
+                                 rightmost and idx == len(node.keys))
             if split is None:
                 return None
             sep, right = split
             node.keys.insert(idx, sep)
             node.children.insert(idx + 1, right)
         if len(node.keys) > self.order:
-            return self._split(node)
+            return self._split(node, rightmost and idx == len(node.keys) - 1)
         return None
 
-    def _split(self, node: _Node) -> Tuple[Any, _Node]:
-        mid = len(node.keys) // 2
+    def _split(self, node: _Node, appended: bool) -> Tuple[Any, _Node]:
+        """Split an overfull ``node`` in halves; or, when the entry went
+        to the tree's right end (``appended``), as Oracle's 90/10 split:
+        the node keeps ``order`` entries and ascending keys fill it."""
+        mid = len(node.keys) - 1 if appended else len(node.keys) // 2
         right = _Node(leaf=node.leaf)
         if node.leaf:
             right.keys = node.keys[mid:]

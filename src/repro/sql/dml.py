@@ -370,19 +370,24 @@ class DMLEngine:
             out.append(validated)
         return tuple(out)
 
+    def _table(self, table_name: str, privilege: str) -> TableDef:
+        """``table_name``'s entry, once the session holds ``privilege``."""
+        table = self.db.catalog.get_table(table_name)
+        self.db._check_table_privilege(table, privilege)
+        return table
+
     def insert_row(self, table_name: str, values: Sequence[Any]) -> RowId:
         """Insert one row of Python values (bypasses the parser), for
-        code holding non-literal values: rowids, objects, LOB locators."""
-        db = self.db
-        table = db.catalog.get_table(table_name)
-        db._check_table_privilege(table, "insert")
-        return self.run_maintained(table, lambda txn: self.change_physical(
-            table, None, None, self.validate_row(table, values), txn))
+        code holding non-literal values: rowids, objects, LOB locators;
+        returns its rowid."""
+        return self._load(self._table(table_name, "insert"), [values], None,
+                          True, False)[0]
 
     def insert_rows(self, table_name: str,
                     rows: Sequence[Sequence[Any]]) -> int:
         """Bulk :meth:`insert_row`; returns the number of rows inserted."""
-        return self._load(table_name, rows, None, True, False)
+        return len(self._load(self._table(table_name, "insert"), rows, None,
+                              True, False))
 
     def delete_rows(self, table_name: str,
                     keys: Sequence[Sequence[Any]]) -> int:
@@ -395,9 +400,7 @@ class DMLEngine:
         is skipped.  Each row found goes through the same per-row path
         as a ``DELETE`` statement's targets.
         """
-        db = self.db
-        table = db.catalog.get_table(table_name)
-        db._check_table_privilege(table, "delete")
+        table = self._table(table_name, "delete")
         if not table.is_iot:
             raise ExecutionError(
                 f"delete_rows needs an index-organized table; "
@@ -431,73 +434,61 @@ class DMLEngine:
         from already-validated base-table values, so no per-row type
         coercion runs.  An IOT target may take its two columns instead —
         ``rows`` the key tuples, ``payloads`` the aligned payload tuples
-        — so no row is built per entry.  A target the bulk-load plan
-        does not fit takes the validated per-row path."""
-        return self._load(table_name, rows, payloads, False, presorted)
-
-    def _load(self, table_name: str, rows: Sequence[Sequence[Any]],
-              payloads: Optional[Sequence[Tuple[Any, ...]]],
-              validate: Optional[bool], presorted: bool) -> int:
-        """One statement loading many rows: a bulk append when the plan
-        fits, else one insert per row.  ``validate`` True validates each
-        row, False (direct path) only on the per-row path, and None
-        takes rows validated already (an INSERT statement's)."""
-        db = self.db
-        table = db.catalog.get_table(table_name)
-        db._check_table_privilege(table, "insert")
+        — so no row is built per entry.  An IOT that :meth:`_load`
+        does not append to takes the validated per-row path."""
+        table = self._table(table_name, "insert")
         if payloads is not None and not table.is_iot:
             raise ExecutionError(f"{table.name} is a heap table: only an "
                                  "IOT loads key and payload columns")
+        return len(self._load(table, rows, payloads, False, presorted))
 
-        def body(txn) -> int:
-            bulk = self._bulk_load_plan(table, len(rows))
-            if bulk is not None:
-                return self._insert_bulk(table, rows, bulk, txn, validate,
+    def _load(self, table: TableDef, rows: Sequence[Sequence[Any]],
+              payloads: Optional[Sequence[Tuple[Any, ...]]],
+              validate: Optional[bool], presorted: bool) -> List[RowId]:
+        """One statement loading ``rows``, one row or many; returns
+        their rowids.  A heap appends them above its high-water mark.
+        An IOT has no such mark (its keys interleave), so only a load of
+        many rows into an empty one with no chain, fence or native index
+        entry appends; any other goes row by row.  ``validate`` True
+        validates each row, False (direct path) only row by row, and
+        None takes rows validated already (an INSERT statement's)."""
+        storage = table.storage
+
+        def body(txn) -> List[RowId]:
+            indexes = self.db.catalog.indexes_on(table.name)
+            appends = rows and hasattr(storage, "insert_bulk")  # not a view
+            if appends and table.is_iot:
+                appends = len(rows) > 1 and not storage.row_count \
+                    and storage.versions.clean and not any(
+                        index.structure.entry_count for index in indexes
+                        if not index.is_domain)
+            if appends:
+                return self._insert_bulk(table, rows, indexes, txn, validate,
                                          presorted, payloads)
+            rowids = []
             for values in (rows if payloads is None
                            else list(map(add, rows, payloads))):
                 if validate is not None:
                     values = self.validate_row(table, values)
-                self.change_physical(table, None, None, values, txn)
-            return len(rows)
+                rowids.append(
+                    self.change_physical(table, None, None, values, txn))
+            return rowids
 
         return self.run_maintained(table, body)
 
-    def _bulk_load_plan(self, table: TableDef, n_rows: int):
-        """The bulk-append plan for ``table``: its native indexes as
-        ``(structure, positions)`` and domain ones as ``(index,
-        positions)``; or None.  Any heap loads above its high-water mark.
-        An IOT has no such mark (its keys interleave), so only an empty
-        one with no chain, fence or native index entry loads in bulk."""
-        storage = table.storage
-        if n_rows < 2 or not hasattr(storage, "insert_bulk"):
-            return None
-        iot = table.is_iot
-        if iot and (storage.row_count or not storage.versions.clean):
-            return None
-        native, domain = [], []
-        for index in self.db.catalog.indexes_on(table.name):
-            positions = [table.column_position(c)
-                         for c in index.column_names]
-            if index.is_domain:
-                domain.append((index, positions))
-            elif iot and index.structure.entry_count:
-                return None
-            else:
-                native.append((index.structure, positions))
-        return native, domain
-
     def _insert_bulk(self, table: TableDef, rows: Sequence[Sequence[Any]],
-                     plan: tuple, txn, validate: bool, presorted: bool,
-                     payloads: Optional[Sequence[Tuple[Any, ...]]]) -> int:
-        """Bulk-append ``rows`` under one fence version per transaction,
-        one undo entry (a heap cut back to its mark, an IOT emptied) and
-        one WAL record, batch-insert each native index with one undo
-        entry, and queue the rows for the domain indexes.  An IOT loads
-        key and payload columns: ``rows`` are the keys when ``payloads``
-        is given, else the rows are split here, once.  ``validate=False``
-        (direct path) checks only each column's arity, at C speed."""
-        native, domain = plan
+                     indexes: List[Any], txn, validate: Optional[bool],
+                     presorted: bool,
+                     payloads: Optional[Sequence[Tuple[Any, ...]]]
+                     ) -> List[RowId]:
+        """Append ``rows`` under one fence version per transaction, one
+        undo entry (a heap cut back to its mark, an IOT emptied) and
+        one WAL record, batch-insert each native index of ``indexes``
+        with one undo entry, and queue the rows for the domain ones;
+        returns the rowids.  An IOT loads key and payload columns:
+        ``rows`` are the keys when ``payloads`` is given, else the rows
+        are split here, once.  ``validate=False`` (direct path) checks
+        only each column's arity, at C speed."""
         storage = table.storage
         n_cols = len(table.columns)
         if validate:
@@ -522,14 +513,15 @@ class DMLEngine:
         mark = None if table.is_iot else storage.high_water_mark()
         # snapshots older than this txn's commit see no row it loads
         fence = versions.set_fence(txn, mark)
+        # the fence commit stamps counts toward the prune pass for a row
+        txn.loaded += len(keys) - (fence is not None)
         if fence is not None:
             txn.track_version(fence)
             txn.record_undo(versions.drop_fence, fence)
-        txn.loaded += len(keys)
         rowids = storage.insert_bulk(keys, payloads, presorted) \
             if table.is_iot else storage.insert_bulk(rows)
         durability = self.db.engine.durability
-        if rows is None and (durability is not None or native or domain):
+        if rows is None and (durability is not None or indexes):
             rows = list(map(add, keys, payloads))
         txn.record_undo(_undo_change, durability, txn, table.key, storage,
                         "bulk_insert", None, mark, None, None, None,
@@ -537,7 +529,15 @@ class DMLEngine:
         if durability is not None:
             durability.log_bulk(txn, table.key, storage, rows,
                                 None if table.is_iot else rowids, mark)
-        for structure, positions in native:
+        for index in indexes:
+            positions = [table.column_position(c)
+                         for c in index.column_names]
+            if index.is_domain:
+                self._queue_domain(index, "insert", [
+                    (rowid, [row[p] for p in positions])
+                    for rowid, row in zip(rowids, rows)])
+                continue
+            structure = index.structure
             pairs = [pair for pair in zip(map(index_key, rows,
                                               repeat(positions)), rowids)
                      if pair[0] is not None]
@@ -546,11 +546,7 @@ class DMLEngine:
                 structure.insert_batch(pairs)
             txn.record_undo(_structure_unload, structure,
                             None if empty else pairs)
-        for index, positions in domain:
-            self._queue_domain(index, "insert", [
-                (rowid, [row[p] for p in positions])
-                for rowid, row in zip(rowids, rows)])
-        return len(keys)
+        return rowids
 
     # ------------------------------------------------------------------
     # implicit index maintenance (ODCIIndexInsert/Update/Delete fan-out)
@@ -682,8 +678,8 @@ class DMLEngine:
                 for pos, value in zip(positions, values):
                     row[pos] = value
                 rows.append(self.validate_row(prepared.table, row))
-            return Cursor(rowcount=self._load(prepared.table.name, rows,
-                                              None, None, False))
+            return Cursor(rowcount=len(self._load(
+                prepared.table, rows, None, None, False)))
         binds = bind_sets[0]
 
         def body(txn) -> int:
@@ -727,13 +723,14 @@ class DMLEngine:
                         old_row: Optional[Sequence[Any]],
                         new_row: Optional[Sequence[Any]], txn) -> RowId:
         """Apply one row change and return its rowid: insert ``new_row``
-        (no ``old_row``; the storage picks the rowid), update the row at
-        ``rowid`` in place, or delete it (no ``new_row``).  Chains the
-        row version, mutates storage, records the change's one undo
-        entry, logs the change on a durable engine and maintains the
-        indexes.  ``old_row`` is the row as fetched and ``new_row`` one
-        :meth:`validate_row` tuple: each is the stored row, its version,
-        its log image and what maintenance reads, changed by nothing."""
+        into an IOT (no ``old_row``; a heap appends in :meth:`_load`),
+        update the row at ``rowid`` in place, or delete it (no
+        ``new_row``).  Chains the row version, mutates storage, records
+        the change's one undo entry, logs the change on a durable engine
+        and maintains the indexes.  ``old_row`` is the row as fetched
+        and ``new_row`` one :meth:`validate_row` tuple: each is the
+        stored row, its version, its log image and what maintenance
+        reads, changed by nothing."""
         storage = table.storage
         versions = getattr(storage, "versions", None)  # a view has none
         version = None
@@ -741,9 +738,9 @@ class DMLEngine:
         def chain(rid):
             # the uncommitted version is chained before any snapshot
             # reader can see the change (before the slot or tree
-            # mutates; an IOT insert, inside the latch hold in which its
-            # tree takes the entry): a racing reader resolves through
-            # the chain, never through the raw slot
+            # mutates; an insert, inside the latch hold in which the
+            # IOT's tree takes the entry): a racing reader resolves
+            # through the chain, never through the raw slot
             nonlocal version
             if versions is not None:
                 version = versions.push(rid, new_row, old_row, txn)

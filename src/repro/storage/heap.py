@@ -104,8 +104,9 @@ def _live(rowids: List[RowId], rows: List[Optional[Sequence[Any]]]
 class HeapTable:
     """An unordered table of rows stored on slotted pages.
 
-    The table does not know its schema; the catalog layer owns column
-    names/types and validates values before they reach here.
+    Rows only append (:meth:`insert_bulk`).  The table does not know its
+    schema; the catalog layer owns column names/types and validates
+    values before they reach here.
     """
 
     def __init__(self, buffer_cache: BufferCache, name: str = "?",
@@ -125,39 +126,18 @@ class HeapTable:
 
     # -- DML ------------------------------------------------------------
 
-    def insert(self, row: Sequence[Any], on_rowid=None) -> RowId:
-        """Store ``row`` and return its new rowid.
-
-        ``on_rowid`` closes the MVCC insert-visibility race: the slot is
-        first filled with a ``None`` placeholder (invisible to scans),
-        the callback registers the rowid's version chain, and only then
-        is the real row written — so no snapshot reader can observe the
-        uncommitted row through the untracked-rowid fast path.
-        """
-        row = tuple(row)
-        size = min(estimate_row_size(row), PAGE_SIZE)
-        page = self._page_for_insert(size)
-        if on_rowid is None:
-            slot = page.insert(row, size)
-            self._row_count += 1
-            return (self.segment_id, page.page_no, slot)
-        slot = page.insert(None, size)
-        rowid = (self.segment_id, page.page_no, slot)
-        on_rowid(rowid)
-        page.update(slot, row, size, size)
-        self._row_count += 1
-        return rowid
-
     def insert_bulk(self, rows: List[Sequence[Any]],
                     presorted: bool = False) -> List[RowId]:
-        """Store ``rows`` and return their rowids in input order.
+        """Store ``rows`` and return their rowids in input order: the
+        heap's one append, for one row or many.
 
         Pages fill append-only from the :meth:`high_water_mark`, so
         every rowid is at or above it and :meth:`cut_to` that mark
-        takes the load back: each page is latched for write once per
-        run of rows it absorbs rather than once per row.  ``presorted``
-        is irrelevant to an unordered heap (it only matters for
-        key-organized storage).
+        takes the append back: each page is latched for write once per
+        run of rows it absorbs rather than once per row.  The DML layer
+        sets a fence at the mark first, which hides the rows from other
+        snapshots until it commits.  ``presorted`` is irrelevant to an
+        unordered heap (it only matters for key-organized storage).
         """
         rowids: List[RowId] = []
         segment_id = self.segment_id
@@ -254,7 +234,7 @@ class HeapTable:
 
     def cut_to(self, mark: RowId, lsn: Optional[int] = None) -> None:
         """Drop every slot at or above ``mark`` (a :meth:`high_water_mark`):
-        the undo of the loads since it was taken.
+        the undo of the appends since it was taken.
 
         The slots at or above the mark on the mark's page go, and so
         does every later page (the mark's page too when the mark is its

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import threading
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics import Histogram, Metrics, histogram
@@ -121,9 +123,10 @@ class VersionStore:
     something other than its slot: a write in flight, a commit above
     the low-water mark, or history a live snapshot still needs.  For a
     rowid absent from the store *every snapshot sees its slot*, modulo
-    the *fences*: a bulk load registers one fence version carrying the
-    table's high-water *mark* at the load's start, and a later load by
-    the same transaction reuses it.  The fences are kept in mark order;
+    the *fences*: a load (a heap INSERT of one row or many, an IOT's
+    bulk load) registers one fence version carrying the table's
+    high-water *mark* at its start, and a later load by the same
+    transaction reuses it.  The fences are kept in mark order;
     a fence covers the rowids at or above its mark and below the next
     fence's mark (a mark of None covers from the first rowid: an IOT's
     load, which only goes into an empty table), and an untracked rowid
@@ -156,8 +159,10 @@ class VersionStore:
         fast path.  When the row was untracked and had a previous value,
         a base version is synthesised below the new head so old
         snapshots keep resolving to ``old_value``: committed at the SCN
-        of the fence that covers the rowid (a bulk-loaded row), else at
-        SCN 0.
+        of the fence that covers the rowid (a loaded row), else at SCN
+        0.  A row under an uncommitted fence (the writer's own: a
+        loading transaction holds the table) gets none: no other
+        snapshot sees the row, and an undo leaves no chain behind.
         """
         with self.latch:
             prev = self._heads.get(rowid)
@@ -165,15 +170,10 @@ class VersionStore:
                 # first versioned write to a settled row: anchor the old
                 # value so older snapshots still see it
                 fence = self._covering(rowid)
-                if fence is not None:
-                    base = RowVersion(fence.scn, fence.txn_id, old_value)
-                    if fence.scn is None and txn is not None \
-                            and fence.txn_id == txn.txn_id:
-                        # fence not yet stamped: stamp the base with it
-                        txn.track_version(base)
-                else:
-                    base = RowVersion(0, 0, old_value)
-                prev = base
+                if fence is None:
+                    prev = RowVersion(0, 0, old_value)
+                elif fence.scn is not None:
+                    prev = RowVersion(fence.scn, fence.txn_id, old_value)
             version = RowVersion(None, txn.txn_id if txn else 0,
                                  new_value, prev)
             self._heads[rowid] = version
@@ -202,7 +202,7 @@ class VersionStore:
 
     def set_fence(self, txn: Any, mark: Any = None
                   ) -> Optional[RowVersion]:
-        """Register a bulk-load fence at ``mark`` (the table's high-water
+        """Register a load's fence at ``mark`` (the table's high-water
         mark before the load): rows appended from here on are invisible
         to snapshots older than the loading transaction's commit.
 
@@ -219,7 +219,7 @@ class VersionStore:
         return fence
 
     def drop_fence(self, fence: RowVersion) -> None:
-        """Undo ``set_fence`` (bulk-load rollback)."""
+        """Undo ``set_fence`` (a load's rollback)."""
         with self.latch:
             fences = [entry for entry in self._fences
                       if entry[1] is not fence]
@@ -243,18 +243,30 @@ class VersionStore:
 
     def _covering(self, rowid: Any) -> Optional[RowVersion]:
         """The fence whose range holds ``rowid``, or None."""
-        for mark, fence in reversed(self._fences):
-            if mark is None or mark <= rowid:
-                return fence
-        return None
-
-    def _hidden(self, snapshot: Snapshot) -> List[Tuple[Any, Any]]:
-        """The ``(mark, next mark)`` ranges of the fences ``snapshot``
-        does not see, lowest first (a next mark of None: no end)."""
         fences = self._fences
-        return [(mark, fences[i + 1][0] if i + 1 < len(fences) else None)
-                for i, (mark, fence) in enumerate(fences)
-                if not snapshot.visible(fence)]
+        if fences and fences[0][0] is None:
+            return fences[0][1]  # an IOT's load: it covers every rowid
+        i = bisect_right(fences, rowid, key=itemgetter(0))
+        return fences[i - 1][1] if i else None
+
+    def _hidden(self, snapshot: Snapshot) -> Optional[Tuple[Any, Any]]:
+        """The rowid range ``(low, high)`` covered by the fences
+        ``snapshot`` does not see (None for either: no bound), or None.
+        Appends commit in mark order (an appending transaction holds the
+        table), so committed fences carry rising SCNs and only the last
+        can be in flight: the unseen fences are one run, from the first
+        committed one above the snapshot's SCN (bisected) to the end, or
+        to the in-flight fence when that is the snapshot's own."""
+        fences = self._fences
+        top = committed = len(fences)
+        if committed and fences[-1][1].scn is None:
+            committed -= 1
+            if snapshot.visible(fences[-1][1]):
+                top = committed
+        low = bisect_right(fences, snapshot.scn, 0, committed, key=_scn_of)
+        if low >= top:
+            return None
+        return fences[low][0], fences[top][0] if top < len(fences) else None
 
     # -- read side ----------------------------------------------------------
 
@@ -288,8 +300,8 @@ class VersionStore:
         if not self._fences:
             return True
         hidden = self._hidden(snapshot)
-        return not hidden or (below is not None and hidden[0][0] is not None
-                              and below <= hidden[0][0])
+        return hidden is None or (below is not None and hidden[0] is not None
+                                  and below <= hidden[0])
 
     def resolve(self, rowid: Any, current: Optional[list],
                 snapshot: Snapshot) -> Optional[list]:
@@ -297,15 +309,13 @@ class VersionStore:
 
         ``current`` is the live slot value (None when the slot is a
         tombstone).  Untracked rowids fall back to ``current`` unless
-        the bulk-load fence that covers them hides them.  Returns None
+        a fence the snapshot does not see covers them.  Returns None
         when the row is invisible to the snapshot.
         """
         head = self._heads.get(rowid)
         if head is None:
-            fence = self._covering(rowid) if self._fences else None
-            if fence is None or snapshot.visible(fence):
-                return current
-            return None
+            return None if self._fences and _in_range(
+                rowid, self._hidden(snapshot)) else current
         version = head
         while version is not None:
             if snapshot.visible(version):
@@ -325,19 +335,18 @@ class VersionStore:
         store with no chains answers a batch wholly below the lowest
         fence the snapshot does not see with its slots; rowids that do
         have a chain go through :meth:`resolve`, and the others are
-        tested against the hidden fence ranges.
+        tested against the range the hidden fences cover.
         """
         heads = self._heads
         hidden = self._hidden(snapshot) if self._fences else None
-        if hidden and hidden[0][0] is not None and rowids \
-                and max(rowids) < hidden[0][0]:
+        if hidden and hidden[0] is not None and rowids \
+                and max(rowids) < hidden[0]:
             hidden = None
         if not heads and not hidden:
             return currents
         resolve = self.resolve
         return [resolve(rowid, current, snapshot) if rowid in heads
-                else None if hidden and _in_ranges(rowid, hidden)
-                else current
+                else None if _in_range(rowid, hidden) else current
                 for rowid, current in zip(rowids, currents)]
 
     def tracked_rowids(self) -> List[Any]:
@@ -415,13 +424,16 @@ class VersionStore:
         return removed
 
 
-def _in_ranges(rowid: Any, ranges: List[Tuple[Any, Any]]) -> bool:
-    """Whether ``rowid`` lies in one of the ``(mark, next mark)``
-    ranges :meth:`VersionStore._hidden` returns."""
-    for low, high in ranges:
-        if (low is None or low <= rowid) and (high is None or rowid < high):
-            return True
-    return False
+def _scn_of(entry: Tuple[Any, RowVersion]) -> Optional[int]:
+    return entry[1].scn
+
+
+def _in_range(rowid: Any, hidden: Optional[Tuple[Any, Any]]) -> bool:
+    """Whether ``rowid`` lies in a :meth:`VersionStore._hidden` range."""
+    if hidden is None:
+        return False
+    low, high = hidden
+    return (low is None or low <= rowid) and (high is None or rowid < high)
 
 
 class MVCCManager:
@@ -469,8 +481,8 @@ class MVCCManager:
 
         A pass is due once :data:`PRUNE_INTERVAL` versions were stamped
         since the last one (a commit that stamps none counts one, and a
-        bulk load's rows count as the versions its one fence stands
-        for), so a large load settles at its own commit — unless the
+        load's rows count as versions, its fence standing for one of
+        them), so a large load settles at its own commit — unless the
         low-water mark still is where the last pass left it.
         """
         versions = getattr(txn, "versions", None)

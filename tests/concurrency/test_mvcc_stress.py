@@ -347,11 +347,14 @@ class _ChurnReader:
         cannot carry it — native index entries are current-mode)."""
         heap = self.heap
         snapshot = self.engine.mvcc.take_snapshot(None)
-        rowids = [
-            (heap.segment_id, page_no, slot)
-            for page_no in range(heap.page_count)
-            for slot in range(len(heap.buffer.get_page(
-                heap.segment_id, page_no).slots))]
+        rowids = []
+        for page_no in range(heap.page_count):
+            # read as the scan reads: a page a rolled-back append
+            # dropped meanwhile is gone, and holds no row to list
+            page = heap._page(page_no)
+            if page is not None:
+                rowids += [(heap.segment_id, page_no, slot)
+                           for slot in range(len(page.slots))]
         __, rows = heap.fetch_batch(rowids, snapshot)
         _check([(row[1], row[2]) for row in rows], "heap fetch_batch")
 

@@ -102,21 +102,23 @@ class TestSnapshotStatsView:
         moves its rows into ``heads_forgotten``; ``read_retries`` shows
         the MVCC manager's epoch-redo counter."""
         db.execute("CREATE TABLE t (k INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
         db.engine.prune_versions()
         stats = "SELECT heads_tracked, heads_forgotten, read_retries," \
             " chain_histogram FROM user_snapshot_stats"
         __, forgotten, retries, __ = db.execute(stats).fetchall()[0]
         db.begin()
-        # one row a statement: a multi-row INSERT into an empty table
-        # loads in bulk, under one fence version instead of three heads
+        # an INSERT chains nothing (its fence covers it); an UPDATE
+        # chains a head over a base holding the old row
         for k in (1, 2, 3):
-            db.execute("INSERT INTO t VALUES (:1)", [k])
+            db.execute("UPDATE t SET k = :1 WHERE k = :2", [k + 10, k])
         assert db.execute(stats).fetchall()[0][:2] == (3, forgotten)
         db.commit()
         db.engine.prune_versions()
         tracked, now, __, histogram = db.execute(stats).fetchall()[0]
         assert (tracked, now) == (0, forgotten + 3)
-        assert "1:" in histogram  # walked at length 1, then forgotten
+        # walked at length 2, then cut to the head and forgotten
+        assert " 2:3 " in f" {histogram} ", histogram
         db.engine.mvcc.stats.read_retries += 2
         assert db.execute(stats).fetchall()[0][2] == retries + 2
 

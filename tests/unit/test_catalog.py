@@ -133,8 +133,8 @@ class TestBuildNative:
 
     def test_loads_every_row_with_a_non_null_key(self):
         table = make_table()
-        rids = [table.storage.insert(row) for row in
-                ([1, "a"], [None, "b"], [2, "c"], [1, "d"])]
+        rids = table.storage.insert_bulk(
+            [[1, "a"], [None, "b"], [2, "c"], [1, "d"]])
         index = self._index()
         index.build_native(table)
         assert index.structure.search(1) == [rids[0], rids[3]]
@@ -144,8 +144,8 @@ class TestBuildNative:
 
     def test_a_composite_key_is_a_tuple_and_any_null_skips_the_row(self):
         table = make_table()
-        rids = [table.storage.insert(row) for row in
-                ([1, "a"], [1, None], [None, "a"], [2, "b"])]
+        rids = table.storage.insert_bulk(
+            [[1, "a"], [1, None], [None, "a"], [2, "b"]])
         index = self._index(columns=("id", "name"))
         index.build_native(table)
         assert [key for key, __ in index.structure.items()] \
@@ -154,7 +154,7 @@ class TestBuildNative:
 
     def test_a_rebuild_replaces_what_the_structure_held(self):
         table = make_table()
-        rid = table.storage.insert([7, "x"])
+        rid = table.storage.insert_bulk([[7, "x"]])[0]
         index = self._index()
         index.structure.insert(99, "stale")
         index.build_native(table)
@@ -162,12 +162,11 @@ class TestBuildNative:
 
     def test_a_unique_build_over_duplicates_keeps_the_old_contents(self):
         table = make_table()
-        for row in ([1, "a"], [2, "b"]):
-            table.storage.insert(row)
+        table.storage.insert_bulk([[1, "a"], [2, "b"]])
         index = self._index(unique=True)
         index.build_native(table)
         held = list(index.structure.items())
-        table.storage.insert([2, "again"])
+        table.storage.insert_bulk([[2, "again"]])
         with pytest.raises(ConstraintError, match="duplicate key 2"):
             index.build_native(table)
         assert list(index.structure.items()) == held

@@ -67,15 +67,14 @@ def _create(db, n=300):
     return rows
 
 
-def test_insert_with_and_without_the_placeholder(db):
-    """A SQL INSERT fills its slot with a placeholder first (the
-    ``on_rowid`` path); a bare storage insert writes the row at once.
-    Both land on the last page, whose image the scan just built."""
+def test_insert_by_statement_and_by_bare_append(db):
+    """A SQL INSERT and a bare storage append both land on the last
+    page, whose image the scan just built."""
     rows = _create(db)
     db.execute("INSERT INTO t VALUES (:1, :2, :3)", list(_row(500)))
     rows[500] = _row(500)
     _check(db, rows.values())
-    db.catalog.get_table("t").storage.insert(list(_row(501)))
+    db.catalog.get_table("t").storage.insert_bulk([list(_row(501))])
     rows[501] = _row(501)
     _check(db, rows.values())
 

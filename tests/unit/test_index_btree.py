@@ -223,6 +223,46 @@ class TestOnePayloadIsStoredBare:
         assert tree.search(2) == ["q", "s"]
 
 
+class TestSplits:
+    """A node overfilled at the tree's right end keeps ``order``
+    entries and hands the new sibling only the last (the 90/10 split);
+    any other split halves the node."""
+
+    @staticmethod
+    def leaf_sizes(tree):
+        sizes, node = [], tree._leaf_for(None)
+        while node is not None:
+            sizes.append(len(node.keys))
+            node = node.next_leaf
+        return sizes
+
+    def test_an_append_leaves_the_left_node_full(self):
+        tree = BTree(order=8)
+        for key in range(9):
+            tree.insert(key, key)
+        assert self.leaf_sizes(tree) == [8, 1]
+
+    def test_a_split_inside_the_tree_halves(self):
+        tree = BTree(order=8)
+        for key in [*range(8), 3.5]:
+            tree.insert(key, key)
+        assert self.leaf_sizes(tree) == [4, 5]
+
+    def test_ascending_keys_fill_every_node_but_the_right_edge(self):
+        tree = BTree(order=8)
+        for key in range(1000):
+            tree.insert(key, str(key))
+        sizes = self.leaf_sizes(tree)
+        assert set(sizes[:-1]) == {8} and len(sizes) == 125
+        assert tree.height == 4
+        assert list(tree.items()) == [(k, str(k)) for k in range(1000)]
+        # a populated tree takes more ascending keys the same way
+        for key in range(1000, 1100):
+            tree.insert(key, str(key))
+        assert set(self.leaf_sizes(tree)[:-1]) == {8}
+        assert tree.search(1050) == ["1050"]
+
+
 class TestInstrumentation:
     def test_touch_hook_counts_visits(self):
         visits = []
@@ -243,7 +283,7 @@ class TestInstrumentation:
             if build == "bulk":
                 tree.bulk_load((key, key) for key in range(40))
             else:
-                for key in range(20):
+                for key in range(40):
                     tree.insert(key, key)
             assert tree.height == 3
             for key in (0, 7, 19, 1000):

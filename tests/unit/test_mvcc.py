@@ -5,6 +5,8 @@ These exercise the `repro.txn.mvcc` primitives directly plus the SQL
 surface (`SET TRANSACTION`, statement snapshots) through a session.
 """
 
+import bisect
+
 import pytest
 
 from repro.errors import ConstraintError, TransactionError
@@ -320,6 +322,39 @@ class TestFenceRanges:
         assert store.resolve(rowids[0], ("new",), snaps[0]) == ("r",)
         assert store.resolve(rowids[1], ("new",), snaps[0]) is None
         assert store.resolve(rowids[1], ("new",), snaps[1]) == ("r",)
+
+    def test_each_snapshot_is_hidden_exactly_the_fences_it_does_not_see(
+            self):
+        """Committed fences carry rising SCNs and only the last may be
+        in flight, so the rows a snapshot does not see are one range:
+        resolve agrees with a fence-by-fence reading for a snapshot
+        between any two loads, and for the in-flight load's own."""
+        mvcc, store = MVCCManager(), VersionStore()
+        snaps, marks = [mvcc.take_snapshot(None)], []
+        for page in range(40):
+            txn = _FakeTxn()
+            marks.append((1, page, 3))
+            txn.track_version(store.set_fence(txn, marks[-1]))
+            _commit(mvcc, txn)
+            snaps.append(mvcc.take_snapshot(None))
+        writer = _FakeTxn()
+        marks.append((1, 40, 0))
+        store.set_fence(writer, marks[-1])
+        snaps.append(Snapshot(mvcc.current_scn, writer.txn_id))
+        rowids = [(1, page, slot) for page in range(42) for slot in (0, 5)]
+        # fence i covers marks[i] up to marks[i + 1]
+        covering = [bisect.bisect_right(marks, rowid) - 1
+                    for rowid in rowids]
+        currents = [("r",)] * len(rowids)
+        for seen, snap in enumerate(snaps):
+            # snapshot ``seen`` sees the first ``seen`` loads (the
+            # writer's own snapshot all 41)
+            expected = [None if fence >= seen else ("r",)
+                        for fence in covering]
+            assert [store.resolve(r, c, snap) for r, c
+                    in zip(rowids, currents)] == expected, seen
+            assert store.resolve_batch(rowids, currents, snap) == expected
+            assert store.settled(snap) == (None not in expected)
 
 
 class TestResolveBatch:
@@ -728,34 +763,41 @@ class TestSettledRowsAreUnmapped:
                          if row[0] == 99)
         engine.prune_versions()
         versions = docs.versions
-        # history below a live snapshot, a head it cannot see, in flight
+        # history below a live snapshot, and a write in flight
         assert versions.chain_length(rowid[30]) == 3
-        assert versions.chain_length(rowid[99]) == 1
         assert versions.chain_length(rowid[31]) == 2
-        assert set(versions.tracked_rowids()) == {
-            rowid[30], rowid[99], rowid[31]}
+        assert set(versions.tracked_rowids()) == {rowid[30], rowid[31]}
+        # the INSERT chained nothing: its fence, which the pass keeps,
+        # hides row 99 from the reader
+        assert not versions.tracked(rowid[99]) and not versions.clean
         assert sorted(reader.execute("SELECT * FROM docs").fetchall()) \
             == before
+        assert (99, "alpha new") in engine.connect().execute(
+            "SELECT * FROM docs").fetchall()
         writer.rollback()
         reader.commit()
         engine.prune_versions()
-        assert versions.tracked_rowids() == []
+        assert versions.tracked_rowids() == [] and versions.clean
 
     def test_a_large_load_settles_at_its_own_commit(self):
-        """The pass is due by versions stamped, not by commits."""
+        """The pass is due by rows written, not by commits: a one-row
+        INSERT counts one, its transaction's fence included."""
         from repro.txn.mvcc import PRUNE_INTERVAL
         db = Engine().connect()
         db.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
         storage = db.catalog.get_table("t").storage
         db.engine.prune_versions()
         passes = db.engine.mvcc.stats.prune_passes
-        db.begin()
-        for i in range(PRUNE_INTERVAL):
-            db.execute("INSERT INTO t VALUES (:1, 'x')", [100 + i])
-        assert len(storage.versions.tracked_rowids()) == PRUNE_INTERVAL
-        db.commit()
-        assert db.engine.mvcc.stats.prune_passes == passes + 1
-        assert storage.versions.tracked_rowids() == []
+        for half in range(2):
+            db.begin()
+            for i in range(PRUNE_INTERVAL // 2):
+                db.execute("INSERT INTO t VALUES (:1, 'x')", [100 * half + i])
+            # one fence covers the transaction's rows: no chain a row
+            assert storage.versions.tracked_rowids() == []
+            assert not storage.versions.clean
+            db.commit()
+            assert db.engine.mvcc.stats.prune_passes == passes + half
+        assert storage.versions.clean
 
     def test_a_due_pass_waits_for_the_low_water_mark_to_move(self):
         """Nothing committed since the last pass can have settled while
@@ -1013,6 +1055,60 @@ class TestLoadsIntoNonEmptyTables:
         assert self.reads(between) == loaded
         assert db.execute("SELECT v FROM t WHERE k = 1200").fetchall() \
             == [("new",)]
+
+    @pytest.mark.parametrize("undo", ["rollback", "savepoint"])
+    def test_undone_writes_to_loaded_rows_leave_nothing_behind(
+            self, db, undo):
+        """An UPDATE and a DELETE of rows the same transaction loaded,
+        undone with the load, leave no version over the rowids the next
+        load reuses: every session reads that load's rows, and a pass
+        leaves nothing mapped."""
+        storage = db.catalog.get_table("t").storage
+        mark = storage.high_water_mark()
+        db.begin()
+        db.execute("SAVEPOINT before_load")
+        db.executemany("INSERT INTO t VALUES (:1, 'loaded')",
+                       [[k] for k in range(1000, 1005)])
+        db.execute("UPDATE t SET v = 'changed' WHERE k = 1001")
+        db.execute("DELETE FROM t WHERE k = 1002")
+        if undo == "rollback":
+            db.rollback()
+        else:
+            db.execute("ROLLBACK TO SAVEPOINT before_load")
+            db.commit()
+        assert storage.high_water_mark() == mark
+        db.executemany("INSERT INTO t VALUES (:1, 'second')",
+                       [[k] for k in range(2000, 2005)])
+        expected = sorted([(k, f"v{k % 7}") for k in range(self.PRE)]
+                          + [(k, "second") for k in range(2000, 2005)])
+        other = db.engine.connect()
+        for session in (other, db, other):
+            assert sorted(session.execute("SELECT k, v FROM t").fetchall()) \
+                == expected
+            assert session.execute("SELECT k, v FROM t WHERE k > 1500"
+                                   " ORDER BY k").fetchall() == expected[-5:]
+            db.engine.prune_versions()
+        assert storage.versions.tracked_rowids() == []
+
+    def test_a_pinned_snapshot_finds_the_fences_it_misses_in_one_step(
+            self, db, monkeypatch):
+        """Each committed one-row INSERT leaves a fence until a pass can
+        drop it, and a pinned snapshot holds them all.  It finds the
+        run it does not see by bisection, not by a fence-by-fence walk
+        per page or per row."""
+        reader = db.engine.connect()
+        reader.execute("SET TRANSACTION READ ONLY")
+        before = self.reads(reader)
+        for k in range(1000, 1300):
+            db.execute("INSERT INTO t VALUES (:1, 'one')", [k])
+        visible = Snapshot.visible
+        calls = []
+        monkeypatch.setattr(Snapshot, "visible", lambda snapshot, version: (
+            calls.append(version) or visible(snapshot, version)))
+        assert self.reads(reader) == before
+        assert len(calls) < 300, len(calls)  # fewer than one per fence
+        monkeypatch.undo()
+        assert self.reads(db)[3] == [(self.PRE + 300,)]
 
     def test_a_load_settles_at_its_own_commit(self, db):
         """A load's rows count toward the prune pass as stamped versions

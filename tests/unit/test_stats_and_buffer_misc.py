@@ -50,7 +50,7 @@ class TestBufferResidency:
         cache = BufferCache(stats, capacity=2)
         table = HeapTable(cache, name="t")
         big = "x" * (PAGE_SIZE // 2)
-        rids = [table.insert([big]) for __ in range(6)]
+        rids = [table.insert_bulk([[big]])[0] for __ in range(6)]
         # the earliest page must have been evicted
         assert not cache.resident(table.segment_id, 0)
         table.fetch(rids[0])  # brings it back
@@ -120,7 +120,7 @@ class TestRowidBatchIO:
         stats, table, rowids = paged
         table.delete(rowids[5])
         other = HeapTable(table.buffer, name="other")
-        foreign = other.insert([1, "y"])
+        foreign = other.insert_bulk([[1, "y"]])[0]
         beyond = (table.segment_id, table.page_count + 3, 0)
         bad_slot = (table.segment_id, 0, 10_000)
         probe = [rowids[4], rowids[5], foreign, beyond, bad_slot, rowids[6]]

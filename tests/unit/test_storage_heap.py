@@ -26,83 +26,83 @@ def table(buffer_cache):
 
 class TestInsertFetch:
     def test_roundtrip(self, table):
-        rid = table.insert(["hello", 42])
+        rid = table.insert_bulk([["hello", 42]])[0]
         assert table.fetch(rid) == ("hello", 42)
 
     def test_rowids_are_stable_and_distinct(self, table):
-        rids = [table.insert([i]) for i in range(100)]
+        rids = [table.insert_bulk([[i]])[0] for i in range(100)]
         assert len(set(rids)) == 100
         for i, rid in enumerate(rids):
             assert table.fetch(rid) == (i,)
 
     def test_row_count(self, table):
         for i in range(10):
-            table.insert([i])
+            table.insert_bulk([[i]])
         assert table.row_count == 10
 
     def test_multiple_pages_allocated(self, table):
         big = "x" * (PAGE_SIZE // 3)
         for __ in range(10):
-            table.insert([big])
+            table.insert_bulk([[big]])
         assert table.page_count > 1
 
     def test_fetch_foreign_rowid_raises(self, table, buffer_cache):
         other = HeapTable(buffer_cache, name="u")
-        rid = other.insert([1])
+        rid = other.insert_bulk([[1]])[0]
         with pytest.raises(InvalidRowIdError):
             table.fetch(rid)
 
     def test_fetch_or_none_for_deleted(self, table):
-        rid = table.insert([1])
+        rid = table.insert_bulk([[1]])[0]
         table.delete(rid)
         assert table.fetch_or_none(rid) is None
 
 
 class TestUpdateDelete:
     def test_update_in_place(self, table):
-        rid = table.insert(["a"])
+        rid = table.insert_bulk([["a"]])[0]
         old = table.update(rid, ["b"])
         assert old == ("a",)
         assert table.fetch(rid) == ("b",)
 
     def test_update_keeps_rowid(self, table):
-        rid = table.insert(["a"])
+        rid = table.insert_bulk([["a"]])[0]
         table.update(rid, ["b" * 100])
         assert table.fetch(rid) == ("b" * 100,)
 
     def test_delete_returns_old(self, table):
-        rid = table.insert(["gone"])
+        rid = table.insert_bulk([["gone"]])[0]
         assert table.delete(rid) == ("gone",)
         with pytest.raises(InvalidRowIdError):
             table.fetch(rid)
 
     def test_delete_twice_raises(self, table):
-        rid = table.insert([1])
+        rid = table.insert_bulk([[1]])[0]
         table.delete(rid)
         with pytest.raises(InvalidRowIdError):
             table.delete(rid)
 
     def test_undelete_restores(self, table):
-        rid = table.insert([7])
+        rid = table.insert_bulk([[7]])[0]
         table.delete(rid)
         table.undelete(rid, [7])
         assert table.fetch(rid) == (7,)
 
     def test_undelete_live_slot_raises(self, table):
-        rid = table.insert([7])
+        rid = table.insert_bulk([[7]])[0]
         with pytest.raises(StorageError):
             table.undelete(rid, [8])
 
     def test_later_rowids_stable_after_delete(self, table):
-        first = table.insert([1])
-        second = table.insert([2])
+        first = table.insert_bulk([[1]])[0]
+        second = table.insert_bulk([[2]])[0]
         table.delete(first)
         assert table.fetch(second) == (2,)
 
 
 class TestScan:
     def test_scan_yields_live_rows_only(self, table):
-        rids = [table.insert([i]) for i in range(5)]
+        rids = [table.insert_bulk([[i]])[0] for i in range(5)]
         table.delete(rids[2])
         values = [row[0] for __, row in scanned(table.scan_batches())]
         assert values == [0, 1, 3, 4]
@@ -112,7 +112,7 @@ class TestScan:
 
     def test_truncate(self, table):
         for i in range(5):
-            table.insert([i])
+            table.insert_bulk([[i]])
         table.truncate()
         assert table.row_count == 0
         assert list(table.scan_batches()) == []
@@ -121,12 +121,12 @@ class TestScan:
 class TestBufferAccounting:
     def test_inserts_count_logical_writes(self, table, stats):
         before = stats.logical_writes
-        table.insert([1])
+        table.insert_bulk([[1]])
         assert stats.logical_writes > before
 
     def test_scan_counts_logical_reads(self, table, stats):
         for i in range(5):
-            table.insert([i])
+            table.insert_bulk([[i]])
         before = stats.logical_reads
         list(table.scan_batches())
         assert stats.logical_reads > before
@@ -136,14 +136,14 @@ class TestBufferAccounting:
         table = HeapTable(cache, name="t")
         big = "x" * (PAGE_SIZE // 2)
         for __ in range(12):
-            table.insert([big])
+            table.insert_bulk([[big]])
         # cold pages must have been written back and later re-read
         assert stats.physical_writes > 0
         list(table.scan_batches())
         assert stats.physical_reads > 0
 
     def test_clear_simulates_cold_start(self, table, stats, buffer_cache):
-        rid = table.insert(["x" * 100])
+        rid = table.insert_bulk([["x" * 100]])[0]
         buffer_cache.clear()
         before = stats.physical_reads
         table.fetch(rid)
