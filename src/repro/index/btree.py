@@ -203,8 +203,7 @@ class BTree:
         if not self._count:
             self.bulk_load(pairs)
             return
-        if len(pairs) > 1:
-            pairs = sorted(pairs, key=_first)
+        pairs = sorted(pairs, key=_first)
         done = 0
         try:
             for key, value in pairs:
@@ -376,8 +375,8 @@ class BTree:
 
     def _insert(self, node: _Node, key: Any, value: Any,
                 rightmost: bool) -> Optional[Tuple[Any, _Node]]:
-        """Insert under ``node`` (``rightmost``: on the tree's right
-        edge); returns ``(separator, new right sibling)`` on a split."""
+        """Insert under ``node``, which is on the tree's right edge when
+        ``rightmost``; a split returns ``(separator, right sibling)``."""
         self._visit()
         if node.leaf:
             idx = bisect.bisect_left(node.keys, key)
@@ -406,9 +405,8 @@ class BTree:
         return None
 
     def _split(self, node: _Node, appended: bool) -> Tuple[Any, _Node]:
-        """Split an overfull ``node`` in halves; or, when the entry went
-        to the tree's right end (``appended``), as Oracle's 90/10 split:
-        the node keeps ``order`` entries and ascending keys fill it."""
+        """Split an overfull ``node`` in halves, or keep it full when the
+        entry went to the tree's right end (Oracle's 90/10 split)."""
         mid = len(node.keys) - 1 if appended else len(node.keys) // 2
         right = _Node(leaf=node.leaf)
         if node.leaf:

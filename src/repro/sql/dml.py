@@ -378,8 +378,7 @@ class DMLEngine:
 
     def insert_row(self, table_name: str, values: Sequence[Any]) -> RowId:
         """Insert one row of Python values (bypasses the parser), for
-        code holding non-literal values: rowids, objects, LOB locators;
-        returns its rowid."""
+        code holding non-literal values: rowids, objects, LOB locators."""
         return self._load(self._table(table_name, "insert"), [values], None,
                           True, False)[0]
 
@@ -445,26 +444,25 @@ class DMLEngine:
     def _load(self, table: TableDef, rows: Sequence[Sequence[Any]],
               payloads: Optional[Sequence[Tuple[Any, ...]]],
               validate: Optional[bool], presorted: bool) -> List[RowId]:
-        """One statement loading ``rows``, one row or many; returns
-        their rowids.  A heap appends them above its high-water mark.
-        An IOT has no such mark (its keys interleave), so only a load of
-        many rows into an empty one with no chain, fence or native index
-        entry appends; any other goes row by row.  ``validate`` True
-        validates each row, False (direct path) only row by row, and
-        None takes rows validated already (an INSERT statement's)."""
+        """One statement inserting ``rows``; returns their rowids.  A
+        heap appends them.  An IOT has no high-water mark (its keys
+        interleave): it appends only many rows into an empty one with no
+        chain, fence or native index entry, else goes row by row.
+        ``validate`` True validates each row, False (direct path) only
+        row by row, None takes rows validated already."""
         storage = table.storage
 
         def body(txn) -> List[RowId]:
-            indexes = self.db.catalog.indexes_on(table.name)
-            appends = rows and hasattr(storage, "insert_bulk")  # not a view
-            if appends and table.is_iot:
-                appends = len(rows) > 1 and not storage.row_count \
-                    and storage.versions.clean and not any(
+            # a view has no insert_bulk
+            if rows and hasattr(storage, "insert_bulk") and not (
+                    table.is_iot and (len(rows) < 2 or storage.row_count
+                                      or not storage.versions.clean)):
+                indexes = self.db.catalog.indexes_on(table.name)
+                if not table.is_iot or not any(
                         index.structure.entry_count for index in indexes
-                        if not index.is_domain)
-            if appends:
-                return self._insert_bulk(table, rows, indexes, txn, validate,
-                                         presorted, payloads)
+                        if not index.is_domain):
+                    return self._insert_bulk(table, rows, indexes, txn,
+                                             validate, presorted, payloads)
             rowids = []
             for values in (rows if payloads is None
                            else list(map(add, rows, payloads))):
@@ -481,14 +479,13 @@ class DMLEngine:
                      presorted: bool,
                      payloads: Optional[Sequence[Tuple[Any, ...]]]
                      ) -> List[RowId]:
-        """Append ``rows`` under one fence version per transaction, one
-        undo entry (a heap cut back to its mark, an IOT emptied) and
-        one WAL record, batch-insert each native index of ``indexes``
-        with one undo entry, and queue the rows for the domain ones;
-        returns the rowids.  An IOT loads key and payload columns:
-        ``rows`` are the keys when ``payloads`` is given, else the rows
-        are split here, once.  ``validate=False`` (direct path) checks
-        only each column's arity, at C speed."""
+        """Append ``rows`` under one fence per transaction, one undo
+        entry (a heap cut back to its mark, an IOT emptied) and one WAL
+        record, batch-insert each native index with one undo entry, and
+        queue the rows for the domain ones; returns the rowids.  An IOT
+        loads key and payload columns: ``rows`` are the keys when
+        ``payloads`` is given, else the rows are split here, once.
+        ``validate=False`` checks only each column's arity."""
         storage = table.storage
         n_cols = len(table.columns)
         if validate:

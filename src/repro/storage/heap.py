@@ -104,9 +104,8 @@ def _live(rowids: List[RowId], rows: List[Optional[Sequence[Any]]]
 class HeapTable:
     """An unordered table of rows stored on slotted pages.
 
-    Rows only append (:meth:`insert_bulk`).  The table does not know its
-    schema; the catalog layer owns column names/types and validates
-    values before they reach here.
+    The table does not know its schema; the catalog layer owns column
+    names/types and validates values before they reach here.
     """
 
     def __init__(self, buffer_cache: BufferCache, name: str = "?",
@@ -128,16 +127,15 @@ class HeapTable:
 
     def insert_bulk(self, rows: List[Sequence[Any]],
                     presorted: bool = False) -> List[RowId]:
-        """Store ``rows`` and return their rowids in input order: the
-        heap's one append, for one row or many.
+        """Store ``rows`` (one or many) and return their rowids in
+        input order.
 
         Pages fill append-only from the :meth:`high_water_mark`, so
-        every rowid is at or above it and :meth:`cut_to` that mark
-        takes the append back: each page is latched for write once per
-        run of rows it absorbs rather than once per row.  The DML layer
-        sets a fence at the mark first, which hides the rows from other
-        snapshots until it commits.  ``presorted`` is irrelevant to an
-        unordered heap (it only matters for key-organized storage).
+        every rowid is at or above it, :meth:`cut_to` that mark takes
+        the append back, and the DML layer's fence at the mark hides
+        the rows from other snapshots until it commits.  Each page is
+        latched for write once per run of rows it absorbs.
+        ``presorted`` only matters for key-organized storage.
         """
         rowids: List[RowId] = []
         segment_id = self.segment_id

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -146,6 +146,8 @@ class VersionStore:
         #: ``(mark, fence version)`` in mark order; replaced, never
         #: changed in place, so a reader walks a list no writer mutates
         self._fences: List[Tuple[Any, RowVersion]] = []
+        #: each fence in ``_fences`` by its transaction's id
+        self._owned: Dict[int, RowVersion] = {}
         self._epoch = 0
 
     # -- write side ---------------------------------------------------------
@@ -159,10 +161,9 @@ class VersionStore:
         fast path.  When the row was untracked and had a previous value,
         a base version is synthesised below the new head so old
         snapshots keep resolving to ``old_value``: committed at the SCN
-        of the fence that covers the rowid (a loaded row), else at SCN
-        0.  A row under an uncommitted fence (the writer's own: a
-        loading transaction holds the table) gets none: no other
-        snapshot sees the row, and an undo leaves no chain behind.
+        of the fence that covers the rowid (a loaded row), else at SCN 0;
+        none under the writer's own uncommitted fence: no other snapshot
+        sees the row, and an undo leaves no chain behind.
         """
         with self.latch:
             prev = self._heads.get(rowid)
@@ -216,6 +217,7 @@ class VersionStore:
                     return None
             fence = RowVersion(None, txn.txn_id if txn else 0, None)
             self._fences = fences + [(mark, fence)]
+            self._owned[fence.txn_id] = fence
         return fence
 
     def drop_fence(self, fence: RowVersion) -> None:
@@ -226,13 +228,14 @@ class VersionStore:
             if len(fences) != len(self._fences):
                 self._epoch += 1
                 self._fences = fences
+                self._owned = {f.txn_id: f for _, f in fences}
 
     def clear(self) -> None:
         """Forget all chains and fences (truncate / table drop)."""
         with self.latch:
             self._epoch += 1
             self._heads.clear()
-            self._fences = []
+            self._fences, self._owned = [], {}
 
     @property
     def clean(self) -> bool:
@@ -249,14 +252,13 @@ class VersionStore:
         i = bisect_right(fences, rowid, key=itemgetter(0))
         return fences[i - 1][1] if i else None
 
-    def _hidden(self, snapshot: Snapshot) -> Optional[Tuple[Any, Any]]:
-        """The rowid range ``(low, high)`` covered by the fences
-        ``snapshot`` does not see (None for either: no bound), or None.
-        Appends commit in mark order (an appending transaction holds the
-        table), so committed fences carry rising SCNs and only the last
-        can be in flight: the unseen fences are one run, from the first
-        committed one above the snapshot's SCN (bisected) to the end, or
-        to the in-flight fence when that is the snapshot's own."""
+    def _hidden(self, snapshot: Snapshot) -> List[Tuple[Any, Any]]:
+        """The rowid ranges ``(low, high)`` (None: no bound) the fences
+        ``snapshot`` does not see cover, lowest first.  Appends commit in
+        mark order, so those fences are one run from the first committed
+        one above its SCN, bisected, to the in-flight one if that is its
+        own, else to the end — less its own, bisected too, when its
+        transaction committed after taking it (a cursor fetched on)."""
         fences = self._fences
         top = committed = len(fences)
         if committed and fences[-1][1].scn is None:
@@ -265,8 +267,14 @@ class VersionStore:
                 top = committed
         low = bisect_right(fences, snapshot.scn, 0, committed, key=_scn_of)
         if low >= top:
-            return None
-        return fences[low][0], fences[top][0] if top < len(fences) else None
+            return []
+        own = self._owned.get(snapshot.txn_id)
+        i = top if own is None or own.scn is None else bisect_left(
+            fences, own.scn, low, committed, key=_scn_of)
+        if i >= committed or fences[i][1] is not own:
+            i = top
+        return [(fences[a][0], fences[b][0] if b < len(fences) else None)
+                for a, b in ((low, i), (i + 1, top)) if a < b]
 
     # -- read side ----------------------------------------------------------
 
@@ -300,8 +308,8 @@ class VersionStore:
         if not self._fences:
             return True
         hidden = self._hidden(snapshot)
-        return hidden is None or (below is not None and hidden[0] is not None
-                                  and below <= hidden[0])
+        return not hidden or (below is not None and hidden[0][0] is not None
+                              and below <= hidden[0][0])
 
     def resolve(self, rowid: Any, current: Optional[list],
                 snapshot: Snapshot) -> Optional[list]:
@@ -314,7 +322,7 @@ class VersionStore:
         """
         head = self._heads.get(rowid)
         if head is None:
-            return None if self._fences and _in_range(
+            return None if self._fences and _in_ranges(
                 rowid, self._hidden(snapshot)) else current
         version = head
         while version is not None:
@@ -335,18 +343,18 @@ class VersionStore:
         store with no chains answers a batch wholly below the lowest
         fence the snapshot does not see with its slots; rowids that do
         have a chain go through :meth:`resolve`, and the others are
-        tested against the range the hidden fences cover.
+        tested against the ranges the hidden fences cover.
         """
         heads = self._heads
-        hidden = self._hidden(snapshot) if self._fences else None
-        if hidden and hidden[0] is not None and rowids \
-                and max(rowids) < hidden[0]:
-            hidden = None
+        hidden = self._hidden(snapshot) if self._fences else []
+        if hidden and hidden[0][0] is not None and rowids \
+                and max(rowids) < hidden[0][0]:
+            hidden = []
         if not heads and not hidden:
             return currents
         resolve = self.resolve
         return [resolve(rowid, current, snapshot) if rowid in heads
-                else None if _in_range(rowid, hidden) else current
+                else None if _in_ranges(rowid, hidden) else current
                 for rowid, current in zip(rowids, currents)]
 
     def tracked_rowids(self) -> List[Any]:
@@ -391,6 +399,7 @@ class VersionStore:
                 moot += 1
             if moot:
                 self._fences = fences[moot:]
+                self._owned = {f.txn_id: f for _, f in self._fences}
             heads = self._heads
             settled = 0
             for head in heads.values():
@@ -428,12 +437,13 @@ def _scn_of(entry: Tuple[Any, RowVersion]) -> Optional[int]:
     return entry[1].scn
 
 
-def _in_range(rowid: Any, hidden: Optional[Tuple[Any, Any]]) -> bool:
-    """Whether ``rowid`` lies in a :meth:`VersionStore._hidden` range."""
-    if hidden is None:
-        return False
-    low, high = hidden
-    return (low is None or low <= rowid) and (high is None or rowid < high)
+def _in_ranges(rowid: Any, ranges: List[Tuple[Any, Any]]) -> bool:
+    """Whether ``rowid`` lies in one of the ``(mark, next mark)``
+    ranges :meth:`VersionStore._hidden` returns."""
+    for low, high in ranges:
+        if (low is None or low <= rowid) and (high is None or rowid < high):
+            return True
+    return False
 
 
 class MVCCManager:

@@ -326,35 +326,41 @@ class TestFenceRanges:
     def test_each_snapshot_is_hidden_exactly_the_fences_it_does_not_see(
             self):
         """Committed fences carry rising SCNs and only the last may be
-        in flight, so the rows a snapshot does not see are one range:
-        resolve agrees with a fence-by-fence reading for a snapshot
-        between any two loads, and for the in-flight load's own."""
+        in flight, so the rows a snapshot does not see are one run of
+        fences, less its own transaction's: resolve agrees with a
+        fence-by-fence reading for a snapshot between any two loads,
+        for the in-flight load's own, and for one a loading transaction
+        took before it committed (a cursor it reads on past its
+        commit), at any SCN before that commit."""
         mvcc, store = MVCCManager(), VersionStore()
-        snaps, marks = [mvcc.take_snapshot(None)], []
+        snaps, marks, fences, owned = [mvcc.take_snapshot(None)], [], [], []
         for page in range(40):
             txn = _FakeTxn()
             marks.append((1, page, 3))
-            txn.track_version(store.set_fence(txn, marks[-1]))
+            fences.append(store.set_fence(txn, marks[-1]))
+            txn.track_version(fences[-1])
+            owned += [Snapshot(snap.scn, txn.txn_id)
+                      for snap in snaps[::7] + snaps[-1:]]
             _commit(mvcc, txn)
             snaps.append(mvcc.take_snapshot(None))
         writer = _FakeTxn()
         marks.append((1, 40, 0))
-        store.set_fence(writer, marks[-1])
+        fences.append(store.set_fence(writer, marks[-1]))
         snaps.append(Snapshot(mvcc.current_scn, writer.txn_id))
         rowids = [(1, page, slot) for page in range(42) for slot in (0, 5)]
         # fence i covers marks[i] up to marks[i + 1]
         covering = [bisect.bisect_right(marks, rowid) - 1
                     for rowid in rowids]
         currents = [("r",)] * len(rowids)
-        for seen, snap in enumerate(snaps):
-            # snapshot ``seen`` sees the first ``seen`` loads (the
-            # writer's own snapshot all 41)
-            expected = [None if fence >= seen else ("r",)
-                        for fence in covering]
+        for n, snap in enumerate(snaps + owned):
+            expected = [("r",) if fence < 0 or snap.visible(fences[fence])
+                        else None for fence in covering]
             assert [store.resolve(r, c, snap) for r, c
-                    in zip(rowids, currents)] == expected, seen
+                    in zip(rowids, currents)] == expected, n
             assert store.resolve_batch(rowids, currents, snap) == expected
             assert store.settled(snap) == (None not in expected)
+        # the owned snapshots see their own fence inside the run they miss
+        assert sum(not snap.visible(fences[0]) for snap in owned) > 10
 
 
 class TestResolveBatch:
@@ -1089,6 +1095,35 @@ class TestLoadsIntoNonEmptyTables:
                                    " ORDER BY k").fetchall() == expected[-5:]
             db.engine.prune_versions()
         assert storage.versions.tracked_rowids() == []
+
+    @pytest.mark.parametrize("others", [False, True],
+                             ids=["alone", "between other loads"])
+    def test_a_cursor_read_past_its_commit_sees_its_own_rows(
+            self, db, others):
+        """A cursor reads on under its snapshot after its transaction
+        commits, and that snapshot sees the transaction's own one-row
+        INSERT and load, though their fence commits above its SCN —
+        also when loads another session committed after the snapshot
+        lie on each side of that fence, which it must not see."""
+        other = db.engine.connect()
+        db.execute("SET TRANSACTION ISOLATION LEVEL SERIALIZABLE")
+        assert db.execute("SELECT COUNT(*) FROM t").fetchall() \
+            == [(self.PRE,)]
+        if others:
+            self.load(other, [900, 901])
+        db.execute("INSERT INTO t VALUES (1000, 'one')")
+        self.load(db, range(1200, 1204))
+        cursors = [db.execute(sql) for sql in (
+            "SELECT k, v FROM t WHERE k >= 900",
+            "SELECT v FROM t WHERE k = 1000",
+            "SELECT v FROM t WHERE k = 1202",
+            "SELECT COUNT(*) FROM t")]
+        db.commit()
+        if others:
+            self.load(other, [1500, 1501])
+        assert [cursor.fetchall() for cursor in cursors] == [
+            [(1000, "one")] + [(k, f"v{k % 7}") for k in range(1200, 1204)],
+            [("one",)], [(f"v{1202 % 7}",)], [(self.PRE + 5,)]]
 
     def test_a_pinned_snapshot_finds_the_fences_it_misses_in_one_step(
             self, db, monkeypatch):
