@@ -114,12 +114,10 @@ class CallbackSession:
         return row[table.column_position(column)]
 
     def _fetch(self, storage: Any, rowid: Any):
-        """Rowid fetch against the pinned snapshot when one is set and
-        the storage is versioned; current-mode otherwise."""
-        if self.snapshot is None \
-                or getattr(storage, "versions", None) is None:
-            return storage.fetch_or_none(rowid)
-        return storage.fetch_or_none(rowid, self.snapshot)
+        """One rowid's row as the pinned snapshot sees it (current mode
+        when none is pinned), or None: a batch of one."""
+        __, rows = storage.fetch_batch([rowid], self.snapshot)
+        return rows[0] if rows else None
 
     def insert_row(self, table_name: str, values: Any):
         """Bulk-bind insert of one row of Python values (maintenance DML)."""

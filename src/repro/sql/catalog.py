@@ -17,7 +17,7 @@ from repro.core.indextype import Indextype
 from repro.core.odci import IndexMethods
 from repro.core.operators import Operator
 from repro.core.stats import StatsMethods
-from repro.errors import CatalogError, IndexFormatError
+from repro.errors import CatalogError, IndexFormatError, StorageError
 from repro.index import BTree
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
@@ -67,6 +67,10 @@ class TableDef:
     storage: Storage
     primary_key: List[str] = field(default_factory=list)
     is_iot: bool = False
+    #: a data-dictionary view, built afresh by each lookup: read-only
+    is_view: bool = False
+    #: the table's indexes by name, in creation order: what
+    #: :meth:`Catalog.indexes_on` answers from
     index_names: List[str] = field(default_factory=list)
     stats: TableStats = field(default_factory=TableStats)
     #: the user who created the table ("main" is the superuser)
@@ -262,6 +266,16 @@ class Catalog:
                     return view
             raise CatalogError(f"no such table {name!r}") from None
 
+    def writable_table(self, name: str) -> TableDef:
+        """``name``'s table as the target of DML or TRUNCATE: a
+        data-dictionary view is refused before any row is read (each
+        lookup builds the view afresh, so no row of it could change)."""
+        table = self.get_table(name)
+        if table.is_view:
+            raise StorageError(f"{table.name} is a data dictionary view: "
+                               "views are read-only")
+        return table
+
     def has_table(self, name: str) -> bool:
         return name.lower() in self.tables
 
@@ -273,11 +287,14 @@ class Catalog:
             return table
 
     def indexes_on(self, table_name: str) -> List[IndexDef]:
-        """Every index defined on ``table_name`` (snapshot list)."""
-        key = table_name.lower()
+        """Every index defined on ``table_name``, in creation order
+        (snapshot list; none on a view or an unknown name)."""
+        table = self.tables.get(table_name.lower())
+        if table is None:
+            return []
+        indexes = self.indexes
         with self.latch:
-            return [idx for idx in self.indexes.values()
-                    if idx.table_name.lower() == key]
+            return [indexes[name.lower()] for name in table.index_names]
 
     # -- indexes ----------------------------------------------------------
 
@@ -285,8 +302,10 @@ class Catalog:
         with self.latch:
             if index.key in self.indexes:
                 raise CatalogError(f"index {index.name} already exists")
+            table = self.tables.get(index.table_name.lower())
+            if table is None:  # a view is no table: it takes no index
+                raise CatalogError(f"no such table {index.table_name!r}")
             self.indexes[index.key] = index
-            table = self.get_table(index.table_name)
             table.index_names.append(index.name)
             self.bump_version()
 

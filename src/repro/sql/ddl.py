@@ -157,7 +157,7 @@ class DDLEngine:
     def execute_truncate(self, stmt: ast.TruncateTable) -> Cursor:
         db = self.db
         db._autocommit_ddl()
-        table = db.catalog.get_table(stmt.name)
+        table = db.catalog.writable_table(stmt.name)
         db._check_table_ownership(table, "truncate")
         table.storage.truncate()
         for index in db.catalog.indexes_on(table.name):

@@ -20,7 +20,6 @@ import itertools
 from dataclasses import fields
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.errors import StorageError
 from repro.metrics import Histogram, Keyed
 from repro.sql.catalog import Catalog, ColumnInfo, TableDef
 from repro.storage.heap import PageRowIds, RowId
@@ -28,7 +27,7 @@ from repro.types.datatypes import BOOLEAN, INTEGER, NUMBER, VARCHAR2
 
 #: segment ids for view snapshots, far away from real segments; one
 #: process-wide counter because sessions of every engine build views
-#: concurrently and ``fetch_or_none`` tells snapshots apart by id
+#: concurrently and ``fetch_batch`` tells snapshots apart by id
 _SEGMENT_IDS = itertools.count(1_000_000)
 
 #: a column's type, by the type of its declared default (a histogram's
@@ -59,16 +58,16 @@ class _SnapshotStorage:
             yield (PageRowIds(self.segment_id, 0, range(len(self._rows))),
                    list(zip(*self._rows)))
 
-    def fetch_or_none(self, rowid: RowId) -> Optional[List[Any]]:
-        if (rowid.__class__ is tuple and rowid[0] == self.segment_id
-                and 0 <= rowid[2] < len(self._rows)):
-            return self._rows[rowid[2]]
-        return None
-
-    def _read_only(self, *args: Any, **kwargs: Any):
-        raise StorageError("data dictionary views are read-only")
-
-    insert = update = delete = truncate = undelete = _read_only
+    def fetch_batch(self, rowids: List[Any], snapshot: Any = None
+                    ) -> Tuple[List[RowId], List[List[Any]]]:
+        """``(rowids, rows)`` for the rowids of this view snapshot, in
+        the caller's order; ``snapshot`` changes nothing, as in
+        :meth:`scan_batches`."""
+        segment_id, rows = self.segment_id, self._rows
+        found = [rowid for rowid in rowids
+                 if rowid.__class__ is tuple and rowid[0] == segment_id
+                 and 0 <= rowid[2] < len(rows)]
+        return found, [rows[rowid[2]] for rowid in found]
 
 
 def dictionary_view(catalog: Catalog, name: str,
@@ -87,7 +86,7 @@ def dictionary_view(catalog: Catalog, name: str,
     return TableDef(
         name=name,
         columns=[ColumnInfo(cname, dtype) for cname, dtype in columns],
-        storage=_SnapshotStorage(rows))
+        storage=_SnapshotStorage(rows), is_view=True)
 
 
 def _user_tables(catalog: Catalog):

@@ -372,7 +372,7 @@ class DMLEngine:
 
     def _table(self, table_name: str, privilege: str) -> TableDef:
         """``table_name``'s entry, once the session holds ``privilege``."""
-        table = self.db.catalog.get_table(table_name)
+        table = self.db.catalog.writable_table(table_name)
         self.db._check_table_privilege(table, privilege)
         return table
 
@@ -453,8 +453,7 @@ class DMLEngine:
         storage = table.storage
 
         def body(txn) -> List[RowId]:
-            # a view has no insert_bulk
-            if rows and hasattr(storage, "insert_bulk") and not (
+            if rows and not (
                     table.is_iot and (len(rows) < 2 or storage.row_count
                                       or not storage.versions.clean)):
                 indexes = self.db.catalog.indexes_on(table.name)
@@ -610,7 +609,7 @@ class DMLEngine:
         subquery with them (such a statement is never cached).
         """
         db = self.db
-        table = db.catalog.get_table(stmt.table)
+        table = db.catalog.writable_table(stmt.table)
         version = db.catalog.version
         if isinstance(stmt, ast.Insert):
             columns = [c.lower() for c in stmt.columns] if stmt.columns \
@@ -694,9 +693,11 @@ class DMLEngine:
             key_width = storage.key_width if table.is_iot else 0
             count = 0
             for rowid, *values in list(Executor(db, binds).run(target.plan)):
-                old_row = storage.fetch_or_none(rowid)
-                if old_row is None:
+                # none once an earlier target of this statement deleted it
+                __, rows = storage.fetch_batch([rowid])
+                if not rows:
                     continue
+                old_row = rows[0]
                 count += 1
                 if isinstance(stmt, ast.Delete):
                     self.change_physical(table, rowid, old_row, None, txn)
@@ -729,7 +730,6 @@ class DMLEngine:
         stored row, its version, its log image and what maintenance
         reads, changed by nothing."""
         storage = table.storage
-        versions = getattr(storage, "versions", None)  # a view has none
         version = None
 
         def chain(rid):
@@ -739,10 +739,9 @@ class DMLEngine:
             # IOT's tree takes the entry): a racing reader resolves
             # through the chain, never through the raw slot
             nonlocal version
-            if versions is not None:
-                version = versions.push(rid, new_row, old_row, txn)
-                txn.track_version(version)
-                self.db.engine.mvcc.stats.versions_created += 1
+            version = storage.versions.push(rid, new_row, old_row, txn)
+            txn.track_version(version)
+            self.db.engine.mvcc.stats.versions_created += 1
 
         if old_row is None:
             op = "insert"

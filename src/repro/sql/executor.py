@@ -372,8 +372,10 @@ class Executor:
         evaluated once per statement; an index join's, per outer row.
 
         An index-driven scan fetches each batch of rowids from the base
-        table in one go (see :meth:`_batch_fetcher`), in probe order,
-        and transposes it; a domain scan's ancillary values ride along,
+        table in one go, in probe order — its storage's ``fetch_batch``:
+        the live rows the executor's snapshot sees, or current values
+        for a current-mode statement (DML target selection) — and
+        transposes it; a domain scan's ancillary values ride along,
         aligned with the rows the fetch kept."""
         xstats = self.xstats
 
@@ -393,13 +395,13 @@ class Executor:
                         yield batch
             return pages
 
-        fetch = self._batch_fetcher(scan.table)
+        fetch_batch, snapshot = scan.table.storage.fetch_batch, self.snapshot
         label = scan.operator_call.label \
             if isinstance(scan, pl.DomainScan) else None
 
         def fetched(rowids: List[Any], aux: Optional[List[Any]] = None
                     ) -> Any:
-            found, rows = fetch(rowids)
+            found, rows = fetch_batch(rowids, snapshot)
             cbatch = ColumnBatch.from_rows(found, rows)
             if aux and label is not None:
                 cbatch.aux = _aligned_aux(aux, rowids, found)
@@ -540,41 +542,6 @@ class Executor:
             self._const_cache.clear()
         self._const_cache[id(expr)] = (expr, value)
         return value
-
-    def _batch_fetcher(self, table: TableDef
-                       ) -> Callable[[List[Any]], Tuple[List[Any], List[Any]]]:
-        """``fetch(rowids) -> (rowids, rows)`` over a table's storage:
-        the batch's live, visible rows in the order the rowids came in.
-
-        Resolved against the executor's snapshot when the storage is
-        versioned; unversioned storages (dictionary views, test doubles)
-        and current-mode statements (DML target selection) read current
-        values.  Heaps fetch page-batched; any other storage is read one
-        rowid at a time — the executor's only such loop.
-        """
-        storage = table.storage
-        snapshot = self.snapshot \
-            if getattr(storage, "versions", None) is not None else None
-        fetch_batch = getattr(storage, "fetch_batch", None)
-        if fetch_batch is not None:
-            if snapshot is None:
-                return fetch_batch
-            return lambda rowids: fetch_batch(rowids, snapshot)
-        if snapshot is None:
-            fetch = storage.fetch_or_none
-        else:
-            def fetch(rowid: Any) -> Optional[List[Any]]:
-                return storage.fetch_or_none(rowid, snapshot)
-
-        def fetch_rows(rowids: List[Any]) -> Tuple[List[Any], List[Any]]:
-            found, rows = [], []
-            for rowid in rowids:
-                row = fetch(rowid)
-                if row is not None:
-                    found.append(rowid)
-                    rows.append(row)
-            return found, rows
-        return fetch_rows
 
     def _probe(self, structure: Any,
                produce: Callable[[], Iterable[Any]]) -> Iterable[Any]:

@@ -91,8 +91,8 @@ class PageRowIds:
         return zip(repeat(self.segment_id), repeat(self.page_no), self.slots)
 
 
-def _live(rowids: List[RowId], rows: List[Optional[Sequence[Any]]]
-          ) -> Tuple[List[RowId], List[Sequence[Any]]]:
+def live_rows(rowids: List[Any], rows: List[Optional[Sequence[Any]]]
+              ) -> Tuple[List[Any], List[Sequence[Any]]]:
     """Drop the dead or invisible rows (None) of an aligned batch."""
     if None in rows:
         live = [i for i, row in enumerate(rows) if row is not None]
@@ -147,36 +147,6 @@ class HeapTable:
             rowids.append((segment_id, page.page_no, page.insert(row, size)))
         self._row_count += len(rows)
         return rowids
-
-    def fetch(self, rowid: RowId) -> Tuple[Any, ...]:
-        """Return the row at ``rowid``; raises for dead or foreign rowids."""
-        page, slot = self._page_at(rowid)
-        row = page.read_slot(slot)
-        if row is None:
-            raise InvalidRowIdError(
-                f"{format_rowid(rowid)} does not identify a live row")
-        return row
-
-    def fetch_or_none(self, rowid: RowId,
-                      snapshot: Optional[Snapshot] = None
-                      ) -> Optional[Sequence[Any]]:
-        """Like :meth:`fetch` but returns None for a deleted slot.
-
-        With a ``snapshot``, the slot value is resolved through the
-        row's version chain (consistent read); index-returned rowids go
-        through here, so the index may say "maybe" but the table says
-        the truth for this snapshot.
-        """
-        try:
-            page, slot = self._page_at(rowid)
-        except InvalidRowIdError:
-            return None
-        if snapshot is None:
-            return page.read_slot(slot)
-        versions = self.versions
-        return versions.read(
-            lambda: versions.resolve(rowid, page.read_slot(slot),
-                                     snapshot), snapshot)
 
     def update(self, rowid: RowId, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Replace the row at ``rowid`` in place; returns the old row."""
@@ -323,14 +293,15 @@ class HeapTable:
                     ) -> Tuple[List[RowId], List[Sequence[Any]]]:
         """Fetch a batch of rowids: ``(rowids, rows)`` for the live ones.
 
-        The rowid-batch counterpart of :meth:`scan_batches`, for
-        index-returned rowids: each distinct page is fetched from the
-        buffer cache once per batch, every slot is read before any
-        version chain is consulted (the order :meth:`fetch_or_none`
-        keeps per row), and the batch is resolved in bulk.  Rowids that
-        are dead, invisible to ``snapshot``, or not addressable in this
-        segment (foreign, or beyond a truncate) are dropped — exactly
-        the rows :meth:`fetch_or_none` answers ``None`` for.  The
+        The table's one read by rowid, and the rowid-batch counterpart
+        of :meth:`scan_batches`: index-returned rowids, a callback's
+        ``fetch_row`` (a batch of one) and a DML target's before-image
+        (current mode, no ``snapshot``) all come here.  Each distinct
+        page is fetched from the buffer cache once per batch, every slot
+        is read before any version chain is consulted (the order of
+        every snapshot read), and the batch is resolved in bulk.  Rowids
+        that are dead, invisible to ``snapshot``, or not addressable in
+        this segment (foreign, or beyond a truncate) are dropped.  The
         returned rowids are the caller's own objects in the caller's
         order, aligned with the rows.
         """
@@ -360,8 +331,8 @@ class HeapTable:
                 rows = versions.resolve_batch(found, rows, snapshot)
             return found, rows
 
-        return _live(*(read() if snapshot is None
-                       else versions.read(read, snapshot)))
+        return live_rows(*(read() if snapshot is None
+                           else versions.read(read, snapshot)))
 
     # -- durability support ----------------------------------------------
 

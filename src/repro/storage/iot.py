@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache
+from repro.storage.heap import live_rows
 from repro.index.btree import BTree
 from repro.txn.mvcc import Snapshot, VersionStore
 
@@ -235,23 +236,28 @@ class IndexOrganizedTable:
                 f"{rowid} does not identify a live row of IOT {self.name}")
         return row
 
-    def fetch_or_none(self, rowid: LogicalRowId,
-                      snapshot: Optional[Snapshot] = None
-                      ) -> Optional[List[Any]]:
-        """Like :meth:`fetch` but returns None for a dead rowid.
-
-        With a ``snapshot``, the rowid's version chain wins over the
-        tree: the caller sees the row as of the snapshot's SCN.
-        """
-        if snapshot is None:
-            return self._current(rowid)
+    def fetch_batch(self, rowids: List[Any],
+                    snapshot: Optional[Snapshot] = None
+                    ) -> Tuple[List[LogicalRowId], List[List[Any]]]:
+        """``(rowids, rows)`` for the live ones of ``rowids`` in the
+        caller's order (dead, invisible and foreign ones dropped): the
+        table's one read by rowid.  Every current row is read in one
+        hold of the latch, and only then does a ``snapshot`` consult the
+        store, whose version chains win over the tree."""
+        segment_id, versions = self.segment_id, self.versions
 
         def read():
             with self._latch:  # concurrent writers restructure the tree
-                current = self._current(rowid)
-            return self.versions.resolve(rowid, current, snapshot)
+                found = [rowid for rowid in rowids
+                         if rowid.__class__ is LogicalRowId
+                         and rowid.segment_id == segment_id]
+                rows = list(map(self._current, found))
+            if snapshot is not None:
+                rows = versions.resolve_batch(found, rows, snapshot)
+            return found, rows
 
-        return self.versions.read(read, snapshot)
+        return live_rows(*(read() if snapshot is None
+                           else versions.read(read, snapshot)))
 
     def update(self, rowid: LogicalRowId, row: List[Any]) -> List[Any]:
         """Replace the payload of the row at ``rowid``; returns the old
@@ -405,11 +411,6 @@ class IndexOrganizedTable:
         rowid = LogicalRowId(self.segment_id, tuple(key_values))
         row = self._current(rowid)
         return None if row is None else (rowid, row)
-
-    def lookup(self, key_values: List[Any]) -> List[List[Any]]:
-        """Return the full rows stored under an exact key."""
-        key = tuple(key_values)
-        return [list(key) + list(p) for p in self._tree.search(key)]
 
     # -- durability support ------------------------------------------------
 

@@ -104,10 +104,10 @@ class TestRolledBackInsert:
             snapshot = engine.mvcc.take_snapshot(None)
             park = _Park(monkeypatch)
             if read == "fetch":
-                value = _read_while(
-                    park, lambda: heap.fetch_or_none(rowid, snapshot),
+                found = _read_while(
+                    park, lambda: heap.fetch_batch([rowid], snapshot),
                     writer.rollback)
-                assert value is None
+                assert found == ([], [])
             else:
                 rows = _read_while(
                     park, lambda: _scan(heap, snapshot), writer.rollback)
@@ -131,8 +131,30 @@ class TestRolledBackInsert:
                 iot.prefix_batches(["a"], snapshot=snapshot))],
             writer.rollback)
         assert rows == [["a", 1]]
-        assert iot.fetch_or_none(iot.locate(("a", 1))[0], snapshot) \
-            == ["a", 1]
+        assert iot.fetch_batch([iot.locate(("a", 1))[0]], snapshot)[1] \
+            == [["a", 1]]
+
+    def test_iot_fetch_batch(self, engine, monkeypatch):
+        """The rows of a rolled-back insert, read by rowid: the reader
+        reads the tree, parks, and must not return the bytes the
+        rollback took away."""
+        session = engine.connect()
+        session.execute("CREATE TABLE p (tok VARCHAR2(20), doc INTEGER,"
+                        " PRIMARY KEY (tok, doc)) ORGANIZATION INDEX")
+        session.execute("INSERT INTO p VALUES ('a', 1), ('b', 1)")
+        engine.prune_versions()
+        iot = engine.catalog.get_table("p").storage
+        writer = engine.connect()
+        writer.begin()
+        writer.execute("INSERT INTO p VALUES ('a', 2), (:1, 1)", [SENTINEL])
+        rowids = [iot.locate(key)[0]
+                  for key in (("a", 1), ("a", 2), (SENTINEL, 1))]
+        snapshot = engine.mvcc.take_snapshot(None)
+        park = _Park(monkeypatch)
+        found, rows = _read_while(
+            park, lambda: iot.fetch_batch(rowids, snapshot), writer.rollback)
+        assert found == rowids[:1] and rows == [["a", 1]]
+        assert engine.mvcc.stats.read_retries == 1
 
 
 class TestForgottenBase:
@@ -140,7 +162,7 @@ class TestForgottenBase:
     the slot, the update rolls back (its base stays mapped), a prune
     pass forgets the base, the reader resumes."""
 
-    @pytest.mark.parametrize("read", ["fetch", "scan", "fetch_batch"])
+    @pytest.mark.parametrize("read", ["scan", "fetch_batch"])
     def test_heap(self, engine, heap, monkeypatch, read):
         writer = engine.connect()
         writer.begin()
@@ -156,7 +178,6 @@ class TestForgottenBase:
             assert heap.versions.tracked_rowids() == []
 
         reads = {
-            "fetch": lambda: [heap.fetch_or_none(rowid, snapshot)],
             "scan": lambda: _scan(heap, snapshot),
             "fetch_batch": lambda: heap.fetch_batch([rowid], snapshot)[1],
         }
@@ -291,7 +312,7 @@ class TestLoadRolledBack:
                            [[k, SENTINEL] for k in range(3, 3 + n)])
         return writer
 
-    @pytest.mark.parametrize("read", ["fetch", "scan", "fetch_batch"])
+    @pytest.mark.parametrize("read", ["fetch_one", "scan", "fetch_batch"])
     def test_the_undo_drops_pages_under_a_reader(self, engine, heap,
                                                  monkeypatch, read):
         segment = heap.segment_id
@@ -301,15 +322,15 @@ class TestLoadRolledBack:
         snapshot = engine.mvcc.take_snapshot(None)
         park = _Park(monkeypatch)
         reads = {
-            "fetch": lambda: [heap.fetch_or_none((segment, last, 0),
-                                                 snapshot)],
+            "fetch_one": lambda: heap.fetch_batch([(segment, last, 0)],
+                                                  snapshot)[1],
             "scan": lambda: _scan(heap, snapshot),
             "fetch_batch": lambda: heap.fetch_batch(
                 [(segment, 0, 0), (segment, 0, 2), (segment, last, 0)],
                 snapshot)[1],
         }
         rows = _read_while(park, reads[read], writer.rollback)
-        expected = {"fetch": [None], "scan": [[1, "one"], [2, "two"]],
+        expected = {"fetch_one": [], "scan": [[1, "one"], [2, "two"]],
                     "fetch_batch": [(1, "one")]}[read]
         assert [row and tuple(row) for row in rows] \
             == [row and tuple(row) for row in expected]

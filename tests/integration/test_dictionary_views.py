@@ -23,9 +23,19 @@ class TestUserTables:
         assert iot_flags["resume_text_index_terms"] is True
 
     def test_views_are_read_only(self, employees_db):
-        with pytest.raises(StorageError):
-            employees_db.execute(
-                "INSERT INTO user_tables VALUES ('x','y',0,FALSE,0)")
+        """Every DML on a view is refused before a row is read, also one
+        that would change no row."""
+        for sql in ("INSERT INTO user_tables VALUES ('x','y',0,FALSE,0)",
+                    "INSERT INTO user_tables SELECT * FROM user_tables"
+                    " WHERE 1 = 0",
+                    "UPDATE user_tables SET table_name = 'x'",
+                    "DELETE FROM user_tables",
+                    "DELETE FROM user_tables WHERE table_name = 'nothing'",
+                    "TRUNCATE TABLE user_tables"):
+            with pytest.raises(StorageError, match="read-only"):
+                employees_db.execute(sql)
+        with pytest.raises(StorageError, match="read-only"):
+            employees_db.insert_rows("user_tables", [["x", "y", 0, False, 0]])
 
 
 class TestUserIndexes:
@@ -313,7 +323,7 @@ class TestOneTableOfViews:
 
     def test_concurrent_view_builds_get_distinct_segment_ids(
             self, employees_db):
-        """``fetch_or_none`` rejects another snapshot's rowids by
+        """``fetch_batch`` drops another snapshot's rowids by
         segment id, so two builds must never share one."""
         import threading
         from repro.sql.dictionary import dictionary_view

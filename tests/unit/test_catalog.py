@@ -88,6 +88,68 @@ class TestIndexes:
                                        structure=BTree()))
 
 
+class TestIndexRegistry:
+    """``indexes_on`` answers from the table's own ``index_names``; what
+    it answers is what a scan of every index in the catalog finds, in
+    the catalog's order, through DDL and a restart."""
+
+    @staticmethod
+    def _scan(catalog, table_name):
+        key = table_name.lower()
+        return [index for index in catalog.indexes.values()
+                if index.table_name.lower() == key]
+
+    def _check(self, db, names):
+        catalog = db.engine.catalog
+        for name in [*names, *catalog.tables]:
+            expected = self._scan(catalog, name)
+            got = catalog.indexes_on(name)
+            assert [i.name for i in got] == [i.name for i in expected], name
+            assert all(a is b for a, b in zip(got, expected))
+
+    def test_indexes_on_matches_a_scan_through_ddl_and_restart(
+            self, tmp_path):
+        from repro import Engine
+        from repro.cartridges.text import install
+        names = ["a", "b", "docs", "user_tables", "nothing"]
+        db = Engine(data_dir=tmp_path).connect()
+        install(db)
+        db.execute("CREATE TABLE a (x INTEGER, y INTEGER)")
+        db.execute("CREATE TABLE b (x INTEGER, y INTEGER)")
+        db.execute("CREATE TABLE docs (id INTEGER, body VARCHAR2(200))")
+        db.execute("INSERT INTO docs VALUES (1, 'oracle text index')")
+        for sql in ("CREATE INDEX a_x ON a (x)", "CREATE INDEX b_x ON b (x)",
+                    "CREATE INDEX a_y ON a (y)",
+                    "CREATE INDEX docs_body ON docs (body)"
+                    " INDEXTYPE IS TextIndexType",
+                    "CREATE UNIQUE INDEX b_y ON b (y)"):
+            db.execute(sql)
+        self._check(db, names)
+        assert [i.name for i in db.catalog.indexes_on("A")] == ["a_x", "a_y"]
+        # a view is no table: it takes no index
+        with pytest.raises(CatalogError):
+            db.execute("CREATE INDEX v ON user_tables (table_name)")
+        assert not db.catalog.has_index("v")
+        db.execute("DROP INDEX a_x")
+        db.execute("CREATE INDEX a_xy ON a (x, y)")
+        self._check(db, names)
+        db.execute("DROP TABLE b")
+        self._check(db, names)
+        assert db.catalog.indexes_on("b") == []
+        db.close()
+        db.engine.close()
+        db = Engine(data_dir=tmp_path).connect()
+        self._check(db, names)
+        assert [i.name for i in db.catalog.indexes_on("a")] \
+            == ["a_y", "a_xy"]
+        assert [i.name for i in db.catalog.indexes_on("docs")] \
+            == ["docs_body"]
+        db.execute("CREATE INDEX a_x ON a (x)")
+        self._check(db, names)
+        db.close()
+        db.engine.close()
+
+
 class TestNativeStructure:
     """``native_structure`` is the one builder of a native index's
     structure, for DDL and for recovery alike."""

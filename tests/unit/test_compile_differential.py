@@ -494,7 +494,8 @@ class TestBatchPipeline:
         assert [row for __, row in scanned(pages)] == [
             [i, "x" * 50] for i in [*range(50), *range(150, 200)]]
         assert len(pages) > 1 and all(len(rowids) > 0 for rowids, __ in pages)
-        assert [storage.fetch(rowid)[0] for rowid, __ in scanned(pages)] \
+        assert [row[0] for row in storage.fetch_batch(
+            [rowid for rowid, __ in scanned(pages)])[1]] \
             == [*range(50), *range(150, 200)]
 
     @pytest.mark.parametrize("batch_size", [1, 3, 32, 1000])

@@ -411,16 +411,31 @@ class TestResolveBatch:
         assert store.resolve_batch(["b1", "b2"], currents, after) == currents
 
 
+def _stored(engine, storage, rowid):
+    """The row stored under ``rowid`` now, read without ``fetch_batch``:
+    its heap slot, or its IOT key's row (None: dead)."""
+    if rowid.__class__ is tuple:
+        __, page_no, slot = rowid
+        slots = engine.buffer.get_page(storage.segment_id, page_no).slots
+        return slots[slot] if slot < len(slots) else None
+    found = storage.locate(rowid.key)
+    return found and found[1]
+
+
 class TestBatchFetchUnderSnapshots:
     """Index-returned rowids resolve through the batch fetch exactly as
-    through ``fetch_or_none``: rows updated, deleted or key-changed
-    after the snapshot show the snapshot's version or vanish."""
+    each rowid's stored row resolves through its version chain: rows
+    updated, deleted or key-changed after the snapshot show the
+    snapshot's version or vanish."""
 
     @pytest.fixture
-    def world(self):
+    def world(self, request):
         engine = Engine()
         writer, reader = engine.connect(), engine.connect()
-        writer.execute("CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
+        writer.execute(
+            "CREATE TABLE t (k INTEGER, v VARCHAR2(20), PRIMARY KEY (k))"
+            " ORGANIZATION INDEX" if getattr(request, "param", "heap")
+            == "iot" else "CREATE TABLE t (k INTEGER, v VARCHAR2(20))")
         writer.insert_rows("t", [[i, f"v{i}"] for i in range(400)])
         writer.execute("CREATE INDEX t_k ON t(k)")
         writer.execute("COMMIT")
@@ -436,13 +451,17 @@ class TestBatchFetchUnderSnapshots:
         writer.execute("UPDATE t SET v = 'in flight' WHERE k = 5")
         return engine, writer, reader, storage, rowids, old
 
+    @pytest.mark.parametrize("world", ["heap", "iot"], indirect=True)
     def test_batch_equals_row_at_a_time_for_every_snapshot(self, world):
         engine, writer, reader, storage, rowids, old = world
         rowids = rowids + [r for r, __ in scanned(storage.scan_batches())
                            if r not in rowids]  # plus the late insert
         for snapshot in (old, engine.mvcc.take_snapshot(None), None):
-            expected = [(rowid, storage.fetch_or_none(rowid, snapshot))
+            expected = [(rowid, _stored(engine, storage, rowid))
                         for rowid in rowids]
+            if snapshot is not None:
+                expected = [(rowid, storage.versions.resolve(
+                    rowid, row, snapshot)) for rowid, row in expected]
             expected = [(rowid, row) for rowid, row in expected
                         if row is not None]
             found, rows = storage.fetch_batch(rowids, snapshot)
@@ -481,8 +500,8 @@ class TestBatchFetchUnderSnapshots:
         writer.execute("TRUNCATE TABLE t")
         snapshot = engine.mvcc.take_snapshot(None)
         assert storage.fetch_batch(rowids, snapshot) == ([], [])
-        assert [storage.fetch_or_none(r, snapshot) for r in rowids[:3]] \
-            == [None, None, None]
+        assert [storage.fetch_batch([r], snapshot) for r in rowids[:3]] \
+            == [([], [])] * 3
 
 
 class TestManager:

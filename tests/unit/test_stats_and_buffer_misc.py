@@ -53,7 +53,7 @@ class TestBufferResidency:
         rids = [table.insert_bulk([[big]])[0] for __ in range(6)]
         # the earliest page must have been evicted
         assert not cache.resident(table.segment_id, 0)
-        table.fetch(rids[0])  # brings it back
+        table.fetch_batch(rids[:1])  # brings it back
         assert cache.resident(table.segment_id, 0)
 
     def test_capacity_validated(self):
@@ -100,10 +100,10 @@ class TestRowidBatchIO:
         assert stats.logical_reads - before == len(pages)
         assert found == rowids
         assert [row[0] for row in rows] == list(range(60))
-        # per rowid, the same lookup costs one read each
+        # a batch per rowid costs one read each
         before = stats.logical_reads
         for rowid in rowids:
-            table.fetch_or_none(rowid)
+            table.fetch_batch([rowid])
         assert stats.logical_reads - before == len(rowids)
 
     def test_probe_order_is_kept_and_repeats_share_the_page(self, paged):
@@ -127,7 +127,7 @@ class TestRowidBatchIO:
         found, rows = table.fetch_batch(probe)
         assert found == [rowids[4], rowids[6]]
         assert [row[0] for row in rows] == [4, 6]
-        assert [table.fetch_or_none(r) is not None for r in probe] \
+        assert [table.fetch_batch([r]) != ([], []) for r in probe] \
             == [True, False, False, False, False, True]
         table.truncate()
         assert table.fetch_batch(rowids) == ([], [])

@@ -27,13 +27,12 @@ def table(buffer_cache):
 class TestInsertFetch:
     def test_roundtrip(self, table):
         rid = table.insert_bulk([["hello", 42]])[0]
-        assert table.fetch(rid) == ("hello", 42)
+        assert table.fetch_batch([rid]) == ([rid], [("hello", 42)])
 
     def test_rowids_are_stable_and_distinct(self, table):
         rids = [table.insert_bulk([[i]])[0] for i in range(100)]
         assert len(set(rids)) == 100
-        for i, rid in enumerate(rids):
-            assert table.fetch(rid) == (i,)
+        assert table.fetch_batch(rids) == (rids, [(i,) for i in range(100)])
 
     def test_row_count(self, table):
         for i in range(10):
@@ -46,16 +45,16 @@ class TestInsertFetch:
             table.insert_bulk([[big]])
         assert table.page_count > 1
 
-    def test_fetch_foreign_rowid_raises(self, table, buffer_cache):
+    def test_fetch_batch_drops_foreign_rowids(self, table, buffer_cache):
         other = HeapTable(buffer_cache, name="u")
         rid = other.insert_bulk([[1]])[0]
-        with pytest.raises(InvalidRowIdError):
-            table.fetch(rid)
+        mine = table.insert_bulk([[2]])[0]
+        assert table.fetch_batch([rid, mine]) == ([mine], [(2,)])
 
-    def test_fetch_or_none_for_deleted(self, table):
+    def test_fetch_batch_drops_deleted(self, table):
         rid = table.insert_bulk([[1]])[0]
         table.delete(rid)
-        assert table.fetch_or_none(rid) is None
+        assert table.fetch_batch([rid]) == ([], [])
 
 
 class TestUpdateDelete:
@@ -63,18 +62,17 @@ class TestUpdateDelete:
         rid = table.insert_bulk([["a"]])[0]
         old = table.update(rid, ["b"])
         assert old == ("a",)
-        assert table.fetch(rid) == ("b",)
+        assert table.fetch_batch([rid])[1] == [("b",)]
 
     def test_update_keeps_rowid(self, table):
         rid = table.insert_bulk([["a"]])[0]
         table.update(rid, ["b" * 100])
-        assert table.fetch(rid) == ("b" * 100,)
+        assert table.fetch_batch([rid])[1] == [("b" * 100,)]
 
     def test_delete_returns_old(self, table):
         rid = table.insert_bulk([["gone"]])[0]
         assert table.delete(rid) == ("gone",)
-        with pytest.raises(InvalidRowIdError):
-            table.fetch(rid)
+        assert table.fetch_batch([rid]) == ([], [])
 
     def test_delete_twice_raises(self, table):
         rid = table.insert_bulk([[1]])[0]
@@ -86,7 +84,7 @@ class TestUpdateDelete:
         rid = table.insert_bulk([[7]])[0]
         table.delete(rid)
         table.undelete(rid, [7])
-        assert table.fetch(rid) == (7,)
+        assert table.fetch_batch([rid])[1] == [(7,)]
 
     def test_undelete_live_slot_raises(self, table):
         rid = table.insert_bulk([[7]])[0]
@@ -97,7 +95,7 @@ class TestUpdateDelete:
         first = table.insert_bulk([[1]])[0]
         second = table.insert_bulk([[2]])[0]
         table.delete(first)
-        assert table.fetch(second) == (2,)
+        assert table.fetch_batch([first, second]) == ([second], [(2,)])
 
 
 class TestScan:
@@ -146,7 +144,7 @@ class TestBufferAccounting:
         rid = table.insert_bulk([["x" * 100]])[0]
         buffer_cache.clear()
         before = stats.physical_reads
-        table.fetch(rid)
+        table.fetch_batch([rid])
         assert stats.physical_reads == before + 1
 
 

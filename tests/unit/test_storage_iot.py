@@ -32,10 +32,11 @@ class TestBasics:
         rid = iot.insert([7, "seven"])
         assert iot.fetch(rid) == [7, "seven"]
 
-    def test_fetch_or_none_dead_surrogate(self, iot):
+    def test_fetch_batch_drops_a_dead_surrogate(self, iot):
         rid = iot.insert([7, "x"])
+        live = iot.insert([8, "y"])
         iot.delete(rid)
-        assert iot.fetch_or_none(rid) is None
+        assert iot.fetch_batch([rid, live]) == ([live], [[8, "y"]])
 
     def test_duplicate_key_rejected_when_unique(self, iot):
         iot.insert([1, "a"])
@@ -62,12 +63,13 @@ class TestBasics:
 
 
 class TestCompositeKey:
-    def test_lookup_exact(self, iot2):
+    def test_locate_exact(self, iot2):
         iot2.insert(["oracle", 1, 3])
         iot2.insert(["oracle", 2, 1])
         iot2.insert(["unix", 1, 2])
-        rows = iot2.lookup(["oracle", 1])
-        assert rows == [["oracle", 1, 3]]
+        rowid, row = iot2.locate(["oracle", 1])
+        assert rowid.key == ("oracle", 1) and row == ["oracle", 1, 3]
+        assert iot2.locate(["oracle", 3]) is None
 
     def test_key_range_scan_prefix(self, iot2):
         iot2.insert(["apple", 1, 0])
@@ -136,7 +138,7 @@ class TestUpdateDelete:
                     (iot.segment_id, 0, 1)):
             with pytest.raises(InvalidRowIdError):
                 iot.fetch(rid)
-            assert iot.fetch_or_none(rid) is None
+            assert iot.fetch_batch([rid]) == ([], [])
 
     def test_replaying_a_delete_of_an_absent_row_is_a_no_op(self, iot):
         iot.insert([1, "x"])
@@ -157,7 +159,7 @@ class TestAccounting:
         for key in range(200):
             iot.insert([key, "v"])
         before = stats.logical_reads
-        iot.lookup([150])
+        iot.locate([150])
         assert stats.logical_reads > before
 
     def test_page_count_grows(self, iot):

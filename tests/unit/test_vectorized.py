@@ -478,9 +478,9 @@ class TestLazyPageRowIds:
                    for ln in reader.explain("SELECT rowid, id FROM t"
                                             " WHERE id < 50"))
         snapshot = engine.mvcc.take_snapshot(None)
-        assert [storage.fetch_or_none(rowid, snapshot)[0]
-                for rowid, __ in rows] == [i for __, i in rows] \
-            == list(range(50))
+        assert [row[0] for row in storage.fetch_batch(
+                [rowid for rowid, __ in rows], snapshot)[1]] \
+            == [i for __, i in rows] == list(range(50))
         assert [rowid for rowid, __ in rows] \
             == [rowid for rowid, __ in scanned(storage.scan_batches())][:50]
         writer.commit()
