@@ -157,10 +157,7 @@ class CallbackSession:
         base-table values by the calling routine.  An index-organized
         table takes the load as two aligned columns — ``rows`` the key
         tuples, ``payloads`` the payload tuples — so the routine builds
-        no row per entry; only each column's arity is checked.  A heap
-        always takes the fast path; an index-organized table only while
-        it and its native indexes are empty, and degrades to
-        :meth:`insert_rows` otherwise.
+        no row per entry; only each column's arity is checked.
         ``presorted`` promises strictly increasing key order (verified
         by the storage layer).
         """

@@ -104,7 +104,7 @@ def index_key(row: List[Any], positions: List[int]) -> Any:
     indexed, Oracle semantics); a bare value for single-column keys.
     """
     values = [row[p] for p in positions]
-    if any(is_null(v) for v in values):
+    if any(map(is_null, values)):
         return None
     return values[0] if len(values) == 1 else tuple(values)
 

@@ -81,31 +81,42 @@ def _structure_unload(structure, pairs) -> None:
 
 def _undo_change(durability, txn, table_key, storage, op, rowid, rid,
                  old, new, version, prev_lsn) -> None:
-    """Roll back one row change (or a whole load, ``op="bulk_insert"``,
-    ``rid`` the heap's mark): restore the slot as the change's CLR says,
-    log that CLR when the engine is durable, then unlink the change's
-    row version — after the slot, so no snapshot resolves past a chain
-    to an unrestored slot.  ``prev_lsn`` is the transaction's last LSN
-    before the change."""
+    """Roll back one row change (or a heap's insert batch,
+    ``op="bulk_insert"``, ``rid`` its mark): restore the slot as the
+    change's CLR says, log that CLR when the engine is durable, then
+    unlink the change's row version — after the slot, so no snapshot
+    resolves past a chain to an unrestored slot.  ``prev_lsn`` is the
+    transaction's last LSN before the change."""
     clr = clr_record(txn.txn_id, table_key, op, rid, old, new,
                      txn.last_lsn, prev_lsn)
     comp = clr["op"]
-    if comp == "delete":
-        storage.delete(rowid)
-    elif comp == "insert":
+    if comp == "insert":
         storage.undelete(rowid, clr["new"])
     elif comp == "update":
         storage.update(rowid, clr["new"])
-    elif rid is not None:
-        storage.cut_to(rid)
     else:
-        storage.truncate()
+        storage.cut_to(rid)
     if durability is not None:
         # a dead log fails no rollback: restart undoes what it holds
         with suppress(WALError):
             durability.log_change(txn, storage, clr)
     if version is not None:
         storage.versions.pop(rowid, version)
+
+
+def _undo_iot_batch(durability, txn, table_key, storage, rowids, rows,
+                    chained, prev_lsn) -> None:
+    """Roll back one IOT insert batch: its keys leave the tree and its
+    fence, and the versions it chained over ghosts go
+    (:meth:`~repro.storage.iot.IndexOrganizedTable.delete_bulk`); then
+    its ``bulk_delete`` CLR of ``rows`` is logged when the engine is
+    durable."""
+    clr = clr_record(txn.txn_id, table_key, "bulk_insert", None, None,
+                     rows, txn.last_lsn, prev_lsn)
+    storage.delete_bulk(rowids, chained)
+    if durability is not None:
+        with suppress(WALError):
+            durability.log_change(txn, storage, clr)
 
 
 #: kind -> (array routine, scalar routine, array method)
@@ -426,15 +437,15 @@ class DMLEngine:
                     rows: Sequence[Sequence[Any]],
                     payloads: Optional[Sequence[Tuple[Any, ...]]] = None,
                     presorted: bool = False) -> int:
-        """Direct-path load: bulk-append ``rows`` without row validation.
+        """Direct-path load: insert ``rows`` as one unvalidated batch.
 
         Oracle's direct-path insert for index data tables: the caller (a
         cartridge's ``ODCIIndexCreate``/REBUILD routine) built the values
         from already-validated base-table values, so no per-row type
-        coercion runs.  An IOT target may take its two columns instead —
-        ``rows`` the key tuples, ``payloads`` the aligned payload tuples
-        — so no row is built per entry.  An IOT that :meth:`_load`
-        does not append to takes the validated per-row path."""
+        coercion runs; only each row's arity is checked.  An IOT target
+        may take its two columns instead — ``rows`` the key tuples,
+        ``payloads`` the aligned payload tuples — so no row is built per
+        entry."""
         table = self._table(table_name, "insert")
         if payloads is not None and not table.is_iot:
             raise ExecutionError(f"{table.name} is a heap table: only an "
@@ -444,55 +455,31 @@ class DMLEngine:
     def _load(self, table: TableDef, rows: Sequence[Sequence[Any]],
               payloads: Optional[Sequence[Tuple[Any, ...]]],
               validate: Optional[bool], presorted: bool) -> List[RowId]:
-        """One statement inserting ``rows``; returns their rowids.  A
-        heap appends them.  An IOT has no high-water mark (its keys
-        interleave): it appends only many rows into an empty one with no
-        chain, fence or native index entry, else goes row by row.
-        ``validate`` True validates each row, False (direct path) only
-        row by row, None takes rows validated already."""
-        storage = table.storage
-
-        def body(txn) -> List[RowId]:
-            if rows and not (
-                    table.is_iot and (len(rows) < 2 or storage.row_count
-                                      or not storage.versions.clean)):
-                indexes = self.db.catalog.indexes_on(table.name)
-                if not table.is_iot or not any(
-                        index.structure.entry_count for index in indexes
-                        if not index.is_domain):
-                    return self._insert_bulk(table, rows, indexes, txn,
-                                             validate, presorted, payloads)
-            rowids = []
-            for values in (rows if payloads is None
-                           else list(map(add, rows, payloads))):
-                if validate is not None:
-                    values = self.validate_row(table, values)
-                rowids.append(
-                    self.change_physical(table, None, None, values, txn))
-            return rowids
-
-        return self.run_maintained(table, body)
+        """One statement inserting ``rows`` into a heap or an IOT, empty
+        or not, as one :meth:`_insert_bulk` batch; returns the rowids."""
+        return self.run_maintained(table, lambda txn: self._insert_bulk(
+            table, rows, txn, validate, presorted, payloads) if rows else [])
 
     def _insert_bulk(self, table: TableDef, rows: Sequence[Sequence[Any]],
-                     indexes: List[Any], txn, validate: Optional[bool],
-                     presorted: bool,
+                     txn, validate: Optional[bool], presorted: bool,
                      payloads: Optional[Sequence[Tuple[Any, ...]]]
                      ) -> List[RowId]:
-        """Append ``rows`` under one fence per transaction, one undo
-        entry (a heap cut back to its mark, an IOT emptied) and one WAL
-        record, batch-insert each native index with one undo entry, and
-        queue the rows for the domain ones; returns the rowids.  An IOT
-        loads key and payload columns: ``rows`` are the keys when
-        ``payloads`` is given, else the rows are split here, once.
-        ``validate=False`` checks only each column's arity."""
+        """Insert ``rows`` as one batch under one fence per transaction,
+        with one undo entry and one WAL record, batch-insert each native
+        index with one undo entry, and queue the rows for the domain
+        ones; returns the rowids.  An IOT takes key and payload columns:
+        ``rows`` are the keys when ``payloads`` is given, else the rows
+        are split here, once.  ``validate`` True validates each row,
+        False checks only each column's arity, None trusts the rows."""
         storage = table.storage
         n_cols = len(table.columns)
+        iot = table.is_iot
         if validate:
             rows = [self.validate_row(table, values) for values in rows]
         elif not isinstance(rows, list):
             rows = list(rows)  # no per-row copy: storage copies on write
         keys, shapes = rows, [(rows, n_cols)]
-        if table.is_iot:
+        if iot:
             kw = storage.key_width
             if payloads is None:
                 keys = list(map(tuple, map(itemgetter(slice(kw)), rows)))
@@ -506,25 +493,36 @@ class DMLEngine:
             raise ExecutionError(f"{table.name} direct load: every entry "
                                  f"must have {n_cols} values")
         versions = storage.versions
-        mark = None if table.is_iot else storage.high_water_mark()
-        # snapshots older than this txn's commit see no row it loads
+        mark = None if iot else storage.high_water_mark()
+        # snapshots older than this txn's commit see no row it inserts
         fence = versions.set_fence(txn, mark)
-        # the fence commit stamps counts toward the prune pass for a row
-        txn.loaded += len(keys) - (fence is not None)
         if fence is not None:
             txn.track_version(fence)
             txn.record_undo(versions.drop_fence, fence)
-        rowids = storage.insert_bulk(keys, payloads, presorted) \
-            if table.is_iot else storage.insert_bulk(rows)
+        if iot:
+            rowids, chained = storage.insert_bulk(keys, payloads, txn,
+                                                  presorted)
+            for __, version in chained:
+                txn.track_version(version)
+            self.db.engine.mvcc.stats.versions_created += len(chained)
+        else:
+            rowids, chained = storage.insert_bulk(rows), ()
+        # the fence commit stamps counts toward the prune pass for a row
+        txn.loaded += len(keys) - len(chained) - (fence is not None)
         durability = self.db.engine.durability
+        indexes = self.db.catalog.indexes_on(table.name)
         if rows is None and (durability is not None or indexes):
             rows = list(map(add, keys, payloads))
-        txn.record_undo(_undo_change, durability, txn, table.key, storage,
-                        "bulk_insert", None, mark, None, None, None,
-                        txn.last_lsn)
+        if iot:
+            txn.record_undo(_undo_iot_batch, durability, txn, table.key,
+                            storage, rowids, rows, chained, txn.last_lsn)
+        else:
+            txn.record_undo(_undo_change, durability, txn, table.key,
+                            storage, "bulk_insert", None, mark, None, None,
+                            None, txn.last_lsn)
         if durability is not None:
             durability.log_bulk(txn, table.key, storage, rows,
-                                None if table.is_iot else rowids, mark)
+                                None if iot else rowids, mark)
         for index in indexes:
             positions = [table.column_position(c)
                          for c in index.column_names]
@@ -549,32 +547,30 @@ class DMLEngine:
     # ------------------------------------------------------------------
 
     def maintain(self, table: TableDef, rowid: RowId,
-                 old_row: Optional[Sequence[Any]],
-                 new_row: Optional[Sequence[Any]],
+                 old_row: Sequence[Any], new_row: Optional[Sequence[Any]],
                  txn) -> None:
-        """Carry one row change to every index on ``table``.
+        """Carry one row UPDATE or DELETE (no ``new_row``) to every
+        index on ``table``.
 
-        An insert has no ``old_row``, a delete no ``new_row``.  A native
-        index moves the rowid from the old key to the new one when they
-        differ (NULL keys are not indexed), with undo.  A domain index
-        whose indexed columns changed gets one entry on the statement's
-        queue, dispatched by :meth:`_flush` when the statement ends.
+        A native index moves the rowid from the old key to the new one
+        when they differ (NULL keys are not indexed), with undo.  A
+        domain index whose indexed columns changed gets one entry on the
+        statement's queue, dispatched by :meth:`_flush` when the
+        statement ends.
         """
         db = self.db
-        kind = ("insert" if old_row is None
-                else "delete" if new_row is None else "update")
+        kind = "delete" if new_row is None else "update"
         for index in db.catalog.indexes_on(table.name):
             positions = [table.column_position(c)
                          for c in index.column_names]
             if index.is_domain:
                 values = [[row[p] for p in positions]
                           for row in (old_row, new_row) if row is not None]
-                if kind != "update" or values[0] != values[1]:
+                if kind == "delete" or values[0] != values[1]:
                     self._queue_domain(index, kind, [(rowid, *values)])
                 continue
             structure = index.structure
-            old_key = (None if old_row is None
-                       else index_key(old_row, positions))
+            old_key = index_key(old_row, positions)
             new_key = (None if new_row is None
                        else index_key(new_row, positions))
             if old_key == new_key:
@@ -689,7 +685,7 @@ class DMLEngine:
                 else self.prepare(stmt, binds)
             table, storage = target.table, target.table.storage
             # an IOT row's rowid is its key: one whose key changes is
-            # deleted and inserted under the new key
+            # deleted and inserted under the new key, a one-row batch
             key_width = storage.key_width if table.is_iot else 0
             count = 0
             for rowid, *values in list(Executor(db, binds).run(target.plan)):
@@ -710,49 +706,37 @@ class DMLEngine:
                 new_row = self.validate_row(table, new_row)
                 if new_row[:key_width] != tuple(old_row[:key_width]):
                     self.change_physical(table, rowid, old_row, None, txn)
-                    self.change_physical(table, None, None, new_row, txn)
+                    self._insert_bulk(table, [new_row], txn, None, False,
+                                      None)
                     continue
                 self.change_physical(table, rowid, old_row, new_row, txn)
             return count
 
         return Cursor(rowcount=self.run_maintained(prepared.table, body))
 
-    def change_physical(self, table: TableDef, rowid: Optional[RowId],
-                        old_row: Optional[Sequence[Any]],
-                        new_row: Optional[Sequence[Any]], txn) -> RowId:
-        """Apply one row change and return its rowid: insert ``new_row``
-        into an IOT (no ``old_row``; a heap appends in :meth:`_load`),
-        update the row at ``rowid`` in place, or delete it (no
-        ``new_row``).  Chains the row version, mutates storage, records
-        the change's one undo entry, logs the change on a durable engine
-        and maintains the indexes.  ``old_row`` is the row as fetched
-        and ``new_row`` one :meth:`validate_row` tuple: each is the
-        stored row, its version, its log image and what maintenance
-        reads, changed by nothing."""
+    def change_physical(self, table: TableDef, rowid: RowId,
+                        old_row: Sequence[Any],
+                        new_row: Optional[Sequence[Any]], txn) -> None:
+        """Update the row at ``rowid`` in place, or delete it (no
+        ``new_row``); every insert is a batch (:meth:`_insert_bulk`).
+        Chains the row version, mutates storage, records the change's
+        one undo entry, logs the change on a durable engine and
+        maintains the indexes.  ``old_row`` is the row as fetched and
+        ``new_row`` one :meth:`validate_row` tuple: each is the stored
+        row, its version, its log image and what maintenance reads,
+        changed by nothing."""
         storage = table.storage
-        version = None
-
-        def chain(rid):
-            # the uncommitted version is chained before any snapshot
-            # reader can see the change (before the slot or tree
-            # mutates; an insert, inside the latch hold in which the
-            # IOT's tree takes the entry): a racing reader resolves
-            # through the chain, never through the raw slot
-            nonlocal version
-            version = storage.versions.push(rid, new_row, old_row, txn)
-            txn.track_version(version)
-            self.db.engine.mvcc.stats.versions_created += 1
-
-        if old_row is None:
-            op = "insert"
-            rowid = storage.insert(new_row, on_rowid=chain)
+        op = "delete" if new_row is None else "update"
+        # the uncommitted version is chained before the slot or tree
+        # mutates: a racing reader resolves through the chain, never
+        # through the raw slot
+        version = storage.versions.push(rowid, new_row, old_row, txn)
+        txn.track_version(version)
+        self.db.engine.mvcc.stats.versions_created += 1
+        if new_row is None:
+            storage.delete(rowid)
         else:
-            op = "delete" if new_row is None else "update"
-            chain(rowid)
-            if new_row is None:
-                storage.delete(rowid)
-            else:
-                storage.update(rowid, new_row)
+            storage.update(rowid, new_row)
         durability = self.db.engine.durability
         # IOT rows are logged logically (a row carries its key, which is
         # its rowid); heap rows physiologically by (segment, page, slot)
@@ -768,4 +752,3 @@ class DMLEngine:
             durability.log_row(txn, table.key, storage, op, rid, old_row,
                                new_row)
         self.maintain(table, rowid, old_row, new_row, txn)
-        return rowid

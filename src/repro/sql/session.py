@@ -491,17 +491,12 @@ class Session:
                     rows: Sequence[Sequence[Any]],
                     payloads: Optional[Sequence[Tuple[Any, ...]]] = None,
                     presorted: bool = False) -> int:
-        """Direct-path load of cartridge-built rows (no row validation).
-
-        A heap takes the rows above its high-water mark, whatever it
-        holds; an index-organized table only while it and its native
-        B-trees are empty — the shape of an index data table being
-        populated by ``ODCIIndexCreate``/REBUILD — and through
-        :meth:`insert_rows` otherwise.  An index-organized table may be
-        loaded as two aligned columns:
-        ``rows`` its key tuples and ``payloads`` its payload tuples.
-        ``presorted`` additionally promises strictly increasing key
-        order for key-organized storage (skips the load-time sort).
+        """Direct-path load of cartridge-built rows (no row validation),
+        one batch like any insert.  An index-organized table may be
+        loaded as two aligned columns: ``rows`` its key tuples and
+        ``payloads`` its payload tuples.  ``presorted`` additionally
+        promises strictly increasing key order for key-organized
+        storage (skips the sort when the table is empty).
         """
         self._bind()
         return self.dml.direct_load(table_name, rows, payloads, presorted)

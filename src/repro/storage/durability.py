@@ -64,11 +64,10 @@ def clr_record(txn_id: int, table_key: str, op: str, rid: Any,
     ``op``, ``rid``, ``old`` and ``new`` are the change's, as its ``U``
     record carries them.  The CLR is the compensating change, logged as
     redo: an insert is undone by a delete, a delete by an insert, an
-    update by an update with the images swapped, and a bulk load by a
-    truncate back to the load's high-water mark, which both records
-    carry as ``rid`` (None for an IOT, whose load went into an empty
-    table and is undone by emptying it).  ``prev`` chains it into the
-    transaction's records, and
+    update by an update with the images swapped, and an insert batch
+    by a truncate back to a heap's high-water mark, which both records
+    carry as ``rid``, or by a ``bulk_delete`` of the rows an IOT's
+    carries.  ``prev`` chains it into the transaction's records, and
     ``undo_next`` is the change's own ``prev`` — the ARIES trick that
     makes a repeated undo skip already-compensated work.
     """
@@ -79,7 +78,8 @@ def clr_record(txn_id: int, table_key: str, op: str, rid: Any,
     elif op == "update":
         old, new = new, old
     elif op == "bulk_insert":
-        op, old, new = "truncate", None, None
+        op, old, new = ("truncate", None, None) if rid is not None \
+            else ("bulk_delete", new, None)
     else:
         raise ValueError(f"cannot compensate op {op!r}")
     return {"t": REC_CLR, "x": txn_id, "tb": table_key, "op": op,
@@ -179,11 +179,8 @@ class DurabilityManager:
         """Append ``txn``'s row-change record or CLR (:func:`clr_record`)
         and stamp the page or IOT it changed with the record's LSN (a
         heap's truncate back to a mark stamps the mark's page, if the
-        cut left it; an IOT's truncate stamps nothing)."""
+        cut left it)."""
         rid = payload["rid"]
-        if rid is None and payload["op"] == "truncate":
-            self._append(txn, payload)
-            return
         if rid is None:
             self._note_iot_dirty(storage.segment_id)
         lsn = self._append(txn, payload)

@@ -13,9 +13,10 @@ no state per row outside its tree, and a rowid read before a restart
 finds the same row after it.  An update never changes the key (the DML
 layer deletes and re-inserts a row whose key changes).
 
-A row costs the tree one key tuple and one payload tuple, and a load
-hands them over as two columns (:meth:`IndexOrganizedTable.insert_bulk`)
-— no row is built to be split.  A row handed out one at a time is a
+A row costs the tree one key tuple and one payload tuple, and every
+insert hands them over as two columns
+(:meth:`IndexOrganizedTable.insert_bulk`) — no row is built to be
+split.  A row handed out one at a time is a
 fresh list; a scan hands its rows over as columns instead
 (:meth:`IndexOrganizedTable.prefix_batches`; a full scan is the empty
 prefix), with no object per row.
@@ -32,7 +33,7 @@ from repro.errors import ConstraintError, InvalidRowIdError
 from repro.storage.buffer import BufferCache
 from repro.storage.heap import live_rows
 from repro.index.btree import BTree
-from repro.txn.mvcc import Snapshot, VersionStore
+from repro.txn.mvcc import KeyedVersionStore, Snapshot
 
 
 def _by_sort_key(op: Callable[[Any, Any], bool]):
@@ -156,8 +157,9 @@ class IndexOrganizedTable:
         self.applied_lsn = 0
         #: True when the tree changed since the last durable dump
         self.dump_dirty = False
-        #: MVCC version chains keyed by logical rowid
-        self.versions = VersionStore()
+        #: MVCC version chains keyed by logical rowid; its fences cover
+        #: the keys inserted under them
+        self.versions = KeyedVersionStore()
         #: *ghosts*: the keys some snapshot may still see a row under
         #: although the tree no longer holds one (deleted, and not
         #: re-inserted).  Snapshot scans walk them with the same bounds
@@ -175,49 +177,58 @@ class IndexOrganizedTable:
         kw = self.key_width
         return tuple(row[:kw]), tuple(row[kw:])
 
-    def insert(self, row: List[Any], on_rowid=None) -> LogicalRowId:
-        """Insert ``row``; its first ``key_width`` values form the key.
-
-        ``on_rowid`` (MVCC) is invoked with the rowid once the tree has
-        accepted the entry, under the same hold of the structure latch
-        that snapshot scans read the tree under: a scan either misses
-        the entry or finds its version chain already registered — never
-        a bare uncommitted row.  A duplicate key raises before
-        ``on_rowid`` runs, so a refused insert chains no version over
-        the committed row under that key.
-        """
-        key, payload = self._split_row(row)
-        rid = LogicalRowId(self.segment_id, key)
-        with self._latch:
-            self._tree.insert(key, payload)
-            if on_rowid is not None:
-                on_rowid(rid)
-            self._drop_ghost(key)
-        self.buffer.stats.logical_writes += 1
-        return rid
-
     def insert_bulk(self, keys: List[Tuple[Any, ...]],
-                    payloads: List[Tuple[Any, ...]],
-                    presorted: bool = False) -> KeyRowIds:
-        """Load aligned key and payload tuples via the B-tree's sorted
-        bulk build; returns the rowids in input order.
-
-        Only valid on an empty IOT whose version store has no chains
-        (callers gate on both), so no snapshot can see a ghost and the
-        load drops them all.  ``presorted`` promises strictly increasing
-        keys (verified by the tree): no sort, no duplicate grouping.
-        """
-        if self._tree.entry_count:
-            raise ConstraintError(
-                f"bulk load requires empty IOT {self.name}")
+                    payloads: List[Tuple[Any, ...]], txn: Any,
+                    presorted: bool = False) -> Tuple[KeyRowIds, list]:
+        """Insert aligned key and payload tuples as ``txn``'s batch;
+        returns the rowids in input order and the ``(rowid, version)``
+        pairs chained over ghosts.  A key already in the tree, or twice
+        in the batch, raises :class:`ConstraintError` with table and
+        store as they were.  A key over a ghost keeps a pushed version,
+        and every other key joins ``txn``'s fence (the caller registered
+        it), in the latch hold the tree takes the entries in: a snapshot
+        scan misses an entry or finds it fenced or chained.
+        An empty tree is built bottom-up; ``presorted`` then promises
+        strictly increasing keys (verified by the tree): no sort."""
+        tree, ghosts, segment_id = self._tree, self._ghosts, self.segment_id
+        chained = []
         with self._latch:
-            if presorted:
-                self._tree.bulk_load_sorted(keys, payloads)
+            if tree.entry_count:
+                tree.insert_batch(list(zip(keys, payloads)))
+            elif presorted:
+                tree.bulk_load_sorted(keys, payloads)
             else:
-                self._tree.bulk_load_columns(keys, payloads)
-            self._ghosts.clear()
+                tree.bulk_load_columns(keys, payloads)
+            fresh = keys
+            if ghosts.entry_count:
+                fresh = []
+                for key, payload in zip(keys, payloads):
+                    if not ghosts.delete(key):
+                        fresh.append(key)
+                    else:
+                        rowid = LogicalRowId(segment_id, key)
+                        chained.append((rowid, self.versions.push(
+                            rowid, key + payload, None, txn)))
+            self.versions.fence_keys(txn, fresh)
         self.buffer.stats.logical_writes += len(keys)
-        return KeyRowIds(self.segment_id, keys)
+        return KeyRowIds(segment_id, keys), chained
+
+    def delete_bulk(self, rowids: KeyRowIds, chained: list) -> None:
+        """Undo :meth:`insert_bulk`: the batch's keys leave the tree (a
+        key over a ghost is a ghost again), then — so no snapshot
+        resolves past them to an entry still there — their fence entries
+        and chained versions go."""
+        over_ghosts = {rowid.key for rowid, __ in chained}
+        with self._latch:
+            for key in over_ghosts:
+                self._ghosts.insert(key, None)
+            delete = self._tree.delete
+            for key in rowids.keys:
+                delete(key)
+        self.versions.unfence([key for key in rowids.keys
+                               if key not in over_ghosts])
+        for rowid, version in chained:
+            self.versions.pop(rowid, version)
 
     def _current(self, rowid: Any) -> Optional[List[Any]]:
         """The row stored under ``rowid``'s key, or None (also for a
@@ -290,14 +301,7 @@ class IndexOrganizedTable:
         key, payload = self._split_row(row)
         with self._latch:
             self._tree.insert(key, payload)
-            self._drop_ghost(key)
-
-    def delete_by_key(self, key_values: List[Any]) -> int:
-        """Delete the row stored under a full key; returns the count."""
-        with self._latch:
-            removed = int(self._tree.delete(tuple(key_values)))
-        self.buffer.stats.logical_writes += removed
-        return removed
+            self._ghosts.delete(key)
 
     def truncate(self) -> None:
         """Discard every row."""
@@ -479,12 +483,6 @@ class IndexOrganizedTable:
         return max(1, self._tree.entry_count // 32)
 
     # -- ghosts ---------------------------------------------------------------
-
-    def _drop_ghost(self, key: Tuple[Any, ...]) -> None:
-        """``key`` is back in the tree: the tree walk finds its row
-        again (caller holds the latch)."""
-        if self._ghosts.entry_count:
-            self._ghosts.delete(key)
 
     def prune(self, lwm: int, stats=None) -> int:
         """:meth:`VersionStore.prune` for this table's store, then drop

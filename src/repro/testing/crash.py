@@ -13,9 +13,9 @@ directory, run restart recovery, and check the ACID ledger:
   ROLLBACK, and some roll back to a savepoint before they commit: what
   a rollback undid must stay undone after recovery, which replays the
   compensation records the rollback logged.  Some transactions load a
-  few pages of rows into the table the earlier ones filled with one
-  ``executemany`` (a bulk append above its high-water mark), and some
-  of those loads are rolled back to a savepoint.
+  few pages of rows into ``h`` and a few keys into the IOT ``kv``, each
+  with one ``executemany`` (above ``h``'s high-water mark, between the
+  other loads' keys); some of those loads are rolled back to a savepoint.
 * **Consistency** — shared counters equal the number of recovered
   transactions that incremented them; native-index lookups agree with
   full scans; a transaction-snapshot read agrees with a current read.
@@ -106,6 +106,12 @@ class TxnPlan:
         """The (n, v) rows the transaction's load inserts into h."""
         return [(n, (n * 7 + self.index) % 1000)
                 for n in range(LOAD_BASE, LOAD_BASE + self.load_rows)]
+
+    def loaded_kv(self) -> List[int]:
+        """The kv keys (payload: the plan's index) its load inserts:
+        ``40 000 + 100 j + index``, between every other plan's keys."""
+        return [40_000 + 100 * j + self.index
+                for j in range(4)] if self.load else []
 
     def expected_h_rows(self) -> Dict[int, int]:
         """Final (n -> v) content of h for this txn, if it committed."""
@@ -247,6 +253,9 @@ def run_child(data_dir: str, seed: int, kind: str, nth: int) -> None:
                     session.executemany(
                         "INSERT INTO h VALUES (:1, :2, :3)",
                         [[plan.tag, n, v] for n, v in plan.loaded()])
+                    session.executemany(
+                        "INSERT INTO kv VALUES (:1, :2)",
+                        [[a, plan.index] for a in plan.loaded_kv()])
                 if plan.load == "savepoint":
                     session.execute("ROLLBACK TO SAVEPOINT load")
                 session.execute(f"INSERT INTO kv VALUES "
@@ -349,11 +358,19 @@ def verify(data_dir: str, seed: int, acked: List[str]) -> Dict[str, Any]:
         for tag, n, v in h_rows:
             h_by_tag.setdefault(tag, {})[n] = v
         recovered = {p.tag for p in plans if p.kv_key in kv}
-        strays = sorted(set(kv) - {p.kv_key for p in plans})
+        strays = sorted(set(kv) - {p.kv_key for p in plans}
+                        - {a for p in plans for a in p.loaded_kv()})
         if strays:
             raise CrashVerifyError(
                 f"seed {seed}: kv keys {strays} belong to no plan (a "
                 f"rolled-back key move survived)")
+        # a committed plan that kept its load into kv has all its keys
+        for plan in plans:
+            got = {a: kv[a] for a in plan.loaded_kv() if a in kv}
+            if got != (dict.fromkeys(plan.loaded_kv(), plan.index) if (
+                    plan.tag in recovered and plan.load == "keep") else {}):
+                raise CrashVerifyError(f"seed {seed}: txn {plan.tag} "
+                                       f"holds loaded kv keys {got}")
         for plan in plans:
             if plan.undo == "rollback" and plan.tag in recovered:
                 raise CrashVerifyError(

@@ -29,6 +29,7 @@ import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -123,28 +124,26 @@ class VersionStore:
     something other than its slot: a write in flight, a commit above
     the low-water mark, or history a live snapshot still needs.  For a
     rowid absent from the store *every snapshot sees its slot*, modulo
-    the *fences*: a load (a heap INSERT of one row or many, an IOT's
-    bulk load) registers one fence version carrying the table's
-    high-water *mark* at its start, and a later load by the same
-    transaction reuses it.  The fences are kept in mark order;
-    a fence covers the rowids at or above its mark and below the next
-    fence's mark (a mark of None covers from the first rowid: an IOT's
-    load, which only goes into an empty table), and an untracked rowid
-    a fence covers is hidden from every snapshot that does not see the
-    fence — old snapshots don't see a load that committed after them.
+    the *fences*: every insert registers its transaction's one fence
+    version for the table (a later one reuses it), and an untracked
+    rowid a fence covers is hidden from every snapshot that does not
+    see the fence.  A heap's fence carries its high-water *mark* and
+    covers the rowids from there to the next fence's mark; an IOT's
+    store is a :class:`KeyedVersionStore`.
 
     The store says less only in :meth:`prune` (which forgets settled
     chains and fences), :meth:`pop`, :meth:`drop_fence` and
-    :meth:`clear`, and each unmapping bumps ``_epoch`` *before* it
-    does; a snapshot read runs inside :meth:`read`, which redoes it
-    when the epoch moved.
+    :meth:`clear` (and a keyed store's ``unfence``), and each unmapping
+    bumps ``_epoch`` *before* it does; a snapshot read runs inside
+    :meth:`read`, which redoes it when the epoch moved.
     """
 
     def __init__(self):
         self.latch = threading.Lock()
         self._heads: Dict[Any, RowVersion] = {}
-        #: ``(mark, fence version)`` in mark order; replaced, never
-        #: changed in place, so a reader walks a list no writer mutates
+        #: ``(mark, fence version)`` in commit order (a keyed store's
+        #: marks are None); appended to in place, replaced by an
+        #: unmapping: a reader walks the entries under the length it took
         self._fences: List[Tuple[Any, RowVersion]] = []
         #: each fence in ``_fences`` by its transaction's id
         self._owned: Dict[int, RowVersion] = {}
@@ -175,8 +174,7 @@ class VersionStore:
                     prev = RowVersion(0, 0, old_value)
                 elif fence.scn is not None:
                     prev = RowVersion(fence.scn, fence.txn_id, old_value)
-            version = RowVersion(None, txn.txn_id if txn else 0,
-                                 new_value, prev)
+            version = RowVersion(None, txn.txn_id, new_value, prev)
             self._heads[rowid] = version
             return version
 
@@ -203,25 +201,23 @@ class VersionStore:
 
     def set_fence(self, txn: Any, mark: Any = None
                   ) -> Optional[RowVersion]:
-        """Register a load's fence at ``mark`` (the table's high-water
-        mark before the load): rows appended from here on are invisible
-        to snapshots older than the loading transaction's commit.
-
-        Returns the new fence, or None when ``txn``'s own fence is the
-        last one and so already covers every row appended now."""
+        """Register ``txn``'s fence for an insert (a heap's at ``mark``,
+        its high-water mark before the append): what it inserts is
+        invisible to snapshots older than its commit.  Returns the new
+        fence, or None when ``txn``'s own is the last one already."""
         with self.latch:
             fences = self._fences
-            if fences and txn is not None:
+            if fences:
                 last = fences[-1][1]
                 if last.scn is None and last.txn_id == txn.txn_id:
                     return None
-            fence = RowVersion(None, txn.txn_id if txn else 0, None)
-            self._fences = fences + [(mark, fence)]
+            fence = RowVersion(None, txn.txn_id, None)
+            fences.append((mark, fence))
             self._owned[fence.txn_id] = fence
         return fence
 
     def drop_fence(self, fence: RowVersion) -> None:
-        """Undo ``set_fence`` (a load's rollback)."""
+        """Undo ``set_fence`` (an insert's rollback)."""
         with self.latch:
             fences = [entry for entry in self._fences
                       if entry[1] is not fence]
@@ -235,7 +231,12 @@ class VersionStore:
         with self.latch:
             self._epoch += 1
             self._heads.clear()
-            self._fences, self._owned = [], {}
+            self._drop_fences(len(self._fences))
+
+    def _drop_fences(self, n: int) -> None:
+        """Forget the ``n`` oldest fences (caller holds the latch)."""
+        self._fences = self._fences[n:]
+        self._owned = {f.txn_id: f for _, f in self._fences}
 
     @property
     def clean(self) -> bool:
@@ -245,25 +246,25 @@ class VersionStore:
             return not self._heads and not self._fences
 
     def _covering(self, rowid: Any) -> Optional[RowVersion]:
-        """The fence whose range holds ``rowid``, or None."""
+        """The fence whose range holds ``rowid``, or None (caller holds
+        the latch)."""
         fences = self._fences
-        if fences and fences[0][0] is None:
-            return fences[0][1]  # an IOT's load: it covers every rowid
         i = bisect_right(fences, rowid, key=itemgetter(0))
         return fences[i - 1][1] if i else None
 
     def _hidden(self, snapshot: Snapshot) -> List[Tuple[Any, Any]]:
-        """The rowid ranges ``(low, high)`` (None: no bound) the fences
-        ``snapshot`` does not see cover, lowest first.  Appends commit in
-        mark order, so those fences are one run from the first committed
-        one above its SCN, bisected, to the in-flight one if that is its
-        own, else to the end — less its own, bisected too, when its
-        transaction committed after taking it (a cursor fetched on)."""
+        """The mark ranges ``(low, high)`` (high None: no bound) of the
+        fences ``snapshot`` does not see, lowest first (a keyed store's
+        are marked None).  Inserts commit in fence order, so those
+        fences are one run from the first committed one above its SCN,
+        bisected, to the in-flight one if that is its own, else to the
+        end — less its own, bisected too, when its transaction committed
+        after taking it (a cursor fetched on)."""
         fences = self._fences
-        top = committed = len(fences)
-        if committed and fences[-1][1].scn is None:
+        n = top = committed = len(fences)
+        if n and fences[n - 1][1].scn is None:
             committed -= 1
-            if snapshot.visible(fences[-1][1]):
+            if snapshot.visible(fences[committed][1]):
                 top = committed
         low = bisect_right(fences, snapshot.scn, 0, committed, key=_scn_of)
         if low >= top:
@@ -273,8 +274,24 @@ class VersionStore:
             fences, own.scn, low, committed, key=_scn_of)
         if i >= committed or fences[i][1] is not own:
             i = top
-        return [(fences[a][0], fences[b][0] if b < len(fences) else None)
+        return [(fences[a][0], fences[b][0] if b < n else None)
                 for a, b in ((low, i), (i + 1, top)) if a < b]
+
+    def _hider(self, rowids: List[Any], snapshot: Snapshot
+               ) -> Optional[Callable[[Any], bool]]:
+        """A test of whether a fence ``snapshot`` does not see covers an
+        untracked rowid, or None when none covers any of ``rowids``
+        (none is hidden, or the batch lies wholly below the lowest)."""
+        hidden = self._hidden(snapshot) if self._fences else []
+        if not hidden or (rowids and max(rowids) < hidden[0][0]):
+            return None
+
+        def hides(rowid: Any) -> bool:
+            for low, high in hidden:
+                if low <= rowid and (high is None or rowid < high):
+                    return True
+            return False
+        return hides
 
     # -- read side ----------------------------------------------------------
 
@@ -308,8 +325,7 @@ class VersionStore:
         if not self._fences:
             return True
         hidden = self._hidden(snapshot)
-        return not hidden or (below is not None and hidden[0][0] is not None
-                              and below <= hidden[0][0])
+        return not hidden or (below is not None and below <= hidden[0][0])
 
     def resolve(self, rowid: Any, current: Optional[list],
                 snapshot: Snapshot) -> Optional[list]:
@@ -322,8 +338,7 @@ class VersionStore:
         """
         head = self._heads.get(rowid)
         if head is None:
-            return None if self._fences and _in_ranges(
-                rowid, self._hidden(snapshot)) else current
+            return self.resolve_batch([rowid], [current], snapshot)[0]
         version = head
         while version is not None:
             if snapshot.visible(version):
@@ -340,21 +355,20 @@ class VersionStore:
         The caller must have read every slot *before* this call — the
         same read-slot-then-check-chain order :meth:`resolve` relies on
         (writers register the chain before they mutate the slot).  A
-        store with no chains answers a batch wholly below the lowest
-        fence the snapshot does not see with its slots; rowids that do
-        have a chain go through :meth:`resolve`, and the others are
-        tested against the ranges the hidden fences cover.
+        store with no chains answers a batch with its slots when the
+        snapshot sees every fence, or (a heap's) when the batch lies
+        wholly below the lowest fence it does not see; rowids that do
+        have a chain go through :meth:`resolve`, and each other one is
+        tested once (:meth:`_hider`), however many fences it misses.
         """
         heads = self._heads
-        hidden = self._hidden(snapshot) if self._fences else []
-        if hidden and hidden[0][0] is not None and rowids \
-                and max(rowids) < hidden[0][0]:
-            hidden = []
-        if not heads and not hidden:
+        hides = self._hider(rowids, snapshot)
+        if not heads and hides is None:
             return currents
         resolve = self.resolve
         return [resolve(rowid, current, snapshot) if rowid in heads
-                else None if _in_ranges(rowid, hidden) else current
+                else None if hides is not None and hides(rowid)
+                else current
                 for rowid, current in zip(rowids, currents)]
 
     def tracked_rowids(self) -> List[Any]:
@@ -389,17 +403,16 @@ class VersionStore:
         """
         removed = 0
         with self.latch:
-            # a fence every live snapshot sees is moot; the loads commit
-            # in mark order (a loading transaction holds the table), so
-            # the settled fences are the lowest
+            # a fence every live snapshot sees is moot; the inserts
+            # commit in fence order (an inserting transaction holds the
+            # table), so the settled fences are the lowest
             fences = self._fences
             moot = 0
             while (moot < len(fences) and fences[moot][1].scn is not None
                    and fences[moot][1].scn <= lwm):
                 moot += 1
             if moot:
-                self._fences = fences[moot:]
-                self._owned = {f.txn_id: f for _, f in self._fences}
+                self._drop_fences(moot)
             heads = self._heads
             settled = 0
             for head in heads.values():
@@ -433,17 +446,74 @@ class VersionStore:
         return removed
 
 
+class KeyedVersionStore(VersionStore):
+    """An IOT's :class:`VersionStore`.  Its keys interleave, so a fence
+    covers the keys (``rowid.key``) entered in it, not a mark range:
+    one map entry per key, made once a read or a write asks for a
+    key's fence (most batches settle before)."""
+
+    def __init__(self):
+        super().__init__()
+        #: the fenced keys, each to its fence, and the ``(fence, keys)``
+        #: batches not mapped yet
+        self._keyed: Dict[Any, RowVersion] = {}
+        self._batches: List[Tuple[RowVersion, List[Any]]] = []
+
+    def fence_keys(self, txn: Any, keys: List[Any]) -> None:
+        """Enter the batch ``keys`` in ``txn``'s fence, as it is."""
+        with self.latch:
+            self._batches.append((self._owned[txn.txn_id], keys))
+
+    def unfence(self, keys: List[Any]) -> None:
+        """Undo the newest :meth:`fence_keys`, of ``keys``, once they
+        left the tree.  Undo runs newest first and one transaction at a
+        time inserts into a table, so that batch is the last one not
+        mapped yet, or, with none left, is in the map."""
+        with self.latch:
+            self._epoch += 1  # before the unmapping: see read()
+            if self._batches:
+                self._batches.pop()
+            else:
+                for key in keys:
+                    self._keyed.pop(key, None)
+
+    def _fenced(self) -> Dict[Any, RowVersion]:
+        """The fenced keys, once the batches entered since the last
+        call are mapped (caller holds the latch)."""
+        for fence, keys in self._batches:
+            self._keyed.update(zip(keys, repeat(fence)))
+        self._batches = []
+        return self._keyed
+
+    def _drop_fences(self, n: int) -> None:
+        super()._drop_fences(n)
+        if self._keyed or self._batches:
+            self._epoch += 1  # before the unmapping: see read()
+            owned = self._owned
+            self._batches = [batch for batch in self._batches
+                             if owned.get(batch[0].txn_id) is batch[0]]
+            self._keyed = {key: fence for key, fence in self._keyed.items()
+                           if owned.get(fence.txn_id) is fence}
+
+    def _covering(self, rowid: Any) -> Optional[RowVersion]:
+        return self._fenced().get(rowid.key)
+
+    def _hider(self, rowids: List[Any], snapshot: Snapshot
+               ) -> Optional[Callable[[Any], bool]]:
+        """One lookup a rowid, however many fences ``snapshot`` misses."""
+        if not self._fences or not self._hidden(snapshot):
+            return None
+        with self.latch:
+            fenced = self._fenced()
+
+        def hides(rowid: Any) -> bool:
+            fence = fenced.get(rowid.key)
+            return fence is not None and not snapshot.visible(fence)
+        return hides
+
+
 def _scn_of(entry: Tuple[Any, RowVersion]) -> Optional[int]:
     return entry[1].scn
-
-
-def _in_ranges(rowid: Any, ranges: List[Tuple[Any, Any]]) -> bool:
-    """Whether ``rowid`` lies in one of the ``(mark, next mark)``
-    ranges :meth:`VersionStore._hidden` returns."""
-    for low, high in ranges:
-        if (low is None or low <= rowid) and (high is None or rowid < high):
-            return True
-    return False
 
 
 class MVCCManager:

@@ -337,9 +337,14 @@ def _replay(engine: Any, storage: Any, payload: Dict[str, Any],
     its slot, an IOT record by key (logical replay, idempotent).  A
     truncate that carries a mark cuts the heap back to it (redo passes
     the record's ``lsn``, so a mark page already past it is left as it
-    is); one without empties the table."""
+    is); one without (an IOT's, in older logs) empties the table.  A
+    ``bulk_delete`` deletes the rows it carries."""
     op = payload["op"]
     rid = payload["rid"]
+    if op == "bulk_delete":
+        for row in payload["old"]:
+            storage.recover_delete(row)
+        return
     if op == "truncate":
         if rid is None:
             storage.truncate()

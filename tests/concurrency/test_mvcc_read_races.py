@@ -353,3 +353,80 @@ class TestLoadRolledBack:
         writer.rollback()
         assert sorted(_scan(heap, snapshot)) == [[1, "one"], [2, "two"]]
         assert heap.high_water_mark() == mark
+
+
+class TestIOTLoad:
+    """A load into an IOT that holds rows enters its new keys, which
+    interleave with the stored ones, in its transaction's fence; its
+    undo takes them out of the tree and then out of the fence.  A
+    snapshot reader parked between its tree read and its store lookup,
+    while a load lands or while one is undone, returns only the rows
+    from before the load."""
+
+    @pytest.fixture
+    def iot(self, engine):
+        session = engine.connect()
+        session.execute("CREATE TABLE p (tok VARCHAR2(20), doc INTEGER,"
+                        " PRIMARY KEY (tok, doc)) ORGANIZATION INDEX")
+        session.executemany("INSERT INTO p VALUES (:1, :2)",
+                            [["a", 1], ["a", 3], ["a", 5], ["b", 1]])
+        engine.prune_versions()
+        return engine.catalog.get_table("p").storage
+
+    @staticmethod
+    def _reads(iot, snapshot):
+        rowids = [iot.locate(key)[0] for key in (("a", 1), ("a", 2))]
+        return {
+            "prefix": lambda: [row for __, row in scanned(
+                iot.prefix_batches(["a"], snapshot=snapshot))],
+            "fetch_batch": lambda: iot.fetch_batch(rowids, snapshot)[1],
+        }
+
+    @pytest.mark.parametrize("read", ["prefix", "fetch_batch"])
+    def test_a_load_lands_under_a_parked_reader(self, engine, iot,
+                                                monkeypatch, read):
+        writer = engine.connect()
+        writer.begin()
+        writer.executemany("INSERT INTO p VALUES (:1, :2)",
+                           [["a", 2], [SENTINEL, 1]])
+        snapshot = engine.mvcc.take_snapshot(None)
+        reads = self._reads(iot, snapshot)
+        park = _Park(monkeypatch)
+
+        def load_and_commit():
+            writer.executemany("INSERT INTO p VALUES (:1, :2)",
+                               [["a", 4], ["a", 6], [SENTINEL, 2]])
+            writer.commit()
+
+        rows = _read_while(park, reads[read], load_and_commit)
+        expected = {"prefix": [["a", 1], ["a", 3], ["a", 5]],
+                    "fetch_batch": [["a", 1]]}[read]
+        assert [list(row) for row in rows] == expected
+        assert [list(row) for row in reads[read]()] == expected
+        assert iot.row_count == 9
+
+    @pytest.mark.parametrize("undo", ["rollback", "savepoint"])
+    @pytest.mark.parametrize("read", ["prefix", "fetch_batch"])
+    def test_a_load_is_undone_under_a_parked_reader(self, engine, iot,
+                                                    monkeypatch, read, undo):
+        """``savepoint`` undoes the load alone: the fence an earlier
+        statement made stays, so only the keys' unmapping moves the
+        epoch."""
+        writer = engine.connect()
+        writer.begin()
+        writer.execute("INSERT INTO p VALUES ('c', 1)")
+        writer.execute("SAVEPOINT sp")
+        writer.executemany("INSERT INTO p VALUES (:1, :2)",
+                           [["a", 2], ["a", 4], [SENTINEL, 1]])
+        snapshot = engine.mvcc.take_snapshot(None)
+        reads = self._reads(iot, snapshot)
+        park = _Park(monkeypatch)
+        rows = _read_while(park, reads[read], writer.rollback
+                           if undo == "rollback" else lambda: writer.execute(
+                               "ROLLBACK TO SAVEPOINT sp"))
+        expected = {"prefix": [["a", 1], ["a", 3], ["a", 5]],
+                    "fetch_batch": [["a", 1]]}[read]
+        assert [list(row) for row in rows] == expected
+        assert engine.mvcc.stats.read_retries == 1
+        assert iot.row_count == 4 + (undo == "savepoint")
+        assert iot.ghost_count == 0

@@ -247,13 +247,19 @@ class TestScanWithMappedHeads:
                  " 'mask=ANYINTERACT')"
         query = make_rect(gt, 300, 300, 600, 600)
         _resolve_calls(db, "shapes_sidx_tiles", window, [query])  # plan
-        # one new row maps its tiles' surrogates; the index read by the
-        # window query holds hundreds of other tiles in bounds
+        # a new row's tiles go in under its transaction's fence and map
+        # no surrogate; deleting the row maps each of them, and the
+        # index read by the window query holds hundreds of other tiles
+        # in bounds
         db.execute("INSERT INTO shapes VALUES (9999, :1)",
                    [make_rect(gt, 400, 400, 420, 430)])
         added = len(tessellate(make_rect(gt, 400, 400, 420, 430)))
         calls, rows = _resolve_calls(db, "shapes_sidx_tiles", window, [query])
         assert (9999,) in rows
+        assert calls == 0
+        db.execute("DELETE FROM shapes WHERE id = 9999")
+        calls, rows = _resolve_calls(db, "shapes_sidx_tiles", window, [query])
+        assert (9999,) not in rows
         assert calls == added
         calls, rows = _resolve_calls(db, "shapes_sidx_tiles", window,
                                      [make_rect(gt, 700, 700, 900, 900)])

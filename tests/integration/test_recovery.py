@@ -155,12 +155,21 @@ class TestCrashRecovery:
         db.commit()
         db.begin()
         db.execute("DELETE FROM kv WHERE a = 0")  # loser
+        # the loser's load goes between the stored keys (one of them
+        # back over the deleted 7), and its rows reach the IOT's image
+        # before the crash: restart undoes it by key
+        db.executemany("INSERT INTO kv VALUES (:1, :2)",
+                       [[i + 0.5, -1] for i in range(10)] + [[7, -7]])
+        db.engine.durability.checkpoint()
+        db.engine.durability.wal.flush_all()
         crash(db)
 
         db2 = Engine(data_dir=data_dir).connect()
+        assert db2.engine.recovery_stats.loser_transactions == 1
         rows = db2.execute("SELECT a, b FROM kv ORDER BY a").fetchall()
         assert len(rows) == 9
         assert (3, 100) in rows and (7, 7) not in rows and (0, 0) in rows
+        assert all(b >= 0 for __, b in rows)
         # key order (the IOT's native access path) survived recovery
         assert rows == sorted(rows)
         db2.close()
@@ -572,6 +581,31 @@ class TestLoadIntoNonEmptyTable:
         assert len(page.slots) == 100 and page.page_lsn == 51
         _replay(db.engine, storage, record, 51)  # idempotent
         assert len(page.slots) == 100
+        db.close()
+        db.engine.close()
+
+
+    def test_an_iot_batch_clr_deletes_its_rows_alone(self, data_dir):
+        """An IOT insert batch is undone by a ``bulk_delete`` of exactly
+        the rows it carries.  A log written before IOT inserts were
+        batches holds a truncate with no mark for the undo of a load
+        into an empty IOT, and its replay still empties the table."""
+        from repro.storage.durability import clr_record
+        from repro.txn.recovery import _replay
+        db = Engine(data_dir=data_dir).connect()
+        db.execute("CREATE TABLE kv (a NUMBER, b NUMBER, "
+                   "PRIMARY KEY (a)) ORGANIZATION INDEX")
+        db.executemany("INSERT INTO kv VALUES (:1, :2)",
+                       [[i, i] for i in range(5)])
+        storage = db.catalog.get_table("kv").storage
+        clr = clr_record(1, "kv", "bulk_insert", None, None,
+                         [(1, 1), (3, 3)], None, None)
+        assert (clr["op"], clr["old"]) == ("bulk_delete", [(1, 1), (3, 3)])
+        _replay(db.engine, storage, clr)
+        assert db.execute("SELECT a FROM kv").fetchall() == [
+            (0,), (2,), (4,)]
+        _replay(db.engine, storage, {"op": "truncate", "rid": None})
+        assert db.execute("SELECT a FROM kv").fetchall() == []
         db.close()
         db.engine.close()
 

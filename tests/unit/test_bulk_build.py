@@ -17,6 +17,7 @@ from repro.storage.buffer import BufferCache, IOStats
 from repro.storage.heap import HeapTable
 from repro.storage.iot import IndexOrganizedTable
 from repro.testing import scanned
+from tests.unit.test_storage_iot import insert_batch
 
 
 class TestBTreeBulkLoad:
@@ -159,18 +160,18 @@ class TestIOTInsertBulk:
         keys = rng.sample(range(10_000), 500)
         grown = self._iot()
         for key in keys:
-            grown.insert([key, f"v{key}"])
+            insert_batch(grown, [(key,)], [(f"v{key}",)])
         bulk = self._iot()
-        bulk.insert_bulk([(key,) for key in keys],
-                         [(f"v{key}",) for key in keys])
+        insert_batch(bulk, [(key,) for key in keys],
+                     [(f"v{key}",) for key in keys])
         assert scanned(bulk.scan_batches()) \
             == scanned(grown.scan_batches())
 
     def test_rowids_fetch_back(self):
         iot = self._iot()
         rows = [[k, f"v{k}"] for k in (5, 1, 9)]
-        rids = iot.insert_bulk([(k,) for k, __ in rows],
-                               [(v,) for __, v in rows])
+        rids, __ = insert_batch(iot, [(k,) for k, __ in rows],
+                                [(v,) for __, v in rows])
         assert len(rids) == 3
         # rowids come back in input order, not key order
         for rid, row in zip(rids, rows):
@@ -178,7 +179,7 @@ class TestIOTInsertBulk:
 
     def test_rowids_are_the_loaded_keys(self):
         iot = self._iot()
-        rids = iot.insert_bulk([(2,), (1,)], [("b",), ("a",)])
+        rids, __ = insert_batch(iot, [(2,), (1,)], [("b",), ("a",)])
         # a lazy view over the keys the load built: nothing per row
         # until an item is read, and each item is the row's key
         assert rids.keys == [(2,), (1,)]
@@ -188,26 +189,30 @@ class TestIOTInsertBulk:
 
     def test_presorted_fast_path(self):
         iot = self._iot(key_width=2)
-        iot.insert_bulk([("alpha", i) for i in range(50)],
-                        [(i,) for i in range(50)], presorted=True)
+        insert_batch(iot, [("alpha", i) for i in range(50)],
+                     [(i,) for i in range(50)], presorted=True)
         assert [row[2] for __, row in scanned(iot.scan_batches())] \
             == list(range(50))
 
     def test_presorted_lie_detected(self):
         iot = self._iot()
         with pytest.raises(StorageError):
-            iot.insert_bulk([(2,), (1,)], [("b",), ("a",)], presorted=True)
+            insert_batch(iot, [(2,), (1,)], [("b",), ("a",)],
+                         presorted=True)
 
-    def test_bulk_into_populated_table_rejected(self):
+    def test_bulk_into_populated_table_refuses_only_a_stored_key(self):
         iot = self._iot()
-        iot.insert([1, "a"])
+        insert_batch(iot, [(1,), (5,)], [("a",), ("e",)])
         with pytest.raises(ConstraintError):
-            iot.insert_bulk([(2,)], [("b",)])
+            insert_batch(iot, [(3,), (5,)], [("c",), ("x",)])
+        insert_batch(iot, [(4,), (2,), (0,)], [("d",), ("b",), ("z",)])
+        assert [row for __, row in scanned(iot.scan_batches())] == [
+            [0, "z"], [1, "a"], [2, "b"], [4, "d"], [5, "e"]]
 
     def test_duplicate_keys_rejected_when_unique(self):
         iot = self._iot()
         with pytest.raises(ConstraintError):
-            iot.insert_bulk([(1,), (1,)], [("a",), ("b",)])
+            insert_batch(iot, [(1,), (1,)], [("a",), ("b",)])
 
 
 class TestHeapInsertBulk:

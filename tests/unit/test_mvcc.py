@@ -11,9 +11,10 @@ import pytest
 
 from repro.errors import ConstraintError, TransactionError
 from repro.sql.engine import Engine
+from repro.storage.iot import LogicalRowId
 from repro.testing import scanned
 from repro.txn.mvcc import (
-    MVCCManager, RowVersion, Snapshot, VersionStore)
+    KeyedVersionStore, MVCCManager, RowVersion, Snapshot, VersionStore)
 
 
 pytestmark = pytest.mark.mvcc
@@ -34,6 +35,17 @@ class _FakeTxn:
 def _commit(mvcc, txn):
     mvcc.commit_transaction(txn)
     txn.versions = []
+
+
+def _lrid(value):
+    """An IOT's logical rowid for the one-column key ``(value,)``."""
+    return LogicalRowId(1, (value,))
+
+
+def _fenced(store):
+    """A keyed store's fenced keys, each to its fence."""
+    with store.latch:
+        return dict(store._fenced())
 
 
 class TestVisibility:
@@ -273,16 +285,20 @@ class TestVersionStore:
         assert store.resolve("r1", ["b"], pinned) == ["a"]
 
     def test_fence_hides_bulk_load_from_old_snapshot(self):
-        mvcc, store = MVCCManager(), VersionStore()
+        mvcc, store = MVCCManager(), KeyedVersionStore()
         before = mvcc.take_snapshot(None)
         txn = _FakeTxn()
         fence = store.set_fence(txn)
         txn.track_version(fence)
+        store.fence_keys(txn, [("bulk1",)])
         _commit(mvcc, txn)
         after = mvcc.take_snapshot(None)
-        # untracked rowids (the bulk-loaded rows) are gated by the fence
-        assert store.resolve("bulk1", ["row"], before) is None
-        assert store.resolve("bulk1", ["row"], after) == ["row"]
+        # untracked rowids (the inserted keys) are gated by the fence,
+        # and only the keys entered in it
+        bulk1, other = _lrid("bulk1"), _lrid("other")
+        assert store.resolve(bulk1, ["row"], before) is None
+        assert store.resolve(bulk1, ["row"], after) == ["row"]
+        assert store.resolve(other, ["row"], before) == ["row"]
         assert not store.clean
         # once no snapshot predates the load, prune drops the fence
         del before, after
@@ -399,16 +415,18 @@ class TestResolveBatch:
             == [["old"], ["gone"], ["plain"]]
 
     def test_fence_hides_untracked_rows_from_older_snapshots(self):
-        mvcc, store = MVCCManager(), VersionStore()
+        mvcc, store = MVCCManager(), KeyedVersionStore()
         before = mvcc.take_snapshot(None)
         txn = _FakeTxn()
         txn.track_version(store.set_fence(txn))
+        store.fence_keys(txn, [("b1",), ("b2",)])
         _commit(mvcc, txn)
         after = mvcc.take_snapshot(None)
-        currents = [["x"], ["y"]]
-        assert store.resolve_batch(["b1", "b2"], currents, before) \
-            == [None, None]
-        assert store.resolve_batch(["b1", "b2"], currents, after) == currents
+        rowids = list(map(_lrid, ["b1", "b2", "b3"]))
+        currents = [["x"], ["y"], ["z"]]
+        assert store.resolve_batch(rowids, currents, before) \
+            == [None, None, ["z"]]
+        assert store.resolve_batch(rowids, currents, after) is currents
 
 
 def _stored(engine, storage, rowid):
@@ -865,6 +883,14 @@ class TestSettledRowsAreUnmapped:
         assert reader.execute("SELECT v FROM kv WHERE k = 1").fetchall() \
             == [("kept",)]
         assert versions.tracked_rowids() == []
+        # a batch refused for one stored key leaves none of its keys in
+        # the tree or in the transaction's fence, and no chain
+        with pytest.raises(ConstraintError):
+            writer.executemany("INSERT INTO kv VALUES (:1, 'new')",
+                               [[2], [1], [3]])
+        assert _fenced(versions) == {}
+        assert versions.tracked_rowids() == []
+        assert writer.execute("SELECT k FROM kv").fetchall() == [(1,)]
         writer.rollback()
         assert reader.execute("SELECT k, v FROM kv").fetchall() \
             == [(1, "kept")]
@@ -927,6 +953,135 @@ class TestSettledRowsAreUnmapped:
             source = (pathlib.Path(repro.storage.__file__).parent
                       / name).read_text("utf-8")
             assert not re.search(r"_heads|_fence|_epoch", source), name
+
+
+class TestIOTInsertsUnderAFence:
+    """An IOT insert of a new key enters the key in its transaction's
+    fence for the table, one per transaction: no row version, and a
+    snapshot that does not see the fence sees none of its keys."""
+
+    @pytest.fixture
+    def db(self):
+        db = Engine().connect()
+        db.execute("CREATE TABLE kv (k INTEGER, g INTEGER, v VARCHAR2(8),"
+                   " PRIMARY KEY (k, g)) ORGANIZATION INDEX")
+        db.executemany("INSERT INTO kv VALUES (:1, 0, 'old')",
+                       [[k] for k in range(0, 40, 2)])
+        db.engine.prune_versions()
+        return db
+
+    @staticmethod
+    def reads(storage, snapshot):
+        """A full scan, a prefix scan and a ``fetch_batch`` of every
+        key the tests write, under ``snapshot``."""
+        rowids = [LogicalRowId(storage.segment_id, (k, g))
+                  for k in range(40) for g in range(3)]
+        return ([row for __, row in scanned(storage.scan_batches(snapshot))],
+                [row for __, row in scanned(
+                    storage.prefix_batches([4], snapshot=snapshot))],
+                storage.fetch_batch(rowids, snapshot)[1])
+
+    def test_an_older_snapshot_sees_no_fenced_key(self, db):
+        storage = db.catalog.get_table("kv").storage
+        old = db.engine.mvcc.take_snapshot(None)
+        before = self.reads(storage, old)
+        assert before[1] == [[4, 0, "old"]]
+        db.begin()
+        db.executemany("INSERT INTO kv VALUES (:1, :2, 'new')",
+                       [[k, 1] for k in range(1, 40, 2)] + [[4, 1]])
+        db.execute("INSERT INTO kv VALUES (4, 2, 'one')")
+        assert self.reads(storage, old) == before
+        # one fence for both statements, no version a key
+        assert storage.versions.tracked_rowids() == []
+        assert len(storage.versions._fences) == 1
+        assert len(_fenced(storage.versions)) == 22
+        own = Snapshot(db.engine.mvcc.current_scn, db.txns.current.txn_id)
+        assert len(self.reads(storage, own)[0]) == 42
+        db.commit()
+        assert self.reads(storage, old) == before
+        new = self.reads(storage, db.engine.mvcc.take_snapshot(None))
+        assert len(new[0]) == len(new[2]) == 42
+        assert new[1] == [[4, 0, "old"], [4, 1, "new"], [4, 2, "one"]]
+        # the fence settles once no snapshot predates it
+        del old
+        db.engine.prune_versions()
+        assert storage.versions.clean and _fenced(storage.versions) == {}
+
+    def test_a_rolled_back_fence_leaves_no_key(self, db):
+        storage = db.catalog.get_table("kv").storage
+        snapshot = db.engine.mvcc.take_snapshot(None)
+        before = self.reads(storage, snapshot)
+        db.begin()
+        db.executemany("INSERT INTO kv VALUES (:1, 1, 'new')",
+                       [[k] for k in range(40)])
+        db.rollback()
+        assert _fenced(storage.versions) == {} and storage.versions.clean
+        assert storage.ghost_count == 0 and storage.row_count == 20
+        assert self.reads(storage, snapshot) == before
+        assert self.reads(storage, db.engine.mvcc.take_snapshot(None)) \
+            == before
+
+    def test_rolling_back_a_second_statement_keeps_the_first_ones_keys(
+            self, db):
+        """The statements share the transaction's fence; undoing the
+        later ones takes out their keys alone — a new key's fence entry,
+        and a key put back over a ghost returns to the ghost, while a
+        key of the first statement deleted and put back after the
+        savepoint stays in the fence."""
+        storage = db.catalog.get_table("kv").storage
+        old = db.engine.mvcc.take_snapshot(None)
+        before = self.reads(storage, old)
+        db.begin()
+        db.executemany("INSERT INTO kv VALUES (:1, 1, 'first')",
+                       [[k] for k in range(0, 40, 4)])
+        db.execute("DELETE FROM kv WHERE k = 6 AND g = 0")
+        db.execute("SAVEPOINT sp")
+        db.execute("DELETE FROM kv WHERE k = 0 AND g = 1")
+        db.executemany("INSERT INTO kv VALUES (:1, :2, 'second')",
+                       [[k, 1] for k in range(2, 40, 4)] + [[6, 0], [0, 1]])
+        # a first write to a key of the batch maps the batch's keys
+        db.execute("DELETE FROM kv WHERE k = 2 AND g = 1")
+        assert len(storage.versions._fences) == 1
+        assert storage.ghost_count == 1  # (2, 1)
+        db.execute("ROLLBACK TO SAVEPOINT sp")
+        assert storage.ghost_count == 1
+        assert sorted(_fenced(storage.versions)) \
+            == [(k, 1) for k in range(0, 40, 4)]
+        rows = db.execute("SELECT k, g, v FROM kv WHERE g = 1").fetchall()
+        assert sorted(rows) == [(k, 1, "first") for k in range(0, 40, 4)]
+        assert db.execute("SELECT k FROM kv WHERE k = 6").fetchall() == []
+        db.commit()
+        assert self.reads(storage, old) == before
+        now = self.reads(storage, db.engine.mvcc.take_snapshot(None))
+        assert len(now[0]) == 20 - 1 + 10 and now[1] == [
+            [4, 0, "old"], [4, 1, "first"]]
+
+    def test_a_write_to_a_fenced_key_anchors_its_base_at_the_fence(self, db):
+        """The first UPDATE or DELETE of a key inserted under a committed
+        fence chains the inserted row as its base, stamped with the
+        fence's SCN: older snapshots still see no row, and the ones
+        between see the inserted one."""
+        storage = db.catalog.get_table("kv").storage
+        old = db.engine.mvcc.take_snapshot(None)
+        db.executemany("INSERT INTO kv VALUES (:1, 1, 'new')", [[5], [7]])
+        fence_scn = db.engine.mvcc.current_scn
+        between = db.engine.mvcc.take_snapshot(None)
+        db.execute("UPDATE kv SET v = 'upd' WHERE k = 5")
+        db.execute("DELETE FROM kv WHERE k = 7")
+        versions = storage.versions
+        for key in ((5, 1), (7, 1)):
+            rowid = storage.locate(key)[0] if key == (5, 1) else next(
+                r for r in versions.tracked_rowids() if r.key == key)
+            base = versions._heads[rowid].prev
+            assert base.scn == fence_scn and base.prev is None
+        rows = {snapshot: sorted(map(tuple, self.reads(storage, snapshot)[0]))
+                for snapshot in (old, between)}
+        assert (5, 1, "new") not in rows[old] and (7, 1, "new") \
+            not in rows[old]
+        assert {(5, 1, "new"), (7, 1, "new")} <= set(rows[between])
+        assert [tuple(r) for r in storage.fetch_batch(
+            [storage.locate((5, 1))[0]],
+            db.engine.mvcc.take_snapshot(None))[1]] == [(5, 1, "upd")]
 
 
 class TestLoadsIntoNonEmptyTables:

@@ -9,6 +9,37 @@ from repro.storage.iot import IndexOrganizedTable
 from repro.testing import scanned
 
 
+class _Txn:
+    """The two things the version store asks of a transaction."""
+
+    _next = 500
+
+    def __init__(self):
+        _Txn._next += 1
+        self.txn_id = _Txn._next
+        self.versions = []
+
+    def track_version(self, version):
+        self.versions.append(version)
+
+
+def insert_batch(iot, keys, payloads, txn=None, presorted=False):
+    """``iot.insert_bulk`` under ``txn`` (a new transaction by default)
+    with its fence registered first, as the DML engine does it."""
+    txn = txn or _Txn()
+    fence = iot.versions.set_fence(txn)
+    if fence is not None:
+        txn.track_version(fence)
+    return iot.insert_bulk(keys, payloads, txn, presorted)
+
+
+def _insert(iot, row):
+    """Store ``row`` as a one-row batch: its rowid."""
+    kw = iot.key_width
+    rowids, __ = insert_batch(iot, [tuple(row[:kw])], [tuple(row[kw:])])
+    return rowids[0]
+
+
 @pytest.fixture
 def iot():
     return IndexOrganizedTable(BufferCache(IOStats()), key_width=1,
@@ -25,23 +56,27 @@ def iot2():
 class TestBasics:
     def test_rows_come_back_in_key_order(self, iot):
         for key in [5, 1, 9, 3]:
-            iot.insert([key, f"v{key}"])
+            _insert(iot, [key, f"v{key}"])
         assert [row[0] for row in _rows(iot.scan_batches())] == [1, 3, 5, 9]
 
     def test_fetch_by_surrogate(self, iot):
-        rid = iot.insert([7, "seven"])
+        rid = _insert(iot, [7, "seven"])
         assert iot.fetch(rid) == [7, "seven"]
 
     def test_fetch_batch_drops_a_dead_surrogate(self, iot):
-        rid = iot.insert([7, "x"])
-        live = iot.insert([8, "y"])
+        rid = _insert(iot, [7, "x"])
+        live = _insert(iot, [8, "y"])
         iot.delete(rid)
         assert iot.fetch_batch([rid, live]) == ([live], [[8, "y"]])
 
     def test_duplicate_key_rejected_when_unique(self, iot):
-        iot.insert([1, "a"])
+        _insert(iot, [1, "a"])
         with pytest.raises(ConstraintError):
-            iot.insert([1, "b"])
+            _insert(iot, [1, "b"])
+        # a batch with one duplicate leaves the table as it was
+        with pytest.raises(ConstraintError):
+            insert_batch(iot, [(0,), (1,), (2,)], [("x",)] * 3)
+        assert _rows(iot.scan_batches()) == [[1, "a"]]
 
     def test_rowid_is_the_key(self, iot):
         """A logical rowid carries the segment and the key: equal to the
@@ -49,12 +84,12 @@ class TestBasics:
         physical rowid."""
         import pickle
         from repro.storage.iot import LogicalRowId
-        rid = iot.insert([7, "x"])
+        rid = _insert(iot, [7, "x"])
         assert rid == LogicalRowId(iot.segment_id, (7,))
         assert rid.key == (7,) and hash(rid) == hash(
             LogicalRowId(iot.segment_id, (7,)))
         assert pickle.loads(pickle.dumps(rid)) == rid
-        assert rid < iot.insert([9, "y"])
+        assert rid < _insert(iot, [9, "y"])
         assert rid != (iot.segment_id, 0, 7)
 
     def test_key_width_validated(self):
@@ -64,58 +99,52 @@ class TestBasics:
 
 class TestCompositeKey:
     def test_locate_exact(self, iot2):
-        iot2.insert(["oracle", 1, 3])
-        iot2.insert(["oracle", 2, 1])
-        iot2.insert(["unix", 1, 2])
+        _insert(iot2, ["oracle", 1, 3])
+        _insert(iot2, ["oracle", 2, 1])
+        _insert(iot2, ["unix", 1, 2])
         rowid, row = iot2.locate(["oracle", 1])
         assert rowid.key == ("oracle", 1) and row == ["oracle", 1, 3]
         assert iot2.locate(["oracle", 3]) is None
 
     def test_key_range_scan_prefix(self, iot2):
-        iot2.insert(["apple", 1, 0])
-        iot2.insert(["oracle", 1, 0])
-        iot2.insert(["oracle", 2, 0])
-        iot2.insert(["zebra", 1, 0])
+        _insert(iot2, ["apple", 1, 0])
+        _insert(iot2, ["oracle", 1, 0])
+        _insert(iot2, ["oracle", 2, 0])
+        _insert(iot2, ["zebra", 1, 0])
         rows = _rows(iot2.prefix_batches(["oracle"]))
         assert len(rows) == 2
         assert all(row[0] == "oracle" for row in rows)
 
-    def test_delete_by_key(self, iot2):
-        iot2.insert(["a", 1, 0])
-        iot2.insert(["a", 2, 0])
-        assert iot2.delete_by_key(["a", 1]) == 1
-        assert iot2.row_count == 1
-
 
 class TestUpdateDelete:
     def test_update_same_key(self, iot):
-        rid = iot.insert([1, "old"])
+        rid = _insert(iot, [1, "old"])
         iot.update(rid, [1, "new"])
         assert iot.fetch(rid) == [1, "new"]
 
     def test_update_refuses_a_key_change(self, iot):
         """The key is the rowid: moving a row is a delete and an insert,
         which the DML layer does."""
-        rid = iot.insert([1, "v"])
+        rid = _insert(iot, [1, "v"])
         with pytest.raises(ConstraintError):
             iot.update(rid, [2, "v"])
         assert _rows(iot.scan_batches()) == [[1, "v"]]
 
     def test_delete_then_fetch_raises(self, iot):
-        rid = iot.insert([1, "x"])
+        rid = _insert(iot, [1, "x"])
         iot.delete(rid)
         with pytest.raises(InvalidRowIdError):
             iot.fetch(rid)
 
     def test_undelete(self, iot):
-        rid = iot.insert([1, "x"])
+        rid = _insert(iot, [1, "x"])
         iot.delete(rid)
         iot.undelete(rid, [1, "x"])
         assert iot.fetch(rid) == [1, "x"]
 
     def test_truncate(self, iot):
         for key in range(10):
-            iot.insert([key, "v"])
+            _insert(iot, [key, "v"])
         iot.truncate()
         assert iot.row_count == 0
         assert list(iot.scan_batches()) == []
@@ -123,9 +152,9 @@ class TestUpdateDelete:
     def test_rowids_after_truncate_name_keys(self, iot):
         """A logical rowid names its key: after TRUNCATE it finds the row
         stored under that key again, or none."""
-        old = [iot.insert([key, "v"]) for key in range(10)]
+        old = [_insert(iot, [key, "v"]) for key in range(10)]
         iot.truncate()
-        new = [iot.insert([key, "w"]) for key in range(3)]
+        new = [_insert(iot, [key, "w"]) for key in range(3)]
         assert old[:3] == new
         assert [iot.fetch(rid) for rid in old[:3]] == [
             [0, "w"], [1, "w"], [2, "w"]]
@@ -141,13 +170,13 @@ class TestUpdateDelete:
             assert iot.fetch_batch([rid]) == ([], [])
 
     def test_replaying_a_delete_of_an_absent_row_is_a_no_op(self, iot):
-        iot.insert([1, "x"])
+        _insert(iot, [1, "x"])
         iot.recover_delete([2, "x"])      # no such key
         iot.recover_delete([1, "other"])  # the key holds another row
         assert _rows(iot.scan_batches()) == [[1, "x"]]
 
     def test_replay_does_not_hide_a_real_fault(self, iot):
-        iot.insert([1, "x"])
+        _insert(iot, [1, "x"])
         with pytest.raises(TypeError):
             iot.recover_delete(["one", "x"])  # incomparable key
 
@@ -157,34 +186,22 @@ class TestAccounting:
         stats = IOStats()
         iot = IndexOrganizedTable(BufferCache(stats), key_width=1)
         for key in range(200):
-            iot.insert([key, "v"])
+            _insert(iot, [key, "v"])
         before = stats.logical_reads
         iot.locate([150])
         assert stats.logical_reads > before
 
     def test_page_count_grows(self, iot):
         for key in range(200):
-            iot.insert([key, "v"])
+            _insert(iot, [key, "v"])
         assert iot.page_count >= 1
-
-
-class _Txn:
-    """The two things the version store asks of a transaction."""
-
-    _next = 500
-
-    def __init__(self):
-        _Txn._next += 1
-        self.txn_id = _Txn._next
-        self.versions = []
-
-    def track_version(self, version):
-        self.versions.append(version)
 
 
 class _World:
     """A two-column-key IOT driven the way the DML engine drives it:
-    version pushed before the tree mutates, one SCN per commit."""
+    an insert is a batch under its transaction's fence, an update or
+    delete pushes its version before the tree mutates, one SCN per
+    commit."""
 
     def __init__(self):
         from repro.txn.mvcc import MVCCManager
@@ -204,12 +221,14 @@ class _World:
         return self.mvcc.take_snapshot(None)
 
     def insert(self, row):
-        versions = self.iot.versions
-
-        def on_rowid(rid):
-            self.txn.track_version(
-                versions.push(rid, list(row), None, self.txn))
-        return self.iot.insert(row, on_rowid=on_rowid)
+        """Insert ``row`` as a one-row batch, its batch kept in
+        ``self.batch`` for an undo; returns its rowid."""
+        rowids, chained = insert_batch(
+            self.iot, [tuple(row[:2])], [tuple(row[2:])], self.txn)
+        for __, version in chained:
+            self.txn.track_version(version)
+        self.batch = (rowids, chained)
+        return rowids[0]
 
     def delete(self, rid):
         old = self.iot.fetch(rid)
@@ -366,11 +385,24 @@ class TestGhosts:
     def test_rolled_back_insert_leaves_no_ghost_past_a_prune(self, world):
         world.begin()
         rid = world.insert(["d", 1, 1])
-        # the undo of an insert is a plain delete, then the chain's pop
-        world.iot.delete(rid)
-        assert world.iot.ghost_count == 1
-        world.iot.versions.pop(rid, world.txn.versions[-1])
+        # the undo of an insert batch takes its keys out with their
+        # fence entries: a new key leaves no ghost and no chain
+        world.iot.delete_bulk(*world.batch)
+        assert world.iot.ghost_count == 0
         assert not world.iot.versions.tracked(rid)
+        assert _rows(world.iot.prefix_batches(
+            ["d"], snapshot=world.snapshot())) == []
+        # a key re-inserted over a ghost is a ghost again, and its
+        # chain is back to the delete
+        world.commit()
+        world.begin()
+        world.delete(world.rids["a", 1])
+        rid = world.insert(["a", 1, 5])
+        assert world.iot.ghost_count == 0 and world.batch[1]
+        world.iot.delete_bulk(*world.batch)
+        assert world.iot.ghost_count == 1
+        assert world.iot.versions.chain_length(rid) == 2
+        world.commit()
         world.prune()
         assert world.iot.ghost_count == 0
 
@@ -383,6 +415,9 @@ class TestGhosts:
         world.begin()
         for rid in churned:
             world.delete(rid)
+        # the rows in bounds have chains too (an insert leaves none)
+        for doc in (1, 2, 3):
+            world.update(world.rids["b", doc], ["b", doc, 2])
         world.commit()
         calls = []
         real = world.iot.versions.resolve
@@ -396,10 +431,9 @@ class TestGhosts:
 
 
 class TestBulkLoadAfterRollback:
-    """A rolled-back INSERT leaves a ghost of its key and no version
-    chain, so the empty table qualifies for the bulk load path again.
-    The load must not keep that ghost: a key in the tree is never a
-    ghost."""
+    """A rolled-back INSERT leaves no ghost of its key and nothing
+    mapped, and a load into the table afterwards reads back as any
+    other: a key in the tree is never a ghost."""
 
     @pytest.fixture
     def conn(self):
@@ -412,7 +446,7 @@ class TestBulkLoadAfterRollback:
         conn.execute("INSERT INTO kv VALUES (1, 'gone')")
         conn.rollback()
         storage = engine.catalog.get_table("kv").storage
-        assert storage.ghost_count == 1 and storage.versions.clean
+        assert storage.ghost_count == 0 and storage.versions.clean
         conn.insert_rows("kv", [[1, "a"], [2, "b"]])
         conn.commit()
         assert storage.ghost_count == 0
